@@ -2,7 +2,7 @@ PYTHON ?= python
 export PYTHONPATH := src
 BENCH_DIR ?= bench-artifacts
 
-.PHONY: check test quickstart-smoke bench-smoke bench-check docs-check lint lint-dist
+.PHONY: check test quickstart-smoke bench-smoke bench-check bench-diff docs-check lint lint-dist
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -23,6 +23,11 @@ bench-smoke:
 
 bench-check: bench-smoke
 	$(PYTHON) benchmarks/check_regressions.py --dir $(BENCH_DIR)
+
+# The refactor oracle: every simulated-clock number of this tree, byte for
+# byte against the BENCH_*.json of another one (`make bench-smoke` there).
+bench-diff: bench-smoke
+	diff -r $(BASE) $(BENCH_DIR)
 
 docs-check:
 	$(PYTHON) -m repro.tools.doccheck src/repro --level api --fail-under 100

@@ -6,8 +6,7 @@ hierarchy mirrors the subsystems described in DESIGN.md: transformation,
 runtime/distribution, networking, policy and the class corpus study.
 
 This module is the *implementation*; applications should import the typed
-hierarchy from the public façade :mod:`repro.api.errors`.  The historical
-``repro.errors`` path keeps working as a :class:`DeprecationWarning` shim.
+hierarchy from the public façade :mod:`repro.api.errors`.
 """
 
 from __future__ import annotations

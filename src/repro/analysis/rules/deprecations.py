@@ -8,61 +8,28 @@ from repro.analysis.engine import LintContext, Rule, dotted_name
 
 
 class DeprecatedApiRule(Rule):
-    """DS106: code uses a deprecated repro API — importing the legacy
-    ``repro.errors`` module, or calling bare ``with_replication(n)``
-    without an explicit quorum/fencing choice.
+    """DS106: code uses a deprecated repro API — calling bare
+    ``with_replication(n)`` without an explicit quorum/fencing choice.
 
-    Why it matters: both forms still work but only through compatibility
-    shims that emit ``DeprecationWarning`` at run time and are scheduled
-    for removal.  ``repro.errors`` re-exports from ``repro.api.errors``
-    via a module ``__getattr__`` shim; bare ``with_replication(n)``
-    defaults to unfenced writes with no quorum, a configuration the
-    partition-safety work made opt-in because it cannot survive a
-    primary partition without split-brain.  Unlike the runtime warnings
-    (which fire only on the paths a given run exercises), this rule finds
-    every occurrence statically, with a concrete replacement for each.
+    Why it matters: the call still works, but only through a compatibility
+    shim that emits ``DeprecationWarning`` at run time.  Bare
+    ``with_replication(n)`` defaults to unfenced writes with no quorum, a
+    configuration the partition-safety work made opt-in because it cannot
+    survive a primary partition without split-brain.  Unlike the runtime
+    warning (which fires only on the paths a given run exercises), this
+    rule finds every occurrence statically, with a concrete replacement.
 
-    Fix: apply the suggestion attached to each finding — import from
-    ``repro.api.errors``, and state the replication contract explicitly,
-    e.g. ``with_replication(n, quorum="majority")``.
+    Fix: apply the suggestion attached to each finding — state the
+    replication contract explicitly, e.g.
+    ``with_replication(n, quorum="majority")``.
     """
 
     id = "DS106"
     severity = "warning"
-    node_types = (ast.Import, ast.ImportFrom, ast.Call)
+    node_types = (ast.Call,)
 
-    def check(self, node: ast.AST, ctx: LintContext) -> None:
-        """Flag legacy imports and bare with_replication() calls."""
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                if alias.name == "repro.errors" or alias.name.startswith(
-                    "repro.errors."
-                ):
-                    ctx.report(
-                        self,
-                        node,
-                        "imports deprecated module repro.errors (a "
-                        "DeprecationWarning shim over repro.api.errors)",
-                        suggestion="import repro.api.errors as errors",
-                    )
-            return
-        if isinstance(node, ast.ImportFrom):
-            if node.module == "repro.errors" or (
-                node.module is not None
-                and node.module.startswith("repro.errors.")
-            ):
-                names = ", ".join(alias.name for alias in node.names)
-                ctx.report(
-                    self,
-                    node,
-                    "imports from deprecated module repro.errors (a "
-                    "DeprecationWarning shim over repro.api.errors)",
-                    suggestion=f"from repro.api.errors import {names}",
-                )
-            return
-        self._check_bare_replication(node, ctx)
-
-    def _check_bare_replication(self, node: ast.Call, ctx: LintContext) -> None:
+    def check(self, node: ast.Call, ctx: LintContext) -> None:
+        """Flag bare with_replication() calls."""
         # Accept any receiver expression (ServicePolicy().with_replication,
         # policy.with_replication, …): match on the attribute name alone.
         if isinstance(node.func, ast.Attribute):

@@ -28,19 +28,8 @@ from typing import Any, Optional
 from repro._errors import InvocationError
 from repro.api.middleware import CallContext, InterceptorChain
 from repro.observability.tracing import SampleGate
-from repro.runtime.batching import _InternalBatcher
+from repro.runtime.batching import BatchingProxy
 from repro.runtime.pipelining import InvocationFuture, PipelineScheduler
-
-
-class _SessionScheduler(PipelineScheduler):
-    """The pipelining engine owned by a façade session.
-
-    Identical to :class:`~repro.runtime.pipelining.PipelineScheduler` but
-    exempt from the direct-construction deprecation warning: internal
-    composition is the supported path.
-    """
-
-    _warn_on_direct_construction = False
 
 
 class DirectPipe:
@@ -137,9 +126,9 @@ class BatchPipe:
 
     def __init__(self, service: Any) -> None:
         self._service = service
-        self._batcher: Optional[_InternalBatcher] = None
+        self._batcher: Optional[BatchingProxy] = None
 
-    def _engine(self) -> _InternalBatcher:
+    def _engine(self) -> BatchingProxy:
         service = self._service
         session = service.session
         reference = service.reference
@@ -159,7 +148,7 @@ class BatchPipe:
                     # the error is theirs and must not escape an unrelated
                     # enqueue against the fresh reference.
                     pass
-            batcher = _InternalBatcher(
+            batcher = BatchingProxy(
                 reference,
                 space=session.space,
                 max_batch=service.policy.batch_window,

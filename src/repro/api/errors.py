@@ -2,9 +2,8 @@
 
 Everything the framework can raise at an application derives from
 :class:`ReproError`, and this module is the supported place to import it
-from — callers no longer reach into internals (the historical
-``repro.errors`` path still works but emits a :class:`DeprecationWarning`).
-Catching is tiered: ``except ReproError`` for everything, a subsystem base
+from — callers do not reach into internals.  Catching is tiered:
+``except ReproError`` for everything, a subsystem base
 (:class:`NetworkError`, :class:`ReplicationError`, :class:`TransportError`,
 …) for a layer, or a leaf class for one condition::
 

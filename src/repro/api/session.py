@@ -34,7 +34,6 @@ from repro.api.dispatch import (
     ChainedPipe,
     DirectPipe,
     StreamPipe,
-    _SessionScheduler,
 )
 from repro.api.middleware import InterceptorChain, MetricsInterceptor
 from repro.api.policy import ServicePolicy
@@ -45,6 +44,7 @@ from repro.network.metrics import LatencyHistogram
 from repro.observability.tracing import Tracer
 from repro.runtime.caching import CacheManager
 from repro.runtime.faulttolerance import NO_RETRY, FaultTolerantInvoker
+from repro.runtime.pipelining import PipelineScheduler
 from repro.runtime.remote_ref import RemoteRef
 from repro.runtime.replication import ReplicaManager
 
@@ -67,7 +67,7 @@ class Session:
         #: The address space this session issues calls from.
         self.space = cluster.space(self.node_id)
         self._services: Dict[str, Service] = {}
-        self._schedulers: Dict[tuple, _SessionScheduler] = {}
+        self._schedulers: Dict[tuple, PipelineScheduler] = {}
         self._invokers: Dict[tuple, Optional[FaultTolerantInvoker]] = {}
         self._detector: Optional[HeartbeatDetector] = None
         self._manager: Optional[ReplicaManager] = None
@@ -374,12 +374,12 @@ class Session:
             )
         return pipe
 
-    def _scheduler_for(self, policy: ServicePolicy) -> _SessionScheduler:
+    def _scheduler_for(self, policy: ServicePolicy) -> PipelineScheduler:
         """The shared scheduler for one policy shape (created on first use)."""
         key = policy.scheduler_key()
         scheduler = self._schedulers.get(key)
         if scheduler is None:
-            scheduler = _SessionScheduler(
+            scheduler = PipelineScheduler(
                 self.space,
                 max_batch=policy.batch_window,
                 window=policy.pipeline_depth,

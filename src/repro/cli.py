@@ -30,54 +30,8 @@ run against their own code base before deploying it:
     Print a policy JSON skeleton placing the named classes round-robin on the
     named nodes, as a starting point for hand editing.
 
-``repro bench-batching [--transports soap,rmi] [--orders N] [--batch-size B]``
-    Run the bulk-order workload batched and unbatched on a simulated two-node
-    cluster and report the per-call simulated cost and speedup per transport.
-    All three ``bench-*`` workloads drive the :mod:`repro.api` façade: one
-    ``Session``, declarative ``ServicePolicy`` knobs, no hand-wired stacks.
-
-``repro bench-pipelining [--transports ...] [--orders N] [--batch-size B]
-[--window W] [--shards S]``
-    Run the sharded bulk-order workload with sequential batched dispatch and
-    with the pipelined scheduler (W batches in flight, completions out of
-    order) and report the per-call simulated cost and speedup per transport.
-
-``repro bench-replication [--transports ...] [--orders N] [--batch-size B]
-[--window W] [--shards S] [--sync eager|interval] [--no-kill]``
-    Run the kill-a-shard workload: every intake shard gets a backup replica
-    on a neighbouring node, a heartbeat detector watches the shards, and one
-    shard is crashed mid-stream.  Reports client-visible failures (0 with a
-    backup), failovers, write amplification and the recovered-call latency
-    against steady state, per transport.
-
-``repro bench-caching [--transports ...] [--rounds N] [--mode
-leases|invalidate|write_through] [--lease-ms L] [--kill]``
-    Run the cached-catalog workload (90 % reads, a writer that invalidates)
-    with and without the client-side result cache and report the per-call
-    speedup, hit rate and stale-read count per transport.  ``--kill``
-    additionally replicates the shards and crashes the write-hot primary
-    mid-run, asserting coherence holds across the failover.
-
-``repro bench-load [--transport t] [--loads 0.5,0.9,1.5,2.5] [--duration D]
-[--workers K] [--queue-limit Q] [--service-time S] [--keys N] [--zipf s]``
-    Sweep open-loop Poisson traffic (Zipf-skewed keys) across multiples of a
-    bounded server's capacity (``workers / service_time``) and report the
-    goodput-vs-offered-load curve with p50/p99/p999 latency, rejections and
-    the saturation knee.
-
-``repro bench-middleware [--transport t] [--duration D] [--hog-rate H]
-[--polite-rate P] [--limit-rate L] [--burst B] [--workers K]
-[--queue-limit Q] [--service-time S]``
-    Pit a hogging tenant against a polite one on a shared bounded service,
-    with and without per-tenant rate limiting on the interceptor chain, and
-    report each tenant's completed/throttled/shed counts per run.
-
-``repro bench-partition [--transports ...] [--cells A,B,C,D]``
-    Drive a majority-quorum replicated ledger through the asymmetric
-    partition matrix (monitor↔primary split, blinded monitor, quorum loss,
-    isolated divergent primary) and report per cell: acknowledged writes
-    lost (must be 0), stale cached reads (must be 0), failovers, vetoed
-    promotions, the final epoch and divergent ops discarded at heal.
+The simulated-clock benchmarks are not CLI commands: run
+``python benchmarks/bench_<name>.py`` (or ``make bench-smoke``).
 
 Run ``python -m repro --help`` for the full syntax.
 """
@@ -260,432 +214,6 @@ def command_corpus_study(args: argparse.Namespace, out) -> int:
     return 0
 
 
-def command_bench_batching(args: argparse.Namespace, out) -> int:
-    from repro.runtime.cluster import Cluster, default_transport_registry
-    from repro.workloads.bulk_orders import run_bulk_order_scenario
-
-    transports = _split_csv(args.transports) or ["inproc", "rmi", "corba", "soap"]
-    known = default_transport_registry().names()
-    unknown = [name for name in transports if name not in known]
-    if unknown:
-        print(f"unknown transports: {', '.join(unknown)}", file=out)
-        return 1
-    if args.batch_size < 2:
-        print("--batch-size must be at least 2", file=out)
-        return 1
-    if args.orders < 1:
-        print("--orders must be at least 1", file=out)
-        return 1
-
-    print(
-        f"bulk-order workload: {args.orders} orders, batch window {args.batch_size}",
-        file=out,
-    )
-    print(
-        f"{'transport':9s} {'unbatched/call':>15s} {'batched/call':>14s} {'speedup':>9s}",
-        file=out,
-    )
-    for transport in transports:
-        unbatched = run_bulk_order_scenario(
-            Cluster(("client", "server")),
-            transport=transport, orders=args.orders, batch_size=1,
-        )
-        batched = run_bulk_order_scenario(
-            Cluster(("client", "server")),
-            transport=transport, orders=args.orders, batch_size=args.batch_size,
-        )
-        speedup = unbatched["per_call_seconds"] / batched["per_call_seconds"]
-        print(
-            f"{transport:9s} {unbatched['per_call_seconds']:13.6f} s "
-            f"{batched['per_call_seconds']:12.6f} s {speedup:7.1f}x",
-            file=out,
-        )
-    return 0
-
-
-def command_bench_pipelining(args: argparse.Namespace, out) -> int:
-    from repro.runtime.cluster import Cluster, default_transport_registry
-    from repro.workloads.pipelined_orders import run_sharded_order_scenario
-
-    transports = _split_csv(args.transports) or ["inproc", "rmi", "corba", "soap"]
-    known = default_transport_registry().names()
-    unknown = [name for name in transports if name not in known]
-    if unknown:
-        print(f"unknown transports: {', '.join(unknown)}", file=out)
-        return 1
-    if args.batch_size < 1:
-        print("--batch-size must be at least 1", file=out)
-        return 1
-    if args.window < 2:
-        print("--window must be at least 2 (1 is the sequential baseline)", file=out)
-        return 1
-    if args.orders < 1:
-        print("--orders must be at least 1", file=out)
-        return 1
-    if args.shards < 1:
-        print("--shards must be at least 1", file=out)
-        return 1
-
-    servers = tuple(f"server-{index}" for index in range(args.shards))
-    print(
-        f"sharded bulk orders: {args.orders} orders, {args.shards} shard(s), "
-        f"batch window {args.batch_size}, in-flight window {args.window}",
-        file=out,
-    )
-    print(
-        f"{'transport':9s} {'sequential/call':>16s} {'pipelined/call':>15s} "
-        f"{'speedup':>9s} {'out-of-order':>13s}",
-        file=out,
-    )
-    for transport in transports:
-        sequential = run_sharded_order_scenario(
-            Cluster(("client",) + servers),
-            transport=transport, orders=args.orders, batch_size=args.batch_size,
-            window=args.window, pipelined=False, servers=servers,
-        )
-        pipelined = run_sharded_order_scenario(
-            Cluster(("client",) + servers),
-            transport=transport, orders=args.orders, batch_size=args.batch_size,
-            window=args.window, pipelined=True, servers=servers,
-        )
-        speedup = sequential["per_call_seconds"] / pipelined["per_call_seconds"]
-        print(
-            f"{transport:9s} {sequential['per_call_seconds']:14.6f} s "
-            f"{pipelined['per_call_seconds']:13.6f} s {speedup:7.1f}x "
-            f"{pipelined['out_of_order_completions']:13d}",
-            file=out,
-        )
-    return 0
-
-
-def command_bench_replication(args: argparse.Namespace, out) -> int:
-    from repro.runtime.cluster import Cluster, default_transport_registry
-    from repro.workloads.replicated_orders import run_replicated_order_scenario
-
-    transports = _split_csv(args.transports) or ["inproc", "rmi", "corba", "soap"]
-    known = default_transport_registry().names()
-    unknown = [name for name in transports if name not in known]
-    if unknown:
-        print(f"unknown transports: {', '.join(unknown)}", file=out)
-        return 1
-    if args.batch_size < 1:
-        print("--batch-size must be at least 1", file=out)
-        return 1
-    if args.window < 1:
-        print("--window must be at least 1", file=out)
-        return 1
-    if args.orders < 1:
-        print("--orders must be at least 1", file=out)
-        return 1
-    if args.shards < 2:
-        print("--shards must be at least 2 (backups live on a neighbouring shard)", file=out)
-        return 1
-    if args.sync not in ("eager", "interval"):
-        print("--sync must be 'eager' or 'interval'", file=out)
-        return 1
-
-    shards = tuple(f"shard-{index}" for index in range(args.shards))
-    kill = None if args.no_kill else shards[0]
-    print(
-        f"kill-a-shard: {args.orders} orders, {args.shards} shards, batch window "
-        f"{args.batch_size}, in-flight window {args.window}, sync={args.sync}"
-        + ("" if kill is None else f", killing {kill!r} halfway"),
-        file=out,
-    )
-    print(
-        f"{'transport':9s} {'accepted':>9s} {'lost':>5s} {'failovers':>10s} "
-        f"{'steady/call':>12s} {'recovered/call':>15s}",
-        file=out,
-    )
-    for transport in transports:
-        outcome = run_replicated_order_scenario(
-            Cluster(("client",) + shards),
-            transport=transport, orders=args.orders, batch_size=args.batch_size,
-            window=args.window, shards=shards, sync=args.sync, kill=kill,
-        )
-        print(
-            f"{transport:9s} {outcome['accepted']:9d} "
-            f"{outcome['client_visible_failures']:5d} {outcome['failovers']:10d} "
-            f"{outcome['steady_latency_mean']:10.6f} s "
-            f"{outcome['recovered_latency_mean']:13.6f} s",
-            file=out,
-        )
-    return 0
-
-
-def command_bench_caching(args: argparse.Namespace, out) -> int:
-    from repro.runtime.cluster import Cluster, default_transport_registry
-    from repro.runtime.caching import CACHE_MODES
-    from repro.workloads.cached_catalog import run_cached_catalog_scenario
-
-    transports = _split_csv(args.transports) or ["inproc", "rmi", "corba", "soap"]
-    known = default_transport_registry().names()
-    unknown = [name for name in transports if name not in known]
-    if unknown:
-        print(f"unknown transports: {', '.join(unknown)}", file=out)
-        return 1
-    if args.rounds < 1:
-        print("--rounds must be at least 1", file=out)
-        return 1
-    if args.mode not in CACHE_MODES:
-        print(f"--mode must be one of {', '.join(CACHE_MODES)}", file=out)
-        return 1
-    if args.lease_ms <= 0:
-        print("--lease-ms must be positive", file=out)
-        return 1
-
-    nodes = ("client", "writer", "server-0", "server-1")
-    print(
-        f"cached catalog: {args.rounds} rounds at 90% reads, mode={args.mode}, "
-        f"lease {args.lease_ms:g} ms"
-        + (", killing the feed shard's primary halfway" if args.kill else ""),
-        file=out,
-    )
-    print(
-        f"{'transport':9s} {'uncached/call':>14s} {'cached/call':>12s} "
-        f"{'speedup':>8s} {'hit rate':>9s} {'stale reads':>12s}",
-        file=out,
-    )
-    for transport in transports:
-        uncached = run_cached_catalog_scenario(
-            Cluster(nodes), transport=transport, rounds=args.rounds, cached=False
-        )
-        cached = run_cached_catalog_scenario(
-            Cluster(nodes),
-            transport=transport,
-            rounds=args.rounds,
-            cached=True,
-            mode=args.mode,
-            lease_ms=args.lease_ms,
-            replicate=args.kill,
-            kill=args.kill,
-        )
-        speedup = uncached["per_call_seconds"] / cached["per_call_seconds"]
-        print(
-            f"{transport:9s} {uncached['per_call_seconds']:12.6f} s "
-            f"{cached['per_call_seconds']:10.6f} s {speedup:6.1f}x "
-            f"{cached['hit_rate']:8.1%} {cached['stale_reads']:12d}",
-            file=out,
-        )
-    return 0
-
-
-def command_bench_load(args: argparse.Namespace, out) -> int:
-    from repro.runtime.cluster import Cluster, default_transport_registry
-    from repro.workloads.open_loop import detect_knee, run_open_loop_scenario
-
-    known = default_transport_registry().names()
-    if args.transport not in known:
-        print(f"unknown transport: {args.transport}", file=out)
-        return 1
-    factors = []
-    for token in _split_csv(args.loads) or ["0.5", "0.9", "1.5", "2.5"]:
-        try:
-            factor = float(token)
-        except ValueError:
-            print(f"--loads must be numbers, got {token!r}", file=out)
-            return 1
-        if factor <= 0:
-            print("--loads factors must be positive", file=out)
-            return 1
-        factors.append(factor)
-    if args.workers < 1:
-        print("--workers must be at least 1", file=out)
-        return 1
-    if args.queue_limit < 0:
-        print("--queue-limit must be non-negative", file=out)
-        return 1
-    if args.service_time <= 0:
-        print("--service-time must be positive", file=out)
-        return 1
-    if args.duration <= 0:
-        print("--duration must be positive", file=out)
-        return 1
-    if args.keys < 1:
-        print("--keys must be at least 1", file=out)
-        return 1
-    if args.zipf < 0:
-        print("--zipf must be non-negative", file=out)
-        return 1
-
-    capacity = args.workers / args.service_time
-    print(
-        f"open-loop sweep on {args.transport}: {args.workers} workers x "
-        f"{args.service_time * 1000:g} ms (capacity {capacity:.0f} req/s, "
-        f"queue {args.queue_limit}), {args.duration:g} s per point",
-        file=out,
-    )
-    print(
-        f"{'offered':>9s} {'goodput':>9s} {'eff':>7s} {'p50':>9s} {'p99':>9s} "
-        f"{'p999':>9s} {'rejected':>9s}",
-        file=out,
-    )
-    points = []
-    for factor in sorted(factors):
-        point = run_open_loop_scenario(
-            Cluster(("client", "server")),
-            transport=args.transport,
-            offered_load=factor * capacity,
-            duration=args.duration,
-            keys=args.keys,
-            zipf_exponent=args.zipf,
-            workers=args.workers,
-            queue_limit=args.queue_limit,
-            service_time=args.service_time,
-        )
-        points.append(point)
-        latency = point["latency"]
-        efficiency = point["goodput"] / point["measured_offered"]
-        print(
-            f"{point['measured_offered']:7.0f}/s {point['goodput']:7.0f}/s "
-            f"{efficiency:7.1%} {latency['p50'] * 1000:7.2f}ms "
-            f"{latency['p99'] * 1000:7.2f}ms {latency['p999'] * 1000:7.2f}ms "
-            f"{point['rejected']:9d}",
-            file=out,
-        )
-    knee = detect_knee(points)
-    if knee is None:
-        print("no saturation knee within the swept range", file=out)
-    else:
-        print(
-            f"saturation knee at {knee['measured_offered']:.0f} req/s offered "
-            f"({knee['efficiency']:.1%} efficiency)",
-            file=out,
-        )
-    return 0
-
-
-def command_bench_middleware(args: argparse.Namespace, out) -> int:
-    from repro.runtime.cluster import Cluster, default_transport_registry
-    from repro.workloads.multi_tenant import run_multi_tenant_scenario
-
-    known = default_transport_registry().names()
-    if args.transport not in known:
-        print(f"unknown transport: {args.transport}", file=out)
-        return 1
-    if args.duration <= 0:
-        print("--duration must be positive", file=out)
-        return 1
-    if args.hog_rate <= 0 or args.polite_rate <= 0:
-        print("offered rates must be positive", file=out)
-        return 1
-    if args.limit_rate is not None and args.limit_rate <= 0:
-        print("--limit-rate must be positive", file=out)
-        return 1
-    if args.workers < 1:
-        print("--workers must be at least 1", file=out)
-        return 1
-    if args.service_time <= 0:
-        print("--service-time must be positive", file=out)
-        return 1
-
-    kwargs = dict(
-        transport=args.transport,
-        duration=args.duration,
-        hog_rate=args.hog_rate,
-        polite_rate=args.polite_rate,
-        burst=args.burst,
-        workers=args.workers,
-        queue_limit=args.queue_limit,
-        service_time=args.service_time,
-    )
-    runs = [("unlimited", None)]
-    if args.limit_rate is not None:
-        runs.append(("limited", args.limit_rate))
-    capacity = args.workers / args.service_time
-    print(
-        f"multi-tenant contention on {args.transport}: hog "
-        f"{args.hog_rate:g}/s vs polite {args.polite_rate:g}/s at a "
-        f"{capacity:.0f}/s pool, {args.duration:g} s",
-        file=out,
-    )
-    print(
-        f"{'run':>9s} {'tenant':>7s} {'offered':>8s} {'done':>6s} "
-        f"{'throttled':>9s} {'shed':>6s} {'ratio':>7s}",
-        file=out,
-    )
-    for label, limit in runs:
-        outcome = run_multi_tenant_scenario(
-            Cluster(("hog", "polite", "server")), limit_rate=limit, **kwargs
-        )
-        for tenant in ("hog", "polite"):
-            row = outcome[tenant]
-            print(
-                f"{label:>9s} {tenant:>7s} {row['offered']:8d} "
-                f"{row['completed']:6d} {row['throttled']:9d} "
-                f"{row['shed']:6d} {row['completion_ratio']:7.1%}",
-                file=out,
-            )
-    return 0
-
-
-def command_bench_partition(args: argparse.Namespace, out) -> int:
-    from repro.runtime.cluster import Cluster, default_transport_registry
-    from repro.workloads.partitioned_orders import (
-        PARTITION_CELLS,
-        run_partitioned_order_scenario,
-    )
-
-    known = default_transport_registry().names()
-    transports = _split_csv(args.transports) or list(known)
-    unknown = [name for name in transports if name not in known]
-    if unknown:
-        print(f"unknown transports: {', '.join(unknown)}", file=out)
-        return 1
-    cells = [cell.upper() for cell in (_split_csv(args.cells) or PARTITION_CELLS)]
-    bad = [cell for cell in cells if cell not in PARTITION_CELLS]
-    if bad:
-        print(
-            f"unknown cells: {', '.join(bad)} "
-            f"(choose from {', '.join(PARTITION_CELLS)})",
-            file=out,
-        )
-        return 1
-
-    nodes = ("monitor", "client", "reader", "p0", "p1", "p2")
-    print(
-        "partition-safety matrix: cells "
-        + ", ".join(cells)
-        + " on "
-        + ", ".join(transports),
-        file=out,
-    )
-    print(
-        f"{'transport':9s} {'cell':4s} {'acked':>6s} {'lost':>5s} {'stale':>6s} "
-        f"{'refused':>8s} {'failovers':>10s} {'vetoed':>7s} {'epoch':>6s} "
-        f"{'discarded':>10s}",
-        file=out,
-    )
-    failures = 0
-    for transport in transports:
-        for cell in cells:
-            outcome = run_partitioned_order_scenario(
-                Cluster(nodes), transport=transport, cell=cell
-            )
-            safe = (
-                outcome["acked_lost"] == 0
-                and outcome["stale_reads"] == 0
-                and outcome["outstanding_refused"] == 0
-                and outcome["single_highest_epoch_primary"]
-                and outcome["stale_primaries_remaining"] == 0
-            )
-            failures += 0 if safe else 1
-            refused = sum(outcome["refusals"].values())
-            print(
-                f"{transport:9s} {cell:4s} {outcome['acked']:6d} "
-                f"{outcome['acked_lost']:5d} {outcome['stale_reads']:6d} "
-                f"{refused:8d} {outcome['failovers']:10d} "
-                f"{outcome['promotions_vetoed']:7d} {outcome['epoch']:6d} "
-                f"{outcome['ops_discarded']:10d}{'' if safe else '  FAIL'}",
-                file=out,
-            )
-    if failures:
-        print(f"{failures} matrix cell(s) violated a safety invariant", file=out)
-        return 1
-    print("every cell safe: zero acked losses, zero stale reads", file=out)
-    return 0
-
-
 def command_trace(args: argparse.Namespace, out) -> int:
     from repro.observability import (
         render_phase_table,
@@ -836,108 +364,6 @@ def build_parser() -> argparse.ArgumentParser:
     template.add_argument("--transport", default="rmi")
     template.add_argument("--dynamic", action="store_true")
     template.set_defaults(handler=command_policy_template)
-
-    batching = subparsers.add_parser(
-        "bench-batching",
-        help="compare batched vs unbatched remote invocation per transport",
-    )
-    batching.add_argument("--transports", help="comma-separated transports (default: all)")
-    batching.add_argument("--orders", type=int, default=128)
-    batching.add_argument("--batch-size", type=int, default=32)
-    batching.set_defaults(handler=command_bench_batching)
-
-    pipelining = subparsers.add_parser(
-        "bench-pipelining",
-        help="compare pipelined vs sequential batched dispatch per transport",
-    )
-    pipelining.add_argument("--transports", help="comma-separated transports (default: all)")
-    pipelining.add_argument("--orders", type=int, default=256)
-    pipelining.add_argument("--batch-size", type=int, default=32)
-    pipelining.add_argument("--window", type=int, default=8)
-    pipelining.add_argument("--shards", type=int, default=2)
-    pipelining.set_defaults(handler=command_bench_pipelining)
-
-    replication = subparsers.add_parser(
-        "bench-replication",
-        help="kill a replicated shard mid-stream and report failover recovery",
-    )
-    replication.add_argument("--transports", help="comma-separated transports (default: all)")
-    replication.add_argument("--orders", type=int, default=256)
-    replication.add_argument("--batch-size", type=int, default=16)
-    replication.add_argument("--window", type=int, default=4)
-    replication.add_argument("--shards", type=int, default=2)
-    replication.add_argument("--sync", default="eager", help="backup sync mode: eager|interval")
-    replication.add_argument(
-        "--no-kill", action="store_true", help="steady state only (no shard crash)"
-    )
-    replication.set_defaults(handler=command_bench_replication)
-
-    caching = subparsers.add_parser(
-        "bench-caching",
-        help="compare cached vs uncached reads and assert zero stale reads",
-    )
-    caching.add_argument("--transports", help="comma-separated transports (default: all)")
-    caching.add_argument("--rounds", type=int, default=15)
-    caching.add_argument(
-        "--mode", default="leases", help="cache mode: leases|invalidate|write_through"
-    )
-    caching.add_argument("--lease-ms", type=float, default=250.0)
-    caching.add_argument(
-        "--kill",
-        action="store_true",
-        help="replicate the shards and crash the write-hot primary mid-run",
-    )
-    caching.set_defaults(handler=command_bench_caching)
-
-    load = subparsers.add_parser(
-        "bench-load",
-        help="sweep open-loop offered load against a bounded server and find the knee",
-    )
-    load.add_argument("--transport", default="rmi", help="transport to drive (one)")
-    load.add_argument(
-        "--loads",
-        help="comma-separated offered-load multiples of capacity (default: 0.5,0.9,1.5,2.5)",
-    )
-    load.add_argument("--duration", type=float, default=1.0)
-    load.add_argument("--workers", type=int, default=2)
-    load.add_argument("--queue-limit", type=int, default=16)
-    load.add_argument("--service-time", type=float, default=0.002)
-    load.add_argument("--keys", type=int, default=32)
-    load.add_argument("--zipf", type=float, default=1.1)
-    load.set_defaults(handler=command_bench_load)
-
-    middleware = subparsers.add_parser(
-        "bench-middleware",
-        help="pit a hogging tenant against a polite one, with and without "
-        "per-tenant rate limiting on the interceptor chain",
-    )
-    middleware.add_argument("--transport", default="rmi", help="transport to drive (one)")
-    middleware.add_argument("--duration", type=float, default=0.5)
-    middleware.add_argument("--hog-rate", type=float, default=8000.0)
-    middleware.add_argument("--polite-rate", type=float, default=400.0)
-    middleware.add_argument(
-        "--limit-rate",
-        type=float,
-        default=600.0,
-        help="per-tenant client-side grant in calls/s for the limited run",
-    )
-    middleware.add_argument("--burst", type=float, default=32.0)
-    middleware.add_argument("--workers", type=int, default=2)
-    middleware.add_argument("--queue-limit", type=int, default=8)
-    middleware.add_argument("--service-time", type=float, default=0.002)
-    middleware.set_defaults(handler=command_bench_middleware)
-
-    partition = subparsers.add_parser(
-        "bench-partition",
-        help="drive quorum replication through the asymmetric-partition "
-        "matrix and check the zero-loss / zero-stale-read safety gates",
-    )
-    partition.add_argument("--transports", help="comma-separated transports (default: all)")
-    partition.add_argument(
-        "--cells",
-        help="comma-separated partition cells from A,B,C,D (default: all)",
-    )
-    partition.set_defaults(handler=command_bench_partition)
 
     trace = subparsers.add_parser(
         "trace",

@@ -39,16 +39,20 @@ class SimClock:
         """Advance simulated time by ``seconds`` (negative values are ignored)."""
         if seconds <= 0:
             return self.now
-        previous = self.now
-        self.now += seconds
-        for listener in self._listeners:
-            listener(previous, self.now)
-        return self.now
+        return self.advance_to(self.now + seconds)
 
     def advance_to(self, timestamp: float) -> float:
-        """Advance the clock to ``timestamp`` if it lies in the future."""
+        """Advance the clock to ``timestamp`` if it lies in the future.
+
+        The clock lands on ``timestamp`` exactly — not on ``now + (timestamp
+        - now)``, which can round one ulp away — so an event fires at
+        precisely the instant it was scheduled for.
+        """
         if timestamp > self.now:
-            self.advance(timestamp - self.now)
+            previous = self.now
+            self.now = timestamp
+            for listener in self._listeners:
+                listener(previous, timestamp)
         return self.now
 
     def reset(self) -> None:

@@ -2,19 +2,22 @@
 
 The paper deploys transformed applications on a LAN; this reproduction has no
 testbed, so the substrate is a deterministic in-process network simulator.
-Nodes register a message handler; :meth:`SimulatedNetwork.send_request`
-models a synchronous request/response exchange with configurable per-link
-latency, bandwidth-proportional transmission time, jitter, message loss and
-partitions.  Simulated time is charged to a :class:`~repro.network.clock.SimClock`
-and traffic is accounted in :class:`~repro.network.metrics.NetworkMetrics`.
+Nodes register a message handler; a request/response *exchange* between two
+nodes is modelled with configurable per-link latency, bandwidth-proportional
+transmission time, jitter, message loss and partitions.  Simulated time is
+charged to a :class:`~repro.network.clock.SimClock` and traffic is accounted
+in :class:`~repro.network.metrics.NetworkMetrics`.
 
-:meth:`SimulatedNetwork.post` is the asynchronous sibling: it schedules the
-delivery and the response as events on the network's
+The exchange is written once (:meth:`SimulatedNetwork._exchange`) and has two
+drivers.  :meth:`SimulatedNetwork.send_request` runs it inline: the caller's
+clock advances through every wait and the response is the return value.
+:meth:`SimulatedNetwork.post` runs it on the network's
 :class:`~repro.network.clock.EventQueue` and returns immediately, reporting
 the outcome through completion callbacks.  Several posted messages can be in
 flight at once, and their link delays overlap in simulated time — the
 foundation of the pipelined invocation scheduler
-(:mod:`repro.runtime.pipelining`).
+(:mod:`repro.runtime.pipelining`).  A call fails, queues and is accounted
+identically whichever driver carries it.
 
 Links have *capacity*: each directed link is a FIFO resource whose
 transmission phase serializes — a message starts transmitting only once the
@@ -34,7 +37,7 @@ import math
 import random
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from typing import Callable, Deque, Dict, Generator, List, Optional, Tuple
 
 from repro._errors import (
     AdmissionError,
@@ -360,6 +363,127 @@ class SimulatedNetwork:
 
     # -- message exchange -----------------------------------------------------------
 
+    def _exchange(
+        self,
+        source: str,
+        destination: str,
+        payload: bytes,
+        trace: Optional[List[Tuple[str, str]]],
+    ) -> Generator[float, None, bytes]:
+        """One request/response exchange, written once for both drivers.
+
+        Straight-line code: it raises on failure, returns the response and
+        *yields* the simulated timestamp it must wait for wherever time has
+        to pass (request on the wire, pool queueing, the remainder of the
+        pool's service time, response on the wire).  :meth:`send_request`
+        drives it inline by advancing the clock; :meth:`post` drives it on
+        :attr:`events`, so several exchanges interleave.  Nothing between two
+        yields reads state that only one of the drivers maintains, which is
+        what keeps the two paths behaviourally identical.
+
+        The sender is modelled as detecting loss immediately (a negative-ack
+        model; retry backoff supplies any recovery delay).
+        """
+        clock = self.clock
+        if source == destination:
+            # Same address space: no network is involved.  The single yield
+            # lets the event-queue driver defer the handler like any other
+            # completion, so local and remote completions interleave
+            # deterministically.
+            yield clock.now
+            return self._require_handler(destination)(source, payload)
+
+        self._check_reachability(source, destination)
+        if self.failures.should_drop(source, destination):
+            self.metrics.record_drop(source, destination)
+            self._trace_event(trace, "request-dropped", link=f"{source}->{destination}")
+            raise MessageDroppedError(
+                f"message from {source!r} to {destination!r} was dropped"
+            )
+        yield self._transmit(source, destination, payload, "request-wire", trace)
+
+        # Reachability was checked at send time; the destination can have
+        # crashed while the message was in flight, and must not execute.
+        handler = self._require_handler(destination)
+        if self.failures.is_node_down(destination):
+            raise NodeUnreachableError(f"node {destination!r} went down before delivery")
+        pool = self._pools.get(destination)
+        release_at = None
+        if pool is not None:
+            arrived_at = clock.now
+            try:
+                start = pool.admit(arrived_at)
+            except AdmissionError:
+                self._trace_event(trace, "admission-rejected", node=destination)
+                raise
+            queued = start > arrived_at
+            if queued:
+                self._trace_interval(
+                    trace, "pool-queue", "server_queue", arrived_at, start, node=destination
+                )
+                yield start
+            pool.begin_service(queued)
+            # ... or while the request sat in the admission queue.
+            handler = self._handlers.get(destination)
+            if handler is None or self.failures.is_node_down(destination):
+                raise NodeUnreachableError(f"node {destination!r} went down while queued")
+            release_at = start + pool.service_time
+
+        served_at = clock.now
+        try:
+            response = handler(source, payload)
+        except Exception as error:
+            self._trace_interval(
+                trace, "service", "service", served_at, clock.now,
+                node=destination, error=type(error).__name__,
+            )
+            raise
+        if self.failures.should_drop(destination, source):
+            self.metrics.record_drop(destination, source)
+            self._trace_interval(
+                trace, "service", "service", served_at, clock.now, node=destination
+            )
+            self._trace_event(trace, "response-dropped", link=f"{destination}->{source}")
+            raise MessageDroppedError(
+                f"response from {destination!r} to {source!r} was dropped"
+            )
+        if release_at is not None and release_at > clock.now:
+            # The worker holds the request until its service time has
+            # elapsed; only then does the response hit the wire.
+            yield release_at
+        if trace:
+            self._trace_interval(
+                trace, "service", "service", served_at, clock.now, node=destination
+            )
+        yield self._transmit(destination, source, response, "response-wire", trace)
+        return response
+
+    def _transmit(
+        self,
+        source: str,
+        destination: str,
+        message: bytes,
+        span_name: str,
+        trace: Optional[List[Tuple[str, str]]],
+    ) -> float:
+        """Put one message on the ``source -> destination`` wire — now.
+
+        Reserves the link, accounts the traffic and the wire span, and
+        returns the simulated time the message arrives.
+        """
+        sent_at = self.clock.now
+        size = len(message)
+        delay = self._reserve_link(
+            source, destination, size, self.link_config(source, destination)
+        )
+        self.metrics.record(source, destination, size, delay)
+        if trace:  # checked here too: untraced traffic skips building the attrs
+            self._trace_interval(
+                trace, span_name, "wire", sent_at, sent_at + delay,
+                link=f"{source}->{destination}", bytes=size,
+            )
+        return sent_at + delay
+
     def send_request(
         self,
         source: str,
@@ -370,96 +494,19 @@ class SimulatedNetwork:
     ) -> bytes:
         """Synchronously deliver ``payload`` and return the handler's response.
 
-        Simulated time advances by the request's one-way delay (including any
-        wait for the link to free up), the handler runs behind the node's
-        service pool if one is installed (its own nested sends advance time
-        further), and time advances again for the response's one-way delay.
-        Failures raise subclasses of :class:`~repro.api.errors.NetworkError`; a
-        saturated destination pool raises
-        :class:`~repro.api.errors.AdmissionError` synchronously.
+        Drives one :meth:`_exchange` inline: wherever the exchange has to
+        wait, the caller's clock advances (the handler's own nested sends
+        advance it further).  Failures raise subclasses of
+        :class:`~repro.api.errors.NetworkError`; a saturated destination pool
+        raises :class:`~repro.api.errors.AdmissionError`.
         """
-
-        if source == destination:
-            # Same address space: no network is involved.
-            handler = self._require_handler(destination)
-            return handler(source, payload)
-
-        self._check_reachability(source, destination)
-        if self.failures.should_drop(source, destination):
-            self.metrics.record_drop(source, destination)
-            self._trace_event(trace, "request-dropped", link=f"{source}->{destination}")
-            raise MessageDroppedError(
-                f"message from {source!r} to {destination!r} was dropped"
-            )
-
-        link = self.link_config(source, destination)
-        sent_at = self.clock.now
-        request_delay = self._reserve_link(source, destination, len(payload), link)
-        self.clock.advance(request_delay)
-        self.metrics.record(source, destination, len(payload), request_delay)
-        self._trace_interval(
-            trace,
-            "request-wire",
-            "wire",
-            sent_at,
-            self.clock.now,
-            link=f"{source}->{destination}",
-            bytes=len(payload),
-        )
-
-        handler = self._require_handler(destination)
-        pool = self._pools.get(destination)
-        if pool is None:
-            served_at = self.clock.now
-            response = handler(source, payload)
-            self._trace_interval(
-                trace, "service", "service", served_at, self.clock.now, node=destination
-            )
-        else:
-            arrived_at = self.clock.now
-            try:
-                start = pool.admit(arrived_at)
-            except AdmissionError:
-                self._trace_event(trace, "admission-rejected", node=destination)
-                raise
-            queued = start > arrived_at
-            self.clock.advance_to(start)
-            pool.begin_service(queued)
-            if queued:
-                self._trace_interval(
-                    trace, "pool-queue", "server_queue", arrived_at, start, node=destination
-                )
-            response = handler(source, payload)
-            finish = start + pool.service_time
-            if finish > self.clock.now:
-                self.clock.advance_to(finish)
-            self._trace_interval(
-                trace, "service", "service", start, self.clock.now, node=destination
-            )
-
-        if self.failures.should_drop(destination, source):
-            self.metrics.record_drop(destination, source)
-            self._trace_event(trace, "response-dropped", link=f"{destination}->{source}")
-            raise MessageDroppedError(
-                f"response from {destination!r} to {source!r} was dropped"
-            )
-        reverse_link = self.link_config(destination, source)
-        responded_at = self.clock.now
-        response_delay = self._reserve_link(
-            destination, source, len(response), reverse_link
-        )
-        self.clock.advance(response_delay)
-        self.metrics.record(destination, source, len(response), response_delay)
-        self._trace_interval(
-            trace,
-            "response-wire",
-            "wire",
-            responded_at,
-            self.clock.now,
-            link=f"{destination}->{source}",
-            bytes=len(response),
-        )
-        return response
+        exchange = self._exchange(source, destination, payload, trace)
+        advance_to = self.clock.advance_to
+        try:
+            while True:
+                advance_to(next(exchange))
+        except StopIteration as done:
+            return done.value
 
     def post(
         self,
@@ -473,189 +520,54 @@ class SimulatedNetwork:
     ) -> None:
         """Asynchronously deliver ``payload``; the outcome arrives via callback.
 
-        Unlike :meth:`send_request`, this returns immediately: the request's
-        one-way delay, the destination handler's execution and the response's
-        one-way delay are scheduled on :attr:`events` and play out when the
-        queue is pumped.  Messages posted before the queue is drained are in
-        flight *concurrently* — their link delays overlap in simulated time,
-        so N posted round trips cost roughly ``max`` rather than ``sum`` of
-        their delays.
+        Drives one :meth:`_exchange` on :attr:`events` and returns
+        immediately: every wait becomes an event, so messages posted before
+        the queue is pumped are in flight *concurrently* — their link delays
+        overlap in simulated time, and N posted round trips cost roughly
+        ``max`` rather than ``sum`` of their delays.  The clock is never
+        advanced here; other workers and links keep operating meanwhile.
 
-        Failure semantics mirror the synchronous path: unreachable or
-        partitioned destinations and dropped messages surface through
-        ``on_error`` as :class:`~repro.api.errors.NetworkError` subclasses (the
-        sender is modelled as detecting loss immediately — a negative-ack
-        model; retry backoff supplies any recovery delay).  Errors are
-        reported through the event queue too, so completion order stays
-        deterministic.
+        The same failures :meth:`send_request` raises reach ``on_error``
+        instead, always from the event queue (even ones detected at post
+        time), so completion order stays deterministic.
         """
-
-        if source == destination:
-            # Same address space: no network is involved, but completion
-            # still travels through the event queue so that local and remote
-            # completions interleave deterministically.
-            def complete_locally() -> None:
-                try:
-                    handler = self._require_handler(destination)
-                    response = handler(source, payload)
-                except Exception as error:  # noqa: BLE001 - routed to callback
-                    on_error(error)
-                    return
-                on_response(response)
-
-            self.events.schedule(0.0, complete_locally)
-            return
-
+        exchange = self._exchange(source, destination, payload, trace)
+        # The first leg runs now, so links are reserved in post order.
         try:
-            self._check_reachability(source, destination)
+            wake = next(exchange)
         except Exception as error:  # noqa: BLE001 - routed to callback
             # Bind to a fresh name: `error` itself is unbound when the
             # except block exits, before the scheduled lambda runs.
             failure = error
             self.events.schedule(0.0, lambda: on_error(failure))
-            return
-        if self.failures.should_drop(source, destination):
-            self.metrics.record_drop(source, destination)
-            self._trace_event(trace, "request-dropped", link=f"{source}->{destination}")
-            dropped = MessageDroppedError(
-                f"message from {source!r} to {destination!r} was dropped"
+        else:
+            self.events.schedule_at(
+                wake, lambda: self._resume(exchange, on_response, on_error)
             )
-            self.events.schedule(0.0, lambda: on_error(dropped))
-            return
 
-        link = self.link_config(source, destination)
-        sent_at = self.clock.now
-        request_delay = self._reserve_link(source, destination, len(payload), link)
-        self.metrics.record(source, destination, len(payload), request_delay)
-        self._trace_interval(
-            trace,
-            "request-wire",
-            "wire",
-            sent_at,
-            sent_at + request_delay,
-            link=f"{source}->{destination}",
-            bytes=len(payload),
-        )
+    def _resume(
+        self,
+        exchange: Generator[float, None, bytes],
+        on_response: ResponseCallback,
+        on_error: ErrorCallback,
+    ) -> None:
+        """Run a posted exchange up to its next wait, or to its outcome.
 
-        def serve(handler: MessageHandler, respond_at: Optional[float]) -> None:
-            served_at = self.clock.now
-            try:
-                response = handler(source, payload)
-            except Exception as error:  # noqa: BLE001 - routed to callback
-                self._trace_interval(
-                    trace,
-                    "service",
-                    "service",
-                    served_at,
-                    self.clock.now,
-                    node=destination,
-                    error=type(error).__name__,
-                )
-                on_error(error)
-                return
-            if self.failures.should_drop(destination, source):
-                self.metrics.record_drop(destination, source)
-                self._trace_interval(
-                    trace, "service", "service", served_at, self.clock.now, node=destination
-                )
-                self._trace_event(trace, "response-dropped", link=f"{destination}->{source}")
-                on_error(
-                    MessageDroppedError(
-                        f"response from {destination!r} to {source!r} was dropped"
-                    )
-                )
-                return
-
-            def send_response() -> None:
-                # The worker releases the request here: the service
-                # interval spans handler execution plus the remainder of
-                # the pool's service time.
-                self._trace_interval(
-                    trace, "service", "service", served_at, self.clock.now, node=destination
-                )
-                reverse_link = self.link_config(destination, source)
-                responded_at = self.clock.now
-                response_delay = self._reserve_link(
-                    destination, source, len(response), reverse_link
-                )
-                self.metrics.record(destination, source, len(response), response_delay)
-                self._trace_interval(
-                    trace,
-                    "response-wire",
-                    "wire",
-                    responded_at,
-                    responded_at + response_delay,
-                    link=f"{destination}->{source}",
-                    bytes=len(response),
-                )
-                self.events.schedule(response_delay, lambda: on_response(response))
-
-            if respond_at is not None and respond_at > self.clock.now:
-                # The worker holds the request until its service time has
-                # elapsed; only then does the response hit the wire.  The
-                # clock is NOT advanced here — other workers (and other
-                # links) keep operating concurrently in simulated time.
-                self.events.schedule_at(respond_at, send_response)
-            else:
-                send_response()
-
-        def deliver() -> None:
-            handler = self._handlers.get(destination)
-            if handler is None:
-                on_error(
-                    NodeUnreachableError(
-                        f"node {destination!r} is not registered on the network"
-                    )
-                )
-                return
-            if self.failures.is_node_down(destination):
-                # The destination crashed while this message was in flight:
-                # it must not execute on a dead node (reachability was only
-                # checked at post time).
-                on_error(
-                    NodeUnreachableError(
-                        f"node {destination!r} went down before delivery"
-                    )
-                )
-                return
-            pool = self._pools.get(destination)
-            if pool is None:
-                serve(handler, None)
-                return
-            now = self.clock.now
-            try:
-                start = pool.admit(now)
-            except AdmissionError as error:
-                self._trace_event(trace, "admission-rejected", node=destination)
-                on_error(error)
-                return
-            queued = start > now
-            if queued:
-                self._trace_interval(
-                    trace, "pool-queue", "server_queue", now, start, node=destination
-                )
-
-            def begin() -> None:
-                pool.begin_service(queued)
-                # The destination can die while the request sits in the
-                # admission queue (not just in flight): it must fail here
-                # rather than execute on a dead node.
-                current = self._handlers.get(destination)
-                if current is None or self.failures.is_node_down(destination):
-                    on_error(
-                        NodeUnreachableError(
-                            f"node {destination!r} went down while queued"
-                        )
-                    )
-                    return
-                serve(current, start + pool.service_time)
-
-            if queued:
-                self.events.schedule_at(start, begin)
-            else:
-                begin()
-
-        self.events.schedule(request_delay, deliver)
+        A method rather than a closure of :meth:`post` that reschedules
+        itself: a self-referencing closure is a reference cycle, and every
+        finished exchange (payloads, callbacks, futures) would then linger
+        until the cyclic collector runs.
+        """
+        try:
+            wake = next(exchange)
+        except StopIteration as done:
+            on_response(done.value)
+        except Exception as error:  # noqa: BLE001 - routed to callback
+            on_error(error)
+        else:
+            self.events.schedule_at(
+                wake, lambda: self._resume(exchange, on_response, on_error)
+            )
 
     # -- helpers -----------------------------------------------------------------------
 

@@ -359,3 +359,30 @@ def trace_refs_from_contexts(contexts: Iterable[Optional[Dict[str, Any]]]) -> Li
         seen.add(key)
         refs.append(key)
     return refs
+
+
+def trace_queue_waits(network: Any, name: str, calls: Iterable[Any], **attrs: Any) -> None:
+    """Bill each traced call's client-side wait as a closed ``queue`` span.
+
+    ``calls`` are a dispatch engine's queued-call records — anything with a
+    wire ``context`` dict and the ``queued_at`` instant it entered the
+    buffer; the span runs from there to now (ship time).  Untraced calls,
+    and calls that did not wait, record nothing.
+    """
+    tracer = getattr(network, "tracer", None)
+    if tracer is None:
+        return
+    now = network.clock.now
+    for call in calls:
+        trace_id = call.context.get("x")
+        if trace_id is None or call.queued_at is None or now <= call.queued_at:
+            continue
+        tracer.record_span(
+            name,
+            trace_id=trace_id,
+            parent_id=call.context.get("p"),
+            kind="queue",
+            start=call.queued_at,
+            end=now,
+            **attrs,
+        )

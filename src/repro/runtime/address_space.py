@@ -585,13 +585,7 @@ class AddressSpace:
             self.node_id, reference.node_id, payload, trace=trace
         )
 
-        piggybacked, raw_response = split_invalidations(raw_response)
-        if piggybacked:
-            self._deliver_invalidations(piggybacked)
-        response_name, response_body, response_is_batch = parse_frame(raw_response)
-        if response_is_batch:
-            raise TransportError("batch response received for a single invocation")
-        response_transport = self.transports.get(response_name)
+        response_transport, response_body = self._open_response(raw_response, batch=False)
         self.network.clock.advance(response_transport.processing_overhead)
         response = InvocationResponse.from_dict(
             response_transport.decode_response(response_body)
@@ -620,32 +614,7 @@ class AddressSpace:
         :meth:`invoke_remote`.
         """
 
-        normalized = self._normalize_calls(calls)
-        if not normalized:
-            return []
-
-        destinations = {reference.node_id for reference, _, _, _, _ in normalized}
-        if len(destinations) > 1:
-            raise InvocationError(
-                f"a batch must target one address space, got {sorted(destinations)}"
-            )
-        destination = destinations.pop()
-
-        if destination == self.node_id:
-            return self._invoke_batch_locally(normalized)
-
-        payload = self._encode_batch_payload(normalized, transport)
-        self.invocations_sent += len(normalized)
-        self.batches_sent += 1
-        trace = None
-        if self.network.tracer is not None:
-            trace = (
-                trace_refs_from_contexts(context for *_, context in normalized) or None
-            )
-        raw_response = self.network.send_request(
-            self.node_id, destination, payload, trace=trace
-        )
-        return self._decode_batch_payload(raw_response, len(normalized))
+        return self._ship_batch(calls, transport)
 
     def invoke_remote_many_async(
         self,
@@ -672,44 +641,68 @@ class AddressSpace:
         calling this directly.
         """
 
-        normalized = self._normalize_calls(calls)
-        if not normalized:
-            self.network.events.schedule(0.0, lambda: on_results([]))
-            return
+        self._ship_batch(calls, transport, on_results, on_error)
 
-        destinations = {reference.node_id for reference, _, _, _, _ in normalized}
+    def _ship_batch(
+        self,
+        calls: Sequence[BatchCall],
+        transport: Optional[str],
+        on_results: Any = None,
+        on_error: Any = None,
+    ) -> Optional[List[BatchResult]]:
+        """The one batch shipper under both ``invoke_remote_many`` forms.
+
+        Without callbacks the batch is sent inline and its results returned;
+        with them it is posted and the outcome reaches ``on_results`` or
+        ``on_error`` from the event queue.  Everything else — destination
+        check, local short-circuit, counters, trace refs, encoding and
+        decoding — is the same code either way.
+        """
+        normalized = self._normalize_calls(calls)
+        destinations = {call[0].node_id for call in normalized}
         if len(destinations) > 1:
             raise InvocationError(
                 f"a batch must target one address space, got {sorted(destinations)}"
             )
-        destination = destinations.pop()
-
-        if destination == self.node_id:
+        if destinations <= {self.node_id}:
+            # An empty or co-located batch crosses no network.
+            if on_results is None:
+                return self._invoke_batch_locally(normalized)
             self.network.events.schedule(
                 0.0, lambda: on_results(self._invoke_batch_locally(normalized))
             )
-            return
+            return None
+        (destination,) = destinations
 
         payload = self._encode_batch_payload(normalized, transport)
         self.invocations_sent += len(normalized)
         self.batches_sent += 1
-
-        def complete(raw_response: bytes) -> None:
-            try:
-                results = self._decode_batch_payload(raw_response, len(normalized))
-            except Exception as error:  # noqa: BLE001 - routed to callback
-                on_error(error)
-                return
-            on_results(results)
-
         trace = None
         if self.network.tracer is not None:
             trace = (
                 trace_refs_from_contexts(context for *_, context in normalized) or None
             )
+
+        def decode(raw_response: bytes) -> List[BatchResult]:
+            return self._decode_batch_payload(raw_response, len(normalized))
+
+        if on_results is None:
+            return decode(
+                self.network.send_request(self.node_id, destination, payload, trace=trace)
+            )
+
+        def complete(raw_response: bytes) -> None:
+            try:
+                results = decode(raw_response)
+            except Exception as error:  # noqa: BLE001 - routed to callback
+                on_error(error)
+                return
+            on_results(results)
+
         self.network.post(
             self.node_id, destination, payload, complete, on_error, trace=trace
         )
+        return None
 
     @staticmethod
     def _normalize_calls(
@@ -730,16 +723,10 @@ class AddressSpace:
         normalized: Sequence[tuple[RemoteRef, str, tuple, dict, dict]],
         transport: Optional[str],
     ) -> bytes:
-        """Marshal and frame N calls as one batch message, charging encode cost.
-
-        Accepts 4-tuples too (context defaulting empty) so callers holding
-        pre-middleware call shapes keep working without normalizing first.
-        """
+        """Marshal and frame N calls as one batch message, charging encode cost."""
         transport_impl = self.transports.get(transport or self.default_transport)
         batch = InvocationBatch()
-        for reference, member, args, kwargs, context in self._normalize_calls(
-            normalized
-        ):
+        for reference, member, args, kwargs, context in normalized:
             wire_args, wire_kwargs = self.marshaller.marshal_arguments(args, kwargs)
             batch.requests.append(
                 InvocationRequest(
@@ -759,15 +746,7 @@ class AddressSpace:
         self, raw_response: bytes, expected: int
     ) -> List[BatchResult]:
         """Decode a framed batch response into per-call results, charging decode cost."""
-        piggybacked, raw_response = split_invalidations(raw_response)
-        if piggybacked:
-            # Delivered before the batch's own results are decoded, so reads
-            # in the same window re-fill with post-invalidation state.
-            self._deliver_invalidations(piggybacked)
-        response_name, response_body, response_is_batch = parse_frame(raw_response)
-        if not response_is_batch:
-            raise TransportError("single response received for a batched invocation")
-        response_transport = self.transports.get(response_name)
+        response_transport, response_body = self._open_response(raw_response, batch=True)
         self.network.clock.advance(
             response_transport.batch_processing_overhead(expected)
         )
@@ -796,6 +775,25 @@ class AddressSpace:
                     BatchResult(index=index, value=self.marshaller.from_wire(response.result))
                 )
         return results
+
+    def _open_response(self, raw_response: bytes, batch: bool) -> Tuple[Any, bytes]:
+        """Unframe one response message into ``(transport, body)``.
+
+        Piggybacked invalidations are delivered first — before the results
+        are decoded, so reads in the same window re-fill with
+        post-invalidation state — and a single/batch mismatch is refused.
+        """
+        piggybacked, raw_response = split_invalidations(raw_response)
+        if piggybacked:
+            self._deliver_invalidations(piggybacked)
+        response_name, response_body, response_is_batch = parse_frame(raw_response)
+        if response_is_batch != batch:
+            raise TransportError(
+                "batch response received for a single invocation"
+                if response_is_batch
+                else "single response received for a batched invocation"
+            )
+        return self.transports.get(response_name), response_body
 
     def _invoke_batch_locally(
         self, calls: Sequence[tuple[RemoteRef, str, tuple, dict, dict]]

@@ -14,8 +14,7 @@ above it:
   raw :class:`~repro.runtime.remote_ref.RemoteRef` and turns attribute calls
   into buffered, pipelined invocations with automatic flushing.
 
-Usage — via the façade, which composes this module internally (direct
-``BatchingProxy(...)`` construction still works but is deprecated)::
+Usage — normally via the façade, which composes this module internally::
 
     svc = session.service("store", ServicePolicy(batch_window=32), ...)
     pending = [svc.future.submit(sku, 1, 10) for sku in skus]  # no round trips
@@ -37,11 +36,11 @@ out-of-order completion across several in-flight batches, step up to
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Any, List, Optional
 
 from repro._errors import InvocationError
+from repro.observability.tracing import trace_queue_waits
 from repro.runtime.faulttolerance import FaultTolerantInvoker, RetryPolicy
 from repro.runtime.pipelining import InvocationFuture
 from repro.runtime.remote_ref import RemoteRef, reference_of
@@ -112,10 +111,6 @@ class BatchingProxy:
     observe its server-side effects, since batches execute in order).
     """
 
-    #: Subclasses used internally by the :mod:`repro.api` façade set this to
-    #: ``False``; direct construction of the public class is deprecated.
-    _warn_on_direct_construction = True
-
     def __init__(
         self,
         target: Any,
@@ -126,14 +121,6 @@ class BatchingProxy:
         invoker: Optional[FaultTolerantInvoker] = None,
         retry_policy: Optional[RetryPolicy] = None,
     ) -> None:
-        if type(self)._warn_on_direct_construction:
-            warnings.warn(
-                "constructing BatchingProxy directly is deprecated; create a "
-                "Service through repro.api.Session with a ServicePolicy "
-                "(batch_window=...) instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
         if max_batch < 1:
             raise InvocationError("max_batch must be at least 1")
         if invoker is not None and retry_policy is not None:
@@ -297,7 +284,7 @@ class BatchingProxy:
         ]
         for item in window:
             item.pending.attempts += 1
-        self._trace_queue_waits(window)
+        trace_queue_waits(getattr(self._space, "network", None), "batch-queue", window)
         # The invoker re-ships the whole window internally on retry, writing
         # one *recovered* failure record per call per re-ship — fold that
         # back into the futures so "attempts > 1 after a retry" holds on
@@ -348,26 +335,6 @@ class BatchingProxy:
                 item.pending._fail(result.error)
         return results
 
-    def _trace_queue_waits(self, window: List[_QueuedCall]) -> None:
-        """Bill each traced call's batch-window wait as a queue span."""
-        network = getattr(self._space, "network", None)
-        tracer = getattr(network, "tracer", None)
-        if tracer is None:
-            return
-        now = network.clock.now
-        for item in window:
-            trace_id = item.context.get("x")
-            if trace_id is None or item.queued_at is None or now <= item.queued_at:
-                continue
-            tracer.record_span(
-                "batch-queue",
-                trace_id=trace_id,
-                parent_id=item.context.get("p"),
-                kind="queue",
-                start=item.queued_at,
-                end=now,
-            )
-
     def abandon(self, error: BaseException) -> int:
         """Fail (do not ship) every queued call; returns how many were dropped.
 
@@ -404,16 +371,6 @@ class BatchingProxy:
             f"<BatchingProxy {self._reference} queued={len(self._queue)} "
             f"max_batch={self.max_batch}>"
         )
-
-
-class _InternalBatcher(BatchingProxy):
-    """The batching engine used by the façade and generated proxies.
-
-    Identical to :class:`BatchingProxy` but exempt from the direct-construction
-    deprecation warning: internal composition is the supported path.
-    """
-
-    _warn_on_direct_construction = False
 
 
 #: Control-plane member names of :class:`BatchingDispatchMixin`.  Generated
@@ -551,7 +508,7 @@ class BatchingDispatchMixin:
             return engine.submit(self._ref, member, *args, **kwargs)
         batcher = getattr(self, "_batcher", None)
         if batcher is None:
-            batcher = _InternalBatcher(
+            batcher = BatchingProxy(
                 self._ref,
                 space=self._space,
                 max_batch=getattr(self, "_max_batch", 32),

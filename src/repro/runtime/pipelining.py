@@ -25,8 +25,7 @@ Three pieces:
   batch completes undisturbed.  Fatal failures (partitions, crashed nodes)
   fail the affected futures immediately.
 
-Usage — via the façade, which composes this module internally (direct
-``PipelineScheduler(...)`` construction still works but is deprecated)::
+Usage — normally via the façade, which composes this module internally::
 
     policy = ServicePolicy(transport="rmi", batch_window=32, pipeline_depth=4)
     shards = [session.service(f"s{i}", policy, ...) for i in range(2)]
@@ -43,11 +42,11 @@ event queue, mirroring :class:`~repro.runtime.batching.BatchingProxy`.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
 from repro._errors import InvocationError
+from repro.observability.tracing import trace_queue_waits
 from repro.runtime.faulttolerance import (
     FATAL_FAILURES,
     NO_RETRY,
@@ -231,10 +230,6 @@ class PipelineScheduler:
     promotion before the fatal error is surfaced after all.
     """
 
-    #: Subclasses used internally by the :mod:`repro.api` façade set this to
-    #: ``False``; direct construction of the public class is deprecated.
-    _warn_on_direct_construction = True
-
     def __init__(
         self,
         space: Any,
@@ -247,14 +242,6 @@ class PipelineScheduler:
         replica_manager=None,
         max_failover_attempts: int = 8,
     ) -> None:
-        if type(self)._warn_on_direct_construction:
-            warnings.warn(
-                "constructing PipelineScheduler directly is deprecated; create "
-                "a Service through repro.api.Session with a ServicePolicy "
-                "(pipeline_depth=...) instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
         if max_batch < 1:
             raise InvocationError("max_batch must be at least 1")
         if window < 1:
@@ -509,7 +496,9 @@ class PipelineScheduler:
         # configured window (which traffic may never fill).
         self._depth_sample_sum += self._in_flight
         self.depth_samples += 1
-        self._trace_queue_waits(calls)
+        trace_queue_waits(
+            self.space.network, "pipeline-queue", calls, node=calls[0].reference.node_id
+        )
         try:
             self.space.invoke_remote_many_async(
                 [
@@ -527,26 +516,6 @@ class PipelineScheduler:
             # the caller — it is a programming error, not network weather.
             self._on_error(calls, error)
             raise
-
-    def _trace_queue_waits(self, calls: List[_ScheduledCall]) -> None:
-        """Bill each traced call's buffer + window wait as a queue span."""
-        tracer = getattr(self.space.network, "tracer", None)
-        if tracer is None:
-            return
-        now = self._clock.now
-        for call in calls:
-            trace_id = call.context.get("x")
-            if trace_id is None or call.queued_at is None or now <= call.queued_at:
-                continue
-            tracer.record_span(
-                "pipeline-queue",
-                trace_id=trace_id,
-                parent_id=call.context.get("p"),
-                kind="queue",
-                start=call.queued_at,
-                end=now,
-                node=call.reference.node_id,
-            )
 
     def _trace_requeue(self, call: _ScheduledCall, reason: str, **attrs) -> None:
         """Stamp a requeue on the traced call's still-open client span."""

@@ -7,8 +7,7 @@ per-message transport overhead; issued through a batching
 :class:`~repro.api.policy.ServicePolicy`, those costs are amortised across
 the batch window.  The scenario drives the :mod:`repro.api` façade — one
 :class:`~repro.api.session.Session`, one service, no hand-wired proxies —
-and is the workload behind ``benchmarks/bench_batching.py`` and the ``repro
-bench-batching`` CLI command.
+and is the workload behind ``benchmarks/bench_batching.py``.
 """
 
 from __future__ import annotations

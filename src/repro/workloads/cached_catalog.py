@@ -20,7 +20,7 @@ With ``replicate=True`` every shard keeps a backup on the other server node
 and ``kill`` crashes one server mid-run: reads ride the failover (the reader
 session's detector promotes the backups), leases held against the demoted
 primaries are flushed, and the staleness assertion keeps holding across the
-promotion — the coherence property the ``repro bench-caching`` gate enforces
+promotion — the coherence property ``benchmarks/bench_caching.py`` enforces
 on all four transports.
 """
 

@@ -1,9 +1,8 @@
 """Two tenants sharing one bounded service, one of them hogging.
 
-The fairness workload behind ``benchmarks/bench_middleware.py`` and the
-``repro bench-middleware`` CLI command.  A *hog* tenant offers traffic far
-above the shared service pool's capacity while a *polite* tenant offers a
-modest rate well inside its fair share.  Without admission control the hog
+The fairness workload behind ``benchmarks/bench_middleware.py``.  A *hog*
+tenant offers traffic far above the shared service pool's capacity while a
+*polite* tenant offers a modest rate well inside its fair share.  Without admission control the hog
 floods the pool's admission queue and the polite tenant's calls are shed
 alongside the hog's excess; with a per-tenant
 :class:`~repro.api.middleware.RateLimitInterceptor` on each tenant's

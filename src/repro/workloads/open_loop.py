@@ -24,7 +24,7 @@ the façade's retry policy and each request's latency lands in a
 Sweeping the offered load across a capacity range yields the
 goodput-vs-offered-load curve — linear below capacity, a plateau above it —
 whose :func:`detect_knee` point is the saturation knee reported by
-``benchmarks/bench_load.py`` and the ``repro bench-load`` CLI subcommand.
+``benchmarks/bench_load.py``.
 """
 
 from __future__ import annotations

@@ -32,7 +32,7 @@ majority vote, and the heal **reconciles** the fenced ex-primary: its
 divergent ops are discarded and it is re-seeded from the quorum's state.
 
 Throughout every cell the workload audits the two safety properties the
-``repro bench-partition`` gate enforces on all four transports: **no
+``benchmarks/bench_partition.py`` gate enforces on all four transports: **no
 client-acknowledged write is ever lost** (each ack is mirrored and checked
 against the surviving primary's state after the heal) and **no cached read
 is ever stale** (every read must observe at least the committed mirror;

@@ -15,8 +15,7 @@ instead of ``sum`` of the window's round trips.
 
 For any real batch window (``batch_size > 1``) both dispatch modes issue the
 *same* sub-batches in the same order, so the comparison in
-``benchmarks/bench_pipelining.py`` and the ``repro bench-pipelining`` CLI
-subcommand isolates the effect of pipelining.  The degenerate
+``benchmarks/bench_pipelining.py`` isolates the effect of pipelining.  The degenerate
 ``batch_size=1`` configuration mirrors :mod:`repro.workloads.bulk_orders`
 instead: the sequential mode uses classic single-invocation messages while
 the pipelined mode ships batch-of-one frames, so their per-message framing

@@ -16,10 +16,10 @@ submission complete, with the recovery cost visible only as latency: the
 affected calls stall for the failover window (crash → detection → promotion,
 reported as ``failover_delay_seconds``), never as failures.
 
-``benchmarks/bench_replication.py`` and the ``repro bench-replication`` CLI
-subcommand compare this against the unreplicated baseline (same kill, no
-backups: the calls to the dead shard are lost) and report the failover
-window plus the recovered-call latency alongside the steady-state latency.
+``benchmarks/bench_replication.py`` compares this against the unreplicated
+baseline (same kill, no backups: the calls to the dead shard are lost) and
+reports the failover window plus the recovered-call latency alongside the
+steady-state latency.
 (Note the recovered *mean* can come out below the steady-state mean: both
 are measured from submission, so steady calls carry the eager-replication
 write amplification and window backpressure that the post-failover calls —

@@ -1,9 +1,6 @@
 """DS106 fixture: deprecated repro API usage."""
 
-import repro.errors  # noqa: F401  # expect: DS106
-
 from repro.api import ServicePolicy
-from repro.errors import PolicyError  # noqa: F401  # expect: DS106
 
 
 def build_policies():

@@ -5,12 +5,12 @@ from __future__ import annotations
 import pytest
 
 import sample_app
-from repro.core.transformer import ApplicationTransformer
-from repro.errors import (
+from repro.api.errors import (
     RemoteInvocationError,
     SerializationError,
     UnknownObjectError,
 )
+from repro.core.transformer import ApplicationTransformer
 from repro.policy.policy import place_classes_on
 from repro.runtime.cluster import Cluster, default_transport_registry, lan_cluster, single_node_cluster
 from repro.runtime.remote_ref import RemoteRef

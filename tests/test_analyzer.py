@@ -6,6 +6,7 @@ import pytest
 
 import sample_app
 import sample_unsupported
+from repro.api.errors import NotTransformableError
 from repro.core.analyzer import (
     NonTransformableReason,
     TransformabilityAnalyzer,
@@ -13,7 +14,6 @@ from repro.core.analyzer import (
     substitutable_classes,
 )
 from repro.core.introspect import class_model_from_descriptor, class_model_from_python
-from repro.errors import NotTransformableError
 
 
 def _models(*classes):

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.api import ServicePolicy, Session
-from repro.errors import PolicyError, RemoteInvocationError
+from repro.api.errors import PolicyError, RemoteInvocationError
 from repro.runtime.cluster import Cluster
 from repro.runtime.faulttolerance import RetryPolicy
 from repro.workloads.bulk_orders import OrderIntake

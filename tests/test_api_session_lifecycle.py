@@ -65,7 +65,7 @@ class TestSessionClose:
 
     def test_close_tears_down_even_when_the_drain_raises(self, cluster):
         """A failing drain must not skip the teardown (or wedge close())."""
-        from repro.errors import NetworkError
+        from repro.api.errors import NetworkError
 
         session = Session(cluster, node="client")
         svc = session.service(
@@ -143,7 +143,7 @@ class TestSessionClose:
         assert intake.accepted_count() == 0
         # And fresh submissions against the retired scheduler fail fast
         # instead of stranding a silently-pending future.
-        from repro.errors import InvocationError
+        from repro.api.errors import InvocationError
 
         with pytest.raises(InvocationError, match="stopped"):
             svc.scheduler.submit(svc.reference, "submit", "sku-2", 1, 10)
@@ -151,7 +151,7 @@ class TestSessionClose:
     def test_closed_session_batch_futures_fail_instead_of_shipping(self, cluster):
         """result() on a future buffered in a closed session's BatchPipe must
         fail — not flush a window of messages into the cluster."""
-        from repro.errors import InvocationError
+        from repro.api.errors import InvocationError
 
         intake = OrderIntake()
         session = Session(cluster, node="client")

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api.errors import InvocationError, PolicyError
 from repro.baselines.javaparty import (
     GenericRemoteProxy,
     JavaPartyRuntime,
@@ -12,7 +13,6 @@ from repro.baselines.javaparty import (
 )
 from repro.baselines.proactive import ActiveObject, ProActiveRuntime
 from repro.baselines.wrapper import ObjectWrapper, WrapperRuntime, wrap
-from repro.errors import InvocationError, PolicyError
 from repro.runtime.cluster import Cluster
 from repro.workloads.shared_cache import Cache
 

@@ -14,8 +14,8 @@ from __future__ import annotations
 import pytest
 
 import sample_app
+from repro.api.errors import InvocationError, MessageDroppedError, PartitionError
 from repro.core.transformer import ApplicationTransformer
-from repro.errors import InvocationError, MessageDroppedError, PartitionError
 from repro.network.failures import FailureModel
 from repro.network.simnet import SimulatedNetwork
 from repro.policy.policy import all_local_policy, remote

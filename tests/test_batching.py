@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import (
+from repro.api.errors import (
     InvocationError,
     MessageDroppedError,
     NodeUnreachableError,

@@ -14,8 +14,8 @@ from __future__ import annotations
 import pytest
 
 from repro.api import CachePolicy, ServicePolicy, Session, cacheable
+from repro.api.errors import PolicyError, TransportError
 from repro.core.interfaces import cacheable_members, is_cacheable
-from repro.errors import PolicyError, TransportError
 from repro.runtime.caching import CacheManager, freeze_arguments
 from repro.runtime.cluster import Cluster
 from repro.transports.base import (
@@ -474,7 +474,7 @@ class TestGeneratedProxyCaching:
         assert all(future.result() == singleton.get_K() for future in futures)
 
     def test_unknown_kind_raises_clearly(self, app_cluster):
-        from repro.errors import GenerationError
+        from repro.api.errors import GenerationError
 
         app, _ = app_cluster
         with pytest.raises(GenerationError, match="class batch proxy"):
@@ -506,7 +506,7 @@ class TestAdaptiveHitRateTerm:
         )
 
     def test_hit_ratio_validation(self):
-        from repro.errors import RedistributionError
+        from repro.api.errors import RedistributionError
 
         with pytest.raises(RedistributionError):
             self._manager(cache_hit_ratio=1.0)

@@ -164,101 +164,12 @@ class TestCorpusAndTemplateCommands:
             "report",
             "corpus-study",
             "policy-template",
-            "bench-batching",
-            "bench-pipelining",
-            "bench-replication",
-            "bench-partition",
         ):
             assert command in help_text
 
-
-class TestBenchPipeliningCommand:
-    def test_reports_speedup_per_transport(self):
-        code, output = run_cli(
-            "bench-pipelining", "--transports", "rmi", "--orders", "64",
-            "--batch-size", "16", "--window", "4", "--shards", "2",
-        )
-        assert code == 0
-        assert "rmi" in output
-        assert "x" in output  # a speedup column was printed
-
-    def test_rejects_unknown_transports(self):
-        code, output = run_cli("bench-pipelining", "--transports", "carrier-pigeon")
-        assert code == 1
-        assert "unknown transports" in output
-
-    def test_rejects_degenerate_window(self):
-        code, output = run_cli("bench-pipelining", "--window", "1")
-        assert code == 1
-        assert "--window" in output
-
-
-class TestBenchReplicationCommand:
-    def test_kill_run_reports_zero_losses(self):
-        code, output = run_cli(
-            "bench-replication", "--transports", "rmi", "--orders", "64",
-            "--batch-size", "16", "--window", "4",
-        )
-        assert code == 0
-        assert "killing 'shard-0'" in output
-        lines = [line for line in output.splitlines() if line.startswith("rmi")]
-        assert len(lines) == 1
-        columns = lines[0].split()
-        assert columns[1] == "64"  # every order accepted
-        assert columns[2] == "0"  # zero client-visible failures
-        assert columns[3] == "1"  # exactly one failover
-
-    def test_no_kill_steady_state(self):
-        code, output = run_cli(
-            "bench-replication", "--transports", "rmi", "--orders", "32", "--no-kill",
-        )
-        assert code == 0
-        assert "killing" not in output
-
-    def test_rejects_unknown_transports(self):
-        code, output = run_cli("bench-replication", "--transports", "carrier-pigeon")
-        assert code == 1
-        assert "unknown transports" in output
-
-    def test_rejects_single_shard(self):
-        code, output = run_cli("bench-replication", "--shards", "1")
-        assert code == 1
-        assert "--shards" in output
-
-    def test_rejects_unknown_sync_mode(self):
-        code, output = run_cli("bench-replication", "--sync", "psychic")
-        assert code == 1
-        assert "--sync" in output
-
-
-class TestBenchPartitionCommand:
-    def test_single_cell_reports_safety(self):
-        code, output = run_cli(
-            "bench-partition", "--transports", "inproc", "--cells", "A",
-        )
-        assert code == 0
-        assert "every cell safe" in output
-        assert "FAIL" not in output
-        lines = [line for line in output.splitlines() if line.startswith("inproc")]
-        assert len(lines) == 1
-        columns = lines[0].split()
-        assert columns[3] == "0"  # zero acknowledged writes lost
-        assert columns[4] == "0"  # zero stale cached reads
-        assert columns[6] == "1"  # cell A promotes exactly once
-
-    def test_cells_are_case_insensitive(self):
-        code, output = run_cli(
-            "bench-partition", "--transports", "inproc", "--cells", "b",
-        )
-        assert code == 0
-        assert " B " in output
-
-    def test_rejects_unknown_transports(self):
-        code, output = run_cli("bench-partition", "--transports", "carrier-pigeon")
-        assert code == 1
-        assert "unknown transports" in output
-
-    def test_rejects_unknown_cells(self):
-        code, output = run_cli("bench-partition", "--cells", "Z")
-        assert code == 1
-        assert "unknown cells" in output
+    def test_bench_subcommands_are_gone(self, capsys):
+        """The benchmarks live in benchmarks/bench_*.py, not in the CLI."""
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["bench-batching"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'bench-batching'" in capsys.readouterr().err

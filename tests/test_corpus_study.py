@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api.errors import CorpusError
 from repro.corpus.analysis import (
     reasons_in_direct_seed,
     run_jdk_study,
@@ -28,7 +29,6 @@ from repro.corpus.jdk_model import (
     PackageProfile,
     total_profile_classes,
 )
-from repro.errors import CorpusError
 
 
 @pytest.fixture(scope="module")

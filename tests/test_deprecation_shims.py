@@ -1,10 +1,10 @@
-"""The old hand-wired constructors are deprecation shims for the façade.
+"""What is left of the PR-4 constructor shims: nothing warns any more.
 
-``BatchingProxy`` and ``PipelineScheduler`` keep working exactly as before —
-their full test suites still run against them unchanged — but constructing
-them *directly* now emits a ``DeprecationWarning`` pointing at
-``repro.api``.  The façade's own internal engines are subclasses exempt from
-the warning, so policy-driven composition stays silent.
+``BatchingProxy`` and ``PipelineScheduler`` are the engines the façade
+composes, and constructing them directly is plain supported API again — the
+``DeprecationWarning`` and the exempt internal subclasses are gone.  The one
+remaining deprecation shim, bare ``with_replication(n)``, is covered in
+``test_quorum_replication.py``.
 """
 
 from __future__ import annotations
@@ -26,20 +26,12 @@ def cluster():
 
 
 class TestDeprecationWarnings:
-    def test_batching_proxy_direct_construction_warns(self, cluster):
-        reference = cluster.space("server").export(OrderIntake())
-        with pytest.warns(DeprecationWarning, match="BatchingProxy.*ServicePolicy"):
-            BatchingProxy(reference, space=cluster.space("client"), max_batch=8)
-
-    def test_pipeline_scheduler_direct_construction_warns(self, cluster):
-        with pytest.warns(DeprecationWarning, match="PipelineScheduler.*ServicePolicy"):
-            PipelineScheduler(cluster.space("client"), max_batch=8, window=2)
-
     def test_deprecated_batching_proxy_still_works(self, cluster):
-        """The shim is thin: behaviour is unchanged besides the warning."""
+        """Once deprecated, now plain API: constructing it warns about nothing."""
         intake = OrderIntake()
         reference = cluster.space("server").export(intake)
-        with pytest.warns(DeprecationWarning):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             proxy = BatchingProxy(
                 reference, space=cluster.space("client"), max_batch=8, transport="rmi"
             )
@@ -48,9 +40,11 @@ class TestDeprecationWarnings:
         assert intake.accepted_count() == 8
 
     def test_deprecated_scheduler_still_works(self, cluster):
+        """Once deprecated, now plain API: constructing it warns about nothing."""
         intake = OrderIntake()
         reference = cluster.space("server").export(intake)
-        with pytest.warns(DeprecationWarning):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             scheduler = PipelineScheduler(
                 cluster.space("client"), max_batch=4, window=2, transport="rmi"
             )
@@ -59,7 +53,6 @@ class TestDeprecationWarnings:
         assert [f.result() for f in futures] == list(range(8))
 
     def test_facade_composition_is_warning_free(self, cluster):
-        """Internal engines (subclasses) must not trigger the shim warning."""
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             with Session(cluster, node="client") as session:

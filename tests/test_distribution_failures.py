@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api.errors import NetworkError, PartitionError
 from repro.core.transformer import ApplicationTransformer
-from repro.errors import NetworkError, PartitionError
 from repro.network.failures import FailureModel
 from repro.network.simnet import SimulatedNetwork
 from repro.policy.policy import all_local_policy, place_classes_on

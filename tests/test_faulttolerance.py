@@ -5,12 +5,12 @@ from __future__ import annotations
 import pytest
 
 import sample_app
-from repro.core.transformer import ApplicationTransformer
-from repro.errors import (
+from repro.api.errors import (
     MessageDroppedError,
     PartitionError,
     RedistributionError,
 )
+from repro.core.transformer import ApplicationTransformer
 from repro.network.failures import FailureModel
 from repro.network.simnet import SimulatedNetwork
 from repro.policy.policy import all_local_policy, remote

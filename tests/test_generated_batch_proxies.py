@@ -17,8 +17,8 @@ import pytest
 import sample_app
 
 from repro.api import ServicePolicy, Session
+from repro.api.errors import GenerationError
 from repro.core.transformer import ApplicationTransformer
-from repro.errors import GenerationError
 from repro.policy.policy import all_local_policy
 from repro.runtime.cluster import Cluster
 from repro.runtime.pipelining import InvocationFuture

@@ -7,8 +7,8 @@ import inspect
 import pytest
 
 import sample_app
+from repro.api.errors import GenerationError
 from repro.core.transformer import ApplicationTransformer
-from repro.errors import GenerationError
 from repro.policy.policy import all_local_policy
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import TransportError
+from repro.api.errors import TransportError
 from repro.network.clock import EventQueue, SimClock
 from repro.network.heartbeat import HeartbeatDetector
 from repro.runtime.cluster import Cluster

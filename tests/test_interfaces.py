@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 import sample_app
+from repro.api.errors import InterfaceExtractionError
 from repro.core.classmodel import TypeRef
 from repro.core.interfaces import (
     adapt_type,
@@ -24,7 +25,6 @@ from repro.core.interfaces import (
     setter_name,
 )
 from repro.core.introspect import class_model_from_python
-from repro.errors import InterfaceExtractionError
 
 
 class TestNamingScheme:

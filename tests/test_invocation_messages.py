@@ -2,7 +2,7 @@
 
 Covers the error-response asymmetry fix — ``InvocationResponse.from_dict``
 must tolerate missing ``"error"`` keys and reject malformed payloads with a
-typed :class:`~repro.errors.TransportError` instead of ``KeyError`` /
+typed :class:`~repro.api.errors.TransportError` instead of ``KeyError`` /
 ``AttributeError`` — plus the dictionary forms of the batch messages.
 """
 
@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import TransportError
+from repro.api.errors import TransportError
 from repro.runtime.invocation import (
     InvocationBatch,
     InvocationBatchResponse,

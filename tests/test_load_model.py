@@ -4,7 +4,7 @@ Four claims are pinned here:
 
 * **Bounded service pools behave like real servers** — ``workers`` requests
   serve concurrently, the next ``queue_limit`` wait, the rest are refused
-  with a typed :class:`~repro.errors.AdmissionError` that the retry
+  with a typed :class:`~repro.api.errors.AdmissionError` that the retry
   machinery treats as transient.
 * **The open-loop saturation matrix** — offered load below, at and above
   capacity yields goodput that tracks the offered load, then plateaus at
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import AdmissionError, NodeUnreachableError
+from repro.api.errors import AdmissionError, NodeUnreachableError
 from repro.network.failures import FailureModel
 from repro.network.metrics import LatencyHistogram
 from repro.network.simnet import ServicePool, SimulatedNetwork

@@ -35,7 +35,7 @@ from repro.api import (
     ServicePolicy,
     Session,
 )
-from repro.errors import (
+from repro.api.errors import (
     DeadlineExceededError,
     PolicyError,
     RateLimitError,

@@ -5,8 +5,8 @@ from __future__ import annotations
 import pytest
 
 import sample_app
+from repro.api.errors import MigrationError
 from repro.core.transformer import ApplicationTransformer
-from repro.errors import MigrationError
 from repro.policy.policy import all_local_policy, local
 from repro.runtime.cluster import Cluster
 from repro.runtime.migration import ObjectMigrator, capture_state, restore_state

@@ -28,6 +28,16 @@ class TestSimClock:
         clock.advance_to(3.0)
         assert clock.now == pytest.approx(3.0)
 
+    def test_advance_to_lands_exactly_on_the_timestamp(self):
+        """``now + (t - now)`` can round one ulp off ``t``; an event must
+        fire at precisely its scheduled instant (span ends are computed as
+        ``sent_at + delay`` and compared with the clock)."""
+        clock = SimClock()
+        clock.advance(0.00073)
+        assert clock.now + (0.003135 - clock.now) != 0.003135  # the trap
+        clock.advance_to(0.003135)
+        assert clock.now == 0.003135
+
     def test_advance_to_past_timestamp_is_a_no_op(self):
         clock = SimClock()
         clock.advance(5.0)

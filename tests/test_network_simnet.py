@@ -4,10 +4,21 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import MessageDroppedError, NodeUnreachableError, PartitionError
+from repro.api.errors import (
+    AdmissionError,
+    MessageDroppedError,
+    NodeUnreachableError,
+    PartitionError,
+)
 from repro.network.failures import FailureModel, NoFailures
 from repro.network.metrics import NetworkMetrics
-from repro.network.simnet import LAN_LINK, WAN_LINK, LinkConfig, SimulatedNetwork
+from repro.network.simnet import (
+    LAN_LINK,
+    WAN_LINK,
+    LinkConfig,
+    ServicePool,
+    SimulatedNetwork,
+)
 
 
 def _echo_network(**kwargs) -> SimulatedNetwork:
@@ -137,6 +148,124 @@ class TestFailureInjection:
     def test_no_failures_model_never_drops(self):
         model = NoFailures()
         assert not model.should_drop("a", "b")
+
+
+class _DropFrom(FailureModel):
+    """Drops every message ``node`` sends (so one leg can be singled out)."""
+
+    def __init__(self, node: str) -> None:
+        super().__init__()
+        self.node = node
+
+    def should_drop(self, source: str, destination: str) -> bool:
+        return source == self.node
+
+
+def _busy_pool(network: SimulatedNetwork, queue_limit: int) -> None:
+    """Bound ``b`` by one worker that is already serving an earlier request."""
+    pool = ServicePool(workers=1, queue_limit=queue_limit, service_time=0.01)
+    pool.admit(network.clock.now)
+    pool.begin_service(queued=False)
+    network.set_service_pool("b", pool)
+
+
+def _occupy_link(network: SimulatedNetwork) -> None:
+    """Put a large earlier message on the a->b wire (its reply is empty, so
+    the b->a wire stays free whichever exchange answers first)."""
+    network.register("b", lambda source, payload: b"b:" + payload if len(payload) < 99 else b"")
+    network.post("a", "b", b"x" * 50_000, lambda response: None, lambda error: None)
+
+
+def _partition(network: SimulatedNetwork) -> None:
+    network.failures = FailureModel()
+    network.failures.partition(["a"], ["b"])
+
+
+def _drop_response_behind_pool(network: SimulatedNetwork) -> None:
+    network.failures = _DropFrom("b")
+    network.set_service_pool("b", ServicePool(workers=1, service_time=0.01))
+
+
+def _raising_handler(network: SimulatedNetwork) -> None:
+    def handler(source: str, payload: bytes) -> bytes:
+        raise ValueError("handler exploded")
+
+    network.register("b", handler)
+
+
+#: name -> (arrange(network), destination, the exchange's outcome)
+EXCHANGE_SCENARIOS = {
+    "plain": (lambda network: None, "b", b"b:ping"),
+    "same-node": (lambda network: None, "a", b"a:ping"),
+    "fifo-queued-link": (_occupy_link, "b", b"b:ping"),
+    "pool-queueing": (lambda network: _busy_pool(network, queue_limit=4), "b", b"b:ping"),
+    "pool-rejection": (lambda network: _busy_pool(network, queue_limit=0), "b", AdmissionError),
+    "request-drop": (
+        lambda network: setattr(network, "failures", _DropFrom("a")),
+        "b",
+        MessageDroppedError,
+    ),
+    "response-drop": (_drop_response_behind_pool, "b", MessageDroppedError),
+    "partition": (_partition, "b", PartitionError),
+    "unregistered-node": (lambda network: None, "ghost", NodeUnreachableError),
+    "raising-handler": (_raising_handler, "b", ValueError),
+}
+
+
+class TestSyncAsyncParity:
+    """``send_request`` and ``post`` drive one exchange: same outcome, same
+    simulated instant, same accounting — whichever way the call travels."""
+
+    @staticmethod
+    def _observe(network: SimulatedNetwork, outcome_and_instant) -> tuple:
+        network.events.run_until_idle()
+        pool = network.service_pool("b")
+        return (
+            *outcome_and_instant,
+            network.metrics.snapshot(),
+            pool.snapshot() if pool is not None else None,
+        )
+
+    @pytest.mark.parametrize("scenario", sorted(EXCHANGE_SCENARIOS))
+    def test_both_drivers_agree(self, scenario):
+        arrange, destination, expected = EXCHANGE_SCENARIOS[scenario]
+
+        inline = _echo_network()
+        arrange(inline)
+        try:
+            outcome = inline.send_request("a", destination, b"ping")
+        except Exception as error:  # noqa: BLE001 - the outcome under test
+            outcome = type(error)
+        via_send_request = self._observe(inline, (outcome, inline.clock.now))
+
+        queued = _echo_network()
+        arrange(queued)
+        settled = []
+        queued.post(
+            "a", destination, b"ping",
+            lambda response: settled.append((response, queued.clock.now)),
+            lambda error: settled.append((type(error), queued.clock.now)),
+        )
+        assert settled == []  # outcomes only ever arrive from the event queue
+        queued.events.run_until_idle()
+        assert len(settled) == 1
+        via_post = self._observe(queued, settled[0])
+
+        assert via_send_request[0] == expected
+        assert via_send_request == via_post
+
+    def test_queueing_scenarios_really_queue(self):
+        """Guards the table: the waits it claims to cover do happen."""
+        network = _echo_network()
+        _occupy_link(network)
+        network.send_request("a", "b", b"ping")
+        assert network.metrics.snapshot()["queued_messages"] == 1
+
+        network = _echo_network()
+        _busy_pool(network, queue_limit=4)
+        network.send_request("a", "b", b"ping")
+        assert network.service_pool("b").snapshot()["max_queue_depth"] == 1
+        assert network.clock.now > 0.02  # waited for the worker, then its service time
 
 
 class TestNetworkMetrics:

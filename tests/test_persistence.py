@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api.errors import SerializationError
 from repro.core.transformer import ApplicationTransformer
-from repro.errors import SerializationError
 from repro.persistence import (
     FileSnapshotStore,
     GraphSnapshot,

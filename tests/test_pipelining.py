@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import InvocationError, NodeUnreachableError
+from repro.api.errors import InvocationError, NodeUnreachableError
 from repro.network.clock import EventQueue, SimClock
 from repro.network.simnet import LinkConfig
 from repro.policy.adaptive import AdaptiveDistributionManager
@@ -112,9 +112,9 @@ class TestAsyncPost:
 
         responses = []
         started = cluster.clock.now
-        payload = client._encode_batch_payload([(ref0, "echo", (3,), {})], None)
+        payload = client._encode_batch_payload([(ref0, "echo", (3,), {}, {})], None)
         cluster.network.post("client", "shard-0", payload, responses.append, responses.append)
-        payload = client._encode_batch_payload([(ref0, "echo", (4,), {})], None)
+        payload = client._encode_batch_payload([(ref0, "echo", (4,), {}, {})], None)
         cluster.network.post("client", "shard-0", payload, responses.append, responses.append)
         cluster.network.events.run_until_idle()
         overlapped = cluster.clock.now - started
@@ -247,7 +247,7 @@ class TestPipelineScheduler:
         """An unknown transport fails at encode time, before anything is
         posted: the error surfaces, the futures fail, and no window slot or
         outstanding count leaks (a later drain must not stall)."""
-        from repro.errors import UnknownTransportError
+        from repro.api.errors import UnknownTransportError
 
         _, ref0 = _exported_echo(cluster, "shard-0")
         scheduler = PipelineScheduler(
@@ -346,7 +346,7 @@ class TestPipelineAwareAdaptivePolicy:
         assert batch_only.amortised_call_count(Window()) == pytest.approx(16.0)
 
     def test_invalid_pipeline_depth_rejected(self):
-        from repro.errors import RedistributionError
+        from repro.api.errors import RedistributionError
 
         with pytest.raises(RedistributionError):
             self._manager(pipeline_depth=0)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import PolicyError
+from repro.api.errors import PolicyError
 from repro.policy.policy import (
     ClassPolicy,
     DistributionPolicy,

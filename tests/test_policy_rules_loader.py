@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from repro.errors import PolicyError
+from repro.api.errors import PolicyError
 from repro.policy.loader import (
     policy_from_dict,
     policy_from_file,

@@ -343,12 +343,6 @@ class TestPolicyQuorumKnobs:
 
 
 class TestErrorFacadeShim:
-    def test_old_import_path_warns_but_works(self):
-        import importlib
-        import repro.errors as legacy
-
-        importlib.reload(legacy)
-        with pytest.warns(DeprecationWarning):
-            fenced = legacy.FencedError
-        from repro.api.errors import FencedError as public
-        assert fenced is public
+    def test_old_import_path_is_gone(self):
+        with pytest.raises(ModuleNotFoundError):
+            import repro.errors  # noqa: F401

@@ -5,8 +5,8 @@ from __future__ import annotations
 import pytest
 
 import sample_app
+from repro.api.errors import RedistributionError
 from repro.core.transformer import ApplicationTransformer
-from repro.errors import RedistributionError
 from repro.policy.policy import all_local_policy
 from repro.runtime.cluster import Cluster
 from repro.runtime.redistribution import DistributionController

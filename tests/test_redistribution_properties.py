@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.api.errors import RedistributionError
 from repro.core.transformer import ApplicationTransformer
-from repro.errors import RedistributionError
 from repro.policy.policy import all_local_policy
 from repro.runtime.cluster import Cluster
 from repro.runtime.migration import ObjectMigrator

@@ -5,9 +5,9 @@ from __future__ import annotations
 import pytest
 
 import sample_app
+from repro.api.errors import UnknownClassError
 from repro.core.registry import TransformationRegistry
 from repro.core.transformer import ApplicationTransformer
-from repro.errors import UnknownClassError
 from repro.policy.policy import all_local_policy
 
 

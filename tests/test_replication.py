@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import NodeUnreachableError, ReplicationError
+from repro.api.errors import NodeUnreachableError, ReplicationError
 from repro.network.heartbeat import HeartbeatDetector
 from repro.runtime.cluster import Cluster
 from repro.runtime.faulttolerance import FaultTolerantInvoker, RetryPolicy

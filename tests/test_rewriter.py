@@ -5,13 +5,13 @@ from __future__ import annotations
 import pytest
 
 import sample_app
+from repro.api.errors import RewriteError
 from repro.core.introspect import class_model_from_python
 from repro.core.rewriter import (
     rewrite_constructor_to_init,
     rewrite_expression,
     rewrite_method,
 )
-from repro.errors import RewriteError
 
 
 def _universe():

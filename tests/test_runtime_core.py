@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import NamingError
+from repro.api.errors import NamingError
 from repro.runtime.invocation import InvocationRequest, InvocationResponse
 from repro.runtime.naming import NamingService
 from repro.runtime.remote_ref import ObjectIdAllocator, RemoteRef, reference_of

@@ -14,8 +14,8 @@ import pytest
 
 import sample_app
 from repro.api import ServicePolicy, Session
+from repro.api.errors import PolicyError
 from repro.core.transformer import ApplicationTransformer
-from repro.errors import PolicyError
 from repro.policy.policy import all_local_policy
 from repro.runtime.cluster import Cluster
 from repro.workloads.bulk_orders import OrderIntake

@@ -7,8 +7,8 @@ import json
 import pytest
 
 import sample_app
+from repro.api.errors import PolicyError
 from repro.core.transformer import ApplicationTransformer
-from repro.errors import PolicyError
 from repro.network.simnet import LAN_LINK
 from repro.policy.policy import all_local_policy
 from repro.tools.deployment import (

@@ -15,8 +15,10 @@ import json
 import pytest
 
 from repro.api import ServicePolicy, Session, cacheable
+from repro.api.errors import MessageDroppedError
 from repro.api.middleware import MetricsInterceptor
 from repro.cli import main
+from repro.network.failures import FailureModel
 from repro.observability import (
     PHASES,
     SampleGate,
@@ -354,6 +356,40 @@ class TestTracedFacade:
         for span in spans:
             assert root.start <= span.start
             assert span.end <= root.end
+
+    @pytest.mark.parametrize("fault", ["response-dropped", "handler-raises"])
+    def test_failed_direct_call_still_bills_its_service_time(self, cluster, fault):
+        """The server did the work even though no reply came: its ``service``
+        span is recorded before the failure surfaces at the caller."""
+        with Session(cluster, node="client") as session:
+            policy = ServicePolicy(transport="rmi").with_tracing()
+            svc = session.service("orders", policy, impl=OrderIntake(), node="server")
+            if fault == "response-dropped":
+                failures = FailureModel()
+                failures.should_drop = lambda source, destination: source == "server"
+                cluster.network.failures = failures
+                expected = MessageDroppedError
+            else:
+                def handler(source, payload):
+                    cluster.clock.advance(0.002)
+                    raise RuntimeError("dispatcher exploded")
+
+                cluster.network.register("server", handler)
+                expected = RuntimeError
+            with pytest.raises(expected):
+                svc.submit("sku-1", 2, 10.0)
+            collector = session.tracer().collector
+        (trace_id,) = collector.trace_ids()
+        root = collector.root(trace_id)
+        (service,) = [s for s in collector.spans(trace_id) if s.kind == "service"]
+        assert service.parent_id == root.span_id
+        assert service.attrs["node"] == "server"
+        if fault == "handler-raises":
+            assert service.attrs["error"] == "RuntimeError"
+            assert service.duration == pytest.approx(0.002)
+        else:
+            assert [event[0] for event in root.events] == ["response-dropped"]
+        assert collector.open_spans() == []
 
     def test_batch_queue_wait_is_recorded(self, cluster):
         with Session(cluster, node="client") as session:

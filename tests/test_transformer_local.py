@@ -12,12 +12,12 @@ import pytest
 
 import sample_app
 import sample_unsupported
+from repro.api.errors import NotTransformableError, TransformationError, UnknownClassError
 from repro.core.transformer import (
     ApplicationTransformer,
     DEFAULT_TRANSPORTS,
     transform_application,
 )
-from repro.errors import NotTransformableError, TransformationError, UnknownClassError
 from repro.policy.policy import all_local_policy
 
 CLASSES = [sample_app.X, sample_app.Y, sample_app.Z]

@@ -52,7 +52,7 @@ class TestSameResultOnEveryTransport:
         assert run_figure1_scenario(app).as_tuple() == oracle.as_tuple()
 
     def test_exceptions_cross_every_transport(self):
-        from repro.errors import RemoteInvocationError
+        from repro.api.errors import RemoteInvocationError
 
         for transport in TRANSPORTS:
             app, _ = _deploy(transport)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import TransportError, UnknownTransportError
+from repro.api.errors import TransportError, UnknownTransportError
 from repro.transports.base import TransportRegistry, frame_message, unframe_message
 from repro.transports.codec import BinaryReader, BinaryWriter, decode_message, encode_message
 from repro.transports.corba import CorbaTransport
