@@ -1,0 +1,124 @@
+"""Golden wire bytes: every transport's frames, pinned to the byte.
+
+``golden_wire.json`` holds the hex of each frame below as the encoders
+produced it *before* the binary codec was rewritten, so a codec change that
+moves a single byte (a pad, a tag, a length) fails here rather than in a
+simulated-clock number three layers up.  The fixed message set covers the
+whole wire-value domain — the strings, int64 edges, floats and containers
+the codec special-cases — plus one order in the Marshaller's
+``{"__kind__": "map", "items": [[key, value], ...]}`` shape, which is what
+the ledger's ``batch_payload`` workload ships.
+
+Regenerate (only when the wire format is *meant* to change) with
+``PYTHONPATH=src python tests/test_wire_golden.py``.
+"""
+
+from __future__ import annotations
+
+import json
+from pathlib import Path
+
+import pytest
+
+from repro.runtime.cluster import default_transport_registry
+from repro.runtime.serialization import Marshaller
+
+GOLDEN_PATH = Path(__file__).with_name("golden_wire.json")
+
+ORDER = {
+    "customer": "Zoë ✓",
+    "priority": True,
+    "notes": None,
+    "lines": [
+        {
+            "sku": f"sku-{index:03d}",
+            "quantity": index + 1,
+            "unit_price": (index * 37 % 500) / 4.0,
+            "tags": ["x" * (index % 3), "𝄞"],
+        }
+        for index in range(16)
+    ],
+}
+WIRE_ORDER = Marshaller(None).to_wire(ORDER)
+
+REQUEST = {
+    "target": "server:12",
+    "interface": "Orders_O_Int",
+    "member": "submit",
+    "args": [
+        "", "héllo wörld ✓", "𝄞😀", -(2**63), 2**63 - 1, 0, -0.0, 1e308, None, True, False,
+        [], {}, [[], [{}], {"k": [1, [2, {"x": None}]]}],
+        WIRE_ORDER,
+    ],
+    "kwargs": {"overwrite": False, "limit": 10, "note": "ключ"},
+    "ctx": {"i": 7, "t": "tenant-a", "d": 1.25, "x": "t42", "p": "s7"},
+}
+SMALL_REQUEST = {
+    "target": "server:3", "interface": "Catalog_O_Int", "member": "lookup",
+    "args": ["key-1"], "kwargs": {},
+}
+RESPONSE = {"result": WIRE_ORDER}
+ERROR_RESPONSE = {"error": {"type": "KeyError", "message": "missing ключ 𝄞"}}
+
+#: message name -> (encoder, decoder, message)
+CASES = {
+    "request": ("encode_request", "decode_request", REQUEST),
+    "response": ("encode_response", "decode_response", RESPONSE),
+    "error_response": ("encode_response", "decode_response", ERROR_RESPONSE),
+    "batch_request": (
+        "encode_batch_request", "decode_batch_request", [SMALL_REQUEST, REQUEST, SMALL_REQUEST],
+    ),
+    "batch_response": (
+        "encode_batch_response", "decode_batch_response",
+        [{"result": 7}, ERROR_RESPONSE, RESPONSE, {"result": None}],
+    ),
+}
+TRANSPORTS = {transport.name: transport for transport in default_transport_registry()}
+
+
+def _golden() -> dict:
+    return json.loads(GOLDEN_PATH.read_text(encoding="ascii"))
+
+
+def _frames():
+    return [(name, case) for name in TRANSPORTS for case in CASES]
+
+
+def test_the_order_is_marshaller_shaped_and_survives():
+    assert WIRE_ORDER["__kind__"] == "map"
+    lines = dict(WIRE_ORDER["items"])["lines"]
+    assert lines["__kind__"] == "list" and len(lines["items"]) >= 16
+    assert Marshaller(None).from_wire(WIRE_ORDER) == ORDER
+
+
+@pytest.mark.parametrize("name,case", _frames())
+def test_encoders_reproduce_the_golden_bytes(name, case):
+    encode, _, message = CASES[case]
+    assert getattr(TRANSPORTS[name], encode)(message).hex() == _golden()[name][case]
+
+
+@pytest.mark.parametrize("name,case", _frames())
+def test_decoders_read_the_golden_bytes(name, case):
+    _, decode, message = CASES[case]
+    decoded = getattr(TRANSPORTS[name], decode)(bytes.fromhex(_golden()[name][case]))
+    assert decoded == message
+    # ``==`` cannot tell -0.0 from 0.0, True from 1 or a reordered map.
+    assert repr(decoded) == repr(message)
+
+
+if __name__ == "__main__":
+    GOLDEN_PATH.write_text(
+        json.dumps(
+            {
+                name: {
+                    case: getattr(transport, encode)(message).hex()
+                    for case, (encode, _, message) in CASES.items()
+                }
+                for name, transport in TRANSPORTS.items()
+            },
+            indent=1,
+        )
+        + "\n",
+        encoding="ascii",
+    )
+    print(f"wrote {GOLDEN_PATH}")
