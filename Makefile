@@ -2,7 +2,7 @@ PYTHON ?= python
 export PYTHONPATH := src
 BENCH_DIR ?= bench-artifacts
 
-.PHONY: check test quickstart-smoke bench-smoke bench-check bench-diff docs-check lint lint-dist
+.PHONY: check test quickstart-smoke bench-smoke bench-check bench-diff bench-ab docs-check lint lint-dist
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -28,6 +28,15 @@ bench-check: bench-smoke
 # byte against the BENCH_*.json of another one (`make bench-smoke` there).
 bench-diff: bench-smoke
 	diff -r $(BASE) $(BENCH_DIR)
+
+# Host-time A/B against a checkout of the parent commit: alternating pairs of
+# the wall-clock ledger's run.py, e.g.
+#   make bench-ab BASE=../parent W=batch_payload PAIRS=10 SEED=7
+W ?= batch_payload
+PAIRS ?= 10
+SEED ?= 7
+bench-ab:
+	$(PYTHON) benchmarks/ab_pairs.py --base $(BASE) --workload $(W) --pairs $(PAIRS) --seed $(SEED)
 
 docs-check:
 	$(PYTHON) -m repro.tools.doccheck src/repro --level api --fail-under 100

@@ -24,6 +24,9 @@ from repro.runtime.remote_ref import RemoteRef
 
 _KIND = "__kind__"
 _PRIMITIVES = (type(None), bool, int, float, str)
+#: The exact primitive types, tested by identity on the hot path; subclasses
+#: take the ``isinstance`` route below them.
+_LEAVES = frozenset(_PRIMITIVES)
 
 
 def _is_transformed_instance(value: Any) -> bool:
@@ -42,20 +45,9 @@ class Marshaller:
     # ------------------------------------------------------------------
 
     def to_wire(self, value: Any) -> Any:
-        if isinstance(value, _PRIMITIVES):
+        if type(value) in _LEAVES:
             return value
-        if isinstance(value, bytes):
-            return {_KIND: "bytes", "data": base64.b64encode(value).decode("ascii")}
-        if isinstance(value, (list, tuple)):
-            return {
-                _KIND: "list" if isinstance(value, list) else "tuple",
-                "items": [self.to_wire(item) for item in value],
-            }
-        if isinstance(value, (set, frozenset)):
-            return {
-                _KIND: "set",
-                "items": sorted((self.to_wire(item) for item in value), key=repr),
-            }
+        to_wire = self.to_wire
         if isinstance(value, dict):
             items = []
             for key, item in value.items():
@@ -63,8 +55,24 @@ class Marshaller:
                     raise SerializationError(
                         f"only string keys can be marshalled, got {type(key).__name__}"
                     )
-                items.append([key, self.to_wire(item)])
+                items.append([key, item if type(item) in _LEAVES else to_wire(item)])
             return {_KIND: "map", "items": items}
+        if isinstance(value, (list, tuple)):
+            return {
+                _KIND: "list" if isinstance(value, list) else "tuple",
+                "items": [item if type(item) in _LEAVES else to_wire(item) for item in value],
+            }
+        # Everything below is rare: subclasses of the primitives (an IntEnum
+        # travels as itself), bytes, sets and references.
+        if isinstance(value, _PRIMITIVES):
+            return value
+        if isinstance(value, bytes):
+            return {_KIND: "bytes", "data": base64.b64encode(value).decode("ascii")}
+        if isinstance(value, (set, frozenset)):
+            return {
+                _KIND: "set",
+                "items": sorted((to_wire(item) for item in value), key=repr),
+            }
         if isinstance(value, RemoteRef):
             return value.to_wire()
         if _is_transformed_instance(value):
@@ -96,27 +104,36 @@ class Marshaller:
     # ------------------------------------------------------------------
 
     def from_wire(self, value: Any) -> Any:
+        if type(value) in _LEAVES:
+            return value
+        from_wire = self.from_wire
+        if isinstance(value, dict):
+            tag = value.get(_KIND)
+            if tag == "map":
+                return {
+                    key: item if type(item) in _LEAVES else from_wire(item)
+                    for key, item in value["items"]
+                }
+            if tag == "list":
+                return [
+                    item if type(item) in _LEAVES else from_wire(item)
+                    for item in value["items"]
+                ]
+            if tag is None:
+                return {key: from_wire(item) for key, item in value.items()}
+            if tag == "bytes":
+                return base64.b64decode(value["data"])
+            if tag == "tuple":
+                return tuple(from_wire(item) for item in value["items"])
+            if tag == "set":
+                return {from_wire(item) for item in value["items"]}
+            if tag == RemoteRef._WIRE_KIND:
+                return self._resolve_reference(RemoteRef.from_wire(value))
+            raise SerializationError(f"unknown wire kind {tag!r}")
+        if isinstance(value, list):
+            return [from_wire(item) for item in value]
         if isinstance(value, _PRIMITIVES):
             return value
-        if isinstance(value, list):
-            return [self.from_wire(item) for item in value]
-        if isinstance(value, dict):
-            kind = value.get(_KIND)
-            if kind is None:
-                return {key: self.from_wire(item) for key, item in value.items()}
-            if kind == "bytes":
-                return base64.b64decode(value["data"])
-            if kind == "list":
-                return [self.from_wire(item) for item in value["items"]]
-            if kind == "tuple":
-                return tuple(self.from_wire(item) for item in value["items"])
-            if kind == "set":
-                return {self.from_wire(item) for item in value["items"]}
-            if kind == "map":
-                return {key: self.from_wire(item) for key, item in value["items"]}
-            if kind == RemoteRef._WIRE_KIND:
-                return self._resolve_reference(RemoteRef.from_wire(value))
-            raise SerializationError(f"unknown wire kind {kind!r}")
         raise SerializationError(
             f"cannot unmarshal wire value of type {type(value).__name__}"
         )

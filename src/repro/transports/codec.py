@@ -1,13 +1,20 @@
-"""Shared value-encoding helpers used by the binary transports.
+"""The one binary value codec, and the transport base class built on it.
 
 The RMI-like and CORBA-like transports both need a compact binary encoding of
-the wire-value domain (None, bool, int, float, str, bytes-as-base64, list,
-dict).  This module provides a small tag-length-value codec with configurable
-alignment so the two protocols can share machinery while producing different
-byte streams (CORBA's CDR aligns primitive values; the RMI-like stream does
-not).
+the wire-value domain (None, bool, int, float, str, list, dict).  This module
+is that encoding, once: a tag-length-value stream whose only parameter is the
+``alignment`` of its primitives (CORBA's CDR aligns 4- and 8-byte values to
+their natural boundaries; the RMI-like stream is packed), so the two protocols
+share every line of value handling while producing different bytes.
 
-Four helpers make up the public surface:
+* :func:`encode_value` / :func:`decode_value` — round-trip ONE wire value.
+  Dispatch is on the exact type, most frequent first; subclasses (an
+  ``IntEnum``, an ``OrderedDict``, a tuple) fall back to an ``isinstance``
+  ladder and travel as their base type::
+
+      assert decode_value(encode_value([1, "two", None])) == [1, "two", None]
+      assert encode_value(True) == b"\\x01"               # a tag, not an int
+      assert encode_value("ab", alignment=8).hex() == "05000000" "00000002" "6162"
 
 * :func:`encode_message` / :func:`decode_message` — round-trip ONE
   request/response dictionary.  ``alignment=1`` produces the RMI-like packed
@@ -21,28 +28,37 @@ Four helpers make up the public surface:
       assert len(aligned) >= len(packed)                  # padding costs bytes
 
 * :func:`encode_message_list` / :func:`decode_message_list` — round-trip a
-  BATCH of dictionaries as one tagged list sharing a single writer (and
-  therefore one alignment stream), which is what lets a batched wire message
-  pay the encoding's framing cost once::
+  BATCH of dictionaries as one tagged list in a single stream (and therefore
+  one alignment run), which is what lets a batched wire message pay the
+  encoding's framing cost once::
 
       batch = encode_message_list([request.to_dict() for request in requests])
       dicts = decode_message_list(batch)
 
   Decoders must use the producer's alignment — the streams are not
   self-describing on that axis (the transport name in the frame carries it).
+  Alignment is relative to the start of the value stream, never to a protocol
+  header in front of it.
 
-:class:`BinaryWriter` / :class:`BinaryReader` are the lower-level pieces the
-helpers are built from; transports only need them for custom message shapes
-(e.g. the RMI/GIOP batch headers).
+Every failure — a value outside the wire domain, an integer beyond 64 bits,
+a truncated or over-long stream, an unknown tag, invalid UTF-8, nesting deeper
+than the interpreter's stack — raises :class:`~repro.api.errors.TransportError`.
+
+:class:`BinaryTransport` holds the eight ``encode_*`` / ``decode_*`` methods
+of a binary protocol; a concrete protocol (``rmi.py``, ``corba.py``) is a
+description over it: name, alignment, four message-type codes, how its
+header is packed and opened, and its ``processing_overhead``.
 """
 
 from __future__ import annotations
 
+import abc
 import struct
-from io import BytesIO
+from struct import Struct
 from typing import Any
 
 from repro._errors import TransportError
+from repro.transports.base import Transport
 
 _TAG_NONE = 0
 _TAG_TRUE = 1
@@ -52,175 +68,187 @@ _TAG_FLOAT = 4
 _TAG_STR = 5
 _TAG_LIST = 6
 _TAG_MAP = 7
+_SINGLETONS = (None, True, False)  # by tag
+
+_UINT32 = Struct("!I")
+_INT64 = Struct("!q")
+_FLOAT64 = Struct("!d")
+# One pack call writes a tag, the pad up to the value's boundary and the
+# value; the index is the pad length (always 0 in a packed stream).
+_TAG_UINT32 = tuple(Struct(f"!B{pad}xI") for pad in range(4))
+_TAG_INT64 = tuple(Struct(f"!B{pad}xq") for pad in range(8))
+_TAG_FLOAT64 = tuple(Struct(f"!B{pad}xd") for pad in range(8))
+_PADS = tuple(bytes(pad) for pad in range(4))
+
+#: The subclass fallback, in the order the wire domain is tested: what an
+#: instance of a *subclass* of a wire type travels as.
+_WIRE_BASES = (int, float, str, list, tuple, dict)
 
 
-class BinaryWriter:
-    """Writes tagged values into a byte buffer."""
+def _wire_base(value: Any) -> type:
+    for base in _WIRE_BASES:
+        if isinstance(value, base):
+            return base
+    raise TransportError(
+        f"value of type {type(value).__name__} is not a wire value; "
+        "marshal it before handing it to a transport"
+    )
 
-    def __init__(self, alignment: int = 1) -> None:
-        self._buffer = BytesIO()
-        self._alignment = max(1, alignment)
 
-    # -- low-level ------------------------------------------------------------
+def encode_value(value: Any, alignment: int = 1) -> bytes:
+    """Encode one wire value as a tagged stream with the given alignment."""
+    buffer = bytearray()
+    if alignment > 1:
+        align4, align8 = min(4, alignment), min(8, alignment)
 
-    def _pad(self, size: int) -> None:
-        if self._alignment <= 1:
-            return
-        position = self._buffer.tell()
-        misalignment = position % min(size, self._alignment)
-        if misalignment:
-            self._buffer.write(b"\x00" * (min(size, self._alignment) - misalignment))
+        def tag_uint32(tag: int, number: int) -> bytes:
+            return _TAG_UINT32[-(len(buffer) + 1) % align4].pack(tag, number)
 
-    def write_uint8(self, value: int) -> None:
-        self._buffer.write(struct.pack("!B", value))
+        def tag_int64(tag: int, number: int) -> bytes:
+            return _TAG_INT64[-(len(buffer) + 1) % align8].pack(tag, number)
 
-    def write_uint32(self, value: int) -> None:
-        self._pad(4)
-        self._buffer.write(struct.pack("!I", value))
+        def tag_float64(tag: int, number: float) -> bytes:
+            return _TAG_FLOAT64[-(len(buffer) + 1) % align8].pack(tag, number)
 
-    def write_int64(self, value: int) -> None:
-        self._pad(8)
-        self._buffer.write(struct.pack("!q", value))
+        def key_length(number: int) -> bytes:
+            return _PADS[-len(buffer) % align4] + _UINT32.pack(number)
 
-    def write_float64(self, value: float) -> None:
-        self._pad(8)
-        self._buffer.write(struct.pack("!d", value))
+    else:
+        tag_uint32, tag_int64, tag_float64 = (
+            _TAG_UINT32[0].pack, _TAG_INT64[0].pack, _TAG_FLOAT64[0].pack,
+        )
+        key_length = _UINT32.pack
 
-    def write_string(self, value: str) -> None:
-        data = value.encode("utf-8")
-        self.write_uint32(len(data))
-        self._buffer.write(data)
-
-    # -- values ----------------------------------------------------------------
-
-    def write_value(self, value: Any) -> None:
-        if value is None:
-            self.write_uint8(_TAG_NONE)
-        elif value is True:
-            self.write_uint8(_TAG_TRUE)
-        elif value is False:
-            self.write_uint8(_TAG_FALSE)
-        elif isinstance(value, int):
-            self.write_uint8(_TAG_INT)
-            self.write_int64(value)
-        elif isinstance(value, float):
-            self.write_uint8(_TAG_FLOAT)
-            self.write_float64(value)
-        elif isinstance(value, str):
-            self.write_uint8(_TAG_STR)
-            self.write_string(value)
-        elif isinstance(value, (list, tuple)):
-            self.write_uint8(_TAG_LIST)
-            self.write_uint32(len(value))
+    def write(value: Any, kind: type) -> None:
+        nonlocal buffer
+        if kind is str:
+            data = value.encode()
+            buffer += tag_uint32(_TAG_STR, len(data)) + data
+        elif kind is list or kind is tuple:
+            buffer += tag_uint32(_TAG_LIST, len(value))
             for item in value:
-                self.write_value(item)
-        elif isinstance(value, dict):
-            self.write_uint8(_TAG_MAP)
-            self.write_uint32(len(value))
+                item_kind = type(item)
+                if item_kind is str:  # the most frequent leaf, written in place
+                    data = item.encode()
+                    buffer += tag_uint32(_TAG_STR, len(data)) + data
+                else:
+                    write(item, item_kind)
+        elif kind is int:
+            buffer += tag_int64(_TAG_INT, value)
+        elif kind is dict:
+            buffer += tag_uint32(_TAG_MAP, len(value))
             for key, item in value.items():
                 if not isinstance(key, str):
                     raise TransportError(
                         f"wire map keys must be strings, got {type(key).__name__}"
                     )
-                self.write_string(key)
-                self.write_value(item)
-        else:
-            raise TransportError(
-                f"value of type {type(value).__name__} is not a wire value; "
-                "marshal it before handing it to a transport"
-            )
+                data = key.encode()
+                buffer += key_length(len(data)) + data
+                item_kind = type(item)
+                if item_kind is str:
+                    data = item.encode()
+                    buffer += tag_uint32(_TAG_STR, len(data)) + data
+                else:
+                    write(item, item_kind)
+        elif kind is float:
+            buffer += tag_float64(_TAG_FLOAT, value)
+        elif value is None:
+            buffer.append(_TAG_NONE)
+        elif kind is bool:
+            buffer.append(_TAG_TRUE if value else _TAG_FALSE)
+        else:  # a subclass travels as the wire type it extends
+            write(value, _wire_base(value))
 
-    def getvalue(self) -> bytes:
-        return self._buffer.getvalue()
+    try:
+        write(value, type(value))
+        return bytes(buffer)
+    except (struct.error, OverflowError, UnicodeEncodeError) as exc:
+        raise TransportError(f"value does not fit the binary wire format: {exc}") from None
+    except RecursionError:
+        raise TransportError("value is nested too deeply for the binary wire format") from None
+    finally:
+        # ``write`` names itself, which is a reference cycle: unhooked here,
+        # the buffer is freed on return instead of at the next GC pass.
+        write = None
 
 
-class BinaryReader:
-    """Reads tagged values written by :class:`BinaryWriter`."""
+def decode_value(payload: bytes, alignment: int = 1) -> Any:
+    """Decode the single value a stream from :func:`encode_value` carries."""
+    offset = 0
+    aligned = alignment > 1
+    align4, align8 = min(4, alignment), min(8, alignment)
+    uint32, int64, float64 = _UINT32.unpack_from, _INT64.unpack_from, _FLOAT64.unpack_from
 
-    def __init__(self, payload: bytes, alignment: int = 1) -> None:
-        self._payload = payload
-        self._offset = 0
-        self._alignment = max(1, alignment)
-
-    # -- low-level ------------------------------------------------------------
-
-    def _pad(self, size: int) -> None:
-        if self._alignment <= 1:
-            return
-        misalignment = self._offset % min(size, self._alignment)
-        if misalignment:
-            self._offset += min(size, self._alignment) - misalignment
-
-    def _take(self, count: int) -> bytes:
-        if self._offset + count > len(self._payload):
-            raise TransportError("truncated binary message")
-        data = self._payload[self._offset : self._offset + count]
-        self._offset += count
-        return data
-
-    def read_uint8(self) -> int:
-        return struct.unpack("!B", self._take(1))[0]
-
-    def read_uint32(self) -> int:
-        self._pad(4)
-        return struct.unpack("!I", self._take(4))[0]
-
-    def read_int64(self) -> int:
-        self._pad(8)
-        return struct.unpack("!q", self._take(8))[0]
-
-    def read_float64(self) -> float:
-        self._pad(8)
-        return struct.unpack("!d", self._take(8))[0]
-
-    def read_string(self) -> str:
-        length = self.read_uint32()
-        return self._take(length).decode("utf-8")
-
-    # -- values ----------------------------------------------------------------
-
-    def read_value(self) -> Any:
-        tag = self.read_uint8()
-        if tag == _TAG_NONE:
-            return None
-        if tag == _TAG_TRUE:
-            return True
-        if tag == _TAG_FALSE:
-            return False
-        if tag == _TAG_INT:
-            return self.read_int64()
-        if tag == _TAG_FLOAT:
-            return self.read_float64()
+    def read() -> Any:
+        nonlocal offset
+        tag = payload[offset]
+        start = offset + 1
         if tag == _TAG_STR:
-            return self.read_string()
+            if aligned:
+                start += -start % align4
+            offset = start + 4 + uint32(payload, start)[0]
+            return payload[start + 4 : offset].decode()
         if tag == _TAG_LIST:
-            count = self.read_uint32()
-            return [self.read_value() for _ in range(count)]
+            if aligned:
+                start += -start % align4
+            offset = start + 4
+            count = uint32(payload, start)[0]
+            if count == 2:  # every Marshaller map entry is a [key, value] pair
+                return [read(), read()]
+            return [read() for _ in range(count)]
+        if tag == _TAG_INT:
+            if aligned:
+                start += -start % align8
+            offset = start + 8
+            return int64(payload, start)[0]
         if tag == _TAG_MAP:
-            count = self.read_uint32()
+            if aligned:
+                start += -start % align4
+            offset = start + 4
             result = {}
-            for _ in range(count):
-                key = self.read_string()
-                result[key] = self.read_value()
+            for _ in range(uint32(payload, start)[0]):
+                start = offset + -offset % align4 if aligned else offset
+                offset = start + 4 + uint32(payload, start)[0]
+                key = payload[start + 4 : offset].decode()
+                result[key] = read()
             return result
-        raise TransportError(f"unknown wire tag {tag}")
+        if tag == _TAG_FLOAT:
+            if aligned:
+                start += -start % align8
+            offset = start + 8
+            return float64(payload, start)[0]
+        if tag > _TAG_FALSE:
+            raise TransportError(f"unknown wire tag {tag}")
+        offset = start
+        return _SINGLETONS[tag]
 
-    @property
-    def remaining(self) -> int:
-        return len(self._payload) - self._offset
+    try:
+        value = read()
+    except (struct.error, IndexError):
+        raise TransportError("truncated binary message") from None
+    except UnicodeDecodeError as exc:
+        raise TransportError(f"binary message carries invalid UTF-8: {exc}") from None
+    except RecursionError:
+        raise TransportError("binary message is nested too deeply") from None
+    finally:
+        read = None  # same cycle as in encode_value; it would pin the payload
+    if offset > len(payload):
+        # A string longer than the rest of the stream was sliced short, and
+        # every read after it fails; only the last value gets this far.
+        raise TransportError("truncated binary message")
+    if offset < len(payload):
+        raise TransportError("trailing bytes after the binary message")
+    return value
 
 
 def encode_message(message: dict, alignment: int = 1) -> bytes:
     """Encode a request/response dictionary as a single tagged value."""
-    writer = BinaryWriter(alignment=alignment)
-    writer.write_value(message)
-    return writer.getvalue()
+    return encode_value(message, alignment)
 
 
 def decode_message(payload: bytes, alignment: int = 1) -> dict:
     """Decode a message produced by :func:`encode_message`."""
-    reader = BinaryReader(payload, alignment=alignment)
-    value = reader.read_value()
+    value = decode_value(payload, alignment)
     if not isinstance(value, dict):
         raise TransportError("binary message did not contain a dictionary")
     return value
@@ -229,22 +257,76 @@ def decode_message(payload: bytes, alignment: int = 1) -> dict:
 def encode_message_list(messages: list, alignment: int = 1) -> bytes:
     """Encode a batch of request/response dictionaries as one tagged list.
 
-    The batch shares one writer (and therefore one alignment stream), so the
+    The batch is one stream (and therefore one alignment run), so the
     framing cost of the encoding is paid once for the whole batch rather than
     once per message.
     """
-    writer = BinaryWriter(alignment=alignment)
-    writer.write_value(list(messages))
-    return writer.getvalue()
+    return encode_value(list(messages), alignment)
 
 
 def decode_message_list(payload: bytes, alignment: int = 1) -> list[dict]:
     """Decode a batch produced by :func:`encode_message_list`."""
-    reader = BinaryReader(payload, alignment=alignment)
-    value = reader.read_value()
+    value = decode_value(payload, alignment)
     if not isinstance(value, list):
         raise TransportError("binary batch did not contain a list")
     for item in value:
         if not isinstance(item, dict):
             raise TransportError("binary batch items must be dictionaries")
     return value
+
+
+class BinaryTransport(Transport):
+    """A binary protocol as a description over the shared value codec.
+
+    Subclasses set ``name``, ``processing_overhead``, ``alignment`` and the
+    four message-type codes, and say how their header is packed in front of
+    an encoded body and checked and stripped off a received payload.  The
+    description lives in class attributes, so an instance needs no
+    ``__init__``.
+    """
+
+    #: Alignment of 4- and 8-byte primitives in the body (1 = packed).
+    alignment: int = 1
+    #: The protocol's message-type codes.
+    request_type: int
+    response_type: int
+    batch_request_type: int
+    batch_response_type: int
+
+    @abc.abstractmethod
+    def pack_header(self, message_type: int, body: bytes) -> bytes:
+        """The protocol header that precedes ``body``."""
+
+    @abc.abstractmethod
+    def open_header(self, payload: bytes, expected_type: int) -> bytes:
+        """Check the header of ``payload`` and return the body behind it."""
+
+    def _encode(self, message_type: int, value: Any) -> bytes:
+        body = encode_value(value, self.alignment)
+        return self.pack_header(message_type, body) + body
+
+    def encode_request(self, request: dict) -> bytes:
+        return self._encode(self.request_type, request)
+
+    def decode_request(self, payload: bytes) -> dict:
+        return decode_message(self.open_header(payload, self.request_type), self.alignment)
+
+    def encode_response(self, response: dict) -> bytes:
+        return self._encode(self.response_type, response)
+
+    def decode_response(self, payload: bytes) -> dict:
+        return decode_message(self.open_header(payload, self.response_type), self.alignment)
+
+    def encode_batch_request(self, requests: list) -> bytes:
+        return self._encode(self.batch_request_type, list(requests))
+
+    def decode_batch_request(self, payload: bytes) -> list:
+        body = self.open_header(payload, self.batch_request_type)
+        return decode_message_list(body, self.alignment)
+
+    def encode_batch_response(self, responses: list) -> bytes:
+        return self._encode(self.batch_response_type, list(responses))
+
+    def decode_batch_response(self, payload: bytes) -> list:
+        body = self.open_header(payload, self.batch_response_type)
+        return decode_message_list(body, self.alignment)

@@ -13,59 +13,31 @@ from __future__ import annotations
 import struct
 
 from repro._errors import TransportError
-from repro.transports.base import Transport
-from repro.transports.codec import (
-    decode_message,
-    decode_message_list,
-    encode_message,
-    encode_message_list,
-)
+from repro.transports.codec import BinaryTransport
 
 _MAGIC = b"GIOP"
 _VERSION = (1, 2)
-_MSG_REQUEST = 0
-_MSG_REPLY = 1
-_MSG_BATCH_REQUEST = 2
-_MSG_BATCH_REPLY = 3
 _HEADER = struct.Struct("!4sBBBBI")  # magic, major, minor, flags, type, body length
-_CDR_ALIGNMENT = 8
 
 
-class CorbaTransport(Transport):
+class CorbaTransport(BinaryTransport):
     """GIOP-framed, CDR-aligned binary protocol."""
 
     name = "corba"
     processing_overhead = 0.00012
+    alignment = 8
+    request_type = 0
+    response_type = 1
+    batch_request_type = 2
+    batch_response_type = 3
 
-    def _encode(self, message: dict, message_type: int) -> bytes:
-        body = encode_message(message, alignment=_CDR_ALIGNMENT)
-        return self._header_for(message_type, body) + body
+    def pack_header(self, message_type: int, body: bytes) -> bytes:
+        return _HEADER.pack(_MAGIC, _VERSION[0], _VERSION[1], 0, message_type, len(body))
 
-    def _decode(self, payload: bytes, expected_type: int) -> dict:
-        return decode_message(self._body(payload, expected_type), alignment=_CDR_ALIGNMENT)
-
-    def _encode_batch(self, messages: list, message_type: int) -> bytes:
-        body = encode_message_list(messages, alignment=_CDR_ALIGNMENT)
-        return self._header_for(message_type, body) + body
-
-    def _decode_batch(self, payload: bytes, expected_type: int) -> list:
-        return decode_message_list(
-            self._body(payload, expected_type), alignment=_CDR_ALIGNMENT
-        )
-
-    @staticmethod
-    def _header_for(message_type: int, body: bytes) -> bytes:
-        return _HEADER.pack(
-            _MAGIC, _VERSION[0], _VERSION[1], 0, message_type, len(body)
-        )
-
-    @staticmethod
-    def _body(payload: bytes, expected_type: int) -> bytes:
+    def open_header(self, payload: bytes, expected_type: int) -> bytes:
         if len(payload) < _HEADER.size:
             raise TransportError("truncated GIOP message")
-        magic, major, minor, _flags, message_type, length = _HEADER.unpack(
-            payload[: _HEADER.size]
-        )
+        magic, major, minor, _flags, message_type, length = _HEADER.unpack_from(payload)
         if magic != _MAGIC:
             raise TransportError("not a GIOP message (bad magic)")
         if (major, minor) != _VERSION:
@@ -76,33 +48,3 @@ class CorbaTransport(Transport):
         if len(body) != length:
             raise TransportError("GIOP body length mismatch")
         return body
-
-    # -- requests --------------------------------------------------------------
-
-    def encode_request(self, request: dict) -> bytes:
-        return self._encode(request, _MSG_REQUEST)
-
-    def decode_request(self, payload: bytes) -> dict:
-        return self._decode(payload, _MSG_REQUEST)
-
-    # -- responses --------------------------------------------------------------
-
-    def encode_response(self, response: dict) -> bytes:
-        return self._encode(response, _MSG_REPLY)
-
-    def decode_response(self, payload: bytes) -> dict:
-        return self._decode(payload, _MSG_REPLY)
-
-    # -- batches ----------------------------------------------------------------
-
-    def encode_batch_request(self, requests: list) -> bytes:
-        return self._encode_batch(requests, _MSG_BATCH_REQUEST)
-
-    def decode_batch_request(self, payload: bytes) -> list:
-        return self._decode_batch(payload, _MSG_BATCH_REQUEST)
-
-    def encode_batch_response(self, responses: list) -> bytes:
-        return self._encode_batch(responses, _MSG_BATCH_REPLY)
-
-    def decode_batch_response(self, payload: bytes) -> list:
-        return self._decode_batch(payload, _MSG_BATCH_REPLY)

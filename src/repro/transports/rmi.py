@@ -10,43 +10,26 @@ implementations.
 from __future__ import annotations
 
 from repro._errors import TransportError
-from repro.transports.base import Transport
-from repro.transports.codec import (
-    decode_message,
-    decode_message_list,
-    encode_message,
-    encode_message_list,
-)
+from repro.transports.codec import BinaryTransport
 
 _MAGIC = b"JR"
-_TYPE_CALL = 0x50
-_TYPE_RETURN = 0x51
-_TYPE_BATCH_CALL = 0x52
-_TYPE_BATCH_RETURN = 0x53
 
 
-class RmiTransport(Transport):
+class RmiTransport(BinaryTransport):
     """Compact binary request/response protocol (JRMP-like)."""
 
     name = "rmi"
     processing_overhead = 0.00005
+    alignment = 1
+    request_type = 0x50
+    response_type = 0x51
+    batch_request_type = 0x52
+    batch_response_type = 0x53
 
-    def _encode(self, message: dict, message_type: int) -> bytes:
-        body = encode_message(message, alignment=1)
-        return _MAGIC + bytes([message_type]) + body
+    def pack_header(self, message_type: int, body: bytes) -> bytes:
+        return _MAGIC + bytes((message_type,))
 
-    def _decode(self, payload: bytes, expected_type: int) -> dict:
-        return decode_message(self._body(payload, expected_type), alignment=1)
-
-    def _encode_batch(self, messages: list, message_type: int) -> bytes:
-        body = encode_message_list(messages, alignment=1)
-        return _MAGIC + bytes([message_type]) + body
-
-    def _decode_batch(self, payload: bytes, expected_type: int) -> list:
-        return decode_message_list(self._body(payload, expected_type), alignment=1)
-
-    @staticmethod
-    def _body(payload: bytes, expected_type: int) -> bytes:
+    def open_header(self, payload: bytes, expected_type: int) -> bytes:
         if len(payload) < 3 or payload[:2] != _MAGIC:
             raise TransportError("not an RMI message (bad magic)")
         if payload[2] != expected_type:
@@ -54,33 +37,3 @@ class RmiTransport(Transport):
                 f"unexpected RMI message type 0x{payload[2]:02x}"
             )
         return payload[3:]
-
-    # -- requests --------------------------------------------------------------
-
-    def encode_request(self, request: dict) -> bytes:
-        return self._encode(request, _TYPE_CALL)
-
-    def decode_request(self, payload: bytes) -> dict:
-        return self._decode(payload, _TYPE_CALL)
-
-    # -- responses --------------------------------------------------------------
-
-    def encode_response(self, response: dict) -> bytes:
-        return self._encode(response, _TYPE_RETURN)
-
-    def decode_response(self, payload: bytes) -> dict:
-        return self._decode(payload, _TYPE_RETURN)
-
-    # -- batches ----------------------------------------------------------------
-
-    def encode_batch_request(self, requests: list) -> bytes:
-        return self._encode_batch(requests, _TYPE_BATCH_CALL)
-
-    def decode_batch_request(self, payload: bytes) -> list:
-        return self._decode_batch(payload, _TYPE_BATCH_CALL)
-
-    def encode_batch_response(self, responses: list) -> bytes:
-        return self._encode_batch(responses, _TYPE_BATCH_RETURN)
-
-    def decode_batch_response(self, payload: bytes) -> list:
-        return self._decode_batch(payload, _TYPE_BATCH_RETURN)

@@ -10,6 +10,7 @@ from repro.core.transformer import ApplicationTransformer
 from repro.policy.policy import all_local_policy
 from repro.runtime.cluster import Cluster
 from repro.runtime.redistribution import DistributionController
+from repro.transports.base import parse_frame
 
 CLASSES = [sample_app.X, sample_app.Y, sample_app.Z]
 
@@ -116,6 +117,29 @@ class TestTransportExchange:
         controller.set_transport(y, "corba")
         assert type(y.meta.target).__name__ == "Y_O_Proxy_CORBA"
         assert y.n(1) == 6
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="TransformedApplication._invoke_handle_via_runtime takes the transport "
+        "from the policy, not from the proxy set_transport just rebound; fixing it moves "
+        "figure1_boundary's wire_bytes_per_call/sim_us_per_call, so it needs its own "
+        "re-baseline",
+    )
+    def test_set_transport_changes_the_protocol_on_the_wire(self, controller_setup, monkeypatch):
+        app, cluster, controller = controller_setup
+        y = app.new("Y", 5)
+        controller.make_remote(y, "server", transport="rmi")
+        controller.set_transport(y, "corba")
+        frames = []
+        send_request = cluster.network.send_request
+
+        def recording(source, destination, payload, **kwargs):
+            frames.append(payload)
+            return send_request(source, destination, payload, **kwargs)
+
+        monkeypatch.setattr(cluster.network, "send_request", recording)
+        assert y.n(1) == 6  # issued on "client", served on "server"
+        assert [parse_frame(frame)[0] for frame in frames] == ["corba"]
 
     def test_set_transport_requires_a_remote_object(self, controller_setup):
         app, _, controller = controller_setup

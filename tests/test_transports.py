@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import enum
+import gc
+from collections import OrderedDict
+
 import pytest
 
 from repro.api.errors import TransportError, UnknownTransportError
 from repro.transports.base import TransportRegistry, frame_message, unframe_message
-from repro.transports.codec import BinaryReader, BinaryWriter, decode_message, encode_message
+from repro.transports.codec import decode_message, decode_value, encode_message, encode_value
 from repro.transports.corba import CorbaTransport
 from repro.transports.inproc import InProcTransport
 from repro.transports.rmi import RmiTransport
@@ -91,12 +95,18 @@ class TestRelativeCosts:
             corba.decode_request(payload[:-1])  # truncated body
 
 
+class _Colour(enum.IntEnum):
+    RED = 3
+
+
+class _Name(str):
+    pass
+
+
 class TestBinaryCodec:
     def test_scalar_round_trips(self):
         for value in (None, True, False, 0, -17, 2**40, 3.25, "text", ""):
-            writer = BinaryWriter()
-            writer.write_value(value)
-            assert BinaryReader(writer.getvalue()).read_value() == value
+            assert decode_value(encode_value(value)) == value
 
     def test_nested_structures(self):
         value = {"list": [1, [2, {"x": None}]], "flag": True}
@@ -107,19 +117,113 @@ class TestBinaryCodec:
         assert decode_message(encode_message(value, alignment=8), alignment=8) == value
 
     def test_non_string_map_keys_rejected(self):
-        writer = BinaryWriter()
         with pytest.raises(TransportError):
-            writer.write_value({1: "x"})
+            encode_value({1: "x"})
 
     def test_unmarshallable_python_object_rejected(self):
-        writer = BinaryWriter()
         with pytest.raises(TransportError):
-            writer.write_value(object())
+            encode_value(object())
 
     def test_truncated_stream_detected(self):
         payload = encode_message({"k": "value"})
         with pytest.raises(TransportError):
             decode_message(payload[:-3])
+
+    @pytest.mark.parametrize("alignment", [1, 8])
+    def test_integers_beyond_int64_are_a_typed_error(self, alignment):
+        for value in (2**63, -(2**63) - 1, 2**100):
+            with pytest.raises(TransportError, match="does not fit"):
+                encode_message({"a": value}, alignment=alignment)
+
+    def test_unencodable_text_is_a_typed_error(self):
+        with pytest.raises(TransportError, match="does not fit"):
+            encode_value("lone surrogate \ud800")
+
+    def test_invalid_utf8_is_a_typed_error(self):
+        as_value = bytes.fromhex("0700000001" "00000001" "61" "0500000001" "ff")
+        as_key = bytes.fromhex("0700000001" "00000001" "ff" "00")
+        for payload in (as_value, as_key):
+            with pytest.raises(TransportError, match="invalid UTF-8"):
+                decode_message(payload)
+
+    def test_nesting_beyond_the_stack_is_a_typed_error(self):
+        depth = 100_000
+        nested: list = []
+        for _ in range(depth):
+            nested = [nested]
+        with pytest.raises(TransportError, match="nested too deeply"):
+            encode_value(nested)
+        with pytest.raises(TransportError, match="nested too deeply"):
+            decode_value(bytes.fromhex("0600000001") * depth + b"\x00")
+
+    @pytest.mark.parametrize("transport", [RmiTransport(), CorbaTransport()], ids=lambda t: t.name)
+    def test_trailing_bytes_are_refused(self, transport):
+        payload = transport.encode_request(SAMPLE_REQUEST)
+        with pytest.raises(TransportError):
+            transport.decode_request(payload + b"\x00")
+        with pytest.raises(TransportError, match="trailing bytes"):
+            decode_message(encode_message(SAMPLE_REQUEST) + b"\x00")
+
+    @pytest.mark.parametrize("transport", [RmiTransport(), CorbaTransport()], ids=lambda t: t.name)
+    def test_round_trips_leave_no_cyclic_garbage(self, transport):
+        """The reader and writer are self-recursive closures — a reference cycle
+        unless unhooked, which would pin every payload until the next GC pass."""
+        gc.collect()
+        gc.disable()
+        try:
+            for _ in range(200):
+                assert transport.decode_request(transport.encode_request(SAMPLE_REQUEST)) == (
+                    SAMPLE_REQUEST
+                )
+                with pytest.raises(TransportError):
+                    transport.decode_request(transport.encode_request(SAMPLE_REQUEST)[:-2])
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize(
+        "value, decoded, expected_hex",
+        [
+            (_Colour.RED, 3, "030000000000000003"),
+            (_Name("ab"), "ab", "05000000026162"),
+            ({_Name("k"): _Name("v")}, {"k": "v"}, "0700000001000000016b050000000176"),
+            (
+                OrderedDict([("b", 1), ("a", None)]),
+                {"b": 1, "a": None},
+                "07000000020000000162030000000000000001000000016100",
+            ),
+            (
+                (1, "x", (None,)),
+                [1, "x", [None]],
+                "0600000003030000000000000001050000000178060000000100",
+            ),
+            (True, True, "01"),
+            (False, False, "02"),
+            (1, 1, "030000000000000001"),
+        ],
+        ids=["IntEnum", "str-subclass", "str-subclass-key", "OrderedDict", "tuple",
+             "True", "False", "one"],
+    )
+    def test_subclasses_travel_as_their_base_type(self, value, decoded, expected_hex):
+        """Bytes pinned to the pre-rewrite ``isinstance`` ladder's output."""
+        assert encode_value(value).hex() == expected_hex
+        result = decode_value(bytes.fromhex(expected_hex))
+        assert result == decoded and type(result) is type(decoded)
+
+    def test_alignment_pads_after_an_odd_length_string(self):
+        # tag, pad to 4, count | tag, pad, length, "abc" | tag, pad to 8, int64
+        aligned = "06000000" "00000002" "05000000" "00000003" "616263" "03" "00000000" + (
+            "0000000000000007"
+        )
+        assert encode_value(["abc", 7], alignment=8).hex() == aligned
+        assert decode_value(bytes.fromhex(aligned), alignment=8) == ["abc", 7]
+        # Map keys carry no tag: pad to 4, length, bytes.
+        aligned_map = (
+            "07000000" "00000002" "00000003" "616263" "03" "0000000000000007"
+            "00000001" "6b" "04" "0000" "3ff8000000000000"
+        )
+        assert encode_value({"abc": 7, "k": 1.5}, alignment=8).hex() == aligned_map
+        assert decode_value(bytes.fromhex(aligned_map), alignment=8) == {"abc": 7, "k": 1.5}
 
 
 class TestRegistryAndFraming:

@@ -15,11 +15,13 @@ Regenerate (only when the wire format is *meant* to change) with
 
 from __future__ import annotations
 
+import functools
 import json
 from pathlib import Path
 
 import pytest
 
+from repro.api.errors import TransportError
 from repro.runtime.cluster import default_transport_registry
 from repro.runtime.serialization import Marshaller
 
@@ -74,14 +76,16 @@ CASES = {
     ),
 }
 TRANSPORTS = {transport.name: transport for transport in default_transport_registry()}
+BINARY = ("rmi", "corba")
 
 
+@functools.lru_cache(maxsize=None)
 def _golden() -> dict:
     return json.loads(GOLDEN_PATH.read_text(encoding="ascii"))
 
 
-def _frames():
-    return [(name, case) for name in TRANSPORTS for case in CASES]
+def _frames(names=tuple(TRANSPORTS)):
+    return [(name, case) for name in names for case in CASES]
 
 
 def test_the_order_is_marshaller_shaped_and_survives():
@@ -104,6 +108,26 @@ def test_decoders_read_the_golden_bytes(name, case):
     assert decoded == message
     # ``==`` cannot tell -0.0 from 0.0, True from 1 or a reordered map.
     assert repr(decoded) == repr(message)
+
+
+@pytest.mark.parametrize("name,case", _frames(BINARY))
+def test_damaged_binary_frames_decode_or_raise_transport_error(name, case):
+    """Every strict prefix and every single-byte mutation: a value or a
+    ``TransportError`` — never ``struct.error``, ``IndexError``,
+    ``UnicodeDecodeError`` or a silently accepted tail."""
+    decode = getattr(TRANSPORTS[name], CASES[case][1])
+    frame = bytes.fromhex(_golden()[name][case])
+    damaged = [frame[:length] for length in range(len(frame))]
+    for position, byte in enumerate(frame):
+        # In turn: a neighbouring tag or length, a flipped sign or UTF-8 lead
+        # bit, all bits.  The order's 16 lines put every field under each.
+        mutant = byte ^ (0x01, 0x80, 0xFF)[position % 3]
+        damaged.append(frame[:position] + bytes((mutant,)) + frame[position + 1 :])
+    for payload in damaged:
+        try:
+            decode(payload)
+        except TransportError:
+            pass
 
 
 if __name__ == "__main__":
