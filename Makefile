@@ -2,7 +2,7 @@ PYTHON ?= python
 export PYTHONPATH := src
 BENCH_DIR ?= bench-artifacts
 
-.PHONY: check test quickstart-smoke bench-smoke bench-check bench-diff bench-ab docs-check lint lint-dist
+.PHONY: check test quickstart-smoke bench-smoke bench-check bench-diff bench-golden bench-ab docs-check lint lint-dist
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -28,6 +28,12 @@ bench-check: bench-smoke
 # byte against the BENCH_*.json of another one (`make bench-smoke` there).
 bench-diff: bench-smoke
 	diff -r $(BASE) $(BENCH_DIR)
+
+# The same oracle without a parent checkout: the eight artifacts committed
+# under benchmarks/golden (Python 3.11; regenerate them by copying the output
+# of `make bench-smoke` only when a change is meant to move a simulated number).
+bench-golden: bench-smoke
+	diff -r benchmarks/golden $(BENCH_DIR)
 
 # Host-time A/B against a checkout of the parent commit: alternating pairs of
 # the wall-clock ledger's run.py, e.g.

@@ -7,8 +7,7 @@ replay deterministically under quorum replication (DS101), ``@cacheable``
 members that are actually pure (DS102), signatures whose values can cross
 the wire (DS103), state held per-instance where replica sync can see it
 (DS104), interceptor settlement hooks that never block or raise (DS105),
-and current rather than shimmed APIs (DS106), and tracer spans that are
-opened but can never be ended (DS107).
+and tracer spans that are opened but can never be ended (DS107).
 
 Three entry points share the engine: the ``repro lint`` CLI subcommand,
 the deploy-time gate behind ``ServicePolicy.with_static_checks()``

@@ -1,4 +1,4 @@
-"""The shipped distribution-safety rules (DS101–DS107).
+"""The shipped distribution-safety rules (DS101–DS105, DS107).
 
 Each module holds one rule grounded in a specific runtime subsystem; the
 rule docstrings double as ``repro lint --explain`` documentation.
@@ -10,7 +10,6 @@ from typing import List, Type
 
 from repro.analysis.engine import Rule
 from repro.analysis.rules.caching_rules import CacheableMutationRule
-from repro.analysis.rules.deprecations import DeprecatedApiRule
 from repro.analysis.rules.determinism import NondeterministicWriteRule
 from repro.analysis.rules.interceptors import InterceptorHookRule
 from repro.analysis.rules.serialization import UnserializableSignatureRule
@@ -24,7 +23,6 @@ DEFAULT_RULES: List[Type[Rule]] = [
     UnserializableSignatureRule,
     MutableClassStateRule,
     InterceptorHookRule,
-    DeprecatedApiRule,
     SpanLeakRule,
 ]
 
@@ -52,6 +50,5 @@ __all__ = [
     "UnserializableSignatureRule",
     "MutableClassStateRule",
     "InterceptorHookRule",
-    "DeprecatedApiRule",
     "SpanLeakRule",
 ]

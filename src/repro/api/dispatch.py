@@ -1,230 +1,63 @@
 """Call pipes: how a façade service turns method calls into network traffic.
 
 A *pipe* is the strategy object behind one
-:class:`~repro.api.service.Service`.  All three pipes share a tiny protocol —
+:class:`~repro.api.service.Service`.  Every pipe speaks one tiny protocol —
 ``enqueue(member, args, kwargs) -> InvocationFuture``, ``flush()``,
-``drain()`` — so the service's plain-call, ``.future`` and ``.flush()`` forms
-work identically whatever the policy composed:
+``drain()`` — and every pipe is a view of one engine, a
+:class:`~repro.runtime.pipelining.PipelineScheduler`, which alone buffers,
+ships, retries, fails over and settles.  The policy only picks the
+scheduler's shape:
 
-* :class:`DirectPipe` — synchronous per-call dispatch, optionally through a
-  :class:`~repro.runtime.faulttolerance.FaultTolerantInvoker` (retries and
-  replica failover).  ``ServicePolicy()`` with no batching/pipelining.
-* :class:`BatchPipe` — calls buffer into windows of ``batch_window`` and ship
-  as one message per window, synchronously.  Replaces hand-wired
-  :class:`~repro.runtime.batching.BatchingProxy` composition.
-* :class:`StreamPipe` — calls stream through the session's shared
-  :class:`~repro.runtime.pipelining.PipelineScheduler`: sharded per node,
-  up to ``pipeline_depth`` batches in flight, out-of-order completion,
-  batch-aware retry and failover.  Replaces hand-wired scheduler composition.
+* :class:`StreamPipe` — the session's *shared* scheduler for the policy's
+  shape: sharded per node, up to ``pipeline_depth`` batches posted in flight,
+  out-of-order completion.
+* :class:`BatchPipe` — a scheduler private to the service with a window of
+  one: calls buffer into windows of ``batch_window`` and ship inline, one
+  message per window, in order.
+* :class:`DirectPipe` — a private scheduler with a window *and* a batch size
+  of one: every call ships at once as a single-call frame — or, when the call
+  can neither retry nor fail over, straight through ``invoke_remote`` without
+  touching the engine.
 
 The composition order the old quickstart spelled out by hand — replication
-under fault tolerance under batching under pipelining — is encoded here once.
+under fault tolerance under batching under pipelining — is encoded once, in
+the scheduler.
 """
 
 from __future__ import annotations
 
 from typing import Any, Optional
 
-from repro._errors import InvocationError
 from repro.api.middleware import CallContext, InterceptorChain
 from repro.observability.tracing import SampleGate
-from repro.runtime.batching import BatchingProxy
 from repro.runtime.pipelining import InvocationFuture, PipelineScheduler
 
 
-class DirectPipe:
-    """Synchronous per-call dispatch (no batching, no pipelining).
-
-    Every enqueued call performs its round trip immediately; the returned
-    future is already resolved (or failed).  When the service's policy asks
-    for retries — or its session carries a replica manager — calls route
-    through a :class:`~repro.runtime.faulttolerance.FaultTolerantInvoker`,
-    so transient drops retry and fatal failures of replicated targets chase
-    the promoted replica.
-    """
-
-    def __init__(self, service: Any) -> None:
-        self._service = service
-
-    def enqueue(
-        self, member: str, args: tuple, kwargs: dict, context: Optional[dict] = None
-    ) -> InvocationFuture:
-        """Invoke now; return the (already completed) future."""
-        service = self._service
-        session = service.session
-        session._ensure_open()
-        future = InvocationFuture(member)
-        clock = session.space.network.clock
-        future.submitted_at = clock.now
-        invoker = session._current_invoker(service.policy)
-        # The invoker retries/fails over internally; every *recovered*
-        # failure record corresponds to one extra ship, so the log delta
-        # recovers the true attempt count ("> 1 after a retry", per
-        # InvocationFuture's contract).  Unrecovered records are terminal
-        # and added no carrier.
-        failures_before = invoker.log.recovered_failures if invoker is not None else 0
-        try:
-            if invoker is not None:
-                value = invoker.invoke(
-                    service.reference,
-                    member,
-                    tuple(args),
-                    dict(kwargs),
-                    transport=service.policy.transport,
-                    space=session.space,
-                    context=context,
-                )
-            else:
-                value = session.space.invoke_remote(
-                    service.reference,
-                    member,
-                    tuple(args),
-                    dict(kwargs),
-                    transport=service.policy.transport,
-                    context=context,
-                )
-        except Exception as exc:  # noqa: BLE001 - carried by the future
-            error: Optional[BaseException] = exc
-        else:
-            error = None
-        future.completed_at = clock.now
-        future.attempts = 1 + (
-            invoker.log.recovered_failures - failures_before
-            if invoker is not None
-            else 0
-        )
-        if error is not None:
-            future._fail(error)
-        else:
-            future._resolve(value)
-        return future
-
-    def flush(self) -> None:
-        """Nothing is ever buffered on a direct pipe."""
-
-    def drain(self) -> None:
-        """Nothing is ever in flight on a direct pipe."""
-
-    def stop(self) -> None:
-        """Nothing to retire on a direct pipe."""
-
-    @property
-    def pending(self) -> int:
-        """Buffered calls awaiting a flush (always 0 here)."""
-        return 0
-
-
-class BatchPipe:
-    """Buffered dispatch: windows of calls ship as single batch messages.
-
-    The pipe owns an internal batching engine targeting the service's
-    current reference; the engine is rebuilt transparently when the
-    reference moves (failover rebind, migration) or the session gains a
-    fault-tolerant invoker, so long-lived services keep working across
-    topology changes.
-    """
-
-    def __init__(self, service: Any) -> None:
-        self._service = service
-        self._batcher: Optional[BatchingProxy] = None
-
-    def _engine(self) -> BatchingProxy:
-        service = self._service
-        session = service.session
-        reference = service.reference
-        invoker = session._current_invoker(service.policy)
-        batcher = self._batcher
-        if (
-            batcher is None
-            or batcher._reference != reference
-            or batcher._invoker is not invoker
-        ):
-            if batcher is not None and len(batcher):
-                try:
-                    batcher.flush()
-                except Exception:  # noqa: BLE001 - belongs to the stale window
-                    # flush() already failed every future of the superseded
-                    # window (e.g. the old export was retired by a rebind);
-                    # the error is theirs and must not escape an unrelated
-                    # enqueue against the fresh reference.
-                    pass
-            batcher = BatchingProxy(
-                reference,
-                space=session.space,
-                max_batch=service.policy.batch_window,
-                transport=service.policy.transport,
-                invoker=invoker,
-            )
-            self._batcher = batcher
-        return batcher
-
-    def enqueue(
-        self, member: str, args: tuple, kwargs: dict, context: Optional[dict] = None
-    ) -> InvocationFuture:
-        """Buffer one call; auto-flushes at the policy's batch window."""
-        self._service.session._ensure_open()
-        return self._engine().call_with_context(member, tuple(args), dict(kwargs), context)
-
-    def flush(self) -> None:
-        """Ship the buffered window now."""
-        if self._batcher is not None:
-            self._batcher.flush()
-
-    def drain(self) -> None:
-        """Synchronous pipe: flushing is draining."""
-        self.flush()
-
-    @property
-    def pending(self) -> int:
-        """Buffered calls awaiting a flush."""
-        return len(self._batcher) if self._batcher is not None else 0
-
-    @property
-    def batches_flushed(self) -> int:
-        """Batch messages this pipe has shipped."""
-        return self._batcher.batches_flushed if self._batcher is not None else 0
-
-    def stop(self) -> None:
-        """Retire the pipe: fail (don't ship) whatever is still buffered.
-
-        Mirrors :meth:`PipelineScheduler.stop` for the synchronous path — a
-        closed session's held futures must not send messages when someone
-        later demands their ``result()`` (the resolution wait would
-        otherwise flush the window).
-        """
-        batcher = self._batcher
-        if batcher is None:
-            return
-        batcher.abandon(
-            InvocationError("session closed before this call's batch window shipped")
-        )
-
-
 class StreamPipe:
-    """Pipelined dispatch through the session's shared scheduler.
+    """Dispatch through a scheduler — the one pipe the others specialise.
 
-    Services whose policies agree on the scheduler-relevant knobs share one
-    :class:`~repro.runtime.pipelining.PipelineScheduler`, so a submission
-    stream touching several services (shards) is sharded per node, windowed,
-    and completed out of order exactly like the hand-wired PR 2 stack — with
-    failover-aware requeues when the session replicates.
+    Services whose pipelined policies agree on the scheduler-relevant knobs
+    share one :class:`~repro.runtime.pipelining.PipelineScheduler`, so a
+    submission stream touching several services (shards) is sharded per node,
+    windowed, and completed out of order exactly like the hand-wired PR 2
+    stack — with failover-aware requeues when the session replicates.
     """
 
     def __init__(self, service: Any, scheduler: PipelineScheduler) -> None:
         self._service = service
-        #: The shared scheduler carrying this service's traffic.
+        #: The scheduler carrying this service's traffic.
         self.scheduler = scheduler
         self._outstanding = 0
 
     def enqueue(
         self, member: str, args: tuple, kwargs: dict, context: Optional[dict] = None
     ) -> InvocationFuture:
-        """Submit one call to the shared pipeline; returns its future."""
+        """Submit one call to the scheduler; returns its future."""
         self._service.session._ensure_open()
         future = self.scheduler.submit_with_context(
             self._service.reference, member, tuple(args), dict(kwargs), context
         )
-        # The scheduler is shared across services, so per-service accounting
+        # A scheduler may be shared across services, so per-service accounting
         # lives here: one up on submit, one down when the future settles.
         self._outstanding += 1
         future.add_done_callback(self._on_done)
@@ -234,26 +67,83 @@ class StreamPipe:
         self._outstanding -= 1
 
     def flush(self) -> None:
-        """Ship every buffered sub-batch of the shared scheduler."""
+        """Ship every buffered sub-batch of the scheduler."""
         self.scheduler.flush()
 
     def drain(self) -> None:
-        """Pump the event queue until the shared stream is fully resolved."""
+        """Pump the event queue until the scheduler's stream is fully resolved."""
         self.scheduler.drain()
 
     @property
     def pending(self) -> int:
         """Futures THIS service submitted and not yet resolved.
 
-        Not the shared scheduler's aggregate — sibling services' traffic on
+        Not a shared scheduler's aggregate — sibling services' traffic on
         the same scheduler is not counted (see ``scheduler.outstanding`` for
         the whole stream).
         """
         return self._outstanding
 
     def stop(self) -> None:
-        """Nothing pipe-local to retire: the owning session stops the shared
-        scheduler itself (it may carry other services' traffic too)."""
+        """Nothing pipe-local to retire: the owning session stops every
+        scheduler itself (a shared one carries other services' traffic too)."""
+
+
+class BatchPipe(StreamPipe):
+    """Buffered dispatch: windows of calls ship as single batch messages.
+
+    A :class:`StreamPipe` over a scheduler of the service's own — two batched
+    services never share a window — whose window of one ships each batch
+    inline, so batches execute in order and ``flush()`` leaves nothing in
+    flight.
+    """
+
+    def __init__(self, service: Any) -> None:
+        super().__init__(
+            service, service.session._scheduler_for(service.policy, owner=service.name)
+        )
+
+
+class DirectPipe(BatchPipe):
+    """Synchronous per-call dispatch (no batching, no pipelining).
+
+    Every enqueued call performs its round trip immediately; the returned
+    future is already resolved (or failed).  When the service's policy asks
+    for retries — or its session carries a replica manager — the call goes
+    through the service's own scheduler (batch size and window of one), so
+    transient drops retry and fatal failures of replicated targets chase the
+    promoted replica.  A call that can do neither needs no engine.
+    """
+
+    def enqueue(
+        self, member: str, args: tuple, kwargs: dict, context: Optional[dict] = None
+    ) -> InvocationFuture:
+        """Invoke now; return the (already completed) future."""
+        service = self._service
+        session = service.session
+        if service.policy.retry is not None or session.replica_manager is not None:
+            return super().enqueue(member, args, kwargs, context)
+        session._ensure_open()
+        future = InvocationFuture(member)
+        clock = session.space.network.clock
+        future.submitted_at = clock.now
+        future.attempts = 1
+        try:
+            value = session.space.invoke_remote(
+                service.reference,
+                member,
+                tuple(args),
+                dict(kwargs),
+                transport=service.policy.transport,
+                context=context,
+            )
+        except Exception as error:  # noqa: BLE001 - carried by the future
+            future.completed_at = clock.now
+            future._fail(error)
+        else:
+            future.completed_at = clock.now
+            future._resolve(value)
+        return future
 
 
 class ChainedPipe:
@@ -337,8 +227,8 @@ class ChainedPipe:
         try:
             future = self.inner.enqueue(member, args, kwargs, context=ctx.to_wire())
         except BaseException as error:
-            # Synchronous dispatch failures (DirectPipe round trips, a full
-            # window auto-flush failing) must still settle the bracket.
+            # A programming error (unknown transport, marshalling) raised
+            # as this call's window shipped must still settle the bracket.
             bracket.fail(error)
             if ctx.trace is not None:
                 tracer.end_span(ctx.trace, ts=clock.now, error=type(error).__name__)
@@ -384,11 +274,6 @@ class ChainedPipe:
         return self.inner.pending
 
     @property
-    def scheduler(self) -> Optional[PipelineScheduler]:
-        """The shared scheduler behind the inner pipe (``None`` if unpipelined)."""
-        return getattr(self.inner, "scheduler", None)
-
-    @property
-    def batches_flushed(self) -> int:
-        """Batch messages the inner pipe shipped (0 for non-batching pipes)."""
-        return getattr(self.inner, "batches_flushed", 0)
+    def scheduler(self) -> PipelineScheduler:
+        """The scheduler behind the inner pipe."""
+        return self.inner.scheduler

@@ -31,7 +31,6 @@ policy field                  replaces
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Tuple, Union
 
@@ -202,7 +201,7 @@ class ServicePolicy:
     ) -> "ServicePolicy":
         """A copy replicating the service across ``replicas`` copies.
 
-        The recommended form names the commit rule explicitly::
+        The commit rule is always named explicitly::
 
             policy.with_replication(3, quorum="majority", fencing=True)
 
@@ -210,19 +209,14 @@ class ServicePolicy:
         must acknowledge ``apply_ops`` before a write is acknowledged to
         the client — ``"majority"`` resolves to ``replicas // 2 + 1``, an
         int is used verbatim (``PolicyError`` when it exceeds
-        ``replicas``).  ``fencing`` (default ``True`` once a majority
-        quorum — ``quorum > 1`` — is named) stamps every replication
-        frame with the group's epoch:
-        stale primaries are rejected with
-        :class:`~repro.api.errors.FencedError` and promotion requires a
-        majority of reachable voters.  ``PolicyError`` when fencing is
-        requested with fewer than 2 replicas.
-
-        The legacy single-int call ``with_replication(n)`` keeps its PR 3
-        semantics — primary-only acks, promote-the-freshest failover
-        (``quorum=1, fencing=False``) — and emits a ``DeprecationWarning``
-        asking for an explicit quorum; spell those values out to opt into
-        the old mode silently.  See ``docs/MIGRATION.md`` for the mapping.
+        ``replicas``); ``quorum=1`` is primary-only acks with
+        promote-the-freshest failover.  A call that names neither spelling
+        raises ``PolicyError``.  ``fencing`` (default ``True`` once a
+        majority quorum — ``quorum > 1`` — is named) stamps every
+        replication frame with the group's epoch: stale primaries are
+        rejected with :class:`~repro.api.errors.FencedError` and promotion
+        requires a majority of reachable voters.  ``PolicyError`` when
+        fencing is requested with fewer than 2 replicas.
         """
         if factor is not None:
             if replicas is not None:
@@ -230,28 +224,21 @@ class ServicePolicy:
             replicas = factor
         if replicas is None:
             replicas = 2
-        if quorum is None and fencing is None:
-            warnings.warn(
-                "with_replication(factor) without an explicit quorum is "
-                'deprecated; pass quorum="majority" (recommended) or '
-                "quorum=1, fencing=False to keep the legacy "
-                "primary-ack mode",
-                DeprecationWarning,
-                stacklevel=2,
-            )
         if quorum == "majority":
             resolved_quorum = replicas // 2 + 1
-        elif quorum is None:
-            resolved_quorum = 1
         elif isinstance(quorum, int) and not isinstance(quorum, bool):
             resolved_quorum = quorum
         else:
-            raise PolicyError(f'quorum must be an int or "majority", not {quorum!r}')
+            raise PolicyError(
+                "with_replication needs an explicit commit rule: "
+                'quorum="majority" (recommended) or quorum=<int> '
+                f"(1 = primary-only acks), not {quorum!r}"
+            )
         if fencing is None:
             # Fencing only auto-enables for a real majority quorum: a fenced
-            # group needs a majority of voters to elect, so quorum=1 (the
-            # legacy primary-ack mode) keeps promote-the-freshest failover.
-            fencing = quorum is not None and resolved_quorum > 1
+            # group needs a majority of voters to elect, so quorum=1
+            # (primary-ack mode) keeps promote-the-freshest failover.
+            fencing = resolved_quorum > 1
         return replace(
             self,
             replication_factor=replicas,
@@ -332,7 +319,7 @@ class ServicePolicy:
         """A copy that lints the implementation at deploy time.
 
         With static checks on, :meth:`Session.service` runs the
-        distribution-safety rules (``repro lint``'s DS101–DS106) against
+        distribution-safety rules (``repro lint``'s DS101–DS105, DS107) against
         the source of the class being deployed, *before* any deployment
         side effect, and raises :class:`~repro.api.errors.PolicyError`
         naming each error-severity finding (rule id and ``path:line``).

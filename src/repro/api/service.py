@@ -197,15 +197,18 @@ class Service:
             self.session._flush_cached_reference(old)
 
     @property
-    def scheduler(self) -> Optional[Any]:
-        """The shared pipeline scheduler carrying this service's traffic.
+    def scheduler(self) -> Any:
+        """The pipeline scheduler carrying this service's traffic.
 
-        ``None`` unless the policy pipelines.  Exposes the measured-depth and
-        retry counters (``observed_pipeline_depth``, ``calls_retried``,
-        ``calls_redirected``, ``out_of_order_completions``, ...) that
-        benchmarks and the adaptive policy consume.
+        Shared with every service of the same pipelined policy shape; private
+        to a batched or direct service, where a window of one makes the
+        counters read 0 out of order, ``max_in_flight`` 1 and depth 1.0.
+        Exposes the measured-depth and retry counters
+        (``observed_pipeline_depth``, ``calls_retried``, ``calls_redirected``,
+        ``out_of_order_completions``, ...) that benchmarks and the adaptive
+        policy consume.
         """
-        return getattr(self._pipe, "scheduler", None)
+        return self._pipe.scheduler
 
     @property
     def pending(self) -> int:

@@ -4,12 +4,12 @@ A :class:`Session` represents one client's view of a cluster.  It owns —
 and, crucially, *tears down* — every piece of shared machinery the services
 created through it need:
 
-* one pipeline scheduler per distinct policy shape (so submission streams
-  shard and pipeline across all services that agree on their knobs),
+* one pipeline scheduler per distinct pipelined policy shape (so submission
+  streams shard and pipeline across all services that agree on their knobs)
+  and one private to every batched or direct service,
 * at most one :class:`~repro.network.heartbeat.HeartbeatDetector` and one
   :class:`~repro.runtime.replication.ReplicaManager` (created lazily when the
-  first replicated service appears),
-* fault-tolerant invokers for the synchronous pipes, and
+  first replicated service appears), and
 * a naming-service rebind listener that keeps every service's reference
   fresh across failovers and migrations.
 
@@ -43,7 +43,7 @@ from repro.network.heartbeat import HeartbeatDetector
 from repro.network.metrics import LatencyHistogram
 from repro.observability.tracing import Tracer
 from repro.runtime.caching import CacheManager
-from repro.runtime.faulttolerance import NO_RETRY, FaultTolerantInvoker
+from repro.runtime.faulttolerance import NO_RETRY
 from repro.runtime.pipelining import PipelineScheduler
 from repro.runtime.remote_ref import RemoteRef
 from repro.runtime.replication import ReplicaManager
@@ -67,8 +67,7 @@ class Session:
         #: The address space this session issues calls from.
         self.space = cluster.space(self.node_id)
         self._services: Dict[str, Service] = {}
-        self._schedulers: Dict[tuple, PipelineScheduler] = {}
-        self._invokers: Dict[tuple, Optional[FaultTolerantInvoker]] = {}
+        self._schedulers: Dict[Any, PipelineScheduler] = {}
         self._detector: Optional[HeartbeatDetector] = None
         self._manager: Optional[ReplicaManager] = None
         self._cache_manager: Optional[CacheManager] = None
@@ -374,9 +373,16 @@ class Session:
             )
         return pipe
 
-    def _scheduler_for(self, policy: ServicePolicy) -> PipelineScheduler:
-        """The shared scheduler for one policy shape (created on first use)."""
-        key = policy.scheduler_key()
+    def _scheduler_for(
+        self, policy: ServicePolicy, owner: Optional[str] = None
+    ) -> PipelineScheduler:
+        """The scheduler for one policy shape (created on first use).
+
+        Pipelined policies share one per shape.  A batched or direct service
+        passes its name as ``owner`` and gets one to itself: two services
+        sharing a window would change batch composition and wire bytes.
+        """
+        key = policy.scheduler_key() if owner is None else owner
         scheduler = self._schedulers.get(key)
         if scheduler is None:
             scheduler = PipelineScheduler(
@@ -389,33 +395,13 @@ class Session:
                 max_failover_attempts=policy.max_failover_attempts,
             )
             self._schedulers[key] = scheduler
-            if self._adaptive is not None:
+            if self._adaptive is not None and scheduler.window > 1:
                 # Keep the adaptive heuristic fed with *measured* pipeline
                 # depth from EVERY session-owned scheduler: the manager
                 # aggregates its sources traffic-weighted, so a second
                 # policy shape adds a signal instead of replacing the first.
                 self._adaptive.connect_pipeline(scheduler)
         return scheduler
-
-    def _current_invoker(self, policy: ServicePolicy) -> Optional[FaultTolerantInvoker]:
-        """The fault-tolerant invoker for synchronous pipes, or ``None``.
-
-        Built when the policy retries or the session replicates; cached per
-        policy shape and rebuilt if the replica manager appears later.
-        """
-        if policy.retry is None and self._manager is None:
-            return None
-        key = (policy.retry, policy.transport, policy.max_failover_attempts)
-        invoker = self._invokers.get(key)
-        if invoker is None or invoker.replica_manager is not self._manager:
-            invoker = FaultTolerantInvoker(
-                self.space,
-                policy=policy.retry if policy.retry is not None else NO_RETRY,
-                replica_manager=self._manager,
-                max_failover_hops=policy.max_failover_attempts,
-            )
-            self._invokers[key] = invoker
-        return invoker
 
     def _ensure_replication(self, policy: ServicePolicy) -> ReplicaManager:
         """Create the shared detector + manager on first replicated service.
@@ -549,7 +535,8 @@ class Session:
         )
         self._adaptive = manager
         for scheduler in self._schedulers.values():
-            manager.connect_pipeline(scheduler)
+            if scheduler.window > 1:
+                manager.connect_pipeline(scheduler)
         if self._cache_manager is not None:
             manager.connect_cache(self._cache_manager)
         manager.connect_network(self.cluster.network)

@@ -17,7 +17,7 @@ run against their own code base before deploying it:
 
 ``repro lint paths... [--select DS101,DS102] [--format text|json]
 [--fail-on warning|error] [--explain DS1xx]``
-    Run the distribution-safety rules (DS101–DS107) over files or directory
+    Run the distribution-safety rules (DS101–DS105, DS107) over files or directory
     trees and report findings with suggested fixes.  Exit code 0 means
     clean, 1 means findings at or above ``--fail-on`` (default: warning —
     any finding fails), 2 means usage error.  ``--explain DS1xx`` prints a
@@ -336,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     lint = subparsers.add_parser(
         "lint",
-        help="distribution-safety static analysis (rules DS101-DS107)",
+        help="distribution-safety static analysis (rules DS101-DS105, DS107)",
     )
     lint.add_argument("paths", nargs="*", help="files or directory trees to lint")
     lint.add_argument("--select", help="comma-separated rule ids to run (default: all)")

@@ -1,7 +1,7 @@
 """The distributed object layer: address spaces, references, migration."""
 
 from repro.runtime.address_space import AddressSpace
-from repro.runtime.batching import BatchResult, BatchingProxy, PendingCall
+from repro.runtime.batching import BatchResult, BatchingProxy
 from repro.runtime.cluster import (
     Cluster,
     default_transport_registry,
@@ -59,7 +59,6 @@ __all__ = [
     "NamingService",
     "ObjectIdAllocator",
     "ObjectMigrator",
-    "PendingCall",
     "PipelineScheduler",
     "RemoteRef",
     "ReplicaGroup",

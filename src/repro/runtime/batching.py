@@ -1,18 +1,19 @@
-"""Client-side batching and pipelining of remote invocations.
+"""Client-side batching of remote invocations: ergonomic views of the engine.
 
 :meth:`~repro.runtime.address_space.AddressSpace.invoke_remote_many` ships N
-calls in one framed network message; this module supplies the ergonomic layer
-above it:
+calls in one framed network message;
+:class:`~repro.runtime.pipelining.PipelineScheduler` is the engine that
+buffers, ships, retries and settles them.  This module supplies the layer
+application code touches:
 
 * :class:`BatchResult` — the per-call outcome slot of a batch, isolating
   application errors so one failing call does not poison its neighbours.
-* :class:`PendingCall` — the future a buffered call returns immediately; the
-  real result (or error) materialises when the buffer flushes.  It is an
-  :class:`~repro.runtime.pipelining.InvocationFuture`, so the whole future
-  API (``done``, ``exception()``, ``add_done_callback``) is available.
 * :class:`BatchingProxy` — wraps a generated proxy, a rebindable handle or a
   raw :class:`~repro.runtime.remote_ref.RemoteRef` and turns attribute calls
-  into buffered, pipelined invocations with automatic flushing.
+  into buffered invocations with automatic flushing.  Every call returns an
+  :class:`~repro.runtime.pipelining.InvocationFuture` immediately.
+* :class:`BatchingDispatchMixin` — the same, mixed into generated
+  batching-aware proxies.
 
 Usage — normally via the façade, which composes this module internally::
 
@@ -21,75 +22,28 @@ Usage — normally via the façade, which composes this module internally::
     svc.flush()                                    # one message per window
     ids = [p.result() for p in pending]            # or p.result() auto-flushes
 
-The flush model is synchronous: calls are issued in order without waiting
-for individual responses, and one response message resolves the whole
-window.  A transport-level failure (drop, partition, unreachable node) fails
-the in-flight batch atomically — every pending call in the window observes
-the same network error, and no partial results are surfaced — unless the
-proxy carries a :class:`~repro.runtime.faulttolerance.FaultTolerantInvoker`
-(installed explicitly via ``retry_policy=...`` or discovered on a handle
-guarded by :func:`~repro.runtime.faulttolerance.guard_handle`), in which
-case flushes retry per that policy before surfacing the error.  For
-out-of-order completion across several in-flight batches, step up to
-:class:`~repro.runtime.pipelining.PipelineScheduler`.
+A :class:`BatchingProxy` is a view of a scheduler with a window of one: calls
+are issued in order, each window ships synchronously as one message, and one
+response message resolves the whole window.  A transport-level failure (drop,
+partition, unreachable node) fails the batch atomically — every future in the
+window observes the same network error, and no partial results are surfaced
+— unless the proxy carries a
+:class:`~repro.runtime.faulttolerance.FaultTolerantInvoker` (installed
+explicitly via ``retry_policy=...`` or discovered on a handle guarded by
+:func:`~repro.runtime.faulttolerance.guard_handle`), in which case the
+scheduler retries per that invoker's policy before the error is final.  For
+out-of-order completion across several in-flight batches, use a
+:class:`~repro.runtime.pipelining.PipelineScheduler` with a wider window.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, List, Optional
 
 from repro._errors import InvocationError
-from repro.observability.tracing import trace_queue_waits
-from repro.runtime.faulttolerance import FaultTolerantInvoker, RetryPolicy
-from repro.runtime.pipelining import InvocationFuture
+from repro.runtime.faulttolerance import NO_RETRY, FaultTolerantInvoker, RetryPolicy
+from repro.runtime.pipelining import BatchResult, InvocationFuture, batch_results
 from repro.runtime.remote_ref import RemoteRef, reference_of
-
-
-@dataclass
-class BatchResult:
-    """The outcome of one call inside a batch, in request order."""
-
-    index: int
-    value: Any = None
-    error: Optional[BaseException] = None
-
-    @property
-    def ok(self) -> bool:
-        return self.error is None
-
-    def unwrap(self) -> Any:
-        """The call's result; re-raises the call's error if it failed."""
-        if self.error is not None:
-            raise self.error
-        return self.value
-
-
-class PendingCall(InvocationFuture):
-    """A buffered invocation awaiting its batch's round trip.
-
-    A :class:`~repro.runtime.pipelining.InvocationFuture` whose wait hook
-    flushes the owning :class:`BatchingProxy`: calling :meth:`result` on an
-    unresolved placeholder ships the buffered window synchronously and then
-    returns this call's value (or re-raises its error).
-    """
-
-    def __init__(self, owner: "BatchingProxy", member: str) -> None:
-        super().__init__(member, on_wait=lambda _future: owner.flush())
-
-
-@dataclass
-class _QueuedCall:
-    member: str
-    args: tuple
-    kwargs: dict
-    pending: PendingCall = field(repr=False, default=None)  # type: ignore[assignment]
-    #: Wire-context dict (call id, tenant, deadline) riding with the call;
-    #: empty for calls issued without middleware.
-    context: dict = field(default_factory=dict)
-    #: When the call entered the buffer; traced calls bill the wait until
-    #: the flush ships as client-side queueing.
-    queued_at: Optional[float] = None
 
 
 class BatchingProxy:
@@ -121,8 +75,6 @@ class BatchingProxy:
         invoker: Optional[FaultTolerantInvoker] = None,
         retry_policy: Optional[RetryPolicy] = None,
     ) -> None:
-        if max_batch < 1:
-            raise InvocationError("max_batch must be at least 1")
         if invoker is not None and retry_policy is not None:
             raise InvocationError("pass either invoker or retry_policy, not both")
         if isinstance(target, RemoteRef):
@@ -142,13 +94,10 @@ class BatchingProxy:
                 "pass space=... explicitly"
             )
         self._reference = reference
-        #: The wrapped proxy/handle, kept so rebinds are picked up at flush
-        #: time; ``None`` when a raw reference was wrapped.
+        #: The wrapped proxy/handle, kept so rebinds are picked up as calls
+        #: are enqueued; ``None`` when a raw reference was wrapped.
         self._target = None if isinstance(target, RemoteRef) else target
         self._space = space
-        self._transport = transport
-        if invoker is None and retry_policy is not None:
-            invoker = FaultTolerantInvoker(space, policy=retry_policy)
         if invoker is None:
             # A handle guarded by guard_handle carries its invoker on the
             # metaobject; batching through such a handle keeps its fault
@@ -157,14 +106,17 @@ class BatchingProxy:
             candidate = getattr(meta, "remote_invoker", None) if meta is not None else None
             if isinstance(candidate, FaultTolerantInvoker):
                 invoker = candidate
-        #: Fault-tolerant invoker routing flushes, ``None`` for the raw path.
+        if invoker is None:
+            invoker = FaultTolerantInvoker(space, policy=retry_policy or NO_RETRY)
+        #: The invoker whose policy, failure log and replica manager the
+        #: proxy's windows are shipped under.
         self._invoker = invoker
         self.max_batch = max_batch
-        self._queue: List[_QueuedCall] = []
-        #: Number of logical calls enqueued through this proxy.
-        self.calls_enqueued = 0
-        #: Number of batch messages flushed (auto or explicit).
-        self.batches_flushed = 0
+        #: The window-of-one engine doing the buffering, shipping and
+        #: retrying; read ``calls_submitted`` / ``batches_shipped`` off it.
+        self.scheduler = invoker.scheduler(space, max_batch=max_batch, transport=transport)
+        #: Futures enqueued and not yet shipped (the tail window).
+        self._window: List[InvocationFuture] = []
 
     @staticmethod
     def _space_behind(target: Any) -> Any:
@@ -182,7 +134,7 @@ class BatchingProxy:
         return None
 
     def _refresh_reference(self) -> RemoteRef:
-        """Re-resolve the target's reference before shipping a batch.
+        """Re-resolve the target's reference before enqueueing a call.
 
         A rebindable handle may have been migrated (e.g. by the adaptive
         manager) since this proxy was built; shipping to the reference
@@ -211,8 +163,8 @@ class BatchingProxy:
     # enqueueing
     # ------------------------------------------------------------------
 
-    def call(self, member: str, *args: Any, **kwargs: Any) -> PendingCall:
-        """Queue one invocation; returns its placeholder immediately."""
+    def call(self, member: str, *args: Any, **kwargs: Any) -> InvocationFuture:
+        """Queue one invocation; returns its future immediately."""
         return self.call_with_context(member, args, kwargs)
 
     def call_with_context(
@@ -221,7 +173,7 @@ class BatchingProxy:
         args: tuple = (),
         kwargs: Optional[dict] = None,
         context: Optional[dict] = None,
-    ) -> PendingCall:
+    ) -> InvocationFuture:
         """Queue one invocation carrying a wire-context dict.
 
         The middleware-aware entry point: ``context`` (call id, tenant,
@@ -229,131 +181,48 @@ class BatchingProxy:
         with the call inside its batch message, so the serving space's
         chains see the same control fields the client chain stamped.
         """
-        pending = PendingCall(self, member)
-        # Fill the same future bookkeeping the pipelined scheduler provides,
-        # so latency/attempt statistics work whatever dispatch path a policy
-        # picked (clockless spaces in unit tests simply leave them None).
-        clock = getattr(getattr(self._space, "network", None), "clock", None)
-        if clock is not None:
-            pending.submitted_at = clock.now
-        self._queue.append(
-            _QueuedCall(
-                member, tuple(args), dict(kwargs or {}), pending, dict(context or {}),
-                queued_at=clock.now if clock is not None else None,
-            )
+        future = self.scheduler.submit_with_context(
+            self._refresh_reference(), member, args, kwargs, context
         )
-        self.calls_enqueued += 1
-        if len(self._queue) >= self.max_batch:
-            self.flush()
-        return pending
+        if future.done:
+            # This call filled its window, which shipped and — behind a
+            # window of one — settled: the tail is whatever did not.
+            self._window = [queued for queued in self._window if not queued.done]
+        else:
+            self._window.append(future)
+        return future
 
     def __getattr__(self, member: str) -> Any:
         if member.startswith("_"):
             raise AttributeError(member)
 
-        def enqueue(*args: Any, **kwargs: Any) -> PendingCall:
+        def enqueue(*args: Any, **kwargs: Any) -> InvocationFuture:
             return self.call(member, *args, **kwargs)
 
         enqueue.__name__ = member
         return enqueue
 
     def __len__(self) -> int:
-        return len(self._queue)
+        return self.scheduler.outstanding
 
     # ------------------------------------------------------------------
     # flushing
     # ------------------------------------------------------------------
 
     def flush(self) -> List[BatchResult]:
-        """Ship every queued call as one batch and resolve its placeholders.
+        """Ship every queued call as one batch and resolve its futures.
 
         Returns the batch's :class:`BatchResult` list.  A transport-level
-        failure marks every in-flight placeholder with the network error and
+        failure marks every future of the window with the network error and
         re-raises it — the batch fails atomically.  When the proxy carries a
         fault-tolerant invoker (explicit ``retry_policy=``/``invoker=``, or
-        discovered on a guarded handle), the flush retries per that policy
+        discovered on a guarded handle), the window retries per that policy
         before the error is considered final.
         """
-        if not self._queue:
-            return []
-        window, self._queue = self._queue, []
-        reference = self._refresh_reference()
-        calls = [
-            (reference, item.member, item.args, item.kwargs, item.context)
-            for item in window
-        ]
-        for item in window:
-            item.pending.attempts += 1
-        trace_queue_waits(getattr(self._space, "network", None), "batch-queue", window)
-        # The invoker re-ships the whole window internally on retry, writing
-        # one *recovered* failure record per call per re-ship — fold that
-        # back into the futures so "attempts > 1 after a retry" holds on
-        # this path like on the scheduler's.  (Unrecovered records are
-        # terminal: they did not add a carrier.)  The per-window average is
-        # exact for whole-window re-ships, the overwhelmingly common case;
-        # when a failover SPLITS the window across promoted replicas and
-        # only one sub-batch retries, the delta averages out across the
-        # window (per-call attribution would need per-call failure
-        # identity, which FailureRecord does not carry).  The pipelined
-        # scheduler tracks attempts per call exactly.
-        recovered_before = (
-            self._invoker.log.recovered_failures if self._invoker is not None else 0
-        )
-
-        def _extra_attempts() -> int:
-            if self._invoker is None or not window:
-                return 0
-            return (
-                self._invoker.log.recovered_failures - recovered_before
-            ) // len(window)
-
-        try:
-            if self._invoker is not None:
-                results = self._invoker.invoke_many(
-                    calls, transport=self._transport, space=self._space
-                )
-            else:
-                results = self._space.invoke_remote_many(calls, transport=self._transport)
-        except Exception as error:
-            extra = _extra_attempts()
-            for item in window:
-                item.pending.attempts += extra
-                item.pending._fail(error)
-            raise
-        extra = _extra_attempts()
-        if extra:
-            for item in window:
-                item.pending.attempts += extra
-        self.batches_flushed += 1
-        clock = getattr(getattr(self._space, "network", None), "clock", None)
-        for item, result in zip(window, results):
-            if clock is not None:
-                item.pending.completed_at = clock.now
-            if result.ok:
-                item.pending._resolve(result.value)
-            else:
-                item.pending._fail(result.error)
-        return results
-
-    def abandon(self, error: BaseException) -> int:
-        """Fail (do not ship) every queued call; returns how many were dropped.
-
-        The teardown counterpart of :meth:`flush`: a retiring owner (e.g. a
-        closed façade session) must ensure the buffered window can never
-        ship later — each placeholder fails with ``error`` instead, so held
-        futures surface the teardown rather than hanging or sending
-        messages.
-        """
-        window, self._queue = self._queue, []
-        clock = getattr(getattr(self._space, "network", None), "clock", None)
-        abandoned = 0
-        for item in window:
-            if not item.pending.done:
-                if clock is not None:
-                    item.pending.completed_at = clock.now
-                item.pending._fail(error)
-                abandoned += 1
-        return abandoned
+        window = [queued for queued in self._window if not queued.done]
+        self._window = []
+        self.scheduler.flush()
+        return batch_results(window)
 
     # ------------------------------------------------------------------
     # context manager
@@ -368,7 +237,7 @@ class BatchingProxy:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"<BatchingProxy {self._reference} queued={len(self._queue)} "
+            f"<BatchingProxy {self._reference} queued={len(self)} "
             f"max_batch={self.max_batch}>"
         )
 

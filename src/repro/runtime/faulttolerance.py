@@ -4,13 +4,17 @@ Changing applications to span address-space boundaries introduces network
 failure problems, which makes it impossible to guarantee full preservation of
 the original application semantics (paper §4).  The paper leaves the
 behaviour of practical applications under failure as future work restricted
-to a LAN; this module provides the mechanisms such applications need:
+to a LAN; this module names the *policy* such applications need — what
+counts as transient, how often to retry, what was observed — and hands the
+*mechanism* (retry, backoff, failover chase, settlement) to the one engine
+that implements it, :class:`~repro.runtime.pipelining.PipelineScheduler`:
 
 * :class:`RetryPolicy` — bounded retries with (simulated-time) backoff for
   idempotent operations;
-* :class:`FaultTolerantInvoker` — wraps an address space's ``invoke_remote``
-  (and, via :meth:`~FaultTolerantInvoker.invoke_many`, its batched
-  ``invoke_remote_many``) with a retry policy and failure accounting;
+* :class:`FaultTolerantInvoker` — a synchronous view of the engine: a retry
+  policy, a failure log and an optional replica manager, with
+  :meth:`~FaultTolerantInvoker.invoke` / :meth:`~FaultTolerantInvoker.invoke_many`
+  submitting to window-of-one schedulers that carry them;
 * :class:`guard_handle` — installs fault tolerance on a rebindable handle, so
   transient message loss is retried and permanent partition failures surface
   as :class:`~repro.api.errors.NetworkError` to the application;
@@ -20,8 +24,9 @@ to a LAN; this module provides the mechanisms such applications need:
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Dict, Optional
 
 from repro._errors import (
     AdmissionError,
@@ -125,17 +130,16 @@ class FailureLog:
 
 
 class FaultTolerantInvoker:
-    """Wraps remote invocation with retries, backoff and failure accounting.
+    """Synchronous remote invocation with retries, backoff and failure accounting.
 
-    When constructed with a ``replica_manager``
-    (:class:`~repro.runtime.replication.ReplicaManager`), fatal failures stop
-    being fatal for replicated targets: the invoker waits out the failure
-    detector (pumping the event queue for up to ``failover_wait`` simulated
-    seconds per hop) and retries against the promoted replica instead of
-    surfacing :class:`~repro.api.errors.PartitionError` /
-    :class:`~repro.api.errors.NodeUnreachableError` to the application.
-    ``max_failover_hops`` bounds how many successive promotions one logical
-    call will chase.
+    A view of :class:`~repro.runtime.pipelining.PipelineScheduler`: calls are
+    submitted to a scheduler with a window of one that carries this
+    invoker's ``policy``, ``log`` and ``replica_manager``, so transient
+    failures retry, every failure is recorded, and — with a
+    :class:`~repro.runtime.replication.ReplicaManager` — fatal failures and
+    fenced/quorum-less refusals of replicated targets are re-shipped to the
+    promoted replica (at most ``max_failover_attempts`` times per call)
+    instead of surfacing to the application.
     """
 
     def __init__(
@@ -145,33 +149,40 @@ class FaultTolerantInvoker:
         log: Optional[FailureLog] = None,
         *,
         replica_manager=None,
-        failover_wait: float = 0.1,
-        max_failover_hops: int = 4,
+        max_failover_attempts: int = 8,
     ) -> None:
         self.space = space
         self.policy = policy
         self.log = log if log is not None else FailureLog()
         self.replica_manager = replica_manager
-        self.failover_wait = failover_wait
-        self.max_failover_hops = max_failover_hops
+        self.max_failover_attempts = max_failover_attempts
+        self._schedulers: Dict[tuple, Any] = {}
 
-    def _failover_target(self, reference, hops: int):
-        """The promoted replica to retry against, or ``None`` when there is none.
+    def scheduler(self, space, *, max_batch: int, transport: Optional[str] = None):
+        """A new window-of-one scheduler carrying this invoker's policy, log
+        and replica manager, issuing its calls from ``space``."""
+        from repro.runtime.pipelining import PipelineScheduler
 
-        Resolves an already-published redirect immediately; otherwise, when
-        the reference belongs to a replica group that still has a promotable
-        backup, drives the event queue (heartbeats, promotions) until the
-        redirect appears or ``failover_wait`` simulated seconds pass.
-        """
-        manager = self.replica_manager
-        if manager is None or hops >= self.max_failover_hops:
-            return None
-        resolved = manager.current_ref(reference)
-        if resolved != reference:
-            return resolved
-        if not manager.has_failover_target(reference):
-            return None
-        return manager.await_failover(reference, self.failover_wait)
+        return PipelineScheduler(
+            space,
+            max_batch=max_batch,
+            window=1,
+            transport=transport,
+            retry_policy=self.policy,
+            failure_log=self.log,
+            replica_manager=self.replica_manager,
+            max_failover_attempts=self.max_failover_attempts,
+        )
+
+    def _scheduler_for(self, space, transport: Optional[str], max_batch: int):
+        """The invoker's own scheduler for one (space, transport, batch size)."""
+        key = (space if space is not None else self.space, transport, max_batch)
+        scheduler = self._schedulers.get(key)
+        if scheduler is None:
+            scheduler = self._schedulers[key] = self.scheduler(
+                key[0], max_batch=max_batch, transport=transport
+            )
+        return scheduler
 
     def invoke(
         self,
@@ -189,67 +200,15 @@ class FaultTolerantInvoker:
         attributed to the node the calling code actually runs on); it defaults
         to the space the invoker was constructed with.  ``context`` is the
         call's wire-context dict (call id, tenant, deadline); the *same*
-        dict rides every retry and failover hop, so a promoted replica sees
-        the call's remaining deadline budget, not a fresh one.
+        dict rides every retry and failover re-ship, so a promoted replica
+        sees the call's remaining deadline budget, not a fresh one.
         """
-
-        calling_space = space if space is not None else self.space
-        attempt = 0
-        hops = 0
-        while True:
-            attempt += 1
-            try:
-                return calling_space.invoke_remote(
-                    reference, member, args, kwargs or {}, transport=transport,
-                    context=context,
-                )
-            except NetworkError as error:
-                retry = self.policy.should_retry(error, attempt)
-                target = None
-                if isinstance(error, FATAL_FAILURES):
-                    target = self._failover_target(reference, hops)
-                    if target is not None:
-                        retry = True
-                self.log.record(
-                    FailureRecord(
-                        member=member,
-                        error_type=type(error).__name__,
-                        attempt=attempt,
-                        recovered=retry,
-                        simulated_time=calling_space.network.clock.now,
-                    )
-                )
-                if not retry:
-                    raise
-                if target is not None:
-                    # Chase the promotion with a fresh attempt budget: the
-                    # promoted replica is a different destination.
-                    reference = target
-                    hops += 1
-                    attempt = 0
-                    continue
-                # Charge the backoff to simulated time before the next attempt.
-                calling_space.network.clock.advance(self.policy.backoff_for_attempt(attempt))
-            except REPLICATION_REFUSALS as error:
-                # A fenced or quorum-less primary refused the call.  Never
-                # retry the same reference (the refusal is deterministic
-                # until the topology changes); re-resolve against the
-                # current epoch's primary and try there, once per hop.
-                target = self._failover_target(reference, hops)
-                self.log.record(
-                    FailureRecord(
-                        member=member,
-                        error_type=type(error).__name__,
-                        attempt=attempt,
-                        recovered=target is not None,
-                        simulated_time=calling_space.network.clock.now,
-                    )
-                )
-                if target is None:
-                    raise
-                reference = target
-                hops += 1
-                attempt = 0
+        # A batch size of one ships on submission, as a single-call frame.
+        return (
+            self._scheduler_for(space, transport, 1)
+            .submit_with_context(reference, member, args, kwargs, context)
+            .result()
+        )
 
     def invoke_many(
         self,
@@ -259,121 +218,37 @@ class FaultTolerantInvoker:
     ):
         """Invoke a batch of calls with retries according to the policy.
 
-        The batch path mirrors :meth:`invoke`: the whole batch is one wire
-        message, so a transport-level failure hits every call in it and the
-        whole batch is re-shipped on retry.  Like the single-call path this
-        gives *at-least-once* semantics — a lost **request** was never
-        executed, but a lost **response** means the server already ran the
-        batch and the retry runs it again; restrict retries to idempotent
-        operations.  Failures are recorded per call, so the log reflects how
-        many logical invocations each network incident touched.  Application
-        errors inside a successful batch stay isolated in their
+        The whole batch is one wire message, so a transport-level failure
+        hits every call in it and the whole batch is re-shipped on retry.
+        Like the single-call path this gives *at-least-once* semantics — a
+        lost **request** was never executed, but a lost **response** means
+        the server already ran the batch and the retry runs it again;
+        restrict retries to idempotent operations.  Failures are recorded
+        per call, so the log reflects how many logical invocations each
+        network incident touched.  Application errors inside a successful
+        batch stay isolated in their
         :class:`~repro.runtime.batching.BatchResult` slots and are **not**
-        retried — they are deterministic outcomes, not network weather.
+        retried — they are deterministic outcomes, not network weather; a
+        network error the policy could not recover is raised.
 
         ``calls`` uses the ``(reference, member, args, kwargs[, context])``
         shape of
         :meth:`~repro.runtime.address_space.AddressSpace.invoke_remote_many`.
-        For per-call retries with out-of-order completion, use
-        :class:`~repro.runtime.pipelining.PipelineScheduler`, which requeues
-        failed sub-batches asynchronously instead of blocking.
+        Calls to different nodes (or redirected apart by a failover) ship as
+        one batch per node.
         """
+        from repro.runtime.pipelining import batch_results
 
-        calling_space = space if space is not None else self.space
-        calls = list(calls)
-        attempt = 0
-        hops = 0
-        while True:
-            attempt += 1
-            try:
-                return calling_space.invoke_remote_many(calls, transport=transport)
-            except NetworkError as error:
-                retry = self.policy.should_retry(error, attempt)
-                redirected = None
-                if isinstance(error, FATAL_FAILURES):
-                    redirected = self._redirect_calls(calls, hops)
-                    if redirected is not None:
-                        retry = True
-                for call in calls:
-                    self.log.record(
-                        FailureRecord(
-                            member=call[1],
-                            error_type=type(error).__name__,
-                            attempt=attempt,
-                            recovered=retry,
-                            simulated_time=calling_space.network.clock.now,
-                        )
-                    )
-                if not retry:
-                    raise
-                if redirected is not None:
-                    calls = redirected
-                    hops += 1
-                    attempt = 0
-                    destinations = {call[0].node_id for call in calls}
-                    if len(destinations) > 1:
-                        # Different groups promoted to different nodes: hand
-                        # the batch to the split path, which gives every
-                        # destination its own retry loop and never returns
-                        # control to THIS loop (an outer retry after one
-                        # destination already executed would duplicate its
-                        # writes).
-                        return self._invoke_many_split(calling_space, calls, transport)
-                    continue
-                calling_space.network.clock.advance(self.policy.backoff_for_attempt(attempt))
-
-    def _invoke_many_split(self, calling_space, calls, transport):
-        """Ship a redirect-split batch: one independent sub-batch per node.
-
-        Each destination recurses into :meth:`invoke_many`, so every
-        sub-batch carries its *own* retry/failover budget and a terminal
-        failure on one destination propagates without re-shipping a
-        sub-batch another destination already executed (no duplicated
-        writes).  Results are merged back into submission order.
-        """
-        from repro.runtime.batching import BatchResult
-
-        results: list = [None] * len(calls)
-        by_node: dict = {}
-        for index, call in enumerate(calls):
-            by_node.setdefault(call[0].node_id, []).append((index, call))
-        for grouped in by_node.values():
-            sub_results = self.invoke_many(
-                [call for _, call in grouped],
-                transport=transport,
-                space=calling_space,
-            )
-            for (index, _), result in zip(grouped, sub_results):
-                results[index] = BatchResult(
-                    index=index, value=result.value, error=result.error
-                )
-        return results
-
-    def _redirect_calls(self, calls, hops: int):
-        """Rebuild a failed batch against promoted replicas, or return ``None``.
-
-        Every distinct reference in the batch must resolve to a failover
-        target (waiting out the detector where needed); a batch with even
-        one unreplicated target cannot fully recover, so the fatal error
-        stands for all of it.
-        """
-        if self.replica_manager is None or hops >= self.max_failover_hops:
-            return None
-        targets: dict = {}
-        for call in calls:
-            reference = call[0]
-            if reference in targets:
-                continue
-            # _failover_target only ever yields a *different* reference (a
-            # published or awaited redirect) or None, so a non-None result
-            # always moves the batch.
-            target = self._failover_target(reference, hops)
-            if target is None:
-                return None
-            targets[reference] = target
-        # Calls keep whatever trailing elements they carried (the optional
-        # wire-context dict) — a redirect must not strip a call's deadline.
-        return [(targets[call[0]], *call[1:]) for call in calls]
+        # An unbounded batch size never ships on submission: the flush sends
+        # each destination's calls as one batch frame, whatever their number,
+        # and — the window being one — returns with every future settled.
+        scheduler = self._scheduler_for(space, transport, sys.maxsize)
+        futures = [
+            scheduler.submit_with_context(reference, member, args, kwargs, *context)
+            for reference, member, args, kwargs, *context in calls
+        ]
+        scheduler.flush()
+        return batch_results(futures)
 
 
 class _RetryingTarget:
@@ -414,10 +289,9 @@ def guard_handle(
     metaobject's ``remote_invoker`` hook, direct calls on the proxy are
     replaced by a retrying target, and a
     :class:`~repro.runtime.batching.BatchingProxy` wrapped around the guarded
-    handle discovers the installed invoker and routes its batch flushes
-    through :meth:`FaultTolerantInvoker.invoke_many`, so batches keep the
-    same retry policy.  Returns the failure log used, so callers can inspect
-    what happened.
+    handle discovers the installed invoker and ships its windows under the
+    same retry policy and log.  Returns the failure log used, so callers can
+    inspect what happened.
     """
 
     meta: Optional[Metaobject] = metaobject_of(handle)

@@ -1,29 +1,33 @@
-"""Pipelined, future-based remote invocation with batch-aware fault tolerance.
+"""The shipping engine: future-based remote invocation with one fault policy.
 
-PR 1's batching subsystem ships N calls in one framed message but still waits
-for each batch's round trip before issuing the next one.  This module removes
-that wait: batches are *posted* on the simulated network's event queue
-(:meth:`~repro.network.simnet.SimulatedNetwork.post`) and complete **out of
-order** as their response events fire, so a window of in-flight batches pays
-roughly ``max`` rather than ``sum`` of its round-trip delays.
+:class:`PipelineScheduler` is the only code above the network that buffers
+calls into windows, ships them, judges a failure, waits out a backoff,
+re-resolves a failed-over reference and settles futures.  Every other
+dispatch surface — the façade's pipes, :class:`~repro.runtime.batching.BatchingProxy`,
+:class:`~repro.runtime.faulttolerance.FaultTolerantInvoker` — is a view that
+submits to a scheduler and reads the outcome off the futures.
 
-Three pieces:
+Two pieces:
 
 * :class:`InvocationFuture` — the placeholder a submitted call returns
-  immediately.  It resolves (or fails) when its batch's response event fires;
-  ``result()`` pumps the event queue until then.  The batching layer's
-  :class:`~repro.runtime.batching.PendingCall` is a subclass, so every
-  buffered call in the system is a future.
+  immediately.  It resolves (or fails) when its window's outcome is known;
+  ``result()`` drives the owning scheduler until then.
 * :class:`PipelineScheduler` — buffers calls per destination node (sharding a
-  stream of submissions across the cluster), ships each node's buffer as an
-  asynchronous batch, bounds the number of concurrently in-flight batches by
-  ``window``, and resolves futures as responses arrive.
-* Batch-aware fault tolerance — a transport-level failure of one in-flight
-  batch is isolated to that batch: its calls are requeued and retried per the
-  scheduler's :class:`~repro.runtime.faulttolerance.RetryPolicy` (with
-  simulated-time backoff scheduled on the event queue) while every other
-  batch completes undisturbed.  Fatal failures (partitions, crashed nodes)
-  fail the affected futures immediately.
+  stream of submissions across the cluster), ships each node's buffer as one
+  batch, bounds the batches in flight by ``window``, and isolates a
+  transport-level failure to its batch: those calls retry, fail over or fail
+  while every other batch completes undisturbed.
+
+The engine has two drivers, derived from ``window`` — the rule
+:meth:`~repro.network.simnet.SimulatedNetwork.send_request` / ``post`` follow
+one layer down.  A window wider than one **posts** its batches on the event
+queue: they complete out of order as their response events fire, so a window
+of in-flight batches pays roughly ``max`` rather than ``sum`` of its
+round-trip delays, and a backoff is a scheduled event.  A window of one
+**ships inline** and waits its backoff out in place, so a later window can
+never overtake a retried one ("batches execute in order"); when ``max_batch``
+is also one the call travels as a single-call frame, not a batch of one.  A
+driver owns nothing but the waiting.
 
 Usage — normally via the façade, which composes this module internally::
 
@@ -37,7 +41,7 @@ Usage — normally via the façade, which composes this module internally::
     shards[0].scheduler.out_of_order_completions  # > 0 with uneven shards
 
 Used as a context manager, a clean exit flushes the buffers and drains the
-event queue, mirroring :class:`~repro.runtime.batching.BatchingProxy`.
+event queue.
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
-from repro._errors import InvocationError
+from repro._errors import InvocationError, NetworkError
 from repro.observability.tracing import trace_queue_waits
 from repro.runtime.faulttolerance import (
     FATAL_FAILURES,
@@ -58,15 +62,33 @@ from repro.runtime.faulttolerance import (
 from repro.runtime.remote_ref import RemoteRef, reference_of
 
 
+@dataclass
+class BatchResult:
+    """The outcome of one call inside a batch, in request order."""
+
+    index: int
+    value: Any = None
+    error: Optional[BaseException] = None
+
+    @property
+    def ok(self) -> bool:
+        return self.error is None
+
+    def unwrap(self) -> Any:
+        """The call's result; re-raises the call's error if it failed."""
+        if self.error is not None:
+            raise self.error
+        return self.value
+
+
 class InvocationFuture:
     """The placeholder for one asynchronously submitted remote call.
 
     A future starts *pending* and transitions exactly once to *resolved*
     (carrying the call's return value) or *failed* (carrying the exception).
-    ``result()`` blocks in *simulated* time: it asks its owner — a
-    :class:`PipelineScheduler` or a :class:`~repro.runtime.batching.BatchingProxy`
-    — to make progress until the future is done, then returns the value or
-    re-raises the error.
+    ``result()`` blocks in *simulated* time: it asks its owning
+    :class:`PipelineScheduler` to make progress until the future is done,
+    then returns the value or re-raises the error.
 
     Futures also carry the submission bookkeeping the scheduler and the
     benchmarks read: ``index`` (global submission sequence number),
@@ -90,7 +112,7 @@ class InvocationFuture:
         self.index = index
         #: Number of batches that carried this call so far (retries add one).
         self.attempts = 0
-        #: Simulated timestamps, filled in by the owning scheduler/proxy.
+        #: Simulated timestamps, filled in by the owning scheduler.
         self.submitted_at: Optional[float] = None
         self.completed_at: Optional[float] = None
         self._state = self._PENDING
@@ -105,11 +127,6 @@ class InvocationFuture:
     def done(self) -> bool:
         """True once the future has resolved or failed."""
         return self._state is not self._PENDING
-
-    @property
-    def resolved(self) -> bool:
-        """Alias of :attr:`done` (the historical ``PendingCall`` spelling)."""
-        return self.done
 
     @property
     def ok(self) -> bool:
@@ -149,10 +166,10 @@ class InvocationFuture:
         """The call's error (``None`` on success); waits like :meth:`result`.
 
         Unlike :meth:`result`, the call's own failure is *returned*, not
-        raised — even when waiting surfaces it (a ``BatchingProxy`` flush
-        re-raises the batch's transport failure; if that failure resolved
-        this future, it is this call's outcome and comes back as the return
-        value).  Only errors that leave the future pending (a stalled
+        raised — even when waiting surfaces it (shipping a window re-raises
+        a programming error such as an unknown transport; if that failure
+        settled this future, it is this call's outcome and comes back as the
+        return value).  Only errors that leave the future pending (a stalled
         pipeline) propagate, and a future that cannot resolve at all raises
         :class:`~repro.api.errors.InvocationError` exactly like :meth:`result`.
         """
@@ -180,6 +197,22 @@ class InvocationFuture:
         return f"<{type(self).__name__} {self.member!r} #{self.index} {state}>"
 
 
+def batch_results(futures: List[InvocationFuture]) -> List[BatchResult]:
+    """One settled window's outcome in the synchronous batch shape.
+
+    Application errors stay isolated in their :class:`BatchResult` slots; a
+    :class:`~repro.api.errors.NetworkError` the engine could not recover is
+    re-raised — the window failed in transit, atomically.
+    """
+    for future in futures:
+        if isinstance(future._error, NetworkError):
+            raise future._error
+    return [
+        BatchResult(index, future._value, future._error)
+        for index, future in enumerate(futures)
+    ]
+
+
 @dataclass
 class _ScheduledCall:
     """One submitted call travelling through the scheduler's buffers."""
@@ -202,14 +235,18 @@ class PipelineScheduler:
     """Shards, batches and pipelines remote invocations over one address space.
 
     Calls submitted through :meth:`submit` are buffered per destination node;
-    a node's buffer ships as one asynchronous batch when it reaches
-    ``max_batch`` (or on :meth:`flush`).  Up to ``window`` batches are kept in
-    flight concurrently — submission past the window pumps the event queue
-    until a slot frees, which bounds memory and models a TCP-like in-flight
-    window.  Responses resolve futures strictly in *arrival* order, which is
-    generally **not** submission order when shards answer at different speeds:
-    :attr:`completion_order` and :attr:`out_of_order_completions` expose the
-    reordering to tests and benchmarks.
+    a node's buffer ships as one batch when it reaches ``max_batch`` (or on
+    :meth:`flush`).  Up to ``window`` batches are kept in flight concurrently
+    — submission past the window pumps the event queue until a slot frees,
+    which bounds memory and models a TCP-like in-flight window.  Responses
+    resolve futures strictly in *arrival* order, which is generally **not**
+    submission order when shards answer at different speeds:
+    :attr:`out_of_order_completions` exposes the reordering to tests and
+    benchmarks.
+
+    ``window`` also picks the driver (module docstring): wider than one posts
+    batches on the event queue; exactly one ships inline — the synchronous
+    engine behind batched and direct services.
 
     Fault tolerance is batch-aware: when an in-flight batch fails at the
     transport level, each of its calls is retried per ``retry_policy``
@@ -260,8 +297,9 @@ class PipelineScheduler:
         self._next_index = 0
         self._in_flight = 0
         self._outstanding = 0
-        #: Futures in the order their batches' response events fired.
-        self.completion_order: List[InvocationFuture] = []
+        #: Futures that completed after one with a higher submission index.
+        self.out_of_order_completions = 0
+        self._highest_completed = -1
         #: Logical calls submitted through this scheduler.
         self.calls_submitted = 0
         #: Batch messages shipped (including retry re-ships).
@@ -317,10 +355,7 @@ class PipelineScheduler:
             # Mirror the _ship guard: accepting the call would strand its
             # future silently, violating stop()'s no-pending guarantee.
             raise InvocationError("pipeline scheduler is stopped; no new submissions")
-        if isinstance(target, RemoteRef):
-            reference = target
-        else:
-            reference = reference_of(target)
+        reference = target if isinstance(target, RemoteRef) else reference_of(target)
         if reference is None:
             raise InvocationError(
                 "PipelineScheduler needs a remote reference: pass a RemoteRef, "
@@ -345,7 +380,7 @@ class PipelineScheduler:
         return future
 
     def flush(self) -> None:
-        """Ship every non-empty node buffer as an asynchronous batch."""
+        """Ship every non-empty node buffer as one batch."""
         buffers, self._buffers = self._buffers, {}
         for calls in buffers.values():
             self._ship(calls)
@@ -381,17 +416,6 @@ class PipelineScheduler:
         return max(1.0, self._depth_sample_sum / self.depth_samples)
 
     @property
-    def out_of_order_completions(self) -> int:
-        """How many futures completed after one with a higher submission index."""
-        count = 0
-        highest = -1
-        for future in self.completion_order:
-            if future.index < highest:
-                count += 1
-            highest = max(highest, future.index)
-        return count
-
-    @property
     def stopped(self) -> bool:
         """Whether :meth:`stop` has retired this scheduler."""
         return self._stopped
@@ -410,19 +434,18 @@ class PipelineScheduler:
             return
         self._stopped = True
         buffers, self._buffers = self._buffers, {}
-        error = InvocationError("pipeline scheduler stopped before this call shipped")
         for calls in buffers.values():
-            for call in calls:
-                if not call.future.done:
-                    call.future._fail(error)
-                    self._complete(call.future)
+            self._fail_unshipped(calls)
 
-    def drain(self) -> List[InvocationFuture]:
-        """Flush the buffers and pump events until every future is done.
+    def _fail_unshipped(self, calls: List[_ScheduledCall]) -> None:
+        error = InvocationError("pipeline scheduler stopped before this call shipped")
+        for call in calls:
+            if not call.future.done:
+                call.future._fail(error)
+                self._complete(call.future)
 
-        Returns the full completion order (every future this scheduler has
-        completed, in arrival order).
-        """
+    def drain(self) -> None:
+        """Flush the buffers and pump events until every future is done."""
         self.flush()
         while self._outstanding > 0:
             if not self._events.run_next():
@@ -430,7 +453,6 @@ class PipelineScheduler:
                     f"pipeline stalled: {self._outstanding} unresolved future(s) "
                     "with an idle event queue"
                 )
-        return list(self.completion_order)
 
     def _wait_for(self, future: InvocationFuture) -> None:
         """Make progress until one specific future completes (its wait hook)."""
@@ -447,7 +469,7 @@ class PipelineScheduler:
     # ------------------------------------------------------------------
 
     def _ship(self, calls: List[_ScheduledCall]) -> None:
-        """Post a sub-batch, re-routing through failover redirects first.
+        """Ship a sub-batch, re-routing through failover redirects first.
 
         With a replica manager installed, every call's reference is
         re-resolved at ship time — a batch requeued while its target's node
@@ -458,13 +480,7 @@ class PipelineScheduler:
         if not calls:
             return
         if self._stopped:
-            error = InvocationError(
-                "pipeline scheduler stopped before this call shipped"
-            )
-            for call in calls:
-                if not call.future.done:
-                    call.future._fail(error)
-                    self._complete(call.future)
+            self._fail_unshipped(calls)
             return
         if self.replica_manager is not None:
             buckets: Dict[str, List[_ScheduledCall]] = {}
@@ -480,8 +496,17 @@ class PipelineScheduler:
         self._ship_bucket(calls)
 
     def _ship_bucket(self, calls: List[_ScheduledCall]) -> None:
-        """Post one single-destination sub-batch, waiting for a window slot."""
-        while self._in_flight >= self.window:
+        """Ship one single-destination sub-batch, waiting for a window slot.
+
+        A window wider than one posts the batch and returns; a window of one
+        sends it inline and settles it before returning — retries included:
+        :meth:`_reship_after_backoff` recurses here once per attempt, bounded
+        by the retry and failover budgets.
+        """
+        # Only a posted batch frees its slot from the event queue; an inline one
+        # still in flight is an outer frame of this call stack (a handler
+        # calling back through this scheduler) and must not be waited for.
+        while self.window > 1 and self._in_flight >= self.window:
             if not self._events.run_next():
                 # Nothing can complete: proceed rather than deadlock (only
                 # reachable if completion callbacks were lost to a bug).
@@ -499,16 +524,20 @@ class PipelineScheduler:
         trace_queue_waits(
             self.space.network, "pipeline-queue", calls, node=calls[0].reference.node_id
         )
+        batch = [
+            (call.reference, call.member, call.args, call.kwargs, call.context)
+            for call in calls
+        ]
         try:
-            self.space.invoke_remote_many_async(
-                [
-                    (call.reference, call.member, call.args, call.kwargs, call.context)
-                    for call in calls
-                ],
-                on_results=lambda results, calls=calls: self._on_results(calls, results),
-                on_error=lambda error, calls=calls: self._on_error(calls, error),
-                transport=self.transport,
-            )
+            if self.window > 1:
+                self.space.invoke_remote_many_async(
+                    batch,
+                    on_results=lambda results: self._on_results(calls, results),
+                    on_error=lambda error: self._on_error(calls, error),
+                    transport=self.transport,
+                )
+                return
+            outcome = self._send_inline(batch)
         except Exception as error:  # noqa: BLE001 - release the slot, fail the futures
             # A synchronous dispatch failure (unknown transport, marshalling
             # error) must not leak the window slot or strand the futures:
@@ -516,15 +545,90 @@ class PipelineScheduler:
             # the caller — it is a programming error, not network weather.
             self._on_error(calls, error)
             raise
+        if isinstance(outcome, NetworkError):
+            self._on_error(calls, outcome)
+        else:
+            self._on_results(calls, outcome)
+
+    def _send_inline(self, batch: List[tuple]) -> Any:
+        """One synchronous round trip on the inline driver.
+
+        Returns the ordered result slots — or the :class:`NetworkError` that
+        cost the whole message, for :meth:`_on_error` to judge exactly as it
+        judges a posted batch's.  A scheduler that never batches sends a
+        single-call frame and wraps its value or error as the one slot.
+        """
+        try:
+            if self.max_batch > 1:
+                return self.space.invoke_remote_many(batch, transport=self.transport)
+            reference, member, args, kwargs, context = batch[0]
+            value = self.space.invoke_remote(
+                reference, member, args, kwargs, self.transport, context
+            )
+        except NetworkError as error:
+            return error
+        except Exception as error:  # noqa: BLE001 - a single call's error is its slot's
+            if self.max_batch > 1:
+                raise
+            return [BatchResult(0, error=error)]
+        return [BatchResult(0, value)]
+
+    def _reship_after_backoff(self, calls: List[_ScheduledCall], failing_over: bool) -> None:
+        """Re-ship requeued ``calls`` once their backoff has passed.
+
+        The wait is the retry policy's backoff for the most-tried call — at
+        least the replica manager's suggestion (one detector interval) when
+        the calls are riding out a failover.  The posting driver schedules
+        the re-ship; the inline driver waits in place (events due meanwhile
+        fire on time) — scheduling would free its only slot and let a later
+        window execute before the retried one.
+        """
+        backoff = self.retry_policy.backoff_for_attempt(
+            max(call.future.attempts for call in calls)
+        )
+        if failing_over:
+            backoff = max(backoff, self.replica_manager.suggested_backoff())
+        if self.window > 1:
+            self._events.schedule(backoff, lambda: self._ship(calls))
+        else:
+            self._events.run_until(self._clock.now + backoff)
+            self._ship(calls)
+
+    def _record_failure(
+        self, call: _ScheduledCall, error: BaseException, retry: bool, failover: bool
+    ) -> None:
+        """Log one call's failure; count and trace it when it will re-ship."""
+        self.failure_log.record(
+            FailureRecord(
+                member=call.member,
+                error_type=type(error).__name__,
+                attempt=call.future.attempts,
+                recovered=retry or failover,
+                simulated_time=self._clock.now,
+            )
+        )
+        # The two recovery paths stay separately countable.
+        if failover:
+            self.calls_redirected += 1
+            self._trace_requeue(call, "failover-reship", error=type(error).__name__)
+        elif retry:
+            self.calls_retried += 1
+            self._trace_requeue(call, "retry-requeued", error=type(error).__name__)
+
+    def _can_fail_over(self, call: _ScheduledCall) -> bool:
+        """Whether a re-ship of ``call`` could land on a promoted replica."""
+        return (
+            self.replica_manager is not None
+            and call.future.attempts <= self.max_failover_attempts
+            and self.replica_manager.can_fail_over(call.reference)
+        )
 
     def _trace_requeue(self, call: _ScheduledCall, reason: str, **attrs) -> None:
         """Stamp a requeue on the traced call's still-open client span."""
         call.queued_at = self._clock.now
         trace_id = call.context.get("x")
-        if trace_id is None:
-            return
         tracer = getattr(self.space.network, "tracer", None)
-        if tracer is None:
+        if trace_id is None or tracer is None:
             return
         tracer.annotate(
             trace_id,
@@ -537,7 +641,10 @@ class PipelineScheduler:
 
     def _complete(self, future: InvocationFuture) -> None:
         future.completed_at = self._clock.now
-        self.completion_order.append(future)
+        if future.index < self._highest_completed:
+            self.out_of_order_completions += 1
+        else:
+            self._highest_completed = future.index
         self._outstanding -= 1
 
     def _on_results(self, calls: List[_ScheduledCall], results: List[Any]) -> None:
@@ -547,44 +654,21 @@ class PipelineScheduler:
         for call, result in zip(calls, results):
             if result.ok:
                 call.future._resolve(result.value)
-            elif (
-                self.replica_manager is not None
-                and isinstance(result.error, REPLICATION_REFUSALS)
-                and call.future.attempts <= self.max_failover_attempts
-                and self.replica_manager.has_failover_target(call.reference)
-            ):
+            elif isinstance(result.error, REPLICATION_REFUSALS) and self._can_fail_over(call):
                 # A fenced or quorum-less primary refused this slot.  Unlike
                 # ordinary application errors it is worth requeueing: ship
                 # time re-resolves the reference, so the retry lands on the
                 # current epoch's primary instead of the refusing one.
-                self.failure_log.record(
-                    FailureRecord(
-                        member=call.member,
-                        error_type=type(result.error).__name__,
-                        attempt=call.future.attempts,
-                        recovered=True,
-                        simulated_time=self._clock.now,
-                    )
-                )
-                self.calls_redirected += 1
-                self._trace_requeue(
-                    call, "failover-reship", error=type(result.error).__name__
-                )
+                self._record_failure(call, result.error, retry=False, failover=True)
                 requeued.append(call)
                 continue
             else:
                 # Application errors inside a successful batch stay isolated
-                # per slot, exactly like the synchronous batch path.
+                # per slot.
                 call.future._fail(result.error)
             self._complete(call.future)
         if requeued:
-            backoff = max(
-                self.retry_policy.backoff_for_attempt(
-                    max(call.future.attempts for call in requeued)
-                ),
-                self.replica_manager.suggested_backoff(),
-            )
-            self._events.schedule(backoff, lambda: self._ship(requeued))
+            self._reship_after_backoff(requeued, failing_over=True)
 
     def _on_error(self, calls: List[_ScheduledCall], error: Exception) -> None:
         """Handle a transport-level failure of one in-flight batch.
@@ -603,46 +687,20 @@ class PipelineScheduler:
         failing_over = False
         for call in calls:
             retry = self.retry_policy.should_retry(error, call.future.attempts)
-            failover = False
-            if (
+            failover = (
                 not retry
-                and self.replica_manager is not None
                 and isinstance(error, FATAL_FAILURES + REPLICATION_REFUSALS)
-                and call.future.attempts <= self.max_failover_attempts
-                and self.replica_manager.has_failover_target(call.reference)
-            ):
-                retry = failover = failing_over = True
-            self.failure_log.record(
-                FailureRecord(
-                    member=call.member,
-                    error_type=type(error).__name__,
-                    attempt=call.future.attempts,
-                    recovered=retry,
-                    simulated_time=self._clock.now,
-                )
+                and self._can_fail_over(call)
             )
-            if retry:
+            self._record_failure(call, error, retry, failover)
+            if retry or failover:
+                failing_over = failing_over or failover
                 requeued.append(call)
-                # The two recovery paths stay separately countable.
-                if failover:
-                    self.calls_redirected += 1
-                else:
-                    self.calls_retried += 1
-                self._trace_requeue(
-                    call,
-                    "failover-reship" if failover else "retry-requeued",
-                    error=type(error).__name__,
-                )
             else:
                 call.future._fail(error)
                 self._complete(call.future)
         if requeued:
-            backoff = self.retry_policy.backoff_for_attempt(
-                max(call.future.attempts for call in requeued)
-            )
-            if failing_over:
-                backoff = max(backoff, self.replica_manager.suggested_backoff())
-            self._events.schedule(backoff, lambda: self._ship(requeued))
+            self._reship_after_backoff(requeued, failing_over)
 
     # ------------------------------------------------------------------
     # context manager

@@ -20,13 +20,13 @@ gap with primary/backup replication:
   :class:`~repro.runtime.naming.NamingService`, and a redirect from the old
   :class:`~repro.runtime.remote_ref.RemoteRef` to the new one is published so
   in-flight traffic can re-route.
-* The invocation layers consume those redirects:
-  :class:`~repro.runtime.faulttolerance.FaultTolerantInvoker` (built with
-  ``replica_manager=``) waits out the detection window and retries against
-  the promoted replica instead of surfacing
+* The shipping engine consumes those redirects:
+  :class:`~repro.runtime.pipelining.PipelineScheduler` (built with
+  ``replica_manager=``, as is every scheduler behind a
+  :class:`~repro.runtime.faulttolerance.FaultTolerantInvoker` that has one)
+  requeues the failed sub-batch instead of surfacing
   :class:`~repro.api.errors.PartitionError`/:class:`~repro.api.errors.NodeUnreachableError`
-  as fatal, and :class:`~repro.runtime.pipelining.PipelineScheduler` requeues
-  the failed sub-batch and re-resolves every reference at ship time.
+  as fatal, and re-resolves every reference at ship time.
 
 Consistency model: *eager* mode gives per-object sequential consistency for
 deterministic operations — the primary executes a call, then forwards the
@@ -626,7 +626,7 @@ class ReplicaManager:
         """The replica group whose (current) primary is ``reference``, if any."""
         return self._by_primary_ref.get(self.current_ref(reference))
 
-    def has_failover_target(self, reference: RemoteRef) -> bool:
+    def can_fail_over(self, reference: RemoteRef) -> bool:
         """Whether traffic to ``reference`` can survive its node's death.
 
         True when a redirect is already published for it, or when it is the
@@ -644,28 +644,6 @@ class ReplicaManager:
         if self.detector is not None:
             return self.detector.interval
         return self.sync_interval
-
-    def await_failover(self, reference: RemoteRef, max_wait: float) -> Optional[RemoteRef]:
-        """Pump the event queue until ``reference`` is redirected, or give up.
-
-        Drives the network's event queue (heartbeat rounds included) for at
-        most ``max_wait`` simulated seconds.  Returns the promoted reference
-        as soon as a redirect for ``reference`` is published, or ``None``
-        when the deadline passes first.  Synchronous callers use this to
-        ride out the detection window; the pipelined scheduler instead
-        requeues with backoff, because it is already running inside the
-        event loop.
-        """
-        events = self.cluster.network.events
-        deadline = self.cluster.network.clock.now + max_wait
-        while True:
-            resolved = self.current_ref(reference)
-            if resolved != reference:
-                return resolved
-            next_time = events.next_fire_time()
-            if next_time is None or next_time > deadline:
-                return None
-            events.run_next()
 
     # ------------------------------------------------------------------
     # write synchronization

@@ -213,9 +213,7 @@ def run_open_loop_scenario(
                 rejected += 1
             else:
                 failed += 1
-        retried = 0
-        if service.scheduler is not None:
-            retried = service.scheduler.calls_retried
+        retried = service.scheduler.calls_retried
 
     elapsed = max(duration, last_completion - start_time)
     arrivals = len(futures)

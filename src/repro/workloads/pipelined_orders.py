@@ -97,22 +97,19 @@ def run_sharded_order_scenario(
         messages_before = cluster.metrics.total_messages
         bytes_before = cluster.metrics.total_bytes
 
-        out_of_order = 0
-        retried = 0
-        max_in_flight = 1
-        observed_depth = 1.0
         futures = [
             services[index % len(services)].future.submit(*_order_args(index))
             for index in range(orders)
         ]
         session.drain()
         values = [future.result() for future in futures]
+        # Behind a sequential policy's window of one these read 0, 0, 1, 1.0
+        # (an unbatched stream bypasses its scheduler: one exchange in flight).
         scheduler = services[0].scheduler
-        if scheduler is not None:
-            out_of_order = scheduler.out_of_order_completions
-            retried = scheduler.calls_retried
-            max_in_flight = scheduler.max_in_flight
-            observed_depth = scheduler.observed_pipeline_depth
+        out_of_order = scheduler.out_of_order_completions
+        retried = scheduler.calls_retried
+        max_in_flight = max(1, scheduler.max_in_flight)
+        observed_depth = scheduler.observed_pipeline_depth
 
     elapsed = cluster.clock.now - started
     return {

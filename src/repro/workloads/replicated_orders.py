@@ -180,8 +180,8 @@ def run_replicated_order_scenario(
         "accepted": accepted,
         "values": values,
         "client_visible_failures": failures,
-        "calls_retried": scheduler.calls_retried if scheduler is not None else 0,
-        "calls_redirected": scheduler.calls_redirected if scheduler is not None else 0,
+        "calls_retried": scheduler.calls_retried,
+        "calls_redirected": scheduler.calls_redirected,
         "failovers": len(manager.failovers) if manager is not None else 0,
         "failover_times": [
             record.simulated_time for record in manager.failovers

@@ -52,7 +52,6 @@ RULE_FIXTURES = {
     "DS103": "ds103_unserializable_signature.py",
     "DS104": "ds104_mutable_class_state.py",
     "DS105": "ds105_interceptor_hooks.py",
-    "DS106": "ds106_deprecated_api.py",
     "DS107": "ds107_span_leaks.py",
 }
 
@@ -93,11 +92,11 @@ class TestRuleFixtures:
             assert finding.message
             assert finding.severity in ("warning", "error")
 
-    def test_ds106_findings_suggest_the_replacement(self):
-        path = FIXTURE_DIR / RULE_FIXTURES["DS106"]
+    def test_ds107_findings_suggest_the_replacement(self):
+        path = FIXTURE_DIR / RULE_FIXTURES["DS107"]
         findings, _ = default_engine().run_paths([path])
         suggestions = [f.suggestion for f in findings if f.suggestion]
-        assert any('quorum="majority"' in s for s in suggestions)
+        assert any("with tracer.span(" in s for s in suggestions)
 
 
 class TestEngineBehavior:

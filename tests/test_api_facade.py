@@ -46,7 +46,7 @@ class TestServicePolicy:
 
     def test_builder_returns_modified_copies(self):
         base = ServicePolicy(transport="rmi")
-        tuned = base.with_batching(32).with_pipelining(8).with_replication(3)
+        tuned = base.with_batching(32).with_pipelining(8).with_replication(3, quorum=1)
         assert (base.batch_window, base.pipeline_depth, base.replication_factor) == (1, 1, 1)
         assert tuned.batch_window == 32
         assert tuned.pipeline_depth == 8
@@ -65,7 +65,7 @@ class TestServicePolicy:
 
     def test_shared_scheduler_key_ignores_replication_knobs(self):
         a = ServicePolicy(batch_window=8, pipeline_depth=4)
-        b = a.with_replication(2)
+        b = a.with_replication(2, quorum=1)
         assert a.scheduler_key() == b.scheduler_key()
 
 
@@ -274,7 +274,7 @@ class TestReplicatedService:
             assert session.replica_manager is None
             svc = session.service(
                 "orders",
-                ServicePolicy(batch_window=4, pipeline_depth=2).with_replication(2),
+                ServicePolicy(batch_window=4, pipeline_depth=2).with_replication(2, quorum=1),
                 impl=OrderIntake(),
                 node="server",
             )
@@ -287,7 +287,7 @@ class TestReplicatedService:
         with Session(cluster, node="client") as session:
             policy = (
                 ServicePolicy(transport="rmi", batch_window=4, pipeline_depth=2)
-                .with_replication(2, readonly=("accepted_count",))
+                .with_replication(2, quorum=1, readonly=("accepted_count",))
             )
             svc = session.service(
                 "orders", policy, impl=OrderIntake(), node="server",
@@ -309,7 +309,7 @@ class TestReplicatedService:
             with pytest.raises(PolicyError):
                 session.service(
                     "orders",
-                    ServicePolicy().with_replication(3),
+                    ServicePolicy().with_replication(3, quorum=1),
                     impl=OrderIntake(),
                     node="server",
                     backup_nodes=["spare"],  # policy wants 2
@@ -319,14 +319,14 @@ class TestReplicatedService:
         with Session(cluster, node="client") as session:
             policy = (
                 ServicePolicy(batch_window=4, max_failover_attempts=7)
-                .with_replication(2)
+                .with_replication(2, quorum=1)
             )
-            session.service(
+            orders = session.service(
                 "orders", policy, impl=OrderIntake(), node="server",
                 backup_nodes=["spare"],
             )
-            invoker = session._current_invoker(policy)
-            assert invoker.max_failover_hops == 7
+            assert orders.scheduler.window == 1  # the synchronous driver
+            assert orders.scheduler.max_failover_attempts == 7
 
     def test_auto_backup_placement_needs_enough_nodes(self):
         small = Cluster(("client", "server"))
@@ -334,7 +334,7 @@ class TestReplicatedService:
             with pytest.raises(PolicyError):
                 session.service(
                     "orders",
-                    ServicePolicy().with_replication(2),
+                    ServicePolicy().with_replication(2, quorum=1),
                     impl=OrderIntake(),
                     node="server",
                 )
@@ -343,7 +343,7 @@ class TestReplicatedService:
         """Backups of services on successive nodes must spread, not pile up."""
         cluster = Cluster(("client", "s1", "s2", "s3"))
         with Session(cluster, node="client") as session:
-            policy = ServicePolicy().with_replication(2)
+            policy = ServicePolicy().with_replication(2, quorum=1)
             services = [
                 session.service(f"svc-{node}", policy, impl=OrderIntake(), node=node)
                 for node in ("s1", "s2", "s3")
@@ -358,4 +358,4 @@ class TestReplicatedService:
         cluster.naming.rebind("orders", cluster.space("server").export(intake))
         with Session(cluster, node="client") as session:
             with pytest.raises(PolicyError, match="replication_factor"):
-                session.service("orders", ServicePolicy().with_replication(2))
+                session.service("orders", ServicePolicy().with_replication(2, quorum=1))

@@ -48,7 +48,7 @@ class TestSessionClose:
         session = Session(cluster, node="client")
         session.service(
             "orders",
-            ServicePolicy(batch_window=4).with_replication(2),
+            ServicePolicy(batch_window=4).with_replication(2, quorum=1),
             impl=OrderIntake(),
             node="shard-0",
             backup_nodes=["shard-1"],
@@ -65,6 +65,25 @@ class TestSessionClose:
 
     def test_close_tears_down_even_when_the_drain_raises(self, cluster):
         """A failing drain must not skip the teardown (or wedge close())."""
+        from repro.api.errors import UnknownTransportError
+
+        session = Session(cluster, node="client")
+        svc = session.service(
+            "orders",
+            ServicePolicy(transport="carrier-pigeon", batch_window=8),
+            impl=OrderIntake(),
+            node="shard-0",
+        )
+        held = svc.future.submit("sku-1", 1, 10)  # buffered, not yet shipped
+        with pytest.raises(UnknownTransportError):
+            session.close()  # the drain's flush cannot encode the window
+        assert session.closed
+        assert cluster.naming.rebind_listener_count() == 0
+        assert isinstance(held.exception(), UnknownTransportError)
+
+    def test_network_failure_of_a_window_is_carried_by_its_futures(self, cluster):
+        """Network weather never raises out of flush/drain/close — whatever
+        the pipe, the futures carry it (only programming errors raise)."""
         from repro.api.errors import NetworkError
 
         session = Session(cluster, node="client")
@@ -74,12 +93,11 @@ class TestSessionClose:
             impl=OrderIntake(),
             node="shard-0",
         )
-        svc.future.submit("sku-1", 1, 10)  # buffered, not yet shipped
+        held = svc.future.submit("sku-1", 1, 10)  # buffered, not yet shipped
         cluster.network.failures.crash_node("shard-0")
-        with pytest.raises(NetworkError):
-            session.close()  # the drain's flush hits the dead node
+        session.close()  # the drain's flush hits the dead node
         assert session.closed
-        assert cluster.naming.rebind_listener_count() == 0
+        assert isinstance(held.exception(), NetworkError)
 
     def test_exception_exit_still_unregisters(self, cluster):
         with pytest.raises(RuntimeError):
@@ -92,7 +110,7 @@ class TestSessionClose:
         """The regression scenario: 50 replicated sessions, opened and closed."""
         policy = (
             ServicePolicy(transport="rmi", batch_window=4, pipeline_depth=2)
-            .with_replication(2)
+            .with_replication(2, quorum=1)
         )
         for round_index in range(50):
             with Session(cluster, node="client") as session:
@@ -161,7 +179,7 @@ class TestSessionClose:
         held = svc.future.submit("sku-1", 1, 10)
         session.close(drain=False)
         before = cluster.metrics.total_messages
-        with pytest.raises(InvocationError, match="closed"):
+        with pytest.raises(InvocationError, match="stopped before this call shipped"):
             held.result()
         assert cluster.metrics.total_messages == before  # nothing shipped
         assert intake.accepted_count() == 0
@@ -185,7 +203,7 @@ class TestSessionClose:
         }
         svc = session.service(
             "orders",
-            ServicePolicy(batch_window=4).with_replication(2),
+            ServicePolicy(batch_window=4).with_replication(2, quorum=1),
             impl=OrderIntake(),
             node="shard-0",
             backup_nodes=["shard-1"],
@@ -221,7 +239,7 @@ class TestSessionClose:
         listeners and event-queue work must all be gone."""
         policy = (
             ServicePolicy(transport="rmi", batch_window=4, pipeline_depth=2)
-            .with_replication(2)
+            .with_replication(2, quorum=1)
             .with_caching(lease_ms=50)
         )
         objects_before = {

@@ -135,7 +135,10 @@ class TestPipelinePartialBatchFailure:
         )
         dropped = scheduler.submit(lonely, "submit", "sku-lonely", 1, 10)
         others = [scheduler.submit(busy, "submit", f"sku-{i}", 1, 10) for i in range(5)]
-        completions = scheduler.drain()
+        completions = []
+        for future in [dropped, *others]:
+            future.add_done_callback(completions.append)
+        scheduler.drain()
 
         assert dropped.result() == 0
         assert [future.result() for future in others] == [0, 1, 2, 3, 4]

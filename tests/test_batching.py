@@ -230,11 +230,11 @@ class TestBatchingProxy:
         for index in range(7):
             proxy.place(f"sku-{index}", 1, 10)
         assert store.order_count() == 6  # two full windows auto-flushed
-        assert proxy.batches_flushed == 2
+        assert proxy.scheduler.batches_shipped == 2
         assert len(proxy) == 1
         proxy.flush()
         assert store.order_count() == 7
-        assert proxy.calls_enqueued == 7
+        assert proxy.scheduler.calls_submitted == 7
 
     def test_result_triggers_flush_of_pending_tail(self, cluster, exported_store):
         store, reference = exported_store

@@ -72,7 +72,7 @@ class TestKillBetweenWriteAndInvalidation:
         policy = (
             ServicePolicy(transport="rmi", heartbeat_interval=0.002, miss_threshold=2)
             .with_caching(CachePolicy(lease_ms=10_000))  # far beyond the test
-            .with_replication(2, readonly=("get_item",))
+            .with_replication(2, quorum=1, readonly=("get_item",))
         )
         svc = reader.service(
             "catalog", policy, impl=Catalog(), node="primary", backup_nodes=["backup"]
@@ -119,7 +119,7 @@ class TestKillBetweenWriteAndInvalidation:
         policy = (
             ServicePolicy(transport="rmi", heartbeat_interval=0.002, miss_threshold=2)
             .with_caching(CachePolicy(mode="invalidate"))  # no lease to expire
-            .with_replication(2, readonly=("get_item",))
+            .with_replication(2, quorum=1, readonly=("get_item",))
         )
         svc = reader.service(
             "catalog", policy, impl=Catalog(), node="primary", backup_nodes=["backup"]

@@ -2,9 +2,10 @@
 
 ``BatchingProxy`` and ``PipelineScheduler`` are the engines the façade
 composes, and constructing them directly is plain supported API again — the
-``DeprecationWarning`` and the exempt internal subclasses are gone.  The one
-remaining deprecation shim, bare ``with_replication(n)``, is covered in
-``test_quorum_replication.py``.
+``DeprecationWarning`` and the exempt internal subclasses are gone, and so is
+the last shim (bare ``with_replication(n)`` is a ``PolicyError``, see
+``test_quorum_replication.py``): ``DeprecationWarning`` appears nowhere under
+``src/``.
 """
 
 from __future__ import annotations

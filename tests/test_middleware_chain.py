@@ -358,7 +358,7 @@ class TestFaultInjection:
 
         policy = (
             ServicePolicy(transport="rmi", batch_window=4, pipeline_depth=2)
-            .with_replication(2, readonly=("accepted_count",))
+            .with_replication(2, quorum=1, readonly=("accepted_count",))
             .with_middleware(
                 DeadlineInterceptor(5.0),
                 StampRecorder("stamp", client_log),

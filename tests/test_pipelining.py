@@ -10,16 +10,31 @@ value.
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 
-from repro.api.errors import InvocationError, NodeUnreachableError
+from repro.api.errors import (
+    InvocationError,
+    MessageDroppedError,
+    NodeUnreachableError,
+    PartitionError,
+    RemoteInvocationError,
+    UnknownTransportError,
+)
 from repro.network.clock import EventQueue, SimClock
-from repro.network.simnet import LinkConfig
+from repro.network.heartbeat import HeartbeatDetector
+from repro.network.simnet import LinkConfig, SimulatedNetwork
 from repro.policy.adaptive import AdaptiveDistributionManager
-from repro.runtime.batching import BatchingProxy, PendingCall
+from repro.runtime.batching import BatchingProxy
 from repro.runtime.cluster import Cluster
+from repro.runtime.faulttolerance import RetryPolicy
 from repro.runtime.pipelining import InvocationFuture, PipelineScheduler
+from repro.runtime.replication import ReplicaManager
+from repro.transports.base import parse_frame
 from repro.workloads.pipelined_orders import run_sharded_order_scenario
+from test_batch_faulttolerance import ScriptedDrops
 
 
 class Echo:
@@ -191,7 +206,10 @@ class TestPipelineScheduler:
         # All slow-shard calls are submitted BEFORE any fast-shard call.
         slow = [scheduler.submit(slow_ref, "echo", f"slow-{i}") for i in range(4)]
         fast = [scheduler.submit(fast_ref, "echo", f"fast-{i}") for i in range(4)]
-        completions = scheduler.drain()
+        completions = []
+        for future in slow + fast:
+            future.add_done_callback(completions.append)
+        scheduler.drain()
 
         assert scheduler.out_of_order_completions > 0
         # Arrival order: every fast future completed before every slow one.
@@ -259,7 +277,7 @@ class TestPipelineScheduler:
         assert future.done and isinstance(future.exception(), UnknownTransportError)
         assert scheduler.in_flight == 0
         assert scheduler.outstanding == 0
-        assert scheduler.drain() == [future]  # idle, not stalled
+        scheduler.drain()  # idle, not stalled
 
     def test_application_errors_stay_isolated_per_slot(self, cluster):
         class Picky:
@@ -279,6 +297,265 @@ class TestPipelineScheduler:
         assert futures[0].result() == 0
         with pytest.raises(Exception):
             futures[1].result()
+
+
+    def test_a_settled_future_is_collectable_once_its_caller_drops_it(self, cluster):
+        """The scheduler keeps no record of settled futures: a long-lived one
+        (a session's) must not pin every call it ever carried."""
+        _, ref0 = _exported_echo(cluster, "shard-0")
+        scheduler = PipelineScheduler(cluster.space("client"), max_batch=4, window=2)
+        future = scheduler.submit(ref0, "echo", "payload")
+        scheduler.drain()
+        assert future.result() == "payload"
+        watcher = weakref.ref(future)
+        del future
+        gc.collect()
+        assert watcher() is None
+
+
+class Recorder:
+    """Echoes like :class:`Echo`, remembers execution order, refuses "bad"."""
+
+    def __init__(self):
+        self.seen = []
+
+    def echo(self, value):
+        self.seen.append(value)
+        if value == "bad":
+            raise ValueError("refused")
+        return value
+
+
+def _parity_cluster(drops=()):
+    network = SimulatedNetwork(failures=ScriptedDrops(drops))
+    return Cluster(("client", "monitor", "a", "b", "c"), network=network)
+
+
+def _replica_manager(cluster):
+    detector = HeartbeatDetector(
+        cluster.network, "monitor", interval=0.002, miss_threshold=2
+    )
+    for node in ("a", "b", "c"):
+        detector.watch(node)
+    manager = ReplicaManager(cluster, detector=detector)
+    detector.start()
+    return manager
+
+
+def _plain(drops=(), values=("v0", "v1", "v2", "v3"), **scheduler_kwargs):
+    """A scenario: one unreplicated :class:`Recorder` on node ``a``."""
+
+    def arrange():
+        cluster = _parity_cluster(drops)
+        reference = cluster.space("a").export(Recorder())
+        return cluster, reference, scheduler_kwargs, values
+
+    return arrange
+
+
+def _partitioned():
+    cluster, reference, _, values = _plain()()
+    cluster.network.failures.partition(["client"], ["a"])
+    return cluster, reference, {"retry_policy": RetryPolicy(max_attempts=3)}, values
+
+
+def _crashed_primary():
+    cluster = _parity_cluster()
+    manager = _replica_manager(cluster)
+    group = manager.replicate(
+        Recorder(), name="rec", primary_node="a", backup_nodes=["b"], readonly=()
+    )
+    cluster.network.failures.crash_node("a")
+    return cluster, group.primary_ref, {"replica_manager": manager}, ("v0", "v1", "v2", "v3")
+
+
+def _quorumless_primary():
+    """The primary hears the client but not its backups, so every write slot
+    comes back ``QuorumLostError`` (``FencedError`` takes the same branch);
+    an operator promotes a backup while the refused window waits its backoff
+    out, and the re-ship re-resolves to it.  No detector: the promotion is
+    one event at a fixed instant, so both drivers see it identically."""
+    cluster = _parity_cluster()
+    manager = ReplicaManager(cluster)
+    group = manager.replicate(
+        Recorder(), name="rec", primary_node="a", backup_nodes=["b", "c"],
+        readonly=(), quorum=2, fencing=True,
+    )
+    cluster.network.failures.partition(["a"], ["b", "c"])
+    cluster.network.events.schedule(0.5, lambda: manager.failover(group))
+    patient = RetryPolicy(max_attempts=1, initial_backoff=1.0)
+    return (
+        cluster,
+        group.primary_ref,
+        {"replica_manager": manager, "retry_policy": patient},
+        ("v0", "v1", "v2", "v3"),
+    )
+
+
+#: name -> (arrange, expected per-future outcomes, heartbeat detector running)
+DRIVER_SCENARIOS = {
+    "plain": (_plain(), ["v0", "v1", "v2", "v3"], False),
+    "application_error_in_a_slot": (
+        _plain(values=("v0", "bad", "v2", "v3")),
+        ["v0", RemoteInvocationError, "v2", "v3"],
+        False,
+    ),
+    "dropped_request_retried": (
+        _plain({("client", "a"): 1}, retry_policy=RetryPolicy(max_attempts=3)),
+        ["v0", "v1", "v2", "v3"],
+        False,
+    ),
+    "dropped_response_retried": (
+        _plain({("a", "client"): 1}, retry_policy=RetryPolicy(max_attempts=3)),
+        ["v0", "v1", "v2", "v3"],
+        False,
+    ),
+    "retries_exhausted": (
+        _plain({("client", "a"): 5}, retry_policy=RetryPolicy(max_attempts=2)),
+        [MessageDroppedError] * 4,
+        False,
+    ),
+    "partition_is_fatal": (_partitioned, [PartitionError] * 4, False),
+    "crashed_primary_fails_over": (_crashed_primary, ["v0", "v1", "v2", "v3"], True),
+    "refusal_is_rerouted": (_quorumless_primary, ["v0", "v1", "v2", "v3"], False),
+    "unknown_transport": (
+        _plain(transport="carrier-pigeon"), [UnknownTransportError] * 4, False
+    ),
+}
+
+
+class TestDriverParity:
+    """A window of one ships inline, a wider one posts: one engine, so the
+    same outcome, the same simulated instants, the same accounting."""
+
+    @staticmethod
+    def _run_one_window(arrange, window):
+        cluster, reference, scheduler_kwargs, values = arrange()
+        scheduler = PipelineScheduler(
+            cluster.space("client"), max_batch=8, window=window, **scheduler_kwargs
+        )
+        futures = [scheduler.submit(reference, "echo", value) for value in values]
+        try:
+            scheduler.drain()
+            raised = None
+        except Exception as error:  # noqa: BLE001 - the outcome under test
+            raised = type(error)
+        return cluster, scheduler, futures, raised
+
+    @pytest.mark.parametrize("scenario", sorted(DRIVER_SCENARIOS))
+    def test_both_drivers_agree(self, scenario):
+        arrange, expected, detector_running = DRIVER_SCENARIOS[scenario]
+        observed = []
+        for window in (1, 2):
+            cluster, scheduler, futures, raised = self._run_one_window(arrange, window)
+            assert scheduler.outstanding == 0 and scheduler.in_flight == 0
+            observed.append(
+                (
+                    [
+                        (f._value if f.ok else type(f._error), f.attempts, f.completed_at)
+                        for f in futures
+                    ],
+                    raised,
+                    cluster.clock.now,
+                    scheduler.failure_log.records,
+                    (
+                        scheduler.calls_submitted,
+                        scheduler.batches_shipped,
+                        scheduler.calls_retried,
+                        scheduler.calls_redirected,
+                        scheduler.out_of_order_completions,
+                    ),
+                    # Heartbeat probes keep firing while a posted exchange is
+                    # in flight and cannot during an inline one — the driver
+                    # difference itself — so traffic totals only compare
+                    # where no detector runs.
+                    None if detector_running else cluster.metrics.snapshot(),
+                )
+            )
+        inline, posted = observed
+        assert [outcome for outcome, _, _ in inline[0]] == expected
+        assert inline == posted
+
+    def test_the_table_really_retries_and_fails_over(self):
+        """Guards the table: the recoveries it claims to cover do happen."""
+        _, scheduler, futures, _ = self._run_one_window(
+            DRIVER_SCENARIOS["dropped_response_retried"][0], window=1
+        )
+        assert scheduler.calls_retried == 4 and all(f.attempts == 2 for f in futures)
+        for scenario in ("crashed_primary_fails_over", "refusal_is_rerouted"):
+            _, scheduler, _, _ = self._run_one_window(DRIVER_SCENARIOS[scenario][0], 1)
+            assert scheduler.calls_redirected >= 4
+            assert scheduler.replica_manager.failovers
+
+    def test_a_retried_window_still_executes_before_the_next(self):
+        """The inline driver waits its backoff out in place: scheduling the
+        re-ship would free the only slot and let the next window overtake —
+        a batched service would lose "batches execute in order"."""
+        cluster = _parity_cluster({("client", "a"): 1})
+        recorder = Recorder()
+        reference = cluster.space("a").export(recorder)
+        scheduler = PipelineScheduler(
+            cluster.space("client"),
+            max_batch=4,
+            window=1,
+            retry_policy=RetryPolicy(max_attempts=3),
+        )
+        futures = [scheduler.submit(reference, "echo", index) for index in range(8)]
+        scheduler.drain()
+        assert [future.result() for future in futures] == list(range(8))
+        assert futures[0].attempts == 2 and futures[4].attempts == 1
+        assert recorder.seen == list(range(8))
+
+    def test_a_handler_may_call_back_through_the_same_inline_scheduler(self):
+        """A synchronous call whose handler calls back into the caller's
+        scheduler nests inside the outer exchange — it must not wait for the
+        outer call's slot by pumping the event queue (with a heartbeat
+        running that wait would never end)."""
+        cluster = _parity_cluster()
+        scheduler = PipelineScheduler(cluster.space("client"), max_batch=1, window=1)
+        ticks = []
+
+        def tick():  # a bounded stand-in for a periodic event source
+            ticks.append(cluster.clock.now)
+            if len(ticks) < 1000:
+                cluster.network.events.schedule(0.0001, tick)
+
+        class Pong:
+            def pong(self, depth):
+                if depth == 0:
+                    return "done"
+                return scheduler.submit(ping_ref, "ping", depth - 1).result()
+
+        class Ping:
+            def ping(self, depth):
+                return cluster.space("a").invoke_remote(pong_ref, "pong", (depth,))
+
+        ping_ref = cluster.space("a").export(Ping())
+        pong_ref = cluster.space("client").export(Pong())
+        cluster.network.events.schedule(0.0001, tick)
+        assert scheduler.submit(ping_ref, "ping", 2).result() == "done"
+        assert ticks == []  # an inline exchange never pumps the event queue
+        assert scheduler.max_in_flight == 3 and scheduler.in_flight == 0
+
+    @pytest.mark.parametrize("window, is_batch", [(1, False), (2, True)])
+    def test_a_batch_size_of_one_picks_the_frame(self, window, is_batch):
+        """``max_batch == 1`` on the inline driver is a direct call: it ships
+        the single-call frame, not a batch of one."""
+        cluster = _parity_cluster()
+        space = cluster.space("a")
+        reference = space.export(Recorder())
+        frames = []
+
+        def recording_handler(source, payload):
+            frames.append(payload)
+            return space._handle_message(source, payload)
+
+        cluster.network.register("a", recording_handler)
+        scheduler = PipelineScheduler(cluster.space("client"), max_batch=1, window=window)
+        future = scheduler.submit(reference, "echo", "solo")
+        scheduler.drain()
+        assert future.result() == "solo"
+        assert [parse_frame(frame)[2] for frame in frames] == [is_batch]
 
 
 class TestShardedWorkload:
@@ -306,8 +583,7 @@ class TestBatchingProxyFutures:
         service, reference = _exported_echo(cluster, "shard-0")
         proxy = BatchingProxy(reference, space=cluster.space("client"), max_batch=8)
         pending = proxy.echo("hello")
-        assert isinstance(pending, PendingCall)
-        assert isinstance(pending, InvocationFuture)
+        assert type(pending) is InvocationFuture
         seen = []
         pending.add_done_callback(seen.append)
         proxy.flush()

@@ -321,17 +321,20 @@ class TestPolicyQuorumKnobs:
         with pytest.raises(PolicyError):
             ServicePolicy().with_replication(3, quorum=2, sync="interval")
 
-    def test_legacy_single_int_call_warns_and_keeps_old_semantics(self):
-        with pytest.warns(DeprecationWarning):
-            policy = ServicePolicy().with_replication(2)
+    def test_bare_call_is_refused_naming_both_spellings(self):
+        for bare in (
+            lambda: ServicePolicy().with_replication(2),
+            lambda: ServicePolicy().with_replication(),
+            lambda: ServicePolicy().with_replication(2, fencing=False),
+        ):
+            with pytest.raises(PolicyError, match=r'quorum="majority".*quorum=<int>'):
+                bare()
+
+    def test_primary_ack_mode_is_spelled_quorum_one(self):
+        policy = ServicePolicy().with_replication(2, quorum=1)
         assert policy.replication_factor == 2
         assert policy.quorum == 1
         assert policy.fencing is False
-
-    def test_legacy_factor_keyword_warns(self):
-        with pytest.warns(DeprecationWarning):
-            policy = ServicePolicy().with_replication(factor=2)
-        assert policy.replication_factor == 2
 
     def test_explicit_quorum_call_is_warning_free(self, recwarn):
         ServicePolicy().with_replication(3, quorum="majority", fencing=True)

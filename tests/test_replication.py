@@ -322,9 +322,7 @@ class TestInvokerFailover:
         manager = _manager(cluster)
         group = _replicated_intake(manager)
         group.backups["b"].healthy = False
-        invoker = FaultTolerantInvoker(
-            cluster.space("client"), replica_manager=manager, failover_wait=0.02
-        )
+        invoker = FaultTolerantInvoker(cluster.space("client"), replica_manager=manager)
         cluster.network.failures.crash_node("a")
         with pytest.raises(NodeUnreachableError):
             invoker.invoke(group.primary_ref, "submit", ("sku-1", 1, 10))

@@ -405,7 +405,7 @@ class TestTracedFacade:
             span
             for trace_id in collector.trace_ids()
             for span in collector.spans(trace_id)
-            if span.name == "batch-queue"
+            if span.name == "pipeline-queue"
         ]
         assert len(queued) == 1  # later arrivals waited zero time: no span
         assert queued[0].kind == "queue"
@@ -458,7 +458,7 @@ class TestTracedFacade:
         with Session(cluster, node="client") as session:
             policy = (
                 ServicePolicy(transport="rmi", batch_window=4, pipeline_depth=2)
-                .with_replication(2, readonly=("accepted_count",))
+                .with_replication(2, quorum=1, readonly=("accepted_count",))
                 .with_tracing()
             )
             svc = session.service(

@@ -69,7 +69,7 @@ def test_span_accounting_survives_fault_injection(
             )
         backup_nodes = None
         if kill_primary:
-            policy = policy.with_replication(2, readonly=("accepted_count",))
+            policy = policy.with_replication(2, quorum=1, readonly=("accepted_count",))
             backup_nodes = ["spare"]
         svc = session.service(
             "orders", policy, impl=OrderIntake(), node="server",
