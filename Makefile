@@ -2,13 +2,14 @@ PYTHON ?= python
 export PYTHONPATH := src
 BENCH_DIR ?= bench-artifacts
 
-.PHONY: check test quickstart-smoke bench-smoke bench-check bench-diff bench-golden bench-ab docs-check lint lint-dist
+.PHONY: check test examples-smoke bench-smoke bench-check bench-diff bench-golden bench-ab docs-check lint lint-dist
 
 test:
 	$(PYTHON) -m pytest -x -q
 
-quickstart-smoke:
-	$(PYTHON) examples/quickstart.py
+# Every example end to end; the first non-zero exit fails the target.
+examples-smoke:
+	set -e; for example in examples/*.py; do $(PYTHON) $$example > /dev/null; done
 
 bench-smoke:
 	mkdir -p $(BENCH_DIR)
@@ -53,4 +54,4 @@ lint: lint-dist
 lint-dist:
 	$(PYTHON) -m repro lint src/repro examples tests/sample_app.py
 
-check: test quickstart-smoke bench-check docs-check lint-dist
+check: test examples-smoke bench-check docs-check lint-dist

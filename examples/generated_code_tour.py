@@ -3,7 +3,8 @@
 Defines the paper's sample class ``X`` (with its collaborators ``Y`` and
 ``Z``), transforms it, and prints the generated interfaces, local
 implementations, one proxy and both factories — the Python rendering of the
-paper's Figures 3, 4 and 5.
+paper's Figures 3, 4 and 5.  The printed text is not a picture of the
+generated classes: it is what the transformation executed to create them.
 
 Run with:  python examples/generated_code_tour.py
 """

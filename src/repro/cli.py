@@ -9,7 +9,8 @@ run against their own code base before deploying it:
 
 ``repro emit app.py --cls X``
     Print the artifacts the transformation generates for one class (the
-    Figures 3–5 listings for that class).
+    Figures 3–5 listings for that class) — the very text the transformation
+    executes to create the live classes.
 
 ``repro report app.py [--policy policy.json]``
     Transform the file's classes under a policy and print the application

@@ -7,8 +7,8 @@ Submodules
 ``analyzer``     §2.4 transformability / substitutability analysis
 ``interfaces``   extraction of the ``*_O_Int`` / ``*_C_Int`` interfaces
 ``rewriter``     AST rewriting of method bodies to use interfaces/factories
-``generator``    generation of local implementations, proxies and factories
-``codegen``      emission of the generated artifacts as Python source text
+``codegen``      the generated artifacts (Figures 3–5) as Python source text
+``generator``    execution of that text: the live classes, picked up by name
 ``registry``     registry of generated artifacts
 ``metaobject``   the reflective metaobject protocol behind handles
 ``transformer``  the whole-application transformation driver

@@ -81,6 +81,17 @@ class TypeRef:
         return self.name
 
 
+def mangle(class_name: str, name: str) -> str:
+    """Python's private-name mangling, spelt out: ``__x`` in ``class Owner`` is
+    ``_Owner__x``.  Applied wherever a member's code leaves its class body —
+    the result starts with one underscore, so no other class body re-mangles it."""
+    if name.startswith("__") and not name.endswith("__"):
+        owner = class_name.lstrip("_")
+        if owner:
+            return f"_{owner}{name}"
+    return name
+
+
 #: Convenience instances used throughout the generators.
 ANY_TYPE = TypeRef("object")
 VOID_TYPE = TypeRef("None")

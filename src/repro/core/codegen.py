@@ -1,27 +1,43 @@
-"""Source-code emission for the generated artifacts.
+"""The transformation's output: the Python text of every generated artifact.
 
-The paper presents its transformations as source listings (Figures 3, 4 and
-5 show the interfaces, implementations and factories generated for the sample
-class ``X`` of Figure 2).  This module emits the equivalent Python source
-text for every artifact so that
+The paper presents its transformation as source listings — Figures 3, 4 and 5
+show the interfaces, implementations and factories generated for the sample
+class ``X`` of Figure 2.  This module produces those listings for an arbitrary
+class, and the listing *is* the program: :mod:`repro.core.generator` executes
+exactly the text emitted here (one ``class`` statement per artifact) and picks
+the classes up by name, so what ``repro emit`` prints, what the E2–E4 golden
+tests read and what runs are one and the same text.
 
-* the listing-level outputs of the paper can be reproduced and checked by the
-  golden tests (experiments E2–E4), and
-* users can inspect — or persist to disk — exactly what the transformation
-  produced for their classes.
+For every substitutable class ``A`` (paper §2) the artifacts are
 
-The live classes used at run time are produced by :mod:`repro.core.generator`;
-the emitted source here is a faithful, human-readable rendering of the same
-artifacts.
+* ``A_O_Int`` / ``A_C_Int`` — the abstract instance / static interfaces,
+* ``A_O_Local`` / ``A_C_Local`` — the non-remote implementations (the class
+  local is a singleton), their bodies rewritten by
+  :mod:`repro.core.rewriter` to use accessors, factories and interface types,
+* ``A_O_Proxy_<T>`` / ``A_C_Proxy_<T>`` and their ``BatchProxy`` variants —
+  one per transport, forwarding through the distributed object layer,
+* ``A_O_Redirector`` — the rebindable handle for dynamic distribution, and
+* ``A_O_Factory`` / ``A_C_Factory`` — the only implementation-aware code:
+  ``make``/``init``/``create`` and ``discover``/``clinit``.
+
+The text resolves a handful of names in the namespace it is executed in:
+``abc`` and the builtins ``property``, ``staticmethod``, ``classmethod`` and
+``NotImplementedError`` bare, and the framework's ``_repro_Proxy``,
+``_repro_Redirector``, ``_repro_BatchingDispatchMixin``,
+``_repro_GenerationError`` and ``_repro_original`` under spellings an
+application cannot plausibly own (:func:`emit_module` imports them ``as``
+those names).  ``_repro_original(class, member)`` is the original function of
+a member whose source cannot be rewritten; it is installed as it is.
 """
 
 from __future__ import annotations
 
 import ast
+import re
 from typing import Iterable, Mapping, Sequence
 
 from repro._errors import RewriteError
-from repro.core.classmodel import ClassModel
+from repro.core.classmodel import ClassModel, MethodModel
 from repro.core.interfaces import (
     InterfaceModel,
     MethodSignature,
@@ -37,27 +53,63 @@ from repro.core.interfaces import (
     instance_local_name,
     instance_proxy_name,
     object_factory_name,
+    redirector_name,
     setter_name,
 )
-from repro.core.rewriter import (
-    rewrite_constructor_to_init,
-    rewrite_expression,
-    rewrite_method,
-)
+from repro.core.rewriter import rewrite_constructor_to_init, rewrite_expression, rewrite_method
 
 _INDENT = "    "
+_NO_SOURCE = "# original source unavailable"
 
 
-def _format_parameters(signature: MethodSignature, with_self: bool = True) -> str:
-    names = (["self"] if with_self else []) + list(signature.parameter_names)
-    return ", ".join(names)
+class _Scope:
+    """What the emitters that rewrite member bodies work in — and where they
+    leave the rewritten text per member (the constructor under ``"__init__"``,
+    the static initialisers under ``"<clinit>"``)."""
+
+    def __init__(
+        self, model: ClassModel, transformed: Iterable[str], universe: Mapping[str, ClassModel]
+    ) -> None:
+        self.model = model
+        self.transformed = frozenset(transformed)
+        self.universe = universe
+        self.rewritten: dict[str, str] = {}
 
 
-def _indent(source: str, levels: int = 1) -> str:
-    prefix = _INDENT * levels
-    return "\n".join(
-        prefix + line if line.strip() else line for line in source.splitlines()
-    )
+def _indent(source: str) -> str:
+    return "\n".join(_INDENT + line if line.strip() else line for line in source.splitlines())
+
+
+def _class(
+    name: str, bases: str, doc: str, attributes: Mapping[str, object], members: Iterable[str]
+) -> str:
+    """One ``class`` statement: docstring, class attributes, then the members."""
+    body = [f'"""{doc}"""', ""]
+    body.extend(f"{key} = {value!r}" for key, value in attributes.items())
+    for member in members:
+        body.extend(("", member))
+    head = f"class {name}({bases}):" if bases else f"class {name}:"
+    return head + "\n" + _indent("\n".join(body)) + "\n"
+
+
+def _forward(signature: MethodSignature, body: str, decorator: str = "") -> str:
+    """An interface-shaped method; ``{member}``, ``{args}`` and ``{tuple}`` (the
+    arguments as a tuple display) are filled into its one-line ``body``."""
+    names = signature.parameter_names
+    args = ", ".join(names)
+    body = body.format(member=repr(signature.name), args=args, tuple=f"({args}{',' * bool(names)})")
+    return f"{decorator}def {signature.name}({', '.join(('self', *names))}):\n{_INDENT}{body}"
+
+
+def _metadata(model: ClassModel, interface: InterfaceModel, role: str, **more: object) -> dict:
+    """The ``_repro_*`` class attributes the runtime, persistence, policy and
+    tooling layers read off implementations, proxies and handles."""
+    return {
+        "_repro_class_name": model.name,
+        "_repro_interface_name": interface.name,
+        "_repro_role": role,
+        **more,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -66,22 +118,17 @@ def _indent(source: str, levels: int = 1) -> str:
 
 def emit_interface(interface: InterfaceModel) -> str:
     """Emit the abstract interface class for ``interface`` as Python source."""
-    lines = [
-        f"class {interface.name}(abc.ABC):",
-        _INDENT
-        + f'"""Extracted {interface.kind} interface of class {interface.source_class}."""',
-        "",
-    ]
-    if not interface.methods:
-        lines.append(_INDENT + "pass")
-    for signature in interface.methods:
-        lines.append(_INDENT + "@abc.abstractmethod")
-        lines.append(
-            _INDENT + f"def {signature.name}({_format_parameters(signature)}):"
-        )
-        lines.append(_INDENT * 2 + "...")
-        lines.append("")
-    return "\n".join(lines).rstrip() + "\n"
+    return _class(
+        interface.name,
+        "abc.ABC",
+        f"Extracted {interface.kind} interface of class {interface.source_class}.",
+        {
+            "_repro_interface_name": interface.name,
+            "_repro_source_class": interface.source_class,
+            "_repro_kind": interface.kind,
+        },
+        (_forward(signature, "...", "@abc.abstractmethod\n") for signature in interface.methods),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -95,31 +142,7 @@ def emit_local(
     universe: Mapping[str, ClassModel],
 ) -> str:
     """Emit ``A_O_Local`` as Python source (paper Figure 3, lower half)."""
-    name = instance_local_name(model.name)
-    field_names = [f.name for f in model.instance_fields]
-    lines = [
-        f"class {name}({interface.name}):",
-        _INDENT + f'"""Local (non-remote) implementation of {interface.name}."""',
-        "",
-        _INDENT + "def __init__(self):",
-    ]
-    if field_names:
-        lines.extend(_INDENT * 2 + f"self._{field_name} = None" for field_name in field_names)
-    else:
-        lines.append(_INDENT * 2 + "pass")
-    lines.append("")
-    for field_name in field_names:
-        lines.append(_INDENT + f"def {getter_name(field_name)}(self):")
-        lines.append(_INDENT * 2 + f"return self._{field_name}")
-        lines.append("")
-        lines.append(_INDENT + f"def {setter_name(field_name)}(self, {field_name}):")
-        lines.append(_INDENT * 2 + f"self._{field_name} = {field_name}")
-        lines.append("")
-    for method in model.instance_methods:
-        source = _method_source(model, method, transformed_names, universe, force_instance=False)
-        lines.append(_indent(source))
-        lines.append("")
-    return "\n".join(lines).rstrip() + "\n"
+    return _local(_Scope(model, transformed_names, universe), interface, singleton=False)
 
 
 def emit_class_local(
@@ -129,66 +152,94 @@ def emit_class_local(
     universe: Mapping[str, ClassModel],
 ) -> str:
     """Emit ``A_C_Local`` as Python source (paper Figure 4, upper half)."""
-    name = class_local_name(model.name)
-    field_names = [f.name for f in model.static_fields]
-    lines = [
-        f"class {name}({interface.name}):",
-        _INDENT
-        + f'"""Singleton implementation of the static members of {model.name}."""',
-        "",
-        _INDENT + "_me = None",
-        "",
-        _INDENT + "def __init__(self):",
-    ]
-    if field_names:
-        lines.extend(_INDENT * 2 + f"self._{field_name} = None" for field_name in field_names)
-    else:
-        lines.append(_INDENT * 2 + "pass")
-    lines.append("")
-    for field_name in field_names:
-        lines.append(_INDENT + f"def {getter_name(field_name)}(self):")
-        lines.append(_INDENT * 2 + f"return self._{field_name}")
-        lines.append("")
-        lines.append(_INDENT + f"def {setter_name(field_name)}(self, {field_name}):")
-        lines.append(_INDENT * 2 + f"self._{field_name} = {field_name}")
-        lines.append("")
-    for method in model.static_methods:
-        source = _method_source(model, method, transformed_names, universe, force_instance=True)
-        lines.append(_indent(source))
-        lines.append("")
-    lines.append(_INDENT + "# singleton declarations")
-    lines.append(_INDENT + "@classmethod")
-    lines.append(_INDENT + "def get_me(cls):")
-    lines.append(_INDENT * 2 + "if cls._me is None:")
-    lines.append(_INDENT * 3 + "cls._me = cls()")
-    lines.append(_INDENT * 2 + "return cls._me")
-    return "\n".join(lines).rstrip() + "\n"
+    return _local(_Scope(model, transformed_names, universe), interface, singleton=True)
 
 
-def _method_source(
-    model: ClassModel,
-    method,
-    transformed_names: Iterable[str],
-    universe: Mapping[str, ClassModel],
-    *,
-    force_instance: bool,
-) -> str:
-    try:
-        return rewrite_method(
-            method, model, transformed_names, universe, force_instance=force_instance
+def _local(scope: _Scope, interface: InterfaceModel, *, singleton: bool) -> str:
+    """The one body of both locals: ``fields → __init__ + get/set + property``,
+    then the methods (the former statics, when ``singleton``)."""
+    model = scope.model
+    fields = [f.name for f in (model.static_fields if singleton else model.instance_fields)]
+    # The parameter-less constructor: the original constructor functionality
+    # lives in the object factory (paper §2.1).
+    slots = "".join(f"\n{_INDENT}self._{name} = None" for name in fields)
+    members = ["def __init__(self):" + (slots or f"\n{_INDENT}pass")]
+    for name in fields:
+        getter, setter = getter_name(name), setter_name(name)
+        members.append(f"def {getter}(self):\n{_INDENT}return self._{name}")
+        members.append(f"def {setter}(self, {name}):\n{_INDENT}self._{name} = {name}")
+        # The property keeps un-rewritten code (members whose source was not
+        # available) working while still routing access through the accessors.
+        members.append(f"{name} = property({getter}, {setter})")
+    for method in model.static_methods if singleton else model.instance_methods:
+        members.append(_member(scope, method, force_instance=singleton))
+    # Getters and @cacheable members, as core.interfaces.cacheable_members reads them.
+    cacheable = interface.cacheable_method_names()
+    if not singleton:
+        return _class(
+            instance_local_name(model.name),
+            interface.name,
+            f"Local (non-remote) implementation of {interface.name}.",
+            _metadata(model, interface, "local", _repro_cacheable_members=cacheable),
+            members,
         )
-    except RewriteError:
-        params = ", ".join(["self"] + list(method.parameter_names))
+    members.append(
+        "# singleton declarations\n"
+        "@classmethod\n"
+        "def get_me(cls):\n"
+        f"{_INDENT}if cls._me is None:\n"
+        f"{_INDENT * 2}cls._me = cls()\n"
+        f"{_INDENT}return cls._me"
+    )
+    return _class(
+        class_local_name(model.name),
+        interface.name,
+        f"Singleton implementation of the static members of {model.name}.",
+        _metadata(model, interface, "class-local", _repro_cacheable_members=cacheable, _me=None),
+        members,
+    )
+
+
+def _member(scope: _Scope, method: MethodModel, *, force_instance: bool) -> str:
+    """The rewritten method — or, when its source cannot be rewritten (none,
+    native, :class:`RewriteError`), one line installing the original function."""
+    model = scope.model
+    if not method.is_native:
+        try:
+            # ``new_name``: an alias (``total = _get_total``) must define its own name.
+            source = scope.rewritten[method.name] = rewrite_method(
+                method, model, scope.transformed, scope.universe,
+                new_name=method.name, force_instance=force_instance,
+            )
+            return source
+        except RewriteError:
+            pass
+    if method.func is None:
         return (
-            f"def {method.name}({params}):\n"
-            f"{_INDENT}raise NotImplementedError(  # original source unavailable\n"
-            f"{_INDENT}    {model.name + '.' + method.name!r})"
+            f"def {method.name}(self, *args, **kwargs):\n"
+            f"{_INDENT}raise NotImplementedError({model.name + '.' + method.name!r})  {_NO_SOURCE}"
         )
+    original = f"_repro_original({model.name!r}, {method.name!r})"
+    if force_instance:
+        # A former static has no receiver parameter: the singleton must not pass one.
+        original = f"staticmethod({original})"
+    return f"{method.name} = {original}  {_NO_SOURCE}"
 
 
 # ---------------------------------------------------------------------------
-# Proxies
+# Proxies and redirectors
 # ---------------------------------------------------------------------------
+
+def _proxy(
+    name: str, base: str, doc: str, role: str,
+    model: ClassModel, interface: InterfaceModel, transport: str, members: Iterable[str],
+) -> str:
+    cacheable = interface.cacheable_method_names()
+    attributes = _metadata(
+        model, interface, role, _repro_transport=transport, _repro_cacheable_members=cacheable
+    )
+    return _class(name, f"{base}, {interface.name}", doc, attributes, members)
+
 
 def emit_proxy(
     model: ClassModel,
@@ -197,36 +248,24 @@ def emit_proxy(
     *,
     kind: str = "instance",
 ) -> str:
-    """Emit a proxy class for one transport (paper Figure 3/4, proxy parts)."""
-    if kind == "instance":
-        name = instance_proxy_name(model.name, transport)
-    else:
-        name = class_proxy_name(model.name, transport)
-    lines = [
-        f"class {name}({interface.name}):",
-        _INDENT
-        + f'"""These methods perform {transport.upper()} calls on the real remote object."""',
-        "",
-        _INDENT + "def __init__(self, ref=None, space=None):",
-        _INDENT * 2 + f"# {transport.upper()}-specific initialisation",
-        _INDENT * 2 + "self._ref = ref",
-        _INDENT * 2 + "self._space = space",
-        "",
-    ]
-    for signature in interface.methods:
-        arguments = ", ".join(signature.parameter_names)
-        lines.append(_INDENT + f"def {signature.name}({_format_parameters(signature)}):")
-        lines.append(
-            _INDENT * 2
-            + "return self._space.invoke_remote("
-            + f"self._ref, {signature.name!r}, ({arguments}{',' if arguments else ''}), "
-            + "{}, "
-            + f"transport={transport!r})"
-        )
-        lines.append("")
-    if not interface.methods:
-        lines.append(_INDENT + "pass")
-    return "\n".join(lines).rstrip() + "\n"
+    """Emit a proxy class for one transport (paper Figure 3/4, proxy parts).
+
+    The constructor, ``bind`` and ``remote_reference`` do not vary by class or
+    transport and are inherited from :class:`~repro.core.metaobject.Proxy`.
+    """
+    name = instance_proxy_name if kind == "instance" else class_proxy_name
+    call = (
+        "return self._space.invoke_remote("
+        f"self._ref, {{member}}, {{tuple}}, {{{{}}}}, transport={transport!r})"
+    )
+    members = [f"# {transport.upper()}-specific initialisation happens on binding (_repro_Proxy)"]
+    members.extend(_forward(signature, call) for signature in interface.methods)
+    return _proxy(
+        name(model.name, transport),
+        "_repro_Proxy",
+        f"These methods perform {transport.upper()} calls on the real remote object.",
+        "proxy", model, interface, transport, members,
+    )
 
 
 def emit_batch_proxy(
@@ -239,116 +278,133 @@ def emit_batch_proxy(
     """Emit the batching-aware proxy for one transport.
 
     Where the plain proxy performs one round trip per method call, this
-    variant buffers calls into batch windows and returns futures — the
-    generated analogue of wrapping a proxy in a ``BatchingProxy``, made
-    native so no manual wrapping is needed.  The buffering machinery itself
-    lives in :class:`~repro.runtime.batching.BatchingDispatchMixin`; the
-    emitted class contains only the interface-shaped enqueue methods (plus
-    the cacheability metadata ``enable_caching`` consumes).  ``kind`` picks
-    ``A_O_BatchProxy_<T>`` (instance members) or ``A_C_BatchProxy_<T>``
-    (static members routed through the same batch/cache-aware path).
+    variant buffers calls into batch windows and returns futures.  The
+    machinery (constructor, ``bind``, ``flush``, ``attach``, ``enable_caching``)
+    is :class:`~repro.runtime.batching.BatchingDispatchMixin`; the emitted class
+    holds only the interface-shaped enqueue methods, the transport the mixin
+    ships over and the cacheability metadata ``enable_caching`` consumes.
+    ``kind`` picks ``A_O_BatchProxy_<T>`` (instance members) or
+    ``A_C_BatchProxy_<T>`` (static members through the same path).
     """
-    # Kept in sync with the live generator: the mixin's control-plane names
-    # must not be shadowed by interface methods (see BATCH_PROXY_RESERVED).
+    # Imported here, not at module top: repro.core is pulled in by the runtime
+    # layer's own imports, so a top-level import of the runtime would be cyclic.
     from repro.runtime.batching import BATCH_PROXY_RESERVED
 
-    if kind == "instance":
-        name = instance_batch_proxy_name(model.name, transport)
-    else:
-        name = class_batch_proxy_name(model.name, transport)
-    lines = [
-        f"class {name}(BatchingDispatchMixin, {interface.name}):",
-        _INDENT
-        + f'"""These methods buffer {transport.upper()} calls into batches; '
-        'each returns a future."""',
-        "",
-        # The mixin reads the transport off the class, exactly like the live
-        # generated artifact — without it, batches would silently ship over
-        # the space's default transport.
-        _INDENT + f"_repro_transport = {transport!r}",
-        _INDENT + '_repro_role = "batch-proxy"',
-        _INDENT
-        + f"_repro_cacheable_members = {interface.cacheable_method_names()!r}",
-        "",
-        _INDENT + "def __init__(self, ref=None, space=None, max_batch=32):",
-        _INDENT * 2 + "self._ref = ref",
-        _INDENT * 2 + "self._space = space",
-        _INDENT * 2 + "self._max_batch = max_batch",
-        _INDENT * 2 + "self._batcher = None",
-        _INDENT * 2 + "self._engine = None",
-        "",
-        _INDENT + "def bind(self, ref, space):",
-        _INDENT * 2 + "# ship anything still buffered for the previous binding",
-        _INDENT * 2 + "self._discard_batcher()",
-        _INDENT * 2 + "self._ref = ref",
-        _INDENT * 2 + "self._space = space",
-        _INDENT * 2 + "return self",
-        "",
-        _INDENT + "def remote_reference(self):",
-        _INDENT * 2 + "return self._ref",
-        "",
-    ]
+    name = instance_batch_proxy_name if kind == "instance" else class_batch_proxy_name
+    members = []
     for signature in interface.methods:
         if signature.name in BATCH_PROXY_RESERVED:
-            lines.append(
-                _INDENT + f"# {signature.name}: name reserved by the batching "
-                "control plane; call _enqueue"
+            # The control plane must win: a proxy whose flush() buffered a
+            # remote "flush" instead of shipping the window would silently
+            # break batching.
+            members.append(
+                f"# {signature.name}: name reserved by the batching control plane; call\n"
+                f"#   _enqueue({signature.name!r}, (...)) to reach the remote member."
             )
-            lines.append(
-                _INDENT + f"#   ({signature.name!r}, (...)) to reach the remote member."
-            )
-            lines.append("")
-            continue
-        arguments = ", ".join(signature.parameter_names)
-        lines.append(_INDENT + f"def {signature.name}({_format_parameters(signature)}):")
-        lines.append(
-            _INDENT * 2
-            + f"return self._enqueue({signature.name!r}, "
-            + f"({arguments}{',' if arguments else ''}))"
-        )
-        lines.append("")
-    return "\n".join(lines).rstrip() + "\n"
+        else:
+            members.append(_forward(signature, "return self._enqueue({member}, {tuple})"))
+    return _proxy(
+        name(model.name, transport),
+        "_repro_BatchingDispatchMixin",
+        f"These methods buffer {transport.upper()} calls into batches; each returns a future.",
+        "batch-proxy", model, interface, transport, members,
+    )
+
+
+def emit_redirector(model: ClassModel, interface: InterfaceModel) -> str:
+    """Emit ``A_O_Redirector``: the rebindable handle implementing ``A_O_Int``.
+
+    Every member delegates through the handle's metaobject, so the underlying
+    implementation (local or remote) can be exchanged at run time.
+    """
+    invoke = "return self.__meta__.invoke({member}"
+    return _class(
+        redirector_name(model.name),
+        f"_repro_Redirector, {interface.name}",
+        f"Rebindable handle for {interface.name}: delegates through its metaobject.",
+        _metadata(model, interface, "redirector"),
+        (
+            _forward(signature, invoke + (", {args})" if signature.parameters else ")"))
+            for signature in interface.methods
+        ),
+    )
 
 
 # ---------------------------------------------------------------------------
 # Factories
 # ---------------------------------------------------------------------------
 
+def _factory(name: str, doc: str, role: str, model: ClassModel, members: Iterable[str]) -> str:
+    attributes = {
+        "_repro_class_name": model.name,
+        "_repro_role": role,
+        # Bound by the generator once the class exists: the application owns
+        # the policy, so the factories delegate their choice to it.
+        "_repro_application": None,
+    }
+    return _class(name, "", doc, attributes, members)
+
+
+def _delegate(operation: str, backend: str, comment: str, model: ClassModel) -> str:
+    """``make`` / ``discover``: the implementation-aware operations, answered
+    by the application the factory is bound to."""
+    return (
+        "@classmethod\n"
+        f"def {operation}(cls):\n"
+        f"{_INDENT}# {comment}\n"
+        f"{_INDENT}if cls._repro_application is None:\n"
+        f"{_INDENT * 2}raise _repro_GenerationError(\n"
+        f"{_INDENT * 3}f'factory {{cls.__name__}} is not bound to an application')\n"
+        f"{_INDENT}return cls._repro_application.{backend}({model.name!r})"
+    )
+
+
 def emit_object_factory(
     model: ClassModel,
     transformed_names: Iterable[str],
     universe: Mapping[str, ClassModel],
 ) -> str:
-    """Emit ``A_O_Factory`` as Python source (paper Figure 5, upper half)."""
-    name = object_factory_name(model.name)
-    lines = [
-        f"class {name}:",
-        _INDENT + f'"""Object factory for {model.name}."""',
-        "",
-        _INDENT + "@classmethod",
-        _INDENT + "def make(cls):",
-        _INDENT * 2 + "# the policy determines which implementation of "
-        + instance_interface_name(model.name)
-        + " is used",
-        _INDENT * 2 + "return cls._application._make_instance(" + repr(model.name) + ")",
-        "",
-    ]
-    if model.constructors and model.constructors[0].source is not None:
+    """Emit ``A_O_Factory`` as Python source (paper Figure 5, upper half).
+
+    ``make`` is the only implementation-aware object-creation operation,
+    ``init`` replays the original constructor on an interface-typed instance
+    and ``create`` composes the two — the rewritten form of ``A(...)``.
+    """
+    return _object_factory(_Scope(model, transformed_names, universe))
+
+
+def _object_factory(scope: _Scope) -> str:
+    model = scope.model
+    init = f"def init(that, *args, **kwargs):\n{_INDENT}pass"
+    if model.constructors:
+        constructor = model.constructors[0]
         try:
-            init_source = rewrite_constructor_to_init(
-                model.constructors[0], model, transformed_names, universe
+            init = scope.rewritten["__init__"] = rewrite_constructor_to_init(
+                constructor, model, scope.transformed, scope.universe
             )
-            lines.append(_INDENT + "@staticmethod")
-            lines.append(_indent(init_source))
-            lines.append("")
         except RewriteError:
-            pass
-    lines.append(_INDENT + "@classmethod")
-    lines.append(_INDENT + "def create(cls, *args):")
-    lines.append(_INDENT * 2 + "that = cls.make()")
-    lines.append(_INDENT * 2 + "cls.init(that, *args)")
-    lines.append(_INDENT * 2 + "return that")
-    return "\n".join(lines).rstrip() + "\n"
+            if constructor.func is not None:
+                init = (
+                    f"def init(that, *args, **kwargs):\n{_INDENT}_repro_original"
+                    f"({model.name!r}, '__init__')(that, *args, **kwargs)  {_NO_SOURCE}"
+                )
+    members = [
+        _delegate(
+            "make",
+            "_make_instance",
+            "the policy determines which implementation of "
+            f"{instance_interface_name(model.name)} is used",
+            model,
+        ),
+        "@staticmethod\n" + init,
+        "@classmethod\n"
+        "def create(cls, *args, **kwargs):\n"
+        f"{_INDENT}that = cls.make()\n"
+        f"{_INDENT}cls.init(that, *args, **kwargs)\n"
+        f"{_INDENT}return that",
+    ]
+    doc = f"Object factory for {model.name}."
+    return _factory(object_factory_name(model.name), doc, "object-factory", model, members)
 
 
 def emit_class_factory(
@@ -358,80 +414,63 @@ def emit_class_factory(
 ) -> str:
     """Emit ``A_C_Factory`` as Python source (paper Figure 5, lower half).
 
-    Static initialisers whose value is a constructor call of a transformed
-    class are emitted in the paper's two-step form::
+    ``discover`` returns the implementation of the static members — the local
+    singleton or a proxy to a remote one, as dictated by policy — and
+    ``clinit`` replays the original static initialisers on it.  Those whose
+    value is a constructor call of a transformed class are emitted in the
+    paper's two-step form::
 
         t = Z_O_Factory.make()
         Z_O_Factory.init(t, ...)
         that.set_z(t)
     """
+    return _class_factory(_Scope(model, transformed_names, universe))
 
-    name = class_factory_name(model.name)
-    transformed = set(transformed_names)
-    lines = [
-        f"class {name}:",
-        _INDENT + f'"""Class (static members) factory for {model.name}."""',
-        "",
-        _INDENT + "@classmethod",
-        _INDENT + "def discover(cls):",
-        _INDENT * 2 + "# obtain the singleton implementing the static members",
-        _INDENT * 2 + "return cls._application._discover_class(" + repr(model.name) + ")",
-        "",
-        _INDENT + "@staticmethod",
-        _INDENT + "def clinit(that):",
+
+def _class_factory(scope: _Scope) -> str:
+    model = scope.model
+    initialisers = [
+        (static_field.name, static_field.initializer_source)
+        for static_field in model.static_fields
+        if static_field.initializer_source is not None
     ]
+    # Figure 5's temporary — unless an initialiser already means something by ``t``.
+    temp = "t"
+    while any(re.search(rf"\b{temp}\b", source) for _, source in initialisers):
+        temp += "_"
     body: list[str] = []
-    for static_field in model.static_fields:
-        initializer = static_field.initializer_source
-        if initializer is None:
-            continue
-        body.extend(
-            _emit_static_initializer(model, static_field.name, initializer, transformed, universe)
-        )
-    if not body:
-        body.append("pass")
-    lines.extend(_INDENT * 2 + line for line in body)
-    return "\n".join(lines).rstrip() + "\n"
+    for name, source in initialisers:
+        body.extend(_static_initializer(scope, name, source, temp))
+    clinit = "def clinit(that):" + "".join(f"\n{_INDENT}{line}" for line in body or ["pass"])
+    scope.rewritten["<clinit>"] = clinit + "\n"
+    discover = _delegate(
+        "discover", "_discover_class", "obtain the singleton implementing the static members", model
+    )
+    doc = f"Class (static members) factory for {model.name}."
+    members = [discover, "@staticmethod\n" + clinit]
+    return _factory(class_factory_name(model.name), doc, "class-factory", model, members)
 
 
-def _emit_static_initializer(
-    model: ClassModel,
-    field_name: str,
-    initializer: str,
-    transformed: set[str],
-    universe: Mapping[str, ClassModel],
-) -> list[str]:
+def _static_initializer(scope: _Scope, field_name: str, initializer: str, t: str) -> list[str]:
+    """The ``clinit`` lines replaying one static initialiser; ``t`` names the temporary."""
+    setter = f"that.{setter_name(field_name)}"
     try:
-        expression = ast.parse(initializer, mode="eval").body
-    except SyntaxError:
-        return [f"that.{setter_name(field_name)}({initializer})"]
-    if (
-        isinstance(expression, ast.Call)
-        and isinstance(expression.func, ast.Name)
-        and expression.func.id in transformed
-    ):
-        constructed = expression.func.id
-        rewritten_args = []
-        for argument in expression.args:
-            argument_source = ast.unparse(argument)
-            try:
-                rewritten_args.append(
-                    rewrite_expression(argument_source, model, transformed, universe)
-                )
-            except RewriteError:
-                rewritten_args.append(argument_source)
-        factory = object_factory_name(constructed)
-        init_arguments = ", ".join(["t"] + rewritten_args)
-        return [
-            f"t = {factory}.make()",
-            f"{factory}.init({init_arguments})",
-            f"that.{setter_name(field_name)}(t)",
-        ]
-    try:
-        rewritten = rewrite_expression(initializer, model, transformed, universe)
+        rewritten = rewrite_expression(initializer, scope.model, scope.transformed, scope.universe)
     except RewriteError:
-        rewritten = initializer
-    return [f"that.{setter_name(field_name)}({rewritten})"]
+        return [f"{setter}({initializer})"]
+    original = ast.parse(initializer, mode="eval").body
+    if not (
+        isinstance(original, ast.Call)
+        and isinstance(original.func, ast.Name)
+        and original.func.id in scope.transformed
+    ):
+        return [f"{setter}({rewritten})"]
+    # ``Z(...)`` became ``Z_O_Factory.create(...)``: split it into the paper's two
+    # steps, every argument travelling — positional, *starred, keyword, **mapping.
+    call = ast.parse(rewritten, mode="eval").body
+    factory = object_factory_name(original.func.id)
+    arguments = [t, *(ast.unparse(node) for node in (*call.args, *call.keywords))]
+    return [f"{t} = {factory}.make()", f"{factory}.init({', '.join(arguments)})", f"{setter}({t})"]
 
 
 # ---------------------------------------------------------------------------
@@ -447,39 +486,52 @@ def emit_class_artifacts(
     """Emit the source of every artifact generated for ``model``.
 
     Returns a mapping from artifact name (e.g. ``"X_O_Int"``) to its source
-    text.  This is the complete analogue of the paper's Figures 3–5 for an
-    arbitrary input class.
+    text, each interface before the classes that name it.  This is the complete
+    analogue of the paper's Figures 3–5 for an arbitrary input class.
     """
-
     transformed = set(transformed_names) | {model.name}
     instance_interface = extract_instance_interface(model, transformed)
     class_interface = extract_class_interface(model, transformed)
+    return emit_artifacts(
+        model, instance_interface, class_interface, transformed, universe, transports
+    )[0]
+
+
+def emit_artifacts(
+    model: ClassModel,
+    instance_interface: InterfaceModel,
+    class_interface: InterfaceModel,
+    transformed: Iterable[str],
+    universe: Mapping[str, ClassModel],
+    transports: Sequence[str],
+) -> tuple[dict[str, str], dict[str, str]]:
+    """:func:`emit_class_artifacts` for the transformer, which already holds the
+    two interfaces: returns the sources and, beside them, the rewritten text
+    per member as the emitters produced it (there is no second rewrite)."""
+    name, scope = model.name, _Scope(model, transformed, universe)
     sources: dict[str, str] = {
         instance_interface.name: emit_interface(instance_interface),
-        instance_local_name(model.name): emit_local(
-            model, instance_interface, transformed, universe
-        ),
+        instance_local_name(name): _local(scope, instance_interface, singleton=False),
         class_interface.name: emit_interface(class_interface),
-        class_local_name(model.name): emit_class_local(
-            model, class_interface, transformed, universe
-        ),
-        object_factory_name(model.name): emit_object_factory(model, transformed, universe),
-        class_factory_name(model.name): emit_class_factory(model, transformed, universe),
+        class_local_name(name): _local(scope, class_interface, singleton=True),
+        redirector_name(name): emit_redirector(model, instance_interface),
+        object_factory_name(name): _object_factory(scope),
+        class_factory_name(name): _class_factory(scope),
     }
     for transport in transports:
-        sources[instance_proxy_name(model.name, transport)] = emit_proxy(
-            model, instance_interface, transport, kind="instance"
-        )
-        sources[class_proxy_name(model.name, transport)] = emit_proxy(
-            model, class_interface, transport, kind="class"
-        )
-        sources[instance_batch_proxy_name(model.name, transport)] = emit_batch_proxy(
+        sources[instance_proxy_name(name, transport)] = emit_proxy(
             model, instance_interface, transport
         )
-        sources[class_batch_proxy_name(model.name, transport)] = emit_batch_proxy(
+        sources[class_proxy_name(name, transport)] = emit_proxy(
             model, class_interface, transport, kind="class"
         )
-    return sources
+        sources[instance_batch_proxy_name(name, transport)] = emit_batch_proxy(
+            model, instance_interface, transport
+        )
+        sources[class_batch_proxy_name(name, transport)] = emit_batch_proxy(
+            model, class_interface, transport, kind="class"
+        )
+    return sources, scope.rewritten
 
 
 def emit_module(
@@ -488,11 +540,21 @@ def emit_module(
     universe: Mapping[str, ClassModel],
     transports: Sequence[str] = ("soap", "rmi"),
 ) -> str:
-    """Emit a single module containing every artifact for ``model``."""
+    """Emit a single module containing every artifact for ``model``.
+
+    The header binds the names the text relies on; ``_repro_original`` has no
+    import — it stands for functions whose source does not exist — and is
+    supplied by whoever executes the module (the generator seeds it).
+    """
     sources = emit_class_artifacts(model, transformed_names, universe, transports)
     header = (
-        '"""Artifacts generated by the RAFDA transformation for class '
-        f'{model.name}."""\n\nimport abc\n\n'
-        "from repro.runtime.batching import BatchingDispatchMixin\n\n\n"
+        f'"""Artifacts generated by the RAFDA transformation for class {model.name}."""\n\n'
+        "from __future__ import annotations\n\n"
+        "import abc\n\n"
+        "from repro._errors import GenerationError as _repro_GenerationError\n"
+        "from repro.core.metaobject import Proxy as _repro_Proxy\n"
+        "from repro.core.metaobject import Redirector as _repro_Redirector\n"
+        "from repro.runtime.batching import BatchingDispatchMixin as _repro_BatchingDispatchMixin\n"
+        "\n\n"
     )
-    return header + "\n\n".join(sources[name] for name in sources)
+    return header + "\n\n".join(sources.values())

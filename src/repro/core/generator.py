@@ -1,56 +1,52 @@
-"""Generation of the live classes that implement the extracted interfaces.
+"""Loading the generated artifacts: the emitted listing is the program.
 
-For every substitutable class ``A`` the generator produces (paper §2):
+:mod:`repro.core.codegen` is the single implementation of the transformation's
+output — the Python text of ``A_O_Int``, ``A_O_Local``, ``A_O_Proxy_<T>``,
+``A_O_Redirector``, ``A_O_Factory`` and their ``_C_`` counterparts (paper §2,
+Figures 3–5).  This module makes that text live and does nothing else:
 
-* ``A_O_Int`` / ``A_C_Int``    — abstract interface classes,
-* ``A_O_Local`` / ``A_C_Local`` — the non-remote implementations (the class
-  local is a singleton),
-* ``A_O_Proxy_<T>`` / ``A_C_Proxy_<T>`` — one proxy per transport, whose
-  methods forward invocations to a remote object through the distributed
-  object layer,
-* ``A_O_Redirector``           — the rebindable handle used for dynamic
-  distribution (backed by a :class:`~repro.core.metaobject.Metaobject`), and
-* ``A_O_Factory`` / ``A_C_Factory`` — the factories containing the only
-  implementation-aware operations: object creation (``make``/``init``) and
-  class-singleton discovery (``discover``/``clinit``).
-
-Method bodies of the generated local implementations are produced by the AST
-rewriter so that they use accessors, factories and interface types only; when
-no source is available the original functions are installed unchanged (the
-accessor properties keep them working).
+* :func:`seed_namespace` puts the handful of names the text relies on into the
+  registry's shared namespace, next to the globals of the application's own
+  modules (which rewritten method bodies refer to),
+* :func:`load` executes the text, one ``class`` statement per artifact, in
+  that namespace — so a method of ``X`` can call ``Y_O_Factory.create(...)``
+  although ``Y``'s artifacts are loaded after ``X``'s, and
+* :func:`collect` picks the classes up by name into a :class:`ClassArtifacts`
+  and binds the two factories to the application that owns the policy.
 """
 
 from __future__ import annotations
 
 import abc
+import sys
 from dataclasses import dataclass, field as dataclass_field
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
-from repro._errors import GenerationError, RewriteError
+from repro._errors import GenerationError
 from repro.core.classmodel import ClassModel
 from repro.core.interfaces import (
-    CACHEABLE_ATTR,
     InterfaceModel,
-    MethodSignature,
     class_batch_proxy_name,
     class_factory_name,
     class_local_name,
     class_proxy_name,
-    getter_name,
     instance_batch_proxy_name,
     instance_local_name,
     instance_proxy_name,
-    is_cacheable,
     object_factory_name,
     redirector_name,
-    setter_name,
 )
-from repro.core.metaobject import Redirector
-from repro.core.rewriter import (
-    rewrite_constructor_to_init,
-    rewrite_expression,
-    rewrite_method,
-)
+from repro.core.metaobject import Proxy, Redirector
+
+#: What the generated text uses bare.  An application module that rebinds one
+#: of these names to something else cannot share a namespace with it.
+_BARE_NAMES: Mapping[str, Any] = {
+    "abc": abc,
+    "property": property,
+    "staticmethod": staticmethod,
+    "classmethod": classmethod,
+    "NotImplementedError": NotImplementedError,
+}
 
 
 @dataclass
@@ -59,21 +55,18 @@ class GenerationContext:
 
     #: Names of every class selected for transformation.
     transformed_names: frozenset[str]
-    #: Class models by name (for static member lookups during rewriting).
+    #: Class models by name (for static member lookups during rewriting, and
+    #: for ``_repro_original`` when the text installs an original function).
     universe: Mapping[str, ClassModel]
     #: Transport names for which proxy classes are generated.
     transport_names: Sequence[str]
     #: The shared exec namespace; rewritten method bodies resolve factory and
     #: interface names through it, so artifacts become visible to previously
-    #: compiled methods as soon as they are registered.
+    #: loaded methods as soon as their text has run.
     namespace: dict[str, Any]
     #: The application object that owns policy and runtime bindings; factories
     #: delegate their implementation choice to it.
     application: Any = None
-
-    def register(self, name: str, value: Any) -> Any:
-        self.namespace[name] = value
-        return value
 
 
 @dataclass
@@ -99,7 +92,9 @@ class ClassArtifacts:
     class_batch_proxies: dict[str, type] = dataclass_field(default_factory=dict)
     object_factory: type = None
     class_factory: type = None
-    #: Rewritten source text per member, kept for inspection and codegen.
+    #: The text that was executed, by artifact name — the listing of Figures 3–5.
+    sources: dict[str, str] = dataclass_field(default_factory=dict)
+    #: Rewritten source text per member, as the emitters produced it.
     rewritten_sources: dict[str, str] = dataclass_field(default_factory=dict)
 
     @property
@@ -108,13 +103,7 @@ class ClassArtifacts:
 
     def proxy_for(self, transport: str, kind: str = "instance") -> type:
         table = self.instance_proxies if kind == "instance" else self.class_proxies
-        try:
-            return table[transport]
-        except KeyError as exc:
-            raise GenerationError(
-                f"no {kind} proxy generated for class {self.class_name!r} "
-                f"and transport {transport!r}"
-            ) from exc
+        return self._generated(table, transport, f"{kind} proxy")
 
     def batch_proxy_for(self, transport: str, kind: str = "instance") -> type:
         """The generated batching-aware proxy class for one transport.
@@ -125,578 +114,90 @@ class ClassArtifacts:
         instance calls.
         """
         table = self.batch_proxies if kind == "instance" else self.class_batch_proxies
+        return self._generated(table, transport, f"{kind} batch proxy")
+
+    def _generated(self, table: dict[str, type], transport: str, what: str) -> type:
         try:
             return table[transport]
         except KeyError as exc:
             raise GenerationError(
-                f"no {kind} batch proxy generated for class {self.class_name!r} "
-                f"and transport {transport!r}"
+                f"no {what} generated for class {self.class_name!r} and transport {transport!r}"
             ) from exc
 
 
-# ---------------------------------------------------------------------------
-# Helpers for building functions with explicit signatures
-# ---------------------------------------------------------------------------
+def seed_namespace(ctx: GenerationContext, models: Iterable[ClassModel]) -> None:
+    """Put into ``ctx.namespace`` what the generated text resolves there.
 
-def _compile_function(source: str, namespace: dict[str, Any], name: str) -> Callable:
-    """Compile ``source`` (a single function definition) against ``namespace``."""
-    local_ns: dict[str, Any] = {}
-    try:
-        exec(compile(source, f"<repro-generated {name}>", "exec"), namespace, local_ns)
-    except SyntaxError as exc:  # pragma: no cover - defensive
-        raise GenerationError(f"generated source for {name} does not compile: {exc}") from exc
-    try:
-        return local_ns[name]
-    except KeyError as exc:  # pragma: no cover - defensive
-        raise GenerationError(f"generated source for {name} defines no such function") from exc
-
-
-def _signature_params(signature: MethodSignature, with_self: bool = True) -> str:
-    names = (["self"] if with_self else []) + list(signature.parameter_names)
-    return ", ".join(names)
-
-
-def _forwarding_args(signature: MethodSignature) -> str:
-    return ", ".join(signature.parameter_names)
-
-
-# ---------------------------------------------------------------------------
-# Interfaces
-# ---------------------------------------------------------------------------
-
-def generate_interface_class(interface: InterfaceModel, ctx: GenerationContext) -> type:
-    """Create the abstract interface class for an :class:`InterfaceModel`."""
-    namespace: dict[str, Any] = {
-        "__doc__": (
-            f"Extracted {interface.kind} interface of class "
-            f"{interface.source_class!r} (generated)."
-        ),
-        "_repro_interface_name": interface.name,
-        "_repro_source_class": interface.source_class,
-        "_repro_kind": interface.kind,
-    }
-    for signature in interface.methods:
-        source = (
-            f"def {signature.name}({_signature_params(signature)}):\n"
-            f"    raise NotImplementedError({signature.name!r})\n"
-        )
-        function = _compile_function(source, ctx.namespace, signature.name)
-        namespace[signature.name] = abc.abstractmethod(function)
-    cls = abc.ABCMeta(interface.name, (), namespace)
-    return ctx.register(interface.name, cls)
-
-
-# ---------------------------------------------------------------------------
-# Local implementations
-# ---------------------------------------------------------------------------
-
-def generate_local_class(
-    model: ClassModel,
-    interface: InterfaceModel,
-    interface_cls: type,
-    ctx: GenerationContext,
-    artifacts: ClassArtifacts,
-) -> type:
-    """Create ``A_O_Local``: the non-remote implementation of ``A_O_Int``."""
-    name = instance_local_name(model.name)
-    namespace: dict[str, Any] = {
-        "__doc__": f"Local (non-remote) implementation of {interface.name} (generated).",
-        "_repro_class_name": model.name,
-        "_repro_interface_name": interface.name,
-        "_repro_role": "local",
-    }
-
-    field_names = [f.name for f in model.instance_fields]
-
-    # Default, parameter-less constructor: the original constructor
-    # functionality lives in the object factory (paper §2.1).
-    init_source = "def __init__(self):\n"
-    if field_names:
-        for field_name in field_names:
-            init_source += f"    self._{field_name} = None\n"
-    else:
-        init_source += "    pass\n"
-    namespace["__init__"] = _compile_function(init_source, ctx.namespace, "__init__")
-
-    # Accessor pair + property per field: every attribute becomes a property.
-    for field_name in field_names:
-        get_src = f"def {getter_name(field_name)}(self):\n    return self._{field_name}\n"
-        set_src = (
-            f"def {setter_name(field_name)}(self, {field_name}):\n"
-            f"    self._{field_name} = {field_name}\n"
-        )
-        getter = _compile_function(get_src, ctx.namespace, getter_name(field_name))
-        setter = _compile_function(set_src, ctx.namespace, setter_name(field_name))
-        # Field getters are side-effect-free by construction: result caches
-        # may serve them, and dispatching one never triggers invalidation.
-        setattr(getter, CACHEABLE_ATTR, True)
-        namespace[getter_name(field_name)] = getter
-        namespace[setter_name(field_name)] = setter
-        # The property keeps un-rewritten code (methods whose source was not
-        # available) working while still routing access through the accessors.
-        namespace[field_name] = property(getter, setter)
-
-    # Instance methods: rewritten when source is available.
-    for method in model.instance_methods:
-        function = _rewritten_or_original(
-            method, model, ctx, artifacts, force_instance=False
-        )
-        namespace[method.name] = function
-
-    cls = type(interface_cls)(name, (interface_cls,), namespace)
-    return ctx.register(name, cls)
-
-
-def generate_class_local(
-    model: ClassModel,
-    interface: InterfaceModel,
-    interface_cls: type,
-    ctx: GenerationContext,
-    artifacts: ClassArtifacts,
-) -> type:
-    """Create ``A_C_Local``: the singleton implementing the static members."""
-    name = class_local_name(model.name)
-    namespace: dict[str, Any] = {
-        "__doc__": (
-            f"Singleton implementation of the static members of {model.name!r} "
-            "(generated)."
-        ),
-        "_repro_class_name": model.name,
-        "_repro_interface_name": interface.name,
-        "_repro_role": "class-local",
-        "_repro_singleton": None,
-    }
-
-    field_names = [f.name for f in model.static_fields]
-
-    init_source = "def __init__(self):\n"
-    if field_names:
-        for field_name in field_names:
-            init_source += f"    self._{field_name} = None\n"
-    else:
-        init_source += "    pass\n"
-    namespace["__init__"] = _compile_function(init_source, ctx.namespace, "__init__")
-
-    for field_name in field_names:
-        get_src = f"def {getter_name(field_name)}(self):\n    return self._{field_name}\n"
-        set_src = (
-            f"def {setter_name(field_name)}(self, {field_name}):\n"
-            f"    self._{field_name} = {field_name}\n"
-        )
-        getter = _compile_function(get_src, ctx.namespace, getter_name(field_name))
-        setter = _compile_function(set_src, ctx.namespace, setter_name(field_name))
-        setattr(getter, CACHEABLE_ATTR, True)
-        namespace[getter_name(field_name)] = getter
-        namespace[setter_name(field_name)] = setter
-        namespace[field_name] = property(getter, setter)
-
-    # Former static methods become instance methods of the singleton.
-    for method in model.static_methods:
-        function = _rewritten_or_original(
-            method, model, ctx, artifacts, force_instance=True
-        )
-        namespace[method.name] = function
-
-    def get_me(cls):
-        """Return the unique instance of this class-local implementation."""
-        if cls._repro_singleton is None:
-            cls._repro_singleton = cls()
-        return cls._repro_singleton
-
-    namespace["get_me"] = classmethod(get_me)
-
-    cls = type(interface_cls)(name, (interface_cls,), namespace)
-    return ctx.register(name, cls)
-
-
-def _rewritten_or_original(
-    method,
-    model: ClassModel,
-    ctx: GenerationContext,
-    artifacts: ClassArtifacts,
-    *,
-    force_instance: bool,
-) -> Callable:
-    """Rewrite a method body if possible, otherwise reuse the original function.
-
-    ``@cacheable`` markers survive the rewrite: the recompiled function is
-    re-marked when the original carried the marker, so cacheability metadata
-    reaches the generated local implementations (and, through them, the
-    owning address space's invalidation bookkeeping).
+    First the framework's own names, spelt ``_repro_*`` so that an application
+    class called ``Proxy`` keeps working; then, without overriding them, the
+    globals of the original modules, which rewritten bodies refer to.  A module
+    global that rebinds one of :data:`_BARE_NAMES` would be picked up by the
+    generated text instead of the builtin — refused by name, never executed.
     """
-    if method.source is not None and not method.is_native:
-        try:
-            rewritten = rewrite_method(
-                method,
-                model,
-                ctx.transformed_names,
-                ctx.universe,
-                force_instance=force_instance,
-            )
-            artifacts.rewritten_sources[method.name] = rewritten
-            compiled = _compile_function(rewritten, ctx.namespace, method.name)
-            if is_cacheable(method.func):
-                setattr(compiled, CACHEABLE_ATTR, True)
-            return compiled
-        except RewriteError:
-            pass
-    if method.func is not None:
-        if force_instance:
-            # The original static function has no receiver parameter; adapt it
-            # so it can serve as an instance method of the class-local
-            # singleton when no source is available for rewriting.
-            original = method.func
+    # Imported here, not at module top: repro.core is pulled in by the runtime
+    # layer's own imports, so a top-level import of the runtime would be cyclic.
+    from repro.runtime.batching import BatchingDispatchMixin
 
-            def adapted(self, *args, **kwargs):  # noqa: ANN001 - generated shim
-                return original(*args, **kwargs)
+    universe = ctx.universe
 
-            adapted.__name__ = method.name
-            if is_cacheable(original):
-                setattr(adapted, CACHEABLE_ATTR, True)
-            return adapted
-        return method.func
-    # No source and no function: generate a stub that raises.
-    stub_source = (
-        f"def {method.name}(self, *args, **kwargs):\n"
-        f"    raise NotImplementedError({model.name + '.' + method.name!r})\n"
+    def original(class_name: str, member: str) -> Callable:
+        """The original function of a member whose source cannot be rewritten."""
+        model = universe[class_name]
+        if member == "__init__":
+            return model.constructors[0].func
+        return model.get_method(member).func
+
+    ctx.namespace.update(
+        abc=abc,
+        _repro_Proxy=Proxy,
+        _repro_Redirector=Redirector,
+        _repro_BatchingDispatchMixin=BatchingDispatchMixin,
+        _repro_GenerationError=GenerationError,
+        _repro_original=original,
     )
-    return _compile_function(stub_source, ctx.namespace, method.name)
-
-
-# ---------------------------------------------------------------------------
-# Proxies
-# ---------------------------------------------------------------------------
-
-def generate_proxy_class(
-    model: ClassModel,
-    interface: InterfaceModel,
-    interface_cls: type,
-    transport_name: str,
-    ctx: GenerationContext,
-    *,
-    kind: str = "instance",
-) -> type:
-    """Create ``A_O_Proxy_<T>`` (or ``A_C_Proxy_<T>``) for one transport.
-
-    A proxy instance is bound to a remote reference and an address space;
-    every interface method marshals its arguments and performs the call on
-    the real remote object through the named transport.
-    """
-
-    if kind == "instance":
-        name = instance_proxy_name(model.name, transport_name)
-    else:
-        name = class_proxy_name(model.name, transport_name)
-
-    namespace: dict[str, Any] = {
-        "__doc__": (
-            f"{transport_name.upper()} proxy for {interface.name}; forwards every "
-            "member invocation to the real remote object (generated)."
-        ),
-        "_repro_class_name": model.name,
-        "_repro_interface_name": interface.name,
-        "_repro_role": "proxy",
-        "_repro_transport": transport_name,
-        "_repro_cacheable_members": interface.cacheable_method_names(),
-    }
-
-    def __init__(self, ref=None, space=None):
-        # Transport-specific initialisation happens when the proxy is bound.
-        self._ref = ref
-        self._space = space
-
-    def bind(self, ref, space):
-        """Bind this proxy to a remote reference and the local address space."""
-        self._ref = ref
-        self._space = space
-        return self
-
-    def remote_reference(self):
-        """The remote reference this proxy forwards to."""
-        return self._ref
-
-    namespace["__init__"] = __init__
-    namespace["bind"] = bind
-    namespace["remote_reference"] = remote_reference
-
-    for signature in interface.methods:
-        source = (
-            f"def {signature.name}({_signature_params(signature)}):\n"
-            f"    return self._space.invoke_remote(\n"
-            f"        self._ref, {signature.name!r}, ({_forwarding_args(signature)}"
-            f"{',' if signature.parameter_names else ''}), {{}},\n"
-            f"        transport={transport_name!r})\n"
-        )
-        namespace[signature.name] = _compile_function(source, ctx.namespace, signature.name)
-
-    cls = type(interface_cls)(name, (interface_cls,), namespace)
-    return ctx.register(name, cls)
-
-
-def generate_batch_proxy_class(
-    model: ClassModel,
-    interface: InterfaceModel,
-    interface_cls: type,
-    transport_name: str,
-    ctx: GenerationContext,
-    *,
-    kind: str = "instance",
-) -> type:
-    """Create ``A_O_BatchProxy_<T>`` (or ``A_C_BatchProxy_<T>``): the
-    batching/pipelining-aware proxy.
-
-    Unlike ``A_O_Proxy_<T>``, whose every method performs one synchronous
-    round trip, the batch proxy's methods *buffer* their calls (via
-    :class:`~repro.runtime.batching.BatchingDispatchMixin`) and return
-    :class:`~repro.runtime.pipelining.InvocationFuture` placeholders — the
-    buffered window ships as one batch message when it fills, on ``flush()``,
-    or when a future's ``result()`` is demanded.  ``attach(engine)`` plugs in
-    a pipeline scheduler so the same proxy streams its calls through an
-    asynchronous in-flight window instead, and ``enable_caching(cache)``
-    serves the interface's cacheable members (``_repro_cacheable_members``,
-    emitted below) from a client-side result cache.  ``kind="class"``
-    produces the static-member variant, so class singleton calls route
-    through the same batch/cache-aware path as instance calls.
-    """
-
-    # Imported here, not at module top: repro.core.generator is pulled in by
-    # the repro.core package __init__, which the runtime layer's own imports
-    # trigger — a top-level import of the runtime from here would be cyclic.
-    from repro.runtime.batching import BATCH_PROXY_RESERVED, BatchingDispatchMixin
-
-    if kind == "instance":
-        name = instance_batch_proxy_name(model.name, transport_name)
-    else:
-        name = class_batch_proxy_name(model.name, transport_name)
-    namespace: dict[str, Any] = {
-        "__doc__": (
-            f"Batching {transport_name.upper()} proxy for {interface.name}; every "
-            "member invocation buffers into a batch window and returns a future "
-            "(generated)."
-        ),
-        "_repro_class_name": model.name,
-        "_repro_interface_name": interface.name,
-        "_repro_role": "batch-proxy",
-        "_repro_transport": transport_name,
-        "_repro_cacheable_members": interface.cacheable_method_names(),
-    }
-
-    def __init__(self, ref=None, space=None, max_batch=32):
-        # The buffer is built lazily on the first call, so an unbound proxy
-        # costs nothing; rebinding resets it.
-        self._ref = ref
-        self._space = space
-        self._max_batch = max_batch
-        self._batcher = None
-        self._engine = None
-
-    def bind(self, ref, space):
-        """Bind this proxy to a remote reference and the local address space.
-
-        Anything still buffered for the previous binding ships first, so a
-        rebind never strands unresolved futures.
-        """
-        self._discard_batcher()
-        self._ref = ref
-        self._space = space
-        return self
-
-    def remote_reference(self):
-        """The remote reference this proxy forwards to."""
-        return self._ref
-
-    namespace["__init__"] = __init__
-    namespace["bind"] = bind
-    namespace["remote_reference"] = remote_reference
-
-    for signature in interface.methods:
-        if signature.name in BATCH_PROXY_RESERVED:
-            # The control plane must win: a proxy whose flush() buffered a
-            # remote "flush" instead of shipping the window would silently
-            # break batching.  The remote member stays reachable through
-            # _enqueue(name, args).
+    for model in models:
+        module = sys.modules.get(getattr(model.python_class, "__module__", None))
+        if module is None:
             continue
-        source = (
-            f"def {signature.name}({_signature_params(signature)}):\n"
-            f"    return self._enqueue({signature.name!r}, "
-            f"({_forwarding_args(signature)}"
-            f"{',' if signature.parameter_names else ''}))\n"
-        )
-        namespace[signature.name] = _compile_function(source, ctx.namespace, signature.name)
-
-    cls = type(interface_cls)(name, (BatchingDispatchMixin, interface_cls), namespace)
-    return ctx.register(name, cls)
-
-
-# ---------------------------------------------------------------------------
-# Redirectors (rebindable handles for dynamic distribution)
-# ---------------------------------------------------------------------------
-
-def generate_redirector_class(
-    model: ClassModel,
-    interface: InterfaceModel,
-    interface_cls: type,
-    ctx: GenerationContext,
-) -> type:
-    """Create the rebindable handle class implementing ``A_O_Int``."""
-    name = redirector_name(model.name)
-    namespace: dict[str, Any] = {
-        "__doc__": (
-            f"Rebindable handle for {interface.name}: delegates every member "
-            "through its metaobject so the underlying implementation (local or "
-            "remote) can be exchanged at run time (generated)."
-        ),
-        "_repro_class_name": model.name,
-        "_repro_interface_name": interface.name,
-        "_repro_role": "redirector",
-    }
-    for signature in interface.methods:
-        args = _forwarding_args(signature)
-        source = (
-            f"def {signature.name}({_signature_params(signature)}):\n"
-            f"    return self.__meta__.invoke({signature.name!r}"
-            f"{', ' + args if args else ''})\n"
-        )
-        namespace[signature.name] = _compile_function(source, ctx.namespace, signature.name)
-
-    cls = type(interface_cls)(name, (Redirector, interface_cls), namespace)
-    return ctx.register(name, cls)
-
-
-# ---------------------------------------------------------------------------
-# Factories
-# ---------------------------------------------------------------------------
-
-def generate_object_factory(
-    model: ClassModel,
-    interface: InterfaceModel,
-    ctx: GenerationContext,
-    artifacts: ClassArtifacts,
-) -> type:
-    """Create ``A_O_Factory`` with ``make``, ``init`` and ``create``.
-
-    ``make`` is the only implementation-aware object-creation operation: it
-    asks the owning application (which holds the distribution policy) which
-    implementation of ``A_O_Int`` to instantiate and where.  ``init`` replays
-    the original constructor functionality on an interface-typed instance.
-    ``create`` is the composition of the two, used by rewritten call sites.
-    """
-
-    name = object_factory_name(model.name)
-    class_name = model.name
-
-    namespace: dict[str, Any] = {
-        "__doc__": f"Object factory for {model.name!r} (generated).",
-        "_repro_class_name": class_name,
-        "_repro_role": "object-factory",
-        "_repro_application": ctx.application,
-    }
-
-    def make(cls):
-        """Create an uninitialised implementation chosen by the policy."""
-        application = cls._repro_application
-        if application is None:
-            raise GenerationError(
-                f"factory {cls.__name__} is not bound to an application"
-            )
-        return application._make_instance(cls._repro_class_name)
-
-    namespace["make"] = classmethod(make)
-
-    # init: the original constructor functionality, adapted to take the object
-    # to initialise as an extra parameter.
-    init_function = None
-    if model.constructors:
-        constructor = model.constructors[0]
-        if constructor.source is not None:
-            try:
-                rewritten = rewrite_constructor_to_init(
-                    constructor, model, ctx.transformed_names, ctx.universe
+        for name, value in vars(module).items():
+            if _BARE_NAMES.get(name, value) is not value:
+                raise GenerationError(
+                    f"module {module.__name__!r} rebinds {name!r}, which the generated "
+                    f"code of {model.name!r} uses as the builtin; rename the global"
                 )
-                artifacts.rewritten_sources["__init__"] = rewritten
-                init_function = _compile_function(rewritten, ctx.namespace, "init")
-            except RewriteError:
-                init_function = None
-        if init_function is None and constructor.func is not None:
-            original = constructor.func
-
-            def init_function(that, *args, **kwargs):  # type: ignore[misc]
-                original(that, *args, **kwargs)
-
-    if init_function is None:
-        def init_function(that, *args, **kwargs):  # type: ignore[misc]
-            return None
-
-    namespace["init"] = staticmethod(init_function)
-
-    def create(cls, *args, **kwargs):
-        """``make`` followed by ``init``: the rewritten form of ``A(...)``."""
-        that = cls.make()
-        cls.init(that, *args, **kwargs)
-        return that
-
-    namespace["create"] = classmethod(create)
-
-    cls = type(name, (), namespace)
-    return ctx.register(name, cls)
+            ctx.namespace.setdefault(name, value)
 
 
-def generate_class_factory(
-    model: ClassModel,
-    interface: InterfaceModel,
-    ctx: GenerationContext,
-    artifacts: ClassArtifacts,
-) -> type:
-    """Create ``A_C_Factory`` with ``discover`` and ``clinit``.
+def load(ctx: GenerationContext, artifacts: ClassArtifacts, names: Iterable[str]) -> None:
+    """Execute the emitted text of the named artifacts in the shared namespace.
 
-    ``discover`` returns the implementation of the static members — the local
-    singleton or a proxy to a remote one, as dictated by policy.  ``clinit``
-    replays the original static initialisers on that implementation.
+    ``compile`` inherits this module's ``from __future__ import annotations``,
+    so a rewritten ``def init(that, y: Y_O_Int)`` never evaluates its
+    annotation; base classes are evaluated, hence interfaces load first.
     """
-
-    name = class_factory_name(model.name)
-    class_name = model.name
-
-    namespace: dict[str, Any] = {
-        "__doc__": f"Class (static members) factory for {model.name!r} (generated).",
-        "_repro_class_name": class_name,
-        "_repro_role": "class-factory",
-        "_repro_application": ctx.application,
-    }
-
-    def discover(cls):
-        """Obtain the implementation of this class's static members."""
-        application = cls._repro_application
-        if application is None:
-            raise GenerationError(
-                f"factory {cls.__name__} is not bound to an application"
-            )
-        return application._discover_class(cls._repro_class_name)
-
-    namespace["discover"] = classmethod(discover)
-
-    # clinit: replay static initialisers through accessors on the singleton.
-    clinit_lines = ["def clinit(that):"]
-    body_written = False
-    for static_field in model.static_fields:
-        if static_field.initializer_source is None:
-            continue
+    for name in names:
         try:
-            expression = rewrite_expression(
-                static_field.initializer_source,
-                model,
-                ctx.transformed_names,
-                ctx.universe,
-            )
-        except RewriteError:
-            expression = static_field.initializer_source
-        clinit_lines.append(f"    that.{setter_name(static_field.name)}({expression})")
-        body_written = True
-    if not body_written:
-        clinit_lines.append("    pass")
-    clinit_source = "\n".join(clinit_lines) + "\n"
-    artifacts.rewritten_sources["<clinit>"] = clinit_source
-    namespace["clinit"] = staticmethod(_compile_function(clinit_source, ctx.namespace, "clinit"))
+            code = compile(artifacts.sources[name], f"<repro-generated {name}>", "exec")
+        except SyntaxError as exc:  # pragma: no cover - defensive
+            raise GenerationError(f"generated source for {name} does not compile: {exc}") from exc
+        exec(code, ctx.namespace)
 
-    cls = type(name, (), namespace)
-    return ctx.register(name, cls)
+
+def collect(ctx: GenerationContext, artifacts: ClassArtifacts) -> None:
+    """Fill ``artifacts`` with the loaded classes, looked up by name, and bind
+    the factories to the application they delegate to."""
+    loaded, name = ctx.namespace, artifacts.class_name
+    artifacts.instance_interface_cls = loaded[artifacts.instance_interface.name]
+    artifacts.class_interface_cls = loaded[artifacts.class_interface.name]
+    artifacts.local_cls = loaded[instance_local_name(name)]
+    artifacts.class_local_cls = loaded[class_local_name(name)]
+    artifacts.redirector_cls = loaded[redirector_name(name)]
+    for transport in ctx.transport_names:
+        artifacts.instance_proxies[transport] = loaded[instance_proxy_name(name, transport)]
+        artifacts.class_proxies[transport] = loaded[class_proxy_name(name, transport)]
+        artifacts.batch_proxies[transport] = loaded[instance_batch_proxy_name(name, transport)]
+        artifacts.class_batch_proxies[transport] = loaded[class_batch_proxy_name(name, transport)]
+    artifacts.object_factory = loaded[object_factory_name(name)]
+    artifacts.class_factory = loaded[class_factory_name(name)]
+    artifacts.object_factory._repro_application = ctx.application
+    artifacts.class_factory._repro_application = ctx.application

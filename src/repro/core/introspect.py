@@ -33,6 +33,7 @@ from repro.core.classmodel import (
     ParameterModel,
     TypeRef,
     Visibility,
+    mangle,
 )
 
 #: Attribute set on functions marked as native (not inspectable / rewritable).
@@ -269,6 +270,9 @@ def class_model_from_python(cls: type) -> ClassModel:
     )
     parameter_types = {parameter.name: parameter.type for parameter in constructor_parameters}
     for field_name in _instance_fields_from_constructor(constructor_source):
+        # The source is parsed outside its class body: ``self.__count`` is
+        # the attribute ``_Counter__count`` in the running program.
+        field_name = mangle(cls.__name__, field_name)
         if field_name in seen_fields:
             continue
         model.add_field(

@@ -14,8 +14,9 @@ factory is backed by a :class:`Metaobject` which
   without invalidating the references other objects hold.
 
 The :class:`Redirector` is the interface-typed handle whose members all
-delegate through its metaobject; the generator emits one redirector subclass
-per extracted interface so handles introspect with the correct methods.
+delegate through its metaobject; the transformation emits one redirector
+subclass per extracted interface so handles introspect with the correct
+methods.  :class:`Proxy` is the corresponding base of the generated proxies.
 """
 
 from __future__ import annotations
@@ -254,13 +255,13 @@ class Metaobject:
 class Redirector:
     """Interface-typed handle delegating every member through a metaobject.
 
-    The generator derives one concrete subclass per extracted interface with
+    The transformation emits one concrete subclass per extracted interface with
     explicit methods; this base class provides the shared machinery and a
     ``__getattr__`` fallback so that even members not present on the
     generated subclass still reach the metaobject.
     """
 
-    #: Filled in by the generator on each derived class.
+    #: Set by the emitted text of each derived class.
     _repro_interface_name: Optional[str] = None
 
     def __init__(self, metaobject: Metaobject) -> None:
@@ -287,6 +288,26 @@ class Redirector:
             f"<Redirector {self._repro_interface_name or '?'} -> "
             f"{meta.kind}@{meta.node_id or 'here'}>"
         )
+
+
+class Proxy:
+    """What every generated ``A_O_Proxy_<T>`` / ``A_C_Proxy_<T>`` inherits: its
+    binding to a remote reference and the address space it calls from, which
+    varies neither by class nor by transport (so it is not emitted per proxy)."""
+
+    def __init__(self, ref: Any = None, space: Any = None) -> None:
+        self._ref = ref
+        self._space = space
+
+    def bind(self, ref: Any, space: Any) -> "Proxy":
+        """Bind this proxy to a remote reference and the local address space."""
+        self._ref = ref
+        self._space = space
+        return self
+
+    def remote_reference(self) -> Any:
+        """The remote reference this proxy forwards to."""
+        return self._ref
 
 
 def metaobject_of(handle: Any) -> Optional[Metaobject]:

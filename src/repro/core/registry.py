@@ -6,11 +6,12 @@ redirector and factories) and provides the reverse lookups the runtime needs:
 from an interface name back to the owning class (used when a remote reference
 arrives over the wire and a proxy has to be manufactured for it).
 
-The registry also owns the shared *namespace* dictionary into which every
-generated artifact is published; rewritten method bodies are compiled against
-this namespace, which is how a method of class ``X`` can call
-``Y_O_Factory.create(...)`` even though ``Y``'s artifacts were generated
-after ``X``'s.
+The registry also owns the shared *namespace* dictionary in which the text of
+every generated artifact is executed (:mod:`repro.core.generator`): each
+``class`` statement binds its name there and rewritten method bodies resolve
+their globals there, which is how a method of class ``X`` can call
+``Y_O_Factory.create(...)`` even though ``Y``'s artifacts were loaded after
+``X``'s.
 """
 
 from __future__ import annotations

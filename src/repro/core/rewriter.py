@@ -11,14 +11,15 @@ rewriting method and constructor bodies so that
   factory's ``make`` and ``init`` methods),
 * access to static members goes through the class-factory singleton
   (``Y.K`` → ``Y_C_Factory.discover().get_K()``,
-  ``Y.p(i)`` → ``Y_C_Factory.discover().p(i)``), and
+  ``Y.p(i)`` → ``Y_C_Factory.discover().p(i)``),
 * type annotations naming transformed classes are adapted to the
-  corresponding instance interfaces (``Y`` → ``Y_O_Int``).
+  corresponding instance interfaces (``Y`` → ``Y_O_Int``), and
+* private names are spelt as the original class body mangled them
+  (``self.__n`` → ``self._Owner__n``), because the code leaves that class.
 
-The same rewriter serves two purposes: the *live* path compiles the rewritten
-source into functions installed on generated ``*_O_Local``/``*_C_Local``
-classes, and the *codegen* path (:mod:`repro.core.codegen`) emits the
-rewritten source as text — the analogue of the paper's Figures 3–5 listings.
+The rewriter serves one purpose: :mod:`repro.core.codegen` places the text it
+returns in the bodies of the emitted ``*_O_Local``/``*_C_Local`` classes and
+factories — the paper's Figures 3–5 listings, which are also what executes.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
 from repro._errors import RewriteError
-from repro.core.classmodel import ClassModel, ConstructorModel, MethodModel
+from repro.core.classmodel import ClassModel, ConstructorModel, MethodModel, mangle
 from repro.core.interfaces import (
     class_factory_name,
     getter_name,
@@ -73,24 +74,25 @@ class RewriteContext:
 
 
 class _AccessRewriter(ast.NodeTransformer):
-    """The AST transformer implementing the four rewrite rules."""
+    """The AST transformer implementing the rewrite rules."""
 
     def __init__(self, context: RewriteContext) -> None:
         self.context = context
 
     # -- helpers --------------------------------------------------------------
 
+    def _mangle(self, name: str) -> str:
+        return mangle(self.context.owner.name, name)
+
     def _is_self(self, node: ast.expr) -> bool:
         return isinstance(node, ast.Name) and node.id == self.context.self_name
 
     def _self_field(self, node: ast.expr) -> Optional[str]:
         """Return the field name when ``node`` is ``self.<field>`` of the owner."""
-        if (
-            isinstance(node, ast.Attribute)
-            and self._is_self(node.value)
-            and node.attr in self.context.field_names
-        ):
-            return node.attr
+        if isinstance(node, ast.Attribute) and self._is_self(node.value):
+            name = self._mangle(node.attr)
+            if name in self.context.field_names:
+                return name
         return None
 
     def _static_target(self, node: ast.expr) -> Optional[tuple[str, str]]:
@@ -100,7 +102,7 @@ class _AccessRewriter(ast.NodeTransformer):
             and isinstance(node.value, ast.Name)
             and self.context.is_transformed(node.value.id)
         ):
-            return node.value.id, node.attr
+            return node.value.id, self._mangle(node.attr)
         return None
 
     @staticmethod
@@ -128,6 +130,7 @@ class _AccessRewriter(ast.NodeTransformer):
     # -- rule: field reads ------------------------------------------------------
 
     def visit_Attribute(self, node: ast.Attribute) -> ast.AST:
+        node.attr = self._mangle(node.attr)
         self.generic_visit(node)
         if not isinstance(node.ctx, ast.Load):
             return node
@@ -221,6 +224,17 @@ class _AccessRewriter(ast.NodeTransformer):
             node.func = ast.copy_location(self._attr(factory, "create"), node.func)
         return node
 
+    # -- rule: private names (the remaining node kinds a class body mangles) -----
+
+    def visit_Name(self, node: ast.Name) -> ast.AST:
+        node.id = self._mangle(node.id)
+        return node
+
+    def visit_keyword(self, node: ast.keyword) -> ast.AST:
+        if node.arg is not None:
+            node.arg = self._mangle(node.arg)
+        return self.generic_visit(node)
+
     # -- rule: adapted annotations ----------------------------------------------
 
     def _adapt_annotation(self, annotation: Optional[ast.expr]) -> Optional[ast.expr]:
@@ -238,10 +252,12 @@ class _AccessRewriter(ast.NodeTransformer):
         return annotation
 
     def visit_arg(self, node: ast.arg) -> ast.AST:
+        node.arg = self._mangle(node.arg)
         node.annotation = self._adapt_annotation(node.annotation)
         return node
 
     def visit_FunctionDef(self, node: ast.FunctionDef) -> ast.AST:
+        node.name = self._mangle(node.name)
         self.generic_visit(node)
         node.returns = self._adapt_annotation(node.returns)
         node.decorator_list = []

@@ -2,9 +2,11 @@
 
 :class:`ApplicationTransformer` takes a set of ordinary (non-distributed)
 Python classes, analyses which of them can be transformed, extracts the
-interfaces, generates the local implementations, proxies, redirectors and
-factories, and returns a :class:`TransformedApplication` — the componentised,
-semantically equivalent version of the original program (paper §4).
+interfaces, emits the local implementations, proxies, redirectors and
+factories as Python text (:mod:`repro.core.codegen`), executes that text
+(:mod:`repro.core.generator`) and returns a :class:`TransformedApplication` —
+the componentised, semantically equivalent version of the original program
+(paper §4).
 
 The transformed application can then be
 
@@ -19,7 +21,6 @@ The transformed application can then be
 
 from __future__ import annotations
 
-import sys
 from typing import Any, Iterable, Mapping, Optional, Sequence
 
 from repro._errors import TransformationError
@@ -29,14 +30,9 @@ from repro.core.classmodel import ClassModel, ClassUniverse
 from repro.core.generator import (
     ClassArtifacts,
     GenerationContext,
-    generate_batch_proxy_class,
-    generate_class_factory,
-    generate_class_local,
-    generate_interface_class,
-    generate_local_class,
-    generate_object_factory,
-    generate_proxy_class,
-    generate_redirector_class,
+    collect,
+    load,
+    seed_namespace,
 )
 from repro.core.interfaces import extract_class_interface, extract_instance_interface
 from repro.core.introspect import class_model_from_python
@@ -129,15 +125,24 @@ class TransformedApplication:
     def emit_sources(
         self, class_name: str, transports: Optional[Sequence[str]] = None
     ) -> dict[str, str]:
-        """Emit the generated artifacts of one class as Python source text."""
-        model = self.artifacts(class_name).model
-        universe = {artifact.class_name: artifact.model for artifact in self.registry}
-        return codegen.emit_class_artifacts(
-            model,
-            self.registry.class_names(),
-            universe,
-            transports or self.transport_names,
-        )
+        """The generated artifacts of one class as Python source text.
+
+        This is the text that was executed to create the live classes, not a
+        rendering of them; ``transports`` keeps only the named transports'
+        proxies and raises :class:`~repro.api.errors.GenerationError` for one
+        the application was not transformed with.
+        """
+        artifacts = self.artifacts(class_name)
+        if not transports:
+            return dict(artifacts.sources)
+        # An artifact that is bound to a transport stays when that one was asked for.
+        kept = {None, *(artifacts.proxy_for(name)._repro_transport for name in transports)}
+        loaded = self.registry.namespace
+        return {
+            name: source
+            for name, source in artifacts.sources.items()
+            if getattr(loaded[name], "_repro_transport", None) in kept
+        }
 
     # ------------------------------------------------------------------
     # Runtime binding
@@ -443,76 +448,43 @@ class ApplicationTransformer:
         application = TransformedApplication(
             registry, analysis, self.policy, self.transport_names
         )
-        namespace = registry.namespace
-        self._seed_namespace(namespace, models)
-
-        model_index = {model.name: model for model in models}
         context = GenerationContext(
             transformed_names=frozenset(substitutable),
-            universe=model_index,
+            universe={model.name: model for model in models},
             transport_names=self.transport_names,
-            namespace=namespace,
+            namespace=registry.namespace,
             application=application,
         )
+        seed_namespace(context, models)
 
-        # Pass 1: interfaces for every substitutable class (so that adapted
-        # annotations in rewritten bodies resolve during pass 2).
-        pending: list[ClassArtifacts] = []
+        # Pass 1: emit every class's artifacts and load the interfaces, so that
+        # the base classes and adapted annotations that the rest of the text
+        # names exist whatever the order of the classes.
+        pending: list[tuple[ClassArtifacts, list[str]]] = []
         for model in models:
             if model.name not in substitutable:
                 continue
-            instance_interface = extract_instance_interface(model, substitutable)
-            class_interface = extract_class_interface(model, substitutable)
             artifacts = ClassArtifacts(
                 model=model,
-                instance_interface=instance_interface,
-                class_interface=class_interface,
+                instance_interface=extract_instance_interface(model, substitutable),
+                class_interface=extract_class_interface(model, substitutable),
             )
-            artifacts.instance_interface_cls = generate_interface_class(
-                instance_interface, context
+            artifacts.sources, artifacts.rewritten_sources = codegen.emit_artifacts(
+                model,
+                artifacts.instance_interface,
+                artifacts.class_interface,
+                substitutable,
+                context.universe,
+                self.transport_names,
             )
-            artifacts.class_interface_cls = generate_interface_class(
-                class_interface, context
-            )
-            pending.append(artifacts)
+            interfaces = (artifacts.instance_interface.name, artifacts.class_interface.name)
+            load(context, artifacts, interfaces)
+            pending.append((artifacts, [n for n in artifacts.sources if n not in interfaces]))
 
         # Pass 2: implementations, proxies, redirectors and factories.
-        for artifacts in pending:
-            model = artifacts.model
-            artifacts.local_cls = generate_local_class(
-                model, artifacts.instance_interface, artifacts.instance_interface_cls,
-                context, artifacts,
-            )
-            artifacts.class_local_cls = generate_class_local(
-                model, artifacts.class_interface, artifacts.class_interface_cls,
-                context, artifacts,
-            )
-            artifacts.redirector_cls = generate_redirector_class(
-                model, artifacts.instance_interface, artifacts.instance_interface_cls, context
-            )
-            for transport in self.transport_names:
-                artifacts.instance_proxies[transport] = generate_proxy_class(
-                    model, artifacts.instance_interface, artifacts.instance_interface_cls,
-                    transport, context, kind="instance",
-                )
-                artifacts.class_proxies[transport] = generate_proxy_class(
-                    model, artifacts.class_interface, artifacts.class_interface_cls,
-                    transport, context, kind="class",
-                )
-                artifacts.batch_proxies[transport] = generate_batch_proxy_class(
-                    model, artifacts.instance_interface, artifacts.instance_interface_cls,
-                    transport, context,
-                )
-                artifacts.class_batch_proxies[transport] = generate_batch_proxy_class(
-                    model, artifacts.class_interface, artifacts.class_interface_cls,
-                    transport, context, kind="class",
-                )
-            artifacts.object_factory = generate_object_factory(
-                model, artifacts.instance_interface, context, artifacts
-            )
-            artifacts.class_factory = generate_class_factory(
-                model, artifacts.class_interface, context, artifacts
-            )
+        for artifacts, remaining in pending:
+            load(context, artifacts, remaining)
+            collect(context, artifacts)
             registry.register(artifacts)
 
         return application
@@ -528,19 +500,6 @@ class ApplicationTransformer:
         raise TransformationError(
             f"cannot transform {entry!r}: expected a class or a ClassModel"
         )
-
-    @staticmethod
-    def _seed_namespace(namespace: dict, models: Sequence[ClassModel]) -> None:
-        """Make the original modules' globals visible to rewritten bodies."""
-        for model in models:
-            cls = model.python_class
-            if cls is None:
-                continue
-            module = sys.modules.get(cls.__module__)
-            if module is None:
-                continue
-            for name, value in vars(module).items():
-                namespace.setdefault(name, value)
 
 
 def transform_application(

@@ -279,6 +279,30 @@ class BatchingDispatchMixin:
     instead of the proxy's own synchronous buffer.
     """
 
+    def __init__(self, ref: Any = None, space: Any = None, max_batch: int = 32) -> None:
+        # The buffer is built lazily on the first call, so an unbound proxy
+        # costs nothing; rebinding resets it.
+        self._ref = ref
+        self._space = space
+        self._max_batch = max_batch
+        self._batcher = None
+        self._engine = None
+
+    def bind(self, ref: Any, space: Any):
+        """Bind this proxy to a remote reference and the local address space.
+
+        Anything still buffered for the previous binding ships first, so a
+        rebind never strands unresolved futures.  Returns self.
+        """
+        self._discard_batcher()
+        self._ref = ref
+        self._space = space
+        return self
+
+    def remote_reference(self) -> Any:
+        """The remote reference this proxy forwards to."""
+        return self._ref
+
     def enable_caching(self, cache: Any, *, cacheable: Optional[Any] = None):
         """Serve repeated cacheable calls from ``cache`` instead of buffering.
 
@@ -326,9 +350,8 @@ class BatchingDispatchMixin:
         futures would silently never resolve unless each ``result()`` were
         demanded explicitly.
         """
-        batcher = getattr(self, "_batcher", None)
-        if batcher is not None and len(batcher):
-            batcher.flush()
+        if self._batcher is not None and len(self._batcher):
+            self._batcher.flush()
         self._batcher = None
 
     def attach(self, engine: Any):
@@ -372,30 +395,24 @@ class BatchingDispatchMixin:
 
     def _enqueue_uncached(self, member: str, args: tuple, kwargs: dict):
         """Buffer one call through the engine or the proxy's own window."""
-        engine = getattr(self, "_engine", None)
-        if engine is not None:
-            return engine.submit(self._ref, member, *args, **kwargs)
-        batcher = getattr(self, "_batcher", None)
-        if batcher is None:
-            batcher = BatchingProxy(
+        if self._engine is not None:
+            return self._engine.submit(self._ref, member, *args, **kwargs)
+        if self._batcher is None:
+            self._batcher = BatchingProxy(
                 self._ref,
                 space=self._space,
-                max_batch=getattr(self, "_max_batch", 32),
+                max_batch=self._max_batch,
                 transport=getattr(type(self), "_repro_transport", None),
             )
-            self._batcher = batcher
-        return batcher.call(member, *args, **kwargs)
+        return self._batcher.call(member, *args, **kwargs)
 
     def flush(self) -> None:
         """Ship every buffered call (own buffer or the attached engine's)."""
-        engine = getattr(self, "_engine", None)
-        if engine is not None and hasattr(engine, "flush"):
-            engine.flush()
-        batcher = getattr(self, "_batcher", None)
-        if batcher is not None:
-            batcher.flush()
+        if self._engine is not None and hasattr(self._engine, "flush"):
+            self._engine.flush()
+        if self._batcher is not None:
+            self._batcher.flush()
 
     def pending_batched_calls(self) -> int:
         """Calls buffered locally and not yet shipped (0 with an engine attached)."""
-        batcher = getattr(self, "_batcher", None)
-        return len(batcher) if batcher is not None else 0
+        return len(self._batcher) if self._batcher is not None else 0

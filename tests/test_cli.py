@@ -5,11 +5,14 @@ from __future__ import annotations
 import io
 import json
 import textwrap
+from pathlib import Path
 
 import pytest
 
 from repro.api.errors import ReproError
 from repro.cli import build_parser, load_classes_from_file, main
+from repro.core.transformer import ApplicationTransformer
+from repro.policy.policy import all_local_policy
 
 APP_SOURCE = textwrap.dedent(
     '''
@@ -106,6 +109,21 @@ class TestEmitCommand:
         assert code == 0
         assert "Ledger_O_Proxy_CORBA" in output
         assert "Ledger_O_Proxy_SOAP" not in output
+
+    def test_emit_prints_byte_for_byte_the_text_that_was_executed(self):
+        sample = Path(__file__).with_name("sample_app.py")
+        code, output = run_cli("emit", str(sample), "--cls", "X")
+        assert code == 0
+        app = ApplicationTransformer(all_local_policy(), transports=("soap", "rmi")).transform(
+            load_classes_from_file(sample)
+        )
+        executed = app.artifacts("X").sources
+        banner = "# " + "=" * 70 + "\n"
+        printed = {}
+        for section in output.split(banner + "# ")[1:]:
+            name, text = section.split("\n" + banner, 1)
+            printed[name] = text[:-1]  # print() appended one newline
+        assert printed == executed
 
     def test_emit_for_non_transformable_class_fails(self, app_file):
         code, output = run_cli("emit", str(app_file), "--cls", "NativeBridge")

@@ -54,10 +54,12 @@ class TestInterfaceEmission:
         assert "def p(self, i):" in source
 
     def test_empty_interface_emits_pass(self, universe):
+        """No ``pass`` is needed any more: the metadata attributes are the body."""
         interface = extract_class_interface(universe["Z"], TRANSFORMED)
         source = emit_interface(interface)
         _parses(source)
-        assert "pass" in source
+        assert "_repro_interface_name = 'Z_C_Int'" in source
+        assert "def " not in source
 
 
 class TestLocalEmission:
@@ -85,7 +87,7 @@ class TestProxyEmission:
         interface = extract_instance_interface(universe["X"], TRANSFORMED)
         source = emit_proxy(universe["X"], interface, "soap")
         _parses(source)
-        assert "class X_O_Proxy_SOAP(X_O_Int):" in source
+        assert "class X_O_Proxy_SOAP(_repro_Proxy, X_O_Int):" in source
         assert "SOAP-specific initialisation" in source
         assert "transport='soap'" in source
 
@@ -93,7 +95,7 @@ class TestProxyEmission:
         interface = extract_class_interface(universe["X"], TRANSFORMED)
         source = emit_proxy(universe["X"], interface, "rmi", kind="class")
         _parses(source)
-        assert "class X_C_Proxy_RMI(X_C_Int):" in source
+        assert "class X_C_Proxy_RMI(_repro_Proxy, X_C_Int):" in source
         assert "def p(self, i):" in source
 
 
@@ -105,7 +107,7 @@ class TestFactoryEmission:
         assert "def make(cls):" in source
         assert "def init(that, y" in source
         assert "that.set_y(y)" in source
-        assert "def create(cls, *args):" in source
+        assert "def create(cls, *args, **kwargs):" in source
 
     def test_class_factory_source_uses_two_step_initialisation(self, universe):
         source = emit_class_factory(universe["X"], TRANSFORMED, universe)
@@ -129,7 +131,7 @@ class TestWholeClassEmission:
         sources = emit_class_artifacts(universe["X"], TRANSFORMED, universe, ("soap", "rmi"))
         expected = {
             "X_O_Int", "X_O_Local", "X_C_Int", "X_C_Local",
-            "X_O_Factory", "X_C_Factory",
+            "X_O_Redirector", "X_O_Factory", "X_C_Factory",
             "X_O_Proxy_SOAP", "X_O_Proxy_RMI", "X_C_Proxy_SOAP", "X_C_Proxy_RMI",
             "X_O_BatchProxy_SOAP", "X_O_BatchProxy_RMI",
             "X_C_BatchProxy_SOAP", "X_C_BatchProxy_RMI",

@@ -73,8 +73,8 @@ class TestFigure3Local:
 
 class TestFigure3Proxies:
     def test_soap_and_rmi_proxies_are_emitted(self, sources):
-        assert "class X_O_Proxy_SOAP(X_O_Int):" in sources["X_O_Proxy_SOAP"]
-        assert "class X_O_Proxy_RMI(X_O_Int):" in sources["X_O_Proxy_RMI"]
+        assert "class X_O_Proxy_SOAP(_repro_Proxy, X_O_Int):" in sources["X_O_Proxy_SOAP"]
+        assert "class X_O_Proxy_RMI(_repro_Proxy, X_O_Int):" in sources["X_O_Proxy_RMI"]
 
     def test_proxy_methods_perform_remote_calls(self, sources):
         source = sources["X_O_Proxy_SOAP"]

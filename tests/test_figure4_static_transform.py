@@ -74,8 +74,8 @@ class TestFigure4Singleton:
 
 class TestFigure4Proxies:
     def test_class_proxies_are_emitted_per_transport(self, sources):
-        assert "class X_C_Proxy_SOAP(X_C_Int):" in sources["X_C_Proxy_SOAP"]
-        assert "class X_C_Proxy_RMI(X_C_Int):" in sources["X_C_Proxy_RMI"]
+        assert "class X_C_Proxy_SOAP(_repro_Proxy, X_C_Int):" in sources["X_C_Proxy_SOAP"]
+        assert "class X_C_Proxy_RMI(_repro_Proxy, X_C_Int):" in sources["X_C_Proxy_RMI"]
 
     def test_remote_statics_behave_like_local_statics(self):
         """The static singleton can itself live on a remote node."""
