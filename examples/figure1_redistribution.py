@@ -1,13 +1,16 @@
 """The paper's Figure 1 scenario, end to end.
 
 Objects of class A and class B hold references to a shared instance of class
-C.  The example runs the identical interaction sequence four ways:
+C.  The example runs the identical interaction sequence five ways:
 
 1. the original, untransformed classes;
 2. the transformed program in a single address space;
-3. the transformed program with C placed on a remote node behind a proxy; and
+3. the transformed program with C placed on a remote node behind a proxy;
 4. the transformed program where C starts local and is moved to the remote
-   node *while the program is running*.
+   node *while the program is running*; and
+5. the transformed program with C *adopted* by a session: replicated three
+   ways under a write quorum, its reads cached, every call traced — and the
+   primary crashed half-way through.  A, B and C are the same unedited classes.
 
 Run with:  python examples/figure1_redistribution.py
 """
@@ -15,6 +18,8 @@ Run with:  python examples/figure1_redistribution.py
 from __future__ import annotations
 
 from repro import ApplicationTransformer, Cluster, DistributionController
+from repro.api import ServicePolicy, Session
+from repro.observability import render_phase_table, slowest_traces
 from repro.policy import all_local_policy, local, place_classes_on
 from repro.workloads.figure1 import A, B, C, run_figure1_plain, run_figure1_scenario
 
@@ -74,6 +79,57 @@ def main() -> None:
     print()
     print("All four configurations observe the same totals:",
           oracle.total == shared.get_total())
+    print()
+    adopted_by_a_session(oracle)
+
+
+def adopted_by_a_session(oracle) -> None:
+    """The last act: the whole stack under the same program, through adoption."""
+    policy = all_local_policy()
+    policy.set_class("C", instances=local(dynamic=True))
+    app = ApplicationTransformer(policy).transform([A, B, C])
+    cluster = Cluster(("client", "s1", "s2", "s3"))
+    app.deploy(cluster, default_node="client")
+
+    shared = app.new("C", "shared")
+    holder_a = app.new("A", shared)
+    holder_b = app.new("B", shared)
+    session = Session(cluster, node="client")
+    service = session.service(
+        "shared",
+        ServicePolicy()
+        .with_replication(3, quorum=2, fencing=True)
+        .with_caching(lease_ms=50)
+        .with_tracing(1.0),
+        impl=shared,  # the handle A and B already hold: the session adopts it
+        node="s1",
+    )
+    midpoint = len(VALUES) // 2
+    for index, value in enumerate(VALUES):
+        if index == midpoint:
+            print(f"... crashing the primary (s1) after {midpoint} rounds ...")
+            cluster.network.failures.crash_node("s1")
+        holder_a.record(value)
+        holder_b.record(value)
+
+    total = shared.get_total()  # a miss, which fills the cache; the next read is a hit
+    outcome = (
+        shared.get_total(), shared.average(), shared.describe(),
+        holder_a.get_recorded(), holder_b.get_recorded(),
+    )
+    group = service.group
+    print(
+        f"{'transformed, C adopted':28s} total={total:<6} "
+        f"average={outcome[1]:<6.2f} primary={group.primary_node} epoch={group.epoch}"
+        f" cache hits={service.cache.hits} misses={service.cache.misses}"
+    )
+    print("Replicated, cached, traced and failed over, it still equals the original:",
+          outcome == oracle.as_tuple())
+    collector = session.tracer().collector
+    (slowest,) = slowest_traces(collector, 1)
+    print(f"{len(collector.roots())} calls traced; the slowest:")
+    print(render_phase_table(collector, slowest.trace_id))
+    session.dismantle()
 
 
 if __name__ == "__main__":

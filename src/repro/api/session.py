@@ -39,6 +39,7 @@ from repro.api.middleware import InterceptorChain, MetricsInterceptor
 from repro.api.policy import ServicePolicy
 from repro.api.service import Service
 from repro.core.interfaces import cacheable_members
+from repro.core.metaobject import KIND_LOCAL, KIND_REMOTE, metaobject_of
 from repro.network.heartbeat import HeartbeatDetector
 from repro.network.metrics import LatencyHistogram
 from repro.observability.tracing import Tracer
@@ -47,6 +48,20 @@ from repro.runtime.faulttolerance import NO_RETRY
 from repro.runtime.pipelining import PipelineScheduler
 from repro.runtime.remote_ref import RemoteRef
 from repro.runtime.replication import ReplicaManager
+
+
+class _AdoptedLeg:
+    """What the ``remote_invoker`` slot of an adopted handle holds: the remote
+    leg of every call through the handle is the adopting service's pipe."""
+
+    def __init__(self, service: Service) -> None:
+        #: Read by the boundary-change operations, which refuse the handle.
+        self.service = service
+
+    def invoke(self, reference, member, args=(), kwargs=None, **_binding) -> Any:
+        """The handle's call, enqueued on the service (which owns reference,
+        transport and issuing space) and waited for."""
+        return self.service._enqueue(member, args, kwargs or {}).result()
 
 
 class Session:
@@ -74,8 +89,9 @@ class Session:
         self._tracer: Optional[Tracer] = None
         self._adaptive: Optional[Any] = None
         self._adapt_epoch = 0
-        #: ``(name, group, host node, reference)`` of every deployment this
-        #: session made, consumed by :meth:`dismantle`.
+        #: ``(name, group, host node, reference, impl, adopted metaobject or
+        #: None)`` of every deployment this session made, consumed by
+        #: :meth:`dismantle`.
         self._deployments: List[tuple] = []
         #: ``(chain, spaces)`` of every server-side middleware install this
         #: session made at deploy time, removed again on :meth:`close`.
@@ -107,6 +123,17 @@ class Session:
         ``backup_nodes`` (default: ring placement over the remaining nodes)
         with heartbeat-driven failover armed.
 
+        ``impl`` may be a rebindable handle of a transformed application
+        deployed on this cluster (``app.new("C", ...)`` under a dynamic
+        policy): the session *adopts* it.  The object behind the handle is
+        deployed exactly like any other ``impl``, then the handle is rebound
+        onto the returned service, so every reference the program already
+        holds reaches the object through this policy's pipe — batching,
+        retries, replication, caching, the interceptor chain and tracing —
+        with the class's own interface.  The handle must be local, and it is
+        the session's until :meth:`dismantle` brings it back: boundary changes
+        on it raise :class:`~repro.api.errors.RedistributionError`.
+
         Either way the returned service dispatches per ``policy``: plain
         calls, ``.future`` calls, batching, pipelining, retries and failover
         are all assembled internally, in the right order.
@@ -128,6 +155,14 @@ class Session:
                 f"session already has a service named {name!r}; "
                 "hold on to the object it returned"
             )
+        adopted = metaobject_of(impl)
+        if adopted is not None:
+            if adopted.is_remote or self.space.application is None:
+                raise PolicyError(
+                    f"cannot adopt the handle as {name!r}: it must be local, and its "
+                    "application deployed on this cluster"
+                )
+            impl = adopted.target
         if policy.static_checks:
             if impl is None:
                 raise PolicyError(
@@ -218,7 +253,13 @@ class Session:
         )
         self._services[name] = service
         if impl is not None:
-            self._deployments.append((name, group, host, reference))
+            self._deployments.append((name, group, host, reference, impl, adopted))
+        if adopted is not None:
+            proxy = self.space.application.proxy_for_ref(
+                reference, self.space, transport=policy.transport
+            )
+            adopted.rebind(proxy, KIND_REMOTE, node_id=reference.node_id)
+            adopted.remote_invoker = _AdoptedLeg(service)
         return service
 
     def _verify_static(self, impl: Any, policy: ServicePolicy) -> None:
@@ -228,11 +269,19 @@ class Session:
         (rule id + ``path:line``) when the implementation violates a
         contract the policy makes load-bearing — e.g. DS101
         (nondeterministic writes) escalates to an error under quorum
-        replication because backups re-execute acknowledged writes.
+        replication because backups re-execute acknowledged writes.  For a
+        transformed object (a handle or a generated local implementation,
+        whose text was ``exec``'d and has no file) the class linted is the one
+        the user wrote.
         """
         from repro.analysis import verify_deployment
 
         cls = type(impl)
+        application = self.space.application
+        if application is not None and application.is_transformed(
+            getattr(cls, "_repro_class_name", None)
+        ):
+            cls = application.artifacts(cls._repro_class_name).model.python_class
         try:
             findings = verify_deployment(cls, policy)
         except (OSError, TypeError) as error:
@@ -422,6 +471,9 @@ class Session:
             detector=self._detector,
             sync=policy.sync,
             transport=policy.transport,
+            # So that a transformed object's state is read, written and
+            # re-created through its generated accessors and local class.
+            application=self.space.application,
         )
         self._detector.start()
         # Schedulers built before replication appeared must see the manager,
@@ -672,13 +724,21 @@ class Session:
         (primary wrapper and backup endpoints unexported), and every name it
         bound is unbound from the cluster's naming service.  Services other
         parties deployed — ones this session merely attached to — are left
-        untouched.  Idempotent; safe after a plain ``close()``.
+        untouched.  An adopted handle comes back local on this session's node,
+        bound to the live copy of its object (the current primary's, for a
+        replica group) and free to be redistributed again; after a plain
+        ``close()`` it stays the session's and its calls raise
+        :class:`PolicyError`.  Idempotent; safe after a plain ``close()``.
         """
         try:
             self.close(drain=drain)
         finally:
             deployments, self._deployments = self._deployments, []
-            for name, group, host, reference in deployments:
+            for name, group, host, reference, impl, adopted in deployments:
+                if adopted is not None:
+                    adopted.remote_invoker = None
+                    live = group.primary_impl if group is not None else impl
+                    adopted.rebind(live, KIND_LOCAL, node_id=self.node_id)
                 if group is not None:
                     if self._manager is not None:
                         self._manager.dismantle(group)

@@ -14,8 +14,8 @@ For every substitutable class ``A`` (paper §2) the artifacts are
 * ``A_O_Local`` / ``A_C_Local`` — the non-remote implementations (the class
   local is a singleton), their bodies rewritten by
   :mod:`repro.core.rewriter` to use accessors, factories and interface types,
-* ``A_O_Proxy_<T>`` / ``A_C_Proxy_<T>`` and their ``BatchProxy`` variants —
-  one per transport, forwarding through the distributed object layer,
+* ``A_O_Proxy_<T>`` / ``A_C_Proxy_<T>`` — one per transport, every method one
+  ``self._call(member, args)`` of :class:`~repro.core.metaobject.Proxy`,
 * ``A_O_Redirector`` — the rebindable handle for dynamic distribution, and
 * ``A_O_Factory`` / ``A_C_Factory`` — the only implementation-aware code:
   ``make``/``init``/``create`` and ``discover``/``clinit``.
@@ -23,11 +23,11 @@ For every substitutable class ``A`` (paper §2) the artifacts are
 The text resolves a handful of names in the namespace it is executed in:
 ``abc`` and the builtins ``property``, ``staticmethod``, ``classmethod`` and
 ``NotImplementedError`` bare, and the framework's ``_repro_Proxy``,
-``_repro_Redirector``, ``_repro_BatchingDispatchMixin``,
-``_repro_GenerationError`` and ``_repro_original`` under spellings an
-application cannot plausibly own (:func:`emit_module` imports them ``as``
-those names).  ``_repro_original(class, member)`` is the original function of
-a member whose source cannot be rewritten; it is installed as it is.
+``_repro_Redirector``, ``_repro_GenerationError`` and ``_repro_original``
+under spellings an application cannot plausibly own (:func:`emit_module`
+imports them ``as`` those names).  ``_repro_original(class, member)`` is the
+original function of a member whose source cannot be rewritten; it is
+installed as it is.
 """
 
 from __future__ import annotations
@@ -41,14 +41,12 @@ from repro.core.classmodel import ClassModel, MethodModel
 from repro.core.interfaces import (
     InterfaceModel,
     MethodSignature,
-    class_batch_proxy_name,
     class_factory_name,
     class_local_name,
     class_proxy_name,
     extract_class_interface,
     extract_instance_interface,
     getter_name,
-    instance_batch_proxy_name,
     instance_interface_name,
     instance_local_name,
     instance_proxy_name,
@@ -230,17 +228,6 @@ def _member(scope: _Scope, method: MethodModel, *, force_instance: bool) -> str:
 # Proxies and redirectors
 # ---------------------------------------------------------------------------
 
-def _proxy(
-    name: str, base: str, doc: str, role: str,
-    model: ClassModel, interface: InterfaceModel, transport: str, members: Iterable[str],
-) -> str:
-    cacheable = interface.cacheable_method_names()
-    attributes = _metadata(
-        model, interface, role, _repro_transport=transport, _repro_cacheable_members=cacheable
-    )
-    return _class(name, f"{base}, {interface.name}", doc, attributes, members)
-
-
 def emit_proxy(
     model: ClassModel,
     interface: InterfaceModel,
@@ -250,64 +237,26 @@ def emit_proxy(
 ) -> str:
     """Emit a proxy class for one transport (paper Figure 3/4, proxy parts).
 
-    The constructor, ``bind`` and ``remote_reference`` do not vary by class or
-    transport and are inherited from :class:`~repro.core.metaobject.Proxy`.
+    The constructor, ``bind``, ``remote_reference`` and ``_call`` — the one
+    place a call leaves the address space — do not vary by class or transport
+    and are inherited from :class:`~repro.core.metaobject.Proxy`; the transport
+    is in the text once, as the ``_repro_transport`` attribute ``_call`` reads.
     """
     name = instance_proxy_name if kind == "instance" else class_proxy_name
-    call = (
-        "return self._space.invoke_remote("
-        f"self._ref, {{member}}, {{tuple}}, {{{{}}}}, transport={transport!r})"
-    )
     members = [f"# {transport.upper()}-specific initialisation happens on binding (_repro_Proxy)"]
-    members.extend(_forward(signature, call) for signature in interface.methods)
-    return _proxy(
-        name(model.name, transport),
-        "_repro_Proxy",
-        f"These methods perform {transport.upper()} calls on the real remote object.",
-        "proxy", model, interface, transport, members,
+    members.extend(
+        _forward(signature, "return self._call({member}, {tuple})") for signature in interface.methods
     )
-
-
-def emit_batch_proxy(
-    model: ClassModel,
-    interface: InterfaceModel,
-    transport: str,
-    *,
-    kind: str = "instance",
-) -> str:
-    """Emit the batching-aware proxy for one transport.
-
-    Where the plain proxy performs one round trip per method call, this
-    variant buffers calls into batch windows and returns futures.  The
-    machinery (constructor, ``bind``, ``flush``, ``attach``, ``enable_caching``)
-    is :class:`~repro.runtime.batching.BatchingDispatchMixin`; the emitted class
-    holds only the interface-shaped enqueue methods, the transport the mixin
-    ships over and the cacheability metadata ``enable_caching`` consumes.
-    ``kind`` picks ``A_O_BatchProxy_<T>`` (instance members) or
-    ``A_C_BatchProxy_<T>`` (static members through the same path).
-    """
-    # Imported here, not at module top: repro.core is pulled in by the runtime
-    # layer's own imports, so a top-level import of the runtime would be cyclic.
-    from repro.runtime.batching import BATCH_PROXY_RESERVED
-
-    name = instance_batch_proxy_name if kind == "instance" else class_batch_proxy_name
-    members = []
-    for signature in interface.methods:
-        if signature.name in BATCH_PROXY_RESERVED:
-            # The control plane must win: a proxy whose flush() buffered a
-            # remote "flush" instead of shipping the window would silently
-            # break batching.
-            members.append(
-                f"# {signature.name}: name reserved by the batching control plane; call\n"
-                f"#   _enqueue({signature.name!r}, (...)) to reach the remote member."
-            )
-        else:
-            members.append(_forward(signature, "return self._enqueue({member}, {tuple})"))
-    return _proxy(
+    attributes = _metadata(
+        model, interface, "proxy", _repro_transport=transport,
+        _repro_cacheable_members=interface.cacheable_method_names(),
+    )
+    return _class(
         name(model.name, transport),
-        "_repro_BatchingDispatchMixin",
-        f"These methods buffer {transport.upper()} calls into batches; each returns a future.",
-        "batch-proxy", model, interface, transport, members,
+        f"_repro_Proxy, {interface.name}",
+        f"These methods perform {transport.upper()} calls on the real remote object.",
+        attributes,
+        members,
     )
 
 
@@ -525,12 +474,6 @@ def emit_artifacts(
         sources[class_proxy_name(name, transport)] = emit_proxy(
             model, class_interface, transport, kind="class"
         )
-        sources[instance_batch_proxy_name(name, transport)] = emit_batch_proxy(
-            model, instance_interface, transport
-        )
-        sources[class_batch_proxy_name(name, transport)] = emit_batch_proxy(
-            model, class_interface, transport, kind="class"
-        )
     return sources, scope.rewritten
 
 
@@ -554,7 +497,6 @@ def emit_module(
         "from repro._errors import GenerationError as _repro_GenerationError\n"
         "from repro.core.metaobject import Proxy as _repro_Proxy\n"
         "from repro.core.metaobject import Redirector as _repro_Redirector\n"
-        "from repro.runtime.batching import BatchingDispatchMixin as _repro_BatchingDispatchMixin\n"
         "\n\n"
     )
     return header + "\n\n".join(sources.values())

@@ -26,11 +26,9 @@ from repro._errors import GenerationError
 from repro.core.classmodel import ClassModel
 from repro.core.interfaces import (
     InterfaceModel,
-    class_batch_proxy_name,
     class_factory_name,
     class_local_name,
     class_proxy_name,
-    instance_batch_proxy_name,
     instance_local_name,
     instance_proxy_name,
     object_factory_name,
@@ -83,13 +81,6 @@ class ClassArtifacts:
     redirector_cls: type = None
     instance_proxies: dict[str, type] = dataclass_field(default_factory=dict)
     class_proxies: dict[str, type] = dataclass_field(default_factory=dict)
-    #: Batching/pipelining-aware proxies, one per transport: methods buffer
-    #: calls and return futures instead of performing one round trip each.
-    batch_proxies: dict[str, type] = dataclass_field(default_factory=dict)
-    #: Batching-aware proxies for the *class* (static-member) interface, so
-    #: class singleton calls route through the same batch/cache-aware path
-    #: as instance calls.
-    class_batch_proxies: dict[str, type] = dataclass_field(default_factory=dict)
     object_factory: type = None
     class_factory: type = None
     #: The text that was executed, by artifact name — the listing of Figures 3–5.
@@ -103,25 +94,12 @@ class ClassArtifacts:
 
     def proxy_for(self, transport: str, kind: str = "instance") -> type:
         table = self.instance_proxies if kind == "instance" else self.class_proxies
-        return self._generated(table, transport, f"{kind} proxy")
-
-    def batch_proxy_for(self, transport: str, kind: str = "instance") -> type:
-        """The generated batching-aware proxy class for one transport.
-
-        ``kind`` selects the instance interface's ``A_O_BatchProxy_<T>``
-        (default) or the class interface's ``A_C_BatchProxy_<T>`` — static
-        singleton calls batch and cache through the latter exactly like
-        instance calls.
-        """
-        table = self.batch_proxies if kind == "instance" else self.class_batch_proxies
-        return self._generated(table, transport, f"{kind} batch proxy")
-
-    def _generated(self, table: dict[str, type], transport: str, what: str) -> type:
         try:
             return table[transport]
         except KeyError as exc:
             raise GenerationError(
-                f"no {what} generated for class {self.class_name!r} and transport {transport!r}"
+                f"no {kind} proxy generated for class {self.class_name!r} "
+                f"and transport {transport!r}"
             ) from exc
 
 
@@ -134,10 +112,6 @@ def seed_namespace(ctx: GenerationContext, models: Iterable[ClassModel]) -> None
     global that rebinds one of :data:`_BARE_NAMES` would be picked up by the
     generated text instead of the builtin — refused by name, never executed.
     """
-    # Imported here, not at module top: repro.core is pulled in by the runtime
-    # layer's own imports, so a top-level import of the runtime would be cyclic.
-    from repro.runtime.batching import BatchingDispatchMixin
-
     universe = ctx.universe
 
     def original(class_name: str, member: str) -> Callable:
@@ -151,7 +125,6 @@ def seed_namespace(ctx: GenerationContext, models: Iterable[ClassModel]) -> None
         abc=abc,
         _repro_Proxy=Proxy,
         _repro_Redirector=Redirector,
-        _repro_BatchingDispatchMixin=BatchingDispatchMixin,
         _repro_GenerationError=GenerationError,
         _repro_original=original,
     )
@@ -195,8 +168,6 @@ def collect(ctx: GenerationContext, artifacts: ClassArtifacts) -> None:
     for transport in ctx.transport_names:
         artifacts.instance_proxies[transport] = loaded[instance_proxy_name(name, transport)]
         artifacts.class_proxies[transport] = loaded[class_proxy_name(name, transport)]
-        artifacts.batch_proxies[transport] = loaded[instance_batch_proxy_name(name, transport)]
-        artifacts.class_batch_proxies[transport] = loaded[class_batch_proxy_name(name, transport)]
     artifacts.object_factory = loaded[object_factory_name(name)]
     artifacts.class_factory = loaded[class_factory_name(name)]
     artifacts.object_factory._repro_application = ctx.application

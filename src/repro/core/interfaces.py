@@ -73,16 +73,8 @@ def class_factory_name(class_name: str) -> str:
     return f"{class_name}_C_Factory"
 
 
-def instance_batch_proxy_name(class_name: str, transport: str) -> str:
-    return f"{class_name}_O_BatchProxy_{transport.upper()}"
-
-
 def redirector_name(class_name: str) -> str:
     return f"{class_name}_O_Redirector"
-
-
-def class_batch_proxy_name(class_name: str, transport: str) -> str:
-    return f"{class_name}_C_BatchProxy_{transport.upper()}"
 
 
 def getter_name(field_name: str) -> str:

@@ -17,6 +17,12 @@ The :class:`Redirector` is the interface-typed handle whose members all
 delegate through its metaobject; the transformation emits one redirector
 subclass per extracted interface so handles introspect with the correct
 methods.  :class:`Proxy` is the corresponding base of the generated proxies.
+
+There is one call path from a handle to the wire: ``Redirector`` →
+:meth:`Metaobject.invoke` → :meth:`Proxy._call` → the handle's
+``remote_invoker`` slot when one is set, else ``space.invoke_remote``.
+``Proxy._call`` is the only place under :mod:`repro.core` where a call leaves
+its address space; every method of a generated proxy is one call of it.
 """
 
 from __future__ import annotations
@@ -145,10 +151,17 @@ class Metaobject:
         #: originate on a different node from the object's home through the
         #: distributed object layer, so location transparency is preserved.
         self._application = application
-        #: Optional fault-tolerant invoker (see repro.runtime.faulttolerance);
-        #: when set, runtime-routed invocations go through it instead of the
-        #: plain ``invoke_remote`` so retries and failure accounting apply.
+        #: The one slot on the handle's remote leg: when set, calls that leave
+        #: the node go through its ``invoke(reference, member, args, kwargs,
+        #: transport=, space=)`` instead of the plain ``invoke_remote``.
+        #: :func:`~repro.runtime.faulttolerance.guard_handle` puts its retrying
+        #: invoker here, a session the service that adopted the handle.  It
+        #: belongs to the handle, not to the binding: it survives every rebind
+        #: and is idle while the object is local to its caller.
         self.remote_invoker: Any = None
+        #: ``(proxy, transport)`` of the remote leg, resolved by the application
+        #: on the first call that leaves the node and dropped by :meth:`rebind`.
+        self._remote_leg: Optional[tuple] = None
         self.statistics = CallStatistics()
         self._interceptors: list[Interceptor] = []
         self._rebind_listeners: list[Callable[["Metaobject"], None]] = []
@@ -194,6 +207,7 @@ class Metaobject:
         self._target = target
         self._kind = kind
         self.node_id = node_id
+        self._remote_leg = None
         for listener in list(self._rebind_listeners):
             listener(self)
 
@@ -237,8 +251,15 @@ class Metaobject:
         result: Any = None
         try:
             if route_via_runtime:
-                result = self._application._invoke_handle_via_runtime(
-                    self, member, args, kwargs
+                application = self._application
+                if self._remote_leg is None:
+                    self._remote_leg = application._remote_leg(self)
+                proxy, transport = self._remote_leg
+                # Issued from the space the calling code runs in, not the one
+                # the proxy was built in, so traffic lands on the right link.
+                result = proxy._call(
+                    member, args, kwargs, space=application.current_space,
+                    transport=transport, via=self.remote_invoker,
                 )
             else:
                 bound = getattr(self._target, member)
@@ -293,7 +314,11 @@ class Redirector:
 class Proxy:
     """What every generated ``A_O_Proxy_<T>`` / ``A_C_Proxy_<T>`` inherits: its
     binding to a remote reference and the address space it calls from, which
-    varies neither by class nor by transport (so it is not emitted per proxy)."""
+    varies neither by class nor by transport (so it is not emitted per proxy),
+    and the one method through which every call it forwards leaves."""
+
+    #: Overridden by the emitted text of each derived class.
+    _repro_transport: Optional[str] = None
 
     def __init__(self, ref: Any = None, space: Any = None) -> None:
         self._ref = ref
@@ -308,6 +333,26 @@ class Proxy:
     def remote_reference(self) -> Any:
         """The remote reference this proxy forwards to."""
         return self._ref
+
+    def _call(
+        self,
+        member: str,
+        args: tuple,
+        kwargs: Optional[dict] = None,
+        *,
+        space: Any = None,
+        transport: Optional[str] = None,
+        via: Any = None,
+    ) -> Any:
+        """Invoke ``member`` on the remote object: from ``space`` over
+        ``transport`` when a handle's metaobject names them, else from the
+        proxy's own space over the transport it was generated for; through
+        ``via`` (the handle's ``remote_invoker`` slot) when there is one."""
+        space = space if space is not None else self._space
+        transport = transport or self._repro_transport
+        if via is not None:
+            return via.invoke(self._ref, member, args, kwargs, transport=transport, space=space)
+        return space.invoke_remote(self._ref, member, args, kwargs or {}, transport=transport)
 
 
 def metaobject_of(handle: Any) -> Optional[Metaobject]:

@@ -36,7 +36,7 @@ from repro.core.generator import (
 )
 from repro.core.interfaces import extract_class_interface, extract_instance_interface
 from repro.core.introspect import class_model_from_python
-from repro.core.metaobject import KIND_LOCAL, KIND_REMOTE, Metaobject
+from repro.core.metaobject import KIND_LOCAL, KIND_REMOTE, Metaobject, Proxy
 from repro.core.registry import TransformationRegistry
 from repro.policy.policy import (
     DistributionPolicy,
@@ -276,7 +276,7 @@ class TransformedApplication:
         """Backs ``A_C_Factory.discover``: locate the static-member singleton."""
         decision = self._effective_static_decision(class_name)
         if not decision.is_remote or decision.node_id == self._current_node_id():
-            return self._local_singleton(class_name)
+            return self._singleton_on_node(class_name, self._current_node_id())
         reference = self._remote_singleton_ref(class_name, decision.node_id)
         return self.proxy_for_ref(
             reference, self.current_space, transport=decision.transport, kind="class"
@@ -291,15 +291,6 @@ class TransformedApplication:
         if not self.is_bound or not self.policy.is_substitutable(class_name):
             return PlacementDecision()
         return self.policy.static_decision(class_name)
-
-    def _local_singleton(self, class_name: str) -> Any:
-        key = (self._current_node_id(), class_name)
-        if key not in self._singletons:
-            artifacts = self.artifacts(class_name)
-            singleton = artifacts.class_local_cls()
-            self._singletons[key] = singleton
-            artifacts.class_factory.clinit(singleton)
-        return self._singletons[key]
 
     def _singleton_on_node(self, class_name: str, node_id: str) -> Any:
         key = (node_id, class_name)
@@ -357,36 +348,32 @@ class TransformedApplication:
         self._handles.append(handle)
         return handle
 
-    def _invoke_handle_via_runtime(
-        self, metaobject: Metaobject, member: str, args: tuple, kwargs: dict
-    ) -> Any:
-        """Carry a handle invocation from the executing node to the object's home.
+    def _remote_leg(self, metaobject: Metaobject) -> tuple[Any, str]:
+        """The ``(proxy, transport)`` a handle's calls leave the node through.
 
-        Used by :class:`~repro.core.metaobject.Metaobject` when the calling
-        code runs on a different node from the one hosting the object: the
-        target is exported from its home space (if it is not already) and the
-        call is issued from the caller's space so that latency and traffic are
-        attributed to the correct link.  When caller and home coincide the
-        address space short-circuits to a direct local call.
+        Resolved once per binding (the metaobject keeps it until the next
+        rebind).  A handle bound to a proxy uses that proxy.  One bound to a
+        local implementation and called from another node has the target
+        exported from its home space (on the first such call, not before:
+        object ids reach the wire) and a proxy built for it; that proxy's own
+        space is never used — the metaobject passes the caller's on every
+        call, so that latency and traffic are attributed to the correct link.
         """
-
         from repro.runtime.remote_ref import reference_of
 
         target = metaobject.target
         reference = reference_of(target)
         if reference is None:
-            home_space = self._cluster.space(metaobject.node_id)
-            reference = home_space.export(target)
-        caller_space = self.current_space
-        artifacts = self.registry.artifacts_for_interface(reference.interface_name)
-        transport = self.policy.instance_decision(artifacts.class_name).transport
-        if metaobject.remote_invoker is not None:
-            return metaobject.remote_invoker.invoke(
-                reference, member, args, kwargs, transport=transport, space=caller_space
-            )
-        return caller_space.invoke_remote(
-            reference, member, args, kwargs, transport=transport
-        )
+            reference = self._cluster.space(metaobject.node_id).export(target)
+        class_name = self.registry.artifacts_for_interface(reference.interface_name).class_name
+        # The wire does not move yet: the policy's transport, not the one of
+        # the proxy set_transport rebound (type(target)._repro_transport) —
+        # the strict xfail in tests/test_redistribution.py; flipping this line
+        # re-baselines the figure1_boundary workload.
+        transport = self.policy.instance_decision(class_name).transport
+        if not isinstance(target, Proxy):
+            target = self.proxy_for_ref(reference, self.current_space, transport=transport)
+        return target, transport
 
     def handles(self) -> list[Any]:
         """Every rebindable handle the factories have produced so far."""

@@ -12,8 +12,10 @@ application code touches:
   raw :class:`~repro.runtime.remote_ref.RemoteRef` and turns attribute calls
   into buffered invocations with automatic flushing.  Every call returns an
   :class:`~repro.runtime.pipelining.InvocationFuture` immediately.
-* :class:`BatchingDispatchMixin` — the same, mixed into generated
-  batching-aware proxies.
+
+A transformed object gets the same engine — and caching, replication, the
+interceptor chain and tracing with it — by being adopted:
+``session.service(name, policy, impl=handle)``.
 
 Usage — normally via the façade, which composes this module internally::
 
@@ -41,6 +43,7 @@ from __future__ import annotations
 from typing import Any, List, Optional
 
 from repro._errors import InvocationError
+from repro.core.metaobject import Proxy, metaobject_of, unwrap
 from repro.runtime.faulttolerance import NO_RETRY, FaultTolerantInvoker, RetryPolicy
 from repro.runtime.pipelining import BatchResult, InvocationFuture, batch_results
 from repro.runtime.remote_ref import RemoteRef, reference_of
@@ -87,7 +90,10 @@ class BatchingProxy:
                 "bound to one, or a RemoteRef"
             )
         if space is None:
-            space = self._space_behind(target)
+            # A rebindable handle fabricates a delegate for ANY attribute name,
+            # so it is never asked: only the proxy it is (bound to) has a space.
+            proxy = unwrap(target)
+            space = proxy._space if isinstance(proxy, Proxy) else None
         if space is None:
             raise InvocationError(
                 "BatchingProxy could not determine the calling address space; "
@@ -99,11 +105,10 @@ class BatchingProxy:
         self._target = None if isinstance(target, RemoteRef) else target
         self._space = space
         if invoker is None:
-            # A handle guarded by guard_handle carries its invoker on the
-            # metaobject; batching through such a handle keeps its fault
-            # tolerance instead of silently bypassing it.
-            meta = getattr(target, "__meta__", None)
-            candidate = getattr(meta, "remote_invoker", None) if meta is not None else None
+            # A handle guarded by guard_handle carries its invoker in the
+            # metaobject's slot; batching through such a handle keeps its
+            # fault tolerance instead of silently bypassing it.
+            candidate = getattr(metaobject_of(target), "remote_invoker", None)
             if isinstance(candidate, FaultTolerantInvoker):
                 invoker = candidate
         if invoker is None:
@@ -117,21 +122,6 @@ class BatchingProxy:
         self.scheduler = invoker.scheduler(space, max_batch=max_batch, transport=transport)
         #: Futures enqueued and not yet shipped (the tail window).
         self._window: List[InvocationFuture] = []
-
-    @staticmethod
-    def _space_behind(target: Any) -> Any:
-        # A rebindable handle fabricates a delegate for ANY attribute name,
-        # so a bare getattr can hand back a callable instead of an address
-        # space; accept only candidates that quack like one.
-        meta = getattr(target, "__meta__", None)
-        candidates = [
-            getattr(target, "_space", None),
-            getattr(getattr(meta, "target", None), "_space", None),
-        ]
-        for candidate in candidates:
-            if candidate is not None and hasattr(candidate, "invoke_remote_many"):
-                return candidate
-        return None
 
     def _refresh_reference(self) -> RemoteRef:
         """Re-resolve the target's reference before enqueueing a call.
@@ -147,14 +137,11 @@ class BatchingProxy:
         if reference is None:
             # The handle may have been rebound to a local implementation;
             # reuse (or mint) its export from the space it now lives in.
-            meta = getattr(self._target, "__meta__", None)
-            implementation = meta.target if meta is not None else None
-            if implementation is not None:
-                reference = self._space.reference_for(implementation)
-                if reference is None and getattr(meta, "node_id", None) == getattr(
-                    self._space, "node_id", None
-                ):
-                    reference = self._space.export(implementation)
+            meta = metaobject_of(self._target)
+            if meta is not None:
+                reference = self._space.reference_for(meta.target)
+                if reference is None and meta.node_id == self._space.node_id:
+                    reference = self._space.export(meta.target)
         if reference is not None:
             self._reference = reference
         return self._reference
@@ -240,179 +227,3 @@ class BatchingProxy:
             f"<BatchingProxy {self._reference} queued={len(self)} "
             f"max_batch={self.max_batch}>"
         )
-
-
-#: Control-plane member names of :class:`BatchingDispatchMixin`.  Generated
-#: batch proxies must not let an interface method shadow these — a proxy
-#: whose ``flush()`` silently buffered a remote ``flush`` call instead of
-#: shipping the window would be a correctness trap.  Colliding remote
-#: members stay reachable through ``_enqueue(name, args)``.
-BATCH_PROXY_RESERVED = frozenset(
-    {
-        "flush",
-        "attach",
-        "detach",
-        "bind",
-        "remote_reference",
-        "configure_batching",
-        "pending_batched_calls",
-        "enable_caching",
-        "disable_caching",
-    }
-)
-
-
-class BatchingDispatchMixin:
-    """Buffered, future-based dispatch for generated batching-aware proxies.
-
-    Generated ``A_O_BatchProxy_<T>`` classes mix this in: every interface
-    method calls :meth:`_enqueue` instead of ``invoke_remote``, so calls are
-    buffered and shipped ``max_batch`` at a time — no manual
-    :class:`BatchingProxy` wrapping required.  Methods return
-    :class:`~repro.runtime.pipelining.InvocationFuture` placeholders that
-    resolve when their window round-trips (``result()`` auto-flushes).
-
-    The proxy is *pipelining-aware* too: :meth:`attach` plugs in any engine
-    with a ``submit(target, member, *args, **kwargs)`` method — typically a
-    session's :class:`~repro.runtime.pipelining.PipelineScheduler` — and
-    subsequent calls stream through it (sharded, windowed, out-of-order)
-    instead of the proxy's own synchronous buffer.
-    """
-
-    def __init__(self, ref: Any = None, space: Any = None, max_batch: int = 32) -> None:
-        # The buffer is built lazily on the first call, so an unbound proxy
-        # costs nothing; rebinding resets it.
-        self._ref = ref
-        self._space = space
-        self._max_batch = max_batch
-        self._batcher = None
-        self._engine = None
-
-    def bind(self, ref: Any, space: Any):
-        """Bind this proxy to a remote reference and the local address space.
-
-        Anything still buffered for the previous binding ships first, so a
-        rebind never strands unresolved futures.  Returns self.
-        """
-        self._discard_batcher()
-        self._ref = ref
-        self._space = space
-        return self
-
-    def remote_reference(self) -> Any:
-        """The remote reference this proxy forwards to."""
-        return self._ref
-
-    def enable_caching(self, cache: Any, *, cacheable: Optional[Any] = None):
-        """Serve repeated cacheable calls from ``cache`` instead of buffering.
-
-        ``cache`` is a :class:`~repro.runtime.caching.ResultCache`.  Which
-        members are safe to serve defaults to the generated proxy's
-        cacheability metadata (``_repro_cacheable_members``, extracted from
-        ``@cacheable`` markers and accessor getters); pass ``cacheable`` to
-        override.  Non-cacheable calls through the proxy count as writes:
-        they invalidate the cache's entries for the target before they are
-        buffered, and cacheable lookups bypass the cache until the write's
-        future resolves.  Returns self.
-        """
-        self._cache = cache
-        if cacheable is not None:
-            self._cache_members = frozenset(cacheable)
-        else:
-            self._cache_members = frozenset(
-                getattr(type(self), "_repro_cacheable_members", ())
-            ) | frozenset(cache.cacheable)
-        # The cache itself re-checks cacheability on store/lookup; teach it
-        # this proxy's members so the two gates agree.
-        cache.cacheable = frozenset(cache.cacheable) | self._cache_members
-        return self
-
-    def disable_caching(self):
-        """Detach the cache: every call buffers and ships again; returns self."""
-        self._cache = None
-        return self
-
-    def configure_batching(self, *, max_batch: Optional[int] = None, engine: Any = None):
-        """Set the buffer window and/or attach a pipelining engine; returns self."""
-        if max_batch is not None:
-            if max_batch < 1:
-                raise InvocationError("max_batch must be at least 1")
-            self._max_batch = max_batch
-            self._discard_batcher()
-        if engine is not None:
-            self.attach(engine)
-        return self
-
-    def _discard_batcher(self) -> None:
-        """Retire the current buffer, shipping anything still queued first.
-
-        Reconfiguring or rebinding must not strand buffered calls: their
-        futures would silently never resolve unless each ``result()`` were
-        demanded explicitly.
-        """
-        if self._batcher is not None and len(self._batcher):
-            self._batcher.flush()
-        self._batcher = None
-
-    def attach(self, engine: Any):
-        """Route subsequent calls through ``engine`` (scheduler-style ``submit``).
-
-        Anything still buffered locally ships first — switching engines must
-        not strand earlier calls' futures.
-        """
-        if not hasattr(engine, "submit"):
-            raise InvocationError(
-                "a batching proxy engine needs a submit(target, member, *args) method"
-            )
-        self._discard_batcher()
-        self._engine = engine
-        return self
-
-    def detach(self):
-        """Return to the proxy's own synchronous batch buffer; returns self."""
-        self._engine = None
-        return self
-
-    def _enqueue(self, member: str, args: tuple, kwargs: Optional[dict] = None):
-        """Buffer one interface-method call; returns its future immediately.
-
-        With a cache attached (:meth:`enable_caching`), the call funnels
-        through :func:`~repro.runtime.caching.cached_enqueue` — the same
-        coherence protocol the façade uses: cacheable calls are served
-        locally on a hit (no round trip), fills are version-token guarded,
-        and non-cacheable calls invalidate before they buffer.
-        """
-        kwargs = kwargs or {}
-        cache = getattr(self, "_cache", None)
-        if cache is None:
-            return self._enqueue_uncached(member, args, kwargs)
-        from repro.runtime.caching import cached_enqueue
-
-        return cached_enqueue(
-            cache, self._cache_members, self._ref, member, args, kwargs,
-            self._enqueue_uncached,
-        )
-
-    def _enqueue_uncached(self, member: str, args: tuple, kwargs: dict):
-        """Buffer one call through the engine or the proxy's own window."""
-        if self._engine is not None:
-            return self._engine.submit(self._ref, member, *args, **kwargs)
-        if self._batcher is None:
-            self._batcher = BatchingProxy(
-                self._ref,
-                space=self._space,
-                max_batch=self._max_batch,
-                transport=getattr(type(self), "_repro_transport", None),
-            )
-        return self._batcher.call(member, *args, **kwargs)
-
-    def flush(self) -> None:
-        """Ship every buffered call (own buffer or the attached engine's)."""
-        if self._engine is not None and hasattr(self._engine, "flush"):
-            self._engine.flush()
-        if self._batcher is not None:
-            self._batcher.flush()
-
-    def pending_batched_calls(self) -> int:
-        """Calls buffered locally and not yet shipped (0 with an engine attached)."""
-        return len(self._batcher) if self._batcher is not None else 0

@@ -40,9 +40,8 @@ Three :class:`CachePolicy` modes trade coherence for traffic:
     staleness (≤ ``lease_ms``), zero coherence traffic.
 
 The façade consumes this module through
-:class:`~repro.api.policy.ServicePolicy`'s ``cache`` field; generated batch
-proxies attach a cache via
-:meth:`~repro.runtime.batching.BatchingDispatchMixin.enable_caching`.
+:class:`~repro.api.policy.ServicePolicy`'s ``cache`` field — a transformed
+object's handle included, once a session has adopted it.
 """
 
 from __future__ import annotations
@@ -394,13 +393,12 @@ def cached_enqueue(
     kwargs: dict,
     enqueue: Any,
 ) -> InvocationFuture:
-    """The cache-aware dispatch protocol, shared by every entry point.
+    """The cache-aware dispatch protocol.
 
-    Both the façade (:meth:`repro.api.service.Service._enqueue`) and the
-    generated batch proxies
-    (:meth:`~repro.runtime.batching.BatchingDispatchMixin._enqueue`) funnel
-    through this one function, so the coherence-critical sequence lives in
-    exactly one place: a cacheable **hit** returns an already-resolved
+    Every call form of the façade (:meth:`repro.api.service.Service._enqueue`,
+    which an adopted handle's calls reach too) funnels through this one
+    function, so the coherence-critical sequence lives in exactly one place:
+    a cacheable **hit** returns an already-resolved
     future without touching ``enqueue``; a **miss** snapshots a fill token
     (subscribing *before* the read ships) and stores the result only if no
     invalidation raced it; a **non-cacheable** call counts as a write — it

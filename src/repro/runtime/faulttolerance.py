@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Dict, Optional
 
 from repro._errors import (
     AdmissionError,
@@ -38,7 +38,7 @@ from repro._errors import (
     QuorumLostError,
     RedistributionError,
 )
-from repro.core.metaobject import Interceptor, Invocation, Metaobject, metaobject_of
+from repro.core.metaobject import Interceptor, Invocation, Metaobject, Proxy, metaobject_of
 
 #: Replication refusals that re-route instead of retrying blindly: the
 #: target either fenced itself (a newer epoch holds the primaryship) or
@@ -251,30 +251,6 @@ class FaultTolerantInvoker:
         return batch_results(futures)
 
 
-class _RetryingTarget:
-    """A drop-in replacement target that routes calls through an invoker."""
-
-    def __init__(self, invoker: FaultTolerantInvoker, reference, transport: Optional[str]):
-        self._invoker = invoker
-        self._reference = reference
-        self._transport = transport
-        # Mirror the attributes proxies expose so marshalling keeps working.
-        self._ref = reference
-        self._space = invoker.space
-
-    def __getattr__(self, name: str) -> Callable:
-        if name.startswith("_"):
-            raise AttributeError(name)
-
-        def call(*args: Any, **kwargs: Any) -> Any:
-            return self._invoker.invoke(
-                self._reference, name, args, kwargs, transport=self._transport
-            )
-
-        call.__name__ = name
-        return call
-
-
 def guard_handle(
     handle: Any,
     *,
@@ -284,31 +260,25 @@ def guard_handle(
     """Install retry-based fault tolerance on a rebindable remote handle.
 
     The handle must currently be bound to a remote proxy (fault tolerance is
-    meaningless for a purely local object).  All invocation paths are
-    covered: calls routed through the distributed object layer use the
-    metaobject's ``remote_invoker`` hook, direct calls on the proxy are
-    replaced by a retrying target, and a
+    meaningless for a purely local object).  The invoker goes into the one slot
+    on the handle's remote leg, the metaobject's ``remote_invoker``: every call
+    through the handle that leaves its node is retried under ``policy``, and a
     :class:`~repro.runtime.batching.BatchingProxy` wrapped around the guarded
-    handle discovers the installed invoker and ships its windows under the
-    same retry policy and log.  Returns the failure log used, so callers can
-    inspect what happened.
+    handle finds the invoker there and ships its windows under the same policy
+    and log.  The guard is the handle's, not the binding's: it survives
+    ``move`` / ``set_transport`` / ``make_local``, idle while the object is
+    local.  Returns the failure log used, so callers can inspect what happened.
     """
 
     meta: Optional[Metaobject] = metaobject_of(handle)
     if meta is None:
         raise RedistributionError("fault tolerance requires a rebindable handle")
-    target = meta.target
-    reference = getattr(target, "_ref", None)
-    space = getattr(target, "_space", None)
-    if reference is None or space is None:
+    if not isinstance(meta.target, Proxy):
         raise RedistributionError(
             "the handle is not bound to a remote proxy; guard it after making it remote"
         )
-    transport = getattr(type(target), "_repro_transport", None)
-    invoker = FaultTolerantInvoker(space, policy=policy, log=log)
-    meta.remote_invoker = invoker
-    meta.rebind(_RetryingTarget(invoker, reference, transport), meta.kind, node_id=meta.node_id)
-    return invoker.log
+    meta.remote_invoker = FaultTolerantInvoker(meta.target._space, policy=policy, log=log)
+    return meta.remote_invoker.log
 
 
 class FailureObservingInterceptor(Interceptor):

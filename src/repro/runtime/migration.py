@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Optional
 
-from repro._errors import MigrationError
+from repro._errors import MigrationError, RedistributionError
 from repro.core.metaobject import metaobject_of
 from repro.runtime.address_space import AddressSpace
 from repro.runtime.remote_ref import RemoteRef, reference_of
@@ -103,6 +103,18 @@ def _iter_candidates(value: Any):
         yield value
 
 
+def refuse_adopted(meta: Any) -> None:
+    """Raise when the handle behind ``meta`` was adopted by a session's service
+    (``session.service(name, policy, impl=handle)``): where that object lives
+    is the session's to decide until ``session.dismantle()`` returns it."""
+    service = getattr(meta.remote_invoker, "service", None)
+    if service is not None:
+        raise RedistributionError(
+            f"the handle is adopted by service {service.name!r}; its distribution "
+            "boundary cannot change until the session is dismantled"
+        )
+
+
 class ObjectMigrator:
     """Moves transformed objects between the address spaces of a cluster."""
 
@@ -123,6 +135,8 @@ class ObjectMigrator:
 
         class_name = getattr(type(subject), "_repro_class_name", None)
         meta = metaobject_of(subject)
+        if meta is not None:
+            refuse_adopted(meta)
         if class_name is None and meta is not None:
             class_name = getattr(type(meta.target), "_repro_class_name", None)
         if class_name is None:

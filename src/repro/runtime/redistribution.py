@@ -20,7 +20,7 @@ from typing import Any, Optional
 
 from repro._errors import RedistributionError
 from repro.core.metaobject import KIND_LOCAL, KIND_REMOTE, metaobject_of
-from repro.runtime.migration import capture_state, restore_state
+from repro.runtime.migration import capture_state, refuse_adopted, restore_state
 from repro.runtime.remote_ref import reference_of
 
 
@@ -46,13 +46,15 @@ class DistributionController:
     # helpers
     # ------------------------------------------------------------------
 
-    def _require_handle(self, handle: Any):
+    def _require_handle(self, handle: Any, *, to_change: bool = True):
         meta = metaobject_of(handle)
         if meta is None:
             raise RedistributionError(
                 "dynamic redistribution requires a rebindable handle; create the "
                 "object with a dynamic placement decision (policy dynamic=True)"
             )
+        if to_change:
+            refuse_adopted(meta)
         return meta
 
     def _class_name_of(self, handle: Any) -> str:
@@ -170,5 +172,5 @@ class DistributionController:
 
     def boundary_of(self, handle: Any) -> tuple[str, Optional[str]]:
         """Return (kind, node) describing where the handle's object lives now."""
-        meta = self._require_handle(handle)
+        meta = self._require_handle(handle, to_change=False)
         return meta.kind, meta.node_id

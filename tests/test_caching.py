@@ -407,84 +407,69 @@ class TestFacadeCaching:
 
 
 class TestGeneratedProxyCaching:
+    """A transformed object is cached by adopting its handle: the generated
+    proxy carries the metadata, the session's service does the caching."""
+
     @pytest.fixture
     def app_cluster(self):
         import sample_app
         from repro.core.transformer import ApplicationTransformer
         from repro.policy.policy import all_local_policy
 
-        app = ApplicationTransformer(all_local_policy()).transform(
+        app = ApplicationTransformer(all_local_policy(dynamic=True)).transform(
             [sample_app.X, sample_app.Y, sample_app.Z]
         )
         cluster = Cluster(("client", "server"))
         app.deploy(cluster, default_node="client")
         return app, cluster
 
-    def test_batch_proxy_carries_cacheable_metadata(self, app_cluster):
+    @staticmethod
+    def _adopt(app, cluster, base):
+        handle = app.new("Y", base)
+        session = Session(cluster, node="client")
+        service = session.service(
+            "y", ServicePolicy(transport="rmi").with_caching(lease_ms=500),
+            impl=handle, node="server",
+        )
+        return handle, service, session
+
+    def test_proxy_carries_cacheable_metadata(self, app_cluster):
         app, cluster = app_cluster
-        proxy_cls = app.artifacts("Y").batch_proxy_for("rmi")
+        proxy_cls = app.artifacts("Y").proxy_for("rmi")
         names = set(proxy_cls._repro_cacheable_members)
         assert any(name.startswith("get_") for name in names)
         assert not any(name.startswith("set_") for name in names)
 
-    def test_batch_proxy_serves_hits_without_round_trips(self, app_cluster):
+    def test_adopted_handle_serves_hits_without_round_trips(self, app_cluster):
         app, cluster = app_cluster
-        server_space = cluster.space("server")
-        impl = app.artifacts("Y").local_cls()
-        impl.set_base(13)
-        ref = server_space.export(impl)
-        manager = CacheManager(cluster.space("client"))
-        cache = manager.create_cache(CachePolicy(lease_ms=500))
-        proxy = app.artifacts("Y").batch_proxy_for("rmi")(
-            ref, cluster.space("client")
-        ).enable_caching(cache)
-        assert proxy.get_base().result() == 13  # miss: fills
+        handle, service, session = self._adopt(app, cluster, 13)
+        assert handle.get_base() == 13  # miss: fills
         before = cluster.metrics.total_messages
-        assert proxy.get_base().result() == 13  # hit: no traffic
+        assert handle.get_base() == 13  # hit: no traffic
         assert cluster.metrics.total_messages == before
-        assert cache.hits == 1
+        assert service.cache.hits == 1
+        session.close()
 
-    def test_batch_proxy_write_invalidates_and_refills(self, app_cluster):
+    def test_adopted_handle_write_invalidates_and_refills(self, app_cluster):
         app, cluster = app_cluster
-        impl = app.artifacts("Y").local_cls()
-        impl.set_base(1)
-        ref = cluster.space("server").export(impl)
-        manager = CacheManager(cluster.space("client"))
-        cache = manager.create_cache(CachePolicy(lease_ms=500))
-        proxy = app.artifacts("Y").batch_proxy_for("rmi")(
-            ref, cluster.space("client")
-        ).enable_caching(cache)
-        assert proxy.get_base().result() == 1
-        proxy.set_base(2).result()  # a write through the same proxy
-        assert proxy.get_base().result() == 2
-
-    def test_class_batch_proxy_batches_static_calls(self, app_cluster):
-        """ROADMAP item: class singletons route through the batch-aware path."""
-        app, cluster = app_cluster
-        artifacts = app.artifacts("Y")
-        proxy_cls = artifacts.batch_proxy_for("rmi", kind="class")
-        assert proxy_cls.__name__ == "Y_C_BatchProxy_RMI"
-        singleton = artifacts.class_local_cls.get_me()
-        ref = cluster.space("server").export(singleton)
-        proxy = proxy_cls(ref, cluster.space("client"), max_batch=8)
-        futures = [proxy.get_K() for _ in range(4)]
-        batches_before = cluster.space("client").batches_sent
-        proxy.flush()
-        assert cluster.space("client").batches_sent == batches_before + 1
-        assert all(future.result() == singleton.get_K() for future in futures)
+        handle, service, session = self._adopt(app, cluster, 1)
+        assert handle.get_base() == 1
+        handle.set_base(2)  # a write through the same handle
+        assert handle.get_base() == 2
+        session.close()
 
     def test_unknown_kind_raises_clearly(self, app_cluster):
         from repro.api.errors import GenerationError
 
         app, _ = app_cluster
-        with pytest.raises(GenerationError, match="class batch proxy"):
-            app.artifacts("Y").batch_proxy_for("carrier-pigeon", kind="class")
+        with pytest.raises(GenerationError, match="class proxy"):
+            app.artifacts("Y").proxy_for("carrier-pigeon", kind="class")
 
-    def test_emitted_listing_includes_class_batch_proxy(self, app_cluster):
+    def test_emitted_listing_carries_cacheable_metadata(self, app_cluster):
         app, _ = app_cluster
         sources = app.emit_sources("Y", transports=("rmi",))
-        assert "Y_C_BatchProxy_RMI" in sources
-        assert "_repro_cacheable_members" in sources["Y_O_BatchProxy_RMI"]
+        assert "_repro_cacheable_members" in sources["Y_O_Proxy_RMI"]
+        assert "_repro_cacheable_members" in sources["Y_C_Proxy_RMI"]
 
 
 class TestAdaptiveHitRateTerm:

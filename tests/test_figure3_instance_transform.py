@@ -80,7 +80,7 @@ class TestFigure3Proxies:
         source = sources["X_O_Proxy_SOAP"]
         for member in ("get_y", "set_y", "m"):
             assert f"def {member}(" in source
-        assert "invoke_remote" in source
+        assert "return self._call('m', (j,))" in source
 
     def test_local_and_proxy_share_the_interface(self, app):
         interface = app.interface("X")

@@ -335,7 +335,7 @@ class TestEmitSources:
     def test_filters_by_transport(self):
         app = transform([sample_app.X, sample_app.Y, sample_app.Z])
         names = set(app.emit_sources("X", transports=("rmi",)))
-        assert {"X_O_Proxy_RMI", "X_C_BatchProxy_RMI", "X_O_Local", "X_O_Redirector"} <= names
+        assert {"X_O_Proxy_RMI", "X_C_Proxy_RMI", "X_O_Local", "X_O_Redirector"} <= names
         assert not any("SOAP" in name or "CORBA" in name for name in names)
 
     def test_ungenerated_transport_raises(self):

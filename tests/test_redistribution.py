@@ -120,7 +120,7 @@ class TestTransportExchange:
 
     @pytest.mark.xfail(
         strict=True,
-        reason="TransformedApplication._invoke_handle_via_runtime takes the transport "
+        reason="TransformedApplication._remote_leg takes the transport "
         "from the policy, not from the proxy set_transport just rebound; fixing it moves "
         "figure1_boundary's wire_bytes_per_call/sim_us_per_call, so it needs its own "
         "re-baseline",
