@@ -14,7 +14,7 @@ from repro.core.transformer import ApplicationTransformer
 from repro.persistence import ObjectGraphSnapshotter, restore_snapshot, snapshot_to_json
 from repro.policy.policy import all_local_policy
 from repro.runtime.cluster import Cluster
-from repro.runtime.migration import ObjectMigrator
+from repro.runtime.redistribution import DistributionController
 from repro.workloads.figure1 import A, B, C
 from repro.workloads.shared_cache import Cache
 
@@ -62,12 +62,11 @@ def bench_single_object_migration(benchmark):
         cache = app.new("Cache", 64)
         for index in range(50):
             cache.put(f"k{index}", index)
-        migrator = ObjectMigrator(app, cluster)
-        record = migrator.migrate(cache, "b")
+        record = DistributionController(app, cluster).move(cache, "b")
         return record, cluster
 
     record, cluster = benchmark(run)
-    assert record.target_node == "b"
+    assert record.node_id == "b"
     record_simulation(benchmark, cluster)
 
 
@@ -84,8 +83,7 @@ def bench_graph_co_migration(benchmark):
         for value in range(20):
             holder_a.record(value)
             holder_b.record(value)
-        migrator = ObjectMigrator(app, cluster)
-        records = migrator.migrate_graph(holder_a, "b")
+        records = DistributionController(app, cluster).move_graph(holder_a, "b")
         return records, shared, cluster
 
     records, shared, cluster = benchmark(run)

@@ -58,7 +58,6 @@ from repro.network.simnet import LinkConfig, SimulatedNetwork
 from repro.policy.policy import DistributionPolicy, PlacementDecision, all_local_policy
 from repro.runtime.address_space import AddressSpace
 from repro.runtime.cluster import Cluster, lan_cluster, single_node_cluster
-from repro.runtime.migration import ObjectMigrator
 from repro.runtime.redistribution import DistributionController
 from repro.runtime.remote_ref import RemoteRef
 
@@ -78,7 +77,6 @@ __all__ = [
     "NetworkError",
     "NonTransformableReason",
     "NotTransformableError",
-    "ObjectMigrator",
     "PlacementDecision",
     "PolicyError",
     "RedistributionError",

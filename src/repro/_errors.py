@@ -87,10 +87,6 @@ class UnknownObjectError(RuntimeLayerError):
     """A remote reference does not resolve to an object in the target space."""
 
 
-class MigrationError(RuntimeLayerError):
-    """An object could not be migrated between address spaces."""
-
-
 class RedistributionError(RuntimeLayerError):
     """A distribution-boundary change could not be applied."""
 

@@ -35,7 +35,6 @@ from repro._errors import (
     InterfaceExtractionError,
     InvocationError,
     MessageDroppedError,
-    MigrationError,
     NamingError,
     NetworkError,
     NodeUnreachableError,
@@ -68,7 +67,6 @@ __all__ = [
     "InterfaceExtractionError",
     "InvocationError",
     "MessageDroppedError",
-    "MigrationError",
     "NamingError",
     "NetworkError",
     "NodeUnreachableError",

@@ -10,8 +10,8 @@ half of that loop:
 * :class:`AdaptiveDistributionManager` periodically examines those counts
   and, when an object is being used predominantly from a node other than the
   one hosting it, asks the :class:`~repro.runtime.redistribution.DistributionController`
-  to move the object (locally, if the dominant caller is the handle's home
-  node; otherwise to the dominant remote node).
+  to ``move`` the object to that node — whether that leaves the handle local
+  or behind a proxy is the controller's business, not this module's.
 
 The manager implements a simple affinity heuristic; richer policies can be
 plugged in by subclassing and overriding :meth:`AdaptiveDistributionManager.suggest_for`.
@@ -442,14 +442,9 @@ class AdaptiveDistributionManager:
         """
 
         record = AdaptationRecord(suggestions=self.evaluate())
-        home_node = self.application.current_space.node_id if self.application.current_space else None
         for suggestion in record.suggestions:
-            meta = metaobject_of(suggestion.handle)
             try:
-                if suggestion.target_node == home_node and meta.kind == "remote":
-                    self.controller.make_local(suggestion.handle)
-                else:
-                    self.controller.make_remote(suggestion.handle, suggestion.target_node)
+                self.controller.move(suggestion.handle, suggestion.target_node)
             except RedistributionError:
                 continue
             record.applied.append(suggestion)

@@ -22,7 +22,7 @@ from repro.runtime.invocation import (
     InvocationRequest,
     InvocationResponse,
 )
-from repro.runtime.migration import MigrationRecord, ObjectMigrator, capture_state, restore_state
+from repro.runtime.migration import apply_state, snapshot_state
 from repro.runtime.naming import NamingService
 from repro.runtime.pipelining import InvocationFuture, PipelineScheduler
 from repro.runtime.redistribution import BoundaryChange, DistributionController
@@ -33,8 +33,6 @@ from repro.runtime.replication import (
     ReplicaManager,
     ReplicaRecord,
     ReplicatedObject,
-    apply_state,
-    snapshot_state,
 )
 from repro.runtime.serialization import Marshaller
 
@@ -54,11 +52,9 @@ __all__ = [
     "InvocationRequest",
     "InvocationResponse",
     "Marshaller",
-    "MigrationRecord",
     "NO_RETRY",
     "NamingService",
     "ObjectIdAllocator",
-    "ObjectMigrator",
     "PipelineScheduler",
     "RemoteRef",
     "ReplicaGroup",
@@ -69,11 +65,9 @@ __all__ = [
     "RetryPolicy",
     "guard_handle",
     "apply_state",
-    "capture_state",
     "snapshot_state",
     "default_transport_registry",
     "lan_cluster",
     "reference_of",
-    "restore_state",
     "single_node_cluster",
 ]

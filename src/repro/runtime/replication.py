@@ -2,7 +2,7 @@
 
 A crashed node used to take its objects down with it: the failure model can
 kill a node (:meth:`~repro.network.failures.FailureModel.crash_node`) and the
-migration layer can move state (:func:`~repro.runtime.migration.capture_state`),
+migration layer can copy state (:func:`~repro.runtime.migration.snapshot_state`),
 but nothing re-homed objects when their host died.  This module closes that
 gap with primary/backup replication:
 
@@ -71,47 +71,11 @@ from repro._errors import (
     RemoteInvocationError,
     ReplicationError,
 )
-from repro.runtime.migration import capture_state, restore_state
+from repro.runtime.migration import apply_state, snapshot_state
 from repro.runtime.remote_ref import RemoteRef
 
 #: The two replica-synchronization modes.
 SYNC_MODES = ("eager", "interval")
-
-
-def snapshot_state(obj: Any, application: Any = None) -> dict:
-    """Capture ``obj``'s replicable state as a plain dict of wire values.
-
-    Transformed objects (when ``application`` is supplied and knows their
-    class) are read through their generated accessors via
-    :func:`~repro.runtime.migration.capture_state`; ordinary objects
-    contribute their public instance attributes.
-    """
-    class_name = getattr(type(obj), "_repro_class_name", None)
-    if (
-        application is not None
-        and class_name is not None
-        and class_name in application.registry.class_names()
-    ):
-        return capture_state(application, class_name, obj)
-    return {
-        name: value for name, value in vars(obj).items() if not name.startswith("_")
-    }
-
-
-def apply_state(obj: Any, state: dict, application: Any = None) -> int:
-    """Write a :func:`snapshot_state` dict into ``obj``; returns fields written."""
-    class_name = getattr(type(obj), "_repro_class_name", None)
-    if (
-        application is not None
-        and class_name is not None
-        and class_name in application.registry.class_names()
-    ):
-        return restore_state(application, class_name, obj, state)
-    written = 0
-    for name, value in state.items():
-        setattr(obj, name, value)
-        written += 1
-    return written
 
 
 class ReplicaEndpoint:
@@ -729,27 +693,40 @@ class ReplicaManager:
                 **attrs,
             )
 
+    def _forward(
+        self, group: ReplicaGroup, member: str, args: tuple, *, fenced_demotes: bool = False
+    ) -> int:
+        """Send one replication frame to every healthy backup; returns the acks.
+
+        A lost forward — or a replay that failed on the backup, whose state
+        has then diverged — demotes that copy only: it is no promotion
+        candidate until a snapshot re-seeds it.  It must not fail the write
+        the primary already executed, escape the batch-commit hook or the
+        interval tick on the event queue, nor skip the remaining backups.
+        With ``fenced_demotes`` a backup answering
+        :class:`~repro.api.errors.FencedError` (it adopted a newer epoch: a
+        partial promotion attempt) is treated the same way.
+        """
+        space = self._primary_space(group)
+        frame = self._stamp(group, args)
+        lost = (NetworkError, RemoteInvocationError) + ((FencedError,) if fenced_demotes else ())
+        acks = 0
+        for record in group.healthy_backups():
+            try:
+                space.invoke_remote(record.endpoint_ref, member, frame, transport=self.transport)
+                acks += 1
+            except lost:
+                record.healthy = False
+                self._schedule_reseed(group, record.node_id)
+        return acks
+
     def _propagate_op(self, group: ReplicaGroup, member: str, args: tuple, kwargs: dict) -> None:
         """Forward one mutating call to every live backup (eager mode)."""
         space = self._primary_space(group)
         t0 = space.network.clock.now
-        for record in group.healthy_backups():
-            try:
-                space.invoke_remote(
-                    record.endpoint_ref,
-                    "apply_op",
-                    self._stamp(group, (member, list(args), dict(kwargs))),
-                    transport=self.transport,
-                )
-                group.writes_propagated += 1
-                group.forward_messages += 1
-            except (NetworkError, RemoteInvocationError):
-                # The forward was lost — or the replay failed on the backup
-                # (its state has diverged).  Either way the copy is stale and
-                # no longer a promotion candidate until a snapshot re-seeds
-                # it; the primary's acknowledged write must not fail.
-                record.healthy = False
-                self._schedule_reseed(group, record.node_id)
+        acks = self._forward(group, "apply_op", (member, list(args), dict(kwargs)))
+        group.writes_propagated += acks
+        group.forward_messages += acks
         self._trace_forwards(space, "replicate", t0, group=group.name, op=member)
 
     def _quorum_write(self, group: ReplicaGroup, member: str, args: tuple, kwargs: dict) -> None:
@@ -757,31 +734,20 @@ class ReplicaManager:
 
         The primary's local apply (already done by the wrapper) counts as
         one ack; the call is then forwarded — epoch-stamped — to every live
-        backup.  Unreachable or failed backups are demoted and re-seeded
-        like eager forwards; a backup answering with
-        :class:`~repro.api.errors.FencedError` has adopted a newer epoch
-        (a partial promotion attempt) and is treated the same way.  When
-        fewer than ``group.quorum`` acks are gathered the write is refused
-        with :class:`~repro.api.errors.QuorumLostError` — the caller is not
-        acknowledged, and the wrapper records the local apply as divergent.
+        backup, a fenced answer demoting the backup like a lost forward.
+        When fewer than ``group.quorum`` acks are gathered the write is
+        refused with :class:`~repro.api.errors.QuorumLostError` — the caller
+        is not acknowledged, and the wrapper records the local apply as
+        divergent.
         """
         space = self._primary_space(group)
-        acks = 1  # the primary's own apply
         t0 = space.network.clock.now
-        for record in group.healthy_backups():
-            try:
-                space.invoke_remote(
-                    record.endpoint_ref,
-                    "apply_op",
-                    self._stamp(group, (member, list(args), dict(kwargs))),
-                    transport=self.transport,
-                )
-                acks += 1
-                group.writes_propagated += 1
-                group.forward_messages += 1
-            except (NetworkError, RemoteInvocationError, FencedError):
-                record.healthy = False
-                self._schedule_reseed(group, record.node_id)
+        forwarded = self._forward(
+            group, "apply_op", (member, list(args), dict(kwargs)), fenced_demotes=True
+        )
+        group.writes_propagated += forwarded
+        group.forward_messages += forwarded
+        acks = 1 + forwarded  # the primary's own apply
         self._trace_forwards(
             space, "quorum-write", t0, group=group.name, op=member, acks=acks
         )
@@ -803,23 +769,9 @@ class ReplicaManager:
             return
         space = self._primary_space(group)
         t0 = space.network.clock.now
-        for record in group.healthy_backups():
-            try:
-                space.invoke_remote(
-                    record.endpoint_ref,
-                    "apply_ops",
-                    self._stamp(group, ([list(op) for op in ops],)),
-                    transport=self.transport,
-                )
-                group.writes_propagated += len(ops)
-                group.forward_messages += 1
-            except (NetworkError, RemoteInvocationError):
-                # A lost forward or a failed replay (diverged backup) demotes
-                # this copy only; it must not escape the batch-commit hook
-                # and fail a batch the primary already executed, nor skip the
-                # forwards to the remaining backups.
-                record.healthy = False
-                self._schedule_reseed(group, record.node_id)
+        acks = self._forward(group, "apply_ops", ([list(op) for op in ops],))
+        group.writes_propagated += acks * len(ops)
+        group.forward_messages += acks
         self._trace_forwards(
             space, "replicate-batch", t0, group=group.name, ops=len(ops)
         )
@@ -827,23 +779,8 @@ class ReplicaManager:
     def sync_now(self, group: ReplicaGroup) -> int:
         """Ship a state snapshot to every live backup; returns copies synced."""
         state = snapshot_state(group.primary_impl, self.application)
-        space = self._primary_space(group)
-        synced = 0
-        for record in group.healthy_backups():
-            try:
-                space.invoke_remote(
-                    record.endpoint_ref,
-                    "apply_state",
-                    self._stamp(group, (dict(state),)),
-                    transport=self.transport,
-                )
-                group.snapshots_shipped += 1
-                synced += 1
-            except (NetworkError, RemoteInvocationError):
-                # A failed snapshot application must not crash the interval
-                # sync tick running on the event queue.
-                record.healthy = False
-                self._schedule_reseed(group, record.node_id)
+        synced = self._forward(group, "apply_state", (state,))
+        group.snapshots_shipped += synced
         group.dirty = False
         return synced
 

@@ -33,7 +33,6 @@ from repro.network.simnet import SimulatedNetwork
 from repro.policy.policy import all_local_policy, remote
 from repro.runtime.cluster import Cluster
 from repro.runtime.faulttolerance import RetryPolicy, guard_handle
-from repro.runtime.migration import ObjectMigrator
 from repro.runtime.pipelining import InvocationFuture
 from repro.runtime.redistribution import DistributionController
 from repro.transports.base import parse_frame
@@ -334,7 +333,7 @@ class TestAdoptedLifecycle:
             lambda: controller.make_local(handle),
             lambda: controller.move(handle, "backup"),
             lambda: controller.set_transport(handle, "soap"),
-            lambda: ObjectMigrator(app, cluster).migrate(handle, "backup"),
+            lambda: controller.move_graph(handle, "backup"),
         )
         for change in changes:
             with pytest.raises(RedistributionError, match="adopted by service 'y'"):

@@ -21,7 +21,7 @@ class TestHierarchy:
 
     def test_subsystem_groupings(self):
         assert issubclass(errors.NotTransformableError, errors.TransformationError)
-        assert issubclass(errors.MigrationError, errors.RuntimeLayerError)
+        assert issubclass(errors.RedistributionError, errors.RuntimeLayerError)
         assert issubclass(errors.PartitionError, errors.NetworkError)
         assert issubclass(errors.UnknownTransportError, errors.TransportError)
 

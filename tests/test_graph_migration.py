@@ -7,7 +7,8 @@ import pytest
 from repro.core.transformer import ApplicationTransformer
 from repro.policy.policy import all_local_policy
 from repro.runtime.cluster import Cluster
-from repro.runtime.migration import ObjectMigrator, reachable_handles
+from repro.runtime.migration import reachable_handles
+from repro.runtime.redistribution import DistributionController
 from repro.workloads.figure1 import A, B, C
 from repro.workloads.orders import Catalog, CustomerSession, OrderStore, seed_catalog
 
@@ -77,8 +78,8 @@ class TestGraphMigration:
         holder_b = app.new("B", shared)
         holder_a.record(2)
 
-        migrator = ObjectMigrator(app, cluster)
-        records = migrator.migrate_graph(holder_a, "server")
+        migrator = DistributionController(app, cluster)
+        records = migrator.move_graph(holder_a, "server")
         # holder_a and the shared C moved; holder_b still reaches the same C.
         assert {record.class_name for record in records} >= {"A", "C"}
         assert holder_a.meta.node_id == "server"
@@ -90,9 +91,9 @@ class TestGraphMigration:
         app, cluster = dynamic_figure1
         shared = app.new("C", "shared")
         holder = app.new("A", shared)
-        migrator = ObjectMigrator(app, cluster)
-        migrator.migrate(shared, "server")
-        records = migrator.migrate_graph(holder, "server")
+        migrator = DistributionController(app, cluster)
+        migrator.move(shared, "server")
+        records = migrator.move_graph(holder, "server")
         assert {record.class_name for record in records} == {"A"}
 
     def test_graph_migration_keeps_results_identical(self):
@@ -107,8 +108,8 @@ class TestGraphMigration:
         session = app.new("CustomerSession", "alice", catalog, orders)
         session.buy("sku-1", 2)
 
-        migrator = ObjectMigrator(app, cluster)
-        records = migrator.migrate_graph(session, "warehouse")
+        migrator = DistributionController(app, cluster)
+        records = migrator.move_graph(session, "warehouse")
         moved = {record.class_name for record in records}
         assert {"CustomerSession", "Catalog", "OrderStore"} <= moved
 

@@ -18,7 +18,6 @@ from repro.policy.loader import policy_from_dict
 from repro.policy.policy import all_local_policy
 from repro.runtime.cluster import Cluster
 from repro.runtime.faulttolerance import RetryPolicy, guard_handle
-from repro.runtime.migration import ObjectMigrator
 from repro.runtime.redistribution import DistributionController
 from repro.tools.deployment import deployment_from_dict
 from repro.tools.recommend import profile_and_recommend
@@ -192,14 +191,14 @@ class TestMigrationPreservesBehaviourUnderLoad:
         app = ApplicationTransformer(policy).transform(PIPELINE_CLASSES)
         cluster = Cluster(("stage-1", "stage-2"))
         app.deploy(cluster, default_node="stage-1")
-        migrator = ObjectMigrator(app, cluster)
+        migrator = DistributionController(app, cluster)
 
         buffer = app.new("Buffer", 64)
         producer = app.new("Producer", buffer)
         consumer = app.new("Consumer", buffer)
 
         producer.produce(10)
-        migrator.migrate(buffer, "stage-2")
+        migrator.move(buffer, "stage-2")
         consumer.drain(10)
         producer.produce(10)
         consumer.drain(10)

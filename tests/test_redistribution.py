@@ -9,7 +9,8 @@ from repro.api.errors import RedistributionError
 from repro.core.transformer import ApplicationTransformer
 from repro.policy.policy import all_local_policy
 from repro.runtime.cluster import Cluster
-from repro.runtime.redistribution import DistributionController
+from repro.runtime.redistribution import BoundaryChange, DistributionController
+from repro.runtime.remote_ref import reference_of
 from repro.transports.base import parse_frame
 
 CLASSES = [sample_app.X, sample_app.Y, sample_app.Z]
@@ -168,3 +169,177 @@ class TestChangeLog:
         assert change.class_name == "Y"
         assert change.node_id == "server"
         assert change.transport == "soap"
+
+
+# ---------------------------------------------------------------------------
+# Parity: the rows on which the two former relocation paths (the controller's
+# make_remote/make_local/move and the migrator's migrate) disagreed, each run
+# through every entry point that applies.
+# ---------------------------------------------------------------------------
+
+NAME = "the-y"
+
+
+def _exports(cluster):
+    return {node: cluster.space(node).object_count() for node in cluster.node_ids()}
+
+
+def _ask(cluster):
+    """``n(1)`` on whatever NAME resolves to, asked from a third node."""
+    return cluster.space("backup").invoke_remote(cluster.naming.lookup(NAME), "n", (1,))
+
+
+def _remote_handle(app, controller):
+    y = app.new("Y", 5)
+    controller.make_remote(y, "server")
+    controller.changes.clear()
+    return y
+
+
+def _hosted(app, cluster, subject_kind):
+    """A Y hosted on "server", as a bare implementation or a proxy to it."""
+    implementation = app.new_local("Y", 5)
+    reference = cluster.space("server").export(implementation)
+    if subject_kind == "implementation":
+        return implementation, reference
+    return app.proxy_for_ref(reference, cluster.space("client")), reference
+
+
+class TestBoundaryParity:
+    @pytest.mark.parametrize(
+        "entry", ["make_remote", "move", "make_local", "move-proxy", "move-implementation"]
+    )
+    def test_row1_a_bound_name_follows_the_object(self, controller_setup, entry):
+        app, cluster, controller = controller_setup
+        if entry == "make_remote":
+            y = app.new("Y", 5)
+            cluster.naming.bind(NAME, cluster.space("client").export(y.meta.target))
+            change = controller.make_remote(y, "server")
+        elif entry in ("move", "make_local"):
+            y = _remote_handle(app, controller)
+            cluster.naming.bind(NAME, reference_of(y))
+            change = controller.move(y, "backup") if entry == "move" else controller.make_local(y)
+        else:
+            subject, reference = _hosted(app, cluster, entry.split("-")[1])
+            cluster.naming.bind(NAME, reference)
+            change = controller.move(subject, "backup")
+        assert cluster.naming.lookup(NAME) == change.new_reference
+        assert change.new_reference.node_id == change.node_id
+        assert _ask(cluster) == 6
+        assert sum(_exports(cluster).values()) == 1
+
+    @pytest.mark.parametrize("entry", ["move", "make_local"])
+    def test_row2_the_callers_own_node_means_local(self, controller_setup, entry):
+        app, cluster, controller = controller_setup
+        y = _remote_handle(app, controller)
+        change = controller.move(y, "client") if entry == "move" else controller.make_local(y)
+        bound = (y.meta.kind, y.meta.node_id, type(y.meta.target).__name__)
+        assert bound == ("local", "client", "Y_O_Local")
+        assert (change.operation, change.transport, change.new_reference) == (
+            "make_local", None, None
+        )
+        assert set(_exports(cluster).values()) == {0}  # unnamed: nothing exported
+        assert y.n(1) == 6
+
+    def test_row2_make_remote_refuses_the_callers_own_node(self, controller_setup):
+        app, _, controller = controller_setup
+        y = _remote_handle(app, controller)
+        with pytest.raises(RedistributionError, match="caller's own; make_local"):
+            controller.make_remote(y, "client")
+        assert controller.boundary_of(y) == ("remote", "server")
+        assert controller.changes == []
+
+    @pytest.mark.parametrize("entry", ["make_remote", "move"])
+    def test_row3_a_lazy_home_export_is_retired(self, controller_setup, entry):
+        app, cluster, controller = controller_setup
+        y = app.new("Y", 5)
+        with app.executing_on("server"):
+            assert y.n(1) == 6  # reached from another node: exported from its home
+        assert _exports(cluster) == {"client": 1, "server": 0, "backup": 0}
+        change = getattr(controller, entry)(y, "backup")
+        assert _exports(cluster) == {"client": 0, "server": 0, "backup": 1}
+        assert change.old_reference.node_id == "client"
+        assert y.n(1) == 6
+
+    @pytest.mark.parametrize(
+        "entry", ["make_remote", "move", "move-proxy", "move-implementation"]
+    )
+    def test_row4_already_on_that_node(self, controller_setup, entry):
+        app, cluster, controller = controller_setup
+        if entry in ("make_remote", "move"):
+            subject, change = _remote_handle(app, controller), getattr(controller, entry)
+        else:
+            subject, change = _hosted(app, cluster, entry.split("-")[1])[0], controller.move
+        with pytest.raises(RedistributionError, match="already resides on node 'server'"):
+            change(subject, "server")
+        assert _exports(cluster) == {"client": 0, "server": 1, "backup": 0}
+        assert controller.changes == []
+
+    @pytest.mark.parametrize("entry", ["make_remote", "move"])
+    def test_row5_a_local_object_does_not_move_to_its_own_node(self, controller_setup, entry):
+        app, cluster, controller = controller_setup
+        y = app.new("Y", 5)
+        with pytest.raises(RedistributionError):
+            getattr(controller, entry)(y, "client")
+        assert controller.boundary_of(y) == ("local", "client")
+        assert type(y.meta.target).__name__ == "Y_O_Local"
+        assert set(_exports(cluster).values()) == {0}
+        assert controller.changes == []
+
+    @pytest.mark.parametrize("subject_kind", ["proxy", "implementation"])
+    def test_row6_move_accepts_any_transformed_subject(self, controller_setup, subject_kind):
+        app, cluster, controller = controller_setup
+        subject, reference = _hosted(app, cluster, subject_kind)
+        subject.set_base(50)
+        change = controller.move(subject, "backup")
+        assert controller.changes == [change]
+        assert (change.operation, change.node_id, change.source_node) == (
+            "move", "backup", "server"
+        )
+        assert (change.old_reference, change.fields_copied) == (reference, 1)
+        assert change.new_reference.node_id == "backup"
+        assert cluster.space("client").invoke_remote(change.new_reference, "n", (1,)) == 51
+        assert _exports(cluster) == {"client": 0, "server": 0, "backup": 1}
+
+    @pytest.mark.parametrize("subject_kind", ["proxy", "implementation"])
+    def test_row6_the_other_changes_still_require_a_handle(self, controller_setup, subject_kind):
+        app, cluster, controller = controller_setup
+        subject, _ = _hosted(app, cluster, subject_kind)
+        for refused in (
+            lambda: controller.make_remote(subject, "backup"),
+            lambda: controller.make_local(subject),
+            lambda: controller.set_transport(subject, "soap"),
+        ):
+            with pytest.raises(RedistributionError, match="requires a rebindable handle"):
+                refused()
+        assert _exports(cluster) == {"client": 0, "server": 1, "backup": 0}
+
+    @pytest.mark.parametrize("entry", ["make_remote", "move"])
+    def test_row7_local_to_remote_copies_through_the_accessors(self, controller_setup, entry):
+        app, cluster, controller = controller_setup
+        y = app.new("Y", 5)
+        y.set_base(50)
+        before = y.meta.target
+        change = getattr(controller, entry)(y, "server")
+        hosted = cluster.space("server").lookup_local_object(change.new_reference.object_id)
+        assert hosted is not before and type(hosted) is type(before)
+        assert hosted.get_base() == 50 and change.fields_copied == 1
+        assert change.operation == "make_remote"  # named after the outcome
+
+    def test_row8_one_record_whatever_the_entry_point(self, controller_setup):
+        app, _, controller = controller_setup
+        y = app.new("Y", 5)
+        first = controller.make_remote(y, "server", transport="soap")
+        assert first == BoundaryChange(
+            "Y", "make_remote", "server", "soap", "client", None, first.new_reference, 1
+        )
+        # A move without transport= reverts to the policy's: recorded, not fixed here.
+        second = controller.move(y, "backup")
+        assert second == BoundaryChange(
+            "Y", "move", "backup", "rmi", "server", first.new_reference, second.new_reference, 1
+        )
+        third = controller.make_local(y)
+        assert third == BoundaryChange(
+            "Y", "make_local", "client", None, "backup", second.new_reference, None, 1
+        )
+        assert controller.changes == [first, second, third]

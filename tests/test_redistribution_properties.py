@@ -15,7 +15,6 @@ from repro.api.errors import RedistributionError
 from repro.core.transformer import ApplicationTransformer
 from repro.policy.policy import all_local_policy
 from repro.runtime.cluster import Cluster
-from repro.runtime.migration import ObjectMigrator
 from repro.runtime.redistribution import DistributionController
 from repro.workloads.shared_cache import Cache
 
@@ -30,7 +29,9 @@ _steps = st.lists(
         st.tuples(st.just("make_local")),
         st.tuples(st.just("move"), st.sampled_from(NODES)),
         st.tuples(st.just("set_transport"), st.sampled_from(["soap", "rmi", "corba"])),
-        st.tuples(st.just("migrate"), st.sampled_from(NODES)),
+        st.tuples(st.just("move_graph"), st.sampled_from(NODES)),
+        st.tuples(st.just("call_from"), st.sampled_from(NODES), st.integers(0, 15)),
+        st.tuples(st.just("move_home")),
     ),
     min_size=1,
     max_size=30,
@@ -44,6 +45,24 @@ def _apply_application_step(cache, oracle, step, observations):
         observations.append(("get", cache.get(f"k{step[1]}"), oracle.get(f"k{step[1]}")))
 
 
+def _apply_boundary_step(controller, cache, step) -> int:
+    """Apply one boundary change; returns how many changes it logged."""
+    kind = step[0]
+    if kind == "move_graph":  # skips an object already there instead of raising
+        return len(controller.move_graph(cache, step[1]))
+    if kind == "make_remote":
+        controller.make_remote(cache, step[1])
+    elif kind == "make_local":
+        controller.make_local(cache)
+    elif kind == "move":
+        controller.move(cache, step[1])
+    elif kind == "move_home":
+        controller.move(cache, "alpha")  # the caller's own node
+    elif kind == "set_transport":
+        controller.set_transport(cache, step[1])
+    return 1
+
+
 class TestBoundaryChangesPreserveSemantics:
     @given(steps=_steps)
     @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -52,35 +71,36 @@ class TestBoundaryChangesPreserveSemantics:
         cluster = Cluster(NODES)
         app.deploy(cluster, default_node="alpha")
         controller = DistributionController(app, cluster)
-        migrator = ObjectMigrator(app, cluster)
 
         cache = app.new("Cache", 16)
         oracle = Cache(16)
         observations: list = []
+        # Published under a name before anything moves: the name must follow.
+        cluster.naming.bind("the-cache", cluster.space("alpha").export(cache.meta.target))
+        applied = 0
 
         for step in steps:
             kind = step[0]
             if kind in ("put", "get"):
                 _apply_application_step(cache, oracle, step, observations)
-                continue
-            try:
-                if kind == "make_remote":
-                    controller.make_remote(cache, step[1])
-                elif kind == "make_local":
-                    controller.make_local(cache)
-                elif kind == "move":
-                    controller.move(cache, step[1])
-                elif kind == "set_transport":
-                    controller.set_transport(cache, step[1])
-                elif kind == "migrate":
-                    migrator.migrate(cache, step[1])
-            except RedistributionError:
-                # Redundant changes (already local, already on that node, ...)
-                # are rejected loudly but must not corrupt the object.
-                pass
-            except Exception as error:  # pragma: no cover - MigrationError path
-                if type(error).__name__ != "MigrationError":
-                    raise
+            elif kind == "call_from":
+                with app.executing_on(step[1]):
+                    _apply_application_step(cache, oracle, ("get", step[2]), observations)
+            else:
+                try:
+                    applied += _apply_boundary_step(controller, cache, step)
+                except RedistributionError:
+                    # Redundant changes (already local, already on that node, ...)
+                    # are rejected loudly but must not corrupt the object.
+                    pass
+            # One object, one live export, wherever it went; the name resolves
+            # to it and every applied change is on the log.
+            assert sum(space.object_count() for space in cluster.spaces()) == 1
+            reference = cluster.naming.lookup("the-cache")
+            assert reference.node_id == cache.meta.node_id
+            answer = cluster.space("gamma").invoke_remote(reference, "get", ("k0",))
+            assert answer == oracle.get("k0")
+            assert len(controller.changes) == applied
 
         for kind, observed, expected in observations:
             assert observed == expected, f"{kind} diverged"
@@ -97,7 +117,7 @@ class TestBoundaryChangesPreserveSemantics:
         app = ApplicationTransformer(all_local_policy(dynamic=True)).transform([Cache])
         cluster = Cluster(NODES)
         app.deploy(cluster, default_node="alpha")
-        migrator = ObjectMigrator(app, cluster)
+        migrator = DistributionController(app, cluster)
 
         cache = app.new("Cache", 64)
         written = 0
@@ -105,10 +125,9 @@ class TestBoundaryChangesPreserveSemantics:
             cache.put(f"k{index}", value)
             written += 1
             try:
-                migrator.migrate(cache, node)
-            except Exception as error:
-                if type(error).__name__ != "MigrationError":
-                    raise
+                migrator.move(cache, node)
+            except RedistributionError:
+                pass
         assert cache.size() == written
         for index, value in enumerate(values[: len(moves)]):
             assert cache.get(f"k{index}") == value
