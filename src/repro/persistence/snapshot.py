@@ -21,6 +21,7 @@ from typing import Any, Dict, Mapping, Optional
 
 from repro._errors import SerializationError
 from repro.core.metaobject import metaobject_of, unwrap
+from repro.runtime.serialization import _is_transformed_instance
 
 #: Wire-level tag marking a reference to another snapshotted object.
 _REF_KEY = "__persisted_ref__"
@@ -50,10 +51,6 @@ class GraphSnapshot:
     @classmethod
     def from_dict(cls, data: Mapping) -> "GraphSnapshot":
         return cls(objects=dict(data.get("objects", {})), roots=dict(data.get("roots", {})))
-
-
-def _is_transformed_instance(value: Any) -> bool:
-    return getattr(type(value), "_repro_interface_name", None) is not None
 
 
 class ObjectGraphSnapshotter:

@@ -16,12 +16,6 @@ from repro.runtime.faulttolerance import (
     RetryPolicy,
     guard_handle,
 )
-from repro.runtime.invocation import (
-    InvocationBatch,
-    InvocationBatchResponse,
-    InvocationRequest,
-    InvocationResponse,
-)
 from repro.runtime.migration import apply_state, snapshot_state
 from repro.runtime.naming import NamingService
 from repro.runtime.pipelining import InvocationFuture, PipelineScheduler
@@ -46,11 +40,7 @@ __all__ = [
     "FailureLog",
     "FailureObservingInterceptor",
     "FaultTolerantInvoker",
-    "InvocationBatch",
-    "InvocationBatchResponse",
     "InvocationFuture",
-    "InvocationRequest",
-    "InvocationResponse",
     "Marshaller",
     "NO_RETRY",
     "NamingService",

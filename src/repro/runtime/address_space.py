@@ -20,22 +20,17 @@ from __future__ import annotations
 import warnings
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro._errors import (
-    InvocationError,
-    NetworkError,
-    TransportError,
-    UnknownObjectError,
-    remote_error,
-)
+from repro._errors import InvocationError, NetworkError, TransportError, UnknownObjectError
 from repro.core.interfaces import cacheable_members
 from repro.network.simnet import SimulatedNetwork
 from repro.observability.tracing import trace_refs_from_contexts
 from repro.runtime.batching import BatchResult
 from repro.runtime.invocation import (
-    InvocationBatch,
-    InvocationBatchResponse,
-    InvocationRequest,
-    InvocationResponse,
+    RequestFields,
+    read_request,
+    read_response,
+    request_dict,
+    response_dict,
 )
 from repro.runtime.remote_ref import ObjectIdAllocator, RemoteRef
 from repro.runtime.serialization import Marshaller
@@ -521,6 +516,46 @@ class AddressSpace:
         return frame_subscription_ack()
 
     # ------------------------------------------------------------------
+    # Hosted objects (where every call, local or served, ends)
+    # ------------------------------------------------------------------
+
+    def _call_hosted(
+        self, object_id: str, member: str, args: Sequence, kwargs: dict, mutated: set
+    ) -> Any:
+        """Call ``member`` of the object exported here as ``object_id``.
+
+        The one place a member is looked up on a hosted object and run.  A
+        write to an object with cache subscribers adds its id to ``mutated``
+        — before execution: a write that raises may still have mutated state,
+        so subscribers are invalidated either way (conservative, never
+        stale).  *When* the collected ids are broadcast is the caller's
+        business and the only thing the callers differ in: the co-located
+        short-circuit before it returns, a co-located batch after its last
+        call, a served message before its response leaves.
+        """
+        target = self.lookup_local_object(object_id)
+        try:
+            method = getattr(target, member)
+        except AttributeError:
+            raise InvocationError(
+                f"object {object_id!r} has no member {member!r}"
+            ) from None
+        if self._cache_subscribers and self._mutates_subscribed_object(
+            object_id, target, member
+        ):
+            mutated.add(object_id)
+        snapshot = None
+        if member in self._cacheable_members_for(target):
+            snapshot = self._state_snapshot(target)
+        try:
+            return method(*args, **kwargs)
+        finally:
+            # Checked on the error path too: a @cacheable member that
+            # mutated and *then* raised still poisoned the caches.
+            if snapshot is not None:
+                self._check_cacheable_purity(target, member, snapshot)
+
+    # ------------------------------------------------------------------
     # Outgoing invocations (the proxy side)
     # ------------------------------------------------------------------
 
@@ -540,7 +575,8 @@ class AddressSpace:
         object are interchangeable, so a proxy that finds itself co-located
         with its target behaves like the local version.  (The short-circuit
         bypasses the wire *and* the serving space's middleware chain — a
-        co-located caller is trusted like local code.)
+        co-located caller is trusted like local code — and raises the
+        application's own exception, not a description of it.)
 
         ``context`` is the call's wire-context dict (call id, tenant,
         deadline); it rides the request as a ``ctx`` control field and is
@@ -550,49 +586,19 @@ class AddressSpace:
 
         kwargs = kwargs or {}
         if reference.located_on(self.node_id):
-            target = self.lookup_local_object(reference.object_id)
-            if self._cache_subscribers and self._mutates_subscribed_object(
-                reference.object_id, target, member
-            ):
-                # A co-located writer bypasses the dispatcher, but remote
-                # subscribers must still drop their entries before the write
-                # returns to the caller.
-                try:
-                    return getattr(target, member)(*args, **kwargs)
-                finally:
-                    self._broadcast_invalidations({reference.object_id})
-            return getattr(target, member)(*args, **kwargs)
-
-        transport_impl = self.transports.get(transport or self.default_transport)
-        wire_args, wire_kwargs = self.marshaller.marshal_arguments(tuple(args), kwargs)
-        request = InvocationRequest(
-            target_id=reference.object_id,
-            interface_name=reference.interface_name,
-            member=member,
-            args=wire_args,
-            kwargs=wire_kwargs,
-            context=dict(context or {}),
+            mutated: set[str] = set()
+            try:
+                return self._call_hosted(reference.object_id, member, args, kwargs, mutated)
+            finally:
+                if mutated:
+                    # A co-located writer bypasses the dispatcher, but remote
+                    # subscribers must still drop their entries before the
+                    # write returns to the caller.
+                    self._broadcast_invalidations(mutated)
+        (result,) = self._exchange(
+            [(reference, member, args, kwargs, context)], reference.node_id, transport, False
         )
-        body = transport_impl.encode_request(request.to_dict())
-        self.network.clock.advance(transport_impl.processing_overhead)
-        payload = frame_message(transport_impl.name, body)
-
-        self.invocations_sent += 1
-        trace = None
-        if self.network.tracer is not None:
-            trace = trace_refs_from_contexts((request.context,)) or None
-        raw_response = self.network.send_request(
-            self.node_id, reference.node_id, payload, trace=trace
-        )
-
-        response_transport, response_body = self._open_response(raw_response, batch=False)
-        self.network.clock.advance(response_transport.processing_overhead)
-        response = InvocationResponse.from_dict(
-            response_transport.decode_response(response_body)
-        )
-        if response.is_error:
-            raise remote_error(response.error_type, response.error_message or "")
-        return self.marshaller.from_wire(response.result)
+        return result.unwrap()
 
     def invoke_remote_many(
         self,
@@ -650,22 +656,22 @@ class AddressSpace:
         on_results: Any = None,
         on_error: Any = None,
     ) -> Optional[List[BatchResult]]:
-        """The one batch shipper under both ``invoke_remote_many`` forms.
+        """Both ``invoke_remote_many`` forms: where a batch goes, then one exchange.
 
-        Without callbacks the batch is sent inline and its results returned;
-        with them it is posted and the outcome reaches ``on_results`` or
-        ``on_error`` from the event queue.  Everything else — destination
-        check, local short-circuit, counters, trace refs, encoding and
-        decoding — is the same code either way.
+        An empty or co-located batch crosses no network; any other ships in
+        a batch frame — inline without callbacks, posted with them.
         """
-        normalized = self._normalize_calls(calls)
+        # Uniform 5-tuples: the context is optional in a caller's tuple.
+        normalized = [
+            (reference, member, args, kwargs or {}, rest[0] if rest else None)
+            for reference, member, args, kwargs, *rest in calls
+        ]
         destinations = {call[0].node_id for call in normalized}
         if len(destinations) > 1:
             raise InvocationError(
                 f"a batch must target one address space, got {sorted(destinations)}"
             )
         if destinations <= {self.node_id}:
-            # An empty or co-located batch crosses no network.
             if on_results is None:
                 return self._invoke_batch_locally(normalized)
             self.network.events.schedule(
@@ -673,143 +679,18 @@ class AddressSpace:
             )
             return None
         (destination,) = destinations
+        return self._exchange(normalized, destination, transport, True, on_results, on_error)
 
-        payload = self._encode_batch_payload(normalized, transport)
-        self.invocations_sent += len(normalized)
-        self.batches_sent += 1
-        trace = None
-        if self.network.tracer is not None:
-            trace = (
-                trace_refs_from_contexts(context for *_, context in normalized) or None
-            )
-
-        def decode(raw_response: bytes) -> List[BatchResult]:
-            return self._decode_batch_payload(raw_response, len(normalized))
-
-        if on_results is None:
-            return decode(
-                self.network.send_request(self.node_id, destination, payload, trace=trace)
-            )
-
-        def complete(raw_response: bytes) -> None:
-            try:
-                results = decode(raw_response)
-            except Exception as error:  # noqa: BLE001 - routed to callback
-                on_error(error)
-                return
-            on_results(results)
-
-        self.network.post(
-            self.node_id, destination, payload, complete, on_error, trace=trace
-        )
-        return None
-
-    @staticmethod
-    def _normalize_calls(
-        calls: Sequence[BatchCall],
-    ) -> list[tuple[RemoteRef, str, tuple, dict, dict]]:
-        """Copy batch calls into uniform 5-tuples (context defaulting empty)."""
-        normalized: list[tuple[RemoteRef, str, tuple, dict, dict]] = []
-        for call in calls:
-            reference, member, args, kwargs, *rest = call
-            context = rest[0] if rest else None
-            normalized.append(
-                (reference, member, tuple(args), dict(kwargs or {}), dict(context or {}))
-            )
-        return normalized
-
-    def _encode_batch_payload(
-        self,
-        normalized: Sequence[tuple[RemoteRef, str, tuple, dict, dict]],
-        transport: Optional[str],
-    ) -> bytes:
-        """Marshal and frame N calls as one batch message, charging encode cost."""
-        transport_impl = self.transports.get(transport or self.default_transport)
-        batch = InvocationBatch()
-        for reference, member, args, kwargs, context in normalized:
-            wire_args, wire_kwargs = self.marshaller.marshal_arguments(args, kwargs)
-            batch.requests.append(
-                InvocationRequest(
-                    target_id=reference.object_id,
-                    interface_name=reference.interface_name,
-                    member=member,
-                    args=wire_args,
-                    kwargs=wire_kwargs,
-                    context=context,
-                )
-            )
-        body = transport_impl.encode_batch_request(batch.to_dicts())
-        self.network.clock.advance(transport_impl.batch_processing_overhead(len(batch)))
-        return frame_batch_message(transport_impl.name, body)
-
-    def _decode_batch_payload(
-        self, raw_response: bytes, expected: int
-    ) -> List[BatchResult]:
-        """Decode a framed batch response into per-call results, charging decode cost."""
-        response_transport, response_body = self._open_response(raw_response, batch=True)
-        self.network.clock.advance(
-            response_transport.batch_processing_overhead(expected)
-        )
-        batch_response = InvocationBatchResponse.from_dicts(
-            response_transport.decode_batch_response(response_body)
-        )
-        if len(batch_response) != expected:
-            raise TransportError(
-                f"batch response carries {len(batch_response)} results "
-                f"for {expected} calls"
-            )
-
-        results: list[BatchResult] = []
-        for index, response in enumerate(batch_response):
-            if response.is_error:
-                results.append(
-                    BatchResult(
-                        index=index,
-                        error=remote_error(
-                            response.error_type, response.error_message or ""
-                        ),
-                    )
-                )
-            else:
-                results.append(
-                    BatchResult(index=index, value=self.marshaller.from_wire(response.result))
-                )
-        return results
-
-    def _open_response(self, raw_response: bytes, batch: bool) -> Tuple[Any, bytes]:
-        """Unframe one response message into ``(transport, body)``.
-
-        Piggybacked invalidations are delivered first — before the results
-        are decoded, so reads in the same window re-fill with
-        post-invalidation state — and a single/batch mismatch is refused.
-        """
-        piggybacked, raw_response = split_invalidations(raw_response)
-        if piggybacked:
-            self._deliver_invalidations(piggybacked)
-        response_name, response_body, response_is_batch = parse_frame(raw_response)
-        if response_is_batch != batch:
-            raise TransportError(
-                "batch response received for a single invocation"
-                if response_is_batch
-                else "single response received for a batched invocation"
-            )
-        return self.transports.get(response_name), response_body
-
-    def _invoke_batch_locally(
-        self, calls: Sequence[tuple[RemoteRef, str, tuple, dict, dict]]
-    ) -> List[BatchResult]:
+    def _invoke_batch_locally(self, calls: Sequence[tuple]) -> List[BatchResult]:
         results: list[BatchResult] = []
         mutated: set[str] = set()
         self._enter_batch_scope()
         try:
             for index, (reference, member, args, kwargs, _context) in enumerate(calls):
                 try:
-                    target = self.lookup_local_object(reference.object_id)
-                    if self._cache_subscribers and self._mutates_subscribed_object(
-                        reference.object_id, target, member
-                    ):
-                        mutated.add(reference.object_id)
-                    value = getattr(target, member)(*args, **kwargs)
+                    value = self._call_hosted(
+                        reference.object_id, member, args, kwargs, mutated
+                    )
                 except Exception as error:  # noqa: BLE001 - per-call isolation
                     results.append(BatchResult(index=index, error=error))
                 else:
@@ -821,6 +702,117 @@ class AddressSpace:
                 # every subscriber (this node's own caches included) gets the
                 # broadcast before the results reach the caller.
                 self._broadcast_invalidations(mutated)
+        return results
+
+    # -- the one remote round trip: requests out, results back ---------------
+
+    def _exchange(
+        self,
+        calls: Sequence[tuple],
+        destination: str,
+        transport: Optional[str],
+        batch: bool,
+        on_results: Any = None,
+        on_error: Any = None,
+    ) -> Optional[List[BatchResult]]:
+        """Ship ``calls`` to ``destination`` in one frame; one result per call.
+
+        Each call is ``(reference, member, args, kwargs, context)``.  ``batch``
+        picks the framing — a single frame carries exactly one call — and is
+        the only thing a single call and a batch differ in on the way out and
+        back.  Without callbacks the frame is sent inline and the results
+        returned; with them it is posted and the outcome reaches
+        ``on_results`` or ``on_error`` from the event queue.
+        """
+        payload = self._encode_calls(calls, transport, batch)
+        count = len(calls)
+        self.invocations_sent += count
+        if batch:
+            self.batches_sent += 1
+        trace = None
+        if self.network.tracer is not None:
+            trace = trace_refs_from_contexts(call[4] for call in calls) or None
+        if on_results is None:
+            return self._decode_results(
+                self.network.send_request(self.node_id, destination, payload, trace=trace),
+                count,
+                batch,
+            )
+
+        def complete(raw_response: bytes) -> None:
+            try:
+                results = self._decode_results(raw_response, count, batch)
+            except Exception as error:  # noqa: BLE001 - routed to callback
+                on_error(error)
+                return
+            on_results(results)
+
+        self.network.post(
+            self.node_id, destination, payload, complete, on_error, trace=trace
+        )
+        return None
+
+    def _encode_calls(
+        self, calls: Sequence[tuple], transport: Optional[str], batch: bool
+    ) -> bytes:
+        """Marshal ``calls`` into one framed request message, charging encode cost.
+
+        A function of its own so that the request dicts and the unframed body
+        are gone before the round trip starts: held across it, a batch of
+        large payloads would sit beside the serving side's copy at the peak.
+        """
+        transport_impl = self.transports.get(transport or self.default_transport)
+        marshal = self.marshaller.marshal_arguments
+        requests = [
+            request_dict(reference, member, *marshal(args, kwargs), context)
+            for reference, member, args, kwargs, context in calls
+        ]
+        if batch:
+            body = transport_impl.encode_batch_request(requests)
+            self.network.clock.advance(transport_impl.batch_processing_overhead(len(requests)))
+            return frame_batch_message(transport_impl.name, body)
+        body = transport_impl.encode_request(requests[0])
+        self.network.clock.advance(transport_impl.processing_overhead)
+        return frame_message(transport_impl.name, body)
+
+    def _decode_results(
+        self, raw_response: bytes, expected: int, batch: bool
+    ) -> List[BatchResult]:
+        """Decode one framed response message into per-call results, charging decode cost.
+
+        Piggybacked invalidations are delivered first — before the results
+        are decoded, so reads in the same window re-fill with
+        post-invalidation state — and a response in the other framing than
+        the request's is refused.
+        """
+        piggybacked, raw_response = split_invalidations(raw_response)
+        if piggybacked:
+            self._deliver_invalidations(piggybacked)
+        response_name, response_body, response_is_batch = parse_frame(raw_response)
+        if response_is_batch != batch:
+            raise TransportError(
+                "batch response received for a single invocation"
+                if response_is_batch
+                else "single response received for a batched invocation"
+            )
+        response_transport = self.transports.get(response_name)
+        if batch:
+            self.network.clock.advance(response_transport.batch_processing_overhead(expected))
+            responses = response_transport.decode_batch_response(response_body)
+            if len(responses) != expected:
+                raise TransportError(
+                    f"batch response carries {len(responses)} results for {expected} calls"
+                )
+        else:
+            self.network.clock.advance(response_transport.processing_overhead)
+            responses = (response_transport.decode_response(response_body),)
+        from_wire = self.marshaller.from_wire
+        results: list[BatchResult] = []
+        for index, response in enumerate(responses):
+            value, error = read_response(response)
+            if error is None:
+                value = from_wire(value)
+            results.append(BatchResult(index, value, error))
         return results
 
     # ------------------------------------------------------------------
@@ -866,26 +858,28 @@ class AddressSpace:
             transport = self.transports.get(transport_name)
             if is_batch:
                 self.batches_served += 1
-                batch = InvocationBatch.from_dicts(transport.decode_batch_request(body))
+                decoded = transport.decode_batch_request(body)
+            else:
+                decoded = (transport.decode_request(body),)
+            # Every request is checked before the first one runs: a frame
+            # with a malformed call in it fails whole, with nothing executed
+            # that a retry would execute again.
+            requests = list(map(read_request, decoded))
+            if is_batch:
                 self._enter_batch_scope()
-                try:
-                    responses = InvocationBatchResponse(
-                        [self._dispatch(request) for request in batch]
-                    )
-                finally:
-                    # Commit hooks (e.g. batched replication forwards) run
-                    # before the response is framed: an acknowledged batch is
-                    # durable.
+            try:
+                responses = list(map(self._dispatch, requests))
+            finally:
+                # Commit hooks (e.g. batched replication forwards) run before
+                # the response is framed: an acknowledged batch is durable.
+                if is_batch:
                     self._exit_batch_scope()
+            if is_batch:
                 framed = frame_batch_message(
-                    transport_name, transport.encode_batch_response(responses.to_dicts())
+                    transport_name, transport.encode_batch_response(responses)
                 )
             else:
-                request = InvocationRequest.from_dict(transport.decode_request(body))
-                response = self._dispatch(request)
-                framed = frame_message(
-                    transport_name, transport.encode_response(response.to_dict())
-                )
+                framed = frame_message(transport_name, transport.encode_response(responses[0]))
         finally:
             pending, self._pending_invalidations = (
                 self._pending_invalidations,
@@ -903,20 +897,21 @@ class AddressSpace:
                 self.invalidations_piggybacked += 1
         return framed
 
-    def _dispatch(self, request: InvocationRequest) -> InvocationResponse:
+    def _dispatch(self, request: RequestFields) -> dict:
+        """Serve one checked request; the response dict, success or error."""
+        _target, interface, member, _args, _kwargs, context = request
         self.invocations_served += 1
         for hook in self._dispatch_hooks:
             hook.before_dispatch(self)
         tracer = self.network.tracer
         span = None
-        context = request.context
         if tracer is not None and context and "x" in context:
             ref = (context["x"], context.get("p"))
             # Remember which traces this message carried: replication
             # forwards triggered by the call attribute their spans here.
             self._message_trace_refs.append(ref)
             span = tracer.start_span(
-                f"{request.interface_name}.{request.member}",
+                f"{interface}.{member}",
                 trace_id=ref[0],
                 parent_id=ref[1],
                 kind="server",
@@ -925,8 +920,7 @@ class AddressSpace:
             )
         try:
             if not self._middleware_chains:
-                response, _ = self._serve_request(request)
-                return response
+                return self._serve_request(request)[0]
             return self._dispatch_intercepted(request, span)
         finally:
             if span is not None:
@@ -934,9 +928,7 @@ class AddressSpace:
             for hook in reversed(self._dispatch_hooks):
                 hook.after_dispatch(self)
 
-    def _dispatch_intercepted(
-        self, request: InvocationRequest, span: Any = None
-    ) -> InvocationResponse:
+    def _dispatch_intercepted(self, request: RequestFields, span: Any = None) -> dict:
         """Serve one request inside every installed interceptor chain.
 
         Chains nest in installation order: the first installed chain's
@@ -944,17 +936,18 @@ class AddressSpace:
         ``begin`` rejection aborts the call before the target method runs
         and travels back as a typed error response; the chains already
         opened are failed in reverse so their brackets stay balanced.
-        Batches need no special handling here — the batch loop dispatches
+        Batches need no special handling here — the serve loop dispatches
         each framed call individually, so N calls get N brackets.
         """
         from repro.api.middleware import CallContext
 
+        _target, interface, member, args, kwargs, context = request
         ctx = CallContext.from_wire(
-            request.context,
-            service=request.interface_name,
-            member=request.member,
-            args=tuple(request.args),
-            kwargs=dict(request.kwargs),
+            context,
+            service=interface,
+            member=member,
+            args=tuple(args),
+            kwargs=dict(kwargs),
             clock=self.network.clock,
         )
         if span is not None:
@@ -969,7 +962,7 @@ class AddressSpace:
             except Exception as exc:  # noqa: BLE001 - typed rejection travels back
                 for bracket in reversed(brackets):
                     bracket.fail(exc)
-                return InvocationResponse.for_exception(exc)
+                return response_dict(error=exc)
         try:
             response, error = self._serve_request(request)
         except BaseException as exc:
@@ -980,59 +973,34 @@ class AddressSpace:
             raise
         if error is None:
             for bracket in reversed(brackets):
-                bracket.close(response.result)
+                bracket.close(response["result"])
         else:
             for bracket in reversed(brackets):
                 bracket.fail(error)
         return response
 
     def _serve_request(
-        self, request: InvocationRequest
-    ) -> tuple[InvocationResponse, Optional[BaseException]]:
-        """Execute one decoded request against the local object table.
+        self, request: RequestFields
+    ) -> tuple[dict, Optional[BaseException]]:
+        """Execute one checked request against the local object table.
 
         Returns ``(response, error)`` where ``error`` is the exception
         instance the response describes (``None`` on success) — the
         middleware layer needs the live instance for its ``abort`` hooks,
-        not just the marshalled error text.
+        not just the marshalled error text.  Failing to unmarshal the
+        arguments propagates instead: the whole message is bad.
         """
+        target_id, _interface, member, wire_args, wire_kwargs, _context = request
+        args, kwargs = self.marshaller.unmarshal_arguments(wire_args, wire_kwargs)
         try:
-            target = self.lookup_local_object(request.target_id)
-        except UnknownObjectError as exc:
-            return InvocationResponse.for_exception(exc), exc
-        try:
-            member = getattr(target, request.member)
-        except AttributeError:
-            error = InvocationError(
-                f"object {request.target_id!r} has no member {request.member!r}"
+            result = self._call_hosted(
+                target_id, member, args, kwargs, self._pending_invalidations
             )
-            return InvocationResponse.for_exception(error), error
-        if self._cache_subscribers and self._mutates_subscribed_object(
-            request.target_id, target, request.member
-        ):
-            # Recorded before execution: a write that raises may still
-            # have mutated state, so subscribers are invalidated either
-            # way (conservative, never stale).
-            self._pending_invalidations.add(request.target_id)
-        args, kwargs = self.marshaller.unmarshal_arguments(
-            request.args, request.kwargs
-        )
-        snapshot = None
-        if request.member in self._cacheable_members_for(target):
-            snapshot = self._state_snapshot(target)
-        try:
-            result = member(*args, **kwargs)
-        except Exception as exc:  # noqa: BLE001 - application errors travel back
-            return InvocationResponse.for_exception(exc), exc
-        finally:
-            # Checked on the error path too: a @cacheable member that
-            # mutated and *then* raised still poisoned the caches.
-            if snapshot is not None:
-                self._check_cacheable_purity(target, request.member, snapshot)
-        try:
-            return InvocationResponse.for_result(self.marshaller.to_wire(result)), None
-        except Exception as exc:  # noqa: BLE001 - marshalling errors travel back
-            return InvocationResponse.for_exception(exc), exc
+            # Application errors travel back, and so does a result that
+            # cannot be marshalled.
+            return response_dict(self.marshaller.to_wire(result)), None
+        except Exception as exc:  # noqa: BLE001 - see above
+            return response_dict(error=exc), exc
 
     @staticmethod
     def _state_snapshot(target: Any) -> Optional[Dict[str, Any]]:

@@ -1,167 +1,121 @@
-"""Invocation messages exchanged between address spaces.
+"""The four steps between a call and the message dicts the transports speak.
 
-A remote method call is represented by an :class:`InvocationRequest` (which
-object, which member, which — already marshalled — arguments) and an
-:class:`InvocationResponse` (a marshalled result or an error description).
-N calls travelling together form an :class:`InvocationBatch`, answered by an
-:class:`InvocationBatchResponse` that preserves request order and isolates
-per-call errors.  Transports only ever see the dictionary form of these
-messages, so every protocol carries exactly the same logical content.
+The dict documented at the top of :mod:`repro.transports.base` is the only
+form a message takes above the bytes, and a single-call frame and a batch
+carry the same dicts.  So there is one function here for each step, whichever
+frame a call travels in:
+
+* :func:`request_dict` — call → request dict (calling side);
+* :func:`read_request` — request dict → checked fields (serving side; the
+  shape check of everything that arrives off the wire);
+* :func:`response_dict` — outcome → response dict (serving side);
+* :func:`read_response` — response dict → wire value or remote error
+  (calling side).
+
+Both readers raise :class:`~repro._errors.TransportError` for a message of the
+wrong shape: it fails the whole frame it came in, like any other decode
+failure.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, List, Optional
+from typing import Any, Optional, Tuple
 
-from repro._errors import TransportError
+from repro._errors import ReproError, TransportError, remote_error
+from repro.runtime.remote_ref import RemoteRef
+
+#: The checked fields of one request, in :func:`read_request`'s order:
+#: (target id, interface name, member, wire args, wire kwargs, context).
+RequestFields = Tuple[str, str, str, list, dict, Optional[dict]]
 
 
-@dataclass
-class InvocationRequest:
-    """One remote member invocation, in marshalled (wire-value) form.
+def request_dict(
+    reference: RemoteRef, member: str, args: list, kwargs: dict, context: Optional[dict]
+) -> dict:
+    """The request for ``member`` on the object behind ``reference``.
 
-    ``context`` carries the call's control fields (call id, tenant,
-    deadline — see :class:`~repro.api.middleware.CallContext`); it is
-    serialized as a ``ctx`` key only when non-empty, so requests issued
-    without middleware stay byte-identical to the pre-middleware wire
-    format.
+    ``args`` and ``kwargs`` are already marshalled.  ``context`` carries the
+    call's control fields (call id, tenant, deadline — see
+    :class:`~repro.api.middleware.CallContext`); it becomes the ``ctx`` key
+    only when non-empty, so a call issued without middleware keeps the
+    pre-middleware wire bytes.  The key order here is the order on the wire.
     """
+    request = {
+        "target": reference.object_id,
+        "interface": reference.interface_name,
+        "member": member,
+        "args": args,
+        "kwargs": kwargs,
+    }
+    if context:
+        request["ctx"] = context
+    return request
 
-    target_id: str
-    interface_name: str
-    member: str
-    args: list = field(default_factory=list)
-    kwargs: dict = field(default_factory=dict)
-    context: dict = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        payload = {
-            "target": self.target_id,
-            "interface": self.interface_name,
-            "member": self.member,
-            "args": list(self.args),
-            "kwargs": dict(self.kwargs),
-        }
-        if self.context:
-            payload["ctx"] = dict(self.context)
-        return payload
+def read_request(request: dict) -> RequestFields:
+    """The fields of one decoded request, checked against the documented shape.
 
-    @classmethod
-    def from_dict(cls, payload: dict) -> "InvocationRequest":
-        return cls(
-            target_id=payload.get("target", ""),
-            interface_name=payload.get("interface", ""),
-            member=payload.get("member", ""),
-            args=list(payload.get("args", [])),
-            kwargs=dict(payload.get("kwargs", {})),
-            context=dict(payload.get("ctx") or {}),
+    A transport's decoder answers for the frame, not for what is in it, and
+    what is in it came from another machine.
+    """
+    try:
+        target, interface, member = request["target"], request["interface"], request["member"]
+        args, kwargs = request["args"], request["kwargs"]
+        context = request.get("ctx")
+    except (KeyError, TypeError, AttributeError):  # a field missing, or not a dict at all
+        raise _malformed(request) from None
+    # Exact types: a decoder builds str, list and dict, never a subclass.
+    if not (
+        type(target) is str
+        and type(interface) is str
+        and type(member) is str
+        and type(args) is list
+        and type(kwargs) is dict
+        and (context is None or type(context) is dict)
+    ):
+        raise _malformed(request)
+    for key in kwargs:
+        if type(key) is not str:
+            raise _malformed(request)
+    return target, interface, member, args, kwargs, context
+
+
+def _malformed(request: Any) -> TransportError:
+    found = (
+        {key: type(value).__name__ for key, value in request.items()}
+        if isinstance(request, dict)
+        else type(request).__name__
+    )
+    return TransportError(
+        "malformed invocation request: need a dict with str target, interface and member, "
+        f"a list of args, str-keyed kwargs and an optional dict ctx; got {found}"
+    )
+
+
+def response_dict(result: Any = None, error: Optional[BaseException] = None) -> dict:
+    """The response carrying a marshalled ``result``, or describing ``error``."""
+    if error is not None:
+        return {"error": {"type": type(error).__name__, "message": str(error)}}
+    return {"result": result}
+
+
+def read_response(response: dict) -> Tuple[Any, Optional[ReproError]]:
+    """``(wire value, None)`` or ``(None, the remote error to raise)``.
+
+    A missing or ``None`` ``error`` means success, and a missing ``result``
+    is ``None``.
+    """
+    if not isinstance(response, dict):
+        raise TransportError(
+            f"invocation response must be a dictionary, got {type(response).__name__}"
         )
-
-
-@dataclass
-class InvocationResponse:
-    """The outcome of a remote invocation, in marshalled form."""
-
-    result: Any = None
-    error_type: Optional[str] = None
-    error_message: Optional[str] = None
-
-    @property
-    def is_error(self) -> bool:
-        return self.error_type is not None
-
-    def to_dict(self) -> dict:
-        if self.is_error:
-            return {"error": {"type": self.error_type, "message": self.error_message}}
-        return {"result": self.result}
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "InvocationResponse":
-        if not isinstance(payload, dict):
-            raise TransportError(
-                f"invocation response must be a dictionary, got {type(payload).__name__}"
-            )
-        error = payload.get("error")
-        if error is not None:
-            if not isinstance(error, dict):
-                raise TransportError(
-                    f"invocation error payload must be a dictionary, got {type(error).__name__}"
-                )
-            return cls(
-                result=None,
-                error_type=str(error.get("type", "Exception")),
-                error_message=str(error.get("message", "")),
-            )
-        return cls(result=payload.get("result"))
-
-    @classmethod
-    def for_result(cls, result: Any) -> "InvocationResponse":
-        return cls(result=result)
-
-    @classmethod
-    def for_exception(cls, exc: BaseException) -> "InvocationResponse":
-        return cls(result=None, error_type=type(exc).__name__, error_message=str(exc))
-
-
-@dataclass
-class InvocationBatch:
-    """An ordered group of invocation requests carried by one wire message.
-
-    A batch amortises per-message transport cost: the sending space frames
-    and ships one message for N calls, and the simulated network charges one
-    round trip instead of N.  All requests in a batch must target objects in
-    the same destination address space.
-    """
-
-    requests: List[InvocationRequest] = field(default_factory=list)
-
-    def __len__(self) -> int:
-        return len(self.requests)
-
-    def __iter__(self):
-        return iter(self.requests)
-
-    def to_dicts(self) -> list[dict]:
-        return [request.to_dict() for request in self.requests]
-
-    @classmethod
-    def from_dicts(cls, payloads: list) -> "InvocationBatch":
-        if not isinstance(payloads, (list, tuple)):
-            raise TransportError(
-                f"invocation batch must be a list, got {type(payloads).__name__}"
-            )
-        return cls(requests=[InvocationRequest.from_dict(item) for item in payloads])
-
-
-@dataclass
-class InvocationBatchResponse:
-    """Per-call outcomes of a batch, in request order.
-
-    A transport-level failure fails the whole batch (the message never makes
-    it back), but application errors raised by individual calls are carried
-    here per slot, so one failing call does not poison its neighbours.
-    """
-
-    responses: List[InvocationResponse] = field(default_factory=list)
-
-    def __len__(self) -> int:
-        return len(self.responses)
-
-    def __iter__(self):
-        return iter(self.responses)
-
-    @property
-    def error_count(self) -> int:
-        return sum(1 for response in self.responses if response.is_error)
-
-    def to_dicts(self) -> list[dict]:
-        return [response.to_dict() for response in self.responses]
-
-    @classmethod
-    def from_dicts(cls, payloads: list) -> "InvocationBatchResponse":
-        if not isinstance(payloads, (list, tuple)):
-            raise TransportError(
-                f"invocation batch response must be a list, got {type(payloads).__name__}"
-            )
-        return cls(responses=[InvocationResponse.from_dict(item) for item in payloads])
+    error = response.get("error")
+    if error is None:
+        return response.get("result"), None
+    if not isinstance(error, dict):
+        raise TransportError(
+            f"invocation error payload must be a dictionary, got {type(error).__name__}"
+        )
+    return None, remote_error(
+        str(error.get("type", "Exception")), str(error.get("message", ""))
+    )

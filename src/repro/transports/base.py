@@ -2,24 +2,38 @@
 
 Various proxies implementing the interface extracted from a class provide
 alternative remote versions — SOAP-based, RMI-based, CORBA-based, etc.
-(paper §1).  Each transport turns an *invocation request* (a plain dict built
-by the runtime's marshaller) into a wire message and back.  All transports
+(paper §1).  Each transport turns *messages* — plain dicts built by
+:mod:`repro.runtime.invocation` — into a wire frame and back.  All transports
 carry the same logical content, so proxies using different transports are
 interchangeable; they differ only in wire format, message size and therefore
 cost on the simulated network.
 
-Request dictionaries have the shape::
+This is the one statement of the message shape.  A request is::
 
     {"target": <object id>, "interface": <interface name>,
-     "member": <member name>, "args": [<wire value>...], "kwargs": {...}}
+     "member": <member name>, "args": [<wire value>...],
+     "kwargs": {<str>: <wire value>...}, "ctx": {...}}
 
-Response dictionaries have the shape::
+with ``ctx`` (call id, tenant, deadline, trace ids) present only when
+non-empty, and a response is::
 
-    {"result": <wire value>}            on success
-    {"error": {"type": ..., "message": ...}}  on failure
+    {"result": <wire value>}                     on success
+    {"error": {"type": ..., "message": ...}}     on failure
 
 Wire values are produced by :mod:`repro.runtime.serialization` and are always
 JSON-compatible (None, bool, int, float, str, list, dict).
+
+A frame carries a list of messages of one *kind* (:data:`REQUEST`,
+:data:`RESPONSE`, :data:`BATCH_REQUEST`, :data:`BATCH_RESPONSE`); the two
+single kinds are the protocol's encoding of a list of exactly one.  Who checks
+what: a transport's decoder answers for the framing — the frame is of the
+expected kind and yields one message, or a list of them — and every failure
+to read it is a :class:`~repro._errors.TransportError`; what a message *is*
+is checked where it is read, once: a request by
+:func:`repro.runtime.invocation.read_request` in the serving address space,
+a response by :func:`repro.runtime.invocation.read_response` on the calling
+side (a message that is not a dict of the shape above is a ``TransportError``
+there, for the whole frame).
 """
 
 from __future__ import annotations
@@ -30,55 +44,81 @@ from typing import Dict, Iterable, List, Optional
 
 from repro._errors import TransportError, UnknownTransportError
 
+#: The four kinds of frame a protocol encodes.
+REQUEST = "request"
+RESPONSE = "response"
+BATCH_REQUEST = "batch request"
+BATCH_RESPONSE = "batch response"
+#: The kinds whose frame carries any number of messages rather than one.
+BATCH_KINDS = frozenset((BATCH_REQUEST, BATCH_RESPONSE))
+
 
 class Transport(abc.ABC):
-    """Encodes and decodes invocation requests and responses for one protocol."""
+    """Encodes and decodes invocation requests and responses for one protocol.
+
+    A protocol supplies two primitives, :meth:`encode_frame` and
+    :meth:`decode_frame`; the eight public names the runtime calls are
+    defined here, once, on top of them.  A batch carries N messages in ONE
+    frame with a native encoding per protocol (a distinct message type for
+    the binary protocols, a distinct envelope element for SOAP, a wrapper
+    object for JSON), so batches stay interchangeable across transports
+    exactly like single calls.
+    """
 
     #: Short lower-case protocol name ("soap", "rmi", "corba", "inproc").
     name: str = "abstract"
 
-    # -- encoding ------------------------------------------------------------
+    # -- the protocol ----------------------------------------------------------
 
     @abc.abstractmethod
+    def encode_frame(self, kind: str, messages: list) -> bytes:
+        """Serialise the messages of one frame into this protocol's wire form.
+
+        ``messages`` holds exactly one dict for the two single kinds.
+        """
+
+    @abc.abstractmethod
+    def decode_frame(self, kind: str, payload: bytes) -> list:
+        """Parse a wire frame of the expected ``kind`` back into its messages.
+
+        Returns a ``list`` (of one element for the two single kinds); every
+        failure to do so is a :class:`~repro._errors.TransportError`.  What
+        the messages are is the reader's to check, not the transport's.
+        """
+
+    # -- the eight names the runtime calls -------------------------------------
+
     def encode_request(self, request: dict) -> bytes:
         """Serialise a request dictionary into this protocol's wire form."""
+        return self.encode_frame(REQUEST, [request])
 
-    @abc.abstractmethod
     def decode_request(self, payload: bytes) -> dict:
         """Parse a wire request back into a request dictionary."""
+        return self.decode_frame(REQUEST, payload)[0]
 
-    @abc.abstractmethod
     def encode_response(self, response: dict) -> bytes:
         """Serialise a response dictionary into this protocol's wire form."""
+        return self.encode_frame(RESPONSE, [response])
 
-    @abc.abstractmethod
     def decode_response(self, payload: bytes) -> dict:
         """Parse a wire response back into a response dictionary."""
-
-    # -- batches -------------------------------------------------------------
-    #
-    # A batch carries N request (or response) dictionaries in ONE wire
-    # message.  Each protocol provides a native batch encoding (a distinct
-    # message type for the binary protocols, a distinct envelope element for
-    # SOAP, a wrapper object for JSON) so that batches remain interchangeable
-    # across transports exactly like single calls.  Transports that predate
-    # batching may leave these unimplemented; callers get a typed error.
+        return self.decode_frame(RESPONSE, payload)[0]
 
     def encode_batch_request(self, requests: list) -> bytes:
         """Serialise a list of request dictionaries into one wire message."""
-        raise TransportError(f"transport {self.name!r} does not support batching")
+        return self.encode_frame(BATCH_REQUEST, requests)
 
     def decode_batch_request(self, payload: bytes) -> list:
         """Parse a wire batch back into a list of request dictionaries."""
-        raise TransportError(f"transport {self.name!r} does not support batching")
+        return self.decode_frame(BATCH_REQUEST, payload)
 
     def encode_batch_response(self, responses: list) -> bytes:
         """Serialise a list of response dictionaries into one wire message."""
-        raise TransportError(f"transport {self.name!r} does not support batching")
+        return self.encode_frame(BATCH_RESPONSE, responses)
 
     def decode_batch_response(self, payload: bytes) -> list:
         """Parse a wire batch back into a list of response dictionaries."""
-        raise TransportError(f"transport {self.name!r} does not support batching")
+        return self.decode_frame(BATCH_RESPONSE, payload)
 
     # -- cost model ----------------------------------------------------------
 

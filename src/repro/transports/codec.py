@@ -16,24 +16,15 @@ share every line of value handling while producing different bytes.
       assert encode_value(True) == b"\\x01"               # a tag, not an int
       assert encode_value("ab", alignment=8).hex() == "05000000" "00000002" "6162"
 
-* :func:`encode_message` / :func:`decode_message` — round-trip ONE
-  request/response dictionary.  ``alignment=1`` produces the RMI-like packed
-  stream; ``alignment=8`` produces the CDR-style aligned stream::
+  ``alignment=1`` produces the RMI-like packed stream; ``alignment=8``
+  produces the CDR-style aligned stream::
 
       message = {"member": "submit", "args": [1, 2.5, "sku"]}
-      packed = encode_message(message)                    # RMI-like stream
-      aligned = encode_message(message, alignment=8)      # CDR-style padding
-      assert decode_message(packed) == message
-      assert decode_message(aligned, alignment=8) == message
+      packed = encode_value(message)                      # RMI-like stream
+      aligned = encode_value(message, alignment=8)        # CDR-style padding
+      assert decode_value(packed) == message
+      assert decode_value(aligned, alignment=8) == message
       assert len(aligned) >= len(packed)                  # padding costs bytes
-
-* :func:`encode_message_list` / :func:`decode_message_list` — round-trip a
-  BATCH of dictionaries as one tagged list in a single stream (and therefore
-  one alignment run), which is what lets a batched wire message pay the
-  encoding's framing cost once::
-
-      batch = encode_message_list([request.to_dict() for request in requests])
-      dicts = decode_message_list(batch)
 
   Decoders must use the producer's alignment — the streams are not
   self-describing on that axis (the transport name in the frame carries it).
@@ -44,10 +35,10 @@ Every failure — a value outside the wire domain, an integer beyond 64 bits,
 a truncated or over-long stream, an unknown tag, invalid UTF-8, nesting deeper
 than the interpreter's stack — raises :class:`~repro.api.errors.TransportError`.
 
-:class:`BinaryTransport` holds the eight ``encode_*`` / ``decode_*`` methods
-of a binary protocol; a concrete protocol (``rmi.py``, ``corba.py``) is a
-description over it: name, alignment, four message-type codes, how its
-header is packed and opened, and its ``processing_overhead``.
+:class:`BinaryTransport` holds the frame encoder and decoder of a binary
+protocol; a concrete protocol (``rmi.py``, ``corba.py``) is a description
+over it: name, alignment, a message-type code per frame kind, how its header
+is packed and opened, and its ``processing_overhead``.
 """
 
 from __future__ import annotations
@@ -55,10 +46,10 @@ from __future__ import annotations
 import abc
 import struct
 from struct import Struct
-from typing import Any
+from typing import Any, Dict
 
 from repro._errors import TransportError
-from repro.transports.base import Transport
+from repro.transports.base import BATCH_KINDS, Transport
 
 _TAG_NONE = 0
 _TAG_TRUE = 1
@@ -241,57 +232,24 @@ def decode_value(payload: bytes, alignment: int = 1) -> Any:
     return value
 
 
-def encode_message(message: dict, alignment: int = 1) -> bytes:
-    """Encode a request/response dictionary as a single tagged value."""
-    return encode_value(message, alignment)
-
-
-def decode_message(payload: bytes, alignment: int = 1) -> dict:
-    """Decode a message produced by :func:`encode_message`."""
-    value = decode_value(payload, alignment)
-    if not isinstance(value, dict):
-        raise TransportError("binary message did not contain a dictionary")
-    return value
-
-
-def encode_message_list(messages: list, alignment: int = 1) -> bytes:
-    """Encode a batch of request/response dictionaries as one tagged list.
-
-    The batch is one stream (and therefore one alignment run), so the
-    framing cost of the encoding is paid once for the whole batch rather than
-    once per message.
-    """
-    return encode_value(list(messages), alignment)
-
-
-def decode_message_list(payload: bytes, alignment: int = 1) -> list[dict]:
-    """Decode a batch produced by :func:`encode_message_list`."""
-    value = decode_value(payload, alignment)
-    if not isinstance(value, list):
-        raise TransportError("binary batch did not contain a list")
-    for item in value:
-        if not isinstance(item, dict):
-            raise TransportError("binary batch items must be dictionaries")
-    return value
-
-
 class BinaryTransport(Transport):
     """A binary protocol as a description over the shared value codec.
 
     Subclasses set ``name``, ``processing_overhead``, ``alignment`` and the
-    four message-type codes, and say how their header is packed in front of
-    an encoded body and checked and stripped off a received payload.  The
-    description lives in class attributes, so an instance needs no
-    ``__init__``.
+    message-type code of each frame kind, and say how their header is packed
+    in front of an encoded body and checked and stripped off a received
+    payload.  The description lives in class attributes, so an instance needs
+    no ``__init__``.
+
+    A batch frame's body is the list of its messages as one tagged value (one
+    stream, so one alignment run: the framing cost is paid once per batch); a
+    single frame's body is its one message, bare.
     """
 
     #: Alignment of 4- and 8-byte primitives in the body (1 = packed).
     alignment: int = 1
-    #: The protocol's message-type codes.
-    request_type: int
-    response_type: int
-    batch_request_type: int
-    batch_response_type: int
+    #: The protocol's message-type code per frame kind.
+    message_types: Dict[str, int]
 
     @abc.abstractmethod
     def pack_header(self, message_type: int, body: bytes) -> bytes:
@@ -301,32 +259,16 @@ class BinaryTransport(Transport):
     def open_header(self, payload: bytes, expected_type: int) -> bytes:
         """Check the header of ``payload`` and return the body behind it."""
 
-    def _encode(self, message_type: int, value: Any) -> bytes:
-        body = encode_value(value, self.alignment)
-        return self.pack_header(message_type, body) + body
+    def encode_frame(self, kind: str, messages: list) -> bytes:
+        body = encode_value(messages if kind in BATCH_KINDS else messages[0], self.alignment)
+        return self.pack_header(self.message_types[kind], body) + body
 
-    def encode_request(self, request: dict) -> bytes:
-        return self._encode(self.request_type, request)
-
-    def decode_request(self, payload: bytes) -> dict:
-        return decode_message(self.open_header(payload, self.request_type), self.alignment)
-
-    def encode_response(self, response: dict) -> bytes:
-        return self._encode(self.response_type, response)
-
-    def decode_response(self, payload: bytes) -> dict:
-        return decode_message(self.open_header(payload, self.response_type), self.alignment)
-
-    def encode_batch_request(self, requests: list) -> bytes:
-        return self._encode(self.batch_request_type, list(requests))
-
-    def decode_batch_request(self, payload: bytes) -> list:
-        body = self.open_header(payload, self.batch_request_type)
-        return decode_message_list(body, self.alignment)
-
-    def encode_batch_response(self, responses: list) -> bytes:
-        return self._encode(self.batch_response_type, list(responses))
-
-    def decode_batch_response(self, payload: bytes) -> list:
-        body = self.open_header(payload, self.batch_response_type)
-        return decode_message_list(body, self.alignment)
+    def decode_frame(self, kind: str, payload: bytes) -> list:
+        value = decode_value(
+            self.open_header(payload, self.message_types[kind]), self.alignment
+        )
+        if kind not in BATCH_KINDS:
+            return [value]
+        if type(value) is not list:
+            raise TransportError("binary batch did not contain a list")
+        return value

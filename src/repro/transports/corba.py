@@ -13,6 +13,7 @@ from __future__ import annotations
 import struct
 
 from repro._errors import TransportError
+from repro.transports.base import BATCH_REQUEST, BATCH_RESPONSE, REQUEST, RESPONSE
 from repro.transports.codec import BinaryTransport
 
 _MAGIC = b"GIOP"
@@ -26,10 +27,7 @@ class CorbaTransport(BinaryTransport):
     name = "corba"
     processing_overhead = 0.00012
     alignment = 8
-    request_type = 0
-    response_type = 1
-    batch_request_type = 2
-    batch_response_type = 3
+    message_types = {REQUEST: 0, RESPONSE: 1, BATCH_REQUEST: 2, BATCH_RESPONSE: 3}
 
     def pack_header(self, message_type: int, body: bytes) -> bytes:
         return _HEADER.pack(_MAGIC, _VERSION[0], _VERSION[1], 0, message_type, len(body))

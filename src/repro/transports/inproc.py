@@ -12,7 +12,11 @@ from __future__ import annotations
 import json
 
 from repro._errors import TransportError
-from repro.transports.base import Transport
+from repro.transports.base import BATCH_REQUEST, BATCH_RESPONSE, Transport
+
+#: The key a batch frame's wrapper object keeps its messages under; a single
+#: frame is its one message, bare.
+_BATCH_KEYS = {BATCH_REQUEST: "batch", BATCH_RESPONSE: "responses"}
 
 
 class InProcTransport(Transport):
@@ -21,56 +25,22 @@ class InProcTransport(Transport):
     name = "inproc"
     processing_overhead = 0.0
 
-    @staticmethod
-    def _dump(message: dict) -> bytes:
+    def encode_frame(self, kind: str, messages: list) -> bytes:
+        key = _BATCH_KEYS.get(kind)
+        document = messages[0] if key is None else {key: messages}
         try:
-            return json.dumps(message, separators=(",", ":")).encode("utf-8")
+            return json.dumps(document, separators=(",", ":")).encode("utf-8")
         except (TypeError, ValueError) as exc:
             raise TransportError(f"message is not JSON-encodable: {exc}") from exc
 
-    @staticmethod
-    def _load(payload: bytes) -> dict:
+    def decode_frame(self, kind: str, payload: bytes) -> list:
         try:
-            message = json.loads(payload.decode("utf-8"))
+            document = json.loads(payload.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise TransportError(f"malformed in-process message: {exc}") from exc
-        if not isinstance(message, dict):
-            raise TransportError("in-process message did not contain an object")
-        return message
-
-    @classmethod
-    def _load_batch(cls, payload: bytes, key: str) -> list:
-        message = cls._load(payload)
-        batch = message.get(key)
-        if not isinstance(batch, list):
+        key = _BATCH_KEYS.get(kind)
+        if key is None:
+            return [document]
+        if not isinstance(document, dict) or not isinstance(document.get(key), list):
             raise TransportError(f"in-process batch has no {key!r} list")
-        for item in batch:
-            if not isinstance(item, dict):
-                raise TransportError("in-process batch items must be objects")
-        return batch
-
-    def encode_request(self, request: dict) -> bytes:
-        return self._dump(request)
-
-    def decode_request(self, payload: bytes) -> dict:
-        return self._load(payload)
-
-    def encode_response(self, response: dict) -> bytes:
-        return self._dump(response)
-
-    def decode_response(self, payload: bytes) -> dict:
-        return self._load(payload)
-
-    # -- batches -----------------------------------------------------------
-
-    def encode_batch_request(self, requests: list) -> bytes:
-        return self._dump({"batch": list(requests)})
-
-    def decode_batch_request(self, payload: bytes) -> list:
-        return self._load_batch(payload, "batch")
-
-    def encode_batch_response(self, responses: list) -> bytes:
-        return self._dump({"responses": list(responses)})
-
-    def decode_batch_response(self, payload: bytes) -> list:
-        return self._load_batch(payload, "responses")
+        return document[key]

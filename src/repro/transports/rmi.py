@@ -10,6 +10,7 @@ implementations.
 from __future__ import annotations
 
 from repro._errors import TransportError
+from repro.transports.base import BATCH_REQUEST, BATCH_RESPONSE, REQUEST, RESPONSE
 from repro.transports.codec import BinaryTransport
 
 _MAGIC = b"JR"
@@ -21,10 +22,7 @@ class RmiTransport(BinaryTransport):
     name = "rmi"
     processing_overhead = 0.00005
     alignment = 1
-    request_type = 0x50
-    response_type = 0x51
-    batch_request_type = 0x52
-    batch_response_type = 0x53
+    message_types = {REQUEST: 0x50, RESPONSE: 0x51, BATCH_REQUEST: 0x52, BATCH_RESPONSE: 0x53}
 
     def pack_header(self, message_type: int, body: bytes) -> bytes:
         return _MAGIC + bytes((message_type,))

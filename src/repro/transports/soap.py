@@ -21,7 +21,13 @@ import xml.etree.ElementTree as ET
 from typing import Any
 
 from repro._errors import TransportError
-from repro.transports.base import Transport
+from repro.transports.base import (
+    BATCH_REQUEST,
+    BATCH_RESPONSE,
+    REQUEST,
+    RESPONSE,
+    Transport,
+)
 
 _ENVELOPE = "Envelope"
 _BODY = "Body"
@@ -115,10 +121,6 @@ def _value_to_element(value: Any, tag: str = "value") -> ET.Element:
     return element
 
 
-def _member_name(element: ET.Element) -> str:
-    return _get_attr(element, "name")
-
-
 def _element_to_value(element: ET.Element) -> Any:
     kind = element.get("type", "null")
     if kind == "null":
@@ -134,186 +136,119 @@ def _element_to_value(element: ET.Element) -> Any:
     if kind == "array":
         return [_element_to_value(child) for child in element]
     if kind == "struct":
-        return {_member_name(child): _element_to_value(child) for child in element}
+        return {_get_attr(child, "name"): _element_to_value(child) for child in element}
     raise TransportError(f"unknown SOAP value type {kind!r}")
 
 
+def _write_invoke(parent: ET.Element, request: dict) -> None:
+    invoke = ET.SubElement(parent, _INVOKE)
+    for attribute in ("target", "interface", "member"):
+        _set_attr(invoke, attribute, str(request.get(attribute, "")))
+    arguments = ET.SubElement(invoke, "arguments")
+    for argument in request.get("args", []):
+        arguments.append(_value_to_element(argument, "argument"))
+    keywords = ET.SubElement(invoke, "keywords")
+    for key, value in request.get("kwargs", {}).items():
+        keyword = _value_to_element(value, "keyword")
+        _set_attr(keyword, "name", key)
+        keywords.append(keyword)
+    # Call-control fields (deadline, tenant, call id) travel as one
+    # struct-typed header element; omitted entirely when absent, so
+    # chain-free messages keep the historical envelope shape.
+    context = request.get("ctx")
+    if context:
+        invoke.append(_value_to_element(context, "context"))
+
+
+def _read_invoke(invoke: ET.Element) -> dict:
+    if invoke.tag != _INVOKE:
+        raise TransportError(f"unexpected SOAP request element {invoke.tag!r}")
+    arguments_element = invoke.find("arguments")
+    keywords_element = invoke.find("keywords")
+    request = {
+        "target": _get_attr(invoke, "target"),
+        "interface": _get_attr(invoke, "interface"),
+        "member": _get_attr(invoke, "member"),
+        "args": [
+            _element_to_value(child)
+            for child in (arguments_element if arguments_element is not None else [])
+        ],
+        "kwargs": {
+            _get_attr(child, "name"): _element_to_value(child)
+            for child in (keywords_element if keywords_element is not None else [])
+        },
+    }
+    context_element = invoke.find("context")
+    if context_element is not None:
+        request["ctx"] = _element_to_value(context_element)
+    return request
+
+
+def _write_response(parent: ET.Element, response: dict) -> None:
+    if "error" in response and response["error"] is not None:
+        fault = ET.SubElement(parent, _FAULT)
+        _set_attr(fault, "faultcode", str(response["error"].get("type", "Server")))
+        _set_attr(fault, "faultstring", str(response["error"].get("message", "")))
+    else:
+        result = ET.SubElement(parent, _RESPONSE)
+        result.append(_value_to_element(response.get("result"), "return"))
+
+
+def _read_response(element: ET.Element) -> dict:
+    if element.tag == _FAULT:
+        return {
+            "error": {
+                "type": _get_attr(element, "faultcode", "Server"),
+                "message": _get_attr(element, "faultstring"),
+            }
+        }
+    if element.tag == _RESPONSE:
+        returned = element.find("return")
+        return {"result": _element_to_value(returned) if returned is not None else None}
+    raise TransportError(f"unexpected SOAP response element {element.tag!r}")
+
+
+# How one message is written and read, and the tags its element may carry (a
+# Body is searched for them in this order: a fault wins over a result).
+_REQUESTS = ((_INVOKE,), _write_invoke, _read_invoke)
+_RESPONSES = ((_FAULT, _RESPONSE), _write_response, _read_response)
+#: Per frame kind: the element wrapping a batch's messages — ``None`` for a
+#: single frame, whose one message sits in the Body itself — then the above.
+_FRAMES = {
+    REQUEST: (None, *_REQUESTS),
+    RESPONSE: (None, *_RESPONSES),
+    BATCH_REQUEST: (_BATCH, *_REQUESTS),
+    BATCH_RESPONSE: (_BATCH_RESPONSE, *_RESPONSES),
+}
+
+
 class SoapTransport(Transport):
-    """XML-envelope transport; verbose but human-readable on the wire."""
+    """XML-envelope transport; verbose but human-readable on the wire.
+
+    One envelope per frame.  Its Body holds the message's element or, for a
+    batch, one ``InvokeBatch`` / ``InvokeBatchResponse`` element with the N
+    messages as children — the envelope and XML declaration are paid once for
+    the whole batch.
+    """
 
     name = "soap"
     #: Parsing and building XML costs more CPU than binary packing; the
     #: simulated per-call processing charge reflects that.
     processing_overhead = 0.00030
 
-    # -- requests --------------------------------------------------------------
-
-    @staticmethod
-    def _fill_invoke_element(invoke: ET.Element, request: dict) -> None:
-        for attribute in ("target", "interface", "member"):
-            _set_attr(invoke, attribute, str(request.get(attribute, "")))
-        arguments = ET.SubElement(invoke, "arguments")
-        for argument in request.get("args", []):
-            arguments.append(_value_to_element(argument, "argument"))
-        keywords = ET.SubElement(invoke, "keywords")
-        for key, value in request.get("kwargs", {}).items():
-            keyword = _value_to_element(value, "keyword")
-            _set_attr(keyword, "name", key)
-            keywords.append(keyword)
-        # Call-control fields (deadline, tenant, call id) travel as one
-        # struct-typed header element; omitted entirely when absent, so
-        # chain-free messages keep the historical envelope shape.
-        context = request.get("ctx")
-        if context:
-            invoke.append(_value_to_element(context, "context"))
-
-    @staticmethod
-    def _invoke_element_to_dict(invoke: ET.Element) -> dict:
-        arguments_element = invoke.find("arguments")
-        keywords_element = invoke.find("keywords")
-        request = {
-            "target": _get_attr(invoke, "target"),
-            "interface": _get_attr(invoke, "interface"),
-            "member": _get_attr(invoke, "member"),
-            "args": [
-                _element_to_value(child)
-                for child in (arguments_element if arguments_element is not None else [])
-            ],
-            "kwargs": {
-                _member_name(child): _element_to_value(child)
-                for child in (keywords_element if keywords_element is not None else [])
-            },
-        }
-        context_element = invoke.find("context")
-        if context_element is not None:
-            request["ctx"] = _element_to_value(context_element)
-        return request
-
-    def encode_request(self, request: dict) -> bytes:
+    def encode_frame(self, kind: str, messages: list) -> bytes:
+        wrapper, _tags, write, _read = _FRAMES[kind]
         envelope = ET.Element(_ENVELOPE)
-        body = ET.SubElement(envelope, _BODY)
-        invoke = ET.SubElement(body, _INVOKE)
-        self._fill_invoke_element(invoke, request)
+        parent = ET.SubElement(envelope, _BODY)
+        if wrapper is not None:
+            parent = ET.SubElement(parent, wrapper)
+            parent.set("count", str(len(messages)))
+        for message in messages:
+            write(parent, message)
         return ET.tostring(envelope, encoding="utf-8", xml_declaration=True)
 
-    def decode_request(self, payload: bytes) -> dict:
-        invoke = self._parse_body_child(payload, _INVOKE)
-        return self._invoke_element_to_dict(invoke)
-
-    # -- responses --------------------------------------------------------------
-
-    @staticmethod
-    def _fill_response_element(body: ET.Element, response: dict) -> None:
-        if "error" in response and response["error"] is not None:
-            fault = ET.SubElement(body, _FAULT)
-            _set_attr(fault, "faultcode", str(response["error"].get("type", "Server")))
-            _set_attr(fault, "faultstring", str(response["error"].get("message", "")))
-        else:
-            result = ET.SubElement(body, _RESPONSE)
-            result.append(_value_to_element(response.get("result"), "return"))
-
-    @staticmethod
-    def _response_element_to_dict(element: ET.Element) -> dict:
-        if element.tag == _FAULT:
-            return {
-                "error": {
-                    "type": _get_attr(element, "faultcode", "Server"),
-                    "message": _get_attr(element, "faultstring"),
-                }
-            }
-        if element.tag == _RESPONSE:
-            returned = element.find("return")
-            return {"result": _element_to_value(returned) if returned is not None else None}
-        raise TransportError(f"unexpected SOAP response element {element.tag!r}")
-
-    def encode_response(self, response: dict) -> bytes:
-        envelope = ET.Element(_ENVELOPE)
-        body = ET.SubElement(envelope, _BODY)
-        self._fill_response_element(body, response)
-        return ET.tostring(envelope, encoding="utf-8", xml_declaration=True)
-
-    def decode_response(self, payload: bytes) -> dict:
-        try:
-            envelope = ET.fromstring(payload)
-        except ET.ParseError as exc:
-            raise TransportError(f"malformed SOAP response: {exc}") from exc
-        body = envelope.find(_BODY)
-        if body is None:
-            raise TransportError("SOAP response has no Body")
-        fault = body.find(_FAULT)
-        if fault is not None:
-            return {
-                "error": {
-                    "type": _get_attr(fault, "faultcode", "Server"),
-                    "message": _get_attr(fault, "faultstring"),
-                }
-            }
-        result = body.find(_RESPONSE)
-        if result is None:
-            raise TransportError("SOAP response has neither InvokeResponse nor Fault")
-        returned = result.find("return")
-        return {"result": _element_to_value(returned) if returned is not None else None}
-
-    # -- batches -----------------------------------------------------------------
-    #
-    # One envelope, one ``InvokeBatch`` (or ``InvokeBatchResponse``) element,
-    # N ``Invoke`` (or per-call ``InvokeResponse``/``Fault``) children.  The
-    # envelope and XML declaration are paid once for the whole batch.
-
-    def encode_batch_request(self, requests: list) -> bytes:
-        envelope = ET.Element(_ENVELOPE)
-        body = ET.SubElement(envelope, _BODY)
-        batch = ET.SubElement(body, _BATCH)
-        batch.set("count", str(len(requests)))
-        for request in requests:
-            invoke = ET.SubElement(batch, _INVOKE)
-            self._fill_invoke_element(invoke, request)
-        return ET.tostring(envelope, encoding="utf-8", xml_declaration=True)
-
-    def decode_batch_request(self, payload: bytes) -> list:
-        batch = self._parse_body_child(payload, _BATCH)
-        for child in batch:
-            if child.tag != _INVOKE:
-                raise TransportError(
-                    f"unexpected element {child.tag!r} in SOAP batch"
-                )
-        requests = [self._invoke_element_to_dict(child) for child in batch]
-        self._check_batch_count(batch, len(requests))
-        return requests
-
-    def encode_batch_response(self, responses: list) -> bytes:
-        envelope = ET.Element(_ENVELOPE)
-        body = ET.SubElement(envelope, _BODY)
-        batch = ET.SubElement(body, _BATCH_RESPONSE)
-        batch.set("count", str(len(responses)))
-        for response in responses:
-            self._fill_response_element(batch, response)
-        return ET.tostring(envelope, encoding="utf-8", xml_declaration=True)
-
-    def decode_batch_response(self, payload: bytes) -> list:
-        batch = self._parse_body_child(payload, _BATCH_RESPONSE)
-        responses = [self._response_element_to_dict(child) for child in batch]
-        self._check_batch_count(batch, len(responses))
-        return responses
-
-    @staticmethod
-    def _check_batch_count(batch: ET.Element, parsed: int) -> None:
-        declared = batch.get("count")
-        if declared is None:
-            return
-        try:
-            expected = int(declared)
-        except ValueError as exc:
-            raise TransportError(f"malformed SOAP batch count {declared!r}") from exc
-        if expected != parsed:
-            raise TransportError(
-                f"SOAP batch declares {expected} entries but carries {parsed}"
-            )
-
-    # -- helpers -----------------------------------------------------------------
-
-    @staticmethod
-    def _parse_body_child(payload: bytes, tag: str) -> ET.Element:
+    def decode_frame(self, kind: str, payload: bytes) -> list:
+        wrapper, tags, _write, read = _FRAMES[kind]
         try:
             envelope = ET.fromstring(payload)
         except ET.ParseError as exc:
@@ -321,7 +256,24 @@ class SoapTransport(Transport):
         body = envelope.find(_BODY)
         if body is None:
             raise TransportError("SOAP message has no Body")
-        child = body.find(tag)
-        if child is None:
-            raise TransportError(f"SOAP message has no {tag} element")
-        return child
+        if wrapper is None:
+            for tag in tags:
+                element = body.find(tag)
+                if element is not None:
+                    return [read(element)]
+            raise TransportError(f"SOAP message has no {' or '.join(tags)} element")
+        batch = body.find(wrapper)
+        if batch is None:
+            raise TransportError(f"SOAP message has no {wrapper} element")
+        messages = [read(child) for child in batch]
+        declared = batch.get("count")
+        if declared is not None:
+            try:
+                expected = int(declared)
+            except ValueError as exc:
+                raise TransportError(f"malformed SOAP batch count {declared!r}") from exc
+            if expected != len(messages):
+                raise TransportError(
+                    f"SOAP batch declares {expected} entries but carries {len(messages)}"
+                )
+        return messages

@@ -1,0 +1,343 @@
+"""One call, whichever frame carries it.
+
+A call leaves an address space in a single-call frame (``invoke_remote``), in
+a batch frame sent inline (``invoke_remote_many``) or posted
+(``invoke_remote_many_async``), or — when caller and object share a space —
+in no frame at all.  :class:`TestFramingParity` sends the same one call down
+every path and compares what came back, what ran on the hosting side and what
+the counters say; :class:`TestRequestShape` sends requests that do not have
+the shape documented in ``repro.transports.base`` and expects the whole
+message refused with a ``TransportError`` before anything runs.
+"""
+
+from __future__ import annotations
+
+import cProfile
+import random
+
+import pytest
+
+import sample_app
+from repro.api import ServicePolicy, Session
+from repro.api.errors import (
+    InvocationError,
+    RemoteInvocationError,
+    TransportError,
+    UnknownObjectError,
+)
+from repro.core.interfaces import cacheable
+from repro.core.transformer import ApplicationTransformer
+from repro.policy.policy import place_classes_on
+from repro.runtime.cluster import Cluster, default_transport_registry
+from repro.runtime.remote_ref import RemoteRef
+from repro.transports.base import TransportRegistry, frame_batch_message, frame_message
+
+TRANSPORTS = ("rmi", "corba", "soap", "inproc")
+#: The three framings of a call that crosses the network, then the two forms
+#: of the co-located short-circuit.
+REMOTE_PATHS = ("single", "many", "many_async")
+LOCAL_PATHS = ("local", "local_many")
+
+
+class Ledger:
+    """The hosted object of every row; ``entries`` is the server-side effect."""
+
+    def __init__(self):
+        self.entries = []
+        self.reads = 0
+
+    def add(self, amount):
+        self.entries.append(amount)
+        return sum(self.entries)
+
+    def fail(self, message):
+        self.entries.append("fail")
+        raise KeyError(message)
+
+    def opaque(self):
+        self.entries.append("opaque")
+        return object()
+
+    def take(self, other):
+        self.entries.append(type(other).__name__)
+        return other.n(1)
+
+    @cacheable
+    def impure_read(self):
+        self.reads = self.reads + 1  # rebinding state in a @cacheable member
+        return len(self.entries)
+
+
+def _deployment():
+    """A client and a server with a transformed application bound to both, so
+    a reference that arrives over the wire can become a proxy."""
+    app = ApplicationTransformer(place_classes_on({})).transform(
+        [sample_app.X, sample_app.Y, sample_app.Z]
+    )
+    cluster = Cluster(("client", "server"))
+    app.deploy(cluster, default_node="client")
+    ledger = Ledger()
+    reference = cluster.space("server").export(ledger)
+    return app, cluster, ledger, reference
+
+
+def _send(cluster, path, transport, reference, member, args=()):
+    """Send one call down ``path``; ``("value", v)`` or ``("raised", type)``."""
+    caller = cluster.space("server" if path in LOCAL_PATHS else "client")
+    call = (reference, member, tuple(args), {})
+    try:
+        if path in ("single", "local"):
+            return "value", caller.invoke_remote(reference, member, tuple(args), transport=transport)
+        if path in ("many", "local_many"):
+            (result,) = caller.invoke_remote_many([call], transport=transport)
+        else:
+            outcome = []
+            caller.invoke_remote_many_async(
+                [call], outcome.append, outcome.append, transport=transport
+            )
+            assert outcome == []  # posted, not sent: nothing has happened yet
+            cluster.network.events.run_until_idle()
+            (delivered,) = outcome
+            if isinstance(delivered, Exception):
+                raise delivered
+            (result,) = delivered
+        return "value", result.unwrap()
+    except Exception as error:  # noqa: BLE001 - the outcome under test
+        return "raised", type(error), getattr(error, "remote_type", None)
+
+
+def _counters(cluster):
+    client, server = cluster.space("client"), cluster.space("server")
+    return {
+        "sent": client.invocations_sent + server.invocations_sent,
+        "batches_sent": client.batches_sent + server.batches_sent,
+        "served": server.invocations_served,
+        "batches_served": server.batches_served,
+        "messages": cluster.metrics.total_messages,
+    }
+
+
+def _expected_counters(path, messages=2):
+    if path in LOCAL_PATHS:
+        return {"sent": 0, "batches_sent": 0, "served": 0, "batches_served": 0, "messages": 0}
+    batches = 0 if path == "single" else 1
+    return {
+        "sent": 1, "batches_sent": batches, "served": 1, "batches_served": batches,
+        "messages": messages,
+    }
+
+
+def _remote(remote_type):
+    return ("raised", RemoteInvocationError, remote_type)
+
+
+#: row -> (member, args, outcome on a remote path, outcome co-located, entries).
+#: Where the last two differ the short-circuit hands over the live exception
+#: or value — nothing is marshalled when nothing crosses a wire.
+ROWS = {
+    "success": ("add", (3,), ("value", 3), ("value", 3), [3]),
+    "application_error": (
+        "fail", ("boom",), _remote("KeyError"), ("raised", KeyError, None), ["fail"],
+    ),
+    "unknown_member": (
+        "no_such_member", (), _remote("InvocationError"), ("raised", InvocationError, None), [],
+    ),
+}
+
+
+every_path = pytest.mark.parametrize("path", REMOTE_PATHS + LOCAL_PATHS)
+
+
+@pytest.mark.parametrize("transport", TRANSPORTS)
+class TestFramingParity:
+    @every_path
+    @pytest.mark.parametrize("row", sorted(ROWS))
+    def test_outcome_effect_and_counters(self, row, path, transport):
+        member, args, remote, local, entries = ROWS[row]
+        _, cluster, ledger, reference = _deployment()
+        outcome = _send(cluster, path, transport, reference, member, args)
+        assert outcome == (local if path in LOCAL_PATHS else remote)
+        assert ledger.entries == entries
+        assert _counters(cluster) == _expected_counters(path)
+
+    @every_path
+    def test_unknown_object(self, path, transport):
+        _, cluster, ledger, _ = _deployment()
+        bogus = RemoteRef("server:999", "server", "Ledger")
+        outcome = _send(cluster, path, transport, bogus, "add", (1,))
+        if path in LOCAL_PATHS:
+            assert outcome == ("raised", UnknownObjectError, None)
+        else:
+            assert outcome == _remote("UnknownObjectError")
+        assert ledger.entries == []
+        assert _counters(cluster) == _expected_counters(path)
+
+    @every_path
+    def test_unmarshallable_result(self, path, transport):
+        _, cluster, ledger, reference = _deployment()
+        outcome = _send(cluster, path, transport, reference, "opaque")
+        if path in LOCAL_PATHS:
+            assert outcome[0] == "value" and type(outcome[1]) is object
+        else:
+            assert outcome == _remote("SerializationError")
+        assert ledger.entries == ["opaque"]  # it ran; only its result could not travel
+        assert _counters(cluster) == _expected_counters(path)
+
+    @every_path
+    def test_a_transformed_argument_travels_as_a_reference(self, path, transport):
+        app, cluster, ledger, reference = _deployment()
+        caller = cluster.space("server" if path in LOCAL_PATHS else "client")
+        y = app.new_local("Y", 6)
+        assert _send(cluster, path, transport, reference, "take", (y,)) == ("value", 7)
+        if path in LOCAL_PATHS:
+            assert ledger.entries == ["Y_O_Local"]
+            assert not caller.is_exported(y)
+        else:
+            # The server held a proxy and called back through it: two more
+            # messages, and the argument is now exported by the caller.
+            assert ledger.entries == ["Y_O_Proxy_RMI"]
+            assert caller.is_exported(y)
+            assert cluster.metrics.total_messages == 4
+
+    @every_path
+    def test_a_write_invalidates_a_subscriber_before_it_returns(self, path, transport):
+        _, cluster, ledger, reference = _deployment()
+        client, server = cluster.space("client"), cluster.space("server")
+        server.register_cache_subscriber(reference.object_id, "client")
+        heard = []
+        client.add_invalidation_listener(heard.append)
+        assert _send(cluster, path, transport, reference, "add", (5,)) == ("value", 5)
+        assert heard == [[reference.object_id]]
+        assert client.invalidations_received == 1
+        assert server.cache_subscriber_count() == 0  # one-shot
+        if path in LOCAL_PATHS:
+            # No response to ride on: the subscriber gets a frame of its own.
+            assert (server.invalidations_sent, server.invalidations_piggybacked) == (1, 0)
+            assert cluster.metrics.total_messages == 2
+        else:
+            assert (server.invalidations_sent, server.invalidations_piggybacked) == (0, 1)
+            assert cluster.metrics.total_messages == 2
+
+    @every_path
+    def test_an_impure_cacheable_member_is_counted(self, path, transport):
+        _, cluster, ledger, reference = _deployment()
+        with pytest.warns(RuntimeWarning, match="impure_read"):
+            assert _send(cluster, path, transport, reference, "impure_read") == ("value", 0)
+        assert cluster.space("server").cacheable_violations == 1
+
+    @pytest.mark.parametrize("path", REMOTE_PATHS)  # co-located: no response frame
+    def test_a_response_in_the_other_framing_is_refused(self, path, transport):
+        _, cluster, _, _ = _deployment()
+        codec = cluster.space("client").transports.get(transport)
+        if path == "single":
+            answer = frame_batch_message(transport, codec.encode_batch_response([{"result": 1}]))
+        else:
+            answer = frame_message(transport, codec.encode_response({"result": 1}))
+        cluster.network.register("server", lambda source, payload: answer)
+        reference = RemoteRef("server:1", "server", "Ledger")
+        assert _send(cluster, path, transport, reference, "add", (1,)) == (
+            "raised", TransportError, None,
+        )
+
+
+#: name -> what a well-framed request carries instead of the documented shape.
+MALFORMED = {
+    "args_is_an_int": {"args": 7},
+    "args_is_a_dict": {"args": {"x": 1}},
+    "kwargs_is_a_list": {"kwargs": [1, 2]},
+    "ctx_is_a_str": {"ctx": "zz"},
+    "member_is_an_int": {"member": 5},
+    "no_member": {"member": None},
+}
+
+
+def _damaging(transport_cls, damage):
+    """``transport_cls`` whose request decoders hand over damaged dicts, as a
+    peer that does not keep to the documented shape would put on the wire
+    (SOAP's envelope cannot even spell most of these; the others can)."""
+
+    def spoil(request):
+        for key, value in damage.items():
+            if value is None:
+                del request[key]
+            else:
+                request[key] = value
+        return request
+
+    class Damaging(transport_cls):
+        def decode_request(self, payload):
+            return spoil(super().decode_request(payload))
+
+        def decode_batch_request(self, payload):
+            first, *rest = super().decode_batch_request(payload)
+            return [first, *map(spoil, rest)]
+
+    return Damaging()
+
+
+class TestRequestShape:
+    @pytest.mark.parametrize("transport", TRANSPORTS)
+    @pytest.mark.parametrize("framing", ["single", "batch"])
+    @pytest.mark.parametrize("damage", sorted(MALFORMED))
+    def test_a_malformed_request_fails_the_whole_message(self, damage, framing, transport):
+        registry = TransportRegistry(
+            _damaging(type(codec), MALFORMED[damage]) if codec.name == transport else codec
+            for codec in default_transport_registry()
+        )
+        cluster = Cluster(("client", "server"), transports=registry)
+        client, server = cluster.space("client"), cluster.space("server")
+        ledger = Ledger()
+        reference = server.export(ledger)
+        with pytest.raises(TransportError):
+            if framing == "single":
+                client.invoke_remote(reference, "add", (1,), transport=transport)
+            else:
+                # The first call of the batch is well formed and must not run.
+                client.invoke_remote_many(
+                    [(reference, "add", (1,), {}), (reference, "add", (2,), {})],
+                    transport=transport,
+                )
+        assert ledger.entries == []
+        assert server.invocations_served == 0
+
+
+class Catalog:
+    """Served object of the call-budget test: one small keyed lookup."""
+
+    def __init__(self, table):
+        self._table = table
+
+    def lookup(self, key):
+        return self._table.get(key, -1)
+
+
+class TestCallBudget:
+    """Sharing the per-call code between framings must not tax the plain
+    synchronous call: the ledger's ``direct_small`` workload, rebuilt here."""
+
+    #: Python calls per lookup, builtins included: every entry ``cProfile``
+    #: recorded, summed (``pstats`` merges the generated ``__init__`` of all
+    #: dataclasses under one key and keeps the last, so its total reads
+    #: lower).  249.1 on CPython 3.11 at PR 23 — 255.1 at its parent, ~510 at
+    #: PR 11 — plus 5 % for the other interpreters CI runs.
+    CEILING = 261.5
+
+    def test_a_direct_lookup_stays_within_its_call_budget(self):
+        rng = random.Random(7)
+        table = {f"item-{index:02d}": rng.randrange(1_000_000) for index in range(64)}
+        keys = rng.choices(sorted(table), k=1000)
+        cluster = Cluster(("client", "server"))
+        session = Session(cluster, node="client")
+        service = session.service(
+            "catalog", ServicePolicy(transport="rmi"), impl=Catalog(dict(table)), node="server"
+        )
+        profile = cProfile.Profile()
+        with session:
+            lookup = service.lookup
+            profile.enable()
+            answers = [lookup(key) for key in keys]
+            profile.disable()
+        assert answers == [table[key] for key in keys]
+        assert cluster.space("client").batches_sent == 0  # single-call frames
+        per_call = sum(entry.callcount for entry in profile.getstats()) / len(keys)
+        assert per_call <= self.CEILING, f"{per_call:.1f} Python calls per direct lookup"

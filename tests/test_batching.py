@@ -361,27 +361,6 @@ class TestBatchFraming:
         with pytest.raises(TransportError):
             transport.decode_batch_response(dropped)
 
-    def test_transport_without_batch_support_raises_typed_error(self):
-        from repro.transports.base import Transport
-
-        class Legacy(Transport):
-            name = "legacy"
-
-            def encode_request(self, request):
-                return b""
-
-            def decode_request(self, payload):
-                return {}
-
-            def encode_response(self, response):
-                return b""
-
-            def decode_response(self, payload):
-                return {}
-
-        with pytest.raises(TransportError):
-            Legacy().encode_batch_request([])
-
 
 class TestBulkOrderScenario:
     @pytest.mark.parametrize("transport", ALL_TRANSPORTS)

@@ -30,9 +30,11 @@ from repro.policy.adaptive import AdaptiveDistributionManager
 from repro.runtime.batching import BatchingProxy
 from repro.runtime.cluster import Cluster
 from repro.runtime.faulttolerance import RetryPolicy
+from repro.runtime.invocation import request_dict
 from repro.runtime.pipelining import InvocationFuture, PipelineScheduler
 from repro.runtime.replication import ReplicaManager
-from repro.transports.base import parse_frame
+from repro.transports.base import frame_batch_message, parse_frame
+from repro.transports.rmi import RmiTransport
 from repro.workloads.pipelined_orders import run_sharded_order_scenario
 from test_batch_faulttolerance import ScriptedDrops
 
@@ -127,10 +129,14 @@ class TestAsyncPost:
 
         responses = []
         started = cluster.clock.now
-        payload = client._encode_batch_payload([(ref0, "echo", (3,), {}, {})], None)
-        cluster.network.post("client", "shard-0", payload, responses.append, responses.append)
-        payload = client._encode_batch_payload([(ref0, "echo", (4,), {}, {})], None)
-        cluster.network.post("client", "shard-0", payload, responses.append, responses.append)
+        for argument in (3, 4):
+            body = RmiTransport().encode_batch_request(
+                [request_dict(ref0, "echo", [argument], {}, None)]
+            )
+            cluster.network.post(
+                "client", "shard-0", frame_batch_message("rmi", body),
+                responses.append, responses.append,
+            )
         cluster.network.events.run_until_idle()
         overlapped = cluster.clock.now - started
 

@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.api.errors import NamingError
-from repro.runtime.invocation import InvocationRequest, InvocationResponse
+from repro.api.errors import NamingError, RemoteInvocationError
+from repro.runtime.invocation import read_request, read_response, request_dict, response_dict
 from repro.runtime.naming import NamingService
 from repro.runtime.remote_ref import ObjectIdAllocator, RemoteRef, reference_of
 
@@ -56,31 +56,33 @@ class TestRemoteRef:
 
 
 class TestInvocationMessages:
-    def test_request_dict_round_trip(self):
-        request = InvocationRequest("server:1", "Y_O_Int", "n", [3], {"named": True})
-        assert InvocationRequest.from_dict(request.to_dict()) == request
+    REFERENCE = RemoteRef("server:1", "server", "Y_O_Int")
 
-    def test_request_defaults(self):
-        request = InvocationRequest.from_dict({"target": "t", "interface": "I", "member": "m"})
-        assert request.args == [] and request.kwargs == {}
+    def test_request_dict_round_trip(self):
+        request = request_dict(self.REFERENCE, "n", [3], {"named": True}, {"i": 4})
+        assert list(request) == ["target", "interface", "member", "args", "kwargs", "ctx"]
+        assert read_request(request) == (
+            "server:1", "Y_O_Int", "n", [3], {"named": True}, {"i": 4}
+        )
+
+    def test_an_empty_context_stays_off_the_wire(self):
+        for context in (None, {}):
+            request = request_dict(self.REFERENCE, "n", [], {}, context)
+            assert "ctx" not in request
+            assert not read_request(request)[5]
 
     def test_successful_response_round_trip(self):
-        response = InvocationResponse.for_result(41)
-        decoded = InvocationResponse.from_dict(response.to_dict())
-        assert not decoded.is_error
-        assert decoded.result == 41
+        assert read_response(response_dict(41)) == (41, None)
 
     def test_error_response_round_trip(self):
-        response = InvocationResponse.for_exception(KeyError("missing"))
-        decoded = InvocationResponse.from_dict(response.to_dict())
-        assert decoded.is_error
-        assert decoded.error_type == "KeyError"
-        assert "missing" in decoded.error_message
+        value, error = read_response(response_dict(error=KeyError("missing")))
+        assert value is None
+        assert isinstance(error, RemoteInvocationError)
+        assert error.remote_type == "KeyError"
+        assert "missing" in error.remote_message
 
     def test_none_result_is_not_an_error(self):
-        decoded = InvocationResponse.from_dict(InvocationResponse.for_result(None).to_dict())
-        assert not decoded.is_error
-        assert decoded.result is None
+        assert read_response(response_dict(None)) == (None, None)
 
 
 class TestNamingService:

@@ -10,7 +10,7 @@ import pytest
 
 from repro.api.errors import TransportError, UnknownTransportError
 from repro.transports.base import TransportRegistry, frame_message, unframe_message
-from repro.transports.codec import decode_message, decode_value, encode_message, encode_value
+from repro.transports.codec import decode_value, encode_value
 from repro.transports.corba import CorbaTransport
 from repro.transports.inproc import InProcTransport
 from repro.transports.rmi import RmiTransport
@@ -110,11 +110,11 @@ class TestBinaryCodec:
 
     def test_nested_structures(self):
         value = {"list": [1, [2, {"x": None}]], "flag": True}
-        assert decode_message(encode_message(value)) == value
+        assert decode_value(encode_value(value)) == value
 
     def test_alignment_round_trip(self):
         value = {"a": 1, "b": [1.5, 2.5], "c": "padded"}
-        assert decode_message(encode_message(value, alignment=8), alignment=8) == value
+        assert decode_value(encode_value(value, alignment=8), alignment=8) == value
 
     def test_non_string_map_keys_rejected(self):
         with pytest.raises(TransportError):
@@ -125,15 +125,15 @@ class TestBinaryCodec:
             encode_value(object())
 
     def test_truncated_stream_detected(self):
-        payload = encode_message({"k": "value"})
+        payload = encode_value({"k": "value"})
         with pytest.raises(TransportError):
-            decode_message(payload[:-3])
+            decode_value(payload[:-3])
 
     @pytest.mark.parametrize("alignment", [1, 8])
     def test_integers_beyond_int64_are_a_typed_error(self, alignment):
         for value in (2**63, -(2**63) - 1, 2**100):
             with pytest.raises(TransportError, match="does not fit"):
-                encode_message({"a": value}, alignment=alignment)
+                encode_value({"a": value}, alignment=alignment)
 
     def test_unencodable_text_is_a_typed_error(self):
         with pytest.raises(TransportError, match="does not fit"):
@@ -144,7 +144,7 @@ class TestBinaryCodec:
         as_key = bytes.fromhex("0700000001" "00000001" "ff" "00")
         for payload in (as_value, as_key):
             with pytest.raises(TransportError, match="invalid UTF-8"):
-                decode_message(payload)
+                decode_value(payload)
 
     def test_nesting_beyond_the_stack_is_a_typed_error(self):
         depth = 100_000
@@ -162,7 +162,7 @@ class TestBinaryCodec:
         with pytest.raises(TransportError):
             transport.decode_request(payload + b"\x00")
         with pytest.raises(TransportError, match="trailing bytes"):
-            decode_message(encode_message(SAMPLE_REQUEST) + b"\x00")
+            decode_value(encode_value(SAMPLE_REQUEST) + b"\x00")
 
     @pytest.mark.parametrize("transport", [RmiTransport(), CorbaTransport()], ids=lambda t: t.name)
     def test_round_trips_leave_no_cyclic_garbage(self, transport):

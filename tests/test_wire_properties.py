@@ -15,12 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.transports.codec import (
-    decode_message,
-    decode_message_list,
-    encode_message,
-    encode_message_list,
-)
+from repro.transports.codec import decode_value, encode_value
 from repro.transports.corba import CorbaTransport
 from repro.transports.inproc import InProcTransport
 from repro.transports.rmi import RmiTransport
@@ -132,7 +127,7 @@ class TestCdrAlignmentProperties:
     @given(value=wire_values)
     def test_aligned_codec_round_trip(self, value):
         message = {"v": value}
-        assert decode_message(encode_message(message, alignment=8), alignment=8) == message
+        assert decode_value(encode_value(message, alignment=8), alignment=8) == message
 
     @_SETTINGS
     @given(
@@ -149,14 +144,14 @@ class TestCdrAlignmentProperties:
         """Strings of arbitrary byte length force every possible misalignment
         ahead of 4- and 8-byte primitives."""
         message = {"prefix": prefix, "numbers": numbers, "tail": prefix + "x"}
-        assert decode_message(encode_message(message, alignment=8), alignment=8) == message
+        assert decode_value(encode_value(message, alignment=8), alignment=8) == message
 
     @_SETTINGS
     @given(messages=st.lists(st.fixed_dictionaries({"s": st.text(max_size=7), "f": st.floats(allow_nan=False)}), max_size=5))
     def test_aligned_batch_round_trip(self, messages):
         """Batch items share one alignment stream; each item must still decode."""
-        payload = encode_message_list(messages, alignment=8)
-        assert decode_message_list(payload, alignment=8) == messages
+        payload = encode_value(messages, alignment=8)
+        assert decode_value(payload, alignment=8) == messages
 
     @_SETTINGS
     @given(depth_seed=st.lists(st.text(max_size=3), min_size=1, max_size=5))
@@ -166,4 +161,4 @@ class TestCdrAlignmentProperties:
         for text in depth_seed:
             value = {"k" + text: [value, text, 7]}
         message = {"v": value}
-        assert decode_message(encode_message(message, alignment=8), alignment=8) == message
+        assert decode_value(encode_value(message, alignment=8), alignment=8) == message
