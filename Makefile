@@ -2,7 +2,7 @@ PYTHON ?= python
 export PYTHONPATH := src
 BENCH_DIR ?= bench-artifacts
 
-.PHONY: check test examples-smoke bench-smoke bench-check bench-diff bench-golden bench-ab docs-check lint lint-dist
+.PHONY: check test examples-smoke bench-smoke bench-check bench-diff bench-golden bench-ab ledger-smoke docs-check lint lint-dist
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -44,6 +44,15 @@ PAIRS ?= 10
 SEED ?= 7
 bench-ab:
 	$(PYTHON) benchmarks/ab_pairs.py --base $(BASE) --workload $(W) --pairs $(PAIRS) --seed $(SEED)
+
+# Every workload of the wall-clock ledger (BENCHMARK.json), briefly: each run
+# does at least 5 fresh-process rounds, checks every result against its oracle,
+# requires the simulated numbers to agree across rounds and exits 1 otherwise.
+LEDGER_WORKLOADS = $(shell $(PYTHON) -c "import json; print(*(w['name'] for w in json.load(open('BENCHMARK.json'))['workloads']))")
+ledger-smoke:
+	set -e; for workload in $(LEDGER_WORKLOADS); do \
+		$(PYTHON) benchmarks/wallclock/run.py --workload $$workload --seed 7 --seconds 0.5 --trace 0; \
+	done
 
 docs-check:
 	$(PYTHON) -m repro.tools.doccheck src/repro --level api --fail-under 100

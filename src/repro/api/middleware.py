@@ -102,7 +102,7 @@ class CallContext:
         #: The member (method name) being invoked.
         self.member = member
         #: Positional arguments, as the caller passed them (client side) or
-        #: in wire form (server side).
+        #: as the target method receives them, unmarshalled (server side).
         self.args = tuple(args)
         #: Keyword arguments (same caveat as :attr:`args`).
         self.kwargs = dict(kwargs or {})

@@ -35,6 +35,8 @@ from repro.runtime.invocation import (
 from repro.runtime.remote_ref import ObjectIdAllocator, RemoteRef
 from repro.runtime.serialization import Marshaller
 from repro.transports.base import (
+    LEAVES,
+    Live,
     TransportRegistry,
     attach_invalidations,
     frame_batch_message,
@@ -755,25 +757,30 @@ class AddressSpace:
     def _encode_calls(
         self, calls: Sequence[tuple], transport: Optional[str], batch: bool
     ) -> bytes:
-        """Marshal ``calls`` into one framed request message, charging encode cost.
+        """Frame ``calls`` into one request message, charging encode cost.
 
         A function of its own so that the request dicts and the unframed body
         are gone before the round trip starts: held across it, a batch of
         large payloads would sit beside the serving side's copy at the peak.
         """
         transport_impl = self.transports.get(transport or self.default_transport)
-        marshal = self.marshaller.marshal_arguments
+        marshaller = self.marshaller
         requests = [
-            request_dict(reference, member, *marshal(args, kwargs), context)
+            request_dict(
+                reference, member,
+                [item if type(item) in LEAVES else Live(item, marshaller) for item in args],
+                {key: item if type(item) in LEAVES else Live(item, marshaller)
+                 for key, item in kwargs.items()} if kwargs else {},
+                context,
+            )
             for reference, member, args, kwargs, context in calls
         ]
-        if batch:
-            body = transport_impl.encode_batch_request(requests)
-            self.network.clock.advance(transport_impl.batch_processing_overhead(len(requests)))
-            return frame_batch_message(transport_impl.name, body)
-        body = transport_impl.encode_request(requests[0])
+        body = (
+            transport_impl.encode_batch_request(requests) if batch
+            else transport_impl.encode_request(requests[0])
+        )
         self.network.clock.advance(transport_impl.processing_overhead)
-        return frame_message(transport_impl.name, body)
+        return (frame_batch_message if batch else frame_message)(transport_impl.name, body)
 
     def _decode_results(
         self, raw_response: bytes, expected: int, batch: bool
@@ -783,7 +790,7 @@ class AddressSpace:
         Piggybacked invalidations are delivered first — before the results
         are decoded, so reads in the same window re-fill with
         post-invalidation state — and a response in the other framing than
-        the request's is refused.
+        the request's is refused.  The results are read live.
         """
         piggybacked, raw_response = split_invalidations(raw_response)
         if piggybacked:
@@ -795,25 +802,20 @@ class AddressSpace:
                 if response_is_batch
                 else "single response received for a batched invocation"
             )
-        response_transport = self.transports.get(response_name)
+        transport = self.transports.get(response_name)
+        self.network.clock.advance(transport.processing_overhead)
         if batch:
-            self.network.clock.advance(response_transport.batch_processing_overhead(expected))
-            responses = response_transport.decode_batch_response(response_body)
+            responses = transport.decode_batch_response(response_body, marshaller=self.marshaller)
             if len(responses) != expected:
                 raise TransportError(
                     f"batch response carries {len(responses)} results for {expected} calls"
                 )
         else:
-            self.network.clock.advance(response_transport.processing_overhead)
-            responses = (response_transport.decode_response(response_body),)
-        from_wire = self.marshaller.from_wire
-        results: list[BatchResult] = []
-        for index, response in enumerate(responses):
-            value, error = read_response(response)
-            if error is None:
-                value = from_wire(value)
-            results.append(BatchResult(index, value, error))
-        return results
+            responses = [transport.decode_response(response_body, marshaller=self.marshaller)]
+        return [
+            BatchResult(index, *read_response(response))
+            for index, response in enumerate(responses)
+        ]
 
     # ------------------------------------------------------------------
     # Incoming invocations (the dispatcher side)
@@ -856,14 +858,14 @@ class AddressSpace:
         try:
             transport_name, body, is_batch = parse_frame(payload)
             transport = self.transports.get(transport_name)
+            # Every request is read — its arguments live — and checked before
+            # the first one runs: a frame with a malformed call in it fails
+            # whole, with nothing executed that a retry would execute again.
             if is_batch:
                 self.batches_served += 1
-                decoded = transport.decode_batch_request(body)
+                decoded = transport.decode_batch_request(body, marshaller=self.marshaller)
             else:
-                decoded = (transport.decode_request(body),)
-            # Every request is checked before the first one runs: a frame
-            # with a malformed call in it fails whole, with nothing executed
-            # that a retry would execute again.
+                decoded = (transport.decode_request(body, marshaller=self.marshaller),)
             requests = list(map(read_request, decoded))
             if is_batch:
                 self._enter_batch_scope()
@@ -966,8 +968,8 @@ class AddressSpace:
         try:
             response, error = self._serve_request(request)
         except BaseException as exc:
-            # Unmarshalling failures propagate (the whole message is bad),
-            # but the opened brackets must still settle exactly once.
+            # Whatever escapes the call's own error handling, the opened
+            # brackets must still settle exactly once.
             for bracket in reversed(brackets):
                 bracket.fail(exc)
             raise
@@ -987,11 +989,9 @@ class AddressSpace:
         Returns ``(response, error)`` where ``error`` is the exception
         instance the response describes (``None`` on success) — the
         middleware layer needs the live instance for its ``abort`` hooks,
-        not just the marshalled error text.  Failing to unmarshal the
-        arguments propagates instead: the whole message is bad.
+        not just the marshalled error text.  The arguments arrived live.
         """
-        target_id, _interface, member, wire_args, wire_kwargs, _context = request
-        args, kwargs = self.marshaller.unmarshal_arguments(wire_args, wire_kwargs)
+        target_id, _interface, member, args, kwargs, _context = request
         try:
             result = self._call_hosted(
                 target_id, member, args, kwargs, self._pending_invalidations

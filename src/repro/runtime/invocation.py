@@ -25,7 +25,7 @@ from repro._errors import ReproError, TransportError, remote_error
 from repro.runtime.remote_ref import RemoteRef
 
 #: The checked fields of one request, in :func:`read_request`'s order:
-#: (target id, interface name, member, wire args, wire kwargs, context).
+#: (target id, interface name, member, args, kwargs, context).
 RequestFields = Tuple[str, str, str, list, dict, Optional[dict]]
 
 
@@ -34,8 +34,8 @@ def request_dict(
 ) -> dict:
     """The request for ``member`` on the object behind ``reference``.
 
-    ``args`` and ``kwargs`` are already marshalled.  ``context`` carries the
-    call's control fields (call id, tenant, deadline — see
+    ``args`` and ``kwargs`` hold wire values or ``Live`` markers.  ``context``
+    carries the call's control fields (call id, tenant, deadline — see
     :class:`~repro.api.middleware.CallContext`); it becomes the ``ctx`` key
     only when non-empty, so a call issued without middleware keeps the
     pre-middleware wire bytes.  The key order here is the order on the wire.

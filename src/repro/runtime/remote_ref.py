@@ -14,6 +14,9 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional
 
+from repro._errors import SerializationError
+from repro.transports.base import Tree
+
 
 class ObjectIdAllocator:
     """Allocates monotonically increasing per-node object identifiers.
@@ -41,11 +44,9 @@ class RemoteRef:
 
     # -- wire form -------------------------------------------------------------
 
-    _WIRE_KIND = "ref"
-
     def to_wire(self) -> dict:
         return {
-            "__kind__": self._WIRE_KIND,
+            Tree.KIND: Tree.REF,
             "object_id": self.object_id,
             "node_id": self.node_id,
             "interface": self.interface_name,
@@ -53,15 +54,15 @@ class RemoteRef:
 
     @classmethod
     def from_wire(cls, wire: dict) -> "RemoteRef":
-        return cls(
-            object_id=wire["object_id"],
-            node_id=wire["node_id"],
-            interface_name=wire["interface"],
-        )
+        """The reference a wire ref names (its fields must be strings)."""
+        fields = (wire.get("object_id"), wire.get("node_id"), wire.get("interface"))
+        if not all(type(field) is str for field in fields):
+            raise SerializationError(f"malformed wire reference: {wire!r}")
+        return cls(*fields)
 
     @classmethod
     def is_wire_ref(cls, value: object) -> bool:
-        return isinstance(value, dict) and value.get("__kind__") == cls._WIRE_KIND
+        return isinstance(value, dict) and value.get(Tree.KIND) == Tree.REF
 
     # -- helpers ----------------------------------------------------------------
 

@@ -12,6 +12,13 @@ through the owning application's registry.
 This is the mechanism that makes Figure 1 work: when the shared instance of
 ``C`` becomes remote, the references ``A`` and ``B`` hold are (transparently)
 references, not copies.
+
+The :class:`Marshaller` owns what a value *means* on the wire: its tree
+(:class:`repro.transports.base.Tree`) and the references in it.  The binary
+codec writes and reads tree bytes straight from live values, calling back only
+for references, bytes, sets and primitive subclasses; the tree itself is built
+for SOAP and in-process frames and for a served result (marshalled before its
+response exists, so one that cannot be is that call's error response).
 """
 
 from __future__ import annotations
@@ -21,12 +28,9 @@ from typing import Any
 
 from repro._errors import SerializationError
 from repro.runtime.remote_ref import RemoteRef
+from repro.transports.base import LEAVES, Tree
 
-_KIND = "__kind__"
 _PRIMITIVES = (type(None), bool, int, float, str)
-#: The exact primitive types, tested by identity on the hot path; subclasses
-#: take the ``isinstance`` route below them.
-_LEAVES = frozenset(_PRIMITIVES)
 
 
 def _is_transformed_instance(value: Any) -> bool:
@@ -45,7 +49,7 @@ class Marshaller:
     # ------------------------------------------------------------------
 
     def to_wire(self, value: Any) -> Any:
-        if type(value) in _LEAVES:
+        if type(value) in LEAVES:
             return value
         to_wire = self.to_wire
         if isinstance(value, dict):
@@ -55,23 +59,23 @@ class Marshaller:
                     raise SerializationError(
                         f"only string keys can be marshalled, got {type(key).__name__}"
                     )
-                items.append([key, item if type(item) in _LEAVES else to_wire(item)])
-            return {_KIND: "map", "items": items}
+                items.append([key, item if type(item) in LEAVES else to_wire(item)])
+            return {Tree.KIND: Tree.MAP, Tree.ITEMS: items}
         if isinstance(value, (list, tuple)):
             return {
-                _KIND: "list" if isinstance(value, list) else "tuple",
-                "items": [item if type(item) in _LEAVES else to_wire(item) for item in value],
+                Tree.KIND: Tree.LIST if isinstance(value, list) else Tree.TUPLE,
+                Tree.ITEMS: [item if type(item) in LEAVES else to_wire(item) for item in value],
             }
         # Everything below is rare: subclasses of the primitives (an IntEnum
         # travels as itself), bytes, sets and references.
         if isinstance(value, _PRIMITIVES):
             return value
         if isinstance(value, bytes):
-            return {_KIND: "bytes", "data": base64.b64encode(value).decode("ascii")}
+            return {Tree.KIND: Tree.BYTES, Tree.DATA: base64.b64encode(value).decode("ascii")}
         if isinstance(value, (set, frozenset)):
             return {
-                _KIND: "set",
-                "items": sorted((to_wire(item) for item in value), key=repr),
+                Tree.KIND: Tree.SET,
+                Tree.ITEMS: sorted((to_wire(item) for item in value), key=repr),
             }
         if isinstance(value, RemoteRef):
             return value.to_wire()
@@ -104,32 +108,36 @@ class Marshaller:
     # ------------------------------------------------------------------
 
     def from_wire(self, value: Any) -> Any:
-        if type(value) in _LEAVES:
+        """The live value of a wire value (a malformed tree: SerializationError)."""
+        if type(value) in LEAVES:
             return value
         from_wire = self.from_wire
         if isinstance(value, dict):
-            tag = value.get(_KIND)
-            if tag == "map":
-                return {
-                    key: item if type(item) in _LEAVES else from_wire(item)
-                    for key, item in value["items"]
-                }
-            if tag == "list":
-                return [
-                    item if type(item) in _LEAVES else from_wire(item)
-                    for item in value["items"]
-                ]
-            if tag is None:
+            kind = value.get(Tree.KIND)
+            if kind is None:
                 return {key: from_wire(item) for key, item in value.items()}
-            if tag == "bytes":
-                return base64.b64decode(value["data"])
-            if tag == "tuple":
-                return tuple(from_wire(item) for item in value["items"])
-            if tag == "set":
-                return {from_wire(item) for item in value["items"]}
-            if tag == RemoteRef._WIRE_KIND:
+            if kind == Tree.REF:
                 return self._resolve_reference(RemoteRef.from_wire(value))
-            raise SerializationError(f"unknown wire kind {tag!r}")
+            if kind == Tree.BYTES:
+                try:
+                    return base64.b64decode(value.get(Tree.DATA), validate=True)
+                except (TypeError, ValueError):
+                    raise SerializationError("wire bytes carry no valid base64 data") from None
+            items = value.get(Tree.ITEMS)
+            if kind not in (Tree.MAP, Tree.LIST, Tree.TUPLE, Tree.SET) or type(items) is not list:
+                raise SerializationError(f"unknown wire kind {kind!r}, or no list of items")
+            try:
+                if kind == Tree.MAP:
+                    if all(type(entry) is list and len(entry) == 2 for entry in items):
+                        return {key: item if type(item) in LEAVES else from_wire(item)
+                                for key, item in items}
+                    raise SerializationError("wire map entry is not a [key, value] pair")
+                if kind == Tree.SET:
+                    return {from_wire(item) for item in items}
+            except TypeError:  # an unhashable map key or set item
+                raise SerializationError(f"wire {kind} holds an unhashable key or item") from None
+            items = [item if type(item) in LEAVES else from_wire(item) for item in items]
+            return items if kind == Tree.LIST else tuple(items)
         if isinstance(value, list):
             return [from_wire(item) for item in value]
         if isinstance(value, _PRIMITIVES):

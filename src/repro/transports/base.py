@@ -20,8 +20,12 @@ non-empty, and a response is::
     {"result": <wire value>}                     on success
     {"error": {"type": ..., "message": ...}}     on failure
 
-Wire values are produced by :mod:`repro.runtime.serialization` and are always
-JSON-compatible (None, bool, int, float, str, list, dict).
+Wire values are JSON-compatible (None, bool, int, float, str, list, dict);
+any other value travels as the Marshaller's :class:`Tree`.  Outgoing, it may
+sit in ``args``/``kwargs`` as a :class:`Live` marker, which every protocol
+writes as its tree's bytes.  Given ``marshaller=``, the decoders return each
+``args`` item, ``kwargs`` value and ``result`` live, and a tree that does not
+hold together is a :class:`~repro._errors.SerializationError` for the frame.
 
 A frame carries a list of messages of one *kind* (:data:`REQUEST`,
 :data:`RESPONSE`, :data:`BATCH_REQUEST`, :data:`BATCH_RESPONSE`); the two
@@ -40,7 +44,8 @@ from __future__ import annotations
 
 import abc
 import json
-from typing import Dict, Iterable, List, Optional
+from dataclasses import dataclass
+from typing import Any, Dict, Iterable, List, Optional
 
 from repro._errors import TransportError, UnknownTransportError
 
@@ -51,6 +56,30 @@ BATCH_REQUEST = "batch request"
 BATCH_RESPONSE = "batch response"
 #: The kinds whose frame carries any number of messages rather than one.
 BATCH_KINDS = frozenset((BATCH_REQUEST, BATCH_RESPONSE))
+
+#: The exact types that are wire values and live values alike.
+LEAVES = frozenset((type(None), bool, int, float, str))
+
+
+class Tree:
+    """The Marshaller's tree: ``{KIND: MAP, ITEMS: [[key, value], ...]}``, ``{KIND:
+    LIST | TUPLE | SET, ITEMS: [...]}``, ``{KIND: BYTES, DATA: <base64>}``, ``{KIND:
+    REF, "object_id", "node_id", "interface"}`` — key order = wire order."""
+
+    KIND, ITEMS, DATA = "__kind__", "items", "data"
+    MAP, LIST, TUPLE, SET, BYTES, REF = "map", "list", "tuple", "set", "bytes", "ref"
+
+
+@dataclass(slots=True)
+class Live:
+    """An outgoing argument still in its live form, and the Marshaller owning it."""
+
+    value: Any
+    marshaller: Any
+
+    def to_wire(self) -> Any:
+        """The value's tree (``marshaller.to_wire``)."""
+        return self.marshaller.to_wire(self.value)
 
 
 class Transport(abc.ABC):
@@ -86,57 +115,64 @@ class Transport(abc.ABC):
         the messages are is the reader's to check, not the transport's.
         """
 
+    def read_frame(self, kind: str, payload: bytes, marshaller: Any = None) -> list:
+        """:meth:`decode_frame`, then — given a ``marshaller`` — each ``args``
+        item, ``kwargs`` value and ``result`` through its ``from_wire``.  A
+        protocol that reads live values in the same pass overrides this."""
+        messages = self.decode_frame(kind, payload)
+        if marshaller is None:
+            return messages
+        for message in messages:
+            if type(message) is not dict:
+                continue  # not a message at all: its reader refuses it
+            args, kwargs = message.get("args"), message.get("kwargs")
+            if type(args) is list and type(kwargs) is dict:
+                message["args"], message["kwargs"] = marshaller.unmarshal_arguments(args, kwargs)
+            if "result" in message:
+                message["result"] = marshaller.from_wire(message["result"])
+        return messages
+
     # -- the eight names the runtime calls -------------------------------------
 
     def encode_request(self, request: dict) -> bytes:
         """Serialise a request dictionary into this protocol's wire form."""
         return self.encode_frame(REQUEST, [request])
 
-    def decode_request(self, payload: bytes) -> dict:
+    def decode_request(self, payload: bytes, *, marshaller: Any = None) -> dict:
         """Parse a wire request back into a request dictionary."""
-        return self.decode_frame(REQUEST, payload)[0]
+        return self.read_frame(REQUEST, payload, marshaller)[0]
 
     def encode_response(self, response: dict) -> bytes:
         """Serialise a response dictionary into this protocol's wire form."""
         return self.encode_frame(RESPONSE, [response])
 
-    def decode_response(self, payload: bytes) -> dict:
+    def decode_response(self, payload: bytes, *, marshaller: Any = None) -> dict:
         """Parse a wire response back into a response dictionary."""
-        return self.decode_frame(RESPONSE, payload)[0]
+        return self.read_frame(RESPONSE, payload, marshaller)[0]
 
     def encode_batch_request(self, requests: list) -> bytes:
         """Serialise a list of request dictionaries into one wire message."""
         return self.encode_frame(BATCH_REQUEST, requests)
 
-    def decode_batch_request(self, payload: bytes) -> list:
+    def decode_batch_request(self, payload: bytes, *, marshaller: Any = None) -> list:
         """Parse a wire batch back into a list of request dictionaries."""
-        return self.decode_frame(BATCH_REQUEST, payload)
+        return self.read_frame(BATCH_REQUEST, payload, marshaller)
 
     def encode_batch_response(self, responses: list) -> bytes:
         """Serialise a list of response dictionaries into one wire message."""
         return self.encode_frame(BATCH_RESPONSE, responses)
 
-    def decode_batch_response(self, payload: bytes) -> list:
+    def decode_batch_response(self, payload: bytes, *, marshaller: Any = None) -> list:
         """Parse a wire batch back into a list of response dictionaries."""
-        return self.decode_frame(BATCH_RESPONSE, payload)
+        return self.read_frame(BATCH_RESPONSE, payload, marshaller)
 
     # -- cost model ----------------------------------------------------------
 
-    #: Fixed per-call processing overhead charged to the simulated clock, in
-    #: seconds (marshalling cost beyond raw byte size).  Values are relative:
-    #: text protocols pay more than binary ones.
+    #: Fixed processing charge to the simulated clock, in seconds, once per
+    #: message whatever the number of calls it carries (envelope building,
+    #: header packing, parser setup) — the amortisation that makes batching
+    #: pay off.  Values are relative: text protocols pay more than binary ones.
     processing_overhead: float = 0.0
-
-    def batch_processing_overhead(self, call_count: int) -> float:
-        """Simulated processing charge for one batched message of N calls.
-
-        The protocol machinery (envelope building, header packing, parser
-        setup) runs once per *message*, not once per call, so the default
-        model charges the fixed ``processing_overhead`` once per batch — this
-        is the amortisation that makes batching pay off.  Subclasses can
-        override to model protocols whose per-call marshalling dominates.
-        """
-        return self.processing_overhead if call_count > 0 else 0.0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} {self.name!r}>"

@@ -10,13 +10,21 @@ local invocation.
 from __future__ import annotations
 
 import json
+from typing import Any
 
 from repro._errors import TransportError
-from repro.transports.base import BATCH_REQUEST, BATCH_RESPONSE, Transport
+from repro.transports.base import BATCH_REQUEST, BATCH_RESPONSE, Live, Transport
 
 #: The key a batch frame's wrapper object keeps its messages under; a single
 #: frame is its one message, bare.
 _BATCH_KEYS = {BATCH_REQUEST: "batch", BATCH_RESPONSE: "responses"}
+
+
+def _tree(value: Any) -> Any:
+    """What JSON writes for a :class:`Live` marker: its value's tree."""
+    if type(value) is Live:
+        return value.to_wire()
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 class InProcTransport(Transport):
@@ -29,7 +37,7 @@ class InProcTransport(Transport):
         key = _BATCH_KEYS.get(kind)
         document = messages[0] if key is None else {key: messages}
         try:
-            return json.dumps(document, separators=(",", ":")).encode("utf-8")
+            return json.dumps(document, separators=(",", ":"), default=_tree).encode("utf-8")
         except (TypeError, ValueError) as exc:
             raise TransportError(f"message is not JSON-encodable: {exc}") from exc
 

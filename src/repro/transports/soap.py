@@ -26,6 +26,7 @@ from repro.transports.base import (
     BATCH_RESPONSE,
     REQUEST,
     RESPONSE,
+    Live,
     Transport,
 )
 
@@ -114,6 +115,8 @@ def _value_to_element(value: Any, tag: str = "value") -> ET.Element:
             member = _value_to_element(item, "member")
             _set_attr(member, "name", key)
             element.append(member)
+    elif type(value) is Live:
+        return _value_to_element(value.to_wire(), tag)
     else:
         raise TransportError(
             f"value of type {type(value).__name__} is not a wire value"

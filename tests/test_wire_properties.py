@@ -6,15 +6,25 @@ requests and responses AND for batches — because transport
 interchangeability, the paper's central claim, only holds if no protocol is
 lossy.  Hypothesis drives the generators; the CORBA cases exercise the CDR
 alignment machinery of :mod:`repro.transports.codec` with adversarial
-string-length / primitive interleavings.
+string-length / primitive interleavings.  The binary codec's one pass from
+live values to bytes and back must equal the Marshaller's tree walked by the
+wire codec, byte for byte and value for value.
 """
 
 from __future__ import annotations
+
+from collections import OrderedDict
+from enum import IntEnum
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import test_wire_golden as golden
+from repro.api.errors import SerializationError, TransportError
+from repro.runtime.cluster import Cluster
+from repro.runtime.serialization import Marshaller
+from repro.transports.base import Live
 from repro.transports.codec import decode_value, encode_value
 from repro.transports.corba import CorbaTransport
 from repro.transports.inproc import InProcTransport
@@ -162,3 +172,127 @@ class TestCdrAlignmentProperties:
             value = {"k" + text: [value, text, 7]}
         message = {"v": value}
         assert decode_value(encode_value(message, alignment=8), alignment=8) == message
+
+
+# -- one pass from live values to bytes, and back ------------------------------
+#
+# Live values the Marshaller sends: the leaves at their edges (int64 limits,
+# -0.0, infinities, astral and lone-surrogate text — the last cannot be
+# encoded either way), bytes, sets and frozensets, an IntEnum, tuples,
+# OrderedDicts, list and tuple subclasses and non-string keys (which cannot
+# be marshalled either way), nested; and a leaf wrapped eight deep.
+
+
+class Colour(IntEnum):
+    RED = 1
+    BLUE = 2
+
+
+class Row(list):
+    pass
+
+
+class Pair(tuple):
+    pass
+
+
+_hashable = st.one_of(st.none(), st.booleans(), st.integers(-3, 3), st.text(max_size=4))
+
+live_leaves = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.sampled_from([-(2**63), 2**63 - 1, 0, -1]),
+    st.integers(min_value=-(2**63), max_value=2**63 - 1),
+    st.sampled_from([-0.0, float("inf"), float("-inf")]),
+    st.floats(allow_nan=False),
+    st.text(max_size=12),
+    st.sampled_from(["𝄞😀", "lone \ud800", "\udfff"]),
+    st.binary(max_size=8),
+    st.sampled_from(list(Colour)),
+    st.sets(_hashable, max_size=3),
+    st.frozensets(_hashable, max_size=3),
+)
+
+
+def _containers(children):
+    items = st.lists(children, max_size=3)
+    entries = st.dictionaries(st.text(max_size=6), children, max_size=3)
+    return st.one_of(
+        items, items.map(tuple), items.map(Row), items.map(Pair),
+        entries, entries.map(OrderedDict),
+        st.dictionaries(st.integers(0, 3), children, min_size=1, max_size=2),
+    )
+
+
+live_values = st.recursive(live_leaves, _containers, max_leaves=12)
+_WRAPS = (
+    lambda v: [v], lambda v: (v,), lambda v: Row([v]), lambda v: Pair((v,)),
+    lambda v: {"k": v}, lambda v: OrderedDict(k=v),
+)
+
+
+def _nested(leaf_and_wraps):
+    value, wraps = leaf_and_wraps
+    for wrap in wraps:
+        value = wrap(value)
+    return value
+
+
+deep_values = st.tuples(
+    live_leaves, st.lists(st.sampled_from(_WRAPS), min_size=8, max_size=8)
+).map(_nested)
+
+
+def _same(left, right):
+    """Equal, and of the same types all the way down (``==`` alone cannot tell
+    -0.0 from 0.0, True from 1 or a tuple from a list)."""
+    if type(left) is not type(right):
+        return False
+    if isinstance(left, (list, tuple)):
+        return len(left) == len(right) and all(map(_same, left, right))
+    if isinstance(left, dict):
+        return list(left) == list(right) and all(_same(left[key], right[key]) for key in left)
+    if isinstance(left, float):
+        return repr(left) == repr(right)
+    return left == right
+
+
+@pytest.mark.parametrize("alignment", [1, 8])
+class TestOnePassProperties:
+    @_SETTINGS
+    @given(value=st.one_of(live_values, deep_values))
+    def test_live_bytes_are_the_trees_and_read_back_as_from_wire_reads_it(
+        self, alignment, value
+    ):
+        marshaller = Marshaller(None)  # the values hold no references
+        try:
+            tree = encode_value(marshaller.to_wire(value), alignment)
+        except (SerializationError, TransportError) as error:
+            with pytest.raises(type(error)):
+                encode_value(Live(value, marshaller), alignment)
+            return
+        assert encode_value(Live(value, marshaller), alignment) == tree
+        assert _same(
+            decode_value(tree, alignment, marshaller=marshaller),
+            marshaller.from_wire(decode_value(tree, alignment)),
+        )
+
+
+@pytest.mark.parametrize("name", golden.BINARY)
+@pytest.mark.parametrize("case", sorted(golden.CASES))
+def test_damaged_binary_frames_read_live_or_raise_typed_errors(name, case):
+    """The golden damaged-frame sweep through the marshaller-reading decoders:
+    every strict prefix and single-byte mutation yields a value, a
+    ``TransportError`` or a ``SerializationError``."""
+    decode = getattr(golden.TRANSPORTS[name], golden.CASES[case][1])
+    marshaller = Cluster(("server",)).space("server").marshaller
+    frame = bytes.fromhex(golden._golden()[name][case])
+    damaged = [frame[:length] for length in range(len(frame))]
+    for position, byte in enumerate(frame):
+        mutant = byte ^ (0x01, 0x80, 0xFF)[position % 3]
+        damaged.append(frame[:position] + bytes((mutant,)) + frame[position + 1 :])
+    for payload in damaged:
+        try:
+            decode(payload, marshaller=marshaller)
+        except (TransportError, SerializationError):
+            pass
