@@ -63,4 +63,5 @@ lint: lint-dist
 lint-dist:
 	$(PYTHON) -m repro lint src/repro examples tests/sample_app.py
 
-check: test examples-smoke bench-check docs-check lint-dist
+# What CI gates, locally: bench-check and bench-golden share one bench-smoke run.
+check: test examples-smoke bench-check bench-golden ledger-smoke docs-check lint-dist

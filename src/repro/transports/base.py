@@ -227,8 +227,8 @@ def frame_message(transport_name: str, body: bytes) -> bytes:
     dispatching a real middleware stack would perform.
     """
 
-    if "\n" in transport_name:
-        raise TransportError("transport names must not contain newlines")
+    if "\n" in transport_name or not transport_name.isascii():
+        raise TransportError("transport names must be ASCII without newlines")
     return transport_name.encode("ascii") + b"\n" + body
 
 
@@ -442,9 +442,9 @@ def unframe_message(payload: bytes) -> tuple[str, bytes]:
     """Split a framed message into (transport name, body)."""
     try:
         name, body = payload.split(b"\n", 1)
-    except ValueError as exc:
-        raise TransportError("malformed framed message: missing transport prefix") from exc
-    return name.decode("ascii"), body
+        return name.decode("ascii"), body
+    except ValueError as exc:  # no newline, or a prefix that is not ASCII
+        raise TransportError("malformed framed message: no ASCII transport prefix") from exc
 
 
 def parse_frame(payload: bytes) -> tuple[str, bytes, bool]:

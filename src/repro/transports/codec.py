@@ -31,11 +31,14 @@ share every line of value handling while producing different bytes.
   Alignment is relative to the start of the value stream, never to a protocol
   header in front of it.
 
-* Live values, in the same walk: :func:`encode_value` writes a
-  :class:`~repro.transports.base.Live` marker's tree bytes straight from the
-  value (tree heads, pair heads, leaves in place; the Marshaller only asked
-  for references, bytes, sets and primitive subclasses), and given a
-  ``marshaller`` :func:`decode_value` reads them straight back.
+Which code writes what.  **Values** go through the walk: wire values, and a
+:class:`~repro.transports.base.Live` marker's tree bytes straight from its value,
+read back live given a ``marshaller``.  **Messages** go through
+:class:`BinaryTransport`'s record writer and reader: a dict field by field, each
+head (pad, length, name) from a table built once per alignment and matched with
+``startswith``, leaves and lists or maps of leaves in place.  Any other field
+value goes to the walk at its offset (``args`` items, ``kwargs`` values and
+``result`` read live), as does a message that is not a dict.
 
 Every failure — a value outside the wire domain, an integer beyond 64 bits,
 a truncated or over-long stream, an unknown tag, invalid UTF-8, nesting deeper
@@ -54,10 +57,12 @@ from __future__ import annotations
 import abc
 import functools
 import struct
+from itertools import repeat
 from struct import Struct
 from typing import Any, Dict
 
 from repro._errors import SerializationError, TransportError
+from repro.transports import base
 from repro.transports.base import BATCH_KINDS, Live, Transport, Tree
 
 _TAG_NONE = 0
@@ -79,28 +84,40 @@ _TAG_UINT32 = tuple(Struct(f"!B{pad}xI") for pad in range(4))
 _TAG_INT64 = tuple(Struct(f"!B{pad}xq") for pad in range(8))
 _TAG_FLOAT64 = tuple(Struct(f"!B{pad}xd") for pad in range(8))
 _PADS = tuple(bytes(pad) for pad in range(4))
+_PACKED = (_TAG_UINT32[0].pack, _TAG_INT64[0].pack, _TAG_FLOAT64[0].pack, _UINT32.pack)
+#: What Python raises where a stream does not meet the binary format.
+_WRITE_ERRORS = (struct.error, OverflowError, UnicodeEncodeError, RecursionError)
+_READ_ERRORS = (struct.error, IndexError, UnicodeDecodeError, RecursionError)
 
 #: The subclass fallback, in the order the wire domain is tested: what an
 #: instance of a *subclass* of a wire type travels as.
 _WIRE_BASES = (int, float, str, list, tuple, dict)
 
-#: How :func:`_decode` reads a value: as a wire value (``None``), as a tree's
-#: live value (``_LIVE``), or as an envelope around live values — (how a list's
-#: items are read, how a map's values are by key, how its other values are).
-_LIVE = "live"
-_PLAIN = (None, {}, None)
-_MESSAGE = (None, {"args": (_LIVE, {}, None), "kwargs": (None, {}, _LIVE), "result": _LIVE}, None)
-_MESSAGES = (_MESSAGE, {}, None)
+#: A message's field names; by frame kind, those the records expect at each position.
+_FIELDS = tuple("target interface member args kwargs ctx result error type message".split())
+_ORDER = {base.REQUEST: _FIELDS[:6], base.BATCH_REQUEST: _FIELDS[:6],
+          base.RESPONSE: _FIELDS[6:7], base.BATCH_RESPONSE: _FIELDS[6:7]}
 
 
 def _wire_base(value: Any) -> type:
-    for base in _WIRE_BASES:
-        if isinstance(value, base):
-            return base
+    for wire_type in _WIRE_BASES:
+        if isinstance(value, wire_type):
+            return wire_type
     raise TransportError(
         f"value of type {type(value).__name__} is not a wire value; "
         "marshal it before handing it to a transport"
     )
+
+
+@functools.lru_cache(maxsize=None)
+def _layout(alignment: int) -> tuple:
+    """``(align4, align8, heads)``: ``heads[r][name]`` is a field's head at offset ``r`` mod 4."""
+    align4, align8 = min(4, alignment), min(8, alignment)
+    heads = tuple(
+        {name: _PADS[-r % align4] + _UINT32.pack(len(name)) + name.encode() for name in _FIELDS}
+        for r in range(4)
+    )
+    return align4, align8, heads
 
 
 @functools.lru_cache(maxsize=None)
@@ -118,33 +135,60 @@ def _tree_layout(alignment: int) -> tuple:
     return heads, pairs
 
 
+def _unfit(error: BaseException, writing: bool) -> TransportError:
+    """The TransportError standing for what Python raised on a stream not in the format."""
+    if isinstance(error, RecursionError):
+        return TransportError("value is nested too deeply for the binary wire format")
+    if writing:
+        return TransportError(f"value does not fit the binary wire format: {error}")
+    if isinstance(error, UnicodeDecodeError):
+        return TransportError(f"binary message carries invalid UTF-8: {error}")
+    return TransportError("truncated binary message")
+
+
 def encode_value(value: Any, alignment: int = 1) -> bytes:
     """Encode one wire value as a tagged stream with the given alignment."""
     buffer = bytearray()
+    write = _writer(buffer, alignment)
+    try:
+        write(value, type(value), None, write)
+    except _WRITE_ERRORS as error:
+        raise _unfit(error, True) from None
+    return bytes(buffer)
+
+
+def decode_value(payload: bytes, alignment: int = 1, marshaller: Any = None) -> Any:
+    """Decode the single value a stream from :func:`encode_value` carries
+    (given a ``marshaller``, a tree, into the live value it stands for)."""
+    try:
+        value, offset = _reader(payload, alignment, marshaller)(0, marshaller is not None)
+    except _READ_ERRORS as error:
+        raise _unfit(error, False) from None
+    if offset != len(payload):  # past the end only where the last string was sliced short
+        raise TransportError("truncated binary message" if offset > len(payload)
+                             else "trailing bytes after the binary message")
+    return value
+
+
+def _packers(buffer: bytearray, alignment: int) -> tuple:
+    """``(tag_uint32, tag_int64, tag_float64, key_length)``, padded for ``buffer``'s end."""
+    if alignment <= 1:
+        return _PACKED
+    align4, align8, _ = _layout(alignment)
+    return (lambda tag, number: _TAG_UINT32[-(len(buffer) + 1) % align4].pack(tag, number),
+            lambda tag, number: _TAG_INT64[-(len(buffer) + 1) % align8].pack(tag, number),
+            lambda tag, number: _TAG_FLOAT64[-(len(buffer) + 1) % align8].pack(tag, number),
+            lambda number: _PADS[-len(buffer) % align4] + _UINT32.pack(number))
+
+
+def _writer(buffer: bytearray, alignment: int) -> Any:
+    """The walk over ``buffer``: ``write(value, type(value), None, write)`` appends a wire value
+    or a Live marker's tree (handed itself: a closure naming itself is a reference cycle)."""
     uint32 = _UINT32.pack
+    tag_uint32, tag_int64, tag_float64, key_length = _packers(buffer, alignment)
     heads = pairs = None  # the tree layout, looked up at the first Live marker
-    if alignment > 1:
-        align4, align8 = min(4, alignment), min(8, alignment)
 
-        def tag_uint32(tag: int, number: int) -> bytes:
-            return _TAG_UINT32[-(len(buffer) + 1) % align4].pack(tag, number)
-
-        def tag_int64(tag: int, number: int) -> bytes:
-            return _TAG_INT64[-(len(buffer) + 1) % align8].pack(tag, number)
-
-        def tag_float64(tag: int, number: float) -> bytes:
-            return _TAG_FLOAT64[-(len(buffer) + 1) % align8].pack(tag, number)
-
-        def key_length(number: int) -> bytes:
-            return _PADS[-len(buffer) % align4] + uint32(number)
-
-    else:
-        tag_uint32, tag_int64, tag_float64 = (
-            _TAG_UINT32[0].pack, _TAG_INT64[0].pack, _TAG_FLOAT64[0].pack,
-        )
-        key_length = uint32
-
-    def write(value: Any, kind: type, marshaller: Any) -> None:
+    def write(value: Any, kind: type, marshaller: Any, write: Any) -> None:
         """Append ``value``: a wire value, or a live one given its marshaller."""
         nonlocal buffer, heads, pairs
         if kind is str:
@@ -159,7 +203,7 @@ def encode_value(value: Any, alignment: int = 1) -> bytes:
                     data = item.encode()
                     buffer += tag_uint32(_TAG_STR, len(data)) + data
                 else:
-                    write(item, item_kind, marshaller)
+                    write(item, item_kind, marshaller, write)
         elif kind is int:
             buffer += tag_int64(_TAG_INT, value)
         elif kind is dict:
@@ -178,7 +222,7 @@ def encode_value(value: Any, alignment: int = 1) -> bytes:
                     data = item.encode()
                     buffer += tag_uint32(_TAG_STR, len(data)) + data
                 else:
-                    write(item, item_kind, marshaller)
+                    write(item, item_kind, marshaller, write)
         elif kind is float:
             buffer += tag_float64(_TAG_FLOAT, value)
         elif value is None:
@@ -189,47 +233,32 @@ def encode_value(value: Any, alignment: int = 1) -> bytes:
             if heads is None:
                 heads, pairs = _tree_layout(alignment)
             try:
-                write(value.value, type(value.value), value.marshaller)
+                write(value.value, type(value.value), value.marshaller, write)
             except (struct.error, OverflowError, UnicodeEncodeError):
                 value.to_wire()  # a value that cannot be marshalled says so first
                 raise
         elif marshaller is None:  # a subclass travels as the wire type it extends
-            write(value, _wire_base(value), None)
-        # A live value of another type, in Marshaller.to_wire's order:
-        elif isinstance(value, (dict, list, tuple)):
-            write(value, next(b for b in (dict, list, tuple) if isinstance(value, b)), marshaller)
+            write(value, _wire_base(value), None, write)
+        elif isinstance(value, (dict, list, tuple)):  # a live container of another type
+            write(value, _wire_base(value), marshaller, write)
         else:
             wire = marshaller.to_wire(value)
-            write(wire, type(wire), None)
+            write(wire, type(wire), None, write)
 
-    try:
-        write(value, type(value), None)
-        return bytes(buffer)
-    except (struct.error, OverflowError, UnicodeEncodeError) as exc:
-        raise TransportError(f"value does not fit the binary wire format: {exc}") from None
-    except RecursionError:
-        raise TransportError("value is nested too deeply for the binary wire format") from None
-    finally:
-        # ``write`` names itself, which is a reference cycle: unhooked here,
-        # the buffer is freed on return instead of at the next GC pass.
-        write = None
+    return write
 
 
-def decode_value(payload: bytes, alignment: int = 1, marshaller: Any = None) -> Any:
-    """Decode the single value a stream from :func:`encode_value` carries
-    (given a ``marshaller``, a tree, into the live value it stands for)."""
-    return _decode(payload, alignment, marshaller, None if marshaller is None else _LIVE)
-
-
-def _decode(payload: bytes, alignment: int, marshaller: Any, how: Any) -> Any:
+def _reader(payload: bytes, alignment: int, marshaller: Any) -> Any:
+    """The walk over ``payload``: ``walk(offset, live)`` is the value at ``offset`` — a wire
+    value, or if ``live`` a tree's live value — and its end (``read`` is handed itself too)."""
     offset = 0
     aligned = alignment > 1
-    align4, align8 = min(4, alignment), min(8, alignment)
+    align4, align8, _ = _layout(alignment)
     uint32, int64, float64 = _UINT32.unpack_from, _INT64.unpack_from, _FLOAT64.unpack_from
     startswith = payload.startswith
     heads, pairs = _tree_layout(alignment) if marshaller is not None else (None, None)
 
-    def read(how: Any) -> Any:
+    def read(live: bool, read: Any) -> Any:
         nonlocal offset
         tag = payload[offset]
         start = offset + 1
@@ -243,29 +272,24 @@ def _decode(payload: bytes, alignment: int, marshaller: Any, how: Any) -> Any:
                 start += -start % align4
             offset = start + 4
             count = uint32(payload, start)[0]
-            if how is not None and how is not _LIVE:
-                how = how[0]
             if count == 2:  # every Marshaller map entry is a [key, value] pair
-                return [read(how), read(how)]
-            return [read(how) for _ in range(count)]
+                return [read(live, read), read(live, read)]
+            return list(map(read, repeat(live, count), repeat(read, count)))
         if tag == _TAG_INT:
             if aligned:
                 start += -start % align8
             offset = start + 8
             return int64(payload, start)[0]
         if tag == _TAG_MAP:
-            if how is _LIVE:
-                return read_tree(offset)
+            if live:
+                return read_tree(offset, read)
             if aligned:
                 start += -start % align4
             offset = start + 4
-            _, fields, other = how or _PLAIN
             result = {}
             for _ in range(uint32(payload, start)[0]):
-                start = offset + -offset % align4 if aligned else offset
-                offset = start + 4 + uint32(payload, start)[0]
-                key = payload[start + 4 : offset].decode()
-                result[key] = read(fields[key] if key in fields else other)
+                key, offset = _read_key(payload, offset, align4)
+                result[key] = read(False, read)
             return result
         if tag == _TAG_FLOAT:
             if aligned:
@@ -277,7 +301,7 @@ def _decode(payload: bytes, alignment: int, marshaller: Any, how: Any) -> Any:
         offset = start
         return _SINGLETONS[tag]
 
-    def read_tree(at: int) -> Any:
+    def read_tree(at: int, read: Any) -> Any:
         """The live value of the tree whose map starts at ``at``."""
         nonlocal offset
         for kind, head in heads[at & 3].items():
@@ -285,7 +309,7 @@ def _decode(payload: bytes, alignment: int, marshaller: Any, how: Any) -> Any:
                 offset = at + len(head) + 4
                 count = uint32(payload, offset - 4)[0]
                 if kind is not dict:
-                    items = [read(_LIVE) for _ in range(count)]
+                    items = list(map(read, repeat(True, count), repeat(read, count)))
                     return items if kind is list else tuple(items)
                 result = {}
                 for _ in range(count):
@@ -295,30 +319,34 @@ def _decode(payload: bytes, alignment: int, marshaller: Any, how: Any) -> Any:
                     start = offset + len(pair)
                     offset = start + 4 + uint32(payload, start)[0]
                     key = payload[start + 4 : offset].decode()
-                    result[key] = read(_LIVE)
+                    result[key] = read(True, read)
                 else:
                     return result
                 break
         offset = at  # not the layout Marshaller.to_wire writes: the tree as it is
-        return marshaller.from_wire(read(None))
+        return marshaller.from_wire(read(False, read))
 
-    try:
-        value = read(how)
-    except (struct.error, IndexError):
-        raise TransportError("truncated binary message") from None
-    except UnicodeDecodeError as exc:
-        raise TransportError(f"binary message carries invalid UTF-8: {exc}") from None
-    except RecursionError:
-        raise TransportError("binary message is nested too deeply") from None
-    finally:
-        read = read_tree = None  # same cycle as in encode_value; it would pin the payload
-    if offset > len(payload):
-        # A string longer than the rest of the stream was sliced short, and
-        # every read after it fails; only the last value gets this far.
-        raise TransportError("truncated binary message")
-    if offset < len(payload):
-        raise TransportError("trailing bytes after the binary message")
-    return value
+    def walk(at: int, live: bool) -> tuple:
+        nonlocal offset
+        offset = at
+        return read(live, read), offset
+
+    return walk
+
+
+def _key_head(key: Any, key_length: Any) -> bytes:
+    """The head of a map key the layout does not hold."""
+    if not isinstance(key, str):
+        raise TransportError(f"map keys must be strings, got {type(key).__name__}")
+    data = key.encode()
+    return key_length(len(data)) + data
+
+
+def _read_key(payload: bytes, offset: int, align4: int) -> tuple:
+    """The map key at ``offset`` and the offset where it ends."""
+    start = offset + -offset % align4
+    end = start + 4 + _UINT32.unpack_from(payload, start)[0]
+    return payload[start + 4 : end].decode(), end
 
 
 class BinaryTransport(Transport):
@@ -332,8 +360,8 @@ class BinaryTransport(Transport):
 
     A batch frame's body is the list of its messages as one tagged value (one
     stream, so one alignment run: the framing cost is paid once per batch); a
-    single frame's body is its one message, bare.  Given a marshaller, the
-    live values are read in the same pass.
+    single frame's body is its one message, bare.  Both are written and read
+    as records; given a marshaller, the live values are read in the same pass.
     """
 
     #: Alignment of 4- and 8-byte primitives in the body (1 = packed).
@@ -349,19 +377,141 @@ class BinaryTransport(Transport):
     def open_header(self, payload: bytes, expected_type: int) -> bytes:
         """Check the header of ``payload`` and return the body behind it."""
 
+    @functools.cached_property
+    def _stream_layout(self) -> tuple:
+        return _layout(self.alignment)
+
     def encode_frame(self, kind: str, messages: list) -> bytes:
-        body = encode_value(messages if kind in BATCH_KINDS else messages[0], self.alignment)
-        return self.pack_header(self.message_types[kind], body) + body
+        buffer, alignment, write = bytearray(), self.alignment, None
+        try:
+            tag_uint32, tag_int64, tag_float64, key_length = _packers(buffer, alignment)
+            aligned, layout = alignment > 1, self._stream_layout[2]
+            heads = layout[0]
+            if kind in BATCH_KINDS:
+                buffer += tag_uint32(_TAG_LIST, len(messages))
+            for message in messages if kind in BATCH_KINDS else messages[:1]:
+                if type(message) is not dict:
+                    write = write or _writer(buffer, alignment)
+                    write(message, type(message), None, write)
+                    continue
+                buffer += tag_uint32(_TAG_MAP, len(message))
+                for key, field in message.items():
+                    if aligned:
+                        heads = layout[len(buffer) & 3]
+                    buffer += heads[key] if key in heads else _key_head(key, key_length)
+                    cls = type(field)
+                    if cls is str:  # the most frequent field, written in place
+                        data = field.encode()
+                        buffer += tag_uint32(_TAG_STR, len(data)) + data
+                        continue
+                    # One loop writes any other leaf, or each leaf of a list or map.
+                    keyed = cls is dict
+                    if keyed or cls is list:
+                        buffer += tag_uint32(_TAG_MAP if keyed else _TAG_LIST, len(field))
+                    for item in field.items() if keyed else field if cls is list else (field,):
+                        if keyed:
+                            key, item = item
+                            if aligned:
+                                heads = layout[len(buffer) & 3]
+                            buffer += heads[key] if key in heads else _key_head(key, key_length)
+                        cls = type(item)
+                        if cls is str:
+                            data = item.encode()
+                            buffer += tag_uint32(_TAG_STR, len(data)) + data
+                        elif cls is int:
+                            buffer += tag_int64(_TAG_INT, item)
+                        elif cls is float:
+                            buffer += tag_float64(_TAG_FLOAT, item)
+                        elif item is None:
+                            buffer.append(_TAG_NONE)
+                        elif cls is bool:
+                            buffer.append(_TAG_TRUE if item else _TAG_FALSE)
+                        else:
+                            write = write or _writer(buffer, alignment)
+                            write(item, cls, None, write)
+        except _WRITE_ERRORS as error:
+            raise _unfit(error, True) from None
+        return self.pack_header(self.message_types[kind], buffer) + buffer
 
     def read_frame(self, kind: str, payload: bytes, marshaller: Any = None) -> list:
-        batch = kind in BATCH_KINDS
-        how = None if marshaller is None else _MESSAGES if batch else _MESSAGE
-        body = self.open_header(payload, self.message_types[kind])
-        value = _decode(body, self.alignment, marshaller, how)
-        if not batch:
-            return [value]
-        if type(value) is not list:
-            raise TransportError("binary batch did not contain a list")
-        return value
+        payload = self.open_header(payload, self.message_types[kind])
+        alignment, batch, fields = self.alignment, kind in BATCH_KINDS, _ORDER[kind]
+        align4, align8, layout = self._stream_layout
+        aligned, live, expected = alignment > 1, marshaller is not None, len(fields)
+        uint32, startswith = _UINT32.unpack_from, payload.startswith
+        messages, offset, count, walk = [], 0, 1, None
+        try:
+            if batch and payload[0] != _TAG_LIST:
+                raise TransportError("binary batch did not contain a list")
+            if batch:
+                offset = 5 + -1 % align4  # past the list's tag and count
+                count = uint32(payload, offset - 4)[0]
+            for _ in range(count):
+                if payload[offset] != _TAG_MAP:
+                    walk = walk or _reader(payload, alignment, marshaller)
+                    message, offset = walk(offset, False)
+                    messages.append(message)
+                    continue
+                start = offset + 1
+                if aligned:
+                    start += -start % align4
+                offset, message = start + 4, {}
+                for index in range(uint32(payload, start)[0]):
+                    head = layout[offset & 3][fields[index]] if index < expected else None
+                    if head is not None and startswith(head, offset):
+                        key, offset = fields[index], offset + len(head)
+                    else:
+                        key, offset = _read_key(payload, offset, align4)
+                    tag, start = payload[offset], offset + 1
+                    if tag == _TAG_STR:  # the most frequent field, read in place
+                        if aligned:
+                            start += -start % align4
+                        offset = start + 4 + uint32(payload, start)[0]
+                        message[key] = payload[start + 4 : offset].decode()
+                        continue
+                    # One loop reads another leaf, or each leaf of a list or map (not a tree).
+                    keyed = tag == _TAG_MAP and not (live and key == "result")
+                    if keyed or tag == _TAG_LIST:
+                        if aligned:
+                            start += -start % align4
+                        offset, size = start + 4, uint32(payload, start)[0]
+                        field = {} if keyed else []
+                    else:
+                        size, field = 1, None
+                    for _ in range(size):
+                        if keyed:
+                            name, offset = _read_key(payload, offset, align4)
+                        tag, start = payload[offset], offset + 1
+                        if tag == _TAG_STR:
+                            if aligned:
+                                start += -start % align4
+                            offset = start + 4 + uint32(payload, start)[0]
+                            item = payload[start + 4 : offset].decode()
+                        elif tag == _TAG_INT or tag == _TAG_FLOAT:
+                            if aligned:
+                                start += -start % align8
+                            offset = start + 8
+                            item = (_INT64 if tag == _TAG_INT else _FLOAT64).unpack_from(
+                                payload, start)[0]
+                        elif tag <= _TAG_FALSE:
+                            offset, item = start, _SINGLETONS[tag]
+                        else:  # a nested value, or a tree under "result": the walk's
+                            walk = walk or _reader(payload, alignment, marshaller)
+                            item, offset = walk(offset, live and (
+                                key == "kwargs" if keyed else key in ("args", "result")))
+                        if keyed:
+                            field[name] = item
+                        elif field is None:
+                            field = item
+                        else:
+                            field.append(item)
+                    message[key] = field
+                messages.append(message)
+        except _READ_ERRORS as error:
+            raise _unfit(error, False) from None
+        if offset != len(payload):  # past the end only where the last string was sliced short
+            raise TransportError("truncated binary message" if offset > len(payload)
+                                 else "trailing bytes after the binary message")
+        return messages
 
     decode_frame = read_frame

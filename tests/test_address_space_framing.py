@@ -7,7 +7,9 @@ in no frame at all.  :class:`TestFramingParity` sends the same one call down
 every path and compares what came back, what ran on the hosting side and what
 the counters say; :class:`TestRequestShape` sends requests that do not have
 the shape documented in ``repro.transports.base`` and expects the whole
-message refused with a ``TransportError`` before anything runs, and
+message refused with a ``TransportError`` before anything runs,
+:class:`TestFramePrefix` expects the same of a frame whose transport prefix
+is not ASCII, wherever it is read, and
 :class:`TestMalformedTree` does the same for arguments whose Marshaller tree
 does not hold together (a ``SerializationError``).
 """
@@ -243,6 +245,27 @@ class TestFramingParity:
         )
 
 
+#: Where a frame whose transport prefix is not ASCII is read, and the path
+#: that brings it there (the serving side reads the request itself).
+BAD_PREFIX = {"server": None, "client_inline": "single", "client_posted": "many_async"}
+
+
+class TestFramePrefix:
+    @pytest.mark.parametrize("row", sorted(BAD_PREFIX))
+    def test_a_prefix_that_is_not_ascii_is_a_transport_error(self, row):
+        _, cluster, ledger, reference = _deployment()
+        frame = b"\xff\n\x00"
+        if BAD_PREFIX[row] is None:
+            with pytest.raises(TransportError):
+                cluster.space("server")._handle_message("client", frame)
+        else:
+            cluster.network.register("server", lambda source, payload: frame)
+            assert _send(cluster, BAD_PREFIX[row], "rmi", reference, "add", (1,)) == (
+                "raised", TransportError, None,
+            )
+        assert ledger.entries == []
+
+
 #: name -> what a well-framed request carries instead of the documented shape.
 MALFORMED = {
     "args_is_an_int": {"args": 7},
@@ -412,18 +435,22 @@ def _calls_per_op(profile, operations):
 
 class TestCallBudget:
     """Sharing the per-call code between framings must not tax the plain
-    synchronous call, and a value is walked once on its way to the bytes and
-    once back: the ledger's ``direct_small`` and ``batch_payload`` workloads,
-    rebuilt here."""
+    synchronous call, a value is walked once on its way to the bytes and once
+    back, and a message of leaves is written and read as a record, not walked:
+    the ledger's ``direct_small`` and ``batch_payload`` workloads, and a small
+    batch of lookups, rebuilt here.  Each ceiling is the count measured on
+    CPython 3.11 plus 5 % for the other interpreters CI runs."""
 
-    #: Python calls per lookup: 239.1 on CPython 3.11 (249.1 before values
-    #: went to bytes in one pass); the ceiling is 249.1 plus 5 % for the
-    #: other interpreters CI runs.
-    CEILING = 261.5
-    #: Python calls per batched order: 2 296.3 on CPython 3.11 with one pass
-    #: from values to bytes — 3 608.2 with the Marshaller's tree built and
-    #: walked — plus 5 %.
-    BATCH_CEILING = 2411.1
+    #: Python calls per lookup: 199.1 with messages read and written as
+    #: records (239.1 when the walk handled them, 249.1 before values went to
+    #: bytes in one pass).
+    CEILING = 209.1
+    #: Python calls per batched order: 2 245.1 (2 293.2 with the messages
+    #: walked, 3 608.2 with the Marshaller's tree built and walked).
+    BATCH_CEILING = 2357.4
+    #: Python calls per lookup in windows of 32: 101.6 (137.9 with the
+    #: messages walked).
+    SMALL_BATCH_CEILING = 106.7
 
     def test_a_batch_of_orders_stays_within_its_call_budget(self):
         rng = random.Random(7)
@@ -468,3 +495,26 @@ class TestCallBudget:
         assert cluster.space("client").batches_sent == 0  # single-call frames
         per_call = _calls_per_op(profile, len(keys))
         assert per_call <= self.CEILING, f"{per_call:.1f} Python calls per direct lookup"
+
+    def test_a_batch_of_lookups_stays_within_its_call_budget(self):
+        rng = random.Random(7)
+        table = {f"item-{index:02d}": rng.randrange(1_000_000) for index in range(64)}
+        keys = rng.choices(sorted(table), k=256)
+        cluster = Cluster(("client", "server"))
+        session = Session(cluster, node="client")
+        service = session.service(
+            "catalog", ServicePolicy(transport="rmi").with_batching(32),
+            impl=Catalog(dict(table)), node="server",
+        )
+        profile = cProfile.Profile()
+        with session:
+            lookup = service.future.lookup
+            profile.enable()
+            futures = [lookup(key) for key in keys]
+            service.flush()
+            answers = [future.result() for future in futures]
+            profile.disable()
+        assert answers == [table[key] for key in keys]
+        assert cluster.space("client").batches_sent == 8
+        per_op = _calls_per_op(profile, len(keys))
+        assert per_op <= self.SMALL_BATCH_CEILING, f"{per_op:.1f} Python calls per batched lookup"

@@ -253,6 +253,12 @@ class TestRegistryAndFraming:
         with pytest.raises(TransportError):
             unframe_message(b"no-prefix-here")
 
+    def test_a_transport_name_that_is_not_ascii_is_refused_both_ways(self):
+        with pytest.raises(TransportError):
+            frame_message("rmï", b"body")
+        with pytest.raises(TransportError):
+            unframe_message("rmï".encode() + b"\nbody")
+
     def test_soap_rejects_non_wire_values(self):
         with pytest.raises(TransportError):
             SoapTransport().encode_request({"target": "t", "member": "m", "args": [object()], "kwargs": {}})

@@ -8,7 +8,8 @@ lossy.  Hypothesis drives the generators; the CORBA cases exercise the CDR
 alignment machinery of :mod:`repro.transports.codec` with adversarial
 string-length / primitive interleavings.  The binary codec's one pass from
 live values to bytes and back must equal the Marshaller's tree walked by the
-wire codec, byte for byte and value for value.
+wire codec, byte for byte and value for value, and so must the records rmi and
+corba write and read their messages as.
 """
 
 from __future__ import annotations
@@ -24,7 +25,14 @@ import test_wire_golden as golden
 from repro.api.errors import SerializationError, TransportError
 from repro.runtime.cluster import Cluster
 from repro.runtime.serialization import Marshaller
-from repro.transports.base import Live
+from repro.transports.base import (
+    BATCH_KINDS,
+    BATCH_REQUEST,
+    BATCH_RESPONSE,
+    REQUEST,
+    RESPONSE,
+    Live,
+)
 from repro.transports.codec import decode_value, encode_value
 from repro.transports.corba import CorbaTransport
 from repro.transports.inproc import InProcTransport
@@ -276,6 +284,126 @@ class TestOnePassProperties:
             decode_value(tree, alignment, marshaller=marshaller),
             marshaller.from_wire(decode_value(tree, alignment)),
         )
+
+
+# -- the record path is the walk -----------------------------------------------
+#
+# rmi and corba write and read each message as a record (field heads from a
+# table, leaves in place) and hand anything else to the walk.  Whatever the
+# frame — requests with leaf, nested and Live arguments, with and without
+# kwargs and ctx; results, trees and errors; unknown, misplaced and non-string
+# keys; messages that are not dicts; batches mixing them — its body must be
+# the walk's bytes, and its reading the walk's reading with the Marshaller
+# applied where the records read live.
+
+_MARSHALLER = Marshaller(None)  # the values hold no references
+_FIELDS = ("target", "interface", "member", "args", "kwargs", "ctx", "result", "error", "type",
+           "message")
+
+
+def _tree(value):
+    try:
+        return _MARSHALLER.to_wire(value)
+    except SerializationError:
+        return None
+
+
+#: Live values that marshal, so that a frame carrying them is written and read.
+_marshallable = st.recursive(
+    st.one_of(wire_scalars, st.binary(max_size=4), st.sampled_from(list(Colour)),
+              st.frozensets(st.integers(-3, 3), max_size=2)),
+    lambda children: st.one_of(
+        st.lists(children, max_size=3), st.lists(children, max_size=3).map(tuple),
+        st.dictionaries(st.text(max_size=4), children, max_size=3),
+    ),
+    max_leaves=6,
+)
+_arguments = st.one_of(
+    wire_scalars, wire_values,
+    st.one_of(_marshallable, live_values).map(lambda value: Live(value, _MARSHALLER)),
+)
+_record_messages = st.one_of(
+    st.fixed_dictionaries(
+        {
+            "target": st.text(max_size=8),
+            "interface": st.text(max_size=8),
+            "member": st.text(max_size=8),
+            "args": st.lists(_arguments, max_size=3),
+        },
+        optional={
+            "kwargs": st.dictionaries(st.text(max_size=6), _arguments, max_size=2),
+            "ctx": st.dictionaries(st.text(max_size=3), wire_values, max_size=3),
+        },
+    ),
+    st.fixed_dictionaries({"result": st.one_of(wire_values, live_values.map(_tree))}),
+    response_dicts,
+    wire_values,  # not a dict
+    st.dictionaries(st.one_of(st.sampled_from(_FIELDS), st.text(max_size=4)), wire_values,
+                    max_size=4),
+    st.dictionaries(st.integers(0, 3), wire_values, min_size=1, max_size=2),
+)
+
+
+def _walked(body, alignment, batch, marshaller):
+    """The walk's reading of a body, with the Marshaller applied where the records read live."""
+    value = decode_value(body, alignment)
+    messages = value if batch else [value]
+    if marshaller is None:
+        return messages
+    read = []
+    for message in messages:
+        if type(message) is dict:
+            message = dict(message)
+            for key, field in message.items():
+                if key == "args" and type(field) is list:
+                    message[key] = [marshaller.from_wire(item) for item in field]
+                elif key == "kwargs" and type(field) is dict:
+                    message[key] = {name: marshaller.from_wire(item) for name, item in field.items()}
+                elif key == "result":
+                    message[key] = marshaller.from_wire(field)
+        read.append(message)
+    return read
+
+
+def _same_outcome(expected, actual):
+    """Run both; the same value (``_same``) or the same exception type."""
+    try:
+        wanted = expected()
+    except (SerializationError, TransportError) as error:
+        with pytest.raises(type(error)) as raised:
+            actual()
+        assert type(raised.value) is type(error)
+        return None
+    got = actual()
+    assert _same(got, wanted)
+    return got
+
+
+@pytest.mark.parametrize("transport", [RmiTransport(), CorbaTransport()], ids=lambda t: t.name)
+class TestRecordProperties:
+    @settings(_SETTINGS, max_examples=120)
+    @given(
+        kind=st.sampled_from([REQUEST, RESPONSE, BATCH_REQUEST, BATCH_RESPONSE]),
+        messages=st.lists(_record_messages, min_size=1, max_size=4),
+    )
+    def test_the_records_write_and_read_what_the_walk_does(self, transport, kind, messages):
+        batch = kind in BATCH_KINDS
+        messages = messages if batch else messages[:1]
+        alignment = transport.alignment
+        body = _same_outcome(
+            lambda: encode_value(messages if batch else messages[0], alignment),
+            lambda: transport.open_header(
+                transport.encode_frame(kind, messages), transport.message_types[kind]
+            ),
+        )
+        if body is None:
+            return
+        frame = transport.pack_header(transport.message_types[kind], body) + body
+        for marshaller in (None, _MARSHALLER):
+            _same_outcome(
+                lambda: _walked(body, alignment, batch, marshaller),
+                lambda: transport.read_frame(kind, frame, marshaller),
+            )
 
 
 @pytest.mark.parametrize("name", golden.BINARY)
