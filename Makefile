@@ -2,7 +2,7 @@ PYTHON ?= python
 export PYTHONPATH := src
 BENCH_DIR ?= bench-artifacts
 
-.PHONY: check test examples-smoke bench-smoke bench-check bench-diff bench-golden bench-ab ledger-smoke docs-check lint lint-dist
+.PHONY: check test examples-smoke bench-smoke bench-check bench-diff bench-golden bench-ab micro ledger-smoke docs-check lint lint-dist
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -44,6 +44,14 @@ PAIRS ?= 10
 SEED ?= 7
 bench-ab:
 	$(PYTHON) benchmarks/ab_pairs.py --base $(BASE) --workload $(W) --pairs $(PAIRS) --seed $(SEED)
+
+# The wall-clock ledger's micro pass alone, one `name value unit` line per
+# metric (median of 5 passes per loop), e.g.
+#   make micro | grep cache_hit
+# --seconds 0.1 is the ledger's own pass length (LEDGER_MICRO_PASS_S in run.py).
+micro:
+	@PYTHONHASHSEED=0 $(PYTHON) benchmarks/wallclock/run.py --child micro --seed $(SEED) --seconds 0.1 \
+		| $(PYTHON) -c "import json, sys; units = {m['name']: m['unit'] for m in json.load(open('BENCHMARK.json'))['per_layer']}; [print(name, round(value, 1), units[name]) for name, value in json.loads(sys.stdin.read().splitlines()[-1]).items()]"
 
 # Every workload of the wall-clock ledger (BENCHMARK.json), briefly: each run
 # does at least 5 fresh-process rounds, checks every result against its oracle,

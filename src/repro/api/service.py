@@ -39,7 +39,7 @@ class FutureView:
     def __init__(self, service: "Service") -> None:
         self._service = service
 
-    def __call__(self, member: str, *args: Any, **kwargs: Any) -> InvocationFuture:
+    def __call__(self, member: str, /, *args: Any, **kwargs: Any) -> InvocationFuture:
         """Enqueue ``member`` and return its future immediately."""
         return self._service._enqueue(member, args, kwargs)
 
@@ -87,7 +87,6 @@ class Service:
         reference: RemoteRef,
         group: Any = None,
         cache: Any = None,
-        cacheable: frozenset = frozenset(),
     ) -> None:
         self.session = session
         #: The well-known name this service is bound to.
@@ -100,7 +99,6 @@ class Service:
         #: The client-side :class:`~repro.runtime.caching.ResultCache` when
         #: the policy caches, else ``None``.
         self._cache = cache
-        self._cacheable = cache.cacheable if cache is not None else frozenset(cacheable)
         self._pipe = session._build_pipe(self)
         self._future_view = FutureView(self)
 
@@ -117,7 +115,7 @@ class Service:
         also followed, so traffic enqueued after a promotion goes straight to
         the new primary.
         """
-        manager = self.session.replica_manager
+        manager = self.session._manager
         if manager is not None:
             resolved = manager.current_ref(self._reference)
             if resolved is not self._reference:
@@ -128,28 +126,47 @@ class Service:
     # the three call forms
     # ------------------------------------------------------------------
 
-    def call(self, member: str, *args: Any, **kwargs: Any) -> Any:
+    def call(self, member: str, /, *args: Any, **kwargs: Any) -> Any:
         """Invoke ``member`` and return its value (the plain-call form).
 
         On a batched or pipelined service the buffered window is shipped as
-        needed for this call's result to materialise.
+        needed for this call's result to materialise; a cache hit's value
+        comes back as is, without a future.
         """
-        return self._enqueue(member, args, kwargs).result()
+        if self._cache is None:
+            return self._pipe.enqueue(member, args, kwargs).result()
+        hit, found = self._cached(member, args, kwargs)
+        return found if hit else found.result()
 
     def _enqueue(self, member: str, args: tuple, kwargs: dict) -> InvocationFuture:
-        """Dispatch one call through the cache (if any) and the policy's pipe.
+        """Dispatch one call through the cache (if any) and the policy's pipe."""
+        if self._cache is None:
+            return self._pipe.enqueue(member, args, kwargs)
+        hit, found = self._cached(member, args, kwargs)
+        if not hit:
+            return found
+        future = InvocationFuture(member)
+        future._resolve(found)
+        return future
 
-        Every call form — plain, ``.future``, attribute-style — funnels
-        through :func:`~repro.runtime.caching.cached_enqueue` (the one place
-        the coherence protocol lives), so caching behaves identically
-        whatever pipe the policy composed.
+    def _cached(self, member: str, args: tuple, kwargs: dict) -> tuple:
+        """One call of a cached service: ``(True, value)`` for a hit, else
+        ``(False, future)``.
+
+        Every call form — plain, ``.future``, attribute-style, an adopted
+        handle's — comes through here: one
+        :meth:`~repro.runtime.caching.ResultCache.lookup`, and on a miss or a
+        write :func:`~repro.runtime.caching.cached_enqueue` (the one place the
+        coherence protocol lives), so caching behaves identically whatever
+        pipe the policy composed.
         """
         cache = self._cache
-        if cache is None:
-            return self._pipe.enqueue(member, args, kwargs)
-        return cached_enqueue(
-            cache, self._cacheable, self.reference, member, args, kwargs,
-            self._pipe.enqueue,
+        reference = self.reference
+        served = cache.lookup(reference, member, args, kwargs)
+        if served[0]:
+            return served
+        return False, cached_enqueue(
+            cache, reference, member, args, kwargs, self._pipe.enqueue, served[1]
         )
 
     def __getattr__(self, member: str) -> Any:

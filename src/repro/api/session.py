@@ -61,7 +61,7 @@ class _AdoptedLeg:
     def invoke(self, reference, member, args=(), kwargs=None, **_binding) -> Any:
         """The handle's call, enqueued on the service (which owns reference,
         transport and issuing space) and waited for."""
-        return self.service._enqueue(member, args, kwargs or {}).result()
+        return self.service.call(member, *args, **(kwargs or {}))
 
 
 class Session:
@@ -239,18 +239,14 @@ class Session:
                 space.use_middleware(chain)
             self._server_chains.append((chain, spaces))
         cache = None
-        cacheable: frozenset = frozenset()
         if policy.cached:
             # Cacheability metadata comes from the implementation's
             # ``@cacheable`` markers when this session deploys it; attaching
             # to a foreign deployment relies on the CachePolicy's explicit
             # ``cacheable`` list (unioned in by the cache itself).
-            if impl is not None:
-                cacheable = cacheable_members(type(impl))
+            cacheable = cacheable_members(type(impl)) if impl is not None else frozenset()
             cache = self._ensure_cache_manager().create_cache(policy.cache, cacheable)
-        service = Service(
-            self, name, policy, reference, group=group, cache=cache, cacheable=cacheable
-        )
+        service = Service(self, name, policy, reference, group=group, cache=cache)
         self._services[name] = service
         if impl is not None:
             self._deployments.append((name, group, host, reference, impl, adopted))

@@ -39,6 +39,31 @@ Three :class:`CachePolicy` modes trade coherence for traffic:
     other clients' writes go unnoticed until the lease expires — bounded
     staleness (≤ ``lease_ms``), zero coherence traffic.
 
+**A hit** is one :meth:`ResultCache.lookup`: build the key, check that no
+write of this client to the object is unsettled (a membership test — each
+write leaves the pending map from its future's done-callback), take the
+entry, compare its expiry with the simulated clock and re-insert it at the
+back of the LRU order.  No message, no simulated time, no future for a plain
+call: 8 Python calls from the attribute call down, about 1.8 µs on a 2 GHz
+Xeon with CPython 3.11 (``runtime.cache_hit_ns`` of the wall-clock ledger,
+``make micro``).  Misses and writes go through :func:`cached_enqueue`; a
+miss hands its key to the fill.
+
+**Keys carry exact types.**  Calls whose positional arguments are all leaves
+(``None``, ``bool``, ``int``, ``float``, ``str``) and that pass no keyword
+arguments are keyed by ``(object id, member, args, types of args)``; any
+other call by :func:`freeze_arguments`, which tags every level — list,
+tuple, dict, set and leaf — with its type and keeps a dict's item order.
+``f(1)``, ``f(True)`` and ``f(1.0)``, ``f([1, 2])`` and ``f((1, 2))``, or
+``f({"a": 1, "b": 2})`` and ``f({"b": 2, "a": 1})``, are different calls on
+the wire and never share an entry.
+
+**Container results are copied.**  An entry keeps its own copy of a dict,
+list, tuple or set result, and every hit returns a fresh copy of those
+containers, so a caller mutating what it got cannot change what the next
+caller reads.  Leaves, bytes, proxies and references are shared, so a leaf
+result costs no copy.
+
 The façade consumes this module through
 :class:`~repro.api.policy.ServicePolicy`'s ``cache`` field — a transformed
 object's handle included, once a session has adopted it.
@@ -52,7 +77,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro._errors import NetworkError, PolicyError
 from repro.runtime.pipelining import InvocationFuture
 from repro.runtime.remote_ref import RemoteRef
-from repro.transports.base import frame_subscription
+from repro.transports.base import LEAVES, frame_subscription
 
 #: The three cache-coherence modes (see the module docstring).
 CACHE_MODES = ("leases", "invalidate", "write_through")
@@ -111,34 +136,55 @@ class CachePolicy:
         return self.mode in ("leases", "write_through")
 
 
+def _freeze(value: Any) -> Any:
+    """``value`` as a hashable key part tagged with its exact type at every level."""
+    if isinstance(value, (list, tuple)):
+        return type(value), tuple(map(_freeze, value))
+    if isinstance(value, dict):
+        # In insertion order: the wire writes a map's items in that order.
+        return type(value), tuple((_freeze(key), _freeze(item)) for key, item in value.items())
+    if isinstance(value, (set, frozenset)):
+        return type(value), frozenset(map(_freeze, value))
+    hash(value)
+    return type(value), value
+
+
 def freeze_arguments(args: tuple, kwargs: dict) -> Any:
     """Canonicalize call arguments into a hashable cache-key component.
 
-    Lists and dicts (the containers the marshaller round-trips) are frozen
-    recursively; unhashable values that remain raise ``TypeError`` to the
-    caller, which treats the call as uncacheable.
+    Lists, tuples, dicts and sets are frozen recursively and every value
+    keeps its exact type (a dict also its item order), so arguments the wire
+    keeps apart (``1`` and ``True``, ``[1]`` and ``(1,)``, ``{"a": 1, "b":
+    2}`` and ``{"b": 2, "a": 1}``) never share an entry; unhashable values
+    that remain raise ``TypeError``.
     """
-
-    def freeze(value: Any) -> Any:
-        if isinstance(value, (list, tuple)):
-            return tuple(freeze(item) for item in value)
-        if isinstance(value, dict):
-            return tuple(sorted((key, freeze(item)) for key, item in value.items()))
-        if isinstance(value, set):
-            return frozenset(freeze(item) for item in value)
-        hash(value)
-        return value
-
-    return (freeze(args), freeze(kwargs))
+    return _freeze(args), _freeze(kwargs)
 
 
-@dataclass
-class _Entry:
-    """One cached result: the value plus its expiry deadline."""
+def _key(object_id: str, member: str, args: tuple, kwargs: dict) -> Optional[tuple]:
+    """The entry key of one call (``None`` when its arguments cannot be hashed)."""
+    if not kwargs:
+        kinds = tuple(map(type, args))
+        if LEAVES.issuperset(kinds):
+            return object_id, member, args, kinds
+    try:
+        return object_id, member, freeze_arguments(args, kwargs)
+    except TypeError:
+        return None
 
-    value: Any
-    #: Simulated time after which the entry is stale (``None`` = no expiry).
-    expires_at: Optional[float]
+
+_CONTAINERS = frozenset((dict, list, tuple, set))
+_NEVER = float("inf")
+
+
+def _copied(value: Any) -> Any:
+    """``value`` with its dicts, lists, tuples and sets rebuilt; anything else shared."""
+    kind = type(value)
+    if kind is dict:
+        return {key: _copied(item) for key, item in value.items()}
+    if kind in _CONTAINERS:
+        return kind(map(_copied, value))
+    return value
 
 
 @dataclass(frozen=True)
@@ -149,22 +195,25 @@ class FillToken:
     :meth:`ResultCache.store` rejects the fill when the version moved while
     the read was in flight (a write raced it).  ``expires_at`` is the lease
     deadline measured from fill *start*, so an entry can never outlive the
-    subscription that guards it.
+    subscription that guards it.  ``key`` is the entry key the missed
+    lookup computed (``None``: :meth:`ResultCache.store` derives it).
     """
 
     object_id: str
     version: int
     expires_at: Optional[float]
+    key: Optional[tuple]
 
 
 class ResultCache:
     """One service's client-side result cache (keyed by member + arguments).
 
     Built by :meth:`CacheManager.create_cache`; the manager routes incoming
-    invalidations into every cache it created.  Entries are keyed by
-    ``(object id, member, frozen arguments)``; an invalidation drops every
-    entry of the named object.  All counters (``hits``, ``misses``, ...) are
-    exposed for benchmarks and the adaptive policy's hit-rate term.
+    invalidations into every cache it created.  Entries are keyed by object
+    id, member and typed arguments (see the module docstring); an
+    invalidation drops every entry of the named object.  All counters
+    (``hits``, ``misses``, ...) are exposed for benchmarks and the adaptive
+    policy's hit-rate term.
     """
 
     def __init__(
@@ -178,9 +227,13 @@ class ResultCache:
         #: Member names this cache may serve (union of implementation
         #: ``@cacheable`` markers and the policy's explicit list).
         self.cacheable = frozenset(cacheable) | frozenset(policy.cacheable)
-        self._entries: Dict[tuple, _Entry] = {}
+        self._network = manager.space.network
+        self._clock = self._network.clock
+        #: key → ``(value, simulated expiry)``, least recently used first.
+        self._entries: Dict[tuple, tuple] = {}
         self._by_object: Dict[str, set] = {}
-        self._pending_writes: Dict[str, list] = {}
+        #: object id → this client's unsettled writes to it.
+        self._pending_writes: Dict[str, set] = {}
         #: Lookups served locally (no round trip).
         self.hits = 0
         #: Lookups that had to go to the network.
@@ -206,41 +259,47 @@ class ResultCache:
         Misses when the member is not cacheable, the arguments are not
         hashable, the entry is absent or lease-expired, or a write through
         this client is still unresolved (serving a pre-write value while the
-        write is in flight would violate program order).
+        write is in flight would violate program order).  On a miss of a
+        cacheable member ``value`` is the call's entry key, for
+        :meth:`begin_fill`.  Hits and misses are traced as instants.
         """
         if member not in self.cacheable:
             return False, None
         object_id = reference.object_id
-        if self._has_pending_write(object_id):
+        key = _key(object_id, member, args, kwargs)
+        entry = None
+        if object_id in self._pending_writes:
             self.write_bypasses += 1
-            self.misses += 1
-            return False, None
-        try:
-            key = (object_id, member, freeze_arguments(args, kwargs))
-        except TypeError:
-            self.misses += 1
-            return False, None
-        entry = self._entries.get(key)
-        if entry is None:
-            self.misses += 1
-            return False, None
-        if entry.expires_at is not None and self.manager.now() >= entry.expires_at:
+        else:
+            entry = self._entries.pop(key, None)
+        tracer = self._network.tracer
+        if entry is not None:
+            value, expires_at = entry
+            if self._clock.now < expires_at:
+                # LRU touch: re-insert at the back of the (ordered) dict.
+                self._entries[key] = entry
+                self.hits += 1
+                if tracer is not None:
+                    # The hit never reaches the dispatch pipe, so no trace is
+                    # sampled for it — a global instant is the only record.
+                    tracer.instant("cache-hit", ts=self._clock.now, member=member,
+                                   object=object_id)
+                return True, _copied(value) if type(value) in _CONTAINERS else value
             self._discard(key)
             self.entries_expired += 1
-            self.misses += 1
-            return False, None
-        # LRU touch: re-insert at the back of the (ordered) dict.
-        del self._entries[key]
-        self._entries[key] = entry
-        self.hits += 1
-        return True, entry.value
+        self.misses += 1
+        if tracer is not None:
+            tracer.instant("cache-miss", ts=self._clock.now, member=member, object=object_id)
+        return False, key
 
-    def begin_fill(self, reference: RemoteRef) -> FillToken:
+    def begin_fill(self, reference: RemoteRef, key: Optional[tuple] = None) -> FillToken:
         """Snapshot validity for one miss about to go to the network.
 
         Subscribing happens here — *before* the read ships — so any write
         the read races is guaranteed to either be observed by the read or to
-        bump the version and void the fill.
+        bump the version and void the fill.  ``key`` is the missed
+        :meth:`lookup`'s, carried to :meth:`store` on the token; a fill
+        begun without one has :meth:`store` derive it from the arguments.
         """
         now = self.manager.now()
         expires_at = now + self.policy.lease_seconds if self.policy.expires else None
@@ -264,6 +323,7 @@ class ResultCache:
             object_id=reference.object_id,
             version=version,
             expires_at=expires_at,
+            key=key,
         )
 
     def store(
@@ -275,7 +335,11 @@ class ResultCache:
         value: Any,
         token: FillToken,
     ) -> bool:
-        """Insert one filled result, unless an invalidation raced its read."""
+        """Insert one filled result, unless an invalidation raced its read.
+
+        The entry keeps its own copy of a container result, so a caller
+        mutating the value it got back cannot change later hits.
+        """
         if member not in self.cacheable:
             return False
         object_id = reference.object_id
@@ -284,15 +348,15 @@ class ResultCache:
         ):
             self.racy_fills_discarded += 1
             return False
-        if token.expires_at is not None and self.manager.now() >= token.expires_at:
+        expires_at = _NEVER if token.expires_at is None else token.expires_at
+        if self._clock.now >= expires_at:
             return False
-        try:
-            key = (object_id, member, freeze_arguments(args, kwargs))
-        except TypeError:
+        key = token.key if token.key is not None else _key(object_id, member, args, kwargs)
+        if key is None:
             return False
         if key in self._entries:
             del self._entries[key]
-        self._entries[key] = _Entry(value=value, expires_at=token.expires_at)
+        self._entries[key] = (_copied(value), expires_at)
         self._by_object.setdefault(object_id, set()).add(key)
         self.stores += 1
         while len(self._entries) > self.policy.max_entries:
@@ -316,20 +380,15 @@ class ResultCache:
         """
         object_id = reference.object_id
         self.manager.bump_version(object_id)
-        if future is not None and not getattr(future, "done", True):
-            pending = self._pending_writes.setdefault(object_id, [])
-            pending.append(future)
+        if future is not None and not future.done:
+            self._pending_writes.setdefault(object_id, set()).add(future)
+            future.add_done_callback(lambda done: self._write_settled(object_id, done))
 
-    def _has_pending_write(self, object_id: str) -> bool:
-        pending = self._pending_writes.get(object_id)
+    def _write_settled(self, object_id: str, future: Any) -> None:
+        pending = self._pending_writes.get(object_id, set())
+        pending.discard(future)
         if not pending:
-            return False
-        live = [future for future in pending if not future.done]
-        if live:
-            self._pending_writes[object_id] = live
-            return True
-        del self._pending_writes[object_id]
-        return False
+            self._pending_writes.pop(object_id, None)
 
     # ------------------------------------------------------------------
     # invalidation
@@ -386,51 +445,29 @@ class ResultCache:
 
 def cached_enqueue(
     cache: "ResultCache",
-    cacheable: frozenset,
     reference: RemoteRef,
     member: str,
     args: tuple,
     kwargs: dict,
     enqueue: Any,
+    key: Optional[tuple],
 ) -> InvocationFuture:
-    """The cache-aware dispatch protocol.
+    """Dispatch one call of a cached service that its cache did not serve.
 
-    Every call form of the façade (:meth:`repro.api.service.Service._enqueue`,
-    which an adopted handle's calls reach too) funnels through this one
-    function, so the coherence-critical sequence lives in exactly one place:
-    a cacheable **hit** returns an already-resolved
-    future without touching ``enqueue``; a **miss** snapshots a fill token
-    (subscribing *before* the read ships) and stores the result only if no
-    invalidation raced it; a **non-cacheable** call counts as a write — it
-    drops the cache's entries for the object and bypasses lookups until its
-    future resolves.  ``enqueue(member, args, kwargs)`` performs the actual
-    dispatch and must return an
-    :class:`~repro.runtime.pipelining.InvocationFuture`.
+    Every call form of the façade (:meth:`repro.api.service.Service.call`,
+    ``.future`` and an adopted handle's calls) first asks
+    :meth:`ResultCache.lookup`, which answers a hit on the spot; everything
+    else funnels through this one function, so the coherence-critical
+    sequence lives in exactly one place: a cacheable **miss** (``key`` is the
+    lookup's) snapshots a fill token (subscribing *before* the read ships)
+    and stores the result only if no invalidation raced it; a
+    **non-cacheable** call counts as a write — it drops the cache's entries
+    for the object and bypasses lookups until its future resolves.
+    ``enqueue(member, args, kwargs)`` performs the actual dispatch and must
+    return an :class:`~repro.runtime.pipelining.InvocationFuture`.
     """
-    tracer = getattr(cache.manager.space.network, "tracer", None)
-    if member in cacheable:
-        hit, value = cache.lookup(reference, member, args, kwargs)
-        if hit:
-            if tracer is not None:
-                # The hit never reaches the dispatch pipe, so no trace is
-                # sampled for it — a global instant is the only record.
-                tracer.instant(
-                    "cache-hit",
-                    ts=cache.manager.now(),
-                    member=member,
-                    object=reference.object_id,
-                )
-            future = InvocationFuture(member)
-            future._resolve(value)
-            return future
-        if tracer is not None:
-            tracer.instant(
-                "cache-miss",
-                ts=cache.manager.now(),
-                member=member,
-                object=reference.object_id,
-            )
-        token = cache.begin_fill(reference)
+    if member in cache.cacheable:
+        token = cache.begin_fill(reference, key)
         future = enqueue(member, args, kwargs)
 
         def fill(done: InvocationFuture) -> None:

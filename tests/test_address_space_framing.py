@@ -437,9 +437,10 @@ class TestCallBudget:
     """Sharing the per-call code between framings must not tax the plain
     synchronous call, a value is walked once on its way to the bytes and once
     back, and a message of leaves is written and read as a record, not walked:
-    the ledger's ``direct_small`` and ``batch_payload`` workloads, and a small
-    batch of lookups, rebuilt here.  Each ceiling is the count measured on
-    CPython 3.11 plus 5 % for the other interpreters CI runs."""
+    the ledger's ``direct_small`` and ``batch_payload`` workloads, a small
+    batch of lookups and ``cached_mixed``'s hot reads (cache hits), rebuilt
+    here.  Each ceiling is the count measured on CPython 3.11 plus 5 % for
+    the other interpreters CI runs."""
 
     #: Python calls per lookup: 199.1 with messages read and written as
     #: records (239.1 when the walk handled them, 249.1 before values went to
@@ -451,6 +452,33 @@ class TestCallBudget:
     #: Python calls per lookup in windows of 32: 101.6 (137.9 with the
     #: messages walked).
     SMALL_BATCH_CEILING = 106.7
+    #: Python calls per cache hit: 8.0 (34.0 when a hit was a resolved future
+    #: and a recursive key walk).
+    CACHE_HIT_CEILING = 8.4
+
+    def test_a_cache_hit_stays_within_its_call_budget(self):
+        rng = random.Random(7)
+        table = {f"item-{index:02d}": rng.randrange(1_000_000) for index in range(64)}
+        keys = rng.choices(sorted(table), k=1000)
+        cluster = Cluster(("client", "server"))
+        session = Session(cluster, node="client")
+        service = session.service(
+            "catalog",
+            ServicePolicy(transport="rmi").with_caching(lease_ms=1e9, cacheable=("lookup",)),
+            impl=Catalog(dict(table)), node="server",
+        )
+        profile = cProfile.Profile()
+        with session:
+            lookup = service.lookup
+            for key in table:
+                lookup(key)  # fill: every profiled call is a hit
+            profile.enable()
+            answers = [lookup(key) for key in keys]
+            profile.disable()
+            assert service.cache.hits == len(keys)
+        assert answers == [table[key] for key in keys]
+        per_hit = _calls_per_op(profile, len(keys))
+        assert per_hit <= self.CACHE_HIT_CEILING, f"{per_hit:.1f} Python calls per cache hit"
 
     def test_a_batch_of_orders_stays_within_its_call_budget(self):
         rng = random.Random(7)

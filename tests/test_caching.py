@@ -202,7 +202,7 @@ class TestResultCacheMechanics:
         for key in ("a", "b", "c"):
             cache.store(ref, "get_item", (key,), {}, key, cache.begin_fill(ref))
         assert len(cache) == 2
-        assert cache.lookup(ref, "get_item", ("a",), {}) == (False, None)
+        assert not cache.lookup(ref, "get_item", ("a",), {})[0]
         assert cache.lookup(ref, "get_item", ("c",), {})[0]
 
     def test_lease_expiry_uses_simulated_time(self, cluster):
@@ -404,6 +404,231 @@ class TestFacadeCaching:
         cluster.network.failures.heal()
         assert svc.get_item("a") == 2  # lease expired during the stall: no stale read
         reader.close(), writer.close()
+
+
+class Inspector:
+    """Cacheable answers that tell apart arguments Python calls equal."""
+
+    @cacheable
+    def kind(self, value):
+        return type(value).__name__
+
+    @cacheable
+    def seq(self, value):
+        return repr(value)
+
+
+class TestTypedKeys:
+    """Arguments the wire keeps apart never share an entry: keys carry exact
+    types at every level."""
+
+    @pytest.mark.parametrize(
+        "member, first, second",
+        [
+            ("kind", (1,), (True,)),
+            ("kind", (1,), (1.0,)),
+            ("kind", (True,), (1.0,)),
+            ("seq", ([1, 2],), ((1, 2),)),
+            ("seq", ({"a": 1},), ((("a", 1),),)),
+            ("seq", ([1],), ([True],)),
+            ("seq", ([[1]],), ([(1,)],)),
+            ("seq", ({"a": 1},), ({"a": 1.0},)),
+            ("seq", ({1, 2},), ({1.0, 2.0},)),
+            ("seq", ({"a": 1, "b": 2},), ({"b": 2, "a": 1},)),
+        ],
+    )
+    def test_equal_but_differently_typed_arguments_miss(self, cluster, member, first, second):
+        with Session(cluster, node="reader") as session:
+            svc = session.service("inspector", CACHED, impl=Inspector(), node="server")
+            expected = [getattr(Inspector(), member)(*args) for args in (first, second)]
+            assert expected[0] != expected[1]
+            assert [svc.call(member, *args) for args in (first, second)] == expected
+            assert [svc.call(member, *args) for args in (first, second)] == expected
+            assert (svc.cache.misses, svc.cache.hits) == (2, 2)
+
+    def test_keyword_arguments_keep_their_types(self, cluster):
+        with Session(cluster, node="reader") as session:
+            svc = session.service("inspector", CACHED, impl=Inspector(), node="server")
+            assert svc.kind(value=1) == "int"
+            assert svc.kind(value=True) == "bool"
+            assert svc.kind(value=1) == "int"
+            assert (svc.cache.misses, svc.cache.hits) == (2, 1)
+
+
+class Ledger:
+    """Serves one stored result; ``label`` and ``blob`` are leaf results."""
+
+    def __init__(self, result):
+        self.result = result
+
+    @cacheable
+    def snapshot(self):
+        return self.result
+
+    @cacheable
+    def label(self):
+        return "ledger-label"
+
+    @cacheable
+    def blob(self):
+        return b"\x00\x01"
+
+
+def _extend_dict(value):
+    value["a"].append(99)
+    value["b"] = 2
+
+
+def _extend_list(value):
+    value[0].append(99)
+    value.append(3)
+
+
+class TestHitCopies:
+    """A hit hands every caller its own containers; leaves stay shared."""
+
+    @pytest.mark.parametrize(
+        "result, mutate",
+        [
+            ({"a": [1]}, _extend_dict),
+            ([[1], {"k": [2]}], _extend_list),
+            (([1], 2), lambda value: value[0].append(99)),
+            ({1, 2}, lambda value: value.add(99)),
+        ],
+        ids=["dict", "list", "tuple", "set"],
+    )
+    def test_mutating_a_result_cannot_change_later_hits(self, cluster, result, mutate):
+        with Session(cluster, node="reader") as session:
+            svc = session.service("ledger", CACHED, impl=Ledger(result), node="server")
+            mutate(svc.snapshot())  # the miss's value
+            mutate(svc.snapshot())  # a hit's value
+            assert svc.snapshot() == result
+            assert svc.cache.hits == 2
+
+    def test_leaf_results_are_shared(self, cluster):
+        with Session(cluster, node="reader") as session:
+            svc = session.service("ledger", CACHED, impl=Ledger(None), node="server")
+            svc.label(), svc.blob()
+            assert svc.label() is svc.label()
+            assert svc.blob() is svc.blob()
+
+
+def test_settled_writes_leave_the_pending_map(cluster):
+    """Each write is pruned when its future settles, not by a later read."""
+    policy = ServicePolicy(transport="rmi", batch_window=4).with_caching(lease_ms=500)
+    reader, writer, svc, wsvc, impl = _sessions(cluster, policy)
+    futures = [svc.future.put_item(f"k{n % 8}", n) for n in range(200)]
+    svc.drain()
+    assert all(future.ok for future in futures)
+    assert svc.cache._pending_writes == {}
+    assert svc.get_item("k7") == 199
+    reader.close(), writer.close()
+
+
+#: How each call form reads a value back.
+CALL_FORMS = {
+    "attribute": lambda svc, handle, name, /, *args, **kw: getattr(svc, name)(*args, **kw),
+    "call()": lambda svc, handle, name, /, *args, **kw: svc.call(name, *args, **kw),
+    "future.m()": lambda svc, handle, name, /, *args, **kw: (
+        getattr(svc.future, name)(*args, **kw).result()
+    ),
+    'future("m")': lambda svc, handle, name, /, *args, **kw: svc.future(name, *args, **kw).result(),
+    "adopted handle": lambda svc, handle, name, /, *args, **kw: getattr(handle, name)(*args, **kw),
+}
+
+
+class Labeller:
+    """A class whose method takes a keyword named like ``Service.call``'s own."""
+
+    def __init__(self, prefix):
+        self.prefix = prefix
+
+    def label(self, member):
+        return self.prefix + member
+
+
+def _adopted_handle(classes, class_name, *init):
+    """A transformed object on a client/server cluster, ready to be adopted."""
+    from repro.core.transformer import ApplicationTransformer
+    from repro.policy.policy import all_local_policy
+
+    app = ApplicationTransformer(all_local_policy(dynamic=True)).transform(classes)
+    cluster = Cluster(("client", "server"))
+    app.deploy(cluster, default_node="client")
+    return cluster, app.new(class_name, *init)
+
+#: Steps of one scenario: a call, or ADVANCE (past the 500 ms lease).
+ADVANCE = None
+READ, WRITE = ("get_base",), ("set_base", 5)
+
+#: scenario -> (steps, traced, values, (hits, misses, stores, write_bypasses,
+#: entries_expired), cache instants, server spans)
+CALL_FORM_SCENARIOS = {
+    "hit": ([READ, READ], False, [13, 13], (1, 1, 1, 0, 0), ["miss", "hit"], 0),
+    "miss": ([READ], False, [13], (0, 1, 1, 0, 0), ["miss"], 0),
+    "write then read": (
+        [READ, WRITE, READ, READ], False, [13, None, 5, 5], (1, 2, 2, 0, 0),
+        ["miss", "miss", "hit"], 0,
+    ),
+    "expired lease": (
+        [READ, ADVANCE, READ, READ], False, [13, 13, 13], (1, 2, 2, 0, 1),
+        ["miss", "miss", "hit"], 0,
+    ),
+    "traced": ([READ, READ], True, [13, 13], (1, 1, 1, 0, 0), ["miss", "hit"], 1),
+}
+
+
+class TestCallFormParity:
+    """Every call form runs the same cache protocol: same values, counters
+    and instants, whatever the scenario."""
+
+    @pytest.mark.parametrize("scenario", sorted(CALL_FORM_SCENARIOS))
+    @pytest.mark.parametrize("form", sorted(CALL_FORMS))
+    def test_every_form_behaves_the_same(self, form, scenario):
+        import sample_app
+
+        steps, traced, values, counters, instants, server_spans = CALL_FORM_SCENARIOS[scenario]
+        cluster, handle = _adopted_handle([sample_app.X, sample_app.Y, sample_app.Z], "Y", 13)
+        policy = ServicePolicy(transport="rmi").with_caching(lease_ms=500)
+        with Session(cluster, node="client") as session:
+            svc = session.service(
+                "y", policy.with_tracing() if traced else policy, impl=handle, node="server"
+            )
+            collector = session.tracer().collector
+            seen = []
+            for step in steps:
+                if step is ADVANCE:
+                    cluster.clock.advance(1.0)
+                else:
+                    seen.append(CALL_FORMS[form](svc, handle, *step))
+            cache = svc.cache
+            assert seen == values
+            assert (
+                cache.hits, cache.misses, cache.stores, cache.write_bypasses,
+                cache.entries_expired,
+            ) == counters
+            assert [
+                (name, attrs) for name, _, attrs in collector.instants
+                if name in ("cache-hit", "cache-miss")
+            ] == [
+                (f"cache-{kind}", {"member": "get_base", "object": svc.reference.object_id})
+                for kind in instants
+            ]
+            assert sum(
+                span.kind == "server"
+                for trace_id in collector.trace_ids()
+                for span in collector.spans(trace_id)
+            ) == server_spans
+
+    @pytest.mark.parametrize("form", sorted(CALL_FORMS))
+    def test_a_keyword_named_member_reaches_the_method(self, form):
+        cluster, handle = _adopted_handle([Labeller], "Labeller", "x-")
+        policy = ServicePolicy(transport="rmi").with_caching(lease_ms=500, cacheable=("label",))
+        with Session(cluster, node="client") as session:
+            svc = session.service("labeller", policy, impl=handle, node="server")
+            answers = [CALL_FORMS[form](svc, handle, "label", member="m") for _ in range(2)]
+            assert answers == ["x-m", "x-m"]
+            assert (svc.cache.misses, svc.cache.hits) == (1, 1)
 
 
 class TestGeneratedProxyCaching:
