@@ -48,7 +48,7 @@ from repro.core.analyzer import (
 )
 from repro.core.classmodel import ClassModel, ClassUniverse
 from repro.core.introspect import class_model_from_python, native
-from repro.core.metaobject import Metaobject, TracingInterceptor, metaobject_of, unwrap
+from repro.core.metaobject import Metaobject, metaobject_of, unwrap
 from repro.core.transformer import (
     ApplicationTransformer,
     TransformedApplication,
@@ -87,7 +87,6 @@ __all__ = [
     "ServicePolicy",
     "Session",
     "SimulatedNetwork",
-    "TracingInterceptor",
     "TransformabilityAnalyzer",
     "TransformationError",
     "TransformedApplication",

@@ -705,8 +705,11 @@ class Session:
                 and getattr(self.cluster.network, "tracer", None) is self._tracer
             ):
                 self.cluster.network.tracer = None
-            # Cancel any auto-adapt loop: pending ticks become no-ops.
+            # Cancel any auto-adapt loop: pending ticks become no-ops.  The
+            # handles outlive the session, so its access monitors come off.
             self._adapt_epoch += 1
+            if self._adaptive is not None:
+                self._adaptive.detach_all()
             self.cluster.naming.off_rebind(self._on_rebind)
             self._closed = True
 

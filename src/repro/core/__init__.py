@@ -10,6 +10,7 @@ Submodules
 ``codegen``      the generated artifacts (Figures 3–5) as Python source text
 ``generator``    execution of that text: the live classes, picked up by name
 ``registry``     registry of generated artifacts
+``interception`` the begin/end/abort interceptor chain (handles, services, servers)
 ``metaobject``   the reflective metaobject protocol behind handles
 ``transformer``  the whole-application transformation driver
 """
@@ -46,13 +47,8 @@ from repro.core.introspect import (
     universe_from_classes,
 )
 from repro.core.metaobject import (
-    CallStatistics,
-    Interceptor,
-    Invocation,
     Metaobject,
     Redirector,
-    TracingInterceptor,
-    collect_statistics,
     is_redirected,
     metaobject_of,
     unwrap,
@@ -67,22 +63,18 @@ from repro.core.transformer import (
 __all__ = [
     "AnalysisResult",
     "ApplicationTransformer",
-    "CallStatistics",
     "ClassArtifacts",
     "ClassModel",
     "ClassUniverse",
     "ConstructorModel",
     "FieldModel",
-    "Interceptor",
     "InterfaceModel",
-    "Invocation",
     "Metaobject",
     "MethodModel",
     "MethodSignature",
     "NonTransformableReason",
     "ParameterModel",
     "Redirector",
-    "TracingInterceptor",
     "TransformabilityAnalyzer",
     "TransformationRegistry",
     "TransformedApplication",
@@ -91,7 +83,6 @@ __all__ = [
     "analyse_classes",
     "class_model_from_descriptor",
     "class_model_from_python",
-    "collect_statistics",
     "extract_class_interface",
     "extract_instance_interface",
     "extract_interfaces",

@@ -4,10 +4,10 @@ RAFDA is a *reflective* framework: the behaviour of transformed objects can
 be inspected and adjusted at run time.  Each handle produced by an object
 factory is backed by a :class:`Metaobject` which
 
-* records call statistics per member and per calling node (used by the
-  adaptive distribution policy),
-* lets interceptors observe or veto invocations (the hook point for
-  monitoring, tracing and failure injection), and
+* carries one :class:`~repro.core.interception.InterceptorChain`, the same
+  begin/end/abort chain that brackets a service's calls: empty (and free)
+  unless something — the adaptive policy's access monitor, a test, a user —
+  adds interceptors to observe or veto the handle's calls, and
 * can be **rebound** to a different base object — the mechanism by which the
   distribution boundary of an already-referenced object is changed at run
   time (a local implementation is swapped for a remote proxy or vice versa)
@@ -27,102 +27,9 @@ its address space; every method of a generated proxy is one call of it.
 
 from __future__ import annotations
 
-import time
-from collections import Counter, defaultdict
-from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Optional
+from typing import Any, Callable, Optional
 
-
-@dataclass
-class Invocation:
-    """A single member invocation flowing through a metaobject."""
-
-    member: str
-    args: tuple = ()
-    kwargs: dict = field(default_factory=dict)
-    #: Node identifier of the caller, when known (filled by the runtime).
-    caller_node: Optional[str] = None
-    #: Node identifier of the current target, when the target is remote.
-    target_node: Optional[str] = None
-
-
-@dataclass
-class CallStatistics:
-    """Aggregated call statistics collected by a metaobject."""
-
-    total_calls: int = 0
-    calls_per_member: Counter = field(default_factory=Counter)
-    calls_per_caller_node: Counter = field(default_factory=Counter)
-    remote_calls: int = 0
-    local_calls: int = 0
-
-    def record(self, invocation: Invocation, remote: bool) -> None:
-        self.total_calls += 1
-        self.calls_per_member[invocation.member] += 1
-        if invocation.caller_node is not None:
-            self.calls_per_caller_node[invocation.caller_node] += 1
-        if remote:
-            self.remote_calls += 1
-        else:
-            self.local_calls += 1
-
-    def reset(self) -> None:
-        self.total_calls = 0
-        self.calls_per_member.clear()
-        self.calls_per_caller_node.clear()
-        self.remote_calls = 0
-        self.local_calls = 0
-
-    @property
-    def remote_fraction(self) -> float:
-        if self.total_calls == 0:
-            return 0.0
-        return self.remote_calls / self.total_calls
-
-
-class Interceptor:
-    """Base class for invocation interceptors.
-
-    ``before`` runs prior to dispatch and may raise to veto the call;
-    ``after`` observes the result (or the raised error) once dispatch
-    completed.  Subclasses override whichever hooks they need.
-    """
-
-    def before(self, invocation: Invocation) -> None:  # pragma: no cover - default no-op
-        return None
-
-    def after(self, invocation: Invocation, result: Any, error: Optional[BaseException]) -> None:
-        return None  # pragma: no cover - default no-op
-
-
-class TracingInterceptor(Interceptor):
-    """Records every invocation (member, args) in order — useful in tests."""
-
-    def __init__(self) -> None:
-        self.trace: list[tuple[str, tuple, dict]] = []
-
-    def before(self, invocation: Invocation) -> None:
-        self.trace.append((invocation.member, invocation.args, dict(invocation.kwargs)))
-
-    def clear(self) -> None:
-        self.trace.clear()
-
-
-class TimingInterceptor(Interceptor):
-    """Accumulates wall-clock time spent per member (real time, not simulated)."""
-
-    def __init__(self) -> None:
-        self.elapsed_per_member: dict[str, float] = defaultdict(float)
-        self._started: dict[int, float] = {}
-
-    def before(self, invocation: Invocation) -> None:
-        self._started[id(invocation)] = time.perf_counter()
-
-    def after(self, invocation: Invocation, result: Any, error: Optional[BaseException]) -> None:
-        started = self._started.pop(id(invocation), None)
-        if started is not None:
-            self.elapsed_per_member[invocation.member] += time.perf_counter() - started
-
+from repro.core.interception import CallContext, Interceptor, InterceptorChain
 
 #: The kinds of base object a metaobject may be bound to.
 KIND_LOCAL = "local"
@@ -162,8 +69,9 @@ class Metaobject:
         #: ``(proxy, transport)`` of the remote leg, resolved by the application
         #: on the first call that leaves the node and dropped by :meth:`rebind`.
         self._remote_leg: Optional[tuple] = None
-        self.statistics = CallStatistics()
-        self._interceptors: list[Interceptor] = []
+        #: The handle's interceptor chain: empty unless something monitors or
+        #: vetoes its calls (:meth:`add_interceptor`), and free while empty.
+        self.chain = InterceptorChain()
         self._rebind_listeners: list[Callable[["Metaobject"], None]] = []
 
     # -- configuration --------------------------------------------------------
@@ -181,15 +89,15 @@ class Metaobject:
         return self._kind == KIND_REMOTE
 
     def add_interceptor(self, interceptor: Interceptor) -> Interceptor:
-        self._interceptors.append(interceptor)
+        """Append ``interceptor`` to the handle's chain (its ``begin`` runs last)."""
+        chain = self.chain
+        chain.interceptors = InterceptorChain((*chain.interceptors, interceptor)).interceptors
         return interceptor
 
     def remove_interceptor(self, interceptor: Interceptor) -> None:
-        if interceptor in self._interceptors:
-            self._interceptors.remove(interceptor)
-
-    def interceptors(self) -> tuple[Interceptor, ...]:
-        return tuple(self._interceptors)
+        """Take ``interceptor`` off the handle's chain (idempotent)."""
+        chain = self.chain
+        chain.interceptors = tuple(i for i in chain.interceptors if i is not interceptor)
 
     def on_rebind(self, listener: Callable[["Metaobject"], None]) -> None:
         self._rebind_listeners.append(listener)
@@ -211,47 +119,29 @@ class Metaobject:
         for listener in list(self._rebind_listeners):
             listener(self)
 
-    def _route_via_runtime(self) -> bool:
-        """Should this invocation go through the distributed object layer?
-
-        When the owning application is deployed, a handle behaves
-        location-transparently: code executing on the object's home node calls
-        it directly, while code executing on any other node pays a remote call
-        over the simulated network — regardless of whether the handle is
-        currently bound to a local implementation or to a proxy.
-        """
-
-        application = self._application
-        if application is None or self.node_id is None:
-            return False
-        if not getattr(application, "is_bound", False):
-            return False
-        if self._kind == KIND_LOCAL and application._current_node_id() == self.node_id:
-            return False
-        return True
-
     def invoke(self, member: str, *args: Any, **kwargs: Any) -> Any:
-        """Dispatch one member invocation through the interception chain."""
-        invocation = Invocation(
-            member=member,
-            args=args,
-            kwargs=kwargs,
-            target_node=self.node_id,
-        )
-        for interceptor in self._interceptors:
-            interceptor.before(invocation)
-        route_via_runtime = self._route_via_runtime()
-        effective_remote = self.is_remote
-        if route_via_runtime:
-            effective_remote = (
-                self._application._current_node_id() != self.node_id
-            )
-        self.statistics.record(invocation, remote=effective_remote)
-        error: Optional[BaseException] = None
-        result: Any = None
+        """Dispatch one member invocation, bracketed by the handle's chain.
+
+        A handle is location-transparent once its application is deployed:
+        code executing on the object's home node, with the handle bound
+        locally, calls the target directly; code executing on any other node,
+        or a handle bound to a proxy, pays a remote call over the simulated
+        network through the remote leg.
+        """
+        application = self._application
+        deployed = application is not None and application.is_bound
+        bracket = None
+        if self.chain.interceptors:
+            bracket = self.chain.open(CallContext(
+                service=self.interface_name or "", member=member, args=args, kwargs=kwargs,
+                clock=application.cluster.clock if deployed else None,
+            ))
         try:
-            if route_via_runtime:
-                application = self._application
+            if not deployed or self.node_id is None or (
+                self._kind == KIND_LOCAL and application._current_node_id() == self.node_id
+            ):
+                result = getattr(self._target, member)(*args, **kwargs)
+            else:
                 if self._remote_leg is None:
                     self._remote_leg = application._remote_leg(self)
                 proxy, transport = self._remote_leg
@@ -261,15 +151,12 @@ class Metaobject:
                     member, args, kwargs, space=application.current_space,
                     transport=transport, via=self.remote_invoker,
                 )
-            else:
-                bound = getattr(self._target, member)
-                result = bound(*args, **kwargs)
-        except BaseException as exc:  # noqa: BLE001 - re-raised after interceptors run
-            error = exc
-        for interceptor in self._interceptors:
-            interceptor.after(invocation, result, error)
-        if error is not None:
-            raise error
+        except BaseException as error:
+            if bracket is not None:
+                bracket.fail(error)
+            raise
+        if bracket is not None:
+            bracket.close(result)
         return result
 
 
@@ -376,18 +263,3 @@ def unwrap(handle: Any) -> Any:
         seen.add(id(current))
         current = meta.target
 
-
-def collect_statistics(handles: Iterable[Any]) -> CallStatistics:
-    """Merge the call statistics of several handles into one aggregate."""
-    merged = CallStatistics()
-    for handle in handles:
-        meta = metaobject_of(handle)
-        if meta is None:
-            continue
-        stats = meta.statistics
-        merged.total_calls += stats.total_calls
-        merged.remote_calls += stats.remote_calls
-        merged.local_calls += stats.local_calls
-        merged.calls_per_member.update(stats.calls_per_member)
-        merged.calls_per_caller_node.update(stats.calls_per_caller_node)
-    return merged

@@ -4,9 +4,11 @@ The transformed program "can adapt to its environment by dynamically altering
 its distribution boundaries" (paper §1).  This module supplies the decision
 half of that loop:
 
-* :class:`AccessMonitor` is an interceptor installed on rebindable handles;
-  it attributes every invocation to the node the calling code was executing
-  on and accumulates per-node call counts over a sliding window.
+* :class:`AccessMonitor` is an interceptor installed on the chain of a
+  rebindable handle; it attributes every invocation to the node the calling
+  code was executing on and accumulates per-node call counts over a sliding
+  window.  It is the only per-call accounting a handle has, so only a
+  monitored handle pays for it.
 * :class:`AdaptiveDistributionManager` periodically examines those counts
   and, when an object is being used predominantly from a node other than the
   one hosting it, asks the :class:`~repro.runtime.redistribution.DistributionController`
@@ -92,7 +94,8 @@ from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from repro._errors import RedistributionError
-from repro.core.metaobject import Interceptor, Invocation, metaobject_of
+from repro.core.interception import CallContext, Interceptor
+from repro.core.metaobject import metaobject_of
 
 
 class AccessMonitor(Interceptor):
@@ -103,10 +106,9 @@ class AccessMonitor(Interceptor):
         self.calls_per_node: Counter = Counter()
         self.total_calls = 0
 
-    def before(self, invocation: Invocation) -> None:
-        node = self._application._current_node_id()
-        invocation.caller_node = node
-        self.calls_per_node[node] += 1
+    def begin(self, ctx: CallContext) -> None:
+        """Count the call against the node the calling code executes on."""
+        self.calls_per_node[self._application._current_node_id()] += 1
         self.total_calls += 1
 
     def dominant_node(self) -> Optional[tuple[str, float]]:
@@ -239,6 +241,12 @@ class AdaptiveDistributionManager:
             self.attach(handle)
             count += 1
         return count
+
+    def detach_all(self) -> None:
+        """Remove every access monitor this manager installed."""
+        for handle in self.monitored_handles():
+            metaobject_of(handle).remove_interceptor(self._monitors[id(handle)])
+        self._monitors.clear()
 
     def monitored_handles(self) -> list[Any]:
         ids = set(self._monitors)

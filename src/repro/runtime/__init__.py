@@ -11,7 +11,6 @@ from repro.runtime.cluster import (
 from repro.runtime.faulttolerance import (
     NO_RETRY,
     FailureLog,
-    FailureObservingInterceptor,
     FaultTolerantInvoker,
     RetryPolicy,
     guard_handle,
@@ -38,7 +37,6 @@ __all__ = [
     "Cluster",
     "DistributionController",
     "FailureLog",
-    "FailureObservingInterceptor",
     "FaultTolerantInvoker",
     "InvocationFuture",
     "Marshaller",

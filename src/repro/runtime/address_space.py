@@ -21,6 +21,7 @@ import warnings
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro._errors import InvocationError, NetworkError, TransportError, UnknownObjectError
+from repro.core.interception import CallContext, Interceptor, InterceptorChain
 from repro.core.interfaces import cacheable_members
 from repro.network.simnet import SimulatedNetwork
 from repro.observability.tracing import trace_refs_from_contexts
@@ -57,7 +58,7 @@ from repro.transports.base import (
 
 #: One call of a batch: (reference, member, positional args, keyword args),
 #: optionally extended with a fifth element — the call's wire-context dict
-#: (call id, tenant, deadline; see :class:`~repro.api.middleware.CallContext`).
+#: (call id, tenant, deadline; see :class:`~repro.core.interception.CallContext`).
 BatchCall = Tuple[RemoteRef, str, tuple, dict]
 
 
@@ -234,13 +235,13 @@ class AddressSpace:
             self._dispatch_hooks.remove(hook)
 
     # ------------------------------------------------------------------
-    # Server-side middleware (see repro.api.middleware)
+    # Server-side middleware (see repro.core.interception)
     # ------------------------------------------------------------------
 
     def use_middleware(self, chain: Any) -> Any:
         """Install an interceptor chain around every request this space serves.
 
-        ``chain`` is an :class:`~repro.api.middleware.InterceptorChain` (or a
+        ``chain`` is an :class:`~repro.core.interception.InterceptorChain` (or a
         sequence of interceptors, wrapped into one).  The chain runs inside
         dispatch — after the request is decoded, before/after the target
         method — and is batch-aware: one framed batch message brackets its N
@@ -255,8 +256,6 @@ class AddressSpace:
         replica group's primary and backups share interceptor state that
         way, so a failover does not reset rate-limit buckets or metrics.
         """
-        from repro.api.middleware import Interceptor, InterceptorChain
-
         if isinstance(chain, (list, tuple)):
             chain = InterceptorChain(chain)
         elif isinstance(chain, Interceptor):
@@ -583,7 +582,7 @@ class AddressSpace:
         ``context`` is the call's wire-context dict (call id, tenant,
         deadline); it rides the request as a ``ctx`` control field and is
         rebuilt into the server-side
-        :class:`~repro.api.middleware.CallContext`.
+        :class:`~repro.core.interception.CallContext`.
         """
 
         kwargs = kwargs or {}
@@ -941,8 +940,6 @@ class AddressSpace:
         Batches need no special handling here — the serve loop dispatches
         each framed call individually, so N calls get N brackets.
         """
-        from repro.api.middleware import CallContext
-
         _target, interface, member, args, kwargs, context = request
         ctx = CallContext.from_wire(
             context,

@@ -164,7 +164,7 @@ class BatchingProxy:
         """Queue one invocation carrying a wire-context dict.
 
         The middleware-aware entry point: ``context`` (call id, tenant,
-        deadline — see :class:`~repro.api.middleware.CallContext`) ships
+        deadline — see :class:`~repro.core.interception.CallContext`) ships
         with the call inside its batch message, so the serving space's
         chains see the same control fields the client chain stamped.
         """

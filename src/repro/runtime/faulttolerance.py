@@ -32,13 +32,12 @@ from repro._errors import (
     AdmissionError,
     FencedError,
     MessageDroppedError,
-    NetworkError,
     NodeUnreachableError,
     PartitionError,
     QuorumLostError,
     RedistributionError,
 )
-from repro.core.metaobject import Interceptor, Invocation, Metaobject, Proxy, metaobject_of
+from repro.core.metaobject import Metaobject, Proxy, metaobject_of
 
 #: Replication refusals that re-route instead of retrying blindly: the
 #: target either fenced itself (a newer epoch holds the primaryship) or
@@ -280,18 +279,3 @@ def guard_handle(
     meta.remote_invoker = FaultTolerantInvoker(meta.target._space, policy=policy, log=log)
     return meta.remote_invoker.log
 
-
-class FailureObservingInterceptor(Interceptor):
-    """Counts invocations that raised network errors on a handle."""
-
-    def __init__(self) -> None:
-        self.network_failures = 0
-        self.other_failures = 0
-
-    def after(self, invocation: Invocation, result: Any, error: Optional[BaseException]) -> None:
-        if error is None:
-            return
-        if isinstance(error, NetworkError):
-            self.network_failures += 1
-        else:
-            self.other_failures += 1

@@ -36,7 +36,7 @@ def request_dict(
 
     ``args`` and ``kwargs`` hold wire values or ``Live`` markers.  ``context``
     carries the call's control fields (call id, tenant, deadline — see
-    :class:`~repro.api.middleware.CallContext`); it becomes the ``ctx`` key
+    :class:`~repro.core.interception.CallContext`); it becomes the ``ctx`` key
     only when non-empty, so a call issued without middleware keeps the
     pre-middleware wire bytes.  The key order here is the order on the wire.
     """

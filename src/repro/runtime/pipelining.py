@@ -346,7 +346,7 @@ class PipelineScheduler:
 
         The middleware-aware entry point behind :meth:`submit`: ``context``
         (call id, tenant, deadline — see
-        :class:`~repro.api.middleware.CallContext`) ships inside the call's
+        :class:`~repro.core.interception.CallContext`) ships inside the call's
         batch message and — because retries and failover re-ships reuse the
         same scheduled-call record — rides every re-ship unchanged, so a
         promoted replica sees the call's *remaining* deadline budget.

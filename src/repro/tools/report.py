@@ -101,11 +101,7 @@ def application_report(application, *, include_sources: bool = False) -> str:
             if meta is None:
                 continue
             class_name = getattr(type(handle), "_repro_class_name", "?")
-            lines.append(
-                f"  {class_name:20s} {meta.kind:6s} on {meta.node_id or 'here':12s} "
-                f"({meta.statistics.total_calls} calls, "
-                f"{meta.statistics.remote_fraction:.0%} remote)"
-            )
+            lines.append(f"  {class_name:20s} {meta.kind:6s} on {meta.node_id or 'here'}")
     return "\n".join(lines)
 
 

@@ -32,10 +32,11 @@ from repro.api.errors import (
 )
 from repro.core.interfaces import cacheable
 from repro.core.transformer import ApplicationTransformer
-from repro.policy.policy import place_classes_on
+from repro.policy.policy import all_local_policy, place_classes_on
 from repro.runtime.cluster import Cluster, default_transport_registry
 from repro.runtime.remote_ref import RemoteRef
 from repro.transports.base import TransportRegistry, frame_batch_message, frame_message
+from repro.workloads.figure1 import A, B, C
 
 TRANSPORTS = ("rmi", "corba", "soap", "inproc")
 #: The three framings of a call that crosses the network, then the two forms
@@ -438,8 +439,8 @@ class TestCallBudget:
     synchronous call, a value is walked once on its way to the bytes and once
     back, and a message of leaves is written and read as a record, not walked:
     the ledger's ``direct_small`` and ``batch_payload`` workloads, a small
-    batch of lookups and ``cached_mixed``'s hot reads (cache hits), rebuilt
-    here.  Each ceiling is the count measured on CPython 3.11 plus 5 % for
+    batch of lookups, ``cached_mixed``'s hot reads (cache hits) and Figure 1's
+    co-located handle calls, rebuilt here.  Each ceiling is the count measured on CPython 3.11 plus 5 % for
     the other interpreters CI runs."""
 
     #: Python calls per lookup: 199.1 with messages read and written as
@@ -455,6 +456,24 @@ class TestCallBudget:
     #: Python calls per cache hit: 8.0 (34.0 when a hit was a resolved future
     #: and a recursive key walk).
     CACHE_HIT_CEILING = 8.4
+    #: Python calls per co-located ``a.record(v)`` through two dynamic
+    #: handles: 22.0 with an empty chain (32.0 when every handle call built a
+    #: per-call record and counted itself in always-on statistics).
+    HANDLE_CEILING = 23.1
+
+    def test_a_co_located_handle_call_stays_within_its_call_budget(self):
+        app = ApplicationTransformer(all_local_policy(dynamic=True)).transform([A, B, C])
+        app.deploy(Cluster(("client", "server")), default_node="client")
+        shared = app.new("C", "shared")
+        a = app.new("A", shared)
+        profile = cProfile.Profile()
+        profile.enable()
+        for value in range(1000):
+            a.record(value)
+        profile.disable()
+        assert shared.get_total() == sum(range(1000))
+        per_call = _calls_per_op(profile, 1000)
+        assert per_call <= self.HANDLE_CEILING, f"{per_call:.1f} Python calls per handle call"
 
     def test_a_cache_hit_stays_within_its_call_budget(self):
         rng = random.Random(7)

@@ -11,7 +11,11 @@ from __future__ import annotations
 
 import pytest
 
+import sample_app
 from repro.api import ServicePolicy, Session
+from repro.core.metaobject import metaobject_of
+from repro.core.transformer import ApplicationTransformer
+from repro.policy.policy import all_local_policy
 from repro.runtime.cluster import Cluster
 from repro.workloads.bulk_orders import OrderIntake
 
@@ -107,13 +111,21 @@ class TestSessionClose:
         assert cluster.naming.rebind_listener_count() == 0
 
     def test_fifty_sessions_do_not_leak_callbacks(self, cluster):
-        """The regression scenario: 50 replicated sessions, opened and closed."""
+        """The regression scenario: 50 replicated sessions, opened and closed,
+        each also monitoring a transformed object's handle for adaptivity."""
         policy = (
             ServicePolicy(transport="rmi", batch_window=4, pipeline_depth=2)
             .with_replication(2, quorum=1)
         )
+        app = ApplicationTransformer(all_local_policy(dynamic=True)).transform(
+            [sample_app.X, sample_app.Y, sample_app.Z]
+        )
+        app.deploy(cluster, default_node="client")
+        y = app.new("Y", 5)
         for round_index in range(50):
             with Session(cluster, node="client") as session:
+                session.enable_adaptivity(app)
+                assert y.n(1) == 6
                 svc = session.service(
                     f"orders-{round_index}",
                     policy,
@@ -125,6 +137,8 @@ class TestSessionClose:
                 session.drain()
                 assert all(f.ok for f in futures)
         assert cluster.naming.rebind_listener_count() == 0
+        # Every session's access monitor came off the handle with it.
+        assert metaobject_of(y).chain.interceptors == ()
         # No detector keeps probing, no sync loop keeps ticking: the event
         # queue drains completely instead of replenishing itself.
         _drain_queue(cluster)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 import sample_app
+from repro.api import MetricsInterceptor
 from repro.api.errors import (
     MessageDroppedError,
     PartitionError,
@@ -18,7 +19,6 @@ from repro.runtime.cluster import Cluster
 from repro.runtime.faulttolerance import (
     NO_RETRY,
     FailureLog,
-    FailureObservingInterceptor,
     FaultTolerantInvoker,
     RetryPolicy,
     guard_handle,
@@ -183,20 +183,21 @@ class TestGuardHandle:
         controller.make_local(y)
         assert y.n(4) == 9
 
-    def test_failure_observing_interceptor(self):
+    def test_metrics_interceptor_on_the_handle_observes_failures(self):
         app, cluster, failures = _deployed()
         y = app.new("Y", 5)
         failures.drop_probability = 1.0
-        observer = FailureObservingInterceptor()
-        y.meta.add_interceptor(observer)
+        metrics = y.meta.add_interceptor(MetricsInterceptor())
         with pytest.raises(MessageDroppedError):
             y.n(1)
         failures.drop_probability = 0.0
         y.set_base(None)
         with pytest.raises(Exception):
             y.n(1)
-        assert observer.network_failures == 1
-        assert observer.other_failures == 1
+        row = metrics.snapshot()["n"]
+        assert (row["calls"], row["errors"]) == (2, 2)
+        assert metrics.snapshot()["set_base"]["errors"] == 0
+        assert row["total_latency"] > 0.0  # simulated time of the remote attempts
 
     def test_shared_failure_log_across_handles(self):
         app, cluster, failures = _deployed()

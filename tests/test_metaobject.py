@@ -4,20 +4,34 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api.errors import PolicyError
+from repro.core.interception import Interceptor
 from repro.core.metaobject import (
     KIND_LOCAL,
     KIND_REMOTE,
-    CallStatistics,
-    Interceptor,
-    Invocation,
     Metaobject,
     Redirector,
-    TracingInterceptor,
-    collect_statistics,
     is_redirected,
     metaobject_of,
     unwrap,
 )
+from repro.policy.adaptive import AccessMonitor
+
+
+class _CallLog(Interceptor):
+    """Records every bracket event of the handle's calls, in order."""
+
+    def __init__(self):
+        self.events = []
+
+    def begin(self, ctx):
+        self.events.append(("begin", ctx.member, ctx.args, ctx.kwargs))
+
+    def end(self, ctx, result):
+        self.events.append(("end", ctx.member, result))
+
+    def abort(self, ctx, error):
+        self.events.append(("abort", ctx.member, type(error).__name__))
 
 
 class _Greeter:
@@ -43,73 +57,88 @@ class TestMetaobjectDispatch:
         with pytest.raises(ValueError):
             meta.invoke("fail")
 
-    def test_statistics_are_recorded(self):
+    def test_an_unmonitored_handle_has_an_empty_chain(self):
         meta = Metaobject(_Greeter("alice"))
         meta.invoke("greet", "bob")
-        meta.invoke("greet", "carol")
-        assert meta.statistics.total_calls == 2
-        assert meta.statistics.calls_per_member["greet"] == 2
-        assert meta.statistics.local_calls == 2
-        assert meta.statistics.remote_calls == 0
+        assert meta.chain.empty
 
-    def test_remote_kind_counts_remote_calls(self):
-        meta = Metaobject(_Greeter("alice"), kind=KIND_REMOTE, node_id="server")
-        meta.invoke("greet", "bob")
+    def test_remote_kind_without_an_application_calls_its_target(self):
+        target = _Greeter("alice")
+        meta = Metaobject(target, kind=KIND_REMOTE, node_id="server")
         assert meta.is_remote
-        assert meta.statistics.remote_calls == 1
-        assert meta.statistics.remote_fraction == 1.0
+        assert meta.invoke("greet", "bob") == "alice greets bob"
+        assert target.calls == 1
 
-    def test_statistics_reset(self):
-        meta = Metaobject(_Greeter("alice"))
+    def test_the_context_names_interface_member_and_arguments(self):
+        contexts = []
+
+        class Capture(Interceptor):
+            def begin(self, ctx):
+                contexts.append(ctx)
+
+        meta = Metaobject(_Greeter("alice"), interface_name="Greeter_O_Int")
+        meta.add_interceptor(Capture())
         meta.invoke("greet", "bob")
-        meta.statistics.reset()
-        assert meta.statistics.total_calls == 0
+        (ctx,) = contexts
+        assert (ctx.service, ctx.member, ctx.args, ctx.kwargs) == (
+            "Greeter_O_Int", "greet", ("bob",), {}
+        )
+        assert ctx.side == "client"
+        assert ctx.clock is None  # no cluster behind a bare metaobject
+        assert ctx.now() == 0.0
 
 
 class TestInterceptors:
-    def test_tracing_interceptor_records_calls(self):
+    def test_begin_and_end_bracket_each_call(self):
         meta = Metaobject(_Greeter("alice"))
-        tracer = meta.add_interceptor(TracingInterceptor())
+        log = meta.add_interceptor(_CallLog())
         meta.invoke("greet", "bob")
-        assert tracer.trace == [("greet", ("bob",), {})]
-        tracer.clear()
-        assert tracer.trace == []
+        meta.invoke("greet", whom="carol")
+        assert log.events == [
+            ("begin", "greet", ("bob",), {}),
+            ("end", "greet", "alice greets bob"),
+            ("begin", "greet", (), {"whom": "carol"}),
+            ("end", "greet", "alice greets carol"),
+        ]
 
     def test_interceptor_can_veto_an_invocation(self):
         class Veto(Interceptor):
-            def before(self, invocation: Invocation) -> None:
-                if invocation.member == "fail":
+            def begin(self, ctx) -> None:
+                if ctx.member == "fail":
                     raise PermissionError("vetoed")
 
-        meta = Metaobject(_Greeter("alice"))
+        target = _Greeter("alice")
+        meta = Metaobject(target)
         meta.add_interceptor(Veto())
         with pytest.raises(PermissionError):
             meta.invoke("fail")
         # Other members still go through.
         assert meta.invoke("greet", "bob").endswith("bob")
+        assert target.calls == 1
 
-    def test_after_hook_sees_errors(self):
-        seen = {}
-
-        class Watcher(Interceptor):
-            def after(self, invocation, result, error):
-                seen[invocation.member] = (result, type(error).__name__ if error else None)
-
+    def test_abort_sees_errors_and_end_does_not(self):
         meta = Metaobject(_Greeter("alice"))
-        meta.add_interceptor(Watcher())
+        log = meta.add_interceptor(_CallLog())
         meta.invoke("greet", "bob")
         with pytest.raises(ValueError):
             meta.invoke("fail")
-        assert seen["greet"][1] is None
-        assert seen["fail"] == (None, "ValueError")
+        assert [event[0] for event in log.events] == ["begin", "end", "begin", "abort"]
+        assert log.events[-1] == ("abort", "fail", "ValueError")
 
     def test_remove_interceptor(self):
         meta = Metaobject(_Greeter("alice"))
-        tracer = meta.add_interceptor(TracingInterceptor())
-        meta.remove_interceptor(tracer)
+        log = meta.add_interceptor(_CallLog())
+        meta.remove_interceptor(log)
+        meta.remove_interceptor(log)  # idempotent
         meta.invoke("greet", "bob")
-        assert tracer.trace == []
-        assert meta.interceptors() == ()
+        assert log.events == []
+        assert meta.chain.interceptors == ()
+
+    def test_add_interceptor_refuses_a_non_interceptor(self):
+        meta = Metaobject(_Greeter("alice"))
+        with pytest.raises(PolicyError):
+            meta.add_interceptor(object())
+        assert meta.chain.empty
 
 
 class TestRebinding:
@@ -136,8 +165,9 @@ class TestRedirector:
     def test_getattr_fallback_delegates_through_metaobject(self):
         meta = Metaobject(_Greeter("alice"))
         handle = Redirector(meta)
+        log = meta.add_interceptor(_CallLog())
         assert handle.greet("bob") == "alice greets bob"
-        assert meta.statistics.total_calls == 1
+        assert [event[:2] for event in log.events] == [("begin", "greet"), ("end", "greet")]
 
     def test_redirector_identity_survives_rebinding(self):
         meta = Metaobject(_Greeter("alice"))
@@ -167,18 +197,35 @@ class TestRedirector:
             handle.__missing_dunder__
 
 
-class TestAggregatedStatistics:
-    def test_collect_statistics_merges_handles(self):
-        handle_a = Redirector(Metaobject(_Greeter("a")))
-        handle_b = Redirector(Metaobject(_Greeter("b"), kind=KIND_REMOTE, node_id="n"))
-        handle_a.greet("x")
-        handle_b.greet("y")
-        handle_b.greet("z")
-        merged = collect_statistics([handle_a, handle_b, object()])
-        assert merged.total_calls == 3
-        assert merged.remote_calls == 2
-        assert merged.calls_per_member["greet"] == 3
+class _Placement:
+    """The one thing an access monitor asks of its application."""
 
-    def test_empty_statistics(self):
-        stats = CallStatistics()
-        assert stats.remote_fraction == 0.0
+    def __init__(self, node):
+        self.node = node
+
+    def _current_node_id(self):
+        return self.node
+
+
+class TestAccessMonitor:
+    """Call counting lives on the monitored handles' chains only."""
+
+    def test_monitor_counts_calls_per_calling_node(self):
+        placement = _Placement("client")
+        meta = Metaobject(_Greeter("alice"))
+        monitor = meta.add_interceptor(AccessMonitor(placement))
+        meta.invoke("greet", "x")
+        placement.node = "server"
+        meta.invoke("greet", "y")
+        meta.invoke("greet", "z")
+        assert monitor.total_calls == 3
+        assert monitor.calls_per_node == {"client": 1, "server": 2}
+        assert monitor.dominant_node() == ("server", pytest.approx(2 / 3))
+
+    def test_reset_empties_the_window(self):
+        meta = Metaobject(_Greeter("alice"))
+        monitor = meta.add_interceptor(AccessMonitor(_Placement("client")))
+        meta.invoke("greet", "x")
+        monitor.reset()
+        assert monitor.total_calls == 0
+        assert monitor.dominant_node() is None

@@ -1,8 +1,11 @@
 """Conformance and fault-injection suite for the interceptor chain.
 
-Pins the bracket guarantees of :mod:`repro.api.middleware` across every
+Pins the bracket guarantees of :mod:`repro.core.interception` across every
 dispatch shape the façade composes — 3 pipes (direct, batched, pipelined)
-x 4 transports — and the fault paths the chain must survive:
+x 4 transports — across every state a transformed object's handle can be
+called in (:class:`TestHandleChain`: unbound, co-located, called from
+another node, remote over each transport, guarded, adopted), and the fault
+paths the chain must survive:
 
 * ``begin``/``end`` exactly once per call; ``abort`` (not ``end``) on every
   error path — application errors, typed admission rejections, crashed
@@ -21,6 +24,8 @@ x 4 transports — and the fault paths the chain must survive:
 """
 
 from __future__ import annotations
+
+from contextlib import nullcontext
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -41,9 +46,14 @@ from repro.api.errors import (
     RateLimitError,
     RemoteInvocationError,
 )
+from repro.core.metaobject import Metaobject, metaobject_of
+from repro.core.transformer import ApplicationTransformer
+from repro.policy.policy import PlacementDecision, all_local_policy
 from repro.runtime.cluster import Cluster
-from repro.runtime.faulttolerance import RetryPolicy
+from repro.runtime.faulttolerance import RetryPolicy, guard_handle
+from repro.runtime.redistribution import DistributionController
 from repro.workloads.bulk_orders import OrderIntake
+from repro.workloads.figure1 import A, B, C
 
 TRANSPORTS = ["inproc", "rmi", "corba", "soap"]
 
@@ -563,6 +573,143 @@ class TestAdaptivityConnectsEveryScheduler:
             assert manager.effective_pipeline_depth() == float(
                 manager.pipeline_depth
             )
+
+
+# ---------------------------------------------------------------------------
+# the handle's chain: the same brackets around a transformed object's calls
+# ---------------------------------------------------------------------------
+
+#: Every state a handle of Figure 1's shared ``C`` can be called in.
+HANDLE_STATES = [
+    "unbound",
+    "co-located",
+    "executing-on",
+    *(f"remote-{transport}" for transport in TRANSPORTS),
+    "guarded",
+    "adopted",
+]
+
+
+class _HandleRow:
+    """A handle in one state, its cluster (``None`` when unbound) and the
+    context its calls run in."""
+
+    def __init__(self, handle, cluster=None, where=nullcontext):
+        self.handle = handle
+        self.meta = metaobject_of(handle)
+        self.cluster = cluster
+        self.where = where
+
+    def messages(self) -> int:
+        return self.cluster.network.metrics.total_messages if self.cluster else 0
+
+
+@pytest.fixture(params=HANDLE_STATES)
+def row(request, cluster):
+    state = request.param
+    transport = state.split("-", 1)[1] if state.startswith("remote-") else "rmi"
+    policy = all_local_policy(dynamic=True)
+    policy.set_class("C", instances=PlacementDecision(dynamic=True, transport=transport))
+    app = ApplicationTransformer(policy, transports=TRANSPORTS).transform([A, B, C])
+    if state == "unbound":
+        # An application that is not deployed makes plain objects; the handle
+        # around one has no application behind it.
+        artifacts = app.artifacts("C")
+        meta = Metaobject(app.new("C", "shared"), interface_name=artifacts.instance_interface.name)
+        yield _HandleRow(artifacts.redirector_cls(meta))
+        return
+    app.deploy(cluster, default_node="client")
+    handle = app.new("C", "shared")
+    if state == "executing-on":
+        # The object stays on the client; the calling code runs on the server.
+        yield _HandleRow(handle, cluster, lambda: app.executing_on("server"))
+        return
+    if state.startswith("remote-") or state == "guarded":
+        DistributionController(app, cluster).make_remote(handle, "server", transport=transport)
+        if state == "guarded":
+            guard_handle(handle)
+    if state == "adopted":
+        with Session(cluster, node="client") as session:
+            session.service("shared", ServicePolicy(transport="rmi"), impl=handle, node="server")
+            yield _HandleRow(handle, cluster)
+        return
+    yield _HandleRow(handle, cluster)
+
+
+#: What a failing ``C.add`` raises: the application's own error when the
+#: object is called in place, its remote rendering when the call crossed a wire.
+APPLICATION_ERRORS = (TypeError, RemoteInvocationError)
+
+
+class TestHandleChain:
+    """A handle's chain keeps every bracket guarantee of a service's chain,
+    whatever state the handle is in."""
+
+    def test_begin_in_order_end_in_reverse_once_per_call(self, row):
+        log = []
+        row.meta.add_interceptor(Recorder("outer", log))
+        row.meta.add_interceptor(Recorder("inner", log))
+        with row.where():
+            assert [row.handle.add(value) for value in (1, 2, 3)] == [1, 3, 6]
+        calls = _events_by_call(log)
+        assert len(calls) == 3
+        for events in calls.values():
+            assert [e[:2] for e in events] == [
+                ("begin", "outer"), ("begin", "inner"),
+                ("end", "inner"), ("end", "outer"),
+            ]
+
+    def test_application_error_aborts_not_ends(self, row):
+        log = []
+        row.meta.add_interceptor(Recorder("rec", log))
+        with row.where(), pytest.raises(APPLICATION_ERRORS):
+            row.handle.add("not a number")
+        (events,) = _events_by_call(log).values()
+        assert [e[0] for e in events] == ["begin", "abort"]
+
+    def test_rejecting_begin_runs_nothing_and_ships_nothing(self, row):
+        log = []
+
+        class Reject(Recorder):
+            def begin(self, ctx):
+                super().begin(ctx)
+                raise RateLimitError("no")
+
+        rejecter = Reject("b", log)
+        for interceptor in (Recorder("a", log), rejecter, Recorder("c", log)):
+            row.meta.add_interceptor(interceptor)
+        sent = row.messages()
+        with row.where(), pytest.raises(RateLimitError):
+            row.handle.add(5)
+        assert row.messages() == sent
+        assert [e[:2] for e in log] == [("begin", "a"), ("begin", "b"), ("abort", "a")]
+        row.meta.remove_interceptor(rejecter)
+        with row.where():
+            assert row.handle.get_entries() == 0  # the rejected add never ran
+
+    def test_raising_end_and_abort_are_isolated_and_counted(self, row):
+        log = []
+
+        class Broken(Recorder):
+            def end(self, ctx, result):
+                super().end(ctx, result)
+                raise RuntimeError("end boom")
+
+            def abort(self, ctx, error):
+                super().abort(ctx, error)
+                raise RuntimeError("abort boom")
+
+        row.meta.add_interceptor(Recorder("a", log))
+        row.meta.add_interceptor(Broken("b", log))
+        with row.where():
+            assert row.handle.add(4) == 4
+            with pytest.raises(APPLICATION_ERRORS):
+                row.handle.add("not a number")
+        assert [e[:2] for e in log] == [
+            ("begin", "a"), ("begin", "b"), ("end", "b"), ("end", "a"),
+            ("begin", "a"), ("begin", "b"), ("abort", "b"), ("abort", "a"),
+        ]
+        assert row.meta.chain.callback_failures == 2
 
 
 # ---------------------------------------------------------------------------
