@@ -2,7 +2,7 @@ PYTHON ?= python
 export PYTHONPATH := src
 BENCH_DIR ?= bench-artifacts
 
-.PHONY: check test examples-smoke bench-smoke bench-check bench-diff bench-golden bench-ab micro ledger-smoke docs-check lint lint-dist
+.PHONY: check test examples-smoke paper-claims bench-smoke bench-check bench-diff bench-golden bench-ab micro ledger-smoke docs-check lint lint-dist
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -10,6 +10,11 @@ test:
 # Every example end to end; the first non-zero exit fails the target.
 examples-smoke:
 	set -e; for example in examples/*.py; do $(PYTHON) $$example > /dev/null; done
+
+# The paper's experiments and the other claim checks in benchmarks/bench_*.py,
+# run as tests (needs pytest-benchmark; timing is disabled, only the claims run).
+paper-claims:
+	$(PYTHON) -m pytest -q -p no:cacheprovider -o python_files='bench_*.py' -o python_functions='bench_*' benchmarks --benchmark-disable
 
 bench-smoke:
 	mkdir -p $(BENCH_DIR)
@@ -72,4 +77,4 @@ lint-dist:
 	$(PYTHON) -m repro lint src/repro examples tests/sample_app.py
 
 # What CI gates, locally: bench-check and bench-golden share one bench-smoke run.
-check: test examples-smoke bench-check bench-golden ledger-smoke docs-check lint-dist
+check: test examples-smoke paper-claims bench-check bench-golden ledger-smoke docs-check lint-dist

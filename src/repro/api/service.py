@@ -108,18 +108,13 @@ class Service:
 
     @property
     def reference(self) -> RemoteRef:
-        """The current remote reference, resolved through failover redirects.
+        """The current remote reference.
 
-        The session's rebind listener keeps this fresh when the name moves
-        (failover, migration); a replica manager's published redirects are
-        also followed, so traffic enqueued after a promotion goes straight to
-        the new primary.
+        The session's rebind listener keeps this fresh whenever the name
+        moves: a failover rebinds the replica group's name, which is the
+        service's name, so traffic enqueued after a promotion goes straight
+        to the new primary.
         """
-        manager = self.session._manager
-        if manager is not None:
-            resolved = manager.current_ref(self._reference)
-            if resolved is not self._reference:
-                self._reference = resolved
         return self._reference
 
     # ------------------------------------------------------------------
@@ -203,8 +198,7 @@ class Service:
     def cache(self) -> Optional[Any]:
         """This service's result cache (``None`` unless the policy caches).
 
-        Exposes the hit/miss/invalidation counters benchmarks and the
-        adaptive policy's hit-rate term consume.
+        Exposes the hit/miss/invalidation counters benchmarks consume.
         """
         return self._cache
 
@@ -222,8 +216,7 @@ class Service:
         counters read 0 out of order, ``max_in_flight`` 1 and depth 1.0.
         Exposes the measured-depth and retry counters
         (``observed_pipeline_depth``, ``calls_retried``, ``calls_redirected``,
-        ``out_of_order_completions``, ...) that benchmarks and the adaptive
-        policy consume.
+        ``out_of_order_completions``, ...) that benchmarks consume.
         """
         return self._pipe.scheduler
 

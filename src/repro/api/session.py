@@ -383,8 +383,6 @@ class Session:
         """Create the shared cache manager on the first cached service."""
         if self._cache_manager is None:
             self._cache_manager = CacheManager(self.space)
-            if self._adaptive is not None:
-                self._adaptive.connect_cache(self._cache_manager)
         return self._cache_manager
 
     def _flush_cached_reference(self, reference: RemoteRef) -> None:
@@ -440,12 +438,6 @@ class Session:
                 max_failover_attempts=policy.max_failover_attempts,
             )
             self._schedulers[key] = scheduler
-            if self._adaptive is not None and scheduler.window > 1:
-                # Keep the adaptive heuristic fed with *measured* pipeline
-                # depth from EVERY session-owned scheduler: the manager
-                # aggregates its sources traffic-weighted, so a second
-                # policy shape adds a signal instead of replacing the first.
-                self._adaptive.connect_pipeline(scheduler)
         return scheduler
 
     def _ensure_replication(self, policy: ServicePolicy) -> ReplicaManager:
@@ -550,25 +542,20 @@ class Session:
         threshold: float = 0.6,
         min_calls: int = 10,
         interval: Optional[float] = None,
-        attach_existing: bool = True,
     ):
         """Own an adaptive distribution manager wired to this session's stack.
 
         ``application`` is a deployed
         :class:`~repro.core.transformer.TransformedApplication` on this
         session's cluster (its rebindable handles are what the manager
-        monitors and moves).  The session supplies the measured signals the
-        heuristic amortises by: every shared pipeline scheduler is connected
-        as it appears (:meth:`~repro.policy.adaptive.AdaptiveDistributionManager.connect_pipeline`,
-        aggregated traffic-weighted across all of them), the session's cache
-        manager feeds the hit-rate
-        discount (:meth:`~repro.policy.adaptive.AdaptiveDistributionManager.connect_cache`),
-        and the cluster's network feeds the measured queueing-delay weight
+        monitors and moves).  Every handle the application has already
+        produced is monitored, and the cluster's network feeds the measured
+        queueing-delay weight
         (:meth:`~repro.policy.adaptive.AdaptiveDistributionManager.connect_network`)
-        so congested traffic argues more strongly for moving objects.
-        ``attach_existing`` monitors every handle the application has already
-        produced; ``interval`` additionally starts :meth:`auto_adapt`.
-        Returns the manager.
+        so congested traffic argues more strongly for moving objects.  The
+        session's services feed nothing: their traffic never passes through
+        a movable handle's monitor.  ``interval`` additionally starts
+        :meth:`auto_adapt`.  Returns the manager.
         """
         from repro.policy.adaptive import AdaptiveDistributionManager
         from repro.runtime.redistribution import DistributionController
@@ -582,14 +569,8 @@ class Session:
             application, controller, threshold=threshold, min_calls=min_calls
         )
         self._adaptive = manager
-        for scheduler in self._schedulers.values():
-            if scheduler.window > 1:
-                manager.connect_pipeline(scheduler)
-        if self._cache_manager is not None:
-            manager.connect_cache(self._cache_manager)
         manager.connect_network(self.cluster.network)
-        if attach_existing:
-            manager.attach_all()
+        manager.attach_all()
         if interval is not None:
             self.auto_adapt(interval)
         return manager

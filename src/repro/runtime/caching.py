@@ -212,8 +212,7 @@ class ResultCache:
     invalidations into every cache it created.  Entries are keyed by object
     id, member and typed arguments (see the module docstring); an
     invalidation drops every entry of the named object.  All counters
-    (``hits``, ``misses``, ...) are exposed for benchmarks and the adaptive
-    policy's hit-rate term.
+    (``hits``, ``misses``, ...) are exposed for benchmarks.
     """
 
     def __init__(
@@ -632,7 +631,7 @@ class CacheManager:
                 )
 
     # ------------------------------------------------------------------
-    # aggregate statistics (consumed by the adaptive policy)
+    # aggregate statistics (consumed by benchmarks)
     # ------------------------------------------------------------------
 
     @property

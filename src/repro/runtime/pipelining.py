@@ -407,9 +407,8 @@ class PipelineScheduler:
         batch ship.  This is the *measured* counterpart of the configured
         ``window``: a stream too small (or too skewed) to fill the window
         reports a lower value.  Before any batch has shipped it falls back to
-        ``1.0`` (no overlap observed yet).
-        :meth:`~repro.policy.adaptive.AdaptiveDistributionManager.connect_pipeline`
-        consumes this instead of a statically configured depth.
+        ``1.0`` (no overlap observed yet).  The wall-clock ledger reports it
+        as ``runtime.pipeline.depth_observed``.
         """
         if self.depth_samples == 0:
             return 1.0
@@ -517,8 +516,8 @@ class PipelineScheduler:
         self.batches_shipped += 1
         self.max_in_flight = max(self.max_in_flight, self._in_flight)
         # Sample the depth the pipeline actually achieves: the mean of these
-        # samples is what the adaptive policy consumes instead of the
-        # configured window (which traffic may never fill).
+        # samples is the measured counterpart of the configured window
+        # (which traffic may never fill).
         self._depth_sample_sum += self._in_flight
         self.depth_samples += 1
         trace_queue_waits(

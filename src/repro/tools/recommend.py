@@ -24,8 +24,7 @@ from typing import Callable, Dict, Optional
 
 import networkx
 
-from repro.core.metaobject import metaobject_of
-from repro.policy.adaptive import AccessMonitor
+from repro.policy.adaptive import AdaptiveDistributionManager, class_name_of
 from repro.policy.policy import DistributionPolicy, all_local_policy, remote
 
 
@@ -104,36 +103,40 @@ class PlacementRecommendation:
 
 
 class PlacementRecommender:
-    """Aggregates handle-level monitors into per-class placement advice."""
+    """Aggregates handle-level monitors into per-class placement advice.
+
+    The monitors are those of an
+    :class:`~repro.policy.adaptive.AdaptiveDistributionManager` the
+    recommender owns without a controller: it observes, it never moves.
+    """
 
     def __init__(self, application, *, min_calls: int = 10, threshold: float = 0.5) -> None:
         self.application = application
         self.min_calls = min_calls
         self.threshold = threshold
-        self._monitors: Dict[int, tuple[str, AccessMonitor]] = {}
+        self._manager = AdaptiveDistributionManager(application, None)
 
     # ------------------------------------------------------------------
 
     def attach_all(self) -> int:
-        """Monitor every rebindable handle the application has produced."""
-        attached = 0
-        for handle in self.application.handles():
-            meta = metaobject_of(handle)
-            if meta is None or id(handle) in self._monitors:
-                continue
-            monitor = AccessMonitor(self.application)
-            meta.add_interceptor(monitor)
-            class_name = getattr(type(handle), "_repro_class_name", type(handle).__name__)
-            self._monitors[id(handle)] = (class_name, monitor)
-            attached += 1
-        return attached
+        """Monitor every rebindable handle the application has produced.
+
+        Returns how many handles were not monitored before.
+        """
+        before = len(self._manager.monitored_handles())
+        return self._manager.attach_all() - before
+
+    def detach_all(self) -> None:
+        """Take every access monitor this recommender installed off its handle."""
+        self._manager.detach_all()
 
     def affinities(self) -> Dict[str, ClassAffinity]:
         """Aggregate observed calls per class."""
         per_class: Dict[str, ClassAffinity] = {}
-        for class_name, monitor in self._monitors.values():
+        for handle in self._manager.monitored_handles():
+            class_name = class_name_of(handle)
             affinity = per_class.setdefault(class_name, ClassAffinity(class_name))
-            affinity.calls_per_node.update(monitor.calls_per_node)
+            affinity.calls_per_node.update(self._manager.monitor_for(handle).calls_per_node)
         return per_class
 
     def recommend(self) -> PlacementRecommendation:
@@ -154,8 +157,7 @@ class PlacementRecommender:
         )
 
     def reset(self) -> None:
-        for _, monitor in self._monitors.values():
-            monitor.reset()
+        self._manager.reset_window()
 
 
 def profile_and_recommend(
@@ -169,10 +171,10 @@ def profile_and_recommend(
 
     The application should have been transformed with a *dynamic* policy so
     that every object is reached through a monitored handle.  Handles created
-    while the workload runs are picked up as well (the monitor set is
-    refreshed after the run, then the workload's calls are replayed by the
-    caller if necessary — in practice attach-before plus attach-after covers
-    factories used during the run because monitors see subsequent calls).
+    while the workload runs are attached after it, so their classes appear in
+    the recommendation as undecided (none of their calls was counted).  Every
+    monitor comes off its handle once the recommendation is made, so later
+    calls pay for none.
     """
 
     recommender = PlacementRecommender(
@@ -180,6 +182,7 @@ def profile_and_recommend(
     )
     recommender.attach_all()
     workload()
-    # Handles created during the run get monitors for any further profiling.
     recommender.attach_all()
-    return recommender.recommend()
+    recommendation = recommender.recommend()
+    recommender.detach_all()
+    return recommendation

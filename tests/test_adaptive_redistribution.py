@@ -209,3 +209,76 @@ class TestShiftingOrderWorkload:
         assert controller.boundary_of(orders) == ("remote", "warehouse")
         # The orders placed during the browse phase are visible after the move.
         assert orders.revenue() > 0
+
+
+def _hammer_from_back(app, handle, calls):
+    with app.executing_on("back"):
+        for _ in range(calls):
+            handle.n(1)
+
+
+class TestSeedEquivalence:
+    """A bare manager (no network connected) decides by the seed rule: move
+    iff the window holds at least ``min_calls`` calls and one node's share is
+    at least ``threshold``."""
+
+    @pytest.fixture
+    def seed_setup(self):
+        app = ApplicationTransformer(all_local_policy(dynamic=True)).transform(SAMPLE)
+        cluster = Cluster(("front", "back"))
+        app.deploy(cluster, default_node="front")
+        controller = DistributionController(app, cluster)
+        manager = AdaptiveDistributionManager(app, controller, threshold=0.6, min_calls=10)
+        return app, controller, manager
+
+    def test_default_manager_weighs_the_window_as_observed(self, seed_setup):
+        app, _, manager = seed_setup
+        y = app.new("Y", 1)
+        monitor = manager.attach(y)
+        _hammer_from_back(app, y, 17)
+        assert manager.amortised_call_count(monitor) == 17.0
+
+    @pytest.mark.parametrize("calls", [0, 1, 9, 10, 11, 25])
+    def test_decisions_match_seed_across_the_call_range(self, seed_setup, calls):
+        app, _, manager = seed_setup
+        y = app.new("Y", 1)
+        manager.attach(y)
+        _hammer_from_back(app, y, calls)
+        suggestions = manager.evaluate()
+        seed_would_move = calls >= manager.min_calls  # share is always 1.0 here
+        assert bool(suggestions) is seed_would_move
+        if suggestions:
+            assert suggestions[0].amortised_calls == float(calls)
+            assert suggestions[0].call_count == calls
+
+    def test_suggestion_fields(self, seed_setup):
+        app, _, manager = seed_setup
+        y = app.new("Y", 1)
+        manager.attach(y)
+        _hammer_from_back(app, y, 12)
+        (suggestion,) = manager.evaluate()
+        assert suggestion.target_node == "back"
+        assert suggestion.caller_share == 1.0
+        assert suggestion.call_count == 12
+        assert "Y" in suggestion.describe()
+
+    def test_adapt_moves_and_resets_window(self, seed_setup):
+        app, controller, manager = seed_setup
+        y = app.new("Y", 1)
+        monitor = manager.attach(y)
+        _hammer_from_back(app, y, 40)
+        record = manager.adapt()
+        assert record.moved == 1
+        assert controller.boundary_of(y) == ("remote", "back")
+        assert monitor.total_calls == 0
+
+    @pytest.mark.parametrize(
+        "knob", ["batch_size", "pipeline_depth", "replication_factor", "cache_hit_ratio"]
+    )
+    def test_the_window_takes_no_assumed_traffic_knob(self, seed_setup, knob):
+        """The window is weighed only by what the monitor counted, so the
+        manager refuses a configured batch, pipeline, replication or cache
+        term instead of silently discounting the calls."""
+        app, controller, _ = seed_setup
+        with pytest.raises(TypeError, match=knob):
+            AdaptiveDistributionManager(app, controller, **{knob: 2})

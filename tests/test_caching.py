@@ -695,61 +695,3 @@ class TestGeneratedProxyCaching:
         sources = app.emit_sources("Y", transports=("rmi",))
         assert "_repro_cacheable_members" in sources["Y_O_Proxy_RMI"]
         assert "_repro_cacheable_members" in sources["Y_C_Proxy_RMI"]
-
-
-class TestAdaptiveHitRateTerm:
-    def _manager(self, **kwargs):
-        import sample_app
-        from repro.core.transformer import ApplicationTransformer
-        from repro.policy.adaptive import AdaptiveDistributionManager
-        from repro.policy.policy import all_local_policy
-        from repro.runtime.redistribution import DistributionController
-
-        app = ApplicationTransformer(all_local_policy(dynamic=True)).transform(
-            [sample_app.X, sample_app.Y, sample_app.Z]
-        )
-        cluster = Cluster(("front", "back"))
-        app.deploy(cluster, default_node="front")
-        controller = DistributionController(app, cluster)
-        return app, AdaptiveDistributionManager(
-            app, controller, threshold=0.6, min_calls=10, **kwargs
-        )
-
-    def test_hit_ratio_validation(self):
-        from repro.api.errors import RedistributionError
-
-        with pytest.raises(RedistributionError):
-            self._manager(cache_hit_ratio=1.0)
-        with pytest.raises(RedistributionError):
-            self._manager(cache_hit_ratio=-0.1)
-
-    def test_configured_ratio_discounts_the_window(self):
-        app, manager = self._manager(cache_hit_ratio=0.75)
-        y = app.new("Y", 1)
-        monitor = manager.attach(y)
-        with app.executing_on("back"):
-            for _ in range(20):
-                y.n(1)
-        # 20 observed calls, 75% served from cache -> 5 amortised < min_calls.
-        assert manager.amortised_call_count(monitor) == pytest.approx(5.0)
-        assert manager.evaluate() == []
-
-    def test_measured_ratio_supersedes_configured(self):
-        class FakeCache:
-            hits = 90
-            misses = 10
-
-        app, manager = self._manager(cache_hit_ratio=0.0)
-        manager.connect_cache(FakeCache())
-        assert manager.effective_cache_hit_ratio() == pytest.approx(0.9)
-        manager.connect_cache(None)
-        assert manager.effective_cache_hit_ratio() == 0.0
-
-    def test_unhit_cache_falls_back_to_configured(self):
-        class EmptyCache:
-            hits = 0
-            misses = 0
-
-        app, manager = self._manager(cache_hit_ratio=0.5)
-        manager.connect_cache(EmptyCache())
-        assert manager.effective_cache_hit_ratio() == pytest.approx(0.5)

@@ -526,56 +526,6 @@ class TestMetrics:
 
 
 # ---------------------------------------------------------------------------
-# adaptivity regression: every scheduler feeds the manager
-# ---------------------------------------------------------------------------
-
-
-class TestAdaptivityConnectsEveryScheduler:
-    def test_two_policy_shapes_both_feed_measured_depth(self, cluster):
-        """Two pipelined policy shapes create two shared schedulers; the
-        adaptive manager must aggregate both (it used to silently keep only
-        the most recently created one)."""
-        import sample_app
-        from repro.core.transformer import ApplicationTransformer
-        from repro.policy.policy import all_local_policy
-
-        app = ApplicationTransformer(all_local_policy(dynamic=True)).transform(
-            [sample_app.X, sample_app.Y, sample_app.Z]
-        )
-        app.deploy(cluster, default_node="client")
-        with Session(cluster, node="client") as session:
-            manager = session.enable_adaptivity(app)
-            shapes = [
-                ServicePolicy(transport="rmi", batch_window=4, pipeline_depth=2),
-                ServicePolicy(transport="rmi", batch_window=8, pipeline_depth=4),
-            ]
-            services = [
-                session.service(f"svc-{i}", shape, impl=OrderIntake(), node="server")
-                for i, shape in enumerate(shapes)
-            ]
-            schedulers = {id(svc.scheduler) for svc in services}
-            assert len(schedulers) == 2  # distinct shapes, distinct schedulers
-            futures = []
-            for i in range(32):
-                futures.append(services[i % 2].future.submit(f"sku-{i}", 1, 10))
-            session.drain()
-            assert all(f.ok for f in futures)
-            for svc in services:
-                assert svc.scheduler.depth_samples > 0
-            observed = manager.effective_pipeline_depth()
-            expected = sum(
-                s.scheduler.observed_pipeline_depth * s.scheduler.depth_samples
-                for s in services
-            ) / sum(s.scheduler.depth_samples for s in services)
-            assert observed == pytest.approx(expected)
-            # Disconnecting clears every source, falling back to configured.
-            manager.connect_pipeline(None)
-            assert manager.effective_pipeline_depth() == float(
-                manager.pipeline_depth
-            )
-
-
-# ---------------------------------------------------------------------------
 # the handle's chain: the same brackets around a transformed object's calls
 # ---------------------------------------------------------------------------
 

@@ -15,6 +15,7 @@ import weakref
 
 import pytest
 
+from repro.api import ServicePolicy, Session
 from repro.api.errors import (
     InvocationError,
     MessageDroppedError,
@@ -26,7 +27,6 @@ from repro.api.errors import (
 from repro.network.clock import EventQueue, SimClock
 from repro.network.heartbeat import HeartbeatDetector
 from repro.network.simnet import LinkConfig, SimulatedNetwork
-from repro.policy.adaptive import AdaptiveDistributionManager
 from repro.runtime.batching import BatchingProxy
 from repro.runtime.cluster import Cluster
 from repro.runtime.faulttolerance import RetryPolicy
@@ -35,6 +35,7 @@ from repro.runtime.pipelining import InvocationFuture, PipelineScheduler
 from repro.runtime.replication import ReplicaManager
 from repro.transports.base import frame_batch_message, parse_frame
 from repro.transports.rmi import RmiTransport
+from repro.workloads.bulk_orders import OrderIntake
 from repro.workloads.pipelined_orders import run_sharded_order_scenario
 from test_batch_faulttolerance import ScriptedDrops
 
@@ -604,31 +605,45 @@ class TestBatchingProxyFutures:
         assert pending.result() == "flush-me"
 
 
-class TestPipelineAwareAdaptivePolicy:
-    def _manager(self, **kwargs):
-        # The manager's weighting is pure arithmetic over the monitor window;
-        # application/controller are not exercised here.
-        return AdaptiveDistributionManager(None, None, **kwargs)
+def _pipelined_scheduler(*, window: int, orders: int):
+    """Drive a façade stream through ``window`` and return its scheduler."""
+    cluster = Cluster(("client", "server-0", "server-1"))
+    session = Session(cluster, node="client")
+    policy = ServicePolicy(transport="rmi", batch_window=8, pipeline_depth=window)
+    services = [
+        session.service(f"svc-{node}", policy, impl=OrderIntake(), node=node)
+        for node in ("server-0", "server-1")
+    ]
+    futures = [
+        services[i % 2].future.submit(f"sku-{i}", 1, 10) for i in range(orders)
+    ]
+    session.drain()
+    assert all(f.ok for f in futures)
+    scheduler = services[0].scheduler
+    session.close()
+    return scheduler
 
-    def test_pipeline_depth_amortises_observed_windows(self):
-        manager = self._manager(batch_size=4, pipeline_depth=8)
 
-        class Window:
-            total_calls = 64
+class TestObservedDepth:
+    """The scheduler samples the in-flight depth it actually achieves, which
+    differs from the configured window whenever traffic cannot fill it."""
 
-        assert manager.amortised_call_count(Window()) == pytest.approx(2.0)
+    def test_unfilled_window_reports_lower_than_configured(self):
+        # 16 orders over 2 shards at batch 8 = one batch per shard: the
+        # configured window of 8 can never hold more than 2 batches.
+        scheduler = _pipelined_scheduler(window=8, orders=16)
+        assert scheduler.window == 8
+        assert scheduler.depth_samples > 0
+        assert scheduler.observed_pipeline_depth < 8
+        assert 1.0 <= scheduler.observed_pipeline_depth <= 2.0
 
-    def test_default_depth_keeps_batch_only_weighting(self):
-        batch_only = self._manager(batch_size=4)
-        assert batch_only.pipeline_depth == 1
-
-        class Window:
-            total_calls = 64
-
-        assert batch_only.amortised_call_count(Window()) == pytest.approx(16.0)
-
-    def test_invalid_pipeline_depth_rejected(self):
-        from repro.api.errors import RedistributionError
-
-        with pytest.raises(RedistributionError):
-            self._manager(pipeline_depth=0)
+    def test_fresh_scheduler_reports_no_overlap(self):
+        session = Session(Cluster(("client", "server-0")), node="client")
+        svc = session.service(
+            "svc",
+            ServicePolicy(batch_window=8, pipeline_depth=4),
+            impl=OrderIntake(),
+            node="server-0",
+        )
+        assert svc.scheduler.observed_pipeline_depth == 1.0
+        session.close()

@@ -6,6 +6,7 @@ import networkx
 import pytest
 
 import sample_app
+from repro.core.metaobject import metaobject_of
 from repro.core.transformer import ApplicationTransformer
 from repro.policy.policy import all_local_policy
 from repro.runtime.cluster import Cluster
@@ -14,6 +15,7 @@ from repro.tools.recommend import (
     PlacementRecommender,
     profile_and_recommend,
 )
+from repro.workloads.figure1 import A, B, C
 from repro.workloads.orders import Catalog, CustomerSession, OrderStore, seed_catalog
 
 CLASSES = [sample_app.X, sample_app.Y, sample_app.Z]
@@ -85,6 +87,16 @@ class TestRecommender:
                 y.n(1)
         recommendation = recommender.recommend()
         assert "Y" in recommendation.undecided
+
+    def test_detach_all_empties_every_chain(self, profiled_app):
+        app, _ = profiled_app
+        y = app.new("Y", 1)
+        recommender = PlacementRecommender(app, min_calls=1)
+        recommender.attach_all()
+        assert len(metaobject_of(y).chain) == 1
+        recommender.detach_all()
+        assert metaobject_of(y).chain.empty
+        assert recommender.recommend().affinities == {}
 
     def test_reset_clears_observations(self, profiled_app):
         app, _ = profiled_app
@@ -181,3 +193,23 @@ class TestProfileAndRecommend:
         recommendation = profile_and_recommend(app, workload, min_calls=5, threshold=0.55)
         assert recommendation.placement.get("Catalog") == "front"
         assert recommendation.placement.get("OrderStore") == "warehouse"
+
+    def test_repeated_profiling_leaves_no_monitor_behind(self):
+        """Each run's monitors come off once it has recommended, so the
+        handles' chains stay empty however often the program is profiled."""
+        app = ApplicationTransformer(all_local_policy(dynamic=True)).transform([A, B, C])
+        app.deploy(Cluster(("front", "back")), default_node="front")
+        shared = app.new("C", "shared")
+        a, b = app.new("A", shared), app.new("B", shared)
+
+        def work():
+            with app.executing_on("back"):
+                for value in range(6):
+                    a.record(value)
+                    b.record(value)
+
+        for _ in range(3):
+            recommendation = profile_and_recommend(app, work, min_calls=5)
+            assert recommendation.placement == {"A": "back", "B": "back", "C": "front"}
+        for handle in app.handles():
+            assert metaobject_of(handle).chain.empty
