@@ -76,5 +76,8 @@ lint: lint-dist
 lint-dist:
 	$(PYTHON) -m repro lint src/repro examples tests/sample_app.py
 
-# What CI gates, locally: bench-check and bench-golden share one bench-smoke run.
+# What CI gates, locally: bench-check and bench-golden share one bench-smoke run,
+# and bench-golden runs once more under another hash seed, as in CI (nothing on
+# the wire or in the event order may depend on hash iteration order).
 check: test examples-smoke paper-claims bench-check bench-golden ledger-smoke docs-check lint-dist
+	PYTHONHASHSEED=123 $(MAKE) bench-golden

@@ -102,11 +102,11 @@ class ReplicationError(RuntimeLayerError):
 class FencedError(ReplicationError):
     """A frame from a superseded epoch was rejected by a fenced recipient.
 
-    Raised by a replica that receives an ``apply_ops``/``apply_state`` frame
-    stamped with an epoch older than the highest epoch it has adopted, and
-    by a stale ex-primary itself once it learns a newer epoch exists: rather
-    than acking doomed writes (or serving stale cacheable reads) it retires
-    and rejects every call.  Client-side fault tolerance treats the
+    Raised by a replica that receives an ``apply_op``/``apply_ops``/
+    ``apply_state`` frame stamped with an epoch older than the highest epoch
+    it has adopted, and by a stale ex-primary itself once it learns a newer
+    epoch exists: rather than acking doomed writes (or serving stale
+    cacheable reads) it retires and rejects every call.  Client-side fault tolerance treats the
     rejection as a redirect signal — the call re-resolves against the new
     epoch's primary and retries there."""
 
@@ -120,12 +120,13 @@ class QuorumLostError(ReplicationError):
     """A quorum-mode write could not gather majority acknowledgement.
 
     The primary applied the operation locally but fewer than ``quorum``
-    replicas (counting the primary) acknowledged ``apply_ops``, so the write
-    is **not** acknowledged to the client.  The divergent local application
-    is reconciled away when the group heals: if the primary is later fenced
-    and re-enlisted, unacknowledged ops are discarded and the node is
-    re-seeded from the quorum's state.  Callers may retry; the retry lands
-    on whichever primary holds the current epoch."""
+    replicas (counting the primary) acknowledged the ``apply_op`` that
+    shipped it, so the write is **not** acknowledged to the client.  The
+    divergent local application is reconciled away when the group heals: if
+    the primary is later fenced, every write past the promoted backup's
+    acknowledged seq is discarded and the node is re-seeded from the new
+    primary's state.  Callers may retry; the retry lands on whichever
+    primary holds the current epoch."""
 
 
 # ---------------------------------------------------------------------------

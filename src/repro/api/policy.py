@@ -206,17 +206,19 @@ class ServicePolicy:
             policy.with_replication(3, quorum="majority", fencing=True)
 
         ``quorum`` is the number of replicas (counting the primary) that
-        must acknowledge ``apply_ops`` before a write is acknowledged to
-        the client — ``"majority"`` resolves to ``replicas // 2 + 1``, an
-        int is used verbatim (``PolicyError`` when it exceeds
-        ``replicas``); ``quorum=1`` is primary-only acks with
-        promote-the-freshest failover.  A call that names neither spelling
-        raises ``PolicyError``.  ``fencing`` (default ``True`` once a
-        majority quorum — ``quorum > 1`` — is named) stamps every
-        replication frame with the group's epoch: stale primaries are
-        rejected with :class:`~repro.api.errors.FencedError` and promotion
-        requires a majority of reachable voters.  ``PolicyError`` when
-        fencing is requested with fewer than 2 replicas.
+        must apply a write before it is acknowledged to the client — a
+        quorum write is shipped to each backup on its own as one
+        ``apply_op``, batch or not.  ``"majority"`` resolves to
+        ``replicas // 2 + 1``, an int is used verbatim (``PolicyError`` when
+        it exceeds ``replicas``); ``quorum=1`` is primary-only acks.  Either
+        way failover promotes the backup with the highest acknowledged seq.
+        A call that names neither spelling raises ``PolicyError``.
+        ``fencing`` (default ``True`` once a majority quorum — ``quorum > 1``
+        — is named) stamps every replication frame with the group's epoch:
+        stale primaries are rejected with
+        :class:`~repro.api.errors.FencedError` and promotion requires a
+        majority of reachable voters.  ``PolicyError`` when fencing is
+        requested with fewer than 2 replicas.
         """
         if factor is not None:
             if replicas is not None:

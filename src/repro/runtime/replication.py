@@ -1,62 +1,50 @@
 """Replicated objects with automatic failover across cluster nodes.
 
-A crashed node used to take its objects down with it: the failure model can
-kill a node (:meth:`~repro.network.failures.FailureModel.crash_node`) and the
-migration layer can copy state (:func:`~repro.runtime.migration.snapshot_state`),
-but nothing re-homed objects when their host died.  This module closes that
-gap with primary/backup replication:
+Primary/backup replication re-homes an object when its host dies:
 
 * :class:`ReplicaManager` keeps a *replica group* per replicated object: one
-  primary (the copy application traffic hits) plus backup copies hosted on
-  distinct nodes.  Backups are seeded and kept in sync **over the simulated
-  network** — replication traffic pays real message costs — either eagerly
-  (every mutating call is forwarded to each backup as it happens) or on a
-  configurable interval of simulated time (state snapshots shipped from the
-  event queue).
-* A :class:`~repro.network.heartbeat.HeartbeatDetector` (registered via
-  ``detector=``) declares nodes down; the manager reacts by *failing over*
-  every group whose primary lived there: the freshest backup is promoted in
-  place, the group's well-known name is rebound in the
-  :class:`~repro.runtime.naming.NamingService`, and a redirect from the old
-  :class:`~repro.runtime.remote_ref.RemoteRef` to the new one is published so
-  in-flight traffic can re-route.
-* The shipping engine consumes those redirects:
-  :class:`~repro.runtime.pipelining.PipelineScheduler` (built with
-  ``replica_manager=``, as is every scheduler behind a
-  :class:`~repro.runtime.faulttolerance.FaultTolerantInvoker` that has one)
-  requeues the failed sub-batch instead of surfacing
-  :class:`~repro.api.errors.PartitionError`/:class:`~repro.api.errors.NodeUnreachableError`
-  as fatal, and re-resolves every reference at ship time.
+  primary (the copy application traffic hits) plus backup copies on distinct
+  nodes.  Every write the primary executes takes the next **seq** of the
+  group's op log, and each backup's :class:`ReplicaRecord` remembers the seq
+  it last acknowledged.  One catch-up step brings backups up to date **over
+  the simulated network** (replication pays real message costs): the log's
+  tail, a state snapshot when the log no longer holds what a backup misses,
+  or a fresh copy plus a snapshot for a demoted backup.  Eager sync runs it
+  after every write (once per dispatched batch inside one); interval sync
+  runs it on a simulated-time timer and keeps no log.
+* A :class:`~repro.network.heartbeat.HeartbeatDetector` (``detector=``)
+  declares nodes down; every group whose primary lived there *fails over*:
+  the backup that acknowledged the highest seq is promoted in place, the
+  group's name is rebound in the :class:`~repro.runtime.naming.NamingService`
+  and a redirect from the old :class:`~repro.runtime.remote_ref.RemoteRef` to
+  the new one is published, which
+  :class:`~repro.runtime.pipelining.PipelineScheduler` (``replica_manager=``)
+  and :class:`~repro.runtime.faulttolerance.FaultTolerantInvoker` follow
+  instead of surfacing a fatal network error.
 
 Consistency model: *eager* mode gives per-object sequential consistency for
-deterministic operations — the primary executes a call, then forwards the
-same call to each live backup before the response leaves, so a promoted
-backup has observed every acknowledged write.  *interval* mode trades that
-durability for write cost: a crash loses at most one interval's writes on the
-backup.  Operations must be deterministic (same call, same state change) for
-operation-shipping to keep replicas equal; mark non-mutating members
-``readonly`` so reads are not forwarded at all.
+deterministic operations — a write reaches each live backup before its
+response leaves, so a promoted backup has observed every acknowledged write.
+*interval* mode trades that durability for write cost: a crash loses at most
+one interval's writes.  Mark non-mutating members ``readonly`` so reads are
+not logged at all.
 
 Quorum mode (``quorum > 1`` with ``fencing=True``) hardens eager replication
 against asymmetric partitions:
 
 * A write is acknowledged only after a **majority** of replicas applied it
-  (the primary's local apply counts as one vote); short of quorum the caller
-  gets :class:`~repro.api.errors.QuorumLostError` and the write is recorded
-  as *divergent* — it is discarded, not replayed, if the primary is later
-  fenced.
-* Every replication frame (``apply_op``/``apply_ops``/``apply_state``)
-  carries the group **epoch**; a :class:`ReplicaEndpoint` that has adopted a
-  newer epoch rejects older frames with
+  (the primary's own apply counts); short of that the caller gets
+  :class:`~repro.api.errors.QuorumLostError`.  Writes past the promoted
+  backup's acknowledged seq are *divergent*: discarded, never replayed, when
+  the superseded primary heals.
+* Every replication frame carries the group **epoch**; a
+  :class:`ReplicaEndpoint` that adopted a newer one rejects older frames with
   :class:`~repro.api.errors.FencedError`.
-* Promotion is a **vote**: the failure monitor's node sends ``adopt_epoch``
-  to every backup endpoint and may promote only when a majority of the
-  group's voters acknowledged the new epoch — a monitor blinded by a
-  partition collects no votes and cannot mint a second primary.
-* A superseded primary *retires itself*: its wrapper compares the epoch it
-  was exported under against the group's current epoch on every call and
-  raises :class:`~repro.api.errors.FencedError` (reads included, so a stale
-  primary can never serve a cache fill) instead of acking doomed writes.
+* Promotion is a **vote**: the failure monitor's node sends ``adopt_epoch`` to
+  every backup and promotes only with a majority of the group's voters, so a
+  monitor blinded by a partition cannot mint a second primary.
+* A superseded primary *retires itself*: its wrapper raises ``FencedError`` on
+  every call (reads included) instead of acking doomed writes.
 """
 
 from __future__ import annotations
@@ -81,10 +69,10 @@ SYNC_MODES = ("eager", "interval")
 class ReplicaEndpoint:
     """The backup-side service object hosted on each backup node.
 
-    It wraps the backup copy and exposes the two replication operations the
-    primary invokes remotely: :meth:`apply_op` replays one mutating call
-    (eager mode) and :meth:`apply_state` overwrites the copy's state with a
-    shipped snapshot (interval mode, initial seeding, and recovery re-sync).
+    It wraps the backup copy and exposes the replication operations the
+    primary invokes remotely: :meth:`apply_op` replays one logged write,
+    :meth:`apply_ops` a batch's writes, and :meth:`apply_state` overwrites the
+    copy's state with a shipped snapshot (interval ticks, seeding, re-sync).
     Because these arrive as ordinary remote invocations, replication traffic
     is charged, metered and failure-injected exactly like application
     traffic.
@@ -179,10 +167,6 @@ class ReplicaEndpoint:
         self.snapshots_applied += 1
         return written
 
-    def implementation(self) -> Any:
-        """The backup copy itself (used locally during promotion)."""
-        return self._impl
-
 
 @dataclass
 class ReplicaRecord:
@@ -196,6 +180,8 @@ class ReplicaRecord:
     impl: Optional[Any]
     #: False once replication traffic to this copy failed or its node died.
     healthy: bool = True
+    #: Seq of the last write this copy acknowledged (by log tail or snapshot).
+    acked: int = 0
 
 
 @dataclass
@@ -213,8 +199,10 @@ class StalePrimary:
     ref: RemoteRef
     #: The epoch the wrapper was exported under (now superseded).
     epoch: int
-    #: The superseded :class:`ReplicatedObject` (holds the divergent ops).
+    #: The superseded :class:`ReplicatedObject`.
     wrapper: Any
+    #: Writes it executed past the promoted backup's acknowledged seq.
+    divergent: int = 0
     #: True once the wrapper has rejected a call with ``FencedError``.
     retired: bool = False
 
@@ -261,21 +249,20 @@ class ReplicaGroup:
     backups: Dict[str, ReplicaRecord] = field(default_factory=dict)
     #: Incremented on every failover; lets observers order promotions.
     epoch: int = 0
-    #: True when interval mode has unsynchronized writes.
-    dirty: bool = False
-    #: Mutating operations forwarded to backups (eager mode).
+    #: Seq of the last write the primary executed.
+    seq: int = 0
+    #: The op log: ``(member, args, kwargs)`` of the writes ``seq - len(log)
+    #: + 1`` to ``seq`` not yet shipped.  Eager sync empties it after every
+    #: write (after every dispatched batch inside one); interval sync keeps
+    #: nothing, so its backups catch up by snapshot.
+    log: List[tuple] = field(default_factory=list)
+    #: Writes shipped to backups in log tails (one per write per backup).
     writes_propagated: int = 0
     #: State snapshots shipped to backups (interval mode, seeding, re-sync).
     snapshots_shipped: int = 0
-    #: Forward messages actually sent (eager mode): one per backup per write
+    #: Log tails actually sent (eager mode): one per backup per write
     #: outside a batch, one per backup per *dispatched batch* inside one.
     forward_messages: int = 0
-    #: Writes deferred during the current batch dispatch (eager mode).
-    pending_ops: List[tuple] = field(default_factory=list)
-    #: True while a commit hook is registered for the current batch.  Kept
-    #: separate from ``pending_ops`` so a hook that never ran (or failed)
-    #: cannot wedge the deferral machinery: the next batch re-arms.
-    commit_armed: bool = False
     #: Zero-argument constructor used to build (re-)seeded backup copies.
     factory: Optional[Callable[[], Any]] = None
     #: Acks (primary's local apply included) required before a write is
@@ -298,6 +285,11 @@ class ReplicaGroup:
     #: Divergent unacknowledged ops discarded at reconciliation.
     ops_discarded: int = 0
 
+    @property
+    def dirty(self) -> bool:
+        """True while a healthy backup has not acknowledged every write."""
+        return any(record.acked != self.seq for record in self.healthy_backups())
+
     def healthy_backups(self) -> List[ReplicaRecord]:
         """The backup records currently believed usable for promotion."""
         return [
@@ -311,20 +303,15 @@ class ReplicatedObject:
     """The primary-side wrapper exported in place of the implementation.
 
     Application calls dispatch through it transparently: the member runs on
-    the primary implementation first, and — when the group synchronizes
-    eagerly and the member is not declared ``readonly`` — the same call is
-    then forwarded to every live backup before the result is returned, so an
-    acknowledged write is never lost by a failover.  In interval mode the
-    group is merely marked dirty and the event-queue sync loop ships a state
-    snapshot later.
+    the primary implementation first, and — unless the member is declared
+    ``readonly`` — the write then takes the group's next seq and the manager
+    decides when backups catch up on it (see :meth:`ReplicaManager._after_write`).
 
     In fencing groups the wrapper remembers the epoch it was exported under
     and compares it against the group's current epoch on **every** call:
     once a promotion has superseded it, it raises
     :class:`~repro.api.errors.FencedError` instead of dispatching — reads
-    included, so a stale primary can never serve a cache fill — and writes
-    that executed locally but failed quorum are recorded as *divergent*, to
-    be discarded (never replayed) when the node reconciles after a heal.
+    included, so a stale primary can never serve a cache fill.
     """
 
     def __init__(self, manager: "ReplicaManager", group: ReplicaGroup) -> None:
@@ -332,8 +319,6 @@ class ReplicatedObject:
         self._group = group
         #: The group epoch at export time; fencing compares it per call.
         self._epoch = group.epoch
-        #: Writes applied locally that never gathered a quorum of acks.
-        self._divergent_ops: List[tuple] = []
 
     @property
     def _repro_cache_target(self) -> Any:
@@ -357,14 +342,7 @@ class ReplicatedObject:
                 self._manager._reject_fenced(group, self)
             result = getattr(group.primary_impl, member)(*args, **kwargs)
             if member not in group.readonly:
-                try:
-                    self._manager._after_write(group, member, args, kwargs)
-                except QuorumLostError:
-                    # Applied locally, never acknowledged: divergent until a
-                    # reconciliation discards it (or a later quorum re-forms
-                    # around this primary, making the local apply canonical).
-                    self._divergent_ops.append((member, list(args), dict(kwargs)))
-                    raise
+                self._manager._after_write(group, member, args, kwargs)
             return result
 
         call.__name__ = member
@@ -374,31 +352,15 @@ class ReplicatedObject:
 class ReplicaManager:
     """Creates, synchronizes and fails over primary/backup replica groups.
 
-    The manager is the control plane of the replication subsystem: it places
-    backup copies on distinct nodes, keeps them in sync (eagerly or on a
-    simulated-time interval), listens to a heartbeat detector, and promotes
-    backups when primaries die — rebinding names and publishing
-    :class:`~repro.runtime.remote_ref.RemoteRef` redirects that the
-    fault-tolerance and pipelining layers use to re-route in-flight traffic.
-
-    Parameters
-    ----------
-    cluster:
-        The :class:`~repro.runtime.cluster.Cluster` hosting the replicas.
-    application:
-        Optional transformed application, enabling accessor-based state
-        capture for transformed classes.
-    detector:
-        Optional :class:`~repro.network.heartbeat.HeartbeatDetector`; when
-        given, the manager subscribes to its failure/recovery declarations.
-    sync:
-        Default synchronization mode for new groups: ``"eager"`` forwards
-        every mutating call as it happens; ``"interval"`` ships state
-        snapshots every ``sync_interval`` simulated seconds.
-    sync_interval:
-        Period of the interval-mode sync loop, in simulated seconds.
-    transport:
-        Transport used for replication traffic (``None`` = space default).
+    The control plane of the replication subsystem: it places backup copies
+    on distinct nodes, catches them up from each group's op log, listens to a
+    heartbeat ``detector`` (optional) and promotes backups when primaries die
+    — rebinding names and publishing :class:`~repro.runtime.remote_ref.RemoteRef`
+    redirects that the retry layers follow.  ``application`` (optional) lets
+    state capture use a transformed class's accessors.  ``sync`` is the
+    default mode of new groups: ``"eager"`` ships the log after every write,
+    ``"interval"`` ships snapshots every ``sync_interval`` simulated seconds.
+    ``transport`` carries replication traffic (``None`` = space default).
     """
 
     def __init__(
@@ -423,7 +385,6 @@ class ReplicaManager:
         self.transport = transport
         self.running = True
         self._groups: Dict[str, ReplicaGroup] = {}
-        self._by_primary_ref: Dict[RemoteRef, ReplicaGroup] = {}
         self._redirects: Dict[RemoteRef, RemoteRef] = {}
         #: Every completed failover, in promotion order.
         self.failovers: List[FailoverRecord] = []
@@ -432,10 +393,6 @@ class ReplicaManager:
         if detector is not None:
             detector.on_failure(self.handle_node_down)
             detector.on_recovery(self.handle_node_recovered)
-
-    # ------------------------------------------------------------------
-    # group creation
-    # ------------------------------------------------------------------
 
     def replicate(
         self,
@@ -458,7 +415,7 @@ class ReplicaManager:
         default: the implementation's class with no arguments) is seeded on
         each of ``backup_nodes`` by shipping a state snapshot over the
         network.  ``readonly`` names members that never mutate state and are
-        therefore not forwarded to backups.
+        therefore never logged; ``sync`` overrides the manager's mode.
 
         ``quorum`` is the number of replica acks (the primary's local apply
         included) a write needs before it is acknowledged; ``quorum > 1``
@@ -469,8 +426,6 @@ class ReplicaManager:
         if name in self._groups:
             raise ReplicationError(f"replica group {name!r} already exists")
         mode = sync if sync is not None else self.sync
-        if mode not in SYNC_MODES:
-            raise ReplicationError(f"unknown sync mode {mode!r} (use one of {SYNC_MODES})")
         backup_nodes = list(backup_nodes)
         if not backup_nodes:
             raise ReplicationError(f"replica group {name!r} needs at least one backup node")
@@ -488,9 +443,7 @@ class ReplicaManager:
             raise ReplicationError("quorum replication requires eager sync")
 
         primary_space = self.cluster.space(primary_node)
-        interface_name = getattr(
-            type(impl), "_repro_interface_name", type(impl).__name__
-        )
+        interface_name = getattr(type(impl), "_repro_interface_name", type(impl).__name__)
         group = ReplicaGroup(
             name=name,
             class_name=type(impl).__name__,
@@ -501,19 +454,20 @@ class ReplicaManager:
             readonly=frozenset(readonly),
             quorum=quorum,
             fencing=fencing,
+            factory=factory if factory is not None else self._default_factory(impl),
         )
-        wrapper = ReplicatedObject(self, group)
-        group.primary_wrapper = wrapper
-        group.primary_ref = primary_space.export(wrapper, interface_name=interface_name)
-        group.factory = factory if factory is not None else self._default_factory(impl)
-
-        state = snapshot_state(impl, self.application)
-        for node_id in backup_nodes:
-            record = self._seed_backup(group, node_id, group.factory, state)
-            group.backups[node_id] = record
+        group.primary_wrapper = ReplicatedObject(self, group)
+        group.primary_ref = primary_space.export(
+            group.primary_wrapper, interface_name=interface_name
+        )
+        # Unseeded slots: the catch-up gives each a fresh copy and a snapshot.
+        group.backups = {
+            node_id: ReplicaRecord(node_id, endpoint_ref=None, impl=None, healthy=False)
+            for node_id in backup_nodes
+        }
+        self._catch_up(group, list(group.backups.values()))
 
         self._groups[name] = group
-        self._by_primary_ref[group.primary_ref] = group
         self.cluster.naming.rebind(name, group.primary_ref)
         if mode == "interval":
             self._schedule_sync(group)
@@ -530,37 +484,14 @@ class ReplicaManager:
             return self.application.artifacts(class_name).local_cls
         return type(impl)
 
-    def _seed_backup(
-        self,
-        group: ReplicaGroup,
-        node_id: str,
-        make_copy: Callable[[], Any],
-        state: dict,
-    ) -> ReplicaRecord:
-        """Create, export and state-sync one backup copy on ``node_id``."""
-        copy = make_copy()
-        endpoint = ReplicaEndpoint(
-            copy, self.application, fencing=group.fencing, epoch=group.epoch
-        )
+    def _fresh_copy(self, group: ReplicaGroup, node_id: str) -> ReplicaRecord:
+        """Build and export one empty backup copy on ``node_id`` (not yet seeded)."""
+        copy = group.factory()
+        endpoint = ReplicaEndpoint(copy, self.application, fencing=group.fencing, epoch=group.epoch)
         endpoint_ref = self.cluster.space(node_id).export(
             endpoint, interface_name=f"{group.class_name}.replica"
         )
-        record = ReplicaRecord(node_id=node_id, endpoint_ref=endpoint_ref, impl=copy)
-        try:
-            self._primary_space(group).invoke_remote(
-                endpoint_ref,
-                "apply_state",
-                self._stamp(group, (dict(state),)),
-                transport=self.transport,
-            )
-            group.snapshots_shipped += 1
-        except (NetworkError, RemoteInvocationError):
-            record.healthy = False
-        return record
-
-    # ------------------------------------------------------------------
-    # lookup
-    # ------------------------------------------------------------------
+        return ReplicaRecord(node_id=node_id, endpoint_ref=endpoint_ref, impl=copy)
 
     def group(self, name: str) -> ReplicaGroup:
         """The replica group bound to ``name``."""
@@ -586,10 +517,6 @@ class ReplicaManager:
             reference = self._redirects[reference]
         return reference
 
-    def group_for_ref(self, reference: RemoteRef) -> Optional[ReplicaGroup]:
-        """The replica group whose (current) primary is ``reference``, if any."""
-        return self._by_primary_ref.get(self.current_ref(reference))
-
     def can_fail_over(self, reference: RemoteRef) -> bool:
         """Whether traffic to ``reference`` can survive its node's death.
 
@@ -600,29 +527,16 @@ class ReplicaManager:
         """
         if self.current_ref(reference) != reference:
             return True
-        group = self._by_primary_ref.get(reference)
-        return group is not None and bool(self._promotable(group))
+        return any(
+            group.primary_ref == reference and self._promotable(group)
+            for group in self._groups.values()
+        )
 
     def suggested_backoff(self) -> float:
         """Simulated seconds a retrier should wait between failover probes."""
         if self.detector is not None:
             return self.detector.interval
         return self.sync_interval
-
-    # ------------------------------------------------------------------
-    # write synchronization
-    # ------------------------------------------------------------------
-
-    def _stamp(self, group: ReplicaGroup, args: tuple) -> tuple:
-        """Append the group epoch to a replication frame's arguments.
-
-        Fencing groups put the epoch on the wire with every frame so a
-        replica that adopted a newer epoch rejects the sender; legacy groups
-        keep the original frame shape.
-        """
-        if group.fencing:
-            return args + (group.epoch,)
-        return args
 
     def _reject_fenced(self, group: ReplicaGroup, wrapper: ReplicatedObject) -> None:
         """Retire a superseded primary wrapper: count, mark, and raise."""
@@ -638,34 +552,134 @@ class ReplicaManager:
         )
 
     def _after_write(self, group: ReplicaGroup, member: str, args: tuple, kwargs: dict) -> None:
-        """React to one mutating call on the primary (from the wrapper).
+        """Log one mutating call on the primary and decide when backups catch up.
 
-        Eager mode forwards the call to every backup — immediately for a
-        single invocation, but *deferred and batched* while the primary's
-        space is dispatching a batch message: the whole window's writes then
-        travel as one ``apply_ops`` message per backup (committed before the
-        batch response leaves), cutting the write amplification from one
-        message per write to one per dispatched batch.
+        The write takes the group's next seq.  Interval groups stop there:
+        they log nothing, and their sync tick ships snapshots.  Eager groups
+        append the write to the log and run :meth:`_catch_up` at once — or,
+        while the primary's space is dispatching a batch message, once when
+        the batch commits (before its response leaves), so the window's
+        writes travel as one ``apply_ops`` message per backup.
 
-        Quorum groups instead commit each write individually — majority ack
-        before the response leaves — bypassing the batch deferral: deferring
-        past the batch response would acknowledge writes the quorum might
-        yet refuse.
+        Quorum groups catch up per write, batch or not: deferring past the
+        batch response would acknowledge writes the quorum might yet refuse.
+        Short of ``group.quorum`` acks (the primary's own apply counts as
+        one) the caller gets :class:`~repro.api.errors.QuorumLostError`.
         """
+        group.seq += 1
         if group.sync != "eager":
-            group.dirty = True
             return
-        if group.quorum > 1:
-            self._quorum_write(group, member, args, kwargs)
-            return
+        group.log.append((member, list(args), dict(kwargs)))
         space = self._primary_space(group)
-        if getattr(space, "in_batch_dispatch", False):
-            if not group.commit_armed:
-                group.commit_armed = True
-                space.on_batch_commit(lambda: self._flush_pending_ops(group))
-            group.pending_ops.append((member, list(args), dict(kwargs)))
-        else:
-            self._propagate_op(group, member, args, kwargs)
+        if group.quorum == 1 and space.in_batch_dispatch:
+            if len(group.log) == 1:  # the batch's first write arms its commit
+                space.on_batch_commit(lambda: self._commit_batch(group))
+            return
+        start = space.network.clock.now
+        acks = 1 + self._catch_up(group)
+        if group.quorum == 1:
+            self._trace_forwards(space, "replicate", start, group=group.name, op=member)
+            return
+        self._trace_forwards(
+            space, "quorum-write", start, group=group.name, op=member, acks=acks
+        )
+        if acks < group.quorum:
+            group.quorum_failures += 1
+            raise QuorumLostError(
+                f"write {member!r} on replica group {group.name!r} gathered "
+                f"{acks} of the {group.quorum} acknowledgements required"
+            )
+        group.acked_writes += 1
+
+    def _commit_batch(self, group: ReplicaGroup) -> None:
+        """Ship a dispatched batch's logged writes: one ``apply_ops`` per backup."""
+        space = self._primary_space(group)
+        start = space.network.clock.now
+        ops = len(group.log)
+        self._catch_up(group, batch=True)
+        self._trace_forwards(space, "replicate-batch", start, group=group.name, ops=ops)
+
+    def _catch_up(
+        self,
+        group: ReplicaGroup,
+        records: Optional[List[ReplicaRecord]] = None,
+        *,
+        batch: bool = False,
+    ) -> int:
+        """Ship ``records`` what they miss; the one sender of replication frames.
+
+        ``records`` defaults to every healthy backup, and such a run empties
+        the log: each backup ends current or demoted.  A healthy backup is
+        sent nothing when it acknowledged ``group.seq``; the log's tail when
+        the log still holds every write it misses — one write as
+        ``apply_op``, a batch commit's writes (even one) as ``apply_ops``; and
+        a snapshot of the primary as ``apply_state`` otherwise.  An unhealthy
+        record (demoted, or a slot never seeded) gets a fresh copy plus a
+        snapshot, and is replaced only once that snapshot landed: a failed
+        reseed keeps the stale copy, which a vote can still elect, rather
+        than an empty husk that would lose every acknowledged write.
+
+        A lost frame — or a replay that failed on the backup, or a
+        :class:`~repro.api.errors.FencedError` from one that adopted a newer
+        epoch — demotes that backup alone and schedules its reseed; it never
+        fails the write the primary already executed, nor skips the other
+        backups.  Returns how many backups acknowledged.
+        """
+        space = self._primary_space(group)
+        seq, log = group.seq, group.log
+        base = seq - len(log)
+        if records is None:
+            records = group.healthy_backups()
+            group.log = []
+        state = None
+        acks = 0
+        for record in records:
+            target = record
+            if not record.healthy:
+                target = self._fresh_copy(group, record.node_id)
+            elif record.acked == seq:
+                continue
+            ops: Optional[list] = None
+            if target is record and base <= record.acked:
+                ops = log[record.acked - base:]
+                if batch or len(ops) > 1:
+                    member, args = "apply_ops", ([list(op) for op in ops],)
+                else:
+                    member, args = "apply_op", ops[0]
+            else:
+                if state is None:
+                    state = snapshot_state(group.primary_impl, self.application)
+                member, args = "apply_state", (state,)
+            if group.fencing:
+                # The epoch rides every frame of a fencing group, so a
+                # replica that adopted a newer one rejects the sender.
+                args += (group.epoch,)
+            try:
+                space.invoke_remote(target.endpoint_ref, member, args, transport=self.transport)
+            except (NetworkError, RemoteInvocationError, FencedError):
+                if target is record:
+                    record.healthy = False
+                    self._schedule_reseed(group, record.node_id)
+                elif record.endpoint_ref is not None:
+                    self.cluster.space(record.node_id).unexport(target.endpoint_ref)
+                else:
+                    target.healthy = False
+                    group.backups[record.node_id] = target
+                continue
+            if ops is None:
+                group.snapshots_shipped += 1
+            else:
+                group.forward_messages += 1
+                group.writes_propagated += len(ops)
+            target.acked = seq
+            if target is not record:
+                if record.endpoint_ref is not None:
+                    # Retire the stale endpoint so crash/recover cycles do not
+                    # leak exports (or leave an out-of-date copy answering).
+                    self.cluster.space(record.node_id).unexport(record.endpoint_ref)
+                group.backups[record.node_id] = target
+            acks += 1
+        return acks
 
     def _trace_forwards(self, space, name: str, start: float, **attrs) -> None:
         """Record one replication span per trace the triggering message carried.
@@ -693,163 +707,85 @@ class ReplicaManager:
                 **attrs,
             )
 
-    def _forward(
-        self, group: ReplicaGroup, member: str, args: tuple, *, fenced_demotes: bool = False
-    ) -> int:
-        """Send one replication frame to every healthy backup; returns the acks.
-
-        A lost forward — or a replay that failed on the backup, whose state
-        has then diverged — demotes that copy only: it is no promotion
-        candidate until a snapshot re-seeds it.  It must not fail the write
-        the primary already executed, escape the batch-commit hook or the
-        interval tick on the event queue, nor skip the remaining backups.
-        With ``fenced_demotes`` a backup answering
-        :class:`~repro.api.errors.FencedError` (it adopted a newer epoch: a
-        partial promotion attempt) is treated the same way.
-        """
-        space = self._primary_space(group)
-        frame = self._stamp(group, args)
-        lost = (NetworkError, RemoteInvocationError) + ((FencedError,) if fenced_demotes else ())
-        acks = 0
-        for record in group.healthy_backups():
-            try:
-                space.invoke_remote(record.endpoint_ref, member, frame, transport=self.transport)
-                acks += 1
-            except lost:
-                record.healthy = False
-                self._schedule_reseed(group, record.node_id)
-        return acks
-
-    def _propagate_op(self, group: ReplicaGroup, member: str, args: tuple, kwargs: dict) -> None:
-        """Forward one mutating call to every live backup (eager mode)."""
-        space = self._primary_space(group)
-        t0 = space.network.clock.now
-        acks = self._forward(group, "apply_op", (member, list(args), dict(kwargs)))
-        group.writes_propagated += acks
-        group.forward_messages += acks
-        self._trace_forwards(space, "replicate", t0, group=group.name, op=member)
-
-    def _quorum_write(self, group: ReplicaGroup, member: str, args: tuple, kwargs: dict) -> None:
-        """Commit one quorum-mode write: majority ack or no client ack.
-
-        The primary's local apply (already done by the wrapper) counts as
-        one ack; the call is then forwarded — epoch-stamped — to every live
-        backup, a fenced answer demoting the backup like a lost forward.
-        When fewer than ``group.quorum`` acks are gathered the write is
-        refused with :class:`~repro.api.errors.QuorumLostError` — the caller
-        is not acknowledged, and the wrapper records the local apply as
-        divergent.
-        """
-        space = self._primary_space(group)
-        t0 = space.network.clock.now
-        forwarded = self._forward(
-            group, "apply_op", (member, list(args), dict(kwargs)), fenced_demotes=True
-        )
-        group.writes_propagated += forwarded
-        group.forward_messages += forwarded
-        acks = 1 + forwarded  # the primary's own apply
-        self._trace_forwards(
-            space, "quorum-write", t0, group=group.name, op=member, acks=acks
-        )
-        if acks < group.quorum:
-            group.quorum_failures += 1
-            raise QuorumLostError(
-                f"write {member!r} on replica group {group.name!r} gathered "
-                f"{acks} of the {group.quorum} acknowledgements required"
-            )
-        group.acked_writes += 1
-
-    def _flush_pending_ops(self, group: ReplicaGroup) -> None:
-        """Ship the batch-deferred writes: one ``apply_ops`` per live backup."""
-        # Disarm first: whatever happens below, the next batch must register
-        # a fresh hook rather than silently appending to a dead buffer.
-        group.commit_armed = False
-        ops, group.pending_ops = group.pending_ops, []
-        if not ops:
-            return
-        space = self._primary_space(group)
-        t0 = space.network.clock.now
-        acks = self._forward(group, "apply_ops", ([list(op) for op in ops],))
-        group.writes_propagated += acks * len(ops)
-        group.forward_messages += acks
-        self._trace_forwards(
-            space, "replicate-batch", t0, group=group.name, ops=len(ops)
-        )
-
-    def sync_now(self, group: ReplicaGroup) -> int:
-        """Ship a state snapshot to every live backup; returns copies synced."""
-        state = snapshot_state(group.primary_impl, self.application)
-        synced = self._forward(group, "apply_state", (state,))
-        group.snapshots_shipped += synced
-        group.dirty = False
-        return synced
-
     def _schedule_sync(self, group: ReplicaGroup) -> None:
         """Run the interval-mode sync loop for ``group`` on the event queue."""
 
         def tick() -> None:
             if not self.running or self._groups.get(group.name) is not group:
                 return
-            if group.dirty and not self._node_down(group.primary_node):
-                self.sync_now(group)
+            if not self._node_down(group.primary_node):
+                self._catch_up(group)
             self.cluster.network.events.schedule(self.sync_interval, tick)
 
         self.cluster.network.events.schedule(self.sync_interval, tick)
 
-    # ------------------------------------------------------------------
-    # failover
-    # ------------------------------------------------------------------
+    def _schedule_reseed(
+        self, group: ReplicaGroup, node_id: str, attempt: int = 1, max_attempts: int = 8
+    ) -> None:
+        """Restore a backup demoted by lost replication traffic.
+
+        A *transient* loss (a dropped forward) demotes the copy even though
+        its host node is alive — without this loop the group would silently
+        run unprotected forever.  A reseed is retried with linear backoff; a
+        retry finding either side down only waits (the detector's recovery
+        declarations also reseed, see :meth:`handle_node_recovered`).
+        """
+
+        def tick() -> None:
+            if not self.running or self._groups.get(group.name) is not group:
+                return
+            record = group.backups.get(node_id)
+            if record is None or record.healthy or group.primary_node == node_id:
+                return
+            if not (self._node_down(node_id) or self._node_down(group.primary_node)):
+                self._catch_up(group, [record])
+            if not group.backups[node_id].healthy and attempt < max_attempts:
+                self._schedule_reseed(group, node_id, attempt + 1, max_attempts)
+
+        self.cluster.network.events.schedule(self.suggested_backoff() * attempt, tick)
 
     def handle_node_down(self, node_id: str, at_time: float = 0.0) -> None:
         """React to a node being declared dead (heartbeat listener).
 
         Backups hosted there become unusable; every group whose primary
-        lived there is failed over to its freshest backup (groups with no
-        promotable backup are left as they are — traffic keeps failing until
-        the node recovers).
-
-        Fencing groups treat the monitor's view as advisory for *promotion*
-        only: their backups are not demoted on a declaration alone, because
-        a monitor blinded by an asymmetric partition would otherwise poison
-        a perfectly healthy data plane — the primary demotes backups from
-        its own failed forwards, which it can actually observe.
+        lived there is failed over (groups with no promotable backup are left
+        as they are until the node recovers).  Fencing groups do not demote
+        backups on a declaration alone — a monitor blinded by an asymmetric
+        partition would poison a healthy data plane; their primary demotes
+        backups from its own failed frames.
         """
         for group in self._groups.values():
-            if group.fencing:
-                continue
-            record = group.backups.get(node_id)
-            if record is not None:
-                record.healthy = False
+            if not group.fencing and node_id in group.backups:
+                group.backups[node_id].healthy = False
         for group in list(self._groups.values()):
             if group.primary_node == node_id and self._promotable(group):
-                if group.fencing:
-                    # A vetoed promotion (no majority of adoption votes —
-                    # e.g. the monitor is the partitioned party) is a normal
-                    # outcome, not an event-pump crash: the group simply
-                    # stays unpromoted until the view changes.
-                    try:
-                        self.failover(group)
-                    except ReplicationError:
-                        continue
-                else:
+                # A vetoed promotion (no majority of adoption votes — e.g.
+                # the monitor is the partitioned party) is a normal outcome,
+                # not an event-pump crash: the group simply stays unpromoted
+                # until the view changes.
+                try:
                     self.failover(group)
+                except ReplicationError:
+                    continue
 
     def handle_node_recovered(self, node_id: str, at_time: float = 0.0) -> None:
         """React to a declared-dead node answering again (heartbeat listener).
 
         The node's copies are stale (it missed writes while unreachable), so
-        every group with a replica slot there is re-seeded with a fresh
-        snapshot of the current primary and re-enlisted as a healthy backup —
-        which restores redundancy after a failover and makes fail-*back*
-        possible on the next crash.
+        every group with a replica slot there is re-seeded — a fresh copy
+        plus a snapshot of the current primary, by :meth:`_catch_up` — which
+        restores redundancy after a failover and makes fail-*back* possible
+        on the next crash.
         """
         for group in self._groups.values():
             if group.primary_node == node_id:
                 # The primary itself is back (it never failed over, e.g. its
                 # backups were down too): restore the redundancy it lost.
-                for other, record in list(group.backups.items()):
-                    if not record.healthy and not self._node_down(other):
-                        self._reenlist(group, other)
+                self._catch_up(group, [
+                    record
+                    for other, record in group.backups.items()
+                    if not record.healthy and not self._node_down(other)
+                ])
                 continue
             record = group.backups.get(node_id)
             if record is None or record.healthy:
@@ -859,102 +795,29 @@ class ReplicaManager:
                 # (branch above) re-enlists this slot when it returns.
                 continue
             self._reconcile_stale_primary(group, node_id)
-            self._reenlist(group, node_id)
-            refreshed = group.backups.get(node_id)
-            if refreshed is not None and not refreshed.healthy:
+            self._catch_up(group, [record])
+            if not group.backups[node_id].healthy:
                 self._schedule_reseed(group, node_id)
 
     def _reconcile_stale_primary(self, group: ReplicaGroup, node_id: str) -> None:
         """Reconcile a healed node that was a fenced primary of ``group``.
 
-        The superseded wrapper's divergent ops — writes it applied locally
-        that never gathered a quorum and were never acknowledged — are
-        **discarded**, not replayed: the quorum that fenced this primary is
-        the canonical history, and the client was told those writes failed.
-        The stale export is then retired (the heal makes the node reachable
-        again, so the retirement that the partition blocked at failover time
-        can finally happen) before :meth:`_reenlist` re-seeds the node from
-        the current primary's state.
+        The superseded wrapper's divergent ops — the writes it executed past
+        the promoted backup's acknowledged seq — are **discarded**, not
+        replayed: the promoted history is canonical.  The stale export is
+        then retired (the heal makes the node reachable again, so the
+        retirement that the partition blocked at failover time can finally
+        happen) before :meth:`_catch_up` re-seeds the node from the current
+        primary's state.
         """
-        remaining: List[StalePrimary] = []
-        for stale in group.stale_primaries:
-            if stale.node_id != node_id:
-                remaining.append(stale)
-                continue
-            discarded = len(stale.wrapper._divergent_ops)
-            stale.wrapper._divergent_ops.clear()
-            group.ops_discarded += discarded
+        for stale in [stale for stale in group.stale_primaries if stale.node_id == node_id]:
+            group.stale_primaries.remove(stale)
+            group.ops_discarded += stale.divergent
             if node_id in self.cluster:
                 self.cluster.space(node_id).unexport(stale.ref)
-            self.reconciliations.append(
-                ReconciliationRecord(
-                    group_name=group.name,
-                    node_id=node_id,
-                    epoch=stale.epoch,
-                    ops_discarded=discarded,
-                    simulated_time=self.cluster.network.clock.now,
-                )
-            )
-        group.stale_primaries = remaining
-
-    def _reenlist(self, group: ReplicaGroup, node_id: str) -> None:
-        """Re-seed ``node_id`` as a healthy backup of ``group``.
-
-        The existing record is replaced only once the fresh copy's seeding
-        snapshot actually landed.  When it fails (the node may still be
-        unreachable from the primary — e.g. mid-partition), the half-seeded
-        export is retired and the old record kept: a stale copy that a
-        fencing promotion can still elect by vote beats an empty husk that
-        would lose every acknowledged write if promoted.
-        """
-        stale = group.backups.get(node_id)
-        make_copy = group.factory or self._default_factory(group.primary_impl)
-        state = snapshot_state(group.primary_impl, self.application)
-        fresh = self._seed_backup(group, node_id, make_copy, state)
-        if not fresh.healthy and stale is not None and stale.endpoint_ref is not None:
-            self.cluster.space(node_id).unexport(fresh.endpoint_ref)
-            return
-        if stale is not None and stale.endpoint_ref is not None:
-            # Retire the stale endpoint so crash/recover cycles do not leak
-            # exports (or leave an out-of-date copy answering invocations).
-            self.cluster.space(node_id).unexport(stale.endpoint_ref)
-        group.backups[node_id] = fresh
-
-    def _schedule_reseed(
-        self, group: ReplicaGroup, node_id: str, attempt: int = 1, max_attempts: int = 8
-    ) -> None:
-        """Restore a backup demoted by lost replication traffic.
-
-        A *transient* loss (a dropped forward) demotes the copy even though
-        its host node is alive — without this loop the group would silently
-        run unprotected forever.  A snapshot re-seed is retried with linear
-        backoff while the host stays up; a host that is actually down is
-        left to the detector's recovery path (:meth:`handle_node_recovered`).
-        """
-
-        def tick() -> None:
-            if not self.running or self._groups.get(group.name) is not group:
-                return
-            record = group.backups.get(node_id)
-            if record is None or record.healthy or group.primary_node == node_id:
-                return
-            if self._node_down(node_id) or self._node_down(group.primary_node):
-                # Either side is down right now: keep the retry alive (the
-                # detector's recovery declarations also re-enlist, but they
-                # can race a seeding failure — see handle_node_recovered).
-                if attempt < max_attempts:
-                    self._schedule_reseed(group, node_id, attempt + 1, max_attempts)
-                return
-            self._reenlist(group, node_id)
-            refreshed = group.backups.get(node_id)
-            if (
-                refreshed is not None
-                and not refreshed.healthy
-                and attempt < max_attempts
-            ):
-                self._schedule_reseed(group, node_id, attempt + 1, max_attempts)
-
-        self.cluster.network.events.schedule(self.suggested_backoff() * attempt, tick)
+            self.reconciliations.append(ReconciliationRecord(
+                group.name, node_id, stale.epoch, stale.divergent, self.cluster.network.clock.now
+            ))
 
     def _majority(self, group: ReplicaGroup) -> int:
         """Votes a promotion needs: a majority of the group's voters.
@@ -963,31 +826,29 @@ class ReplicaManager:
         enrolled backups — so the threshold stays fixed at ``N // 2 + 1`` of
         the group's size even while some slots are unreachable.
         """
-        voters = 1 + len(group.backups)
-        return voters // 2 + 1
+        return (1 + len(group.backups)) // 2 + 1
 
     def _collect_promotion_votes(
         self, group: ReplicaGroup, new_epoch: int
     ) -> Tuple[int, List[str]]:
         """Ask every backup endpoint to adopt ``new_epoch``; returns the acks.
 
-        Votes are solicited **from the failure monitor's node** (falling
-        back to the first promotable candidate's): the monitor is the party
-        claiming the primary is dead, so its own connectivity is what the
-        vote tests.  A monitor blinded by an asymmetric partition collects
-        no acks and the promotion is vetoed — it cannot mint a second
-        primary no matter what its detector believes.  Each ack also fences
-        the voter: having adopted ``new_epoch``, it will bounce every frame
-        the superseded primary still sends.  Returns the vote count and the
-        node ids that voted, so :meth:`failover` can prefer a voter — a
-        replica proven reachable and already committed to the new epoch —
-        as the promotion target.
+        Votes are solicited **from the failure monitor's node** (else from
+        the first healthy candidate's, else the first one's): the monitor
+        claims the primary is dead, so its own connectivity is what the vote
+        tests — a monitor blinded by an asymmetric partition collects no acks
+        and cannot mint a second primary.  Each ack also fences the voter
+        against the superseded primary's frames.  Returns the vote count and
+        the node ids that voted, which :meth:`failover` prefers among equally
+        fresh candidates.
         """
         monitor_node = getattr(self.detector, "monitor_node", None)
         if monitor_node is not None and monitor_node in self.cluster:
             vote_space = self.cluster.space(monitor_node)
         else:
-            vote_space = self.cluster.space(self._promotable(group)[0].node_id)
+            candidates = self._promotable(group)
+            voter = next((record for record in candidates if record.healthy), candidates[0])
+            vote_space = self.cluster.space(voter.node_id)
         if self.detector is not None and hasattr(self.detector, "quorum_view"):
             # Cheap precheck on the monitor's own view: if it cannot even
             # *see* a majority of voters, skip the doomed vote round.
@@ -1001,10 +862,7 @@ class ReplicaManager:
                 continue
             try:
                 vote_space.invoke_remote(
-                    record.endpoint_ref,
-                    "adopt_epoch",
-                    (new_epoch,),
-                    transport=self.transport,
+                    record.endpoint_ref, "adopt_epoch", (new_epoch,), transport=self.transport
                 )
                 votes += 1
                 voted.append(record.node_id)
@@ -1013,29 +871,26 @@ class ReplicaManager:
         return votes, voted
 
     def failover(self, group: ReplicaGroup) -> FailoverRecord:
-        """Promote the freshest backup of ``group`` to primary.
+        """Promote the backup of ``group`` that holds every acknowledged write.
 
-        The backup copy becomes the new primary implementation behind a new
-        :class:`ReplicatedObject` export on its node, the group's name is
-        rebound in the naming service, and a redirect ``old ref → new ref``
-        is published for the retry layers.  The dead ex-primary's node stays
-        enrolled as an (unhealthy) backup slot so a later recovery re-seeds
-        it.  Raises :class:`~repro.api.errors.ReplicationError` when no healthy
-        backup exists.
+        The candidate that acknowledged the highest seq wins; being a voter,
+        then healthy, then enrolled first only break ties.  Its copy becomes
+        the primary behind a new :class:`ReplicatedObject` export, the name is
+        rebound and a redirect ``old ref → new ref`` is published; the dead
+        ex-primary's node stays enrolled as an unhealthy slot for a later
+        reseed.  Raises :class:`~repro.api.errors.ReplicationError` when no
+        backup is promotable.
 
-        Fencing groups promote by **vote**: a majority of the group's voters
-        must acknowledge ``adopt_epoch`` (collected from the failure
-        monitor's node) or the promotion is vetoed with
-        :class:`~repro.api.errors.QuorumLostError`.  They also never reach
-        across the partition to retire the old primary's export — the
-        superseded wrapper is recorded as a :class:`StalePrimary`, fences
-        itself on its next call, and is reconciled when its node heals.
+        Fencing groups promote by **vote**: without a majority of the voters
+        acknowledging ``adopt_epoch`` the promotion is vetoed with
+        :class:`~repro.api.errors.QuorumLostError`.  They never reach across
+        the partition to retire the old primary's export: the superseded
+        wrapper is recorded as a :class:`StalePrimary`, fences itself on its
+        next call, and is reconciled when its node heals.
         """
         candidates = self._promotable(group)
         if not candidates:
-            raise ReplicationError(
-                f"replica group {group.name!r} has no promotable backup"
-            )
+            raise ReplicationError(f"replica group {group.name!r} has no promotable backup")
         votes = 0
         voted: List[str] = []
         if group.fencing:
@@ -1049,87 +904,65 @@ class ReplicaManager:
                     f"{new_epoch} gathered {votes} of the {needed} adoption "
                     f"votes required"
                 )
-        # Prefer a candidate that voted: it is proven reachable and already
-        # committed to the new epoch (pure preference — a majority elsewhere
-        # still fences the old primary even if no candidate voted).
-        promoted = next(
-            (record for record in candidates if record.node_id in voted),
-            candidates[0],
+        # A voter is proven reachable and already committed to the new epoch.
+        promoted = min(
+            candidates,
+            key=lambda record: (-record.acked, record.node_id not in voted, not record.healthy),
         )
         old_node, old_ref = group.primary_node, group.primary_ref
         old_wrapper, old_epoch = group.primary_wrapper, group.epoch
         new_space = self.cluster.space(promoted.node_id)
+        # The promoted history is canonical: writes past its acknowledged seq
+        # are divergent, and a backup holding any of them needs a reseed.
+        divergent, group.seq, group.log = group.seq - promoted.acked, promoted.acked, []
+        for record in group.backups.values():
+            if record.acked > group.seq:
+                record.healthy, record.acked = False, group.seq
 
         # The endpoint retires; its copy becomes the primary implementation.
         new_space.unexport(promoted.endpoint_ref)
         group.primary_impl = promoted.impl
         group.primary_node = promoted.node_id
         group.epoch += 1
-        wrapper = ReplicatedObject(self, group)
-        group.primary_wrapper = wrapper
+        group.primary_wrapper = ReplicatedObject(self, group)
         group.primary_ref = new_space.export(
-            wrapper, interface_name=old_ref.interface_name
+            group.primary_wrapper, interface_name=old_ref.interface_name
         )
         del group.backups[promoted.node_id]
         stale_subscribers: Dict[str, Optional[float]] = {}
         if group.fencing:
-            # Never reach across the partition: the old node may be alive
-            # and merely unreachable from the monitor, in which case its
-            # space cannot be trusted (or, in a real deployment, reached) to
-            # hand over state.  Record the superseded wrapper instead; it
-            # fences itself on its next call and the heal reconciles it.
-            if old_wrapper is not None:
-                group.stale_primaries.append(
-                    StalePrimary(
-                        node_id=old_node,
-                        ref=old_ref,
-                        epoch=old_epoch,
-                        wrapper=old_wrapper,
-                    )
-                )
+            # The old node may be alive and merely unreachable from the
+            # monitor: its space cannot be trusted (or, in a real deployment,
+            # reached) to hand over state, so its wrapper waits for the heal.
+            group.stale_primaries.append(
+                StalePrimary(old_node, old_ref, old_epoch, old_wrapper, divergent)
+            )
         elif old_node in self.cluster:
-            # Capture the demoted primary's cache subscribers BEFORE
-            # retiring its export (unexport purges the coherence
-            # bookkeeping), so the promoted node can still flush their
-            # leases below.
+            # Take the subscribers BEFORE retiring the export (unexport purges
+            # them) so the promoted node can flush their leases below; should
+            # the dead node come back, its stale wrapper must not answer.
             stale_subscribers = self.cluster.space(old_node).take_cache_subscribers(
                 old_ref.object_id
             )
-            # Retire the superseded export: should the dead node come back,
-            # its stale wrapper must not keep answering writes at the old
-            # reference.
             self.cluster.space(old_node).unexport(old_ref)
         # Keep the dead node enrolled so recovery can re-enlist it.
         group.backups[old_node] = ReplicaRecord(
-            node_id=old_node, endpoint_ref=None, impl=None, healthy=False
+            old_node, endpoint_ref=None, impl=None, healthy=False
         )
 
         self._redirects[old_ref] = group.primary_ref
-        self._by_primary_ref.pop(old_ref, None)
-        self._by_primary_ref[group.primary_ref] = group
         self.cluster.naming.rebind(group.name, group.primary_ref)
         if group.fencing:
-            # Without the old node's subscriber table (unreachable, above),
-            # flush the old reference from *every* peer, stamped with the
-            # new epoch: subscribers drop their leases immediately, the
-            # epoch floor advances, and any later ``!inv`` the fenced
-            # ex-primary mints at the old epoch is rejected on arrival.
-            peers = [
-                node for node in self.cluster.node_ids() if node != group.primary_node
-            ]
-            new_space.send_cache_invalidations(
-                [old_ref.object_id], peers, epoch=group.epoch
-            )
+            # Without the old node's subscriber table, flush the old
+            # reference from *every* peer at the new epoch: leases drop now,
+            # and a later ``!inv`` the fenced ex-primary mints is rejected.
+            peers = [node for node in self.cluster.node_ids() if node != group.primary_node]
+            new_space.send_cache_invalidations([old_ref.object_id], peers, epoch=group.epoch)
         elif stale_subscribers:
-            # Flush cache leases held against the demoted primary: it can no
-            # longer invalidate anyone, so the *promoted* node sends the
-            # invalidation for the old reference — readers drop their entries
-            # immediately rather than serving them until the lease runs out.
-            # (Entry keys also re-home naturally: the promoted primary is a
-            # fresh export, so post-failover reads miss and re-fill.)
-            new_space.send_cache_invalidations(
-                [old_ref.object_id], list(stale_subscribers)
-            )
+            # The demoted primary can no longer invalidate anyone, so the
+            # promoted node flushes the leases held against the old reference
+            # (new reads miss anyway: the promoted primary is a fresh export).
+            new_space.send_cache_invalidations([old_ref.object_id], list(stale_subscribers))
 
         record = FailoverRecord(
             group_name=group.name,
@@ -1143,8 +976,6 @@ class ReplicaManager:
         )
         self.failovers.append(record)
         return record
-
-    # ------------------------------------------------------------------
 
     def dismantle(self, group: ReplicaGroup) -> None:
         """Tear one replica group fully down (the reverse of :meth:`replicate`).
@@ -1168,11 +999,12 @@ class ReplicaManager:
                 self.cluster.space(stale.node_id).unexport(stale.ref)
         group.stale_primaries = []
         del self._groups[group.name]
-        self._by_primary_ref.pop(group.primary_ref, None)
+        # Drop every hop leading into the group: a reference it superseded
+        # must stop counting as one that can fail over.
         self._redirects = {
             old: new
             for old, new in self._redirects.items()
-            if new != group.primary_ref
+            if self.current_ref(old) != group.primary_ref
         }
 
     def stop(self) -> None:
@@ -1197,40 +1029,20 @@ class ReplicaManager:
     def _promotable(self, group: ReplicaGroup) -> List[ReplicaRecord]:
         """Backups :meth:`failover` would actually promote.
 
-        The single source of truth for "can this group fail over" — the
-        heartbeat listener must apply exactly this filter before calling
-        :meth:`failover`, or a group whose every backup host is also dead
-        would raise out of the listener and crash the event pump.
-
+        The single source of truth for "can this group fail over", which
+        the heartbeat listener checks before calling :meth:`failover`.
         Legacy groups require ``record.healthy``; fencing groups do **not**:
-        the healthy flag reflects the *primary's* failed forwards, and when
-        the primary is the partitioned party it has demoted every backup it
-        lost sight of — the very replicas the promotion must choose from.
-        For them any seeded, non-crashed slot is a candidate (healthy ones
-        preferred), and the adoption-vote round is what actually tests
-        reachability and majority before the promotion commits.
+        a partitioned primary demotes every backup it lost sight of — the
+        very replicas the promotion must choose from — so any seeded,
+        non-crashed slot is a candidate and the vote tests reachability.
         """
-        if group.fencing:
-            candidates = [
-                record
-                for record in group.backups.values()
-                if record.endpoint_ref is not None
-                and record.impl is not None
-                and not self._node_down(record.node_id)
-            ]
-            candidates.sort(key=lambda record: not record.healthy)
-            return candidates
         return [
             record
-            for record in group.healthy_backups()
-            if not self._node_down(record.node_id)
+            for record in group.backups.values()
+            if (record.healthy or group.fencing)
+            and record.endpoint_ref is not None
+            and not self._node_down(record.node_id)
         ]
 
     def _node_down(self, node_id: str) -> bool:
         return self.cluster.network.failures.is_node_down(node_id)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"<ReplicaManager groups={sorted(self._groups)} "
-            f"failovers={len(self.failovers)}>"
-        )

@@ -14,6 +14,7 @@ stored.
 from __future__ import annotations
 
 import pytest
+from replication_invariants import check_replication_invariants
 
 from repro.api import CachePolicy, ServicePolicy, Session, cacheable
 from repro.runtime.cluster import Cluster
@@ -33,6 +34,12 @@ class Catalog:
     def put_item(self, key, value):
         self.items[key] = value
         return len(self.items)
+
+
+def _holds_item(impl, item):
+    """Whether a catalog copy holds ``item``, a ``(key, value)`` pair."""
+    key, value = item
+    return impl.items.get(key) == value
 
 
 class _CrashAfter:
@@ -108,6 +115,9 @@ class TestKillBetweenWriteAndInvalidation:
         # Coherence keeps holding against the promoted primary.
         wsvc.put_item("a", "v3")
         assert svc.get_item("a") == "v3"
+        check_replication_invariants(
+            reader.replica_manager, group, acked=[("a", "v3")], holds=_holds_item
+        )
         reader.close()
         writer.close()
 
@@ -144,6 +154,7 @@ class TestKillBetweenWriteAndInvalidation:
         assert svc.cache.entries_invalidated >= 1
         assert cluster.space("backup").invalidations_sent >= 1
         assert svc.get_item("a") == "v1"  # a fresh fill from the promotion
+        check_replication_invariants(manager, svc.group, acked=[("a", "v1")], holds=_holds_item)
         reader.close()
         writer.close()
 

@@ -11,6 +11,7 @@ unacknowledged ops discarded, the node re-seeded from the quorum's state).
 from __future__ import annotations
 
 import pytest
+from replication_invariants import check_replication_invariants
 
 from repro.api.errors import (
     NamingError,
@@ -189,19 +190,20 @@ class TestPartitionHealReconciliation:
         for attempt in range(2):
             with pytest.raises(QuorumLostError):
                 old_wrapper.submit(f"divergent-{attempt}", 1, 10)
-        assert len(old_wrapper._divergent_ops) == 2
+        assert group.quorum_failures == 2
         assert old_wrapper._group.primary_impl.accepted_count() == 3
         self._pump(cluster, 0.02)
         assert group.epoch == 1  # the majority elected a new primary
+        assert group.stale_primaries[0].divergent == 2
         cluster.network.failures.heal()
         self._pump(cluster, 0.1)
         # The re-enlisted node was re-seeded from the quorum's state: the
         # committed write survives, the divergent ones are gone everywhere.
-        assert old_wrapper._divergent_ops == []
         assert group.ops_discarded == 2
         assert group.backups["a"].healthy
         assert group.backups["a"].impl.accepted_count() == 1
         assert group.primary_impl.accepted_count() == 1
+        check_replication_invariants(manager, group, acked=("committed",))
 
     def test_reconciliation_is_recorded_with_the_superseded_epoch(self):
         cluster, manager, group = self._quorum_cluster()
@@ -217,6 +219,7 @@ class TestPartitionHealReconciliation:
         assert record.epoch == 0  # the epoch the ex-primary was fenced at
         assert record.ops_discarded == 1
         assert group.stale_primaries == []
+        check_replication_invariants(manager, group)
 
     def test_heal_without_divergence_still_reconciles_cleanly(self):
         cluster, manager, group = self._quorum_cluster()
@@ -231,6 +234,7 @@ class TestPartitionHealReconciliation:
         assert group.stale_primaries == []
         assert group.backups["a"].healthy
         assert group.backups["a"].impl.accepted_count() == 1
+        check_replication_invariants(manager, group, acked=("committed",))
 
     def test_acked_writes_survive_the_full_cycle(self):
         cluster, manager, group = self._quorum_cluster()
@@ -247,3 +251,4 @@ class TestPartitionHealReconciliation:
         assert group.acked_writes == 2
         for record in group.backups.values():
             assert record.impl.accepted_count() == 2
+        check_replication_invariants(manager, group, acked=("before", "after"))

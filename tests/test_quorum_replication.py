@@ -11,6 +11,7 @@ on ``!inv`` frames, and the quorum knobs on ``ServicePolicy``.
 from __future__ import annotations
 
 import pytest
+from replication_invariants import check_replication_invariants, holds_order
 
 from repro.api import ServicePolicy
 from repro.api.errors import (
@@ -113,9 +114,10 @@ class TestQuorumWrites:
         with pytest.raises(QuorumLostError):
             group.primary_wrapper.submit("sku", 1, 10)
         assert group.quorum_failures == 1
-        # The local apply happened but was never acknowledged: it is
-        # recorded divergent on the wrapper for later reconciliation.
-        assert len(group.primary_wrapper._divergent_ops) == 1
+        # The local apply happened but was never acknowledged: the write
+        # holds seq 1 of the log, and no backup acknowledged it.
+        assert group.seq == 1
+        assert [record.acked for record in group.backups.values()] == [0, 0]
         assert group.primary_impl.accepted_count() == 1
 
     def test_single_backup_loss_still_reaches_quorum(self, cluster):
@@ -165,6 +167,7 @@ class TestVoteGatedPromotion:
         assert record.epoch == 1
         assert group.epoch == 1
         assert group.primary_node in ("b", "c")
+        check_replication_invariants(manager, group)
 
     def test_blinded_monitor_promotion_is_vetoed(self, cluster):
         manager = _manager(cluster)
@@ -201,6 +204,7 @@ class TestVoteGatedPromotion:
         _pump(cluster, 0.02)
         assert len(manager.failovers) == 1
         assert group.epoch == 1
+        check_replication_invariants(manager, group)
 
 
 class TestStalePrimaryFencing:
@@ -254,12 +258,12 @@ class TestStalePrimaryFencing:
             old_wrapper.submit("sku", 1, 10)
         _pump(cluster, 0.02)
         assert group.epoch == 1
-        assert len(old_wrapper._divergent_ops) == 1
+        # The write past the promoted backup's acknowledged seq diverged.
+        assert group.stale_primaries[0].divergent == 1
         # Heal: the recovery declaration reconciles the fenced ex-primary —
         # divergent ops discarded, node re-seeded from the quorum's state.
         cluster.network.failures.heal()
         _pump(cluster, 0.1)
-        assert old_wrapper._divergent_ops == []
         assert group.ops_discarded == 1
         assert len(manager.reconciliations) == 1
         assert manager.reconciliations[0].node_id == "a"
@@ -268,6 +272,98 @@ class TestStalePrimaryFencing:
         assert record.healthy
         # Re-seeded from the current primary: the divergent write is gone.
         assert record.impl.accepted_count() == 0
+        check_replication_invariants(manager, group)
+
+    def test_quorum_writes_leave_the_log_empty(self, cluster):
+        manager = _manager(cluster)
+        group = _quorum_group(manager)
+        client = cluster.space("client")
+        for i in range(5):
+            client.invoke_remote(group.primary_ref, "submit", (f"sku-{i}", 1, 10))
+            assert group.log == []
+        # Inside a batch each quorum write still ships on its own.
+        client.invoke_remote_many(
+            [(group.primary_ref, "submit", (f"sku-{5 + i}", 1, 10), {}) for i in range(8)]
+        )
+        assert group.log == [] and group.seq == 13 and group.acked_writes == 13
+        assert [record.acked for record in group.backups.values()] == [13, 13]
+
+
+PROMOTION_TRANSPORTS = ("inproc", "rmi", "corba", "soap")
+
+
+class TestPromotionKeepsAckedWrites:
+    """Promotion picks the backup that acknowledged the highest seq.
+
+    The probe: primary ``a``, backups ``b`` and ``c``, quorum 2.  One backup
+    is cut off from ``a`` and misses W1, which ``a`` and the other backup
+    acknowledge; then the other backup is cut off too, so W2 is refused; then
+    ``a`` crashes.  Both backups are unhealthy in ``a``'s eyes and both vote,
+    so only the acknowledged seq tells them apart: the one holding W1 must
+    win, whichever was enrolled first.
+    """
+
+    @pytest.mark.parametrize("transport", PROMOTION_TRANSPORTS)
+    @pytest.mark.parametrize("missed", ["b", "c"], ids=["first-enrolled-missed-W1",
+                                                       "second-enrolled-missed-W1"])
+    def test_the_backup_holding_w1_is_promoted(self, transport, missed):
+        holder = {"b": "c", "c": "b"}[missed]
+        cluster = Cluster(("monitor", "client", "a", "b", "c"), default_transport=transport)
+        detector = HeartbeatDetector(cluster.network, "monitor", interval=0.002, miss_threshold=2)
+        for node in ("a", "b", "c"):
+            detector.watch(node)
+        manager = ReplicaManager(cluster, detector=detector, transport=transport)
+        detector.start()
+        group = _quorum_group(manager)
+        client, failures = cluster.space("client"), cluster.network.failures
+
+        failures.partition(["a"], [missed])
+        client.invoke_remote(group.primary_ref, "submit", ("W1", 1, 10))
+        failures.partition(["a"], [holder])
+        with pytest.raises(QuorumLostError):
+            client.invoke_remote(group.primary_ref, "submit", ("W2", 1, 10))
+        failures.crash_node("a")
+        _pump(cluster, 0.02)
+
+        assert [record.to_node for record in manager.failovers] == [holder]
+        check_replication_invariants(manager, group, acked=("W1",))
+
+        failures.heal()
+        failures.recover_node("a")
+        _pump(cluster, 0.1)
+        replicas = [group.primary_impl] + [record.impl for record in group.backups.values()]
+        assert all(record.healthy for record in group.backups.values())
+        assert [holds_order(impl, "W1") for impl in replicas] == [True] * 3
+        assert [holds_order(impl, "W2") for impl in replicas] == [False] * 3
+        assert group.ops_discarded == 1
+        check_replication_invariants(manager, group, acked=("W1",))
+
+    def test_a_backup_ahead_of_the_promoted_one_is_reseeded(self):
+        """Below a majority quorum an acked write can sit on a crashed backup
+        only; the promotion then starts a history without it, so that backup
+        is demoted instead of passing for current once the new seq catches
+        up with its stale one."""
+        cluster = Cluster(("a", "b", "c", "d", "e"))
+        manager = ReplicaManager(cluster)
+        group = manager.replicate(
+            OrderIntake(), name="orders", primary_node="a", backup_nodes=["b", "c", "d", "e"],
+            readonly=INTAKE_READONLY, quorum=1, fencing=True,
+        )
+        failures = cluster.network.failures
+        failures.partition(["a"], ["b", "d", "e"])
+        group.primary_wrapper.submit("W1", 1, 10)  # acked by a and c only
+        failures.crash_node("c")
+        manager.failover(group)
+        assert group.primary_node == "b" and group.seq == 0
+        assert not group.backups["c"].healthy
+        assert group.stale_primaries[0].divergent == 1
+        failures.heal()
+        group.primary_wrapper.submit("W2", 1, 10)
+        failures.recover_node("c")
+        manager.handle_node_recovered("c")
+        copy = group.backups["c"]
+        assert copy.healthy and copy.acked == group.seq == 1
+        assert holds_order(copy.impl, "W2") and not holds_order(copy.impl, "W1")
 
 
 class TestInvalidationEpochFloor:

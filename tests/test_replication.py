@@ -10,6 +10,7 @@ ride those redirects so a crashed shard costs latency, never lost calls.
 from __future__ import annotations
 
 import pytest
+from replication_invariants import check_replication_invariants
 
 from repro.api.errors import NodeUnreachableError, ReplicationError
 from repro.network.heartbeat import HeartbeatDetector
@@ -146,6 +147,7 @@ class TestReplicaGroups:
             cluster.space("client"), replica_manager=manager
         )
         assert failover_aware.invoke(group.primary_ref, "submit", ("sku-2", 1, 10)) == 1
+        check_replication_invariants(manager, group, acked=("sku-1", "sku-2"))
 
     def test_failover_and_reenlist_do_not_leak_exports(self, cluster):
         manager = _manager(cluster)
@@ -210,6 +212,7 @@ class TestFailover:
         assert cluster.naming.lookup("orders") == group.primary_ref
         # The promoted copy carries every acknowledged write.
         assert group.primary_impl.accepted_count() == 1
+        check_replication_invariants(manager, group, acked=("sku-1",))
 
     def test_failover_without_backup_raises(self, cluster):
         manager = _manager(cluster)
@@ -225,6 +228,7 @@ class TestFailover:
         cluster.network.events.run_until(cluster.clock.now + 0.05)
         assert len(manager.failovers) == 1
         assert group.primary_node == "b"
+        check_replication_invariants(manager, group)
 
     def test_recovered_node_is_reenlisted_and_failback_works(self, cluster):
         manager = _manager(cluster)
@@ -242,6 +246,7 @@ class TestFailover:
         assert group.primary_node == "a"
         assert group.epoch == 2
         assert group.primary_impl.accepted_count() == 3
+        check_replication_invariants(manager, group, acked=("sku-1", "sku-2", "sku-3"))
 
     def test_primary_and_backup_both_dead_does_not_crash_the_event_pump(self, cluster):
         """A detector declaration for a group with no live backup host must
@@ -262,6 +267,7 @@ class TestFailover:
         cluster.network.events.run_until(cluster.clock.now + 0.05)
         assert len(manager.failovers) == 1
         assert group.primary_node == "b"
+        check_replication_invariants(manager, group)
 
     def test_backup_recovering_before_the_primary_is_still_reenlisted(self, cluster):
         """Backup B recovers while primary A is still down: the immediate
@@ -283,6 +289,7 @@ class TestFailover:
         invoker = FaultTolerantInvoker(cluster.space("client"), replica_manager=manager)
         assert invoker.invoke(group.primary_ref, "submit", ("sku", 1, 10)) == 0
         assert group.primary_node == "b"
+        check_replication_invariants(manager, group, acked=("sku",))
 
     def test_chained_redirects_resolve_to_latest_primary(self, cluster):
         manager = _manager(cluster)
@@ -296,6 +303,23 @@ class TestFailover:
         assert manager.current_ref(first) == group.primary_ref
         assert manager.current_ref(second) == group.primary_ref
         assert group.epoch == 2
+        check_replication_invariants(manager, group)
+
+    def test_dismantle_drops_every_redirect_hop(self, cluster):
+        """After two failovers (r0 -> r1 -> r2) nothing of the group is left:
+        a caller still holding r0 must fail at once, not retry a ghost."""
+        manager = _manager(cluster)
+        group = _replicated_intake(manager, backups=("b", "c"))
+        first = group.primary_ref
+        cluster.network.failures.crash_node("a")
+        manager.failover(group)
+        second = group.primary_ref
+        cluster.network.failures.crash_node(group.primary_node)
+        manager.failover(group)
+        manager.dismantle(group)
+        for reference in (first, second, group.primary_ref):
+            assert manager.current_ref(reference) == reference
+            assert not manager.can_fail_over(reference)
 
 
 class TestInvokerFailover:
@@ -391,6 +415,7 @@ class TestSchedulerFailover:
         assert scheduler.calls_redirected > 0
         assert group.primary_node == "b"
         assert group.primary_impl.accepted_count() == 16
+        check_replication_invariants(manager, group, acked=[f"sku-{i}" for i in range(16)])
 
     def test_without_manager_fatal_errors_still_fail(self, cluster):
         plain = OrderIntake()
@@ -523,7 +548,7 @@ class TestBatchedEagerForwards:
         assert all(result.ok for result in results)
         assert group.writes_propagated == 4
         assert group.forward_messages == 1
-        assert not group.pending_ops and not group.commit_armed
+        assert group.log == [] and not group.dirty
 
     def test_promoted_backup_observed_the_batched_writes(self, cluster):
         """A failover right after an acknowledged batch loses none of it."""
@@ -537,6 +562,35 @@ class TestBatchedEagerForwards:
         cluster.network.events.run_until(cluster.clock.now + 0.05)
         assert manager.failovers, "the crash must have promoted the backup"
         assert group.primary_impl.accepted_count() == 12
+        check_replication_invariants(manager, group, acked=[f"sku-{i}" for i in range(12)])
+
+    def test_the_log_holds_at_most_the_current_batch(self, cluster):
+        """Writes outside a batch leave the op log empty; inside one it holds
+        only that batch's writes, until the batch commits."""
+        manager = _manager(cluster)
+        seen = []
+
+        class WatchedIntake(OrderIntake):
+            def submit(self, sku, quantity, unit_price):
+                seen.append(len(group.log))  # the batch's earlier writes
+                return super().submit(sku, quantity, unit_price)
+
+        group = manager.replicate(
+            WatchedIntake(), name="orders", primary_node="a", backup_nodes=["b"],
+            readonly=READONLY, factory=OrderIntake,
+        )
+        client = cluster.space("client")
+        for i in range(5):
+            client.invoke_remote(group.primary_ref, "submit", (f"sku-{i}", 1, 10))
+            assert group.log == []
+        assert seen == [0] * 5
+        seen.clear()
+        client.invoke_remote_many(
+            [(group.primary_ref, "submit", (f"sku-{5 + i}", 1, 10), {}) for i in range(8)]
+        )
+        assert seen == list(range(8))
+        assert group.log == [] and group.seq == 13
+        assert group.backups["b"].acked == 13
 
 
 class TestKillAShardWorkload:
