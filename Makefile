@@ -60,12 +60,12 @@ micro:
 
 # Every workload of the wall-clock ledger (BENCHMARK.json), briefly: each run
 # does at least 5 fresh-process rounds, checks every result against its oracle,
-# requires the simulated numbers to agree across rounds and exits 1 otherwise.
-LEDGER_WORKLOADS = $(shell $(PYTHON) -c "import json; print(*(w['name'] for w in json.load(open('BENCHMARK.json'))['workloads']))")
+# requires the simulated numbers to agree across rounds and exits 1 otherwise;
+# then each workload's sim_us_per_call, wire_bytes_per_call and msgs_per_call
+# must equal tests/ledger_sim_seed7.json exactly (re-baseline a row that is
+# meant to move with `python benchmarks/ledger_smoke.py --write`).
 ledger-smoke:
-	set -e; for workload in $(LEDGER_WORKLOADS); do \
-		$(PYTHON) benchmarks/wallclock/run.py --workload $$workload --seed 7 --seconds 0.5 --trace 0; \
-	done
+	$(PYTHON) benchmarks/ledger_smoke.py
 
 docs-check:
 	$(PYTHON) -m repro.tools.doccheck src/repro --level api --fail-under 100
