@@ -59,7 +59,7 @@ def main() -> int:
         for name, value in values.items()
         if pinned.get(workload, {}).get(name) != value
     ]
-    moved += [f"{workload}: pinned but not in BENCHMARK.json" for workload in pinned.keys() - measured.keys()]
+    moved += [f"{workload}: pinned, not measured" for workload in pinned.keys() - measured.keys()]
     for line in moved:
         print(f"MOVED {line}", file=sys.stderr)
     return 1 if moved else 0

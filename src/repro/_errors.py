@@ -122,6 +122,9 @@ class QuorumLostError(ReplicationError):
     The primary applied the operation locally but fewer than ``quorum``
     replicas (counting the primary) acknowledged the ``apply_op`` that
     shipped it, so the write is **not** acknowledged to the client.  The
+    writes of a dispatched batch ship in one ``apply_ops`` and are refused
+    together: every call of the batch that wrote into the group gets this
+    error instead of its result.  The
     divergent local application is reconciled away when the group heals: if
     the primary is later fenced, every write past the promoted backup's
     acknowledged seq is discarded and the node is re-seeded from the new

@@ -207,8 +207,9 @@ class ServicePolicy:
 
         ``quorum`` is the number of replicas (counting the primary) that
         must apply a write before it is acknowledged to the client — a
-        quorum write is shipped to each backup on its own as one
-        ``apply_op``, batch or not.  ``"majority"`` resolves to
+        write on its own ships to each backup as one ``apply_op``, a
+        dispatched batch's writes as one ``apply_ops`` whose acks are
+        counted once for all of them.  ``"majority"`` resolves to
         ``replicas // 2 + 1``, an int is used verbatim (``PolicyError`` when
         it exceeds ``replicas``); ``quorum=1`` is primary-only acks.  Either
         way failover promotes the backup with the highest acknowledged seq.

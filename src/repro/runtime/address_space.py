@@ -18,7 +18,8 @@ they host whatever objects the application exports into them.
 from __future__ import annotations
 
 import warnings
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from functools import partial
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro._errors import InvocationError, NetworkError, TransportError, UnknownObjectError
 from repro.core.interception import CallContext, Interceptor, InterceptorChain
@@ -62,6 +63,67 @@ from repro.transports.base import (
 BatchCall = Tuple[RemoteRef, str, tuple, dict]
 
 
+class _BatchScope:
+    """The commits one batch dispatch owes, and the calls held for them.
+
+    A call joins a commit through :meth:`AddressSpace.on_batch_commit`; its
+    dispatcher then holds the call's outcome — and, on a served message, the
+    server-side interceptor brackets still open around it — until
+    :meth:`commit` has run every commit once.  A commit refuses by raising:
+    its error replaces the outcome of every call that joined it.
+    """
+
+    def __init__(self) -> None:
+        #: ``key -> commit``, in the order the batch's calls first joined them.
+        self.commits: Dict[Any, Callable[[Any, bool], None]] = {}
+        #: Keys of the commits the call being served joined (``None``: none).
+        self.joining: Optional[List[Any]] = None
+        #: ``(keys, settle)`` of every call held for a commit.
+        self.held: List[Tuple[List[Any], Callable[[Optional[BaseException]], None]]] = []
+
+    def hold(self, settle: Callable[[Optional[BaseException]], None]) -> None:
+        """Hold the call just served; ``settle(refusal or None)`` after the commits."""
+        self.held.append((self.joining, settle))
+        self.joining = None
+
+    def commit(self) -> None:
+        """Run every commit once, then settle each held call with its refusal."""
+        refusals: Dict[Any, BaseException] = {}
+        for key, commit in self.commits.items():
+            try:
+                commit(key, True)
+            except Exception as error:  # noqa: BLE001 - a commit refuses by raising
+                refusals[key] = error
+        for keys, settle in self.held:
+            refusal = None
+            if refusals:
+                refusal = next((refusals[key] for key in keys if key in refusals), None)
+            settle(refusal)
+
+
+def _settle(brackets: Sequence[Any], response: dict, error: Optional[BaseException]) -> None:
+    """Close the opened interceptor ``brackets`` of one served call, innermost first."""
+    if error is None:
+        for bracket in reversed(brackets):
+            bracket.close(response["result"])
+    else:
+        for bracket in reversed(brackets):
+            bracket.fail(error)
+
+
+def _refuse(response: dict, refusal: Optional[BaseException]) -> None:
+    """Turn a held call's response into the description of ``refusal``, if any."""
+    if refusal is not None:
+        response.clear()
+        response.update(response_dict(error=refusal))
+
+
+def _refuse_result(result: BatchResult, refusal: Optional[BaseException]) -> None:
+    """Turn a held co-located call's outcome into ``refusal``, if any."""
+    if refusal is not None:
+        result.value, result.error = None, refusal
+
+
 class AddressSpace:
     """One simulated address space (node) hosting exported objects."""
 
@@ -88,8 +150,8 @@ class AddressSpace:
         #: Server-side interceptor chains (see :meth:`use_middleware`),
         #: bracketing every dispatched request in installation order.
         self._middleware_chains: list[Any] = []
-        self._batch_scope_depth = 0
-        self._batch_commit_hooks: list[Any] = []
+        #: The batch scope of the batch being dispatched (``None``: none).
+        self._batch_scope: Optional[_BatchScope] = None
         #: Cache-coherence state (server side): object id → {node → lease
         #: expiry in simulated seconds, or None for an unbounded lease}.
         self._cache_subscribers: Dict[str, Dict[str, Optional[float]]] = {}
@@ -121,8 +183,6 @@ class AddressSpace:
         self.batches_served = 0
         #: Number of heartbeat probes answered by this space.
         self.pings_answered = 0
-        #: Batch-commit hooks that raised (isolated; see ``on_batch_commit``).
-        self.batch_commit_hook_failures = 0
         #: Cache subscriptions registered with this space (renewals included).
         self.cache_subscriptions = 0
         #: Standalone ``!inv`` frames this space has sent to subscribers.
@@ -274,55 +334,49 @@ class AddressSpace:
         return len(self._middleware_chains)
 
     # ------------------------------------------------------------------
-    # Batch-dispatch scope (amortisation hooks for server-side observers)
+    # Batch-dispatch scope (commits that can refuse the calls that joined them)
     # ------------------------------------------------------------------
 
-    @property
-    def in_batch_dispatch(self) -> bool:
-        """True while this space is executing the calls of one batch message.
+    def on_batch_commit(self, key: Any, commit: Callable[[Any, bool], None]) -> None:
+        """Make the call being served answer only once ``commit`` succeeded.
 
-        Server-side observers — most importantly eager replication's write
-        forwarding — use this to amortise their own per-call traffic: work
-        deferred through :meth:`on_batch_commit` runs once per dispatched
-        batch instead of once per call.
+        Server-side observers — eager replication's acknowledgement step —
+        amortise their per-call work this way.  While this space executes
+        the calls of one batch message (served, or co-located), the call
+        *joins* ``commit``: every commit of the batch runs once, as
+        ``commit(key, True)``, after the batch's last call and before its
+        response is framed — ``key`` names it, so the calls joining the same
+        key share one run.  A commit refuses by raising: every call that
+        joined it answers with that error instead of its result, and the
+        server-side interceptor brackets of a joined call, held open until
+        then, settle with the call's final outcome.  So nothing is
+        acknowledged before its commit.
+
+        Outside a batch ``commit(key, False)`` runs at once and its refusal
+        raises to the caller.  The scope belongs to one message: the plain
+        messages this space serves while a batch call waits on another node
+        (a call back into this space) commit on their own.
         """
-        return self._batch_scope_depth > 0
+        scope = self._batch_scope
+        if scope is None:
+            commit(key, False)
+            return
+        scope.commits.setdefault(key, commit)
+        if scope.joining is None:
+            scope.joining = [key]
+        elif key not in scope.joining:
+            scope.joining.append(key)
 
-    def on_batch_commit(self, hook: Any) -> None:
-        """Run ``hook()`` once when the current batch dispatch completes.
-
-        Hooks are one-shot and fire *before* the batch response leaves the
-        node, so an acknowledged batch has observed every commit-time effect
-        (e.g. its writes were forwarded to replicas).  Batch-scope hooks run
-        isolated from one another: one raising hook neither skips the
-        remaining hooks nor fails the already-executed batch (the failure is
-        counted in ``batch_commit_hook_failures``) — hooks with real failure
-        modes, like replication forwards, handle them internally.  Outside a
-        batch dispatch the hook runs immediately and synchronously in the
-        registering caller, so an error propagates to that caller (there is
-        no executed batch to protect, and no counter is touched).
-        """
-        if self.in_batch_dispatch:
-            self._batch_commit_hooks.append(hook)
-        else:
-            hook()
-
-    def _enter_batch_scope(self) -> None:
-        self._batch_scope_depth += 1
-
-    def _exit_batch_scope(self) -> None:
-        self._batch_scope_depth -= 1
-        if self._batch_scope_depth == 0 and self._batch_commit_hooks:
-            hooks, self._batch_commit_hooks = self._batch_commit_hooks, []
-            for hook in hooks:
-                try:
-                    hook()
-                except Exception:  # noqa: BLE001 - isolation, see on_batch_commit
-                    # The batch's calls already executed on this node; a
-                    # failing observer must not turn the executed batch into
-                    # a transport error (an at-least-once retry would then
-                    # double-apply the writes) nor starve the other hooks.
-                    self.batch_commit_hook_failures += 1
+    def _in_batch_scope(self, serve: Callable[[], list]) -> list:
+        """``serve()`` inside a fresh batch scope; its commits run before it returns."""
+        outer, scope = self._batch_scope, _BatchScope()
+        self._batch_scope = scope
+        try:
+            return serve()
+        finally:
+            self._batch_scope = outer
+            if scope.commits:
+                scope.commit()
 
     # ------------------------------------------------------------------
     # Cache coherence (see repro.runtime.caching)
@@ -683,10 +737,11 @@ class AddressSpace:
         return self._exchange(normalized, destination, transport, True, on_results, on_error)
 
     def _invoke_batch_locally(self, calls: Sequence[tuple]) -> List[BatchResult]:
-        results: list[BatchResult] = []
         mutated: set[str] = set()
-        self._enter_batch_scope()
-        try:
+
+        def serve() -> List[BatchResult]:
+            results: list[BatchResult] = []
+            scope = self._batch_scope
             for index, (reference, member, args, kwargs, _context) in enumerate(calls):
                 try:
                     value = self._call_hosted(
@@ -696,8 +751,13 @@ class AddressSpace:
                     results.append(BatchResult(index=index, error=error))
                 else:
                     results.append(BatchResult(index=index, value=value))
+                if scope.joining is not None:
+                    scope.hold(partial(_refuse_result, results[-1]))
+            return results
+
+        try:
+            results = self._in_batch_scope(serve)
         finally:
-            self._exit_batch_scope()
             if mutated:
                 # A co-located batch has no response message to piggyback on;
                 # every subscriber (this node's own caches included) gets the
@@ -854,6 +914,10 @@ class AddressSpace:
         self._pending_invalidations = set()
         outer_refs = self._message_trace_refs
         self._message_trace_refs = []
+        # A batch scope belongs to one message: a plain message served while
+        # a batch call waits elsewhere must not join that batch's commits.
+        outer_scope = self._batch_scope
+        self._batch_scope = None
         try:
             transport_name, body, is_batch = parse_frame(payload)
             transport = self.transports.get(transport_name)
@@ -867,21 +931,17 @@ class AddressSpace:
                 decoded = (transport.decode_request(body, marshaller=self.marshaller),)
             requests = list(map(read_request, decoded))
             if is_batch:
-                self._enter_batch_scope()
-            try:
-                responses = list(map(self._dispatch, requests))
-            finally:
-                # Commit hooks (e.g. batched replication forwards) run before
-                # the response is framed: an acknowledged batch is durable.
-                if is_batch:
-                    self._exit_batch_scope()
-            if is_batch:
+                # The batch's commits (e.g. replication acknowledgements) run
+                # before the response is framed, and may refuse its calls.
+                responses = self._in_batch_scope(lambda: list(map(self._dispatch, requests)))
                 framed = frame_batch_message(
                     transport_name, transport.encode_batch_response(responses)
                 )
             else:
-                framed = frame_message(transport_name, transport.encode_response(responses[0]))
+                response = self._dispatch(requests[0])
+                framed = frame_message(transport_name, transport.encode_response(response))
         finally:
+            self._batch_scope = outer_scope
             pending, self._pending_invalidations = (
                 self._pending_invalidations,
                 outer_pending,
@@ -920,9 +980,13 @@ class AddressSpace:
                 node=self.node_id,
             )
         try:
-            if not self._middleware_chains:
-                return self._serve_request(request)[0]
-            return self._dispatch_intercepted(request, span)
+            if self._middleware_chains:
+                return self._dispatch_intercepted(request, span)
+            response = self._serve_request(request)[0]
+            scope = self._batch_scope
+            if scope is not None and scope.joining is not None:
+                scope.hold(partial(_refuse, response))
+            return response
         finally:
             if span is not None:
                 tracer.end_span(span, ts=self.network.clock.now)
@@ -967,15 +1031,20 @@ class AddressSpace:
         except BaseException as exc:
             # Whatever escapes the call's own error handling, the opened
             # brackets must still settle exactly once.
-            for bracket in reversed(brackets):
-                bracket.fail(exc)
+            _settle(brackets, {}, exc)
             raise
-        if error is None:
-            for bracket in reversed(brackets):
-                bracket.close(response["result"])
-        else:
-            for bracket in reversed(brackets):
-                bracket.fail(error)
+        scope = self._batch_scope
+        if scope is None or scope.joining is None:
+            _settle(brackets, response, error)
+            return response
+
+        # The call joined a batch commit: its outcome, and so its brackets,
+        # wait for that commit.
+        def settle(refusal: Optional[BaseException]) -> None:
+            _refuse(response, refusal)
+            _settle(brackets, response, refusal or error)
+
+        scope.hold(settle)
         return response
 
     def _serve_request(

@@ -34,9 +34,10 @@ against asymmetric partitions:
 
 * A write is acknowledged only after a **majority** of replicas applied it
   (the primary's own apply counts); short of that the caller gets
-  :class:`~repro.api.errors.QuorumLostError`.  Writes past the promoted
-  backup's acknowledged seq are *divergent*: discarded, never replayed, when
-  the superseded primary heals.
+  :class:`~repro.api.errors.QuorumLostError`; a dispatched batch's writes
+  are counted once, at its commit, and refused together.  Writes past the
+  promoted backup's acknowledged seq are *divergent*: discarded, never
+  replayed, when the superseded primary heals.
 * Every replication frame carries the group **epoch**; a
   :class:`ReplicaEndpoint` that adopted a newer one rejects older frames with
   :class:`~repro.api.errors.FencedError`.
@@ -235,7 +236,7 @@ class FailoverRecord:
     votes: int = 0
 
 
-@dataclass
+@dataclass(eq=False)  # hashed by identity: a group keys the batch commit its writes join
 class ReplicaGroup:
     """One replicated object: its primary, backups and replication counters."""
 
@@ -260,8 +261,9 @@ class ReplicaGroup:
     writes_propagated: int = 0
     #: State snapshots shipped to backups (interval mode, seeding, re-sync).
     snapshots_shipped: int = 0
-    #: Log tails actually sent (eager mode): one per backup per write
-    #: outside a batch, one per backup per *dispatched batch* inside one.
+    #: Log tails actually sent (eager mode, quorum groups included): one per
+    #: backup per write outside a batch, one per backup per *dispatched
+    #: batch* inside one.
     forward_messages: int = 0
     #: Zero-argument constructor used to build (re-)seeded backup copies.
     factory: Optional[Callable[[], Any]] = None
@@ -274,7 +276,7 @@ class ReplicaGroup:
     primary_wrapper: Optional[Any] = None
     #: Superseded primaries awaiting partition-heal reconciliation.
     stale_primaries: List[StalePrimary] = field(default_factory=list)
-    #: Writes acknowledged with a full quorum of acks (quorum mode).
+    #: Writes acknowledged with their full quorum of acks (eager mode).
     acked_writes: int = 0
     #: Writes refused an ack because the quorum could not be gathered.
     quorum_failures: int = 0
@@ -552,52 +554,47 @@ class ReplicaManager:
         )
 
     def _after_write(self, group: ReplicaGroup, member: str, args: tuple, kwargs: dict) -> None:
-        """Log one mutating call on the primary and decide when backups catch up.
+        """Log one mutating call on the primary and join it to its group's commit.
 
         The write takes the group's next seq.  Interval groups stop there:
         they log nothing, and their sync tick ships snapshots.  Eager groups
-        append the write to the log and run :meth:`_catch_up` at once — or,
-        while the primary's space is dispatching a batch message, once when
-        the batch commits (before its response leaves), so the window's
-        writes travel as one ``apply_ops`` message per backup.
-
-        Quorum groups catch up per write, batch or not: deferring past the
-        batch response would acknowledge writes the quorum might yet refuse.
-        Short of ``group.quorum`` acks (the primary's own apply counts as
-        one) the caller gets :class:`~repro.api.errors.QuorumLostError`.
+        append the write to the log and make its call wait for
+        :meth:`_commit`: at once for a lone write, once per dispatched batch
+        for all of the batch's writes into the group (see
+        :meth:`~repro.runtime.address_space.AddressSpace.on_batch_commit`),
+        so the window's writes travel as one ``apply_ops`` message per backup
+        and none is acknowledged before the commit.
         """
         group.seq += 1
         if group.sync != "eager":
             return
         group.log.append((member, list(args), dict(kwargs)))
+        self._primary_space(group).on_batch_commit(group, self._commit)
+
+    def _commit(self, group: ReplicaGroup, batched: bool) -> None:
+        """Ship the logged writes and count their acks: the one ack/refuse step.
+
+        Short of ``group.quorum`` acks (the primary's own apply counts as
+        one) it raises :class:`~repro.api.errors.QuorumLostError`, refusing
+        every write it covers: a lone write's caller, or every call of the
+        batch that wrote into the group.
+        """
         space = self._primary_space(group)
-        if group.quorum == 1 and space.in_batch_dispatch:
-            if len(group.log) == 1:  # the batch's first write arms its commit
-                space.on_batch_commit(lambda: self._commit_batch(group))
-            return
-        start = space.network.clock.now
-        acks = 1 + self._catch_up(group)
-        if group.quorum == 1:
-            self._trace_forwards(space, "replicate", start, group=group.name, op=member)
-            return
-        self._trace_forwards(
-            space, "quorum-write", start, group=group.name, op=member, acks=acks
-        )
+        start, ops = space.network.clock.now, len(group.log)
+        attrs = {"ops": ops} if batched else {"op": group.log[-1][0]}
+        acks = 1 + self._catch_up(group, batch=batched)
+        name = "replicate-batch" if batched else "replicate"
+        if group.quorum > 1:
+            name, attrs["acks"] = "quorum-write", acks
+        self._trace_forwards(space, name, start, group=group.name, **attrs)
         if acks < group.quorum:
-            group.quorum_failures += 1
+            group.quorum_failures += ops
+            what = f"{ops} batched writes" if batched else f"write {attrs['op']!r}"
             raise QuorumLostError(
-                f"write {member!r} on replica group {group.name!r} gathered "
+                f"{what} on replica group {group.name!r} gathered "
                 f"{acks} of the {group.quorum} acknowledgements required"
             )
-        group.acked_writes += 1
-
-    def _commit_batch(self, group: ReplicaGroup) -> None:
-        """Ship a dispatched batch's logged writes: one ``apply_ops`` per backup."""
-        space = self._primary_space(group)
-        start = space.network.clock.now
-        ops = len(group.log)
-        self._catch_up(group, batch=True)
-        self._trace_forwards(space, "replicate-batch", start, group=group.name, ops=ops)
+        group.acked_writes += ops
 
     def _catch_up(
         self,
@@ -623,7 +620,7 @@ class ReplicaManager:
         :class:`~repro.api.errors.FencedError` from one that adopted a newer
         epoch — demotes that backup alone and schedules its reseed; it never
         fails the write the primary already executed, nor skips the other
-        backups.  Returns how many backups acknowledged.
+        backups.  Returns how many of ``records`` hold ``group.seq`` after it.
         """
         space = self._primary_space(group)
         seq, log = group.seq, group.log
@@ -638,6 +635,7 @@ class ReplicaManager:
             if not record.healthy:
                 target = self._fresh_copy(group, record.node_id)
             elif record.acked == seq:
+                acks += 1
                 continue
             ops: Optional[list] = None
             if target is record and base <= record.acked:

@@ -35,8 +35,11 @@ from repro.core.transformer import ApplicationTransformer
 from repro.policy.policy import all_local_policy, place_classes_on
 from repro.runtime.cluster import Cluster, default_transport_registry
 from repro.runtime.remote_ref import RemoteRef
+from repro.runtime.replication import ReplicaManager
 from repro.transports.base import TransportRegistry, frame_batch_message, frame_message
+from repro.workloads.bulk_orders import OrderIntake
 from repro.workloads.figure1 import A, B, C
+from repro.workloads.replicated_orders import INTAKE_READONLY
 
 TRANSPORTS = ("rmi", "corba", "soap", "inproc")
 #: The three framings of a call that crosses the network, then the two forms
@@ -439,8 +442,9 @@ class TestCallBudget:
     synchronous call, a value is walked once on its way to the bytes and once
     back, and a message of leaves is written and read as a record, not walked:
     the ledger's ``direct_small`` and ``batch_payload`` workloads, a small
-    batch of lookups, ``cached_mixed``'s hot reads (cache hits) and Figure 1's
-    co-located handle calls, rebuilt here.  Each ceiling is the count measured on CPython 3.11 plus 5 % for
+    batch of lookups, ``cached_mixed``'s hot reads (cache hits), Figure 1's
+    co-located handle calls and ``fullstack_writes``' batched quorum writes,
+    rebuilt here.  Each ceiling is the count measured on CPython 3.11 plus 5 % for
     the other interpreters CI runs."""
 
     #: Python calls per lookup: 199.1 with messages read and written as
@@ -460,6 +464,33 @@ class TestCallBudget:
     #: handles: 22.0 with an empty chain (32.0 when every handle call built a
     #: per-call record and counted itself in always-on statistics).
     HANDLE_CEILING = 23.1
+    #: Python calls per write in batches of 16 quorum-2 writes to a 3-replica
+    #: group: 242.9 with a batch's writes committed once (588.6 when each
+    #: write caught its backups up on its own).
+    QUORUM_BATCH_CEILING = 255.1
+
+    def test_a_batch_of_quorum_writes_stays_within_its_call_budget(self):
+        cluster = Cluster(("client", "a", "b", "c"))
+        manager = ReplicaManager(cluster, transport="rmi")
+        group = manager.replicate(
+            OrderIntake(), name="orders", primary_node="a", backup_nodes=["b", "c"],
+            readonly=INTAKE_READONLY, quorum=2, fencing=True,
+        )
+        client = cluster.space("client")
+        batches = [
+            [(group.primary_ref, "submit", (f"sku-{b}-{i}", 1, 10), {}) for i in range(16)]
+            for b in range(8)
+        ]
+        profile = cProfile.Profile()
+        profile.enable()
+        answers = [client.invoke_remote_many(calls, transport="rmi") for calls in batches]
+        profile.disable()
+        assert all(result.ok for results in answers for result in results)
+        assert group.acked_writes == 128 and group.forward_messages == 16
+        per_write = _calls_per_op(profile, 128)
+        assert per_write <= self.QUORUM_BATCH_CEILING, (
+            f"{per_write:.1f} Python calls per batched quorum write"
+        )
 
     def test_a_co_located_handle_call_stays_within_its_call_budget(self):
         app = ApplicationTransformer(all_local_policy(dynamic=True)).transform([A, B, C])

@@ -1,6 +1,7 @@
 """Tests for majority-quorum replication, epoch fencing and reconciliation.
 
-Covers the quorum write path (majority ack or a typed refusal), the epoch
+Covers the quorum write path (majority ack or a typed refusal, for a lone
+write and for a batch's writes alike), the epoch
 machinery on :class:`~repro.runtime.replication.ReplicaEndpoint` (frames
 from superseded epochs bounce with ``FencedError``, ``adopt_epoch`` doubles
 as the promotion vote), vote-gated promotion (a blinded monitor is vetoed;
@@ -16,10 +17,12 @@ from replication_invariants import check_replication_invariants, holds_order
 from repro.api import ServicePolicy
 from repro.api.errors import (
     FencedError,
+    NetworkError,
     PolicyError,
     QuorumLostError,
     ReplicationError,
 )
+from repro.api.middleware import MetricsInterceptor
 from repro.network.heartbeat import HeartbeatDetector
 from repro.runtime.cluster import Cluster
 from repro.runtime.replication import ReplicaEndpoint, ReplicaManager
@@ -281,12 +284,99 @@ class TestStalePrimaryFencing:
         for i in range(5):
             client.invoke_remote(group.primary_ref, "submit", (f"sku-{i}", 1, 10))
             assert group.log == []
-        # Inside a batch each quorum write still ships on its own.
+        # Inside a batch the quorum writes commit together, before the
+        # batch response is framed: one ``apply_ops`` per backup.
+        forwards = group.forward_messages
         client.invoke_remote_many(
             [(group.primary_ref, "submit", (f"sku-{5 + i}", 1, 10), {}) for i in range(8)]
         )
         assert group.log == [] and group.seq == 13 and group.acked_writes == 13
         assert [record.acked for record in group.backups.values()] == [13, 13]
+        assert group.forward_messages - forwards == 2
+
+
+OUTCOME_TRANSPORTS = ("inproc", "rmi", "corba", "soap")
+
+#: Partitions in place before the eight writes of an outcome-oracle row.
+OUTCOME_CELLS = {
+    "healthy": (),
+    "one backup cut off": ((["a"], ["b"]),),
+    "both backups cut off": ((["a"], ["b", "c"]),),
+    "primary partitioned from all": ((["a"], ["client", "b", "c"]),),
+    "catch-up raises": (),
+}
+
+
+def _raising_catch_up(*args, **kwargs):
+    raise RuntimeError("catch-up bug")
+
+
+def _outcomes(cell, transport, batched, caller="client"):
+    """Eight quorum writes from ``caller`` as one batch or as eight plain
+    calls; what each call answered and what the group and the primary's
+    server chain counted."""
+    cluster = Cluster(("client", "a", "b", "c"), default_transport=transport)
+    manager = ReplicaManager(cluster, transport=transport)
+    group = _quorum_group(manager)
+    metrics = MetricsInterceptor()
+    cluster.space("a").use_middleware([metrics])
+    for left, right in OUTCOME_CELLS[cell]:
+        cluster.network.failures.partition(left, right)
+    if cell == "catch-up raises":
+        manager._catch_up = _raising_catch_up
+    client = cluster.space(caller)
+    calls = [(group.primary_ref, "submit", (f"sku-{i}", 1, 10), {}) for i in range(8)]
+    if batched:
+        try:
+            results = client.invoke_remote_many(calls, transport=transport)
+            answers = [result.error for result in results]
+        except NetworkError as error:
+            answers = [error] * len(calls)
+    else:
+        answers = []
+        for reference, member, args, _kwargs in calls:
+            try:
+                client.invoke_remote(reference, member, args, transport=transport)
+                answers.append(None)
+            except Exception as error:  # noqa: BLE001 - the answer is the datum
+                answers.append(error)
+    acked = [f"sku-{i}" for i, answer in enumerate(answers) if answer is None]
+    check_replication_invariants(manager, group, acked=acked)
+    return {
+        "answers": [type(answer).__name__ if answer else "ok" for answer in answers],
+        "acked_writes": group.acked_writes,
+        "quorum_failures": group.quorum_failures,
+        "acked": {node: record.acked for node, record in group.backups.items()},
+        "server_errors": sum(row["errors"] for row in metrics.snapshot().values()),
+    }
+
+
+class TestBatchedQuorumOutcomes:
+    """A batch's quorum writes commit once and are refused together: the
+    batch answers every call as eight plain calls would have been answered,
+    and the group and the primary's server chain count the same.  A commit
+    that raises unexpectedly refuses the writes too; it never lets them be
+    acknowledged."""
+
+    #: The answer to every call, by cell, for a caller on ``client`` and one
+    #: co-located with the primary on ``a`` (no wire, no server chain).
+    EXPECTED_ANSWERS = {
+        "healthy": ("ok", "ok"),
+        "one backup cut off": ("ok", "ok"),
+        "both backups cut off": ("QuorumLostError", "QuorumLostError"),
+        "primary partitioned from all": ("PartitionError", "QuorumLostError"),
+        "catch-up raises": ("RemoteInvocationError", "RuntimeError"),
+    }
+
+    @pytest.mark.parametrize("caller", ["client", "a"])
+    @pytest.mark.parametrize("transport", OUTCOME_TRANSPORTS)
+    @pytest.mark.parametrize("cell", list(OUTCOME_CELLS))
+    def test_a_batch_is_answered_like_its_plain_calls(self, cell, transport, caller):
+        batched = _outcomes(cell, transport, True, caller)
+        assert batched == _outcomes(cell, transport, False, caller)
+        answer = self.EXPECTED_ANSWERS[cell][caller == "a"]
+        assert batched["answers"] == [answer] * 8
+
 
 
 PROMOTION_TRANSPORTS = ("inproc", "rmi", "corba", "soap")
@@ -445,3 +535,73 @@ class TestErrorFacadeShim:
     def test_old_import_path_is_gone(self):
         with pytest.raises(ModuleNotFoundError):
             import repro.errors  # noqa: F401
+
+class _Relay:
+    """On ``d``: makes one plain write to the replicated primary, then reports
+    what the backups and the op log held when that write came back."""
+
+    def __init__(self, space, group):
+        self.space, self.group = space, group
+
+    def send(self, sku):
+        self.space.invoke_remote(self.group.primary_ref, "submit", (sku, 1, 10))
+        group = self.group
+        return [record.impl.accepted_count() for record in group.backups.values()] + [
+            len(group.log)
+        ]
+
+
+class _Front:
+    """On the primary's node ``a``: each call waits on one relay call to ``d``,
+    after writing to the group itself when asked to (a co-located call)."""
+
+    def __init__(self, space, relay_ref, group):
+        self.space, self.relay_ref, self.group = space, relay_ref, group
+
+    def go(self, sku, direct=False):
+        if direct:
+            self.space.invoke_remote(self.group.primary_ref, "submit", (f"{sku}-a", 1, 10))
+        return self.space.invoke_remote(self.relay_ref, "send", (sku,))
+
+
+def _probe(quorum):
+    """Primary ``a`` with backups ``b`` and ``c``; a front on ``a``, a relay on ``d``."""
+    cluster = Cluster(("client", "a", "b", "c", "d"))
+    manager = ReplicaManager(cluster)
+    group = manager.replicate(
+        OrderIntake(), name="orders", primary_node="a", backup_nodes=["b", "c"],
+        readonly=INTAKE_READONLY, quorum=quorum, fencing=quorum > 1,
+    )
+    relay_ref = cluster.space("d").export(_Relay(cluster.space("d"), group))
+    front_ref = cluster.space("a").export(_Front(cluster.space("a"), relay_ref, group))
+    return cluster, group, front_ref
+
+
+class TestBatchScopeIsPerMessage:
+    """A batch's commit scope covers the calls of that batch message only.
+
+    The probe: a batch of two ``Front.go`` calls is served on ``a``, the
+    replicated primary's node.  Each call has ``d`` make one *plain* write back
+    to the primary.  That write is its own message, so it commits on its own:
+    when it has returned to ``d``, both backups hold it and the log is empty.
+    """
+
+    @pytest.mark.parametrize("quorum", [1, 2])
+    def test_a_plain_write_served_inside_a_batch_commits_on_its_own(self, quorum):
+        cluster, group, front_ref = _probe(quorum)
+        results = cluster.space("client").invoke_remote_many(
+            [(front_ref, "go", (f"sku-{i}",), {}) for i in range(2)]
+        )
+        assert [result.unwrap() for result in results] == [[1, 1, 0], [2, 2, 0]]
+        assert group.log == [] and group.forward_messages == 4
+
+    def test_batch_writes_a_nested_commit_shipped_are_acknowledged(self):
+        """Each batch call writes the group, then waits on the plain write:
+        that write's commit ships both, so the batch's commit finds every
+        backup current — all acks, nothing refused, nothing counted twice."""
+        cluster, group, front_ref = _probe(2)
+        results = cluster.space("client").invoke_remote_many(
+            [(front_ref, "go", (f"sku-{i}", True), {}) for i in range(2)]
+        )
+        assert [result.unwrap() for result in results] == [[2, 2, 0], [4, 4, 0]]
+        assert group.acked_writes == 4 and group.quorum_failures == 0
