@@ -98,7 +98,7 @@ def adopted_by_a_session(oracle) -> None:
     service = session.service(
         "shared",
         ServicePolicy()
-        .with_replication(3, quorum=2, fencing=True)
+        .with_replication(3, quorum=2)
         .with_caching(lease_ms=50)
         .with_tracing(1.0),
         impl=shared,  # the handle A and B already hold: the session adopts it

@@ -23,10 +23,15 @@ policy field                  replaces
 ``pipeline_depth``            ``PipelineScheduler(window=...)``
 ``retry``                     ``FaultTolerantInvoker(policy=...)`` wiring
 ``replication_factor``        ``ReplicaManager`` + ``backup_nodes`` counting
-``sync`` / ``readonly``       ``ReplicaManager(sync=...)`` / ``replicate(readonly=...)``
-``heartbeat_interval`` etc.   ``HeartbeatDetector(interval=..., miss_threshold=...)``
-``max_failover_attempts``     ``PipelineScheduler(max_failover_attempts=...)``
+``quorum``                    ``replicate(quorum=...)``; fencing is ``quorum > 1``
+``sync`` / ``readonly``       ``replicate(sync=..., readonly=...)``
 ============================  ==================================================
+
+What failover needs besides that is fixed, not configured: the session's one
+:class:`~repro.network.heartbeat.HeartbeatDetector` runs at its defaults, and
+a call re-ships at most
+:data:`~repro.runtime.faulttolerance.MAX_FAILOVER_ATTEMPTS` times while a
+backup is promoted.
 """
 
 from __future__ import annotations
@@ -63,23 +68,15 @@ class ServicePolicy:
     #: unreplicated, ``R`` keeps ``R - 1`` backups on distinct nodes.
     replication_factor: int = 1
     #: Acks (counting the primary's local apply) a write needs before it is
-    #: acknowledged to the client; ``1`` is the legacy primary-only mode,
-    #: a majority turns the group into quorum replication.
+    #: acknowledged to the client; ``1`` is primary-only acks.  More than one
+    #: also fences the group: epochs are enforced on replication frames, a
+    #: stale primary's frames are rejected with ``FencedError`` and promotion
+    #: requires a majority of reachable voters (split-brain prevention).
     quorum: int = 1
-    #: Whether epochs are enforced on replication frames: a stale primary's
-    #: frames are rejected with ``FencedError`` and promotion requires a
-    #: majority of reachable voters (split-brain prevention).
-    fencing: bool = False
     #: Replica synchronization mode (``"eager"`` or ``"interval"``).
     sync: str = "eager"
     #: Members that never mutate state (not forwarded to backups).
     readonly: Tuple[str, ...] = ()
-    #: Simulated seconds between heartbeat probe rounds.
-    heartbeat_interval: float = 0.002
-    #: Consecutive missed probes before a node is declared down.
-    miss_threshold: int = 2
-    #: Re-ships a call may spend riding out failure detection + promotion.
-    max_failover_attempts: int = 12
     #: Client-side result caching for the service's ``@cacheable`` members
     #: (``None`` = every read pays its round trip).  See
     #: :class:`~repro.runtime.caching.CachePolicy` for the knobs.
@@ -124,11 +121,6 @@ class ServicePolicy:
                 f"quorum {self.quorum} exceeds the {self.replication_factor} "
                 "replica(s) that could acknowledge it"
             )
-        if self.fencing and self.replication_factor < 2:
-            raise PolicyError(
-                "fencing requires at least 2 replicas (an unreplicated "
-                "service has no epoch to fence against)"
-            )
         if self.quorum > 1 and self.sync != "eager":
             raise PolicyError(
                 "quorum commit requires sync='eager' (interval snapshots "
@@ -136,12 +128,6 @@ class ServicePolicy:
             )
         if self.sync not in SYNC_MODES:
             raise PolicyError(f"unknown sync mode {self.sync!r} (use one of {SYNC_MODES})")
-        if self.heartbeat_interval <= 0:
-            raise PolicyError("heartbeat_interval must be positive")
-        if self.miss_threshold < 1:
-            raise PolicyError("miss_threshold must be at least 1")
-        if self.max_failover_attempts < 1:
-            raise PolicyError("max_failover_attempts must be at least 1")
         if self.tracing is not None and not 0.0 <= self.tracing <= 1.0:
             raise PolicyError(
                 f"tracing sample rate must be within [0, 1], got {self.tracing!r}"
@@ -193,9 +179,7 @@ class ServicePolicy:
         self,
         replicas: Optional[int] = None,
         quorum: Optional[Union[int, str]] = None,
-        fencing: Optional[bool] = None,
         *,
-        factor: Optional[int] = None,
         sync: Optional[str] = None,
         readonly: Optional[Sequence[str]] = None,
     ) -> "ServicePolicy":
@@ -203,7 +187,7 @@ class ServicePolicy:
 
         The commit rule is always named explicitly::
 
-            policy.with_replication(3, quorum="majority", fencing=True)
+            policy.with_replication(3, quorum="majority")
 
         ``quorum`` is the number of replicas (counting the primary) that
         must apply a write before it is acknowledged to the client — a
@@ -214,17 +198,11 @@ class ServicePolicy:
         it exceeds ``replicas``); ``quorum=1`` is primary-only acks.  Either
         way failover promotes the backup with the highest acknowledged seq.
         A call that names neither spelling raises ``PolicyError``.
-        ``fencing`` (default ``True`` once a majority quorum — ``quorum > 1``
-        — is named) stamps every replication frame with the group's epoch:
-        stale primaries are rejected with
+        ``quorum > 1`` also fences the group: every replication frame carries
+        the group's epoch, stale primaries are rejected with
         :class:`~repro.api.errors.FencedError` and promotion requires a
-        majority of reachable voters.  ``PolicyError`` when fencing is
-        requested with fewer than 2 replicas.
+        majority of reachable voters.
         """
-        if factor is not None:
-            if replicas is not None:
-                raise PolicyError("pass either replicas or factor, not both")
-            replicas = factor
         if replicas is None:
             replicas = 2
         if quorum == "majority":
@@ -237,16 +215,10 @@ class ServicePolicy:
                 'quorum="majority" (recommended) or quorum=<int> '
                 f"(1 = primary-only acks), not {quorum!r}"
             )
-        if fencing is None:
-            # Fencing only auto-enables for a real majority quorum: a fenced
-            # group needs a majority of voters to elect, so quorum=1
-            # (primary-ack mode) keeps promote-the-freshest failover.
-            fencing = resolved_quorum > 1
         return replace(
             self,
             replication_factor=replicas,
             quorum=resolved_quorum,
-            fencing=bool(fencing),
             sync=sync if sync is not None else self.sync,
             readonly=tuple(readonly) if readonly is not None else self.readonly,
         )
@@ -365,8 +337,8 @@ class ServicePolicy:
 
     @property
     def quorum_replicated(self) -> bool:
-        """Whether the group runs in quorum mode (majority acks or fencing)."""
-        return self.replicated and (self.quorum > 1 or self.fencing)
+        """Whether the group runs in quorum mode: more than one ack, fenced."""
+        return self.replicated and self.quorum > 1
 
     @property
     def cached(self) -> bool:
@@ -390,5 +362,4 @@ class ServicePolicy:
             self.batch_window,
             self.pipeline_depth,
             self.retry,
-            self.max_failover_attempts,
         )

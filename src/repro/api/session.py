@@ -137,15 +137,6 @@ class Session:
         Either way the returned service dispatches per ``policy``: plain
         calls, ``.future`` calls, batching, pipelining, retries and failover
         are all assembled internally, in the right order.
-
-        One detector/manager pair serves the whole session, so the
-        *replication-infrastructure* knobs (``transport`` for replication
-        traffic, ``heartbeat_interval``, ``miss_threshold``, the default
-        ``sync``) are taken from the **first** replicated service's policy;
-        later replicated services contribute their per-group settings
-        (``sync`` override, ``readonly``, placement) but cannot re-tune the
-        shared detector.  Open separate sessions for genuinely different
-        failure-detection regimes.
         """
         self._ensure_open()
         if policy is None:
@@ -207,7 +198,7 @@ class Session:
         elif policy.replicated:
             primary = node if node is not None else self._pick_host()
             backups = self._backup_nodes(policy, primary, backup_nodes)
-            manager = self._ensure_replication(policy)
+            manager = self._ensure_replication()
             for watched in (primary, *backups):
                 if watched != self.node_id:
                     self._detector.watch(watched)
@@ -219,7 +210,7 @@ class Session:
                 readonly=policy.readonly,
                 sync=policy.sync,
                 quorum=policy.quorum,
-                fencing=policy.fencing,
+                transport=policy.transport,
             )
             reference = group.primary_ref
             host_nodes = [primary, *backups]
@@ -435,30 +426,22 @@ class Session:
                 transport=policy.transport,
                 retry_policy=policy.retry if policy.retry is not None else NO_RETRY,
                 replica_manager=self._manager,
-                max_failover_attempts=policy.max_failover_attempts,
             )
             self._schedulers[key] = scheduler
         return scheduler
 
-    def _ensure_replication(self, policy: ServicePolicy) -> ReplicaManager:
-        """Create the shared detector + manager on first replicated service.
+    def _ensure_replication(self) -> ReplicaManager:
+        """Create the session's detector + manager on its first replicated service.
 
-        Subsequent replicated services reuse the pair as-is — the first
-        policy's detector/transport settings win (see :meth:`service`).
+        Every replicated service shares the pair; each group carries its own
+        policy's transport, sync mode and quorum.
         """
         if self._manager is not None:
             return self._manager
-        self._detector = HeartbeatDetector(
-            self.cluster.network,
-            self.node_id,
-            interval=policy.heartbeat_interval,
-            miss_threshold=policy.miss_threshold,
-        )
+        self._detector = HeartbeatDetector(self.cluster.network, self.node_id)
         self._manager = ReplicaManager(
             self.cluster,
             detector=self._detector,
-            sync=policy.sync,
-            transport=policy.transport,
             # So that a transformed object's state is read, written and
             # re-created through its generated accessors and local class.
             application=self.space.application,

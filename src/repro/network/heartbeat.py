@@ -83,7 +83,7 @@ class HeartbeatDetector:
         network,
         monitor_node: str,
         *,
-        interval: float = 0.005,
+        interval: float = 0.002,
         miss_threshold: int = 2,
     ) -> None:
         if interval <= 0:

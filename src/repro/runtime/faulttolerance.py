@@ -55,34 +55,32 @@ TRANSIENT_FAILURES = (MessageDroppedError, AdmissionError)
 #: without operator/adaptation intervention will not help.
 FATAL_FAILURES = (PartitionError, NodeUnreachableError)
 
+#: Re-ships a call may spend riding out failure detection plus promotion
+#: before a fatal failure of a replicated target surfaces after all.
+MAX_FAILOVER_ATTEMPTS = 12
+
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """How a fault-tolerant invoker reacts to transient failures."""
+    """How a fault-tolerant invoker reacts to transient failures.
+
+    Only transient failures are retried, with a backoff that doubles after
+    every failed attempt.  Fatal ones (partitions, crashed nodes) have one
+    handler, failover to a promoted replica, and surface otherwise.
+    """
 
     max_attempts: int = 3
     #: Simulated seconds waited before the first retry.
     initial_backoff: float = 0.001
-    #: Multiplier applied to the backoff after every failed attempt.
-    backoff_factor: float = 2.0
-    #: Whether fatal failures (partitions, crashed nodes) should also be
-    #: retried — normally False, they need topology changes to heal.
-    retry_fatal: bool = False
 
     def backoff_for_attempt(self, attempt: int) -> float:
         """Backoff charged before retry number ``attempt`` (1-based)."""
         if attempt <= 0:
             return 0.0
-        return self.initial_backoff * (self.backoff_factor ** (attempt - 1))
+        return self.initial_backoff * (2.0 ** (attempt - 1))
 
     def should_retry(self, error: Exception, attempt: int) -> bool:
-        if attempt >= self.max_attempts:
-            return False
-        if isinstance(error, TRANSIENT_FAILURES):
-            return True
-        if isinstance(error, FATAL_FAILURES):
-            return self.retry_fatal
-        return False
+        return attempt < self.max_attempts and isinstance(error, TRANSIENT_FAILURES)
 
 
 #: A retry policy that never retries: failures surface immediately.
@@ -137,7 +135,7 @@ class FaultTolerantInvoker:
     failures retry, every failure is recorded, and — with a
     :class:`~repro.runtime.replication.ReplicaManager` — fatal failures and
     fenced/quorum-less refusals of replicated targets are re-shipped to the
-    promoted replica (at most ``max_failover_attempts`` times per call)
+    promoted replica (at most :data:`MAX_FAILOVER_ATTEMPTS` times per call)
     instead of surfacing to the application.
     """
 
@@ -148,13 +146,11 @@ class FaultTolerantInvoker:
         log: Optional[FailureLog] = None,
         *,
         replica_manager=None,
-        max_failover_attempts: int = 8,
     ) -> None:
         self.space = space
         self.policy = policy
         self.log = log if log is not None else FailureLog()
         self.replica_manager = replica_manager
-        self.max_failover_attempts = max_failover_attempts
         self._schedulers: Dict[tuple, Any] = {}
 
     def scheduler(self, space, *, max_batch: int, transport: Optional[str] = None):
@@ -170,7 +166,6 @@ class FaultTolerantInvoker:
             retry_policy=self.policy,
             failure_log=self.log,
             replica_manager=self.replica_manager,
-            max_failover_attempts=self.max_failover_attempts,
         )
 
     def _scheduler_for(self, space, transport: Optional[str], max_batch: int):

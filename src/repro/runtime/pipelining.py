@@ -53,6 +53,7 @@ from repro._errors import InvocationError, NetworkError
 from repro.observability.tracing import trace_queue_waits
 from repro.runtime.faulttolerance import (
     FATAL_FAILURES,
+    MAX_FAILOVER_ATTEMPTS,
     NO_RETRY,
     REPLICATION_REFUSALS,
     FailureLog,
@@ -262,9 +263,10 @@ class PipelineScheduler:
     requeued with the manager's suggested backoff (one heartbeat interval)
     and every reference is re-resolved through the published failover
     redirects at ship time, so once the detector promotes a backup the
-    retried traffic lands on the new primary.  ``max_failover_attempts``
-    bounds how many re-ships a call may spend riding out detection plus
-    promotion before the fatal error is surfaced after all.
+    retried traffic lands on the new primary.
+    :data:`~repro.runtime.faulttolerance.MAX_FAILOVER_ATTEMPTS` bounds how
+    many re-ships a call may spend riding out detection plus promotion before
+    the fatal error is surfaced after all.
     """
 
     def __init__(
@@ -277,7 +279,6 @@ class PipelineScheduler:
         retry_policy: RetryPolicy = NO_RETRY,
         failure_log: Optional[FailureLog] = None,
         replica_manager=None,
-        max_failover_attempts: int = 8,
     ) -> None:
         if max_batch < 1:
             raise InvocationError("max_batch must be at least 1")
@@ -290,7 +291,6 @@ class PipelineScheduler:
         self.retry_policy = retry_policy
         self.failure_log = failure_log if failure_log is not None else FailureLog()
         self.replica_manager = replica_manager
-        self.max_failover_attempts = max_failover_attempts
         self._events = space.network.events
         self._clock = space.network.clock
         self._buffers: Dict[str, List[_ScheduledCall]] = {}
@@ -618,7 +618,7 @@ class PipelineScheduler:
         """Whether a re-ship of ``call`` could land on a promoted replica."""
         return (
             self.replica_manager is not None
-            and call.future.attempts <= self.max_failover_attempts
+            and call.future.attempts <= MAX_FAILOVER_ATTEMPTS
             and self.replica_manager.can_fail_over(call.reference)
         )
 
@@ -677,7 +677,7 @@ class PipelineScheduler:
         re-grouped batch can simultaneously retry some calls and surface the
         error on others.  Fatal failures of replicated targets take the
         failover path instead: the call is requeued (bounded by
-        ``max_failover_attempts``) with the replica manager's suggested
+        ``MAX_FAILOVER_ATTEMPTS``) with the replica manager's suggested
         backoff, riding out failure detection until the re-resolved
         reference points at the promoted replica.
         """

@@ -26,18 +26,19 @@ Consistency model: *eager* mode gives per-object sequential consistency for
 deterministic operations — a write reaches each live backup before its
 response leaves, so a promoted backup has observed every acknowledged write.
 *interval* mode trades that durability for write cost: a crash loses at most
-one interval's writes.  Mark non-mutating members ``readonly`` so reads are
-not logged at all.
+one interval's (``SYNC_INTERVAL``) writes.  Mark non-mutating members
+``readonly`` so reads are not logged at all.
 
-Quorum mode (``quorum > 1`` with ``fencing=True``) hardens eager replication
-against asymmetric partitions:
+A group has one switch, its ``quorum``.  ``quorum=1`` is primary-only acks.
+``quorum > 1`` turns the group *fenced*, hardening eager replication against
+asymmetric partitions:
 
-* A write is acknowledged only after a **majority** of replicas applied it
-  (the primary's own apply counts); short of that the caller gets
-  :class:`~repro.api.errors.QuorumLostError`; a dispatched batch's writes
-  are counted once, at its commit, and refused together.  Writes past the
-  promoted backup's acknowledged seq are *divergent*: discarded, never
-  replayed, when the superseded primary heals.
+* A write is acknowledged only after ``quorum`` replicas — a **majority**,
+  typically — applied it (the primary's own apply counts); short of that
+  the caller gets :class:`~repro.api.errors.QuorumLostError`; a dispatched
+  batch's writes are counted once, at its commit, and refused together.
+  Writes past the promoted backup's acknowledged seq are *divergent*:
+  discarded, never replayed, when the superseded primary heals.
 * Every replication frame carries the group **epoch**; a
   :class:`ReplicaEndpoint` that adopted a newer one rejects older frames with
   :class:`~repro.api.errors.FencedError`.
@@ -66,6 +67,10 @@ from repro.runtime.remote_ref import RemoteRef
 #: The two replica-synchronization modes.
 SYNC_MODES = ("eager", "interval")
 
+#: Simulated seconds between an interval group's snapshot ticks (and the
+#: failover backoff of a manager without a heartbeat detector).
+SYNC_INTERVAL = 0.05
+
 
 class ReplicaEndpoint:
     """The backup-side service object hosted on each backup node.
@@ -78,26 +83,18 @@ class ReplicaEndpoint:
     is charged, metered and failure-injected exactly like application
     traffic.
 
-    Fencing endpoints additionally track the group **epoch**: every
-    replication frame carries the sender's epoch, a frame claiming an older
-    epoch than one already adopted is rejected with
-    :class:`~repro.api.errors.FencedError`, and :meth:`adopt_epoch` doubles
-    as the promotion *vote* — acknowledging it commits this replica to the
-    new epoch, after which the superseded primary's frames bounce.
+    Endpoints also track the group **epoch**.  A fenced group's frames
+    carry the sender's epoch (an unfenced group's carry none, and pass
+    unchecked): a frame claiming an older epoch than one already adopted is
+    rejected with :class:`~repro.api.errors.FencedError`, and
+    :meth:`adopt_epoch` doubles as the promotion *vote* — acknowledging it
+    commits this replica to the new epoch, after which the superseded
+    primary's frames bounce.
     """
 
-    def __init__(
-        self,
-        impl: Any,
-        application: Any = None,
-        *,
-        fencing: bool = False,
-        epoch: int = 0,
-    ) -> None:
+    def __init__(self, impl: Any, application: Any = None, *, epoch: int = 0) -> None:
         self._impl = impl
         self._application = application
-        #: Whether frames are epoch-checked (quorum/fencing groups).
-        self.fencing = fencing
         #: Highest epoch this replica has adopted.
         self.epoch = epoch
         #: Mutating operations replayed onto this copy.
@@ -109,7 +106,7 @@ class ReplicaEndpoint:
 
     def _check_epoch(self, epoch: Optional[int]) -> None:
         """Fence one incoming frame: adopt newer epochs, reject older ones."""
-        if epoch is None or not self.fencing:
+        if epoch is None:
             return
         if epoch < self.epoch:
             self.fenced_rejections += 1
@@ -128,7 +125,7 @@ class ReplicaEndpoint:
         one already adopted is a superseded (or duplicate) promotion attempt
         and is rejected with :class:`~repro.api.errors.FencedError`.
         """
-        if self.fencing and epoch <= self.epoch:
+        if epoch <= self.epoch:
             self.fenced_rejections += 1
             raise FencedError(
                 f"cannot adopt epoch {epoch}: replica already at epoch {self.epoch}",
@@ -187,9 +184,9 @@ class ReplicaRecord:
 
 @dataclass
 class StalePrimary:
-    """A superseded primary a fencing failover could not reach to retire.
+    """A superseded primary a fenced failover could not reach to retire.
 
-    Fencing failovers never reach across a partition to unexport the old
+    Fenced failovers never reach across a partition to unexport the old
     primary (the partition is exactly why they cannot trust that path);
     instead the superseded wrapper is recorded here, left to fence itself on
     its next call, and reconciled — divergent unacknowledged ops discarded,
@@ -232,7 +229,7 @@ class FailoverRecord:
     new_reference: RemoteRef
     epoch: int
     simulated_time: float
-    #: Promotion votes gathered (fencing groups; 0 for legacy promotion).
+    #: Promotion votes gathered (fenced groups; 0 for primary-ack ones).
     votes: int = 0
 
 
@@ -247,6 +244,8 @@ class ReplicaGroup:
     primary_impl: Any
     sync: str
     readonly: FrozenSet[str]
+    #: Transport of the group's replication frames (``None`` = space default).
+    transport: Optional[str] = None
     backups: Dict[str, ReplicaRecord] = field(default_factory=dict)
     #: Incremented on every failover; lets observers order promotions.
     epoch: int = 0
@@ -268,10 +267,8 @@ class ReplicaGroup:
     #: Zero-argument constructor used to build (re-)seeded backup copies.
     factory: Optional[Callable[[], Any]] = None
     #: Acks (primary's local apply included) required before a write is
-    #: acknowledged; 1 preserves the legacy fire-and-forget behaviour.
+    #: acknowledged; 1 is primary-only acks, more makes the group fenced.
     quorum: int = 1
-    #: Whether frames are epoch-stamped and stale primaries self-retire.
-    fencing: bool = False
     #: The currently exported :class:`ReplicatedObject` wrapper.
     primary_wrapper: Optional[Any] = None
     #: Superseded primaries awaiting partition-heal reconciliation.
@@ -286,6 +283,12 @@ class ReplicaGroup:
     promotions_vetoed: int = 0
     #: Divergent unacknowledged ops discarded at reconciliation.
     ops_discarded: int = 0
+
+    @property
+    def fenced(self) -> bool:
+        """Whether frames are epoch-stamped, promotion is voted and stale
+        primaries self-retire: every group that needs more than one ack."""
+        return self.quorum > 1
 
     @property
     def dirty(self) -> bool:
@@ -309,7 +312,7 @@ class ReplicatedObject:
     ``readonly`` — the write then takes the group's next seq and the manager
     decides when backups catch up on it (see :meth:`ReplicaManager._after_write`).
 
-    In fencing groups the wrapper remembers the epoch it was exported under
+    In fenced groups the wrapper remembers the epoch it was exported under
     and compares it against the group's current epoch on **every** call:
     once a promotion has superseded it, it raises
     :class:`~repro.api.errors.FencedError` instead of dispatching — reads
@@ -338,7 +341,7 @@ class ReplicatedObject:
 
         def call(*args: Any, **kwargs: Any) -> Any:
             group = self._group
-            if group.fencing and self._epoch < group.epoch:
+            if group.fenced and self._epoch < group.epoch:
                 # Superseded: retire instead of acking doomed writes (or
                 # serving reads another epoch may have invalidated).
                 self._manager._reject_fenced(group, self)
@@ -359,32 +362,14 @@ class ReplicaManager:
     heartbeat ``detector`` (optional) and promotes backups when primaries die
     — rebinding names and publishing :class:`~repro.runtime.remote_ref.RemoteRef`
     redirects that the retry layers follow.  ``application`` (optional) lets
-    state capture use a transformed class's accessors.  ``sync`` is the
-    default mode of new groups: ``"eager"`` ships the log after every write,
-    ``"interval"`` ships snapshots every ``sync_interval`` simulated seconds.
-    ``transport`` carries replication traffic (``None`` = space default).
+    state capture use a transformed class's accessors, and re-create backup
+    copies from a transformed class's local class.
     """
 
-    def __init__(
-        self,
-        cluster,
-        *,
-        application: Any = None,
-        detector: Any = None,
-        sync: str = "eager",
-        sync_interval: float = 0.05,
-        transport: Optional[str] = None,
-    ) -> None:
-        if sync not in SYNC_MODES:
-            raise ReplicationError(f"unknown sync mode {sync!r} (use one of {SYNC_MODES})")
-        if sync_interval <= 0:
-            raise ReplicationError("sync_interval must be positive")
+    def __init__(self, cluster, *, application: Any = None, detector: Any = None) -> None:
         self.cluster = cluster
         self.application = application
         self.detector = detector
-        self.sync = sync
-        self.sync_interval = sync_interval
-        self.transport = transport
         self.running = True
         self._groups: Dict[str, ReplicaGroup] = {}
         self._redirects: Dict[RemoteRef, RemoteRef] = {}
@@ -404,30 +389,34 @@ class ReplicaManager:
         primary_node: str,
         backup_nodes: Sequence[str],
         readonly: Sequence[str] = (),
-        sync: Optional[str] = None,
-        factory: Optional[Callable[[], Any]] = None,
+        sync: str = "eager",
         quorum: int = 1,
-        fencing: bool = False,
+        transport: Optional[str] = None,
     ) -> ReplicaGroup:
         """Create a replica group for ``impl`` and return it.
 
         The implementation is exported from ``primary_node`` behind a
         :class:`ReplicatedObject` wrapper and bound to ``name`` in the
-        cluster's naming service.  One backup copy (built by ``factory``,
-        default: the implementation's class with no arguments) is seeded on
-        each of ``backup_nodes`` by shipping a state snapshot over the
-        network.  ``readonly`` names members that never mutate state and are
-        therefore never logged; ``sync`` overrides the manager's mode.
+        cluster's naming service.  One backup copy (the implementation's
+        class, or a transformed class's local class, built with no
+        arguments) is seeded on each of ``backup_nodes`` by shipping a state
+        snapshot over the network.  ``readonly`` names members that never
+        mutate state and are therefore never logged.  ``sync`` is the
+        group's mode: ``"eager"`` ships the log after every write,
+        ``"interval"`` ships snapshots every ``SYNC_INTERVAL`` simulated
+        seconds.  ``transport`` carries the group's replication frames and
+        promotion votes (``None`` = the sending space's default).
 
         ``quorum`` is the number of replica acks (the primary's local apply
-        included) a write needs before it is acknowledged; ``quorum > 1``
-        requires eager sync.  ``fencing`` stamps every replication frame
-        with the group epoch, gates promotion on a majority of adoption
-        votes, and makes superseded primaries retire themselves.
+        included) a write needs before it is acknowledged.  ``quorum > 1``
+        requires eager sync and makes the group fenced: every replication
+        frame carries the group epoch, promotion needs a majority of
+        adoption votes, and superseded primaries retire themselves.
         """
         if name in self._groups:
             raise ReplicationError(f"replica group {name!r} already exists")
-        mode = sync if sync is not None else self.sync
+        if sync not in SYNC_MODES:
+            raise ReplicationError(f"unknown sync mode {sync!r} (use one of {SYNC_MODES})")
         backup_nodes = list(backup_nodes)
         if not backup_nodes:
             raise ReplicationError(f"replica group {name!r} needs at least one backup node")
@@ -441,7 +430,7 @@ class ReplicaManager:
             raise ReplicationError(
                 f"quorum {quorum} exceeds the group's {1 + len(backup_nodes)} replicas"
             )
-        if quorum > 1 and mode != "eager":
+        if quorum > 1 and sync != "eager":
             raise ReplicationError("quorum replication requires eager sync")
 
         primary_space = self.cluster.space(primary_node)
@@ -452,11 +441,11 @@ class ReplicaManager:
             primary_node=primary_node,
             primary_ref=None,  # type: ignore[arg-type] - set right below
             primary_impl=impl,
-            sync=mode,
+            sync=sync,
             readonly=frozenset(readonly),
+            transport=transport,
             quorum=quorum,
-            fencing=fencing,
-            factory=factory if factory is not None else self._default_factory(impl),
+            factory=self._default_factory(impl),
         )
         group.primary_wrapper = ReplicatedObject(self, group)
         group.primary_ref = primary_space.export(
@@ -471,7 +460,7 @@ class ReplicaManager:
 
         self._groups[name] = group
         self.cluster.naming.rebind(name, group.primary_ref)
-        if mode == "interval":
+        if sync == "interval":
             self._schedule_sync(group)
         return group
 
@@ -489,7 +478,7 @@ class ReplicaManager:
     def _fresh_copy(self, group: ReplicaGroup, node_id: str) -> ReplicaRecord:
         """Build and export one empty backup copy on ``node_id`` (not yet seeded)."""
         copy = group.factory()
-        endpoint = ReplicaEndpoint(copy, self.application, fencing=group.fencing, epoch=group.epoch)
+        endpoint = ReplicaEndpoint(copy, self.application, epoch=group.epoch)
         endpoint_ref = self.cluster.space(node_id).export(
             endpoint, interface_name=f"{group.class_name}.replica"
         )
@@ -538,7 +527,7 @@ class ReplicaManager:
         """Simulated seconds a retrier should wait between failover probes."""
         if self.detector is not None:
             return self.detector.interval
-        return self.sync_interval
+        return SYNC_INTERVAL
 
     def _reject_fenced(self, group: ReplicaGroup, wrapper: ReplicatedObject) -> None:
         """Retire a superseded primary wrapper: count, mark, and raise."""
@@ -648,12 +637,12 @@ class ReplicaManager:
                 if state is None:
                     state = snapshot_state(group.primary_impl, self.application)
                 member, args = "apply_state", (state,)
-            if group.fencing:
-                # The epoch rides every frame of a fencing group, so a
+            if group.fenced:
+                # The epoch rides every frame of a fenced group, so a
                 # replica that adopted a newer one rejects the sender.
                 args += (group.epoch,)
             try:
-                space.invoke_remote(target.endpoint_ref, member, args, transport=self.transport)
+                space.invoke_remote(target.endpoint_ref, member, args, transport=group.transport)
             except (NetworkError, RemoteInvocationError, FencedError):
                 if target is record:
                     record.healthy = False
@@ -713,9 +702,9 @@ class ReplicaManager:
                 return
             if not self._node_down(group.primary_node):
                 self._catch_up(group)
-            self.cluster.network.events.schedule(self.sync_interval, tick)
+            self.cluster.network.events.schedule(SYNC_INTERVAL, tick)
 
-        self.cluster.network.events.schedule(self.sync_interval, tick)
+        self.cluster.network.events.schedule(SYNC_INTERVAL, tick)
 
     def _schedule_reseed(
         self, group: ReplicaGroup, node_id: str, attempt: int = 1, max_attempts: int = 8
@@ -747,13 +736,13 @@ class ReplicaManager:
 
         Backups hosted there become unusable; every group whose primary
         lived there is failed over (groups with no promotable backup are left
-        as they are until the node recovers).  Fencing groups do not demote
+        as they are until the node recovers).  Fenced groups do not demote
         backups on a declaration alone — a monitor blinded by an asymmetric
         partition would poison a healthy data plane; their primary demotes
         backups from its own failed frames.
         """
         for group in self._groups.values():
-            if not group.fencing and node_id in group.backups:
+            if not group.fenced and node_id in group.backups:
                 group.backups[node_id].healthy = False
         for group in list(self._groups.values()):
             if group.primary_node == node_id and self._promotable(group):
@@ -860,7 +849,7 @@ class ReplicaManager:
                 continue
             try:
                 vote_space.invoke_remote(
-                    record.endpoint_ref, "adopt_epoch", (new_epoch,), transport=self.transport
+                    record.endpoint_ref, "adopt_epoch", (new_epoch,), transport=group.transport
                 )
                 votes += 1
                 voted.append(record.node_id)
@@ -879,7 +868,7 @@ class ReplicaManager:
         reseed.  Raises :class:`~repro.api.errors.ReplicationError` when no
         backup is promotable.
 
-        Fencing groups promote by **vote**: without a majority of the voters
+        Fenced groups promote by **vote**: without a majority of the voters
         acknowledging ``adopt_epoch`` the promotion is vetoed with
         :class:`~repro.api.errors.QuorumLostError`.  They never reach across
         the partition to retire the old primary's export: the superseded
@@ -891,7 +880,7 @@ class ReplicaManager:
             raise ReplicationError(f"replica group {group.name!r} has no promotable backup")
         votes = 0
         voted: List[str] = []
-        if group.fencing:
+        if group.fenced:
             new_epoch = group.epoch + 1
             votes, voted = self._collect_promotion_votes(group, new_epoch)
             needed = self._majority(group)
@@ -928,7 +917,7 @@ class ReplicaManager:
         )
         del group.backups[promoted.node_id]
         stale_subscribers: Dict[str, Optional[float]] = {}
-        if group.fencing:
+        if group.fenced:
             # The old node may be alive and merely unreachable from the
             # monitor: its space cannot be trusted (or, in a real deployment,
             # reached) to hand over state, so its wrapper waits for the heal.
@@ -950,7 +939,7 @@ class ReplicaManager:
 
         self._redirects[old_ref] = group.primary_ref
         self.cluster.naming.rebind(group.name, group.primary_ref)
-        if group.fencing:
+        if group.fenced:
             # Without the old node's subscriber table, flush the old
             # reference from *every* peer at the new epoch: leases drop now,
             # and a later ``!inv`` the fenced ex-primary mints is rejected.
@@ -1029,7 +1018,7 @@ class ReplicaManager:
 
         The single source of truth for "can this group fail over", which
         the heartbeat listener checks before calling :meth:`failover`.
-        Legacy groups require ``record.healthy``; fencing groups do **not**:
+        Unfenced groups require ``record.healthy``; fenced groups do **not**:
         a partitioned primary demotes every backup it lost sight of — the
         very replicas the promotion must choose from — so any seeded,
         non-crashed slot is a candidate and the vote tests reachability.
@@ -1037,7 +1026,7 @@ class ReplicaManager:
         return [
             record
             for record in group.backups.values()
-            if (record.healthy or group.fencing)
+            if (record.healthy or group.fenced)
             and record.endpoint_ref is not None
             and not self._node_down(record.node_id)
         ]

@@ -82,8 +82,6 @@ def run_cached_catalog_scenario(
     servers: Sequence[str] = ("server-0", "server-1"),
     replicate: bool = False,
     kill: bool = False,
-    heartbeat_interval: float = 0.002,
-    miss_threshold: int = 2,
     tracing: Optional[float] = None,
 ) -> dict:
     """Drive the cached catalog and verify coherence; returns the figures.
@@ -122,8 +120,6 @@ def run_cached_catalog_scenario(
     reader_policy = ServicePolicy(
         transport=transport,
         batch_window=max(writes_per_round, 2),
-        heartbeat_interval=heartbeat_interval,
-        miss_threshold=miss_threshold,
     )
     if cached:
         reader_policy = reader_policy.with_caching(

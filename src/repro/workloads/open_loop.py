@@ -146,9 +146,7 @@ def run_open_loop_scenario(
         catalog = KeyValueCatalog(keys)
     if retry_policy is None:
         backoff = service_time if service_time > 0.0 else 0.001
-        retry_policy = RetryPolicy(
-            max_attempts=4, initial_backoff=backoff, backoff_factor=2.0
-        )
+        retry_policy = RetryPolicy(max_attempts=4, initial_backoff=backoff)
 
     pool = cluster.set_service_pool(
         server, workers=workers, queue_limit=queue_limit, service_time=service_time

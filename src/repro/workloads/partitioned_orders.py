@@ -4,7 +4,7 @@ The replicated-orders workload (:mod:`repro.workloads.replicated_orders`)
 kills a node outright; this one asks the harder question partitions pose:
 **what happens when everyone is alive but some of them cannot talk?**  A
 three-replica :class:`OrderLedger` is deployed with
-``with_replication(3, quorum="majority", fencing=True)`` from a dedicated
+``with_replication(3, quorum="majority")`` (fenced) from a dedicated
 *monitor* node, a *writer* session streams acknowledged orders into it, and
 a *reader* session watches it through a client-side result cache.  Then one
 of four asymmetric partition **cells** is installed:
@@ -134,8 +134,6 @@ def run_partitioned_order_scenario(
     client: str = "client",
     reader: str = "reader",
     replicas: Sequence[str] = ("p0", "p1", "p2"),
-    heartbeat_interval: float = 0.002,
-    miss_threshold: int = 2,
     lease_ms: float = 50.0,
     retry_attempts: int = 12,
 ) -> dict:
@@ -181,12 +179,8 @@ def run_partitioned_order_scenario(
     with Session(cluster, node=monitor) as control, Session(
         cluster, node=client
     ) as writer_session, Session(cluster, node=reader) as reader_session:
-        deploy_policy = ServicePolicy(
-            transport=transport,
-            heartbeat_interval=heartbeat_interval,
-            miss_threshold=miss_threshold,
-        ).with_replication(
-            len(replicas), quorum="majority", fencing=True, readonly=LEDGER_READONLY
+        deploy_policy = ServicePolicy(transport=transport).with_replication(
+            len(replicas), quorum="majority", readonly=LEDGER_READONLY
         )
         deployed = control.service(
             name,
@@ -197,6 +191,7 @@ def run_partitioned_order_scenario(
         )
         group = deployed.group
         manager = control.replica_manager
+        heartbeat, misses = control.detector.interval, control.detector.miss_threshold
 
         ledger = writer_session.service(name, ServicePolicy(transport=transport))
         reads_policy = ServicePolicy(transport=transport).with_caching(
@@ -248,7 +243,7 @@ def run_partitioned_order_scenario(
         for _ in range(orders_before):
             place()
             check_read()
-        _pump(cluster, heartbeat_interval * (miss_threshold + 2))
+        _pump(cluster, heartbeat * (misses + 2))
 
         # Phase 2 — install the cell's partition; an immediate burst lands
         # before any declaration can (divergence window in cells C and D).
@@ -259,7 +254,7 @@ def run_partitioned_order_scenario(
 
         # Phase 3 — let detection, veto or promotion play out, then a second
         # burst rides whatever the control plane decided.
-        _pump(cluster, heartbeat_interval * (miss_threshold + 8))
+        _pump(cluster, heartbeat * (misses + 8))
         for _ in range(orders_during):
             place()
             check_read()
@@ -286,7 +281,7 @@ def run_partitioned_order_scenario(
         # Phase 4 — heal, then pump long enough for recovery declarations,
         # reconciliation and the reseed backoff chains to re-enlist everyone.
         failures.heal()
-        _pump(cluster, heartbeat_interval * 45)
+        _pump(cluster, heartbeat * 45)
 
         # Phase 5 — retry every refused order id (idempotent upserts make
         # this safe), then append a fresh acknowledged tail.
@@ -294,7 +289,7 @@ def run_partitioned_order_scenario(
             for _ in range(retry_attempts):
                 if place(order_id):
                     break
-                _pump(cluster, heartbeat_interval * 4)
+                _pump(cluster, heartbeat * 4)
             check_read()
         for _ in range(orders_after):
             place()

@@ -57,9 +57,6 @@ def run_replicated_order_scenario(
     sync: str = "eager",
     kill: Optional[str] = None,
     kill_after: float = 0.5,
-    heartbeat_interval: float = 0.002,
-    miss_threshold: int = 2,
-    max_failover_attempts: int = 12,
 ) -> dict:
     """Stream ``orders`` submissions across shards, optionally killing one.
 
@@ -93,9 +90,6 @@ def run_replicated_order_scenario(
             transport=transport,
             batch_window=batch_size,
             pipeline_depth=window,
-            heartbeat_interval=heartbeat_interval,
-            miss_threshold=miss_threshold,
-            max_failover_attempts=max_failover_attempts,
         )
         run_id = next(_RUN_SEQ)
         if replicate:

@@ -43,6 +43,6 @@ def check_replication_invariants(manager, group, acked=(), holds=holds_order) ->
         for exported in space.exported_objects().values()
         if isinstance(exported, ReplicatedObject)
         and exported._group is group
-        and not (group.fencing and exported._epoch < group.epoch)
+        and not (group.fenced and exported._epoch < group.epoch)
     ]
     assert len(unfenced) <= 1, f"unfenced primaries of {group.name!r} on {unfenced}"

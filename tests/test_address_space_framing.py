@@ -471,10 +471,10 @@ class TestCallBudget:
 
     def test_a_batch_of_quorum_writes_stays_within_its_call_budget(self):
         cluster = Cluster(("client", "a", "b", "c"))
-        manager = ReplicaManager(cluster, transport="rmi")
+        manager = ReplicaManager(cluster)
         group = manager.replicate(
             OrderIntake(), name="orders", primary_node="a", backup_nodes=["b", "c"],
-            readonly=INTAKE_READONLY, quorum=2, fencing=True,
+            readonly=INTAKE_READONLY, quorum=2, transport="rmi",
         )
         client = cluster.space("client")
         batches = [

@@ -8,6 +8,7 @@ from repro.api import ServicePolicy, Session
 from repro.api.errors import PolicyError, RemoteInvocationError
 from repro.runtime.cluster import Cluster
 from repro.runtime.faulttolerance import RetryPolicy
+from repro.transports.base import parse_frame
 from repro.workloads.bulk_orders import OrderIntake
 
 
@@ -35,9 +36,6 @@ class TestServicePolicy:
             {"pipeline_depth": 0},
             {"replication_factor": 0},
             {"sync": "lazy"},
-            {"heartbeat_interval": 0.0},
-            {"miss_threshold": 0},
-            {"max_failover_attempts": 0},
         ],
     )
     def test_validation(self, kwargs):
@@ -282,6 +280,7 @@ class TestReplicatedService:
             assert session.detector is not None
             assert svc.group is not None
             assert set(session.detector.watched_nodes()) == {"server", "spare"}
+            assert (session.detector.interval, session.detector.miss_threshold) == (0.002, 2)
 
     def test_kill_primary_loses_nothing(self, cluster):
         with Session(cluster, node="client") as session:
@@ -304,6 +303,34 @@ class TestReplicatedService:
             # New submissions address the promoted replica directly.
             assert svc.reference.node_id == "spare"
 
+    def test_each_group_replicates_over_its_own_transport(self):
+        """Two replicated services of one session, on rmi and on soap, share
+        the backup node ``b``: each group's frames to it speak its service's
+        transport, whichever service replicated first."""
+        cluster = Cluster(("client", "a", "b", "c"))
+        sent = []
+        send_request = cluster.network.send_request
+
+        def recording(source, destination, payload, **kwargs):
+            sent.append((source, destination, parse_frame(payload)[0]))
+            return send_request(source, destination, payload, **kwargs)
+
+        cluster.network.send_request = recording
+        with Session(cluster, node="client") as session:
+            placed = {"one": ("rmi", "a"), "two": ("soap", "c")}
+            services = {
+                name: session.service(
+                    name,
+                    ServicePolicy(transport=transport).with_replication(2, quorum=1),
+                    impl=OrderIntake(), node=primary, backup_nodes=["b"],
+                )
+                for name, (transport, primary) in placed.items()
+            }
+            for name, (transport, primary) in placed.items():
+                del sent[:]
+                services[name].submit("sku", 1, 10)
+                assert sent == [("client", primary, transport), (primary, "b", transport)]
+
     def test_backup_count_mismatch_rejected(self, cluster):
         with Session(cluster, node="client") as session:
             with pytest.raises(PolicyError):
@@ -314,19 +341,6 @@ class TestReplicatedService:
                     node="server",
                     backup_nodes=["spare"],  # policy wants 2
                 )
-
-    def test_sync_invoker_honours_max_failover_attempts(self, cluster):
-        with Session(cluster, node="client") as session:
-            policy = (
-                ServicePolicy(batch_window=4, max_failover_attempts=7)
-                .with_replication(2, quorum=1)
-            )
-            orders = session.service(
-                "orders", policy, impl=OrderIntake(), node="server",
-                backup_nodes=["spare"],
-            )
-            assert orders.scheduler.window == 1  # the synchronous driver
-            assert orders.scheduler.max_failover_attempts == 7
 
     def test_auto_backup_placement_needs_enough_nodes(self):
         small = Cluster(("client", "server"))

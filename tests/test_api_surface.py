@@ -2,23 +2,31 @@
 
 The façade is the library's compatibility contract: user code imports from
 ``repro.api`` and nowhere else.  These tests pin the exported names, the
-:class:`~repro.api.policy.ServicePolicy` builder-method signatures and the
-:class:`~repro.api.session.Session` public methods against explicit
-snapshots, so any PR that renames, removes or accidentally grows the
-surface fails with a readable diff (what appeared vs what disappeared)
-instead of a silent break for downstream imports.
+:class:`~repro.api.policy.ServicePolicy` builder-method signatures, the
+:class:`~repro.api.session.Session` public methods and every configuration
+surface (the policy value objects' fields, the replication and failover
+constructors' signatures) against explicit snapshots, so any PR that
+renames, removes or accidentally grows the surface fails with a readable
+diff (what appeared vs what disappeared) instead of a silent break for
+downstream imports.
 
-Additions are deliberate decisions too: extending the surface means
-updating the snapshot here, which makes the change visible in review.
+Additions are deliberate decisions too: extending the surface — a new knob
+included — means updating the snapshot here, which makes the change visible
+in review.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import inspect
 
 import repro.api as api
-from repro.api import ServicePolicy, Session
+from repro.api import CachePolicy, ServicePolicy, Session
 from repro.api import errors
+from repro.network.heartbeat import HeartbeatDetector
+from repro.runtime.faulttolerance import FaultTolerantInvoker, RetryPolicy
+from repro.runtime.pipelining import PipelineScheduler
+from repro.runtime.replication import ReplicaEndpoint, ReplicaManager
 
 #: The façade's exported names — the only supported import surface.
 EXPECTED_API_ALL = (
@@ -56,8 +64,7 @@ EXPECTED_POLICY_METHODS = (
 EXPECTED_POLICY_SIGNATURES = {
     "with_replication": (
         "(self, replicas: 'Optional[int]' = None, "
-        "quorum: 'Optional[Union[int, str]]' = None, "
-        "fencing: 'Optional[bool]' = None, *, factor: 'Optional[int]' = None, "
+        "quorum: 'Optional[Union[int, str]]' = None, *, "
         "sync: 'Optional[str]' = None, "
         "readonly: 'Optional[Sequence[str]]' = None) -> \"'ServicePolicy'\""
     ),
@@ -66,6 +73,68 @@ EXPECTED_POLICY_SIGNATURES = {
         "max_entries: 'Optional[int]' = None, "
         "lease_ms: 'Optional[float]' = None, mode: 'Optional[str]' = None, "
         "cacheable: 'Optional[Sequence[str]]' = None) -> \"'ServicePolicy'\""
+    ),
+}
+
+#: Fields of the configuration value objects, as ``name: type = default``.
+EXPECTED_CONFIGURATION_FIELDS = {
+    ServicePolicy: (
+        "transport: Optional[str] = None",
+        "batch_window: int = 1",
+        "pipeline_depth: int = 1",
+        "retry: Optional[RetryPolicy] = None",
+        "replication_factor: int = 1",
+        "quorum: int = 1",
+        "sync: str = 'eager'",
+        "readonly: Tuple[str, ...] = ()",
+        "cache: Optional[CachePolicy] = None",
+        "middleware: Tuple = ()",
+        "server_middleware: Tuple = ()",
+        "tenant: Optional[str] = None",
+        "static_checks: bool = False",
+        "tracing: Optional[float] = None",
+    ),
+    RetryPolicy: (
+        "max_attempts: int = 3",
+        "initial_backoff: float = 0.001",
+    ),
+    CachePolicy: (
+        "max_entries: int = 256",
+        "lease_ms: float = 50.0",
+        "mode: str = 'leases'",
+        "cacheable: Tuple[str, ...] = ()",
+    ),
+}
+
+#: Signatures of the constructors the façade configures replication and
+#: failover through.
+EXPECTED_CONFIGURATION_SIGNATURES = {
+    ReplicaManager.__init__: (
+        "(self, cluster, *, application: 'Any' = None, detector: 'Any' = None) -> 'None'"
+    ),
+    ReplicaManager.replicate: (
+        "(self, impl: 'Any', *, name: 'str', primary_node: 'str', "
+        "backup_nodes: 'Sequence[str]', readonly: 'Sequence[str]' = (), "
+        "sync: 'str' = 'eager', quorum: 'int' = 1, "
+        "transport: 'Optional[str]' = None) -> 'ReplicaGroup'"
+    ),
+    ReplicaEndpoint.__init__: (
+        "(self, impl: 'Any', application: 'Any' = None, *, epoch: 'int' = 0) -> 'None'"
+    ),
+    PipelineScheduler.__init__: (
+        "(self, space: 'Any', *, max_batch: 'int' = 32, window: 'int' = 4, "
+        "transport: 'Optional[str]' = None, "
+        "retry_policy: 'RetryPolicy' = RetryPolicy(max_attempts=1, initial_backoff=0.001), "
+        "failure_log: 'Optional[FailureLog]' = None, replica_manager=None) -> 'None'"
+    ),
+    FaultTolerantInvoker.__init__: (
+        "(self, space, "
+        "policy: 'RetryPolicy' = RetryPolicy(max_attempts=3, initial_backoff=0.001), "
+        "log: 'Optional[FailureLog]' = None, *, replica_manager=None) -> 'None'"
+    ),
+    HeartbeatDetector.__init__: (
+        "(self, network, monitor_node: 'str', *, interval: 'float' = 0.002, "
+        "miss_threshold: 'int' = 2) -> 'None'"
     ),
 }
 
@@ -164,9 +233,29 @@ class TestServicePolicySurface:
 
     def test_builders_return_new_policy_instances(self):
         policy = ServicePolicy()
-        derived = policy.with_replication(3, quorum="majority", fencing=True)
+        derived = policy.with_replication(3, quorum="majority")
         assert derived is not policy
         assert isinstance(derived, ServicePolicy)
+
+
+class TestConfigurationSurface:
+    def test_value_object_fields_match_snapshot(self):
+        for cls, expected in EXPECTED_CONFIGURATION_FIELDS.items():
+            actual = tuple(
+                f"{field.name}: {field.type} = {field.default!r}"
+                for field in dataclasses.fields(cls)
+            )
+            assert actual == expected, _diff(f"{cls.__name__} fields", expected, actual)
+
+    def test_constructor_signatures_match_snapshot(self):
+        for function, expected in EXPECTED_CONFIGURATION_SIGNATURES.items():
+            actual = str(inspect.signature(function))
+            assert actual == expected, (
+                f"{function.__qualname__} signature changed:\n"
+                f"  expected {expected}\n"
+                f"  actual   {actual}\n"
+                "A new knob is a deliberate, documented change: update the snapshot."
+            )
 
 
 class TestSessionSurface:

@@ -77,7 +77,7 @@ class TestKillBetweenWriteAndInvalidation:
         reader = Session(cluster, node="reader")
         writer = Session(cluster, node="writer")
         policy = (
-            ServicePolicy(transport="rmi", heartbeat_interval=0.002, miss_threshold=2)
+            ServicePolicy(transport="rmi")
             .with_caching(CachePolicy(lease_ms=10_000))  # far beyond the test
             .with_replication(2, quorum=1, readonly=("get_item",))
         )
@@ -127,7 +127,7 @@ class TestKillBetweenWriteAndInvalidation:
         reader = Session(cluster, node="reader")
         writer = Session(cluster, node="writer")
         policy = (
-            ServicePolicy(transport="rmi", heartbeat_interval=0.002, miss_threshold=2)
+            ServicePolicy(transport="rmi")
             .with_caching(CachePolicy(mode="invalidate"))  # no lease to expire
             .with_replication(2, quorum=1, readonly=("get_item",))
         )

@@ -362,7 +362,7 @@ class TestAdoptedLifecycle:
         app, cluster = _deployed([A, B, C], nodes=("client", "s1", "s2", "s3"))
         shared = app.new("C", "x")
         session = Session(cluster, node="client")
-        policy = ServicePolicy().with_replication(3, quorum=2, fencing=True)
+        policy = ServicePolicy().with_replication(3, quorum=2)
         session.service("c", policy, impl=shared, node="s1")
         assert shared.add(3) == 3
         cluster.network.failures.crash_node("s1")
@@ -430,7 +430,7 @@ class StampedCounter:
         return self.total
 
 
-QUORUM = ServicePolicy().with_replication(3, quorum=2, fencing=True)
+QUORUM = ServicePolicy().with_replication(3, quorum=2)
 
 
 class TestAdoptedUnderPolicy:

@@ -168,7 +168,6 @@ class TestPartitionHealReconciliation:
             backup_nodes=["b", "c"],
             readonly=("accepted_count", "rejected_count", "total_units", "revenue"),
             quorum=2,
-            fencing=True,
         )
         return cluster, manager, group
 

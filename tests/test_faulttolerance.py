@@ -40,10 +40,11 @@ def _deployed(drop_probability=0.0, seed=0):
 
 
 class TestRetryPolicy:
-    def test_backoff_grows_geometrically(self):
-        policy = RetryPolicy(initial_backoff=0.01, backoff_factor=3.0)
+    def test_backoff_doubles_per_attempt(self):
+        policy = RetryPolicy(initial_backoff=0.01)
         assert policy.backoff_for_attempt(1) == pytest.approx(0.01)
-        assert policy.backoff_for_attempt(2) == pytest.approx(0.03)
+        assert policy.backoff_for_attempt(2) == pytest.approx(0.02)
+        assert policy.backoff_for_attempt(3) == pytest.approx(0.04)
         assert policy.backoff_for_attempt(0) == 0.0
 
     def test_transient_failures_are_retried_up_to_the_limit(self):
@@ -53,10 +54,9 @@ class TestRetryPolicy:
         assert policy.should_retry(error, 2)
         assert not policy.should_retry(error, 3)
 
-    def test_fatal_failures_are_not_retried_by_default(self):
+    def test_fatal_failures_are_never_retried(self):
         policy = RetryPolicy(max_attempts=5)
         assert not policy.should_retry(PartitionError("split"), 1)
-        assert RetryPolicy(retry_fatal=True).should_retry(PartitionError("split"), 1)
 
     def test_no_retry_policy(self):
         assert not NO_RETRY.should_retry(MessageDroppedError("lost"), 1)
@@ -135,7 +135,7 @@ class TestFaultTolerantInvoker:
         reference = y.meta.target._ref
         invoker = FaultTolerantInvoker(
             cluster.space("client"),
-            policy=RetryPolicy(max_attempts=3, initial_backoff=0.5, backoff_factor=1.0),
+            policy=RetryPolicy(max_attempts=3, initial_backoff=0.5),
         )
         calls = {"count": 0}
 
@@ -146,7 +146,7 @@ class TestFaultTolerantInvoker:
         failures.should_drop = drop_twice  # type: ignore[assignment]
         before = cluster.clock.now
         assert invoker.invoke(reference, "n", (2,)) == 7
-        assert cluster.clock.now - before >= 1.0  # two backoffs of 0.5 s
+        assert cluster.clock.now - before >= 1.5  # backoffs of 0.5 s and 1 s
 
 
 class TestGuardHandle:

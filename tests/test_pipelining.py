@@ -386,7 +386,7 @@ def _quorumless_primary():
     manager = ReplicaManager(cluster)
     group = manager.replicate(
         Recorder(), name="rec", primary_node="a", backup_nodes=["b", "c"],
-        readonly=(), quorum=2, fencing=True,
+        readonly=(), quorum=2,
     )
     cluster.network.failures.partition(["a"], ["b", "c"])
     cluster.network.events.schedule(0.5, lambda: manager.failover(group))

@@ -46,7 +46,7 @@ def _manager(cluster, monitor="monitor") -> ReplicaManager:
     return manager
 
 
-def _quorum_group(manager, primary="a", backups=("b", "c")):
+def _quorum_group(manager, primary="a", backups=("b", "c"), transport=None):
     return manager.replicate(
         OrderIntake(),
         name="orders",
@@ -54,7 +54,7 @@ def _quorum_group(manager, primary="a", backups=("b", "c")):
         backup_nodes=list(backups),
         readonly=INTAKE_READONLY,
         quorum=2,
-        fencing=True,
+        transport=transport,
     )
 
 
@@ -64,7 +64,7 @@ def _pump(cluster, seconds):
 
 class TestEndpointFencing:
     def test_frames_from_older_epochs_are_rejected(self):
-        endpoint = ReplicaEndpoint(OrderIntake(), fencing=True, epoch=3)
+        endpoint = ReplicaEndpoint(OrderIntake(), epoch=3)
         with pytest.raises(FencedError) as excinfo:
             endpoint.apply_op("submit", ["sku", 1, 10], {}, 2)
         assert excinfo.value.stale_epoch == 2
@@ -73,23 +73,18 @@ class TestEndpointFencing:
         assert endpoint.ops_applied == 0
 
     def test_newer_epoch_frames_are_adopted(self):
-        endpoint = ReplicaEndpoint(OrderIntake(), fencing=True, epoch=1)
+        endpoint = ReplicaEndpoint(OrderIntake(), epoch=1)
         endpoint.apply_op("submit", ["sku", 1, 10], {}, 4)
         assert endpoint.epoch == 4
         assert endpoint.ops_applied == 1
 
     def test_unstamped_frames_pass_for_compatibility(self):
-        endpoint = ReplicaEndpoint(OrderIntake(), fencing=True, epoch=5)
+        endpoint = ReplicaEndpoint(OrderIntake(), epoch=5)
         endpoint.apply_op("submit", ["sku", 1, 10], {})
         assert endpoint.ops_applied == 1
 
-    def test_non_fencing_endpoint_ignores_epochs(self):
-        endpoint = ReplicaEndpoint(OrderIntake())
-        endpoint.apply_op("submit", ["sku", 1, 10], {}, 0)
-        assert endpoint.ops_applied == 1
-
     def test_adopt_epoch_votes_once_per_epoch(self):
-        endpoint = ReplicaEndpoint(OrderIntake(), fencing=True, epoch=0)
+        endpoint = ReplicaEndpoint(OrderIntake(), epoch=0)
         assert endpoint.adopt_epoch(1) == 1
         # A duplicate (or superseded) promotion attempt is rejected: the
         # replica has already committed to this epoch.
@@ -316,8 +311,8 @@ def _outcomes(cell, transport, batched, caller="client"):
     calls; what each call answered and what the group and the primary's
     server chain counted."""
     cluster = Cluster(("client", "a", "b", "c"), default_transport=transport)
-    manager = ReplicaManager(cluster, transport=transport)
-    group = _quorum_group(manager)
+    manager = ReplicaManager(cluster)
+    group = _quorum_group(manager, transport=transport)
     metrics = MetricsInterceptor()
     cluster.space("a").use_middleware([metrics])
     for left, right in OUTCOME_CELLS[cell]:
@@ -402,9 +397,9 @@ class TestPromotionKeepsAckedWrites:
         detector = HeartbeatDetector(cluster.network, "monitor", interval=0.002, miss_threshold=2)
         for node in ("a", "b", "c"):
             detector.watch(node)
-        manager = ReplicaManager(cluster, detector=detector, transport=transport)
+        manager = ReplicaManager(cluster, detector=detector)
         detector.start()
-        group = _quorum_group(manager)
+        group = _quorum_group(manager, transport=transport)
         client, failures = cluster.space("client"), cluster.network.failures
 
         failures.partition(["a"], [missed])
@@ -432,12 +427,13 @@ class TestPromotionKeepsAckedWrites:
         """Below a majority quorum an acked write can sit on a crashed backup
         only; the promotion then starts a history without it, so that backup
         is demoted instead of passing for current once the new seq catches
-        up with its stale one."""
+        up with its stale one.  Quorum 2 of 5 replicas is below the majority
+        of 3, and fenced like every quorum above one."""
         cluster = Cluster(("a", "b", "c", "d", "e"))
         manager = ReplicaManager(cluster)
         group = manager.replicate(
             OrderIntake(), name="orders", primary_node="a", backup_nodes=["b", "c", "d", "e"],
-            readonly=INTAKE_READONLY, quorum=1, fencing=True,
+            readonly=INTAKE_READONLY, quorum=2,
         )
         failures = cluster.network.failures
         failures.partition(["a"], ["b", "d", "e"])
@@ -448,6 +444,10 @@ class TestPromotionKeepsAckedWrites:
         assert not group.backups["c"].healthy
         assert group.stale_primaries[0].divergent == 1
         failures.heal()
+        # W1's lost frames demoted d and e; their reseed ticks give W2 its
+        # second ack.
+        _pump(cluster, 0.1)
+        assert group.backups["d"].healthy and group.backups["e"].healthy
         group.primary_wrapper.submit("W2", 1, 10)
         failures.recover_node("c")
         manager.handle_node_recovered("c")
@@ -484,24 +484,19 @@ class TestInvalidationEpochFloor:
 
 class TestPolicyQuorumKnobs:
     def test_majority_quorum_is_computed_from_replicas(self):
-        policy = ServicePolicy().with_replication(3, quorum="majority", fencing=True)
+        policy = ServicePolicy().with_replication(3, quorum="majority")
         assert policy.replication_factor == 3
         assert policy.quorum == 2
-        assert policy.fencing is True
         assert policy.quorum_replicated
 
     def test_explicit_integer_quorum(self):
         policy = ServicePolicy().with_replication(5, quorum=3)
         assert policy.quorum == 3
-        assert policy.fencing is True  # defaults on when a quorum is asked for
+        assert policy.quorum_replicated  # fenced, as every quorum above one
 
     def test_quorum_above_factor_rejected(self):
         with pytest.raises(PolicyError):
             ServicePolicy().with_replication(2, quorum=3)
-
-    def test_fencing_needs_at_least_two_replicas(self):
-        with pytest.raises(PolicyError):
-            ServicePolicy().with_replication(1, quorum=1, fencing=True)
 
     def test_quorum_requires_eager_sync(self):
         with pytest.raises(PolicyError):
@@ -511,7 +506,6 @@ class TestPolicyQuorumKnobs:
         for bare in (
             lambda: ServicePolicy().with_replication(2),
             lambda: ServicePolicy().with_replication(),
-            lambda: ServicePolicy().with_replication(2, fencing=False),
         ):
             with pytest.raises(PolicyError, match=r'quorum="majority".*quorum=<int>'):
                 bare()
@@ -520,15 +514,41 @@ class TestPolicyQuorumKnobs:
         policy = ServicePolicy().with_replication(2, quorum=1)
         assert policy.replication_factor == 2
         assert policy.quorum == 1
-        assert policy.fencing is False
+        assert not policy.quorum_replicated
 
     def test_explicit_quorum_call_is_warning_free(self, recwarn):
-        ServicePolicy().with_replication(3, quorum="majority", fencing=True)
+        ServicePolicy().with_replication(3, quorum="majority")
         assert not [
             warning
             for warning in recwarn.list
             if issubclass(warning.category, DeprecationWarning)
         ]
+
+
+class TestFencingFollowsQuorum:
+    """A group's one switch is its quorum: above one it is fenced."""
+
+    @pytest.mark.parametrize("quorum", [1, 2, 3])
+    def test_a_group_is_fenced_exactly_when_its_quorum_exceeds_one(self, cluster, quorum):
+        group = ReplicaManager(cluster).replicate(
+            OrderIntake(), name="orders", primary_node="a", backup_nodes=["b", "c"],
+            readonly=INTAKE_READONLY, quorum=quorum,
+        )
+        assert group.fenced is (quorum > 1)
+
+    @pytest.mark.parametrize("quorum", [1, 2])
+    def test_only_fenced_frames_carry_the_epoch(self, cluster, quorum):
+        """A backup that adopted a newer epoch bounces a fenced primary's
+        frames; an unfenced primary's frames carry no epoch and still land."""
+        group = ReplicaManager(cluster).replicate(
+            OrderIntake(), name="orders", primary_node="a", backup_nodes=["b", "c"],
+            readonly=INTAKE_READONLY, quorum=quorum,
+        )
+        endpoint_ref = group.backups["b"].endpoint_ref
+        cluster.space("b").lookup_local_object(endpoint_ref.object_id).adopt_epoch(5)
+        group.primary_wrapper.submit("W1", 1, 10)
+        assert group.backups["b"].healthy is (quorum == 1)
+        assert holds_order(group.backups["b"].impl, "W1") is (quorum == 1)
 
 
 class TestErrorFacadeShim:
@@ -570,7 +590,7 @@ def _probe(quorum):
     manager = ReplicaManager(cluster)
     group = manager.replicate(
         OrderIntake(), name="orders", primary_node="a", backup_nodes=["b", "c"],
-        readonly=INTAKE_READONLY, quorum=quorum, fencing=quorum > 1,
+        readonly=INTAKE_READONLY, quorum=quorum,
     )
     relay_ref = cluster.space("d").export(_Relay(cluster.space("d"), group))
     front_ref = cluster.space("a").export(_Front(cluster.space("a"), relay_ref, group))

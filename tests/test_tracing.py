@@ -437,7 +437,7 @@ class TestTracedFacade:
         with Session(cluster, node="client") as session:
             policy = (
                 ServicePolicy(transport="rmi")
-                .with_replication(2, quorum=1, fencing=False)
+                .with_replication(2, quorum=1)
                 .with_tracing()
             )
             svc = session.service(
