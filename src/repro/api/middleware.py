@@ -49,6 +49,9 @@ from repro.core.interception import (  # noqa: F401 - _Bracket: the ledger brack
 # Production interceptors
 # ---------------------------------------------------------------------------
 
+#: The rate limiter's bucket for calls whose context names no tenant.
+DEFAULT_TENANT = "default"
+
 
 class DeadlineInterceptor(Interceptor):
     """Stamp, propagate and enforce per-call deadlines.
@@ -89,7 +92,8 @@ class RateLimitInterceptor(Interceptor):
     """Per-tenant token-bucket rate limiting on the simulated clock.
 
     Each tenant gets a bucket of ``burst`` tokens refilled at ``rate``
-    tokens per simulated second; ``begin`` spends one token per *logical*
+    tokens per simulated second (untagged calls share the
+    :data:`DEFAULT_TENANT` bucket); ``begin`` spends one token per *logical*
     call and raises a typed rejection when the bucket is empty —
     :class:`~repro.api.errors.ThrottledError` (a transient
     :class:`~repro.api.errors.AdmissionError`, so retry policies back off and
@@ -112,7 +116,6 @@ class RateLimitInterceptor(Interceptor):
         burst: float = 1.0,
         *,
         retryable: bool = True,
-        default_tenant: str = "default",
     ) -> None:
         if rate <= 0:
             raise PolicyError("rate must be positive (tokens per simulated second)")
@@ -125,8 +128,6 @@ class RateLimitInterceptor(Interceptor):
         #: Whether rejections are retryable (:class:`~repro.api.errors.ThrottledError`)
         #: or terminal (:class:`~repro.api.errors.RateLimitError`).
         self.retryable = retryable
-        #: Bucket key for calls whose context names no tenant.
-        self.default_tenant = default_tenant
         #: tenant → (tokens, last refill time).
         self._buckets: Dict[str, Tuple[float, float]] = {}
         #: Call ids already charged, oldest first (retry double-charge guard).
@@ -147,7 +148,7 @@ class RateLimitInterceptor(Interceptor):
         """Spend one token for the call's tenant, or raise the typed rejection."""
         if ctx.call_id in self._charged:
             return  # a retry of an already-admitted call rides free
-        tenant = ctx.tenant if ctx.tenant is not None else self.default_tenant
+        tenant = ctx.tenant if ctx.tenant is not None else DEFAULT_TENANT
         now = ctx.now()
         tokens, last = self._buckets.get(tenant, (self.burst, now))
         tokens = min(self.burst, tokens + (now - last) * self.rate)

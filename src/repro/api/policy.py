@@ -229,19 +229,18 @@ class ServicePolicy:
         *,
         max_entries: Optional[int] = None,
         lease_ms: Optional[float] = None,
-        mode: Optional[str] = None,
         cacheable: Optional[Sequence[str]] = None,
     ) -> "ServicePolicy":
         """A copy caching the service's ``@cacheable`` reads client-side.
 
         Pass a full :class:`~repro.runtime.caching.CachePolicy`, or just the
         knobs to change on the default one (``max_entries``, ``lease_ms``,
-        ``mode``, an explicit ``cacheable`` member list)::
+        an explicit ``cacheable`` member list)::
 
             ServicePolicy(transport="rmi").with_caching(lease_ms=100)
         """
         if policy is not None and any(
-            knob is not None for knob in (max_entries, lease_ms, mode, cacheable)
+            knob is not None for knob in (max_entries, lease_ms, cacheable)
         ):
             raise PolicyError("pass either a CachePolicy or individual knobs, not both")
         if policy is None:
@@ -249,7 +248,6 @@ class ServicePolicy:
             policy = CachePolicy(
                 max_entries=max_entries if max_entries is not None else base.max_entries,
                 lease_ms=lease_ms if lease_ms is not None else base.lease_ms,
-                mode=mode if mode is not None else base.mode,
                 cacheable=tuple(cacheable) if cacheable is not None else (),
             )
         return replace(self, cache=policy)

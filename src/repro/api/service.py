@@ -202,11 +202,6 @@ class Service:
         """
         return self._cache
 
-    def _on_reference_moved(self, old: Optional[RemoteRef]) -> None:
-        """Session rebind hook: flush cache entries held against the old ref."""
-        if self._cache is not None and old is not None:
-            self.session._flush_cached_reference(old)
-
     @property
     def scheduler(self) -> Any:
         """The pipeline scheduler carrying this service's traffic.

@@ -376,11 +376,6 @@ class Session:
             self._cache_manager = CacheManager(self.space)
         return self._cache_manager
 
-    def _flush_cached_reference(self, reference: RemoteRef) -> None:
-        """Drop every cached entry held against ``reference`` (rebind hook)."""
-        if self._cache_manager is not None:
-            self._cache_manager.flush_reference(reference)
-
     def _build_pipe(self, service: Service):
         """Choose and build the dispatch pipe a service's policy calls for.
 
@@ -502,7 +497,8 @@ class Session:
         service = self._services.get(name)
         if service is not None:
             service._reference = new
-            service._on_reference_moved(old)
+            if service.cache is not None and old is not None:
+                self._cache_manager.flush_reference(old)
 
     def _ensure_open(self) -> None:
         if self._closed:

@@ -26,8 +26,8 @@ wait is accounted per link in :class:`~repro.network.metrics.NetworkMetrics`
 (propagation still overlaps).  Nodes can additionally be bounded by a
 :class:`ServicePool` (``workers``/``queue_limit``/``service_time``); a
 saturated pool refuses requests with
-:class:`~repro.api.errors.AdmissionError`.  Pass ``queueing=False`` to restore
-the idealised infinite-capacity model.
+:class:`~repro.api.errors.AdmissionError`.  Only links without transmission
+cost (zero bandwidth, the loopback model) never queue.
 """
 
 from __future__ import annotations
@@ -215,7 +215,6 @@ class SimulatedNetwork:
         clock: Optional[SimClock] = None,
         failures: Optional[FailureModel] = None,
         seed: int = 0,
-        queueing: bool = True,
     ) -> None:
         self.default_link = default_link
         self.clock = clock if clock is not None else SimClock()
@@ -223,11 +222,6 @@ class SimulatedNetwork:
         self.events = EventQueue(self.clock)
         self.failures = failures if failures is not None else NoFailures()
         self.metrics = NetworkMetrics()
-        #: When True (the default) each directed link is a FIFO resource:
-        #: a message's transmission starts only once the wire is free, so
-        #: concurrent messages serialize and queueing delay becomes visible.
-        #: False restores the idealised infinite-capacity model.
-        self.queueing = queueing
         self._handlers: Dict[str, MessageHandler] = {}
         self._links: Dict[Tuple[str, str], LinkConfig] = {}
         #: Per directed link: when the wire finishes its last transmission.
@@ -295,13 +289,13 @@ class SimulatedNetwork:
 
         Returns the message's total one-way delay from *now*: time spent
         waiting for earlier transmissions to clear the link (FIFO), plus its
-        own transmission time, plus propagation.  With :attr:`queueing`
-        disabled, or on zero-transmission links, the wait is always zero and
-        this reduces to :meth:`LinkConfig.one_way_delay`.
+        own transmission time, plus propagation.  On zero-transmission links
+        the wait is always zero and this reduces to
+        :meth:`LinkConfig.one_way_delay`.
         """
         propagation = link.propagation_delay(self._rng)
         transmission = link.transmission_time(size)
-        if not self.queueing or transmission <= 0.0:
+        if transmission <= 0.0:
             return transmission + propagation
         now = self.clock.now
         key = (source, destination)

@@ -168,9 +168,9 @@ class Tracer:
     read).
     """
 
-    def __init__(self, clock: Any = None, collector: Optional[TraceCollector] = None) -> None:
+    def __init__(self, clock: Any = None) -> None:
         self.clock = clock
-        self.collector = collector if collector is not None else TraceCollector()
+        self.collector = TraceCollector()
         self._trace_seq = 0
         self._span_seq = 0
         self.spans_started = 0

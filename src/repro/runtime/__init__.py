@@ -1,7 +1,7 @@
 """The distributed object layer: address spaces, references, migration."""
 
 from repro.runtime.address_space import AddressSpace
-from repro.runtime.batching import BatchResult, BatchingProxy
+from repro.runtime.batching import BatchingProxy
 from repro.runtime.cluster import (
     Cluster,
     default_transport_registry,
@@ -17,7 +17,7 @@ from repro.runtime.faulttolerance import (
 )
 from repro.runtime.migration import apply_state, snapshot_state
 from repro.runtime.naming import NamingService
-from repro.runtime.pipelining import InvocationFuture, PipelineScheduler
+from repro.runtime.pipelining import BatchResult, InvocationFuture, PipelineScheduler
 from repro.runtime.redistribution import BoundaryChange, DistributionController
 from repro.runtime.remote_ref import ObjectIdAllocator, RemoteRef, reference_of
 from repro.runtime.replication import (

@@ -26,7 +26,6 @@ from repro.core.interception import CallContext, Interceptor, InterceptorChain
 from repro.core.interfaces import cacheable_members
 from repro.network.simnet import SimulatedNetwork
 from repro.observability.tracing import trace_refs_from_contexts
-from repro.runtime.batching import BatchResult
 from repro.runtime.invocation import (
     RequestFields,
     read_request,
@@ -34,6 +33,7 @@ from repro.runtime.invocation import (
     request_dict,
     response_dict,
 )
+from repro.runtime.pipelining import BatchResult
 from repro.runtime.remote_ref import ObjectIdAllocator, RemoteRef
 from repro.runtime.serialization import Marshaller
 from repro.transports.base import (
@@ -153,8 +153,8 @@ class AddressSpace:
         #: The batch scope of the batch being dispatched (``None``: none).
         self._batch_scope: Optional[_BatchScope] = None
         #: Cache-coherence state (server side): object id → {node → lease
-        #: expiry in simulated seconds, or None for an unbounded lease}.
-        self._cache_subscribers: Dict[str, Dict[str, Optional[float]]] = {}
+        #: expiry in simulated seconds}.
+        self._cache_subscribers: Dict[str, Dict[str, float]] = {}
         #: Cacheable-member sets memoized per implementation type.
         self._cacheable_sets: Dict[type, frozenset] = {}
         #: Client-declared cacheable members per object id (from ``!sub``
@@ -409,25 +409,19 @@ class AddressSpace:
         for listener in list(self._invalidation_listeners):
             listener(list(object_ids))
 
-    def register_cache_subscriber(
-        self, object_id: str, node_id: str, expiry: Optional[float] = None
-    ) -> None:
+    def register_cache_subscriber(self, object_id: str, node_id: str, expiry: float) -> None:
         """Record one client node's interest in ``object_id``'s invalidations.
 
-        ``expiry`` bounds the subscription in simulated seconds (``None``
-        keeps it until the next invalidation).  Subscriptions are one-shot:
-        sending (or piggybacking) an invalidation drops the subscriber, and
-        the client re-subscribes on its next cache fill.  One node may host
-        several caching clients, so a re-registration can only *extend* the
-        recorded expiry — a short-lease subscriber must not silence the
-        invalidations a longer-lease subscriber on the same node relies on.
+        ``expiry`` ends the subscription, in simulated seconds.  Subscriptions
+        are one-shot: sending (or piggybacking) an invalidation drops the
+        subscriber, and the client re-subscribes on its next cache fill.  One
+        node may host several caching clients, so a re-registration can only
+        *extend* the recorded expiry — a short-lease subscriber must not
+        silence the invalidations a longer-lease subscriber on the same node
+        relies on.
         """
         subscribers = self._cache_subscribers.setdefault(object_id, {})
-        if node_id in subscribers:
-            existing = subscribers[node_id]
-            if existing is None or (expiry is not None and existing >= expiry):
-                expiry = existing
-        subscribers[node_id] = expiry
+        subscribers[node_id] = max(expiry, subscribers.get(node_id, expiry))
         self.cache_subscriptions += 1
 
     def cache_subscriber_count(self, object_id: Optional[str] = None) -> int:
@@ -436,7 +430,7 @@ class AddressSpace:
             return len(self._cache_subscribers.get(object_id, {}))
         return sum(len(nodes) for nodes in self._cache_subscribers.values())
 
-    def take_cache_subscribers(self, object_id: str) -> Dict[str, Optional[float]]:
+    def take_cache_subscribers(self, object_id: str) -> Dict[str, float]:
         """Remove and return one object's subscriber table.
 
         Used by the failover path: the demoted primary's subscriptions are
@@ -458,16 +452,26 @@ class AddressSpace:
         the frame with the sender's replication epoch so recipients can
         reject invalidations minted by a fenced ex-primary.
         """
-        payload = frame_invalidation(object_ids, epoch)
-        delivered = 0
-        for node in sorted(set(nodes)):
-            try:
-                self.network.send_request(self.node_id, node, payload)
-            except NetworkError:
-                continue
-            self.invalidations_sent += 1
-            delivered += 1
-        return delivered
+        return sum(
+            self._send_invalidation(node, object_ids, epoch) for node in sorted(set(nodes))
+        )
+
+    def _send_invalidation(
+        self, node: str, object_ids: Sequence[str], epoch: Optional[int] = None
+    ) -> bool:
+        """Frame one ``!inv`` for ``object_ids`` and send it to ``node``.
+
+        The one sender of ``!inv`` frames, for writes and for failover;
+        returns whether the frame was delivered.
+        """
+        try:
+            self.network.send_request(
+                self.node_id, node, frame_invalidation(object_ids, epoch)
+            )
+        except NetworkError:
+            return False
+        self.invalidations_sent += 1
+        return True
 
     def _cacheable_members_for(self, target: Any) -> frozenset:
         """The target's side-effect-free members, memoized per type.
@@ -515,52 +519,37 @@ class AddressSpace:
         the response for free.
 
         An *undeliverable* invalidation (the subscriber's node is down, the
-        frame was dropped) falls back to the classic lease protocol: the
-        write stalls until the lost subscriber's lease has run out, so by
-        the time the write is acknowledged the unreachable cache's entries
-        have expired on their own.  Unbounded subscriptions (``invalidate``
-        mode) have no lease to wait out — that mode's coherence assumes
-        deliverable invalidations, which is why ``leases`` is the default.
+        frame was dropped) falls back to the lease: the write stalls until
+        the lost subscriber's lease has run out, so by the time the write is
+        acknowledged the unreachable cache's entries have expired on their
+        own.
         """
-        now = self.network.clock.now
+        clock = self.network.clock
+        # node → [ids to invalidate, latest lease expiry among them]
         per_node: Dict[str, list] = {}
         excluded_ids: set = set()
         for object_id in object_ids:
-            subscribers = self._cache_subscribers.get(object_id)
-            if not subscribers:
-                continue
-            for node, expiry in list(subscribers.items()):
-                del subscribers[node]
-                if expiry is not None and expiry <= now:
+            for node, expiry in self._cache_subscribers.pop(object_id, {}).items():
+                if expiry <= clock.now:
                     continue
                 if node == exclude:
                     excluded_ids.add(object_id)
                     continue
-                ids, expiries = per_node.setdefault(node, [set(), []])
-                ids.add(object_id)
-                expiries.append(expiry)
-            if not subscribers:
-                self._cache_subscribers.pop(object_id, None)
+                pending = per_node.setdefault(node, [[], expiry])
+                pending[0].append(object_id)
+                pending[1] = max(pending[1], expiry)
         for node in sorted(per_node):
-            ids, expiries = per_node[node]
-            payload = frame_invalidation(sorted(ids))
-            try:
-                self.network.send_request(self.node_id, node, payload)
-                self.invalidations_sent += 1
-            except NetworkError:
-                if None not in expiries:
-                    # Wait the lost subscriber's leases out before the write
-                    # is acknowledged: its entries expire by themselves.
-                    latest = max(expiries)
-                    if latest > self.network.clock.now:
-                        self.network.clock.advance(latest - self.network.clock.now)
+            ids, latest = per_node[node]
+            if not self._send_invalidation(node, ids) and latest > clock.now:
+                # Wait the lost subscriber's leases out before the write is
+                # acknowledged: its entries expire by themselves.
+                clock.advance(latest - clock.now)
         return excluded_ids
 
     def _handle_subscription(self, payload: bytes) -> bytes:
         """Serve one ``!sub`` frame: record the subscriber, acknowledge."""
         body = parse_subscription(payload)
-        lease = body.get("lease")
-        expiry = self.network.clock.now + float(lease) if lease is not None else None
+        expiry = self.network.clock.now + body["lease"]
         object_id = str(body["object_id"])
         declared = body.get("cacheable") or ()
         if declared:
@@ -666,7 +655,7 @@ class AddressSpace:
         as a single wire message, the transport's fixed processing charge and
         the network round trip are paid once, and the responses come back in
         request order.  Application errors raised by individual calls are
-        isolated into their :class:`~repro.runtime.batching.BatchResult`
+        isolated into their :class:`~repro.runtime.pipelining.BatchResult`
         slots; a transport- or network-level failure raises and fails the
         whole batch atomically.
 
@@ -691,7 +680,7 @@ class AddressSpace:
         same node or to different shards) can be in flight at once, and their
         round-trip delays overlap in simulated time.  When the response event
         fires, ``on_results`` receives the same ordered
-        :class:`~repro.runtime.batching.BatchResult` list the synchronous
+        :class:`~repro.runtime.pipelining.BatchResult` list the synchronous
         :meth:`invoke_remote_many` would have returned; a transport- or
         network-level failure of the whole message reaches ``on_error``
         instead.

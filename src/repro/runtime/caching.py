@@ -1,43 +1,31 @@
-"""Coherent client-side result caching with leases and write-invalidation.
+"""Coherent client-side result caching: leases with write-invalidation.
 
 Every read used to pay a full round trip even though read-mostly services are
 the canonical middleware hot path.  This module closes that gap: a
 :class:`CacheManager` interposes on remote invocations and serves repeated
 calls to :func:`~repro.core.interfaces.cacheable` (side-effect-free) members
-from a per-client :class:`ResultCache`, kept coherent by **time-bounded
-leases** plus **write-invalidation frames**:
+from a per-client :class:`ResultCache`, kept coherent by one protocol —
+**time-bounded leases** plus **write-invalidation frames**:
 
 * On a cache fill the client *subscribes* to the owning address space (a
-  ``!sub`` control frame, see :mod:`repro.transports.base`), optionally
-  bounded by the policy's lease.  Subscribing happens *before* the read
-  ships, so no write can slip into the gap unnoticed.
+  ``!sub`` control frame, see :mod:`repro.transports.base`) for the policy's
+  lease.  Subscribing happens *before* the read ships, so no write can slip
+  into the gap unnoticed.
 * When any client invokes a mutating member, the owning
-  :class:`~repro.runtime.address_space.AddressSpace` broadcasts a ``!inv``
-  frame to every live subscriber **before the write is acknowledged** — and
+  :class:`~repro.runtime.address_space.AddressSpace` sends a ``!inv`` frame
+  to every live subscriber **before the write is acknowledged** — and
   piggybacks the invalidation on the (batch) response when the writer is
-  itself a subscriber.
+  itself a subscriber.  A delivered invalidation ends the subscription; the
+  next fill subscribes again.
 * Every invalidation bumps a per-object *version*; a fill records the
   version it started from and is discarded if an invalidation arrived while
   its read was in flight.  This closes the read/write race: a response
   computed before a write can never resurrect stale data after it.
-* Leases bound staleness in time even without invalidation traffic: an
-  entry older than ``lease_ms`` of simulated time is a miss, and the server
-  prunes expired subscriptions instead of invalidating them.
-
-Three :class:`CachePolicy` modes trade coherence for traffic:
-
-``"leases"`` (default)
-    Subscriptions carry the lease; entries expire after ``lease_ms`` *and*
-    are invalidated on writes — full coherence with self-cleaning server
-    state.
-``"invalidate"``
-    Unbounded subscriptions, no time expiry: entries live until a write
-    invalidates them.  Full coherence; server subscription state lives until
-    the next write.
-``"write_through"``
-    No subscriptions: the client's own writes invalidate its own entries,
-    other clients' writes go unnoticed until the lease expires — bounded
-    staleness (≤ ``lease_ms``), zero coherence traffic.
+* The lease bounds staleness when an invalidation cannot be delivered: an
+  entry older than ``lease_ms`` of simulated time is a miss, and a write
+  whose ``!inv`` is lost waits the subscriber's lease out before it is
+  acknowledged, so the unreachable cache's entries have expired by then.
+  The server prunes expired subscriptions instead of invalidating them.
 
 **A hit** is one :meth:`ResultCache.lookup`: build the key, check that no
 write of this client to the object is unsettled (a membership test — each
@@ -79,10 +67,6 @@ from repro.runtime.pipelining import InvocationFuture
 from repro.runtime.remote_ref import RemoteRef
 from repro.transports.base import LEAVES, frame_subscription
 
-#: The three cache-coherence modes (see the module docstring).
-CACHE_MODES = ("leases", "invalidate", "write_through")
-
-
 @dataclass(frozen=True)
 class CachePolicy:
     """Declarative knobs of one service's client-side result cache.
@@ -90,8 +74,8 @@ class CachePolicy:
     An immutable value object carried by
     :class:`~repro.api.policy.ServicePolicy` (``cache=``): ``max_entries``
     bounds the cache's size (LRU eviction), ``lease_ms`` bounds an entry's
-    lifetime in *simulated* milliseconds, and ``mode`` picks the coherence
-    protocol (``"leases"``, ``"invalidate"`` or ``"write_through"``).
+    lifetime and its subscription in *simulated* milliseconds, and ``mode``
+    names the coherence protocol, whose one value is ``"leases"``.
     ``cacheable`` names members that are safe to cache in addition to any
     :func:`~repro.core.interfaces.cacheable`-decorated members of the
     implementation class — useful when attaching to a service deployed by
@@ -100,10 +84,9 @@ class CachePolicy:
 
     #: Maximum entries held; least-recently-used entries are evicted beyond.
     max_entries: int = 256
-    #: Entry/lease lifetime in simulated milliseconds (ignored by
-    #: ``"invalidate"`` mode, which keeps entries until a write).
+    #: Entry and subscription lifetime in simulated milliseconds.
     lease_ms: float = 50.0
-    #: Coherence mode: one of :data:`CACHE_MODES`.
+    #: The coherence protocol; ``"leases"`` is the only one.
     mode: str = "leases"
     #: Explicitly cacheable member names (unioned with ``@cacheable`` markers).
     cacheable: Tuple[str, ...] = ()
@@ -113,9 +96,9 @@ class CachePolicy:
             raise PolicyError("max_entries must be at least 1")
         if self.lease_ms <= 0:
             raise PolicyError("lease_ms must be positive")
-        if self.mode not in CACHE_MODES:
+        if self.mode != "leases":
             raise PolicyError(
-                f"unknown cache mode {self.mode!r} (use one of {CACHE_MODES})"
+                f"unknown cache mode {self.mode!r} (leases is the only coherence protocol)"
             )
         if not isinstance(self.cacheable, tuple):
             object.__setattr__(self, "cacheable", tuple(self.cacheable))
@@ -124,16 +107,6 @@ class CachePolicy:
     def lease_seconds(self) -> float:
         """The lease converted to the simulated clock's seconds."""
         return self.lease_ms / 1000.0
-
-    @property
-    def subscribes(self) -> bool:
-        """Whether this mode registers for write-invalidation frames."""
-        return self.mode in ("leases", "invalidate")
-
-    @property
-    def expires(self) -> bool:
-        """Whether entries time out after the lease."""
-        return self.mode in ("leases", "write_through")
 
 
 def _freeze(value: Any) -> Any:
@@ -174,7 +147,6 @@ def _key(object_id: str, member: str, args: tuple, kwargs: dict) -> Optional[tup
 
 
 _CONTAINERS = frozenset((dict, list, tuple, set))
-_NEVER = float("inf")
 
 
 def _copied(value: Any) -> Any:
@@ -201,7 +173,7 @@ class FillToken:
 
     object_id: str
     version: int
-    expires_at: Optional[float]
+    expires_at: float
     key: Optional[tuple]
 
 
@@ -300,24 +272,22 @@ class ResultCache:
         :meth:`lookup`'s, carried to :meth:`store` on the token; a fill
         begun without one has :meth:`store` derive it from the arguments.
         """
-        now = self.manager.now()
-        expires_at = now + self.policy.lease_seconds if self.policy.expires else None
+        lease = self.policy.lease_seconds
+        expires_at = self.manager.now() + lease
         version = self.manager.version(reference.object_id)
-        if self.policy.subscribes:
-            lease = self.policy.lease_seconds if self.policy.mode == "leases" else None
-            subscribed_until = self.manager.subscribe(
-                reference, lease, cacheable=self.policy.cacheable
-            )
-            if subscribed_until is None:
-                # No subscription, no coherence guarantee: poison the token
-                # so this fill is never stored (the read itself still runs —
-                # and typically rides a failover to a re-keyed export).
-                version = -1
-            elif expires_at is not None:
-                # An entry must never outlive the subscription guarding it:
-                # a reused (earlier) subscription shortens the entry, it
-                # does not stretch the lease.
-                expires_at = min(expires_at, subscribed_until)
+        subscribed_until = self.manager.subscribe(
+            reference, lease, cacheable=self.policy.cacheable
+        )
+        if subscribed_until is None:
+            # No subscription, no coherence guarantee: poison the token so
+            # this fill is never stored (the read itself still runs — and
+            # typically rides a failover to a re-keyed export).
+            version = -1
+        else:
+            # An entry must never outlive the subscription guarding it: a
+            # reused (earlier) subscription shortens the entry, it does not
+            # stretch the lease.
+            expires_at = min(expires_at, subscribed_until)
         return FillToken(
             object_id=reference.object_id,
             version=version,
@@ -347,15 +317,14 @@ class ResultCache:
         ):
             self.racy_fills_discarded += 1
             return False
-        expires_at = _NEVER if token.expires_at is None else token.expires_at
-        if self._clock.now >= expires_at:
+        if self._clock.now >= token.expires_at:
             return False
         key = token.key if token.key is not None else _key(object_id, member, args, kwargs)
         if key is None:
             return False
         if key in self._entries:
             del self._entries[key]
-        self._entries[key] = (_copied(value), expires_at)
+        self._entries[key] = (_copied(value), token.expires_at)
         self._by_object.setdefault(object_id, set()).add(key)
         self.stores += 1
         while len(self._entries) > self.policy.max_entries:
@@ -393,21 +362,11 @@ class ResultCache:
     # invalidation
     # ------------------------------------------------------------------
 
-    def invalidate_object(self, object_id: str) -> int:
-        """Drop every entry of one object; returns how many were dropped."""
-        keys = self._by_object.pop(object_id, None)
-        if not keys:
-            return 0
-        dropped = 0
-        for key in keys:
+    def invalidate_object(self, object_id: str) -> None:
+        """Drop every entry of one object, counting them in ``entries_invalidated``."""
+        for key in self._by_object.pop(object_id, ()):
             if self._entries.pop(key, None) is not None:
-                dropped += 1
-        self.entries_invalidated += dropped
-        return dropped
-
-    def flush_reference(self, reference: RemoteRef) -> int:
-        """Drop every entry held against ``reference`` (failover, rebind)."""
-        return self.invalidate_object(reference.object_id)
+                self.entries_invalidated += 1
 
     def clear(self) -> None:
         """Drop everything (counters are kept)."""
@@ -438,7 +397,7 @@ class ResultCache:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"<ResultCache entries={len(self._entries)} hits={self.hits} "
-            f"misses={self.misses} mode={self.policy.mode!r}>"
+            f"misses={self.misses} lease_ms={self.policy.lease_ms!r}>"
         )
 
 
@@ -497,7 +456,7 @@ class CacheManager:
         self.space = space
         self._caches: List[ResultCache] = []
         self._versions: Dict[str, int] = {}
-        #: Active subscriptions: object id → simulated expiry (inf = no lease).
+        #: Active subscriptions: object id → simulated expiry.
         self._subscriptions: Dict[str, float] = {}
         #: Standalone + piggybacked invalidation frames applied.
         self.invalidations_received = 0
@@ -557,17 +516,14 @@ class CacheManager:
         return self._versions[object_id]
 
     def subscribe(
-        self,
-        reference: RemoteRef,
-        lease: Optional[float],
-        cacheable: tuple = (),
+        self, reference: RemoteRef, lease: float, cacheable: tuple = ()
     ) -> Optional[float]:
-        """Ensure a live subscription for ``reference``.
+        """Ensure a live subscription for ``reference`` lasting ``lease`` seconds.
 
-        Returns the active subscription's expiry in simulated time
-        (``inf`` for an unbounded one) — fills clamp their entries to it —
-        or ``None`` when the owner is unreachable (mid-failover), in which
-        case the caller must not cache its fill.  A subscription still
+        Returns the active subscription's expiry in simulated time — fills
+        clamp their entries to it — or ``None`` when the owner is
+        unreachable (mid-failover), in which case the caller must not cache
+        its fill.  A subscription still
         covering at least half the lease is reused rather than renewed, so
         a burst of misses on one object pays one ``!sub`` frame, not one
         per miss.  The server answers invalidations by *dropping* the
@@ -579,44 +535,32 @@ class CacheManager:
         object_id = reference.object_id
         now = self.now()
         current = self._subscriptions.get(object_id)
-        if current is not None:
-            if current == float("inf"):
-                return current
-            if lease is not None and current - now >= lease / 2:
-                return current
-        payload = frame_subscription(
-            object_id,
-            self.space.node_id,
-            None if lease is None else lease,
-            cacheable=cacheable,
-        )
+        if current is not None and current - now >= lease / 2:
+            return current
+        payload = frame_subscription(object_id, self.space.node_id, lease, cacheable=cacheable)
         try:
             self.space.network.send_request(
                 self.space.node_id, reference.node_id, payload
             )
         except NetworkError:
             return None
-        expiry = float("inf") if lease is None else now + lease
+        expiry = now + lease
         self._subscriptions[object_id] = expiry
         self.subscriptions_sent += 1
         return expiry
 
-    def flush_reference(self, reference: RemoteRef) -> int:
-        """Drop every cached entry held against ``reference``.
+    def flush_reference(self, reference: RemoteRef) -> None:
+        """Drop every cached entry and the subscription held against ``reference``.
 
-        Used by the failover path: leases held against a demoted primary are
-        flushed rather than left to expire.  The flush also bumps the
-        object's version so a fill already in flight against the demoted
-        primary is voided at :meth:`ResultCache.store` time — without the
-        bump it would re-prime the cache with a pre-failover value right
-        after the flush emptied it.
+        Called by the session when a service's name is rebound (failover,
+        migration): leases held against a retired export are flushed rather
+        than left to expire.  The version bump that drops the entries also
+        voids a fill already in flight against the old reference at
+        :meth:`ResultCache.store` time — without it that fill would re-prime
+        the cache with a pre-rebind value right after the flush.
         """
         self._subscriptions.pop(reference.object_id, None)
-        dropped = 0
-        for cache in self._caches:
-            dropped += cache.flush_reference(reference)
         self.bump_version(reference.object_id)
-        return dropped
 
     def _on_invalidation(self, object_ids: List[str]) -> None:
         """The address space's listener: apply one ``!inv`` frame."""

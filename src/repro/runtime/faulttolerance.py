@@ -221,7 +221,7 @@ class FaultTolerantInvoker:
         per call, so the log reflects how many logical invocations each
         network incident touched.  Application errors inside a successful
         batch stay isolated in their
-        :class:`~repro.runtime.batching.BatchResult` slots and are **not**
+        :class:`~repro.runtime.pipelining.BatchResult` slots and are **not**
         retried — they are deterministic outcomes, not network weather; a
         network error the policy could not recover is raised.
 

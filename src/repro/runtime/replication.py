@@ -916,7 +916,7 @@ class ReplicaManager:
             group.primary_wrapper, interface_name=old_ref.interface_name
         )
         del group.backups[promoted.node_id]
-        stale_subscribers: Dict[str, Optional[float]] = {}
+        stale_subscribers: Dict[str, float] = {}
         if group.fenced:
             # The old node may be alive and merely unreachable from the
             # monitor: its space cannot be trusted (or, in a real deployment,

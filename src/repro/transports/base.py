@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import abc
 import json
+import math
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional
 
@@ -285,7 +286,7 @@ def parse_heartbeat(payload: bytes) -> int:
 #: caching client to drop its entries for the listed object identifiers
 #: *before* the triggering write is acknowledged.
 #: ``!sub``  — a cache subscription: a client registers interest in one
-#: object's invalidations, optionally bounded by a lease (simulated seconds).
+#: object's invalidations for a lease (simulated seconds).
 INV_FRAME_PREFIX = b"!inv\n"
 INV_ACK_FRAME_PREFIX = b"!invack\n"
 SUB_FRAME_PREFIX = b"!sub\n"
@@ -361,18 +362,17 @@ def frame_invalidation_ack(count: int) -> bytes:
 def frame_subscription(
     object_id: str,
     node_id: str,
-    lease: Optional[float],
+    lease: float,
     cacheable: Iterable[str] = (),
 ) -> bytes:
     """Frame one cache subscription for ``object_id`` from ``node_id``.
 
-    ``lease`` bounds the subscription in simulated seconds (``None`` keeps it
-    until the next invalidation for the object).  ``cacheable`` carries
-    member names the client *declares* side-effect-free — the owning space
-    honours them in addition to the implementation's own ``@cacheable``
-    markers, so policies caching a foreign deployment (no implementation
-    class at hand) stay coherent rather than self-invalidating on every
-    read.
+    ``lease`` bounds the subscription in simulated seconds; it must be a
+    positive number.  ``cacheable`` carries member names the client
+    *declares* side-effect-free — the owning space honours them in addition
+    to the implementation's own ``@cacheable`` markers, so policies caching
+    a foreign deployment (no implementation class at hand) stay coherent
+    rather than self-invalidating on every read.
     """
     body = {
         "object_id": object_id,
@@ -389,7 +389,12 @@ def is_subscription(payload: bytes) -> bool:
 
 
 def parse_subscription(payload: bytes) -> dict:
-    """Extract ``{"object_id", "node", "lease"}`` from a subscription frame."""
+    """Extract ``{"object_id", "node", "lease"}`` from a subscription frame.
+
+    A frame without ``object_id`` or ``node``, or whose ``lease`` is missing,
+    not a number, or not a positive finite number, is a
+    :class:`~repro._errors.TransportError`.
+    """
     if not payload.startswith(SUB_FRAME_PREFIX):
         raise TransportError("not a subscription frame")
     try:
@@ -398,6 +403,9 @@ def parse_subscription(payload: bytes) -> dict:
         raise TransportError("malformed subscription frame: bad body") from exc
     if not isinstance(body, dict) or "object_id" not in body or "node" not in body:
         raise TransportError("malformed subscription frame: missing fields")
+    lease = body.get("lease")
+    if type(lease) not in (int, float) or not (lease > 0 and math.isfinite(lease)):
+        raise TransportError("malformed subscription frame: lease is not a positive number")
     return body
 
 

@@ -74,7 +74,6 @@ def run_cached_catalog_scenario(
     writes_per_round: int = 4,
     hot_reads_per_round: int = 32,
     cached: bool = True,
-    mode: str = "leases",
     lease_ms: float = 250.0,
     max_entries: int = 256,
     reader: str = "client",
@@ -123,7 +122,7 @@ def run_cached_catalog_scenario(
     )
     if cached:
         reader_policy = reader_policy.with_caching(
-            CachePolicy(max_entries=max_entries, lease_ms=lease_ms, mode=mode)
+            CachePolicy(max_entries=max_entries, lease_ms=lease_ms)
         )
     if tracing is not None:
         reader_policy = reader_policy.with_tracing(tracing)
@@ -239,7 +238,6 @@ def run_cached_catalog_scenario(
     return {
         "transport": transport,
         "cached": cached,
-        "mode": mode if cached else None,
         "replicated": replicate,
         "killed_node": killed_node,
         "failover_delay_seconds": (

@@ -4,8 +4,9 @@ The façade is the library's compatibility contract: user code imports from
 ``repro.api`` and nowhere else.  These tests pin the exported names, the
 :class:`~repro.api.policy.ServicePolicy` builder-method signatures, the
 :class:`~repro.api.session.Session` public methods and every configuration
-surface (the policy value objects' fields, the replication and failover
-constructors' signatures) against explicit snapshots, so any PR that
+surface (the policy value objects' fields, the caching builder's and the
+replication, failover, network, rate-limiter and tracer constructors'
+signatures) against explicit snapshots, so any change that
 renames, removes or accidentally grows the surface fails with a readable
 diff (what appeared vs what disappeared) instead of a silent break for
 downstream imports.
@@ -21,9 +22,11 @@ import dataclasses
 import inspect
 
 import repro.api as api
-from repro.api import CachePolicy, ServicePolicy, Session
+from repro.api import CachePolicy, RateLimitInterceptor, ServicePolicy, Session
 from repro.api import errors
 from repro.network.heartbeat import HeartbeatDetector
+from repro.network.simnet import SimulatedNetwork
+from repro.observability.tracing import Tracer
 from repro.runtime.faulttolerance import FaultTolerantInvoker, RetryPolicy
 from repro.runtime.pipelining import PipelineScheduler
 from repro.runtime.replication import ReplicaEndpoint, ReplicaManager
@@ -68,12 +71,6 @@ EXPECTED_POLICY_SIGNATURES = {
         "sync: 'Optional[str]' = None, "
         "readonly: 'Optional[Sequence[str]]' = None) -> \"'ServicePolicy'\""
     ),
-    "with_caching": (
-        "(self, policy: 'Optional[CachePolicy]' = None, *, "
-        "max_entries: 'Optional[int]' = None, "
-        "lease_ms: 'Optional[float]' = None, mode: 'Optional[str]' = None, "
-        "cacheable: 'Optional[Sequence[str]]' = None) -> \"'ServicePolicy'\""
-    ),
 }
 
 #: Fields of the configuration value objects, as ``name: type = default``.
@@ -106,9 +103,15 @@ EXPECTED_CONFIGURATION_FIELDS = {
     ),
 }
 
-#: Signatures of the constructors the façade configures replication and
-#: failover through.
+#: Signatures of the constructors the façade configures caching, replication,
+#: failover, the network, rate limiting and tracing through.
 EXPECTED_CONFIGURATION_SIGNATURES = {
+    ServicePolicy.with_caching: (
+        "(self, policy: 'Optional[CachePolicy]' = None, *, "
+        "max_entries: 'Optional[int]' = None, "
+        "lease_ms: 'Optional[float]' = None, "
+        "cacheable: 'Optional[Sequence[str]]' = None) -> \"'ServicePolicy'\""
+    ),
     ReplicaManager.__init__: (
         "(self, cluster, *, application: 'Any' = None, detector: 'Any' = None) -> 'None'"
     ),
@@ -136,6 +139,16 @@ EXPECTED_CONFIGURATION_SIGNATURES = {
         "(self, network, monitor_node: 'str', *, interval: 'float' = 0.002, "
         "miss_threshold: 'int' = 2) -> 'None'"
     ),
+    SimulatedNetwork.__init__: (
+        "(self, default_link: 'LinkConfig' = "
+        "LinkConfig(latency=0.0005, bandwidth=12500000.0, jitter=0.0), "
+        "clock: 'Optional[SimClock]' = None, failures: 'Optional[FailureModel]' = None, "
+        "seed: 'int' = 0) -> 'None'"
+    ),
+    RateLimitInterceptor.__init__: (
+        "(self, rate: 'float', burst: 'float' = 1.0, *, retryable: 'bool' = True) -> 'None'"
+    ),
+    Tracer.__init__: "(self, clock: 'Any' = None) -> 'None'",
 }
 
 #: Session's public methods (its lifecycle + service construction contract).

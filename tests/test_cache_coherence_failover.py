@@ -128,7 +128,8 @@ class TestKillBetweenWriteAndInvalidation:
         writer = Session(cluster, node="writer")
         policy = (
             ServicePolicy(transport="rmi")
-            .with_caching(CachePolicy(mode="invalidate"))  # no lease to expire
+            # The lease outlasts the failover: only the flush empties the cache.
+            .with_caching(CachePolicy(lease_ms=60_000))
             .with_replication(2, quorum=1, readonly=("get_item",))
         )
         svc = reader.service(
@@ -153,6 +154,7 @@ class TestKillBetweenWriteAndInvalidation:
         assert cluster.space("reader").invalidations_received >= 1
         assert svc.cache.entries_invalidated >= 1
         assert cluster.space("backup").invalidations_sent >= 1
+        assert len(svc.cache) == 0
         assert svc.get_item("a") == "v1"  # a fresh fill from the promotion
         check_replication_invariants(manager, svc.group, acked=[("a", "v1")], holds=_holds_item)
         reader.close()

@@ -28,6 +28,7 @@ from repro.transports.base import (
     parse_subscription,
     split_invalidations,
 )
+from repro.workloads.cached_catalog import run_cached_catalog_scenario
 
 
 class Catalog:
@@ -70,6 +71,11 @@ def _sessions(cluster, reader_policy, writer_policy=None, impl=None):
 CACHED = ServicePolicy(transport="rmi").with_caching(lease_ms=500)
 
 
+def _served(payload):
+    """Hand ``payload`` to a server's dispatcher, as a client's frame."""
+    return Cluster(("client", "server")).network.send_request("client", "server", payload)
+
+
 class TestControlFrames:
     def test_invalidation_round_trip(self):
         payload = frame_invalidation(["obj-2", "obj-1"])
@@ -84,9 +90,6 @@ class TestControlFrames:
         assert body["node"] == "reader"
         assert body["lease"] == 0.25
 
-    def test_unbounded_subscription(self):
-        assert parse_subscription(frame_subscription("o", "n", None))["lease"] is None
-
     def test_piggyback_attach_and_split(self):
         inner = b"rmi\n{...}"
         wrapped = attach_invalidations(inner, ["obj-1"])
@@ -99,20 +102,50 @@ class TestControlFrames:
         assert attach_invalidations(inner, []) == inner
         assert split_invalidations(inner) == ([], inner)
 
-    def test_malformed_frames_raise(self):
+    @pytest.mark.parametrize(
+        "parse, payload",
+        [
+            (parse_invalidation, b"!inv\nnot json"),
+            (split_invalidations, b"!inv+\nnot json"),
+            (parse_subscription, b"!sub\n[1,2]"),
+            (parse_subscription, b'!sub\n{"node": "n", "lease": 0.25}'),
+            (parse_subscription, b'!sub\n{"object_id": "o", "node": "n"}'),
+            (parse_subscription, frame_subscription("o", "n", None)),
+            (parse_subscription, frame_subscription("o", "n", "abc")),
+            (parse_subscription, frame_subscription("o", "n", True)),
+            (parse_subscription, frame_subscription("o", "n", -1.0)),
+            (parse_subscription, frame_subscription("o", "n", 0)),
+            (parse_subscription, frame_subscription("o", "n", float("inf"))),
+            (parse_subscription, frame_subscription("o", "n", float("nan"))),
+            (_served, frame_subscription("o", "n", "abc")),
+            (_served, frame_subscription("o", "n", -1.0)),
+        ],
+        ids=[
+            "inv-not-json",
+            "piggyback-not-json",
+            "sub-not-an-object",
+            "sub-without-object-id",
+            "sub-without-lease",
+            "sub-null-lease",
+            "sub-text-lease",
+            "sub-boolean-lease",
+            "sub-negative-lease",
+            "sub-zero-lease",
+            "sub-infinite-lease",
+            "sub-nan-lease",
+            "served-sub-text-lease",
+            "served-sub-negative-lease",
+        ],
+    )
+    def test_malformed_frames_raise(self, parse, payload):
         with pytest.raises(TransportError):
-            parse_invalidation(b"!inv\nnot json")
-        with pytest.raises(TransportError):
-            parse_subscription(b"!sub\n[1,2]")
-        with pytest.raises(TransportError):
-            split_invalidations(b"!inv+\nnot json")
+            parse(payload)
 
 
 class TestCachePolicy:
     def test_defaults(self):
         policy = CachePolicy()
         assert policy.mode == "leases"
-        assert policy.subscribes and policy.expires
         assert policy.lease_seconds == pytest.approx(0.05)
 
     @pytest.mark.parametrize(
@@ -122,17 +155,25 @@ class TestCachePolicy:
             {"lease_ms": 0},
             {"lease_ms": -5},
             {"mode": "psychic"},
+            {"mode": "invalidate"},
+            {"mode": "write_through"},
         ],
     )
     def test_validation(self, kwargs):
         with pytest.raises(PolicyError):
             CachePolicy(**kwargs)
 
-    def test_mode_properties(self):
-        assert not CachePolicy(mode="invalidate").expires
-        assert CachePolicy(mode="invalidate").subscribes
-        assert not CachePolicy(mode="write_through").subscribes
-        assert CachePolicy(mode="write_through").expires
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: ServicePolicy().with_caching(mode="leases"),
+            lambda: run_cached_catalog_scenario(Cluster(("client",)), mode="leases"),
+        ],
+        ids=["with_caching", "run_cached_catalog_scenario"],
+    )
+    def test_the_mode_argument_is_gone(self, build):
+        with pytest.raises(TypeError):
+            build()
 
     def test_service_policy_rejects_non_cache_policy(self):
         with pytest.raises(PolicyError):
@@ -290,39 +331,6 @@ class TestFacadeCaching:
         assert svc.get_item("a") == 3
         reader.close(), writer.close()
 
-    def test_invalidate_mode_never_expires(self, cluster):
-        policy = ServicePolicy(transport="rmi").with_caching(
-            CachePolicy(mode="invalidate")
-        )
-        reader, writer, svc, wsvc, impl = _sessions(cluster, policy)
-        wsvc.put_item("a", 1)
-        assert svc.get_item("a") == 1
-        cluster.clock.advance(60.0)  # any lease would be long gone
-        before = cluster.metrics.total_messages
-        assert svc.get_item("a") == 1
-        assert cluster.metrics.total_messages == before
-        wsvc.put_item("a", 2)
-        assert svc.get_item("a") == 2
-        reader.close(), writer.close()
-
-    def test_write_through_mode_staleness_is_lease_bounded(self, cluster):
-        policy = ServicePolicy(transport="rmi").with_caching(
-            CachePolicy(mode="write_through", lease_ms=10)
-        )
-        reader, writer, svc, wsvc, impl = _sessions(cluster, policy)
-        wsvc.put_item("a", 1)
-        assert svc.get_item("a") == 1
-        wsvc.put_item("a", 2)
-        # No subscription: the stale value may be served within the lease...
-        assert svc.get_item("a") == 1
-        # ...but never beyond it.
-        cluster.clock.advance(0.02)
-        assert svc.get_item("a") == 2
-        # Own writes invalidate immediately even in write_through mode.
-        svc.put_item("a", 3)
-        assert svc.get_item("a") == 3
-        reader.close(), writer.close()
-
     def test_non_cacheable_members_always_dispatch(self, cluster):
         reader, writer, svc, wsvc, impl = _sessions(cluster, CACHED)
         svc.put_item("a", 1)
@@ -403,6 +411,10 @@ class TestFacadeCaching:
         wsvc.put_item("a", 2)  # must wait out the reader's lease
         cluster.network.failures.heal()
         assert svc.get_item("a") == 2  # lease expired during the stall: no stale read
+        # The lost !inv is never retried; long after the heal the read still
+        # returns the committed value.
+        cluster.clock.advance(60.0)
+        assert svc.get_item("a") == 2
         reader.close(), writer.close()
 
 

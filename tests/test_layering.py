@@ -6,6 +6,10 @@ body — makes the lower layer unusable without the façade and hides a cycle.
 This test parses every module of those four packages and fails on any
 ``import repro.api...`` or ``from repro.api... import ...``, wherever in the
 module it appears.
+
+Within ``runtime``, the hand-wired batching view (``runtime/batching.py``)
+sits on top of the engine: only the package's ``__init__`` re-exports it, and
+no other module of ``src/repro`` imports it.
 """
 
 from __future__ import annotations
@@ -52,3 +56,14 @@ def test_layer_does_not_import_the_api(layer):
 def test_the_scan_sees_imports_inside_function_bodies():
     tree = ast.parse("def f():\n    from repro.api.middleware import CallContext\n")
     assert list(_imported_modules(tree)) == [(2, "repro.api.middleware")]
+
+
+def test_only_the_runtime_package_imports_the_batching_view():
+    offenders = [
+        f"{path.relative_to(SRC.parent)}:{line}"
+        for path in sorted(SRC.rglob("*.py"))
+        if path != SRC / "runtime" / "__init__.py"
+        for line, module in _imported_modules(ast.parse(path.read_text(encoding="utf-8")))
+        if module == "repro.runtime.batching"
+    ]
+    assert offenders == []

@@ -102,26 +102,3 @@ def test_zero_bandwidth_loopback_never_queues(message_sizes):
     assert all(at == 0.0 for _, at in deliveries)
     assert network.metrics.total_queued_messages == 0
     assert network.metrics.total_queue_delay == 0.0
-
-
-@_SETTINGS
-@given(message_sizes=sizes, bandwidth=bandwidths)
-def test_disabling_queueing_restores_overlapping_transmissions(message_sizes, bandwidth):
-    """``queueing=False`` is the idealised model: no wait, whatever the load."""
-    link = LinkConfig(latency=0.0005, bandwidth=bandwidth)
-    network = SimulatedNetwork(default_link=link, queueing=False)
-    deliveries: list = []
-    network.register("source", lambda src, payload: b"")
-    network.register(
-        "sink",
-        lambda src, payload: deliveries.append(network.clock.now) or b"ok",
-    )
-    _post_all(network, [b"z" * size for size in message_sizes])
-
-    # Transmissions overlap, so small messages overtake large ones: deliveries
-    # land at each message's own idle-network delay, in whatever order.
-    expected = sorted(
-        link.transmission_time(size) + link.latency for size in message_sizes
-    )
-    assert deliveries == pytest.approx(expected)
-    assert network.metrics.total_queued_messages == 0

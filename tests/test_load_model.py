@@ -15,8 +15,8 @@ Four claims are pinned here:
   of the in-flight-death rule).
 * **Capacity modelling is free when uncontended** — the existing benchmark
   scenarios (batching, pipelining, replication, caching) keep their gated
-  speedups with FIFO link queueing enabled at default settings, and a
-  purely synchronous run is bit-identical with queueing on or off.
+  speedups with FIFO link queueing, and a purely synchronous run never
+  waits in a link queue.
 """
 
 from __future__ import annotations
@@ -383,23 +383,16 @@ class TestAdaptiveCongestion:
 class TestIdleNetworkRegression:
     """Capacity modelling must not tax the uncontended benchmarks."""
 
-    def test_synchronous_run_is_bit_identical_with_queueing(self):
+    def test_a_synchronous_run_never_waits_in_a_link_queue(self):
+        """A lone synchronous sender always finds the wire idle, so its
+        timings are those of the idealised infinite-capacity model."""
         from repro.workloads.bulk_orders import run_bulk_order_scenario
 
-        results = []
-        for queueing in (True, False):
-            cluster = Cluster(
-                ("client", "server"), network=SimulatedNetwork(queueing=queueing)
-            )
-            results.append(
-                run_bulk_order_scenario(
-                    cluster, transport="rmi", orders=64, batch_size=8
-                )
-            )
-        with_queueing, without = results
-        assert with_queueing["per_call_seconds"] == without["per_call_seconds"]
-        assert with_queueing["messages"] == without["messages"]
-        assert with_queueing["bytes_on_wire"] == without["bytes_on_wire"]
+        cluster = Cluster(("client", "server"))
+        result = run_bulk_order_scenario(cluster, transport="rmi", orders=64, batch_size=8)
+        assert result["messages"] > 0
+        assert cluster.network.metrics.total_queued_messages == 0
+        assert cluster.network.metrics.total_queue_delay == 0.0
 
     def test_batching_gate_holds_with_capacity_modelling(self):
         from repro.workloads.bulk_orders import run_bulk_order_scenario
