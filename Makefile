@@ -62,10 +62,12 @@ micro:
 # does at least 5 fresh-process rounds, checks every result against its oracle,
 # requires the simulated numbers to agree across rounds and exits 1 otherwise;
 # then each workload's sim_us_per_call, wire_bytes_per_call and msgs_per_call
-# must equal tests/ledger_sim_seed7.json exactly (re-baseline a row that is
-# meant to move with `python benchmarks/ledger_smoke.py --write`).
+# must equal tests/ledger_sim_seed7.json exactly, and again at seed 23 against
+# tests/ledger_sim_seed23.json (re-baseline a row that is meant to move with
+# `python benchmarks/ledger_smoke.py --seed N --write`, for both seeds).
 ledger-smoke:
-	$(PYTHON) benchmarks/ledger_smoke.py
+	$(PYTHON) benchmarks/ledger_smoke.py --seed 7
+	$(PYTHON) benchmarks/ledger_smoke.py --seed 23
 
 docs-check:
 	$(PYTHON) -m repro.tools.doccheck src/repro --level api --fail-under 100

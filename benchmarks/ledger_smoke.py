@@ -1,14 +1,15 @@
 """Every wall-clock ledger workload, briefly, with its simulated numbers pinned.
 
-Runs ``benchmarks/wallclock/run.py --workload W --seed 7 --seconds 0.5`` for
+Runs ``benchmarks/wallclock/run.py --workload W --seed N --seconds 0.5`` for
 every workload of ``BENCHMARK.json`` (each run checks its results against
 their oracles and exits 1 otherwise), then compares each workload's
 ``sim_us_per_call``, ``wire_bytes_per_call`` and ``msgs_per_call`` for exact
-equality against ``tests/ledger_sim_seed7.json``.  The simulation is
-deterministic, so any difference is a behaviour change: a change meant to move
-a simulated number re-baselines its row with ``--write`` in the same commit.
+equality against ``tests/ledger_sim_seed{N}.json`` (seed 7 by default).  The
+simulation is deterministic, so any difference is a behaviour change: a change
+meant to move a simulated number re-baselines its row with ``--write`` in the
+same commit, once per pinned seed.
 
-    python benchmarks/ledger_smoke.py [--write]
+    python benchmarks/ledger_smoke.py [--seed N] [--write]
 
 It only invokes ``benchmarks/wallclock/``; nothing there is imported or edited.
 Exit status: 0 when every run was correct and every pinned number agrees.
@@ -23,15 +24,19 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-PINNED = ROOT / "tests" / "ledger_sim_seed7.json"
 SIM_METRICS = ("sim_us_per_call", "wire_bytes_per_call", "msgs_per_call")
 
 
-def run_workload(workload: str) -> dict:
-    """One brief ``run.py`` of ``workload`` at seed 7; its simulated numbers."""
+def pinned_path(seed: int) -> Path:
+    """The file holding the simulated numbers pinned at ``seed``."""
+    return ROOT / "tests" / f"ledger_sim_seed{seed}.json"
+
+
+def run_workload(workload: str, seed: int) -> dict:
+    """One brief ``run.py`` of ``workload`` at ``seed``; its simulated numbers."""
     command = [
         sys.executable, str(ROOT / "benchmarks" / "wallclock" / "run.py"),
-        "--workload", workload, "--seed", "7", "--seconds", "0.5", "--trace", "0",
+        "--workload", workload, "--seed", str(seed), "--seconds", "0.5", "--trace", "0",
     ]
     done = subprocess.run(command, cwd=ROOT, capture_output=True, text=True)
     sys.stdout.write(done.stdout)
@@ -44,15 +49,20 @@ def run_workload(workload: str) -> dict:
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--seed", type=int, default=7,
+                        help="run at this seed and compare with tests/ledger_sim_seed{N}.json")
     parser.add_argument("--write", action="store_true",
-                        help=f"rewrite {PINNED.name} from this run instead of comparing")
+                        help="rewrite the seed's pinned file from this run instead of comparing")
     options = parser.parse_args()
+    pinned_file = pinned_path(options.seed)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-    measured = {entry["name"]: run_workload(entry["name"]) for entry in spec["workloads"]}
+    measured = {
+        entry["name"]: run_workload(entry["name"], options.seed) for entry in spec["workloads"]
+    }
     if options.write:
-        PINNED.write_text(json.dumps(measured, indent=2) + "\n", encoding="utf-8")
+        pinned_file.write_text(json.dumps(measured, indent=2) + "\n", encoding="utf-8")
         return 0
-    pinned = json.loads(PINNED.read_text(encoding="utf-8"))
+    pinned = json.loads(pinned_file.read_text(encoding="utf-8"))
     moved = [
         f"{workload}.{name}: pinned {pinned.get(workload, {}).get(name)!r}, measured {value!r}"
         for workload, values in measured.items()
