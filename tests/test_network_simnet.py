@@ -297,3 +297,67 @@ class TestNetworkMetrics:
         metrics = NetworkMetrics()
         assert metrics.link("x", "y").mean_latency == 0.0
         assert metrics.link("x", "y").mean_message_size == 0.0
+
+
+#: A slow link: a 100-byte message occupies the wire for 0.01 s.
+SLOW_LINK = LinkConfig(latency=0.001, bandwidth=10_000.0)
+
+
+def _post_ping(network: SimulatedNetwork, size: int = 100) -> None:
+    network.post("a", "b", b"x" * size, lambda response: None, lambda error: None)
+
+
+class TestLinkRecordCoherence:
+    """One record per directed link holds its configuration, wire, backlog
+    and counters; changing any of them from outside must reach the record."""
+
+    def test_set_link_after_traffic_reprices_the_next_message_on_that_link_only(self):
+        network = _echo_network(default_link=SLOW_LINK)
+        network.send_request("a", "b", b"x" * 100)
+        network.set_link("a", "b", LinkConfig(latency=0.5, bandwidth=0.0))
+        before = network.clock.now
+        network.send_request("a", "b", b"x" * 100)
+        # Request over the new config (0.5 s, no transmission), the response
+        # (102 bytes) back over the unchanged b->a link.
+        assert network.clock.now - before == pytest.approx(0.5 + 0.001 + 0.0102)
+        assert network.link_config("a", "b").latency == 0.5
+        assert network.link_config("b", "a") == SLOW_LINK
+
+    def test_metrics_reset_in_mid_run_counts_later_traffic_from_zero(self):
+        network = _echo_network(default_link=SLOW_LINK)
+        network.send_request("a", "b", b"x" * 100)
+        network.send_request("a", "b", b"x" * 100)
+        network.metrics.reset()
+        assert network.metrics.total_messages == 0
+        assert network.metrics.links() == {}
+        network.send_request("a", "b", b"x" * 50)
+        link = network.metrics.link("a", "b")
+        assert (link.messages, link.bytes_sent) == (1, 50)
+        assert link.total_latency == pytest.approx(0.001 + 0.005)
+        assert network.metrics.total_messages == 2
+        assert set(network.metrics.snapshot()["links"]) == {"a->b", "b->a"}
+
+    def test_reset_metrics_zeroes_the_counters_and_keeps_the_wire_busy(self):
+        network = _echo_network(default_link=SLOW_LINK)
+        _post_ping(network)
+        network.reset_metrics()
+        _post_ping(network)  # still queues behind the first transmission
+        link = network.metrics.link("a", "b")
+        assert (link.messages, link.queued_messages, link.max_queue_depth) == (1, 1, 0)
+        assert link.queue_delay_total == pytest.approx(0.01)
+        network.events.run_until_idle()
+        assert network.metrics.total_messages == 3
+
+    def test_a_jittered_link_draws_the_same_random_sequence(self):
+        import random
+
+        jittered = LinkConfig(latency=0.002, bandwidth=10_000.0, jitter=0.003)
+        network = _echo_network(default_link=jittered, seed=11)
+        rng = random.Random(11)
+        now = 0.0
+        for size in (10, 200, 35, 4000, 1):
+            network.send_request("a", "b", b"x" * size)
+            for wire_size in (size, size + 2):  # the request, then its b: echo
+                propagation = jittered.latency + rng.uniform(0.0, jittered.jitter)
+                now = now + (0.0 + wire_size / jittered.bandwidth + propagation)
+            assert network.clock.now == now  # bit-equal, not approximately
