@@ -11,6 +11,13 @@ Since links gained finite capacity (FIFO transmission queueing in
 messages waited for the wire and how deep the transmission queue grew, and
 :class:`LatencyHistogram` summarises per-request latency distributions
 (p50/p99/p999) for the load benchmarks.
+
+The counters of a link are created when the link carries (or drops) its
+first message, and the simulated network's record of the link holds them,
+so a message is counted without a lookup here.  Queries only read: asking
+about a link that never carried anything creates nothing, and a link whose
+counters are all zero is not listed.  :meth:`NetworkMetrics.reset` zeroes
+the counters in place, so the records that hold them count from zero again.
 """
 
 from __future__ import annotations
@@ -36,22 +43,27 @@ class LinkMetrics:
     #: Deepest transmission backlog observed on this link.
     max_queue_depth: int = 0
 
-    def record(self, size: int, latency: float) -> None:
+    def record(
+        self, size: int, latency: float, queue_delay: float = 0.0, depth: int = 0
+    ) -> None:
+        """Account one message of ``size`` bytes and one-way ``latency``, of
+        which ``queue_delay`` seconds were spent behind ``depth`` earlier
+        transmissions."""
         self.messages += 1
         self.bytes_sent += size
         self.total_latency += latency
-
-    def record_queueing(self, delay: float, depth: int) -> None:
-        """Account one message's wait for the wire (``delay`` seconds behind
-        ``depth`` earlier transmissions)."""
-        if delay > 0.0:
+        if queue_delay > 0.0:
             self.queued_messages += 1
-            self.queue_delay_total += delay
+            self.queue_delay_total += queue_delay
         if depth > self.max_queue_depth:
             self.max_queue_depth = depth
 
     def record_drop(self) -> None:
         self.drops += 1
+
+    def reset(self) -> None:
+        """Every counter back to zero."""
+        self.__init__()
 
     @property
     def mean_latency(self) -> float:
@@ -70,22 +82,18 @@ class NetworkMetrics:
     """Aggregated metrics for a whole simulated network."""
 
     def __init__(self) -> None:
-        self._links: Dict[Tuple[str, str], LinkMetrics] = defaultdict(LinkMetrics)
+        self._links: Dict[Tuple[str, str], LinkMetrics] = {}
+
+    def counters(self, source: str, destination: str) -> LinkMetrics:
+        """The live counters of one directed link, created on first use."""
+        return self._links.setdefault((source, destination), LinkMetrics())
 
     def link(self, source: str, destination: str) -> LinkMetrics:
-        return self._links[(source, destination)]
+        """The counters of one directed link (all zero if it carried nothing)."""
+        return self._links.get((source, destination)) or LinkMetrics()
 
     def record(self, source: str, destination: str, size: int, latency: float) -> None:
-        self.link(source, destination).record(size, latency)
-
-    def record_drop(self, source: str, destination: str) -> None:
-        self.link(source, destination).record_drop()
-
-    def record_queueing(
-        self, source: str, destination: str, delay: float, depth: int
-    ) -> None:
-        """Account one message's wait for the ``source -> destination`` wire."""
-        self.link(source, destination).record_queueing(delay, depth)
+        self.counters(source, destination).record(size, latency)
 
     # -- aggregates -----------------------------------------------------------
 
@@ -132,10 +140,13 @@ class NetworkMetrics:
         return self.link(source, destination).messages
 
     def links(self) -> Dict[Tuple[str, str], LinkMetrics]:
-        return dict(self._links)
+        """The counters of every link that carried or dropped a message."""
+        return {key: link for key, link in self._links.items() if link.messages or link.drops}
 
     def reset(self) -> None:
-        self._links.clear()
+        """Zero every link's counters; later traffic is counted from zero."""
+        for link in self._links.values():
+            link.reset()
 
     def snapshot(self) -> dict:
         """A plain-data summary suitable for benchmark reports."""
@@ -155,7 +166,7 @@ class NetworkMetrics:
                     "queue_delay": round(link.queue_delay_total, 6),
                     "max_queue_depth": link.max_queue_depth,
                 }
-                for (src, dst), link in sorted(self._links.items())
+                for (src, dst), link in sorted(self.links().items())
             },
         }
 

@@ -28,6 +28,15 @@ wait is accounted per link in :class:`~repro.network.metrics.NetworkMetrics`
 saturated pool refuses requests with
 :class:`~repro.api.errors.AdmissionError`.  Only links without transmission
 cost (zero bandwidth, the loopback model) never queue.
+
+Everything the network knows about one directed link sits in one record,
+created when the link carries (or drops) its first message: its
+:class:`LinkConfig`, the time its wire is free, its backlog and its
+:class:`~repro.network.metrics.LinkMetrics`.  A message finds all four with
+one lookup.  :meth:`SimulatedNetwork.set_link` and assigning
+:attr:`SimulatedNetwork.default_link` re-price the records they cover, and a
+metrics reset zeroes the counters the records hold without forgetting when a
+wire is free.
 """
 
 from __future__ import annotations
@@ -47,7 +56,7 @@ from repro._errors import (
 )
 from repro.network.clock import EventQueue, SimClock
 from repro.network.failures import FailureModel, NoFailures
-from repro.network.metrics import NetworkMetrics
+from repro.network.metrics import LinkMetrics, NetworkMetrics
 
 #: A node-side handler: receives the raw request payload, returns the response.
 MessageHandler = Callable[[str, bytes], bytes]
@@ -206,6 +215,20 @@ class ServicePool:
         }
 
 
+class _Link:
+    """One directed link: its configuration, wire, backlog and counters."""
+
+    __slots__ = ("config", "busy_until", "backlog", "metrics")
+
+    def __init__(self, config: LinkConfig, metrics: LinkMetrics) -> None:
+        self.config = config
+        #: When the wire finishes its last transmission.
+        self.busy_until = 0.0
+        #: Future transmission-start times of queued messages.
+        self.backlog: Deque[float] = deque()
+        self.metrics = metrics
+
+
 class SimulatedNetwork:
     """A deterministic message-passing fabric between named nodes."""
 
@@ -216,18 +239,17 @@ class SimulatedNetwork:
         failures: Optional[FailureModel] = None,
         seed: int = 0,
     ) -> None:
-        self.default_link = default_link
+        self._default_link = default_link
         self.clock = clock if clock is not None else SimClock()
         #: Discrete-event queue carrying asynchronous (pipelined) exchanges.
         self.events = EventQueue(self.clock)
         self.failures = failures if failures is not None else NoFailures()
         self.metrics = NetworkMetrics()
         self._handlers: Dict[str, MessageHandler] = {}
-        self._links: Dict[Tuple[str, str], LinkConfig] = {}
-        #: Per directed link: when the wire finishes its last transmission.
-        self._link_busy_until: Dict[Tuple[str, str], float] = {}
-        #: Per directed link: future transmission-start times of queued messages.
-        self._link_backlog: Dict[Tuple[str, str], Deque[float]] = {}
+        #: Per directed pair: the configuration :meth:`set_link` gave it.
+        self._configured: Dict[Tuple[str, str], LinkConfig] = {}
+        #: Per directed link that has carried a message: its record.
+        self._links: Dict[Tuple[str, str], _Link] = {}
         #: Per node: its bounded service pool, if one is installed.
         self._pools: Dict[str, ServicePool] = {}
         self._rng = random.Random(seed)
@@ -253,16 +275,32 @@ class SimulatedNetwork:
     def is_registered(self, node_id: str) -> bool:
         return node_id in self._handlers
 
+    @property
+    def default_link(self) -> LinkConfig:
+        """The configuration of every link :meth:`set_link` has not overridden."""
+        return self._default_link
+
+    @default_link.setter
+    def default_link(self, config: LinkConfig) -> None:
+        self._default_link = config
+        for key, link in self._links.items():
+            if key not in self._configured:
+                link.config = config
+
     def set_link(self, source: str, destination: str, config: LinkConfig) -> None:
         """Override the link characteristics for one directed pair."""
-        self._links[(source, destination)] = config
+        key = (source, destination)
+        self._configured[key] = config
+        link = self._links.get(key)
+        if link is not None:
+            link.config = config
 
     def set_symmetric_link(self, node_a: str, node_b: str, config: LinkConfig) -> None:
         self.set_link(node_a, node_b, config)
         self.set_link(node_b, node_a, config)
 
     def link_config(self, source: str, destination: str) -> LinkConfig:
-        return self._links.get((source, destination), self.default_link)
+        return self._configured.get((source, destination), self._default_link)
 
     def set_service_pool(self, node_id: str, pool: Optional[ServicePool]) -> None:
         """Bound ``node_id``'s serving capacity with ``pool`` (None removes it).
@@ -282,36 +320,15 @@ class SimulatedNetwork:
         """The bounded service pool installed on ``node_id``, if any."""
         return self._pools.get(node_id)
 
-    def _reserve_link(
-        self, source: str, destination: str, size: int, link: LinkConfig
-    ) -> float:
-        """Claim the ``source -> destination`` wire for one message.
-
-        Returns the message's total one-way delay from *now*: time spent
-        waiting for earlier transmissions to clear the link (FIFO), plus its
-        own transmission time, plus propagation.  On zero-transmission links
-        the wait is always zero and this reduces to
-        :meth:`LinkConfig.one_way_delay`.
-        """
-        propagation = link.propagation_delay(self._rng)
-        transmission = link.transmission_time(size)
-        if transmission <= 0.0:
-            return transmission + propagation
-        now = self.clock.now
+    def _link(self, source: str, destination: str) -> _Link:
+        """The record of the ``source -> destination`` link, created on first use."""
         key = (source, destination)
-        busy_until = self._link_busy_until.get(key, 0.0)
-        start = busy_until if busy_until > now else now
-        queue_delay = start - now
-        self._link_busy_until[key] = start + transmission
-        # Backlog depth = earlier messages whose transmission has not started
-        # yet; starts are monotone per link so expired entries pop in order.
-        backlog = self._link_backlog.setdefault(key, deque())
-        while backlog and backlog[0] <= now:
-            backlog.popleft()
-        self.metrics.record_queueing(source, destination, queue_delay, len(backlog))
-        if queue_delay > 0.0:
-            backlog.append(start)
-        return queue_delay + transmission + propagation
+        link = self._links.get(key)
+        if link is None:
+            link = self._links[key] = _Link(
+                self.link_config(source, destination), self.metrics.counters(source, destination)
+            )
+        return link
 
     # -- tracing ------------------------------------------------------------------
 
@@ -389,7 +406,7 @@ class SimulatedNetwork:
 
         self._check_reachability(source, destination)
         if self.failures.should_drop(source, destination):
-            self.metrics.record_drop(source, destination)
+            self._link(source, destination).metrics.record_drop()
             self._trace_event(trace, "request-dropped", link=f"{source}->{destination}")
             raise MessageDroppedError(
                 f"message from {source!r} to {destination!r} was dropped"
@@ -433,7 +450,7 @@ class SimulatedNetwork:
             )
             raise
         if self.failures.should_drop(destination, source):
-            self.metrics.record_drop(destination, source)
+            self._link(destination, source).metrics.record_drop()
             self._trace_interval(
                 trace, "service", "service", served_at, clock.now, node=destination
             )
@@ -462,15 +479,36 @@ class SimulatedNetwork:
     ) -> float:
         """Put one message on the ``source -> destination`` wire — now.
 
-        Reserves the link, accounts the traffic and the wire span, and
-        returns the simulated time the message arrives.
+        Claims the link, counts the traffic, records the wire span and
+        returns the simulated time the message arrives: after waiting for
+        earlier transmissions to clear the link (FIFO), its own transmission
+        time and propagation.  On zero-transmission links the wait is always
+        zero and the delay is :meth:`LinkConfig.one_way_delay`.
         """
+        link = self._links.get((source, destination)) or self._link(source, destination)
+        config = link.config
         sent_at = self.clock.now
         size = len(message)
-        delay = self._reserve_link(
-            source, destination, size, self.link_config(source, destination)
-        )
-        self.metrics.record(source, destination, size, delay)
+        propagation = config.propagation_delay(self._rng)
+        transmission = config.transmission_time(size)
+        if transmission <= 0.0:
+            delay = transmission + propagation
+            link.metrics.record(size, delay)
+        else:
+            busy_until = link.busy_until
+            start = busy_until if busy_until > sent_at else sent_at
+            queue_delay = start - sent_at
+            link.busy_until = start + transmission
+            # Backlog depth = earlier messages whose transmission has not
+            # started yet; starts are monotone per link so expired entries
+            # pop in order.
+            backlog = link.backlog
+            while backlog and backlog[0] <= sent_at:
+                backlog.popleft()
+            delay = queue_delay + transmission + propagation
+            link.metrics.record(size, delay, queue_delay, len(backlog))
+            if queue_delay > 0.0:
+                backlog.append(start)
         if trace:  # checked here too: untraced traffic skips building the attrs
             self._trace_interval(
                 trace, span_name, "wire", sent_at, sent_at + delay,
@@ -586,4 +624,5 @@ class SimulatedNetwork:
             )
 
     def reset_metrics(self) -> None:
+        """Count traffic from zero again; when each wire is free is kept."""
         self.metrics.reset()

@@ -298,6 +298,15 @@ class TestNetworkMetrics:
         assert metrics.link("x", "y").mean_latency == 0.0
         assert metrics.link("x", "y").mean_message_size == 0.0
 
+    def test_a_query_does_not_create_a_link(self):
+        network = _echo_network()
+        network.send_request("a", "b", b"ping")
+        metrics = network.metrics
+        assert metrics.messages_between("x", "y") == 0
+        assert metrics.link("b", "x").messages == 0
+        assert set(metrics.links()) == {("a", "b"), ("b", "a")}
+        assert set(metrics.snapshot()["links"]) == {"a->b", "b->a"}
+
 
 #: A slow link: a 100-byte message occupies the wire for 0.01 s.
 SLOW_LINK = LinkConfig(latency=0.001, bandwidth=10_000.0)
