@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import warnings
 from functools import partial
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro._errors import InvocationError, NetworkError, TransportError, UnknownObjectError
 from repro.core.interception import CallContext, Interceptor, InterceptorChain
@@ -37,20 +37,18 @@ from repro.runtime.pipelining import BatchResult
 from repro.runtime.remote_ref import ObjectIdAllocator, RemoteRef
 from repro.runtime.serialization import Marshaller
 from repro.transports.base import (
+    CONTROL_FRAME_BYTE,
     LEAVES,
     Live,
     TransportRegistry,
     attach_invalidations,
-    frame_batch_message,
     frame_invalidation,
     frame_invalidation_ack,
-    frame_message,
     frame_pong,
     frame_subscription_ack,
     is_invalidation,
     is_ping,
     is_subscription,
-    parse_frame,
     parse_heartbeat,
     parse_invalidation_body,
     parse_subscription,
@@ -290,10 +288,6 @@ class AddressSpace:
         if hook not in self._dispatch_hooks:
             self._dispatch_hooks.append(hook)
 
-    def remove_dispatch_hook(self, hook: Any) -> None:
-        if hook in self._dispatch_hooks:
-            self._dispatch_hooks.remove(hook)
-
     # ------------------------------------------------------------------
     # Server-side middleware (see repro.core.interception)
     # ------------------------------------------------------------------
@@ -328,10 +322,6 @@ class AddressSpace:
         """Uninstall a chain installed by :meth:`use_middleware` (idempotent)."""
         if chain in self._middleware_chains:
             self._middleware_chains.remove(chain)
-
-    def middleware_chain_count(self) -> int:
-        """How many server-side chains are installed (leak checks)."""
-        return len(self._middleware_chains)
 
     # ------------------------------------------------------------------
     # Batch-dispatch scope (commits that can refuse the calls that joined them)
@@ -639,10 +629,9 @@ class AddressSpace:
                     # subscribers must still drop their entries before the
                     # write returns to the caller.
                     self._broadcast_invalidations(mutated)
-        (result,) = self._exchange(
+        return self._exchange(
             [(reference, member, args, kwargs, context)], reference.node_id, transport, False
-        )
-        return result.unwrap()
+        ).unwrap()
 
     def invoke_remote_many(
         self,
@@ -764,14 +753,15 @@ class AddressSpace:
         batch: bool,
         on_results: Any = None,
         on_error: Any = None,
-    ) -> Optional[List[BatchResult]]:
+    ) -> Union[BatchResult, List[BatchResult], None]:
         """Ship ``calls`` to ``destination`` in one frame; one result per call.
 
         Each call is ``(reference, member, args, kwargs, context)``.  ``batch``
-        picks the framing — a single frame carries exactly one call — and is
-        the only thing a single call and a batch differ in on the way out and
-        back.  Without callbacks the frame is sent inline and the results
-        returned; with them it is posted and the outcome reaches
+        picks the framing — a single frame carries exactly one call, and its
+        result comes back as that one :class:`BatchResult`, not in a list —
+        and is the only thing a single call and a batch differ in on the way
+        out and back.  Without callbacks the frame is sent inline and the
+        results returned; with them it is posted and the outcome reaches
         ``on_results`` or ``on_error`` from the event queue.
         """
         payload = self._encode_calls(calls, transport, batch)
@@ -811,28 +801,33 @@ class AddressSpace:
         are gone before the round trip starts: held across it, a batch of
         large payloads would sit beside the serving side's copy at the peak.
         """
-        transport_impl = self.transports.get(transport or self.default_transport)
-        marshaller = self.marshaller
-        requests = [
-            request_dict(
-                reference, member,
-                [item if type(item) in LEAVES else Live(item, marshaller) for item in args],
-                {key: item if type(item) in LEAVES else Live(item, marshaller)
-                 for key, item in kwargs.items()} if kwargs else {},
-                context,
-            )
-            for reference, member, args, kwargs, context in calls
-        ]
-        body = (
-            transport_impl.encode_batch_request(requests) if batch
-            else transport_impl.encode_request(requests[0])
+        codec, _batch, prefix = self.transports.framing(
+            transport or self.default_transport, batch
         )
-        self.network.clock.advance(transport_impl.processing_overhead)
-        return (frame_batch_message if batch else frame_message)(transport_impl.name, body)
+        if batch:
+            body = codec.encode_batch_request([self._request(*call) for call in calls])
+        else:
+            body = codec.encode_request(self._request(*calls[0]))
+        self.network.clock.advance(codec.processing_overhead)
+        return prefix + body
+
+    def _request(
+        self, reference: RemoteRef, member: str, args: Sequence, kwargs: dict,
+        context: Optional[dict],
+    ) -> dict:
+        """One call's request dict, its non-leaf arguments as :class:`Live` markers."""
+        marshaller = self.marshaller
+        return request_dict(
+            reference, member,
+            [item if type(item) in LEAVES else Live(item, marshaller) for item in args],
+            {key: item if type(item) in LEAVES else Live(item, marshaller)
+             for key, item in kwargs.items()} if kwargs else {},
+            context,
+        )
 
     def _decode_results(
         self, raw_response: bytes, expected: int, batch: bool
-    ) -> List[BatchResult]:
+    ) -> Union[BatchResult, List[BatchResult]]:
         """Decode one framed response message into per-call results, charging decode cost.
 
         Piggybacked invalidations are delivered first — before the results
@@ -840,26 +835,26 @@ class AddressSpace:
         post-invalidation state — and a response in the other framing than
         the request's is refused.  The results are read live.
         """
-        piggybacked, raw_response = split_invalidations(raw_response)
-        if piggybacked:
-            self._deliver_invalidations(piggybacked)
-        response_name, response_body, response_is_batch = parse_frame(raw_response)
+        if raw_response[:1] == CONTROL_FRAME_BYTE:
+            piggybacked, raw_response = split_invalidations(raw_response)
+            if piggybacked:
+                self._deliver_invalidations(piggybacked)
+        (codec, response_is_batch, _prefix), body = self.transports.split_frame(raw_response)
         if response_is_batch != batch:
             raise TransportError(
                 "batch response received for a single invocation"
                 if response_is_batch
                 else "single response received for a batched invocation"
             )
-        transport = self.transports.get(response_name)
-        self.network.clock.advance(transport.processing_overhead)
-        if batch:
-            responses = transport.decode_batch_response(response_body, marshaller=self.marshaller)
-            if len(responses) != expected:
-                raise TransportError(
-                    f"batch response carries {len(responses)} results for {expected} calls"
-                )
-        else:
-            responses = [transport.decode_response(response_body, marshaller=self.marshaller)]
+        self.network.clock.advance(codec.processing_overhead)
+        if not batch:
+            response = codec.decode_response(body, marshaller=self.marshaller)
+            return BatchResult(0, *read_response(response))
+        responses = codec.decode_batch_response(body, marshaller=self.marshaller)
+        if len(responses) != expected:
+            raise TransportError(
+                f"batch response carries {len(responses)} results for {expected} calls"
+            )
         return [
             BatchResult(index, *read_response(response))
             for index, response in enumerate(responses)
@@ -870,33 +865,12 @@ class AddressSpace:
     # ------------------------------------------------------------------
 
     def _handle_message(self, source: str, payload: bytes) -> bytes:
-        if is_ping(payload):
-            # Liveness probes are answered before any transport decoding —
-            # a node that can run its handler is alive, whatever protocols
-            # it speaks.  They do not count as served invocations.
-            self.pings_answered += 1
-            return frame_pong(parse_heartbeat(payload))
-        if is_subscription(payload):
-            # Cache control frames bypass the codecs like heartbeats do.
-            return self._handle_subscription(payload)
-        if is_invalidation(payload):
-            object_ids, epoch = parse_invalidation_body(payload)
-            if epoch is not None:
-                # Epoch-stamped frames are fenced: an invalidation claiming
-                # an epoch older than one already seen for the object came
-                # from a superseded primary and must not flush (or, worse,
-                # re-prime) the local caches.
-                accepted = []
-                for object_id in object_ids:
-                    floor = self._invalidation_epoch_floor.get(object_id, -1)
-                    if epoch < floor:
-                        self.stale_invalidations_rejected += 1
-                        continue
-                    self._invalidation_epoch_floor[object_id] = epoch
-                    accepted.append(object_id)
-                object_ids = accepted
-            self._deliver_invalidations(object_ids)
-            return frame_invalidation_ack(len(object_ids))
+        if payload[:1] == CONTROL_FRAME_BYTE:
+            # No transport name starts with this byte, so an invocation
+            # frame never pays for the control-frame tests.
+            answer = self._handle_control(payload)
+            if answer is not None:
+                return answer
         # Mutations of subscribed objects collect per served message, so one
         # batch of writes coalesces into one invalidation round.
         outer_pending = self._pending_invalidations
@@ -908,27 +882,23 @@ class AddressSpace:
         outer_scope = self._batch_scope
         self._batch_scope = None
         try:
-            transport_name, body, is_batch = parse_frame(payload)
-            transport = self.transports.get(transport_name)
+            (transport, is_batch, prefix), body = self.transports.split_frame(payload)
             # Every request is read — its arguments live — and checked before
             # the first one runs: a frame with a malformed call in it fails
             # whole, with nothing executed that a retry would execute again.
             if is_batch:
                 self.batches_served += 1
                 decoded = transport.decode_batch_request(body, marshaller=self.marshaller)
-            else:
-                decoded = (transport.decode_request(body, marshaller=self.marshaller),)
-            requests = list(map(read_request, decoded))
-            if is_batch:
+                requests = list(map(read_request, decoded))
                 # The batch's commits (e.g. replication acknowledgements) run
                 # before the response is framed, and may refuse its calls.
                 responses = self._in_batch_scope(lambda: list(map(self._dispatch, requests)))
-                framed = frame_batch_message(
-                    transport_name, transport.encode_batch_response(responses)
-                )
+                framed = prefix + transport.encode_batch_response(responses)
             else:
-                response = self._dispatch(requests[0])
-                framed = frame_message(transport_name, transport.encode_response(response))
+                request = read_request(
+                    transport.decode_request(body, marshaller=self.marshaller)
+                )
+                framed = prefix + transport.encode_response(self._dispatch(request))
         finally:
             self._batch_scope = outer_scope
             pending, self._pending_invalidations = (
@@ -946,6 +916,37 @@ class AddressSpace:
                 framed = attach_invalidations(framed, sorted(piggyback))
                 self.invalidations_piggybacked += 1
         return framed
+
+    def _handle_control(self, payload: bytes) -> Optional[bytes]:
+        """Answer a heartbeat or cache-control frame; ``None`` for any other."""
+        if is_ping(payload):
+            # Liveness probes are answered before any transport decoding —
+            # a node that can run its handler is alive, whatever protocols
+            # it speaks.  They do not count as served invocations.
+            self.pings_answered += 1
+            return frame_pong(parse_heartbeat(payload))
+        if is_subscription(payload):
+            # Cache control frames bypass the codecs like heartbeats do.
+            return self._handle_subscription(payload)
+        if not is_invalidation(payload):
+            return None
+        object_ids, epoch = parse_invalidation_body(payload)
+        if epoch is not None:
+            # Epoch-stamped frames are fenced: an invalidation claiming
+            # an epoch older than one already seen for the object came
+            # from a superseded primary and must not flush (or, worse,
+            # re-prime) the local caches.
+            accepted = []
+            for object_id in object_ids:
+                floor = self._invalidation_epoch_floor.get(object_id, -1)
+                if epoch < floor:
+                    self.stale_invalidations_rejected += 1
+                    continue
+                self._invalidation_epoch_floor[object_id] = epoch
+                accepted.append(object_id)
+            object_ids = accepted
+        self._deliver_invalidations(object_ids)
+        return frame_invalidation_ack(len(object_ids))
 
     def _dispatch(self, request: RequestFields) -> dict:
         """Serve one checked request; the response dict, success or error."""

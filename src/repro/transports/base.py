@@ -43,10 +43,11 @@ there, for the whole frame).
 from __future__ import annotations
 
 import abc
+import functools
 import json
 import math
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional
+from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from repro._errors import TransportError, UnknownTransportError
 
@@ -179,16 +180,45 @@ class Transport(abc.ABC):
         return f"<{type(self).__name__} {self.name!r}>"
 
 
+class Framing(NamedTuple):
+    """How one transport frames one kind of message, resolved at registration."""
+
+    transport: Transport
+    #: True for the batch framing, False for the single-call one.
+    batch: bool
+    #: The validated bytes in front of every such frame (see :func:`frame_prefix`).
+    prefix: bytes
+
+
 class TransportRegistry:
-    """Named collection of transports shared by the address spaces of a cluster."""
+    """Named collection of transports shared by the address spaces of a cluster.
+
+    Registering a transport validates its name and encodes its two frame
+    prefixes once; the runtime then frames with :meth:`framing` and splits a
+    received frame with :meth:`split_frame`, a table lookup each.
+    """
 
     def __init__(self, transports: Iterable[Transport] = ()) -> None:
         self._transports: Dict[str, Transport] = {}
+        #: Transport name -> (single framing, batch framing).
+        self._framings: Dict[str, Tuple[Framing, Framing]] = {}
+        #: Frame head (a prefix without its newline) -> its framing.
+        self._heads: Dict[bytes, Framing] = {}
         for transport in transports:
             self.register(transport)
 
     def register(self, transport: Transport) -> Transport:
-        self._transports[transport.name] = transport
+        """Add ``transport``; a name no frame prefix can carry is a
+        :class:`~repro._errors.TransportError`."""
+        name = transport.name
+        framings = (
+            Framing(transport, False, frame_prefix(name)),
+            Framing(transport, True, frame_prefix(name, batch=True)),
+        )
+        self._transports[name] = transport
+        self._framings[name] = framings
+        for framing in framings:
+            self._heads[framing.prefix[:-1]] = framing
         return transport
 
     def get(self, name: str) -> Transport:
@@ -196,6 +226,25 @@ class TransportRegistry:
             return self._transports[name]
         except KeyError as exc:
             raise UnknownTransportError(name, self._transports) from exc
+
+    def framing(self, name: str, batch: bool = False) -> Framing:
+        """How the transport called ``name`` frames a single call or a batch."""
+        try:
+            return self._framings[name][batch]
+        except KeyError as exc:
+            raise UnknownTransportError(name, self._transports) from exc
+
+    def split_frame(self, payload: bytes) -> Tuple[Framing, bytes]:
+        """Split a framed message, in one step, into the framing its prefix
+        names and its body.  A prefix that is malformed is a
+        :class:`~repro._errors.TransportError`, one naming no registered
+        transport an :class:`~repro._errors.UnknownTransportError`."""
+        head, newline, body = payload.partition(b"\n")
+        framing = self._heads.get(head)
+        if framing is None or not newline:
+            name, body, batch = parse_frame(payload)
+            framing = self.framing(name, batch)
+        return framing, body
 
     def maybe_get(self, name: str) -> Optional[Transport]:
         return self._transports.get(name)
@@ -219,27 +268,47 @@ class TransportRegistry:
 #: protocol's own batch message type).
 BATCH_FRAME_MARKER = "!batch"
 
+#: The first byte of every control frame (heartbeats, cache coherence) and of
+#: no invocation frame: a transport name may not start with it, so a receiver
+#: tells a control frame from an invocation by this one byte.
+CONTROL_FRAME_BYTE = b"!"
 
-def frame_message(transport_name: str, body: bytes) -> bytes:
-    """Prefix a wire message with the transport that produced it.
+
+@functools.lru_cache(maxsize=64)
+def frame_prefix(transport_name: str, batch: bool = False) -> bytes:
+    """The bytes in front of every (batch) frame ``transport_name`` produces.
 
     The receiving address space uses the prefix to select the matching
     transport for decoding; this plays the role of the port/endpoint
-    dispatching a real middleware stack would perform.
+    dispatching a real middleware stack would perform.  A name that is not
+    ASCII, holds a newline or starts with :data:`CONTROL_FRAME_BYTE` (and,
+    for a batch, one holding :data:`BATCH_FRAME_MARKER`) is a
+    :class:`~repro._errors.TransportError`.  A name is validated and encoded
+    once: the prefix is remembered.
     """
-
     if "\n" in transport_name or not transport_name.isascii():
         raise TransportError("transport names must be ASCII without newlines")
-    return transport_name.encode("ascii") + b"\n" + body
+    if transport_name[:1] == "!":
+        raise TransportError(
+            "transport names must not start with '!', the prefix reserved for control frames"
+        )
+    if batch:
+        if BATCH_FRAME_MARKER in transport_name:
+            raise TransportError(
+                f"transport names must not contain {BATCH_FRAME_MARKER!r}"
+            )
+        transport_name += BATCH_FRAME_MARKER
+    return transport_name.encode("ascii") + b"\n"
+
+
+def frame_message(transport_name: str, body: bytes) -> bytes:
+    """Prefix a wire message with the transport that produced it."""
+    return frame_prefix(transport_name) + body
 
 
 def frame_batch_message(transport_name: str, body: bytes) -> bytes:
     """Frame a batched wire message; the prefix carries the batch marker."""
-    if BATCH_FRAME_MARKER in transport_name:
-        raise TransportError(
-            f"transport names must not contain {BATCH_FRAME_MARKER!r}"
-        )
-    return frame_message(transport_name + BATCH_FRAME_MARKER, body)
+    return frame_prefix(transport_name, batch=True) + body
 
 
 #: Frame prefixes for heartbeat probes.  Pings travel on the same simulated

@@ -9,7 +9,8 @@ the counters say; :class:`TestRequestShape` sends requests that do not have
 the shape documented in ``repro.transports.base`` and expects the whole
 message refused with a ``TransportError`` before anything runs,
 :class:`TestFramePrefix` expects the same of a frame whose transport prefix
-is not ASCII, wherever it is read, and
+is not ASCII, wherever it is read, refuses a transport name that starts with
+``!`` (the first byte of every control frame), and
 :class:`TestMalformedTree` does the same for arguments whose Marshaller tree
 does not hold together (a ``SerializationError``).
 """
@@ -37,6 +38,7 @@ from repro.runtime.cluster import Cluster, default_transport_registry
 from repro.runtime.remote_ref import RemoteRef
 from repro.runtime.replication import ReplicaManager
 from repro.transports.base import TransportRegistry, frame_batch_message, frame_message
+from repro.transports.rmi import RmiTransport
 from repro.workloads.bulk_orders import OrderIntake
 from repro.workloads.figure1 import A, B, C
 from repro.workloads.replicated_orders import INTAKE_READONLY
@@ -269,6 +271,41 @@ class TestFramePrefix:
             )
         assert ledger.entries == []
 
+    def test_a_transport_name_starting_with_the_control_byte_is_refused(self):
+        class Bang(RmiTransport):
+            name = "!sub"
+
+        with pytest.raises(TransportError, match="reserved for control frames"):
+            TransportRegistry([*default_transport_registry(), Bang()])
+        with pytest.raises(TransportError, match="reserved for control frames"):
+            frame_message("!sub", b"body")
+        # The service the refused transport would have carried answers over rmi.
+        cluster = Cluster(("client", "server"))
+        with Session(cluster, node="client") as session:
+            echo = session.service(
+                "echo", ServicePolicy(transport="rmi"), impl=Echo(), node="server"
+            )
+            assert echo.ping("hello") == "hello"
+
+    def test_a_transport_name_holding_the_batch_marker_is_refused_at_registration(self):
+        class Marked(RmiTransport):
+            name = "rmi!batch"
+
+        with pytest.raises(TransportError, match="must not contain"):
+            TransportRegistry([Marked()])
+
+    @pytest.mark.parametrize("frame", [b"!nope\n\x00", b"!inv+\n[]\n", b"!", b""])
+    def test_a_frame_that_is_no_control_frame_is_read_for_its_prefix(self, frame):
+        _, cluster, ledger, _reference = _deployment()
+        with pytest.raises(TransportError):
+            cluster.space("server")._handle_message("client", frame)
+        assert ledger.entries == []
+
+
+class Echo:
+    def ping(self, text):
+        return text
+
 
 #: name -> what a well-framed request carries instead of the documented shape.
 MALFORMED = {
@@ -447,10 +484,11 @@ class TestCallBudget:
     rebuilt here.  Each ceiling is the count measured on CPython 3.11 plus 5 % for
     the other interpreters CI runs."""
 
-    #: Python calls per lookup: 199.1 with messages read and written as
-    #: records (239.1 when the walk handled them, 249.1 before values went to
-    #: bytes in one pass).
-    CEILING = 209.1
+    #: Python calls per lookup: 158.1 with one record per link, frame
+    #: prefixes resolved at registration and control frames told by their
+    #: first byte (197.1 before; 239.1 when the walk handled the messages,
+    #: 249.1 before values went to bytes in one pass).
+    CEILING = 166.0
     #: Python calls per batched order: 2 245.1 (2 293.2 with the messages
     #: walked, 3 608.2 with the Marshaller's tree built and walked).
     BATCH_CEILING = 2357.4
@@ -465,9 +503,10 @@ class TestCallBudget:
     #: per-call record and counted itself in always-on statistics).
     HANDLE_CEILING = 23.1
     #: Python calls per write in batches of 16 quorum-2 writes to a 3-replica
-    #: group: 242.9 with a batch's writes committed once (588.6 when each
-    #: write caught its backups up on its own).
-    QUORUM_BATCH_CEILING = 255.1
+    #: group: 237.7 with one record per link and frame prefixes resolved at
+    #: registration (244.1 before, with a batch's writes committed once;
+    #: 588.6 when each write caught its backups up on its own).
+    QUORUM_BATCH_CEILING = 249.6
 
     def test_a_batch_of_quorum_writes_stays_within_its_call_budget(self):
         cluster = Cluster(("client", "a", "b", "c"))
