@@ -12,12 +12,11 @@ messages waited for the wire and how deep the transmission queue grew, and
 :class:`LatencyHistogram` summarises per-request latency distributions
 (p50/p99/p999) for the load benchmarks.
 
-The counters of a link are created when the link carries (or drops) its
-first message, and the simulated network's record of the link holds them,
-so a message is counted without a lookup here.  Queries only read: asking
-about a link that never carried anything creates nothing, and a link whose
-counters are all zero is not listed.  :meth:`NetworkMetrics.reset` zeroes
-the counters in place, so the records that hold them count from zero again.
+A link's counters are created on its first message and held by the
+simulated network's record of the link, so counting a message needs no
+lookup here.  Queries only read: a link that carried nothing is neither
+created nor listed.  :meth:`NetworkMetrics.reset` zeroes the counters in
+place, so the records holding them count from zero again.
 """
 
 from __future__ import annotations

@@ -29,14 +29,12 @@ saturated pool refuses requests with
 :class:`~repro.api.errors.AdmissionError`.  Only links without transmission
 cost (zero bandwidth, the loopback model) never queue.
 
-Everything the network knows about one directed link sits in one record,
-created when the link carries (or drops) its first message: its
+Each directed link is one record, created on its first message, holding its
 :class:`LinkConfig`, the time its wire is free, its backlog and its
-:class:`~repro.network.metrics.LinkMetrics`.  A message finds all four with
-one lookup.  :meth:`SimulatedNetwork.set_link` and assigning
-:attr:`SimulatedNetwork.default_link` re-price the records they cover, and a
-metrics reset zeroes the counters the records hold without forgetting when a
-wire is free.
+:class:`~repro.network.metrics.LinkMetrics`: a message finds all four with
+one lookup.  :meth:`SimulatedNetwork.set_link` (and assigning ``default_link``)
+re-prices the records it covers; a metrics reset zeroes their counters and
+keeps their wires busy.
 """
 
 from __future__ import annotations

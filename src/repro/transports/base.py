@@ -246,9 +246,6 @@ class TransportRegistry:
             framing = self.framing(name, batch)
         return framing, body
 
-    def maybe_get(self, name: str) -> Optional[Transport]:
-        return self._transports.get(name)
-
     def names(self) -> set[str]:
         return set(self._transports)
 
