@@ -37,7 +37,12 @@ from repro.policy.policy import all_local_policy, place_classes_on
 from repro.runtime.cluster import Cluster, default_transport_registry
 from repro.runtime.remote_ref import RemoteRef
 from repro.runtime.replication import ReplicaManager
-from repro.transports.base import TransportRegistry, frame_batch_message, frame_message
+from repro.transports.base import (
+    TransportRegistry,
+    frame_batch_message,
+    frame_message,
+    frame_subscription,
+)
 from repro.transports.rmi import RmiTransport
 from repro.workloads.bulk_orders import OrderIntake
 from repro.workloads.figure1 import A, B, C
@@ -507,6 +512,10 @@ class TestCallBudget:
     #: registration (244.1 before, with a batch's writes committed once;
     #: 588.6 when each write caught its backups up on its own).
     QUORUM_BATCH_CEILING = 249.6
+    #: Python calls per served write to a ledger with two subscribers, the
+    #: reader invalidated by a ``!inv`` frame and the writer by the
+    #: piggyback on its response: 269.1.
+    INVALIDATING_WRITE_CEILING = 282.6
 
     def test_a_batch_of_quorum_writes_stays_within_its_call_budget(self):
         cluster = Cluster(("client", "a", "b", "c"))
@@ -635,3 +644,24 @@ class TestCallBudget:
         assert cluster.space("client").batches_sent == 8
         per_op = _calls_per_op(profile, len(keys))
         assert per_op <= self.SMALL_BATCH_CEILING, f"{per_op:.1f} Python calls per batched lookup"
+
+    def test_an_invalidating_write_stays_within_its_call_budget(self):
+        cluster = Cluster(("client", "reader", "server"))
+        reference = cluster.space("server").export(Ledger())
+        client, network = cluster.space("client"), cluster.network
+        profile = cProfile.Profile()
+        for amount in range(200):
+            # Subscriptions are one-shot: both renew before every write.
+            for node in ("reader", "client"):
+                network.send_request(
+                    node, "server", frame_subscription(reference.object_id, node, 1.0)
+                )
+            profile.enable()
+            client.invoke_remote(reference, "add", (amount,), transport="rmi")
+            profile.disable()
+        server = cluster.space("server")
+        assert (server.invalidations_sent, server.invalidations_piggybacked) == (200, 200)
+        per_write = _calls_per_op(profile, 200)
+        assert per_write <= self.INVALIDATING_WRITE_CEILING, (
+            f"{per_write:.1f} Python calls per invalidating write"
+        )

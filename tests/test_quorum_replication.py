@@ -24,8 +24,11 @@ from repro.api.errors import (
 )
 from repro.api.middleware import MetricsInterceptor
 from repro.network.heartbeat import HeartbeatDetector
+from repro.observability.tracing import Tracer
+from repro.runtime.caching import CacheManager
 from repro.runtime.cluster import Cluster
 from repro.runtime.replication import ReplicaEndpoint, ReplicaManager
+from repro.transports.base import frame_subscription
 from repro.workloads.bulk_orders import OrderIntake
 from repro.workloads.replicated_orders import INTAKE_READONLY
 
@@ -560,11 +563,13 @@ class _Relay:
     """On ``d``: makes one plain write to the replicated primary, then reports
     what the backups and the op log held when that write came back."""
 
-    def __init__(self, space, group):
-        self.space, self.group = space, group
+    def __init__(self, space, group, context=None):
+        self.space, self.group, self.context = space, group, context
 
     def send(self, sku):
-        self.space.invoke_remote(self.group.primary_ref, "submit", (sku, 1, 10))
+        self.space.invoke_remote(
+            self.group.primary_ref, "submit", (sku, 1, 10), context=self.context
+        )
         group = self.group
         return [record.impl.accepted_count() for record in group.backups.values()] + [
             len(group.log)
@@ -584,15 +589,16 @@ class _Front:
         return self.space.invoke_remote(self.relay_ref, "send", (sku,))
 
 
-def _probe(quorum):
-    """Primary ``a`` with backups ``b`` and ``c``; a front on ``a``, a relay on ``d``."""
+def _probe(quorum, relay_context=None):
+    """Primary ``a`` with backups ``b`` and ``c``; a front on ``a``, a relay on ``d``
+    whose write carries ``relay_context`` (a call's wire context)."""
     cluster = Cluster(("client", "a", "b", "c", "d"))
     manager = ReplicaManager(cluster)
     group = manager.replicate(
         OrderIntake(), name="orders", primary_node="a", backup_nodes=["b", "c"],
         readonly=INTAKE_READONLY, quorum=quorum,
     )
-    relay_ref = cluster.space("d").export(_Relay(cluster.space("d"), group))
+    relay_ref = cluster.space("d").export(_Relay(cluster.space("d"), group, relay_context))
     front_ref = cluster.space("a").export(_Front(cluster.space("a"), relay_ref, group))
     return cluster, group, front_ref
 
@@ -625,3 +631,106 @@ class TestBatchScopeIsPerMessage:
         )
         assert [result.unwrap() for result in results] == [[2, 2, 0], [4, 4, 0]]
         assert group.acked_writes == 4 and group.quorum_failures == 0
+
+    @pytest.mark.parametrize("quorum", [1, 2])
+    def test_a_plain_message_served_inside_a_batch_keeps_to_its_own_trace_refs(self, quorum):
+        """The batch on ``a`` carries trace ``outer`` (two calls); the plain
+        write ``d`` sends back to ``a`` carries trace ``inner``.  The plain
+        write's commit is billed to ``inner`` alone, and the batch's commit
+        to the batch's two calls alone."""
+        cluster, group, front_ref = _probe(quorum, {"x": "inner", "p": "ci"})
+        tracer = cluster.network.tracer = Tracer(clock=cluster.clock)
+        results = cluster.space("client").invoke_remote_many([
+            (front_ref, "go", ("sku-0",), {}, {"x": "outer", "p": "c0"}),
+            (group.primary_ref, "submit", ("sku-1", 1, 10), {}, {"x": "outer", "p": "c1"}),
+        ])
+        assert [result.ok for result in results] == [True, True]
+        forwards = {
+            trace: sorted(
+                span.parent_id
+                for span in tracer.collector.spans(trace)
+                if span.kind == "replication"
+            )
+            for trace in ("outer", "inner")
+        }
+        assert forwards == {"outer": ["c0", "c1"], "inner": ["ci"]}
+        assert group.acked_writes == 2
+
+
+class _Writer:
+    """On ``d``: writes one object of ``a`` with a plain message."""
+
+    def __init__(self, space, target_ref):
+        self.space, self.target_ref = space, target_ref
+
+    def send(self):
+        self.space.invoke_remote(self.target_ref, "submit", ("inner", 1, 10))
+
+
+class _Fan:
+    """On ``a``: waits on one ``_Writer.send`` on ``d``, then reports ``a``'s
+    invalidation counters as that write came back."""
+
+    def __init__(self, space, writer_ref):
+        self.space, self.writer_ref = space, writer_ref
+
+    def go(self):
+        self.space.invoke_remote(self.writer_ref, "send")
+        return [self.space.invalidations_sent, self.space.invalidations_piggybacked]
+
+
+class TestPendingInvalidationsArePerMessage:
+    """A write's invalidations belong to the message that carried it.
+
+    The probe: ``client`` subscribes to two objects on ``a``.  One batch from
+    ``client`` first writes ``outer``, then waits on ``d``, which writes
+    ``inner`` in a plain message of its own.  That plain message invalidates
+    ``inner`` with a ``!inv`` frame before it returns to ``d``, and leaves
+    ``outer`` to the batch, whose response carries it back to ``client``."""
+
+    def test_a_plain_message_served_inside_a_batch_keeps_to_its_own_writes(self):
+        cluster = Cluster(("client", "a", "d"))
+        server = cluster.space("a")
+        outer_ref = server.export(OrderIntake())
+        inner_ref = server.export(OrderIntake())
+        writer_ref = cluster.space("d").export(_Writer(cluster.space("d"), inner_ref))
+        fan_ref = server.export(_Fan(server, writer_ref))
+        manager = CacheManager(cluster.space("client"))
+        for reference in (outer_ref, inner_ref):
+            cluster.network.send_request(
+                "client", "a", frame_subscription(reference.object_id, "client", 1.0)
+            )
+        results = cluster.space("client").invoke_remote_many([
+            (outer_ref, "submit", ("outer", 1, 10), {}),
+            (fan_ref, "go", (), {}),
+        ])
+        # When the plain write came back, its own !inv had gone out and the
+        # batch's had not.
+        assert results[1].unwrap() == [1, 0]
+        assert (server.invalidations_sent, server.invalidations_piggybacked) == (1, 1)
+        assert manager.invalidations_received == 2
+
+
+class TestARefusedBatchStillInvalidates:
+    def test_a_batch_refused_by_its_quorum_commit_invalidates_the_subscribers(self):
+        """The writes ran on the primary before the commit refused them, so
+        the subscribers' entries drop anyway: conservative, never stale."""
+        cluster = Cluster(("client", "reader", "a", "b", "c"))
+        group = ReplicaManager(cluster).replicate(
+            OrderIntake(), name="orders", primary_node="a", backup_nodes=["b", "c"],
+            readonly=INTAKE_READONLY, quorum=2,
+        )
+        manager = CacheManager(cluster.space("reader"))
+        cluster.network.send_request(
+            "reader", "a", frame_subscription(group.primary_ref.object_id, "reader", 1.0)
+        )
+        cluster.network.failures.crash_node("b")
+        cluster.network.failures.crash_node("c")
+        results = cluster.space("client").invoke_remote_many(
+            [(group.primary_ref, "submit", (f"sku-{i}", 1, 10), {}) for i in range(3)]
+        )
+        assert [result.ok for result in results] == [False] * 3
+        assert {type(result.error) for result in results} == {QuorumLostError}
+        assert group.quorum_failures == 3
+        assert cluster.space("a").invalidations_sent == 1
+        assert manager.invalidations_received == 1
