@@ -62,8 +62,9 @@ class CacheableMutationRule(Rule):
     remote caches keep serving the pre-write value forever (no invalidation
     will ever arrive), replicas never learn about the change (it is not
     classified as a write), and a failover promotes a backup missing it.
-    The runtime cross-validates this rule: the serving space counts
-    detected violations in ``AddressSpace.cacheable_violations``.
+    The runtime cross-validates this rule: the serving space's coherence
+    endpoint counts detected violations in
+    ``CoherenceEndpoint.cacheable_violations`` (``space.coherence``).
 
     Fix: drop the ``@cacheable`` marker from mutating members, or move the
     mutation out of the read path (e.g. no hit counters inside cacheable

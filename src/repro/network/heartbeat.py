@@ -13,10 +13,12 @@ A declared node that answers again is declared *recovered*.
 Probes are real messages: they ride the same links, pay the same latency and
 are subject to the same :class:`~repro.network.failures.FailureModel` as
 invocations, so detection latency is an honest function of the heartbeat
-interval, the threshold and the link delays.  Address spaces answer pings
-before any transport decoding (see
-:meth:`~repro.runtime.address_space.AddressSpace._handle_message`), so the
-detector works regardless of which protocols a node speaks.
+interval, the threshold and the link delays.  Every address space answers
+pings itself, before any transport decoding (``!ping`` is a kind in its
+frame-kind table, see
+:meth:`~repro.runtime.address_space.AddressSpace._handle_message`), whether
+or not a detector watches it: the detector registers nothing on the nodes
+it probes, and works regardless of which protocols a node speaks.
 
 Listeners (``on_failure`` / ``on_recovery``) are how the replication layer
 reacts: :class:`~repro.runtime.replication.ReplicaManager` registers itself

@@ -12,20 +12,23 @@ objects in different spaces.  Each space owns
   invoking the target object and returning the marshalled result.
 
 Address spaces are deliberately unaware of policy and of the transformation:
-they host whatever objects the application exports into them.
+they host whatever objects the application exports into them.  They are
+unaware of cache coherence too: each space's
+:class:`~repro.runtime.caching.CoherenceEndpoint` holds it and answers the
+``!sub`` and ``!inv`` frames, found by kind in one table (the space answers
+``!ping`` itself).
 """
 
 from __future__ import annotations
 
-import warnings
 from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro._errors import InvocationError, NetworkError, TransportError, UnknownObjectError
+from repro._errors import InvocationError, TransportError, UnknownObjectError
 from repro.core.interception import CallContext, Interceptor, InterceptorChain
-from repro.core.interfaces import cacheable_members
 from repro.network.simnet import SimulatedNetwork
 from repro.observability.tracing import trace_refs_from_contexts
+from repro.runtime.caching import CoherenceEndpoint
 from repro.runtime.invocation import (
     RequestFields,
     read_request,
@@ -39,20 +42,11 @@ from repro.runtime.serialization import Marshaller
 from repro.transports.base import (
     CONTROL_FRAME_BYTE,
     LEAVES,
+    PING_FRAME_PREFIX,
     Live,
     TransportRegistry,
-    attach_invalidations,
-    frame_invalidation,
-    frame_invalidation_ack,
     frame_pong,
-    frame_subscription_ack,
-    is_invalidation,
-    is_ping,
-    is_subscription,
     parse_heartbeat,
-    parse_invalidation_body,
-    parse_subscription,
-    split_invalidations,
 )
 
 #: One call of a batch: (reference, member, positional args, keyword args),
@@ -61,23 +55,30 @@ from repro.transports.base import (
 BatchCall = Tuple[RemoteRef, str, tuple, dict]
 
 
-class _BatchScope:
-    """The commits one batch dispatch owes, and the calls held for them.
+class _Scope:
+    """What one served message, or one co-located batch, owes before it returns.
 
-    A call joins a commit through :meth:`AddressSpace.on_batch_commit`; its
-    dispatcher then holds the call's outcome — and, on a served message, the
-    server-side interceptor brackets still open around it — until
-    :meth:`commit` has run every commit once.  A commit refuses by raising:
-    its error replaces the outcome of every call that joined it.
+    ``commits`` maps the key of each commit a call joined
+    (:meth:`AddressSpace.on_batch_commit`) to it, in first-join order —
+    ``None`` when calls commit at once: a single-call message, or a scope
+    that is settling; ``joining`` holds the keys the call being served
+    joined, ``held`` the ``(keys, settle)`` of every call waiting for them.
+    ``mutated`` collects the subscribed objects the calls wrote,
+    ``trace_refs`` the ``(trace id, client span id)`` of the traced calls,
+    and ``requester`` is the node whose invalidations ride the response.
     """
 
-    def __init__(self) -> None:
-        #: ``key -> commit``, in the order the batch's calls first joined them.
-        self.commits: Dict[Any, Callable[[Any, bool], None]] = {}
-        #: Keys of the commits the call being served joined (``None``: none).
+    __slots__ = ("requester", "commits", "joining", "held", "mutated", "trace_refs")
+
+    def __init__(
+        self, requester: Optional[str], batch: bool, trace_refs: List[Tuple[str, Optional[str]]]
+    ) -> None:
+        self.requester = requester
+        self.commits: Optional[Dict[Any, Callable[[Any, bool], None]]] = {} if batch else None
         self.joining: Optional[List[Any]] = None
-        #: ``(keys, settle)`` of every call held for a commit.
         self.held: List[Tuple[List[Any], Callable[[Optional[BaseException]], None]]] = []
+        self.mutated: set[str] = set()
+        self.trace_refs = trace_refs
 
     def hold(self, settle: Callable[[Optional[BaseException]], None]) -> None:
         """Hold the call just served; ``settle(refusal or None)`` after the commits."""
@@ -85,9 +86,14 @@ class _BatchScope:
         self.joining = None
 
     def commit(self) -> None:
-        """Run every commit once, then settle each held call with its refusal."""
+        """Run every commit once, then settle each held call; no call joins after.
+
+        A commit refuses by raising: its error replaces the outcome of every
+        call that joined it.
+        """
+        commits, self.commits = self.commits, None
         refusals: Dict[Any, BaseException] = {}
-        for key, commit in self.commits.items():
+        for key, commit in commits.items():
             try:
                 commit(key, True)
             except Exception as error:  # noqa: BLE001 - a commit refuses by raising
@@ -99,7 +105,7 @@ class _BatchScope:
             settle(refusal)
 
 
-def _settle(brackets: Sequence[Any], response: dict, error: Optional[BaseException]) -> None:
+def _close(brackets: Sequence[Any], response: dict, error: Optional[BaseException]) -> None:
     """Close the opened interceptor ``brackets`` of one served call, innermost first."""
     if error is None:
         for bracket in reversed(brackets):
@@ -148,28 +154,16 @@ class AddressSpace:
         #: Server-side interceptor chains (see :meth:`use_middleware`),
         #: bracketing every dispatched request in installation order.
         self._middleware_chains: list[Any] = []
-        #: The batch scope of the batch being dispatched (``None``: none).
-        self._batch_scope: Optional[_BatchScope] = None
-        #: Cache-coherence state (server side): object id → {node → lease
-        #: expiry in simulated seconds}.
-        self._cache_subscribers: Dict[str, Dict[str, float]] = {}
-        #: Cacheable-member sets memoized per implementation type.
-        self._cacheable_sets: Dict[type, frozenset] = {}
-        #: Client-declared cacheable members per object id (from ``!sub``
-        #: frames), honoured in addition to the ``@cacheable`` markers.
-        self._cacheable_declared: Dict[str, set] = {}
-        #: Mutated-and-subscribed object ids of the message being served.
-        self._pending_invalidations: set[str] = set()
-        #: Cache-coherence state (client side): listeners fed every ``!inv``
-        #: frame (standalone or piggybacked) that reaches this space.
-        self._invalidation_listeners: list[Any] = []
-        #: Highest replication epoch seen per object id on epoch-stamped
-        #: ``!inv`` frames; frames claiming an older epoch are rejected.
-        self._invalidation_epoch_floor: Dict[str, int] = {}
-        #: ``(trace_id, client_span_id)`` of every traced call dispatched
-        #: from the message currently being served — server-side observers
-        #: (eager replication forwards) parent their spans here.
-        self._message_trace_refs: List[Tuple[str, Optional[str]]] = []
+        #: The scope of the message (or co-located batch) being served.
+        self._scope: Optional[_Scope] = None
+        #: Cache coherence, server and client side (see repro.runtime.caching).
+        self.coherence = CoherenceEndpoint(self)
+        #: The handler of every control frame this space answers, by kind
+        #: (the frame's bytes up to its first newline, that newline included).
+        self._control_frames: Dict[bytes, Callable[[str, bytes], bytes]] = {
+            PING_FRAME_PREFIX: self._answer_ping,
+            **self.coherence.control_frames,
+        }
 
         #: Number of invocation requests served by this space's dispatcher.
         self.invocations_served = 0
@@ -181,26 +175,12 @@ class AddressSpace:
         self.batches_served = 0
         #: Number of heartbeat probes answered by this space.
         self.pings_answered = 0
-        #: Cache subscriptions registered with this space (renewals included).
-        self.cache_subscriptions = 0
-        #: Standalone ``!inv`` frames this space has sent to subscribers.
+        #: Standalone ``!inv`` frames this space has sent to subscribers
+        #: (counted by :attr:`coherence`).
         self.invalidations_sent = 0
-        #: Responses that left this space carrying piggybacked invalidations.
+        #: Responses that left this space carrying piggybacked invalidations
+        #: (counted by :attr:`coherence`).
         self.invalidations_piggybacked = 0
-        #: Invalidation deliveries applied at this space (as a client).
-        self.invalidations_received = 0
-        #: Epoch-stamped ``!inv`` frames rejected for claiming an epoch older
-        #: than one already seen for the object (fenced ex-primary traffic).
-        self.stale_invalidations_rejected = 0
-        #: Dispatched ``@cacheable`` calls that rebound instance state on
-        #: their target — the runtime complement of lint rule DS102.  Each
-        #: offending ``(class, member)`` pair additionally gets a one-shot
-        #: :class:`RuntimeWarning`.  Detection compares a shallow
-        #: ``__dict__`` snapshot by identity around the call, so attribute
-        #: rebinding is caught but in-place container mutation is not —
-        #: the static rule covers that half.
-        self.cacheable_violations = 0
-        self._cacheable_violations_warned: set = set()
 
         network.register(node_id, self._handle_message)
 
@@ -252,13 +232,7 @@ class AddressSpace:
         implementation = self._objects.pop(reference.object_id, None)
         if implementation is not None:
             self._exported_refs.pop(id(implementation), None)
-        # A retired export needs no coherence bookkeeping: long-lived spaces
-        # serving many short-lived caching clients must not accumulate
-        # subscriber tables or declared-cacheable sets per dead object id.
-        # (Failover captures the dead primary's subscribers *before* its
-        # unexport, so the promoted node can still flush them.)
-        self._cache_subscribers.pop(reference.object_id, None)
-        self._cacheable_declared.pop(reference.object_id, None)
+        self.coherence.forget(reference.object_id)
 
     def lookup_local_object(self, object_id: str) -> Any:
         try:
@@ -324,7 +298,8 @@ class AddressSpace:
             self._middleware_chains.remove(chain)
 
     # ------------------------------------------------------------------
-    # Batch-dispatch scope (commits that can refuse the calls that joined them)
+    # The served message's scope (commits that can refuse the calls that
+    # joined them, the writes it owes invalidations for, its traces)
     # ------------------------------------------------------------------
 
     def on_batch_commit(self, key: Any, commit: Callable[[Any, bool], None]) -> None:
@@ -347,8 +322,8 @@ class AddressSpace:
         messages this space serves while a batch call waits on another node
         (a call back into this space) commit on their own.
         """
-        scope = self._batch_scope
-        if scope is None:
+        scope = self._scope
+        if scope is None or scope.commits is None:
             commit(key, False)
             return
         scope.commits.setdefault(key, commit)
@@ -357,197 +332,44 @@ class AddressSpace:
         elif key not in scope.joining:
             scope.joining.append(key)
 
-    def _in_batch_scope(self, serve: Callable[[], list]) -> list:
-        """``serve()`` inside a fresh batch scope; its commits run before it returns."""
-        outer, scope = self._batch_scope, _BatchScope()
-        self._batch_scope = scope
-        try:
-            return serve()
-        finally:
-            self._batch_scope = outer
-            if scope.commits:
-                scope.commit()
+    def trace_refs(self) -> Sequence[Tuple[str, Optional[str]]]:
+        """``(trace id, client span id)`` of the traced calls of the message served.
 
-    # ------------------------------------------------------------------
-    # Cache coherence (see repro.runtime.caching)
-    # ------------------------------------------------------------------
-
-    def add_invalidation_listener(self, listener: Any) -> None:
-        """Feed ``listener(object_ids)`` every invalidation reaching this space.
-
-        Registered by the client-side :class:`~repro.runtime.caching.CacheManager`;
-        both standalone ``!inv`` frames and invalidations piggybacked on
-        response messages are delivered.
+        Eager replication bills its forwards' spans to these; a co-located
+        batch has those of the message it runs in.  Empty outside a message.
         """
-        if listener not in self._invalidation_listeners:
-            self._invalidation_listeners.append(listener)
+        scope = self._scope
+        return scope.trace_refs if scope is not None else ()
 
-    def remove_invalidation_listener(self, listener: Any) -> None:
-        """Detach a listener registered with :meth:`add_invalidation_listener`."""
-        if listener in self._invalidation_listeners:
-            self._invalidation_listeners.remove(listener)
-
-    def invalidation_listener_count(self) -> int:
-        """How many invalidation listeners are registered (leak checks)."""
-        return len(self._invalidation_listeners)
-
-    def _deliver_invalidations(self, object_ids: Sequence[str]) -> None:
-        """Hand one invalidation delivery to every registered listener."""
-        if not object_ids:
-            return
-        self.invalidations_received += 1
-        for listener in list(self._invalidation_listeners):
-            listener(list(object_ids))
-
-    def register_cache_subscriber(self, object_id: str, node_id: str, expiry: float) -> None:
-        """Record one client node's interest in ``object_id``'s invalidations.
-
-        ``expiry`` ends the subscription, in simulated seconds.  Subscriptions
-        are one-shot: sending (or piggybacking) an invalidation drops the
-        subscriber, and the client re-subscribes on its next cache fill.  One
-        node may host several caching clients, so a re-registration can only
-        *extend* the recorded expiry — a short-lease subscriber must not
-        silence the invalidations a longer-lease subscriber on the same node
-        relies on.
-        """
-        subscribers = self._cache_subscribers.setdefault(object_id, {})
-        subscribers[node_id] = max(expiry, subscribers.get(node_id, expiry))
-        self.cache_subscriptions += 1
-
-    def cache_subscriber_count(self, object_id: Optional[str] = None) -> int:
-        """Live subscriptions for one object (or in total, introspection)."""
-        if object_id is not None:
-            return len(self._cache_subscribers.get(object_id, {}))
-        return sum(len(nodes) for nodes in self._cache_subscribers.values())
-
-    def take_cache_subscribers(self, object_id: str) -> Dict[str, float]:
-        """Remove and return one object's subscriber table.
-
-        Used by the failover path: the demoted primary's subscriptions are
-        handed to the promoted node, which flushes them with an explicit
-        invalidation (the dead node can no longer send anything itself).
-        """
-        return self._cache_subscribers.pop(object_id, {})
-
-    def send_cache_invalidations(
+    def _settle(
         self,
-        object_ids: Sequence[str],
-        nodes: Sequence[str],
-        epoch: Optional[int] = None,
-    ) -> int:
-        """Send one ``!inv`` frame for ``object_ids`` to each of ``nodes``.
+        scope: _Scope,
+        dispatch: Callable[[Any], Any],
+        calls: Any,
+        frame: Optional[Callable[[list], bytes]] = None,
+    ) -> Any:
+        """Run ``dispatch`` over ``calls`` with ``scope`` current, then settle it.
 
-        Unreachable subscribers are skipped (their caches self-expire or
-        re-key); returns how many frames were delivered.  ``epoch`` stamps
-        the frame with the sender's replication epoch so recipients can
-        reject invalidations minted by a fenced ex-primary.
+        The one place the settle order lives: the commits the calls joined
+        run once (the scope still current for their traces, but closed to
+        joins) and settle the calls held for them; ``frame`` makes the
+        outcomes a served message's response (a co-located batch returns
+        them as they are); the writes' invalidations go out, the
+        requester's own riding that response; then it returns.
         """
-        return sum(
-            self._send_invalidation(node, object_ids, epoch) for node in sorted(set(nodes))
-        )
-
-    def _send_invalidation(
-        self, node: str, object_ids: Sequence[str], epoch: Optional[int] = None
-    ) -> bool:
-        """Frame one ``!inv`` for ``object_ids`` and send it to ``node``.
-
-        The one sender of ``!inv`` frames, for writes and for failover;
-        returns whether the frame was delivered.
-        """
+        outer, self._scope = self._scope, scope
         try:
-            self.network.send_request(
-                self.node_id, node, frame_invalidation(object_ids, epoch)
-            )
-        except NetworkError:
-            return False
-        self.invalidations_sent += 1
-        return True
-
-    def _cacheable_members_for(self, target: Any) -> frozenset:
-        """The target's side-effect-free members, memoized per type.
-
-        Wrappers that interpose on a real implementation (e.g. the
-        replication layer's ``ReplicatedObject``) expose it via
-        ``_repro_cache_target`` so cacheability is read off the real class.
-        """
-        unwrapped = getattr(target, "_repro_cache_target", None)
-        if unwrapped is not None:
-            target = unwrapped
-        cls = type(target)
-        members = self._cacheable_sets.get(cls)
-        if members is None:
-            members = cacheable_members(cls)
-            self._cacheable_sets[cls] = members
-        return members
-
-    def _mutates_subscribed_object(
-        self, object_id: str, target: Any, member: str
-    ) -> bool:
-        """Whether dispatching ``member`` must invalidate subscriber caches.
-
-        Any member not marked cacheable is conservatively a write; objects
-        nobody subscribed to need no bookkeeping at all.
-        """
-        if object_id not in self._cache_subscribers:
-            return False
-        if member in self._cacheable_members_for(target):
-            return False
-        declared = self._cacheable_declared.get(object_id)
-        return declared is None or member not in declared
-
-    def _broadcast_invalidations(
-        self, object_ids: set, exclude: Optional[str] = None
-    ) -> set:
-        """Invalidate every live subscriber of ``object_ids`` — now.
-
-        One ``!inv`` frame travels per subscriber node (ids coalesced), paid
-        on the simulated network *before* the triggering write's response
-        leaves.  Expired leases are pruned instead of invalidated, and
-        delivered subscriptions are dropped (one-shot).  Subscriptions held
-        by ``exclude`` — the node whose request triggered the write — are
-        returned instead of messaged, so the caller can piggyback them on
-        the response for free.
-
-        An *undeliverable* invalidation (the subscriber's node is down, the
-        frame was dropped) falls back to the lease: the write stalls until
-        the lost subscriber's lease has run out, so by the time the write is
-        acknowledged the unreachable cache's entries have expired on their
-        own.
-        """
-        clock = self.network.clock
-        # node → [ids to invalidate, latest lease expiry among them]
-        per_node: Dict[str, list] = {}
-        excluded_ids: set = set()
-        for object_id in object_ids:
-            for node, expiry in self._cache_subscribers.pop(object_id, {}).items():
-                if expiry <= clock.now:
-                    continue
-                if node == exclude:
-                    excluded_ids.add(object_id)
-                    continue
-                pending = per_node.setdefault(node, [[], expiry])
-                pending[0].append(object_id)
-                pending[1] = max(pending[1], expiry)
-        for node in sorted(per_node):
-            ids, latest = per_node[node]
-            if not self._send_invalidation(node, ids) and latest > clock.now:
-                # Wait the lost subscriber's leases out before the write is
-                # acknowledged: its entries expire by themselves.
-                clock.advance(latest - clock.now)
-        return excluded_ids
-
-    def _handle_subscription(self, payload: bytes) -> bytes:
-        """Serve one ``!sub`` frame: record the subscriber, acknowledge."""
-        body = parse_subscription(payload)
-        expiry = self.network.clock.now + body["lease"]
-        object_id = str(body["object_id"])
-        declared = body.get("cacheable") or ()
-        if declared:
-            self._cacheable_declared.setdefault(object_id, set()).update(
-                str(member) for member in declared
-            )
-        self.register_cache_subscriber(object_id, str(body["node"]), expiry)
-        return frame_subscription_ack()
+            try:
+                outcomes = list(map(dispatch, calls))
+            finally:
+                if scope.commits:
+                    scope.commit()
+        finally:
+            self._scope = outer
+        answer = outcomes if frame is None else frame(outcomes)
+        if scope.mutated:
+            answer = self.coherence.settle(scope.mutated, scope.requester, answer)
+        return answer
 
     # ------------------------------------------------------------------
     # Hosted objects (where every call, local or served, ends)
@@ -558,14 +380,11 @@ class AddressSpace:
     ) -> Any:
         """Call ``member`` of the object exported here as ``object_id``.
 
-        The one place a member is looked up on a hosted object and run.  A
-        write to an object with cache subscribers adds its id to ``mutated``
-        — before execution: a write that raises may still have mutated state,
-        so subscribers are invalidated either way (conservative, never
-        stale).  *When* the collected ids are broadcast is the caller's
-        business and the only thing the callers differ in: the co-located
-        short-circuit before it returns, a co-located batch after its last
-        call, a served message before its response leaves.
+        The one place a member is looked up on a hosted object and run,
+        through the coherence endpoint: a write to an object with cache
+        subscribers adds its id to ``mutated``.  The co-located
+        short-circuit broadcasts them before it returns; a served message
+        or a co-located batch when its scope settles.
         """
         target = self.lookup_local_object(object_id)
         try:
@@ -574,20 +393,7 @@ class AddressSpace:
             raise InvocationError(
                 f"object {object_id!r} has no member {member!r}"
             ) from None
-        if self._cache_subscribers and self._mutates_subscribed_object(
-            object_id, target, member
-        ):
-            mutated.add(object_id)
-        snapshot = None
-        if member in self._cacheable_members_for(target):
-            snapshot = self._state_snapshot(target)
-        try:
-            return method(*args, **kwargs)
-        finally:
-            # Checked on the error path too: a @cacheable member that
-            # mutated and *then* raised still poisoned the caches.
-            if snapshot is not None:
-                self._check_cacheable_purity(target, member, snapshot)
+        return self.coherence.call(object_id, target, member, method, args, kwargs, mutated)
 
     # ------------------------------------------------------------------
     # Outgoing invocations (the proxy side)
@@ -628,7 +434,7 @@ class AddressSpace:
                     # A co-located writer bypasses the dispatcher, but remote
                     # subscribers must still drop their entries before the
                     # write returns to the caller.
-                    self._broadcast_invalidations(mutated)
+                    self.coherence.settle(mutated)
         return self._exchange(
             [(reference, member, args, kwargs, context)], reference.node_id, transport, False
         ).unwrap()
@@ -715,33 +521,25 @@ class AddressSpace:
         return self._exchange(normalized, destination, transport, True, on_results, on_error)
 
     def _invoke_batch_locally(self, calls: Sequence[tuple]) -> List[BatchResult]:
-        mutated: set[str] = set()
+        """Serve a co-located batch in its own scope; with no response to
+        piggyback on, every subscriber gets a frame before the results return."""
+        outer = self._scope
+        scope = _Scope(None, True, outer.trace_refs if outer is not None else [])
+        return self._settle(scope, self._call_local, enumerate(calls))
 
-        def serve() -> List[BatchResult]:
-            results: list[BatchResult] = []
-            scope = self._batch_scope
-            for index, (reference, member, args, kwargs, _context) in enumerate(calls):
-                try:
-                    value = self._call_hosted(
-                        reference.object_id, member, args, kwargs, mutated
-                    )
-                except Exception as error:  # noqa: BLE001 - per-call isolation
-                    results.append(BatchResult(index=index, error=error))
-                else:
-                    results.append(BatchResult(index=index, value=value))
-                if scope.joining is not None:
-                    scope.hold(partial(_refuse_result, results[-1]))
-            return results
-
+    def _call_local(self, indexed_call: Tuple[int, tuple]) -> BatchResult:
+        """Run one call of a co-located batch, its error isolated in its result."""
+        index, (reference, member, args, kwargs, _context) = indexed_call
+        scope = self._scope
         try:
-            results = self._in_batch_scope(serve)
-        finally:
-            if mutated:
-                # A co-located batch has no response message to piggyback on;
-                # every subscriber (this node's own caches included) gets the
-                # broadcast before the results reach the caller.
-                self._broadcast_invalidations(mutated)
-        return results
+            result = BatchResult(
+                index, self._call_hosted(reference.object_id, member, args, kwargs, scope.mutated)
+            )
+        except Exception as error:  # noqa: BLE001 - per-call isolation
+            result = BatchResult(index, error=error)
+        if scope.joining is not None:
+            scope.hold(partial(_refuse_result, result))
+        return result
 
     # -- the one remote round trip: requests out, results back ---------------
 
@@ -836,9 +634,7 @@ class AddressSpace:
         the request's is refused.  The results are read live.
         """
         if raw_response[:1] == CONTROL_FRAME_BYTE:
-            piggybacked, raw_response = split_invalidations(raw_response)
-            if piggybacked:
-                self._deliver_invalidations(piggybacked)
+            raw_response = self.coherence.split_response(raw_response)
         (codec, response_is_batch, _prefix), body = self.transports.split_frame(raw_response)
         if response_is_batch != batch:
             raise TransportError(
@@ -865,88 +661,41 @@ class AddressSpace:
     # ------------------------------------------------------------------
 
     def _handle_message(self, source: str, payload: bytes) -> bytes:
+        """Serve one delivered frame: a control frame by its kind, any other as calls."""
         if payload[:1] == CONTROL_FRAME_BYTE:
-            # No transport name starts with this byte, so an invocation
-            # frame never pays for the control-frame tests.
-            answer = self._handle_control(payload)
+            # No transport name starts with this byte, so an invocation frame
+            # never pays for the lookup; a frame of no known kind is read as
+            # an invocation (and refused as one).
+            answer = self._control_frames.get(payload[: payload.find(b"\n") + 1])
             if answer is not None:
-                return answer
-        # Mutations of subscribed objects collect per served message, so one
-        # batch of writes coalesces into one invalidation round.
-        outer_pending = self._pending_invalidations
-        self._pending_invalidations = set()
-        outer_refs = self._message_trace_refs
-        self._message_trace_refs = []
-        # A batch scope belongs to one message: a plain message served while
-        # a batch call waits elsewhere must not join that batch's commits.
-        outer_scope = self._batch_scope
-        self._batch_scope = None
-        try:
-            (transport, is_batch, prefix), body = self.transports.split_frame(payload)
-            # Every request is read — its arguments live — and checked before
-            # the first one runs: a frame with a malformed call in it fails
-            # whole, with nothing executed that a retry would execute again.
-            if is_batch:
-                self.batches_served += 1
-                decoded = transport.decode_batch_request(body, marshaller=self.marshaller)
-                requests = list(map(read_request, decoded))
-                # The batch's commits (e.g. replication acknowledgements) run
-                # before the response is framed, and may refuse its calls.
-                responses = self._in_batch_scope(lambda: list(map(self._dispatch, requests)))
-                framed = prefix + transport.encode_batch_response(responses)
-            else:
-                request = read_request(
-                    transport.decode_request(body, marshaller=self.marshaller)
-                )
-                framed = prefix + transport.encode_response(self._dispatch(request))
-        finally:
-            self._batch_scope = outer_scope
-            pending, self._pending_invalidations = (
-                self._pending_invalidations,
-                outer_pending,
-            )
-            self._message_trace_refs = outer_refs
-        if pending:
-            # Coherence guarantee: every subscriber's entries drop before the
-            # write's response leaves this node.  The requesting client's own
-            # invalidation rides the response itself (free), everyone else
-            # pays one !inv frame per node.
-            piggyback = self._broadcast_invalidations(pending, exclude=source)
-            if piggyback:
-                framed = attach_invalidations(framed, sorted(piggyback))
-                self.invalidations_piggybacked += 1
-        return framed
+                return answer(source, payload)
+        (transport, is_batch, prefix), body = self.transports.split_frame(payload)
+        # Every request is read — its arguments live — and checked before the
+        # first one runs: a frame with a malformed call in it fails whole, with
+        # nothing executed that a retry would execute again.
+        if is_batch:
+            self.batches_served += 1
+            decoded = transport.decode_batch_request(body, marshaller=self.marshaller)
+            requests = list(map(read_request, decoded))
 
-    def _handle_control(self, payload: bytes) -> Optional[bytes]:
-        """Answer a heartbeat or cache-control frame; ``None`` for any other."""
-        if is_ping(payload):
-            # Liveness probes are answered before any transport decoding —
-            # a node that can run its handler is alive, whatever protocols
-            # it speaks.  They do not count as served invocations.
-            self.pings_answered += 1
-            return frame_pong(parse_heartbeat(payload))
-        if is_subscription(payload):
-            # Cache control frames bypass the codecs like heartbeats do.
-            return self._handle_subscription(payload)
-        if not is_invalidation(payload):
-            return None
-        object_ids, epoch = parse_invalidation_body(payload)
-        if epoch is not None:
-            # Epoch-stamped frames are fenced: an invalidation claiming
-            # an epoch older than one already seen for the object came
-            # from a superseded primary and must not flush (or, worse,
-            # re-prime) the local caches.
-            accepted = []
-            for object_id in object_ids:
-                floor = self._invalidation_epoch_floor.get(object_id, -1)
-                if epoch < floor:
-                    self.stale_invalidations_rejected += 1
-                    continue
-                self._invalidation_epoch_floor[object_id] = epoch
-                accepted.append(object_id)
-            object_ids = accepted
-        self._deliver_invalidations(object_ids)
-        return frame_invalidation_ack(len(object_ids))
+            def frame(responses: list) -> bytes:
+                return prefix + transport.encode_batch_response(responses)
+        else:
+            requests = [read_request(transport.decode_request(body, marshaller=self.marshaller))]
+
+            def frame(responses: list) -> bytes:
+                return prefix + transport.encode_response(responses[0])
+        return self._settle(_Scope(source, is_batch, []), self._dispatch, requests, frame)
+
+    def _answer_ping(self, _source: str, payload: bytes) -> bytes:
+        """Answer a heartbeat probe, echoing its sequence.
+
+        Every node answers, watched by a detector or not, before any
+        transport decoding — a node that can run its handler is alive,
+        whatever protocols it speaks.  Probes are not served invocations.
+        """
+        self.pings_answered += 1
+        return frame_pong(parse_heartbeat(payload))
 
     def _dispatch(self, request: RequestFields) -> dict:
         """Serve one checked request; the response dict, success or error."""
@@ -954,13 +703,14 @@ class AddressSpace:
         self.invocations_served += 1
         for hook in self._dispatch_hooks:
             hook.before_dispatch(self)
+        scope = self._scope
         tracer = self.network.tracer
         span = None
         if tracer is not None and context and "x" in context:
             ref = (context["x"], context.get("p"))
             # Remember which traces this message carried: replication
             # forwards triggered by the call attribute their spans here.
-            self._message_trace_refs.append(ref)
+            scope.trace_refs.append(ref)
             span = tracer.start_span(
                 f"{interface}.{member}",
                 trace_id=ref[0],
@@ -971,10 +721,9 @@ class AddressSpace:
             )
         try:
             if self._middleware_chains:
-                return self._dispatch_intercepted(request, span)
-            response = self._serve_request(request)[0]
-            scope = self._batch_scope
-            if scope is not None and scope.joining is not None:
+                return self._dispatch_intercepted(request, scope, span)
+            response = self._serve_request(request, scope.mutated)[0]
+            if scope.joining is not None:
                 scope.hold(partial(_refuse, response))
             return response
         finally:
@@ -983,7 +732,9 @@ class AddressSpace:
             for hook in reversed(self._dispatch_hooks):
                 hook.after_dispatch(self)
 
-    def _dispatch_intercepted(self, request: RequestFields, span: Any = None) -> dict:
+    def _dispatch_intercepted(
+        self, request: RequestFields, scope: _Scope, span: Any = None
+    ) -> dict:
         """Serve one request inside every installed interceptor chain.
 
         Chains nest in installation order: the first installed chain's
@@ -1017,28 +768,27 @@ class AddressSpace:
                     bracket.fail(exc)
                 return response_dict(error=exc)
         try:
-            response, error = self._serve_request(request)
+            response, error = self._serve_request(request, scope.mutated)
         except BaseException as exc:
             # Whatever escapes the call's own error handling, the opened
             # brackets must still settle exactly once.
-            _settle(brackets, {}, exc)
+            _close(brackets, {}, exc)
             raise
-        scope = self._batch_scope
-        if scope is None or scope.joining is None:
-            _settle(brackets, response, error)
+        if scope.joining is None:
+            _close(brackets, response, error)
             return response
 
         # The call joined a batch commit: its outcome, and so its brackets,
         # wait for that commit.
         def settle(refusal: Optional[BaseException]) -> None:
             _refuse(response, refusal)
-            _settle(brackets, response, refusal or error)
+            _close(brackets, response, refusal or error)
 
         scope.hold(settle)
         return response
 
     def _serve_request(
-        self, request: RequestFields
+        self, request: RequestFields, mutated: set
     ) -> tuple[dict, Optional[BaseException]]:
         """Execute one checked request against the local object table.
 
@@ -1049,58 +799,12 @@ class AddressSpace:
         """
         target_id, _interface, member, args, kwargs, _context = request
         try:
-            result = self._call_hosted(
-                target_id, member, args, kwargs, self._pending_invalidations
-            )
+            result = self._call_hosted(target_id, member, args, kwargs, mutated)
             # Application errors travel back, and so does a result that
             # cannot be marshalled.
             return response_dict(self.marshaller.to_wire(result)), None
         except Exception as exc:  # noqa: BLE001 - see above
             return response_dict(error=exc), exc
-
-    @staticmethod
-    def _state_snapshot(target: Any) -> Optional[Dict[str, Any]]:
-        """A shallow copy of the real implementation's ``__dict__``.
-
-        Wrappers (e.g. the replication layer's ``ReplicatedObject``) are
-        unwrapped via ``_repro_cache_target`` so purity is judged on the
-        application object itself.  ``None`` when the target keeps no
-        instance dict (slots-only objects have nothing to compare).
-        """
-        real = getattr(target, "_repro_cache_target", target)
-        try:
-            return dict(vars(real))
-        except TypeError:
-            return None
-
-    def _check_cacheable_purity(
-        self, target: Any, member: str, before: Dict[str, Any]
-    ) -> None:
-        """Count (and warn once per class/member) a @cacheable mutation.
-
-        Identity comparison only — no application ``__eq__`` runs, so the
-        check can never raise out of the dispatch path.
-        """
-        real = getattr(target, "_repro_cache_target", target)
-        try:
-            after = vars(real)
-        except TypeError:
-            return
-        if before.keys() == after.keys() and all(
-            before[key] is after[key] for key in before
-        ):
-            return
-        self.cacheable_violations += 1
-        key = (type(real), member)
-        if key not in self._cacheable_violations_warned:
-            self._cacheable_violations_warned.add(key)
-            warnings.warn(
-                f"@cacheable member {type(real).__name__}.{member} mutated "
-                "instance state during dispatch — cached results go stale "
-                "with no invalidation ever broadcast (lint rule DS102)",
-                RuntimeWarning,
-                stacklevel=2,
-            )
 
     # ------------------------------------------------------------------
 

@@ -11,12 +11,12 @@ from a per-client :class:`ResultCache`, kept coherent by one protocol —
   ``!sub`` control frame, see :mod:`repro.transports.base`) for the policy's
   lease.  Subscribing happens *before* the read ships, so no write can slip
   into the gap unnoticed.
-* When any client invokes a mutating member, the owning
-  :class:`~repro.runtime.address_space.AddressSpace` sends a ``!inv`` frame
-  to every live subscriber **before the write is acknowledged** — and
-  piggybacks the invalidation on the (batch) response when the writer is
-  itself a subscriber.  A delivered invalidation ends the subscription; the
-  next fill subscribes again.
+* When any client invokes a mutating member, the owning address space's
+  :class:`CoherenceEndpoint` sends a ``!inv`` frame to every live
+  subscriber **before the write is acknowledged** — and piggybacks the
+  invalidation on the (batch) response when the writer is itself a
+  subscriber.  A delivered invalidation ends the subscription; the next
+  fill subscribes again.
 * Every invalidation bumps a per-object *version*; a fill records the
   version it started from and is discarded if an invalidation arrived while
   its read was in flight.  This closes the read/write race: a response
@@ -52,6 +52,15 @@ containers, so a caller mutating what it got cannot change what the next
 caller reads.  Leaves, bytes, proxies and references are shared, so a leaf
 result costs no copy.
 
+**Two ends.**  The client end is a :class:`CacheManager` per caching
+session with its :class:`ResultCache` objects.  Every
+:class:`~repro.runtime.address_space.AddressSpace` has the other end, one
+:class:`CoherenceEndpoint` (``space.coherence``) holding the server side's
+subscriber table, declared-cacheable sets and ``@cacheable`` purity check,
+the client side's invalidation listeners and epoch floors, and the
+handlers of the ``!sub`` and ``!inv`` frames; the space reaches it through
+a few calls and never frames or parses a coherence frame itself.
+
 The façade consumes this module through
 :class:`~repro.api.policy.ServicePolicy`'s ``cache`` field — a transformed
 object's handle included, once a session has adopted it.
@@ -59,13 +68,28 @@ object's handle included, once a session has adopted it.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro._errors import NetworkError, PolicyError
+from repro._errors import NetworkError, PolicyError, TransportError, UnknownObjectError
+from repro.core.interfaces import cacheable_members
 from repro.runtime.pipelining import InvocationFuture
 from repro.runtime.remote_ref import RemoteRef
-from repro.transports.base import LEAVES, frame_subscription
+from repro.transports.base import (
+    INV_FRAME_PREFIX,
+    LEAVES,
+    SUB_FRAME_PREFIX,
+    attach_invalidations,
+    frame_invalidation,
+    frame_invalidation_ack,
+    frame_subscription,
+    frame_subscription_ack,
+    parse_invalidation_body,
+    parse_subscription,
+    split_invalidations,
+)
+
 
 @dataclass(frozen=True)
 class CachePolicy:
@@ -443,9 +467,9 @@ class CacheManager:
     """The per-client cache control plane: one per caching address space.
 
     The manager owns the pieces every cache on one client shares: the
-    invalidation listener registered with the client's
-    :class:`~repro.runtime.address_space.AddressSpace` (standalone ``!inv``
-    frames and response piggybacks both arrive there), the per-object
+    invalidation listener registered with the client space's
+    :class:`CoherenceEndpoint` (standalone ``!inv`` frames and response
+    piggybacks both arrive there), the per-object
     invalidation *versions* that void racy fills, and the subscription
     bookkeeping that keeps ``!sub`` traffic down to one message per object
     per lease window.  :class:`~repro.api.session.Session` creates one
@@ -463,7 +487,7 @@ class CacheManager:
         #: Subscription frames actually sent (renewals included).
         self.subscriptions_sent = 0
         self._closed = False
-        space.add_invalidation_listener(self._on_invalidation)
+        space.coherence.listeners.append(self._on_invalidation)
 
     # ------------------------------------------------------------------
     # cache creation / lifecycle
@@ -486,7 +510,7 @@ class CacheManager:
         if self._closed:
             return
         self._closed = True
-        self.space.remove_invalidation_listener(self._on_invalidation)
+        self.space.coherence.listeners.remove(self._on_invalidation)
         for cache in self._caches:
             cache.clear()
         self._subscriptions.clear()
@@ -599,3 +623,254 @@ class CacheManager:
             f"<CacheManager node={self.space.node_id!r} caches={len(self._caches)} "
             f"hit_rate={self.hit_rate:.2f}>"
         )
+
+
+class CoherenceEndpoint:
+    """One address space's end of cache coherence, server side and client side.
+
+    Every :class:`~repro.runtime.address_space.AddressSpace` builds one, as
+    ``space.coherence``, and reaches coherence only through it: :meth:`call`
+    around every hosted call, :meth:`settle` when a message settles,
+    :meth:`forget` on ``unexport``, :meth:`split_response` for a response
+    that starts with ``!``, and ``control_frames``, its handlers of the
+    ``!sub`` and ``!inv`` frames by kind.  The server side keeps the
+    ``subscribers`` table (object id → {node → lease expiry in simulated
+    seconds}), the members clients declared cacheable and the ``@cacheable``
+    purity check; the client side keeps the invalidation ``listeners`` and
+    the epoch floors.  The space's ``invalidations_sent`` and
+    ``invalidations_piggybacked`` are counted here.
+    """
+
+    def __init__(self, space: Any) -> None:
+        self._space = space
+        self._clock = space.network.clock
+        #: Object id → {node → lease expiry}: who to invalidate on a write.
+        self.subscribers: Dict[str, Dict[str, float]] = {}
+        #: Client-declared cacheable members per object id (from ``!sub``
+        #: frames), honoured in addition to the ``@cacheable`` markers.
+        self._declared: Dict[str, set] = {}
+        #: Cacheable-member sets memoized per implementation type.
+        self._cacheable_sets: Dict[type, frozenset] = {}
+        #: ``listener(object_ids)`` of every invalidation reaching the space,
+        #: standalone or piggybacked (a :class:`CacheManager` adds one).
+        self.listeners: List[Callable[[List[str]], None]] = []
+        #: Highest replication epoch seen per object id on ``!inv`` frames.
+        self._epoch_floor: Dict[str, int] = {}
+        #: Invalidation deliveries applied at this space (as a client).
+        self.invalidations_received = 0
+        #: Epoch-stamped ``!inv`` frames rejected for claiming an epoch older
+        #: than one already seen for the object (fenced ex-primary traffic).
+        self.stale_invalidations_rejected = 0
+        #: Hosted ``@cacheable`` calls that rebound their target's state —
+        #: the runtime complement of lint rule DS102.  A shallow ``__dict__``
+        #: snapshot is compared by identity, so rebinding is caught but
+        #: in-place container mutation is not; the static rule covers that.
+        self.cacheable_violations = 0
+        self._violations_warned: set = set()
+        self.control_frames = {
+            SUB_FRAME_PREFIX: self._on_subscription,
+            INV_FRAME_PREFIX: self._on_invalidation,
+        }
+
+    # ------------------------------------------------------------------
+    # server side
+    # ------------------------------------------------------------------
+
+    def call(
+        self, object_id: str, target: Any, member: str, method: Callable,
+        args: Sequence, kwargs: dict, mutated: set,
+    ) -> Any:
+        """Run ``method``, the hosted ``target``'s ``member``, watched for coherence.
+
+        A member not cacheable by marker or by a subscriber's declaration is
+        a write: if the object has subscribers its id joins ``mutated``
+        *before* execution, since a write that raises may have mutated
+        anyway.  Wrappers (the replication layer's ``ReplicatedObject``)
+        expose the real implementation as ``_repro_cache_target``.
+        """
+        real = getattr(target, "_repro_cache_target", target)
+        cacheable = self._cacheable_sets.get(type(real))
+        if cacheable is None:
+            cacheable = self._cacheable_sets[type(real)] = cacheable_members(type(real))
+        if member not in cacheable:
+            if object_id in self.subscribers:
+                declared = self._declared.get(object_id)
+                if declared is None or member not in declared:
+                    mutated.add(object_id)
+            return method(*args, **kwargs)
+        try:
+            before = dict(vars(real))
+        except TypeError:  # no instance dict: nothing to compare
+            return method(*args, **kwargs)
+        try:
+            return method(*args, **kwargs)
+        finally:
+            # Checked on the error path too: a @cacheable member that
+            # mutated and *then* raised still poisoned the caches.
+            self._check_purity(real, member, before)
+
+    def _check_purity(self, real: Any, member: str, before: Dict[str, Any]) -> None:
+        """Count, and warn once per class and member, a ``@cacheable`` mutation.
+
+        Identity comparison only: no application ``__eq__`` runs, so the
+        check can never raise out of the dispatch path.
+        """
+        after = vars(real)
+        if before.keys() == after.keys() and all(before[key] is after[key] for key in before):
+            return
+        self.cacheable_violations += 1
+        key = (type(real), member)
+        if key not in self._violations_warned:
+            self._violations_warned.add(key)
+            warnings.warn(
+                f"@cacheable member {type(real).__name__}.{member} mutated "
+                "instance state during dispatch — cached results go stale "
+                "with no invalidation ever broadcast (lint rule DS102)",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+
+    def settle(self, mutated: set, requester: Optional[str] = None, response: Any = None) -> Any:
+        """Invalidate every live subscriber of the ``mutated`` ids — now.
+
+        One ``!inv`` frame per subscriber node (ids coalesced), paid *before*
+        the writes' response leaves; expired leases are pruned, delivered
+        subscriptions dropped (one-shot).  The subscriptions of
+        ``requester``, the node ``response`` goes back to, ride that framed
+        response instead, which is returned with them attached; without a
+        requester (a co-located call or batch) ``response`` comes back
+        untouched.  An undeliverable invalidation falls back to the lease:
+        the write stalls until the lost subscriber's lease has run out, so
+        the unreachable cache's entries have expired by its acknowledgement.
+        """
+        clock = self._clock
+        # node → [ids to invalidate, latest lease expiry among them]
+        per_node: Dict[str, list] = {}
+        piggyback: List[str] = []
+        for object_id in mutated:
+            for node, expiry in self.subscribers.pop(object_id, {}).items():
+                if expiry <= clock.now:
+                    continue
+                if node == requester:
+                    piggyback.append(object_id)
+                    continue
+                pending = per_node.setdefault(node, [[], expiry])
+                pending[0].append(object_id)
+                pending[1] = max(pending[1], expiry)
+        for node in sorted(per_node):
+            ids, latest = per_node[node]
+            if not self._send(node, ids) and latest > clock.now:
+                clock.advance(latest - clock.now)
+        if piggyback:
+            response = attach_invalidations(response, piggyback)
+            self._space.invalidations_piggybacked += 1
+        return response
+
+    def forget(self, object_id: str) -> None:
+        """Drop an unexported object's state: dead ids must not pile up.
+
+        (Failover takes a dead primary's subscribers *before* its unexport,
+        so the promoted node can still flush them.)
+        """
+        self.subscribers.pop(object_id, None)
+        self._declared.pop(object_id, None)
+
+    def register_cache_subscriber(self, object_id: str, node_id: str, expiry: float) -> None:
+        """Record ``node_id``'s interest in ``object_id`` until ``expiry`` (simulated s).
+
+        One node may host several caching clients, so a re-registration can
+        only *extend* the recorded expiry: a short lease must not silence the
+        invalidations a longer one on the same node relies on.
+        """
+        nodes = self.subscribers.setdefault(object_id, {})
+        nodes[node_id] = max(expiry, nodes.get(node_id, expiry))
+
+    def _on_subscription(self, source: str, payload: bytes) -> bytes:
+        """Answer one ``!sub`` frame: record its sender's subscription, acknowledge.
+
+        A frame naming another node than its sender is refused: a write would
+        wait out the lease of a node that never subscribed, were it down.  An
+        id the space does not export is acknowledged but not recorded: ids
+        are never reused, so the entry could never be invalidated.
+        """
+        body = parse_subscription(payload)
+        if str(body["node"]) != source:
+            raise TransportError(
+                "malformed subscription frame: it names another node than its sender"
+            )
+        object_id = str(body["object_id"])
+        try:
+            self._space.lookup_local_object(object_id)
+        except UnknownObjectError:
+            return frame_subscription_ack()
+        declared = body.get("cacheable")
+        if declared:
+            self._declared.setdefault(object_id, set()).update(map(str, declared))
+        self.register_cache_subscriber(object_id, source, self._clock.now + body["lease"])
+        return frame_subscription_ack()
+
+    def take_cache_subscribers(self, object_id: str) -> Dict[str, float]:
+        """Remove and return one object's subscriber table (failover hand-off).
+
+        The promoted node flushes them: the dead primary cannot send anything.
+        """
+        return self.subscribers.pop(object_id, {})
+
+    def send_cache_invalidations(
+        self, object_ids: Sequence[str], nodes: Sequence[str], epoch: Optional[int] = None
+    ) -> int:
+        """Send one ``!inv`` for ``object_ids`` to each of ``nodes``; how many arrived.
+
+        Unreachable nodes are skipped (their caches self-expire or re-key).
+        ``epoch`` stamps the frame with the sender's replication epoch, so
+        recipients reject invalidations a fenced ex-primary mints.
+        """
+        return sum(self._send(node, object_ids, epoch) for node in sorted(set(nodes)))
+
+    def _send(self, node: str, object_ids: Sequence[str], epoch: Optional[int] = None) -> bool:
+        """Send one ``!inv`` frame to ``node``, the one sender of them; whether it arrived."""
+        space = self._space
+        try:
+            space.network.send_request(space.node_id, node, frame_invalidation(object_ids, epoch))
+        except NetworkError:
+            return False
+        space.invalidations_sent += 1
+        return True
+
+    # ------------------------------------------------------------------
+    # client side
+    # ------------------------------------------------------------------
+
+    def split_response(self, raw_response: bytes) -> bytes:
+        """Deliver the invalidations piggybacked on ``raw_response``; the rest of it."""
+        object_ids, raw_response = split_invalidations(raw_response)
+        self._deliver(object_ids)
+        return raw_response
+
+    def _on_invalidation(self, source: str, payload: bytes) -> bytes:
+        """Answer one ``!inv`` frame: deliver its ids, acknowledge how many.
+
+        An epoch-stamped frame claiming an epoch older than one already seen
+        for an object came from a superseded primary: it must not flush (or,
+        worse, re-prime) the local caches.
+        """
+        object_ids, epoch = parse_invalidation_body(payload)
+        if epoch is not None:
+            accepted = []
+            for object_id in object_ids:
+                if epoch < self._epoch_floor.get(object_id, -1):
+                    self.stale_invalidations_rejected += 1
+                    continue
+                self._epoch_floor[object_id] = epoch
+                accepted.append(object_id)
+            object_ids = accepted
+        self._deliver(object_ids)
+        return frame_invalidation_ack(len(object_ids))
+
+    def _deliver(self, object_ids: List[str]) -> None:
+        """Hand one invalidation delivery to every listener."""
+        if not object_ids:
+            return
+        self.invalidations_received += 1
+        for listener in list(self.listeners):
+            listener(list(object_ids))

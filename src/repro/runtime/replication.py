@@ -683,7 +683,7 @@ class ReplicaManager:
         end = space.network.clock.now
         if end <= start:
             return
-        for trace_id, parent_id in getattr(space, "_message_trace_refs", ()):
+        for trace_id, parent_id in space.trace_refs():
             tracer.record_span(
                 name,
                 trace_id=trace_id,
@@ -928,7 +928,7 @@ class ReplicaManager:
             # Take the subscribers BEFORE retiring the export (unexport purges
             # them) so the promoted node can flush their leases below; should
             # the dead node come back, its stale wrapper must not answer.
-            stale_subscribers = self.cluster.space(old_node).take_cache_subscribers(
+            stale_subscribers = self.cluster.space(old_node).coherence.take_cache_subscribers(
                 old_ref.object_id
             )
             self.cluster.space(old_node).unexport(old_ref)
@@ -944,12 +944,12 @@ class ReplicaManager:
             # reference from *every* peer at the new epoch: leases drop now,
             # and a later ``!inv`` the fenced ex-primary mints is rejected.
             peers = [node for node in self.cluster.node_ids() if node != group.primary_node]
-            new_space.send_cache_invalidations([old_ref.object_id], peers, epoch=group.epoch)
+            new_space.coherence.send_cache_invalidations([old_ref.object_id], peers, epoch=group.epoch)
         elif stale_subscribers:
             # The demoted primary can no longer invalidate anyone, so the
             # promoted node flushes the leases held against the old reference
             # (new reads miss anyway: the promoted primary is a fresh export).
-            new_space.send_cache_invalidations([old_ref.object_id], list(stale_subscribers))
+            new_space.coherence.send_cache_invalidations([old_ref.object_id], list(stale_subscribers))
 
         record = FailoverRecord(
             group_name=group.name,

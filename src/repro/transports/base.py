@@ -326,11 +326,6 @@ def frame_pong(sequence: int) -> bytes:
     return PONG_FRAME_PREFIX + str(sequence).encode("ascii")
 
 
-def is_ping(payload: bytes) -> bool:
-    """True when ``payload`` is a framed heartbeat probe."""
-    return payload.startswith(PING_FRAME_PREFIX)
-
-
 def parse_heartbeat(payload: bytes) -> int:
     """Extract the sequence number from a framed ping or pong."""
     for prefix in (PING_FRAME_PREFIX, PONG_FRAME_PREFIX):
@@ -384,11 +379,6 @@ def frame_invalidation(
     return INV_FRAME_PREFIX + json.dumps(body, sort_keys=True).encode("ascii")
 
 
-def is_invalidation(payload: bytes) -> bool:
-    """True when ``payload`` is a framed write-invalidation."""
-    return payload.startswith(INV_FRAME_PREFIX)
-
-
 def parse_invalidation_body(payload: bytes) -> tuple[List[str], Optional[int]]:
     """Extract ``(object_ids, epoch)`` from a framed invalidation.
 
@@ -412,12 +402,6 @@ def parse_invalidation_body(payload: bytes) -> tuple[List[str], Optional[int]]:
             ) from exc
         return [str(object_id) for object_id in body["ids"]], epoch
     raise TransportError("malformed invalidation frame: body is not a list")
-
-
-def parse_invalidation(payload: bytes) -> List[str]:
-    """Extract the stale object identifiers from a framed invalidation."""
-    object_ids, _epoch = parse_invalidation_body(payload)
-    return object_ids
 
 
 def frame_invalidation_ack(count: int) -> bytes:
@@ -447,11 +431,6 @@ def frame_subscription(
         "cacheable": sorted(cacheable),
     }
     return SUB_FRAME_PREFIX + json.dumps(body, sort_keys=True).encode("ascii")
-
-
-def is_subscription(payload: bytes) -> bool:
-    """True when ``payload`` is a framed cache subscription."""
-    return payload.startswith(SUB_FRAME_PREFIX)
 
 
 def parse_subscription(payload: bytes) -> dict:

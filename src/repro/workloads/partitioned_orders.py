@@ -337,7 +337,7 @@ def run_partitioned_order_scenario(
             "stale_primaries_remaining": len(group.stale_primaries),
             "stale_invalidations_rejected": cluster.space(
                 reader
-            ).stale_invalidations_rejected,
+            ).coherence.stale_invalidations_rejected,
             "cache_hits": cache.hits if cache is not None else 0,
             "cache_misses": cache.misses if cache is not None else 0,
         }

@@ -219,13 +219,13 @@ class TestFramingParity:
     def test_a_write_invalidates_a_subscriber_before_it_returns(self, path, transport):
         _, cluster, ledger, reference = _deployment()
         client, server = cluster.space("client"), cluster.space("server")
-        server.register_cache_subscriber(reference.object_id, "client", cluster.clock.now + 1.0)
+        server.coherence.register_cache_subscriber(reference.object_id, "client", cluster.clock.now + 1.0)
         heard = []
-        client.add_invalidation_listener(heard.append)
+        client.coherence.listeners.append(heard.append)
         assert _send(cluster, path, transport, reference, "add", (5,)) == ("value", 5)
         assert heard == [[reference.object_id]]
-        assert client.invalidations_received == 1
-        assert server.cache_subscriber_count() == 0  # one-shot
+        assert client.coherence.invalidations_received == 1
+        assert server.coherence.subscribers == {}  # one-shot
         if path in LOCAL_PATHS:
             # No response to ride on: the subscriber gets a frame of its own.
             assert (server.invalidations_sent, server.invalidations_piggybacked) == (1, 0)
@@ -239,7 +239,7 @@ class TestFramingParity:
         _, cluster, ledger, reference = _deployment()
         with pytest.warns(RuntimeWarning, match="impure_read"):
             assert _send(cluster, path, transport, reference, "impure_read") == ("value", 0)
-        assert cluster.space("server").cacheable_violations == 1
+        assert cluster.space("server").coherence.cacheable_violations == 1
 
     @pytest.mark.parametrize("path", REMOTE_PATHS)  # co-located: no response frame
     def test_a_response_in_the_other_framing_is_refused(self, path, transport):

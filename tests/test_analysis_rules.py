@@ -309,15 +309,15 @@ class TestRuntimeCacheableComplement:
             svc = self._deploy(cluster, session, ImpureCatalog(), "catalog")
             svc.put_item("a", 1)
             space = cluster.space("server")
-            assert space.cacheable_violations == 0
+            assert space.coherence.cacheable_violations == 0
             with pytest.warns(RuntimeWarning, match="DS102"):
                 svc.get_item("a")
-            assert space.cacheable_violations == 1
+            assert space.coherence.cacheable_violations == 1
             # Second offence is counted but not re-warned.
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 svc.get_item("a")
-            assert space.cacheable_violations == 2
+            assert space.coherence.cacheable_violations == 2
 
     def test_in_place_mutation_is_the_documented_blind_spot(self, cluster):
         """The shallow identity snapshot cannot see list.append — the static
@@ -328,7 +328,7 @@ class TestRuntimeCacheableComplement:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 assert svc.get_item("a") == 1
-            assert cluster.space("server").cacheable_violations == 0
+            assert cluster.space("server").coherence.cacheable_violations == 0
 
     def test_pure_cacheable_members_stay_clean(self, cluster):
         with Session(cluster, node="client") as session:
@@ -336,7 +336,7 @@ class TestRuntimeCacheableComplement:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 assert svc.total() == 0.0
-            assert cluster.space("server").cacheable_violations == 0
+            assert cluster.space("server").coherence.cacheable_violations == 0
 
 
 class TestFindingModel:

@@ -276,7 +276,7 @@ class TestSessionClose:
             session.dismantle()
         assert cluster.naming.names() == names_before
         assert cluster.naming.rebind_listener_count() == 0
-        assert cluster.space("client").invalidation_listener_count() == 0
+        assert len(cluster.space("client").coherence.listeners) == 0
         for node in cluster.node_ids():
             assert cluster.space(node).object_count() == objects_before[node], node
         _drain_queue(cluster)

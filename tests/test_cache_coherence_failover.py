@@ -98,7 +98,7 @@ class TestKillBetweenWriteAndInvalidation:
         assert wsvc.put_item("a", "v2") == 1  # acknowledged: v2 is committed
         assert crash.fired
         # The invalidation was lost: the reader's space never saw one.
-        assert cluster.space("reader").invalidations_received == 0
+        assert cluster.space("reader").coherence.invalidations_received == 0
 
         # The reader's next read rides detection + promotion (its session
         # owns the detector/manager) and must see the committed value.
@@ -138,7 +138,7 @@ class TestKillBetweenWriteAndInvalidation:
         wsvc = writer.service("catalog", ServicePolicy(transport="rmi"))
         wsvc.put_item("a", "v1")
         assert svc.get_item("a") == "v1"
-        assert cluster.space("primary").cache_subscriber_count() == 1
+        assert sum(map(len, cluster.space("primary").coherence.subscribers.values())) == 1
 
         cluster.network.failures.crash_node("primary")
         # Pump until the detector promotes the backup.
@@ -151,7 +151,7 @@ class TestKillBetweenWriteAndInvalidation:
         assert manager.failovers
         # The failover handed the dead primary's subscriber table over and
         # invalidated from the promoted node: the reader's cache is empty.
-        assert cluster.space("reader").invalidations_received >= 1
+        assert cluster.space("reader").coherence.invalidations_received >= 1
         assert svc.cache.entries_invalidated >= 1
         assert cluster.space("backup").invalidations_sent >= 1
         assert len(svc.cache) == 0

@@ -22,9 +22,7 @@ from repro.transports.base import (
     attach_invalidations,
     frame_invalidation,
     frame_subscription,
-    is_invalidation,
-    is_subscription,
-    parse_invalidation,
+    parse_invalidation_body,
     parse_subscription,
     split_invalidations,
 )
@@ -79,16 +77,16 @@ def _served(payload):
 class TestControlFrames:
     def test_invalidation_round_trip(self):
         payload = frame_invalidation(["obj-2", "obj-1"])
-        assert is_invalidation(payload)
-        assert parse_invalidation(payload) == ["obj-1", "obj-2"]
+        assert parse_invalidation_body(payload) == (["obj-1", "obj-2"], None)
+        assert _served(payload) == b"!invack\n2"
 
     def test_subscription_round_trip(self):
-        payload = frame_subscription("obj-1", "reader", 0.25)
-        assert is_subscription(payload)
+        payload = frame_subscription("obj-1", "client", 0.25)
         body = parse_subscription(payload)
         assert body["object_id"] == "obj-1"
-        assert body["node"] == "reader"
+        assert body["node"] == "client"
         assert body["lease"] == 0.25
+        assert _served(payload) == b"!suback\nok"
 
     def test_piggyback_attach_and_split(self):
         inner = b"rmi\n{...}"
@@ -105,7 +103,7 @@ class TestControlFrames:
     @pytest.mark.parametrize(
         "parse, payload",
         [
-            (parse_invalidation, b"!inv\nnot json"),
+            (parse_invalidation_body, b"!inv\nnot json"),
             (split_invalidations, b"!inv+\nnot json"),
             (parse_subscription, b"!sub\n[1,2]"),
             (parse_subscription, b'!sub\n{"node": "n", "lease": 0.25}'),
@@ -140,6 +138,40 @@ class TestControlFrames:
     def test_malformed_frames_raise(self, parse, payload):
         with pytest.raises(TransportError):
             parse(payload)
+
+
+class TestServedSubscriptions:
+    """What a ``!sub`` frame served by an address space records."""
+
+    def test_a_subscription_to_an_object_not_exported_is_not_recorded(self):
+        """Ids are never reused: such an entry could never be invalidated.
+        The answer is the ordinary acknowledgement all the same."""
+        cluster = Cluster(("client", "server"))
+        server = cluster.space("server")
+        reference = server.export(Catalog())
+        server.unexport(reference)
+        for object_id in (reference.object_id, "server:999"):
+            answer = cluster.network.send_request(
+                "client", "server", frame_subscription(object_id, "client", 1e9)
+            )
+            assert answer == b"!suback\nok"
+        assert server.coherence.subscribers == {}
+
+    def test_a_subscription_naming_another_node_than_its_sender_is_refused(self):
+        """Recorded, it would make every write to the object wait out the
+        lease of a node that never subscribed, once that node is down."""
+        cluster = Cluster(("client", "server", "third"))
+        server = cluster.space("server")
+        reference = server.export(Catalog())
+        with pytest.raises(TransportError, match="another node"):
+            cluster.network.send_request(
+                "client", "server", frame_subscription(reference.object_id, "third", 5.0)
+            )
+        assert server.coherence.subscribers == {}
+        cluster.network.failures.crash_node("third")
+        started = cluster.clock.now
+        cluster.space("client").invoke_remote(reference, "put_item", ("k", 1))
+        assert cluster.clock.now - started < 0.01
 
 
 class TestCachePolicy:
@@ -278,12 +310,12 @@ class TestResultCacheMechanics:
 
     def test_manager_close_detaches_listener(self, cluster):
         space = cluster.space("reader")
-        before = space.invalidation_listener_count()
+        before = len(space.coherence.listeners)
         manager = CacheManager(space)
-        assert space.invalidation_listener_count() == before + 1
+        assert len(space.coherence.listeners) == before + 1
         manager.close()
         manager.close()
-        assert space.invalidation_listener_count() == before
+        assert len(space.coherence.listeners) == before
 
 
 class TestFacadeCaching:
@@ -303,7 +335,7 @@ class TestFacadeCaching:
         wsvc.put_item("a", 1)
         assert svc.get_item("a") == 1
         wsvc.put_item("a", 2)  # the ack carries the coherence guarantee
-        assert cluster.space("reader").invalidations_received == 1
+        assert cluster.space("reader").coherence.invalidations_received == 1
         assert svc.get_item("a") == 2
         reader.close(), writer.close()
 
@@ -361,9 +393,9 @@ class TestFacadeCaching:
 
     def test_session_close_detaches_cache_manager(self, cluster):
         reader, writer, svc, wsvc, impl = _sessions(cluster, CACHED)
-        assert cluster.space("reader").invalidation_listener_count() == 1
+        assert len(cluster.space("reader").coherence.listeners) == 1
         reader.close()
-        assert cluster.space("reader").invalidation_listener_count() == 0
+        assert len(cluster.space("reader").coherence.listeners) == 0
         assert reader.cache_manager.closed
         writer.close()
 

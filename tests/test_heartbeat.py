@@ -15,18 +15,12 @@ from repro.api.errors import TransportError
 from repro.network.clock import EventQueue, SimClock
 from repro.network.heartbeat import HeartbeatDetector
 from repro.runtime.cluster import Cluster
-from repro.transports.base import (
-    frame_ping,
-    frame_pong,
-    is_ping,
-    parse_heartbeat,
-)
+from repro.transports.base import frame_ping, frame_pong, parse_heartbeat
 
 
 class TestHeartbeatFrames:
     def test_ping_pong_roundtrip(self):
-        assert is_ping(frame_ping(7))
-        assert not is_ping(frame_pong(7))
+        assert frame_ping(7) != frame_pong(7)
         assert parse_heartbeat(frame_ping(7)) == 7
         assert parse_heartbeat(frame_pong(41)) == 41
 
@@ -45,6 +39,13 @@ class TestHeartbeatFrames:
         assert cluster.space("b").pings_answered == 1
         # Probes are liveness traffic, not served invocations.
         assert cluster.space("b").invocations_served == 0
+
+    def test_an_address_space_does_not_answer_a_pong(self):
+        """Only a ping is answered; a pong is no invocation either."""
+        cluster = Cluster(("a", "b"))
+        with pytest.raises(TransportError):
+            cluster.network.send_request("a", "b", frame_pong(3))
+        assert cluster.space("b").pings_answered == 0
 
 
 class TestRunUntil:

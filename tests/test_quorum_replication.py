@@ -463,26 +463,26 @@ class TestInvalidationEpochFloor:
     def test_stale_epoch_invalidations_are_rejected(self, cluster):
         space_a, space_b = cluster.space("a"), cluster.space("b")
         ref = space_a.export(OrderIntake())
-        space_a.send_cache_invalidations([ref.object_id], ["b"], epoch=2)
-        assert space_b.stale_invalidations_rejected == 0
-        space_a.send_cache_invalidations([ref.object_id], ["b"], epoch=1)
-        assert space_b.stale_invalidations_rejected == 1
+        space_a.coherence.send_cache_invalidations([ref.object_id], ["b"], epoch=2)
+        assert space_b.coherence.stale_invalidations_rejected == 0
+        space_a.coherence.send_cache_invalidations([ref.object_id], ["b"], epoch=1)
+        assert space_b.coherence.stale_invalidations_rejected == 1
 
     def test_equal_and_newer_epochs_advance_the_floor(self, cluster):
         space_a, space_b = cluster.space("a"), cluster.space("b")
         ref = space_a.export(OrderIntake())
-        space_a.send_cache_invalidations([ref.object_id], ["b"], epoch=1)
-        space_a.send_cache_invalidations([ref.object_id], ["b"], epoch=1)
-        space_a.send_cache_invalidations([ref.object_id], ["b"], epoch=3)
-        assert space_b.stale_invalidations_rejected == 0
+        space_a.coherence.send_cache_invalidations([ref.object_id], ["b"], epoch=1)
+        space_a.coherence.send_cache_invalidations([ref.object_id], ["b"], epoch=1)
+        space_a.coherence.send_cache_invalidations([ref.object_id], ["b"], epoch=3)
+        assert space_b.coherence.stale_invalidations_rejected == 0
 
     def test_unstamped_invalidations_always_apply(self, cluster):
         space_a, space_b = cluster.space("a"), cluster.space("b")
         ref = space_a.export(OrderIntake())
-        space_a.send_cache_invalidations([ref.object_id], ["b"], epoch=4)
-        space_a.send_cache_invalidations([ref.object_id], ["b"])
-        assert space_b.stale_invalidations_rejected == 0
-        assert space_b.invalidations_received >= 2
+        space_a.coherence.send_cache_invalidations([ref.object_id], ["b"], epoch=4)
+        space_a.coherence.send_cache_invalidations([ref.object_id], ["b"])
+        assert space_b.coherence.stale_invalidations_rejected == 0
+        assert space_b.coherence.invalidations_received >= 2
 
 
 class TestPolicyQuorumKnobs:
