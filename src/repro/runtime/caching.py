@@ -701,13 +701,14 @@ class CoherenceEndpoint:
         try:
             before = dict(vars(real))
         except TypeError:  # no instance dict: nothing to compare
-            return method(*args, **kwargs)
+            before = None
         try:
             return method(*args, **kwargs)
         finally:
             # Checked on the error path too: a @cacheable member that
             # mutated and *then* raised still poisoned the caches.
-            self._check_purity(real, member, before)
+            if before is not None:
+                self._check_purity(real, member, before)
 
     def _check_purity(self, real: Any, member: str, before: Dict[str, Any]) -> None:
         """Count, and warn once per class and member, a ``@cacheable`` mutation.
