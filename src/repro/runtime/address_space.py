@@ -344,32 +344,34 @@ class AddressSpace:
     def _settle(
         self,
         scope: _Scope,
-        dispatch: Callable[[Any], Any],
+        serve: Callable[[Any], Any],
         calls: Any,
-        frame: Optional[Callable[[list], bytes]] = None,
+        encode: Optional[Callable[[Any], bytes]] = None,
+        prefix: bytes = b"",
     ) -> Any:
-        """Run ``dispatch`` over ``calls`` with ``scope`` current, then settle it.
+        """Run ``serve(calls)`` with ``scope`` current, then settle the scope.
 
         The one place the settle order lives: the commits the calls joined
         run once (the scope still current for their traces, but closed to
-        joins) and settle the calls held for them; ``frame`` makes the
-        outcomes a served message's response (a co-located batch returns
-        them as they are); the writes' invalidations go out, the
-        requester's own riding that response; then it returns.
+        joins) and settle the calls held for them; ``encode`` frames the
+        outcome, behind ``prefix``, as a served message's response (a
+        co-located batch returns it as it is); the writes' invalidations go
+        out, the requester's own riding that response; then it returns.
         """
         outer, self._scope = self._scope, scope
         try:
             try:
-                outcomes = list(map(dispatch, calls))
+                outcome = serve(calls)
             finally:
                 if scope.commits:
                     scope.commit()
         finally:
             self._scope = outer
-        answer = outcomes if frame is None else frame(outcomes)
+        if encode is not None:
+            outcome = prefix + encode(outcome)
         if scope.mutated:
-            answer = self.coherence.settle(scope.mutated, scope.requester, answer)
-        return answer
+            outcome = self.coherence.settle(scope.mutated, scope.requester, outcome)
+        return outcome
 
     # ------------------------------------------------------------------
     # Hosted objects (where every call, local or served, ends)
@@ -525,21 +527,22 @@ class AddressSpace:
         piggyback on, every subscriber gets a frame before the results return."""
         outer = self._scope
         scope = _Scope(None, True, outer.trace_refs if outer is not None else [])
-        return self._settle(scope, self._call_local, enumerate(calls))
+        return self._settle(scope, self._serve_locally, calls)
 
-    def _call_local(self, indexed_call: Tuple[int, tuple]) -> BatchResult:
-        """Run one call of a co-located batch, its error isolated in its result."""
-        index, (reference, member, args, kwargs, _context) = indexed_call
+    def _serve_locally(self, calls: Sequence[tuple]) -> List[BatchResult]:
+        """Run a co-located batch's calls in order, each error isolated in its result."""
         scope = self._scope
-        try:
-            result = BatchResult(
-                index, self._call_hosted(reference.object_id, member, args, kwargs, scope.mutated)
-            )
-        except Exception as error:  # noqa: BLE001 - per-call isolation
-            result = BatchResult(index, error=error)
-        if scope.joining is not None:
-            scope.hold(partial(_refuse_result, result))
-        return result
+        results: List[BatchResult] = []
+        for index, (reference, member, args, kwargs, _context) in enumerate(calls):
+            try:
+                value = self._call_hosted(reference.object_id, member, args, kwargs, scope.mutated)
+            except Exception as error:  # noqa: BLE001 - per-call isolation
+                results.append(BatchResult(index, error=error))
+            else:
+                results.append(BatchResult(index, value))
+            if scope.joining is not None:
+                scope.hold(partial(_refuse_result, results[-1]))
+        return results
 
     # -- the one remote round trip: requests out, results back ---------------
 
@@ -677,15 +680,11 @@ class AddressSpace:
             self.batches_served += 1
             decoded = transport.decode_batch_request(body, marshaller=self.marshaller)
             requests = list(map(read_request, decoded))
-
-            def frame(responses: list) -> bytes:
-                return prefix + transport.encode_batch_response(responses)
+            serve, encode = self._dispatch_all, transport.encode_batch_response
         else:
-            requests = [read_request(transport.decode_request(body, marshaller=self.marshaller))]
-
-            def frame(responses: list) -> bytes:
-                return prefix + transport.encode_response(responses[0])
-        return self._settle(_Scope(source, is_batch, []), self._dispatch, requests, frame)
+            requests = read_request(transport.decode_request(body, marshaller=self.marshaller))
+            serve, encode = self._dispatch, transport.encode_response
+        return self._settle(_Scope(source, is_batch, []), serve, requests, encode, prefix)
 
     def _answer_ping(self, _source: str, payload: bytes) -> bytes:
         """Answer a heartbeat probe, echoing its sequence.
@@ -696,6 +695,10 @@ class AddressSpace:
         """
         self.pings_answered += 1
         return frame_pong(parse_heartbeat(payload))
+
+    def _dispatch_all(self, requests: List[RequestFields]) -> List[dict]:
+        """Serve a batch's checked requests in order; their response dicts."""
+        return list(map(self._dispatch, requests))
 
     def _dispatch(self, request: RequestFields) -> dict:
         """Serve one checked request; the response dict, success or error."""
