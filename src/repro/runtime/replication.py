@@ -944,12 +944,16 @@ class ReplicaManager:
             # reference from *every* peer at the new epoch: leases drop now,
             # and a later ``!inv`` the fenced ex-primary mints is rejected.
             peers = [node for node in self.cluster.node_ids() if node != group.primary_node]
-            new_space.coherence.send_cache_invalidations([old_ref.object_id], peers, epoch=group.epoch)
+            new_space.coherence.send_cache_invalidations(
+                [old_ref.object_id], peers, epoch=group.epoch
+            )
         elif stale_subscribers:
             # The demoted primary can no longer invalidate anyone, so the
             # promoted node flushes the leases held against the old reference
             # (new reads miss anyway: the promoted primary is a fresh export).
-            new_space.coherence.send_cache_invalidations([old_ref.object_id], list(stale_subscribers))
+            new_space.coherence.send_cache_invalidations(
+                [old_ref.object_id], list(stale_subscribers)
+            )
 
         record = FailoverRecord(
             group_name=group.name,

@@ -219,7 +219,9 @@ class TestFramingParity:
     def test_a_write_invalidates_a_subscriber_before_it_returns(self, path, transport):
         _, cluster, ledger, reference = _deployment()
         client, server = cluster.space("client"), cluster.space("server")
-        server.coherence.register_cache_subscriber(reference.object_id, "client", cluster.clock.now + 1.0)
+        server.coherence.register_cache_subscriber(
+            reference.object_id, "client", cluster.clock.now + 1.0
+        )
         heard = []
         client.coherence.listeners.append(heard.append)
         assert _send(cluster, path, transport, reference, "add", (5,)) == ("value", 5)
