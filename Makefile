@@ -2,7 +2,7 @@ PYTHON ?= python
 export PYTHONPATH := src
 BENCH_DIR ?= bench-artifacts
 
-.PHONY: check test examples-smoke paper-claims bench-smoke bench-check bench-diff bench-golden bench-ab micro ledger-smoke docs-check lint lint-dist
+.PHONY: check test examples-smoke cli-smoke reach paper-claims bench-smoke bench-check bench-diff bench-golden bench-ab micro ledger-smoke docs-check lint lint-dist
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -10,6 +10,36 @@ test:
 # Every example end to end; the first non-zero exit fails the target.
 examples-smoke:
 	set -e; for example in examples/*.py; do $(PYTHON) $$example > /dev/null; done
+
+# Every `repro` subcommand on the sample application, plus the unsupported
+# sample, a report under a generated policy and both traced workloads with a
+# span tree and a Chrome-trace export: each must exit 0 and print something.
+CLI_SMOKE_DIR ?= cli-smoke-out
+cli-smoke:
+	@set -e; mkdir -p $(CLI_SMOKE_DIR); \
+	smoke() { echo "repro $$*"; out=$$($(PYTHON) -m repro "$$@") || exit 1; \
+		test -n "$$out" || { echo "repro $$*: no output"; exit 1; }; }; \
+	smoke --help; \
+	smoke analyze tests/sample_app.py; \
+	smoke analyze tests/sample_unsupported.py; \
+	smoke emit tests/sample_app.py; \
+	smoke report tests/sample_app.py; \
+	smoke lint tests/sample_app.py; \
+	smoke lint --select DS101,DS102 --format json tests/sample_app.py; \
+	smoke lint --explain DS101; \
+	smoke corpus-study; \
+	smoke policy-template --classes X,Y,Z --nodes client,server; \
+	$(PYTHON) -m repro policy-template --classes X,Y,Z --nodes client,server > $(CLI_SMOKE_DIR)/policy.json; \
+	smoke report tests/sample_app.py --policy $(CLI_SMOKE_DIR)/policy.json; \
+	smoke trace --workload open_loop --duration 0.1 --tree --export $(CLI_SMOKE_DIR)/open_loop.json; \
+	smoke trace --workload cached_catalog --duration 0.1 --tree --export $(CLI_SMOKE_DIR)/cached_catalog.json
+
+# Every function of src/repro is entered by a consumer (the examples, the CLI
+# smoke, the wall-clock ledger, the legacy bench scripts, paper-claims,
+# docs-check, lint-dist) or has a row with a reason in tests/reach_tests_only.txt
+# (see benchmarks/reach.py; about six minutes).
+reach:
+	$(PYTHON) benchmarks/reach.py
 
 # The paper's experiments and the other claim checks in benchmarks/bench_*.py,
 # run as tests (needs pytest-benchmark; timing is disabled, only the claims run).
@@ -81,5 +111,5 @@ lint-dist:
 # What CI gates, locally: bench-check and bench-golden share one bench-smoke run,
 # and bench-golden runs once more under another hash seed, as in CI (nothing on
 # the wire or in the event order may depend on hash iteration order).
-check: test examples-smoke paper-claims bench-check bench-golden ledger-smoke docs-check lint-dist
+check: test examples-smoke cli-smoke paper-claims bench-check bench-golden ledger-smoke docs-check lint-dist
 	PYTHONHASHSEED=123 $(MAKE) bench-golden

@@ -44,7 +44,6 @@ from repro.core.analyzer import (
     AnalysisResult,
     NonTransformableReason,
     TransformabilityAnalyzer,
-    analyse_classes,
 )
 from repro.core.classmodel import ClassModel, ClassUniverse
 from repro.core.introspect import class_model_from_python, native
@@ -52,12 +51,11 @@ from repro.core.metaobject import Metaobject, metaobject_of, unwrap
 from repro.core.transformer import (
     ApplicationTransformer,
     TransformedApplication,
-    transform_application,
 )
 from repro.network.simnet import LinkConfig, SimulatedNetwork
 from repro.policy.policy import DistributionPolicy, PlacementDecision, all_local_policy
 from repro.runtime.address_space import AddressSpace
-from repro.runtime.cluster import Cluster, lan_cluster, single_node_cluster
+from repro.runtime.cluster import Cluster
 from repro.runtime.redistribution import DistributionController
 from repro.runtime.remote_ref import RemoteRef
 
@@ -91,13 +89,9 @@ __all__ = [
     "TransformationError",
     "TransformedApplication",
     "all_local_policy",
-    "analyse_classes",
     "class_model_from_python",
-    "lan_cluster",
     "metaobject_of",
     "native",
-    "single_node_cluster",
-    "transform_application",
     "unwrap",
     "__version__",
 ]

@@ -26,6 +26,7 @@ markers.
 
 from __future__ import annotations
 
+import abc
 import ast
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Type
@@ -237,7 +238,7 @@ class LintContext:
         )
 
 
-class Rule:
+class Rule(abc.ABC):
     """Base class for distribution-safety rules.
 
     A rule declares its ``id`` (``DS1xx``), default ``severity`` and the
@@ -254,9 +255,9 @@ class Rule:
     #: AST node classes this rule wants to see.
     node_types: Tuple[Type[ast.AST], ...] = ()
 
+    @abc.abstractmethod
     def check(self, node: ast.AST, ctx: LintContext) -> None:
         """Inspect one subscribed node, reporting findings via ``ctx``."""
-        raise NotImplementedError
 
     @classmethod
     def explain(cls) -> str:
@@ -279,10 +280,6 @@ class RuleEngine:
         for rule in rules:
             for node_type in rule.node_types:
                 self._handlers.setdefault(node_type, []).append(rule)
-
-    def rule_ids(self) -> List[str]:
-        """The registered rule ids, sorted."""
-        return sorted(rule.id for rule in self.rules)
 
     def select(self, ids: Iterable[str]) -> "RuleEngine":
         """A new engine running only the named rules (unknown id → error)."""

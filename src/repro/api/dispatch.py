@@ -47,24 +47,15 @@ class StreamPipe:
         self._service = service
         #: The scheduler carrying this service's traffic.
         self.scheduler = scheduler
-        self._outstanding = 0
 
     def enqueue(
         self, member: str, args: tuple, kwargs: dict, context: Optional[dict] = None
     ) -> InvocationFuture:
         """Submit one call to the scheduler; returns its future."""
         self._service.session._ensure_open()
-        future = self.scheduler.submit_with_context(
+        return self.scheduler.submit_with_context(
             self._service.reference, member, tuple(args), dict(kwargs), context
         )
-        # A scheduler may be shared across services, so per-service accounting
-        # lives here: one up on submit, one down when the future settles.
-        self._outstanding += 1
-        future.add_done_callback(self._on_done)
-        return future
-
-    def _on_done(self, _future: InvocationFuture) -> None:
-        self._outstanding -= 1
 
     def flush(self) -> None:
         """Ship every buffered sub-batch of the scheduler."""
@@ -73,16 +64,6 @@ class StreamPipe:
     def drain(self) -> None:
         """Pump the event queue until the scheduler's stream is fully resolved."""
         self.scheduler.drain()
-
-    @property
-    def pending(self) -> int:
-        """Futures THIS service submitted and not yet resolved.
-
-        Not a shared scheduler's aggregate — sibling services' traffic on
-        the same scheduler is not counted (see ``scheduler.outstanding`` for
-        the whole stream).
-        """
-        return self._outstanding
 
     def stop(self) -> None:
         """Nothing pipe-local to retire: the owning session stops every
@@ -267,11 +248,6 @@ class ChainedPipe:
     def stop(self) -> None:
         """Retire the inner pipe; abandoned calls abort their brackets."""
         self.inner.stop()
-
-    @property
-    def pending(self) -> int:
-        """Buffered calls awaiting a flush, per the inner pipe."""
-        return self.inner.pending
 
     @property
     def scheduler(self) -> PipelineScheduler:

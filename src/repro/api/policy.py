@@ -143,10 +143,6 @@ class ServicePolicy:
     # fluent builder
     # ------------------------------------------------------------------
 
-    def with_transport(self, transport: Optional[str]) -> "ServicePolicy":
-        """A copy of this policy speaking ``transport``."""
-        return replace(self, transport=transport)
-
     def with_batching(self, window: int) -> "ServicePolicy":
         """A copy buffering ``window`` calls per batch message."""
         return replace(self, batch_window=window)

@@ -72,7 +72,7 @@ class Service:
 
     Attribute-style calls cannot reach remote members whose names collide
     with the façade's own attributes (``call``, ``flush``, ``drain``,
-    ``future``, ``pending``, ``name``, ``policy``, ``group``, ``session``,
+    ``future``, ``name``, ``policy``, ``group``, ``session``,
     ``scheduler``, ``reference``, ``cache``) — use the explicit forms
     ``svc.call("flush")`` / ``svc.future("flush")`` for those.  Dispatch
     through a closed session raises
@@ -214,11 +214,6 @@ class Service:
         ``out_of_order_completions``, ...) that benchmarks consume.
         """
         return self._pipe.scheduler
-
-    @property
-    def pending(self) -> int:
-        """Calls enqueued through this service and not yet resolved."""
-        return self._pipe.pending
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Service {self.name!r} policy={self.policy!r} ref={self._reference}>"

@@ -116,8 +116,8 @@ class Session:
 
         Without ``impl``, the name is looked up in the cluster's naming
         service (some other party deployed it).  With ``impl``, this session
-        deploys it first: the object is exported from ``node`` (default: the
-        first node that is not this session's own) and bound to ``name`` —
+        deploys it first: the object is exported from ``node`` (required
+        with ``impl``) and bound to ``name`` —
         or, when the policy's ``replication_factor`` exceeds 1, registered as
         a replica group with ``replication_factor - 1`` backups on
         ``backup_nodes`` (default: ring placement over the remaining nodes)
@@ -195,8 +195,10 @@ class Session:
                 "service; choose another name, or attach to the existing "
                 "deployment by omitting impl"
             )
+        elif node is None:
+            raise PolicyError(f"deploying {name!r} needs node=: the node that hosts it")
         elif policy.replicated:
-            primary = node if node is not None else self._pick_host()
+            primary = node
             backups = self._backup_nodes(policy, primary, backup_nodes)
             manager = self._ensure_replication()
             for watched in (primary, *backups):
@@ -215,7 +217,7 @@ class Session:
             reference = group.primary_ref
             host_nodes = [primary, *backups]
         else:
-            host = node if node is not None else self._pick_host()
+            host = node
             reference = self.cluster.space(host).export(impl)
             self.cluster.naming.rebind(name, reference)
             host_nodes = [host]
@@ -284,10 +286,6 @@ class Session:
             raise PolicyError(
                 f"static checks refuse to deploy {cls.__name__!r}: {details}"
             )
-
-    def services(self) -> List[Service]:
-        """Every service created through this session, in creation order."""
-        return list(self._services.values())
 
     def metrics(self) -> Dict[str, Dict[str, Any]]:
         """Per-side merged counters from every metrics interceptor in play.
@@ -447,13 +445,6 @@ class Session:
         for scheduler in self._schedulers.values():
             scheduler.replica_manager = self._manager
         return self._manager
-
-    def _pick_host(self) -> str:
-        """The default node to deploy on: the first that is not this session's."""
-        for node_id in self.cluster.node_ids():
-            if node_id != self.node_id:
-                return node_id
-        return self.node_id
 
     def _backup_nodes(
         self,
@@ -705,11 +696,6 @@ class Session:
                     self.cluster.space(host).unexport(reference)
                 if name in self.cluster.naming:
                     self.cluster.naming.unbind(name)
-
-    @property
-    def closed(self) -> bool:
-        """Whether :meth:`close` has run."""
-        return self._closed
 
     def __enter__(self) -> "Session":
         return self

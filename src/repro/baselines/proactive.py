@@ -9,13 +9,11 @@ accessible, and the architecture resembles the wrapper-generation approach.
 The reproduction models the essential mechanics deterministically: requests
 enqueue, ``serve``/``serve_all`` processes them in FIFO order, and futures
 resolve when their request has been served.  Placement is per-object and
-programmer-directed; migration moves the whole active object (queue
-included) to another node.
+programmer-directed.
 """
 
 from __future__ import annotations
 
-import random
 from collections import deque
 from typing import Any, Deque, Optional
 
@@ -38,10 +36,6 @@ class Future:
     def _fail(self, error: BaseException) -> None:
         self._resolved = True
         self._error = error
-
-    @property
-    def is_resolved(self) -> bool:
-        return self._resolved
 
     def get(self) -> Any:
         """Wait-by-necessity: serve pending requests until this future resolves."""
@@ -67,10 +61,9 @@ class _Request:
 class ActiveObject:
     """Wraps an ordinary object with a request queue and asynchronous calls."""
 
-    def __init__(self, target: Any, node_id: str, network=None) -> None:
+    def __init__(self, target: Any, node_id: str) -> None:
         self._target = target
         self._node_id = node_id
-        self._network = network
         self._queue: Deque[_Request] = deque()
         self.requests_served = 0
 
@@ -115,25 +108,7 @@ class ActiveObject:
             served += self.serve()
         return served
 
-    @property
-    def pending(self) -> int:
-        return len(self._queue)
-
-    @property
-    def node_id(self) -> str:
-        return self._node_id
-
     # -- programmer-directed migration ----------------------------------------------
-
-    def migrate_to(self, node_id: str) -> str:
-        """Move this active object (state and queue) to another node."""
-        if self._network is not None and node_id != self._node_id:
-            # Charge the simulated network for shipping the object's state.
-            payload = repr(self._target.__dict__).encode("utf-8")
-            link = self._network.link_config(self._node_id, node_id)
-            self._network.clock.advance(link.one_way_delay(len(payload), random.Random(0)))
-        self._node_id = node_id
-        return node_id
 
 
 class ProActiveRuntime:
@@ -141,16 +116,10 @@ class ProActiveRuntime:
 
     def __init__(self, cluster) -> None:
         self.cluster = cluster
-        self.active_objects: list[ActiveObject] = []
 
     def new_active(self, cls: type, args: tuple = (), node: Optional[str] = None) -> ActiveObject:
         node_id = node or self.cluster.default_node_id
         if node_id not in self.cluster.node_ids():
             raise InvocationError(f"cluster has no node {node_id!r}")
         instance = cls(*args)
-        active = ActiveObject(instance, node_id, network=self.cluster.network)
-        self.active_objects.append(active)
-        return active
-
-    def serve_everything(self) -> int:
-        return sum(active.serve_all() for active in self.active_objects)
+        return ActiveObject(instance, node_id)

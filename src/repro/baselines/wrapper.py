@@ -16,7 +16,7 @@ classes pay only a direct accessor/method call.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+from typing import Any
 
 
 class ObjectWrapper:
@@ -82,15 +82,12 @@ def wrap(target: Any) -> ObjectWrapper:
 
 
 class WrapperRuntime:
-    """Creates wrapped instances and tracks them, one wrapper per object.
+    """Creates wrapped instances, one wrapper per object.
 
     This is the baseline's analogue of the object factory: creation goes
     through the runtime so that "all references to that object are altered to
     refer to the wrapper" — callers only ever receive wrappers.
     """
-
-    def __init__(self) -> None:
-        self._wrappers: Dict[int, ObjectWrapper] = {}
 
     def new(self, cls: type, *args: Any, **kwargs: Any) -> ObjectWrapper:
         unwrapped_args = tuple(
@@ -101,16 +98,4 @@ class WrapperRuntime:
             key: value.wrapped if isinstance(value, ObjectWrapper) else value
             for key, value in kwargs.items()
         }
-        instance = cls(*unwrapped_args, **unwrapped_kwargs)
-        wrapper = wrap(instance)
-        self._wrappers[id(instance)] = wrapper
-        return wrapper
-
-    def wrapper_for(self, instance: Any) -> Optional[ObjectWrapper]:
-        return self._wrappers.get(id(instance))
-
-    def wrapper_count(self) -> int:
-        return len(self._wrappers)
-
-    def total_interceptions(self) -> int:
-        return sum(wrapper.interception_count for wrapper in self._wrappers.values())
+        return wrap(cls(*unwrapped_args, **unwrapped_kwargs))

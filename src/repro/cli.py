@@ -125,8 +125,15 @@ def command_analyze(args: argparse.Namespace, out) -> int:
 
 
 def command_emit(args: argparse.Namespace, out) -> int:
+    from repro.runtime.cluster import default_transport_registry
+
     classes = load_classes_from_file(args.module)
     transports = _split_csv(args.transports) or ["soap", "rmi"]
+    known = default_transport_registry().names()
+    for transport in transports:
+        if transport not in known:
+            print(f"unknown transport: {transport}", file=out)
+            return 1
     app = ApplicationTransformer(all_local_policy(), transports=transports).transform(classes)
     target = args.cls or classes[0].__name__
     if not app.is_transformed(target):

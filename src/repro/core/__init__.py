@@ -19,8 +19,6 @@ from repro.core.analyzer import (
     AnalysisResult,
     NonTransformableReason,
     TransformabilityAnalyzer,
-    analyse_classes,
-    substitutable_classes,
 )
 from repro.core.classmodel import (
     ClassModel,
@@ -38,18 +36,15 @@ from repro.core.interfaces import (
     MethodSignature,
     extract_class_interface,
     extract_instance_interface,
-    extract_interfaces,
 )
 from repro.core.introspect import (
     class_model_from_descriptor,
     class_model_from_python,
     native,
-    universe_from_classes,
 )
 from repro.core.metaobject import (
     Metaobject,
     Redirector,
-    is_redirected,
     metaobject_of,
     unwrap,
 )
@@ -57,7 +52,6 @@ from repro.core.registry import TransformationRegistry
 from repro.core.transformer import (
     ApplicationTransformer,
     TransformedApplication,
-    transform_application,
 )
 
 __all__ = [
@@ -80,17 +74,11 @@ __all__ = [
     "TransformedApplication",
     "TypeRef",
     "Visibility",
-    "analyse_classes",
     "class_model_from_descriptor",
     "class_model_from_python",
     "extract_class_interface",
     "extract_instance_interface",
-    "extract_interfaces",
-    "is_redirected",
     "metaobject_of",
     "native",
-    "substitutable_classes",
-    "transform_application",
-    "universe_from_classes",
     "unwrap",
 ]

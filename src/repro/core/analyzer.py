@@ -32,7 +32,7 @@ from __future__ import annotations
 import enum
 from collections import Counter, deque
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable
 
 from repro._errors import NotTransformableError
 from repro.core.classmodel import ClassModel, ClassUniverse
@@ -50,17 +50,6 @@ class NonTransformableReason(enum.Enum):
 
     def __str__(self) -> str:  # pragma: no cover - trivial
         return self.value
-
-
-#: The reasons that seed the closure (direct causes, before propagation).
-DIRECT_REASONS = frozenset(
-    {
-        NonTransformableReason.NATIVE_METHODS,
-        NonTransformableReason.SPECIAL_CLASS,
-        NonTransformableReason.UNKNOWN_DEFINITION,
-        NonTransformableReason.EXPLICIT_EXCLUSION,
-    }
-)
 
 
 @dataclass
@@ -90,17 +79,6 @@ class AnalysisResult:
     def total_classes(self) -> int:
         return len(self.transformable) + len(self.non_transformable)
 
-    @property
-    def fraction_non_transformable(self) -> float:
-        total = self.total_classes
-        if total == 0:
-            return 0.0
-        return len(self.non_transformable) / total
-
-    @property
-    def fraction_transformable(self) -> float:
-        return 1.0 - self.fraction_non_transformable
-
     def reasons_histogram(self) -> Counter:
         """How many classes carry each reason (a class may carry several)."""
         histogram: Counter = Counter()
@@ -108,30 +86,6 @@ class AnalysisResult:
             for reason in reasons:
                 histogram[reason] += 1
         return histogram
-
-    def direct_non_transformable(self) -> set[str]:
-        """Classes excluded by a direct rule (before closure propagation)."""
-        return {
-            name
-            for name, reasons in self.non_transformable.items()
-            if reasons & DIRECT_REASONS
-        }
-
-    def propagated_non_transformable(self) -> set[str]:
-        """Classes excluded only because of the inheritance/reference closure."""
-        return set(self.non_transformable) - self.direct_non_transformable()
-
-    def summary(self) -> dict:
-        """A plain-data summary suitable for reports and benchmark output."""
-        return {
-            "total": self.total_classes,
-            "transformable": len(self.transformable),
-            "non_transformable": len(self.non_transformable),
-            "fraction_non_transformable": round(self.fraction_non_transformable, 4),
-            "direct": len(self.direct_non_transformable()),
-            "propagated": len(self.propagated_non_transformable()),
-            "reasons": {str(reason): count for reason, count in self.reasons_histogram().items()},
-        }
 
 
 class TransformabilityAnalyzer:
@@ -243,28 +197,3 @@ class TransformabilityAnalyzer:
             transformable=transformable,
             non_transformable=non_transformable,
         )
-
-
-def analyse_classes(
-    models: Iterable[ClassModel],
-    **kwargs,
-) -> AnalysisResult:
-    """Convenience wrapper: build an analyser over ``models`` and run it."""
-    return TransformabilityAnalyzer(models, **kwargs).analyse()
-
-
-def substitutable_classes(
-    result: AnalysisResult,
-    requested: Optional[Iterable[str]] = None,
-) -> set[str]:
-    """The classes that may participate in substitution.
-
-    A class is substitutable when it is transformable and (if ``requested``
-    is given) selected by policy.  This mirrors the paper's "policy dictates
-    which classes are substitutable" with the hard constraint that a class
-    that cannot be transformed cannot be substitutable.
-    """
-
-    if requested is None:
-        return set(result.transformable)
-    return {name for name in requested if result.is_transformable(name)}

@@ -126,14 +126,6 @@ class FieldModel:
     is_final: bool = False
     initializer_source: Optional[str] = None
 
-    @property
-    def getter_name(self) -> str:
-        return f"get_{self.name}"
-
-    @property
-    def setter_name(self) -> str:
-        return f"set_{self.name}"
-
 
 @dataclass
 class MethodModel:
@@ -155,10 +147,6 @@ class MethodModel:
     source: Optional[str] = None
     func: Optional[object] = None
 
-    @property
-    def parameter_names(self) -> tuple[str, ...]:
-        return tuple(parameter.name for parameter in self.parameters)
-
 
 @dataclass
 class ConstructorModel:
@@ -172,10 +160,6 @@ class ConstructorModel:
     parameters: Sequence[ParameterModel] = ()
     source: Optional[str] = None
     func: Optional[object] = None
-
-    @property
-    def parameter_names(self) -> tuple[str, ...]:
-        return tuple(parameter.name for parameter in self.parameters)
 
 
 @dataclass
@@ -216,18 +200,6 @@ class ClassModel:
     @property
     def has_native_methods(self) -> bool:
         return any(m.is_native for m in self.methods)
-
-    @property
-    def has_static_members(self) -> bool:
-        return bool(self.static_fields or self.static_methods)
-
-    @property
-    def has_instance_members(self) -> bool:
-        return bool(self.instance_fields or self.instance_methods)
-
-    @property
-    def qualified_name(self) -> str:
-        return f"{self.module}.{self.name}" if self.module else self.name
 
     # -- lookups ------------------------------------------------------------
 
@@ -331,26 +303,11 @@ class ClassUniverse:
     def get(self, name: str) -> Optional[ClassModel]:
         return self._models.get(name)
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._models
-
-    def __getitem__(self, name: str) -> ClassModel:
-        return self._models[name]
-
     def __iter__(self) -> Iterator[ClassModel]:
         return iter(self._models.values())
 
-    def __len__(self) -> int:
-        return len(self._models)
-
     def names(self) -> set[str]:
         return set(self._models)
-
-    def subclasses_of(self, name: str) -> list[ClassModel]:
-        return [model for model in self if model.superclass_name == name]
-
-    def referencers_of(self, name: str) -> list[ClassModel]:
-        return [model for model in self if name in model.referenced_class_names()]
 
     def unknown_references(self) -> set[str]:
         """Names referenced by models in the universe but not defined in it."""

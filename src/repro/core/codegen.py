@@ -24,8 +24,9 @@ The text resolves a handful of names in the namespace it is executed in:
 ``abc`` and the builtins ``property``, ``staticmethod``, ``classmethod`` and
 ``NotImplementedError`` bare, and the framework's ``_repro_Proxy``,
 ``_repro_Redirector``, ``_repro_GenerationError`` and ``_repro_original``
-under spellings an application cannot plausibly own (:func:`emit_module`
-imports them ``as`` those names).  ``_repro_original(class, member)`` is the
+under spellings an application cannot plausibly own
+(:func:`repro.core.generator.seed_namespace` puts them there).
+``_repro_original(class, member)`` is the
 original function of a member whose source cannot be rewritten; it is
 installed as it is.
 """
@@ -133,29 +134,10 @@ def emit_interface(interface: InterfaceModel) -> str:
 # Local implementations
 # ---------------------------------------------------------------------------
 
-def emit_local(
-    model: ClassModel,
-    interface: InterfaceModel,
-    transformed_names: Iterable[str],
-    universe: Mapping[str, ClassModel],
-) -> str:
-    """Emit ``A_O_Local`` as Python source (paper Figure 3, lower half)."""
-    return _local(_Scope(model, transformed_names, universe), interface, singleton=False)
-
-
-def emit_class_local(
-    model: ClassModel,
-    interface: InterfaceModel,
-    transformed_names: Iterable[str],
-    universe: Mapping[str, ClassModel],
-) -> str:
-    """Emit ``A_C_Local`` as Python source (paper Figure 4, upper half)."""
-    return _local(_Scope(model, transformed_names, universe), interface, singleton=True)
-
-
 def _local(scope: _Scope, interface: InterfaceModel, *, singleton: bool) -> str:
-    """The one body of both locals: ``fields → __init__ + get/set + property``,
-    then the methods (the former statics, when ``singleton``)."""
+    """``A_O_Local`` (paper Figure 3, lower half) or, when ``singleton``,
+    ``A_C_Local`` (Figure 4, upper half): ``fields → __init__ + get/set +
+    property``, then the methods (the former statics, when ``singleton``)."""
     model = scope.model
     fields = [f.name for f in (model.static_fields if singleton else model.instance_fields)]
     # The parameter-less constructor: the original constructor functionality
@@ -308,21 +290,13 @@ def _delegate(operation: str, backend: str, comment: str, model: ClassModel) -> 
     )
 
 
-def emit_object_factory(
-    model: ClassModel,
-    transformed_names: Iterable[str],
-    universe: Mapping[str, ClassModel],
-) -> str:
-    """Emit ``A_O_Factory`` as Python source (paper Figure 5, upper half).
+def _object_factory(scope: _Scope) -> str:
+    """``A_O_Factory`` (paper Figure 5, upper half).
 
     ``make`` is the only implementation-aware object-creation operation,
     ``init`` replays the original constructor on an interface-typed instance
     and ``create`` composes the two — the rewritten form of ``A(...)``.
     """
-    return _object_factory(_Scope(model, transformed_names, universe))
-
-
-def _object_factory(scope: _Scope) -> str:
     model = scope.model
     init = f"def init(that, *args, **kwargs):\n{_INDENT}pass"
     if model.constructors:
@@ -356,12 +330,8 @@ def _object_factory(scope: _Scope) -> str:
     return _factory(object_factory_name(model.name), doc, "object-factory", model, members)
 
 
-def emit_class_factory(
-    model: ClassModel,
-    transformed_names: Iterable[str],
-    universe: Mapping[str, ClassModel],
-) -> str:
-    """Emit ``A_C_Factory`` as Python source (paper Figure 5, lower half).
+def _class_factory(scope: _Scope) -> str:
+    """``A_C_Factory`` (paper Figure 5, lower half).
 
     ``discover`` returns the implementation of the static members — the local
     singleton or a proxy to a remote one, as dictated by policy — and
@@ -373,10 +343,6 @@ def emit_class_factory(
         Z_O_Factory.init(t, ...)
         that.set_z(t)
     """
-    return _class_factory(_Scope(model, transformed_names, universe))
-
-
-def _class_factory(scope: _Scope) -> str:
     model = scope.model
     initialisers = [
         (static_field.name, static_field.initializer_source)
@@ -475,28 +441,3 @@ def emit_artifacts(
             model, class_interface, transport, kind="class"
         )
     return sources, scope.rewritten
-
-
-def emit_module(
-    model: ClassModel,
-    transformed_names: Iterable[str],
-    universe: Mapping[str, ClassModel],
-    transports: Sequence[str] = ("soap", "rmi"),
-) -> str:
-    """Emit a single module containing every artifact for ``model``.
-
-    The header binds the names the text relies on; ``_repro_original`` has no
-    import — it stands for functions whose source does not exist — and is
-    supplied by whoever executes the module (the generator seeds it).
-    """
-    sources = emit_class_artifacts(model, transformed_names, universe, transports)
-    header = (
-        f'"""Artifacts generated by the RAFDA transformation for class {model.name}."""\n\n'
-        "from __future__ import annotations\n\n"
-        "import abc\n\n"
-        "from repro._errors import GenerationError as _repro_GenerationError\n"
-        "from repro.core.metaobject import Proxy as _repro_Proxy\n"
-        "from repro.core.metaobject import Redirector as _repro_Redirector\n"
-        "\n\n"
-    )
-    return header + "\n\n".join(sources.values())

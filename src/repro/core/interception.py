@@ -127,12 +127,6 @@ class CallContext:
         """The current simulated time (``0.0`` on a clockless space)."""
         return self.clock.now if self.clock is not None else 0.0
 
-    def remaining(self) -> Optional[float]:
-        """Simulated seconds left until the deadline (``None`` = no deadline)."""
-        if self.deadline is None:
-            return None
-        return self.deadline - self.now()
-
     @property
     def expired(self) -> bool:
         """Whether the deadline has passed (always False without one)."""
@@ -243,11 +237,6 @@ class _Bracket:
         #: from ``begin`` to settlement; empty when the call is untraced.
         self._spans = spans or []
 
-    @property
-    def settled(self) -> bool:
-        """Whether this bracket has already seen its ``end`` or ``abort``."""
-        return self._settled
-
     def _end_spans(self, error: Optional[BaseException]) -> None:
         tracer = self._ctx.tracer
         if tracer is None:
@@ -308,9 +297,6 @@ class InterceptorChain:
         self.interceptors: Tuple[Interceptor, ...] = tuple(interceptors)
         #: ``end``/``abort`` hooks that raised and were isolated.
         self.callback_failures = 0
-
-    def __len__(self) -> int:
-        return len(self.interceptors)
 
     @property
     def empty(self) -> bool:

@@ -171,12 +171,6 @@ class InterfaceModel:
     def method_names(self) -> list[str]:
         return [signature.name for signature in self.methods]
 
-    def get(self, name: str) -> Optional[MethodSignature]:
-        for signature in self.methods:
-            if signature.name == name:
-                return signature
-        return None
-
     def accessors(self) -> list[MethodSignature]:
         return [signature for signature in self.methods if signature.is_accessor]
 
@@ -185,13 +179,6 @@ class InterfaceModel:
         return tuple(
             signature.name for signature in self.methods if signature.cacheable
         )
-
-    def plain_methods(self) -> list[MethodSignature]:
-        return [signature for signature in self.methods if not signature.is_accessor]
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.methods
 
 
 # ---------------------------------------------------------------------------
@@ -317,13 +304,3 @@ def extract_class_interface(
     for method in model.static_methods:
         interface.methods.append(_method_signature(method, names))
     return interface
-
-
-def extract_interfaces(
-    model: ClassModel, transformed_names: Iterable[str] = ()
-) -> tuple[InterfaceModel, InterfaceModel]:
-    """Extract both the instance and the class interface for ``model``."""
-    return (
-        extract_instance_interface(model, transformed_names),
-        extract_class_interface(model, transformed_names),
-    )

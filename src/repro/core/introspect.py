@@ -26,7 +26,6 @@ from typing import Callable, Iterable, Mapping, Optional, Sequence
 from repro.core.classmodel import (
     ANY_TYPE,
     ClassModel,
-    ClassUniverse,
     ConstructorModel,
     FieldModel,
     MethodModel,
@@ -431,8 +430,3 @@ def class_model_from_descriptor(
     model.referenced_types.update(references)
     model.referenced_types.discard(name)
     return model
-
-
-def universe_from_classes(classes: Iterable[type]) -> ClassUniverse:
-    """Build a :class:`ClassUniverse` from a collection of live Python classes."""
-    return ClassUniverse(class_model_from_python(cls) for cls in classes)

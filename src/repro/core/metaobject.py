@@ -27,7 +27,7 @@ its address space; every method of a generated proxy is one call of it.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional
+from typing import Any, Optional
 
 from repro.core.interception import CallContext, Interceptor, InterceptorChain
 
@@ -72,7 +72,6 @@ class Metaobject:
         #: The handle's interceptor chain: empty unless something monitors or
         #: vetoes its calls (:meth:`add_interceptor`), and free while empty.
         self.chain = InterceptorChain()
-        self._rebind_listeners: list[Callable[["Metaobject"], None]] = []
 
     # -- configuration --------------------------------------------------------
 
@@ -99,9 +98,6 @@ class Metaobject:
         chain = self.chain
         chain.interceptors = tuple(i for i in chain.interceptors if i is not interceptor)
 
-    def on_rebind(self, listener: Callable[["Metaobject"], None]) -> None:
-        self._rebind_listeners.append(listener)
-
     # -- the two reflective operations ----------------------------------------
 
     def rebind(self, target: Any, kind: str, node_id: Optional[str] = None) -> None:
@@ -116,8 +112,6 @@ class Metaobject:
         self._kind = kind
         self.node_id = node_id
         self._remote_leg = None
-        for listener in list(self._rebind_listeners):
-            listener(self)
 
     def invoke(self, member: str, *args: Any, **kwargs: Any) -> Any:
         """Dispatch one member invocation, bracketed by the handle's chain.
@@ -245,11 +239,6 @@ class Proxy:
 def metaobject_of(handle: Any) -> Optional[Metaobject]:
     """Return the metaobject backing ``handle``, or None for plain objects."""
     return getattr(handle, "__meta__", None)
-
-
-def is_redirected(handle: Any) -> bool:
-    """True when ``handle`` is a rebindable (dynamic-distribution) handle."""
-    return metaobject_of(handle) is not None
 
 
 def unwrap(handle: Any) -> Any:

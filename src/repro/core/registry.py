@@ -16,7 +16,7 @@ their globals there, which is how a method of class ``X`` can call
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, Optional
+from typing import Any, Dict
 
 from repro._errors import UnknownClassError
 from repro.core.generator import ClassArtifacts
@@ -48,9 +48,6 @@ class TransformationRegistry:
         except KeyError as exc:
             raise UnknownClassError(class_name) from exc
 
-    def get(self, class_name: str) -> Optional[ClassArtifacts]:
-        return self._by_class.get(class_name)
-
     def class_for_interface(self, interface_name: str) -> str:
         try:
             return self._class_by_interface[interface_name]
@@ -70,14 +67,5 @@ class TransformationRegistry:
     def __contains__(self, class_name: str) -> bool:
         return class_name in self._by_class
 
-    def __iter__(self) -> Iterator[ClassArtifacts]:
-        return iter(self._by_class.values())
-
-    def __len__(self) -> int:
-        return len(self._by_class)
-
     def class_names(self) -> set[str]:
         return set(self._by_class)
-
-    def interface_names(self) -> set[str]:
-        return set(self._class_by_interface)

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import Any, Iterable, Mapping, Optional, Sequence
 
-from repro._errors import TransformationError
+from repro._errors import PolicyError, TransformationError
 from repro.core import codegen
 from repro.core.analyzer import AnalysisResult, TransformabilityAnalyzer
 from repro.core.classmodel import ClassModel, ClassUniverse
@@ -85,18 +85,6 @@ class TransformedApplication:
     def class_factory(self, class_name: str) -> type:
         return self.artifacts(class_name).class_factory
 
-    def interface(self, class_name: str) -> type:
-        return self.artifacts(class_name).instance_interface_cls
-
-    def class_interface(self, class_name: str) -> type:
-        return self.artifacts(class_name).class_interface_cls
-
-    def local_class(self, class_name: str) -> type:
-        return self.artifacts(class_name).local_cls
-
-    def proxy_class(self, class_name: str, transport: str, kind: str = "instance") -> type:
-        return self.artifacts(class_name).proxy_for(transport, kind)
-
     def transformed_classes(self) -> set[str]:
         return self.registry.class_names()
 
@@ -110,13 +98,6 @@ class TransformedApplication:
     def new(self, class_name: str, *args: Any, **kwargs: Any) -> Any:
         """Create an instance via the object factory (policy applies)."""
         return self.factory(class_name).create(*args, **kwargs)
-
-    def new_local(self, class_name: str, *args: Any, **kwargs: Any) -> Any:
-        """Create a purely local instance, bypassing the placement policy."""
-        artifacts = self.artifacts(class_name)
-        instance = artifacts.local_cls()
-        artifacts.object_factory.init(instance, *args, **kwargs)
-        return instance
 
     def statics(self, class_name: str) -> Any:
         """The implementation of the class's static members (policy applies)."""
@@ -379,13 +360,6 @@ class TransformedApplication:
         """Every rebindable handle the factories have produced so far."""
         return list(self._handles)
 
-    def handles_for(self, class_name: str) -> list[Any]:
-        return [
-            handle
-            for handle in self._handles
-            if getattr(handle, "_repro_class_name", None) == class_name
-        ]
-
 
 class ApplicationTransformer:
     """Transforms a set of ordinary classes into a flexible application."""
@@ -430,6 +404,7 @@ class ApplicationTransformer:
             for model in models:
                 if model.name not in substitutable:
                     analysis.require_transformable(model.name)
+        self._check_remote_transports(sorted(substitutable))
 
         registry = TransformationRegistry()
         application = TransformedApplication(
@@ -478,6 +453,24 @@ class ApplicationTransformer:
 
     # ------------------------------------------------------------------
 
+    def _check_remote_transports(self, class_names: Iterable[str]) -> None:
+        """Refuse a remote placement over a transport with no generated proxy.
+
+        Only remote decisions need a proxy: a local one carries the default
+        transport whatever ``transports`` says, and never uses it.
+        """
+        for name in class_names:
+            for decision in (
+                self.policy.instance_decision(name),
+                self.policy.static_decision(name),
+            ):
+                if decision.is_remote and decision.transport not in self.transport_names:
+                    raise PolicyError(
+                        f"class {name!r} is placed on {decision.node_id!r} via transport "
+                        f"{decision.transport!r}, which has no generated proxy "
+                        f"(transports: {', '.join(self.transport_names)})"
+                    )
+
     @staticmethod
     def _as_model(entry: type | ClassModel) -> ClassModel:
         if isinstance(entry, ClassModel):
@@ -487,14 +480,3 @@ class ApplicationTransformer:
         raise TransformationError(
             f"cannot transform {entry!r}: expected a class or a ClassModel"
         )
-
-
-def transform_application(
-    classes: Iterable[type | ClassModel],
-    policy: Optional[DistributionPolicy] = None,
-    transports: Sequence[str] = DEFAULT_TRANSPORTS,
-    **kwargs,
-) -> TransformedApplication:
-    """Convenience wrapper: transform ``classes`` in one call."""
-    transformer = ApplicationTransformer(policy=policy, transports=transports, **kwargs)
-    return transformer.transform(classes)

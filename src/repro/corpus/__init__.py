@@ -4,7 +4,6 @@ from repro.corpus.analysis import (
     PackageBreakdown,
     SensitivityPoint,
     StudyResult,
-    run_jdk_study,
     run_study,
     user_code_sensitivity,
 )
@@ -14,7 +13,6 @@ from repro.corpus.jdk_model import (
     JDK_1_4_1_PROFILES,
     PackageProfile,
     descriptors_to_models,
-    total_profile_classes,
 )
 
 __all__ = [
@@ -28,8 +26,6 @@ __all__ = [
     "descriptors_to_models",
     "generate_corpus",
     "generate_user_code",
-    "run_jdk_study",
     "run_study",
-    "total_profile_classes",
     "user_code_sensitivity",
 ]

@@ -12,11 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from repro.core.analyzer import (
-    AnalysisResult,
-    NonTransformableReason,
-    TransformabilityAnalyzer,
-)
+from repro.core.analyzer import AnalysisResult, TransformabilityAnalyzer
 from repro.core.classmodel import ClassUniverse
 from repro.corpus.generator import Corpus, generate_corpus, generate_user_code
 from repro.corpus.jdk_model import ClassDescriptor, descriptors_to_models
@@ -60,18 +56,6 @@ class StudyResult:
             )
         }
 
-    def summary(self) -> dict:
-        return {
-            "classes": self.corpus_size,
-            "non_transformable": self.non_transformable,
-            "percent_non_transformable": round(self.percent_non_transformable, 1),
-            "per_package": {
-                breakdown.package: round(100.0 * breakdown.fraction, 1)
-                for breakdown in self.packages
-            },
-            "reasons": self.reasons(),
-        }
-
 
 def run_study(
     corpus: Corpus, extra_descriptors: Sequence[ClassDescriptor] = ()
@@ -107,11 +91,6 @@ def run_study(
         analysis=analysis,
         packages=breakdowns,
     )
-
-
-def run_jdk_study(seed: int = 1414) -> StudyResult:
-    """Generate the default JDK-like corpus and run the study on it."""
-    return run_study(generate_corpus(seed=seed))
 
 
 @dataclass
@@ -163,18 +142,3 @@ def user_code_sensitivity(
             )
         )
     return points
-
-
-def reasons_in_direct_seed(result: StudyResult) -> dict[str, int]:
-    """How many corpus classes were excluded by each *direct* rule."""
-    histogram: dict[str, int] = {}
-    for reason in (
-        NonTransformableReason.NATIVE_METHODS,
-        NonTransformableReason.SPECIAL_CLASS,
-    ):
-        histogram[str(reason)] = sum(
-            1
-            for reasons in result.analysis.non_transformable.values()
-            if reason in reasons
-        )
-    return histogram

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 from repro._errors import CorpusError
 from repro.corpus.jdk_model import (
@@ -33,29 +33,11 @@ class Corpus:
     def __len__(self) -> int:
         return len(self.descriptors)
 
-    def by_package(self) -> dict[str, list[ClassDescriptor]]:
-        packages: dict[str, list[ClassDescriptor]] = {}
-        for descriptor in self.descriptors:
-            packages.setdefault(descriptor.package, []).append(descriptor)
-        return packages
-
     def names(self) -> set[str]:
         return {descriptor.name for descriptor in self.descriptors}
 
-    def get(self, name: str) -> Optional[ClassDescriptor]:
-        for descriptor in self.descriptors:
-            if descriptor.name == name:
-                return descriptor
-        return None
-
     def native_class_count(self) -> int:
         return sum(1 for descriptor in self.descriptors if descriptor.has_native_methods)
-
-    def throwable_class_count(self) -> int:
-        return sum(1 for descriptor in self.descriptors if descriptor.is_throwable)
-
-    def interface_count(self) -> int:
-        return sum(1 for descriptor in self.descriptors if descriptor.is_interface)
 
 
 def _class_name(package: str, index: int) -> str:

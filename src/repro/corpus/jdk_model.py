@@ -14,7 +14,7 @@ so on), mirroring the composition of JDK 1.4.1.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 from repro.core.classmodel import ClassModel
 from repro.core.introspect import class_model_from_descriptor
@@ -152,11 +152,6 @@ JDK_1_4_1_PROFILES: tuple[PackageProfile, ...] = (
         internal_references=2.0, dependencies={"org.omg": 1.0},
     ),
 )
-
-
-def total_profile_classes(profiles: Sequence[PackageProfile] = JDK_1_4_1_PROFILES) -> int:
-    """Total number of classes the given profiles describe."""
-    return sum(profile.class_count for profile in profiles)
 
 
 def descriptors_to_models(descriptors: Iterable[ClassDescriptor]) -> list[ClassModel]:

@@ -1,6 +1,6 @@
 """Simulated network substrate: clock, links, failures and traffic metrics."""
 
-from repro.network.clock import SimClock, Stopwatch, Timeline
+from repro.network.clock import SimClock
 from repro.network.failures import FailureModel, NoFailures
 from repro.network.heartbeat import HeartbeatDetector, NodeHealth
 from repro.network.metrics import LinkMetrics, NetworkMetrics
@@ -24,7 +24,5 @@ __all__ = [
     "NodeHealth",
     "SimClock",
     "SimulatedNetwork",
-    "Stopwatch",
-    "Timeline",
     "WAN_LINK",
 ]

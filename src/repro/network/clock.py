@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
 
@@ -33,7 +33,6 @@ class SimClock:
     """A monotonically advancing simulated clock measured in seconds."""
 
     now: float = 0.0
-    _listeners: List[Callable[[float, float], None]] = field(default_factory=list)
 
     def advance(self, seconds: float) -> float:
         """Advance simulated time by ``seconds`` (negative values are ignored)."""
@@ -49,18 +48,8 @@ class SimClock:
         precisely the instant it was scheduled for.
         """
         if timestamp > self.now:
-            previous = self.now
             self.now = timestamp
-            for listener in self._listeners:
-                listener(previous, timestamp)
         return self.now
-
-    def reset(self) -> None:
-        self.now = 0.0
-
-    def on_advance(self, listener: Callable[[float, float], None]) -> None:
-        """Register a listener called with (previous, new) time on every advance."""
-        self._listeners.append(listener)
 
 
 class EventQueue:
@@ -98,11 +87,6 @@ class EventQueue:
         fire_time = max(timestamp, self.clock.now)
         heapq.heappush(self._heap, (fire_time, next(self._sequence), callback))
         return fire_time
-
-    @property
-    def pending(self) -> int:
-        """Number of events waiting to fire."""
-        return len(self._heap)
 
     def next_fire_time(self) -> Optional[float]:
         """Timestamp of the earliest pending event, or ``None`` when idle."""
@@ -155,48 +139,5 @@ class EventQueue:
             fired += 1
         return fired
 
-    def clear(self) -> None:
-        """Drop every pending event without firing it."""
-        self._heap.clear()
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<EventQueue pending={len(self._heap)} now={self.clock.now:.6f}>"
-
-
-class Stopwatch:
-    """Measures elapsed *simulated* time between two points."""
-
-    def __init__(self, clock: SimClock) -> None:
-        self._clock = clock
-        self._started_at = clock.now
-
-    def restart(self) -> None:
-        self._started_at = self._clock.now
-
-    @property
-    def elapsed(self) -> float:
-        return self._clock.now - self._started_at
-
-
-class Timeline:
-    """Records (timestamp, label) events against a simulated clock.
-
-    Used by the benchmarks to reconstruct time series (e.g. throughput before
-    and after an adaptive redistribution).
-    """
-
-    def __init__(self, clock: SimClock) -> None:
-        self._clock = clock
-        self.events: List[Tuple[float, str]] = []
-
-    def record(self, label: str) -> None:
-        self.events.append((self._clock.now, label))
-
-    def events_labelled(self, label: str) -> List[float]:
-        return [timestamp for timestamp, event in self.events if event == label]
-
-    def between(self, start: float, end: float) -> List[Tuple[float, str]]:
-        return [(t, label) for t, label in self.events if start <= t <= end]
-
-    def clear(self) -> None:
-        self.events.clear()

@@ -86,10 +86,6 @@ class FailureModel:
             return False
         return self._random.random() < self.drop_probability
 
-    def reset(self) -> None:
-        self._partitioned_pairs.clear()
-        self._down_nodes.clear()
-
 
 class NoFailures(FailureModel):
     """A failure model that never fails anything (the default)."""

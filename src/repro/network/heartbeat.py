@@ -146,26 +146,14 @@ class HeartbeatDetector:
         except ValueError:
             pass
 
-    def listener_count(self) -> int:
-        """Total registered failure + recovery listeners (leak checks)."""
-        return len(self._failure_listeners) + len(self._recovery_listeners)
-
     # ------------------------------------------------------------------
     # status
     # ------------------------------------------------------------------
-
-    def health(self, node_id: str) -> NodeHealth:
-        """The health record of one watched node."""
-        return self._health[node_id]
 
     def is_down(self, node_id: str) -> bool:
         """Whether the detector currently considers ``node_id`` down."""
         record = self._health.get(node_id)
         return record.down if record is not None else False
-
-    def down_nodes(self) -> list[str]:
-        """Every watched node currently declared down."""
-        return [node for node, record in self._health.items() if record.down]
 
     def quorum_view(self, voters: "List[str]") -> int:
         """How many of ``voters`` this monitor currently believes are alive.

@@ -70,12 +70,6 @@ class LinkMetrics:
             return 0.0
         return self.total_latency / self.messages
 
-    @property
-    def mean_message_size(self) -> float:
-        if self.messages == 0:
-            return 0.0
-        return self.bytes_sent / self.messages
-
 
 class NetworkMetrics:
     """Aggregated metrics for a whole simulated network."""
@@ -128,11 +122,6 @@ class NetworkMetrics:
         """Deepest transmission backlog observed on any link."""
         return max(
             (link.max_queue_depth for link in self._links.values()), default=0
-        )
-
-    def messages_from(self, source: str) -> int:
-        return sum(
-            link.messages for (src, _), link in self._links.items() if src == source
         )
 
     def messages_between(self, source: str, destination: str) -> int:

@@ -156,11 +156,6 @@ class ServicePool:
             return math.inf
         return self.workers / self.service_time
 
-    @property
-    def queue_depth(self) -> int:
-        """Requests admitted but still waiting for a worker."""
-        return self._waiting
-
     def admit(self, now: float) -> float:
         """Reserve a worker for one request arriving at ``now``.
 
@@ -264,15 +259,6 @@ class SimulatedNetwork:
         """Attach a node's request handler to the network."""
         self._handlers[node_id] = handler
 
-    def unregister(self, node_id: str) -> None:
-        self._handlers.pop(node_id, None)
-
-    def nodes(self) -> set[str]:
-        return set(self._handlers)
-
-    def is_registered(self, node_id: str) -> bool:
-        return node_id in self._handlers
-
     @property
     def default_link(self) -> LinkConfig:
         """The configuration of every link :meth:`set_link` has not overridden."""
@@ -313,10 +299,6 @@ class SimulatedNetwork:
             self._pools.pop(node_id, None)
         else:
             self._pools[node_id] = pool
-
-    def service_pool(self, node_id: str) -> Optional[ServicePool]:
-        """The bounded service pool installed on ``node_id``, if any."""
-        return self._pools.get(node_id)
 
     def _link(self, source: str, destination: str) -> _Link:
         """The record of the ``source -> destination`` link, created on first use."""

@@ -69,16 +69,6 @@ class Span:
         self.attrs: Dict[str, Any] = attrs or {}
         self.events: List[Tuple[str, float, Dict[str, Any]]] = []
 
-    @property
-    def duration(self) -> float:
-        if self.end is None:
-            raise ValueError(f"span {self.span_id!r} ({self.name!r}) is still open")
-        return self.end - self.start
-
-    @property
-    def closed(self) -> bool:
-        return self.end is not None
-
     def add_event(self, name: str, ts: float, **attrs: Any) -> None:
         self.events.append((name, ts, attrs))
 
@@ -332,10 +322,6 @@ class Tracer:
     # ------------------------------------------------------------------
     # accounting
     # ------------------------------------------------------------------
-
-    @property
-    def open_count(self) -> int:
-        return self.spans_started - self.spans_ended
 
 
 def trace_refs_from_contexts(contexts: Iterable[Optional[Dict[str, Any]]]) -> List[Tuple[str, str]]:

@@ -42,9 +42,6 @@ class GraphSnapshot:
     def object_count(self) -> int:
         return len(self.objects)
 
-    def classes(self) -> set[str]:
-        return {entry["class"] for entry in self.objects.values()}
-
     def to_dict(self) -> dict:
         return {"objects": self.objects, "roots": self.roots}
 

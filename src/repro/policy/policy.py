@@ -16,7 +16,7 @@ redistribution of experiment E8).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, Mapping, Optional
 
 from repro._errors import PolicyError
@@ -49,9 +49,6 @@ class PlacementDecision:
     @property
     def is_remote(self) -> bool:
         return self.kind == KIND_REMOTE
-
-    def with_node(self, node_id: str) -> "PlacementDecision":
-        return replace(self, kind=KIND_REMOTE, node_id=node_id)
 
 
 #: Decisions reused throughout the tests and examples.
@@ -102,9 +99,6 @@ class DistributionPolicy:
     def default(self) -> ClassPolicy:
         return self._default
 
-    def set_default(self, entry: ClassPolicy) -> None:
-        self._default = entry
-
     def set_class(
         self,
         class_name: str,
@@ -128,11 +122,6 @@ class DistributionPolicy:
     def place_statics(self, class_name: str, decision: PlacementDecision) -> None:
         entry = self._entry_for_update(class_name)
         entry.statics = decision
-
-    def exclude(self, class_name: str) -> None:
-        """Mark a class as not substitutable (never transformed/substituted)."""
-        entry = self._entry_for_update(class_name)
-        entry.substitutable = False
 
     def _entry_for_update(self, class_name: str) -> ClassPolicy:
         if class_name not in self._entries:
@@ -164,13 +153,6 @@ class DistributionPolicy:
     def excluded_classes(self) -> set[str]:
         return {
             name for name, entry in self._entries.items() if not entry.substitutable
-        }
-
-    def remote_classes(self) -> set[str]:
-        return {
-            name
-            for name, entry in self._entries.items()
-            if entry.instances.is_remote or entry.statics.is_remote
         }
 
     # -- composition --------------------------------------------------------------

@@ -2,12 +2,7 @@
 
 from repro.runtime.address_space import AddressSpace
 from repro.runtime.batching import BatchingProxy
-from repro.runtime.cluster import (
-    Cluster,
-    default_transport_registry,
-    lan_cluster,
-    single_node_cluster,
-)
+from repro.runtime.cluster import Cluster, default_transport_registry
 from repro.runtime.faulttolerance import (
     NO_RETRY,
     FailureLog,
@@ -55,7 +50,5 @@ __all__ = [
     "apply_state",
     "snapshot_state",
     "default_transport_registry",
-    "lan_cluster",
     "reference_of",
-    "single_node_cluster",
 ]

@@ -200,11 +200,6 @@ class AddressSpace:
         """
         self.network.set_service_pool(self.node_id, pool)
 
-    @property
-    def service_pool(self) -> Any:
-        """This node's installed service pool, or ``None`` when unbounded."""
-        return self.network.service_pool(self.node_id)
-
     # ------------------------------------------------------------------
     # Object table
     # ------------------------------------------------------------------
@@ -242,17 +237,11 @@ class AddressSpace:
                 f"object {object_id!r} is not exported by node {self.node_id!r}"
             ) from exc
 
-    def is_exported(self, implementation: Any) -> bool:
-        return id(implementation) in self._exported_refs
-
     def reference_for(self, implementation: Any) -> Optional[RemoteRef]:
         return self._exported_refs.get(id(implementation))
 
     def exported_objects(self) -> Dict[str, Any]:
         return dict(self._objects)
-
-    def object_count(self) -> int:
-        return len(self._objects)
 
     # ------------------------------------------------------------------
     # Dispatch hooks (used by the application to track the executing node)
@@ -810,12 +799,6 @@ class AddressSpace:
             return response_dict(error=exc), exc
 
     # ------------------------------------------------------------------
-
-    def shutdown(self) -> None:
-        """Detach this space from the network and drop its object table."""
-        self.network.unregister(self.node_id)
-        self._objects.clear()
-        self._exported_refs.clear()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<AddressSpace {self.node_id!r} objects={len(self._objects)}>"

@@ -412,12 +412,6 @@ class ResultCache:
     def __len__(self) -> int:
         return len(self._entries)
 
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of lookups served locally (0.0 before any lookup)."""
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"<ResultCache entries={len(self._entries)} hits={self.hits} "
@@ -501,10 +495,6 @@ class CacheManager:
         self._caches.append(cache)
         return cache
 
-    def caches(self) -> List[ResultCache]:
-        """Every cache created through this manager."""
-        return list(self._caches)
-
     def close(self) -> None:
         """Detach from the address space and drop every cache (idempotent)."""
         if self._closed:
@@ -514,11 +504,6 @@ class CacheManager:
         for cache in self._caches:
             cache.clear()
         self._subscriptions.clear()
-
-    @property
-    def closed(self) -> bool:
-        """Whether :meth:`close` has run."""
-        return self._closed
 
     # ------------------------------------------------------------------
     # shared coherence state
@@ -598,31 +583,8 @@ class CacheManager:
                     "cache-inv", ts=self.now(), object=object_id, node=self.space.node_id
                 )
 
-    # ------------------------------------------------------------------
-    # aggregate statistics (consumed by benchmarks)
-    # ------------------------------------------------------------------
-
-    @property
-    def hits(self) -> int:
-        """Total hits across every cache."""
-        return sum(cache.hits for cache in self._caches)
-
-    @property
-    def misses(self) -> int:
-        """Total misses across every cache."""
-        return sum(cache.misses for cache in self._caches)
-
-    @property
-    def hit_rate(self) -> float:
-        """Aggregate fraction of lookups served locally."""
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"<CacheManager node={self.space.node_id!r} caches={len(self._caches)} "
-            f"hit_rate={self.hit_rate:.2f}>"
-        )
+        return f"<CacheManager node={self.space.node_id!r} caches={len(self._caches)}>"
 
 
 class CoherenceEndpoint:

@@ -89,9 +89,6 @@ class Cluster:
     def __contains__(self, node_id: str) -> bool:
         return node_id in self._spaces
 
-    def __len__(self) -> int:
-        return len(self._spaces)
-
     def set_service_pool(
         self,
         node_id: str,
@@ -120,35 +117,5 @@ class Cluster:
 
     # ------------------------------------------------------------------
 
-    def add_node(self, node_id: str, default_transport: str = "rmi") -> AddressSpace:
-        """Add a node to a running cluster (the environment can grow)."""
-        if node_id in self._spaces:
-            raise ValueError(f"node {node_id!r} already exists")
-        space = AddressSpace(
-            node_id, self.network, self.transports, default_transport=default_transport
-        )
-        self._spaces[node_id] = space
-        return space
-
-    def remove_node(self, node_id: str) -> None:
-        space = self._spaces.pop(node_id, None)
-        if space is not None:
-            space.shutdown()
-
-    def shutdown(self) -> None:
-        for space in self._spaces.values():
-            space.shutdown()
-        self._spaces.clear()
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Cluster nodes={sorted(self._spaces)}>"
-
-
-def single_node_cluster(node_id: str = "local") -> Cluster:
-    """A cluster with one address space: the single-address-space deployment."""
-    return Cluster((node_id,))
-
-
-def lan_cluster(count: int = 3, prefix: str = "node") -> Cluster:
-    """A LAN-like cluster with ``count`` nodes named ``<prefix>-<i>``."""
-    return Cluster(tuple(f"{prefix}-{index}" for index in range(count)))

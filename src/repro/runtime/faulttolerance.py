@@ -111,20 +111,6 @@ class FailureLog:
     def total_failures(self) -> int:
         return len(self.records)
 
-    @property
-    def recovered_failures(self) -> int:
-        return sum(1 for record in self.records if record.recovered)
-
-    @property
-    def unrecovered_failures(self) -> int:
-        return self.total_failures - self.recovered_failures
-
-    def failures_for(self, member: str) -> list[FailureRecord]:
-        return [record for record in self.records if record.member == member]
-
-    def clear(self) -> None:
-        self.records.clear()
-
 
 class FaultTolerantInvoker:
     """Synchronous remote invocation with retries, backoff and failure accounting.

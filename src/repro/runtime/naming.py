@@ -32,12 +32,6 @@ class NamingService:
         self._bindings: Dict[str, RemoteRef] = {}
         self._rebind_listeners: List[RebindListener] = []
 
-    def bind(self, name: str, reference: RemoteRef) -> None:
-        """Bind ``name`` to ``reference``; rebinding an existing name fails."""
-        if name in self._bindings:
-            raise NamingError(f"name {name!r} is already bound")
-        self._bindings[name] = reference
-
     def rebind(self, name: str, reference: RemoteRef) -> None:
         """Bind ``name`` to ``reference``, replacing any previous binding."""
         previous = self._bindings.get(name)
@@ -62,10 +56,6 @@ class NamingService:
         except ValueError:
             pass
 
-    def rebind_listener_count(self) -> int:
-        """How many rebind listeners are currently registered (leak checks)."""
-        return len(self._rebind_listeners)
-
     def lookup(self, name: str) -> RemoteRef:
         try:
             return self._bindings[name]
@@ -85,6 +75,3 @@ class NamingService:
 
     def __contains__(self, name: str) -> bool:
         return name in self._bindings
-
-    def __len__(self) -> int:
-        return len(self._bindings)

@@ -390,11 +390,6 @@ class PipelineScheduler:
     # ------------------------------------------------------------------
 
     @property
-    def in_flight(self) -> int:
-        """Number of batches currently awaiting their response event."""
-        return self._in_flight
-
-    @property
     def outstanding(self) -> int:
         """Number of submitted futures not yet resolved or failed."""
         return self._outstanding
@@ -413,11 +408,6 @@ class PipelineScheduler:
         if self.depth_samples == 0:
             return 1.0
         return max(1.0, self._depth_sample_sum / self.depth_samples)
-
-    @property
-    def stopped(self) -> bool:
-        """Whether :meth:`stop` has retired this scheduler."""
-        return self._stopped
 
     def stop(self) -> None:
         """Retire the scheduler: nothing ships after this (idempotent).
@@ -704,13 +694,6 @@ class PipelineScheduler:
     # ------------------------------------------------------------------
     # context manager
     # ------------------------------------------------------------------
-
-    def __enter__(self) -> "PipelineScheduler":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        if exc_type is None:
-            self.drain()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

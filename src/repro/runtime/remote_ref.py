@@ -69,9 +69,6 @@ class RemoteRef:
     def located_on(self, node_id: str) -> bool:
         return self.node_id == node_id
 
-    def with_node(self, node_id: str) -> "RemoteRef":
-        return RemoteRef(self.object_id, node_id, self.interface_name)
-
     def __str__(self) -> str:  # pragma: no cover - trivial
         return f"{self.interface_name}@{self.object_id}"
 

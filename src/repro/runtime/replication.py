@@ -484,13 +484,6 @@ class ReplicaManager:
         )
         return ReplicaRecord(node_id=node_id, endpoint_ref=endpoint_ref, impl=copy)
 
-    def group(self, name: str) -> ReplicaGroup:
-        """The replica group bound to ``name``."""
-        try:
-            return self._groups[name]
-        except KeyError as exc:
-            raise ReplicationError(f"no replica group named {name!r}") from exc
-
     def groups(self) -> List[ReplicaGroup]:
         """Every replica group this manager maintains."""
         return list(self._groups.values())

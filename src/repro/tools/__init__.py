@@ -21,7 +21,6 @@ from repro.tools.deployment import (
     LinkSpec,
     NodeSpec,
     deployment_from_dict,
-    deployment_from_json,
 )
 from repro.tools.recommend import (
     ClassAffinity,
@@ -40,7 +39,6 @@ __all__ = [
     "PlacementRecommender",
     "application_report",
     "deployment_from_dict",
-    "deployment_from_json",
     "profile_and_recommend",
     "traffic_report",
 ]

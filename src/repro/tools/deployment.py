@@ -8,7 +8,7 @@ descriptors — a laptop-only configuration, a two-tier LAN, a WAN split —
 without touching application code, which is exactly the flexibility the paper
 argues current middleware lacks.
 
-Example JSON::
+Example (the dictionary form, written as JSON)::
 
     {
         "nodes": [{"id": "client"}, {"id": "server", "default_transport": "rmi"}],
@@ -27,10 +27,8 @@ Example JSON::
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence
 
 from repro._errors import PolicyError
 from repro.network.simnet import LAN_LINK, LinkConfig, SimulatedNetwork
@@ -168,9 +166,6 @@ class DeploymentDescriptor:
             "policy": policy_to_dict(self.policy),
         }
 
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-
 
 def deployment_from_dict(config: Mapping) -> DeploymentDescriptor:
     """Build a :class:`DeploymentDescriptor` from its dictionary form."""
@@ -196,20 +191,3 @@ def deployment_from_dict(config: Mapping) -> DeploymentDescriptor:
         links=links,
         policy=policy,
     )
-
-
-def deployment_from_json(text: str) -> DeploymentDescriptor:
-    try:
-        config = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise PolicyError(f"invalid deployment JSON: {exc}") from exc
-    return deployment_from_dict(config)
-
-
-def deployment_from_file(path: Union[str, Path]) -> DeploymentDescriptor:
-    path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise PolicyError(f"cannot read deployment file {path}: {exc}") from exc
-    return deployment_from_json(text)

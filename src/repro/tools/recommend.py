@@ -11,9 +11,6 @@ class, how many calls arrived from each node and derives
 * optionally a full :class:`~repro.policy.policy.DistributionPolicy` that can
   be fed straight back into :meth:`TransformedApplication.deploy` or captured
   to JSON with :func:`repro.policy.loader.policy_to_dict`.
-
-The affinity structure is also exposed as a :mod:`networkx` bipartite graph
-(classes vs nodes, edge weight = observed calls) for richer analyses.
 """
 
 from __future__ import annotations
@@ -21,8 +18,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional
-
-import networkx
 
 from repro.policy.adaptive import AdaptiveDistributionManager, class_name_of
 from repro.policy.policy import DistributionPolicy, all_local_policy, remote
@@ -75,19 +70,6 @@ class PlacementRecommendation:
             decision = remote(node_id, transport=transport, dynamic=dynamic)
             policy.set_class(class_name, instances=decision, statics=decision)
         return policy
-
-    def affinity_graph(self) -> "networkx.Graph":
-        """A bipartite graph: class nodes and cluster nodes, weighted by calls."""
-        graph = networkx.Graph()
-        for affinity in self.affinities.values():
-            graph.add_node(affinity.class_name, kind="class")
-            for node_id, calls in affinity.calls_per_node.items():
-                graph.add_node(node_id, kind="node")
-                existing = graph.get_edge_data(affinity.class_name, node_id, {"weight": 0})
-                graph.add_edge(
-                    affinity.class_name, node_id, weight=existing["weight"] + calls
-                )
-        return graph
 
     def describe(self) -> str:
         lines = ["placement recommendation:"]
@@ -155,9 +137,6 @@ class PlacementRecommender:
         return PlacementRecommendation(
             placement=placement, affinities=affinities, undecided=undecided
         )
-
-    def reset(self) -> None:
-        self._manager.reset_window()
 
 
 def profile_and_recommend(

@@ -4,7 +4,6 @@ from repro.transports.base import (
     BATCH_FRAME_MARKER,
     Transport,
     TransportRegistry,
-    frame_batch_message,
     frame_message,
     parse_frame,
     unframe_message,
@@ -22,7 +21,6 @@ __all__ = [
     "SoapTransport",
     "Transport",
     "TransportRegistry",
-    "frame_batch_message",
     "frame_message",
     "parse_frame",
     "unframe_message",

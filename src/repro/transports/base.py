@@ -221,12 +221,6 @@ class TransportRegistry:
             self._heads[framing.prefix[:-1]] = framing
         return transport
 
-    def get(self, name: str) -> Transport:
-        try:
-            return self._transports[name]
-        except KeyError as exc:
-            raise UnknownTransportError(name, self._transports) from exc
-
     def framing(self, name: str, batch: bool = False) -> Framing:
         """How the transport called ``name`` frames a single call or a batch."""
         try:
@@ -248,9 +242,6 @@ class TransportRegistry:
 
     def names(self) -> set[str]:
         return set(self._transports)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._transports
 
     def __iter__(self):
         return iter(self._transports.values())
@@ -301,11 +292,6 @@ def frame_prefix(transport_name: str, batch: bool = False) -> bytes:
 def frame_message(transport_name: str, body: bytes) -> bytes:
     """Prefix a wire message with the transport that produced it."""
     return frame_prefix(transport_name) + body
-
-
-def frame_batch_message(transport_name: str, body: bytes) -> bytes:
-    """Frame a batched wire message; the prefix carries the batch marker."""
-    return frame_prefix(transport_name, batch=True) + body
 
 
 #: Frame prefixes for heartbeat probes.  Pings travel on the same simulated

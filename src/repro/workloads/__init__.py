@@ -19,7 +19,6 @@ from repro.workloads.orders import (
     Catalog,
     CustomerSession,
     OrderStore,
-    run_order_phase,
 )
 from repro.workloads.pipeline import Buffer, Consumer, Producer, run_pipeline
 from repro.workloads.pipelined_orders import run_sharded_order_scenario
@@ -48,7 +47,6 @@ __all__ = [
     "run_figure1_scenario",
     "run_multi_tenant_scenario",
     "run_open_loop_scenario",
-    "run_order_phase",
     "run_pipeline",
     "run_sharded_order_scenario",
     "zipf_weights",

@@ -114,39 +114,3 @@ def seed_catalog(catalog, product_count: int = 20) -> None:
     """Populate a catalog handle with ``product_count`` products."""
     for index in range(product_count):
         catalog.add_product(f"sku-{index}", 10 + index, 100)
-
-
-def run_order_phase(
-    application,
-    catalog,
-    orders,
-    *,
-    phase: str,
-    node: str,
-    iterations: int = 20,
-) -> dict:
-    """Run one access phase as if the calling code executed on ``node``.
-
-    ``phase`` is ``"browse"`` (catalog-heavy) or ``"fulfil"`` (order-heavy).
-    Returns counters describing what the phase did.
-    """
-
-    placed = 0
-    fulfilled = 0
-    browsed = 0
-    with application.executing_on(node):
-        if phase == "browse":
-            session = application.new("CustomerSession", f"customer@{node}", catalog, orders)
-            for index in range(iterations):
-                session.browse([f"sku-{index % 10}", f"sku-{(index + 3) % 10}"])
-                browsed += 2
-                if index % 4 == 0:
-                    if session.buy(f"sku-{index % 10}", 1) >= 0:
-                        placed += 1
-        elif phase == "fulfil":
-            for order_id in list(orders.pending())[:iterations]:
-                if orders.fulfil(order_id):
-                    fulfilled += 1
-        else:
-            raise ValueError(f"unknown phase {phase!r}")
-    return {"phase": phase, "node": node, "browsed": browsed, "placed": placed, "fulfilled": fulfilled}

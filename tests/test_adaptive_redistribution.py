@@ -12,6 +12,7 @@ from __future__ import annotations
 import pytest
 
 import sample_app
+from local_instances import new_local
 from repro.api.errors import RedistributionError
 from repro.core.transformer import ApplicationTransformer
 from repro.policy.adaptive import AdaptiveDistributionManager
@@ -52,7 +53,7 @@ class TestAccessMonitoring:
     def test_attach_requires_a_dynamic_handle(self, adaptive_setup):
         app, _, _, manager = adaptive_setup
         with pytest.raises(RedistributionError):
-            manager.attach(app.new_local("Y", 1))
+            manager.attach(new_local(app, "Y", 1))
 
     def test_attach_is_idempotent_and_attach_all_covers_handles(self, adaptive_setup):
         app, _, _, manager = adaptive_setup

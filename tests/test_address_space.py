@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 import sample_app
+from local_instances import new_local
 from repro.api.errors import (
     RemoteInvocationError,
     SerializationError,
@@ -12,7 +13,7 @@ from repro.api.errors import (
 )
 from repro.core.transformer import ApplicationTransformer
 from repro.policy.policy import place_classes_on
-from repro.runtime.cluster import Cluster, default_transport_registry, lan_cluster, single_node_cluster
+from repro.runtime.cluster import Cluster, default_transport_registry
 from repro.runtime.remote_ref import RemoteRef
 
 CLASSES = [sample_app.X, sample_app.Y, sample_app.Z]
@@ -30,7 +31,7 @@ class TestExportAndLookup:
     def test_export_assigns_reference_and_registers_object(self, deployed):
         app, cluster = deployed
         server = cluster.space("server")
-        implementation = app.new_local("Y", 1)
+        implementation = new_local(app, "Y", 1)
         reference = server.export(implementation)
         assert reference.node_id == "server"
         assert reference.interface_name == "Y_O_Int"
@@ -39,9 +40,9 @@ class TestExportAndLookup:
     def test_export_is_idempotent_per_object(self, deployed):
         app, cluster = deployed
         server = cluster.space("server")
-        implementation = app.new_local("Y", 1)
+        implementation = new_local(app, "Y", 1)
         assert server.export(implementation) == server.export(implementation)
-        assert server.object_count() == 1
+        assert len(server.exported_objects()) == 1
 
     def test_export_plain_object_uses_type_name(self, deployed):
         _, cluster = deployed
@@ -51,17 +52,17 @@ class TestExportAndLookup:
     def test_unexport_removes_object(self, deployed):
         app, cluster = deployed
         server = cluster.space("server")
-        implementation = app.new_local("Y", 1)
+        implementation = new_local(app, "Y", 1)
         reference = server.export(implementation)
         server.unexport(reference)
         with pytest.raises(UnknownObjectError):
             server.lookup_local_object(reference.object_id)
-        assert not server.is_exported(implementation)
+        assert server.reference_for(implementation) is None
 
     def test_reference_for_exported_object(self, deployed):
         app, cluster = deployed
         server = cluster.space("server")
-        implementation = app.new_local("Y", 1)
+        implementation = new_local(app, "Y", 1)
         reference = server.export(implementation)
         assert server.reference_for(implementation) == reference
         assert server.reference_for(object()) is None
@@ -72,7 +73,7 @@ class TestRemoteInvocation:
         app, cluster = deployed
         server = cluster.space("server")
         client = cluster.space("client")
-        implementation = app.new_local("Y", 10)
+        implementation = new_local(app, "Y", 10)
         reference = server.export(implementation)
         assert client.invoke_remote(reference, "n", (5,)) == 15
         assert server.invocations_served == 1
@@ -81,7 +82,7 @@ class TestRemoteInvocation:
     def test_local_reference_short_circuits(self, deployed):
         app, cluster = deployed
         server = cluster.space("server")
-        implementation = app.new_local("Y", 10)
+        implementation = new_local(app, "Y", 10)
         reference = server.export(implementation)
         before = cluster.metrics.total_messages
         assert server.invoke_remote(reference, "n", (1,)) == 11
@@ -91,7 +92,7 @@ class TestRemoteInvocation:
         app, cluster = deployed
         server = cluster.space("server")
         client = cluster.space("client")
-        implementation = app.new_local("Y", None)  # base None makes n() fail
+        implementation = new_local(app, "Y", None)  # base None makes n() fail
         reference = server.export(implementation)
         with pytest.raises(RemoteInvocationError) as excinfo:
             client.invoke_remote(reference, "n", (1,))
@@ -101,7 +102,7 @@ class TestRemoteInvocation:
         app, cluster = deployed
         server = cluster.space("server")
         client = cluster.space("client")
-        reference = server.export(app.new_local("Y", 1))
+        reference = server.export(new_local(app, "Y", 1))
         with pytest.raises(RemoteInvocationError):
             client.invoke_remote(reference, "no_such_member", ())
 
@@ -116,7 +117,7 @@ class TestRemoteInvocation:
         app, cluster = deployed
         server = cluster.space("server")
         client = cluster.space("client")
-        reference = server.export(app.new_local("Y", 3))
+        reference = server.export(new_local(app, "Y", 3))
         for transport in ("soap", "rmi", "corba", "inproc"):
             assert client.invoke_remote(reference, "n", (4,), transport=transport) == 7
 
@@ -131,7 +132,7 @@ class TestMarshalling:
     def test_transformed_objects_pass_by_reference(self, deployed):
         app, cluster = deployed
         client = cluster.space("client")
-        implementation = app.new_local("Y", 6)
+        implementation = new_local(app, "Y", 6)
         wire = client.marshaller.to_wire(implementation)
         assert wire["__kind__"] == "ref"
         assert wire["node_id"] == "client"
@@ -142,7 +143,7 @@ class TestMarshalling:
         app, cluster = deployed
         server = cluster.space("server")
         client = cluster.space("client")
-        reference = server.export(app.new_local("Y", 6))
+        reference = server.export(new_local(app, "Y", 6))
         resolved = client.marshaller.from_wire(reference.to_wire())
         assert type(resolved).__name__ == "Y_O_Proxy_RMI"
         assert resolved.n(1) == 7
@@ -173,13 +174,8 @@ class TestCluster:
     def test_cluster_creates_connected_spaces(self):
         cluster = Cluster(("a", "b", "c"))
         assert set(cluster.node_ids()) == {"a", "b", "c"}
-        assert len(cluster) == 3
         assert "a" in cluster
         assert cluster.default_node_id == "a"
-
-    def test_single_node_and_lan_helpers(self):
-        assert single_node_cluster().node_ids() == ["local"]
-        assert len(lan_cluster(4)) == 4
 
     def test_unknown_node_lookup(self):
         with pytest.raises(KeyError):
@@ -189,19 +185,5 @@ class TestCluster:
         with pytest.raises(ValueError):
             Cluster(())
 
-    def test_add_and_remove_node(self):
-        cluster = Cluster(("a",))
-        cluster.add_node("b")
-        assert "b" in cluster
-        with pytest.raises(ValueError):
-            cluster.add_node("b")
-        cluster.remove_node("b")
-        assert "b" not in cluster
-
     def test_default_registry_contains_all_transports(self):
         assert default_transport_registry().names() == {"soap", "rmi", "corba", "inproc"}
-
-    def test_shutdown_detaches_spaces(self):
-        cluster = Cluster(("a", "b"))
-        cluster.shutdown()
-        assert len(cluster) == 0

@@ -23,6 +23,7 @@ import random
 import pytest
 
 import sample_app
+from local_instances import new_local
 from repro.api import ServicePolicy, Session
 from repro.api.errors import (
     InvocationError,
@@ -39,8 +40,8 @@ from repro.runtime.remote_ref import RemoteRef
 from repro.runtime.replication import ReplicaManager
 from repro.transports.base import (
     TransportRegistry,
-    frame_batch_message,
     frame_message,
+    frame_prefix,
     frame_subscription,
 )
 from repro.transports.rmi import RmiTransport
@@ -203,16 +204,16 @@ class TestFramingParity:
     def test_a_transformed_argument_travels_as_a_reference(self, path, transport):
         app, cluster, ledger, reference = _deployment()
         caller = cluster.space("server" if path in LOCAL_PATHS else "client")
-        y = app.new_local("Y", 6)
+        y = new_local(app, "Y", 6)
         assert _send(cluster, path, transport, reference, "take", (y,)) == ("value", 7)
         if path in LOCAL_PATHS:
             assert ledger.entries == ["Y_O_Local"]
-            assert not caller.is_exported(y)
+            assert caller.reference_for(y) is None
         else:
             # The server held a proxy and called back through it: two more
             # messages, and the argument is now exported by the caller.
             assert ledger.entries == ["Y_O_Proxy_RMI"]
-            assert caller.is_exported(y)
+            assert caller.reference_for(y) is not None
             assert cluster.metrics.total_messages == 4
 
     @every_path
@@ -246,9 +247,11 @@ class TestFramingParity:
     @pytest.mark.parametrize("path", REMOTE_PATHS)  # co-located: no response frame
     def test_a_response_in_the_other_framing_is_refused(self, path, transport):
         _, cluster, _, _ = _deployment()
-        codec = cluster.space("client").transports.get(transport)
+        codec = cluster.space("client").transports.framing(transport).transport
         if path == "single":
-            answer = frame_batch_message(transport, codec.encode_batch_response([{"result": 1}]))
+            answer = frame_prefix(transport, batch=True) + codec.encode_batch_response(
+                [{"result": 1}]
+            )
         else:
             answer = frame_message(transport, codec.encode_response({"result": 1}))
         cluster.network.register("server", lambda source, payload: answer)
@@ -398,7 +401,7 @@ class TestMalformedTree:
         server = cluster.space("server")
         ledger = Ledger()
         reference = server.export(ledger)
-        codec = server.transports.get(transport)
+        codec = server.transports.framing(transport).transport
 
         def add(argument):
             return {
@@ -410,8 +413,8 @@ class TestMalformedTree:
             payload = frame_message(transport, codec.encode_request(add(MALFORMED_TREES[tree])))
         else:
             # The first call of the batch is well formed and must not run.
-            payload = frame_batch_message(
-                transport, codec.encode_batch_request([add(1), add(MALFORMED_TREES[tree])])
+            payload = frame_prefix(transport, batch=True) + codec.encode_batch_request(
+                [add(1), add(MALFORMED_TREES[tree])]
             )
         with pytest.raises(SerializationError):
             cluster.network.send_request("client", "server", payload)

@@ -101,7 +101,7 @@ class TestRuleFixtures:
 
 class TestEngineBehavior:
     def test_rule_ids_cover_the_documented_set(self):
-        assert default_engine().rule_ids() == sorted(RULE_FIXTURES)
+        assert sorted(rule.id for rule in default_engine().rules) == sorted(RULE_FIXTURES)
 
     def test_select_unknown_rule_raises(self):
         with pytest.raises(KeyError):

@@ -10,8 +10,6 @@ from repro.api.errors import NotTransformableError
 from repro.core.analyzer import (
     NonTransformableReason,
     TransformabilityAnalyzer,
-    analyse_classes,
-    substitutable_classes,
 )
 from repro.core.introspect import class_model_from_descriptor, class_model_from_python
 
@@ -20,14 +18,18 @@ def _models(*classes):
     return [class_model_from_python(cls) for cls in classes]
 
 
+def _analyse(models):
+    return TransformabilityAnalyzer(models).analyse()
+
+
 class TestDirectRules:
     def test_native_methods_exclude_a_class(self):
-        result = analyse_classes(_models(sample_unsupported.NativeIO))
+        result = _analyse(_models(sample_unsupported.NativeIO))
         assert not result.is_transformable("NativeIO")
         assert NonTransformableReason.NATIVE_METHODS in result.reasons_for("NativeIO")
 
     def test_exception_classes_are_special(self):
-        result = analyse_classes(_models(sample_unsupported.ProtocolError))
+        result = _analyse(_models(sample_unsupported.ProtocolError))
         assert not result.is_transformable("ProtocolError")
         assert NonTransformableReason.SPECIAL_CLASS in result.reasons_for("ProtocolError")
 
@@ -46,18 +48,18 @@ class TestDirectRules:
         assert not result.is_transformable("CleanHelper")
 
     def test_clean_class_is_transformable(self):
-        result = analyse_classes(_models(sample_unsupported.CleanHelper))
+        result = _analyse(_models(sample_unsupported.CleanHelper))
         assert result.is_transformable("CleanHelper")
 
     def test_sample_application_fully_transformable(self):
-        result = analyse_classes(_models(sample_app.X, sample_app.Y, sample_app.Z))
+        result = _analyse(_models(sample_app.X, sample_app.Y, sample_app.Z))
         for name in ("X", "Y", "Z"):
             assert result.is_transformable(name)
 
 
 class TestClosureRules:
     def test_superclass_of_non_transformable_is_poisoned(self):
-        result = analyse_classes(
+        result = _analyse(
             _models(sample_unsupported.BaseDevice, sample_unsupported.RawDevice)
         )
         assert not result.is_transformable("RawDevice")
@@ -68,7 +70,7 @@ class TestClosureRules:
         )
 
     def test_classes_referenced_by_non_transformable_are_poisoned(self):
-        result = analyse_classes(
+        result = _analyse(
             _models(sample_unsupported.NativeIO, sample_unsupported.Codec)
         )
         assert not result.is_transformable("Codec")
@@ -79,8 +81,8 @@ class TestClosureRules:
 
     def test_references_from_transformable_classes_do_not_poison(self):
         # X references Y and Z; all three are clean, so references are harmless.
-        result = analyse_classes(_models(sample_app.X, sample_app.Y, sample_app.Z))
-        assert result.fraction_non_transformable == 0.0
+        result = _analyse(_models(sample_app.X, sample_app.Y, sample_app.Z))
+        assert not result.non_transformable
 
     def test_closure_is_transitive(self):
         a = class_model_from_descriptor("A", native_methods=["jni"])
@@ -88,7 +90,7 @@ class TestClosureRules:
         c = class_model_from_descriptor("C")
         a.referenced_types.add("B")
         b.referenced_types.add("C")
-        result = analyse_classes([a, b, c])
+        result = _analyse([a, b, c])
         assert not result.is_transformable("B")
         assert not result.is_transformable("C")
 
@@ -96,13 +98,13 @@ class TestClosureRules:
         grandparent = class_model_from_descriptor("GrandParent")
         parent = class_model_from_descriptor("Parent", superclass="GrandParent")
         child = class_model_from_descriptor("Child", superclass="Parent", native_methods=["jni"])
-        result = analyse_classes([grandparent, parent, child])
+        result = _analyse([grandparent, parent, child])
         assert not result.is_transformable("Parent")
         assert not result.is_transformable("GrandParent")
 
     def test_unknown_references_are_assumed_non_transformable(self):
         model = class_model_from_descriptor("App", references=["MysteryLib"])
-        result = analyse_classes([model])
+        result = _analyse([model])
         assert not result.is_transformable("MysteryLib")
         assert NonTransformableReason.UNKNOWN_DEFINITION in result.reasons_for("MysteryLib")
         # The referencing class itself is unaffected (the edge points outwards).
@@ -118,7 +120,7 @@ class TestClosureRules:
 
 class TestAnalysisResult:
     def _result(self):
-        return analyse_classes(
+        return _analyse(
             _models(
                 sample_unsupported.NativeIO,
                 sample_unsupported.Codec,
@@ -127,27 +129,10 @@ class TestAnalysisResult:
             )
         )
 
-    def test_fractions_sum_to_one(self):
-        result = self._result()
-        assert result.fraction_transformable + result.fraction_non_transformable == pytest.approx(1.0)
-
     def test_reasons_histogram_counts_classes(self):
         histogram = self._result().reasons_histogram()
         assert histogram[NonTransformableReason.NATIVE_METHODS] >= 1
         assert histogram[NonTransformableReason.SPECIAL_CLASS] >= 1
-
-    def test_direct_versus_propagated_partition(self):
-        result = self._result()
-        direct = result.direct_non_transformable()
-        propagated = result.propagated_non_transformable()
-        assert direct.isdisjoint(propagated)
-        assert "NativeIO" in direct
-        assert "Codec" in propagated
-
-    def test_summary_is_plain_data(self):
-        summary = self._result().summary()
-        assert summary["total"] == summary["transformable"] + summary["non_transformable"]
-        assert isinstance(summary["reasons"], dict)
 
     def test_require_transformable_raises_with_reasons(self):
         result = self._result()
@@ -156,24 +141,6 @@ class TestAnalysisResult:
         assert "NativeIO" in str(excinfo.value)
         result.require_transformable("CleanHelper")  # should not raise
 
-    def test_empty_universe_fraction_is_zero(self):
-        result = analyse_classes([])
-        assert result.fraction_non_transformable == 0.0
-
-
-class TestSubstitutability:
-    def test_policy_restricts_substitutable_set(self):
-        result = analyse_classes(_models(sample_app.X, sample_app.Y, sample_app.Z))
-        assert substitutable_classes(result, requested=["X", "Y"]) == {"X", "Y"}
-
-    def test_non_transformable_class_cannot_be_substitutable(self):
-        result = analyse_classes(
-            _models(sample_unsupported.NativeIO, sample_unsupported.CleanHelper)
-        )
-        assert substitutable_classes(result, requested=["NativeIO", "CleanHelper"]) == {
-            "CleanHelper"
-        }
-
-    def test_default_is_every_transformable_class(self):
-        result = analyse_classes(_models(sample_app.X, sample_app.Y))
-        assert substitutable_classes(result) == {"X", "Y"}
+    def test_empty_universe_has_no_classes(self):
+        result = _analyse([])
+        assert result.total_classes == 0 and not result.non_transformable

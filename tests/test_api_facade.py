@@ -226,18 +226,6 @@ class TestPipelinedService:
             assert all(f.ok for f in futures)
             assert a.scheduler.max_in_flight > 1
 
-    def test_pending_counts_per_service_not_per_scheduler(self, cluster):
-        with Session(cluster, node="client") as session:
-            policy = ServicePolicy(batch_window=8, pipeline_depth=4)
-            a = session.service("a", policy, impl=OrderIntake(), node="server")
-            b = session.service("b", policy, impl=OrderIntake(), node="spare")
-            a.future.submit("sku-1", 1, 10)
-            a.future.submit("sku-2", 1, 10)
-            assert a.pending == 2
-            assert b.pending == 0  # not the shared scheduler's aggregate
-            session.drain()
-            assert a.pending == 0
-
     def test_different_policies_get_different_schedulers(self, cluster):
         with Session(cluster, node="client") as session:
             a = session.service(

@@ -13,11 +13,17 @@ import pytest
 
 import sample_app
 from repro.api import ServicePolicy, Session
+from repro.api.errors import PolicyError
 from repro.core.metaobject import metaobject_of
 from repro.core.transformer import ApplicationTransformer
 from repro.policy.policy import all_local_policy
 from repro.runtime.cluster import Cluster
 from repro.workloads.bulk_orders import OrderIntake
+
+
+def _assert_closed(session):
+    with pytest.raises(PolicyError, match="session is closed"):
+        session.service("after-close")
 
 
 @pytest.fixture
@@ -36,17 +42,17 @@ def _drain_queue(cluster, limit: int = 100_000) -> int:
 
 class TestSessionClose:
     def test_close_unregisters_the_rebind_listener(self, cluster):
-        before = cluster.naming.rebind_listener_count()
+        before = len(cluster.naming._rebind_listeners)
         session = Session(cluster, node="client")
-        assert cluster.naming.rebind_listener_count() == before + 1
+        assert len(cluster.naming._rebind_listeners) == before + 1
         session.close()
-        assert cluster.naming.rebind_listener_count() == before
+        assert len(cluster.naming._rebind_listeners) == before
 
     def test_close_is_idempotent(self, cluster):
         session = Session(cluster, node="client")
         session.close()
         session.close()
-        assert session.closed
+        _assert_closed(session)
 
     def test_close_stops_heartbeat_and_detaches_manager(self, cluster):
         session = Session(cluster, node="client")
@@ -58,11 +64,11 @@ class TestSessionClose:
             backup_nodes=["shard-1"],
         )
         detector = session.detector
-        assert detector.listener_count() == 2  # the manager's two listeners
+        assert len(detector._failure_listeners) + len(detector._recovery_listeners) == 2
         session.close()
         assert not detector.running
         assert detector.watched_nodes() == []
-        assert detector.listener_count() == 0
+        assert detector._failure_listeners == [] and detector._recovery_listeners == []
         # Whatever round was already scheduled becomes a no-op and the
         # queue goes idle instead of rescheduling forever.
         _drain_queue(cluster)
@@ -81,8 +87,8 @@ class TestSessionClose:
         held = svc.future.submit("sku-1", 1, 10)  # buffered, not yet shipped
         with pytest.raises(UnknownTransportError):
             session.close()  # the drain's flush cannot encode the window
-        assert session.closed
-        assert cluster.naming.rebind_listener_count() == 0
+        _assert_closed(session)
+        assert len(cluster.naming._rebind_listeners) == 0
         assert isinstance(held.exception(), UnknownTransportError)
 
     def test_network_failure_of_a_window_is_carried_by_its_futures(self, cluster):
@@ -100,7 +106,7 @@ class TestSessionClose:
         held = svc.future.submit("sku-1", 1, 10)  # buffered, not yet shipped
         cluster.network.failures.crash_node("shard-0")
         session.close()  # the drain's flush hits the dead node
-        assert session.closed
+        _assert_closed(session)
         assert isinstance(held.exception(), NetworkError)
 
     def test_exception_exit_still_unregisters(self, cluster):
@@ -108,7 +114,7 @@ class TestSessionClose:
             with Session(cluster, node="client") as session:
                 session.service("orders", impl=OrderIntake(), node="shard-0")
                 raise RuntimeError("application error")
-        assert cluster.naming.rebind_listener_count() == 0
+        assert len(cluster.naming._rebind_listeners) == 0
 
     def test_fifty_sessions_do_not_leak_callbacks(self, cluster):
         """The regression scenario: 50 replicated sessions, opened and closed,
@@ -136,7 +142,7 @@ class TestSessionClose:
                 futures = [svc.future.submit(f"sku-{i}", 1, 10) for i in range(8)]
                 session.drain()
                 assert all(f.ok for f in futures)
-        assert cluster.naming.rebind_listener_count() == 0
+        assert len(cluster.naming._rebind_listeners) == 0
         # Every session's access monitor came off the handle with it.
         assert metaobject_of(y).chain.interceptors == ()
         # No detector keeps probing, no sync loop keeps ticking: the event
@@ -166,7 +172,7 @@ class TestSessionClose:
         future = svc.future.submit("sku-1", 1, 10)
         svc.flush()  # ships; the drop schedules a far-future backoff re-ship
         session.close(drain=False)
-        assert svc.scheduler.stopped
+        assert svc.scheduler._stopped
         # A later session on the same cluster pumps the shared queue; the
         # dead session's requeued batch must fail, not execute.
         while cluster.network.events.run_next():
@@ -201,19 +207,19 @@ class TestSessionClose:
     def test_dismantle_unexports_and_unbinds(self, cluster):
         """ROADMAP item: a dismantled session is fully reversible."""
         session = Session(cluster, node="client")
-        before = cluster.space("shard-0").object_count()
+        before = len(cluster.space("shard-0").exported_objects())
         session.service("orders", impl=OrderIntake(), node="shard-0")
         assert "orders" in cluster.naming
-        assert cluster.space("shard-0").object_count() == before + 1
+        assert len(cluster.space("shard-0").exported_objects()) == before + 1
         session.dismantle()
-        assert session.closed
+        _assert_closed(session)
         assert "orders" not in cluster.naming
-        assert cluster.space("shard-0").object_count() == before
+        assert len(cluster.space("shard-0").exported_objects()) == before
 
     def test_dismantle_tears_down_replica_groups(self, cluster):
         session = Session(cluster, node="client")
         objects_before = {
-            node: cluster.space(node).object_count() for node in cluster.node_ids()
+            node: len(cluster.space(node).exported_objects()) for node in cluster.node_ids()
         }
         svc = session.service(
             "orders",
@@ -226,7 +232,7 @@ class TestSessionClose:
         session.dismantle()
         assert "orders" not in cluster.naming
         for node in cluster.node_ids():
-            assert cluster.space(node).object_count() == objects_before[node], node
+            assert len(cluster.space(node).exported_objects()) == objects_before[node], node
         assert session.replica_manager.groups() == []
         _drain_queue(cluster)
 
@@ -257,7 +263,7 @@ class TestSessionClose:
             .with_caching(lease_ms=50)
         )
         objects_before = {
-            node: cluster.space(node).object_count() for node in cluster.node_ids()
+            node: len(cluster.space(node).exported_objects()) for node in cluster.node_ids()
         }
         names_before = cluster.naming.names()
         for round_index in range(50):
@@ -275,10 +281,10 @@ class TestSessionClose:
             assert all(f.ok for f in futures)
             session.dismantle()
         assert cluster.naming.names() == names_before
-        assert cluster.naming.rebind_listener_count() == 0
+        assert len(cluster.naming._rebind_listeners) == 0
         assert len(cluster.space("client").coherence.listeners) == 0
         for node in cluster.node_ids():
-            assert cluster.space(node).object_count() == objects_before[node], node
+            assert len(cluster.space(node).exported_objects()) == objects_before[node], node
         _drain_queue(cluster)
         assert cluster.network.events.run_next() is False
 

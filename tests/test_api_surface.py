@@ -60,7 +60,6 @@ EXPECTED_POLICY_METHODS = (
     "with_static_checks",
     "with_tenant",
     "with_tracing",
-    "with_transport",
 )
 
 #: Signatures of the builders user code chains on (the redesign contract).
@@ -162,7 +161,6 @@ EXPECTED_SESSION_METHODS = (
     "flush",
     "metrics",
     "service",
-    "services",
     "tracer",
 )
 

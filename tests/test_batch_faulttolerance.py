@@ -81,7 +81,7 @@ class TestInvokeMany:
         assert intake.accepted_count() == 4
         # One network incident touched four logical calls.
         assert invoker.log.total_failures == 4
-        assert invoker.log.recovered_failures == 4
+        assert sum(record.recovered for record in invoker.log.records) == 4
         assert {record.error_type for record in invoker.log.records} == {
             "MessageDroppedError"
         }
@@ -95,7 +95,7 @@ class TestInvokeMany:
         with pytest.raises(MessageDroppedError):
             invoker.invoke_many(_intake_calls(reference, 3))
         assert invoker.log.total_failures == 6  # 3 calls x 2 attempts
-        assert invoker.log.unrecovered_failures == 3
+        assert sum(not record.recovered for record in invoker.log.records) == 3
 
     def test_fatal_partition_surfaces_without_retry(self):
         cluster, failures = _cluster()
@@ -107,7 +107,7 @@ class TestInvokeMany:
         with pytest.raises(PartitionError):
             invoker.invoke_many(_intake_calls(reference, 2))
         assert all(record.attempt == 1 for record in invoker.log.records)
-        assert invoker.log.recovered_failures == 0
+        assert sum(record.recovered for record in invoker.log.records) == 0
 
     def test_backoff_charged_to_simulated_time(self):
         cluster, _ = _cluster(drops={("client", "shard-0"): 1})
@@ -147,7 +147,7 @@ class TestPipelinePartialBatchFailure:
         assert all(future.attempts == 1 for future in others)
         assert scheduler.calls_retried == 1
         assert scheduler.failure_log.total_failures == 1
-        assert scheduler.failure_log.recovered_failures == 1
+        assert sum(record.recovered for record in scheduler.failure_log.records) == 1
         assert busy_intake.accepted_count() == 5
         # The healthy sub-batch finished before the retried call came back.
         positions = {id(future): pos for pos, future in enumerate(completions)}
@@ -170,7 +170,7 @@ class TestPipelinePartialBatchFailure:
             assert isinstance(future.exception(), MessageDroppedError)
             assert future.attempts == 2
         assert [future.result() for future in fine] == [0, 1]
-        assert scheduler.failure_log.unrecovered_failures == 2
+        assert sum(not record.recovered for record in scheduler.failure_log.records) == 2
 
     def test_fatal_partition_fails_futures_without_retry(self):
         cluster, failures = _cluster()
@@ -241,7 +241,7 @@ class TestGuardedHandleBatching:
         # Y(5).n(v) == 5 + v; the dropped batch was retried transparently.
         assert [p.result() for p in pending] == [5, 6, 7, 8]
         assert log.total_failures == 4
-        assert log.recovered_failures == 4
+        assert sum(record.recovered for record in log.records) == 4
 
     def test_unguarded_proxy_stays_atomic_on_drops(self):
         """Without a guard the historical semantics hold: the batch fails."""
@@ -278,7 +278,7 @@ class TestGuardedHandleBatching:
         pending = [proxy.submit(f"sku-{i}", 1, 10) for i in range(3)]
         proxy.flush()
         assert [p.result() for p in pending] == [0, 1, 2]
-        assert log.recovered_failures == 3
+        assert sum(record.recovered for record in log.records) == 3
 
     def test_retry_policy_shortcut_builds_an_invoker(self):
         cluster, _ = _cluster(drops={("client", "shard-0"): 1})

@@ -316,13 +316,13 @@ class TestBatchingProxy:
 class TestBatchFraming:
     def test_single_and_batch_frames_are_distinguished(self):
         from repro.transports.base import (
-            frame_batch_message,
             frame_message,
+            frame_prefix,
             parse_frame,
         )
 
         assert parse_frame(frame_message("rmi", b"x")) == ("rmi", b"x", False)
-        assert parse_frame(frame_batch_message("rmi", b"x")) == ("rmi", b"x", True)
+        assert parse_frame(frame_prefix("rmi", batch=True) + b"x") == ("rmi", b"x", True)
 
     def test_batch_and_single_wire_types_do_not_cross(self):
         from repro.transports.corba import CorbaTransport

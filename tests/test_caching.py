@@ -396,7 +396,7 @@ class TestFacadeCaching:
         assert len(cluster.space("reader").coherence.listeners) == 1
         reader.close()
         assert len(cluster.space("reader").coherence.listeners) == 0
-        assert reader.cache_manager.closed
+        assert reader.cache_manager._closed
         writer.close()
 
     def test_shorter_lease_on_the_same_node_cannot_silence_invalidations(

@@ -130,6 +130,16 @@ class TestEmitCommand:
         assert code == 1
         assert "was not transformed" in output
 
+    def test_emit_refuses_an_unknown_transport(self, app_file):
+        code, output = run_cli("emit", str(app_file), "--transports", "soap,bogus")
+        assert code == 1
+        assert output == "unknown transport: bogus\n"
+
+    def test_emit_of_local_classes_under_other_transports_still_works(self, app_file):
+        code, output = run_cli("emit", str(app_file), "--transports", "corba,inproc")
+        assert code == 0
+        assert "Ledger_O_Proxy_INPROC" in output
+
 
 class TestReportCommand:
     def test_report_without_policy(self, app_file):
@@ -149,6 +159,20 @@ class TestReportCommand:
         code, output = run_cli("report", str(app_file), "--policy", str(policy_path))
         assert code == 0
         assert "instances on 'server'" in output
+
+    def test_report_refuses_a_remote_placement_over_a_transport_without_proxies(
+        self, app_file, tmp_path
+    ):
+        policy_path = tmp_path / "policy.json"
+        code, template = run_cli(
+            "policy-template", "--classes", "Ledger", "--nodes", "server", "--transport", "bogus"
+        )
+        assert code == 0
+        policy_path.write_text(template, encoding="utf-8")
+        code, output = run_cli("report", str(app_file), "--policy", str(policy_path))
+        assert code == 2
+        assert "'Ledger'" in output and "'bogus'" in output
+        assert "via bogus" not in output
 
 
 class TestCorpusAndTemplateCommands:

@@ -103,8 +103,9 @@ class TestFaultTolerantInvoker:
             failures.drop_probability = 0.0
 
         assert invoker.log.total_failures == 1
-        assert invoker.log.recovered_failures == 1
-        assert invoker.log.failures_for("n")[0].error_type == "MessageDroppedError"
+        assert sum(record.recovered for record in invoker.log.records) == 1
+        (first, *_) = [record for record in invoker.log.records if record.member == "n"]
+        assert first.error_type == "MessageDroppedError"
 
     def test_exhausted_retries_reraise(self):
         app, cluster, failures = _deployed()
@@ -117,7 +118,7 @@ class TestFaultTolerantInvoker:
         with pytest.raises(MessageDroppedError):
             invoker.invoke(reference, "n", (2,))
         assert invoker.log.total_failures == 2
-        assert invoker.log.unrecovered_failures == 1
+        assert sum(not record.recovered for record in invoker.log.records) == 1
 
     def test_partitions_surface_immediately(self):
         app, cluster, failures = _deployed()
@@ -164,7 +165,7 @@ class TestGuardHandle:
         failures.should_drop = drop_once  # type: ignore[assignment]
         assert y.n(1) == 6
         assert log.total_failures == 1
-        assert log.recovered_failures == 1
+        assert sum(record.recovered for record in log.records) == 1
 
     def test_guarding_requires_a_remote_handle(self):
         app = ApplicationTransformer(all_local_policy(dynamic=True)).transform(CLASSES)
@@ -212,5 +213,5 @@ class TestGuardHandle:
         with pytest.raises(MessageDroppedError):
             second.n(1)
         assert shared_log.total_failures == 4  # two attempts each
-        shared_log.clear()
+        shared_log.records.clear()
         assert shared_log.total_failures == 0

@@ -14,8 +14,13 @@ from __future__ import annotations
 import pytest
 
 import sample_app
+from local_instances import new_local
 from repro.core.transformer import ApplicationTransformer
 from repro.policy.policy import all_local_policy
+
+
+def _signature(interface, name):
+    return next((s for s in interface.methods if s.name == name), None)
 
 
 @pytest.fixture(scope="module")
@@ -39,8 +44,8 @@ class TestFigure3Interface:
     def test_accessor_types_use_interface_types(self, app):
         """get_y returns Y_O_Int and set_y takes Y_O_Int (type adaptation)."""
         interface = app.artifacts("X").instance_interface
-        assert interface.get("get_y").return_type.name == "Y_O_Int"
-        assert interface.get("set_y").parameters[0].type.name == "Y_O_Int"
+        assert _signature(interface, "get_y").return_type.name == "Y_O_Int"
+        assert _signature(interface, "set_y").parameters[0].type.name == "Y_O_Int"
 
     def test_emitted_interface_matches_listing(self, sources):
         source = sources["X_O_Int"]
@@ -59,15 +64,15 @@ class TestFigure3Local:
         assert "return self.get_y().n(j)" in source
 
     def test_live_local_behaviour(self, app):
-        y = app.new_local("Y", 5)
-        x = app.local_class("X")()
+        y = new_local(app, "Y", 5)
+        x = app.artifacts("X").local_cls()
         x.set_y(y)
         assert x.m(3) == 8
 
     def test_local_constructor_takes_no_parameters(self, app):
         import inspect
 
-        signature = inspect.signature(app.local_class("X").__init__)
+        signature = inspect.signature(app.artifacts("X").local_cls.__init__)
         assert list(signature.parameters) == ["self"]
 
 
@@ -83,16 +88,16 @@ class TestFigure3Proxies:
         assert "return self._call('m', (j,))" in source
 
     def test_local_and_proxy_share_the_interface(self, app):
-        interface = app.interface("X")
-        assert issubclass(app.local_class("X"), interface)
+        interface = app.artifacts("X").instance_interface_cls
+        assert issubclass(app.artifacts("X").local_cls, interface)
         for transport in ("soap", "rmi", "corba"):
-            assert issubclass(app.proxy_class("X", transport), interface)
+            assert issubclass(app.artifacts("X").proxy_for(transport), interface)
 
     def test_interchangeability_of_implementations(self, app):
         """Any implementation of X_O_Int can serve behind the same reference."""
-        y = app.new_local("Y", 1)
+        y = new_local(app, "Y", 1)
 
-        class Stub(app.interface("X")):
+        class Stub(app.artifacts("X").instance_interface_cls):
             def get_y(self):
                 return y
 
@@ -103,6 +108,6 @@ class TestFigure3Proxies:
                 return -j
 
         values = []
-        for implementation in (app.new_local("X", y), Stub()):
+        for implementation in (new_local(app, "X", y), Stub()):
             values.append(implementation.m(4))
         assert values == [5, -4]

@@ -11,9 +11,14 @@ from __future__ import annotations
 import pytest
 
 import sample_app
+from local_instances import new_local
 from repro.core.transformer import ApplicationTransformer
 from repro.policy.policy import all_local_policy, place_classes_on
 from repro.runtime.cluster import Cluster
+
+
+def _signature(interface, name):
+    return next((s for s in interface.methods if s.name == name), None)
 
 
 @pytest.fixture(scope="module")
@@ -36,7 +41,7 @@ class TestFigure4Interface:
 
     def test_static_field_type_is_adapted(self, app):
         interface = app.artifacts("X").class_interface
-        assert interface.get("get_z").return_type.name == "Z_O_Int"
+        assert _signature(interface, "get_z").return_type.name == "Z_O_Int"
 
     def test_emitted_interface_matches_listing(self, sources):
         source = sources["X_C_Int"]
@@ -63,7 +68,7 @@ class TestFigure4Singleton:
 
     def test_static_state_is_shared_through_the_singleton(self, app):
         singleton = app.statics("X")
-        replacement = app.new_local("Z", 2)
+        replacement = new_local(app, "Z", 2)
         original = singleton.get_z()
         try:
             singleton.set_z(replacement)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import pytest
 
 import sample_app
+from local_instances import new_local
 from repro.core.transformer import ApplicationTransformer
 from repro.policy.policy import all_local_policy, place_classes_on
 from repro.runtime.cluster import Cluster
@@ -47,7 +48,7 @@ class TestObjectFactory:
         assert callable(factory.create)
 
     def test_init_initialises_an_existing_instance(self, app):
-        y = app.new_local("Y", 2)
+        y = new_local(app, "Y", 2)
         x = app.factory("X").make()
         app.factory("X").init(x, y)
         assert x.get_y() is y

@@ -21,44 +21,44 @@ def app():
 
 class TestGeneratedInterfaces:
     def test_interface_classes_are_abstract(self, app):
-        interface = app.interface("X")
+        interface = app.artifacts("X").instance_interface_cls
         assert inspect.isabstract(interface)
         with pytest.raises(TypeError):
             interface()  # cannot instantiate an abstract interface
 
     def test_interface_metadata(self, app):
-        interface = app.interface("X")
+        interface = app.artifacts("X").instance_interface_cls
         assert interface._repro_interface_name == "X_O_Int"
         assert interface._repro_source_class == "X"
         assert interface._repro_kind == "instance"
 
     def test_interface_declares_accessors_and_methods(self, app):
-        interface = app.interface("X")
+        interface = app.artifacts("X").instance_interface_cls
         assert hasattr(interface, "get_y")
         assert hasattr(interface, "set_y")
         assert hasattr(interface, "m")
 
     def test_class_interface_declares_static_members(self, app):
-        interface = app.class_interface("X")
+        interface = app.artifacts("X").class_interface_cls
         assert interface.__name__ == "X_C_Int"
         assert hasattr(interface, "get_z") and hasattr(interface, "p")
 
 
 class TestGeneratedLocals:
     def test_local_implements_interface(self, app):
-        assert issubclass(app.local_class("X"), app.interface("X"))
+        assert issubclass(app.artifacts("X").local_cls, app.artifacts("X").instance_interface_cls)
 
     def test_local_has_parameterless_constructor(self, app):
-        instance = app.local_class("X")()
+        instance = app.artifacts("X").local_cls()
         assert instance.get_y() is None
 
     def test_accessors_store_and_return_values(self, app):
-        instance = app.local_class("Y")()
+        instance = app.artifacts("Y").local_cls()
         instance.set_base(10)
         assert instance.get_base() == 10
 
     def test_property_view_keeps_original_style_working(self, app):
-        instance = app.local_class("Y")()
+        instance = app.artifacts("Y").local_cls()
         instance.base = 11
         assert instance.get_base() == 11
         assert instance.base == 11
@@ -68,9 +68,9 @@ class TestGeneratedLocals:
         assert "self.get_y()" in artifacts.rewritten_sources["m"]
 
     def test_method_behaviour_matches_original(self, app):
-        y = app.local_class("Y")()
+        y = app.artifacts("Y").local_cls()
         y.set_base(5)
-        x = app.local_class("X")()
+        x = app.artifacts("X").local_cls()
         x.set_y(y)
         assert x.m(3) == 8
 
@@ -81,7 +81,7 @@ class TestGeneratedLocals:
     def test_class_local_static_method_is_instance_level(self, app):
         singleton_cls = app.artifacts("X").class_local_cls
         singleton = singleton_cls.get_me()
-        z_local = app.local_class("Z")()
+        z_local = app.artifacts("Z").local_cls()
         z_local.set_seed(2)
         singleton.set_z(z_local)
         assert singleton.p(10) == 20
@@ -94,11 +94,12 @@ class TestGeneratedProxiesAndRedirectors:
         assert set(artifacts.class_proxies) == {"soap", "rmi", "corba"}
 
     def test_proxy_names_follow_convention(self, app):
-        assert app.proxy_class("X", "soap").__name__ == "X_O_Proxy_SOAP"
-        assert app.proxy_class("X", "rmi", kind="class").__name__ == "X_C_Proxy_RMI"
+        assert app.artifacts("X").proxy_for("soap").__name__ == "X_O_Proxy_SOAP"
+        assert app.artifacts("X").proxy_for("rmi", kind="class").__name__ == "X_C_Proxy_RMI"
 
     def test_proxy_implements_interface(self, app):
-        assert issubclass(app.proxy_class("X", "rmi"), app.interface("X"))
+        artifacts = app.artifacts("X")
+        assert issubclass(artifacts.proxy_for("rmi"), artifacts.instance_interface_cls)
 
     def test_unknown_transport_proxy_raises(self, app):
         with pytest.raises(GenerationError):
@@ -112,19 +113,19 @@ class TestGeneratedProxiesAndRedirectors:
                 calls.append((ref, member, args, transport))
                 return "remote-result"
 
-        proxy = app.proxy_class("X", "soap")("ref-1", FakeSpace())
+        proxy = app.artifacts("X").proxy_for("soap")("ref-1", FakeSpace())
         assert proxy.m(7) == "remote-result"
         assert calls == [("ref-1", "m", (7,), "soap")]
 
     def test_proxy_bind_and_reference_accessors(self, app):
-        proxy = app.proxy_class("Y", "rmi")()
+        proxy = app.artifacts("Y").proxy_for("rmi")()
         proxy.bind("ref-9", "space")
         assert proxy.remote_reference() == "ref-9"
 
     def test_redirector_implements_interface_with_explicit_methods(self, app):
         redirector_cls = app.artifacts("Y").redirector_cls
         assert redirector_cls.__name__ == "Y_O_Redirector"
-        assert issubclass(redirector_cls, app.interface("Y"))
+        assert issubclass(redirector_cls, app.artifacts("Y").instance_interface_cls)
         assert "n" in redirector_cls.__dict__
 
 
@@ -136,7 +137,7 @@ class TestGeneratedFactories:
 
     def test_make_returns_interface_implementation(self, app):
         implementation = app.factory("Y").make()
-        assert isinstance(implementation, app.interface("Y"))
+        assert isinstance(implementation, app.artifacts("Y").instance_interface_cls)
 
     def test_init_replays_constructor(self, app):
         y = app.factory("Y").make()

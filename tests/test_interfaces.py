@@ -15,7 +15,6 @@ from repro.core.interfaces import (
     class_proxy_name,
     extract_class_interface,
     extract_instance_interface,
-    extract_interfaces,
     getter_name,
     instance_interface_name,
     instance_local_name,
@@ -25,6 +24,10 @@ from repro.core.interfaces import (
     setter_name,
 )
 from repro.core.introspect import class_model_from_python
+
+
+def _signature(interface, name):
+    return next((s for s in interface.methods if s.name == name), None)
 
 
 class TestNamingScheme:
@@ -90,8 +93,8 @@ class TestInstanceInterfaceExtraction:
 
     def test_accessor_metadata(self):
         interface = self._interface()
-        getter = interface.get("get_y")
-        setter = interface.get("set_y")
+        getter = _signature(interface, "get_y")
+        setter = _signature(interface, "set_y")
         assert getter.accessor_for == "y" and getter.accessor_kind == "get"
         assert setter.accessor_for == "y" and setter.accessor_kind == "set"
         assert setter.parameter_names == ("y",)
@@ -99,7 +102,7 @@ class TestInstanceInterfaceExtraction:
     def test_plain_methods_and_accessors_partition(self):
         interface = self._interface()
         accessor_names = {s.name for s in interface.accessors()}
-        plain_names = {s.name for s in interface.plain_methods()}
+        plain_names = {s.name for s in interface.methods if not s.is_accessor}
         assert accessor_names.isdisjoint(plain_names)
         assert accessor_names | plain_names == set(interface.method_names())
 
@@ -127,7 +130,7 @@ class TestClassInterfaceExtraction:
 
     def test_static_method_is_captured_non_statically(self):
         interface = self._interface()
-        signature = interface.get("p")
+        signature = _signature(interface, "p")
         assert signature is not None
         assert signature.parameter_names == ("i",)
 
@@ -139,16 +142,10 @@ class TestClassInterfaceExtraction:
     def test_class_with_no_statics_yields_empty_interface(self):
         model = class_model_from_python(sample_app.Z)
         interface = extract_class_interface(model)
-        assert interface.is_empty
+        assert not interface.methods
 
 
 class TestExtractInterfacesTogether:
-    def test_both_interfaces_returned(self):
-        model = class_model_from_python(sample_app.X)
-        instance, class_interface = extract_interfaces(model, {"X", "Y", "Z"})
-        assert instance.name == "X_O_Int"
-        assert class_interface.name == "X_C_Int"
-
     def test_figure3_interface_shape_for_x(self):
         """Figure 3: X_O_Int has exactly get_y, set_y and m."""
         model = class_model_from_python(sample_app.X)

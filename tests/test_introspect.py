@@ -13,7 +13,6 @@ from repro.core.introspect import (
     is_native_function,
     native,
     type_ref_from_annotation,
-    universe_from_classes,
     visibility_of,
 )
 
@@ -79,7 +78,7 @@ class TestSampleClassIntrospection:
 
     def test_constructor_parameters(self):
         model = class_model_from_python(sample_app.X)
-        assert model.constructors[0].parameter_names == ("y",)
+        assert [p.name for p in model.constructors[0].parameters] == ["y"]
 
     def test_method_source_is_available(self):
         model = class_model_from_python(sample_app.X)
@@ -172,8 +171,3 @@ class TestDescriptorConstruction:
     def test_native_method_not_listed_elsewhere_is_added(self):
         model = class_model_from_descriptor("Driver", native_methods=["poke"])
         assert model.get_method("poke").is_native
-
-    def test_universe_from_classes(self):
-        universe = universe_from_classes([sample_app.X, sample_app.Y, sample_app.Z])
-        assert universe.names() == {"X", "Y", "Z"}
-        assert universe.get("X").get_method("m") is not None

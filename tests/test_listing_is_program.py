@@ -123,15 +123,15 @@ class TestMembersWithoutSource:
             original.tick(), original.tick(), original.peek()
         ]
         assert app.statics("Counter").label(7) == counter_cls.label(7) == "#7"
-        local_cls = app.local_class("Counter")
+        local_cls = app.artifacts("Counter").local_cls
         assert vars(local_cls)["tick"] is vars(counter_cls)["tick"]  # nothing wraps it
 
     def test_cacheable_marker_survives(self, counter_cls):
         app = transform([counter_cls])
         # Cacheability travels as the tuple the proxies carry, on the locals too.
-        assert app.local_class("Counter")._repro_cacheable_members == ("peek",)
-        assert "peek" in cacheable_members(app.local_class("Counter"))
-        assert "tick" not in cacheable_members(app.local_class("Counter"))
+        assert app.artifacts("Counter").local_cls._repro_cacheable_members == ("peek",)
+        assert "peek" in cacheable_members(app.artifacts("Counter").local_cls)
+        assert "tick" not in cacheable_members(app.artifacts("Counter").local_cls)
 
     def test_listing_shows_the_original_not_a_stub(self, counter_cls):
         sources = transform([counter_cls]).emit_sources("Counter")

@@ -72,14 +72,14 @@ class TestServicePool:
         pool = ServicePool(workers=2, queue_limit=0, service_time=1.0)
         assert pool.admit(5.0) == 5.0
         assert pool.admit(5.0) == 5.0
-        assert pool.queue_depth == 0
+        assert pool._waiting == 0
 
     def test_busy_workers_queue_fifo(self):
         pool = ServicePool(workers=1, queue_limit=2, service_time=1.0)
         assert pool.admit(0.0) == 0.0
         assert pool.admit(0.0) == 1.0  # waits for the first to finish
         assert pool.admit(0.0) == 2.0  # waits for the second
-        assert pool.queue_depth == 2
+        assert pool._waiting == 2
         assert pool.max_queue_depth == 2
         assert pool.total_queue_delay == pytest.approx(3.0)
 
@@ -98,7 +98,7 @@ class TestServicePool:
         pool.admit(0.0)
         pool.begin_service(queued=False)
         pool.begin_service(queued=True)
-        assert pool.queue_depth == 0
+        assert pool._waiting == 0
         assert pool.served == 2
 
     def test_snapshot_is_plain_data(self):
@@ -285,9 +285,9 @@ class TestAdmissionControl:
         cluster = Cluster(("client", "server"))
         pool = cluster.set_service_pool("server", workers=3, service_time=0.001)
         space = cluster.space("server")
-        assert space.service_pool is pool
+        assert cluster.network._pools.get("server") is pool
         space.install_service_pool(None)
-        assert space.service_pool is None
+        assert cluster.network._pools.get("server") is None
         with pytest.raises(KeyError):
             cluster.set_service_pool("ghost")
 
@@ -339,6 +339,17 @@ class TestAdaptiveCongestion:
         network.send_request("a", "b", b"ping")
         manager.connect_network(network)
         assert manager.effective_congestion_factor() == 1.0
+
+    def test_a_queueing_network_raises_the_factor(self):
+        manager = self._manager()
+        network = SimulatedNetwork()
+        network.register("a", lambda source, payload: b"")
+        network.register("b", lambda source, payload: b"")
+        network.post("a", "b", b"x" * 50_000, lambda response: None, lambda error: None)
+        network.send_request("a", "b", b"ping")  # waits behind the large message
+        assert network.metrics.total_queue_delay > 0.0
+        manager.connect_network(network)
+        assert 1.0 < manager.effective_congestion_factor() <= 2.0
 
     def test_measured_queueing_raises_the_factor(self):
         class Metrics:

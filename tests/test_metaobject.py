@@ -11,7 +11,6 @@ from repro.core.metaobject import (
     KIND_REMOTE,
     Metaobject,
     Redirector,
-    is_redirected,
     metaobject_of,
     unwrap,
 )
@@ -153,13 +152,6 @@ class TestRebinding:
         assert meta.kind == KIND_REMOTE
         assert meta.node_id == "server"
 
-    def test_rebind_listeners_are_notified(self):
-        events = []
-        meta = Metaobject(_Greeter("alice"))
-        meta.on_rebind(lambda m: events.append(m.kind))
-        meta.rebind(_Greeter("zoe"), KIND_REMOTE, node_id="server")
-        assert events == [KIND_REMOTE]
-
 
 class TestRedirector:
     def test_getattr_fallback_delegates_through_metaobject(self):
@@ -177,12 +169,11 @@ class TestRedirector:
         assert id(handle) == before
         assert handle.greet("bob").startswith("zoe")
 
-    def test_metaobject_of_and_is_redirected(self):
+    def test_metaobject_of(self):
         meta = Metaobject(_Greeter("alice"))
         handle = Redirector(meta)
         assert metaobject_of(handle) is meta
-        assert is_redirected(handle)
-        assert not is_redirected(_Greeter("alice"))
+        assert metaobject_of(_Greeter("alice")) is None
         assert metaobject_of(object()) is None
 
     def test_unwrap_follows_to_base_object(self):

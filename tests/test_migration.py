@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 import sample_app
+from local_instances import new_local
 from repro.api.errors import RedistributionError
 from repro.core.transformer import ApplicationTransformer
 from repro.policy.policy import all_local_policy, local
@@ -28,21 +29,21 @@ def dynamic_app():
 class TestStateCaptureAndRestore:
     def test_capture_reads_every_field(self, dynamic_app):
         app, _ = dynamic_app
-        y = app.new_local("Y", 9)
+        y = new_local(app, "Y", 9)
         assert snapshot_state(y, app) == {"base": 9}
 
     def test_restore_writes_every_field(self, dynamic_app):
         app, _ = dynamic_app
-        source = app.new_local("Y", 9)
-        target = app.local_class("Y")()
+        source = new_local(app, "Y", 9)
+        target = app.artifacts("Y").local_cls()
         written = apply_state(target, snapshot_state(source, app), app)
         assert written == 1
         assert target.get_base() == 9
 
     def test_round_trip_preserves_behaviour(self, dynamic_app):
         app, _ = dynamic_app
-        original = app.new_local("X", app.new_local("Y", 3))
-        clone = app.local_class("X")()
+        original = new_local(app, "X", new_local(app, "Y", 3))
+        clone = app.artifacts("X").local_cls()
         apply_state(clone, snapshot_state(original, app), app)
         assert clone.m(4) == original.m(4) == 7
 
@@ -55,7 +56,7 @@ class TestObjectMigrator:
         record = migrator.move(y, "server")
         assert record.node_id == "server"
         assert record.fields_copied == 1
-        assert cluster.space("server").object_count() == 1
+        assert len(cluster.space("server").exported_objects()) == 1
 
     def test_handle_keeps_working_after_migration(self, dynamic_app):
         app, cluster = dynamic_app
@@ -77,7 +78,7 @@ class TestObjectMigrator:
         assert record.node_id == "backup"
         assert y.n(2) == 7
         # The old export was retired.
-        assert cluster.space("server").object_count() == 0
+        assert len(cluster.space("server").exported_objects()) == 0
 
     def test_migrating_to_the_current_node_is_rejected(self, dynamic_app):
         app, cluster = dynamic_app
@@ -99,7 +100,7 @@ class TestObjectMigrator:
         y = app.new("Y", 5)
         # Publish the object under a well-known name before migrating it.
         reference = cluster.space("client").export(y.meta.target)
-        cluster.naming.bind("the-y", reference)
+        cluster.naming.rebind("the-y", reference)
         migrator.move(y, "server")
         assert cluster.naming.lookup("the-y").node_id == "server"
 

@@ -1,10 +1,10 @@
-"""Unit tests for the simulated clock, stopwatch and timeline."""
+"""Unit tests for the simulated clock."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.network.clock import SimClock, Stopwatch, Timeline
+from repro.network.clock import SimClock
 
 
 class TestSimClock:
@@ -43,68 +43,3 @@ class TestSimClock:
         clock.advance(5.0)
         clock.advance_to(3.0)
         assert clock.now == pytest.approx(5.0)
-
-    def test_reset(self):
-        clock = SimClock()
-        clock.advance(2.0)
-        clock.reset()
-        assert clock.now == 0.0
-
-    def test_listeners_observe_advances(self):
-        clock = SimClock()
-        observed = []
-        clock.on_advance(lambda before, after: observed.append((before, after)))
-        clock.advance(1.0)
-        clock.advance(2.0)
-        assert observed == [(0.0, 1.0), (1.0, 3.0)]
-
-
-class TestStopwatch:
-    def test_elapsed_tracks_simulated_time(self):
-        clock = SimClock()
-        watch = Stopwatch(clock)
-        clock.advance(0.25)
-        assert watch.elapsed == pytest.approx(0.25)
-
-    def test_restart_resets_the_origin(self):
-        clock = SimClock()
-        watch = Stopwatch(clock)
-        clock.advance(1.0)
-        watch.restart()
-        clock.advance(0.5)
-        assert watch.elapsed == pytest.approx(0.5)
-
-
-class TestTimeline:
-    def test_records_events_with_timestamps(self):
-        clock = SimClock()
-        timeline = Timeline(clock)
-        timeline.record("start")
-        clock.advance(1.0)
-        timeline.record("end")
-        assert timeline.events == [(0.0, "start"), (1.0, "end")]
-
-    def test_events_labelled_filters_by_label(self):
-        clock = SimClock()
-        timeline = Timeline(clock)
-        timeline.record("tick")
-        clock.advance(1.0)
-        timeline.record("tock")
-        clock.advance(1.0)
-        timeline.record("tick")
-        assert timeline.events_labelled("tick") == [0.0, 2.0]
-
-    def test_between_selects_a_window(self):
-        clock = SimClock()
-        timeline = Timeline(clock)
-        for _ in range(4):
-            timeline.record("event")
-            clock.advance(1.0)
-        assert len(timeline.between(1.0, 2.0)) == 2
-
-    def test_clear(self):
-        clock = SimClock()
-        timeline = Timeline(clock)
-        timeline.record("x")
-        timeline.clear()
-        assert timeline.events == []

@@ -7,9 +7,6 @@ import pytest
 from repro.api.errors import SerializationError
 from repro.core.transformer import ApplicationTransformer
 from repro.persistence import (
-    FileSnapshotStore,
-    GraphSnapshot,
-    InMemorySnapshotStore,
     ObjectGraphSnapshotter,
     restore_snapshot,
     snapshot_from_json,
@@ -42,7 +39,7 @@ class TestSnapshotCapture:
         snapshot = snapshotter.snapshot({"a": holder_a, "b": holder_b})
         # a, b and the shared C — the shared instance appears exactly once.
         assert snapshot.object_count == 3
-        assert snapshot.classes() == {"A", "B", "C"}
+        assert {entry["class"] for entry in snapshot.objects.values()} == {"A", "B", "C"}
 
     def test_shared_references_are_preserved_not_duplicated(self, figure1_app):
         shared, holder_a, holder_b = _build_graph(figure1_app)
@@ -138,51 +135,11 @@ class TestRestore:
             snapshot_from_json("[1, 2, 3]")
 
 
-class TestStores:
-    def _snapshot(self, label="v1") -> GraphSnapshot:
-        app = ApplicationTransformer(all_local_policy()).transform([Cache, CacheClient])
-        cache = app.new("Cache", 16)
-        cache.put("k", label)
-        return ObjectGraphSnapshotter(app).snapshot({"cache": cache})
-
-    def test_in_memory_store_versions(self):
-        store = InMemorySnapshotStore()
-        store.save("daily", self._snapshot("one"))
-        info = store.save("daily", self._snapshot("two"))
-        assert info.version == 2
-        assert store.versions("daily") == 2
-        assert store.names() == {"daily"}
-        assert len(store.checkpoints()) == 2
-        assert store.load("daily").objects  # latest
-        assert store.load("daily", version=1).objects
-
-    def test_in_memory_store_errors(self):
-        store = InMemorySnapshotStore()
-        with pytest.raises(SerializationError):
-            store.load("missing")
-        store.save("daily", self._snapshot())
-        with pytest.raises(SerializationError):
-            store.load("daily", version=9)
-
-    def test_file_store_round_trip(self, tmp_path):
-        store = FileSnapshotStore(tmp_path / "checkpoints")
-        first = store.save("cache", self._snapshot("one"))
-        second = store.save("cache", self._snapshot("two"))
-        assert (first.version, second.version) == (1, 2)
-        assert store.versions("cache") == 2
-        assert store.names() == {"cache"}
-        loaded = store.load("cache", version=1)
-        assert loaded.object_count >= 1
-        with pytest.raises(SerializationError):
-            store.load("cache", version=5)
-        with pytest.raises(SerializationError):
-            store.load("unknown")
-
-    def test_restored_cache_from_file_store(self, tmp_path):
+class TestCacheRestore:
+    def test_restored_cache_through_json(self):
         app = ApplicationTransformer(all_local_policy()).transform([Cache, CacheClient])
         cache = app.new("Cache", 16)
         cache.put("answer", 42)
-        store = FileSnapshotStore(tmp_path)
-        store.save("cache", ObjectGraphSnapshotter(app).snapshot({"cache": cache}))
-        restored = restore_snapshot(app, store.load("cache"))["cache"]
+        text = snapshot_to_json(ObjectGraphSnapshotter(app).snapshot({"cache": cache}))
+        restored = restore_snapshot(app, snapshot_from_json(text))["cache"]
         assert restored.get("answer") == 42

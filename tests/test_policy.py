@@ -36,11 +36,6 @@ class TestPlacementDecision:
         assert remote("server", transport="soap").transport == "soap"
         assert local(dynamic=True).dynamic
 
-    def test_with_node_converts_to_remote(self):
-        moved = local().with_node("server")
-        assert moved.is_remote and moved.node_id == "server"
-
-
 class TestDistributionPolicy:
     def test_default_applies_to_unknown_classes(self):
         policy = DistributionPolicy()
@@ -66,18 +61,17 @@ class TestDistributionPolicy:
         assert policy.instance_decision("Cache").node_id == "server"
         assert policy.static_decision("Cache").node_id == "backup"
 
-    def test_exclude_marks_class_not_substitutable(self):
+    def test_unsubstitutable_class_is_excluded(self):
         policy = all_local_policy()
-        policy.exclude("Legacy")
+        policy.set_class("Legacy", substitutable=False)
         assert not policy.is_substitutable("Legacy")
         assert "Legacy" in policy.excluded_classes()
 
-    def test_configured_and_remote_class_listings(self):
+    def test_configured_class_listing(self):
         policy = all_local_policy()
         policy.set_class("A", instances=remote("n1"))
         policy.set_class("B")
         assert policy.configured_classes() == {"A", "B"}
-        assert policy.remote_classes() == {"A"}
 
     def test_copy_is_independent(self):
         policy = all_local_policy()
@@ -95,9 +89,8 @@ class TestDistributionPolicy:
         merged = base.merged_with(override)
         assert merged.instance_decision("A").node_id == "n2"
 
-    def test_set_default(self):
-        policy = DistributionPolicy()
-        policy.set_default(ClassPolicy(substitutable=False))
+    def test_default_entry(self):
+        policy = DistributionPolicy(default=ClassPolicy(substitutable=False))
         assert not policy.is_substitutable("Whatever")
 
 

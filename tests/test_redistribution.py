@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 import sample_app
+from local_instances import new_local
 from repro.api.errors import RedistributionError
 from repro.core.transformer import ApplicationTransformer
 from repro.policy.policy import all_local_policy
@@ -63,7 +64,7 @@ class TestMakeRemote:
 
     def test_non_dynamic_objects_cannot_be_redistributed(self, controller_setup):
         app, _, controller = controller_setup
-        plain = app.new_local("Y", 5)
+        plain = new_local(app, "Y", 5)
         with pytest.raises(RedistributionError):
             controller.make_remote(plain, "server")
 
@@ -92,8 +93,8 @@ class TestMakeLocalAndMove:
         change = controller.move(y, "backup")
         assert change.operation == "move"
         assert controller.boundary_of(y) == ("remote", "backup")
-        assert cluster.space("server").object_count() == 0
-        assert cluster.space("backup").object_count() == 1
+        assert len(cluster.space("server").exported_objects()) == 0
+        assert len(cluster.space("backup").exported_objects()) == 1
         assert y.n(4) == 9
 
     def test_move_of_a_local_object_is_equivalent_to_make_remote(self, controller_setup):
@@ -181,7 +182,7 @@ NAME = "the-y"
 
 
 def _exports(cluster):
-    return {node: cluster.space(node).object_count() for node in cluster.node_ids()}
+    return {node: len(cluster.space(node).exported_objects()) for node in cluster.node_ids()}
 
 
 def _ask(cluster):
@@ -198,7 +199,7 @@ def _remote_handle(app, controller):
 
 def _hosted(app, cluster, subject_kind):
     """A Y hosted on "server", as a bare implementation or a proxy to it."""
-    implementation = app.new_local("Y", 5)
+    implementation = new_local(app, "Y", 5)
     reference = cluster.space("server").export(implementation)
     if subject_kind == "implementation":
         return implementation, reference
@@ -213,15 +214,15 @@ class TestBoundaryParity:
         app, cluster, controller = controller_setup
         if entry == "make_remote":
             y = app.new("Y", 5)
-            cluster.naming.bind(NAME, cluster.space("client").export(y.meta.target))
+            cluster.naming.rebind(NAME, cluster.space("client").export(y.meta.target))
             change = controller.make_remote(y, "server")
         elif entry in ("move", "make_local"):
             y = _remote_handle(app, controller)
-            cluster.naming.bind(NAME, reference_of(y))
+            cluster.naming.rebind(NAME, reference_of(y))
             change = controller.move(y, "backup") if entry == "move" else controller.make_local(y)
         else:
             subject, reference = _hosted(app, cluster, entry.split("-")[1])
-            cluster.naming.bind(NAME, reference)
+            cluster.naming.rebind(NAME, reference)
             change = controller.move(subject, "backup")
         assert cluster.naming.lookup(NAME) == change.new_reference
         assert change.new_reference.node_id == change.node_id

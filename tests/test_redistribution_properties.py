@@ -76,7 +76,7 @@ class TestBoundaryChangesPreserveSemantics:
         oracle = Cache(16)
         observations: list = []
         # Published under a name before anything moves: the name must follow.
-        cluster.naming.bind("the-cache", cluster.space("alpha").export(cache.meta.target))
+        cluster.naming.rebind("the-cache", cluster.space("alpha").export(cache.meta.target))
         applied = 0
 
         for step in steps:
@@ -95,7 +95,7 @@ class TestBoundaryChangesPreserveSemantics:
                     pass
             # One object, one live export, wherever it went; the name resolves
             # to it and every applied change is on the log.
-            assert sum(space.object_count() for space in cluster.spaces()) == 1
+            assert sum(len(space.exported_objects()) for space in cluster.spaces()) == 1
             reference = cluster.naming.lookup("the-cache")
             assert reference.node_id == cache.meta.node_id
             answer = cluster.space("gamma").invoke_remote(reference, "get", ("k0",))

@@ -155,7 +155,7 @@ class TestReplicaGroups:
         group = _replicated_intake(manager)
         invoker = FaultTolerantInvoker(cluster.space("client"), replica_manager=manager)
         baseline = {
-            node: cluster.space(node).object_count() for node in ("a", "b")
+            node: len(cluster.space(node).exported_objects()) for node in ("a", "b")
         }
         for _ in range(2):  # two full crash → failover → recover cycles
             primary = group.primary_node
@@ -166,7 +166,7 @@ class TestReplicaGroups:
         # One primary export and one backup endpoint, whichever side hosts
         # them: the totals must not grow with the number of cycles.
         assert sum(
-            cluster.space(node).object_count() for node in ("a", "b")
+            len(cluster.space(node).exported_objects()) for node in ("a", "b")
         ) == sum(baseline.values())
 
     def test_replicate_validates_topology(self, cluster):

@@ -42,11 +42,6 @@ class TestRemoteRef:
         assert ref.located_on("server")
         assert not ref.located_on("client")
 
-    def test_with_node_rewrites_location(self):
-        moved = self._ref().with_node("backup")
-        assert moved.node_id == "backup"
-        assert moved.object_id == "server:7"
-
     def test_refs_are_hashable_value_objects(self):
         assert self._ref() == self._ref()
         assert len({self._ref(), self._ref()}) == 1
@@ -91,20 +86,14 @@ class TestNamingService:
 
     def test_bind_and_lookup(self):
         naming = NamingService()
-        naming.bind("cache", self._ref())
+        naming.rebind("cache", self._ref())
         assert naming.lookup("cache") == self._ref()
         assert "cache" in naming
-        assert len(naming) == 1
-
-    def test_double_bind_is_rejected(self):
-        naming = NamingService()
-        naming.bind("cache", self._ref())
-        with pytest.raises(NamingError):
-            naming.bind("cache", self._ref("other"))
+        assert naming.names() == {"cache"}
 
     def test_rebind_replaces(self):
         naming = NamingService()
-        naming.bind("cache", self._ref())
+        naming.rebind("cache", self._ref())
         naming.rebind("cache", self._ref("other"))
         assert naming.lookup("cache").object_id == "server:other"
 
@@ -117,7 +106,7 @@ class TestNamingService:
 
     def test_unbind(self):
         naming = NamingService()
-        naming.bind("cache", self._ref())
+        naming.rebind("cache", self._ref())
         naming.unbind("cache")
         assert "cache" not in naming
         with pytest.raises(NamingError):
@@ -125,6 +114,6 @@ class TestNamingService:
 
     def test_names_listing(self):
         naming = NamingService()
-        naming.bind("a", self._ref("a"))
-        naming.bind("b", self._ref("b"))
+        naming.rebind("a", self._ref("a"))
+        naming.rebind("b", self._ref("b"))
         assert naming.names() == {"a", "b"}

@@ -115,7 +115,7 @@ def _cached_service(session, y):
     )
     for _ in range(10):
         svc.call("accepted_count")
-    assert session.cache_manager.hits == 9
+    assert svc.cache.hits == 9
 
 
 def _batched_calls_through_the_handle(session, y):

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import json
-
 import pytest
 
 import sample_app
@@ -16,8 +14,6 @@ from repro.tools.deployment import (
     LinkSpec,
     NodeSpec,
     deployment_from_dict,
-    deployment_from_file,
-    deployment_from_json,
 )
 
 CLASSES = [sample_app.X, sample_app.Y, sample_app.Z]
@@ -88,29 +84,17 @@ class TestLoadingAndRoundTrip:
         assert descriptor.default_node == "client"
         assert descriptor.policy.instance_decision("Y").node_id == "server"
 
-    def test_from_json_and_file(self, tmp_path):
-        text = json.dumps(CONFIG)
-        assert deployment_from_json(text).node_ids() == ["client", "server"]
-        path = tmp_path / "deploy.json"
-        path.write_text(text, encoding="utf-8")
-        assert deployment_from_file(path).default_node == "client"
-
     def test_round_trip_through_dict(self):
         descriptor = deployment_from_dict(CONFIG)
         rebuilt = deployment_from_dict(descriptor.to_dict())
         assert rebuilt.node_ids() == descriptor.node_ids()
         assert rebuilt.policy.instance_decision("Y") == descriptor.policy.instance_decision("Y")
-        assert json.loads(descriptor.to_json())["default_node"] == "client"
 
     def test_malformed_documents_rejected(self):
-        with pytest.raises(PolicyError):
-            deployment_from_json("{ not json")
         with pytest.raises(PolicyError):
             deployment_from_dict({"nodes": []})
         with pytest.raises(PolicyError):
             deployment_from_dict("nope")  # type: ignore[arg-type]
-        with pytest.raises(PolicyError):
-            deployment_from_file("/nonexistent/deploy.json")
 
     def test_missing_policy_defaults_to_all_local(self):
         descriptor = deployment_from_dict({"nodes": [{"id": "solo"}]})

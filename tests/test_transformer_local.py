@@ -16,7 +16,6 @@ from repro.api.errors import NotTransformableError, TransformationError, Unknown
 from repro.core.transformer import (
     ApplicationTransformer,
     DEFAULT_TRANSPORTS,
-    transform_application,
 )
 from repro.policy.policy import all_local_policy
 
@@ -25,39 +24,39 @@ CLASSES = [sample_app.X, sample_app.Y, sample_app.Z]
 
 class TestTransformDriver:
     def test_transform_returns_an_application_with_all_classes(self):
-        app = transform_application(CLASSES)
+        app = ApplicationTransformer().transform(CLASSES)
         assert app.transformed_classes() == {"X", "Y", "Z"}
 
     def test_default_transports_are_generated(self):
-        app = transform_application(CLASSES)
+        app = ApplicationTransformer().transform(CLASSES)
         assert set(app.artifacts("X").instance_proxies) == set(DEFAULT_TRANSPORTS)
 
     def test_custom_transport_list(self):
-        app = transform_application(CLASSES, transports=("soap",))
+        app = ApplicationTransformer(transports=("soap",)).transform(CLASSES)
         assert set(app.artifacts("X").instance_proxies) == {"soap"}
 
     def test_class_models_can_be_passed_directly(self):
         from repro.core.introspect import class_model_from_python
 
         models = [class_model_from_python(cls) for cls in CLASSES]
-        app = transform_application(models)
+        app = ApplicationTransformer().transform(models)
         assert app.is_transformed("X")
 
     def test_empty_input_is_an_error(self):
         with pytest.raises(TransformationError):
-            transform_application([])
+            ApplicationTransformer().transform([])
 
     def test_invalid_input_is_an_error(self):
         with pytest.raises(TransformationError):
-            transform_application(["not-a-class"])  # type: ignore[list-item]
+            ApplicationTransformer().transform(["not-a-class"])  # type: ignore[list-item]
 
     def test_unknown_class_lookup_raises(self):
-        app = transform_application(CLASSES)
+        app = ApplicationTransformer().transform(CLASSES)
         with pytest.raises(UnknownClassError):
             app.artifacts("Missing")
 
     def test_non_transformable_classes_are_left_out(self):
-        app = transform_application(
+        app = ApplicationTransformer().transform(
             CLASSES + [sample_unsupported.NativeIO, sample_unsupported.ProtocolError]
         )
         assert not app.is_transformed("NativeIO")
@@ -71,7 +70,7 @@ class TestTransformDriver:
 
     def test_policy_exclusion_is_honoured(self):
         policy = all_local_policy()
-        policy.exclude("Z")
+        policy.set_class("Z", substitutable=False)
         app = ApplicationTransformer(policy).transform(CLASSES)
         assert not app.is_transformed("Z")
         assert app.is_transformed("X")
@@ -80,7 +79,7 @@ class TestTransformDriver:
 class TestSingleAddressSpaceExecution:
     @pytest.fixture
     def app(self):
-        return transform_application(CLASSES)
+        return ApplicationTransformer().transform(CLASSES)
 
     def test_program_behaviour_matches_original(self, app):
         for base, j, i in [(0, 0, 0), (5, 3, 2), (-4, 10, 7)]:
@@ -90,13 +89,12 @@ class TestSingleAddressSpaceExecution:
             observed = (x.m(j), app.statics("X").p(i), app.statics("Y").get_K())
             assert observed == expected
 
-    def test_new_applies_policy_and_new_local_bypasses_it(self, app):
+    def test_new_applies_the_local_policy(self, app):
         assert type(app.new("Y", 1)).__name__ == "Y_O_Local"
-        assert type(app.new_local("Y", 1)).__name__ == "Y_O_Local"
 
     def test_objects_are_interface_typed(self, app):
         y = app.new("Y", 1)
-        assert isinstance(y, app.interface("Y"))
+        assert isinstance(y, app.artifacts("Y").instance_interface_cls)
 
     def test_independent_instances_do_not_share_state(self, app):
         first = app.new("Y", 1)
@@ -132,11 +130,11 @@ class TestSingleAddressSpaceExecution:
 class TestNamespaceSeeding:
     def test_module_globals_are_visible_to_rewritten_code(self):
         """Rewritten bodies may reference helpers from the original module."""
-        app = transform_application(CLASSES)
+        app = ApplicationTransformer().transform(CLASSES)
         assert "run_original" in app.registry.namespace
 
     def test_registry_namespace_contains_generated_artifacts(self):
-        app = transform_application(CLASSES)
+        app = ApplicationTransformer().transform(CLASSES)
         namespace = app.registry.namespace
         for name in ("X_O_Int", "X_O_Local", "X_O_Factory", "X_C_Factory"):
             assert name in namespace

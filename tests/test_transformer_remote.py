@@ -5,7 +5,9 @@ from __future__ import annotations
 import pytest
 
 import sample_app
-from repro.core.transformer import ApplicationTransformer, transform_application
+from local_instances import new_local
+from repro.api.errors import PolicyError
+from repro.core.transformer import ApplicationTransformer
 from repro.policy.policy import all_local_policy, place_classes_on, remote
 from repro.runtime.cluster import Cluster
 
@@ -14,7 +16,7 @@ CLASSES = [sample_app.X, sample_app.Y, sample_app.Z]
 
 class TestDeployment:
     def test_deploy_binds_every_space_to_the_application(self):
-        app = transform_application(CLASSES)
+        app = ApplicationTransformer().transform(CLASSES)
         cluster = Cluster(("client", "server"))
         app.deploy(cluster, default_node="client")
         for space in cluster.spaces():
@@ -23,14 +25,14 @@ class TestDeployment:
         assert app.current_space.node_id == "client"
 
     def test_deploy_with_placement_updates_the_policy(self):
-        app = transform_application(CLASSES)
+        app = ApplicationTransformer().transform(CLASSES)
         cluster = Cluster(("client", "server"))
         app.deploy(cluster, placement={"Y": "server"}, default_node="client")
         assert app.policy.instance_decision("Y").is_remote
         assert app.policy.instance_decision("Y").node_id == "server"
 
     def test_default_node_defaults_to_first_cluster_node(self):
-        app = transform_application(CLASSES)
+        app = ApplicationTransformer().transform(CLASSES)
         cluster = Cluster(("alpha", "beta"))
         app.deploy(cluster)
         assert app.current_space.node_id == "alpha"
@@ -52,13 +54,13 @@ class TestRemoteCreation:
     def test_remote_object_lives_on_the_target_node(self, deployed):
         app, cluster = deployed
         app.new("Y", 5)
-        assert cluster.space("server").object_count() == 1
-        assert cluster.space("client").object_count() == 0
+        assert len(cluster.space("server").exported_objects()) == 1
+        assert len(cluster.space("client").exported_objects()) == 0
 
     def test_remote_and_local_instances_behave_identically(self, deployed):
         app, _ = deployed
         remote_y = app.new("Y", 5)
-        local_y = app.new_local("Y", 5)
+        local_y = new_local(app, "Y", 5)
         assert remote_y.n(3) == local_y.n(3) == 8
 
     def test_remote_initialisation_goes_through_init(self, deployed):
@@ -99,7 +101,7 @@ class TestDynamicHandles:
         y = app.new("Y", 4)
         assert type(y).__name__ == "Y_O_Redirector"
         assert y.n(1) == 5
-        assert app.handles_for("Y") == [y]
+        assert app.handles() == [y]
 
     def test_dynamic_remote_handles_wrap_proxies(self):
         policy = all_local_policy()
@@ -121,7 +123,7 @@ class TestDynamicHandles:
         client_view = app.statics("X")
         with app.executing_on("server"):
             server_view = app.statics("X")
-        replacement = app.new_local("Z", 3)
+        replacement = new_local(app, "Z", 3)
         server_view.set_z(replacement)
         assert client_view.p(5) == 15
 
@@ -150,3 +152,20 @@ class TestReferencePassingAcrossSpaces:
         # runtime hands back the local implementation, not a proxy to a proxy.
         assert type(returned).__name__ == "Y_O_Local"
         assert returned.n(1) == 8
+
+
+class TestRemoteTransportCheck:
+    def test_remote_placement_over_a_transport_without_proxies_is_refused(self):
+        policy = place_classes_on({"Y": "server"}, transport="bogus")
+        with pytest.raises(PolicyError, match="'Y'.*'bogus'"):
+            ApplicationTransformer(policy).transform(CLASSES)
+
+    def test_remote_static_placement_is_checked_too(self):
+        policy = all_local_policy()
+        policy.place_statics("Z", remote("server", transport="corba"))
+        with pytest.raises(PolicyError, match="'Z'.*'corba'"):
+            ApplicationTransformer(policy, transports=("rmi",)).transform(CLASSES)
+
+    def test_local_decisions_need_no_proxy_of_their_transport(self):
+        app = ApplicationTransformer(all_local_policy(), transports=("corba", "inproc"))
+        assert app.transform(CLASSES).transformed_classes() == {"X", "Y", "Z"}

@@ -11,6 +11,7 @@ from __future__ import annotations
 import pytest
 
 import sample_app
+from local_instances import new_local
 from repro.core.transformer import ApplicationTransformer
 from repro.policy.policy import all_local_policy, place_classes_on, remote
 from repro.runtime.cluster import Cluster
@@ -125,9 +126,9 @@ class TestMixedAndSwappedTransports:
     def test_callers_only_depend_on_the_interface(self):
         """A holder written against Y_O_Int accepts local, proxy and handle alike."""
         app, cluster = _deploy("rmi")
-        interface = app.interface("Y")
+        interface = app.artifacts("Y").instance_interface_cls
         remote_y = app.new("Y", 5)
-        local_y = app.new_local("Y", 5)
+        local_y = new_local(app, "Y", 5)
         assert isinstance(remote_y, interface) and isinstance(local_y, interface)
         x = app.new("X", remote_y)
         x_local = app.new("X", local_y)

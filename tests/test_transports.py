@@ -229,15 +229,13 @@ class TestBinaryCodec:
 class TestRegistryAndFraming:
     def test_registry_lookup(self):
         registry = TransportRegistry(ALL_TRANSPORTS)
-        assert registry.get("soap").name == "soap"
-        assert "rmi" in registry
         assert registry.names() == {"soap", "rmi", "corba", "inproc"}
         assert len(registry) == 4
 
     def test_unknown_transport_raises_with_available_listing(self):
         registry = TransportRegistry([RmiTransport()])
         with pytest.raises(UnknownTransportError) as excinfo:
-            registry.get("iiop")
+            registry.framing("iiop")
         assert "rmi" in str(excinfo.value)
 
     def test_frame_unframe_round_trip(self):

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.core.transformer import ApplicationTransformer
 from repro.policy.policy import all_local_policy, place_classes_on
 from repro.runtime.cluster import Cluster
@@ -12,7 +10,6 @@ from repro.workloads.orders import (
     Catalog,
     CustomerSession,
     OrderStore,
-    run_order_phase,
     seed_catalog,
 )
 from repro.workloads.pipeline import Buffer, Consumer, Producer, run_pipeline
@@ -128,18 +125,14 @@ class TestOrdersWorkload:
         orders = app.new("OrderStore")
         seed_catalog(catalog, 10)
 
-        browse = run_order_phase(app, catalog, orders, phase="browse", node="front", iterations=8)
-        assert browse["browsed"] == 16
-        assert browse["placed"] >= 1
+        with app.executing_on("front"):
+            session = app.new("CustomerSession", "customer@front", catalog, orders)
+            browsed = sum(
+                session.browse([f"sku-{index}", f"sku-{index + 3}"]) > 0 for index in range(4)
+            )
+            placed = [session.buy(f"sku-{index}", 1) for index in range(2)]
+        assert browsed == 4 and placed == [0, 1]
 
-        fulfil = run_order_phase(app, catalog, orders, phase="fulfil", node="warehouse")
-        assert fulfil["fulfilled"] == browse["placed"]
-        assert orders.revenue() > 0
-
-    def test_unknown_phase_is_rejected(self):
-        app = ApplicationTransformer(all_local_policy()).transform(ORDERS)
-        app.deploy(Cluster(("front",)), default_node="front")
-        catalog = app.new("Catalog")
-        orders = app.new("OrderStore")
-        with pytest.raises(ValueError):
-            run_order_phase(app, catalog, orders, phase="meditate", node="front")
+        with app.executing_on("warehouse"):
+            assert all(orders.fulfil(order_id) for order_id in list(orders.pending()))
+        assert orders.pending() == [] and orders.revenue() > 0
