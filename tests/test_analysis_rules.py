@@ -31,6 +31,7 @@ from lint_fixtures.deploy_targets import (
 from repro.analysis import (
     PARSE_ERROR_RULE,
     Finding,
+    Rule,
     RuleEngine,
     SuppressionIndex,
     all_rules,
@@ -140,6 +141,18 @@ class TestEngineBehavior:
         for rule in all_rules():
             text = rule.explain()
             assert rule.id in (rule.id,) and text.strip()
+
+    def test_a_rule_without_a_check_cannot_be_made(self):
+        class Unfinished(Rule):
+            id = "DS900"
+
+        with pytest.raises(TypeError, match="check"):
+            Unfinished()
+
+    def test_engine_refuses_two_rules_with_one_id(self):
+        rule = all_rules()[0]
+        with pytest.raises(ValueError, match="duplicate rule ids"):
+            RuleEngine([rule, type(rule)()])
 
     def test_engine_accepts_an_explicit_rule_list(self):
         engine = RuleEngine(all_rules())

@@ -12,6 +12,8 @@ from repro.core.analyzer import (
     TransformabilityAnalyzer,
 )
 from repro.core.introspect import class_model_from_descriptor, class_model_from_python
+from repro.core.transformer import ApplicationTransformer
+from repro.policy.policy import all_local_policy
 
 
 def _models(*classes):
@@ -129,6 +131,23 @@ class TestAnalysisResult:
             )
         )
 
+    def test_every_class_has_exactly_one_outcome(self):
+        result = self._result()
+        assert set(result.transformable).isdisjoint(result.non_transformable)
+        # ProtocolError's superclass is referenced but not supplied: it gets an outcome too.
+        assert set(result.transformable) | set(result.non_transformable) == {
+            "NativeIO", "Codec", "CleanHelper", "ProtocolError", "Exception"
+        }
+        assert result.total_classes == 5
+
+    def test_direct_versus_propagated_partition(self):
+        result = self._result()
+        assert result.reasons_for("NativeIO") == {NonTransformableReason.NATIVE_METHODS}
+        # Codec is clean itself: only the closure over NativeIO's references excludes it.
+        assert result.reasons_for("Codec") == {
+            NonTransformableReason.REFERENCED_BY_NON_TRANSFORMABLE
+        }
+
     def test_reasons_histogram_counts_classes(self):
         histogram = self._result().reasons_histogram()
         assert histogram[NonTransformableReason.NATIVE_METHODS] >= 1
@@ -144,3 +163,24 @@ class TestAnalysisResult:
     def test_empty_universe_has_no_classes(self):
         result = _analyse([])
         assert result.total_classes == 0 and not result.non_transformable
+
+
+class TestSubstitutability:
+    """The transformer substitutes a class when it is transformable and the policy allows it."""
+
+    def test_policy_restricts_substitutable_set(self):
+        policy = all_local_policy()
+        policy.set_class("Z", substitutable=False)
+        app = ApplicationTransformer(policy).transform([sample_app.X, sample_app.Y, sample_app.Z])
+        assert app.transformed_classes() == {"X", "Y"}
+
+    def test_non_transformable_class_cannot_be_substitutable(self):
+        classes = [sample_unsupported.NativeIO, sample_unsupported.CleanHelper]
+        app = ApplicationTransformer().transform(classes)
+        assert app.transformed_classes() == {"CleanHelper"}
+        with pytest.raises(NotTransformableError, match="NativeIO"):
+            ApplicationTransformer(strict=True).transform(classes)
+
+    def test_default_is_every_transformable_class(self):
+        app = ApplicationTransformer().transform([sample_app.X, sample_app.Y])
+        assert app.transformed_classes() == {"X", "Y"}

@@ -296,3 +296,25 @@ class TestSessionClose:
         replacement = cluster.space("shard-1").export(OrderIntake())
         cluster.naming.rebind("orders", replacement)
         assert svc.reference == old_ref  # the closed session stopped listening
+
+
+class TestDeployNeedsANode:
+    def test_deploying_without_a_node_is_refused(self, cluster):
+        with Session(cluster, node="client") as session:
+            with pytest.raises(PolicyError, match="'orders' needs node="):
+                session.service("orders", impl=OrderIntake())
+
+    def test_a_refused_deploy_leaves_no_export_and_no_binding(self, cluster):
+        objects_before = {
+            node: len(cluster.space(node).exported_objects()) for node in cluster.node_ids()
+        }
+        with Session(cluster, node="client") as session:
+            with pytest.raises(PolicyError):
+                session.service("orders", impl=OrderIntake())
+            assert "orders" not in cluster.naming
+            for node in cluster.node_ids():
+                assert len(cluster.space(node).exported_objects()) == objects_before[node], node
+            # The name is still free: the same session deploys it once a node is given.
+            service = session.service("orders", impl=OrderIntake(), node="shard-0")
+            assert cluster.naming.lookup("orders").node_id == "shard-0"
+            assert service is not None

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import argparse
 import io
 import json
+import re
 import textwrap
 from pathlib import Path
 
@@ -141,6 +143,13 @@ class TestEmitCommand:
         assert "Ledger_O_Proxy_INPROC" in output
 
 
+    def test_emit_accepts_every_registered_transport(self, app_file):
+        code, output = run_cli("emit", str(app_file), "--transports", "soap,rmi,corba,inproc")
+        assert code == 0
+        for suffix in ("SOAP", "RMI", "CORBA", "INPROC"):
+            assert f"Ledger_O_Proxy_{suffix}" in output
+
+
 class TestReportCommand:
     def test_report_without_policy(self, app_file):
         code, output = run_cli("report", str(app_file))
@@ -173,6 +182,20 @@ class TestReportCommand:
         assert code == 2
         assert "'Ledger'" in output and "'bogus'" in output
         assert "via bogus" not in output
+
+
+    def test_report_accepts_a_remote_placement_over_a_generated_transport(
+        self, app_file, tmp_path
+    ):
+        policy_path = tmp_path / "policy.json"
+        code, template = run_cli(
+            "policy-template", "--classes", "Ledger", "--nodes", "server", "--transport", "corba"
+        )
+        assert code == 0
+        policy_path.write_text(template, encoding="utf-8")
+        code, output = run_cli("report", str(app_file), "--policy", str(policy_path))
+        assert code == 0
+        assert "instances on 'server' via corba" in output
 
 
 class TestCorpusAndTemplateCommands:
@@ -208,6 +231,17 @@ class TestCorpusAndTemplateCommands:
             "policy-template",
         ):
             assert command in help_text
+
+    def test_cli_smoke_runs_every_subcommand(self):
+        """``make cli-smoke`` is a reachability consumer: a new subcommand joins it."""
+        makefile = (Path(__file__).resolve().parents[1] / "Makefile").read_text(encoding="utf-8")
+        recipe = makefile.split("\ncli-smoke:", 1)[1].split("\n\n", 1)[0]
+        smoked = set(re.findall(r"\bsmoke ([a-z][\w-]*)", recipe))
+        (subcommands,) = [
+            action.choices for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ]
+        assert smoked == set(subcommands)
 
     def test_bench_subcommands_are_gone(self, capsys):
         """The benchmarks live in benchmarks/bench_*.py, not in the CLI."""

@@ -7,6 +7,7 @@ under the same hook the consumers run under, and gated.
 from __future__ import annotations
 
 import importlib.util
+import re
 import sys
 import textwrap
 from pathlib import Path
@@ -196,3 +197,188 @@ class TestGate:
     def test_a_malformed_row_is_refused(self, text):
         with pytest.raises(ValueError):
             reach.parse_ledger(text)
+
+
+EDGES = textwrap.dedent(
+    '''
+    import abc
+    from abc import abstractmethod
+
+
+    def make_counter():
+        class Counter:
+            def bump(self):
+                return 1
+        return Counter
+
+
+    if True:
+        def chosen():
+            return "first"
+    else:
+        def chosen():
+            return "second"
+
+
+    async def fetch():
+        return 7
+
+
+    class Box:
+        @property
+        def item(self):
+            return self._item
+
+        @item.setter
+        def item(self, value):
+            self._item = value
+
+        @item.deleter
+        def item(self):
+            del self._item
+
+        @staticmethod
+        def empty():
+            return Box()
+
+        def __str__(self):
+            return "box"
+
+
+    class Port(abc.ABC):
+        @abstractmethod
+        def open(self):
+            ...
+    '''
+)
+
+EDGES_ENTERED = {
+    "crates.edges.make_counter",
+    "crates.edges.make_counter.<locals>.Counter.bump",
+    "crates.edges.chosen",
+    "crates.edges.fetch",
+    "crates.edges.Box.item",
+    "crates.edges.Box.item.setter",
+    "crates.edges.Box.item.deleter",
+    "crates.edges.Box.empty",
+}
+
+
+@pytest.fixture
+def edges(tmp_path):
+    """Like ``tree``, for the shapes of ``def`` the first fixture does not have."""
+    package = tmp_path / "crates"
+    package.mkdir()
+    (package / "edges.py").write_text(EDGES, encoding="utf-8")
+    spec = importlib.util.spec_from_file_location("crates_edges", package / "edges.py")
+    module = importlib.util.module_from_spec(spec)
+    recorder = reach.Recorder(tmp_path)
+    recorder.start()
+    try:
+        spec.loader.exec_module(module)
+        assert module.make_counter()().bump() == 1
+        assert module.chosen() == "first"
+        coroutine = module.fetch()
+        with pytest.raises(StopIteration) as finished:
+            coroutine.send(None)
+        assert finished.value.value == 7
+        box = module.Box.empty()
+        box.item = 3
+        assert box.item == 3
+        del box.item
+    finally:
+        recorder.stop()
+    return reach.list_functions(tmp_path, "crates"), recorder.entered, module
+
+
+class TestListingEdges:
+    def test_a_class_inside_a_function_is_named_under_its_locals(self, edges):
+        functions, entered, module = edges
+        bump = by_name(functions)["crates.edges.make_counter.<locals>.Counter.bump"]
+        code = module.make_counter().bump.__code__
+        assert bump.key == ("crates/edges.py", code.co_firstlineno, code.co_name)
+        assert bump.key in entered
+
+    def test_a_second_def_of_one_name_is_numbered_and_keeps_its_own_line(self, edges):
+        functions, entered, _ = edges
+        names = by_name(functions)
+        first, second = names["crates.edges.chosen"], names["crates.edges.chosen#2"]
+        assert second.key[1] > first.key[1]
+        assert first.key in entered and second.key not in entered
+
+    def test_an_async_def_is_listed_and_entered_when_awaited(self, edges):
+        functions, entered, _ = edges
+        fetch = by_name(functions)["crates.edges.fetch"]
+        assert fetch.key[2] == "fetch" and fetch.key in entered
+
+    def test_a_property_deleter_is_a_third_function(self, edges):
+        functions, _, module = edges
+        names = by_name(functions)
+        assert names["crates.edges.Box.item.deleter"].key[1] == (
+            module.Box.item.fdel.__code__.co_firstlineno
+        )
+
+    def test_str_and_an_imported_abstractmethod_are_exempt(self, edges):
+        functions, _, _ = edges
+        exempt = {f.qualname: f.exempt for f in functions if f.exempt}
+        assert exempt == {"crates.edges.Box.__str__": "repr", "crates.edges.Port.open": "abstract"}
+
+    def test_the_hook_enters_exactly_the_functions_that_ran(self, edges):
+        functions, entered, _ = edges
+        assert {f.qualname for f in functions if f.key in entered} == EDGES_ENTERED
+
+    def test_only_the_branch_not_taken_fails_the_gate(self, edges):
+        functions, entered, _ = edges
+        verdict = reach.gate(functions, entered, {})
+        assert [f.qualname for f in verdict.unlisted] == ["crates.edges.chosen#2"]
+
+
+@pytest.fixture(scope="module")
+def committed():
+    """The tree's functions by name and the committed ledger's rows."""
+    functions = reach.list_functions()
+    return by_name(functions), reach.parse_ledger(reach.LEDGER.read_text(encoding="utf-8"))
+
+
+class TestCommittedLedger:
+    """What the gate can check without running a consumer."""
+
+    def test_every_row_names_a_function_of_the_tree(self, committed):
+        functions, rows = committed
+        assert sorted(set(rows) - set(functions)) == []
+
+    def test_no_row_names_a_function_that_is_exempt_anyway(self, committed):
+        functions, rows = committed
+        assert [name for name in rows if name in functions and functions[name].exempt] == []
+
+    def test_an_item_reason_names_an_item_of_the_roadmap(self, committed):
+        _, rows = committed
+        roadmap = (reach.ROOT / "ROADMAP.md").read_text(encoding="utf-8")
+        items = {int(n) for n in re.findall(r"^\s*(\d+)\.\s", roadmap, re.MULTILINE)}
+        cited = {int(r.split("-")[1]) for r in rows.values() if r.startswith("item-")}
+        assert cited and cited <= items
+
+    def test_an_api_row_names_a_class_or_function_the_docs_name(self, committed):
+        functions, rows = committed
+        root = reach.ROOT
+        texts = [root / "README.md", *(root / "docs").rglob("*.md"),
+                 *(root / "examples").glob("*.py")]
+        words = set(re.findall(r"\w+", "".join(p.read_text(encoding="utf-8") for p in texts)))
+
+        def inner_names(name):
+            module = functions[name].key[0][: -len(".py")].replace("/", ".")
+            module = module[: -len(".__init__")] if module.endswith(".__init__") else module
+            return name[len(module) + 1:].split(".")
+
+        unnamed = [
+            name for name, reason in rows.items()
+            if reason == "api" and name in functions
+            and not any(part in words for part in inner_names(name))
+        ]
+        assert unnamed == []
+
+    def test_every_make_consumer_is_a_target_of_the_makefile(self, tmp_path):
+        makefile = (reach.ROOT / "Makefile").read_text(encoding="utf-8")
+        targets = set(re.findall(r"^([\w-]+):", makefile, re.MULTILINE))
+        wanted = {cmd[1] for cmd in reach.consumers(tmp_path).values() if cmd[0] == "make"}
+        assert wanted and wanted <= targets

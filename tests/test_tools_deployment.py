@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 import sample_app
@@ -89,6 +91,16 @@ class TestLoadingAndRoundTrip:
         rebuilt = deployment_from_dict(descriptor.to_dict())
         assert rebuilt.node_ids() == descriptor.node_ids()
         assert rebuilt.policy.instance_decision("Y") == descriptor.policy.instance_decision("Y")
+
+    def test_from_json_and_file(self, tmp_path):
+        """The JSON form is the dictionary form: ``to_dict`` survives a file."""
+        descriptor = deployment_from_dict(CONFIG)
+        path = tmp_path / "deploy.json"
+        path.write_text(json.dumps(descriptor.to_dict()), encoding="utf-8")
+        loaded = deployment_from_dict(json.loads(path.read_text(encoding="utf-8")))
+        assert loaded.to_dict() == descriptor.to_dict()
+        assert loaded.default_node == "client"
+        assert loaded.policy.instance_decision("Y") == descriptor.policy.instance_decision("Y")
 
     def test_malformed_documents_rejected(self):
         with pytest.raises(PolicyError):

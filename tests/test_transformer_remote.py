@@ -166,6 +166,25 @@ class TestRemoteTransportCheck:
         with pytest.raises(PolicyError, match="'Z'.*'corba'"):
             ApplicationTransformer(policy, transports=("rmi",)).transform(CLASSES)
 
+    def test_the_refusal_lists_the_transports_that_were_generated(self):
+        policy = place_classes_on({"Y": "server"}, transport="soap")
+        with pytest.raises(PolicyError, match=r"\(transports: rmi, corba\)"):
+            ApplicationTransformer(policy, transports=("rmi", "corba")).transform(CLASSES)
+
+    def test_an_unsubstitutable_class_needs_no_proxy_of_its_transport(self):
+        policy = all_local_policy()
+        policy.set_class("Y", substitutable=False, instances=remote("server", transport="bogus"))
+        app = ApplicationTransformer(policy).transform(CLASSES)
+        assert app.transformed_classes() == {"X", "Z"}
+
+    def test_a_remote_placement_over_a_generated_transport_deploys(self):
+        policy = place_classes_on({"Y": "server"}, transport="corba")
+        app = ApplicationTransformer(policy, transports=("corba",)).transform(CLASSES)
+        app.deploy(Cluster(("client", "server")), default_node="client")
+        handle = app.new("Y", 2)
+        assert type(handle).__name__ == "Y_O_Proxy_CORBA"
+        assert handle.n(3) == 5
+
     def test_local_decisions_need_no_proxy_of_their_transport(self):
         app = ApplicationTransformer(all_local_policy(), transports=("corba", "inproc"))
         assert app.transform(CLASSES).transformed_classes() == {"X", "Y", "Z"}
