@@ -14,11 +14,15 @@ This is the mechanism that makes Figure 1 work: when the shared instance of
 references, not copies.
 
 The :class:`Marshaller` owns what a value *means* on the wire: its tree
-(:class:`repro.transports.base.Tree`) and the references in it.  The binary
-codec writes and reads tree bytes straight from live values, calling back only
-for references, bytes, sets and primitive subclasses; the tree itself is built
-for SOAP and in-process frames and for a served result (marshalled before its
-response exists, so one that cannot be is that call's error response).
+(:class:`repro.transports.base.Tree`) and the references in it.  A dict or
+list travels as itself; the tree tags only what a plain wire value cannot say
+(tuples, sets, bytes, references, and a map holding the ``"__kind__"`` key, so
+that a user map is never read as a tree), and ``from_wire`` still reads the
+old form that tagged every container.  The binary codec writes and reads tree
+bytes straight from live values, calling back only for what is tagged and
+primitive subclasses; the tree itself is built for SOAP and in-process frames
+and for a served result (marshalled before its response exists, so one that
+cannot be is that call's error response).
 """
 
 from __future__ import annotations
@@ -53,19 +57,19 @@ class Marshaller:
             return value
         to_wire = self.to_wire
         if isinstance(value, dict):
-            items = []
+            wire = {}
             for key, item in value.items():
                 if not isinstance(key, str):
                     raise SerializationError(
                         f"only string keys can be marshalled, got {type(key).__name__}"
                     )
-                items.append([key, item if type(item) in LEAVES else to_wire(item)])
-            return {Tree.KIND: Tree.MAP, Tree.ITEMS: items}
+                wire[key] = item if type(item) in LEAVES else to_wire(item)
+            if Tree.KIND in wire:  # a user map that would read as a tree: escaped
+                return {Tree.KIND: Tree.MAP, Tree.ITEMS: [list(entry) for entry in wire.items()]}
+            return wire
         if isinstance(value, (list, tuple)):
-            return {
-                Tree.KIND: Tree.LIST if isinstance(value, list) else Tree.TUPLE,
-                Tree.ITEMS: [item if type(item) in LEAVES else to_wire(item) for item in value],
-            }
+            items = [item if type(item) in LEAVES else to_wire(item) for item in value]
+            return items if isinstance(value, list) else {Tree.KIND: Tree.TUPLE, Tree.ITEMS: items}
         # Everything below is rare: subclasses of the primitives (an IntEnum
         # travels as itself), bytes, sets and references.
         if isinstance(value, _PRIMITIVES):
@@ -115,7 +119,8 @@ class Marshaller:
         if isinstance(value, dict):
             kind = value.get(Tree.KIND)
             if kind is None:
-                return {key: from_wire(item) for key, item in value.items()}
+                return {key: item if type(item) in LEAVES else from_wire(item)
+                        for key, item in value.items()}
             if kind == Tree.REF:
                 return self._resolve_reference(RemoteRef.from_wire(value))
             if kind == Tree.BYTES:
@@ -139,7 +144,7 @@ class Marshaller:
             items = [item if type(item) in LEAVES else from_wire(item) for item in items]
             return items if kind == Tree.LIST else tuple(items)
         if isinstance(value, list):
-            return [from_wire(item) for item in value]
+            return [item if type(item) in LEAVES else from_wire(item) for item in value]
         if isinstance(value, _PRIMITIVES):
             return value
         raise SerializationError(

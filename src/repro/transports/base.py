@@ -21,11 +21,12 @@ non-empty, and a response is::
     {"error": {"type": ..., "message": ...}}     on failure
 
 Wire values are JSON-compatible (None, bool, int, float, str, list, dict);
-any other value travels as the Marshaller's :class:`Tree`.  Outgoing, it may
-sit in ``args``/``kwargs`` as a :class:`Live` marker, which every protocol
-writes as its tree's bytes.  Given ``marshaller=``, the decoders return each
-``args`` item, ``kwargs`` value and ``result`` live, and a tree that does not
-hold together is a :class:`~repro._errors.SerializationError` for the frame.
+a live dict or list travels as itself, anything else as the Marshaller's
+:class:`Tree`.  Outgoing, a value may sit in ``args``/``kwargs`` as a
+:class:`Live` marker, which every protocol writes as its tree's bytes.  Given
+``marshaller=``, the decoders return each ``args`` item, ``kwargs`` value and
+``result`` live, and a tree that does not hold together is a
+:class:`~repro._errors.SerializationError` for the frame.
 
 A frame carries a list of messages of one *kind* (:data:`REQUEST`,
 :data:`RESPONSE`, :data:`BATCH_REQUEST`, :data:`BATCH_RESPONSE`); the two
@@ -64,9 +65,10 @@ LEAVES = frozenset((type(None), bool, int, float, str))
 
 
 class Tree:
-    """The Marshaller's tree: ``{KIND: MAP, ITEMS: [[key, value], ...]}``, ``{KIND:
-    LIST | TUPLE | SET, ITEMS: [...]}``, ``{KIND: BYTES, DATA: <base64>}``, ``{KIND:
-    REF, "object_id", "node_id", "interface"}`` — key order = wire order."""
+    """The Marshaller's tree: a dict or list as itself; ``{KIND: TUPLE | SET, ITEMS:
+    [...]}``, ``{KIND: BYTES, DATA: <base64>}``, ``{KIND: REF, "object_id", "node_id",
+    "interface"}``; ``{KIND: MAP, ITEMS: [[key, value], ...]}`` for a map holding KIND
+    — key order = wire order.  Read too: ``LIST`` and ``MAP`` for any list or map."""
 
     KIND, ITEMS, DATA = "__kind__", "items", "data"
     MAP, LIST, TUPLE, SET, BYTES, REF = "map", "list", "tuple", "set", "bytes", "ref"

@@ -32,8 +32,10 @@ share every line of value handling while producing different bytes.
   header in front of it.
 
 Which code writes what.  **Values** go through the walk: wire values, and a
-:class:`~repro.transports.base.Live` marker's tree bytes straight from its value,
-read back live given a ``marshaller``.  **Messages** go through
+:class:`~repro.transports.base.Live` marker's value as the bytes of
+``encode_value(marshaller.to_wire(value))``, read back live given a
+``marshaller`` (a map holding the tree's ``"__kind__"`` key whole through
+``from_wire``, so the old all-tagged form still reads).  **Messages** go through
 :class:`BinaryTransport`'s record writer and reader: a dict field by field, each
 head (pad, length, name) from a table built once per alignment and matched with
 ``startswith``, leaves and lists or maps of leaves in place.  Any other field
@@ -120,21 +122,6 @@ def _layout(alignment: int) -> tuple:
     return align4, align8, heads
 
 
-@functools.lru_cache(maxsize=None)
-def _tree_layout(alignment: int) -> tuple:
-    """The tree's fixed bytes at stream offset ``r`` mod 4, as encode_value writes them:
-    ``heads[r][dict|list|tuple]`` up to a node's item count, ``pairs[r]`` to a key's length."""
-    heads, pairs = [None] * 4, [None] * 4
-    for lead in ("", "a", "ab", "abc"):  # puts what follows at each offset mod 4
-        offset = len(encode_value([lead], alignment))
-        heads[offset & 3] = {
-            kind: encode_value([lead, {Tree.KIND: name, Tree.ITEMS: []}], alignment)[offset:-4]
-            for kind, name in ((dict, Tree.MAP), (list, Tree.LIST), (tuple, Tree.TUPLE))
-        }
-        pairs[offset & 3] = encode_value([lead, ["", None]], alignment)[offset:-5]
-    return heads, pairs
-
-
 def _unfit(error: BaseException, writing: bool) -> TransportError:
     """The TransportError standing for what Python raised on a stream not in the format."""
     if isinstance(error, RecursionError):
@@ -184,19 +171,17 @@ def _packers(buffer: bytearray, alignment: int) -> tuple:
 def _writer(buffer: bytearray, alignment: int) -> Any:
     """The walk over ``buffer``: ``write(value, type(value), None, write)`` appends a wire value
     or a Live marker's tree (handed itself: a closure naming itself is a reference cycle)."""
-    uint32 = _UINT32.pack
     tag_uint32, tag_int64, tag_float64, key_length = _packers(buffer, alignment)
-    heads = pairs = None  # the tree layout, looked up at the first Live marker
+    key_heads = ({}, {}, {}, {})  # a map key's head and bytes, by stream offset mod 4
 
     def write(value: Any, kind: type, marshaller: Any, write: Any) -> None:
         """Append ``value``: a wire value, or a live one given its marshaller."""
-        nonlocal buffer, heads, pairs
+        nonlocal buffer
         if kind is str:
             data = value.encode()
             buffer += tag_uint32(_TAG_STR, len(data)) + data
-        elif kind is list or kind is tuple:
-            buffer += (tag_uint32(_TAG_LIST, len(value)) if marshaller is None
-                       else heads[len(buffer) & 3][kind] + uint32(len(value)))
+        elif kind is list or (kind is tuple and marshaller is None):
+            buffer += tag_uint32(_TAG_LIST, len(value))
             for item in value:
                 item_kind = type(item)
                 if item_kind is str:  # the most frequent leaf, written in place
@@ -207,16 +192,22 @@ def _writer(buffer: bytearray, alignment: int) -> Any:
         elif kind is int:
             buffer += tag_int64(_TAG_INT, value)
         elif kind is dict:
-            buffer += (tag_uint32(_TAG_MAP, len(value)) if marshaller is None
-                       else heads[len(buffer) & 3][dict] + uint32(len(value)))
+            if marshaller is not None and Tree.KIND in value:  # the tree escapes this map
+                wire = marshaller.to_wire(value)
+                write(wire, type(wire), None, write)
+                return
+            buffer += tag_uint32(_TAG_MAP, len(value))
             for key, item in value.items():
-                if not isinstance(key, str):
-                    raise (TransportError if marshaller is None else SerializationError)(
-                        f"map keys must be strings, got {type(key).__name__}"
-                    )
-                data = key.encode()
-                buffer += (key_length(len(data)) if marshaller is None
-                           else pairs[len(buffer) & 3] + uint32(len(data))) + data
+                heads = key_heads[len(buffer) & 3]
+                head = heads.get(key)
+                if head is None:
+                    if not isinstance(key, str):
+                        raise (TransportError if marshaller is None else SerializationError)(
+                            f"map keys must be strings, got {type(key).__name__}"
+                        )
+                    data = key.encode()
+                    head = heads[key] = key_length(len(data)) + data
+                buffer += head
                 item_kind = type(item)
                 if item_kind is str:
                     data = item.encode()
@@ -230,8 +221,6 @@ def _writer(buffer: bytearray, alignment: int) -> Any:
         elif kind is bool:
             buffer.append(_TAG_TRUE if value else _TAG_FALSE)
         elif kind is Live:
-            if heads is None:
-                heads, pairs = _tree_layout(alignment)
             try:
                 write(value.value, type(value.value), value.marshaller, write)
             except (struct.error, OverflowError, UnicodeEncodeError):
@@ -239,8 +228,8 @@ def _writer(buffer: bytearray, alignment: int) -> Any:
                 raise
         elif marshaller is None:  # a subclass travels as the wire type it extends
             write(value, _wire_base(value), None, write)
-        elif isinstance(value, (dict, list, tuple)):  # a live container of another type
-            write(value, _wire_base(value), marshaller, write)
+        elif isinstance(value, (dict, list)):  # a live map or list of another type
+            write(value, dict if isinstance(value, dict) else list, marshaller, write)
         else:
             wire = marshaller.to_wire(value)
             write(wire, type(wire), None, write)
@@ -255,8 +244,7 @@ def _reader(payload: bytes, alignment: int, marshaller: Any) -> Any:
     aligned = alignment > 1
     align4, align8, _ = _layout(alignment)
     uint32, int64, float64 = _UINT32.unpack_from, _INT64.unpack_from, _FLOAT64.unpack_from
-    startswith = payload.startswith
-    heads, pairs = _tree_layout(alignment) if marshaller is not None else (None, None)
+    tree_kind = Tree.KIND
 
     def read(live: bool, read: Any) -> Any:
         nonlocal offset
@@ -272,8 +260,6 @@ def _reader(payload: bytes, alignment: int, marshaller: Any) -> Any:
                 start += -start % align4
             offset = start + 4
             count = uint32(payload, start)[0]
-            if count == 2:  # every Marshaller map entry is a [key, value] pair
-                return [read(live, read), read(live, read)]
             return list(map(read, repeat(live, count), repeat(read, count)))
         if tag == _TAG_INT:
             if aligned:
@@ -281,15 +267,17 @@ def _reader(payload: bytes, alignment: int, marshaller: Any) -> Any:
             offset = start + 8
             return int64(payload, start)[0]
         if tag == _TAG_MAP:
-            if live:
-                return read_tree(offset, read)
+            at = offset
             if aligned:
                 start += -start % align4
             offset = start + 4
             result = {}
             for _ in range(uint32(payload, start)[0]):
                 key, offset = _read_key(payload, offset, align4)
-                result[key] = read(False, read)
+                if live and key == tree_kind:  # a tree or an escaped map: read whole
+                    offset = at
+                    return marshaller.from_wire(read(False, read))
+                result[key] = read(live, read)
             return result
         if tag == _TAG_FLOAT:
             if aligned:
@@ -300,31 +288,6 @@ def _reader(payload: bytes, alignment: int, marshaller: Any) -> Any:
             raise TransportError(f"unknown wire tag {tag}")
         offset = start
         return _SINGLETONS[tag]
-
-    def read_tree(at: int, read: Any) -> Any:
-        """The live value of the tree whose map starts at ``at``."""
-        nonlocal offset
-        for kind, head in heads[at & 3].items():
-            if startswith(head, at):
-                offset = at + len(head) + 4
-                count = uint32(payload, offset - 4)[0]
-                if kind is not dict:
-                    items = list(map(read, repeat(True, count), repeat(read, count)))
-                    return items if kind is list else tuple(items)
-                result = {}
-                for _ in range(count):
-                    pair = pairs[offset & 3]
-                    if not startswith(pair, offset):
-                        break
-                    start = offset + len(pair)
-                    offset = start + 4 + uint32(payload, start)[0]
-                    key = payload[start + 4 : offset].decode()
-                    result[key] = read(True, read)
-                else:
-                    return result
-                break
-        offset = at  # not the layout Marshaller.to_wire writes: the tree as it is
-        return marshaller.from_wire(read(False, read))
 
     def walk(at: int, live: bool) -> tuple:
         nonlocal offset

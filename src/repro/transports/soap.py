@@ -93,10 +93,10 @@ def _value_to_element(value: Any, tag: str = "value") -> ET.Element:
         element.text = "true" if value else "false"
     elif isinstance(value, int):
         element.set("type", "int")
-        element.text = str(value)
+        element.text = int.__repr__(value)  # an IntEnum's str() is its name before 3.11
     elif isinstance(value, float):
         element.set("type", "double")
-        element.text = repr(value)
+        element.text = float.__repr__(value)
     elif isinstance(value, str):
         element.set("type", "string")
         text, encoded = _encode_text(value)

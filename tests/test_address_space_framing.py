@@ -499,9 +499,11 @@ class TestCallBudget:
     #: first byte (197.1 before; 239.1 when the walk handled the messages,
     #: 249.1 before values went to bytes in one pass).
     CEILING = 166.0
-    #: Python calls per batched order: 2 245.1 (2 293.2 with the messages
-    #: walked, 3 608.2 with the Marshaller's tree built and walked).
-    BATCH_CEILING = 2357.4
+    #: Python calls per batched order: 1 597.0 with its dicts and lists
+    #: written as plain maps and lists, each key's head written once per
+    #: frame (2 245.1 with every container a tagged tree, 2 293.2 with the
+    #: messages walked, 3 608.2 with the Marshaller's tree built and walked).
+    BATCH_CEILING = 1676.9
     #: Python calls per lookup in windows of 32: 101.6 (137.9 with the
     #: messages walked).
     SMALL_BATCH_CEILING = 106.7
@@ -513,10 +515,11 @@ class TestCallBudget:
     #: per-call record and counted itself in always-on statistics).
     HANDLE_CEILING = 23.1
     #: Python calls per write in batches of 16 quorum-2 writes to a 3-replica
-    #: group: 237.7 with one record per link and frame prefixes resolved at
-    #: registration (244.1 before, with a batch's writes committed once;
+    #: group: 203.2 with the forwarded argument lists as plain lists (237.7
+    #: with them tagged, one record per link and frame prefixes resolved at
+    #: registration; 244.1 before, with a batch's writes committed once;
     #: 588.6 when each write caught its backups up on its own).
-    QUORUM_BATCH_CEILING = 249.6
+    QUORUM_BATCH_CEILING = 213.4
     #: Python calls per served write to a ledger with two subscribers, the
     #: reader invalidated by a ``!inv`` frame and the writer by the
     #: piggyback on its response: 269.1.

@@ -5,9 +5,12 @@ produced it *before* the binary codec was rewritten, so a codec change that
 moves a single byte (a pad, a tag, a length) fails here rather than in a
 simulated-clock number three layers up.  The fixed message set covers the
 whole wire-value domain — the strings, int64 edges, floats and containers
-the codec special-cases — plus one order in the Marshaller's
-``{"__kind__": "map", "items": [[key, value], ...]}`` shape, which is what
-the ledger's ``batch_payload`` workload ships.
+the codec special-cases — plus one order twice: in the tagged tree form
+(``{"__kind__": "map", "items": [[key, value], ...]}``, every list tagged too)
+that the Marshaller wrote before plain containers, which every decoder must
+still read, and as the plain map ``Marshaller.to_wire`` writes now, which is
+what the ledger's ``batch_payload`` workload ships (the ``plain_order_*``
+cases).
 
 Regenerate (only when the wire format is *meant* to change) with
 ``PYTHONPATH=src python tests/test_wire_golden.py``.
@@ -41,7 +44,20 @@ ORDER = {
         for index in range(16)
     ],
 }
-WIRE_ORDER = Marshaller(None).to_wire(ORDER)
+
+
+def _tagged(value):
+    """``value`` in the tree form that tagged every container: a map as its
+    ``[key, value]`` pairs, a list under ``items``."""
+    if isinstance(value, dict):
+        return {"__kind__": "map", "items": [[key, _tagged(item)] for key, item in value.items()]}
+    if isinstance(value, list):
+        return {"__kind__": "list", "items": [_tagged(item) for item in value]}
+    return value
+
+
+WIRE_ORDER = _tagged(ORDER)
+PLAIN_ORDER = Marshaller(None).to_wire(ORDER)
 
 REQUEST = {
     "target": "server:12",
@@ -60,6 +76,7 @@ SMALL_REQUEST = {
     "args": ["key-1"], "kwargs": {},
 }
 RESPONSE = {"result": WIRE_ORDER}
+PLAIN_ORDER_REQUEST = {**SMALL_REQUEST, "member": "submit", "args": [PLAIN_ORDER]}
 ERROR_RESPONSE = {"error": {"type": "KeyError", "message": "missing ключ 𝄞"}}
 
 #: message name -> (encoder, decoder, message)
@@ -74,6 +91,8 @@ CASES = {
         "encode_batch_response", "decode_batch_response",
         [{"result": 7}, ERROR_RESPONSE, RESPONSE, {"result": None}],
     ),
+    "plain_order_request": ("encode_request", "decode_request", PLAIN_ORDER_REQUEST),
+    "plain_order_response": ("encode_response", "decode_response", {"result": PLAIN_ORDER}),
 }
 TRANSPORTS = {transport.name: transport for transport in default_transport_registry()}
 BINARY = ("rmi", "corba")
@@ -89,10 +108,16 @@ def _frames(names=tuple(TRANSPORTS)):
 
 
 def test_the_order_is_marshaller_shaped_and_survives():
+    marshaller = Marshaller(None)
+    # The Marshaller writes the order as the plain map it is ...
+    assert PLAIN_ORDER == ORDER and "__kind__" not in PLAIN_ORDER
+    assert type(PLAIN_ORDER["lines"]) is list and len(PLAIN_ORDER["lines"]) >= 16
+    assert marshaller.from_wire(PLAIN_ORDER) == ORDER
+    # ... and still reads the tagged form it wrote before.
     assert WIRE_ORDER["__kind__"] == "map"
     lines = dict(WIRE_ORDER["items"])["lines"]
     assert lines["__kind__"] == "list" and len(lines["items"]) >= 16
-    assert Marshaller(None).from_wire(WIRE_ORDER) == ORDER
+    assert marshaller.from_wire(WIRE_ORDER) == ORDER
 
 
 @pytest.mark.parametrize("name,case", _frames())

@@ -9,7 +9,10 @@ alignment machinery of :mod:`repro.transports.codec` with adversarial
 string-length / primitive interleavings.  The binary codec's one pass from
 live values to bytes and back must equal the Marshaller's tree walked by the
 wire codec, byte for byte and value for value, and so must the records rmi and
-corba write and read their messages as.
+corba write and read their messages as.  Containers travel as plain maps and
+lists on every transport, in both directions: a user map shaped like a tree
+arrives as that map, what the tree tags keeps its reading, and the tagged form
+the Marshaller wrote before still reads live.
 """
 
 from __future__ import annotations
@@ -21,8 +24,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import sample_app
 import test_wire_golden as golden
 from repro.api.errors import SerializationError, TransportError
+from repro.core.transformer import ApplicationTransformer
+from repro.policy.policy import place_classes_on
 from repro.runtime.cluster import Cluster
 from repro.runtime.serialization import Marshaller
 from repro.transports.base import (
@@ -32,6 +38,8 @@ from repro.transports.base import (
     REQUEST,
     RESPONSE,
     Live,
+    frame_message,
+    frame_prefix,
 )
 from repro.transports.codec import decode_value, encode_value
 from repro.transports.corba import CorbaTransport
@@ -424,3 +432,104 @@ def test_damaged_binary_frames_read_live_or_raise_typed_errors(name, case):
             decode(payload, marshaller=marshaller)
         except (TransportError, SerializationError):
             pass
+
+
+# -- containers on every transport, both ways -----------------------------------
+#
+# A call carries its argument to a keeper on the server and gets it back as
+# the result, over each transport in a single-call and a batch frame.  The
+# client and the server share a transformed application, so a map misread as
+# a reference would arrive as the keeper itself or as a proxy.
+
+
+class Keeper:
+    """Keeps each argument it is handed and hands it back."""
+
+    def __init__(self):
+        self.kept = []
+
+    def keep(self, value):
+        self.kept.append(value)
+        return value
+
+
+def _keeper_cluster():
+    app = ApplicationTransformer(place_classes_on({})).transform(
+        [sample_app.X, sample_app.Y, sample_app.Z]
+    )
+    cluster = Cluster(("client", "server"))
+    app.deploy(cluster, default_node="client")
+    keeper = Keeper()
+    return cluster, keeper, cluster.space("server").export(keeper)
+
+
+def _kept_and_returned(transport, framing, build):
+    """``build(reference)`` sent to the keeper: what was sent, what arrived
+    there and what came back."""
+    cluster, keeper, reference = _keeper_cluster()
+    client, value = cluster.space("client"), build(reference)
+    if framing == "single":
+        result = client.invoke_remote(reference, "keep", (value,), transport=transport)
+    else:
+        (outcome,) = client.invoke_remote_many(
+            [(reference, "keep", (value,), {})], transport=transport
+        )
+        result = outcome.unwrap()
+    (argument,) = keeper.kept
+    return value, argument, result
+
+
+def _shaped_like(reference):
+    """A user map with the keys and values of ``reference``'s wire form."""
+    return {
+        "__kind__": "ref", "object_id": reference.object_id,
+        "node_id": reference.node_id, "interface": reference.interface_name,
+    }
+
+
+@pytest.mark.parametrize("framing", ["single", "batch"])
+@pytest.mark.parametrize("transport", ["rmi", "corba", "soap", "inproc"])
+class TestContainersOnEveryTransport:
+    @pytest.mark.parametrize("build", [
+        _shaped_like,
+        lambda reference: {"ref": _shaped_like(reference), "tree": {"__kind__": "list"}},
+        lambda reference: [_shaped_like(reference), {"__kind__": "map", "items": [["a", 1]]}],
+    ], ids=["bare", "in_a_map", "in_a_list"])
+    def test_a_user_map_shaped_like_a_tree_arrives_as_that_map(self, transport, framing, build):
+        sent, argument, result = _kept_and_returned(transport, framing, build)
+        assert _same(argument, sent) and _same(result, sent)
+
+    def test_what_the_tree_tags_keeps_its_reading_inside_a_plain_map(self, transport, framing):
+        sent = {
+            "tuple": (1, "a", None), "frozenset": frozenset({1, 2}), "bytes": b"\x00\xff",
+            "intenum": Colour.BLUE, "ordered": OrderedDict(b=[1], a=(2,)),
+        }
+        # A frozenset reads as a set, an IntEnum as its int and an OrderedDict
+        # as a dict in its order, as they did when every container was tagged.
+        read = {
+            "tuple": (1, "a", None), "frozenset": {1, 2}, "bytes": b"\x00\xff",
+            "intenum": 2, "ordered": {"b": [1], "a": (2,)},
+        }
+        _, argument, result = _kept_and_returned(transport, framing, lambda reference: sent)
+        assert _same(argument, read) and _same(result, read)
+
+    def test_the_tagged_form_of_an_order_still_reads_live(self, transport, framing):
+        cluster, keeper, reference = _keeper_cluster()
+        codec = cluster.space("server").transports.framing(transport).transport
+        request = {
+            "target": reference.object_id, "interface": reference.interface_name,
+            "member": "keep", "args": [golden.WIRE_ORDER], "kwargs": {},
+        }
+        response = {"result": golden.WIRE_ORDER}
+        marshaller = cluster.space("client").marshaller
+        if framing == "single":
+            payload = frame_message(transport, codec.encode_request(request))
+            (read,) = [codec.decode_response(codec.encode_response(response),
+                                             marshaller=marshaller)]
+        else:
+            payload = frame_prefix(transport, batch=True) + codec.encode_batch_request([request])
+            (read,) = codec.decode_batch_response(codec.encode_batch_response([response]),
+                                                  marshaller=marshaller)
+        cluster.network.send_request("client", "server", payload)
+        assert _same(keeper.kept, [golden.ORDER])
+        assert _same(read["result"], golden.ORDER)
