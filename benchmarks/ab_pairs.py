@@ -98,7 +98,12 @@ def main() -> int:
     sim_equal = sim["base"] == sim["new"] and len(sim["base"]) == 1
     print(f"  sim metrics {SIM_METRICS}: {'equal' if sim_equal else 'DIFFER'}")
     if not sim_equal:
-        print(f"    base {sorted(sim['base'])}\n    new  {sorted(sim['new'])}")
+        for metric in SIM_METRICS:
+            base, new = ([run[metric] for run in runs[side]] for side in ("base", "new"))
+            ratio = f"{median(new) / median(base):.3f}" if median(base) else "n/a"
+            varies = "  (varies across runs)" if len(set(base)) > 1 or len(set(new)) > 1 else ""
+            print(f"    {metric:<20}{median(base):.4f} → {median(new):.4f}  "
+                  f"ratio {ratio}{varies}")
     return 0 if correct and sim_equal else 1
 
 

@@ -24,16 +24,18 @@ from repro.analysis.findings import Finding
 def policy_severity_overrides(policy) -> Dict[str, str]:
     """Severity escalations implied by ``policy``'s distribution contract.
 
-    Duck-typed on the policy's ``quorum_replicated`` / ``replicated``
-    properties so this module never imports :mod:`repro.api`.
+    Reads the policy's ``quorum_replicated`` / ``replicated`` properties
+    (a :class:`~repro.api.policy.ServicePolicy`; this module never imports
+    :mod:`repro.api`); a policy without them is an ``AttributeError``, not
+    a contract without escalations.
     """
     overrides: Dict[str, str] = {}
-    if getattr(policy, "quorum_replicated", False):
+    if policy.quorum_replicated:
         # Writes are replayed on backups and must converge; a
         # nondeterministic write under a quorum contract is corruption
         # waiting for a failover, not a style issue.
         overrides["DS101"] = "error"
-    if getattr(policy, "replicated", False):
+    if policy.replicated:
         # Class-level state is invisible to per-instance replica sync.
         overrides["DS104"] = "error"
     return overrides

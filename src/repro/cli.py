@@ -50,7 +50,7 @@ from repro._errors import ReproError
 from repro.core.analyzer import TransformabilityAnalyzer
 from repro.core.classmodel import ClassUniverse
 from repro.core.introspect import class_model_from_python
-from repro.core.transformer import ApplicationTransformer
+from repro.core.transformer import DEFAULT_TRANSPORTS, ApplicationTransformer
 from repro.policy.loader import policy_from_file, policy_to_dict
 from repro.policy.policy import all_local_policy, place_classes_on
 from repro.tools.report import application_report
@@ -149,9 +149,21 @@ def command_emit(args: argparse.Namespace, out) -> int:
 
 
 def command_report(args: argparse.Namespace, out) -> int:
+    from repro.runtime.cluster import default_transport_registry
+
     classes = load_classes_from_file(args.module)
     policy = policy_from_file(args.policy) if args.policy else all_local_policy()
-    app = ApplicationTransformer(policy).transform(classes)
+    # A remote placement needs its transport's proxies: generate every registered
+    # transport the policy places a class over, beside the defaults.
+    named = {
+        decision.transport
+        for cls in classes
+        for decision in (policy.instance_decision(cls.__name__),
+                         policy.static_decision(cls.__name__))
+        if decision.is_remote
+    } & default_transport_registry().names()
+    transports = DEFAULT_TRANSPORTS + tuple(sorted(named.difference(DEFAULT_TRANSPORTS)))
+    app = ApplicationTransformer(policy, transports).transform(classes)
     print(application_report(app), file=out)
     return 0
 

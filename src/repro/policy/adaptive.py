@@ -192,7 +192,8 @@ class AdaptiveDistributionManager:
         connected, :meth:`effective_congestion_factor` weighs the observed
         window by how much of the traffic's latency was spent waiting for
         busy links, so congested traffic argues more strongly for moving
-        objects next to their callers.  Pass ``None`` to disconnect.
+        objects next to their callers; metrics without those two totals are an
+        ``AttributeError`` there.  Pass ``None`` to disconnect.
         """
         self._network_source = network
 
@@ -207,9 +208,8 @@ class AdaptiveDistributionManager:
         source = self._network_source
         if source is None:
             return 1.0
-        metrics = getattr(source, "metrics", source)
-        total_latency = getattr(metrics, "total_latency", 0.0)
-        queue_delay = getattr(metrics, "total_queue_delay", 0.0)
+        metrics = getattr(source, "metrics", source)  # a network, or its metrics
+        total_latency, queue_delay = metrics.total_latency, metrics.total_queue_delay
         if total_latency <= 0.0 or queue_delay <= 0.0:
             return 1.0
         return 1.0 + min(queue_delay / total_latency, 1.0)

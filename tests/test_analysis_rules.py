@@ -228,6 +228,14 @@ class TestPolicyEscalation:
     def test_unreplicated_policy_adds_no_overrides(self):
         assert policy_severity_overrides(ServicePolicy()) == {}
 
+    def test_a_policy_without_the_replication_properties_is_an_error(self):
+        class Bare:
+            replicated = True  # no quorum_replicated
+
+        for policy in (Bare(), object()):
+            with pytest.raises(AttributeError):
+                policy_severity_overrides(policy)
+
     def test_verify_deployment_only_trips_on_errors(self):
         # Unreplicated: DS101 stays a warning, so the gate passes.
         assert verify_deployment(FlakyLedger, ServicePolicy()) == []

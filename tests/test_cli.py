@@ -197,6 +197,23 @@ class TestReportCommand:
         assert code == 0
         assert "instances on 'server' via corba" in output
 
+    def test_report_accepts_a_policy_template_over_every_registered_transport(
+        self, app_file, tmp_path
+    ):
+        """inproc is registered but not generated by default: the report
+        generates the transports the policy places a class over."""
+        policy_path = tmp_path / "policy.json"
+        for transport in ("inproc", "rmi", "corba", "soap"):
+            code, template = run_cli(
+                "policy-template", "--classes", "Ledger", "--nodes", "server",
+                "--transport", transport,
+            )
+            assert code == 0
+            policy_path.write_text(template, encoding="utf-8")
+            code, output = run_cli("report", str(app_file), "--policy", str(policy_path))
+            assert code == 0, output
+            assert f"instances on 'server' via {transport}" in output
+
 
 class TestCorpusAndTemplateCommands:
     def test_corpus_study_smoke(self):

@@ -382,6 +382,19 @@ class TestAdaptiveCongestion:
         manager.connect_network(Metrics())
         assert manager.amortised_call_count(Monitor()) == pytest.approx(15.0)
 
+    def test_metrics_missing_a_total_are_an_error_not_an_idle_network(self):
+        class Metrics:
+            total_latency = 2.0  # no total_queue_delay
+
+        class Network:
+            metrics = Metrics()
+
+        manager = self._manager()
+        for source in (Network(), Metrics(), object()):
+            manager.connect_network(source)
+            with pytest.raises(AttributeError):
+                manager.effective_congestion_factor()
+
     def test_congested_traffic_on_a_real_cluster_is_weighted(self):
         cluster = Cluster(("client", "server"))
         outcome = _scenario(cluster, 2.0 * CAPACITY, duration=0.5)

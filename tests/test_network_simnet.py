@@ -312,6 +312,21 @@ class TestLinkRecordCoherence:
         assert network.link_config("a", "b").latency == 0.5
         assert network.link_config("b", "a") == SLOW_LINK
 
+    def test_assigning_default_link_reprices_only_the_links_set_link_did_not_configure(self):
+        network = _echo_network(default_link=SLOW_LINK)
+        network.set_link("b", "a", SLOW_LINK)
+        network.send_request("a", "b", b"x" * 100)  # both records now exist
+        network.default_link = LinkConfig(latency=0.5, bandwidth=0.0)
+        assert network.default_link.latency == 0.5
+        before = network.clock.now
+        network.send_request("a", "b", b"x" * 100)
+        # The request over the new default (0.5 s, no transmission), the
+        # response (102 bytes) over the b->a link set_link configured.
+        assert network.clock.now - before == pytest.approx(0.5 + 0.001 + 0.0102)
+        assert network.link_config("a", "b").latency == 0.5
+        assert network.link_config("b", "a") == SLOW_LINK
+        assert network.link_config("c", "d").latency == 0.5  # a link yet to carry anything
+
     def test_metrics_reset_in_mid_run_counts_later_traffic_from_zero(self):
         network = _echo_network(default_link=SLOW_LINK)
         network.send_request("a", "b", b"x" * 100)
