@@ -524,8 +524,7 @@ class TestContainersOnEveryTransport:
         marshaller = cluster.space("client").marshaller
         if framing == "single":
             payload = frame_message(transport, codec.encode_request(request))
-            (read,) = [codec.decode_response(codec.encode_response(response),
-                                             marshaller=marshaller)]
+            read = codec.decode_response(codec.encode_response(response), marshaller=marshaller)
         else:
             payload = frame_prefix(transport, batch=True) + codec.encode_batch_request([request])
             (read,) = codec.decode_batch_response(codec.encode_batch_response([response]),
