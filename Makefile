@@ -12,8 +12,9 @@ examples-smoke:
 	set -e; for example in examples/*.py; do $(PYTHON) $$example > /dev/null; done
 
 # Every `repro` subcommand on the sample application, plus the unsupported
-# sample, a report under a generated policy and both traced workloads with a
-# span tree and a Chrome-trace export: each must exit 0 and print something.
+# sample, a report under a generated policy and one under a glob-pattern policy
+# (tests/sample_policy.json) and both traced workloads with a span tree and a
+# Chrome-trace export: each must exit 0 and print something.
 CLI_SMOKE_DIR ?= cli-smoke-out
 cli-smoke:
 	@set -e; mkdir -p $(CLI_SMOKE_DIR); \
@@ -31,6 +32,7 @@ cli-smoke:
 	smoke policy-template --classes X,Y,Z --nodes client,server; \
 	$(PYTHON) -m repro policy-template --classes X,Y,Z --nodes client,server > $(CLI_SMOKE_DIR)/policy.json; \
 	smoke report tests/sample_app.py --policy $(CLI_SMOKE_DIR)/policy.json; \
+	smoke report tests/sample_app.py --policy tests/sample_policy.json; \
 	smoke trace --workload open_loop --duration 0.1 --tree --export $(CLI_SMOKE_DIR)/open_loop.json; \
 	smoke trace --workload cached_catalog --duration 0.1 --tree --export $(CLI_SMOKE_DIR)/cached_catalog.json
 

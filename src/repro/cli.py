@@ -323,7 +323,8 @@ def command_policy_template(args: argparse.Namespace, out) -> int:
         class_name: nodes[index % len(nodes)] for index, class_name in enumerate(classes)
     }
     policy = place_classes_on(placements, transport=args.transport, dynamic=args.dynamic)
-    print(json.dumps(policy_to_dict(policy), indent=2, sort_keys=True), file=out)
+    # Unsorted: a pattern's place among the keys is its place in the lookup.
+    print(json.dumps(policy_to_dict(policy), indent=2), file=out)
     return 0
 
 

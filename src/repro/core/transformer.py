@@ -21,7 +21,7 @@ The transformed application can then be
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Mapping, Optional, Sequence
+from typing import Any, Iterable, Optional, Sequence
 
 from repro._errors import PolicyError, TransformationError
 from repro.core import codegen
@@ -42,7 +42,6 @@ from repro.policy.policy import (
     DistributionPolicy,
     PlacementDecision,
     all_local_policy,
-    remote as remote_decision,
 )
 
 #: Transports for which proxies are generated when none are named explicitly.
@@ -152,32 +151,8 @@ class TransformedApplication:
             space.application = self
             space.add_dispatch_hook(self)
 
-    def deploy(
-        self,
-        cluster,
-        placement: Optional[Mapping[str, str]] = None,
-        *,
-        transport: Optional[str] = None,
-        dynamic: bool = False,
-        default_node: Optional[str] = None,
-    ) -> None:
-        """Bind to ``cluster`` and optionally place classes on nodes.
-
-        ``placement`` maps class names to node identifiers; both instances
-        and statics of those classes are created on the named node.  The
-        placement is recorded in the policy, so the program itself does not
-        change — only its configuration does.
-        """
-
-        if placement:
-            for class_name, node_id in placement.items():
-                decision = remote_decision(
-                    node_id,
-                    transport=transport or self.policy.instance_decision(class_name).transport,
-                    dynamic=dynamic,
-                )
-                self.policy.place_instances(class_name, decision)
-                self.policy.place_statics(class_name, decision)
+    def deploy(self, cluster, *, default_node: Optional[str] = None) -> None:
+        """Bind to ``cluster``; the policy decides where each class goes."""
         self.bind_runtime(cluster, default_node=default_node)
 
     # -- dispatch context (which space is currently executing) ---------------
@@ -387,18 +362,25 @@ class ApplicationTransformer:
             raise TransformationError("no classes supplied for transformation")
         universe = ClassUniverse(models)
 
+        # An entry, exact or pattern, that makes a class unsubstitutable excludes
+        # it from the analysis; a default that does only leaves it untransformed.
+        policy = self.policy
         analyzer = TransformabilityAnalyzer(
             universe,
             special_class_names=self.special_class_names,
-            excluded=self.policy.excluded_classes(),
+            excluded={
+                model.name
+                for model in models
+                if not policy.is_substitutable(model.name)
+                and policy.for_class(model.name) is not policy.default
+            },
         )
         analysis = analyzer.analyse()
 
         substitutable = {
             model.name
             for model in models
-            if analysis.is_transformable(model.name)
-            and self.policy.is_substitutable(model.name)
+            if analysis.is_transformable(model.name) and policy.is_substitutable(model.name)
         }
         if self.strict:
             for model in models:

@@ -1,4 +1,4 @@
-"""Distribution policy: static, rule-based and adaptive placement decisions."""
+"""Distribution policy: static decisions, by class name or glob pattern, and adaptive ones."""
 
 from repro.policy.adaptive import (
     AccessMonitor,
@@ -21,15 +21,6 @@ from repro.policy.policy import (
     place_classes_on,
     remote,
 )
-from repro.policy.rules import (
-    Rule,
-    RuleBasedPolicy,
-    always,
-    name_in,
-    name_is,
-    name_matches,
-    name_regex,
-)
 
 __all__ = [
     "AccessMonitor",
@@ -39,15 +30,8 @@ __all__ = [
     "DistributionPolicy",
     "PlacementDecision",
     "RedistributionSuggestion",
-    "Rule",
-    "RuleBasedPolicy",
     "all_local_policy",
-    "always",
     "local",
-    "name_in",
-    "name_is",
-    "name_matches",
-    "name_regex",
     "place_classes_on",
     "policy_from_dict",
     "policy_from_file",

@@ -11,9 +11,17 @@ code change to the transformed application.  A configuration looks like::
             "Cache":        {"placement": "remote", "node": "server",
                              "transport": "rmi", "dynamic": true},
             "OrderStore":   {"placement": "remote", "node": "warehouse"},
-            "SessionState": {"substitutable": false}
+            "SessionState": {"substitutable": false},
+            "*Service":     {"placement": "remote", "node": "server"}
         }
     }
+
+A key holding any of ``*?[`` is a glob pattern; patterns are tried in the
+order they appear, after the exact names (see
+:class:`~repro.policy.policy.DistributionPolicy`).  An unknown key or a
+``dynamic``/``substitutable`` that is not ``true``/``false`` is refused with
+a :class:`~repro._errors.PolicyError` naming its path, so a misspelt
+setting cannot load as a silent default.
 """
 
 from __future__ import annotations
@@ -33,6 +41,26 @@ from repro.policy.policy import (
 )
 
 
+#: The settings of one placement decision, and those a class entry adds.
+_DECISION_KEYS = frozenset({"placement", "node", "transport", "dynamic"})
+_ENTRY_KEYS = _DECISION_KEYS | {"substitutable", "statics"}
+_POLICY_KEYS = frozenset({"default", "classes"})
+
+
+def _checked(config, allowed: frozenset, context: str) -> Mapping:
+    """``config`` itself, once it is a mapping holding only ``allowed`` keys
+    and its ``dynamic``/``substitutable`` settings, if any, are bools."""
+    if not isinstance(config, Mapping):
+        raise PolicyError(f"{context}: expected a mapping, got {type(config).__name__}")
+    for key in config:
+        if key not in allowed:
+            raise PolicyError(f"{context}: unknown key {key!r}")
+    for key in ("dynamic", "substitutable"):
+        if key in config and not isinstance(config[key], bool):
+            raise PolicyError(f"{context}.{key}: expected true or false, got {config[key]!r}")
+    return config
+
+
 def _decision_from_config(config: Mapping, context: str) -> PlacementDecision:
     placement = config.get("placement", KIND_LOCAL)
     if placement not in (KIND_LOCAL, KIND_REMOTE):
@@ -46,30 +74,29 @@ def _decision_from_config(config: Mapping, context: str) -> PlacementDecision:
         kind=placement,
         node_id=node,
         transport=config.get("transport", DEFAULT_TRANSPORT),
-        dynamic=bool(config.get("dynamic", False)),
+        dynamic=config.get("dynamic", False),
     )
 
 
-def _class_policy_from_config(config: Mapping, context: str) -> ClassPolicy:
-    if not isinstance(config, Mapping):
-        raise PolicyError(f"{context}: expected a mapping, got {type(config).__name__}")
-    substitutable = bool(config.get("substitutable", True))
-    instance_config = dict(config)
-    statics_config = config.get("statics")
-    instances = _decision_from_config(instance_config, context)
-    if statics_config is None:
-        statics = instances
-    else:
-        statics = _decision_from_config(statics_config, f"{context}.statics")
-    return ClassPolicy(substitutable=substitutable, instances=instances, statics=statics)
+def _class_policy_from_config(config, context: str) -> ClassPolicy:
+    config = _checked(config, _ENTRY_KEYS, context)
+    instances = _decision_from_config(config, context)
+    statics = instances
+    if "statics" in config:
+        context = f"{context}.statics"
+        statics_config = _checked(config["statics"], _DECISION_KEYS, context)
+        statics = _decision_from_config(statics_config, context)
+    return ClassPolicy(
+        substitutable=config.get("substitutable", True), instances=instances, statics=statics
+    )
 
 
 def policy_from_dict(config: Mapping) -> DistributionPolicy:
     """Build a :class:`DistributionPolicy` from a plain configuration mapping."""
-    if not isinstance(config, Mapping):
-        raise PolicyError("policy configuration must be a mapping")
-    default_config = config.get("default", {})
-    default = _class_policy_from_config(default_config, "default") if default_config else None
+    _checked(config, _POLICY_KEYS, "policy")
+    default = (
+        _class_policy_from_config(config["default"], "default") if "default" in config else None
+    )
     policy = DistributionPolicy(default=default)
     classes = config.get("classes", {})
     if not isinstance(classes, Mapping):
@@ -121,10 +148,10 @@ def policy_to_dict(policy: DistributionPolicy) -> dict:
             result["statics"] = decision_to_dict(entry.statics)
         return result
 
-    return {
-        "default": entry_to_dict(policy.default),
-        "classes": {
-            name: entry_to_dict(policy.for_class(name))
-            for name in sorted(policy.configured_classes())
-        },
-    }
+    # Exact names sorted, then the patterns in the order ``for_class`` tries
+    # them; a default is written only when the policy states one.
+    classes = {name: entry_to_dict(policy._entries[name]) for name in sorted(policy._entries)}
+    classes.update((pattern, entry_to_dict(entry)) for pattern, entry in policy._patterns.items())
+    if policy._default_stated:
+        return {"default": entry_to_dict(policy.default), "classes": classes}
+    return {"classes": classes}

@@ -12,11 +12,18 @@ whether the class participates in substitution at all and, if so, what
 create them on a remote node behind a proxy of a given transport, and whether
 handles should be *dynamic* (rebindable at run time, enabling the adaptive
 redistribution of experiment E8).
+
+A key holding any of ``*?[`` is a glob pattern (:func:`fnmatch.fnmatchcase`):
+``set_class("*Service", instances=remote("server"))`` places every class
+whose name ends in ``Service`` without naming it.  A class's exact entry wins;
+otherwise the first pattern that matches, in the order the patterns were set;
+otherwise the default.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from fnmatch import fnmatchcase
 from typing import Dict, Mapping, Optional
 
 from repro._errors import PolicyError
@@ -27,6 +34,9 @@ KIND_REMOTE = "remote"
 
 #: The transport used when a remote decision does not name one explicitly.
 DEFAULT_TRANSPORT = "rmi"
+
+#: A class key holding any of these is a glob pattern, not a class name.
+_GLOB_CHARS = frozenset("*?[")
 
 
 @dataclass(frozen=True)
@@ -83,6 +93,9 @@ class DistributionPolicy:
     The default entry applies to classes with no explicit configuration; the
     paper's flexible-deployment story is exactly that the *same* transformed
     program can be driven by different policies without further change.
+    A policy built without a ``default`` leaves it unstated: it reads as
+    :class:`ClassPolicy` ``()``, and :meth:`merged_with` keeps the other
+    side's default for it.
     """
 
     def __init__(
@@ -91,7 +104,13 @@ class DistributionPolicy:
         entries: Optional[Mapping[str, ClassPolicy]] = None,
     ) -> None:
         self._default = default or ClassPolicy()
-        self._entries: Dict[str, ClassPolicy] = dict(entries or {})
+        self._default_stated = default is not None
+        self._entries: Dict[str, ClassPolicy] = {}
+        #: Glob pattern -> entry, in the order ``for_class`` tries them.
+        self._patterns: Dict[str, ClassPolicy] = {}
+        for name, entry in (entries or {}).items():
+            table = self._entries if _GLOB_CHARS.isdisjoint(name) else self._patterns
+            table[name] = entry
 
     # -- configuration ---------------------------------------------------------
 
@@ -107,36 +126,28 @@ class DistributionPolicy:
         instances: Optional[PlacementDecision] = None,
         statics: Optional[PlacementDecision] = None,
     ) -> ClassPolicy:
+        """Set the entry of ``class_name``, a class name or a glob pattern."""
         entry = ClassPolicy(
             substitutable=substitutable,
             instances=instances or PlacementDecision(),
             statics=statics or PlacementDecision(),
         )
-        self._entries[class_name] = entry
+        table = self._entries if _GLOB_CHARS.isdisjoint(class_name) else self._patterns
+        table.pop(class_name, None)
+        table[class_name] = entry
         return entry
-
-    def place_instances(self, class_name: str, decision: PlacementDecision) -> None:
-        entry = self._entry_for_update(class_name)
-        entry.instances = decision
-
-    def place_statics(self, class_name: str, decision: PlacementDecision) -> None:
-        entry = self._entry_for_update(class_name)
-        entry.statics = decision
-
-    def _entry_for_update(self, class_name: str) -> ClassPolicy:
-        if class_name not in self._entries:
-            default = self._default
-            self._entries[class_name] = ClassPolicy(
-                substitutable=default.substitutable,
-                instances=default.instances,
-                statics=default.statics,
-            )
-        return self._entries[class_name]
 
     # -- queries ----------------------------------------------------------------
 
     def for_class(self, class_name: str) -> ClassPolicy:
-        return self._entries.get(class_name, self._default)
+        entry = self._entries.get(class_name)
+        if entry is not None:
+            return entry
+        if self._patterns:
+            for pattern, entry in self._patterns.items():
+                if fnmatchcase(class_name, pattern):
+                    return entry
+        return self._default
 
     def is_substitutable(self, class_name: str) -> bool:
         return self.for_class(class_name).substitutable
@@ -147,33 +158,26 @@ class DistributionPolicy:
     def static_decision(self, class_name: str) -> PlacementDecision:
         return self.for_class(class_name).statics
 
-    def configured_classes(self) -> set[str]:
-        return set(self._entries)
-
-    def excluded_classes(self) -> set[str]:
-        return {
-            name for name, entry in self._entries.items() if not entry.substitutable
-        }
-
     # -- composition --------------------------------------------------------------
 
     def copy(self) -> "DistributionPolicy":
-        entries = {
-            name: ClassPolicy(entry.substitutable, entry.instances, entry.statics)
-            for name, entry in self._entries.items()
-        }
-        return DistributionPolicy(
-            default=ClassPolicy(
-                self._default.substitutable, self._default.instances, self._default.statics
-            ),
-            entries=entries,
-        )
+        """An independent policy with the same default, entries and patterns."""
+        stated = replace(self._default) if self._default_stated else None
+        copied = DistributionPolicy(default=stated)
+        copied._entries = {name: replace(entry) for name, entry in self._entries.items()}
+        copied._patterns = {pattern: replace(entry) for pattern, entry in self._patterns.items()}
+        return copied
 
     def merged_with(self, other: "DistributionPolicy") -> "DistributionPolicy":
-        """Entries of ``other`` override entries of ``self``."""
-        merged = self.copy()
-        for name in other.configured_classes():
-            merged._entries[name] = other.for_class(name)
+        """Entries of ``other`` override entries of ``self``; its patterns are
+        tried before those of ``self``, and a default it states replaces ours."""
+        merged, theirs = self.copy(), other.copy()
+        if other._default_stated:
+            merged._default, merged._default_stated = theirs._default, True
+        merged._entries.update(theirs._entries)
+        for pattern, entry in merged._patterns.items():
+            theirs._patterns.setdefault(pattern, entry)
+        merged._patterns = theirs._patterns
         return merged
 
 

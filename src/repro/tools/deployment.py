@@ -33,7 +33,7 @@ from typing import Mapping, Optional, Sequence
 from repro._errors import PolicyError
 from repro.network.simnet import LAN_LINK, LinkConfig, SimulatedNetwork
 from repro.policy.loader import policy_from_dict, policy_to_dict
-from repro.policy.policy import DistributionPolicy, all_local_policy
+from repro.policy.policy import DistributionPolicy
 from repro.runtime.cluster import Cluster
 
 
@@ -111,7 +111,7 @@ class DeploymentDescriptor:
     default_node: Optional[str] = None
     default_link: LinkConfig = LAN_LINK
     links: Sequence[LinkSpec] = ()
-    policy: DistributionPolicy = field(default_factory=all_local_policy)
+    policy: DistributionPolicy = field(default_factory=DistributionPolicy)
 
     def __post_init__(self) -> None:
         if not self.nodes:
@@ -145,7 +145,11 @@ class DeploymentDescriptor:
         return cluster
 
     def apply(self, application, cluster: Optional[Cluster] = None) -> Cluster:
-        """Deploy a transformed application according to this descriptor."""
+        """Deploy a transformed application according to this descriptor.
+
+        The descriptor's policy is merged over the application's: its entries
+        and patterns win, and so does its default when it states one.
+        """
         cluster = cluster if cluster is not None else self.build_cluster()
         application.policy = application.policy.merged_with(self.policy)
         application.deploy(cluster, default_node=self.default_node)
@@ -181,9 +185,7 @@ def deployment_from_dict(config: Mapping) -> DeploymentDescriptor:
         if "default_link" in config
         else LAN_LINK
     )
-    policy = (
-        policy_from_dict(config["policy"]) if "policy" in config else all_local_policy()
-    )
+    policy = policy_from_dict(config["policy"]) if "policy" in config else DistributionPolicy()
     return DeploymentDescriptor(
         nodes=nodes,
         default_node=config.get("default_node"),

@@ -14,6 +14,7 @@ import pytest
 from repro.api.errors import ReproError
 from repro.cli import build_parser, load_classes_from_file, main
 from repro.core.transformer import ApplicationTransformer
+from repro.policy.loader import policy_from_json
 from repro.policy.policy import all_local_policy
 
 APP_SOURCE = textwrap.dedent(
@@ -169,6 +170,21 @@ class TestReportCommand:
         assert code == 0
         assert "instances on 'server'" in output
 
+    def test_report_with_a_pattern_policy_places_the_classes_it_matches(self):
+        """``tests/sample_policy.json``: X by name stays local, ``"*"`` sends
+        every other class to the server."""
+        tests = Path(__file__).parent
+        code, output = run_cli(
+            "report", str(tests / "sample_app.py"), "--policy", str(tests / "sample_policy.json")
+        )
+        assert code == 0
+        policies = dict(re.findall(r"^(\w+)\n  policy    : (.*)$", output, re.MULTILINE))
+        assert policies == {
+            "X": "instances local, dynamic; statics local",
+            "Y": "instances on 'server' via corba; statics on 'server'",
+            "Z": "instances on 'server' via corba; statics on 'server'",
+        }
+
     def test_report_refuses_a_remote_placement_over_a_transport_without_proxies(
         self, app_file, tmp_path
     ):
@@ -232,6 +248,14 @@ class TestCorpusAndTemplateCommands:
         assert config["classes"]["B"]["node"] == "n2"
         assert config["classes"]["C"]["node"] == "n1"
         assert config["classes"]["A"]["transport"] == "soap"
+
+    def test_policy_template_keeps_the_order_of_pattern_keys(self):
+        code, output = run_cli("policy-template", "--classes", "Z*,*", "--nodes", "n1,n2")
+        assert code == 0
+        assert list(json.loads(output)["classes"]) == ["Z*", "*"]
+        policy = policy_from_json(output)
+        assert policy.instance_decision("Zeta").node_id == "n1"
+        assert policy.instance_decision("Alpha").node_id == "n2"
 
     def test_policy_template_requires_arguments(self):
         code, output = run_cli("policy-template", "--classes", "", "--nodes", "n1")

@@ -134,6 +134,28 @@ class TestApplyingADeployment:
         assert y.n(1) == 5
         assert cluster.metrics.total_messages > 0
 
+    def test_a_default_the_descriptor_states_wins(self):
+        descriptor = deployment_from_dict(
+            {
+                "nodes": [{"id": "client"}, {"id": "server"}],
+                "policy": {"default": {"placement": "remote", "node": "server"}},
+            }
+        )
+        app = ApplicationTransformer(all_local_policy()).transform(CLASSES)
+        cluster = descriptor.apply(app)
+        assert type(app.new("Y", 4)).__name__ == "Y_O_Proxy_RMI"
+        assert len(cluster.space("server").exported_objects()) == 1
+
+    @pytest.mark.parametrize("policy", [{"classes": {}}, None], ids=["no_default", "no_policy"])
+    def test_a_default_the_descriptor_leaves_unstated_keeps_the_applications(self, policy):
+        config = {"nodes": [{"id": "client"}, {"id": "server"}]}
+        if policy is not None:
+            config["policy"] = policy
+        app = ApplicationTransformer(all_local_policy(dynamic=True)).transform(CLASSES)
+        deployment_from_dict(config).apply(app)
+        assert type(app.new("Y", 4)).__name__ == "Y_O_Redirector"
+        assert app.policy.instance_decision("Y") == all_local_policy(dynamic=True).default.instances
+
     def test_same_program_two_descriptors(self):
         """The point of the exercise: same code, different captured deployments."""
         single = deployment_from_dict({"nodes": [{"id": "laptop"}]})

@@ -13,11 +13,12 @@ import pytest
 import sample_app
 import sample_unsupported
 from repro.api.errors import NotTransformableError, TransformationError, UnknownClassError
+from repro.core.analyzer import NonTransformableReason
 from repro.core.transformer import (
     ApplicationTransformer,
     DEFAULT_TRANSPORTS,
 )
-from repro.policy.policy import all_local_policy
+from repro.policy.policy import ClassPolicy, DistributionPolicy, all_local_policy
 
 CLASSES = [sample_app.X, sample_app.Y, sample_app.Z]
 
@@ -74,6 +75,26 @@ class TestTransformDriver:
         app = ApplicationTransformer(policy).transform(CLASSES)
         assert not app.is_transformed("Z")
         assert app.is_transformed("X")
+
+    @pytest.mark.parametrize("key", ["X", "X*", "[X]"])
+    def test_a_pattern_exclusion_is_an_exact_one(self, key):
+        """X references Y and Z, so excluding X keeps them untransformed too."""
+        policy = all_local_policy()
+        policy.set_class(key, substitutable=False)
+        app = ApplicationTransformer(policy).transform(CLASSES)
+        assert app.transformed_classes() == set()
+        assert app.analysis.non_transformable == {
+            "X": {NonTransformableReason.EXPLICIT_EXCLUSION},
+            "Y": {NonTransformableReason.REFERENCED_BY_NON_TRANSFORMABLE},
+            "Z": {NonTransformableReason.REFERENCED_BY_NON_TRANSFORMABLE},
+        }
+
+    def test_an_unsubstitutable_default_only_leaves_classes_untransformed(self):
+        policy = DistributionPolicy(default=ClassPolicy(substitutable=False))
+        policy.set_class("Y")
+        app = ApplicationTransformer(policy).transform(CLASSES)
+        assert app.transformed_classes() == {"Y"}
+        assert not app.analysis.non_transformable
 
 
 class TestSingleAddressSpaceExecution:

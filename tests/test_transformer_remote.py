@@ -24,12 +24,13 @@ class TestDeployment:
         assert app.is_bound
         assert app.current_space.node_id == "client"
 
-    def test_deploy_with_placement_updates_the_policy(self):
+    def test_a_placement_set_before_deploy_takes_effect(self):
         app = ApplicationTransformer().transform(CLASSES)
         cluster = Cluster(("client", "server"))
-        app.deploy(cluster, placement={"Y": "server"}, default_node="client")
-        assert app.policy.instance_decision("Y").is_remote
-        assert app.policy.instance_decision("Y").node_id == "server"
+        app.policy.set_class("Y", instances=remote("server"), statics=remote("server"))
+        app.deploy(cluster, default_node="client")
+        assert type(app.new("Y", 5)).__name__ == "Y_O_Proxy_RMI"
+        assert len(cluster.space("server").exported_objects()) == 1
 
     def test_default_node_defaults_to_first_cluster_node(self):
         app = ApplicationTransformer().transform(CLASSES)
@@ -162,7 +163,7 @@ class TestRemoteTransportCheck:
 
     def test_remote_static_placement_is_checked_too(self):
         policy = all_local_policy()
-        policy.place_statics("Z", remote("server", transport="corba"))
+        policy.set_class("Z", statics=remote("server", transport="corba"))
         with pytest.raises(PolicyError, match="'Z'.*'corba'"):
             ApplicationTransformer(policy, transports=("rmi",)).transform(CLASSES)
 

@@ -24,8 +24,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.api.errors import TransportError
-from repro.runtime.cluster import default_transport_registry
+from repro.api.errors import SerializationError, TransportError
+from repro.runtime.cluster import Cluster, default_transport_registry
 from repro.runtime.serialization import Marshaller
 
 GOLDEN_PATH = Path(__file__).with_name("golden_wire.json")
@@ -135,23 +135,42 @@ def test_decoders_read_the_golden_bytes(name, case):
     assert repr(decoded) == repr(message)
 
 
-@pytest.mark.parametrize("name,case", _frames(BINARY))
-def test_damaged_binary_frames_decode_or_raise_transport_error(name, case):
-    """Every strict prefix and every single-byte mutation: a value or a
-    ``TransportError`` — never ``struct.error``, ``IndexError``,
-    ``UnicodeDecodeError`` or a silently accepted tail."""
-    decode = getattr(TRANSPORTS[name], CASES[case][1])
-    frame = bytes.fromhex(_golden()[name][case])
-    damaged = [frame[:length] for length in range(len(frame))]
+def _damaged(frame: bytes):
+    """Every strict prefix of ``frame``, then every single-byte mutation."""
+    for length in range(len(frame)):
+        yield frame[:length]
     for position, byte in enumerate(frame):
         # In turn: a neighbouring tag or length, a flipped sign or UTF-8 lead
         # bit, all bits.  The order's 16 lines put every field under each.
         mutant = byte ^ (0x01, 0x80, 0xFF)[position % 3]
-        damaged.append(frame[:position] + bytes((mutant,)) + frame[position + 1 :])
-    for payload in damaged:
+        yield frame[:position] + bytes((mutant,)) + frame[position + 1 :]
+
+
+def _live_reader(decode):
+    marshaller = Cluster(("server",)).space("server").marshaller
+    return functools.partial(decode, marshaller=marshaller)
+
+
+#: reader -> (how it wraps a decoder, the errors it may raise on damage).  The
+#: tree read returns wire trees; the live read hands them to a marshaller.
+READERS = {
+    "tree": (lambda decode: decode, (TransportError,)),
+    "live": (_live_reader, (TransportError, SerializationError)),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(READERS))
+@pytest.mark.parametrize("name,case", _frames(BINARY))
+def test_damaged_binary_frames_read_or_raise_typed_errors(name, case, reader):
+    """Every strict prefix and every single-byte mutation: a value or one of
+    the reader's typed errors — never ``struct.error``, ``IndexError``,
+    ``UnicodeDecodeError`` or a silently accepted tail."""
+    wrap, allowed = READERS[reader]
+    decode = wrap(getattr(TRANSPORTS[name], CASES[case][1]))
+    for payload in _damaged(bytes.fromhex(_golden()[name][case])):
         try:
             decode(payload)
-        except TransportError:
+        except allowed:
             pass
 
 

@@ -414,26 +414,6 @@ class TestRecordProperties:
             )
 
 
-@pytest.mark.parametrize("name", golden.BINARY)
-@pytest.mark.parametrize("case", sorted(golden.CASES))
-def test_damaged_binary_frames_read_live_or_raise_typed_errors(name, case):
-    """The golden damaged-frame sweep through the marshaller-reading decoders:
-    every strict prefix and single-byte mutation yields a value, a
-    ``TransportError`` or a ``SerializationError``."""
-    decode = getattr(golden.TRANSPORTS[name], golden.CASES[case][1])
-    marshaller = Cluster(("server",)).space("server").marshaller
-    frame = bytes.fromhex(golden._golden()[name][case])
-    damaged = [frame[:length] for length in range(len(frame))]
-    for position, byte in enumerate(frame):
-        mutant = byte ^ (0x01, 0x80, 0xFF)[position % 3]
-        damaged.append(frame[:position] + bytes((mutant,)) + frame[position + 1 :])
-    for payload in damaged:
-        try:
-            decode(payload, marshaller=marshaller)
-        except (TransportError, SerializationError):
-            pass
-
-
 # -- containers on every transport, both ways -----------------------------------
 #
 # A call carries its argument to a keeper on the server and gets it back as
