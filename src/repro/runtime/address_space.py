@@ -143,9 +143,12 @@ class AddressSpace:
         self.transports = transports
         self.default_transport = default_transport
         self.marshaller = Marshaller(self)
-        #: Set by TransformedApplication.bind_runtime; used to build proxies
-        #: for references that arrive over the wire.
+        #: Set by TransformedApplication.deploy; used to build proxies for
+        #: references that arrive over the wire.
         self.application: Any = None
+        #: The cluster's naming service, set by the cluster: every node reads
+        #: the one forward table it keeps for retired references.
+        self.naming: Any = None
 
         self._objects: Dict[str, Any] = {}
         self._exported_refs: Dict[int, RemoteRef] = {}

@@ -99,11 +99,9 @@ class BatchingProxy:
                 "BatchingProxy could not determine the calling address space; "
                 "pass space=... explicitly"
             )
+        #: The reference calls are submitted to; after a move the scheduler
+        #: resolves it through the forward table when it ships them.
         self._reference = reference
-        #: The wrapped proxy/handle, kept so rebinds are picked up as calls
-        #: are enqueued; ``None`` when a raw reference was wrapped.
-        self._target = None if isinstance(target, RemoteRef) else target
-        self._space = space
         if invoker is None:
             # A handle guarded by guard_handle carries its invoker in the
             # metaobject's slot; batching through such a handle keeps its
@@ -122,29 +120,6 @@ class BatchingProxy:
         self.scheduler = invoker.scheduler(space, max_batch=max_batch, transport=transport)
         #: Futures enqueued and not yet shipped (the tail window).
         self._window: List[InvocationFuture] = []
-
-    def _refresh_reference(self) -> RemoteRef:
-        """Re-resolve the target's reference before enqueueing a call.
-
-        A rebindable handle may have been migrated (e.g. by the adaptive
-        manager) since this proxy was built; shipping to the reference
-        captured at construction would hit the retired export.  Raw
-        references are immutable and used as-is.
-        """
-        if self._target is None:
-            return self._reference
-        reference = reference_of(self._target)
-        if reference is None:
-            # The handle may have been rebound to a local implementation;
-            # reuse (or mint) its export from the space it now lives in.
-            meta = metaobject_of(self._target)
-            if meta is not None:
-                reference = self._space.reference_for(meta.target)
-                if reference is None and meta.node_id == self._space.node_id:
-                    reference = self._space.export(meta.target)
-        if reference is not None:
-            self._reference = reference
-        return self._reference
 
     # ------------------------------------------------------------------
     # enqueueing
@@ -169,7 +144,7 @@ class BatchingProxy:
         chains see the same control fields the client chain stamped.
         """
         future = self.scheduler.submit_with_context(
-            self._refresh_reference(), member, args, kwargs, context
+            self._reference, member, args, kwargs, context
         )
         if future.done:
             # This call filled its window, which shipped and — behind a

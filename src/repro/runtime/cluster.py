@@ -55,9 +55,11 @@ class Cluster:
         self.naming = NamingService()
         self._spaces: Dict[str, AddressSpace] = {}
         for node_id in node_ids:
-            self._spaces[node_id] = AddressSpace(
+            space = AddressSpace(
                 node_id, network, self.transports, default_transport=default_transport
             )
+            space.naming = self.naming
+            self._spaces[node_id] = space
         self._default_node_id = node_ids[0]
 
     # ------------------------------------------------------------------

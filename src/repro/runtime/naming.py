@@ -5,17 +5,28 @@ naming service is shared by every address space of a cluster (the simulated
 equivalent of a registry process reachable by all nodes) so applications can
 publish an object on one node and look it up from another without passing
 references by hand.
+
+It also keeps the cluster's one **forward table**: where an object went when
+the export a reference names was retired.  Relocation and failover write it
+(the old node may be down, so the shared registry is the one place both can
+publish to); a caller whose call was refused unrun by a stale reference reads
+it, re-binds and re-issues the call.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Iterable, List, Optional, Union
 
 from repro._errors import NamingError
 from repro.runtime.remote_ref import RemoteRef
 
 #: A rebind listener: ``(name, old reference or None, new reference)``.
 RebindListener = Callable[[str, Optional[RemoteRef], RemoteRef], None]
+
+#: Where a retired reference's object lives now: its reference, or a function
+#: that exports the object on first use (an export shifts later object ids,
+#: so none is made unless a stale reference is actually used).
+Forward = Union[RemoteRef, Callable[[], RemoteRef]]
 
 
 class NamingService:
@@ -31,6 +42,7 @@ class NamingService:
     def __init__(self) -> None:
         self._bindings: Dict[str, RemoteRef] = {}
         self._rebind_listeners: List[RebindListener] = []
+        self._forwards: Dict[RemoteRef, Forward] = {}
 
     def rebind(self, name: str, reference: RemoteRef) -> None:
         """Bind ``name`` to ``reference``, replacing any previous binding."""
@@ -55,6 +67,29 @@ class NamingService:
             self._rebind_listeners.remove(listener)
         except ValueError:
             pass
+
+    # -- the forward table ---------------------------------------------------
+
+    def forward(self, retired: Iterable[RemoteRef], current: Forward) -> None:
+        """Publish that the object behind each ``retired`` reference is now at
+        ``current``.  Entries that led to a retired reference are re-pointed,
+        not chained, so every entry is one hop from where the object is."""
+        retired = set(retired)
+        for old, new in self._forwards.items():
+            if new in retired:
+                self._forwards[old] = current
+        for old in retired:
+            self._forwards[old] = current
+
+    def forwarded(self, reference: RemoteRef) -> Optional[RemoteRef]:
+        """Where the object behind a retired ``reference`` lives now, or None
+        when ``reference`` was never retired."""
+        current = self._forwards.get(reference)
+        return current() if callable(current) else current
+
+    def drop_forwards(self, current: RemoteRef) -> None:
+        """Forget every entry leading to ``current`` (its object is gone)."""
+        self._forwards = {old: new for old, new in self._forwards.items() if new != current}
 
     def lookup(self, name: str) -> RemoteRef:
         try:

@@ -261,9 +261,9 @@ class PipelineScheduler:
     (:class:`~repro.runtime.replication.ReplicaManager`), a fatal failure of
     a batch whose targets are replicated is no longer final — the calls are
     requeued with the manager's suggested backoff (one heartbeat interval)
-    and every reference is re-resolved through the published failover
-    redirects at ship time, so once the detector promotes a backup the
-    retried traffic lands on the new primary.
+    and, as every reference is resolved through the cluster's forward table
+    at ship time, once the detector promotes a backup the retried traffic
+    lands on the new primary.
     :data:`~repro.runtime.faulttolerance.MAX_FAILOVER_ATTEMPTS` bounds how
     many re-ships a call may spend riding out detection plus promotion before
     the fatal error is surfaced after all.
@@ -361,8 +361,6 @@ class PipelineScheduler:
                 "PipelineScheduler needs a remote reference: pass a RemoteRef, "
                 "a proxy, or a handle bound to one"
             )
-        if self.replica_manager is not None:
-            reference = self.replica_manager.current_ref(reference)
         future = InvocationFuture(member, index=self._next_index, on_wait=self._wait_for)
         future.submitted_at = self._clock.now
         self._next_index += 1
@@ -458,12 +456,12 @@ class PipelineScheduler:
     # ------------------------------------------------------------------
 
     def _ship(self, calls: List[_ScheduledCall]) -> None:
-        """Ship a sub-batch, re-routing through failover redirects first.
+        """Ship a sub-batch, re-routing through the forward table first.
 
-        With a replica manager installed, every call's reference is
-        re-resolved at ship time — a batch requeued while its target's node
-        was dying lands on the promoted replica.  Redirects can split one
-        sub-batch across nodes (different groups promoted to different
+        Every call's reference is resolved at ship time, so a call to an
+        object that moved — or a batch requeued while its target's node was
+        dying — lands where the object is now.  Forwards can split one
+        sub-batch across nodes (objects moved or promoted to different
         hosts); each destination then ships as its own batch.
         """
         if not calls:
@@ -471,17 +469,18 @@ class PipelineScheduler:
         if self._stopped:
             self._fail_unshipped(calls)
             return
-        if self.replica_manager is not None:
+        forwarded, moved = self.space.naming.forwarded, False
+        for call in calls:
+            current = forwarded(call.reference)
+            if current is not None:
+                call.reference, moved = current, True
+        if moved:
             buckets: Dict[str, List[_ScheduledCall]] = {}
             for call in calls:
-                resolved = self.replica_manager.current_ref(call.reference)
-                if resolved is not call.reference:
-                    call.reference = resolved
                 buckets.setdefault(call.reference.node_id, []).append(call)
-            if len(buckets) > 1:
-                for bucket in buckets.values():
-                    self._ship_bucket(bucket)
-                return
+            for bucket in buckets.values():
+                self._ship_bucket(bucket)
+            return
         self._ship_bucket(calls)
 
     def _ship_bucket(self, calls: List[_ScheduledCall]) -> None:

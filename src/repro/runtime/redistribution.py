@@ -10,8 +10,10 @@ at rebindable redirector handles.
 Every change of *where* an object lives is the same act, written once in
 :meth:`DistributionController._relocate`: copy the state through the
 interface accessors, retire the old exports, host the copy, rebind the
-handle, re-point the names.  ``make_remote``, ``make_local`` and ``move`` are
-its preconditions; ``set_transport`` moves nothing and keeps its own body.
+handle, re-point the names and publish the move in the cluster's forward
+table, so a proxy another object holds to a retired export finds the copy.
+``make_remote``, ``make_local`` and ``move`` are its preconditions;
+``set_transport`` moves nothing and keeps its own body.
 The adaptive policy of :mod:`repro.policy.adaptive` decides *when*.
 """
 
@@ -153,6 +155,14 @@ class DistributionController:
         # (7) re-point every name that named an old export.
         for name in names:
             naming.rebind(name, new_reference)
+        # (8) forward every old export to the copy; one that went local
+        # unexported is exported by the first stale call that needs it.
+        if retired:
+            naming.forward(
+                retired,
+                new_reference
+                or (lambda: reference_of(meta.target) or target_space.export(meta.target)),
+            )
 
         change = BoundaryChange(
             class_name, operation, node_id, transport,

@@ -16,10 +16,10 @@ Primary/backup replication re-homes an object when its host dies:
   declares nodes down; every group whose primary lived there *fails over*:
   the backup that acknowledged the highest seq is promoted in place, the
   group's name is rebound in the :class:`~repro.runtime.naming.NamingService`
-  and a redirect from the old :class:`~repro.runtime.remote_ref.RemoteRef` to
-  the new one is published, which
+  and the old :class:`~repro.runtime.remote_ref.RemoteRef` is forwarded to
+  the new one in its forward table, which every proxy follows and which
   :class:`~repro.runtime.pipelining.PipelineScheduler` (``replica_manager=``)
-  and :class:`~repro.runtime.faulttolerance.FaultTolerantInvoker` follow
+  and :class:`~repro.runtime.faulttolerance.FaultTolerantInvoker` wait for
   instead of surfacing a fatal network error.
 
 Consistency model: *eager* mode gives per-object sequential consistency for
@@ -360,8 +360,8 @@ class ReplicaManager:
     The control plane of the replication subsystem: it places backup copies
     on distinct nodes, catches them up from each group's op log, listens to a
     heartbeat ``detector`` (optional) and promotes backups when primaries die
-    — rebinding names and publishing :class:`~repro.runtime.remote_ref.RemoteRef`
-    redirects that the retry layers follow.  ``application`` (optional) lets
+    — rebinding names and forwarding the old primary's reference in the
+    cluster's forward table, which proxies and schedulers follow.  ``application`` (optional) lets
     state capture use a transformed class's accessors, and re-create backup
     copies from a transformed class's local class.
     """
@@ -372,7 +372,6 @@ class ReplicaManager:
         self.detector = detector
         self.running = True
         self._groups: Dict[str, ReplicaGroup] = {}
-        self._redirects: Dict[RemoteRef, RemoteRef] = {}
         #: Every completed failover, in promotion order.
         self.failovers: List[FailoverRecord] = []
         #: Every partition-heal reconciliation of a fenced ex-primary.
@@ -488,28 +487,15 @@ class ReplicaManager:
         """Every replica group this manager maintains."""
         return list(self._groups.values())
 
-    def current_ref(self, reference: RemoteRef) -> RemoteRef:
-        """Resolve ``reference`` through the published failover redirects.
-
-        Returns the reference of the most recently promoted primary when the
-        given one has been superseded (following chains across repeated
-        failovers), or the reference unchanged when no redirect applies.
-        """
-        seen = set()
-        while reference in self._redirects and reference not in seen:
-            seen.add(reference)
-            reference = self._redirects[reference]
-        return reference
-
     def can_fail_over(self, reference: RemoteRef) -> bool:
         """Whether traffic to ``reference`` can survive its node's death.
 
-        True when a redirect is already published for it, or when it is the
-        primary of a group that still has a promotable backup — the signal
-        the retry layers use to keep trying instead of surfacing a fatal
-        network error.
+        True when the forward table already leads it elsewhere, or when it is
+        the primary of a group that still has a promotable backup — the
+        signal the retry layers use to keep trying instead of surfacing a
+        fatal network error.
         """
-        if self.current_ref(reference) != reference:
+        if self.cluster.naming.forwarded(reference) is not None:
             return True
         return any(
             group.primary_ref == reference and self._promotable(group)
@@ -856,7 +842,7 @@ class ReplicaManager:
         The candidate that acknowledged the highest seq wins; being a voter,
         then healthy, then enrolled first only break ties.  Its copy becomes
         the primary behind a new :class:`ReplicatedObject` export, the name is
-        rebound and a redirect ``old ref → new ref`` is published; the dead
+        rebound and the old ref is forwarded to the new one; the dead
         ex-primary's node stays enrolled as an unhealthy slot for a later
         reseed.  Raises :class:`~repro.api.errors.ReplicationError` when no
         backup is promotable.
@@ -930,7 +916,7 @@ class ReplicaManager:
             old_node, endpoint_ref=None, impl=None, healthy=False
         )
 
-        self._redirects[old_ref] = group.primary_ref
+        self.cluster.naming.forward([old_ref], group.primary_ref)
         self.cluster.naming.rebind(group.name, group.primary_ref)
         if group.fenced:
             # Without the old node's subscriber table, flush the old
@@ -965,8 +951,8 @@ class ReplicaManager:
         """Tear one replica group fully down (the reverse of :meth:`replicate`).
 
         The primary wrapper and every backup endpoint are unexported and the
-        group is forgotten (redirect chains into it included) — dismantling a
-        session must leave no exports or manager state behind.  The group's
+        group is forgotten (its forward-table entries included) — dismantling
+        a session must leave no exports or manager state behind.  The group's
         well-known name is the caller's to unbind (the manager does not know
         whether anyone else rebound it).  Idempotent per group.
         """
@@ -983,13 +969,9 @@ class ReplicaManager:
                 self.cluster.space(stale.node_id).unexport(stale.ref)
         group.stale_primaries = []
         del self._groups[group.name]
-        # Drop every hop leading into the group: a reference it superseded
-        # must stop counting as one that can fail over.
-        self._redirects = {
-            old: new
-            for old, new in self._redirects.items()
-            if self.current_ref(old) != group.primary_ref
-        }
+        # A reference the group superseded must stop counting as one that
+        # can fail over.
+        self.cluster.naming.drop_forwards(group.primary_ref)
 
     def stop(self) -> None:
         """Stop the interval sync loops (pending ticks become no-ops)."""

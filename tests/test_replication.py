@@ -197,7 +197,7 @@ class TestReplicaGroups:
 
 
 class TestFailover:
-    def test_promotes_backup_rebinds_name_and_redirects(self, cluster):
+    def test_promotes_backup_rebinds_name_and_forwards(self, cluster):
         manager = _manager(cluster)
         group = _replicated_intake(manager)
         old_ref = group.primary_ref
@@ -209,7 +209,7 @@ class TestFailover:
         assert record.from_node == "a" and record.to_node == "b"
         assert group.primary_node == "b"
         assert group.epoch == 1
-        assert manager.current_ref(old_ref) == group.primary_ref
+        assert cluster.naming.forwarded(old_ref) == group.primary_ref
         assert cluster.naming.lookup("orders") == group.primary_ref
         # The promoted copy carries every acknowledged write.
         assert group.primary_impl.accepted_count() == 1
@@ -292,7 +292,7 @@ class TestFailover:
         assert group.primary_node == "b"
         check_replication_invariants(manager, group, acked=("sku",))
 
-    def test_chained_redirects_resolve_to_latest_primary(self, cluster):
+    def test_repeated_failovers_forward_every_old_primary_to_the_latest(self, cluster):
         manager = _manager(cluster)
         group = _replicated_intake(manager, backups=("b", "c"))
         first = group.primary_ref
@@ -301,12 +301,12 @@ class TestFailover:
         second = group.primary_ref
         cluster.network.failures.crash_node(group.primary_node)
         manager.failover(group)
-        assert manager.current_ref(first) == group.primary_ref
-        assert manager.current_ref(second) == group.primary_ref
+        assert cluster.naming.forwarded(first) == group.primary_ref
+        assert cluster.naming.forwarded(second) == group.primary_ref
         assert group.epoch == 2
         check_replication_invariants(manager, group)
 
-    def test_dismantle_drops_every_redirect_hop(self, cluster):
+    def test_dismantle_drops_every_forward_into_the_group(self, cluster):
         """After two failovers (r0 -> r1 -> r2) nothing of the group is left:
         a caller still holding r0 must fail at once, not retry a ghost."""
         manager = _manager(cluster)
@@ -319,7 +319,7 @@ class TestFailover:
         manager.failover(group)
         manager.dismantle(group)
         for reference in (first, second, group.primary_ref):
-            assert manager.current_ref(reference) == reference
+            assert cluster.naming.forwarded(reference) is None
             assert not manager.can_fail_over(reference)
 
 
