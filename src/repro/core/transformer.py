@@ -136,24 +136,18 @@ class TransformedApplication:
     def is_bound(self) -> bool:
         return self._cluster is not None
 
-    def bind_runtime(self, cluster, default_node: Optional[str] = None) -> None:
-        """Attach the application to a cluster of address spaces.
+    def deploy(self, cluster, *, default_node: Optional[str] = None) -> None:
+        """Bind to ``cluster``; the policy decides where each class goes.
 
         Every space learns about the application (so its dispatcher can build
         proxies for incoming references) and registers it as a dispatch hook
         (so nested invocations attribute their traffic to the correct node).
         """
-
         self._cluster = cluster
-        node_id = default_node or cluster.default_node_id
-        self._default_space = cluster.space(node_id)
+        self._default_space = cluster.space(default_node or cluster.default_node_id)
         for space in cluster.spaces():
             space.application = self
             space.add_dispatch_hook(self)
-
-    def deploy(self, cluster, *, default_node: Optional[str] = None) -> None:
-        """Bind to ``cluster``; the policy decides where each class goes."""
-        self.bind_runtime(cluster, default_node=default_node)
 
     # -- dispatch context (which space is currently executing) ---------------
 
@@ -362,26 +356,17 @@ class ApplicationTransformer:
             raise TransformationError("no classes supplied for transformation")
         universe = ClassUniverse(models)
 
-        # An entry, exact or pattern, that makes a class unsubstitutable excludes
-        # it from the analysis; a default that does only leaves it untransformed.
+        # A class the policy makes unsubstitutable — by an entry, exact or
+        # pattern, or by its default — is excluded from the analysis.
         policy = self.policy
         analyzer = TransformabilityAnalyzer(
             universe,
             special_class_names=self.special_class_names,
-            excluded={
-                model.name
-                for model in models
-                if not policy.is_substitutable(model.name)
-                and policy.for_class(model.name) is not policy.default
-            },
+            excluded={model.name for model in models if not policy.is_substitutable(model.name)},
         )
         analysis = analyzer.analyse()
 
-        substitutable = {
-            model.name
-            for model in models
-            if analysis.is_transformable(model.name) and policy.is_substitutable(model.name)
-        }
+        substitutable = {model.name for model in models if analysis.is_transformable(model.name)}
         if self.strict:
             for model in models:
                 if model.name not in substitutable:

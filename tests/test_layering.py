@@ -17,11 +17,17 @@ to its coherence endpoint (``runtime/caching.py``).  So
 ``runtime/address_space.py`` imports nothing from ``repro.network.heartbeat``
 and names none of ``transports.base``'s cache-coherence helpers, whether
 imported by name or reached as a module attribute.
+
+A node reaches another node's objects only through frames, except at the
+``cluster.space(...)``/``cluster.spaces()`` calls listed in
+:data:`SPACE_SITES` (ROADMAP item 17).  The list may only shrink: a new call
+fails the test, and a call that goes must leave the list with it.
 """
 
 from __future__ import annotations
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -124,3 +130,71 @@ def test_the_coherence_scan_sees_imported_and_attribute_names():
     assert list(_coherence_names(tree)) == [
         (1, "frame_subscription_ack"), (3, "split_invalidations"),
     ]
+
+
+EXECUTION_CONTEXT = "TransformedApplication.executing_on._ExecutionContext"
+#: Every ``cluster.space(...)``/``cluster.spaces()`` call under ``src/repro``:
+#: ``(module, function) → calls``.
+SPACE_SITES = {
+    # The replication control plane reads and writes other nodes' spaces.
+    ("repro.runtime.replication", "ReplicaManager._catch_up"): 2,
+    ("repro.runtime.replication", "ReplicaManager._collect_promotion_votes"): 2,
+    ("repro.runtime.replication", "ReplicaManager._fresh_copy"): 1,
+    ("repro.runtime.replication", "ReplicaManager._primary_space"): 1,
+    ("repro.runtime.replication", "ReplicaManager._reconcile_stale_primary"): 1,
+    ("repro.runtime.replication", "ReplicaManager.dismantle"): 3,
+    ("repro.runtime.replication", "ReplicaManager.failover"): 3,
+    ("repro.runtime.replication", "ReplicaManager.replicate"): 1,
+    # Relocation hosts the copy, scans every space for exports, retires them.
+    ("repro.runtime.redistribution", "DistributionController._relocate"): 3,
+    # A session's own space, and the exports it places on its hosts.
+    ("repro.api.session", "Session.__init__"): 1,
+    ("repro.api.session", "Session.dismantle"): 1,
+    ("repro.api.session", "Session.service"): 2,
+    # The application's deployment, factories and dispatch context.
+    ("repro.core.transformer", "TransformedApplication._make_instance"): 1,
+    ("repro.core.transformer", "TransformedApplication._remote_leg"): 1,
+    ("repro.core.transformer", "TransformedApplication._remote_singleton_ref"): 1,
+    ("repro.core.transformer", "TransformedApplication.deploy"): 2,
+    ("repro.core.transformer", f"{EXECUTION_CONTEXT}.__enter__"): 1,
+    ("repro.core.transformer", f"{EXECUTION_CONTEXT}.__exit__"): 1,
+    # Workload drivers and a baseline, which stand outside any one node.
+    ("repro.baselines.javaparty", "JavaPartyRuntime.new"): 2,
+    ("repro.workloads.cached_catalog", "run_cached_catalog_scenario"): 1,
+    ("repro.workloads.partitioned_orders", "run_partitioned_order_scenario"): 2,
+}
+
+
+def _space_calls(tree: ast.AST, scope: tuple = ()):
+    """The dotted function name around every ``cluster.space(...)`` or
+    ``cluster.spaces()`` call in ``tree`` (the owner named ``cluster`` or
+    ``_cluster``, bare or as an attribute)."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield from _space_calls(node, (*scope, node.name))
+            continue
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            owner = node.func.value
+            owner_name = owner.id if isinstance(owner, ast.Name) else getattr(owner, "attr", None)
+            if node.func.attr in ("space", "spaces") and owner_name in ("cluster", "_cluster"):
+                yield ".".join(scope)
+        yield from _space_calls(node, scope)
+
+
+def test_every_cluster_space_call_is_on_the_shrinking_allowlist():
+    found = Counter(
+        (".".join(path.relative_to(SRC.parent).with_suffix("").parts), function)
+        for path in sorted(SRC.rglob("*.py"))
+        for function in _space_calls(ast.parse(path.read_text(encoding="utf-8")))
+    )
+    assert dict(found) == SPACE_SITES
+
+
+def test_the_space_scan_sees_attribute_owners_in_nested_functions():
+    tree = ast.parse(
+        "class A:\n"
+        "    def f(self):\n"
+        "        def g():\n"
+        "            return self.cluster.space('n'), cluster.spaces(), other.space('n')\n"
+    )
+    assert list(_space_calls(tree)) == ["A.f.g", "A.f.g"]

@@ -89,12 +89,17 @@ class TestTransformDriver:
             "Z": {NonTransformableReason.REFERENCED_BY_NON_TRANSFORMABLE},
         }
 
-    def test_an_unsubstitutable_default_only_leaves_classes_untransformed(self):
+    def test_an_unsubstitutable_default_is_an_exclusion(self):
+        """The default excludes X and Z like an entry would, so Y, which X
+        references, stays original although its own entry is substitutable."""
         policy = DistributionPolicy(default=ClassPolicy(substitutable=False))
         policy.set_class("Y")
         app = ApplicationTransformer(policy).transform(CLASSES)
-        assert app.transformed_classes() == {"Y"}
-        assert not app.analysis.non_transformable
+        assert app.transformed_classes() == set()
+        assert app.analysis.non_transformable["X"] == {NonTransformableReason.EXPLICIT_EXCLUSION}
+        assert app.analysis.non_transformable["Y"] == {
+            NonTransformableReason.REFERENCED_BY_NON_TRANSFORMABLE
+        }
 
 
 class TestSingleAddressSpaceExecution:
