@@ -1,14 +1,17 @@
 """The paper's Figure 1 scenario, end to end.
 
 Objects of class A and class B hold references to a shared instance of class
-C.  The example runs the identical interaction sequence five ways:
+C.  The example runs the identical interaction sequence six ways:
 
 1. the original, untransformed classes;
 2. the transformed program in a single address space;
 3. the transformed program with C placed on a remote node behind a proxy;
 4. the transformed program where C starts local and is moved to the remote
-   node *while the program is running*; and
-5. the transformed program with C *adopted* by a session: replicated three
+   node *while the program is running*;
+5. the same move while A lives on another node: the reference A holds names
+   C's old export, and the cluster's forward table leads A's call to the
+   copy; and
+6. the transformed program with C *adopted* by a session: replicated three
    ways under a write quorum, its reads cached, every call traced — and the
    primary crashed half-way through.  A, B and C are the same unedited classes.
 
@@ -20,7 +23,7 @@ from __future__ import annotations
 from repro import ApplicationTransformer, Cluster, DistributionController
 from repro.api import ServicePolicy, Session
 from repro.observability import render_phase_table, slowest_traces
-from repro.policy import all_local_policy, local, place_classes_on
+from repro.policy import all_local_policy, local, place_classes_on, remote
 from repro.workloads.figure1 import A, B, C, run_figure1_plain, run_figure1_scenario
 
 VALUES = tuple(range(1, 11))
@@ -80,7 +83,37 @@ def main() -> None:
     print("All four configurations observe the same totals:",
           oracle.total == shared.get_total())
     print()
+    held_on_another_node(oracle)
     adopted_by_a_session(oracle)
+
+
+def held_on_another_node(oracle) -> None:
+    """A holder on another node keeps its reference while the shared C moves."""
+    policy = all_local_policy()
+    policy.set_class("C", instances=local(dynamic=True))
+    policy.set_class("A", instances=remote("server"))
+    app = ApplicationTransformer(policy).transform([A, B, C])
+    cluster = Cluster(("client", "server", "third"))
+    app.deploy(cluster, default_node="client")
+    controller = DistributionController(app, cluster)
+
+    shared = app.new("C", "shared")
+    holder_a = app.new("A", shared)  # on the server, holding a reference to the client's C
+    holder_b = app.new("B", shared)
+    midpoint = len(VALUES) // 2
+    for index, value in enumerate(VALUES):
+        if index == midpoint:
+            print(f"... moving the shared C to a third node after {midpoint} rounds ...")
+            controller.make_remote(shared, "third")
+        holder_a.record(value)
+        holder_b.record(value)
+    print(
+        f"{'transformed, A on server':28s} total={shared.get_total():<6} "
+        f"average={shared.average():<6.2f} messages={cluster.metrics.total_messages:<4}"
+        f" simulated_ms={cluster.clock.now * 1000:.2f}"
+    )
+    print("A's reference survived the move:", oracle.total == shared.get_total())
+    print()
 
 
 def adopted_by_a_session(oracle) -> None:

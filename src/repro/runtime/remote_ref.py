@@ -60,10 +60,6 @@ class RemoteRef:
             raise SerializationError(f"malformed wire reference: {wire!r}")
         return cls(*fields)
 
-    @classmethod
-    def is_wire_ref(cls, value: object) -> bool:
-        return isinstance(value, dict) and value.get(Tree.KIND) == Tree.REF
-
     # -- helpers ----------------------------------------------------------------
 
     def located_on(self, node_id: str) -> bool:

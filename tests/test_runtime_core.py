@@ -8,6 +8,8 @@ from repro.api.errors import NamingError, RemoteInvocationError
 from repro.runtime.invocation import read_request, read_response, request_dict, response_dict
 from repro.runtime.naming import NamingService
 from repro.runtime.remote_ref import ObjectIdAllocator, RemoteRef, reference_of
+from repro.runtime.serialization import Marshaller
+from repro.transports.base import Tree
 
 
 class TestObjectIdAllocator:
@@ -33,9 +35,8 @@ class TestRemoteRef:
 
     def test_wire_form_is_tagged(self):
         wire = self._ref().to_wire()
-        assert RemoteRef.is_wire_ref(wire)
-        assert not RemoteRef.is_wire_ref({"object_id": "x"})
-        assert not RemoteRef.is_wire_ref("server:7")
+        assert wire[Tree.KIND] == Tree.REF
+        assert Marshaller(None).from_wire({"object_id": "x"}) == {"object_id": "x"}
 
     def test_located_on(self):
         ref = self._ref()
@@ -117,3 +118,32 @@ class TestNamingService:
         naming.rebind("a", self._ref("a"))
         naming.rebind("b", self._ref("b"))
         assert naming.names() == {"a", "b"}
+
+    def test_a_second_retirement_re_points_every_forward_instead_of_chaining(self):
+        naming = NamingService()
+        first, second, third = self._ref("1"), self._ref("2"), self._ref("3")
+        naming.forward([first], second)
+        naming.forward([second], third)
+        assert naming.forwarded(first) == naming.forwarded(second) == third
+        assert naming._forwards == {first: third, second: third}
+        assert naming.forwarded(third) is None
+
+    def test_a_lazy_forward_runs_only_when_a_stale_reference_is_used(self):
+        naming, exports = NamingService(), []
+
+        def export():
+            exports.append(self._ref("copy"))
+            return exports[-1]
+
+        naming.forward([self._ref("old")], export)
+        assert exports == []
+        assert naming.forwarded(self._ref("old")) == self._ref("copy")
+        assert len(exports) == 1
+
+    def test_drop_forwards_forgets_every_entry_leading_to_a_reference(self):
+        naming = NamingService()
+        naming.forward([self._ref("1"), self._ref("2")], self._ref("3"))
+        naming.forward([self._ref("4")], self._ref("5"))
+        naming.drop_forwards(self._ref("3"))
+        assert naming.forwarded(self._ref("1")) is None
+        assert naming.forwarded(self._ref("4")) == self._ref("5")
