@@ -22,10 +22,7 @@ There is one call path from a handle to the wire: ``Redirector`` →
 :meth:`Metaobject.invoke` → :meth:`Proxy._call` → the handle's
 ``remote_invoker`` slot when one is set, else ``space.invoke_remote``.
 ``Proxy._call`` is the only place under :mod:`repro.core` where a call leaves
-its address space; every method of a generated proxy is one call of it.  It
-is also where a proxy holding a retired reference finds the object again: a
-call refused before it ran is re-issued to where the cluster's forward table
-says the object went (see :class:`~repro.runtime.naming.NamingService`).
+its address space; every method of a generated proxy is one call of it.
 """
 
 from __future__ import annotations
@@ -233,12 +230,9 @@ class Proxy:
         ``transport`` when a handle's metaobject names them, else from the
         proxy's own space over the transport it was generated for; through
         ``via`` (the handle's ``remote_invoker`` slot) when there is one.
-
-        A refusal that proves the call did not run — the reference's id is
-        unknown at its node, or a superseded primary fenced it — re-binds the
-        proxy to where the forward table says the object went and re-issues
-        the call, once per hop.  Any other error, and a refusal of a
-        reference that was never retired, is the caller's."""
+        A call refused unrun by a retired reference (its id unknown there, or
+        fenced) is re-issued, once per hop, to where the forward table says
+        the object went, and the proxy re-bound there."""
         space = space if space is not None else self._space
         transport = transport or self._repro_transport
         try:
@@ -246,10 +240,12 @@ class Proxy:
                 return via.invoke(self._ref, member, args, kwargs, transport=transport, space=space)
             return space.invoke_remote(self._ref, member, args, kwargs or {}, transport=transport)
         except (UnknownObjectError, FencedError, RemoteInvocationError) as refusal:
+            # Typed when co-located; an unknown id that crossed the wire is named
+            # by its remote_type.  Any other remote error ran the call.
             if getattr(refusal, "remote_type", "UnknownObjectError") != "UnknownObjectError":
                 raise
             current = space.naming.forwarded(self._ref)
-            if current is None or current == self._ref:
+            if current is None:
                 raise
             self._ref = current
         return self._call(member, args, kwargs, space=space, transport=transport, via=via)

@@ -4,13 +4,9 @@ A simple flat namespace mapping well-known names to remote references.  One
 naming service is shared by every address space of a cluster (the simulated
 equivalent of a registry process reachable by all nodes) so applications can
 publish an object on one node and look it up from another without passing
-references by hand.
-
-It also keeps the cluster's one **forward table**: where an object went when
-the export a reference names was retired.  Relocation and failover write it
-(the old node may be down, so the shared registry is the one place both can
-publish to); a caller whose call was refused unrun by a stale reference reads
-it, re-binds and re-issues the call.
+references by hand.  It also keeps the cluster's one forward table: relocation
+and failover write it (the old node may be down), callers holding a retired
+reference read it.
 """
 
 from __future__ import annotations
@@ -23,9 +19,8 @@ from repro.runtime.remote_ref import RemoteRef
 #: A rebind listener: ``(name, old reference or None, new reference)``.
 RebindListener = Callable[[str, Optional[RemoteRef], RemoteRef], None]
 
-#: Where a retired reference's object lives now: its reference, or a function
-#: that exports the object on first use (an export shifts later object ids,
-#: so none is made unless a stale reference is actually used).
+#: Where a retired reference's object is: its reference, or a function that
+#: exports it on first use (an export shifts every later object id).
 Forward = Union[RemoteRef, Callable[[], RemoteRef]]
 
 
@@ -68,8 +63,6 @@ class NamingService:
         except ValueError:
             pass
 
-    # -- the forward table ---------------------------------------------------
-
     def forward(self, retired: Iterable[RemoteRef], current: Forward) -> None:
         """Publish that the object behind each ``retired`` reference is now at
         ``current``.  Entries that led to a retired reference are re-pointed,
@@ -80,6 +73,10 @@ class NamingService:
                 self._forwards[old] = current
         for old in retired:
             self._forwards[old] = current
+
+    def has_forwards(self) -> bool:
+        """Whether any reference was retired (lets a caller skip per-reference lookups)."""
+        return bool(self._forwards)
 
     def forwarded(self, reference: RemoteRef) -> Optional[RemoteRef]:
         """Where the object behind a retired ``reference`` lives now, or None

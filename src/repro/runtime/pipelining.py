@@ -307,7 +307,7 @@ class PipelineScheduler:
         #: Calls requeued after a transient transport failure.
         self.calls_retried = 0
         #: Call-requeues taken to ride out a failover (fatal error, replicated
-        #: target): the re-ship resolves redirects and lands on the promotion.
+        #: target): the re-ship resolves its forward and lands on the promotion.
         self.calls_redirected = 0
         #: High-water mark of concurrently in-flight batches.
         self.max_in_flight = 0
@@ -469,19 +469,16 @@ class PipelineScheduler:
         if self._stopped:
             self._fail_unshipped(calls)
             return
-        forwarded, moved = self.space.naming.forwarded, False
-        for call in calls:
-            current = forwarded(call.reference)
-            if current is not None:
-                call.reference, moved = current, True
-        if moved:
-            buckets: Dict[str, List[_ScheduledCall]] = {}
-            for call in calls:
-                buckets.setdefault(call.reference.node_id, []).append(call)
-            for bucket in buckets.values():
-                self._ship_bucket(bucket)
+        naming = self.space.naming
+        if not naming.has_forwards():
+            self._ship_bucket(calls)
             return
-        self._ship_bucket(calls)
+        buckets: Dict[str, List[_ScheduledCall]] = {}
+        for call in calls:
+            call.reference = naming.forwarded(call.reference) or call.reference
+            buckets.setdefault(call.reference.node_id, []).append(call)
+        for bucket in buckets.values():
+            self._ship_bucket(bucket)
 
     def _ship_bucket(self, calls: List[_ScheduledCall]) -> None:
         """Ship one single-destination sub-batch, waiting for a window slot.
