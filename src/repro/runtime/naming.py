@@ -11,6 +11,7 @@ reference read it.
 
 from __future__ import annotations
 
+from types import MappingProxyType
 from typing import Callable, Dict, Iterable, List, Optional, Union
 
 from repro._errors import NamingError
@@ -38,6 +39,8 @@ class NamingService:
         self._bindings: Dict[str, RemoteRef] = {}
         self._rebind_listeners: List[RebindListener] = []
         self._forwards: Dict[RemoteRef, Forward] = {}
+        #: The forward table, read-only: retired reference → :data:`Forward`.
+        self.forwards = MappingProxyType(self._forwards)
 
     def rebind(self, name: str, reference: RemoteRef) -> None:
         """Bind ``name`` to ``reference``, replacing any previous binding."""
@@ -74,10 +77,6 @@ class NamingService:
         for old in retired:
             self._forwards[old] = current
 
-    def has_forwards(self) -> bool:
-        """Whether any reference was retired (lets a caller skip per-reference lookups)."""
-        return bool(self._forwards)
-
     def forwarded(self, reference: RemoteRef) -> Optional[RemoteRef]:
         """Where the object behind a retired ``reference`` lives now, or None
         when ``reference`` was never retired."""
@@ -86,7 +85,8 @@ class NamingService:
 
     def drop_forwards(self, current: RemoteRef) -> None:
         """Forget every entry leading to ``current`` (its object is gone)."""
-        self._forwards = {old: new for old, new in self._forwards.items() if new != current}
+        for old in [old for old, new in self._forwards.items() if new == current]:
+            del self._forwards[old]
 
     def lookup(self, name: str) -> RemoteRef:
         try:

@@ -470,7 +470,7 @@ class PipelineScheduler:
             self._fail_unshipped(calls)
             return
         naming = self.space.naming
-        if not naming.has_forwards():
+        if not naming.forwards:
             self._ship_bucket(calls)
             return
         buckets: Dict[str, List[_ScheduledCall]] = {}

@@ -361,9 +361,10 @@ class ReplicaManager:
     on distinct nodes, catches them up from each group's op log, listens to a
     heartbeat ``detector`` (optional) and promotes backups when primaries die
     — rebinding names and forwarding the old primary's reference in the
-    cluster's forward table, which proxies and schedulers follow.  ``application`` (optional) lets
-    state capture use a transformed class's accessors, and re-create backup
-    copies from a transformed class's local class.
+    cluster's forward table, which proxies and schedulers follow.
+    ``application`` (optional) lets state capture use a transformed class's
+    accessors, and re-create backup copies from a transformed class's local
+    class.
     """
 
     def __init__(self, cluster, *, application: Any = None, detector: Any = None) -> None:

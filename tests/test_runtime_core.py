@@ -125,7 +125,7 @@ class TestNamingService:
         naming.forward([first], second)
         naming.forward([second], third)
         assert naming.forwarded(first) == naming.forwarded(second) == third
-        assert naming._forwards == {first: third, second: third}
+        assert naming.forwards == {first: third, second: third}
         assert naming.forwarded(third) is None
 
     def test_a_lazy_forward_runs_only_when_a_stale_reference_is_used(self):
