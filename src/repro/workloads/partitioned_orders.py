@@ -342,6 +342,10 @@ def run_partitioned_order_scenario(
             "cache_misses": cache.misses if cache is not None else 0,
         }
 
+    # The sessions are closed and their detector stopped: let the exchanges
+    # still in flight (the last heartbeat round's pongs) land, so the traffic
+    # figures count whole exchanges whatever the frames' sizes.
+    cluster.network.events.run_until_idle()
     figures["simulated_seconds"] = cluster.clock.now - started
     figures["messages"] = cluster.metrics.total_messages - messages_before
     figures["bytes_on_wire"] = cluster.metrics.total_bytes - bytes_before

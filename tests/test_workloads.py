@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from repro.core.transformer import ApplicationTransformer
+from repro.network.simnet import LinkConfig
 from repro.policy.policy import all_local_policy, place_classes_on
 from repro.runtime.cluster import Cluster
 from repro.workloads.figure1 import run_figure1_plain
@@ -12,6 +13,7 @@ from repro.workloads.orders import (
     OrderStore,
     seed_catalog,
 )
+from repro.workloads.partitioned_orders import run_partitioned_order_scenario
 from repro.workloads.pipeline import Buffer, Consumer, Producer, run_pipeline
 from repro.workloads.shared_cache import Cache, CacheClient, run_cache_workload
 
@@ -136,3 +138,16 @@ class TestOrdersWorkload:
         with app.executing_on("warehouse"):
             assert all(orders.fulfil(order_id) for order_id in list(orders.pending()))
         assert orders.pending() == [] and orders.revenue() > 0
+
+
+class TestPartitionedOrdersWorkload:
+    def test_the_traffic_figures_count_every_exchange_that_was_in_flight(self):
+        # On 1.3 ms links the last heartbeat round's pongs are still on the
+        # wire when the final write returns; they count, and nothing is left.
+        cluster = Cluster(
+            ("monitor", "client", "reader", "p0", "p1", "p2"), link=LinkConfig(latency=0.0013)
+        )
+        figures = run_partitioned_order_scenario(cluster, cell="A")
+        assert cluster.network.events.next_fire_time() is None
+        assert figures["messages"] == cluster.metrics.total_messages
+        assert figures["bytes_on_wire"] == cluster.metrics.total_bytes
