@@ -30,7 +30,7 @@ from __future__ import annotations
 import base64
 from typing import Any
 
-from repro._errors import SerializationError
+from repro._errors import SerializationError, UnknownObjectError
 from repro.runtime.remote_ref import RemoteRef
 from repro.transports.base import LEAVES, Tree
 
@@ -153,7 +153,14 @@ class Marshaller:
 
     def _resolve_reference(self, reference: RemoteRef) -> Any:
         if reference.located_on(self._space.node_id):
-            return self._space.lookup_local_object(reference.object_id)
+            try:
+                return self._space.lookup_local_object(reference.object_id)
+            except UnknownObjectError:  # retired here: follow the forward table
+                naming = self._space.naming
+                current = naming.forwarded(reference) if naming is not None else None
+                if current is None or current == reference:
+                    raise
+                return self._resolve_reference(current)
         application = getattr(self._space, "application", None)
         if application is None:
             raise SerializationError(

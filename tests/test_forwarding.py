@@ -51,6 +51,9 @@ class Holder:
     def keep(self, c):
         self.c = c
 
+    def give(self):
+        return self.c
+
     def use(self):
         return self.c.bump()
 
@@ -177,6 +180,22 @@ class TestForwarding:
         assert (seen, c.get()) == _all_local(move)
         assert second == fresh
         assert cost == fresh_cost  # the holder's proxy now names the copy
+
+
+class TestForwardedArguments:
+    @pytest.mark.parametrize("transport", TRANSPORTS)
+    def test_a_retired_reference_passed_to_its_old_node_resolves_to_the_copy(self, transport):
+        app, cluster, controller = _deploy(transport)
+        c = app.new("Counter")
+        holder = _argument_held(app, cluster, c)
+        controller.make_remote(c, "server")
+        assert holder.use() == 1  # the holder's proxy re-binds to the copy on "server"
+        controller.move(c, "fourth")
+        stale = holder.give()  # names the copy "server" retired
+        other = app.new("Holder", None)
+        other.keep(stale)  # decoded on "server", where the id is unknown now
+        assert other.use() == 2 and c.get() == 2
+        assert reference_of(other.give()) == reference_of(c)
 
 
 def _replicated(transport, *, quorum=1):
