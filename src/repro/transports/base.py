@@ -20,6 +20,12 @@ non-empty, and a response is::
     {"result": <wire value>}                     on success
     {"error": {"type": ..., "message": ...}}     on failure
 
+The key order shown is the order on the wire.  A request of these five or six
+keys, in this order, and a success response are each a *shape*: rmi and corba
+send a message of a shape as a positional record (its values, no field names,
+as GIOP and JRMP do) and any other dict, an error response included, as a
+keyed map.  Either reads back to the same dict.
+
 Wire values are JSON-compatible (None, bool, int, float, str, list, dict);
 a live dict or list travels as itself, anything else as the Marshaller's
 :class:`Tree`.  Outgoing, a value may sit in ``args``/``kwargs`` as a

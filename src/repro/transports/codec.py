@@ -36,11 +36,17 @@ Which code writes what.  **Values** go through the walk: wire values, and a
 ``encode_value(marshaller.to_wire(value))``, read back live given a
 ``marshaller`` (a map holding the tree's ``"__kind__"`` key whole through
 ``from_wire``, so the old all-tagged form still reads).  **Messages** go through
-:class:`BinaryTransport`'s record writer and reader: a dict field by field, each
-head (pad, length, name) from a table built once per alignment and matched with
-``startswith``, leaves and lists or maps of leaves in place.  Any other field
-value goes to the walk at its offset (``args`` items, ``kwargs`` values and
-``result`` read live), as does a message that is not a dict.
+:class:`BinaryTransport`: a message whose keys are exactly one of its kind's
+shapes, in order — a request's five fields, or six with ``ctx``, a response's
+``result`` — is a *positional record*, as GIOP and JRMP carry a call: the tag
+``_TAG_RECORD`` (8), the field count, then the field values with no names
+(leaves and lists or maps of leaves in place, any other value through the
+walk at its offset).  The reader names a record's fields by position, and a
+count that is no shape of the frame's kind is a ``TransportError``.  Every
+other message (an error response, a permuted, partial or foreign dict, a value
+that is no dict) is written by the walk as a keyed map, and read as one; so is
+every message of a frame written before records.  Either way ``args`` items,
+``kwargs`` values and ``result`` are read live given a marshaller.
 
 Every failure — a value outside the wire domain, an integer beyond 64 bits,
 a truncated or over-long stream, an unknown tag, invalid UTF-8, nesting deeper
@@ -57,7 +63,6 @@ is packed and opened, and its ``processing_overhead``.
 from __future__ import annotations
 
 import abc
-import functools
 import struct
 from itertools import repeat
 from struct import Struct
@@ -75,6 +80,7 @@ _TAG_FLOAT = 4
 _TAG_STR = 5
 _TAG_LIST = 6
 _TAG_MAP = 7
+_TAG_RECORD = 8  # a message: its fields by position, no names (never inside a value)
 _SINGLETONS = (None, True, False)  # by tag
 
 _UINT32 = Struct("!I")
@@ -95,10 +101,11 @@ _READ_ERRORS = (struct.error, IndexError, UnicodeDecodeError, RecursionError)
 #: instance of a *subclass* of a wire type travels as.
 _WIRE_BASES = (int, float, str, list, tuple, dict)
 
-#: A message's field names; by frame kind, those the records expect at each position.
-_FIELDS = tuple("target interface member args kwargs ctx result error type message".split())
-_ORDER = {base.REQUEST: _FIELDS[:6], base.BATCH_REQUEST: _FIELDS[:6],
-          base.RESPONSE: _FIELDS[6:7], base.BATCH_RESPONSE: _FIELDS[6:7]}
+#: The record shapes of a frame kind's messages: field count -> field names, in order.
+_FIELDS = ("target", "interface", "member", "args", "kwargs", "ctx")
+_REQUESTS, _RESPONSES = {5: _FIELDS[:5], 6: _FIELDS}, {1: ("result",)}
+_SHAPES = {base.REQUEST: _REQUESTS, base.BATCH_REQUEST: _REQUESTS,
+           base.RESPONSE: _RESPONSES, base.BATCH_RESPONSE: _RESPONSES}
 
 
 def _wire_base(value: Any) -> type:
@@ -109,17 +116,6 @@ def _wire_base(value: Any) -> type:
         f"value of type {type(value).__name__} is not a wire value; "
         "marshal it before handing it to a transport"
     )
-
-
-@functools.lru_cache(maxsize=None)
-def _layout(alignment: int) -> tuple:
-    """``(align4, align8, heads)``: ``heads[r][name]`` is a field's head at offset ``r`` mod 4."""
-    align4, align8 = min(4, alignment), min(8, alignment)
-    heads = tuple(
-        {name: _PADS[-r % align4] + _UINT32.pack(len(name)) + name.encode() for name in _FIELDS}
-        for r in range(4)
-    )
-    return align4, align8, heads
 
 
 def _unfit(error: BaseException, writing: bool) -> TransportError:
@@ -161,7 +157,7 @@ def _packers(buffer: bytearray, alignment: int) -> tuple:
     """``(tag_uint32, tag_int64, tag_float64, key_length)``, padded for ``buffer``'s end."""
     if alignment <= 1:
         return _PACKED
-    align4, align8, _ = _layout(alignment)
+    align4, align8 = min(4, alignment), min(8, alignment)
     return (lambda tag, number: _TAG_UINT32[-(len(buffer) + 1) % align4].pack(tag, number),
             lambda tag, number: _TAG_INT64[-(len(buffer) + 1) % align8].pack(tag, number),
             lambda tag, number: _TAG_FLOAT64[-(len(buffer) + 1) % align8].pack(tag, number),
@@ -242,7 +238,7 @@ def _reader(payload: bytes, alignment: int, marshaller: Any) -> Any:
     value, or if ``live`` a tree's live value — and its end (``read`` is handed itself too)."""
     offset = 0
     aligned = alignment > 1
-    align4, align8, _ = _layout(alignment)
+    align4, align8 = min(4, alignment), min(8, alignment)
     uint32, int64, float64 = _UINT32.unpack_from, _INT64.unpack_from, _FLOAT64.unpack_from
     tree_kind = Tree.KIND
 
@@ -297,14 +293,6 @@ def _reader(payload: bytes, alignment: int, marshaller: Any) -> Any:
     return walk
 
 
-def _key_head(key: Any, key_length: Any) -> bytes:
-    """The head of a map key the layout does not hold."""
-    if not isinstance(key, str):
-        raise TransportError(f"map keys must be strings, got {type(key).__name__}")
-    data = key.encode()
-    return key_length(len(data)) + data
-
-
 def _read_key(payload: bytes, offset: int, align4: int) -> tuple:
     """The map key at ``offset`` and the offset where it ends."""
     start = offset + -offset % align4
@@ -323,8 +311,9 @@ class BinaryTransport(Transport):
 
     A batch frame's body is the list of its messages as one tagged value (one
     stream, so one alignment run: the framing cost is paid once per batch); a
-    single frame's body is its one message, bare.  Both are written and read
-    as records; given a marshaller, the live values are read in the same pass.
+    single frame's body is its one message, bare.  In both, a message of one
+    of its kind's shapes is a positional record and any other a keyed map;
+    given a marshaller, the live values are read in the same pass.
     """
 
     #: Alignment of 4- and 8-byte primitives in the body (1 = packed).
@@ -340,28 +329,19 @@ class BinaryTransport(Transport):
     def open_header(self, payload: bytes, expected_type: int) -> bytes:
         """Check the header of ``payload`` and return the body behind it."""
 
-    @functools.cached_property
-    def _stream_layout(self) -> tuple:
-        return _layout(self.alignment)
-
     def encode_frame(self, kind: str, messages: list) -> bytes:
-        buffer, alignment, write = bytearray(), self.alignment, None
+        buffer, alignment, shapes, write = bytearray(), self.alignment, _SHAPES[kind], None
         try:
             tag_uint32, tag_int64, tag_float64, key_length = _packers(buffer, alignment)
-            aligned, layout = alignment > 1, self._stream_layout[2]
-            heads = layout[0]
             if kind in BATCH_KINDS:
                 buffer += tag_uint32(_TAG_LIST, len(messages))
             for message in messages if kind in BATCH_KINDS else messages[:1]:
-                if type(message) is not dict:
-                    write = write or _writer(buffer, alignment)
+                if type(message) is not dict or tuple(message) != shapes.get(len(message)):
+                    write = write or _writer(buffer, alignment)  # a keyed map, or no map
                     write(message, type(message), None, write)
                     continue
-                buffer += tag_uint32(_TAG_MAP, len(message))
-                for key, field in message.items():
-                    if aligned:
-                        heads = layout[len(buffer) & 3]
-                    buffer += heads[key] if key in heads else _key_head(key, key_length)
+                buffer += tag_uint32(_TAG_RECORD, len(message))
+                for field in message.values():
                     cls = type(field)
                     if cls is str:  # the most frequent field, written in place
                         data = field.encode()
@@ -374,9 +354,11 @@ class BinaryTransport(Transport):
                     for item in field.items() if keyed else field if cls is list else (field,):
                         if keyed:
                             key, item = item
-                            if aligned:
-                                heads = layout[len(buffer) & 3]
-                            buffer += heads[key] if key in heads else _key_head(key, key_length)
+                            if type(key) is not str:
+                                raise TransportError(
+                                    f"map keys must be strings, got {type(key).__name__}")
+                            data = key.encode()
+                            buffer += key_length(len(data)) + data
                         cls = type(item)
                         if cls is str:
                             data = item.encode()
@@ -398,10 +380,9 @@ class BinaryTransport(Transport):
 
     def read_frame(self, kind: str, payload: bytes, marshaller: Any = None) -> list:
         payload = self.open_header(payload, self.message_types[kind])
-        alignment, batch, fields = self.alignment, kind in BATCH_KINDS, _ORDER[kind]
-        align4, align8, layout = self._stream_layout
-        aligned, live, expected = alignment > 1, marshaller is not None, len(fields)
-        uint32, startswith = _UINT32.unpack_from, payload.startswith
+        alignment, batch, shapes = self.alignment, kind in BATCH_KINDS, _SHAPES[kind]
+        align4, align8 = min(4, alignment), min(8, alignment)
+        aligned, live, uint32 = alignment > 1, marshaller is not None, _UINT32.unpack_from
         messages, offset, count, walk = [], 0, 1, None
         try:
             if batch and payload[0] != _TAG_LIST:
@@ -410,20 +391,22 @@ class BinaryTransport(Transport):
                 offset = 5 + -1 % align4  # past the list's tag and count
                 count = uint32(payload, offset - 4)[0]
             for _ in range(count):
-                if payload[offset] != _TAG_MAP:
+                tag, start = payload[offset], offset + 1
+                if tag != _TAG_RECORD and tag != _TAG_MAP:
                     walk = walk or _reader(payload, alignment, marshaller)
                     message, offset = walk(offset, False)
                     messages.append(message)
                     continue
-                start = offset + 1
                 if aligned:
                     start += -start % align4
-                offset, message = start + 4, {}
-                for index in range(uint32(payload, start)[0]):
-                    head = layout[offset & 3][fields[index]] if index < expected else None
-                    if head is not None and startswith(head, offset):
-                        key, offset = fields[index], offset + len(head)
-                    else:
+                offset, size, message = start + 4, uint32(payload, start)[0], {}
+                # A record names its fields by position; a keyed map before each value.
+                fields = shapes.get(size) if tag == _TAG_RECORD else repeat(None, size)
+                if fields is None:
+                    raise TransportError(f"a record of {size} fields in a {kind} frame "
+                                         f"(its shapes have {' or '.join(map(str, shapes))})")
+                for key in fields:
+                    if key is None:
                         key, offset = _read_key(payload, offset, align4)
                     tag, start = payload[offset], offset + 1
                     if tag == _TAG_STR:  # the most frequent field, read in place

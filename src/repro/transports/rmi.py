@@ -1,7 +1,10 @@
 """RMI-like transport.
 
 A compact binary protocol inspired by Java RMI's JRMP: a two-byte magic, a
-one-byte message type and an unaligned tag-length-value body.  It is the
+one-byte message type and an unaligned tag-length-value body.  As in JRMP, a
+call carries its fields by position: a request or result is a positional
+record with no field names (an error response, or any dict of another shape,
+travels as a keyed map; see :mod:`repro.transports.codec`).  It is the
 cheapest of the remote transports both in bytes on the wire and in simulated
 marshalling cost, which is the role RMI plays in the paper's set of proxy
 implementations.

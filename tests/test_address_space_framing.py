@@ -494,19 +494,22 @@ class TestCallBudget:
     rebuilt here.  Each ceiling is the count measured on CPython 3.11 plus 5 % for
     the other interpreters CI runs."""
 
-    #: Python calls per lookup: 158.1 with one record per link, frame
-    #: prefixes resolved at registration and control frames told by their
-    #: first byte (197.1 before; 239.1 when the walk handled the messages,
-    #: 249.1 before values went to bytes in one pass).
-    CEILING = 166.0
-    #: Python calls per batched order: 1 597.0 with its dicts and lists
-    #: written as plain maps and lists, each key's head written once per
-    #: frame (2 245.1 with every container a tagged tree, 2 293.2 with the
-    #: messages walked, 3 608.2 with the Marshaller's tree built and walked).
-    BATCH_CEILING = 1676.9
-    #: Python calls per lookup in windows of 32: 101.6 (137.9 with the
-    #: messages walked).
-    SMALL_BATCH_CEILING = 106.7
+    #: Python calls per lookup: 156.1 with requests and results as positional
+    #: records (160.1 with field heads matched; 158.1 with one record per
+    #: link, frame prefixes resolved at registration and control frames told
+    #: by their first byte, 197.1 before; 239.1 when the walk handled the
+    #: messages, 249.1 before values went to bytes in one pass).
+    CEILING = 163.9
+    #: Python calls per batched order: 1 578.1 with the messages as
+    #: positional records (1 595.9 with field heads; 1 597.0 with its dicts
+    #: and lists written as plain maps and lists, each key's head written
+    #: once per frame; 2 245.1 with every container a tagged tree, 2 293.2
+    #: with the messages walked, 3 608.2 with the Marshaller's tree built and
+    #: walked).
+    BATCH_CEILING = 1657.0
+    #: Python calls per lookup in windows of 32: 90.4 with positional records
+    #: (96.9 with field heads, 101.6 before; 137.9 with the messages walked).
+    SMALL_BATCH_CEILING = 94.9
     #: Python calls per cache hit: 8.0 (34.0 when a hit was a resolved future
     #: and a recursive key walk).
     CACHE_HIT_CEILING = 8.4
@@ -515,15 +518,17 @@ class TestCallBudget:
     #: per-call record and counted itself in always-on statistics).
     HANDLE_CEILING = 23.1
     #: Python calls per write in batches of 16 quorum-2 writes to a 3-replica
-    #: group: 203.2 with the forwarded argument lists as plain lists (237.7
+    #: group: 197.0 with positional records (203.2 with the forwarded
+    #: argument lists as plain lists; 237.7
     #: with them tagged, one record per link and frame prefixes resolved at
     #: registration; 244.1 before, with a batch's writes committed once;
     #: 588.6 when each write caught its backups up on its own).
-    QUORUM_BATCH_CEILING = 213.4
+    QUORUM_BATCH_CEILING = 206.9
     #: Python calls per served write to a ledger with two subscribers, the
     #: reader invalidated by a ``!inv`` frame and the writer by the
-    #: piggyback on its response: 269.1.
-    INVALIDATING_WRITE_CEILING = 282.6
+    #: piggyback on its response: 258.4 with positional records (262.4 with
+    #: field heads, 269.1 before).
+    INVALIDATING_WRITE_CEILING = 271.3
 
     def test_a_batch_of_quorum_writes_stays_within_its_call_budget(self):
         cluster = Cluster(("client", "a", "b", "c"))

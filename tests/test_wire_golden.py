@@ -1,9 +1,11 @@
 """Golden wire bytes: every transport's frames, pinned to the byte.
 
 ``golden_wire.json`` holds the hex of each frame below as the encoders
-produced it *before* the binary codec was rewritten, so a codec change that
-moves a single byte (a pad, a tag, a length) fails here rather than in a
-simulated-clock number three layers up.  The fixed message set covers the
+produce it, so a codec change that moves a single byte (a pad, a tag, a
+length) fails here rather than in a simulated-clock number three layers up.
+Its ``keyed`` rows are the rmi and corba frames as written before messages
+became positional records, every message a keyed map: they are read only, and
+must still read to their messages.  The fixed message set covers the
 whole wire-value domain — the strings, int64 edges, floats and containers
 the codec special-cases — plus one order twice: in the tagged tree form
 (``{"__kind__": "map", "items": [[key, value], ...]}``, every list tagged too)
@@ -13,7 +15,8 @@ what the ledger's ``batch_payload`` workload ships (the ``plain_order_*``
 cases).
 
 Regenerate (only when the wire format is *meant* to change) with
-``PYTHONPATH=src python tests/test_wire_golden.py``.
+``PYTHONPATH=src python tests/test_wire_golden.py``; the ``keyed`` rows are
+carried over as they are.
 """
 
 from __future__ import annotations
@@ -96,6 +99,8 @@ CASES = {
 }
 TRANSPORTS = {transport.name: transport for transport in default_transport_registry()}
 BINARY = ("rmi", "corba")
+#: The golden section of the pre-record rmi/corba frames.
+KEYED = "keyed"
 
 
 @functools.lru_cache(maxsize=None)
@@ -133,6 +138,17 @@ def test_decoders_read_the_golden_bytes(name, case):
     assert decoded == message
     # ``==`` cannot tell -0.0 from 0.0, True from 1 or a reordered map.
     assert repr(decoded) == repr(message)
+
+
+@pytest.mark.parametrize("name,case", _frames(BINARY))
+def test_decoders_read_the_keyed_golden_bytes(name, case):
+    _, decode, message = CASES[case]
+    decode = getattr(TRANSPORTS[name], decode)
+    keyed, current = (bytes.fromhex(rows[case]) for rows in (_golden()[KEYED][name],
+                                                             _golden()[name]))
+    assert repr(decode(keyed)) == repr(message)
+    live = _live_reader(decode)
+    assert repr(live(keyed)) == repr(live(current))
 
 
 def _damaged(frame: bytes):
@@ -178,11 +194,14 @@ if __name__ == "__main__":
     GOLDEN_PATH.write_text(
         json.dumps(
             {
-                name: {
-                    case: getattr(transport, encode)(message).hex()
-                    for case, (encode, _, message) in CASES.items()
-                }
-                for name, transport in TRANSPORTS.items()
+                **{
+                    name: {
+                        case: getattr(transport, encode)(message).hex()
+                        for case, (encode, _, message) in CASES.items()
+                    }
+                    for name, transport in TRANSPORTS.items()
+                },
+                KEYED: _golden()[KEYED],
             },
             indent=1,
         )

@@ -30,6 +30,7 @@ from repro.api.errors import SerializationError, TransportError
 from repro.core.transformer import ApplicationTransformer
 from repro.policy.policy import place_classes_on
 from repro.runtime.cluster import Cluster
+from repro.runtime.invocation import read_request
 from repro.runtime.serialization import Marshaller
 from repro.transports.base import (
     BATCH_KINDS,
@@ -294,15 +295,17 @@ class TestOnePassProperties:
         )
 
 
-# -- the record path is the walk -----------------------------------------------
+# -- records read as the keyed walk form does -----------------------------------
 #
-# rmi and corba write and read each message as a record (field heads from a
-# table, leaves in place) and hand anything else to the walk.  Whatever the
-# frame — requests with leaf, nested and Live arguments, with and without
-# kwargs and ctx; results, trees and errors; unknown, misplaced and non-string
-# keys; messages that are not dicts; batches mixing them — its body must be
-# the walk's bytes, and its reading the walk's reading with the Marshaller
-# applied where the records read live.
+# rmi and corba write a message whose keys are one of its kind's shapes as a
+# positional record (no field names, leaves in place) and hand anything else
+# to the walk as a keyed map.  Whatever the frame — requests with leaf, nested
+# and Live arguments, with and without kwargs and ctx; results, trees and
+# errors; unknown, misplaced and non-string keys; messages that are not dicts;
+# batches mixing them — it is written exactly when the walk can write its
+# messages, and it reads to the message as the walk reads it back, with the
+# Marshaller applied where the frames read live.  So does the keyed walk form
+# of the same messages (every rmi/corba frame written before records).
 
 _MARSHALLER = Marshaller(None)  # the values hold no references
 _FIELDS = ("target", "interface", "member", "args", "kwargs", "ctx", "result", "error", "type",
@@ -394,24 +397,110 @@ class TestRecordProperties:
         kind=st.sampled_from([REQUEST, RESPONSE, BATCH_REQUEST, BATCH_RESPONSE]),
         messages=st.lists(_record_messages, min_size=1, max_size=4),
     )
-    def test_the_records_write_and_read_what_the_walk_does(self, transport, kind, messages):
+    def test_a_frame_and_its_keyed_walk_form_read_to_the_message(
+        self, transport, kind, messages
+    ):
         batch = kind in BATCH_KINDS
         messages = messages if batch else messages[:1]
         alignment = transport.alignment
-        body = _same_outcome(
-            lambda: encode_value(messages if batch else messages[0], alignment),
-            lambda: transport.open_header(
-                transport.encode_frame(kind, messages), transport.message_types[kind]
-            ),
-        )
-        if body is None:
+        try:
+            keyed = encode_value(messages if batch else messages[0], alignment)
+        except (SerializationError, TransportError) as error:
+            with pytest.raises(type(error)) as raised:
+                transport.encode_frame(kind, messages)
+            assert type(raised.value) is type(error)
             return
-        frame = transport.pack_header(transport.message_types[kind], body) + body
+        header = transport.pack_header(transport.message_types[kind], keyed)
+        frame = transport.encode_frame(kind, messages)
         for marshaller in (None, _MARSHALLER):
-            _same_outcome(
-                lambda: _walked(body, alignment, batch, marshaller),
-                lambda: transport.read_frame(kind, frame, marshaller),
-            )
+            for payload in (frame, header + keyed):
+                _same_outcome(
+                    lambda: _walked(keyed, alignment, batch, marshaller),
+                    lambda: transport.read_frame(kind, payload, marshaller),
+                )
+
+
+#: The first tag of a message's body: a positional record, a keyed map.
+RECORD_TAG, MAP_TAG = 8, 7
+SMALL = golden.SMALL_REQUEST
+WITH_CTX = {**SMALL, "ctx": {"i": 7, "t": "tenant-a"}}
+#: Requests that are no record shape: they travel keyed, as every request did before.
+KEYED_REQUESTS = {
+    "member missing": {key: value for key, value in SMALL.items() if key != "member"},
+    "permuted": dict(reversed(SMALL.items())),
+    "ctx before kwargs": {key: WITH_CTX[key] for key in
+                          ("target", "interface", "member", "args", "ctx", "kwargs")},
+    "extra key": {**SMALL, "extra": 1},
+    "ctx and an extra key": {**WITH_CTX, "extra": None},
+}
+
+
+def _body(transport, kind, messages):
+    frame = transport.encode_frame(kind, messages)
+    return transport.open_header(frame, transport.message_types[kind])
+
+
+def _count_at(transport):
+    """Where the body's first record or map count starts (after the tag and its pad)."""
+    return 4 if transport.alignment > 1 else 1
+
+
+def _verdict(request):
+    try:
+        return read_request(request)
+    except TransportError as error:
+        return type(error)
+
+
+@pytest.mark.parametrize("transport", [RmiTransport(), CorbaTransport()], ids=lambda t: t.name)
+class TestRecordShapes:
+    @pytest.mark.parametrize("message,count", [(SMALL, 5), (WITH_CTX, 6)], ids=["5", "6 (ctx)"])
+    def test_a_request_of_either_shape_travels_as_a_record_without_field_names(
+        self, transport, message, count
+    ):
+        body = _body(transport, REQUEST, [message])
+        start = _count_at(transport)
+        assert body[0] == RECORD_TAG and int.from_bytes(body[start : start + 4], "big") == count
+        assert b"target" not in body and b"kwargs" not in body
+        decoded = transport.decode_request(transport.encode_request(message))
+        assert repr(decoded) == repr(message)
+        assert read_request(decoded) == read_request(message)
+
+    def test_a_result_travels_as_a_record_and_an_error_keyed(self, transport):
+        assert _body(transport, RESPONSE, [{"result": [1, "x"]}])[0] == RECORD_TAG
+        error = golden.ERROR_RESPONSE
+        assert _body(transport, RESPONSE, [error])[0] == MAP_TAG
+        responses = [{"result": None}, error, {"result": 1, "extra": 2}]
+        assert transport.decode_batch_response(transport.encode_batch_response(responses)) == (
+            responses
+        )
+
+    @pytest.mark.parametrize("case", sorted(KEYED_REQUESTS))
+    def test_a_request_of_no_shape_travels_keyed_and_reads_as_before(self, transport, case):
+        message = KEYED_REQUESTS[case]
+        assert _body(transport, REQUEST, [message])[0] == MAP_TAG
+        for decoded in (
+            transport.decode_request(transport.encode_request(message)),
+            transport.decode_batch_request(transport.encode_batch_request([SMALL, message]))[1],
+        ):
+            assert repr(decoded) == repr(message)
+            assert _verdict(decoded) == _verdict(message)
+        assert (_verdict(message) is TransportError) == (case == "member missing")
+
+    @pytest.mark.parametrize("kind,message,counts", [
+        (REQUEST, SMALL, (0, 1, 4, 7)),
+        (RESPONSE, {"result": "x"}, (0, 2, 5, 6)),
+    ], ids=["request", "response"])
+    def test_a_record_count_that_is_no_shape_of_its_kind_is_a_transport_error(
+        self, transport, kind, message, counts
+    ):
+        body, start = _body(transport, kind, [message]), _count_at(transport)
+        code = transport.message_types[kind]
+        for count in counts:
+            bad = body[:start] + count.to_bytes(4, "big") + body[start + 4 :]
+            for marshaller in (None, _MARSHALLER):
+                with pytest.raises(TransportError, match="record of"):
+                    transport.read_frame(kind, transport.pack_header(code, bad) + bad, marshaller)
 
 
 # -- containers on every transport, both ways -----------------------------------
