@@ -111,7 +111,9 @@ lint-dist:
 	$(PYTHON) -m repro lint src/repro examples tests/sample_app.py
 
 # What CI gates, locally: bench-check and bench-golden share one bench-smoke run,
-# and bench-golden runs once more under another hash seed, as in CI (nothing on
-# the wire or in the event order may depend on hash iteration order).
+# and bench-golden and the seed-7 ledger smoke run once more under another hash
+# seed, as in CI (nothing on the wire or in the event order may depend on hash
+# iteration order).
 check: test examples-smoke cli-smoke paper-claims bench-check bench-golden ledger-smoke docs-check lint-dist
 	PYTHONHASHSEED=123 $(MAKE) bench-golden
+	PYTHONHASHSEED=123 $(PYTHON) benchmarks/ledger_smoke.py --seed 7
