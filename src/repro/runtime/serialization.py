@@ -156,9 +156,8 @@ class Marshaller:
             try:
                 return self._space.lookup_local_object(reference.object_id)
             except UnknownObjectError:  # retired here: follow the forward table
-                naming = self._space.naming
-                current = naming.forwarded(reference) if naming is not None else None
-                if current is None or current == reference:
+                current = self._space.naming.forwarded(reference)
+                if current is None:
                     raise
                 return self._resolve_reference(current)
         application = getattr(self._space, "application", None)
