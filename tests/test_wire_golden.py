@@ -144,8 +144,8 @@ def test_decoders_read_the_golden_bytes(name, case):
 def test_decoders_read_the_keyed_golden_bytes(name, case):
     _, decode, message = CASES[case]
     decode = getattr(TRANSPORTS[name], decode)
-    keyed, current = (bytes.fromhex(rows[case]) for rows in (_golden()[KEYED][name],
-                                                             _golden()[name]))
+    keyed = bytes.fromhex(_golden()[KEYED][name][case])
+    current = bytes.fromhex(_golden()[name][case])
     assert repr(decode(keyed)) == repr(message)
     live = _live_reader(decode)
     assert repr(live(keyed)) == repr(live(current))
