@@ -106,6 +106,25 @@ class Counter:
 '''
 
 
+#: Without source a static initialiser is the ``repr`` of the value it left.
+STATICS_WITHOUT_SOURCE_APP = '''
+class Tally:
+    LIMIT = 5
+    NAMES = ("a", "b")
+
+    def __init__(self):
+        self.n = 0
+
+    def bump(self):
+        self.n += Tally.LIMIT
+        return self.n
+
+
+class Odd:
+    SENTINEL = object()
+'''
+
+
 @pytest.fixture
 def counter_cls():
     namespace = {"__name__": "exec_built_app", "cacheable": cacheable}
@@ -147,6 +166,21 @@ class TestMembersWithoutSource:
             sources["Counter_O_Factory"]
         )
         assert "NotImplementedError" not in "".join(sources.values())
+
+    def test_static_initialisers_replay_the_value_repr(self):
+        namespace = {"__name__": "exec_built_app"}
+        exec(STATICS_WITHOUT_SOURCE_APP, namespace)
+        app = transform([namespace["Tally"]])
+        clinit = app.emit_sources("Tally")["Tally_C_Factory"]
+        assert "that.set_LIMIT(5)\n" in clinit and "that.set_NAMES(('a', 'b'))\n" in clinit
+        assert app.statics("Tally").get_NAMES() == ("a", "b")
+        assert app.new("Tally").bump() == 5
+
+    def test_static_whose_repr_is_not_python_is_refused_by_the_compiler(self):
+        namespace = {"__name__": "exec_built_app"}
+        exec(STATICS_WITHOUT_SOURCE_APP, namespace)
+        with pytest.raises(GenerationError, match="Odd_C_Factory does not compile"):
+            transform([namespace["Odd"]])
 
     def test_model_with_neither_source_nor_function_gets_the_stub(self):
         ghost = ClassModel(name="Ghost", module="handmade", methods=[MethodModel("boo")])
