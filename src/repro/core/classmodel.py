@@ -13,6 +13,7 @@ pipeline is independent of whether a model came from a live Python class
 
 from __future__ import annotations
 
+import ast
 import enum
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional, Sequence
@@ -114,9 +115,9 @@ class FieldModel:
 
     The transformation turns every field into a *property*: a ``get_<name>``
     and ``set_<name>`` accessor pair exposed through the extracted interface
-    (paper §2.1).  ``initializer_source`` preserves the right-hand side of a
-    static initialiser so it can be replayed by the class factory's
-    ``clinit`` method (paper §2.3).
+    (paper §2.1).  ``initializer`` is the expression node of a static
+    initialiser's right-hand side, replayed by the class factory's ``clinit``
+    method (paper §2.3).
     """
 
     name: str
@@ -124,7 +125,7 @@ class FieldModel:
     visibility: Visibility = Visibility.PRIVATE
     is_static: bool = False
     is_final: bool = False
-    initializer_source: Optional[str] = None
+    initializer: Optional[ast.expr] = None
 
 
 @dataclass
@@ -132,9 +133,10 @@ class MethodModel:
     """A method of a class.
 
     ``func`` holds the live Python function when the model was built from a
-    real class; ``source`` holds its (dedented) source text when available so
-    the AST rewriter can adapt field accesses, constructor calls and static
-    accesses to the interface-and-factory scheme.
+    real class; ``node`` holds its ``def`` when the source is available, so the
+    AST rewriter can adapt field accesses, constructor calls and static
+    accesses to the interface-and-factory scheme.  The rewriter works on a
+    copy: the node is the model's, and a model may be transformed again.
     """
 
     name: str
@@ -144,7 +146,7 @@ class MethodModel:
     is_static: bool = False
     is_native: bool = False
     is_abstract: bool = False
-    source: Optional[str] = None
+    node: Optional[ast.FunctionDef] = None
     func: Optional[object] = None
 
 
@@ -158,7 +160,7 @@ class ConstructorModel:
     """
 
     parameters: Sequence[ParameterModel] = ()
-    source: Optional[str] = None
+    node: Optional[ast.FunctionDef] = None
     func: Optional[object] = None
 
 

@@ -34,7 +34,6 @@ installed as it is.
 from __future__ import annotations
 
 import ast
-import re
 from typing import Iterable, Mapping, Sequence
 
 from repro._errors import RewriteError
@@ -345,17 +344,18 @@ def _class_factory(scope: _Scope) -> str:
     """
     model = scope.model
     initialisers = [
-        (static_field.name, static_field.initializer_source)
+        (static_field.name, static_field.initializer)
         for static_field in model.static_fields
-        if static_field.initializer_source is not None
+        if static_field.initializer is not None
     ]
-    # Figure 5's temporary — unless an initialiser already means something by ``t``.
+    # Figure 5's temporary — unless an initialiser reads a name ``t``.
+    read = {n.id for _, value in initialisers for n in ast.walk(value) if isinstance(n, ast.Name)}
     temp = "t"
-    while any(re.search(rf"\b{temp}\b", source) for _, source in initialisers):
+    while temp in read:
         temp += "_"
     body: list[str] = []
-    for name, source in initialisers:
-        body.extend(_static_initializer(scope, name, source, temp))
+    for name, initializer in initialisers:
+        body.extend(_static_initializer(scope, name, initializer, temp))
     clinit = "def clinit(that):" + "".join(f"\n{_INDENT}{line}" for line in body or ["pass"])
     scope.rewritten["<clinit>"] = clinit + "\n"
     discover = _delegate(
@@ -366,25 +366,20 @@ def _class_factory(scope: _Scope) -> str:
     return _factory(class_factory_name(model.name), doc, "class-factory", model, members)
 
 
-def _static_initializer(scope: _Scope, field_name: str, initializer: str, t: str) -> list[str]:
+def _static_initializer(scope: _Scope, field_name: str, initializer: ast.expr, t: str) -> list[str]:
     """The ``clinit`` lines replaying one static initialiser; ``t`` names the temporary."""
     setter = f"that.{setter_name(field_name)}"
-    try:
-        rewritten = rewrite_expression(initializer, scope.model, scope.transformed, scope.universe)
-    except RewriteError:
-        return [f"{setter}({initializer})"]
-    original = ast.parse(initializer, mode="eval").body
+    rewritten = rewrite_expression(initializer, scope.model, scope.transformed, scope.universe)
     if not (
-        isinstance(original, ast.Call)
-        and isinstance(original.func, ast.Name)
-        and original.func.id in scope.transformed
+        isinstance(initializer, ast.Call)
+        and isinstance(initializer.func, ast.Name)
+        and initializer.func.id in scope.transformed
     ):
-        return [f"{setter}({rewritten})"]
+        return [f"{setter}({ast.unparse(rewritten)})"]
     # ``Z(...)`` became ``Z_O_Factory.create(...)``: split it into the paper's two
     # steps, every argument travelling — positional, *starred, keyword, **mapping.
-    call = ast.parse(rewritten, mode="eval").body
-    factory = object_factory_name(original.func.id)
-    arguments = [t, *(ast.unparse(node) for node in (*call.args, *call.keywords))]
+    factory = object_factory_name(initializer.func.id)
+    arguments = [t, *(ast.unparse(node) for node in (*rewritten.args, *rewritten.keywords))]
     return [f"{t} = {factory}.make()", f"{factory}.init({', '.join(arguments)})", f"{setter}({t})"]
 
 

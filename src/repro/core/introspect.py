@@ -93,13 +93,6 @@ def visibility_of(name: str) -> Visibility:
     return Visibility.PUBLIC
 
 
-def _clean_source(func: object) -> Optional[str]:
-    try:
-        return textwrap.dedent(inspect.getsource(func))
-    except (OSError, TypeError):
-        return None
-
-
 def _parameters_from_signature(func: object, skip_self: bool = True) -> list[ParameterModel]:
     try:
         signature = inspect.signature(func)
@@ -181,28 +174,72 @@ class _NameReferenceCollector(ast.NodeVisitor):
         self.generic_visit(node)
 
 
-def _collect_referenced_names(source: Optional[str]) -> set[str]:
-    if not source:
-        return set()
-    try:
-        tree = ast.parse(source)
-    except SyntaxError:
-        return set()
-    collector = _NameReferenceCollector()
-    collector.visit(tree)
-    return collector.names
+class _ClassSyntax:
+    """A class's syntax tree: its source read once and parsed once.
+
+    ``tree`` is the ``ClassDef`` (``None`` when the source cannot be read or
+    parsed, e.g. a class built by ``exec``).  :meth:`function` finds a member's
+    ``def`` by its function's code object — file, name and first line — so an
+    alias (``total = _get_total``) and a property setter sharing its getter's
+    name both resolve to their own ``def``.
+    """
+
+    def __init__(self, cls: type) -> None:
+        self.tree: Optional[ast.ClassDef] = None
+        self._definitions: dict[tuple[str, str, int], ast.FunctionDef] = {}
+        try:
+            lines, first = inspect.getsourcelines(cls)
+            self.tree = ast.parse(textwrap.dedent("".join(lines))).body[0]
+        except (OSError, TypeError, SyntaxError):
+            return
+        filename = inspect.getfile(cls)
+        for node in self.tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                # A decorated function's code starts at its first decorator.
+                start = (node.decorator_list or [node])[0].lineno + first - 1
+                self._definitions[filename, node.name, start] = node
+
+    def function(self, func: object) -> Optional[ast.FunctionDef]:
+        """The ``def`` of ``func``; one outside the class body reads its own source."""
+        code = getattr(inspect.unwrap(func), "__code__", None)
+        if code is None:
+            return None
+        node = self._definitions.get((code.co_filename, code.co_name, code.co_firstlineno))
+        return node if node is not None else _read_function(func)
+
+    def static_initializers(self) -> dict[str, ast.expr]:
+        """The value expression of each class-level ``name = ...`` (static initialiser)."""
+        initializers: dict[str, ast.expr] = {}
+        for statement in self.tree.body if self.tree is not None else ():
+            if isinstance(statement, ast.Assign) and isinstance(statement.targets[0], ast.Name):
+                initializers[statement.targets[0].id] = statement.value
+            elif (
+                isinstance(statement, ast.AnnAssign)
+                and statement.value is not None
+                and isinstance(statement.target, ast.Name)
+            ):
+                initializers[statement.target.id] = statement.value
+        return initializers
 
 
-def _instance_fields_from_constructor(source: Optional[str]) -> list[str]:
-    if not source:
-        return []
+def _read_function(func: object) -> Optional[ast.FunctionDef]:
     try:
-        tree = ast.parse(source)
+        tree = ast.parse(textwrap.dedent(inspect.getsource(func)))
+    except (OSError, TypeError, SyntaxError):
+        return None
+    definitions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    return next((node for node in tree.body if isinstance(node, definitions)), None)
+
+
+def _value_initializer(value: object) -> ast.expr:
+    """Without source a static initialiser is the ``repr`` of its value.  One
+    that is not Python is kept verbatim (as a name), so the class factory's
+    text shows it and fails to compile."""
+    text = repr(value)
+    try:
+        return ast.parse(text, mode="eval").body
     except SyntaxError:
-        return []
-    collector = _SelfAssignmentCollector()
-    collector.visit(tree)
-    return collector.assigned
+        return ast.Name(id=text, ctx=ast.Load())
 
 
 # ---------------------------------------------------------------------------
@@ -240,14 +277,14 @@ def class_model_from_python(cls: type) -> ClassModel:
     )
 
     annotations: Mapping[str, object] = cls.__dict__.get("__annotations__", {})
-    class_source = _clean_source(cls)
+    syntax = _ClassSyntax(cls)
 
-    # Static field initialiser sources, recovered from the class body AST so
-    # the class factory's ``clinit`` can replay them (paper §2.3).
-    initializer_sources = _static_initializer_sources(class_source)
+    # Static field initialisers, recovered from the class body so the class
+    # factory's ``clinit`` can replay them (paper §2.3).
+    initializers = syntax.static_initializers()
 
     constructor_func = cls.__dict__.get("__init__")
-    constructor_source = _clean_source(constructor_func) if constructor_func else None
+    constructor_node = syntax.function(constructor_func) if constructor_func else None
 
     # --- instance fields ---------------------------------------------------
     seen_fields: set[str] = set()
@@ -268,9 +305,12 @@ def class_model_from_python(cls: type) -> ClassModel:
         _parameters_from_signature(constructor_func) if constructor_func else []
     )
     parameter_types = {parameter.name: parameter.type for parameter in constructor_parameters}
-    for field_name in _instance_fields_from_constructor(constructor_source):
-        # The source is parsed outside its class body: ``self.__count`` is
-        # the attribute ``_Counter__count`` in the running program.
+    assigned = _SelfAssignmentCollector()
+    if constructor_node is not None:
+        assigned.visit(constructor_node)
+    for field_name in assigned.assigned:
+        # The tree holds names as written: ``self.__count`` is the attribute
+        # ``_Counter__count`` in the running program.
         field_name = mangle(cls.__name__, field_name)
         if field_name in seen_fields:
             continue
@@ -292,16 +332,16 @@ def class_model_from_python(cls: type) -> ClassModel:
             continue
         if isinstance(attribute, staticmethod):
             func = attribute.__func__
-            model.add_method(_method_model(name, func, is_static=True))
+            model.add_method(_method_model(name, func, syntax, is_static=True))
         elif isinstance(attribute, classmethod):
             func = attribute.__func__
-            model.add_method(_method_model(name, func, is_static=True))
+            model.add_method(_method_model(name, func, syntax, is_static=True))
         elif isinstance(attribute, property):
             getter = attribute.fget
             if getter is not None:
-                model.add_method(_method_model(name, getter, is_static=False))
+                model.add_method(_method_model(name, getter, syntax, is_static=False))
         elif callable(attribute):
-            model.add_method(_method_model(name, attribute, is_static=False))
+            model.add_method(_method_model(name, attribute, syntax, is_static=False))
         else:
             # A class attribute with a value: a static field.
             annotation = annotations.get(name)
@@ -316,7 +356,7 @@ def class_model_from_python(cls: type) -> ClassModel:
                     visibility=visibility_of(name),
                     is_static=True,
                     is_final=name.isupper(),
-                    initializer_source=initializer_sources.get(name, repr(attribute)),
+                    initializer=initializers.get(name) or _value_initializer(attribute),
                 )
             )
 
@@ -325,13 +365,16 @@ def class_model_from_python(cls: type) -> ClassModel:
         model.add_constructor(
             ConstructorModel(
                 parameters=constructor_parameters,
-                source=constructor_source,
+                node=constructor_node,
                 func=constructor_func,
             )
         )
 
     # --- reference graph ----------------------------------------------------
-    model.referenced_types.update(_collect_referenced_names(class_source))
+    if syntax.tree is not None:
+        references = _NameReferenceCollector()
+        references.visit(syntax.tree)
+        model.referenced_types.update(references.names)
     model.referenced_types.discard(cls.__name__)
     # The class's own members (e.g. an upper-case constant such as ``K``) are
     # not references to other classes.
@@ -339,7 +382,7 @@ def class_model_from_python(cls: type) -> ClassModel:
     return model
 
 
-def _method_model(name: str, func: object, is_static: bool) -> MethodModel:
+def _method_model(name: str, func: object, syntax: _ClassSyntax, is_static: bool) -> MethodModel:
     return MethodModel(
         name=name,
         parameters=_parameters_from_signature(func, skip_self=not is_static),
@@ -347,32 +390,9 @@ def _method_model(name: str, func: object, is_static: bool) -> MethodModel:
         visibility=visibility_of(name),
         is_static=is_static,
         is_native=is_native_function(func),
-        source=_clean_source(func),
+        node=syntax.function(func),
         func=func,
     )
-
-
-def _static_initializer_sources(class_source: Optional[str]) -> dict[str, str]:
-    """Extract the source text of class-level assignments (static initialisers)."""
-    if not class_source:
-        return {}
-    try:
-        tree = ast.parse(class_source)
-    except SyntaxError:
-        return {}
-    sources: dict[str, str] = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ClassDef):
-            for statement in node.body:
-                if isinstance(statement, ast.Assign) and statement.targets:
-                    target = statement.targets[0]
-                    if isinstance(target, ast.Name):
-                        sources[target.id] = ast.unparse(statement.value)
-                elif isinstance(statement, ast.AnnAssign) and statement.value is not None:
-                    if isinstance(statement.target, ast.Name):
-                        sources[statement.target.id] = ast.unparse(statement.value)
-            break
-    return sources
 
 
 # ---------------------------------------------------------------------------

@@ -20,12 +20,14 @@ rewriting method and constructor bodies so that
 The rewriter serves one purpose: :mod:`repro.core.codegen` places the text it
 returns in the bodies of the emitted ``*_O_Local``/``*_C_Local`` classes and
 factories — the paper's Figures 3–5 listings, which are also what executes.
+It reads the syntax trees the class model carries and rewrites a copy of
+each, so the model can be transformed again.
 """
 
 from __future__ import annotations
 
 import ast
-import textwrap
+import copy
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
@@ -268,23 +270,6 @@ class _AccessRewriter(ast.NodeTransformer):
 # Entry points
 # ---------------------------------------------------------------------------
 
-def _parse_function(source: str, description: str) -> ast.FunctionDef:
-    try:
-        tree = ast.parse(textwrap.dedent(source))
-    except SyntaxError as exc:  # pragma: no cover - defensive
-        raise RewriteError(f"cannot parse source of {description}: {exc}") from exc
-    for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            return node  # type: ignore[return-value]
-    raise RewriteError(f"no function definition found in source of {description}")
-
-
-def _finish(function: ast.FunctionDef) -> str:
-    module = ast.Module(body=[function], type_ignores=[])
-    ast.fix_missing_locations(module)
-    return ast.unparse(module)
-
-
 def rewrite_method(
     method: MethodModel,
     owner: ClassModel,
@@ -302,9 +287,9 @@ def rewrite_method(
     implementations, where static members are made non-static (paper §2.2).
     """
 
-    if method.source is None:
+    if method.node is None:
         raise RewriteError(f"no source available for {owner.name}.{method.name}")
-    function = _parse_function(method.source, f"{owner.name}.{method.name}")
+    function = copy.deepcopy(method.node)
     if new_name:
         function.name = new_name
 
@@ -330,7 +315,7 @@ def rewrite_method(
 
     rewriter = _AccessRewriter(context)
     function = rewriter.visit(function)
-    return _finish(function)
+    return ast.unparse(function)
 
 
 def rewrite_constructor_to_init(
@@ -348,9 +333,9 @@ def rewrite_constructor_to_init(
     type and field assignments become accessor calls on it.
     """
 
-    if constructor.source is None:
+    if constructor.node is None:
         raise RewriteError(f"no source available for {owner.name}.__init__")
-    function = _parse_function(constructor.source, f"{owner.name}.__init__")
+    function = copy.deepcopy(constructor.node)
     function.name = "init"
     _rename_first_parameter(function, that_name)
 
@@ -363,24 +348,18 @@ def rewrite_constructor_to_init(
     )
     rewriter = _AccessRewriter(context)
     function = rewriter.visit(function)
-    return _finish(function)
+    return ast.unparse(function)
 
 
 def rewrite_expression(
-    expression_source: str,
+    expression: ast.expr,
     owner: ClassModel,
     transformed_names: Iterable[str],
     universe: Mapping[str, ClassModel],
     *,
     self_name: str = "that",
-) -> str:
-    """Rewrite a bare expression (used for static initialisers in ``clinit``)."""
-    try:
-        tree = ast.parse(expression_source, mode="eval")
-    except SyntaxError as exc:
-        raise RewriteError(
-            f"cannot parse initializer expression {expression_source!r}: {exc}"
-        ) from exc
+) -> ast.expr:
+    """Rewrite a copy of a bare expression (a static initialiser in ``clinit``)."""
     context = RewriteContext(
         owner=owner,
         transformed_names=frozenset(transformed_names),
@@ -388,9 +367,7 @@ def rewrite_expression(
         self_name=self_name,
         field_names=frozenset(),
     )
-    rewritten = _AccessRewriter(context).visit(tree)
-    ast.fix_missing_locations(rewritten)
-    return ast.unparse(rewritten)
+    return _AccessRewriter(context).visit(copy.deepcopy(expression))
 
 
 # ---------------------------------------------------------------------------

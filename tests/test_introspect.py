@@ -2,6 +2,12 @@
 
 from __future__ import annotations
 
+import ast
+import functools
+import inspect
+import sys
+from collections import Counter
+
 import pytest
 
 import sample_app
@@ -15,6 +21,10 @@ from repro.core.introspect import (
     type_ref_from_annotation,
     visibility_of,
 )
+from repro.core.transformer import ApplicationTransformer
+from repro.policy.policy import all_local_policy
+from repro.workloads import orders
+from repro.workloads.figure1 import A, B, C
 
 
 class TestAnnotationHelpers:
@@ -67,14 +77,14 @@ class TestSampleClassIntrospection:
         model = class_model_from_python(sample_app.X)
         z_field = model.get_field("z")
         assert z_field.is_static
-        assert z_field.initializer_source == "Z(Y.K)"
+        assert ast.unparse(z_field.initializer) == "Z(Y.K)"
 
     def test_y_static_constant(self):
         model = class_model_from_python(sample_app.Y)
         k_field = model.get_field("K")
         assert k_field is not None and k_field.is_static
         assert k_field.is_final  # upper-case names are treated as final
-        assert k_field.initializer_source == "42"
+        assert ast.unparse(k_field.initializer) == "42"
 
     def test_constructor_parameters(self):
         model = class_model_from_python(sample_app.X)
@@ -82,7 +92,7 @@ class TestSampleClassIntrospection:
 
     def test_method_source_is_available(self):
         model = class_model_from_python(sample_app.X)
-        assert "self.y.n(j)" in model.get_method("m").source
+        assert "self.y.n(j)" in ast.unparse(model.get_method("m").node)
 
     def test_reference_collection_includes_collaborators(self):
         model = class_model_from_python(sample_app.X)
@@ -146,6 +156,94 @@ class TestInstanceFieldDiscovery:
 
         model = class_model_from_python(Accumulator)
         assert [f.name for f in model.instance_fields] == ["total"]
+
+
+def _outside(self, amount):
+    return amount + 1
+
+
+def _logged(func):
+    @functools.wraps(func)
+    def wrapper(*args, **kwargs):
+        return func(*args, **kwargs)
+
+    return wrapper
+
+
+class TestMemberDefinitions:
+    """A member's ``def`` is found in the one class tree by its code object."""
+
+    def test_alias_and_property_resolve_to_their_own_def(self):
+        class Basket:
+            def __init__(self):
+                self.items = []
+
+            def add(self, item):
+                self.items.append(item)
+
+            put = add
+
+            @property
+            def size(self):
+                return len(self.items)
+
+            @size.setter
+            def size(self, value):
+                raise AttributeError(value)
+
+        model = class_model_from_python(Basket)
+        assert model.get_method("put").node is model.get_method("add").node
+        assert model.get_method("put").node.name == "add"
+        size = model.get_method("size").node
+        assert size.name == "size" and isinstance(size.body[0], ast.Return)  # the getter
+
+    def test_decorated_member_resolves_through_its_wrapper(self):
+        class Audited:
+            @_logged
+            def total(self, amount):
+                return amount * 2
+
+        node = class_model_from_python(Audited).get_method("total").node
+        assert node.name == "total" and ast.unparse(node.body[0]) == "return amount * 2"
+
+    def test_member_defined_outside_the_class_body_reads_its_own_source(self):
+        class Borrower:
+            bump = _outside
+
+        node = class_model_from_python(Borrower).get_method("bump").node
+        assert node.name == "_outside" and ast.unparse(node.body[0]) == "return amount + 1"
+
+
+#: The class sets whose transformation the source-read budget holds.
+BUDGET_SETS = {
+    "figure1": (A, B, C),
+    "figure2": (sample_app.X, sample_app.Y, sample_app.Z),
+    "orders": (orders.Catalog, orders.OrderStore, orders.CustomerSession),
+}
+
+
+@pytest.mark.parametrize("label", sorted(BUDGET_SETS))
+def test_each_class_is_read_once_and_parsed_once(label, monkeypatch):
+    """Source reads (``inspect.getsource``/``getsourcelines``) and ``ast.parse``
+    calls made from ``repro`` while transforming three classes: one each per
+    class.  The module parse inside ``inspect`` that finds a class is not ours."""
+    counts: Counter = Counter()
+
+    def counted(module, name, kind):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            if sys._getframe(1).f_globals.get("__name__", "").startswith("repro."):
+                counts[kind] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(inspect, "getsource", "read")
+    counted(inspect, "getsourcelines", "read")
+    counted(ast, "parse", "parse")
+    ApplicationTransformer(all_local_policy()).transform(BUDGET_SETS[label])
+    assert counts == {"read": 3, "parse": 3}
 
 
 class TestDescriptorConstruction:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import ast
+
 import pytest
 
 import sample_app
@@ -184,7 +186,7 @@ class TestConstructorToInit:
         models = _universe()
         model = models["X"]
         constructor = model.constructors[0]
-        constructor.source = None
+        constructor.node = None
         with pytest.raises(RewriteError):
             rewrite_constructor_to_init(constructor, model, TRANSFORMED, models)
 
@@ -193,17 +195,30 @@ class TestExpressionRewriting:
     def test_static_initializer_expression(self):
         """Figure 5: Z(Y.K) becomes factory creation with a discovered constant."""
         models = _universe()
-        rewritten = rewrite_expression("Z(Y.K)", models["X"], TRANSFORMED, models)
-        assert rewritten == "Z_O_Factory.create(Y_C_Factory.discover().get_K())"
+        initializer = models["X"].get_field("z").initializer
+        rewritten = rewrite_expression(initializer, models["X"], TRANSFORMED, models)
+        assert ast.unparse(rewritten) == "Z_O_Factory.create(Y_C_Factory.discover().get_K())"
 
     def test_plain_literal_expression_is_untouched(self):
         models = _universe()
-        assert rewrite_expression("42", models["Y"], TRANSFORMED, models) == "42"
+        rewritten = rewrite_expression(
+            models["Y"].get_field("K").initializer, models["Y"], TRANSFORMED, models
+        )
+        assert ast.unparse(rewritten) == "42"
 
-    def test_invalid_expression_raises(self):
+    def test_the_model_keeps_its_trees(self):
+        """The rewriter works on copies: a model can be transformed again."""
         models = _universe()
-        with pytest.raises(RewriteError):
-            rewrite_expression("not valid python ((", models["X"], TRANSFORMED, models)
+        model = models["X"]
+        initializer, p = model.get_field("z").initializer, model.get_method("p")
+        for _ in range(2):
+            rewritten = rewrite_expression(initializer, model, TRANSFORMED, models)
+            assert ast.unparse(rewritten) == "Z_O_Factory.create(Y_C_Factory.discover().get_K())"
+            assert "self.get_z().q(i)" in rewrite_method(
+                p, model, TRANSFORMED, models, force_instance=True
+            )
+        assert ast.unparse(initializer) == "Z(Y.K)"
+        assert ast.unparse(p.node).endswith("return X.z.q(i)")
 
 
 class TestAnnotationsAndErrors:
@@ -227,7 +242,7 @@ class TestAnnotationsAndErrors:
     def test_method_without_source_raises(self):
         models = _universe()
         method = models["X"].get_method("m")
-        method.source = None
+        method.node = None
         with pytest.raises(RewriteError):
             rewrite_method(method, models["X"], TRANSFORMED, models)
 
