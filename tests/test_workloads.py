@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pytest
+
 from repro.core.transformer import ApplicationTransformer
 from repro.network.simnet import LinkConfig
 from repro.policy.policy import all_local_policy, place_classes_on
@@ -151,3 +153,23 @@ class TestPartitionedOrdersWorkload:
         assert cluster.network.events.next_fire_time() is None
         assert figures["messages"] == cluster.metrics.total_messages
         assert figures["bytes_on_wire"] == cluster.metrics.total_bytes
+
+    @pytest.mark.parametrize("cell", ["A", "D"])
+    def test_the_probe_reports_an_already_retired_old_primary(self, cell):
+        # On 2 ms links a pong to a ping sent before the partition lands after
+        # the old primary was declared down; the recovery it reports retires
+        # the old export before the probe, which is refused unrun all the same.
+        cluster = Cluster(
+            ("monitor", "client", "reader", "p0", "p1", "p2"), link=LinkConfig(latency=0.002)
+        )
+        figures = run_partitioned_order_scenario(cluster, cell=cell)
+        assert figures["failovers"] == 1
+        assert (figures["fenced_probe"], figures["retired_probe"]) == (False, True)
+        assert figures["acked_lost"] == figures["stale_reads"] == 0
+        assert figures["stale_primaries_remaining"] == 0
+
+    def test_the_probe_finds_the_old_primary_fenced_on_default_links(self):
+        figures = run_partitioned_order_scenario(
+            Cluster(("monitor", "client", "reader", "p0", "p1", "p2")), cell="A"
+        )
+        assert (figures["fenced_probe"], figures["retired_probe"]) == (True, False)
