@@ -79,6 +79,27 @@ def test_a_remote_holder_keeps_its_handle_across_a_move():
 
 @pytest.mark.xfail(
     strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 2: a moved holder's copy reaches the Counter it held as the "
+    "bare implementation, so it keeps calling the retired one after that moves",
+)
+def test_a_moved_holder_follows_the_object_it_holds_when_that_moves():
+    app = ApplicationTransformer(all_local_policy(dynamic=True)).transform([Counter, Holder])
+    cluster = Cluster(("client", "server", "third", "fourth"))
+    app.deploy(cluster, default_node="client")
+    controller = DistributionController(app, cluster)
+    c, h = app.new("Counter"), app.new("Holder")
+    controller.make_remote(h, "server")
+    h.keep(c)
+    assert h.use() == 1
+    controller.move(h, "fourth")
+    controller.make_remote(c, "third")
+    assert h.use() == 2
+    assert c.get_n() == 2  # today 1: the copy bumped the retired Counter
+
+
+@pytest.mark.xfail(
+    strict=True,
     raises=TypeError,
     reason="ROADMAP 1(b): super() inside a transformed class does not reach the "
     "generated hierarchy",
