@@ -52,7 +52,7 @@ class X:
 SHOWN_ARTIFACTS = (
     "X_O_Int",            # Figure 3: instance interface
     "X_O_Local",          # Figure 3: non-remote implementation
-    "X_O_Proxy_SOAP",     # Figure 3: SOAP proxy
+    "X_O_Proxy",          # Figure 3: proxy (one for every transport: the binding names it)
     "X_C_Int",            # Figure 4: class (static members) interface
     "X_C_Local",          # Figure 4: singleton implementation
     "X_O_Factory",        # Figure 5: object factory (make / init)
@@ -62,7 +62,7 @@ SHOWN_ARTIFACTS = (
 
 def main() -> None:
     app = ApplicationTransformer(all_local_policy()).transform([X, Y, Z])
-    sources = app.emit_sources("X", transports=("soap", "rmi"))
+    sources = app.emit_sources("X")
 
     for name in SHOWN_ARTIFACTS:
         print("=" * 72)

@@ -50,7 +50,7 @@ from repro._errors import ReproError
 from repro.core.analyzer import TransformabilityAnalyzer
 from repro.core.classmodel import ClassUniverse
 from repro.core.introspect import class_model_from_python
-from repro.core.transformer import DEFAULT_TRANSPORTS, ApplicationTransformer
+from repro.core.transformer import ApplicationTransformer
 from repro.policy.loader import policy_from_file, policy_to_dict
 from repro.policy.policy import all_local_policy, place_classes_on
 from repro.tools.report import application_report
@@ -125,21 +125,13 @@ def command_analyze(args: argparse.Namespace, out) -> int:
 
 
 def command_emit(args: argparse.Namespace, out) -> int:
-    from repro.runtime.cluster import default_transport_registry
-
     classes = load_classes_from_file(args.module)
-    transports = _split_csv(args.transports) or ["soap", "rmi"]
-    known = default_transport_registry().names()
-    for transport in transports:
-        if transport not in known:
-            print(f"unknown transport: {transport}", file=out)
-            return 1
-    app = ApplicationTransformer(all_local_policy(), transports=transports).transform(classes)
+    app = ApplicationTransformer(all_local_policy()).transform(classes)
     target = args.cls or classes[0].__name__
     if not app.is_transformed(target):
         print(f"class {target!r} was not transformed (see `repro analyze`)", file=out)
         return 1
-    sources = app.emit_sources(target, transports=transports)
+    sources = app.emit_sources(target)
     for name in sorted(sources):
         print("#", "=" * 70, file=out)
         print("#", name, file=out)
@@ -153,17 +145,8 @@ def command_report(args: argparse.Namespace, out) -> int:
 
     classes = load_classes_from_file(args.module)
     policy = policy_from_file(args.policy) if args.policy else all_local_policy()
-    # A remote placement needs its transport's proxies: generate every registered
-    # transport the policy places a class over, beside the defaults.
-    named = {
-        decision.transport
-        for cls in classes
-        for decision in (policy.instance_decision(cls.__name__),
-                         policy.static_decision(cls.__name__))
-        if decision.is_remote
-    } & default_transport_registry().names()
-    transports = DEFAULT_TRANSPORTS + tuple(sorted(named.difference(DEFAULT_TRANSPORTS)))
-    app = ApplicationTransformer(policy, transports).transform(classes)
+    app = ApplicationTransformer(policy).transform(classes)
+    app.check_transports(default_transport_registry().names())
     print(application_report(app), file=out)
     return 0
 
@@ -347,7 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
     emit = subparsers.add_parser("emit", help="print the generated artifacts for one class")
     emit.add_argument("module", help="path to a Python file defining application classes")
     emit.add_argument("--cls", help="class to emit (defaults to the first class in the file)")
-    emit.add_argument("--transports", help="comma-separated transports (default: soap,rmi)")
     emit.set_defaults(handler=command_emit)
 
     report = subparsers.add_parser("report", help="transform a file and print the report")

@@ -14,8 +14,11 @@ For every substitutable class ``A`` (paper §2) the artifacts are
 * ``A_O_Local`` / ``A_C_Local`` — the non-remote implementations (the class
   local is a singleton), their bodies rewritten by
   :mod:`repro.core.rewriter` to use accessors, factories and interface types,
-* ``A_O_Proxy_<T>`` / ``A_C_Proxy_<T>`` — one per transport, every method one
-  ``self._call(member, args)`` of :class:`~repro.core.metaobject.Proxy`,
+* ``A_O_Proxy`` / ``A_C_Proxy`` — every method one ``self._call(member, args)``
+  of :class:`~repro.core.metaobject.Proxy`; the transport is not in the text
+  but in the binding (the paper's Figures 3–4 show one proxy per protocol
+  because Java stubs differ per protocol; here the protocol is the transport
+  object the binding names),
 * ``A_O_Redirector`` — the rebindable handle for dynamic distribution, and
 * ``A_O_Factory`` / ``A_C_Factory`` — the only implementation-aware code:
   ``make``/``init``/``create`` and ``discover``/``clinit``.
@@ -34,7 +37,7 @@ installed as it is.
 from __future__ import annotations
 
 import ast
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 from repro._errors import RewriteError
 from repro.core.classmodel import ClassModel, MethodModel
@@ -209,35 +212,26 @@ def _member(scope: _Scope, method: MethodModel, *, force_instance: bool) -> str:
 # Proxies and redirectors
 # ---------------------------------------------------------------------------
 
-def emit_proxy(
-    model: ClassModel,
-    interface: InterfaceModel,
-    transport: str,
-    *,
-    kind: str = "instance",
-) -> str:
-    """Emit a proxy class for one transport (paper Figure 3/4, proxy parts).
+def emit_proxy(model: ClassModel, interface: InterfaceModel, *, kind: str = "instance") -> str:
+    """Emit the proxy of ``interface`` (paper Figure 3/4, proxy parts).
 
-    The constructor, ``bind``, ``remote_reference`` and ``_call`` — the one
-    place a call leaves the address space — do not vary by class or transport
-    and are inherited from :class:`~repro.core.metaobject.Proxy`; the transport
-    is in the text once, as the ``_repro_transport`` attribute ``_call`` reads.
+    The constructor, ``remote_reference`` and ``_call`` — the one place a call
+    leaves the address space — vary neither by class nor by transport and are
+    inherited from :class:`~repro.core.metaobject.Proxy`, whose binding
+    carries the reference, the calling space and the transport.
     """
     name = instance_proxy_name if kind == "instance" else class_proxy_name
-    members = [f"# {transport.upper()}-specific initialisation happens on binding (_repro_Proxy)"]
-    members.extend(
-        _forward(signature, "return self._call({member}, {tuple})") for signature in interface.methods
-    )
-    attributes = _metadata(
-        model, interface, "proxy", _repro_transport=transport,
-        _repro_cacheable_members=interface.cacheable_method_names(),
-    )
     return _class(
-        name(model.name, transport),
+        name(model.name),
         f"_repro_Proxy, {interface.name}",
-        f"These methods perform {transport.upper()} calls on the real remote object.",
-        attributes,
-        members,
+        "These methods call the real remote object over the transport of the binding.",
+        _metadata(
+            model, interface, "proxy", _repro_cacheable_members=interface.cacheable_method_names()
+        ),
+        (
+            _forward(signature, "return self._call({member}, {tuple})")
+            for signature in interface.methods
+        ),
     )
 
 
@@ -388,10 +382,7 @@ def _static_initializer(scope: _Scope, field_name: str, initializer: ast.expr, t
 # ---------------------------------------------------------------------------
 
 def emit_class_artifacts(
-    model: ClassModel,
-    transformed_names: Iterable[str],
-    universe: Mapping[str, ClassModel],
-    transports: Sequence[str] = ("soap", "rmi"),
+    model: ClassModel, transformed_names: Iterable[str], universe: Mapping[str, ClassModel]
 ) -> dict[str, str]:
     """Emit the source of every artifact generated for ``model``.
 
@@ -402,9 +393,7 @@ def emit_class_artifacts(
     transformed = set(transformed_names) | {model.name}
     instance_interface = extract_instance_interface(model, transformed)
     class_interface = extract_class_interface(model, transformed)
-    return emit_artifacts(
-        model, instance_interface, class_interface, transformed, universe, transports
-    )[0]
+    return emit_artifacts(model, instance_interface, class_interface, transformed, universe)[0]
 
 
 def emit_artifacts(
@@ -413,7 +402,6 @@ def emit_artifacts(
     class_interface: InterfaceModel,
     transformed: Iterable[str],
     universe: Mapping[str, ClassModel],
-    transports: Sequence[str],
 ) -> tuple[dict[str, str], dict[str, str]]:
     """:func:`emit_class_artifacts` for the transformer, which already holds the
     two interfaces: returns the sources and, beside them, the rewritten text
@@ -427,12 +415,7 @@ def emit_artifacts(
         redirector_name(name): emit_redirector(model, instance_interface),
         object_factory_name(name): _object_factory(scope),
         class_factory_name(name): _class_factory(scope),
+        instance_proxy_name(name): emit_proxy(model, instance_interface),
+        class_proxy_name(name): emit_proxy(model, class_interface, kind="class"),
     }
-    for transport in transports:
-        sources[instance_proxy_name(name, transport)] = emit_proxy(
-            model, instance_interface, transport
-        )
-        sources[class_proxy_name(name, transport)] = emit_proxy(
-            model, class_interface, transport, kind="class"
-        )
     return sources, scope.rewritten

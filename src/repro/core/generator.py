@@ -1,7 +1,7 @@
 """Loading the generated artifacts: the emitted listing is the program.
 
 :mod:`repro.core.codegen` is the single implementation of the transformation's
-output — the Python text of ``A_O_Int``, ``A_O_Local``, ``A_O_Proxy_<T>``,
+output — the Python text of ``A_O_Int``, ``A_O_Local``, ``A_O_Proxy``,
 ``A_O_Redirector``, ``A_O_Factory`` and their ``_C_`` counterparts (paper §2,
 Figures 3–5).  This module makes that text live and does nothing else:
 
@@ -20,7 +20,7 @@ from __future__ import annotations
 import abc
 import sys
 from dataclasses import dataclass, field as dataclass_field
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping
 
 from repro._errors import GenerationError
 from repro.core.classmodel import ClassModel
@@ -56,8 +56,6 @@ class GenerationContext:
     #: Class models by name (for static member lookups during rewriting, and
     #: for ``_repro_original`` when the text installs an original function).
     universe: Mapping[str, ClassModel]
-    #: Transport names for which proxy classes are generated.
-    transport_names: Sequence[str]
     #: The shared exec namespace; rewritten method bodies resolve factory and
     #: interface names through it, so artifacts become visible to previously
     #: loaded methods as soon as their text has run.
@@ -79,8 +77,8 @@ class ClassArtifacts:
     local_cls: type = None
     class_local_cls: type = None
     redirector_cls: type = None
-    instance_proxies: dict[str, type] = dataclass_field(default_factory=dict)
-    class_proxies: dict[str, type] = dataclass_field(default_factory=dict)
+    proxy_cls: type = None
+    class_proxy_cls: type = None
     object_factory: type = None
     class_factory: type = None
     #: The text that was executed, by artifact name — the listing of Figures 3–5.
@@ -91,16 +89,6 @@ class ClassArtifacts:
     @property
     def class_name(self) -> str:
         return self.model.name
-
-    def proxy_for(self, transport: str, kind: str = "instance") -> type:
-        table = self.instance_proxies if kind == "instance" else self.class_proxies
-        try:
-            return table[transport]
-        except KeyError as exc:
-            raise GenerationError(
-                f"no {kind} proxy generated for class {self.class_name!r} "
-                f"and transport {transport!r}"
-            ) from exc
 
 
 def seed_namespace(ctx: GenerationContext, models: Iterable[ClassModel]) -> None:
@@ -165,9 +153,8 @@ def collect(ctx: GenerationContext, artifacts: ClassArtifacts) -> None:
     artifacts.local_cls = loaded[instance_local_name(name)]
     artifacts.class_local_cls = loaded[class_local_name(name)]
     artifacts.redirector_cls = loaded[redirector_name(name)]
-    for transport in ctx.transport_names:
-        artifacts.instance_proxies[transport] = loaded[instance_proxy_name(name, transport)]
-        artifacts.class_proxies[transport] = loaded[class_proxy_name(name, transport)]
+    artifacts.proxy_cls = loaded[instance_proxy_name(name)]
+    artifacts.class_proxy_cls = loaded[class_proxy_name(name)]
     artifacts.object_factory = loaded[object_factory_name(name)]
     artifacts.class_factory = loaded[class_factory_name(name)]
     artifacts.object_factory._repro_application = ctx.application

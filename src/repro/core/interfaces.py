@@ -57,12 +57,12 @@ def class_local_name(class_name: str) -> str:
     return f"{class_name}_C_Local"
 
 
-def instance_proxy_name(class_name: str, transport: str) -> str:
-    return f"{class_name}_O_Proxy_{transport.upper()}"
+def instance_proxy_name(class_name: str) -> str:
+    return f"{class_name}_O_Proxy"
 
 
-def class_proxy_name(class_name: str, transport: str) -> str:
-    return f"{class_name}_C_Proxy_{transport.upper()}"
+def class_proxy_name(class_name: str) -> str:
+    return f"{class_name}_C_Proxy"
 
 
 def object_factory_name(class_name: str) -> str:

@@ -194,23 +194,15 @@ class Redirector:
 
 
 class Proxy:
-    """What every generated ``A_O_Proxy_<T>`` / ``A_C_Proxy_<T>`` inherits: its
-    binding to a remote reference and the address space it calls from, which
-    varies neither by class nor by transport (so it is not emitted per proxy),
-    and the one method through which every call it forwards leaves."""
+    """What every generated ``A_O_Proxy`` / ``A_C_Proxy`` inherits: its binding
+    — the remote reference, the address space it calls from and the transport
+    it calls over — and the one method through which every call it forwards
+    leaves.  Neither varies by class, so neither is emitted per proxy."""
 
-    #: Overridden by the emitted text of each derived class.
-    _repro_transport: Optional[str] = None
-
-    def __init__(self, ref: Any = None, space: Any = None) -> None:
+    def __init__(self, ref: Any, space: Any, transport: str) -> None:
         self._ref = ref
         self._space = space
-
-    def bind(self, ref: Any, space: Any) -> "Proxy":
-        """Bind this proxy to a remote reference and the local address space."""
-        self._ref = ref
-        self._space = space
-        return self
+        self._transport = transport
 
     def remote_reference(self) -> Any:
         """The remote reference this proxy forwards to."""
@@ -228,13 +220,13 @@ class Proxy:
     ) -> Any:
         """Invoke ``member`` on the remote object: from ``space`` over
         ``transport`` when a handle's metaobject names them, else from the
-        proxy's own space over the transport it was generated for; through
+        proxy's own space over the transport of its binding; through
         ``via`` (the handle's ``remote_invoker`` slot) when there is one.
         A call refused unrun by a retired reference (its id unknown there, or
         fenced) is re-issued, once per hop, to where the forward table says
         the object went, and the proxy re-bound there."""
         space = space if space is not None else self._space
-        transport = transport or self._repro_transport
+        transport = transport or self._transport
         try:
             if via is not None:
                 return via.invoke(self._ref, member, args, kwargs, transport=transport, space=space)

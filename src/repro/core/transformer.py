@@ -21,7 +21,7 @@ The transformed application can then be
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Optional, Sequence
+from typing import Any, Iterable, Optional
 
 from repro._errors import PolicyError, TransformationError
 from repro.core import codegen
@@ -44,9 +44,6 @@ from repro.policy.policy import (
     all_local_policy,
 )
 
-#: Transports for which proxies are generated when none are named explicitly.
-DEFAULT_TRANSPORTS: tuple[str, ...] = ("soap", "rmi", "corba")
-
 _UNBOUND_NODE = "__unbound__"
 
 
@@ -58,12 +55,10 @@ class TransformedApplication:
         registry: TransformationRegistry,
         analysis: AnalysisResult,
         policy: DistributionPolicy,
-        transport_names: Sequence[str],
     ) -> None:
         self.registry = registry
         self.analysis = analysis
         self.policy = policy
-        self.transport_names = tuple(transport_names)
         self._cluster = None
         self._default_space = None
         self._space_stack: list[Any] = []
@@ -102,31 +97,29 @@ class TransformedApplication:
         """The implementation of the class's static members (policy applies)."""
         return self.class_factory(class_name).discover()
 
-    def emit_sources(
-        self, class_name: str, transports: Optional[Sequence[str]] = None
-    ) -> dict[str, str]:
-        """The generated artifacts of one class as Python source text.
-
-        This is the text that was executed to create the live classes, not a
-        rendering of them; ``transports`` keeps only the named transports'
-        proxies and raises :class:`~repro.api.errors.GenerationError` for one
-        the application was not transformed with.
-        """
-        artifacts = self.artifacts(class_name)
-        if not transports:
-            return dict(artifacts.sources)
-        # An artifact that is bound to a transport stays when that one was asked for.
-        kept = {None, *(artifacts.proxy_for(name)._repro_transport for name in transports)}
-        loaded = self.registry.namespace
-        return {
-            name: source
-            for name, source in artifacts.sources.items()
-            if getattr(loaded[name], "_repro_transport", None) in kept
-        }
+    def emit_sources(self, class_name: str) -> dict[str, str]:
+        """The generated artifacts of one class as Python source text: the
+        text that was executed to create the live classes, not a rendering."""
+        return dict(self.artifacts(class_name).sources)
 
     # ------------------------------------------------------------------
     # Runtime binding
     # ------------------------------------------------------------------
+
+    def check_transports(self, registered: set[str]) -> None:
+        """Refuse, with a :class:`~repro.api.errors.PolicyError`, a remote
+        placement over a transport not in ``registered``; :meth:`deploy` checks
+        the cluster's.  A local decision carries the default transport and
+        never uses it, so it is not checked."""
+        policy = self.policy
+        for name in sorted(self.transformed_classes()):
+            for decision in (policy.instance_decision(name), policy.static_decision(name)):
+                if decision.is_remote and decision.transport not in registered:
+                    raise PolicyError(
+                        f"class {name!r} is placed on {decision.node_id!r} via transport "
+                        f"{decision.transport!r}, which the cluster does not register "
+                        f"(transports: {', '.join(sorted(registered))})"
+                    )
 
     @property
     def cluster(self):
@@ -139,10 +132,13 @@ class TransformedApplication:
     def deploy(self, cluster, *, default_node: Optional[str] = None) -> None:
         """Bind to ``cluster``; the policy decides where each class goes.
 
-        Every space learns about the application (so its dispatcher can build
-        proxies for incoming references) and registers it as a dispatch hook
-        (so nested invocations attribute their traffic to the correct node).
+        A remote placement over a transport the cluster does not register is
+        refused first.  Every space learns about the application (so its
+        dispatcher can build proxies for incoming references) and registers it
+        as a dispatch hook (so nested invocations attribute their traffic to
+        the correct node).
         """
+        self.check_transports(cluster.transports.names())
         self._cluster = cluster
         self._default_space = cluster.space(default_node or cluster.default_node_id)
         for space in cluster.spaces():
@@ -271,18 +267,25 @@ class TransformedApplication:
         transport: Optional[str] = None,
         kind: Optional[str] = None,
     ) -> Any:
-        """Build a proxy bound to ``reference`` usable from ``space``."""
+        """Build a proxy bound to ``reference``, usable from ``space``, over
+        ``transport`` (by default the one the policy names for the class).
+
+        The name is checked against the cluster's transports before anything
+        is built, so a caller that re-binds a handle to the result never
+        re-binds it to an unknown transport: that is an
+        :class:`~repro.api.errors.UnknownTransportError`.
+        """
         interface_name = reference.interface_name
         artifacts = self.registry.artifacts_for_interface(interface_name)
         if kind is None:
             kind = self.registry.interface_kind(interface_name)
+        instance = kind == "instance"
         if transport is None:
-            if kind == "instance":
-                transport = self.policy.instance_decision(artifacts.class_name).transport
-            else:
-                transport = self.policy.static_decision(artifacts.class_name).transport
-        proxy_cls = artifacts.proxy_for(transport, kind)
-        return proxy_cls(reference, space)
+            decide = self.policy.instance_decision if instance else self.policy.static_decision
+            transport = decide(artifacts.class_name).transport
+        self._cluster.transports.framing(transport)  # raises for an unregistered name
+        proxy_cls = artifacts.proxy_cls if instance else artifacts.class_proxy_cls
+        return proxy_cls(reference, space, transport)
 
     def _wrap_dynamic(
         self, artifacts: ClassArtifacts, target: Any, kind: str, node_id: Optional[str]
@@ -317,8 +320,8 @@ class TransformedApplication:
             reference = self._cluster.space(metaobject.node_id).export(target)
         class_name = self.registry.artifacts_for_interface(reference.interface_name).class_name
         # The wire does not move yet: the policy's transport, not the one of
-        # the proxy set_transport rebound (type(target)._repro_transport) —
-        # the strict xfail in tests/test_redistribution.py; flipping this line
+        # the binding set_transport re-bound (target._transport) — the strict
+        # xfail in tests/test_redistribution.py; flipping this line
         # re-baselines the figure1_boundary workload.
         transport = self.policy.instance_decision(class_name).transport
         if not isinstance(target, Proxy):
@@ -336,13 +339,11 @@ class ApplicationTransformer:
     def __init__(
         self,
         policy: Optional[DistributionPolicy] = None,
-        transports: Sequence[str] = DEFAULT_TRANSPORTS,
         *,
         special_class_names: Iterable[str] = (),
         strict: bool = False,
     ) -> None:
         self.policy = policy if policy is not None else all_local_policy()
-        self.transport_names = tuple(transports)
         self.special_class_names = set(special_class_names)
         #: When strict, asking to transform a non-transformable class raises
         #: instead of silently leaving the class untouched.
@@ -371,16 +372,12 @@ class ApplicationTransformer:
             for model in models:
                 if model.name not in substitutable:
                     analysis.require_transformable(model.name)
-        self._check_remote_transports(sorted(substitutable))
 
         registry = TransformationRegistry()
-        application = TransformedApplication(
-            registry, analysis, self.policy, self.transport_names
-        )
+        application = TransformedApplication(registry, analysis, self.policy)
         context = GenerationContext(
             transformed_names=frozenset(substitutable),
             universe={model.name: model for model in models},
-            transport_names=self.transport_names,
             namespace=registry.namespace,
             application=application,
         )
@@ -404,7 +401,6 @@ class ApplicationTransformer:
                 artifacts.class_interface,
                 substitutable,
                 context.universe,
-                self.transport_names,
             )
             interfaces = (artifacts.instance_interface.name, artifacts.class_interface.name)
             load(context, artifacts, interfaces)
@@ -419,24 +415,6 @@ class ApplicationTransformer:
         return application
 
     # ------------------------------------------------------------------
-
-    def _check_remote_transports(self, class_names: Iterable[str]) -> None:
-        """Refuse a remote placement over a transport with no generated proxy.
-
-        Only remote decisions need a proxy: a local one carries the default
-        transport whatever ``transports`` says, and never uses it.
-        """
-        for name in class_names:
-            for decision in (
-                self.policy.instance_decision(name),
-                self.policy.static_decision(name),
-            ):
-                if decision.is_remote and decision.transport not in self.transport_names:
-                    raise PolicyError(
-                        f"class {name!r} is placed on {decision.node_id!r} via transport "
-                        f"{decision.transport!r}, which has no generated proxy "
-                        f"(transports: {', '.join(self.transport_names)})"
-                    )
 
     @staticmethod
     def _as_model(entry: type | ClassModel) -> ClassModel:

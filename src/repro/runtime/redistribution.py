@@ -109,6 +109,8 @@ class DistributionController:
         meta = metaobject_of(subject)
         if meta is not None:
             refuse_adopted(meta)  # (1) before any side effect
+        if transport is not None:
+            cluster.transports.framing(transport)  # raises for an unregistered name
         class_name = self._class_name_of(subject)
         home = self._home_space()
         target_space = cluster.space(node_id)

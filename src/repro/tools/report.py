@@ -48,9 +48,6 @@ def application_report(application, *, include_sources: bool = False) -> str:
     )
     lines.append(f"classes transformed   : {len(application.transformed_classes())}")
     lines.append(
-        f"transports generated  : {', '.join(sorted(application.transport_names))}"
-    )
-    lines.append(
         "deployment            : "
         + (
             f"bound to nodes {sorted(node for node in application.cluster.node_ids())}"
@@ -74,8 +71,7 @@ def application_report(application, *, include_sources: bool = False) -> str:
             f"({len(artifacts.class_interface.methods)} members)"
         )
         lines.append(
-            "  proxies   : "
-            + ", ".join(sorted(artifacts.instance_proxies))
+            f"  proxies   : {artifacts.proxy_cls.__name__}, {artifacts.class_proxy_cls.__name__}"
         )
         if include_sources:
             lines.append("  rewritten members: " + ", ".join(sorted(artifacts.rewritten_sources)))

@@ -145,7 +145,7 @@ class TestMarshalling:
         client = cluster.space("client")
         reference = server.export(new_local(app, "Y", 6))
         resolved = client.marshaller.from_wire(reference.to_wire())
-        assert type(resolved).__name__ == "Y_O_Proxy_RMI"
+        assert (type(resolved).__name__, resolved._transport) == ("Y_O_Proxy", "rmi")
         assert resolved.n(1) == 7
 
     def test_proxy_arguments_reuse_their_reference(self, deployed):

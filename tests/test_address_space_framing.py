@@ -212,7 +212,7 @@ class TestFramingParity:
         else:
             # The server held a proxy and called back through it: two more
             # messages, and the argument is now exported by the caller.
-            assert ledger.entries == ["Y_O_Proxy_RMI"]
+            assert ledger.entries == ["Y_O_Proxy"]
             assert caller.reference_for(y) is not None
             assert cluster.metrics.total_messages == 4
 

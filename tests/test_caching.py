@@ -704,7 +704,7 @@ class TestGeneratedProxyCaching:
 
     def test_proxy_carries_cacheable_metadata(self, app_cluster):
         app, cluster = app_cluster
-        proxy_cls = app.artifacts("Y").proxy_for("rmi")
+        proxy_cls = app.artifacts("Y").proxy_cls
         names = set(proxy_cls._repro_cacheable_members)
         assert any(name.startswith("get_") for name in names)
         assert not any(name.startswith("set_") for name in names)
@@ -727,15 +727,16 @@ class TestGeneratedProxyCaching:
         assert handle.get_base() == 2
         session.close()
 
-    def test_unknown_kind_raises_clearly(self, app_cluster):
-        from repro.api.errors import GenerationError
+    def test_unknown_transport_raises_clearly(self, app_cluster):
+        from repro.api.errors import UnknownTransportError
 
-        app, _ = app_cluster
-        with pytest.raises(GenerationError, match="class proxy"):
-            app.artifacts("Y").proxy_for("carrier-pigeon", kind="class")
+        app, cluster = app_cluster
+        statics = cluster.space("server").export(app.artifacts("Y").class_local_cls())
+        with pytest.raises(UnknownTransportError, match="carrier-pigeon"):
+            app.proxy_for_ref(statics, cluster.space("client"), transport="carrier-pigeon")
 
     def test_emitted_listing_carries_cacheable_metadata(self, app_cluster):
         app, _ = app_cluster
-        sources = app.emit_sources("Y", transports=("rmi",))
-        assert "_repro_cacheable_members" in sources["Y_O_Proxy_RMI"]
-        assert "_repro_cacheable_members" in sources["Y_C_Proxy_RMI"]
+        sources = app.emit_sources("Y")
+        assert "_repro_cacheable_members" in sources["Y_O_Proxy"]
+        assert "_repro_cacheable_members" in sources["Y_C_Proxy"]

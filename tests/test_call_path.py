@@ -89,7 +89,7 @@ def _static_proxy():
     policy.set_class("Y", instances=remote("server"))
     app, cluster = _deployed(policy=policy)
     proxy = app.new("Y", 5)
-    assert type(proxy).__name__ == "Y_O_Proxy_RMI"
+    assert (type(proxy).__name__, proxy._transport) == ("Y_O_Proxy", "rmi")
     return cluster, lambda member, *args: getattr(proxy, member)(*args)
 
 
@@ -195,17 +195,17 @@ class TestCallPathParity:
         assert [future.result() for future in pending] == ORIGINAL
         assert [frame[:4] for frame in frames] == [("rmi", "client", "server", True)]
 
-    def test_proxy_generated_per_transport(self):
-        """A static proxy ships the transport it was generated for (a handle,
-        until the recorded exception is flipped, its policy's)."""
-        for transport in ("soap", "rmi", "corba"):
+    def test_a_static_proxy_ships_the_transport_of_its_binding(self):
+        """One proxy class per interface; a static proxy ships the transport
+        its binding names (a handle, until the recorded exception is flipped,
+        its policy's)."""
+        for transport in ("soap", "rmi", "corba", "inproc"):
             policy = all_local_policy()
             policy.set_class("Y", instances=remote("server", transport=transport))
             app, cluster = _deployed(policy=policy)
             proxy = app.new("Y", 5)
-            generated = app.artifacts("Y").proxy_for(transport)
-            assert type(proxy) is generated
-            assert (generated._repro_role, generated._repro_transport) == ("proxy", transport)
+            assert type(proxy) is app.artifacts("Y").proxy_cls
+            assert (type(proxy)._repro_role, proxy._transport) == ("proxy", transport)
             frames = _record_frames(cluster)
             assert proxy.n(1) == 6
             assert [frame[:3] for frame in frames] == [(transport, "client", "server")]
@@ -215,23 +215,10 @@ class TestCallPathParity:
         policy.set_class("Y", statics=remote("server"))
         app, cluster = _deployed(policy=policy)
         statics = app.statics("Y")
-        assert type(statics).__name__ == "Y_C_Proxy_RMI"
+        assert (type(statics).__name__, statics._transport) == ("Y_C_Proxy", "rmi")
         frames = _record_frames(cluster)
         assert statics.get_K() == sample_app.Y.K
         assert [frame[:4] for frame in frames] == [("rmi", "client", "server", False)]
-
-    def test_rebinding_a_proxy_redirects_its_calls(self):
-        """``_call`` reads the binding at call time — which is what lets a
-        metaobject keep the proxy of its remote leg across calls."""
-        app, cluster = _deployed()
-        server = cluster.space("server")
-        first, second = new_local(app, "Y", 1), new_local(app, "Y", 100)
-        proxy = app.proxy_for_ref(server.export(first), cluster.space("client"))
-        assert proxy.n(1) == 2
-        proxy.bind(server.export(second), cluster.space("backup"))
-        frames = _record_frames(cluster)
-        assert proxy.n(1) == 101
-        assert [frame[1:3] for frame in frames] == [("backup", "server")]
 
     def test_one_call_site_in_core(self):
         core = Path(repro.core.__file__).parent
@@ -284,10 +271,10 @@ class TestGuardIsTheHandles:
     def test_guard_survives_move_and_set_transport(self):
         handle, controller, cluster, log = self._guarded()
         # The guard is the slot, not a stand-in target a rebind would drop.
-        assert type(handle.meta.target).__name__ == "Y_O_Proxy_RMI"
+        assert handle.meta.target._transport == "rmi"
         controller.move(handle, "backup")
         controller.set_transport(handle, "soap")
-        assert type(handle.meta.target).__name__ == "Y_O_Proxy_SOAP"
+        assert handle.meta.target._transport == "soap"
         _drop_next(cluster)
         assert handle.n(1) == 6
         assert (log.total_failures, sum(record.recovered for record in log.records)) == (1, 1)
@@ -325,6 +312,16 @@ class TestAdoptedLifecycle:
         handle.set_base(7)
         assert service.n(1) == 8 and handle.n(1) == 8
         assert len(cluster.space("server").exported_objects()) == 1
+
+    def test_a_handle_is_adopted_over_any_registered_transport(self):
+        app, cluster = _deployed()
+        handle = app.new("Y", 5)
+        with Session(cluster, node="client") as session:
+            session.service("y", ServicePolicy(transport="inproc"), impl=handle, node="server")
+            assert handle.meta.target._transport == "inproc"
+            frames = _record_frames(cluster)
+            assert handle.n(1) == 6
+        assert [frame[:3] for frame in frames] == [("inproc", "client", "server")]
 
     def test_every_boundary_change_is_refused(self, adopted):
         app, cluster, handle, _, service = adopted

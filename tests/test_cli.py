@@ -107,19 +107,18 @@ class TestEmitCommand:
         assert "Ledger_O_Factory" in output
         assert "that.set_owner(owner)" in output
 
-    def test_emit_respects_transport_selection(self, app_file):
-        code, output = run_cli("emit", str(app_file), "--cls", "Ledger", "--transports", "corba")
+    def test_emit_prints_one_proxy_per_interface(self, app_file):
+        code, output = run_cli("emit", str(app_file), "--cls", "Ledger")
         assert code == 0
-        assert "Ledger_O_Proxy_CORBA" in output
-        assert "Ledger_O_Proxy_SOAP" not in output
+        assert "class Ledger_O_Proxy(_repro_Proxy, Ledger_O_Int):" in output
+        assert "class Ledger_C_Proxy(_repro_Proxy, Ledger_C_Int):" in output
+        assert "_O_Proxy_" not in output and "_repro_transport" not in output
 
     def test_emit_prints_byte_for_byte_the_text_that_was_executed(self):
         sample = Path(__file__).with_name("sample_app.py")
         code, output = run_cli("emit", str(sample), "--cls", "X")
         assert code == 0
-        app = ApplicationTransformer(all_local_policy(), transports=("soap", "rmi")).transform(
-            load_classes_from_file(sample)
-        )
+        app = ApplicationTransformer(all_local_policy()).transform(load_classes_from_file(sample))
         executed = app.artifacts("X").sources
         banner = "# " + "=" * 70 + "\n"
         printed = {}
@@ -132,23 +131,6 @@ class TestEmitCommand:
         code, output = run_cli("emit", str(app_file), "--cls", "NativeBridge")
         assert code == 1
         assert "was not transformed" in output
-
-    def test_emit_refuses_an_unknown_transport(self, app_file):
-        code, output = run_cli("emit", str(app_file), "--transports", "soap,bogus")
-        assert code == 1
-        assert output == "unknown transport: bogus\n"
-
-    def test_emit_of_local_classes_under_other_transports_still_works(self, app_file):
-        code, output = run_cli("emit", str(app_file), "--transports", "corba,inproc")
-        assert code == 0
-        assert "Ledger_O_Proxy_INPROC" in output
-
-
-    def test_emit_accepts_every_registered_transport(self, app_file):
-        code, output = run_cli("emit", str(app_file), "--transports", "soap,rmi,corba,inproc")
-        assert code == 0
-        for suffix in ("SOAP", "RMI", "CORBA", "INPROC"):
-            assert f"Ledger_O_Proxy_{suffix}" in output
 
 
 class TestReportCommand:
@@ -216,8 +198,7 @@ class TestReportCommand:
     def test_report_accepts_a_policy_template_over_every_registered_transport(
         self, app_file, tmp_path
     ):
-        """inproc is registered but not generated by default: the report
-        generates the transports the policy places a class over."""
+        """Every transport the cluster registers is one a policy may name."""
         policy_path = tmp_path / "policy.json"
         for transport in ("inproc", "rmi", "corba", "soap"):
             code, template = run_cli(

@@ -76,20 +76,20 @@ class TestLocalEmission:
 
 
 class TestProxyEmission:
-    def test_soap_proxy_source(self, universe):
+    def test_proxy_source_names_no_transport(self, universe):
         interface = extract_instance_interface(universe["X"], TRANSFORMED)
-        source = emit_proxy(universe["X"], interface, "soap")
+        source = emit_proxy(universe["X"], interface)
         _parses(source)
-        assert "class X_O_Proxy_SOAP(_repro_Proxy, X_O_Int):" in source
-        assert "SOAP-specific initialisation" in source
-        assert "_repro_transport = 'soap'" in source
+        assert "class X_O_Proxy(_repro_Proxy, X_O_Int):" in source
+        assert "transport of the binding" in source
+        assert "_repro_transport" not in source
         assert "return self._call('m', (j,))" in source
 
     def test_class_proxy_source(self, universe):
         interface = extract_class_interface(universe["X"], TRANSFORMED)
-        source = emit_proxy(universe["X"], interface, "rmi", kind="class")
+        source = emit_proxy(universe["X"], interface, kind="class")
         _parses(source)
-        assert "class X_C_Proxy_RMI(_repro_Proxy, X_C_Int):" in source
+        assert "class X_C_Proxy(_repro_Proxy, X_C_Int):" in source
         assert "def p(self, i):" in source
 
 
@@ -122,11 +122,10 @@ class TestFactoryEmission:
 
 class TestWholeClassEmission:
     def test_emit_class_artifacts_covers_all_names(self, universe):
-        sources = emit_class_artifacts(universe["X"], TRANSFORMED, universe, ("soap", "rmi"))
+        sources = emit_class_artifacts(universe["X"], TRANSFORMED, universe)
         expected = {
             "X_O_Int", "X_O_Local", "X_C_Int", "X_C_Local",
-            "X_O_Redirector", "X_O_Factory", "X_C_Factory",
-            "X_O_Proxy_SOAP", "X_O_Proxy_RMI", "X_C_Proxy_SOAP", "X_C_Proxy_RMI",
+            "X_O_Redirector", "X_O_Factory", "X_C_Factory", "X_O_Proxy", "X_C_Proxy",
         }
         assert expected == set(sources)
 

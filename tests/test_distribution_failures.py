@@ -69,7 +69,7 @@ class TestContainerArgumentsAcrossSpaces:
         app, cluster = _deployed()
         sensors = [app.new("Sensor", f"s{i}", i + 1) for i in range(3)]
         aggregator = app.new("Aggregator")
-        assert type(aggregator).__name__ == "Aggregator_O_Proxy_RMI"
+        assert (type(aggregator).__name__, aggregator._transport) == ("Aggregator_O_Proxy", "rmi")
         assert aggregator.attach_all(sensors) == 3
         # collect() on the hub calls back into the edge-resident sensors.
         assert aggregator.collect(10) == 10 * (1 + 2 + 3)

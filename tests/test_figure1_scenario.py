@@ -55,7 +55,7 @@ class TestRemoteSharedObject:
     def test_shared_instance_is_a_proxy(self):
         app, _cluster = self._remote_app()
         shared = app.new("C", "shared")
-        assert type(shared).__name__ == "C_O_Proxy_RMI"
+        assert (type(shared).__name__, shared._transport) == ("C_O_Proxy", "rmi")
 
     def test_a_and_b_share_the_same_remote_instance(self, oracle):
         """Both holders observe each other's updates through the shared C'."""

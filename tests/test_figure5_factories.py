@@ -27,7 +27,7 @@ def app():
 
 @pytest.fixture(scope="module")
 def sources(app):
-    return app.emit_sources("X", transports=("soap", "rmi"))
+    return app.emit_sources("X")
 
 
 class TestObjectFactory:
@@ -97,7 +97,7 @@ class TestFactoriesAreTheOnlyImplementationAwarePoints:
         for class_name in ("X", "Y", "Z"):
             for member, source in app.artifacts(class_name).rewritten_sources.items():
                 assert "_O_Local" not in source
-                assert "_O_Proxy_" not in source
+                assert "_O_Proxy" not in source
 
     def test_policy_switch_changes_only_factory_behaviour(self):
         """The same transformed code yields local or remote objects per policy."""
@@ -110,7 +110,7 @@ class TestFactoriesAreTheOnlyImplementationAwarePoints:
         remote_app = ApplicationTransformer(place_classes_on({"Y": "server"})).transform(classes)
         remote_app.deploy(Cluster(("client", "server")), default_node="client")
         remote_y = remote_app.new("Y", 3)
-        assert type(remote_y).__name__ == "Y_O_Proxy_RMI"
+        assert (type(remote_y).__name__, remote_y._transport) == ("Y_O_Proxy", "rmi")
 
         # Both satisfy the same extracted interface and behave identically.
         assert local_y.n(4) == remote_y.n(4) == 7

@@ -69,7 +69,7 @@ def _deploy(transport):
     decision = PlacementDecision(transport=transport, dynamic=True)
     policy = DistributionPolicy(default=ClassPolicy(instances=decision, statics=decision))
     policy.set_class("Holder", instances=remote("server", transport, dynamic=True))
-    app = ApplicationTransformer(policy, transports=TRANSPORTS).transform([Counter, Holder])
+    app = ApplicationTransformer(policy).transform([Counter, Holder])
     cluster = Cluster(NODES)
     app.deploy(cluster, default_node="client")
     return app, cluster, DistributionController(app, cluster)
@@ -201,9 +201,7 @@ class TestForwardedArguments:
 def _replicated(transport, *, quorum=1):
     """A replicated Counter on ``a`` (backups ``b``, ``c``) and a plain proxy
     to its primary, held by the client."""
-    app = ApplicationTransformer(
-        DistributionPolicy(), transports=TRANSPORTS
-    ).transform([Counter, Holder])
+    app = ApplicationTransformer(DistributionPolicy()).transform([Counter, Holder])
     cluster = Cluster(("monitor", "client", "a", "b", "c"))
     app.deploy(cluster, default_node="client")
     detector = HeartbeatDetector(cluster.network, "monitor", interval=0.002, miss_threshold=2)

@@ -88,24 +88,17 @@ class TestGeneratedLocals:
 
 
 class TestGeneratedProxiesAndRedirectors:
-    def test_proxies_exist_for_every_transport(self, app):
+    def test_one_proxy_per_interface_follows_convention(self, app):
         artifacts = app.artifacts("X")
-        assert set(artifacts.instance_proxies) == {"soap", "rmi", "corba"}
-        assert set(artifacts.class_proxies) == {"soap", "rmi", "corba"}
-
-    def test_proxy_names_follow_convention(self, app):
-        assert app.artifacts("X").proxy_for("soap").__name__ == "X_O_Proxy_SOAP"
-        assert app.artifacts("X").proxy_for("rmi", kind="class").__name__ == "X_C_Proxy_RMI"
+        assert artifacts.proxy_cls.__name__ == "X_O_Proxy"
+        assert artifacts.class_proxy_cls.__name__ == "X_C_Proxy"
 
     def test_proxy_implements_interface(self, app):
         artifacts = app.artifacts("X")
-        assert issubclass(artifacts.proxy_for("rmi"), artifacts.instance_interface_cls)
+        assert issubclass(artifacts.proxy_cls, artifacts.instance_interface_cls)
+        assert issubclass(artifacts.class_proxy_cls, artifacts.class_interface_cls)
 
-    def test_unknown_transport_proxy_raises(self, app):
-        with pytest.raises(GenerationError):
-            app.artifacts("X").proxy_for("carrier-pigeon")
-
-    def test_proxy_forwards_through_its_space(self, app):
+    def test_proxy_forwards_through_its_space_over_its_transport(self, app):
         calls = []
 
         class FakeSpace:
@@ -113,13 +106,12 @@ class TestGeneratedProxiesAndRedirectors:
                 calls.append((ref, member, args, transport))
                 return "remote-result"
 
-        proxy = app.artifacts("X").proxy_for("soap")("ref-1", FakeSpace())
+        proxy = app.artifacts("X").proxy_cls("ref-1", FakeSpace(), "soap")
         assert proxy.m(7) == "remote-result"
         assert calls == [("ref-1", "m", (7,), "soap")]
 
-    def test_proxy_bind_and_reference_accessors(self, app):
-        proxy = app.artifacts("Y").proxy_for("rmi")()
-        proxy.bind("ref-9", "space")
+    def test_proxy_reference_accessor(self, app):
+        proxy = app.artifacts("Y").proxy_cls("ref-9", "space", "rmi")
         assert proxy.remote_reference() == "ref-9"
 
     def test_redirector_implements_interface_with_explicit_methods(self, app):

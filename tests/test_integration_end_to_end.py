@@ -180,7 +180,7 @@ class TestCheckpointAcrossRedeployments:
         target_app = ApplicationTransformer(target_policy).transform(CACHE_CLASSES)
         target_app.deploy(Cluster(("app", "store")), default_node="app")
         restored = restore_snapshot(target_app, snapshot)["cache"]
-        assert type(restored).__name__ == "Cache_O_Proxy_RMI"
+        assert (type(restored).__name__, restored._transport) == ("Cache_O_Proxy", "rmi")
         assert restored.get("k3") == 30
         assert restored.size() == 5
 

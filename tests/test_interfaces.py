@@ -41,9 +41,9 @@ class TestNamingScheme:
         assert instance_local_name("X") == "X_O_Local"
         assert class_local_name("X") == "X_C_Local"
 
-    def test_proxy_names_include_transport(self):
-        assert instance_proxy_name("X", "soap") == "X_O_Proxy_SOAP"
-        assert class_proxy_name("X", "rmi") == "X_C_Proxy_RMI"
+    def test_proxy_names_are_one_per_interface(self):
+        assert instance_proxy_name("X") == "X_O_Proxy"
+        assert class_proxy_name("X") == "X_C_Proxy"
 
     def test_factory_and_redirector_names(self):
         assert object_factory_name("X") == "X_O_Factory"

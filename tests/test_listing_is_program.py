@@ -72,7 +72,7 @@ def test_every_generated_function_is_a_line_of_the_listing(classes):
                     # A decorated def starts at its decorator.
                     assert first.startswith((f"def {function.__name__}(", "@")), (name, first)
                     checked += 1
-    assert checked > 100
+    assert checked > 50
 
 
 def test_artifacts_sources_is_what_emit_sources_returns():
@@ -235,7 +235,7 @@ class TestSharedNamespace:
         )
         app.deploy(Cluster(("client", "server")), default_node="client")
         remote = app.new("Proxy", "Ada")
-        assert type(remote).__name__ == "Proxy_O_Proxy_RMI"
+        assert (type(remote).__name__, remote._transport) == ("Proxy_O_Proxy", "rmi")
         # Its base is the framework's Proxy, reached under a name of its own.
         assert isinstance(remote, metaobject.Proxy) and not isinstance(remote, classes["Proxy"])
         expected = classes["Redirector"](classes["Proxy"]("Ada")).forward("lunch")
@@ -344,7 +344,7 @@ def test_private_members_are_mangled_as_their_class_did(tmp_path):
     app = ApplicationTransformer(place_classes_on({"Counter": "server"})).transform([counter])
     app.deploy(Cluster(("client", "server")), default_node="client")
     remote = app.new("Counter", 5)
-    assert type(remote).__name__ == "Counter_O_Proxy_RMI"
+    assert (type(remote).__name__, remote._transport) == ("Counter_O_Proxy", "rmi")
     assert [remote.tick(), remote.tick()] == expected
     assert remote.get__Counter__count() == 9
 
@@ -366,15 +366,7 @@ class TestEmitSources:
         assert app.emit_sources("X") == executed
         assert "return self.get_y().n(j)" in app.emit_sources("X")["X_O_Local"]
 
-    def test_filters_by_transport(self):
-        app = transform([sample_app.X, sample_app.Y, sample_app.Z])
-        names = set(app.emit_sources("X", transports=("rmi",)))
-        assert {"X_O_Proxy_RMI", "X_C_Proxy_RMI", "X_O_Local", "X_O_Redirector"} <= names
-        assert not any("SOAP" in name or "CORBA" in name for name in names)
-
-    def test_ungenerated_transport_raises(self):
-        app = transform([sample_app.X, sample_app.Y, sample_app.Z], transports=("rmi",))
-        with pytest.raises(GenerationError, match="carrier-pigeon"):
-            app.emit_sources("X", transports=("carrier-pigeon",))
-        with pytest.raises(GenerationError, match="soap"):
-            app.emit_sources("X", transports=("rmi", "soap"))
+    def test_lists_one_proxy_per_interface_and_no_transport(self):
+        sources = transform([sample_app.X, sample_app.Y, sample_app.Z]).emit_sources("X")
+        assert sorted(name for name in sources if "Proxy" in name) == ["X_C_Proxy", "X_O_Proxy"]
+        assert not any("_repro_transport" in source for source in sources.values())

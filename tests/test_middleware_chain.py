@@ -559,7 +559,7 @@ def row(request, cluster):
     transport = state.split("-", 1)[1] if state.startswith("remote-") else "rmi"
     policy = all_local_policy(dynamic=True)
     policy.set_class("C", instances=PlacementDecision(dynamic=True, transport=transport))
-    app = ApplicationTransformer(policy, transports=TRANSPORTS).transform([A, B, C])
+    app = ApplicationTransformer(policy).transform([A, B, C])
     if state == "unbound":
         # An application that is not deployed makes plain objects; the handle
         # around one has no application behind it.

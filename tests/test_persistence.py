@@ -118,7 +118,7 @@ class TestRestore:
         remote_app.deploy(cluster, default_node="client")
         restored = restore_snapshot(remote_app, snapshot_from_json(text))
         restored_c = restored["a"].get_shared()
-        assert type(restored_c).__name__ == "C_O_Proxy_RMI"
+        assert (type(restored_c).__name__, restored_c._transport) == ("C_O_Proxy", "rmi")
         assert restored["a"].summary() == shared.describe()
 
     def test_json_round_trip(self, figure1_app):

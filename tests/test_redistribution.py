@@ -6,7 +6,7 @@ import pytest
 
 import sample_app
 from local_instances import new_local
-from repro.api.errors import RedistributionError
+from repro.api.errors import RedistributionError, UnknownTransportError
 from repro.core.transformer import ApplicationTransformer
 from repro.policy.policy import all_local_policy
 from repro.runtime.cluster import Cluster
@@ -60,7 +60,26 @@ class TestMakeRemote:
         app, _, controller = controller_setup
         y = app.new("Y", 5)
         controller.make_remote(y, "server", transport="soap")
-        assert type(y.meta.target).__name__ == "Y_O_Proxy_SOAP"
+        assert (type(y.meta.target).__name__, y.meta.target._transport) == ("Y_O_Proxy", "soap")
+
+    def test_any_registered_transport_can_be_chosen(self, controller_setup):
+        # inproc is registered by every cluster; no proxy is generated per transport.
+        app, _, controller = controller_setup
+        y = app.new("Y", 5)
+        controller.make_remote(y, "server", transport="inproc")
+        assert y.meta.target._transport == "inproc"
+        assert y.n(1) == 6
+
+    def test_an_unregistered_transport_is_refused_before_the_object_moves(
+        self, controller_setup
+    ):
+        app, cluster, controller = controller_setup
+        y = app.new("Y", 5)
+        with pytest.raises(UnknownTransportError, match="bogus"):
+            controller.make_remote(y, "server", transport="bogus")
+        assert controller.boundary_of(y) == ("local", "client")
+        assert cluster.space("server").exported_objects() == {} and controller.changes == []
+        assert y.n(1) == 6
 
     def test_non_dynamic_objects_cannot_be_redistributed(self, controller_setup):
         app, _, controller = controller_setup
@@ -117,13 +136,14 @@ class TestTransportExchange:
         y = app.new("Y", 5)
         controller.make_remote(y, "server", transport="rmi")
         controller.set_transport(y, "corba")
-        assert type(y.meta.target).__name__ == "Y_O_Proxy_CORBA"
+        assert (type(y.meta.target).__name__, y.meta.target._transport) == ("Y_O_Proxy", "corba")
         assert y.n(1) == 6
 
     @pytest.mark.xfail(
         strict=True,
         reason="TransformedApplication._remote_leg takes the transport "
-        "from the policy, not from the proxy set_transport just rebound; fixing it moves "
+        "from the policy, not from the binding's transport (the proxy's _transport) that "
+        "set_transport just re-bound; fixing it moves "
         "figure1_boundary's wire_bytes_per_call/sim_us_per_call, so it needs its own "
         "re-baseline",
     )
@@ -142,6 +162,19 @@ class TestTransportExchange:
         monkeypatch.setattr(cluster.network, "send_request", recording)
         assert y.n(1) == 6  # issued on "client", served on "server"
         assert [parse_frame(frame)[0] for frame in frames] == ["corba"]
+
+    def test_an_unregistered_transport_leaves_the_handle_bound_as_it_was(
+        self, controller_setup
+    ):
+        app, _, controller = controller_setup
+        y = app.new("Y", 5)
+        controller.make_remote(y, "server", transport="rmi")
+        proxy = y.meta.target
+        with pytest.raises(UnknownTransportError, match="bogus"):
+            controller.set_transport(y, "bogus")
+        assert y.meta.target is proxy and proxy._transport == "rmi"
+        assert [change.operation for change in controller.changes] == ["make_remote"]
+        assert y.n(1) == 6
 
     def test_set_transport_requires_a_remote_object(self, controller_setup):
         app, _, controller = controller_setup

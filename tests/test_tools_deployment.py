@@ -143,7 +143,8 @@ class TestApplyingADeployment:
         )
         app = ApplicationTransformer(all_local_policy()).transform(CLASSES)
         cluster = descriptor.apply(app)
-        assert type(app.new("Y", 4)).__name__ == "Y_O_Proxy_RMI"
+        y = app.new("Y", 4)
+        assert (type(y).__name__, y._transport) == ("Y_O_Proxy", "rmi")
         assert len(cluster.space("server").exported_objects()) == 1
 
     @pytest.mark.parametrize("policy", [{"classes": {}}, None], ids=["no_default", "no_policy"])

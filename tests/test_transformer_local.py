@@ -14,10 +14,7 @@ import sample_app
 import sample_unsupported
 from repro.api.errors import NotTransformableError, TransformationError, UnknownClassError
 from repro.core.analyzer import NonTransformableReason
-from repro.core.transformer import (
-    ApplicationTransformer,
-    DEFAULT_TRANSPORTS,
-)
+from repro.core.transformer import ApplicationTransformer
 from repro.policy.policy import ClassPolicy, DistributionPolicy, all_local_policy
 
 CLASSES = [sample_app.X, sample_app.Y, sample_app.Z]
@@ -28,13 +25,10 @@ class TestTransformDriver:
         app = ApplicationTransformer().transform(CLASSES)
         assert app.transformed_classes() == {"X", "Y", "Z"}
 
-    def test_default_transports_are_generated(self):
-        app = ApplicationTransformer().transform(CLASSES)
-        assert set(app.artifacts("X").instance_proxies) == set(DEFAULT_TRANSPORTS)
-
-    def test_custom_transport_list(self):
-        app = ApplicationTransformer(transports=("soap",)).transform(CLASSES)
-        assert set(app.artifacts("X").instance_proxies) == {"soap"}
+    def test_one_proxy_is_generated_per_interface(self):
+        artifacts = ApplicationTransformer().transform(CLASSES).artifacts("X")
+        assert artifacts.proxy_cls.__name__ == "X_O_Proxy"
+        assert artifacts.class_proxy_cls.__name__ == "X_C_Proxy"
 
     def test_class_models_can_be_passed_directly(self):
         from repro.core.introspect import class_model_from_python

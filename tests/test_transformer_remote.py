@@ -10,6 +10,9 @@ from repro.api.errors import PolicyError
 from repro.core.transformer import ApplicationTransformer
 from repro.policy.policy import all_local_policy, place_classes_on, remote
 from repro.runtime.cluster import Cluster
+from repro.transports.base import TransportRegistry
+from repro.transports.corba import CorbaTransport
+from repro.transports.rmi import RmiTransport
 
 CLASSES = [sample_app.X, sample_app.Y, sample_app.Z]
 
@@ -29,7 +32,8 @@ class TestDeployment:
         cluster = Cluster(("client", "server"))
         app.policy.set_class("Y", instances=remote("server"), statics=remote("server"))
         app.deploy(cluster, default_node="client")
-        assert type(app.new("Y", 5)).__name__ == "Y_O_Proxy_RMI"
+        proxy = app.new("Y", 5)
+        assert (type(proxy).__name__, proxy._transport) == ("Y_O_Proxy", "rmi")
         assert len(cluster.space("server").exported_objects()) == 1
 
     def test_default_node_defaults_to_first_cluster_node(self):
@@ -50,7 +54,7 @@ class TestRemoteCreation:
     def test_factory_returns_proxy_for_remote_classes(self, deployed):
         app, _ = deployed
         y = app.new("Y", 5)
-        assert type(y).__name__ == "Y_O_Proxy_RMI"
+        assert (type(y).__name__, y._transport) == ("Y_O_Proxy", "rmi")
 
     def test_remote_object_lives_on_the_target_node(self, deployed):
         app, cluster = deployed
@@ -91,7 +95,8 @@ class TestRemoteCreation:
         ).transform(CLASSES)
         cluster = Cluster(("client", "server"))
         app.deploy(cluster, default_node="client")
-        assert type(app.new("Y", 1)).__name__ == "Y_O_Proxy_SOAP"
+        y = app.new("Y", 1)
+        assert (type(y).__name__, y._transport) == ("Y_O_Proxy", "soap")
 
 
 class TestDynamicHandles:
@@ -137,7 +142,7 @@ class TestReferencePassingAcrossSpaces:
         app.deploy(cluster, default_node="client")
         y = app.new("Y", 7)          # local on client
         x = app.new("X", y)          # remote on server, receives a reference to y
-        assert type(x).__name__ == "X_O_Proxy_RMI"
+        assert (type(x).__name__, x._transport) == ("X_O_Proxy", "rmi")
         assert x.m(3) == 10
         # The callback from server to client for y.n() generated traffic both ways.
         assert cluster.metrics.messages_between("server", "client") > 0
@@ -155,37 +160,52 @@ class TestReferencePassingAcrossSpaces:
         assert returned.n(1) == 8
 
 
+def _cluster_speaking(*transports):
+    """A client/server cluster that registers only ``transports``."""
+    return Cluster(("client", "server"), transports=TransportRegistry(transports))
+
+
 class TestRemoteTransportCheck:
-    def test_remote_placement_over_a_transport_without_proxies_is_refused(self):
+    """A remote placement over a transport the cluster does not register is
+    refused when the application is deployed, the first moment the cluster's
+    transports are known."""
+
+    def test_remote_placement_over_an_unregistered_transport_is_refused_at_deploy(self):
         policy = place_classes_on({"Y": "server"}, transport="bogus")
+        app = ApplicationTransformer(policy).transform(CLASSES)
         with pytest.raises(PolicyError, match="'Y'.*'bogus'"):
-            ApplicationTransformer(policy).transform(CLASSES)
+            app.deploy(Cluster(("client", "server")), default_node="client")
+        assert not app.is_bound
 
     def test_remote_static_placement_is_checked_too(self):
         policy = all_local_policy()
         policy.set_class("Z", statics=remote("server", transport="corba"))
+        app = ApplicationTransformer(policy).transform(CLASSES)
         with pytest.raises(PolicyError, match="'Z'.*'corba'"):
-            ApplicationTransformer(policy, transports=("rmi",)).transform(CLASSES)
+            app.deploy(_cluster_speaking(RmiTransport()), default_node="client")
 
-    def test_the_refusal_lists_the_transports_that_were_generated(self):
+    def test_the_refusal_lists_the_registered_transports(self):
         policy = place_classes_on({"Y": "server"}, transport="soap")
-        with pytest.raises(PolicyError, match=r"\(transports: rmi, corba\)"):
-            ApplicationTransformer(policy, transports=("rmi", "corba")).transform(CLASSES)
+        app = ApplicationTransformer(policy).transform(CLASSES)
+        with pytest.raises(PolicyError, match=r"\(transports: corba, rmi\)"):
+            app.deploy(_cluster_speaking(RmiTransport(), CorbaTransport()), default_node="client")
 
-    def test_an_unsubstitutable_class_needs_no_proxy_of_its_transport(self):
+    def test_an_unsubstitutable_class_needs_no_registered_transport(self):
         policy = all_local_policy()
         policy.set_class("Y", substitutable=False, instances=remote("server", transport="bogus"))
         app = ApplicationTransformer(policy).transform(CLASSES)
         assert app.transformed_classes() == {"X", "Z"}
-
-    def test_a_remote_placement_over_a_generated_transport_deploys(self):
-        policy = place_classes_on({"Y": "server"}, transport="corba")
-        app = ApplicationTransformer(policy, transports=("corba",)).transform(CLASSES)
         app.deploy(Cluster(("client", "server")), default_node="client")
+
+    def test_a_remote_placement_over_a_registered_transport_binds_it(self):
+        policy = place_classes_on({"Y": "server"}, transport="corba")
+        app = ApplicationTransformer(policy).transform(CLASSES)
+        app.deploy(_cluster_speaking(CorbaTransport()), default_node="client")
         handle = app.new("Y", 2)
-        assert type(handle).__name__ == "Y_O_Proxy_CORBA"
+        assert (type(handle).__name__, handle._transport) == ("Y_O_Proxy", "corba")
         assert handle.n(3) == 5
 
-    def test_local_decisions_need_no_proxy_of_their_transport(self):
-        app = ApplicationTransformer(all_local_policy(), transports=("corba", "inproc"))
-        assert app.transform(CLASSES).transformed_classes() == {"X", "Y", "Z"}
+    def test_local_decisions_need_no_registered_transport(self):
+        app = ApplicationTransformer(all_local_policy()).transform(CLASSES)
+        app.deploy(_cluster_speaking(CorbaTransport()), default_node="client")
+        assert app.new("Y", 2).n(3) == 5

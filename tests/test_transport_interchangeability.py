@@ -19,7 +19,7 @@ from repro.runtime.redistribution import DistributionController
 from repro.workloads.figure1 import A, B, C, run_figure1_plain, run_figure1_scenario
 
 CLASSES = [sample_app.X, sample_app.Y, sample_app.Z]
-TRANSPORTS = ("soap", "rmi", "corba")
+TRANSPORTS = ("soap", "rmi", "corba", "inproc")
 
 
 def _deploy(transport: str):
@@ -40,7 +40,7 @@ class TestSameResultOnEveryTransport:
 
         app, _ = _deploy(transport)
         y = app.new("Y", 5)
-        assert type(y).__name__ == f"Y_O_Proxy_{transport.upper()}"
+        assert (type(y).__name__, y._transport) == ("Y_O_Proxy", transport)
         assert app.new("X", y).m(3) == expected
 
     @pytest.mark.parametrize("transport", TRANSPORTS)
@@ -106,8 +106,9 @@ class TestMixedAndSwappedTransports:
         policy.set_class("Z", instances=remote("server", transport="corba"))
         app = ApplicationTransformer(policy).transform(CLASSES)
         app.deploy(Cluster(("client", "server")), default_node="client")
-        assert type(app.new("Y", 1)).__name__ == "Y_O_Proxy_SOAP"
-        assert type(app.new("Z", 2)).__name__ == "Z_O_Proxy_CORBA"
+        y, z = app.new("Y", 1), app.new("Z", 2)
+        assert (type(y).__name__, y._transport) == ("Y_O_Proxy", "soap")
+        assert (type(z).__name__, z._transport) == ("Z_O_Proxy", "corba")
 
     def test_transport_swap_mid_run_preserves_behaviour(self):
         policy = all_local_policy()
