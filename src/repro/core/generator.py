@@ -18,6 +18,7 @@ Figures 3–5).  This module makes that text live and does nothing else:
 from __future__ import annotations
 
 import abc
+import linecache
 import sys
 from dataclasses import dataclass, field as dataclass_field
 from typing import Any, Callable, Iterable, Mapping
@@ -135,12 +136,17 @@ def load(ctx: GenerationContext, artifacts: ClassArtifacts, names: Iterable[str]
     ``compile`` inherits this module's ``from __future__ import annotations``,
     so a rewritten ``def init(that, y: Y_O_Int)`` never evaluates its
     annotation; base classes are evaluated, hence interfaces load first.
+    Each text is registered with :mod:`linecache` under its code's file name,
+    so a traceback through a generated method shows the generated line; the
+    entry has no ``mtime``, which ``linecache.checkcache`` leaves alone.
     """
     for name in names:
+        filename, source = f"<repro-generated {name}>", artifacts.sources[name]
         try:
-            code = compile(artifacts.sources[name], f"<repro-generated {name}>", "exec")
+            code = compile(source, filename, "exec")
         except SyntaxError as exc:  # pragma: no cover - defensive
             raise GenerationError(f"generated source for {name} does not compile: {exc}") from exc
+        linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
         exec(code, ctx.namespace)
 
 

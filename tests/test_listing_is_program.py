@@ -10,6 +10,7 @@ so), the names the text relies on cannot be captured by the application, and
 
 from __future__ import annotations
 
+import traceback
 import types
 
 import pytest
@@ -300,6 +301,17 @@ class Basket:
     total = property(_get_total)
 '''
 
+RAISING_APP = '''
+class Wallet:
+    def __init__(self, cash):
+        self.cash = cash
+
+    def spend(self, amount):
+        if amount > self.cash:
+            raise ValueError("insufficient")
+        self.cash -= amount
+'''
+
 PRIVATE_NAMES_APP = '''
 class Counter:
     def __init__(self, start):
@@ -370,3 +382,20 @@ class TestEmitSources:
         sources = transform([sample_app.X, sample_app.Y, sample_app.Z]).emit_sources("X")
         assert sorted(name for name in sources if "Proxy" in name) == ["X_C_Proxy", "X_O_Proxy"]
         assert not any("_repro_transport" in source for source in sources.values())
+
+
+def test_a_traceback_through_a_generated_method_shows_the_generated_line(tmp_path):
+    wallet = load_app(tmp_path, "raising", RAISING_APP)["Wallet"]
+    app = transform([wallet])
+    try:
+        app.new("Wallet", 3).spend(5)
+    except ValueError as error:
+        text = "".join(traceback.format_exception(error))
+    else:  # pragma: no cover - the method raises
+        raise AssertionError("spend(5) did not raise")
+    line = next(
+        line.strip() for line in app.emit_sources("Wallet")["Wallet_O_Local"].splitlines()
+        if "raise ValueError" in line
+    )
+    assert 'File "<repro-generated Wallet_O_Local>"' in text
+    assert line in text
