@@ -8,7 +8,8 @@ on a configurable simulated-time interval, using the event queue of the
 :class:`~repro.network.simnet.SimulatedNetwork`.  A node that answers resets
 its miss counter; a probe that fails (crashed node, partition, drop) counts
 one miss, and ``miss_threshold`` consecutive misses declare the node *down*.
-A declared node that answers again is declared *recovered*.
+A declared node that answers a ping sent after the declaration is declared
+*recovered*; a pong to an earlier ping is ignored.
 
 Probes are real messages: they ride the same links, pay the same latency and
 are subject to the same :class:`~repro.network.failures.FailureModel` as
@@ -55,6 +56,9 @@ class NodeHealth:
     declared_down_at: List[float] = field(default_factory=list)
     #: Simulated times at which the node was declared recovered.
     declared_up_at: List[float] = field(default_factory=list)
+    #: The last ping sequence sent when the node was last declared down: a
+    #: pong to a ping no later than it is old news (0 before any declaration).
+    down_after_sequence: int = 0
 
 
 class HeartbeatDetector:
@@ -210,7 +214,10 @@ class HeartbeatDetector:
         record = self._health.get(node_id)
         if record is None:  # unwatched while the pong was in flight
             return
-        parse_heartbeat(payload)
+        # Old news cannot refute a newer suspicion (SWIM): a pong to a ping
+        # sent before the down declaration neither revives nor resets.
+        if parse_heartbeat(payload) <= record.down_after_sequence:
+            return
         record.misses = 0
         record.last_seen = self.network.clock.now
         if record.down:
@@ -227,6 +234,7 @@ class HeartbeatDetector:
         if record.down or record.misses < self.miss_threshold:
             return
         record.down = True
+        record.down_after_sequence = self._sequence
         record.declared_down_at.append(self.network.clock.now)
         for listener in self._failure_listeners:
             listener(node_id, self.network.clock.now)

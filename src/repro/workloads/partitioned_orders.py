@@ -48,7 +48,7 @@ import itertools
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.api import CachePolicy, ServicePolicy, Session, cacheable
-from repro.api.errors import FencedError, NetworkError, QuorumLostError, RemoteInvocationError
+from repro.api.errors import FencedError, NetworkError, QuorumLostError
 
 #: Distinguishes concurrent scenario runs sharing one cluster's naming.
 _RUN_SEQ = itertools.count()
@@ -264,7 +264,7 @@ def run_partitioned_order_scenario(
         single_highest_epoch_primary = group.primary_wrapper._epoch == group.epoch and all(
             stale.epoch < group.epoch for stale in group.stale_primaries
         )
-        fenced_probe = retired_probe = False
+        fenced_probe = False
         if manager is not None and manager.failovers:
             # Probe the superseded reference directly: the fenced ex-primary
             # must reject the call rather than serve its stale state.
@@ -275,13 +275,6 @@ def run_partitioned_order_scenario(
                 )
             except FencedError:
                 fenced_probe = True
-            except RemoteInvocationError as refusal:
-                # Or its export is already retired: a pong to a ping sent
-                # before the partition can land after the declaration, and
-                # the "recovery" it reports reconciles the old primary early.
-                if refusal.remote_type != "UnknownObjectError":
-                    raise
-                retired_probe = True
             except NetworkError:  # pragma: no cover - cells never block client->p0
                 pass
 
@@ -336,7 +329,6 @@ def run_partitioned_order_scenario(
             "epoch_after_partition": epoch_after_partition,
             "single_highest_epoch_primary": single_highest_epoch_primary,
             "fenced_probe": fenced_probe,
-            "retired_probe": retired_probe,
             "fenced_calls": group.fenced_calls,
             "acked_writes": group.acked_writes,
             "quorum_failures": group.quorum_failures,

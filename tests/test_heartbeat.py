@@ -152,6 +152,50 @@ class TestHeartbeatDetector:
         assert detector.probes_sent >= 8
 
 
+class TestOldNewsCannotRefuteASuspicion:
+    """SWIM's rule: only a pong to a ping sent after the down declaration
+    declares the node recovered."""
+
+    @pytest.fixture
+    def probes(self, cluster, monkeypatch):
+        """A detector on ``a`` whose pings are held, to be answered or lost by hand."""
+        detector = HeartbeatDetector(cluster.network, "monitor", miss_threshold=2)
+        detector.watch("a")
+        held = {}
+
+        def hold(source, destination, payload, on_response, on_error, **kwargs):
+            held[parse_heartbeat(payload)] = (on_response, on_error)
+
+        monkeypatch.setattr(cluster.network, "post", hold)
+        return detector, held
+
+    def test_a_pong_delayed_past_the_down_declaration_does_not_declare_recovery(self, probes):
+        detector, held = probes
+        recovered = []
+        detector.on_recovery(lambda node, at: recovered.append(node))
+        for _ in range(3):
+            detector._probe("a")
+        held[2][1](TimeoutError())
+        held[3][1](TimeoutError())
+        assert detector.is_down("a")
+        held[1][0](frame_pong(1))  # the pong to the first ping lands late
+        assert detector.is_down("a") and recovered == []
+        assert detector._health["a"].misses == 2
+
+    def test_a_pong_to_a_later_ping_does(self, probes):
+        detector, held = probes
+        recovered = []
+        detector.on_recovery(lambda node, at: recovered.append(node))
+        for _ in range(2):
+            detector._probe("a")
+        held[1][1](TimeoutError())
+        held[2][1](TimeoutError())
+        detector._probe("a")
+        held[3][0](frame_pong(3))
+        assert not detector.is_down("a") and recovered == ["a"]
+        assert detector._health["a"].misses == 0
+
+
 class TestInFlightCrash:
     def test_posted_message_fails_if_destination_dies_before_delivery(self):
         cluster = Cluster(("a", "b"))

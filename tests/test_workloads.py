@@ -155,16 +155,16 @@ class TestPartitionedOrdersWorkload:
         assert figures["bytes_on_wire"] == cluster.metrics.total_bytes
 
     @pytest.mark.parametrize("cell", ["A", "D"])
-    def test_the_probe_reports_an_already_retired_old_primary(self, cell):
-        # On 2 ms links a pong to a ping sent before the partition lands after
-        # the old primary was declared down; the recovery it reports retires
-        # the old export before the probe, which is refused unrun all the same.
+    def test_the_probe_finds_the_old_primary_fenced_on_2ms_links(self, cell):
+        # On 2 ms links pongs to pings sent before the partition land after
+        # the old primary was declared down; they are old news, so no
+        # recovery is declared and the old primary is still there, fenced.
         cluster = Cluster(
             ("monitor", "client", "reader", "p0", "p1", "p2"), link=LinkConfig(latency=0.002)
         )
         figures = run_partitioned_order_scenario(cluster, cell=cell)
         assert figures["failovers"] == 1
-        assert (figures["fenced_probe"], figures["retired_probe"]) == (False, True)
+        assert figures["fenced_probe"]
         assert figures["acked_lost"] == figures["stale_reads"] == 0
         assert figures["stale_primaries_remaining"] == 0
 
@@ -172,4 +172,22 @@ class TestPartitionedOrdersWorkload:
         figures = run_partitioned_order_scenario(
             Cluster(("monitor", "client", "reader", "p0", "p1", "p2")), cell="A"
         )
-        assert (figures["fenced_probe"], figures["retired_probe"]) == (True, False)
+        assert figures["fenced_probe"]
+
+    @pytest.mark.parametrize("transport", ["rmi", "corba", "soap", "inproc"])
+    @pytest.mark.parametrize("cell", ["A", "B", "C", "D"])
+    @pytest.mark.parametrize("latency", [0.0005, 0.0013, 0.002, 0.005])
+    def test_every_link_latency_ends_each_cell_as_it_should(self, latency, cell, transport):
+        """Cells A and D fail over and find the old primary fenced; B and C
+        keep it.  Whatever the link delay, no write is lost or read stale."""
+        cluster = Cluster(
+            ("monitor", "client", "reader", "p0", "p1", "p2"), link=LinkConfig(latency=latency)
+        )
+        figures = run_partitioned_order_scenario(cluster, cell=cell, transport=transport)
+        fails_over = cell in ("A", "D")
+        assert (figures["failovers"], figures["fenced_probe"], figures["reconciliations"]) == (
+            (1, True, 1) if fails_over else (0, False, 0)
+        )
+        assert figures["acked_lost"] == figures["stale_reads"] == 0
+        assert figures["stale_primaries_remaining"] == 0
+        assert figures["single_highest_epoch_primary"]
