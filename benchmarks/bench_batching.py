@@ -16,8 +16,9 @@ from __future__ import annotations
 
 from _helpers import record_simulation, write_bench_json
 
+from repro.api import ServicePolicy
 from repro.runtime.cluster import Cluster
-from repro.workloads.bulk_orders import run_bulk_order_scenario
+from repro.workloads.bulk_orders import run_order_stream
 
 ORDERS = 128
 BATCH_SIZE = 32
@@ -27,8 +28,8 @@ MIN_SPEEDUP = 3.0
 
 def _run(transport: str, batch_size: int, orders: int = ORDERS) -> dict:
     cluster = Cluster(("client", "server"))
-    outcome = run_bulk_order_scenario(
-        cluster, transport=transport, orders=orders, batch_size=batch_size
+    outcome = run_order_stream(
+        cluster, ServicePolicy(transport=transport, batch_window=batch_size), orders=orders
     )
     outcome["cluster"] = cluster
     return outcome

@@ -27,10 +27,9 @@ from repro.api import (
     MetricsInterceptor,
     RateLimitInterceptor,
     ServicePolicy,
-    Session,
 )
 from repro.runtime.cluster import Cluster
-from repro.workloads.bulk_orders import OrderIntake, run_bulk_order_scenario
+from repro.workloads.bulk_orders import run_order_stream
 from repro.workloads.multi_tenant import run_multi_tenant_scenario
 
 ORDERS = 256
@@ -57,47 +56,21 @@ LIMIT_RATE = 600.0
 
 
 def _run_orders(middleware: bool, orders: int = ORDERS) -> dict:
-    """The bulk-order workload at window 32, bare or fully chained."""
-    cluster = Cluster(("client", "server"))
-    if not middleware:
-        outcome = run_bulk_order_scenario(
-            cluster, transport=TRANSPORT, orders=orders, batch_size=BATCH_SIZE
-        )
-        outcome["cluster"] = cluster
-        return outcome
+    """The bulk-order workload at window 32, bare or fully chained.
 
-    # The chained twin of run_bulk_order_scenario's batched branch: same
-    # traffic, same window, plus a 3-interceptor client chain and a
-    # server-side chain that admit everything (generous limits), so the
-    # difference measured is pure chain + wire-context cost.
-    intake = OrderIntake()
-    with Session(cluster, node="client") as session:
-        policy = (
-            ServicePolicy(transport=TRANSPORT, batch_window=BATCH_SIZE)
-            .with_middleware(
-                DeadlineInterceptor(60.0),
-                RateLimitInterceptor(rate=1e9, burst=float(orders)),
-                MetricsInterceptor(),
-                server=[MetricsInterceptor()],
-            )
-            .with_tenant("bench")
-        )
-        service = session.service("chained-orders", policy, impl=intake, node="server")
-        started = cluster.clock.now
-        pending = [
-            service.future.submit(f"sku-{index % 16}", 1 + index % 3, 10 + index % 7)
-            for index in range(orders)
-        ]
-        service.flush()
-        for placeholder in pending:
-            placeholder.result()
-    elapsed = cluster.clock.now - started
-    return {
-        "orders": orders,
-        "accepted": intake.accepted_count(),
-        "per_call_seconds": elapsed / orders,
-        "cluster": cluster,
-    }
+    The chained run adds a 3-interceptor client chain and a server-side chain
+    that admit everything (generous limits), so the difference measured is
+    pure chain + wire-context cost.
+    """
+    policy = ServicePolicy(transport=TRANSPORT, batch_window=BATCH_SIZE)
+    if middleware:
+        policy = policy.with_middleware(
+            DeadlineInterceptor(60.0),
+            RateLimitInterceptor(rate=1e9, burst=float(orders)),
+            MetricsInterceptor(),
+            server=[MetricsInterceptor()],
+        ).with_tenant("bench")
+    return run_order_stream(Cluster(("client", "server")), policy, orders=orders)
 
 
 def _compare_overhead(orders: int = ORDERS) -> dict:

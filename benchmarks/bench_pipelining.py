@@ -19,9 +19,10 @@ from __future__ import annotations
 
 from _helpers import record_simulation, write_bench_json
 
+from repro.api import ServicePolicy
 from repro.network.simnet import LinkConfig
 from repro.runtime.cluster import Cluster
-from repro.workloads.pipelined_orders import run_sharded_order_scenario
+from repro.workloads.bulk_orders import run_order_stream
 
 ORDERS = 256
 BATCH_SIZE = 32
@@ -42,15 +43,10 @@ def _cluster(slow_shard: bool = False) -> Cluster:
 
 def _run(transport: str, pipelined: bool, orders: int = ORDERS, slow_shard: bool = False) -> dict:
     cluster = _cluster(slow_shard)
-    outcome = run_sharded_order_scenario(
-        cluster,
-        transport=transport,
-        orders=orders,
-        batch_size=BATCH_SIZE,
-        window=WINDOW,
-        pipelined=pipelined,
-        servers=SERVERS,
+    policy = ServicePolicy(
+        transport=transport, batch_window=BATCH_SIZE, pipeline_depth=WINDOW if pipelined else 1
     )
+    outcome = run_order_stream(cluster, policy, orders=orders, shards=SERVERS)
     outcome["cluster"] = cluster
     return outcome
 

@@ -1,6 +1,7 @@
 """Replication cost and failover recovery on the kill-a-shard workload.
 
-Two questions, one workload (:mod:`repro.workloads.replicated_orders`):
+Two questions, one workload (:func:`repro.workloads.bulk_orders.run_order_stream`
+under a replicating policy):
 
 * **What does replication cost in steady state?**  Eagerly-synchronized
   backups amplify every mutating call into one message per backup, so the
@@ -23,8 +24,9 @@ from __future__ import annotations
 
 from _helpers import record_simulation, write_bench_json
 
+from repro.api import ServicePolicy
 from repro.runtime.cluster import Cluster
-from repro.workloads.replicated_orders import run_replicated_order_scenario
+from repro.workloads.bulk_orders import INTAKE_READONLY, run_order_stream
 
 ORDERS = 256
 BATCH_SIZE = 16
@@ -47,16 +49,11 @@ def _run(
     sync: str = "eager",
 ) -> dict:
     cluster = _cluster()
-    outcome = run_replicated_order_scenario(
-        cluster,
-        transport=transport,
-        orders=orders,
-        batch_size=BATCH_SIZE,
-        window=WINDOW,
-        shards=SHARDS,
-        replicate=replicate,
-        sync=sync,
-        kill=KILLED if kill else None,
+    policy = ServicePolicy(transport=transport, batch_window=BATCH_SIZE, pipeline_depth=WINDOW)
+    if replicate:
+        policy = policy.with_replication(2, quorum=1, sync=sync, readonly=INTAKE_READONLY)
+    outcome = run_order_stream(
+        cluster, policy, orders=orders, shards=SHARDS, kill=KILLED if kill else None
     )
     outcome["cluster"] = cluster
     return outcome

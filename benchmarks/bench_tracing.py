@@ -28,10 +28,10 @@ from typing import Optional
 
 from _helpers import write_bench_json
 
-from repro.api import ServicePolicy, Session
+from repro.api import ServicePolicy
 from repro.observability import slowest_traces
 from repro.runtime.cluster import Cluster
-from repro.workloads.bulk_orders import OrderIntake
+from repro.workloads.bulk_orders import run_order_stream
 
 ORDERS = 256
 BATCH_SIZE = 32
@@ -42,31 +42,10 @@ MAX_OVERHEAD = 1.15
 
 def _run_orders(tracing: Optional[float]) -> dict:
     """The bulk-order workload at window 32, untraced or traced."""
-    cluster = Cluster(("client", "server"))
-    intake = OrderIntake()
-    with Session(cluster, node="client") as session:
-        policy = ServicePolicy(transport=TRANSPORT, batch_window=BATCH_SIZE)
-        collector = None
-        if tracing is not None:
-            policy = policy.with_tracing(tracing)
-            collector = session.tracer().collector
-        service = session.service("traced-orders", policy, impl=intake, node="server")
-        started = cluster.clock.now
-        pending = [
-            service.future.submit(f"sku-{index % 16}", 1 + index % 3, 10 + index % 7)
-            for index in range(ORDERS)
-        ]
-        service.flush()
-        for placeholder in pending:
-            placeholder.result()
-    elapsed = cluster.clock.now - started
-    return {
-        "per_call_seconds": elapsed / ORDERS,
-        "messages": cluster.metrics.total_messages,
-        "bytes_on_wire": cluster.metrics.total_bytes,
-        "collector": collector,
-        "accepted": intake.accepted_count(),
-    }
+    policy = ServicePolicy(transport=TRANSPORT, batch_window=BATCH_SIZE)
+    if tracing is not None:
+        policy = policy.with_tracing(tracing)
+    return run_order_stream(Cluster(("client", "server")), policy, orders=ORDERS)
 
 
 def _compare() -> dict:

@@ -20,6 +20,7 @@ from __future__ import annotations
 import abc
 import linecache
 import sys
+import zlib
 from dataclasses import dataclass, field as dataclass_field
 from typing import Any, Callable, Iterable, Mapping
 
@@ -130,18 +131,32 @@ def seed_namespace(ctx: GenerationContext, models: Iterable[ClassModel]) -> None
             ctx.namespace.setdefault(name, value)
 
 
+def source_filename(name: str, source: str) -> str:
+    """The file name the text ``source`` of artifact ``name`` is compiled under.
+
+    It carries a checksum of the text: two transformations that emit
+    different text for one artifact name get two :mod:`linecache` entries, so
+    neither overwrites the lines the other's tracebacks show.  (CRC-32, not
+    :mod:`hashlib`, whose OpenSSL library would add megabytes to every
+    process that transforms.)
+    """
+    return f"<repro-generated {name} {zlib.crc32(source.encode()):08x}>"
+
+
 def load(ctx: GenerationContext, artifacts: ClassArtifacts, names: Iterable[str]) -> None:
     """Execute the emitted text of the named artifacts in the shared namespace.
 
     ``compile`` inherits this module's ``from __future__ import annotations``,
     so a rewritten ``def init(that, y: Y_O_Int)`` never evaluates its
     annotation; base classes are evaluated, hence interfaces load first.
-    Each text is registered with :mod:`linecache` under its code's file name,
-    so a traceback through a generated method shows the generated line; the
-    entry has no ``mtime``, which ``linecache.checkcache`` leaves alone.
+    Each text is registered with :mod:`linecache` under its code's file name
+    (:func:`source_filename`), so a traceback through a generated method shows
+    the generated line; the entry has no ``mtime``, which
+    ``linecache.checkcache`` leaves alone.
     """
     for name in names:
-        filename, source = f"<repro-generated {name}>", artifacts.sources[name]
+        source = artifacts.sources[name]
+        filename = source_filename(name, source)
         try:
             code = compile(source, filename, "exec")
         except SyntaxError as exc:  # pragma: no cover - defensive

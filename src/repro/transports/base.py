@@ -126,9 +126,9 @@ class Transport(abc.ABC):
         """
 
     def read_frame(self, kind: str, payload: bytes, marshaller: Any = None) -> list:
-        """:meth:`decode_frame`, then — given a ``marshaller`` — each ``args``
-        item, ``kwargs`` value and ``result`` through its ``from_wire``.  A
-        protocol that reads live values in the same pass overrides this."""
+        """:meth:`decode_frame`, then — given a ``marshaller`` — its values
+        read live, as the module docstring says.  A protocol that reads them in
+        the same pass overrides this."""
         messages = self.decode_frame(kind, payload)
         if marshaller is None:
             return messages

@@ -6,7 +6,7 @@ middleware.  The drivers then transform them and exercise them under
 different distribution policies.
 """
 
-from repro.workloads.bulk_orders import OrderIntake, run_bulk_order_scenario
+from repro.workloads.bulk_orders import OrderIntake, run_order_stream
 from repro.workloads.figure1 import A, B, C, Figure1Result, run_figure1_scenario
 from repro.workloads.multi_tenant import TenantLedger, run_multi_tenant_scenario
 from repro.workloads.open_loop import (
@@ -21,7 +21,6 @@ from repro.workloads.orders import (
     OrderStore,
 )
 from repro.workloads.pipeline import Buffer, Consumer, Producer, run_pipeline
-from repro.workloads.pipelined_orders import run_sharded_order_scenario
 from repro.workloads.shared_cache import Cache, CacheClient, CacheStats, run_cache_workload
 
 __all__ = [
@@ -42,12 +41,11 @@ __all__ = [
     "Producer",
     "TenantLedger",
     "detect_knee",
-    "run_bulk_order_scenario",
     "run_cache_workload",
     "run_figure1_scenario",
     "run_multi_tenant_scenario",
     "run_open_loop_scenario",
+    "run_order_stream",
     "run_pipeline",
-    "run_sharded_order_scenario",
     "zipf_weights",
 ]

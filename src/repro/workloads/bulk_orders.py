@@ -1,28 +1,28 @@
-"""Bulk order ingestion: a high-throughput, batching-friendly workload.
+"""Order ingestion: the stream behind the batching, pipelining, replication,
+middleware and tracing experiments.
 
-A warehouse gateway streams large volumes of small, independent order
-submissions at a central intake service on another node.  Issued one call at
-a time, every submission pays a full round trip on the simulated network and
-per-message transport overhead; issued through a batching
-:class:`~repro.api.policy.ServicePolicy`, those costs are amortised across
-the batch window.  The scenario drives the :mod:`repro.api` façade — one
-:class:`~repro.api.session.Session`, one service, no hand-wired proxies —
-and is the workload behind ``benchmarks/bench_batching.py``.
+A warehouse gateway streams small, independent order submissions at
+:class:`OrderIntake` shards on other nodes.  One driver,
+:func:`run_order_stream`, runs every variant; the
+:class:`~repro.api.policy.ServicePolicy` it is given decides the rest.  A
+plain policy pays a full round trip and per-message transport overhead per
+order; a batch window amortises both; a pipeline depth overlaps the
+windows' round trips, so completions arrive out of order as shards answer; a
+replication factor keeps a backup of each shard on the next shard node, so
+a shard crashed mid-stream costs latency (the failover window) instead of
+lost calls; middleware and tracing bracket every call.
 """
 
 from __future__ import annotations
 
-import itertools
-from typing import Optional
+from typing import Optional, Sequence
 
 from repro.api import ServicePolicy, Session
+from repro.workloads._runs import run_prefix
 
-#: Deterministic per-process sequence making every scenario run's service
-#: names unique, so repeated runs against ONE cluster never collide on the
-#: naming service (deploying over a bound name is a PolicyError by design).
-#: Shared by the sibling workloads (pipelined_orders, replicated_orders),
-#: which combine it with distinct per-scenario name prefixes.
-_RUN_SEQ = itertools.count()
+#: Members of :class:`OrderIntake` that never mutate state and therefore
+#: need no replication to backups.
+INTAKE_READONLY = ("accepted_count", "rejected_count", "total_units", "revenue")
 
 
 class OrderIntake:
@@ -58,63 +58,134 @@ class OrderIntake:
         return sum(order["total"] for order in self.accepted)
 
 
-def run_bulk_order_scenario(
+def run_order_stream(
     cluster,
+    policy: ServicePolicy,
     *,
-    transport: str = "rmi",
     orders: int = 256,
-    batch_size: int = 1,
     client: str = "client",
-    server: str = "server",
-    intake: Optional[OrderIntake] = None,
+    shards: Sequence[str] = ("server",),
+    kill: Optional[str] = None,
+    kill_after: float = 0.5,
 ) -> dict:
-    """Push ``orders`` submissions from ``client`` to an intake on ``server``.
+    """Stream ``orders`` submissions from ``client`` across intake ``shards``.
 
-    The intake is deployed as a façade service; ``batch_size == 1`` issues
-    one remote call per order (a plain :class:`~repro.api.policy.ServicePolicy`),
-    larger values buffer the submissions into batch windows of that size.
-    Returns the scenario's simulated cost figures.
+    One :class:`OrderIntake` is deployed per shard node under ``policy``;
+    when the policy replicates, shard ``i``'s backups go on the shard nodes
+    after it in the list.  Order ``i`` is submitted to shard
+    ``i % len(shards)`` as a future; ``kill`` names a node to crash after
+    ``kill_after`` of the submissions (at 1.0, after the last one, before
+    the drain), then the session drains.
+
+    Returns the stream's figures: simulated time, traffic, acceptances, the
+    values of the calls that completed, the client-visible failures, the
+    scheduler's counters, the failovers and their latencies, and — when
+    the policy traces — the trace ``collector``.
     """
-
     if orders < 1:
         raise ValueError("orders must be at least 1")
-    if intake is None:
-        intake = OrderIntake()
-    # The context manager guarantees teardown (listeners, probes) even when
-    # the scenario fails mid-stream — nothing leaks into the caller's cluster.
-    with Session(cluster, node=client) as session:
-        # batch_size <= 1 historically meant "unbatched" (including 0 and
-        # negatives); map those onto a plain policy rather than letting
-        # ServicePolicy reject them.
-        policy = ServicePolicy(transport=transport, batch_window=max(1, batch_size))
-        service = session.service(
-            f"bulk-orders-{next(_RUN_SEQ)}", policy, impl=intake, node=server
+    if len(shards) <= policy.backup_count:
+        raise ValueError(
+            f"{policy.replication_factor} copies of each intake need as many "
+            f"shard nodes, got {len(shards)}"
         )
+    if not 0.0 <= kill_after <= 1.0:
+        raise ValueError("kill_after must be a fraction in [0, 1]")
+
+    intakes = [OrderIntake() for _ in shards]
+    prefix = run_prefix(cluster, "orders")
+    # The context manager guarantees teardown (listeners, probes) even when
+    # the stream fails midway — nothing leaks into the caller's cluster.
+    with Session(cluster, node=client) as session:
+        collector = session.tracer().collector if policy.traced else None
+        services = [
+            session.service(
+                f"{prefix}-{index}",
+                policy,
+                impl=intake,
+                node=node,
+                backup_nodes=[
+                    shards[(index + step) % len(shards)]
+                    for step in range(1, policy.backup_count + 1)
+                ],
+            )
+            for index, (node, intake) in enumerate(zip(shards, intakes))
+        ]
+        manager = session.replica_manager
+        scheduler = services[0].scheduler
 
         started = cluster.clock.now
         messages_before = cluster.metrics.total_messages
         bytes_before = cluster.metrics.total_bytes
 
-        if batch_size <= 1:
-            for index in range(orders):
-                service.submit(f"sku-{index % 16}", 1 + index % 3, 10 + index % 7)
-        else:
-            pending = [
-                service.future.submit(f"sku-{index % 16}", 1 + index % 3, 10 + index % 7)
-                for index in range(orders)
-            ]
-            service.flush()
-            for placeholder in pending:
-                placeholder.result()
+        def submit(index):
+            return services[index % len(services)].future.submit(
+                f"sku-{index % 16}", 1 + index % 3, 10 + index % 7
+            )
+
+        # At kill_after == 1.0 the crash lands after the last submission but
+        # before the drain, against the in-flight tail.
+        kill_index = int(orders * kill_after) if kill is not None else orders
+        futures = [submit(index) for index in range(kill_index)]
+        killed_at = None
+        if kill is not None:
+            cluster.network.failures.crash_node(kill)
+            killed_at = cluster.clock.now
+        futures += [submit(index) for index in range(kill_index, orders)]
+        session.drain()
 
     elapsed = cluster.clock.now - started
-    return {
-        "transport": transport,
+    completed = [future for future in futures if future.ok]
+    steady = [f.completed_at - f.submitted_at for f in completed if f.attempts == 1]
+    recovered = [f.completed_at - f.submitted_at for f in completed if f.attempts > 1]
+    groups = [service.group for service in services if service.group is not None]
+    failovers = manager.failovers if manager is not None else []
+    figures = {
+        "transport": policy.transport,
         "orders": orders,
-        "batch_size": batch_size,
-        "accepted": intake.accepted_count(),
+        "batch_size": policy.batch_window,
+        "window": policy.pipeline_depth,
+        "shards": len(shards),
+        "pipelined": policy.pipelined,
+        "replicated": policy.replicated,
+        "sync": policy.sync if policy.replicated else None,
+        "killed_node": kill,
+        "accepted": sum(
+            (service.group.primary_impl if service.group is not None else intake)
+            .accepted_count()
+            for service, intake in zip(services, intakes)
+        ),
+        "values": [future.result() for future in completed],
+        "client_visible_failures": orders - len(completed),
+        "out_of_order_completions": scheduler.out_of_order_completions,
+        "calls_retried": scheduler.calls_retried,
+        "calls_redirected": scheduler.calls_redirected,
+        # Behind a window of one these read 1 and 1.0 (an unbatched stream
+        # bypasses its scheduler: one exchange in flight).
+        "max_in_flight": max(1, scheduler.max_in_flight),
+        "observed_pipeline_depth": scheduler.observed_pipeline_depth,
+        "failovers": len(failovers),
+        "failover_times": [record.simulated_time for record in failovers],
+        # Simulated seconds from the crash to the first promotion: the
+        # window during which affected calls stall (detection + failover).
+        "failover_delay_seconds": (
+            failovers[0].simulated_time - killed_at
+            if failovers and killed_at is not None
+            else 0.0
+        ),
+        "writes_propagated": sum(group.writes_propagated for group in groups),
+        "snapshots_shipped": sum(group.snapshots_shipped for group in groups),
+        "forward_messages": sum(group.forward_messages for group in groups),
+        "steady_calls": len(steady),
+        "recovered_calls": len(recovered),
+        "steady_latency_mean": sum(steady) / len(steady) if steady else 0.0,
+        "recovered_latency_mean": sum(recovered) / len(recovered) if recovered else 0.0,
+        "recovered_latency_max": max(recovered) if recovered else 0.0,
         "simulated_seconds": elapsed,
         "per_call_seconds": elapsed / orders,
         "messages": cluster.metrics.total_messages - messages_before,
         "bytes_on_wire": cluster.metrics.total_bytes - bytes_before,
     }
+    if collector is not None:
+        figures["collector"] = collector
+    return figures

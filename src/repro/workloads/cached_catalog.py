@@ -30,9 +30,7 @@ import itertools
 from typing import Dict, Optional, Sequence
 
 from repro.api import CachePolicy, ServicePolicy, Session, cacheable
-
-#: Distinguishes concurrent scenario runs sharing one cluster's naming.
-_RUN_SEQ = itertools.count()
+from repro.workloads._runs import run_prefix
 
 
 class CatalogShard:
@@ -108,8 +106,8 @@ def run_cached_catalog_scenario(
     if len(servers) < 2:
         raise ValueError("the workload needs at least two server nodes")
 
-    run_id = next(_RUN_SEQ)
-    names = [f"cached-catalog-{run_id}-{index}" for index in range(shards)]
+    prefix = run_prefix(cluster, "cached-catalog")
+    names = [f"{prefix}-{index}" for index in range(shards)]
     feed_index = shards - 1
     hot_shards = shards - 1
 

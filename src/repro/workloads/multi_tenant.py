@@ -21,16 +21,11 @@ label (``with_tenant``) and optional client-side chain
 
 from __future__ import annotations
 
-import itertools
 from typing import Optional
 
 from repro.api import RateLimitInterceptor, ServicePolicy, Session
 from repro.api.errors import AdmissionError, RateLimitError, ThrottledError
-
-#: Deterministic per-process sequence keeping repeated runs against one
-#: cluster from colliding on the naming service (see bulk_orders._RUN_SEQ).
-_RUN_SEQ = itertools.count()
-
+from repro.workloads._runs import run_prefix
 
 class TenantLedger:
     """The shared service: records one unit of work per admitted call."""
@@ -127,7 +122,7 @@ def run_multi_tenant_scenario(
         server, workers=workers, queue_limit=queue_limit, service_time=service_time
     )
     network = cluster.network
-    name = f"multi-tenant-{next(_RUN_SEQ)}"
+    name = run_prefix(cluster, "multi-tenant")
 
     deploy_policy = ServicePolicy(transport=transport)
     if limit_rate is not None:

@@ -37,11 +37,8 @@ from typing import List, Optional, Sequence
 from repro.api import ServicePolicy, Session
 from repro.api.errors import AdmissionError
 from repro.network.metrics import LatencyHistogram
-from repro.network.simnet import ServicePool
 from repro.runtime.faulttolerance import RetryPolicy
-
-#: Monotonic run counter keeping deployed service names unique per process.
-_RUN_SEQ = itertools.count()
+from repro.workloads._runs import run_prefix
 
 #: A pipeline window so large the client never self-throttles: the stream
 #: pipe's in-flight cap must not bind, or the generator would degrade into a
@@ -167,7 +164,7 @@ def run_open_loop_scenario(
             policy = policy.with_tracing(tracing)
             trace_collector = session.tracer().collector
         service = session.service(
-            f"open-loop-{next(_RUN_SEQ)}", policy, impl=catalog, node=server
+            run_prefix(cluster, "open-loop"), policy, impl=catalog, node=server
         )
 
         start_time = cluster.clock.now

@@ -1,6 +1,6 @@
 """Partitioned order ledger: the quorum-replication safety workload.
 
-The replicated-orders workload (:mod:`repro.workloads.replicated_orders`)
+The replicated order stream (:func:`~repro.workloads.bulk_orders.run_order_stream`)
 kills a node outright; this one asks the harder question partitions pose:
 **what happens when everyone is alive but some of them cannot talk?**  A
 three-replica :class:`OrderLedger` is deployed with
@@ -49,9 +49,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.api import CachePolicy, ServicePolicy, Session, cacheable
 from repro.api.errors import FencedError, NetworkError, QuorumLostError
-
-#: Distinguishes concurrent scenario runs sharing one cluster's naming.
-_RUN_SEQ = itertools.count()
+from repro.workloads._runs import run_prefix
 
 #: The four partition cells of the safety matrix (see the module docstring).
 PARTITION_CELLS = ("A", "B", "C", "D")
@@ -159,8 +157,7 @@ def run_partitioned_order_scenario(
     if len(set(nodes)) != len(nodes):
         raise ValueError("monitor, client, reader and replica nodes must be distinct")
 
-    run_id = next(_RUN_SEQ)
-    name = f"partitioned-orders-{run_id}"
+    name = run_prefix(cluster, "partitioned-orders")
     failures = cluster.network.failures
 
     committed: Dict[str, int] = {}

@@ -45,9 +45,8 @@ from repro.transports.base import (
     frame_subscription,
 )
 from repro.transports.rmi import RmiTransport
-from repro.workloads.bulk_orders import OrderIntake
+from repro.workloads.bulk_orders import INTAKE_READONLY, OrderIntake
 from repro.workloads.figure1 import A, B, C
-from repro.workloads.replicated_orders import INTAKE_READONLY
 
 TRANSPORTS = ("rmi", "corba", "soap", "inproc")
 #: The three framings of a call that crosses the network, then the two forms

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api import ServicePolicy
 from repro.api.errors import (
     InvocationError,
     MessageDroppedError,
@@ -21,7 +22,7 @@ from repro.api.errors import (
 from repro.network.failures import FailureModel
 from repro.runtime.batching import BatchingProxy, BatchResult
 from repro.runtime.cluster import Cluster
-from repro.workloads.bulk_orders import OrderIntake, run_bulk_order_scenario
+from repro.workloads.bulk_orders import OrderIntake, run_order_stream
 from repro.workloads.orders import OrderStore
 
 ALL_TRANSPORTS = ("inproc", "rmi", "corba", "soap")
@@ -365,11 +366,13 @@ class TestBatchFraming:
 class TestBulkOrderScenario:
     @pytest.mark.parametrize("transport", ALL_TRANSPORTS)
     def test_batched_scenario_is_at_least_3x_cheaper(self, transport):
-        unbatched = run_bulk_order_scenario(
-            Cluster(("client", "server")), transport=transport, orders=64, batch_size=1
+        unbatched = run_order_stream(
+            Cluster(("client", "server")), ServicePolicy(transport=transport), orders=64
         )
-        batched = run_bulk_order_scenario(
-            Cluster(("client", "server")), transport=transport, orders=64, batch_size=32
+        batched = run_order_stream(
+            Cluster(("client", "server")),
+            ServicePolicy(transport=transport, batch_window=32),
+            orders=64,
         )
         assert batched["accepted"] == unbatched["accepted"] == 64
         assert unbatched["per_call_seconds"] / batched["per_call_seconds"] >= 3.0
@@ -377,7 +380,7 @@ class TestBulkOrderScenario:
 
     def test_scenario_validates_inputs(self):
         with pytest.raises(ValueError):
-            run_bulk_order_scenario(Cluster(("client", "server")), orders=0)
+            run_order_stream(Cluster(("client", "server")), ServicePolicy(), orders=0)
 
 
 class TestBatchResult:

@@ -22,6 +22,11 @@ A node reaches another node's objects only through frames, except at the
 ``cluster.space(...)``/``cluster.spaces()`` calls listed in
 :data:`SPACE_SITES` (ROADMAP item 17).  The list may only shrink: a new call
 fails the test, and a call that goes must leave the list with it.
+
+A workload names its services from the cluster it runs on
+(``repro.workloads._runs.run_prefix``), so no module of ``repro.workloads``
+keeps a process-wide ``itertools.count()``: a run's names, and every byte
+they put on the wire, do not depend on what ran before in the process.
 """
 
 from __future__ import annotations
@@ -198,3 +203,40 @@ def test_the_space_scan_sees_attribute_owners_in_nested_functions():
         "            return self.cluster.space('n'), cluster.spaces(), other.space('n')\n"
     )
     assert list(_space_calls(tree)) == ["A.f.g", "A.f.g"]
+
+
+def _module_level_counters(tree: ast.AST) -> list:
+    """Lines of ``itertools.count()`` calls outside every function and class."""
+    lines = []
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            continue
+        for call in ast.walk(node):
+            if (
+                isinstance(call, ast.Call)
+                and isinstance(call.func, ast.Attribute)
+                and call.func.attr == "count"
+                and isinstance(call.func.value, ast.Name)
+                and call.func.value.id == "itertools"
+            ):
+                lines.append(call.lineno)
+    return lines
+
+
+def test_no_workload_keeps_a_module_level_counter():
+    offenders = [
+        f"{path.relative_to(SRC.parent)}:{line}"
+        for path in sorted((SRC / "workloads").rglob("*.py"))
+        for line in _module_level_counters(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert offenders == []
+
+
+def test_the_counter_scan_skips_function_bodies():
+    tree = ast.parse(
+        "import itertools\n"
+        "_RUN_SEQ = itertools.count()\n"
+        "def f():\n"
+        "    return itertools.count()\n"
+    )
+    assert _module_level_counters(tree) == [2]

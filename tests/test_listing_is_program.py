@@ -10,6 +10,7 @@ so), the names the text relies on cannot be captured by the application, and
 
 from __future__ import annotations
 
+import inspect
 import traceback
 import types
 
@@ -18,7 +19,7 @@ import pytest
 import sample_app
 from repro.api.errors import GenerationError
 from repro.cli import load_classes_from_file
-from repro.core import codegen, metaobject
+from repro.core import codegen, generator, metaobject
 from repro.core.classmodel import ClassModel, MethodModel
 from repro.core.interfaces import cacheable, cacheable_members
 from repro.core.transformer import ApplicationTransformer
@@ -68,12 +69,31 @@ def test_every_generated_function_is_a_line_of_the_listing(classes):
                     if function in originals:
                         continue  # installed as it is: source unavailable
                     code = function.__code__
-                    assert code.co_filename == f"<repro-generated {name}>"
+                    assert code.co_filename == generator.source_filename(name, source)
                     first = lines[code.co_firstlineno - 1].strip()
                     # A decorated def starts at its decorator.
                     assert first.startswith((f"def {function.__name__}(", "@")), (name, first)
                     checked += 1
     assert checked > 50
+
+
+def test_each_transformation_keeps_the_lines_of_its_own_text():
+    # Y and Z's absence changes X_O_Factory's text; the second transformation
+    # must not overwrite the lines the first one's functions show.
+    apps = [transform([sample_app.X, sample_app.Y, sample_app.Z]), transform([sample_app.X])]
+    sources = [app.artifacts("X").sources["X_O_Factory"] for app in apps]
+    assert sources[0] != sources[1]
+    for app, source in zip(apps, sources):
+        lines = source.splitlines(True)
+        functions = [
+            function
+            for value in vars(app.registry.namespace["X_O_Factory"]).values()
+            for function in _functions(value)
+        ]
+        assert functions
+        for function in functions:
+            shown, start = inspect.getsourcelines(function)
+            assert shown == lines[start - 1 : start - 1 + len(shown)], function
 
 
 def test_artifacts_sources_is_what_emit_sources_returns():
@@ -393,9 +413,7 @@ def test_a_traceback_through_a_generated_method_shows_the_generated_line(tmp_pat
         text = "".join(traceback.format_exception(error))
     else:  # pragma: no cover - the method raises
         raise AssertionError("spend(5) did not raise")
-    line = next(
-        line.strip() for line in app.emit_sources("Wallet")["Wallet_O_Local"].splitlines()
-        if "raise ValueError" in line
-    )
-    assert 'File "<repro-generated Wallet_O_Local>"' in text
+    source = app.emit_sources("Wallet")["Wallet_O_Local"]
+    line = next(line.strip() for line in source.splitlines() if "raise ValueError" in line)
+    assert f'File "{generator.source_filename("Wallet_O_Local", source)}"' in text
     assert line in text

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api import ServicePolicy
 from repro.api.errors import AdmissionError, NodeUnreachableError
 from repro.network.failures import FailureModel
 from repro.network.metrics import LatencyHistogram
@@ -30,6 +31,7 @@ from repro.network.simnet import ServicePool, SimulatedNetwork
 from repro.policy.adaptive import AdaptiveDistributionManager
 from repro.runtime.cluster import Cluster
 from repro.runtime.faulttolerance import NO_RETRY, RetryPolicy, TRANSIENT_FAILURES
+from repro.workloads.bulk_orders import INTAKE_READONLY, run_order_stream
 from repro.workloads.open_loop import (
     KeyValueCatalog,
     detect_knee,
@@ -410,54 +412,44 @@ class TestIdleNetworkRegression:
     def test_a_synchronous_run_never_waits_in_a_link_queue(self):
         """A lone synchronous sender always finds the wire idle, so its
         timings are those of the idealised infinite-capacity model."""
-        from repro.workloads.bulk_orders import run_bulk_order_scenario
-
         cluster = Cluster(("client", "server"))
-        result = run_bulk_order_scenario(cluster, transport="rmi", orders=64, batch_size=8)
+        policy = ServicePolicy(transport="rmi", batch_window=8)
+        result = run_order_stream(cluster, policy, orders=64)
         assert result["messages"] > 0
         assert cluster.network.metrics.total_queued_messages == 0
         assert cluster.network.metrics.total_queue_delay == 0.0
 
     def test_batching_gate_holds_with_capacity_modelling(self):
-        from repro.workloads.bulk_orders import run_bulk_order_scenario
-
-        unbatched = run_bulk_order_scenario(
-            Cluster(("client", "server")), transport="rmi", orders=128, batch_size=1
+        unbatched = run_order_stream(
+            Cluster(("client", "server")), ServicePolicy(transport="rmi"), orders=128
         )
-        batched = run_bulk_order_scenario(
-            Cluster(("client", "server")), transport="rmi", orders=128, batch_size=16
+        batched = run_order_stream(
+            Cluster(("client", "server")),
+            ServicePolicy(transport="rmi", batch_window=16),
+            orders=128,
         )
         speedup = unbatched["per_call_seconds"] / batched["per_call_seconds"]
         assert speedup >= 3.0
 
     def test_pipelining_gate_holds_with_capacity_modelling(self):
-        from repro.workloads.pipelined_orders import run_sharded_order_scenario
-
-        sequential = run_sharded_order_scenario(
-            Cluster(("client", "server-0", "server-1")),
-            transport="rmi",
-            orders=128,
-            batch_size=16,
-            window=4,
-            pipelined=False,
+        shards = ("server-0", "server-1")
+        batched = ServicePolicy(transport="rmi", batch_window=16)
+        sequential = run_order_stream(
+            Cluster(("client",) + shards), batched, orders=128, shards=shards
         )
-        pipelined = run_sharded_order_scenario(
-            Cluster(("client", "server-0", "server-1")),
-            transport="rmi",
-            orders=128,
-            batch_size=16,
-            window=4,
-            pipelined=True,
+        pipelined = run_order_stream(
+            Cluster(("client",) + shards), batched.with_pipelining(4), orders=128, shards=shards
         )
         speedup = sequential["per_call_seconds"] / pipelined["per_call_seconds"]
         assert speedup >= 2.0
 
     def test_replication_gate_holds_with_capacity_modelling(self):
-        from repro.workloads.replicated_orders import run_replicated_order_scenario
-
-        outcome = run_replicated_order_scenario(
+        policy = ServicePolicy(
+            transport="rmi", batch_window=16, pipeline_depth=4
+        ).with_replication(2, quorum=1, readonly=INTAKE_READONLY)
+        outcome = run_order_stream(
             Cluster(("client", "shard-0", "shard-1", "backup-0", "backup-1")),
-            transport="rmi",
+            policy,
             orders=64,
             shards=("shard-0", "shard-1"),
             kill="shard-0",

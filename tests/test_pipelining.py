@@ -35,8 +35,7 @@ from repro.runtime.pipelining import InvocationFuture, PipelineScheduler
 from repro.runtime.replication import ReplicaManager
 from repro.transports.base import frame_prefix, parse_frame
 from repro.transports.rmi import RmiTransport
-from repro.workloads.bulk_orders import OrderIntake
-from repro.workloads.pipelined_orders import run_sharded_order_scenario
+from repro.workloads.bulk_orders import OrderIntake, run_order_stream
 from test_batch_faulttolerance import ScriptedDrops
 
 
@@ -552,13 +551,17 @@ class TestDriverParity:
         assert [parse_frame(frame)[2] for frame in frames] == [is_batch]
 
 
+SHARDS = ("server-0", "server-1")
+
+
 class TestShardedWorkload:
     def test_pipelined_beats_sequential_with_identical_results(self):
-        sequential = run_sharded_order_scenario(
-            Cluster(("client", "server-0", "server-1")), pipelined=False, orders=128
+        batched = ServicePolicy(transport="rmi", batch_window=32)
+        sequential = run_order_stream(
+            Cluster(("client",) + SHARDS), batched, orders=128, shards=SHARDS
         )
-        pipelined = run_sharded_order_scenario(
-            Cluster(("client", "server-0", "server-1")), pipelined=True, orders=128
+        pipelined = run_order_stream(
+            Cluster(("client",) + SHARDS), batched.with_pipelining(4), orders=128, shards=SHARDS
         )
         assert pipelined["values"] == sequential["values"]
         assert pipelined["accepted"] == sequential["accepted"] == 128
@@ -567,9 +570,9 @@ class TestShardedWorkload:
 
     def test_scenario_validates_inputs(self):
         with pytest.raises(ValueError):
-            run_sharded_order_scenario(Cluster(("client",)), orders=0)
+            run_order_stream(Cluster(("client",)), ServicePolicy(), orders=0)
         with pytest.raises(ValueError):
-            run_sharded_order_scenario(Cluster(("client",)), servers=())
+            run_order_stream(Cluster(("client",)), ServicePolicy(), shards=())
 
 
 class TestBatchingProxyFutures:

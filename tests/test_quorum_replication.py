@@ -29,8 +29,7 @@ from repro.runtime.caching import CacheManager
 from repro.runtime.cluster import Cluster
 from repro.runtime.replication import ReplicaEndpoint, ReplicaManager
 from repro.transports.base import frame_subscription
-from repro.workloads.bulk_orders import OrderIntake
-from repro.workloads.replicated_orders import INTAKE_READONLY
+from repro.workloads.bulk_orders import INTAKE_READONLY, OrderIntake
 
 
 @pytest.fixture

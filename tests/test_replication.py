@@ -12,6 +12,7 @@ from __future__ import annotations
 import pytest
 from replication_invariants import check_replication_invariants
 
+from repro.api import ServicePolicy
 from repro.api.errors import NodeUnreachableError, ReplicationError
 from repro.network.heartbeat import HeartbeatDetector
 from repro.runtime.cluster import Cluster
@@ -23,11 +24,7 @@ from repro.runtime.replication import (
     apply_state,
     snapshot_state,
 )
-from repro.workloads.bulk_orders import OrderIntake
-from repro.workloads.replicated_orders import (
-    INTAKE_READONLY,
-    run_replicated_order_scenario,
-)
+from repro.workloads.bulk_orders import INTAKE_READONLY, OrderIntake, run_order_stream
 
 READONLY = INTAKE_READONLY
 
@@ -598,12 +595,20 @@ class TestBatchedEagerForwards:
         assert group.backups["b"].acked == 13
 
 
+KILL_SHARDS = ("shard-0", "shard-1")
+#: The kill-a-shard stream: batches of 16, four in flight, over two shards.
+KILL_STREAM = ServicePolicy(transport="rmi", batch_window=16, pipeline_depth=4)
+KILL_REPLICATED = KILL_STREAM.with_replication(2, quorum=1, readonly=INTAKE_READONLY)
+
+
+def _kill_stream(policy, **kwargs):
+    cluster = Cluster(("client",) + KILL_SHARDS)
+    return run_order_stream(cluster, policy, shards=KILL_SHARDS, **kwargs)
+
+
 class TestKillAShardWorkload:
     def test_zero_client_visible_failures_with_backup(self):
-        cluster = Cluster(("client", "shard-0", "shard-1"))
-        outcome = run_replicated_order_scenario(
-            cluster, orders=64, kill="shard-0"
-        )
+        outcome = _kill_stream(KILL_REPLICATED, orders=64, kill="shard-0")
         assert outcome["client_visible_failures"] == 0
         assert outcome["accepted"] == 64
         assert outcome["failovers"] == 1
@@ -611,27 +616,20 @@ class TestKillAShardWorkload:
         assert len(outcome["values"]) == 64
 
     def test_unreplicated_baseline_loses_calls(self):
-        cluster = Cluster(("client", "shard-0", "shard-1"))
-        outcome = run_replicated_order_scenario(
-            cluster, orders=64, kill="shard-0", replicate=False
-        )
+        outcome = _kill_stream(KILL_STREAM, orders=64, kill="shard-0")
         assert outcome["client_visible_failures"] > 0
         assert outcome["failovers"] == 0
 
     def test_kill_after_one_still_kills_the_shard(self):
         """kill_after=1.0 crashes after the last submission, not never."""
-        cluster = Cluster(("client", "shard-0", "shard-1"))
-        outcome = run_replicated_order_scenario(
-            cluster, orders=64, kill="shard-0", kill_after=1.0
-        )
+        outcome = _kill_stream(KILL_REPLICATED, orders=64, kill="shard-0", kill_after=1.0)
         assert outcome["failovers"] == 1
         assert outcome["failover_delay_seconds"] > 0.0
         assert outcome["client_visible_failures"] == 0
         assert outcome["accepted"] == 64
 
     def test_steady_state_has_no_failovers(self):
-        cluster = Cluster(("client", "shard-0", "shard-1"))
-        outcome = run_replicated_order_scenario(cluster, orders=32)
+        outcome = _kill_stream(KILL_REPLICATED, orders=32)
         assert outcome["client_visible_failures"] == 0
         assert outcome["failovers"] == 0
         assert outcome["writes_propagated"] == 32

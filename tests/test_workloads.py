@@ -4,10 +4,13 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api import ServicePolicy
 from repro.core.transformer import ApplicationTransformer
 from repro.network.simnet import LinkConfig
 from repro.policy.policy import all_local_policy, place_classes_on
 from repro.runtime.cluster import Cluster
+from repro.workloads._runs import run_prefix
+from repro.workloads.bulk_orders import OrderIntake, run_order_stream
 from repro.workloads.figure1 import run_figure1_plain
 from repro.workloads.orders import (
     Catalog,
@@ -191,3 +194,64 @@ class TestPartitionedOrdersWorkload:
         assert figures["acked_lost"] == figures["stale_reads"] == 0
         assert figures["stale_primaries_remaining"] == 0
         assert figures["single_highest_epoch_primary"]
+
+
+class TestOrderStream:
+    def test_a_traced_policy_returns_its_collector(self):
+        policy = ServicePolicy(transport="rmi", batch_window=8).with_tracing()
+        figures = run_order_stream(Cluster(("client", "server")), policy, orders=16)
+        assert len(figures["collector"].trace_ids()) == 16
+        assert figures["accepted"] == 16 and figures["client_visible_failures"] == 0
+
+    def test_an_untraced_policy_returns_no_collector(self):
+        figures = run_order_stream(Cluster(("client", "server")), ServicePolicy(), orders=4)
+        assert "collector" not in figures
+        assert figures["values"] == [0, 1, 2, 3]
+
+    def test_replicas_need_a_shard_node_each(self):
+        policy = ServicePolicy().with_replication(2, quorum=1)
+        with pytest.raises(ValueError):
+            run_order_stream(Cluster(("client", "server")), policy, shards=("server",))
+
+    def test_backups_go_on_the_next_shards_in_the_list(self):
+        # Ring placement over the whole cluster would put shard s1's backup
+        # on "spare"; the stream keeps it on the shards.
+        shards = ("s0", "s1")
+        cluster = Cluster(("client", "s0", "s1", "spare"))
+        policy = ServicePolicy().with_replication(2, quorum=1)
+        run_order_stream(cluster, policy, orders=6, shards=shards)
+        hosted = {
+            node: sorted(
+                type(obj).__name__ for obj in cluster.space(node).exported_objects().values()
+            )
+            for node in ("s0", "s1", "spare")
+        }
+        assert hosted == {
+            "s0": ["ReplicaEndpoint", "ReplicatedObject"],
+            "s1": ["ReplicaEndpoint", "ReplicatedObject"],
+            "spare": [],
+        }
+
+
+class TestRunNames:
+    def test_a_fresh_clusters_first_run_gets_run_zero(self):
+        cluster = Cluster(("client", "server"))
+        run_order_stream(cluster, ServicePolicy(), orders=4)
+        assert cluster.naming.names() == {"orders-0-0"}
+
+    def test_two_runs_on_one_cluster_get_distinct_names(self):
+        shards = ("server-0", "server-1")
+        cluster = Cluster(("client",) + shards)
+        for _ in range(2):
+            run_order_stream(cluster, ServicePolicy(), orders=4, shards=shards)
+        assert cluster.naming.names() == {
+            "orders-0-0", "orders-0-1", "orders-1-0", "orders-1-1"
+        }
+
+    def test_a_prefix_is_taken_only_by_its_own_names(self):
+        cluster = Cluster(("client", "server"))
+        reference = cluster.space("server").export(OrderIntake())
+        for name in ("orders-0", "orders-10-0", "orders-2x"):
+            cluster.naming.rebind(name, reference)
+        assert run_prefix(cluster, "orders") == "orders-1"
+        assert run_prefix(cluster, "open-loop") == "open-loop-0"
