@@ -11,6 +11,9 @@ hierarchy from the public façade :mod:`repro.api.errors`.
 
 from __future__ import annotations
 
+import builtins
+import functools
+
 
 class ReproError(Exception):
     """Base class for all errors raised by the ``repro`` library."""
@@ -232,8 +235,8 @@ class CorpusError(ReproError):
 #: Replication-control rejections (``FencedError``, ``QuorumLostError``)
 #: travel the same way so a fenced write observed over the wire re-resolves
 #: against the new epoch's primary instead of surfacing as an opaque remote
-#: failure.  Application errors keep travelling as
-#: :class:`RemoteInvocationError` — only these names are special.
+#: failure.  Application errors travel as :class:`RemoteInvocationError`
+#: (see :func:`remote_error`) — only these names are special.
 _CONTROL_PLANE_ERRORS = {
     "DeadlineExceededError": DeadlineExceededError,
     "FencedError": FencedError,
@@ -243,15 +246,35 @@ _CONTROL_PLANE_ERRORS = {
 }
 
 
+@functools.lru_cache(maxsize=128)
+def _remote_builtin(name: str):
+    """``RemoteInvocationError`` mixed with the builtin ``Exception`` subclass
+    called ``name``, made once; ``None`` for any other name, and for a builtin
+    whose constructor needs more than a message (``ExceptionGroup``, the
+    ``Unicode*Error`` classes)."""
+    builtin = getattr(builtins, name, None)
+    if isinstance(builtin, type) and issubclass(builtin, Exception):
+        try:
+            cls = type(name, (RemoteInvocationError, builtin),
+                       {"__module__": __name__, "__str__": BaseException.__str__})
+            cls(name, "")
+            return cls
+        except (TypeError, ValueError):
+            pass
+    return None
+
+
 def remote_error(remote_type: str, message: str) -> ReproError:
     """The exception to raise for a remote error response.
 
     Control-plane rejections (deadline expiry, rate limiting) come back as
-    their typed local classes so the retry taxonomy applies to them; every
-    other remote error type stays a :class:`RemoteInvocationError` carrying
-    the remote type name and message verbatim.
+    their typed local classes so the retry taxonomy applies to them.  Every
+    other remote error is a :class:`RemoteInvocationError` carrying the
+    remote type name and message verbatim; one of a builtin type is also an
+    instance of that type, so ``except KeyError`` catches it wherever the
+    callee runs.
     """
     cls = _CONTROL_PLANE_ERRORS.get(remote_type)
     if cls is not None:
         return cls(message)
-    return RemoteInvocationError(remote_type, message)
+    return (_remote_builtin(remote_type) or RemoteInvocationError)(remote_type, message)

@@ -98,7 +98,7 @@ def _deployment():
 
 
 def _send(cluster, path, transport, reference, member, args=()):
-    """Send one call down ``path``; ``("value", v)`` or ``("raised", type)``."""
+    """Send one call down ``path``; ``("value", v)`` or ``("raised", type, remote type)``."""
     caller = cluster.space("server" if path in LOCAL_PATHS else "client")
     call = (reference, member, tuple(args), {})
     try:
@@ -119,7 +119,10 @@ def _send(cluster, path, transport, reference, member, args=()):
             (result,) = delivered
         return "value", result.unwrap()
     except Exception as error:  # noqa: BLE001 - the outcome under test
-        return "raised", type(error), getattr(error, "remote_type", None)
+        # A remote error is compared by family and remote type: its class is
+        # also the builtin it stands for (``except KeyError`` catches it).
+        family = RemoteInvocationError if isinstance(error, RemoteInvocationError) else type(error)
+        return "raised", family, getattr(error, "remote_type", None)
 
 
 def _counters(cluster):

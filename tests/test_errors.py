@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import builtins
+
 import pytest
 
 from repro.api import errors
 from repro.core.analyzer import NonTransformableReason
+from repro.runtime.invocation import read_response
 
 
 class TestHierarchy:
@@ -57,3 +60,43 @@ class TestErrorPayloads:
         error = errors.UnknownClassError("Ghost")
         assert error.class_name == "Ghost"
         assert "Ghost" in str(error)
+
+
+def remote_error(remote_type, message):
+    """What a caller raises for an error response of ``remote_type``."""
+    value, error = read_response({"error": {"type": remote_type, "message": message}})
+    assert value is None
+    return error
+
+
+class TestRemoteErrors:
+    """A remote error of a builtin type is also that type; control-plane
+    rejections keep their own classes; anything else stays plain."""
+
+    @pytest.mark.parametrize("name", ["KeyError", "ValueError", "OSError", "StopIteration"])
+    def test_a_builtin_error_keeps_its_type(self, name):
+        error = remote_error(name, "missing ключ")
+        assert isinstance(error, errors.RemoteInvocationError)
+        assert isinstance(error, getattr(builtins, name))
+        assert error.remote_type == name and error.remote_message == "missing ключ"
+        # KeyError's own str would quote the message; the remote form does not.
+        assert str(error) == f"remote {name}: missing ключ"
+        assert type(error) is type(remote_error(name, "again"))  # one class per name
+
+    @pytest.mark.parametrize(
+        "name",
+        ["ExceptionGroup", "UnicodeDecodeError", "UnicodeEncodeError", "UnicodeTranslateError",
+         "SystemExit", "KeyboardInterrupt", "Orders", "len", "RemoteInvocationError"],
+    )
+    def test_other_names_fall_back_to_a_plain_remote_error(self, name):
+        error = remote_error(name, "boom")
+        assert type(error) is errors.RemoteInvocationError
+        assert str(error) == f"remote {name}: boom"
+
+    @pytest.mark.parametrize(
+        "cls", [errors.DeadlineExceededError, errors.FencedError, errors.QuorumLostError,
+                errors.RateLimitError, errors.ThrottledError],
+    )
+    def test_control_plane_errors_keep_their_classes(self, cls):
+        error = remote_error(cls.__name__, "refused")
+        assert type(error) is cls and str(error) == "refused"

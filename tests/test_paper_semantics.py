@@ -109,15 +109,11 @@ def test_a_subclass_constructor_calling_super_builds():
     assert app.new("Child", 3).get() == 3
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=RemoteInvocationError,
-    reason="ROADMAP 1(a): a remote application error loses its type, so "
-    "`except ValueError` stops catching it when the callee moves",
-)
 def test_a_remote_application_error_keeps_its_type():
     app = ApplicationTransformer(place_classes_on({"Acct": "server"})).transform([Acct])
     app.deploy(Cluster(("client", "server")), default_node="client")
     acct = app.new("Acct")
-    with pytest.raises(ValueError, match="insufficient"):
+    with pytest.raises(ValueError, match="insufficient") as raised:
         acct.withdraw(5)
+    assert isinstance(raised.value, RemoteInvocationError)
+    assert raised.value.remote_type == "ValueError"

@@ -417,6 +417,12 @@ DRIVER_SCENARIOS = {
 }
 
 
+def _family(error):
+    """The class an outcome compares by: a remote error's is its family,
+    whatever builtin it also stands for."""
+    return RemoteInvocationError if isinstance(error, RemoteInvocationError) else type(error)
+
+
 class TestDriverParity:
     """A window of one ships inline, a wider one posts: one engine, so the
     same outcome, the same simulated instants, the same accounting."""
@@ -432,7 +438,7 @@ class TestDriverParity:
             scheduler.drain()
             raised = None
         except Exception as error:  # noqa: BLE001 - the outcome under test
-            raised = type(error)
+            raised = _family(error)
         return cluster, scheduler, futures, raised
 
     @pytest.mark.parametrize("scenario", sorted(DRIVER_SCENARIOS))
@@ -445,7 +451,7 @@ class TestDriverParity:
             observed.append(
                 (
                     [
-                        (f._value if f.ok else type(f._error), f.attempts, f.completed_at)
+                        (f._value if f.ok else _family(f._error), f.attempts, f.completed_at)
                         for f in futures
                     ],
                     raised,

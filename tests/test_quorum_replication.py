@@ -340,7 +340,11 @@ def _outcomes(cell, transport, batched, caller="client"):
     acked = [f"sku-{i}" for i, answer in enumerate(answers) if answer is None]
     check_replication_invariants(manager, group, acked=acked)
     return {
-        "answers": [type(answer).__name__ if answer else "ok" for answer in answers],
+        # A remote error by the type it stands for, any other by its class.
+        "answers": [
+            getattr(answer, "remote_type", type(answer).__name__) if answer else "ok"
+            for answer in answers
+        ],
         "acked_writes": group.acked_writes,
         "quorum_failures": group.quorum_failures,
         "acked": {node: record.acked for node, record in group.backups.items()},
@@ -362,7 +366,7 @@ class TestBatchedQuorumOutcomes:
         "one backup cut off": ("ok", "ok"),
         "both backups cut off": ("QuorumLostError", "QuorumLostError"),
         "primary partitioned from all": ("PartitionError", "QuorumLostError"),
-        "catch-up raises": ("RemoteInvocationError", "RuntimeError"),
+        "catch-up raises": ("RuntimeError", "RuntimeError"),
     }
 
     @pytest.mark.parametrize("caller", ["client", "a"])
