@@ -235,8 +235,7 @@ class CorpusError(ReproError):
 #: Replication-control rejections (``FencedError``, ``QuorumLostError``)
 #: travel the same way so a fenced write observed over the wire re-resolves
 #: against the new epoch's primary instead of surfacing as an opaque remote
-#: failure.  Application errors travel as :class:`RemoteInvocationError`
-#: (see :func:`remote_error`) — only these names are special.
+#: failure.  Every other error travels as :func:`remote_error` says.
 _CONTROL_PLANE_ERRORS = {
     "DeadlineExceededError": DeadlineExceededError,
     "FencedError": FencedError,
@@ -249,18 +248,16 @@ _CONTROL_PLANE_ERRORS = {
 @functools.lru_cache(maxsize=128)
 def _remote_builtin(name: str):
     """``RemoteInvocationError`` mixed with the builtin ``Exception`` subclass
-    called ``name``, made once; ``None`` for any other name, and for a builtin
-    whose constructor needs more than a message (``ExceptionGroup``, the
-    ``Unicode*Error`` classes)."""
+    ``name``; ``None`` for any other name and for a builtin that needs more than
+    a message (``ExceptionGroup``, the ``Unicode*Error`` classes)."""
     builtin = getattr(builtins, name, None)
     if isinstance(builtin, type) and issubclass(builtin, Exception):
+        cls = type(name, (RemoteInvocationError, builtin), {"__str__": BaseException.__str__})
         try:
-            cls = type(name, (RemoteInvocationError, builtin),
-                       {"__module__": __name__, "__str__": BaseException.__str__})
-            cls(name, "")
-            return cls
+            cls(name, "")  # a builtin that needs more arguments refuses here
         except (TypeError, ValueError):
-            pass
+            return None
+        return cls
     return None
 
 
@@ -268,11 +265,10 @@ def remote_error(remote_type: str, message: str) -> ReproError:
     """The exception to raise for a remote error response.
 
     Control-plane rejections (deadline expiry, rate limiting) come back as
-    their typed local classes so the retry taxonomy applies to them.  Every
-    other remote error is a :class:`RemoteInvocationError` carrying the
-    remote type name and message verbatim; one of a builtin type is also an
-    instance of that type, so ``except KeyError`` catches it wherever the
-    callee runs.
+    their typed local classes so the retry taxonomy applies to them; every
+    other remote error is a :class:`RemoteInvocationError` carrying the remote
+    type name and message verbatim, and also an instance of the builtin type it
+    names, if any, so ``except KeyError`` catches it wherever the callee runs.
     """
     cls = _CONTROL_PLANE_ERRORS.get(remote_type)
     if cls is not None:

@@ -240,6 +240,12 @@ class AddressSpace:
                 f"object {object_id!r} is not exported by node {self.node_id!r}"
             ) from exc
 
+    def _interface_of(self, object_id: str) -> str:
+        """The interface ``object_id`` was exported under here (an id not exported names itself)."""
+        if object_id not in self._objects:
+            return object_id
+        return self._exported_refs[id(self._objects[object_id])].interface_name
+
     def reference_for(self, implementation: Any) -> Optional[RemoteRef]:
         return self._exported_refs.get(id(implementation))
 
@@ -694,7 +700,7 @@ class AddressSpace:
 
     def _dispatch(self, request: RequestFields) -> dict:
         """Serve one checked request; the response dict, success or error."""
-        _target, interface, member, _args, _kwargs, context = request
+        target, member, _args, _kwargs, context = request
         self.invocations_served += 1
         for hook in self._dispatch_hooks:
             hook.before_dispatch(self)
@@ -707,12 +713,8 @@ class AddressSpace:
             # forwards triggered by the call attribute their spans here.
             scope.trace_refs.append(ref)
             span = tracer.start_span(
-                f"{interface}.{member}",
-                trace_id=ref[0],
-                parent_id=ref[1],
-                kind="server",
-                ts=self.network.clock.now,
-                node=self.node_id,
+                f"{self._interface_of(target)}.{member}", trace_id=ref[0], parent_id=ref[1],
+                kind="server", ts=self.network.clock.now, node=self.node_id,
             )
         try:
             if self._middleware_chains:
@@ -740,14 +742,10 @@ class AddressSpace:
         Batches need no special handling here — the serve loop dispatches
         each framed call individually, so N calls get N brackets.
         """
-        _target, interface, member, args, kwargs, context = request
+        target, member, args, kwargs, context = request
         ctx = CallContext.from_wire(
-            context,
-            service=interface,
-            member=member,
-            args=tuple(args),
-            kwargs=dict(kwargs),
-            clock=self.network.clock,
+            context, service=self._interface_of(target), member=member, args=tuple(args),
+            kwargs=dict(kwargs), clock=self.network.clock,
         )
         if span is not None:
             # Server-side interceptor spans nest under the dispatch span,
@@ -792,7 +790,7 @@ class AddressSpace:
         middleware layer needs the live instance for its ``abort`` hooks,
         not just the marshalled error text.  The arguments arrived live.
         """
-        target_id, _interface, member, args, kwargs, _context = request
+        target_id, member, args, kwargs, _context = request
         try:
             result = self._call_hosted(target_id, member, args, kwargs, mutated)
             # Application errors travel back, and so does a result that

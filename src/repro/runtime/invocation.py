@@ -25,8 +25,8 @@ from repro._errors import ReproError, TransportError, remote_error
 from repro.runtime.remote_ref import RemoteRef
 
 #: The checked fields of one request, in :func:`read_request`'s order:
-#: (target id, interface name, member, args, kwargs, context).
-RequestFields = Tuple[str, str, str, list, dict, Optional[dict]]
+#: (target id, member, args, kwargs, context).
+RequestFields = Tuple[str, str, list, dict, Optional[dict]]
 
 
 def request_dict(
@@ -36,17 +36,13 @@ def request_dict(
 
     ``args`` and ``kwargs`` hold wire values or ``Live`` markers.  ``context``
     carries the call's control fields (call id, tenant, deadline — see
-    :class:`~repro.core.interception.CallContext`); it becomes the ``ctx`` key
-    only when non-empty, so a call issued without middleware keeps the
-    pre-middleware wire bytes.  The key order here is the order on the wire.
+    :class:`~repro.core.interception.CallContext`).  ``kwargs`` and ``ctx``
+    are keys only when non-empty; the interface is not one (the serving space
+    knows it from its export).  The key order here is the order on the wire.
     """
-    request = {
-        "target": reference.object_id,
-        "interface": reference.interface_name,
-        "member": member,
-        "args": args,
-        "kwargs": kwargs,
-    }
+    request = {"target": reference.object_id, "member": member, "args": args}
+    if kwargs:
+        request["kwargs"] = kwargs
     if context:
         request["ctx"] = context
     return request
@@ -56,39 +52,30 @@ def read_request(request: dict) -> RequestFields:
     """The fields of one decoded request, checked against the documented shape.
 
     A transport's decoder answers for the frame, not for what is in it, and
-    what is in it came from another machine.
+    what is in it came from another machine.  A missing ``kwargs`` is empty;
+    an ``interface`` (a frame written when requests named it) is not read.
     """
     try:
-        target, interface, member = request["target"], request["interface"], request["member"]
-        args, kwargs = request["args"], request["kwargs"]
-        context = request.get("ctx")
+        target, member, args = request["target"], request["member"], request["args"]
+        kwargs, context = request.get("kwargs", {}), request.get("ctx")
     except (KeyError, TypeError, AttributeError):  # a field missing, or not a dict at all
         raise _malformed(request) from None
     # Exact types: a decoder builds str, list and dict, never a subclass.
-    if not (
-        type(target) is str
-        and type(interface) is str
-        and type(member) is str
-        and type(args) is list
-        and type(kwargs) is dict
-        and (context is None or type(context) is dict)
-    ):
+    if not (type(target) is str and type(member) is str and type(args) is list
+            and type(kwargs) is dict and (context is None or type(context) is dict)):
         raise _malformed(request)
     for key in kwargs:
         if type(key) is not str:
             raise _malformed(request)
-    return target, interface, member, args, kwargs, context
+    return target, member, args, kwargs, context
 
 
 def _malformed(request: Any) -> TransportError:
-    found = (
-        {key: type(value).__name__ for key, value in request.items()}
-        if isinstance(request, dict)
-        else type(request).__name__
-    )
+    found = ({key: type(value).__name__ for key, value in request.items()}
+             if isinstance(request, dict) else type(request).__name__)
     return TransportError(
-        "malformed invocation request: need a dict with str target, interface and member, "
-        f"a list of args, str-keyed kwargs and an optional dict ctx; got {found}"
+        "malformed invocation request: need a dict with str target and member, "
+        f"a list of args, optional str-keyed kwargs and an optional dict ctx; got {found}"
     )
 
 
@@ -116,6 +103,4 @@ def read_response(response: dict) -> Tuple[Any, Optional[ReproError]]:
         raise TransportError(
             f"invocation error payload must be a dictionary, got {type(error).__name__}"
         )
-    return None, remote_error(
-        str(error.get("type", "Exception")), str(error.get("message", ""))
-    )
+    return None, remote_error(str(error.get("type", "Exception")), str(error.get("message", "")))

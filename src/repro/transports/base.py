@@ -10,21 +10,21 @@ cost on the simulated network.
 
 This is the one statement of the message shape.  A request is::
 
-    {"target": <object id>, "interface": <interface name>,
-     "member": <member name>, "args": [<wire value>...],
+    {"target": <object id>, "member": <member name>, "args": [<wire value>...],
      "kwargs": {<str>: <wire value>...}, "ctx": {...}}
 
-with ``ctx`` (call id, tenant, deadline, trace ids) present only when
-non-empty, and a response is::
+with ``kwargs`` only when the call has keyword arguments and ``ctx`` (call id,
+tenant, deadline, trace ids) only when non-empty: no interface name, which the
+serving space knows from its export.  A response is::
 
     {"result": <wire value>}                     on success
     {"error": {"type": ..., "message": ...}}     on failure
 
-The key order shown is the order on the wire.  A request of these five or six
-keys, in this order, and a success response are each a *shape*: rmi and corba
-send a message of a shape as a positional record (its values, no field names,
-as GIOP and JRMP do) and any other dict, an error response included, as a
-keyed map.  Either reads back to the same dict.
+The key order shown is the order on the wire.  A request of these keys, in
+this order, and a success response are each a *shape*: rmi and corba send a
+message of a shape as a positional record (its values, no field names, as
+GIOP and JRMP do) and any other dict, an error response included, as a keyed
+map.  Either reads back to the same dict.
 
 Wire values are JSON-compatible (None, bool, int, float, str, list, dict);
 a live dict or list travels as itself, anything else as the Marshaller's
@@ -135,9 +135,11 @@ class Transport(abc.ABC):
         for message in messages:
             if type(message) is not dict:
                 continue  # not a message at all: its reader refuses it
-            args, kwargs = message.get("args"), message.get("kwargs")
-            if type(args) is list and type(kwargs) is dict:
-                message["args"], message["kwargs"] = marshaller.unmarshal_arguments(args, kwargs)
+            args, kwargs = message.get("args"), message.get("kwargs", {})
+            if type(args) is list and type(kwargs) is dict:  # an absent kwargs stays absent
+                message["args"], kwargs = marshaller.unmarshal_arguments(args, kwargs)
+                if kwargs:
+                    message["kwargs"] = kwargs
             if "result" in message:
                 message["result"] = marshaller.from_wire(message["result"])
         return messages

@@ -37,16 +37,17 @@ Which code writes what.  **Values** go through the walk: wire values, and a
 ``marshaller`` (a map holding the tree's ``"__kind__"`` key whole through
 ``from_wire``, so the old all-tagged form still reads).  **Messages** go through
 :class:`BinaryTransport`: a message whose keys are exactly one of its kind's
-shapes, in order — a request's five fields, or six with ``ctx``, a response's
-``result`` — is a *positional record*, as GIOP and JRMP carry a call: the tag
-``_TAG_RECORD`` (8), the field count, then the field values with no names
-(leaves and lists or maps of leaves in place, any other value through the
-walk at its offset).  The reader names a record's fields by position, and a
-count that is no shape of the frame's kind is a ``TransportError``.  Every
-other message (an error response, a permuted, partial or foreign dict, a value
-that is no dict) is written by the walk as a keyed map, and read as one; so is
-every message of a frame written before records.  Either way ``args`` items,
-``kwargs`` values and ``result`` are read live given a marshaller.
+shapes (``_SHAPES``), in order, is a *positional record*, as GIOP and JRMP
+carry a call: the tag ``_TAG_RECORD`` (8), a header naming the shape, then the
+field values with no names (leaves and lists or maps of leaves in place, any
+other value through the walk at its offset).  A request's header is its field
+count plus 4 with ``ctx``; 5 and 6 name the records written while requests
+named their interface, read and never written.  A header that is no shape of
+the frame's kind is a ``TransportError``.  Every other message (an error
+response, a permuted, partial or foreign dict, a value that is no dict) is
+written by the walk as a keyed map, and read as one; so is every message of a
+frame written before records.  Either way ``args`` items, ``kwargs`` values
+and ``result`` are read live given a marshaller.
 
 Every failure — a value outside the wire domain, an integer beyond 64 bits,
 a truncated or over-long stream, an unknown tag, invalid UTF-8, nesting deeper
@@ -101,11 +102,17 @@ _READ_ERRORS = (struct.error, IndexError, UnicodeDecodeError, RecursionError)
 #: instance of a *subclass* of a wire type travels as.
 _WIRE_BASES = (int, float, str, list, tuple, dict)
 
-#: The record shapes of a frame kind's messages: field count -> field names, in order.
-_FIELDS = ("target", "interface", "member", "args", "kwargs", "ctx")
-_REQUESTS, _RESPONSES = {5: _FIELDS[:5], 6: _FIELDS}, {1: ("result",)}
+#: The record shapes of a frame kind's messages: header -> field names, in order (a
+#: request's header is its field count, plus 4 with ``ctx``; 5 and 6 are read, never written).
+_CALL, _OLD = ("target", "member", "args"), ("target", "interface", "member", "args", "kwargs")
+_REQUESTS = {3: _CALL, 4: (*_CALL, "kwargs"), 8: (*_CALL, "ctx"), 9: (*_CALL, "kwargs", "ctx"),
+             5: _OLD, 6: (*_OLD, "ctx")}
+_RESPONSES = {1: ("result",)}
 _SHAPES = {base.REQUEST: _REQUESTS, base.BATCH_REQUEST: _REQUESTS,
            base.RESPONSE: _RESPONSES, base.BATCH_RESPONSE: _RESPONSES}
+#: The header value a message is written with, by its field names, per frame kind.
+_HEADERS = {kind: {fields: header for header, fields in shapes.items() if "interface" not in fields}
+            for kind, shapes in _SHAPES.items()}
 
 
 def _wire_base(value: Any) -> type:
@@ -330,17 +337,17 @@ class BinaryTransport(Transport):
         """Check the header of ``payload`` and return the body behind it."""
 
     def encode_frame(self, kind: str, messages: list) -> bytes:
-        buffer, alignment, shapes, write = bytearray(), self.alignment, _SHAPES[kind], None
+        buffer, alignment, headers, write = bytearray(), self.alignment, _HEADERS[kind], None
         try:
             tag_uint32, tag_int64, tag_float64, key_length = _packers(buffer, alignment)
             if kind in BATCH_KINDS:
                 buffer += tag_uint32(_TAG_LIST, len(messages))
             for message in messages if kind in BATCH_KINDS else messages[:1]:
-                if type(message) is not dict or tuple(message) != shapes.get(len(message)):
+                if type(message) is not dict or (header := headers.get(tuple(message))) is None:
                     write = write or _writer(buffer, alignment)  # a keyed map, or no map
                     write(message, type(message), None, write)
                     continue
-                buffer += tag_uint32(_TAG_RECORD, len(message))
+                buffer += tag_uint32(_TAG_RECORD, header)
                 for field in message.values():
                     cls = type(field)
                     if cls is str:  # the most frequent field, written in place
@@ -403,8 +410,8 @@ class BinaryTransport(Transport):
                 # A record names its fields by position; a keyed map before each value.
                 fields = shapes.get(size) if tag == _TAG_RECORD else repeat(None, size)
                 if fields is None:
-                    raise TransportError(f"a record of {size} fields in a {kind} frame "
-                                         f"(its shapes have {' or '.join(map(str, shapes))})")
+                    raise TransportError(f"a record header {size} in a {kind} frame "
+                                         f"(its shapes are {', '.join(map(str, sorted(shapes)))})")
                 for key in fields:
                     if key is None:
                         key, offset = _read_key(payload, offset, align4)

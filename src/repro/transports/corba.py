@@ -3,8 +3,8 @@
 Mimics the structure of GIOP/IIOP messages: a 12-byte GIOP header (magic,
 version, flags, message type, body length) followed by a CDR-style body in
 which primitive values are aligned to their natural boundaries.  As in GIOP,
-a request carries its object key, interface, operation and arguments by
-position and a reply its result: each is a positional record with no field
+a request carries its object key, operation and arguments by position
+and a reply its result: each is a positional record with no field
 names (an error response, or any dict of another shape, travels as a keyed
 map; see :mod:`repro.transports.codec`).  The
 alignment padding makes CORBA messages slightly larger than the RMI-like

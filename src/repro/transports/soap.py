@@ -145,45 +145,37 @@ def _element_to_value(element: ET.Element) -> Any:
 
 def _write_invoke(parent: ET.Element, request: dict) -> None:
     invoke = ET.SubElement(parent, _INVOKE)
-    for attribute in ("target", "interface", "member"):
+    for attribute in ("target", "member"):
         _set_attr(invoke, attribute, str(request.get(attribute, "")))
     arguments = ET.SubElement(invoke, "arguments")
-    for argument in request.get("args", []):
-        arguments.append(_value_to_element(argument, "argument"))
-    keywords = ET.SubElement(invoke, "keywords")
-    for key, value in request.get("kwargs", {}).items():
-        keyword = _value_to_element(value, "keyword")
-        _set_attr(keyword, "name", key)
-        keywords.append(keyword)
-    # Call-control fields (deadline, tenant, call id) travel as one
-    # struct-typed header element; omitted entirely when absent, so
-    # chain-free messages keep the historical envelope shape.
-    context = request.get("ctx")
-    if context:
-        invoke.append(_value_to_element(context, "context"))
+    arguments.extend([_value_to_element(argument, "argument")
+                      for argument in request.get("args", [])])
+    # Keywords, and call-control fields (deadline, tenant, call id) as one
+    # struct-typed header element, travel only in a request that has them.
+    if "kwargs" in request:
+        keywords = ET.SubElement(invoke, "keywords")
+        for key, value in request["kwargs"].items():
+            keyword = _value_to_element(value, "keyword")
+            _set_attr(keyword, "name", key)
+            keywords.append(keyword)
+    if request.get("ctx"):
+        invoke.append(_value_to_element(request["ctx"], "context"))
 
 
 def _read_invoke(invoke: ET.Element) -> dict:
     if invoke.tag != _INVOKE:
         raise TransportError(f"unexpected SOAP request element {invoke.tag!r}")
-    arguments_element = invoke.find("arguments")
-    keywords_element = invoke.find("keywords")
     request = {
         "target": _get_attr(invoke, "target"),
-        "interface": _get_attr(invoke, "interface"),
         "member": _get_attr(invoke, "member"),
-        "args": [
-            _element_to_value(child)
-            for child in (arguments_element if arguments_element is not None else [])
-        ],
-        "kwargs": {
-            _get_attr(child, "name"): _element_to_value(child)
-            for child in (keywords_element if keywords_element is not None else [])
-        },
+        "args": [_element_to_value(child) for child in invoke.iterfind("arguments/*")],
     }
-    context_element = invoke.find("context")
-    if context_element is not None:
-        request["ctx"] = _element_to_value(context_element)
+    keywords, context = invoke.find("keywords"), invoke.find("context")
+    if keywords is not None:
+        request["kwargs"] = {_get_attr(child, "name"): _element_to_value(child)
+                             for child in keywords}
+    if context is not None:
+        request["ctx"] = _element_to_value(context)
     return request
 
 
@@ -270,13 +262,8 @@ class SoapTransport(Transport):
             raise TransportError(f"SOAP message has no {wrapper} element")
         messages = [read(child) for child in batch]
         declared = batch.get("count")
-        if declared is not None:
-            try:
-                expected = int(declared)
-            except ValueError as exc:
-                raise TransportError(f"malformed SOAP batch count {declared!r}") from exc
-            if expected != len(messages):
-                raise TransportError(
-                    f"SOAP batch declares {expected} entries but carries {len(messages)}"
-                )
+        if declared is not None and declared != str(len(messages)):
+            raise TransportError(
+                f"SOAP batch declares {declared!r} entries but carries {len(messages)}"
+            )
         return messages

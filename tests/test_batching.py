@@ -329,7 +329,7 @@ class TestBatchFraming:
         from repro.transports.corba import CorbaTransport
         from repro.transports.rmi import RmiTransport
 
-        request = {"target": "t", "interface": "I", "member": "m", "args": [], "kwargs": {}}
+        request = {"target": "t", "member": "m", "args": []}
         for transport in (RmiTransport(), CorbaTransport()):
             batch_payload = transport.encode_batch_request([request])
             with pytest.raises(TransportError):
@@ -341,7 +341,7 @@ class TestBatchFraming:
     def test_soap_batch_envelope_shares_one_envelope(self):
         from repro.transports.soap import SoapTransport
 
-        request = {"target": "t", "interface": "I", "member": "m", "args": [1], "kwargs": {}}
+        request = {"target": "t", "member": "m", "args": [1]}
         batch = SoapTransport().encode_batch_request([request] * 8)
         singles = 8 * len(SoapTransport().encode_request(request))
         assert len(batch) < singles  # the envelope/declaration cost is amortised
@@ -352,7 +352,7 @@ class TestBatchFraming:
         from repro.transports.soap import SoapTransport
 
         transport = SoapTransport()
-        request = {"target": "t", "interface": "I", "member": "m", "args": [], "kwargs": {}}
+        request = {"target": "t", "member": "m", "args": []}
         payload = transport.encode_batch_request([request] * 3)
         truncated = payload.replace(b"<Invoke ", b"<Ignored ", 1)
         with pytest.raises(TransportError):

@@ -75,7 +75,7 @@ class TestBatchMessages:
             )
             fields = [read_request(request) for request in again]
             assert [target for target, *_ in fields] == ["server:0", "server:1", "server:2"]
-            assert [args for _, _, _, args, _, _ in fields] == [[0], [1], [2]]
+            assert [args for _, _, args, _, _ in fields] == [[0], [1], [2]]
 
     def test_batch_response_dict_round_trip_and_error_count(self):
         responses = [response_dict(1), response_dict(error=KeyError("x"))]

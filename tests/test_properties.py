@@ -47,7 +47,6 @@ _wire_values = st.recursive(
 _requests = st.fixed_dictionaries(
     {
         "target": st.text(min_size=1, max_size=20),
-        "interface": st.text(min_size=1, max_size=20),
         "member": st.text(min_size=1, max_size=20),
         "args": st.lists(_wire_values, max_size=4),
         "kwargs": st.dictionaries(st.text(min_size=1, max_size=8), _wire_values, max_size=3),

@@ -709,34 +709,34 @@ def _oracle_scenario(row, transport):
 #: rmi and corba bytes once more when their requests and results became
 #: positional records without field names (that row from 2824 to 2092).
 REPLICATION_TRAFFIC_ORACLE = {
-    ('eager single write', 'inproc'): (10, 706, 2, 2, 2),
-    ('eager single write', 'rmi'): (10, 648, 2, 2, 2),
-    ('eager single write', 'corba'): (10, 948, 2, 2, 2),
-    ('eager single write', 'soap'): (10, 2374, 2, 2, 2),
-    ('eager batch of 8', 'inproc'): (10, 1918, 2, 16, 2),
-    ('eager batch of 8', 'rmi'): (10, 2092, 2, 16, 2),
-    ('eager batch of 8', 'corba'): (10, 3024, 2, 16, 2),
-    ('eager batch of 8', 'soap'): (10, 7136, 2, 16, 2),
-    ('quorum single write', 'inproc'): (10, 714, 2, 2, 2),
-    ('quorum single write', 'rmi'): (10, 684, 2, 2, 2),
-    ('quorum single write', 'corba'): (10, 1012, 2, 2, 2),
-    ('quorum single write', 'soap'): (10, 2506, 2, 2, 2),
-    ('quorum batch of 8', 'inproc'): (10, 1926, 2, 16, 2),
-    ('quorum batch of 8', 'rmi'): (10, 2128, 2, 16, 2),
-    ('quorum batch of 8', 'corba'): (10, 3088, 2, 16, 2),
-    ('quorum batch of 8', 'soap'): (10, 7268, 2, 16, 2),
-    ('interval tick', 'inproc'): (10, 1252, 0, 0, 4),
-    ('interval tick', 'rmi'): (10, 1304, 0, 0, 4),
-    ('interval tick', 'corba'): (10, 1776, 0, 0, 4),
-    ('interval tick', 'soap'): (10, 4120, 0, 0, 4),
-    ('initial seed', 'inproc'): (4, 298, 0, 0, 2),
-    ('initial seed', 'rmi'): (4, 268, 0, 0, 2),
-    ('initial seed', 'corba'): (4, 376, 0, 0, 2),
-    ('initial seed', 'soap'): (4, 910, 0, 0, 2),
-    ('reseed after a dropped forward', 'inproc'): (10, 757, 1, 1, 3),
-    ('reseed after a dropped forward', 'rmi'): (10, 721, 1, 1, 3),
-    ('reseed after a dropped forward', 'corba'): (10, 1028, 1, 1, 3),
-    ('reseed after a dropped forward', 'soap'): (10, 2520, 1, 1, 3),
+    ('eager single write', 'inproc'): (10, 484, 2, 2, 2),
+    ('eager single write', 'rmi'): (10, 511, 2, 2, 2),
+    ('eager single write', 'corba'): (10, 796, 2, 2, 2),
+    ('eager single write', 'soap'): (10, 2162, 2, 2, 2),
+    ('eager batch of 8', 'inproc'): (10, 1430, 2, 16, 2),
+    ('eager batch of 8', 'rmi'): (10, 1808, 2, 16, 2),
+    ('eager batch of 8', 'corba'): (10, 2704, 2, 16, 2),
+    ('eager batch of 8', 'soap'): (10, 6672, 2, 16, 2),
+    ('quorum single write', 'inproc'): (10, 492, 2, 2, 2),
+    ('quorum single write', 'rmi'): (10, 547, 2, 2, 2),
+    ('quorum single write', 'corba'): (10, 860, 2, 2, 2),
+    ('quorum single write', 'soap'): (10, 2294, 2, 2, 2),
+    ('quorum batch of 8', 'inproc'): (10, 1438, 2, 16, 2),
+    ('quorum batch of 8', 'rmi'): (10, 1844, 2, 16, 2),
+    ('quorum batch of 8', 'corba'): (10, 2768, 2, 16, 2),
+    ('quorum batch of 8', 'soap'): (10, 6804, 2, 16, 2),
+    ('interval tick', 'inproc'): (10, 954, 0, 0, 4),
+    ('interval tick', 'rmi'): (10, 1125, 0, 0, 4),
+    ('interval tick', 'corba'): (10, 1576, 0, 0, 4),
+    ('interval tick', 'soap'): (10, 3836, 0, 0, 4),
+    ('initial seed', 'inproc'): (4, 206, 0, 0, 2),
+    ('initial seed', 'rmi'): (4, 210, 0, 0, 2),
+    ('initial seed', 'corba'): (4, 312, 0, 0, 2),
+    ('initial seed', 'soap'): (4, 822, 0, 0, 2),
+    ('reseed after a dropped forward', 'inproc'): (10, 535, 1, 1, 3),
+    ('reseed after a dropped forward', 'rmi'): (10, 584, 1, 1, 3),
+    ('reseed after a dropped forward', 'corba'): (10, 876, 1, 1, 3),
+    ('reseed after a dropped forward', 'soap'): (10, 2308, 1, 1, 3),
 }
 
 

@@ -56,16 +56,21 @@ class TestInvocationMessages:
 
     def test_request_dict_round_trip(self):
         request = request_dict(self.REFERENCE, "n", [3], {"named": True}, {"i": 4})
-        assert list(request) == ["target", "interface", "member", "args", "kwargs", "ctx"]
-        assert read_request(request) == (
-            "server:1", "Y_O_Int", "n", [3], {"named": True}, {"i": 4}
-        )
+        assert list(request) == ["target", "member", "args", "kwargs", "ctx"]
+        assert read_request(request) == ("server:1", "n", [3], {"named": True}, {"i": 4})
 
-    def test_an_empty_context_stays_off_the_wire(self):
+    def test_an_empty_context_and_empty_kwargs_stay_off_the_wire(self):
         for context in (None, {}):
             request = request_dict(self.REFERENCE, "n", [], {}, context)
-            assert "ctx" not in request
-            assert not read_request(request)[5]
+            assert list(request) == ["target", "member", "args"]
+            assert read_request(request) == ("server:1", "n", [], {}, None)
+
+    def test_a_request_naming_its_interface_reads_as_one_that_does_not(self):
+        """A request decoded from a frame written when requests named their
+        interface: the name is not read, an empty kwargs is no kwargs."""
+        old = {"target": "server:1", "interface": "Y_O_Int", "member": "n", "args": [3],
+               "kwargs": {}}
+        assert read_request(old) == read_request(request_dict(self.REFERENCE, "n", [3], {}, None))
 
     def test_successful_response_round_trip(self):
         assert read_response(response_dict(41)) == (41, None)

@@ -3,9 +3,12 @@
 ``golden_wire.json`` holds the hex of each frame below as the encoders
 produce it, so a codec change that moves a single byte (a pad, a tag, a
 length) fails here rather than in a simulated-clock number three layers up.
-Its ``keyed`` rows are the rmi and corba frames as written before messages
-became positional records, every message a keyed map: they are read only, and
-must still read to their messages.  The fixed message set covers the
+Two sections hold rmi and corba frames of the same messages as written
+before, when every request named its interface and carried its kwargs, empty
+or not: ``keyed``, from before messages became positional records (every
+message a keyed map), and ``named_records``, positional records of five or six
+fields.  They are read only: each must still read to its message as it was
+written, and be served as the current frame is.  The fixed message set covers the
 whole wire-value domain — the strings, int64 edges, floats and containers
 the codec special-cases — plus one order twice: in the tagged tree form
 (``{"__kind__": "map", "items": [[key, value], ...]}``, every list tagged too)
@@ -15,8 +18,8 @@ what the ledger's ``batch_payload`` workload ships (the ``plain_order_*``
 cases).
 
 Regenerate (only when the wire format is *meant* to change) with
-``PYTHONPATH=src python tests/test_wire_golden.py``; the ``keyed`` rows are
-carried over as they are.
+``PYTHONPATH=src python tests/test_wire_golden.py``; the ``keyed`` and
+``named_records`` rows are carried over as they are.
 """
 
 from __future__ import annotations
@@ -29,7 +32,9 @@ import pytest
 
 from repro.api.errors import SerializationError, TransportError
 from repro.runtime.cluster import Cluster, default_transport_registry
+from repro.runtime.invocation import read_request
 from repro.runtime.serialization import Marshaller
+from repro.transports import base
 
 GOLDEN_PATH = Path(__file__).with_name("golden_wire.json")
 
@@ -64,7 +69,6 @@ PLAIN_ORDER = Marshaller(None).to_wire(ORDER)
 
 REQUEST = {
     "target": "server:12",
-    "interface": "Orders_O_Int",
     "member": "submit",
     "args": [
         "", "héllo wörld ✓", "𝄞😀", -(2**63), 2**63 - 1, 0, -0.0, 1e308, None, True, False,
@@ -74,10 +78,7 @@ REQUEST = {
     "kwargs": {"overwrite": False, "limit": 10, "note": "ключ"},
     "ctx": {"i": 7, "t": "tenant-a", "d": 1.25, "x": "t42", "p": "s7"},
 }
-SMALL_REQUEST = {
-    "target": "server:3", "interface": "Catalog_O_Int", "member": "lookup",
-    "args": ["key-1"], "kwargs": {},
-}
+SMALL_REQUEST = {"target": "server:3", "member": "lookup", "args": ["key-1"]}
 RESPONSE = {"result": WIRE_ORDER}
 PLAIN_ORDER_REQUEST = {**SMALL_REQUEST, "member": "submit", "args": [PLAIN_ORDER]}
 ERROR_RESPONSE = {"error": {"type": "KeyError", "message": "missing ключ 𝄞"}}
@@ -99,8 +100,33 @@ CASES = {
 }
 TRANSPORTS = {transport.name: transport for transport in default_transport_registry()}
 BINARY = ("rmi", "corba")
-#: The golden section of the pre-record rmi/corba frames.
-KEYED = "keyed"
+#: The golden sections of rmi/corba frames written while requests named their
+#: interface: before records, and as records of five or six fields.
+KEYED, NAMED_RECORDS = "keyed", "named_records"
+#: The interface each request's target was named with in those frames.
+INTERFACES = {"server:12": "Orders_O_Int", "server:3": "Catalog_O_Int"}
+
+
+def named(message):
+    """``message`` (or a batch of them) as a request was written while it named
+    its interface and always carried its kwargs; a response as it is."""
+    if isinstance(message, list):
+        return list(map(named, message))
+    if "member" not in message:
+        return message
+    old = {"target": message["target"], "interface": INTERFACES[message["target"]],
+           "member": message["member"], "args": message["args"],
+           "kwargs": message.get("kwargs", {})}
+    if "ctx" in message:
+        old["ctx"] = message["ctx"]
+    return old
+
+
+def served(decoded):
+    """What a serving space reads of a decoded request, or batch of them, a
+    response kept as it is."""
+    messages = decoded if isinstance(decoded, list) else [decoded]
+    return [read_request(message) if "member" in message else message for message in messages]
 
 
 @functools.lru_cache(maxsize=None)
@@ -140,15 +166,34 @@ def test_decoders_read_the_golden_bytes(name, case):
     assert repr(decoded) == repr(message)
 
 
+@pytest.mark.parametrize("section", [KEYED, NAMED_RECORDS])
 @pytest.mark.parametrize("name,case", _frames(BINARY))
-def test_decoders_read_the_keyed_golden_bytes(name, case):
+def test_decoders_read_the_earlier_golden_bytes(name, case, section):
     _, decode, message = CASES[case]
     decode = getattr(TRANSPORTS[name], decode)
-    keyed = bytes.fromhex(_golden()[KEYED][name][case])
+    earlier = bytes.fromhex(_golden()[section][name][case])
     current = bytes.fromhex(_golden()[name][case])
-    assert repr(decode(keyed)) == repr(message)
+    assert repr(decode(earlier)) == repr(named(message))
+    assert served(decode(earlier)) == served(decode(current))
     live = _live_reader(decode)
-    assert repr(live(keyed)) == repr(live(current))
+    assert repr(served(live(earlier))) == repr(served(live(current)))
+
+
+@pytest.mark.parametrize("name", BINARY)
+def test_a_named_record_has_five_or_six_fields_and_a_current_one_its_shape(name):
+    """The ``named_records`` requests are records (tag 8) whose header is their
+    field count; the current ones carry the header of their shape."""
+    transport = TRANSPORTS[name]
+    at = 1 if transport.alignment == 1 else 4  # past the record tag and its pad
+
+    def header(rows, case):
+        body = transport.open_header(bytes.fromhex(rows[case]), transport.message_types[base.REQUEST])
+        assert body[0] == 8
+        return int.from_bytes(body[at : at + 4], "big")
+
+    cases = ("plain_order_request", "request")  # without ctx, then with it
+    assert [header(_golden()[NAMED_RECORDS][name], case) for case in cases] == [5, 6]
+    assert [header(_golden()[name], case) for case in cases] == [3, 9]
 
 
 def _damaged(frame: bytes):
@@ -202,6 +247,7 @@ if __name__ == "__main__":
                     for name, transport in TRANSPORTS.items()
                 },
                 KEYED: _golden()[KEYED],
+                NAMED_RECORDS: _golden()[NAMED_RECORDS],
             },
             indent=1,
         )

@@ -42,6 +42,7 @@ from repro.transports.base import (
     frame_message,
     frame_prefix,
 )
+from repro.transports import codec
 from repro.transports.codec import decode_value, encode_value
 from repro.transports.corba import CorbaTransport
 from repro.transports.inproc import InProcTransport
@@ -84,11 +85,14 @@ wire_values = st.recursive(
 request_dicts = st.fixed_dictionaries(
     {
         "target": st.text(max_size=20),
-        "interface": st.text(max_size=20),
         "member": st.text(max_size=20),
         "args": st.lists(wire_values, max_size=4),
+    },
+    optional={
         "kwargs": st.dictionaries(st.text(max_size=12), wire_values, max_size=3),
-    }
+        # An empty ctx is never written (request_dict leaves it out), and SOAP drops it.
+        "ctx": st.dictionaries(st.text(max_size=3), wire_values, min_size=1, max_size=3),
+    },
 )
 
 response_dicts = st.one_of(
@@ -337,7 +341,6 @@ _record_messages = st.one_of(
     st.fixed_dictionaries(
         {
             "target": st.text(max_size=8),
-            "interface": st.text(max_size=8),
             "member": st.text(max_size=8),
             "args": st.lists(_arguments, max_size=3),
         },
@@ -345,6 +348,16 @@ _record_messages = st.one_of(
             "kwargs": st.dictionaries(st.text(max_size=6), _arguments, max_size=2),
             "ctx": st.dictionaries(st.text(max_size=3), wire_values, max_size=3),
         },
+    ),
+    st.fixed_dictionaries(  # as a request was written while it named its interface
+        {
+            "target": st.text(max_size=8),
+            "interface": st.text(max_size=8),
+            "member": st.text(max_size=8),
+            "args": st.lists(_arguments, max_size=3),
+            "kwargs": st.dictionaries(st.text(max_size=6), _arguments, max_size=2),
+        },
+        optional={"ctx": st.dictionaries(st.text(max_size=3), wire_values, max_size=3)},
     ),
     st.fixed_dictionaries({"result": st.one_of(wire_values, live_values.map(_tree))}),
     response_dicts,
@@ -423,15 +436,22 @@ class TestRecordProperties:
 #: The first tag of a message's body: a positional record, a keyed map.
 RECORD_TAG, MAP_TAG = 8, 7
 SMALL = golden.SMALL_REQUEST
-WITH_CTX = {**SMALL, "ctx": {"i": 7, "t": "tenant-a"}}
+KWARGS, CTX = {"limit": 10}, {"i": 7, "t": "tenant-a"}
+#: Each request shape, and its record header: the field count, plus 4 with ctx.
+SHAPES = {
+    "no kwargs or ctx": (SMALL, 3),
+    "kwargs": ({**SMALL, "kwargs": KWARGS}, 4),
+    "ctx": ({**SMALL, "ctx": CTX}, 8),
+    "kwargs and ctx": ({**SMALL, "kwargs": KWARGS, "ctx": CTX}, 9),
+}
 #: Requests that are no record shape: they travel keyed, as every request did before.
 KEYED_REQUESTS = {
     "member missing": {key: value for key, value in SMALL.items() if key != "member"},
     "permuted": dict(reversed(SMALL.items())),
-    "ctx before kwargs": {key: WITH_CTX[key] for key in
-                          ("target", "interface", "member", "args", "ctx", "kwargs")},
+    "ctx before kwargs": {**SMALL, "ctx": CTX, "kwargs": KWARGS},
     "extra key": {**SMALL, "extra": 1},
-    "ctx and an extra key": {**WITH_CTX, "extra": None},
+    "ctx and an extra key": {**SMALL, "ctx": CTX, "extra": None},
+    "named interface": golden.named(SMALL),
 }
 
 
@@ -441,7 +461,7 @@ def _body(transport, kind, messages):
 
 
 def _count_at(transport):
-    """Where the body's first record or map count starts (after the tag and its pad)."""
+    """Where the body's first record header or map count starts (after the tag and its pad)."""
     return 4 if transport.alignment > 1 else 1
 
 
@@ -454,14 +474,15 @@ def _verdict(request):
 
 @pytest.mark.parametrize("transport", [RmiTransport(), CorbaTransport()], ids=lambda t: t.name)
 class TestRecordShapes:
-    @pytest.mark.parametrize("message,count", [(SMALL, 5), (WITH_CTX, 6)], ids=["5", "6 (ctx)"])
-    def test_a_request_of_either_shape_travels_as_a_record_without_field_names(
-        self, transport, message, count
+    @pytest.mark.parametrize("shape", list(SHAPES))
+    def test_a_request_of_each_shape_travels_as_a_record_with_its_own_header(
+        self, transport, shape
     ):
+        message, header = SHAPES[shape]
         body = _body(transport, REQUEST, [message])
         start = _count_at(transport)
-        assert body[0] == RECORD_TAG and int.from_bytes(body[start : start + 4], "big") == count
-        assert b"target" not in body and b"kwargs" not in body
+        assert body[0] == RECORD_TAG and int.from_bytes(body[start : start + 4], "big") == header
+        assert b"target" not in body and b"kwargs" not in body and b"Catalog" not in body
         decoded = transport.decode_request(transport.encode_request(message))
         assert repr(decoded) == repr(message)
         assert read_request(decoded) == read_request(message)
@@ -486,21 +507,52 @@ class TestRecordShapes:
             assert repr(decoded) == repr(message)
             assert _verdict(decoded) == _verdict(message)
         assert (_verdict(message) is TransportError) == (case == "member missing")
+        if case == "named interface":
+            assert _verdict(message) == read_request(SMALL)
 
-    @pytest.mark.parametrize("kind,message,counts", [
-        (REQUEST, SMALL, (0, 1, 4, 7)),
-        (RESPONSE, {"result": "x"}, (0, 2, 5, 6)),
+    @pytest.mark.parametrize("kind,message,headers", [
+        (REQUEST, SMALL, (0, 1, 2, 7, 10, 2**32 - 1)),
+        (RESPONSE, {"result": "x"}, (0, 2, 3, 5, 6)),
     ], ids=["request", "response"])
-    def test_a_record_count_that_is_no_shape_of_its_kind_is_a_transport_error(
-        self, transport, kind, message, counts
+    def test_a_record_header_that_is_no_shape_of_its_kind_is_a_transport_error(
+        self, transport, kind, message, headers
     ):
         body, start = _body(transport, kind, [message]), _count_at(transport)
         code = transport.message_types[kind]
-        for count in counts:
-            bad = body[:start] + count.to_bytes(4, "big") + body[start + 4 :]
+        for header in headers:
+            bad = body[:start] + header.to_bytes(4, "big") + body[start + 4 :]
             for marshaller in (None, _MARSHALLER):
-                with pytest.raises(TransportError, match="record of"):
+                with pytest.raises(TransportError, match="record header"):
                     transport.read_frame(kind, transport.pack_header(code, bad) + bad, marshaller)
+
+    @pytest.mark.parametrize("kind", [REQUEST, BATCH_REQUEST])
+    def test_a_record_naming_its_interface_reads_by_its_five_or_six_fields(self, transport, kind):
+        """A record written while a request named its interface has its field
+        count as its header: 5 is never read as the shape ``(target, member,
+        args, kwargs, ctx)``, and 6 is read too."""
+        for message, header in ((SMALL, 5), ({**SMALL, "ctx": CTX}, 6)):
+            old = golden.named(message)
+            frame = _old_record_frame(transport, kind, old)
+            if kind == REQUEST:
+                body = transport.open_header(frame, transport.message_types[kind])
+                start = _count_at(transport)
+                assert body[0] == RECORD_TAG
+                assert int.from_bytes(body[start : start + 4], "big") == header
+            for marshaller in (None, _MARSHALLER):
+                (decoded,) = transport.read_frame(kind, frame, marshaller)
+                assert repr(decoded) == repr(old)
+                assert read_request(decoded) == read_request(message)
+
+
+def _old_record_frame(transport, kind, message):
+    """``message`` framed as a request naming its interface was: a record whose
+    header is its field count (the codec reads such records, never writes them)."""
+    headers, fields = codec._HEADERS[kind], tuple(message)
+    headers[fields] = len(fields)
+    try:
+        return transport.encode_frame(kind, [message])
+    finally:
+        del headers[fields]
 
 
 # -- containers on every transport, both ways -----------------------------------
