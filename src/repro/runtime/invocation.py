@@ -103,4 +103,6 @@ def read_response(response: dict) -> Tuple[Any, Optional[ReproError]]:
         raise TransportError(
             f"invocation error payload must be a dictionary, got {type(error).__name__}"
         )
-    return None, remote_error(str(error.get("type", "Exception")), str(error.get("message", "")))
+    return None, remote_error(
+        str(error.get("type", "Exception")), str(error.get("message", ""))
+    )

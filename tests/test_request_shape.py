@@ -29,9 +29,10 @@ from repro.runtime.cluster import Cluster, default_transport_registry
 from repro.runtime.invocation import read_request, request_dict
 from repro.runtime.remote_ref import RemoteRef, reference_of
 from repro.runtime.replication import ReplicaManager
-from repro.transports import base, codec
+from repro.transports import base
 from repro.transports.codec import encode_value
 from repro.workloads.bulk_orders import INTAKE_READONLY, OrderIntake
+from test_wire_golden import named_record_frame
 
 TRANSPORTS = tuple(sorted(transport.name for transport in default_transport_registry()))
 CTX = {"i": 7, "t": "tenant-a"}
@@ -229,18 +230,11 @@ class TestServiceName:
 
 
 def _earlier_frame(transport, kind, message, form):
-    """``message`` framed as before: a record whose header is its field count
-    (which the codec reads and never writes), or a keyed map."""
-    if form == "keyed":
-        body = encode_value([message] if kind == base.BATCH_REQUEST else message,
-                            transport.alignment)
-        return transport.pack_header(transport.message_types[kind], body) + body
-    headers, fields = codec._HEADERS[kind], tuple(message)
-    headers[fields] = len(fields)
-    try:
-        return transport.encode_frame(kind, [message])
-    finally:
-        del headers[fields]
+    """``message`` framed as before: a record of five or six fields, or a keyed map."""
+    if form == "record":
+        return named_record_frame(transport, kind, message)
+    body = encode_value([message] if kind == base.BATCH_REQUEST else message, transport.alignment)
+    return transport.pack_header(transport.message_types[kind], body) + body
 
 
 @pytest.mark.parametrize("framing", ["single", "batch"])

@@ -34,7 +34,7 @@ from repro.api.errors import SerializationError, TransportError
 from repro.runtime.cluster import Cluster, default_transport_registry
 from repro.runtime.invocation import read_request
 from repro.runtime.serialization import Marshaller
-from repro.transports import base
+from repro.transports import base, codec
 
 GOLDEN_PATH = Path(__file__).with_name("golden_wire.json")
 
@@ -122,6 +122,18 @@ def named(message):
     return old
 
 
+def named_record_frame(transport, kind, message):
+    """``message`` framed as a record whose header is its field count, as a
+    request naming its interface was (the codec reads such records, never
+    writes them)."""
+    headers, fields = codec._HEADERS[kind], tuple(message)
+    headers[fields] = len(fields)
+    try:
+        return transport.encode_frame(kind, [message])
+    finally:
+        del headers[fields]
+
+
 def served(decoded):
     """What a serving space reads of a decoded request, or batch of them, a
     response kept as it is."""
@@ -187,7 +199,8 @@ def test_a_named_record_has_five_or_six_fields_and_a_current_one_its_shape(name)
     at = 1 if transport.alignment == 1 else 4  # past the record tag and its pad
 
     def header(rows, case):
-        body = transport.open_header(bytes.fromhex(rows[case]), transport.message_types[base.REQUEST])
+        frame = bytes.fromhex(rows[case])
+        body = transport.open_header(frame, transport.message_types[base.REQUEST])
         assert body[0] == 8
         return int.from_bytes(body[at : at + 4], "big")
 

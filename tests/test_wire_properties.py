@@ -42,7 +42,6 @@ from repro.transports.base import (
     frame_message,
     frame_prefix,
 )
-from repro.transports import codec
 from repro.transports.codec import decode_value, encode_value
 from repro.transports.corba import CorbaTransport
 from repro.transports.inproc import InProcTransport
@@ -532,7 +531,7 @@ class TestRecordShapes:
         args, kwargs, ctx)``, and 6 is read too."""
         for message, header in ((SMALL, 5), ({**SMALL, "ctx": CTX}, 6)):
             old = golden.named(message)
-            frame = _old_record_frame(transport, kind, old)
+            frame = golden.named_record_frame(transport, kind, old)
             if kind == REQUEST:
                 body = transport.open_header(frame, transport.message_types[kind])
                 start = _count_at(transport)
@@ -542,17 +541,6 @@ class TestRecordShapes:
                 (decoded,) = transport.read_frame(kind, frame, marshaller)
                 assert repr(decoded) == repr(old)
                 assert read_request(decoded) == read_request(message)
-
-
-def _old_record_frame(transport, kind, message):
-    """``message`` framed as a request naming its interface was: a record whose
-    header is its field count (the codec reads such records, never writes them)."""
-    headers, fields = codec._HEADERS[kind], tuple(message)
-    headers[fields] = len(fields)
-    try:
-        return transport.encode_frame(kind, [message])
-    finally:
-        del headers[fields]
 
 
 # -- containers on every transport, both ways -----------------------------------
