@@ -145,8 +145,11 @@ def _element_to_value(element: ET.Element) -> Any:
 
 def _write_invoke(parent: ET.Element, request: dict) -> None:
     invoke = ET.SubElement(parent, _INVOKE)
+    # A request without a target or a member travels without the attribute,
+    # and its reader refuses the whole frame, as the binary protocols do.
     for attribute in ("target", "member"):
-        _set_attr(invoke, attribute, str(request.get(attribute, "")))
+        if attribute in request:
+            _set_attr(invoke, attribute, str(request[attribute]))
     arguments = ET.SubElement(invoke, "arguments")
     arguments.extend([_value_to_element(argument, "argument")
                       for argument in request.get("args", [])])
@@ -166,10 +169,10 @@ def _read_invoke(invoke: ET.Element) -> dict:
     if invoke.tag != _INVOKE:
         raise TransportError(f"unexpected SOAP request element {invoke.tag!r}")
     request = {
-        "target": _get_attr(invoke, "target"),
-        "member": _get_attr(invoke, "member"),
-        "args": [_element_to_value(child) for child in invoke.iterfind("arguments/*")],
+        attribute: _get_attr(invoke, attribute)
+        for attribute in ("target", "member") if attribute in invoke.attrib
     }
+    request["args"] = [_element_to_value(child) for child in invoke.iterfind("arguments/*")]
     keywords, context = invoke.find("keywords"), invoke.find("context")
     if keywords is not None:
         request["kwargs"] = {_get_attr(child, "name"): _element_to_value(child)

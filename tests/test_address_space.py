@@ -6,15 +6,10 @@ import pytest
 
 import sample_app
 from local_instances import new_local
-from repro.api.errors import (
-    RemoteInvocationError,
-    SerializationError,
-    UnknownObjectError,
-)
+from repro.api.errors import SerializationError, UnknownObjectError
 from repro.core.transformer import ApplicationTransformer
 from repro.policy.policy import place_classes_on
 from repro.runtime.cluster import Cluster, default_transport_registry
-from repro.runtime.remote_ref import RemoteRef
 
 CLASSES = [sample_app.X, sample_app.Y, sample_app.Z]
 
@@ -66,60 +61,6 @@ class TestExportAndLookup:
         reference = server.export(implementation)
         assert server.reference_for(implementation) == reference
         assert server.reference_for(object()) is None
-
-
-class TestRemoteInvocation:
-    def test_invoke_remote_round_trip(self, deployed):
-        app, cluster = deployed
-        server = cluster.space("server")
-        client = cluster.space("client")
-        implementation = new_local(app, "Y", 10)
-        reference = server.export(implementation)
-        assert client.invoke_remote(reference, "n", (5,)) == 15
-        assert server.invocations_served == 1
-        assert client.invocations_sent == 1
-
-    def test_local_reference_short_circuits(self, deployed):
-        app, cluster = deployed
-        server = cluster.space("server")
-        implementation = new_local(app, "Y", 10)
-        reference = server.export(implementation)
-        before = cluster.metrics.total_messages
-        assert server.invoke_remote(reference, "n", (1,)) == 11
-        assert cluster.metrics.total_messages == before
-
-    def test_application_errors_travel_back(self, deployed):
-        app, cluster = deployed
-        server = cluster.space("server")
-        client = cluster.space("client")
-        implementation = new_local(app, "Y", None)  # base None makes n() fail
-        reference = server.export(implementation)
-        with pytest.raises(RemoteInvocationError) as excinfo:
-            client.invoke_remote(reference, "n", (1,))
-        assert excinfo.value.remote_type == "TypeError"
-
-    def test_unknown_member_is_reported(self, deployed):
-        app, cluster = deployed
-        server = cluster.space("server")
-        client = cluster.space("client")
-        reference = server.export(new_local(app, "Y", 1))
-        with pytest.raises(RemoteInvocationError):
-            client.invoke_remote(reference, "no_such_member", ())
-
-    def test_unknown_object_is_reported(self, deployed):
-        _, cluster = deployed
-        client = cluster.space("client")
-        bogus = RemoteRef("server:999", "server", "Y_O_Int")
-        with pytest.raises(RemoteInvocationError):
-            client.invoke_remote(bogus, "n", (1,))
-
-    def test_each_transport_can_carry_the_call(self, deployed):
-        app, cluster = deployed
-        server = cluster.space("server")
-        client = cluster.space("client")
-        reference = server.export(new_local(app, "Y", 3))
-        for transport in ("soap", "rmi", "corba", "inproc"):
-            assert client.invoke_remote(reference, "n", (4,), transport=transport) == 7
 
 
 class TestMarshalling:

@@ -12,7 +12,9 @@ message refused with a ``TransportError`` before anything runs,
 is not ASCII, wherever it is read, refuses a transport name that starts with
 ``!`` (the first byte of every control frame), and
 :class:`TestMalformedTree` does the same for arguments whose Marshaller tree
-does not hold together (a ``SerializationError``).
+does not hold together (a ``SerializationError``) and for a request, written
+by the transport's own codec, that names no target or no member (a
+``TransportError``).  Transports and outcomes come from ``tests/matrix.py``.
 """
 
 from __future__ import annotations
@@ -22,12 +24,13 @@ import random
 
 import pytest
 
+import matrix
 import sample_app
 from local_instances import new_local
+from matrix import Raised, Value, remote
 from repro.api import ServicePolicy, Session
 from repro.api.errors import (
     InvocationError,
-    RemoteInvocationError,
     SerializationError,
     TransportError,
     UnknownObjectError,
@@ -48,7 +51,6 @@ from repro.transports.rmi import RmiTransport
 from repro.workloads.bulk_orders import INTAKE_READONLY, OrderIntake
 from repro.workloads.figure1 import A, B, C
 
-TRANSPORTS = ("rmi", "corba", "soap", "inproc")
 #: The three framings of a call that crosses the network, then the two forms
 #: of the co-located short-circuit.
 REMOTE_PATHS = ("single", "many", "many_async")
@@ -98,31 +100,29 @@ def _deployment():
 
 
 def _send(cluster, path, transport, reference, member, args=()):
-    """Send one call down ``path``; ``("value", v)`` or ``("raised", type, remote type)``."""
+    """Send one call down ``path``; its :func:`matrix.outcome`."""
     caller = cluster.space("server" if path in LOCAL_PATHS else "client")
     call = (reference, member, tuple(args), {})
-    try:
+
+    def send():
         if path in ("single", "local"):
-            return "value", caller.invoke_remote(reference, member, tuple(args), transport=transport)
+            return caller.invoke_remote(reference, member, tuple(args), transport=transport)
         if path in ("many", "local_many"):
             (result,) = caller.invoke_remote_many([call], transport=transport)
         else:
-            outcome = []
+            delivered = []
             caller.invoke_remote_many_async(
-                [call], outcome.append, outcome.append, transport=transport
+                [call], delivered.append, delivered.append, transport=transport
             )
-            assert outcome == []  # posted, not sent: nothing has happened yet
+            assert delivered == []  # posted, not sent: nothing has happened yet
             cluster.network.events.run_until_idle()
-            (delivered,) = outcome
-            if isinstance(delivered, Exception):
-                raise delivered
-            (result,) = delivered
-        return "value", result.unwrap()
-    except Exception as error:  # noqa: BLE001 - the outcome under test
-        # A remote error is compared by family and remote type: its class is
-        # also the builtin it stands for (``except KeyError`` catches it).
-        family = RemoteInvocationError if isinstance(error, RemoteInvocationError) else type(error)
-        return "raised", family, getattr(error, "remote_type", None)
+            (answer,) = delivered
+            if isinstance(answer, Exception):
+                raise answer
+            (result,) = answer
+        return result.unwrap()
+
+    return matrix.outcome(send)
 
 
 def _counters(cluster):
@@ -146,20 +146,14 @@ def _expected_counters(path, messages=2):
     }
 
 
-def _remote(remote_type):
-    return ("raised", RemoteInvocationError, remote_type)
-
-
 #: row -> (member, args, outcome on a remote path, outcome co-located, entries).
 #: Where the last two differ the short-circuit hands over the live exception
 #: or value — nothing is marshalled when nothing crosses a wire.
 ROWS = {
-    "success": ("add", (3,), ("value", 3), ("value", 3), [3]),
-    "application_error": (
-        "fail", ("boom",), _remote("KeyError"), ("raised", KeyError, None), ["fail"],
-    ),
+    "success": ("add", (3,), Value(3), Value(3), [3]),
+    "application_error": ("fail", ("boom",), remote("KeyError"), Raised(KeyError), ["fail"]),
     "unknown_member": (
-        "no_such_member", (), _remote("InvocationError"), ("raised", InvocationError, None), [],
+        "no_such_member", (), remote("InvocationError"), Raised(InvocationError), [],
     ),
 }
 
@@ -167,7 +161,7 @@ ROWS = {
 every_path = pytest.mark.parametrize("path", REMOTE_PATHS + LOCAL_PATHS)
 
 
-@pytest.mark.parametrize("transport", TRANSPORTS)
+@pytest.mark.parametrize("transport", matrix.TRANSPORTS)
 class TestFramingParity:
     @every_path
     @pytest.mark.parametrize("row", sorted(ROWS))
@@ -185,9 +179,9 @@ class TestFramingParity:
         bogus = RemoteRef("server:999", "server", "Ledger")
         outcome = _send(cluster, path, transport, bogus, "add", (1,))
         if path in LOCAL_PATHS:
-            assert outcome == ("raised", UnknownObjectError, None)
+            assert outcome == Raised(UnknownObjectError)
         else:
-            assert outcome == _remote("UnknownObjectError")
+            assert outcome == remote("UnknownObjectError")
         assert ledger.entries == []
         assert _counters(cluster) == _expected_counters(path)
 
@@ -196,9 +190,9 @@ class TestFramingParity:
         _, cluster, ledger, reference = _deployment()
         outcome = _send(cluster, path, transport, reference, "opaque")
         if path in LOCAL_PATHS:
-            assert outcome[0] == "value" and type(outcome[1]) is object
+            assert isinstance(outcome, Value) and type(outcome.value) is object
         else:
-            assert outcome == _remote("SerializationError")
+            assert outcome == remote("SerializationError")
         assert ledger.entries == ["opaque"]  # it ran; only its result could not travel
         assert _counters(cluster) == _expected_counters(path)
 
@@ -207,7 +201,7 @@ class TestFramingParity:
         app, cluster, ledger, reference = _deployment()
         caller = cluster.space("server" if path in LOCAL_PATHS else "client")
         y = new_local(app, "Y", 6)
-        assert _send(cluster, path, transport, reference, "take", (y,)) == ("value", 7)
+        assert _send(cluster, path, transport, reference, "take", (y,)) == Value(7)
         if path in LOCAL_PATHS:
             assert ledger.entries == ["Y_O_Local"]
             assert caller.reference_for(y) is None
@@ -227,7 +221,7 @@ class TestFramingParity:
         )
         heard = []
         client.coherence.listeners.append(heard.append)
-        assert _send(cluster, path, transport, reference, "add", (5,)) == ("value", 5)
+        assert _send(cluster, path, transport, reference, "add", (5,)) == Value(5)
         assert heard == [[reference.object_id]]
         assert client.coherence.invalidations_received == 1
         assert server.coherence.subscribers == {}  # one-shot
@@ -243,7 +237,7 @@ class TestFramingParity:
     def test_an_impure_cacheable_member_is_counted(self, path, transport):
         _, cluster, ledger, reference = _deployment()
         with pytest.warns(RuntimeWarning, match="impure_read"):
-            assert _send(cluster, path, transport, reference, "impure_read") == ("value", 0)
+            assert _send(cluster, path, transport, reference, "impure_read") == Value(0)
         assert cluster.space("server").coherence.cacheable_violations == 1
 
     @pytest.mark.parametrize("path", REMOTE_PATHS)  # co-located: no response frame
@@ -258,9 +252,7 @@ class TestFramingParity:
             answer = frame_message(transport, codec.encode_response({"result": 1}))
         cluster.network.register("server", lambda source, payload: answer)
         reference = RemoteRef("server:1", "server", "Ledger")
-        assert _send(cluster, path, transport, reference, "add", (1,)) == (
-            "raised", TransportError, None,
-        )
+        assert _send(cluster, path, transport, reference, "add", (1,)) == Raised(TransportError)
 
 
 #: Where a frame whose transport prefix is not ASCII is read, and the path
@@ -278,8 +270,8 @@ class TestFramePrefix:
                 cluster.space("server")._handle_message("client", frame)
         else:
             cluster.network.register("server", lambda source, payload: frame)
-            assert _send(cluster, BAD_PREFIX[row], "rmi", reference, "add", (1,)) == (
-                "raised", TransportError, None,
+            assert _send(cluster, BAD_PREFIX[row], "rmi", reference, "add", (1,)) == Raised(
+                TransportError
             )
         assert ledger.entries == []
 
@@ -355,7 +347,7 @@ def _damaging(transport_cls, damage):
 
 
 class TestRequestShape:
-    @pytest.mark.parametrize("transport", TRANSPORTS)
+    @pytest.mark.parametrize("transport", matrix.TRANSPORTS)
     @pytest.mark.parametrize("framing", ["single", "batch"])
     @pytest.mark.parametrize("damage", sorted(MALFORMED))
     def test_a_malformed_request_fails_the_whole_message(self, damage, framing, transport):
@@ -391,34 +383,66 @@ MALFORMED_TREES = {
 }
 
 
+def _send_written(transport, framing, spoiled):
+    """Write, with ``transport``'s own codec, a frame whose request is
+    ``spoiled(add request)`` — after a well-formed ``add(1)`` in a batch,
+    which must not run either — and send it: what the server counted."""
+    cluster = Cluster(("client", "server"))
+    server = cluster.space("server")
+    ledger = Ledger()
+    reference = server.export(ledger)
+    codec = server.transports.framing(transport).transport
+
+    def add(argument):
+        return {"target": reference.object_id, "member": "add", "args": [argument]}
+
+    if framing == "single":
+        payload = frame_message(transport, codec.encode_request(spoiled(add(2))))
+    else:
+        payload = frame_prefix(transport, batch=True) + codec.encode_batch_request(
+            [add(1), spoiled(add(2))]
+        )
+    answer = matrix.outcome(cluster.network.send_request, "client", "server", payload)
+    return answer, ledger.entries, server.invocations_served
+
+
+def _with_argument(tree):
+    def spoiled(request):
+        request["args"] = [tree]
+        return request
+
+    return spoiled
+
+
+def _without(field):
+    def spoiled(request):
+        del request[field]
+        return request
+
+    return spoiled
+
+
+@pytest.mark.parametrize("transport", matrix.TRANSPORTS)
+@pytest.mark.parametrize("framing", ["single", "batch"])
 class TestMalformedTree:
     """An argument whose tree does not hold together is a
-    ``SerializationError`` for the whole frame, raised while it is read."""
+    ``SerializationError`` for the whole frame, raised while it is read; a
+    request that names no target or no member is a ``TransportError``."""
 
-    @pytest.mark.parametrize("transport", TRANSPORTS)
-    @pytest.mark.parametrize("framing", ["single", "batch"])
     @pytest.mark.parametrize("tree", sorted(MALFORMED_TREES))
     def test_a_malformed_tree_fails_the_whole_message(self, tree, framing, transport):
-        cluster = Cluster(("client", "server"))
-        server = cluster.space("server")
-        ledger = Ledger()
-        reference = server.export(ledger)
-        codec = server.transports.framing(transport).transport
+        spoiled = _with_argument(MALFORMED_TREES[tree])
+        assert _send_written(transport, framing, spoiled) == (
+            Raised(SerializationError), [], 0,
+        )
 
-        def add(argument):
-            return {"target": reference.object_id, "member": "add", "args": [argument]}
-
-        if framing == "single":
-            payload = frame_message(transport, codec.encode_request(add(MALFORMED_TREES[tree])))
-        else:
-            # The first call of the batch is well formed and must not run.
-            payload = frame_prefix(transport, batch=True) + codec.encode_batch_request(
-                [add(1), add(MALFORMED_TREES[tree])]
-            )
-        with pytest.raises(SerializationError):
-            cluster.network.send_request("client", "server", payload)
-        assert ledger.entries == []
-        assert server.invocations_served == 0
+    @pytest.mark.parametrize("field", ["target", "member"])
+    def test_a_request_without_an_address_fails_the_whole_message(
+        self, field, framing, transport
+    ):
+        assert _send_written(transport, framing, _without(field)) == (
+            Raised(TransportError), [], 0,
+        )
 
 
 class Catalog:

@@ -1,11 +1,16 @@
-"""Tests for the unified service façade (repro.api)."""
+"""Tests for the unified service façade (repro.api).
+
+How a direct, a batched and a pipelined service answer plain calls,
+application errors and the network's faults is a row each of
+``tests/matrix.py``'s fault table (``test_pipelining.py::TestDriverParity``).
+"""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.api import ServicePolicy, Session
-from repro.api.errors import PolicyError, RemoteInvocationError
+from repro.api.errors import PolicyError
 from repro.runtime.cluster import Cluster
 from repro.runtime.faulttolerance import RetryPolicy
 from repro.transports.base import parse_frame
@@ -72,21 +77,6 @@ class TestServicePolicy:
 # ---------------------------------------------------------------------------
 
 class TestDirectService:
-    def test_plain_calls_behave_like_the_object(self, cluster):
-        with Session(cluster, node="client") as session:
-            svc = session.service(
-                "orders", ServicePolicy(transport="rmi"), impl=OrderIntake(), node="server"
-            )
-            assert svc.submit("sku-1", 2, 10) == 0
-            assert svc.submit("sku-2", 1, 10) == 1
-            assert svc.accepted_count() == 2
-
-    def test_application_errors_surface(self, cluster):
-        with Session(cluster, node="client") as session:
-            svc = session.service("orders", impl=OrderIntake(), node="server")
-            with pytest.raises(RemoteInvocationError):
-                svc.submit("sku-1", 0, 10)
-
     def test_future_form_resolves_immediately(self, cluster):
         with Session(cluster, node="client") as session:
             svc = session.service("orders", impl=OrderIntake(), node="server")
@@ -182,19 +172,6 @@ class TestBatchedService:
             pending = svc.future.submit("sku-1", 1, 10)
             assert svc.submit("sku-2", 1, 10) == 1  # plain call drives the flush
             assert pending.done and pending.result() == 0
-
-    def test_per_call_error_isolation(self, cluster):
-        with Session(cluster, node="client") as session:
-            svc = session.service(
-                "orders", ServicePolicy(batch_window=8), impl=OrderIntake(), node="server"
-            )
-            good = svc.future.submit("sku-1", 1, 10)
-            bad = svc.future.submit("sku-2", 0, 10)
-            tail = svc.future.submit("sku-3", 2, 10)
-            svc.flush()
-            assert good.result() == 0
-            assert isinstance(bad.exception(), RemoteInvocationError)
-            assert tail.result() == 1
 
     def test_session_flush_covers_all_services(self, cluster):
         with Session(cluster, node="client") as session:

@@ -3,29 +3,26 @@
 One framed network message carries N requests; responses preserve order;
 application errors inside a successful batch stay isolated per call, while a
 transport-level failure (drop, partition, crash) fails the whole batch
-atomically.  The BatchingProxy layers auto-flush buffering on top.
+atomically (the "bare batch" view of ``tests/matrix.py``'s fault table).
+The BatchingProxy layers auto-flush buffering on top.
 """
 
 from __future__ import annotations
 
 import pytest
 
+import matrix
 from repro.api import ServicePolicy
 from repro.api.errors import (
     InvocationError,
     MessageDroppedError,
-    NodeUnreachableError,
-    PartitionError,
-    RemoteInvocationError,
     TransportError,
 )
 from repro.network.failures import FailureModel
 from repro.runtime.batching import BatchingProxy, BatchResult
 from repro.runtime.cluster import Cluster
-from repro.workloads.bulk_orders import OrderIntake, run_order_stream
+from repro.workloads.bulk_orders import run_order_stream
 from repro.workloads.orders import OrderStore
-
-ALL_TRANSPORTS = ("inproc", "rmi", "corba", "soap")
 
 
 @pytest.fixture
@@ -48,7 +45,7 @@ def _place_calls(reference, count, start=0):
 
 
 class TestInvokeRemoteMany:
-    @pytest.mark.parametrize("transport", ALL_TRANSPORTS)
+    @pytest.mark.parametrize("transport", matrix.TRANSPORTS)
     def test_batch_results_preserve_request_order(self, cluster, exported_store, transport):
         store, reference = exported_store
         results = cluster.space("client").invoke_remote_many(
@@ -58,7 +55,7 @@ class TestInvokeRemoteMany:
         assert [r.index for r in results] == list(range(8))
         assert store.order_count() == 8
 
-    @pytest.mark.parametrize("transport", ALL_TRANSPORTS)
+    @pytest.mark.parametrize("transport", matrix.TRANSPORTS)
     def test_batch_travels_as_one_message_round_trip(
         self, cluster, exported_store, transport
     ):
@@ -93,124 +90,6 @@ class TestInvokeRemoteMany:
             cluster.space("client").invoke_remote_many(
                 [(ref_a, "order_count", (), {}), (ref_b, "order_count", (), {})]
             )
-
-    def test_local_batch_short_circuits_without_network(self, cluster):
-        store = OrderStore()
-        reference = cluster.space("client").export(store)
-        results = cluster.space("client").invoke_remote_many(_place_calls(reference, 4))
-        assert [r.unwrap() for r in results] == [0, 1, 2, 3]
-        assert cluster.metrics.total_messages == 0
-
-    def test_counters_track_batches_and_calls(self, cluster, exported_store):
-        _, reference = exported_store
-        client, server = cluster.space("client"), cluster.space("server")
-        client.invoke_remote_many(_place_calls(reference, 5))
-        assert client.batches_sent == 1
-        assert client.invocations_sent == 5
-        assert server.batches_served == 1
-        assert server.invocations_served == 5
-
-
-class TestPerCallErrorIsolation:
-    @pytest.mark.parametrize("transport", ALL_TRANSPORTS)
-    def test_application_error_stays_in_its_slot(self, cluster, transport):
-        intake = OrderIntake()
-        reference = cluster.space("server").export(intake)
-        calls = [
-            (reference, "submit", ("sku-ok", 1, 10), {}),
-            (reference, "submit", ("sku-bad", 0, 10), {}),  # quantity 0 raises
-            (reference, "submit", ("sku-ok-2", 2, 10), {}),
-        ]
-        results = cluster.space("client").invoke_remote_many(calls, transport=transport)
-        assert results[0].ok and results[0].unwrap() == 0
-        assert not results[1].ok
-        with pytest.raises(RemoteInvocationError) as excinfo:
-            results[1].unwrap()
-        assert excinfo.value.remote_type == "ValueError"
-        # The failing middle call did not prevent the tail from executing.
-        assert results[2].ok and results[2].unwrap() == 1
-        assert intake.accepted_count() == 2
-        assert intake.rejected_count() == 1
-
-    def test_unknown_member_is_isolated_too(self, cluster, exported_store):
-        _, reference = exported_store
-        results = cluster.space("client").invoke_remote_many(
-            [
-                (reference, "order_count", (), {}),
-                (reference, "no_such_member", (), {}),
-            ]
-        )
-        assert results[0].unwrap() == 0
-        assert not results[1].ok
-
-    def test_local_batch_isolates_errors_with_original_exceptions(self, cluster):
-        intake = OrderIntake()
-        reference = cluster.space("client").export(intake)
-        results = cluster.space("client").invoke_remote_many(
-            [
-                (reference, "submit", ("a", 1, 5), {}),
-                (reference, "submit", ("b", -1, 5), {}),
-            ]
-        )
-        assert results[0].ok
-        with pytest.raises(ValueError):
-            results[1].unwrap()
-
-
-class TestTransportLevelAtomicity:
-    """A dropped/failed message fails the whole batch, not individual slots."""
-
-    def _cluster_with_failures(self, failures):
-        return Cluster(("client", "server"), failures=failures)
-
-    def test_dropped_request_fails_batch_atomically(self):
-        failures = FailureModel(drop_probability=1.0)
-        cluster = self._cluster_with_failures(failures)
-        store = OrderStore()
-        reference = cluster.space("server").export(store)
-        with pytest.raises(MessageDroppedError):
-            cluster.space("client").invoke_remote_many(_place_calls(reference, 6))
-        # Nothing executed: the message never reached the dispatcher.
-        assert store.order_count() == 0
-
-    def test_dropped_response_fails_batch_after_execution(self):
-        """A response-side drop still fails the caller's batch as a whole —
-        the classic at-most-once ambiguity is surfaced, never partial results."""
-
-        class ResponseDropper(FailureModel):
-            def __init__(self):
-                super().__init__()
-                self.armed = False
-
-            def should_drop(self, source, destination):
-                # Drop only the server->client leg (the response).
-                return self.armed and source == "server"
-
-        failures = ResponseDropper()
-        cluster = self._cluster_with_failures(failures)
-        store = OrderStore()
-        reference = cluster.space("server").export(store)
-        failures.armed = True
-        with pytest.raises(MessageDroppedError):
-            cluster.space("client").invoke_remote_many(_place_calls(reference, 4))
-        # The batch did execute server-side; the caller just never hears back.
-        assert store.order_count() == 4
-
-    def test_partition_fails_batch(self):
-        failures = FailureModel()
-        cluster = self._cluster_with_failures(failures)
-        reference = cluster.space("server").export(OrderStore())
-        failures.partition({"client"}, {"server"})
-        with pytest.raises(PartitionError):
-            cluster.space("client").invoke_remote_many(_place_calls(reference, 3))
-
-    def test_crashed_node_fails_batch(self):
-        failures = FailureModel()
-        cluster = self._cluster_with_failures(failures)
-        reference = cluster.space("server").export(OrderStore())
-        failures.crash_node("server")
-        with pytest.raises(NodeUnreachableError):
-            cluster.space("client").invoke_remote_many(_place_calls(reference, 3))
 
 
 class TestBatchingProxy:
@@ -326,11 +205,8 @@ class TestBatchFraming:
         assert parse_frame(frame_prefix("rmi", batch=True) + b"x") == ("rmi", b"x", True)
 
     def test_batch_and_single_wire_types_do_not_cross(self):
-        from repro.transports.corba import CorbaTransport
-        from repro.transports.rmi import RmiTransport
-
         request = {"target": "t", "member": "m", "args": []}
-        for transport in (RmiTransport(), CorbaTransport()):
+        for transport in matrix.BINARY_CODECS:
             batch_payload = transport.encode_batch_request([request])
             with pytest.raises(TransportError):
                 transport.decode_request(batch_payload)
@@ -364,7 +240,7 @@ class TestBatchFraming:
 
 
 class TestBulkOrderScenario:
-    @pytest.mark.parametrize("transport", ALL_TRANSPORTS)
+    @pytest.mark.parametrize("transport", matrix.TRANSPORTS)
     def test_batched_scenario_is_at_least_3x_cheaper(self, transport):
         unbatched = run_order_stream(
             Cluster(("client", "server")), ServicePolicy(transport=transport), orders=64

@@ -13,6 +13,7 @@ stored.
 
 from __future__ import annotations
 
+import matrix
 import pytest
 from replication_invariants import check_replication_invariants
 
@@ -162,7 +163,7 @@ class TestKillBetweenWriteAndInvalidation:
 
     def test_workload_kill_run_stays_coherent_on_every_transport(self):
         """The bench's kill scenario: zero stale reads across the promotion."""
-        for transport in ("inproc", "rmi", "corba", "soap"):
+        for transport in matrix.TRANSPORTS:
             outcome = run_cached_catalog_scenario(
                 Cluster(("client", "writer", "server-0", "server-1")),
                 transport=transport,

@@ -24,13 +24,12 @@ from pathlib import Path
 import pytest
 import sample_app
 
+import matrix
 import repro.core
 from local_instances import new_local
 from repro.api import ServicePolicy, Session
 from repro.api.errors import PolicyError, RedistributionError
 from repro.core.transformer import ApplicationTransformer
-from repro.network.failures import FailureModel
-from repro.network.simnet import SimulatedNetwork
 from repro.policy.policy import all_local_policy, remote
 from repro.runtime.cluster import Cluster
 from repro.runtime.faulttolerance import RetryPolicy, guard_handle
@@ -43,12 +42,11 @@ SAMPLE = [sample_app.X, sample_app.Y, sample_app.Z]
 NODES = ("client", "server", "backup")
 
 
-def _deployed(classes=SAMPLE, policy=None, nodes=NODES, failures=None):
+def _deployed(classes=SAMPLE, policy=None, nodes=NODES):
     """A transformed application deployed on a fresh cluster (so that object
     ids, which reach the wire, are the same from one row to the next)."""
     app = ApplicationTransformer(policy or all_local_policy(dynamic=True)).transform(classes)
-    network = SimulatedNetwork(failures=failures) if failures is not None else None
-    cluster = Cluster(nodes, network=network)
+    cluster = Cluster(nodes)
     app.deploy(cluster, default_node="client")
     return app, cluster
 
@@ -67,17 +65,6 @@ def _record_frames(cluster):
 
     cluster.network._exchange = recording
     return frames
-
-
-def _drop_next(cluster, count=1):
-    """Lose the next ``count`` messages, whichever link they travel."""
-    remaining = {"count": count}
-
-    def should_drop(source, destination):
-        remaining["count"] -= 1
-        return remaining["count"] >= 0
-
-    cluster.network.failures.should_drop = should_drop
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +186,7 @@ class TestCallPathParity:
         """One proxy class per interface; a static proxy ships the transport
         its binding names (a handle, until the recorded exception is flipped,
         its policy's)."""
-        for transport in ("soap", "rmi", "corba", "inproc"):
+        for transport in matrix.TRANSPORTS:
             policy = all_local_policy()
             policy.set_class("Y", instances=remote("server", transport=transport))
             app, cluster = _deployed(policy=policy)
@@ -261,7 +248,7 @@ class TestGuardIsTheHandles:
     """``guard_handle`` fills the handle's slot and leaves its binding alone."""
 
     def _guarded(self):
-        app, cluster = _deployed(failures=FailureModel())
+        app, cluster = _deployed()
         handle = app.new("Y", 5)
         controller = DistributionController(app, cluster)
         controller.make_remote(handle, "server")
@@ -275,14 +262,14 @@ class TestGuardIsTheHandles:
         controller.move(handle, "backup")
         controller.set_transport(handle, "soap")
         assert handle.meta.target._transport == "soap"
-        _drop_next(cluster)
+        matrix.drop_next(cluster, {("client", "backup"): 1})
         assert handle.n(1) == 6
         assert (log.total_failures, sum(record.recovered for record in log.records)) == (1, 1)
 
     def test_guard_is_idle_while_local_and_applies_again(self):
         handle, controller, cluster, log = self._guarded()
         controller.make_local(handle)
-        _drop_next(cluster)
+        matrix.drop_next(cluster, {("client", "server"): 1})
         assert handle.n(1) == 6 and log.total_failures == 0  # no message to lose
         controller.make_remote(handle, "server")
         assert handle.n(2) == 7  # the armed drop hits this call and is retried

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+import matrix
 from repro.api.errors import ReproError
 from repro.cli import build_parser, load_classes_from_file, main
 from repro.core.transformer import ApplicationTransformer
@@ -200,7 +201,7 @@ class TestReportCommand:
     ):
         """Every transport the cluster registers is one a policy may name."""
         policy_path = tmp_path / "policy.json"
-        for transport in ("inproc", "rmi", "corba", "soap"):
+        for transport in matrix.TRANSPORTS:
             code, template = run_cli(
                 "policy-template", "--classes", "Ledger", "--nodes", "server",
                 "--transport", transport,

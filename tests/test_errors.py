@@ -6,6 +6,7 @@ import builtins
 
 import pytest
 
+import matrix
 from repro.api import errors
 from repro.core.analyzer import NonTransformableReason
 from repro.runtime.invocation import read_response
@@ -50,8 +51,8 @@ class TestErrorPayloads:
         assert "missing key" in str(error)
 
     def test_unknown_transport_error_lists_available(self):
-        error = errors.UnknownTransportError("iiop", ["rmi", "soap"])
-        assert "rmi" in str(error) and "soap" in str(error)
+        error = errors.UnknownTransportError("iiop", matrix.TRANSPORTS)
+        assert all(name in str(error) for name in matrix.TRANSPORTS)
 
     def test_unknown_transport_error_with_no_alternatives(self):
         assert "none" in str(errors.UnknownTransportError("iiop"))

@@ -10,6 +10,7 @@ unacknowledged ops discarded, the node re-seeded from the quorum's state).
 
 from __future__ import annotations
 
+import matrix
 import pytest
 from replication_invariants import check_replication_invariants
 
@@ -20,10 +21,8 @@ from repro.api.errors import (
     QuorumLostError,
 )
 from repro.network.failures import FailureModel
-from repro.network.heartbeat import HeartbeatDetector
 from repro.network.simnet import SimulatedNetwork
 from repro.runtime.cluster import Cluster
-from repro.runtime.replication import ReplicaManager
 from repro.workloads.bulk_orders import OrderIntake
 
 
@@ -142,13 +141,7 @@ class TestPartitionHealReconciliation:
 
     def _quorum_cluster(self):
         cluster = Cluster(("monitor", "a", "b", "c"))
-        detector = HeartbeatDetector(
-            cluster.network, "monitor", interval=0.002, miss_threshold=2
-        )
-        for node in ("a", "b", "c"):
-            detector.watch(node)
-        manager = ReplicaManager(cluster, detector=detector)
-        detector.start()
+        manager = matrix.detected_manager(cluster)
         group = manager.replicate(
             OrderIntake(),
             name="orders",

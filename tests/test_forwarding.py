@@ -12,17 +12,15 @@ from __future__ import annotations
 
 import pytest
 
+import matrix
 from repro.api.errors import FencedError, RemoteInvocationError, UnknownObjectError
 from repro.core.transformer import ApplicationTransformer
-from repro.network.heartbeat import HeartbeatDetector
 from repro.policy.adaptive import AdaptiveDistributionManager
 from repro.policy.policy import ClassPolicy, DistributionPolicy, PlacementDecision, remote
 from repro.runtime.cluster import Cluster
 from repro.runtime.redistribution import DistributionController
 from repro.runtime.remote_ref import reference_of
-from repro.runtime.replication import ReplicaManager
 
-TRANSPORTS = ("rmi", "corba", "soap", "inproc")
 NODES = ("client", "server", "third", "fourth")
 #: The refusals a method may raise itself, after it ran.
 REFUSALS = {"unknown": UnknownObjectError, "fenced": FencedError}
@@ -161,7 +159,7 @@ def _all_local(move):
 
 
 class TestForwarding:
-    @pytest.mark.parametrize("transport", TRANSPORTS)
+    @pytest.mark.parametrize("transport", matrix.TRANSPORTS)
     @pytest.mark.parametrize("move", sorted(MOVES))
     @pytest.mark.parametrize("held", sorted(HOLDERS))
     def test_a_held_reference_survives_the_move(self, held, move, transport):
@@ -183,7 +181,7 @@ class TestForwarding:
 
 
 class TestForwardedArguments:
-    @pytest.mark.parametrize("transport", TRANSPORTS)
+    @pytest.mark.parametrize("transport", matrix.TRANSPORTS)
     def test_a_retired_reference_passed_to_its_old_node_resolves_to_the_copy(self, transport):
         app, cluster, controller = _deploy(transport)
         c = app.new("Counter")
@@ -204,11 +202,7 @@ def _replicated(transport, *, quorum=1):
     app = ApplicationTransformer(DistributionPolicy()).transform([Counter, Holder])
     cluster = Cluster(("monitor", "client", "a", "b", "c"))
     app.deploy(cluster, default_node="client")
-    detector = HeartbeatDetector(cluster.network, "monitor", interval=0.002, miss_threshold=2)
-    for node in ("a", "b", "c"):
-        detector.watch(node)
-    manager = ReplicaManager(cluster, application=app, detector=detector)
-    detector.start()
+    manager = matrix.detected_manager(cluster, application=app)
     group = manager.replicate(
         app.new("Counter"), name="counter", primary_node="a",
         backup_nodes=["b", "c"], readonly=["get"], quorum=quorum, transport=transport,
@@ -222,7 +216,7 @@ def _pump(cluster, seconds):
 
 
 class TestForwardingAcrossFailover:
-    @pytest.mark.parametrize("transport", TRANSPORTS)
+    @pytest.mark.parametrize("transport", matrix.TRANSPORTS)
     def test_a_plain_proxy_reaches_the_promoted_copy_once_the_old_node_recovers(
         self, transport
     ):
@@ -236,7 +230,7 @@ class TestForwardingAcrossFailover:
         assert reference_of(proxy) == group.primary_ref
         assert proxy.get() == 2
 
-    @pytest.mark.parametrize("transport", TRANSPORTS)
+    @pytest.mark.parametrize("transport", matrix.TRANSPORTS)
     def test_a_plain_proxy_to_a_fenced_primary_reaches_the_promoted_copy_once_healed(
         self, transport
     ):

@@ -27,6 +27,12 @@ A workload names its services from the cluster it runs on
 (``repro.workloads._runs.run_prefix``), so no module of ``repro.workloads``
 keeps a process-wide ``itertools.count()``: a run's names, and every byte
 they put on the wire, do not depend on what ran before in the process.
+
+The parity matrices of the suite share one harness, ``tests/matrix.py``: no
+other test module holds a literal tuple or list of transport names or
+transport instances, assigns a failure model's ``should_drop`` or subclasses
+a failure model (``test_network_simnet.py``, which tests the failure model
+and the simulator themselves, keeps its own).
 """
 
 from __future__ import annotations
@@ -240,3 +246,87 @@ def test_the_counter_scan_skips_function_bodies():
         "    return itertools.count()\n"
     )
     assert _module_level_counters(tree) == [2]
+
+
+TESTS = Path(__file__).resolve().parent
+#: The module that tests the failure model and the simulator themselves, and
+#: so keeps failure models of its own.
+OWN_FAILURE_MODELS = "test_network_simnet.py"
+FAILURE_MODELS = ("FailureModel", "NoFailures", "ScriptedDrops")
+
+
+def _name_of(node: ast.AST):
+    """The name a ``Name`` or an ``Attribute`` ends in, else ``None``."""
+    return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+
+def _transport_literal(node: ast.AST, names, classes) -> bool:
+    """Whether ``node`` is a literal tuple or list of two or more
+    transport names, or of two or more transport instances."""
+    if not isinstance(node, (ast.Tuple, ast.List)) or len(node.elts) < 2:
+        return False
+    return all(
+        isinstance(item, ast.Constant) and item.value in names for item in node.elts
+    ) or all(
+        isinstance(item, ast.Call) and _name_of(item.func) in classes for item in node.elts
+    )
+
+
+def _harness_bypasses(tree: ast.AST, names, classes, *, own_failure_models=False):
+    """``(line, what)`` of every place a test module spells out a transport
+    list, scripts drops by assigning ``should_drop`` or subclasses a failure
+    model, where ``tests/matrix.py`` holds the one of each."""
+    for node in ast.walk(tree):
+        if _transport_literal(node, names, classes):
+            yield node.lineno, "a transport list"
+        elif isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            if any(_name_of(target) == "should_drop" for target in targets):
+                yield node.lineno, "assigns should_drop"
+        elif (
+            isinstance(node, ast.Call)
+            and _name_of(node.func) == "setattr"
+            and any(isinstance(a, ast.Constant) and a.value == "should_drop" for a in node.args)
+        ):
+            yield node.lineno, "assigns should_drop"
+        elif isinstance(node, ast.ClassDef) and not own_failure_models:
+            if any(_name_of(base) in FAILURE_MODELS for base in node.bases):
+                yield node.lineno, "subclasses a failure model"
+
+
+def test_the_parity_harness_is_the_one_place():
+    import matrix
+
+    names = set(matrix.TRANSPORTS)
+    classes = {type(codec).__name__ for codec in matrix.CODECS}
+    offenders = [
+        f"{path.name}:{line} {what}"
+        for path in sorted(TESTS.glob("*.py"))
+        if path.name != "matrix.py"
+        for line, what in _harness_bypasses(
+            ast.parse(path.read_text(encoding="utf-8")), names, classes,
+            own_failure_models=path.name == OWN_FAILURE_MODELS,
+        )
+    ]
+    assert offenders == []
+
+
+def test_the_harness_scan_sees_lists_drop_scripts_and_failure_models():
+    tree = ast.parse(
+        "TRANSPORTS = ('rmi', 'soap')\n"
+        "CODECS = [RmiTransport(), codecs.SoapTransport()]\n"
+        "ROUTE = ('rmi', 'client')\n"
+        "ONE = ['rmi']\n"
+        "failures.should_drop = lambda source, destination: True\n"
+        "monkeypatch.setattr(failures, 'should_drop', None)\n"
+        "class Dropper(failures.FailureModel):\n"
+        "    pass\n"
+    )
+    found = sorted(_harness_bypasses(tree, {"rmi", "soap"}, {"RmiTransport", "SoapTransport"}))
+    assert found == [
+        (1, "a transport list"), (2, "a transport list"), (5, "assigns should_drop"),
+        (6, "assigns should_drop"), (7, "subclasses a failure model"),
+    ]
+    assert (7, "subclasses a failure model") not in _harness_bypasses(
+        tree, set(), set(), own_failure_models=True
+    )

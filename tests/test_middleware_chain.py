@@ -30,6 +30,7 @@ from contextlib import nullcontext
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import matrix
 from repro.api import (
     CallContext,
     DeadlineInterceptor,
@@ -54,8 +55,6 @@ from repro.runtime.faulttolerance import RetryPolicy, guard_handle
 from repro.runtime.redistribution import DistributionController
 from repro.workloads.bulk_orders import OrderIntake
 from repro.workloads.figure1 import A, B, C
-
-TRANSPORTS = ["inproc", "rmi", "corba", "soap"]
 
 #: The three pipe shapes, as policy factories (transport filled in per test).
 PIPES = {
@@ -168,7 +167,7 @@ class TestChainUnit:
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("transport", TRANSPORTS)
+@pytest.mark.parametrize("transport", matrix.TRANSPORTS)
 @pytest.mark.parametrize("pipe", sorted(PIPES))
 class TestPipeConformance:
     def test_begin_and_end_exactly_once_per_call(self, cluster, pipe, transport):
@@ -240,7 +239,7 @@ class TestPipeConformance:
 
 
 class TestServerChain:
-    @pytest.mark.parametrize("transport", TRANSPORTS)
+    @pytest.mark.parametrize("transport", matrix.TRANSPORTS)
     def test_server_chain_brackets_each_call_of_a_batch(self, cluster, transport):
         log = []
         policy = ServicePolicy(transport=transport, batch_window=4).with_middleware(
@@ -407,16 +406,7 @@ class TestFaultInjection:
             .with_tenant("acme")
         )
         intake = OrderIntake()
-        failures = cluster.network.failures
-        drops = {"remaining": 1}
-
-        def drop_first_response(source, destination):
-            if source == "server" and destination == "client" and drops["remaining"]:
-                drops["remaining"] -= 1
-                return True
-            return False
-
-        failures.should_drop = drop_first_response
+        matrix.drop_next(cluster, {("server", "client"): 1})
         with Session(cluster, node="client") as session:
             svc = session.service("orders", policy, impl=intake, node="server")
             future = svc.future.submit("sku-0", 1, 10)
@@ -436,8 +426,7 @@ class TestFaultInjection:
             .with_retry(RetryPolicy(max_attempts=2, initial_backoff=0.001))
             .with_middleware(Recorder("rec", log))
         )
-        failures = cluster.network.failures
-        failures.should_drop = lambda source, destination: destination == "server"
+        matrix.drop_next(cluster, {(None, "server"): matrix.EVERY})
         with Session(cluster, node="client") as session:
             svc = session.service("orders", policy, impl=OrderIntake(), node="server")
             future = svc.future.submit("sku-0", 1, 10)
@@ -533,7 +522,7 @@ HANDLE_STATES = [
     "unbound",
     "co-located",
     "executing-on",
-    *(f"remote-{transport}" for transport in TRANSPORTS),
+    *(f"remote-{transport}" for transport in matrix.TRANSPORTS),
     "guarded",
     "adopted",
 ]

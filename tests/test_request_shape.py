@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import pytest
 
+import matrix
 import sample_app
 from repro.api.errors import RemoteInvocationError
 from repro.baselines.javaparty import JavaPartyRuntime, remote_class
@@ -25,7 +26,7 @@ from repro.core.interception import Interceptor
 from repro.core.transformer import ApplicationTransformer
 from repro.observability.tracing import Tracer
 from repro.policy.policy import place_classes_on
-from repro.runtime.cluster import Cluster, default_transport_registry
+from repro.runtime.cluster import Cluster
 from repro.runtime.invocation import read_request, request_dict
 from repro.runtime.remote_ref import RemoteRef, reference_of
 from repro.runtime.replication import ReplicaManager
@@ -34,7 +35,6 @@ from repro.transports.codec import encode_value
 from repro.workloads.bulk_orders import INTAKE_READONLY, OrderIntake
 from test_wire_golden import named_record_frame
 
-TRANSPORTS = tuple(sorted(transport.name for transport in default_transport_registry()))
 CTX = {"i": 7, "t": "tenant-a"}
 #: shape -> (kwargs, ctx) of a call of that shape.
 SHAPES = {
@@ -100,7 +100,7 @@ def _recording(network):
 
 
 @pytest.mark.parametrize("framing", ["single", "batch"])
-@pytest.mark.parametrize("transport", TRANSPORTS)
+@pytest.mark.parametrize("transport", matrix.TRANSPORTS)
 class TestEveryShape:
     @pytest.mark.parametrize("shape", list(SHAPES))
     def test_the_request_round_trips(self, transport, framing, shape):
@@ -138,7 +138,7 @@ class TestEveryShape:
 SMALL_REQUEST_BYTES = {"rmi": 55, "corba": 79, "soap": 196, "inproc": 67}
 
 
-@pytest.mark.parametrize("transport", TRANSPORTS)
+@pytest.mark.parametrize("transport", matrix.TRANSPORTS)
 class TestSmallCall:
     @pytest.mark.parametrize("framing", ["single", "batch"])
     def test_a_small_request_names_no_interface_and_no_empty_kwargs(self, transport, framing):
@@ -238,7 +238,7 @@ def _earlier_frame(transport, kind, message, form):
 
 
 @pytest.mark.parametrize("framing", ["single", "batch"])
-@pytest.mark.parametrize("transport", ["rmi", "corba"])
+@pytest.mark.parametrize("transport", matrix.BINARY)
 class TestEarlierFrames:
     @pytest.mark.parametrize("form", ["record", "keyed"])
     @pytest.mark.parametrize("shape", ["no kwargs or ctx", "ctx"])

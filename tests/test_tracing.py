@@ -14,11 +14,11 @@ import json
 
 import pytest
 
+import matrix
 from repro.api import ServicePolicy, Session, cacheable
 from repro.api.errors import MessageDroppedError
 from repro.api.middleware import MetricsInterceptor
 from repro.cli import main
-from repro.network.failures import FailureModel
 from repro.observability import (
     PHASES,
     SampleGate,
@@ -357,9 +357,7 @@ class TestTracedFacade:
             policy = ServicePolicy(transport="rmi").with_tracing()
             svc = session.service("orders", policy, impl=OrderIntake(), node="server")
             if fault == "response-dropped":
-                failures = FailureModel()
-                failures.should_drop = lambda source, destination: source == "server"
-                cluster.network.failures = failures
+                matrix.drop_next(cluster, {("server", None): matrix.EVERY})
                 expected = MessageDroppedError
             else:
                 def handler(source, payload):

@@ -16,25 +16,13 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import matrix
 from repro.api import ServicePolicy, Session
 from repro.api.middleware import RateLimitInterceptor
 from repro.observability import critical_path
 from repro.runtime.cluster import Cluster
 from repro.runtime.faulttolerance import RetryPolicy
 from repro.workloads.bulk_orders import OrderIntake
-
-
-def _drop_first(failures, count: int) -> None:
-    """Deterministically drop the first ``count`` messages, then heal."""
-    remaining = {"n": count}
-
-    def should_drop(source, destination):
-        if remaining["n"] > 0:
-            remaining["n"] -= 1
-            return True
-        return False
-
-    failures.should_drop = should_drop
 
 
 @given(
@@ -52,7 +40,8 @@ def test_span_accounting_survives_fault_injection(
 ):
     cluster = Cluster(("client", "server", "spare"))
     if drops:
-        _drop_first(cluster.network.failures, drops)
+        # The first ``drops`` messages are lost, whichever link they travel.
+        matrix.drop_next(cluster, {(None, None): drops})
     with Session(cluster, node="client") as session:
         policy = (
             ServicePolicy(

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import pytest
 
+import matrix
 import sample_app
 from local_instances import new_local
 from repro.core.transformer import ApplicationTransformer
@@ -19,7 +20,6 @@ from repro.runtime.redistribution import DistributionController
 from repro.workloads.figure1 import A, B, C, run_figure1_plain, run_figure1_scenario
 
 CLASSES = [sample_app.X, sample_app.Y, sample_app.Z]
-TRANSPORTS = ("soap", "rmi", "corba", "inproc")
 
 
 def _deploy(transport: str):
@@ -32,7 +32,7 @@ def _deploy(transport: str):
 
 
 class TestSameResultOnEveryTransport:
-    @pytest.mark.parametrize("transport", TRANSPORTS)
+    @pytest.mark.parametrize("transport", matrix.TRANSPORTS)
     def test_remote_result_matches_local_result(self, transport):
         local_app = ApplicationTransformer(all_local_policy()).transform(CLASSES)
         local_y = local_app.new("Y", 5)
@@ -43,7 +43,7 @@ class TestSameResultOnEveryTransport:
         assert (type(y).__name__, y._transport) == ("Y_O_Proxy", transport)
         assert app.new("X", y).m(3) == expected
 
-    @pytest.mark.parametrize("transport", TRANSPORTS)
+    @pytest.mark.parametrize("transport", matrix.TRANSPORTS)
     def test_figure1_scenario_is_transport_independent(self, transport):
         oracle = run_figure1_plain()
         app = ApplicationTransformer(
@@ -53,19 +53,16 @@ class TestSameResultOnEveryTransport:
         assert run_figure1_scenario(app).as_tuple() == oracle.as_tuple()
 
     def test_exceptions_cross_every_transport(self):
-        from repro.api.errors import RemoteInvocationError
-
-        for transport in TRANSPORTS:
+        for transport in matrix.TRANSPORTS:
             app, _ = _deploy(transport)
             y = app.new("Y", None)  # base None: n() raises TypeError remotely
-            with pytest.raises(RemoteInvocationError):
-                y.n(1)
+            assert matrix.outcome(y.n, 1) == matrix.remote("TypeError")
 
 
 class TestTransportCostOrdering:
     def test_soap_moves_more_bytes_than_corba_than_rmi(self):
         bytes_per_transport = {}
-        for transport in TRANSPORTS:
+        for transport in matrix.TRANSPORTS:
             app, cluster = _deploy(transport)
             y = app.new("Y", 5)
             for value in range(10):
@@ -79,7 +76,7 @@ class TestTransportCostOrdering:
 
     def test_soap_costs_more_simulated_time_than_rmi(self):
         elapsed = {}
-        for transport in ("soap", "rmi"):
+        for transport in matrix.TRANSPORTS:
             app, cluster = _deploy(transport)
             y = app.new("Y", 5)
             for value in range(10):
@@ -90,7 +87,7 @@ class TestTransportCostOrdering:
     def test_message_counts_are_identical_across_transports(self):
         """Interchangeability: the protocols differ in cost, not in structure."""
         counts = set()
-        for transport in TRANSPORTS:
+        for transport in matrix.TRANSPORTS:
             app, cluster = _deploy(transport)
             y = app.new("Y", 5)
             for value in range(5):
@@ -120,7 +117,7 @@ class TestMixedAndSwappedTransports:
 
         y = app.new("Y", 5)
         first = y.n(1)
-        for transport in ("soap", "corba", "rmi"):
+        for transport in matrix.TRANSPORTS:
             controller.set_transport(y, transport)
             assert y.n(1) == first
 

@@ -30,8 +30,9 @@ from pathlib import Path
 
 import pytest
 
+import matrix
 from repro.api.errors import SerializationError, TransportError
-from repro.runtime.cluster import Cluster, default_transport_registry
+from repro.runtime.cluster import Cluster
 from repro.runtime.invocation import read_request
 from repro.runtime.serialization import Marshaller
 from repro.transports import base, codec
@@ -98,8 +99,8 @@ CASES = {
     "plain_order_request": ("encode_request", "decode_request", PLAIN_ORDER_REQUEST),
     "plain_order_response": ("encode_response", "decode_response", {"result": PLAIN_ORDER}),
 }
-TRANSPORTS = {transport.name: transport for transport in default_transport_registry()}
-BINARY = ("rmi", "corba")
+TRANSPORTS = {codec.name: codec for codec in matrix.CODECS}
+BINARY = matrix.BINARY
 #: The golden sections of rmi/corba frames written while requests named their
 #: interface: before records, and as records of five or six fields.
 KEYED, NAMED_RECORDS = "keyed", "named_records"

@@ -24,6 +24,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import matrix
 import sample_app
 import test_wire_golden as golden
 from repro.api.errors import SerializationError, TransportError
@@ -43,12 +44,7 @@ from repro.transports.base import (
     frame_prefix,
 )
 from repro.transports.codec import decode_value, encode_value
-from repro.transports.corba import CorbaTransport
-from repro.transports.inproc import InProcTransport
-from repro.transports.rmi import RmiTransport
-from repro.transports.soap import SoapTransport
 
-ALL_TRANSPORTS = [SoapTransport(), RmiTransport(), CorbaTransport(), InProcTransport()]
 
 _SETTINGS = settings(
     max_examples=40,
@@ -109,7 +105,7 @@ response_dicts = st.one_of(
 # -- single messages ---------------------------------------------------------
 
 
-@pytest.mark.parametrize("transport", ALL_TRANSPORTS, ids=lambda t: t.name)
+@pytest.mark.parametrize("transport", matrix.CODECS, ids=lambda t: t.name)
 class TestSingleMessageProperties:
     @_SETTINGS
     @given(request=request_dicts)
@@ -125,7 +121,7 @@ class TestSingleMessageProperties:
 # -- batches -----------------------------------------------------------------
 
 
-@pytest.mark.parametrize("transport", ALL_TRANSPORTS, ids=lambda t: t.name)
+@pytest.mark.parametrize("transport", matrix.CODECS, ids=lambda t: t.name)
 class TestBatchProperties:
     @_SETTINGS
     @given(requests=st.lists(request_dicts, max_size=5))
@@ -402,7 +398,7 @@ def _same_outcome(expected, actual):
     return got
 
 
-@pytest.mark.parametrize("transport", [RmiTransport(), CorbaTransport()], ids=lambda t: t.name)
+@pytest.mark.parametrize("transport", matrix.BINARY_CODECS, ids=lambda t: t.name)
 class TestRecordProperties:
     @settings(_SETTINGS, max_examples=120)
     @given(
@@ -471,7 +467,7 @@ def _verdict(request):
         return type(error)
 
 
-@pytest.mark.parametrize("transport", [RmiTransport(), CorbaTransport()], ids=lambda t: t.name)
+@pytest.mark.parametrize("transport", matrix.BINARY_CODECS, ids=lambda t: t.name)
 class TestRecordShapes:
     @pytest.mark.parametrize("shape", list(SHAPES))
     def test_a_request_of_each_shape_travels_as_a_record_with_its_own_header(
@@ -597,7 +593,7 @@ def _shaped_like(reference):
 
 
 @pytest.mark.parametrize("framing", ["single", "batch"])
-@pytest.mark.parametrize("transport", ["rmi", "corba", "soap", "inproc"])
+@pytest.mark.parametrize("transport", matrix.TRANSPORTS)
 class TestContainersOnEveryTransport:
     @pytest.mark.parametrize("build", [
         _shaped_like,

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+import matrix
 from repro.api import ServicePolicy
 from repro.core.transformer import ApplicationTransformer
 from repro.network.simnet import LinkConfig
@@ -177,7 +178,7 @@ class TestPartitionedOrdersWorkload:
         )
         assert figures["fenced_probe"]
 
-    @pytest.mark.parametrize("transport", ["rmi", "corba", "soap", "inproc"])
+    @pytest.mark.parametrize("transport", matrix.TRANSPORTS)
     @pytest.mark.parametrize("cell", ["A", "B", "C", "D"])
     @pytest.mark.parametrize("latency", [0.0005, 0.0013, 0.002, 0.005])
     def test_every_link_latency_ends_each_cell_as_it_should(self, latency, cell, transport):
