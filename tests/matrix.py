@@ -31,7 +31,7 @@ from repro.api.errors import (
     RemoteInvocationError,
     UnknownTransportError,
 )
-from repro.network.failures import FailureModel
+from repro.network.failures import FailureModel, NoFailures
 from repro.network.heartbeat import HeartbeatDetector
 from repro.runtime.batching import BatchingProxy
 from repro.runtime.cluster import Cluster, default_transport_registry
@@ -94,10 +94,16 @@ def dropping_cluster(nodes, drops=(), **options):
 
 def drop_next(cluster, drops) -> ScriptedDrops:
     """Lose the scripted messages on ``cluster``'s network from now on.  A
-    network that scripts none yet gets a :class:`ScriptedDrops` (its old
-    failure model must hold no partition or crash)."""
+    network that scripts none yet gets a :class:`ScriptedDrops` in place of
+    its default :class:`NoFailures`; any other failure model may hold a
+    partition, a crash or a drop probability, and is refused."""
     failures = cluster.network.failures
     if not isinstance(failures, ScriptedDrops):
+        if type(failures) is not NoFailures:
+            raise ValueError(
+                f"drop_next would discard the cluster's {type(failures).__name__}; "
+                "build the cluster with dropping_cluster"
+            )
         failures = cluster.network.failures = ScriptedDrops()
     failures.drop(drops)
     return failures

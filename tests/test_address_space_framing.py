@@ -4,7 +4,8 @@ A call leaves an address space in a single-call frame (``invoke_remote``), in
 a batch frame sent inline (``invoke_remote_many``) or posted
 (``invoke_remote_many_async``), or — when caller and object share a space —
 in no frame at all.  :class:`TestFramingParity` sends the same one call down
-every path and compares what came back, what ran on the hosting side and what
+every path — on a batch path between two calls that must run whatever became
+of it — and compares what came back, what ran on the hosting side and what
 the counters say; :class:`TestRequestShape` sends requests that do not have
 the shape documented in ``repro.transports.base`` and expects the whole
 message refused with a ``TransportError`` before anything runs,
@@ -99,30 +100,54 @@ def _deployment():
     return app, cluster, ledger, reference
 
 
+class Tally:
+    """The bystander of a batch path: ``marks`` records which calls ran."""
+
+    def __init__(self):
+        self.marks = []
+
+    def mark(self, tag):
+        self.marks.append(tag)
+        return tag
+
+
 def _send(cluster, path, transport, reference, member, args=()):
-    """Send one call down ``path``; its :func:`matrix.outcome`."""
+    """Send one call down ``path``; its :func:`matrix.outcome`.  A batch path
+    sends it between two calls to a :class:`Tally` on the same node, and both
+    must run whatever became of the call between them."""
     caller = cluster.space("server" if path in LOCAL_PATHS else "client")
-    call = (reference, member, tuple(args), {})
+    if path in ("single", "local"):
+        return matrix.outcome(
+            caller.invoke_remote, reference, member, tuple(args), transport=transport
+        )
+    tally = Tally()
+    bystander = cluster.space(reference.node_id).export(tally)
+    calls = [
+        (bystander, "mark", ("head",), {}),
+        (reference, member, tuple(args), {}),
+        (bystander, "mark", ("tail",), {}),
+    ]
 
     def send():
-        if path in ("single", "local"):
-            return caller.invoke_remote(reference, member, tuple(args), transport=transport)
         if path in ("many", "local_many"):
-            (result,) = caller.invoke_remote_many([call], transport=transport)
-        else:
-            delivered = []
-            caller.invoke_remote_many_async(
-                [call], delivered.append, delivered.append, transport=transport
-            )
-            assert delivered == []  # posted, not sent: nothing has happened yet
-            cluster.network.events.run_until_idle()
-            (answer,) = delivered
-            if isinstance(answer, Exception):
-                raise answer
-            (result,) = answer
-        return result.unwrap()
+            return caller.invoke_remote_many(calls, transport=transport)
+        delivered = []
+        caller.invoke_remote_many_async(
+            calls, delivered.append, delivered.append, transport=transport
+        )
+        assert delivered == []  # posted, not sent: nothing has happened yet
+        cluster.network.events.run_until_idle()
+        (answer,) = delivered
+        if isinstance(answer, Exception):
+            raise answer
+        return answer
 
-    return matrix.outcome(send)
+    batch = matrix.outcome(send)
+    if not isinstance(batch, Value):
+        return batch
+    head, result, tail = batch.value
+    assert (head.unwrap(), tail.unwrap(), tally.marks) == ("head", "tail", ["head", "tail"])
+    return matrix.outcome(result.unwrap)
 
 
 def _counters(cluster):
@@ -137,11 +162,13 @@ def _counters(cluster):
 
 
 def _expected_counters(path, messages=2):
+    """A single call is one invocation; a batch path's three calls are three,
+    in one batch."""
     if path in LOCAL_PATHS:
         return {"sent": 0, "batches_sent": 0, "served": 0, "batches_served": 0, "messages": 0}
-    batches = 0 if path == "single" else 1
+    calls, batches = (1, 0) if path == "single" else (3, 1)
     return {
-        "sent": 1, "batches_sent": batches, "served": 1, "batches_served": batches,
+        "sent": calls, "batches_sent": batches, "served": calls, "batches_served": batches,
         "messages": messages,
     }
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+import matrix
 from repro.api.errors import (
     AdmissionError,
     MessageDroppedError,
@@ -19,6 +20,7 @@ from repro.network.simnet import (
     ServicePool,
     SimulatedNetwork,
 )
+from repro.runtime.cluster import Cluster
 
 
 def _echo_network(**kwargs) -> SimulatedNetwork:
@@ -137,6 +139,13 @@ class TestFailureInjection:
     def test_no_failures_model_never_drops(self):
         model = NoFailures()
         assert not model.should_drop("a", "b")
+
+    def test_the_drop_script_refuses_to_replace_a_model_holding_a_fault(self):
+        cluster = Cluster(("a", "b"), failures=FailureModel())
+        cluster.network.failures.partition(["a"], ["b"])
+        with pytest.raises(ValueError, match="dropping_cluster"):
+            matrix.drop_next(cluster, {("a", "b"): 1})
+        assert cluster.network.failures.is_partitioned("a", "b")
 
 
 class _DropFrom(FailureModel):

@@ -59,40 +59,28 @@ class TestSameResultOnEveryTransport:
             assert matrix.outcome(y.n, 1) == matrix.remote("TypeError")
 
 
+def _run(transport: str, calls: int = 10):
+    """The cluster after ``calls`` remote calls of ``Y.n`` over ``transport``."""
+    app, cluster = _deploy(transport)
+    y = app.new("Y", 5)
+    for value in range(calls):
+        y.n(value)
+    return cluster
+
+
 class TestTransportCostOrdering:
     def test_soap_moves_more_bytes_than_corba_than_rmi(self):
-        bytes_per_transport = {}
-        for transport in matrix.TRANSPORTS:
-            app, cluster = _deploy(transport)
-            y = app.new("Y", 5)
-            for value in range(10):
-                y.n(value)
-            bytes_per_transport[transport] = cluster.metrics.total_bytes
-        assert (
-            bytes_per_transport["soap"]
-            > bytes_per_transport["corba"]
-            > bytes_per_transport["rmi"]
-        )
+        def sent(transport):
+            return _run(transport).metrics.total_bytes
+
+        assert sent("soap") > sent("corba") > sent("rmi")
 
     def test_soap_costs_more_simulated_time_than_rmi(self):
-        elapsed = {}
-        for transport in matrix.TRANSPORTS:
-            app, cluster = _deploy(transport)
-            y = app.new("Y", 5)
-            for value in range(10):
-                y.n(value)
-            elapsed[transport] = cluster.clock.now
-        assert elapsed["soap"] > elapsed["rmi"]
+        assert _run("soap").clock.now > _run("rmi").clock.now
 
     def test_message_counts_are_identical_across_transports(self):
         """Interchangeability: the protocols differ in cost, not in structure."""
-        counts = set()
-        for transport in matrix.TRANSPORTS:
-            app, cluster = _deploy(transport)
-            y = app.new("Y", 5)
-            for value in range(5):
-                y.n(value)
-            counts.add(cluster.metrics.total_messages)
+        counts = {_run(transport, 5).metrics.total_messages for transport in matrix.TRANSPORTS}
         assert len(counts) == 1
 
 
