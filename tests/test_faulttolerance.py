@@ -1,4 +1,12 @@
-"""Unit tests for fault tolerance of remote invocations (paper §4 failure concern)."""
+"""Fault tolerance of remote invocations (paper §4 failure concern).
+
+Every view of the engine honours a ``RetryPolicy`` on every fault cell —
+``tests/matrix.py``'s table, run by ``test_pipelining.py::TestDriverParity``.
+What is left here is the policy itself, a handle guarded by ``guard_handle``,
+and how a ``BatchingProxy`` finds its invoker: on a guarded handle, from
+``invoker=`` or ``retry_policy=``, or not at all (the batch then fails
+atomically on a drop).
+"""
 
 from __future__ import annotations
 
@@ -8,19 +16,23 @@ import matrix
 import sample_app
 from repro.api import MetricsInterceptor
 from repro.api.errors import (
+    InvocationError,
     MessageDroppedError,
     PartitionError,
     RedistributionError,
 )
 from repro.core.transformer import ApplicationTransformer
 from repro.policy.policy import all_local_policy, remote
+from repro.runtime.batching import BatchingProxy
 from repro.runtime.cluster import Cluster
 from repro.runtime.faulttolerance import (
     NO_RETRY,
     FailureLog,
+    FaultTolerantInvoker,
     RetryPolicy,
     guard_handle,
 )
+from repro.workloads.bulk_orders import OrderIntake
 
 CLASSES = [sample_app.X, sample_app.Y, sample_app.Z]
 
@@ -98,3 +110,53 @@ class TestGuardHandle:
         assert shared_log.total_failures == 4  # two attempts each
         shared_log.records.clear()
         assert shared_log.total_failures == 0
+
+
+class TestBatchingProxyInvoker:
+    def test_guarded_batches_retry_transient_drops(self):
+        app, cluster, failures = _deployed()
+        handle = app.new("Y", 5)
+        log = guard_handle(handle, policy=RetryPolicy(max_attempts=3))
+        # Arm the drop only now: deployment and remote instantiation above
+        # must not consume it.
+        failures.drop({("client", "server"): 1})
+        proxy = BatchingProxy(handle, max_batch=8)
+        pending = [proxy.n(value) for value in range(4)]
+        proxy.flush()
+        # Y(5).n(v) == 5 + v; the dropped batch was retried transparently.
+        assert [p.result() for p in pending] == [5, 6, 7, 8]
+        assert log.total_failures == 4
+        assert sum(record.recovered for record in log.records) == 4
+
+    @staticmethod
+    def _exported(drops=()):
+        cluster, _ = matrix.dropping_cluster(("client", "server"), drops)
+        return cluster, cluster.space("server").export(OrderIntake())
+
+    def test_exception_on_a_pending_call_returns_the_flush_failure(self):
+        """exception() honours its contract even when the wait itself raises:
+        the call's own failure comes back as the return value."""
+        cluster, reference = self._exported({("client", "server"): 1})
+        proxy = BatchingProxy(reference, space=cluster.space("client"), max_batch=8)
+        pending = proxy.submit("sku", 1, 10)
+        assert isinstance(pending.exception(), MessageDroppedError)
+
+    def test_retry_policy_shortcut_builds_an_invoker(self):
+        cluster, reference = self._exported({("client", "server"): 1})
+        proxy = BatchingProxy(
+            reference,
+            space=cluster.space("client"),
+            max_batch=8,
+            retry_policy=RetryPolicy(max_attempts=3),
+        )
+        assert proxy.submit("sku", 1, 10).result() == 0
+
+    def test_invoker_and_retry_policy_are_mutually_exclusive(self):
+        cluster, reference = self._exported()
+        with pytest.raises(InvocationError):
+            BatchingProxy(
+                reference,
+                space=cluster.space("client"),
+                invoker=FaultTolerantInvoker(cluster.space("client")),
+                retry_policy=RetryPolicy(),
+            )
