@@ -439,6 +439,32 @@ class AddressSpace:
             [(reference, member, args, kwargs, context)], reference.node_id, transport, False
         ).unwrap()
 
+    def invoke_remote_result(
+        self,
+        reference: RemoteRef,
+        member: str,
+        args: tuple,
+        kwargs: dict,
+        transport: Optional[str] = None,
+        context: Optional[dict] = None,
+    ) -> BatchResult:
+        """:meth:`invoke_remote`'s outcome as its one :class:`BatchResult`.
+
+        The call's own error — raised by the object, here or remote — lands
+        in the result, as it does in a batch's slot; an error before the
+        frame is sent (unknown transport, an argument that cannot be
+        marshalled) or on the way raises, as it does from a batch.
+        """
+        if reference.located_on(self.node_id):
+            try:
+                return BatchResult(
+                    0, self.invoke_remote(reference, member, args, kwargs, transport, context))
+            except Exception as error:  # noqa: BLE001 - the call's own error is its slot's
+                return BatchResult(0, error=error)
+        return self._exchange(
+            [(reference, member, args, kwargs, context)], reference.node_id, transport, False
+        )
+
     def invoke_remote_many(
         self,
         calls: Sequence[BatchCall],

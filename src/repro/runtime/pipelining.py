@@ -378,10 +378,21 @@ class PipelineScheduler:
         return future
 
     def flush(self) -> None:
-        """Ship every non-empty node buffer as one batch."""
+        """Ship every non-empty node buffer as one batch.
+
+        A buffer whose ship raises (a dispatch error: its calls are failed
+        first) does not keep the others from shipping; the first such error
+        is raised once every buffer has shipped.
+        """
         buffers, self._buffers = self._buffers, {}
+        first = None
         for calls in buffers.values():
-            self._ship(calls)
+            try:
+                self._ship(calls)
+            except Exception as error:  # noqa: BLE001 - raised below, after the rest ship
+                first = first or error
+        if first is not None:
+            raise first
 
     # ------------------------------------------------------------------
     # completion
@@ -541,22 +552,20 @@ class PipelineScheduler:
         Returns the ordered result slots — or the :class:`NetworkError` that
         cost the whole message, for :meth:`_on_error` to judge exactly as it
         judges a posted batch's.  A scheduler that never batches sends a
-        single-call frame and wraps its value or error as the one slot.
+        single-call frame, whose outcome is its one slot.  Whatever fails
+        before a frame is sent raises, as it does from a posted batch.
         """
         try:
             if self.max_batch > 1:
                 return self.space.invoke_remote_many(batch, transport=self.transport)
             reference, member, args, kwargs, context = batch[0]
-            value = self.space.invoke_remote(
-                reference, member, args, kwargs, self.transport, context
-            )
+            result = self.space.invoke_remote_result(
+                reference, member, args, kwargs, self.transport, context)
         except NetworkError as error:
             return error
-        except Exception as error:  # noqa: BLE001 - a single call's error is its slot's
-            if self.max_batch > 1:
-                raise
-            return [BatchResult(0, error=error)]
-        return [BatchResult(0, value)]
+        # A single frame's call refused by the network (a throttle, say) cost
+        # the whole message, as a lost frame does.
+        return result.error if isinstance(result.error, NetworkError) else [result]
 
     def _reship_after_backoff(self, calls: List[_ScheduledCall], failing_over: bool) -> None:
         """Re-ship requeued ``calls`` once their backoff has passed.

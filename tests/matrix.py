@@ -523,7 +523,6 @@ ROWS = {
     ),
     "unknown_transport": _by_kind(
         Row(_every(Raised(UnknownTransportError)), (), {("UnknownTransportError", False): 4}),
-        single=Row(_every(Raised(UnknownTransportError)), ()),
         bare=Row(_every(Raised(UnknownTransportError)), ()),
     ),
 }

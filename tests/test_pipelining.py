@@ -17,7 +17,7 @@ import pytest
 
 import matrix
 from repro.api import ServicePolicy, Session
-from repro.api.errors import InvocationError, NodeUnreachableError
+from repro.api.errors import InvocationError, NodeUnreachableError, UnknownTransportError
 from repro.network.clock import EventQueue, SimClock
 from repro.network.simnet import LinkConfig
 from repro.runtime.batching import BatchingProxy
@@ -233,6 +233,23 @@ class TestPipelineScheduler:
         scheduler.drain()
         assert future.result() == "home"
         assert cluster.metrics.total_messages == 0
+
+    @pytest.mark.parametrize("window", [1, 4])
+    def test_a_ship_that_raises_leaves_no_other_buffer_pending(self, window):
+        """Each node's buffer ships even when another's ship raises; flush
+        raises the first error once all have shipped."""
+        cluster = Cluster(("client", "a", "c"))
+        _, ref_a = _exported_echo(cluster, "a")
+        _, ref_c = _exported_echo(cluster, "c")
+        scheduler = PipelineScheduler(
+            cluster.space("client"), max_batch=8, window=window, transport="carrier-pigeon"
+        )
+        futures = [scheduler.submit(ref_a, "echo", 1), scheduler.submit(ref_c, "echo", 2)]
+        with pytest.raises(UnknownTransportError):
+            scheduler.flush()
+        assert all(future.done and not future.ok for future in futures)
+        assert scheduler.outstanding == 0
+        scheduler.drain()  # nothing pending: returns at once
 
     def test_submission_requires_a_reference(self, cluster):
         scheduler = PipelineScheduler(cluster.space("client"))
