@@ -175,6 +175,10 @@ def main(orders: int = ORDERS) -> int:
             "per_call_seconds": {
                 "plain": round(overhead["plain_per_call"], 9),
                 "chained": round(overhead["chained_per_call"], 9),
+                # What the chain adds per call: the ratio above also moves
+                # when the plain call alone gets cheaper.
+                "chained_minus_plain": round(
+                    overhead["chained_per_call"] - overhead["plain_per_call"], 9),
             },
             "fairness": {
                 "unlimited": round(fairness["unlimited_fairness"], 6),

@@ -124,6 +124,9 @@ def main() -> int:
             "per_call_seconds": {
                 "plain": round(row["plain_per_call"], 9),
                 "traced": round(row["traced_per_call"], 9),
+                # What tracing adds per call: the ratio above also moves
+                # when the plain call alone gets cheaper.
+                "traced_minus_plain": round(row["traced_per_call"] - row["plain_per_call"], 9),
             },
             "wire_identical": wire_ok,
             "traces": row["traces"],

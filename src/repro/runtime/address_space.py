@@ -22,6 +22,7 @@ unaware of cache coherence too: each space's
 from __future__ import annotations
 
 from functools import partial
+from itertools import repeat
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro._errors import InvocationError, TransportError, UnknownObjectError
@@ -703,10 +704,11 @@ class AddressSpace:
         if is_batch:
             self.batches_served += 1
             decoded = transport.decode_batch_request(body, marshaller=self.marshaller)
-            requests = list(map(read_request, decoded))
+            requests = list(map(read_request, decoded, repeat(self.node_id)))
             serve, encode = self._dispatch_all, transport.encode_batch_response
         else:
-            requests = read_request(transport.decode_request(body, marshaller=self.marshaller))
+            requests = read_request(
+                transport.decode_request(body, marshaller=self.marshaller), self.node_id)
             serve, encode = self._dispatch, transport.encode_response
         return self._settle(_Scope(source, is_batch, []), serve, requests, encode, prefix)
 

@@ -25,7 +25,7 @@ from repro._errors import ReproError, TransportError, remote_error
 from repro.runtime.remote_ref import RemoteRef
 
 #: The checked fields of one request, in :func:`read_request`'s order:
-#: (target id, member, args, kwargs, context).
+#: (target's full object id, member, args, kwargs, context).
 RequestFields = Tuple[str, str, list, dict, Optional[dict]]
 
 
@@ -34,13 +34,15 @@ def request_dict(
 ) -> dict:
     """The request for ``member`` on the object behind ``reference``.
 
+    The target is the object's key on the node the request goes to
+    (:attr:`~repro.runtime.remote_ref.RemoteRef.key`), not its full id.
     ``args`` and ``kwargs`` hold wire values or ``Live`` markers.  ``context``
     carries the call's control fields (call id, tenant, deadline — see
     :class:`~repro.core.interception.CallContext`).  ``kwargs`` and ``ctx``
     are keys only when non-empty; the interface is not one (the serving space
     knows it from its export).  The key order here is the order on the wire.
     """
-    request = {"target": reference.object_id, "member": member, "args": args}
+    request = {"target": reference.key, "member": member, "args": args}
     if kwargs:
         request["kwargs"] = kwargs
     if context:
@@ -48,12 +50,17 @@ def request_dict(
     return request
 
 
-def read_request(request: dict) -> RequestFields:
-    """The fields of one decoded request, checked against the documented shape.
+def read_request(request: dict, node_id: str) -> RequestFields:
+    """The fields of one request decoded on node ``node_id``, checked against
+    the documented shape.
 
     A transport's decoder answers for the frame, not for what is in it, and
-    what is in it came from another machine.  A missing ``kwargs`` is empty;
-    an ``interface`` (a frame written when requests named it) is not read.
+    what is in it came from another machine.  A target without ``:`` is a key
+    on this node and comes back as its full id, ``<node_id>:<target>``; one
+    with ``:`` is a full id already (a frame written before keys, or a
+    reference whose id does not start with its node).  A missing ``kwargs`` is
+    empty; an ``interface`` (a frame written when requests named it) is not
+    read.
     """
     try:
         target, member, args = request["target"], request["member"], request["args"]
@@ -67,6 +74,8 @@ def read_request(request: dict) -> RequestFields:
     for key in kwargs:
         if type(key) is not str:
             raise _malformed(request)
+    if ":" not in target:
+        target = f"{node_id}:{target}"
     return target, member, args, kwargs, context
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from repro._errors import SerializationError
@@ -23,7 +24,8 @@ class ObjectIdAllocator:
 
     Identifiers are deterministic (``<node>:<counter>``) so test runs and
     benchmark traces are reproducible; no wall-clock or random component is
-    involved.
+    involved.  The counter is the object's *key*: what a request names it by
+    on its node (see :attr:`RemoteRef.key`).
     """
 
     def __init__(self, node_id: str) -> None:
@@ -59,6 +61,25 @@ class RemoteRef:
         if not all(type(field) is str for field in fields):
             raise SerializationError(f"malformed wire reference: {wire!r}")
         return cls(*fields)
+
+    # -- request form -----------------------------------------------------------
+
+    @cached_property
+    def key(self) -> str:
+        """What a request to this object's node names it by: ``1`` for ``server:1``.
+
+        Like GIOP's object key and JRMP's ObjID, a request's target is
+        relative to the node serving it, which reads a target without ``:``
+        as ``<node>:<target>`` and any other as a full id.  So an id that
+        does not start with its node travels whole (every id holds a ``:``,
+        as the allocator writes them).  Computed once per reference; a
+        reference travelling as a value keeps its full id.
+        """
+        prefix = f"{self.node_id}:"
+        key = self.object_id[len(prefix):]
+        if self.object_id.startswith(prefix) and key and ":" not in key:
+            return key
+        return self.object_id
 
     # -- helpers ----------------------------------------------------------------
 

@@ -145,16 +145,17 @@ class ReplicaEndpoint:
         return result
 
     def apply_ops(self, ops: list, epoch: Optional[int] = None) -> int:
-        """Replay a list of ``(member, args, kwargs)`` operations in order.
+        """Replay a list of ``[member, args, kwargs]`` operations in order.
 
         The batched form of :meth:`apply_op`: when the primary serves a
         dispatched batch of writes, the whole window's forwards travel to
-        this backup as **one** message instead of one per write.  Returns the
-        number of operations applied.
+        this backup as **one** message instead of one per write.  An
+        operation without keyword arguments travels as ``[member, args]``.
+        Returns the number of operations applied.
         """
         self._check_epoch(epoch)
-        for member, args, kwargs in ops:
-            getattr(self._impl, member)(*args, **kwargs)
+        for member, args, *kwargs in ops:
+            getattr(self._impl, member)(*args, **(kwargs[0] if kwargs else {}))
             self.ops_applied += 1
         return len(ops)
 
@@ -516,8 +517,7 @@ class ReplicaManager:
             if stale.wrapper is wrapper:
                 stale.retired = True
         raise FencedError(
-            f"replica group {group.name!r} primary from epoch {wrapper._epoch} "
-            f"was superseded by epoch {group.epoch}",
+            f"primary from epoch {wrapper._epoch} was superseded by epoch {group.epoch}",
             stale_epoch=wrapper._epoch,
             current_epoch=group.epoch,
         )
@@ -559,9 +559,9 @@ class ReplicaManager:
         if acks < group.quorum:
             group.quorum_failures += ops
             what = f"{ops} batched writes" if batched else f"write {attrs['op']!r}"
+            # The refusal rides the response: the group's name stays in the span.
             raise QuorumLostError(
-                f"{what} on replica group {group.name!r} gathered "
-                f"{acks} of the {group.quorum} acknowledgements required"
+                f"{what} gathered {acks} of the {group.quorum} acknowledgements required"
             )
         group.acked_writes += ops
 
@@ -610,7 +610,7 @@ class ReplicaManager:
             if target is record and base <= record.acked:
                 ops = log[record.acked - base:]
                 if batch or len(ops) > 1:
-                    member, args = "apply_ops", ([list(op) for op in ops],)
+                    member, args = "apply_ops", ([list(op if op[2] else op[:2]) for op in ops],)
                 else:
                     member, args = "apply_op", ops[0]
             else:

@@ -10,12 +10,15 @@ cost on the simulated network.
 
 This is the one statement of the message shape.  A request is::
 
-    {"target": <object id>, "member": <member name>, "args": [<wire value>...],
+    {"target": <object key>, "member": <member name>, "args": [<wire value>...],
      "kwargs": {<str>: <wire value>...}, "ctx": {...}}
 
 with ``kwargs`` only when the call has keyword arguments and ``ctx`` (call id,
 tenant, deadline, trace ids) only when non-empty: no interface name, which the
-serving space knows from its export.  A response is::
+serving space knows from its export.  ``target`` is the object's key on the
+serving node (``1`` for the object ``server:1``), as GIOP's object key and
+JRMP's ObjID are; a target with a ``:`` in it is a full object id (an id that
+does not start with its node, or a frame written before keys).  A response is::
 
     {"result": <wire value>}                     on success
     {"error": {"type": ..., "message": ...}}     on failure

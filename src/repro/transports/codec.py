@@ -7,6 +7,15 @@ is that encoding, once: a tag-length-value stream whose only parameter is the
 their natural boundaries; the RMI-like stream is packed), so the two protocols
 share every line of value handling while producing different bytes.
 
+The tags, one byte each: 0 ``None``, 1 ``True``, 2 ``False``, 3 an 8-byte
+int, 4 an 8-byte float, 5 a string (a 4-byte length, then UTF-8), 6 a list (a
+4-byte count, then the items), 7 a map (a 4-byte count, then per entry the key
+as length and bytes, untagged, and the value), 8 a record (a message, never a
+value: below) and 9 a 4-byte int.  Every writer sends an int that fits in 32
+bits as 9 and any other as 3; readers take both, so a frame written before 9
+existed, every int in 8 bytes, still reads.  Numbers are big-endian and ints
+signed.
+
 * :func:`encode_value` / :func:`decode_value` — round-trip ONE wire value.
   Dispatch is on the exact type, most frequent first; subclasses (an
   ``IntEnum``, an ``OrderedDict``, a tuple) fall back to an ``isinstance``
@@ -14,6 +23,7 @@ share every line of value handling while producing different bytes.
 
       assert decode_value(encode_value([1, "two", None])) == [1, "two", None]
       assert encode_value(True) == b"\\x01"               # a tag, not an int
+      assert encode_value(7).hex() == "0900000007"        # 4 bytes: it fits in 32 bits
       assert encode_value("ab", alignment=8).hex() == "05000000" "00000002" "6162"
 
   ``alignment=1`` produces the RMI-like packed stream; ``alignment=8``
@@ -82,18 +92,22 @@ _TAG_STR = 5
 _TAG_LIST = 6
 _TAG_MAP = 7
 _TAG_RECORD = 8  # a message: its fields by position, no names (never inside a value)
+_TAG_SMALL_INT = 9  # an int that fits in 32 bits, in 4 bytes (_TAG_INT: 8 bytes)
 _SINGLETONS = (None, True, False)  # by tag
 
 _UINT32 = Struct("!I")
+_INT32 = Struct("!i")
 _INT64 = Struct("!q")
 _FLOAT64 = Struct("!d")
 # One pack call writes a tag, the pad up to the value's boundary and the
 # value; the index is the pad length (always 0 in a packed stream).
 _TAG_UINT32 = tuple(Struct(f"!B{pad}xI") for pad in range(4))
+_TAG_INT32 = tuple(Struct(f"!B{pad}xi") for pad in range(4))
 _TAG_INT64 = tuple(Struct(f"!B{pad}xq") for pad in range(8))
 _TAG_FLOAT64 = tuple(Struct(f"!B{pad}xd") for pad in range(8))
 _PADS = tuple(bytes(pad) for pad in range(4))
-_PACKED = (_TAG_UINT32[0].pack, _TAG_INT64[0].pack, _TAG_FLOAT64[0].pack, _UINT32.pack)
+_PACKED = (_TAG_UINT32[0].pack, _TAG_INT32[0].pack, _TAG_INT64[0].pack, _TAG_FLOAT64[0].pack,
+           _UINT32.pack)
 #: What Python raises where a stream does not meet the binary format.
 _WRITE_ERRORS = (struct.error, OverflowError, UnicodeEncodeError, RecursionError)
 _READ_ERRORS = (struct.error, IndexError, UnicodeDecodeError, RecursionError)
@@ -161,11 +175,13 @@ def decode_value(payload: bytes, alignment: int = 1, marshaller: Any = None) -> 
 
 
 def _packers(buffer: bytearray, alignment: int) -> tuple:
-    """``(tag_uint32, tag_int64, tag_float64, key_length)``, padded for ``buffer``'s end."""
+    """``(tag_uint32, tag_int32, tag_int64, tag_float64, key_length)``, padded for
+    ``buffer``'s end."""
     if alignment <= 1:
         return _PACKED
     align4, align8 = min(4, alignment), min(8, alignment)
     return (lambda tag, number: _TAG_UINT32[-(len(buffer) + 1) % align4].pack(tag, number),
+            lambda tag, number: _TAG_INT32[-(len(buffer) + 1) % align4].pack(tag, number),
             lambda tag, number: _TAG_INT64[-(len(buffer) + 1) % align8].pack(tag, number),
             lambda tag, number: _TAG_FLOAT64[-(len(buffer) + 1) % align8].pack(tag, number),
             lambda number: _PADS[-len(buffer) % align4] + _UINT32.pack(number))
@@ -174,7 +190,7 @@ def _packers(buffer: bytearray, alignment: int) -> tuple:
 def _writer(buffer: bytearray, alignment: int) -> Any:
     """The walk over ``buffer``: ``write(value, type(value), None, write)`` appends a wire value
     or a Live marker's tree (handed itself: a closure naming itself is a reference cycle)."""
-    tag_uint32, tag_int64, tag_float64, key_length = _packers(buffer, alignment)
+    tag_uint32, tag_int32, tag_int64, tag_float64, key_length = _packers(buffer, alignment)
     key_heads = ({}, {}, {}, {})  # a map key's head and bytes, by stream offset mod 4
 
     def write(value: Any, kind: type, marshaller: Any, write: Any) -> None:
@@ -193,7 +209,9 @@ def _writer(buffer: bytearray, alignment: int) -> Any:
                 else:
                     write(item, item_kind, marshaller, write)
         elif kind is int:
-            buffer += tag_int64(_TAG_INT, value)
+            # The 32-bit bounds as literals: constants, not global lookups, per int.
+            buffer += (tag_int32(_TAG_SMALL_INT, value) if -0x80000000 <= value <= 0x7FFFFFFF
+                       else tag_int64(_TAG_INT, value))
         elif kind is dict:
             if marshaller is not None and Tree.KIND in value:  # the tree escapes this map
                 wire = marshaller.to_wire(value)
@@ -246,7 +264,8 @@ def _reader(payload: bytes, alignment: int, marshaller: Any) -> Any:
     offset = 0
     aligned = alignment > 1
     align4, align8 = min(4, alignment), min(8, alignment)
-    uint32, int64, float64 = _UINT32.unpack_from, _INT64.unpack_from, _FLOAT64.unpack_from
+    uint32, int32, int64 = _UINT32.unpack_from, _INT32.unpack_from, _INT64.unpack_from
+    float64 = _FLOAT64.unpack_from
     tree_kind = Tree.KIND
 
     def read(live: bool, read: Any) -> Any:
@@ -264,6 +283,11 @@ def _reader(payload: bytes, alignment: int, marshaller: Any) -> Any:
             offset = start + 4
             count = uint32(payload, start)[0]
             return list(map(read, repeat(live, count), repeat(read, count)))
+        if tag == _TAG_SMALL_INT:
+            if aligned:
+                start += -start % align4
+            offset = start + 4
+            return int32(payload, start)[0]
         if tag == _TAG_INT:
             if aligned:
                 start += -start % align8
@@ -339,7 +363,7 @@ class BinaryTransport(Transport):
     def encode_frame(self, kind: str, messages: list) -> bytes:
         buffer, alignment, headers, write = bytearray(), self.alignment, _HEADERS[kind], None
         try:
-            tag_uint32, tag_int64, tag_float64, key_length = _packers(buffer, alignment)
+            tag_uint32, tag_int32, tag_int64, tag_float64, key_length = _packers(buffer, alignment)
             if kind in BATCH_KINDS:
                 buffer += tag_uint32(_TAG_LIST, len(messages))
             for message in messages if kind in BATCH_KINDS else messages[:1]:
@@ -371,7 +395,9 @@ class BinaryTransport(Transport):
                             data = item.encode()
                             buffer += tag_uint32(_TAG_STR, len(data)) + data
                         elif cls is int:
-                            buffer += tag_int64(_TAG_INT, item)
+                            buffer += (tag_int32(_TAG_SMALL_INT, item)
+                                       if -0x80000000 <= item <= 0x7FFFFFFF
+                                       else tag_int64(_TAG_INT, item))
                         elif cls is float:
                             buffer += tag_float64(_TAG_FLOAT, item)
                         elif item is None:
@@ -440,6 +466,11 @@ class BinaryTransport(Transport):
                                 start += -start % align4
                             offset = start + 4 + uint32(payload, start)[0]
                             item = payload[start + 4 : offset].decode()
+                        elif tag == _TAG_SMALL_INT:
+                            if aligned:
+                                start += -start % align4
+                            offset = start + 4
+                            item = _INT32.unpack_from(payload, start)[0]
                         elif tag == _TAG_INT or tag == _TAG_FLOAT:
                             if aligned:
                                 start += -start % align8

@@ -73,7 +73,7 @@ class TestBatchMessages:
             again = transport.decode_batch_request(
                 transport.encode_batch_request(self._requests())
             )
-            fields = [read_request(request) for request in again]
+            fields = [read_request(request, "server") for request in again]
             assert [target for target, *_ in fields] == ["server:0", "server:1", "server:2"]
             assert [args for _, _, args, _, _ in fields] == [[0], [1], [2]]
 
@@ -118,4 +118,4 @@ class TestBatchMessages:
     @pytest.mark.parametrize("request_", [None, 7, "text", ["target"], {}])
     def test_a_request_that_is_not_a_request_dict_raises_typed_error(self, request_):
         with pytest.raises(TransportError):
-            read_request(request_)
+            read_request(request_, "server")

@@ -114,6 +114,28 @@ class TestQuorumWrites:
         assert [record.acked for record in group.backups.values()] == [0, 0]
         assert group.primary_impl.accepted_count() == 1
 
+    def test_a_refusal_names_no_group(self):
+        """The refusal a client reads carries no group name: two groups whose
+        names differ in length refuse with responses of one length."""
+        lengths = []
+        for name in ("g#1", "g#1-under-a-much-longer-name"):
+            cluster = Cluster(("monitor", "client", "a", "b", "c"))
+            group = _manager(cluster).replicate(
+                OrderIntake(), name=name, primary_node="a", backup_nodes=["b", "c"],
+                readonly=INTAKE_READONLY, quorum=2,
+            )
+            cluster.network.failures.partition(["a"], ["b", "c"])
+            responses, send = [], cluster.network.send_request
+            cluster.network.send_request = lambda *call, **options: (
+                responses.append(send(*call, **options)) or responses[-1])
+            with pytest.raises(QuorumLostError) as refused:
+                cluster.space("client").invoke_remote(
+                    group.primary_ref, "submit", ("sku", 1, 10), transport="rmi")
+            (response,) = responses
+            assert name.encode() not in response and name not in str(refused.value)
+            lengths.append(len(response))
+        assert lengths[0] == lengths[1]
+
     def test_single_backup_loss_still_reaches_quorum(self, cluster):
         manager = _manager(cluster)
         group = _quorum_group(manager)

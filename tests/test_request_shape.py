@@ -116,7 +116,7 @@ class TestEveryShape:
         for marshaller in (None, cluster.space("server").marshaller):
             (decoded,) = codec_.read_frame(kind, frame, marshaller)
             assert repr(decoded) == repr(request)
-            assert read_request(decoded) == ("server:1", "lookup", ["item-abcd"], kwargs, ctx)
+            assert read_request(decoded, "server") == ("server:1", "lookup", ["item-abcd"], kwargs, ctx)
 
     @pytest.mark.parametrize("shape", list(SHAPES))
     def test_the_call_is_served_as_a_direct_call(self, transport, framing, shape):
@@ -132,10 +132,11 @@ class TestEveryShape:
 
 
 #: Bytes of one ``lookup("item-abcd")`` request to the first object a fresh
-#: space exports, transport prefix included.  While requests named their
-#: interface (``Catalog``) and carried an empty kwargs map they were 72 (rmi),
-#: 98 (corba), 228 (soap) and 101 (inproc).
-SMALL_REQUEST_BYTES = {"rmi": 55, "corba": 79, "soap": 196, "inproc": 67}
+#: space exports, transport prefix included.  While the target was the full id
+#: ``server:1`` rather than the key ``1`` they were 55 (rmi), 79 (corba), 196
+#: (soap) and 67 (inproc); while requests also named their interface
+#: (``Catalog``) and carried an empty kwargs map, 72, 98, 228 and 101.
+SMALL_REQUEST_BYTES = {"rmi": 48, "corba": 71, "soap": 189, "inproc": 60}
 
 
 @pytest.mark.parametrize("transport", matrix.TRANSPORTS)

@@ -57,20 +57,45 @@ class TestInvocationMessages:
     def test_request_dict_round_trip(self):
         request = request_dict(self.REFERENCE, "n", [3], {"named": True}, {"i": 4})
         assert list(request) == ["target", "member", "args", "kwargs", "ctx"]
-        assert read_request(request) == ("server:1", "n", [3], {"named": True}, {"i": 4})
+        assert read_request(request, "server") == ("server:1", "n", [3], {"named": True}, {"i": 4})
 
     def test_an_empty_context_and_empty_kwargs_stay_off_the_wire(self):
         for context in (None, {}):
             request = request_dict(self.REFERENCE, "n", [], {}, context)
             assert list(request) == ["target", "member", "args"]
-            assert read_request(request) == ("server:1", "n", [], {}, None)
+            assert read_request(request, "server") == ("server:1", "n", [], {}, None)
 
     def test_a_request_naming_its_interface_reads_as_one_that_does_not(self):
         """A request decoded from a frame written when requests named their
         interface: the name is not read, an empty kwargs is no kwargs."""
         old = {"target": "server:1", "interface": "Y_O_Int", "member": "n", "args": [3],
                "kwargs": {}}
-        assert read_request(old) == read_request(request_dict(self.REFERENCE, "n", [3], {}, None))
+        assert read_request(old, "server") == read_request(
+            request_dict(self.REFERENCE, "n", [3], {}, None), "server")
+
+    def test_a_request_names_its_target_by_the_key_on_its_node(self):
+        request = request_dict(self.REFERENCE, "n", [], {}, None)
+        assert request["target"] == self.REFERENCE.key == "1"
+        assert read_request(request, "server")[0] == "server:1"
+
+    @pytest.mark.parametrize("reference", [
+        RemoteRef("server:1", "other", "I"),      # moved: its id names another node
+        RemoteRef("serverx:1", "server", "I"),    # a node that is a prefix of another
+        RemoteRef("server:1:2", "server", "I"),   # a key with a colon in it
+        RemoteRef("server:", "server", "I"),      # no key at all
+    ], ids=["other node", "longer node", "colon in key", "empty key"])
+    def test_an_id_that_does_not_start_with_its_node_travels_whole(self, reference):
+        request = request_dict(reference, "n", [], {}, None)
+        assert request["target"] == reference.key == reference.object_id
+        assert read_request(request, reference.node_id)[0] == reference.object_id
+
+    def test_a_reference_travelling_as_a_value_keeps_its_full_id_and_node(self):
+        reference = self.REFERENCE
+        assert reference.key == "1"
+        request = request_dict(reference, "n", [reference.to_wire()], {}, None)
+        (wire,) = read_request(request, "server")[2]
+        assert RemoteRef.from_wire(wire) == reference
+        assert (wire["object_id"], wire["node_id"]) == ("server:1", "server")
 
     def test_successful_response_round_trip(self):
         assert read_response(response_dict(41)) == (41, None)

@@ -10,12 +10,21 @@ import pytest
 
 import matrix
 from repro.api.errors import TransportError, UnknownTransportError
-from repro.transports.base import TransportRegistry, frame_message, unframe_message
+from repro.runtime.cluster import Cluster
+from repro.transports.base import (
+    BATCH_REQUEST,
+    REQUEST,
+    TransportRegistry,
+    frame_message,
+    unframe_message,
+)
 from repro.transports.codec import decode_value, encode_value
 from repro.transports.corba import CorbaTransport
 from repro.transports.inproc import InProcTransport
 from repro.transports.rmi import RmiTransport
 from repro.transports.soap import SoapTransport
+
+_MARSHALLER = Cluster(("server",)).space("server").marshaller
 
 SAMPLE_REQUEST = {
     "target": "server:12",
@@ -156,46 +165,90 @@ class TestBinaryCodec:
     @pytest.mark.parametrize(
         "value, decoded, expected_hex",
         [
-            (_Colour.RED, 3, "030000000000000003"),
+            (_Colour.RED, 3, "0900000003"),
             (_Name("ab"), "ab", "05000000026162"),
             ({_Name("k"): _Name("v")}, {"k": "v"}, "0700000001000000016b050000000176"),
             (
                 OrderedDict([("b", 1), ("a", None)]),
                 {"b": 1, "a": None},
-                "07000000020000000162030000000000000001000000016100",
+                "070000000200000001620900000001000000016100",
             ),
             (
                 (1, "x", (None,)),
                 [1, "x", [None]],
-                "0600000003030000000000000001050000000178060000000100",
+                "06000000030900000001050000000178060000000100",
             ),
             (True, True, "01"),
             (False, False, "02"),
-            (1, 1, "030000000000000001"),
+            (1, 1, "0900000001"),
         ],
         ids=["IntEnum", "str-subclass", "str-subclass-key", "OrderedDict", "tuple",
              "True", "False", "one"],
     )
     def test_subclasses_travel_as_their_base_type(self, value, decoded, expected_hex):
-        """Bytes pinned to the pre-rewrite ``isinstance`` ladder's output."""
+        """Bytes pinned to the ``isinstance`` ladder's output (an int that fits
+        in 32 bits in its 4-byte form, tag 9)."""
         assert encode_value(value).hex() == expected_hex
         result = decode_value(bytes.fromhex(expected_hex))
         assert result == decoded and type(result) is type(decoded)
 
     def test_alignment_pads_after_an_odd_length_string(self):
-        # tag, pad to 4, count | tag, pad, length, "abc" | tag, pad to 8, int64
-        aligned = "06000000" "00000002" "05000000" "00000003" "616263" "03" "00000000" + (
-            "0000000000000007"
-        )
+        # tag, pad to 4, count | tag, pad, length, "abc" | tag, int32 (at 16, no pad)
+        aligned = "06000000" "00000002" "05000000" "00000003" "616263" "09" "00000007"
         assert encode_value(["abc", 7], alignment=8).hex() == aligned
         assert decode_value(bytes.fromhex(aligned), alignment=8) == ["abc", 7]
         # Map keys carry no tag: pad to 4, length, bytes.
         aligned_map = (
-            "07000000" "00000002" "00000003" "616263" "03" "0000000000000007"
-            "00000001" "6b" "04" "0000" "3ff8000000000000"
+            "07000000" "00000002" "00000003" "616263" "09" "00000007"
+            "00000001" "6b" "04" "000000000000" "3ff8000000000000"
         )
         assert encode_value({"abc": 7, "k": 1.5}, alignment=8).hex() == aligned_map
         assert decode_value(bytes.fromhex(aligned_map), alignment=8) == {"abc": 7, "k": 1.5}
+
+
+#: An int at each edge of the two widths -> the tag it travels under: 9 (4 bytes)
+#: from -2**31 to 2**31 - 1, 3 (8 bytes) outside.
+INT_EDGES = {-(2**63): 3, -(2**31) - 1: 3, -(2**31): 9, 2**31 - 1: 9, 2**31: 3, 2**63 - 1: 3}
+
+
+@pytest.mark.parametrize("value", sorted(INT_EDGES))
+@pytest.mark.parametrize("offset", range(8))
+@pytest.mark.parametrize("transport", matrix.BINARY_CODECS, ids=lambda t: t.name)
+class TestIntWidths:
+    """Each int edge behind a string of ``offset`` bytes, so its tag lands at
+    every stream offset mod 8, in the packed (rmi) and the aligned (corba)
+    stream: the walk's bytes pinned, and the record loop's frames read back."""
+
+    def test_the_walk_writes_the_narrowest_width_aligned_to_itself(
+        self, transport, offset, value
+    ):
+        alignment = transport.alignment
+        stream = encode_value(["x" * offset, value], alignment)
+        # list tag and count, string tag and length (each count padded to 4 when aligned)
+        at = (10 if alignment == 1 else 16) + offset
+        tag, width = INT_EDGES[value], 4 if INT_EDGES[value] == 9 else 8
+        start = at + 1 + (-(at + 1) % width if alignment > 1 else 0)
+        assert stream[at] == tag and stream[at + 1 : start] == bytes(start - at - 1)
+        assert len(stream) == start + width
+        assert int.from_bytes(stream[start:], "big", signed=True) == value
+        assert decode_value(stream, alignment) == ["x" * offset, value]
+
+    def test_a_record_carries_it_in_place_in_lists_in_maps_and_nested(
+        self, transport, offset, value
+    ):
+        request = {"target": "1", "member": "m", "args": ["x" * offset, value, [value, offset]],
+                   "kwargs": {"k" * offset: value}, "ctx": {"i": value}}
+        for kind, messages in ((REQUEST, [request]), (BATCH_REQUEST, [request, request])):
+            frame = transport.encode_frame(kind, messages)
+            for marshaller in (None, _MARSHALLER):
+                assert repr(transport.read_frame(kind, frame, marshaller)) == repr(messages)
+
+    def test_every_int_still_reads_in_8_bytes(self, transport, offset, value):
+        """As every int was written before tag 9 (the golden ``full_ids`` frames)."""
+        alignment = transport.alignment
+        stream = encode_value(["x" * offset, 2**40], alignment)  # tag 3, 8 bytes last
+        stream = stream[:-8] + value.to_bytes(8, "big", signed=True)
+        assert decode_value(stream, alignment) == ["x" * offset, value]
 
 
 class TestRegistryAndFraming:

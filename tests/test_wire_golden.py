@@ -3,12 +3,16 @@
 ``golden_wire.json`` holds the hex of each frame below as the encoders
 produce it, so a codec change that moves a single byte (a pad, a tag, a
 length) fails here rather than in a simulated-clock number three layers up.
-Two sections hold rmi and corba frames of the same messages as written
-before, when every request named its interface and carried its kwargs, empty
-or not: ``keyed``, from before messages became positional records (every
-message a keyed map), and ``named_records``, positional records of five or six
-fields.  They are read only: each must still read to its message as it was
-written, and be served as the current frame is.  The fixed message set covers the
+Three sections hold frames of the same messages as written before, read
+only: each must still read to its message as it was written, and be served as
+the current frame is.  ``full_ids`` holds every transport's frames from before
+a request's target was the serving node's object key (``server:12``, not
+``12``) and before ints that fit in 32 bits went out in 4 bytes (tag 9: every
+int took 8).  ``keyed`` and ``named_records`` hold rmi and corba frames from
+before that too, when every request named its interface and carried its
+kwargs, empty or not: ``keyed`` from before messages became positional
+records (every message a keyed map), ``named_records`` positional records of
+five or six fields.  The fixed message set covers the
 whole wire-value domain — the strings, int64 edges, floats and containers
 the codec special-cases — plus one order twice: in the tagged tree form
 (``{"__kind__": "map", "items": [[key, value], ...]}``, every list tagged too)
@@ -18,8 +22,8 @@ what the ledger's ``batch_payload`` workload ships (the ``plain_order_*``
 cases).
 
 Regenerate (only when the wire format is *meant* to change) with
-``PYTHONPATH=src python tests/test_wire_golden.py``; the ``keyed`` and
-``named_records`` rows are carried over as they are.
+``PYTHONPATH=src:tests python tests/test_wire_golden.py``; the three earlier
+sections are carried over as they are.
 """
 
 from __future__ import annotations
@@ -69,7 +73,7 @@ WIRE_ORDER = _tagged(ORDER)
 PLAIN_ORDER = Marshaller(None).to_wire(ORDER)
 
 REQUEST = {
-    "target": "server:12",
+    "target": "12",
     "member": "submit",
     "args": [
         "", "héllo wörld ✓", "𝄞😀", -(2**63), 2**63 - 1, 0, -0.0, 1e308, None, True, False,
@@ -79,7 +83,7 @@ REQUEST = {
     "kwargs": {"overwrite": False, "limit": 10, "note": "ключ"},
     "ctx": {"i": 7, "t": "tenant-a", "d": 1.25, "x": "t42", "p": "s7"},
 }
-SMALL_REQUEST = {"target": "server:3", "member": "lookup", "args": ["key-1"]}
+SMALL_REQUEST = {"target": "3", "member": "lookup", "args": ["key-1"]}
 RESPONSE = {"result": WIRE_ORDER}
 PLAIN_ORDER_REQUEST = {**SMALL_REQUEST, "member": "submit", "args": [PLAIN_ORDER]}
 ERROR_RESPONSE = {"error": {"type": "KeyError", "message": "missing ключ 𝄞"}}
@@ -101,11 +105,27 @@ CASES = {
 }
 TRANSPORTS = {codec.name: codec for codec in matrix.CODECS}
 BINARY = matrix.BINARY
+#: The node that serves every request here, whose object keys the targets are.
+NODE = "server"
+#: The golden section of every transport's frames written while a target was
+#: a full id and every int took 8 bytes.
+FULL_IDS = "full_ids"
 #: The golden sections of rmi/corba frames written while requests named their
 #: interface: before records, and as records of five or six fields.
 KEYED, NAMED_RECORDS = "keyed", "named_records"
+EARLIER = (FULL_IDS, KEYED, NAMED_RECORDS)
 #: The interface each request's target was named with in those frames.
-INTERFACES = {"server:12": "Orders_O_Int", "server:3": "Catalog_O_Int"}
+INTERFACES = {"12": "Orders_O_Int", "3": "Catalog_O_Int"}
+
+
+def full_id(message):
+    """``message`` (or a batch of them) as a request was written while its
+    target was the object's full id; a response as it is."""
+    if isinstance(message, list):
+        return list(map(full_id, message))
+    if "member" not in message:
+        return message
+    return {**message, "target": f"{NODE}:{message['target']}"}
 
 
 def named(message):
@@ -115,7 +135,7 @@ def named(message):
         return list(map(named, message))
     if "member" not in message:
         return message
-    old = {"target": message["target"], "interface": INTERFACES[message["target"]],
+    old = {"target": f"{NODE}:{message['target']}", "interface": INTERFACES[message["target"]],
            "member": message["member"], "args": message["args"],
            "kwargs": message.get("kwargs", {})}
     if "ctx" in message:
@@ -139,7 +159,8 @@ def served(decoded):
     """What a serving space reads of a decoded request, or batch of them, a
     response kept as it is."""
     messages = decoded if isinstance(decoded, list) else [decoded]
-    return [read_request(message) if "member" in message else message for message in messages]
+    return [read_request(message, NODE) if "member" in message else message
+            for message in messages]
 
 
 @functools.lru_cache(maxsize=None)
@@ -179,14 +200,20 @@ def test_decoders_read_the_golden_bytes(name, case):
     assert repr(decoded) == repr(message)
 
 
-@pytest.mark.parametrize("section", [KEYED, NAMED_RECORDS])
-@pytest.mark.parametrize("name,case", _frames(BINARY))
-def test_decoders_read_the_earlier_golden_bytes(name, case, section):
+#: section -> (the transports it holds frames of, what a message was written as).
+WRITTEN_AS = {FULL_IDS: (tuple(TRANSPORTS), full_id), KEYED: (BINARY, named),
+              NAMED_RECORDS: (BINARY, named)}
+
+
+@pytest.mark.parametrize("section,name,case", [
+    (section, name, case) for section in EARLIER for name, case in _frames(WRITTEN_AS[section][0])
+])
+def test_decoders_read_the_earlier_golden_bytes(section, name, case):
     _, decode, message = CASES[case]
     decode = getattr(TRANSPORTS[name], decode)
     earlier = bytes.fromhex(_golden()[section][name][case])
     current = bytes.fromhex(_golden()[name][case])
-    assert repr(decode(earlier)) == repr(named(message))
+    assert repr(decode(earlier)) == repr(WRITTEN_AS[section][1](message))
     assert served(decode(earlier)) == served(decode(current))
     live = _live_reader(decode)
     assert repr(served(live(earlier))) == repr(served(live(current)))
@@ -260,8 +287,7 @@ if __name__ == "__main__":
                     }
                     for name, transport in TRANSPORTS.items()
                 },
-                KEYED: _golden()[KEYED],
-                NAMED_RECORDS: _golden()[NAMED_RECORDS],
+                **{section: _golden()[section] for section in EARLIER},
             },
             indent=1,
         )
