@@ -205,10 +205,10 @@ WRITTEN_AS = {FULL_IDS: (tuple(TRANSPORTS), full_id), KEYED: (BINARY, named),
               NAMED_RECORDS: (BINARY, named)}
 
 
-@pytest.mark.parametrize("section,name,case", [
-    (section, name, case) for section in EARLIER for name, case in _frames(WRITTEN_AS[section][0])
+@pytest.mark.parametrize("name,case,section", [
+    (name, case, section) for section in EARLIER for name, case in _frames(WRITTEN_AS[section][0])
 ])
-def test_decoders_read_the_earlier_golden_bytes(section, name, case):
+def test_decoders_read_the_earlier_golden_bytes(name, case, section):
     _, decode, message = CASES[case]
     decode = getattr(TRANSPORTS[name], decode)
     earlier = bytes.fromhex(_golden()[section][name][case])
